@@ -22,6 +22,26 @@ write_smoke_data() {
     > "$SMOKE/data.phy"
 }
 
+# An 18-taxon alignment for the traffic smoke: the six smoke sequences
+# (write_smoke_data first), each copied twice more with one or two
+# substitutions. Large enough that a result carrying a candidate Newick is
+# ~400 bytes and rearrangement rounds verify many candidates, small enough
+# to finish in well under a second.
+write_traffic_data() {
+  awk 'NR > 1 { base[NR - 2] = $2 }
+    END {
+      print "18 40"
+      for (k = 0; k < 18; k++) {
+        s = base[k % 6]
+        for (j = 0; j < int(k / 6); j++) {
+          p = (k * 7 + j * 11) % 40
+          s = substr(s, 1, p) substr("TGCA", k % 4 + 1, 1) substr(s, p + 2)
+        }
+        printf "t%-9d%s\n", k, s
+      }
+    }' "$SMOKE/data.phy" > "$SMOKE/traffic.phy"
+}
+
 chaos_smoke() {
   # The in-process soak: seeded drop/delay/duplicate/corrupt/kill schedules
   # must reproduce the fault-free tree and likelihood bit for bit.
@@ -100,6 +120,31 @@ cmp "$SMOKE/inc_threads.nwk" "$SMOKE/full_threads.nwk"
   --output "$SMOKE/inc_net.nwk"
 cmp "$SMOKE/inc_net.nwk" "$SMOKE/full_threads.nwk"
 
+# Traffic smoke for the incremental path (`--obs-summary`, "traffic by
+# kind"): candidates are answered by their score alone, so the mean
+# TreeResult stays far below a Newick's size, and a round adopts at most one
+# base — one master->foreman frame plus one relay per worker — so
+# BaseTopology messages are bounded by (workers + 1) x (rounds + 1). A
+# verify ladder that reverts, or a worker that serializes candidates,
+# breaks one of the two.
+write_traffic_data
+./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --parallel 5 --incremental --quiet \
+  --obs-summary --output "$SMOKE/traffic.nwk" > "$SMOKE/traffic_summary.txt"
+awk '
+  /^  workers \(/      { gsub(/[^0-9]/, "", $2); workers = $2 }
+  /^  rounds \(/       { gsub(/[^0-9]/, "", $2); rounds = $2 }
+  $1 == "TreeResult"   { result_msgs = $3; result_bytes = $6 }
+  $1 == "BaseTopology" { base_msgs = $3 }
+  END {
+    if (!workers || !rounds || !result_msgs || !base_msgs) {
+      print "traffic smoke: run report not understood"; exit 1
+    }
+    printf "traffic smoke: TreeResult mean %.1f B, %d BaseTopology msgs for %d rounds on %d workers\n",
+      result_bytes / result_msgs, base_msgs, rounds, workers
+    if (result_bytes / result_msgs >= 256) { print "traffic smoke: results carry trees again"; exit 1 }
+    if (base_msgs > (workers + 1) * (rounds + 1)) { print "traffic smoke: more than one base per round"; exit 1 }
+  }' "$SMOKE/traffic_summary.txt"
+
 # Wire-codec smoke: every fdml-wire frame round-trips (proptest + golden
 # bytes), JSON and binary peers interoperate frame-by-frame on one hub
 # (the mixed-codec conformance tests), and both codecs plus the
@@ -121,6 +166,15 @@ cmp "$SMOKE/hier.nwk" "$SMOKE/threads.nwk"
 # three); the wire_report asserts the >=5x bytes-per-task reduction.
 cargo run --release -p fdml-bench --bin scaling_report -- --quick --out target/bench_scaling_smoke.json
 cargo run --release -p fdml-bench --bin wire_report -- --quick --out target/bench_wire_smoke.json
+
+# Benchmark smoke: the standalone `benchmark/` package compiles against
+# the library surface (`benchmark/src/probes.rs`) and drives the binary
+# through its flags; its 12-taxon `--quick` runs of the two incremental
+# workloads catch drift in either before the benchmark driver does.
+for workload in threads101_inc net101_inc; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --quick --repeats 1
+done
 
 # Jumble-farm smoke: 3 jumbles at width 2, sharded over worker processes
 # (TCP) and worker threads — the per-jumble trees and the consensus must

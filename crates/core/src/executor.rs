@@ -15,6 +15,12 @@
 //!
 //! The cluster executor that dispatches candidates over a transport lives
 //! in [`crate::master`].
+//!
+//! Every executor separates *verifying* a move (fully optimize `base +
+//! move`, base untouched) from *adopting* a verified tree as the new base
+//! (no recomputation). The driver's rearrangement rounds verify the
+//! leading candidates and adopt the first improver, so a fruitless round
+//! never touches the base and nothing is ever reverted.
 
 use fdml_likelihood::engine::{LikelihoodEngine, OptimizeOptions};
 use fdml_likelihood::scorer::TreeScorer;
@@ -86,9 +92,9 @@ pub struct BaseOutcome {
 
 /// Evaluation strategy for candidate rounds.
 ///
-/// Calling [`RoundExecutor::score_round`] or [`RoundExecutor::commit`]
-/// before [`RoundExecutor::set_base`] is a typed error
-/// ([`ExecutorError::NoBase`]), not a panic.
+/// Calling [`RoundExecutor::score_round`], [`RoundExecutor::verify`] or
+/// [`RoundExecutor::commit`] before [`RoundExecutor::set_base`] is a typed
+/// error ([`ExecutorError::NoBase`]), not a panic.
 pub trait RoundExecutor {
     /// Establish a new base tree, optimizing its branch lengths.
     fn set_base(&mut self, tree: Tree) -> Result<BaseOutcome, ExecutorError>;
@@ -96,9 +102,36 @@ pub trait RoundExecutor {
     /// Score every move against the current base.
     fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError>;
 
+    /// Fully optimize `base + move` for each move, in order. The base is
+    /// untouched, and an outcome depends only on the base and its move —
+    /// never on which other moves share the call.
+    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError>;
+
+    /// How many moves one [`verify`](Self::verify) call evaluates
+    /// concurrently (at least 1): the driver verifies candidates in waves
+    /// of this size.
+    fn verify_width(&self) -> usize {
+        1
+    }
+
+    /// Install an already-optimized tree (a [`verify`](Self::verify)
+    /// outcome) as the base without re-optimizing it. Returns the base as
+    /// the executor will score against it; `work_units` is the work the
+    /// adoption itself cost.
+    fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError>;
+
     /// Apply one move to the base, fully optimize, and make the result the
-    /// new base.
-    fn commit(&mut self, mv: &TreeMove) -> Result<BaseOutcome, ExecutorError>;
+    /// new base: [`verify`](Self::verify) then [`adopt`](Self::adopt).
+    fn commit(&mut self, mv: &TreeMove) -> Result<BaseOutcome, ExecutorError> {
+        let verified = self
+            .verify(std::slice::from_ref(mv))?
+            .pop()
+            .expect("verify returns one outcome per move");
+        let verify_work = verified.work_units;
+        let mut adopted = self.adopt(verified)?;
+        adopted.work_units += verify_work;
+        Ok(adopted)
+    }
 }
 
 /// Full per-candidate evaluation in process (the serial worker).
@@ -136,25 +169,48 @@ impl RoundExecutor for FullEvalExecutor<'_> {
     }
 
     fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError> {
+        // Whole-tree scoring is verification with the trees dropped.
+        Ok(self
+            .verify(moves)?
+            .into_iter()
+            .map(|full| CandidateScore {
+                ln_likelihood: full.ln_likelihood,
+                work_units: full.work_units,
+            })
+            .collect())
+    }
+
+    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError> {
         moves
             .iter()
-            .map(|mv| {
-                let mut cand = self.base()?.clone();
-                apply_move(&mut cand, mv)?;
-                let r = self.engine.optimize(&mut cand, &self.opts);
-                Ok(CandidateScore {
-                    ln_likelihood: r.ln_likelihood,
-                    work_units: r.work.work_units(),
-                })
-            })
+            .map(|mv| verify_in_process(self.engine, &self.opts, self.base()?, mv))
             .collect()
     }
 
-    fn commit(&mut self, mv: &TreeMove) -> Result<BaseOutcome, ExecutorError> {
-        let mut tree = self.base()?.clone();
-        apply_move(&mut tree, mv)?;
-        self.set_base(tree)
+    fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError> {
+        self.base = Some(verified.tree.clone());
+        Ok(BaseOutcome {
+            work_units: 0,
+            ..verified
+        })
     }
+}
+
+/// `base + mv`, fully optimized in process: the serial executors' verify.
+fn verify_in_process(
+    engine: &LikelihoodEngine,
+    opts: &OptimizeOptions,
+    base: &Tree,
+    mv: &TreeMove,
+) -> Result<BaseOutcome, ExecutorError> {
+    let mut tree = base.clone();
+    apply_move(&mut tree, mv)?;
+    let r = engine.optimize(&mut tree, opts);
+    Ok(BaseOutcome {
+        tree,
+        ln_likelihood: r.ln_likelihood,
+        work_units: r.work.work_units(),
+    })
 }
 
 /// Incremental scoring (see [`fdml_likelihood::scorer`]).
@@ -173,24 +229,23 @@ impl<'e> ScorerExecutor<'e> {
             scorer: None,
         }
     }
-}
 
-impl RoundExecutor for ScorerExecutor<'_> {
-    fn set_base(&mut self, tree: Tree) -> Result<BaseOutcome, ExecutorError> {
-        let before = self
-            .scorer
-            .as_ref()
-            .map(|s| s.base_work().work_units())
-            .unwrap_or(0);
-        let scorer = TreeScorer::new(self.engine, tree, self.opts);
+    /// Make `scorer`'s tree the base and report it.
+    fn install(&mut self, scorer: TreeScorer<'e>) -> BaseOutcome {
         let out = BaseOutcome {
             tree: scorer.tree().clone(),
             ln_likelihood: scorer.ln_likelihood(),
             work_units: scorer.base_work().work_units(),
         };
-        let _ = before;
         self.scorer = Some(scorer);
-        Ok(out)
+        out
+    }
+}
+
+impl RoundExecutor for ScorerExecutor<'_> {
+    fn set_base(&mut self, tree: Tree) -> Result<BaseOutcome, ExecutorError> {
+        let scorer = TreeScorer::new(self.engine, tree, self.opts);
+        Ok(self.install(scorer))
     }
 
     fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError> {
@@ -205,14 +260,23 @@ impl RoundExecutor for ScorerExecutor<'_> {
             .collect())
     }
 
-    fn commit(&mut self, mv: &TreeMove) -> Result<BaseOutcome, ExecutorError> {
-        let scorer = self.scorer.as_mut().ok_or(ExecutorError::NoBase)?;
-        let r = scorer.apply(mv)?;
-        Ok(BaseOutcome {
-            tree: scorer.tree().clone(),
-            ln_likelihood: r.ln_likelihood,
-            work_units: r.work.work_units(),
-        })
+    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError> {
+        let base = self.scorer.as_ref().ok_or(ExecutorError::NoBase)?.tree();
+        moves
+            .iter()
+            .map(|mv| verify_in_process(self.engine, &self.opts, base, mv))
+            .collect()
+    }
+
+    fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError> {
+        // The only work adoption costs is indexing the tree's CLVs.
+        let scorer = TreeScorer::from_optimized(
+            self.engine,
+            verified.tree,
+            verified.ln_likelihood,
+            self.opts,
+        );
+        Ok(self.install(scorer))
     }
 }
 
@@ -290,6 +354,7 @@ mod tests {
 
         let mut full = FullEvalExecutor::new(&engine, OptimizeOptions::default());
         assert!(matches!(full.commit(&mv), Err(ExecutorError::NoBase)));
+        assert!(matches!(full.verify(&[mv]), Err(ExecutorError::NoBase)));
         assert!(matches!(
             full.score_round(&[mv]),
             Err(ExecutorError::NoBase)
@@ -297,6 +362,7 @@ mod tests {
 
         let mut fast = ScorerExecutor::new(&engine, OptimizeOptions::default());
         assert!(matches!(fast.commit(&mv), Err(ExecutorError::NoBase)));
+        assert!(matches!(fast.verify(&[mv]), Err(ExecutorError::NoBase)));
         assert!(matches!(
             fast.score_round(&[mv]),
             Err(ExecutorError::NoBase)

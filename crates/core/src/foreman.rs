@@ -279,6 +279,55 @@ impl Sched {
         }
     }
 
+    /// The timeout sweep: take every task held longer than `timeout` out of
+    /// flight and mark its worker delinquent. The caller reports each one
+    /// and hands it to [`Sched::fail_task`]. It scans every in-flight
+    /// entry, so the scheduler loops run it once per tick, not per message.
+    pub(crate) fn sweep_timeouts(
+        &mut self,
+        now: Instant,
+        timeout: Duration,
+    ) -> Vec<(u64, InFlight)> {
+        let overdue: Vec<u64> = self
+            .in_flight
+            .iter()
+            .filter(|(_, f)| now.duration_since(f.dispatched_at) > timeout)
+            .map(|(&task, _)| task)
+            .collect();
+        let mut out = Vec::with_capacity(overdue.len());
+        for task in overdue {
+            if let Some(f) = self.in_flight.remove(&task) {
+                self.delinquent.insert(f.worker);
+                self.ready.retain(|&w| w != f.worker);
+                self.stats.timeouts += 1;
+                out.push((task, f));
+            }
+        }
+        out
+    }
+
+    /// Book a worker's answer for `task`. `Some(service_us)` when it is the
+    /// first answer (dispatch-to-result latency; 0 when the task was not in
+    /// flight), `None` for a late duplicate. A task is in flight or queued,
+    /// never both, so the queue is searched only for the rare answer to a
+    /// task that was requeued while its first worker was still computing.
+    pub(crate) fn accept_result(&mut self, task: u64) -> Option<u64> {
+        if self.completed.contains(&task) {
+            return None;
+        }
+        let service_us = match self.in_flight.remove(&task) {
+            Some(f) => f.dispatched_at.elapsed().as_micros() as u64,
+            None => {
+                let queued = self.work_queue.iter().position(|(t, _)| *t == task)?;
+                self.work_queue.remove(queued);
+                0
+            }
+        };
+        self.completed.insert(task);
+        self.failures.remove(&task);
+        Some(service_us)
+    }
+
     /// Declare `worker`'s link dead: eagerly requeue everything it holds
     /// (instead of waiting out the timeout) and bar it from dispatch.
     /// Returns any `Quarantined` messages the requeues produced.
@@ -335,6 +384,7 @@ pub fn run_foreman<T: Transport>(
     let mut last_depth: Option<(usize, usize, usize)> = None;
     let mut aborted = false;
     let mut next_ping: HashMap<Rank, Instant> = HashMap::new();
+    let mut next_sweep = Instant::now();
 
     loop {
         // Dispatch while both queues are non-empty.
@@ -397,28 +447,22 @@ pub fn run_foreman<T: Transport>(
             monitor(&transport, MonitorEvent::Dispatched { task, worker });
         }
 
-        // Fault tolerance: re-queue trees held past the timeout.
+        // Fault tolerance: re-queue trees held past the timeout, checked
+        // once per tick.
         let now = Instant::now();
-        let timed_out: Vec<u64> = s
-            .in_flight
-            .iter()
-            .filter(|(_, f)| now.duration_since(f.dispatched_at) > worker_timeout)
-            .map(|(&task, _)| task)
-            .collect();
-        for task in timed_out {
-            let f = invariant(s.in_flight.remove(&task), "timed-out task not in flight")?;
-            s.delinquent.insert(f.worker);
-            s.ready.retain(|&w| w != f.worker);
-            s.stats.timeouts += 1;
-            monitor(
-                &transport,
-                MonitorEvent::WorkerTimedOut {
-                    worker: f.worker,
-                    task,
-                },
-            );
-            if let Some(q) = s.fail_task(task, f.body, f.worker, false, &obs) {
-                transport.send(ranks::MASTER, &q)?;
+        if now >= next_sweep {
+            next_sweep = now + tick;
+            for (task, f) in s.sweep_timeouts(now, worker_timeout) {
+                monitor(
+                    &transport,
+                    MonitorEvent::WorkerTimedOut {
+                        worker: f.worker,
+                        task,
+                    },
+                );
+                if let Some(q) = s.fail_task(task, f.body, f.worker, false, &obs) {
+                    transport.send(ranks::MASTER, &q)?;
+                }
             }
         }
 
@@ -563,24 +607,7 @@ pub fn run_foreman<T: Transport>(
                         s.stats.recoveries += 1;
                         monitor(&transport, MonitorEvent::WorkerRecovered { worker: from });
                     }
-                    let was_expected = s
-                        .in_flight
-                        .get(&task)
-                        .map(|f| f.worker == from)
-                        .unwrap_or(false);
-                    let is_new = !s.completed.contains(&task)
-                        && (was_expected
-                            || s.work_queue.iter().any(|(t, _)| *t == task)
-                            || s.in_flight.contains_key(&task));
-                    if is_new {
-                        s.completed.insert(task);
-                        s.failures.remove(&task);
-                        let service_us = s
-                            .in_flight
-                            .remove(&task)
-                            .map(|f| f.dispatched_at.elapsed().as_micros() as u64)
-                            .unwrap_or(0);
-                        s.work_queue.retain(|(t, _)| *t != task);
+                    if let Some(service_us) = s.accept_result(task) {
                         transport.send(ranks::MASTER, &msg)?;
                         s.stats.results_forwarded += 1;
                         monitor(
@@ -1193,5 +1220,49 @@ mod tests {
         // The foreman is still responsive: an orderly shutdown works.
         master.send(ranks::FOREMAN, &Message::Shutdown).unwrap();
         f.join().unwrap();
+    }
+
+    #[test]
+    fn sched_books_each_task_once_and_sweeps_only_the_overdue() {
+        let tree = || TaskBody::Tree("(a,b);".into());
+        let mut s = Sched::default();
+        let start = Instant::now();
+        for (task, worker) in [(1u64, 3usize), (2, 4)] {
+            s.in_flight.insert(
+                task,
+                InFlight {
+                    worker,
+                    body: tree(),
+                    dispatched_at: start,
+                },
+            );
+        }
+        s.work_queue.push_back((3, tree()));
+        s.work_queue.push_back((4, tree()));
+        s.ready.push_back(4);
+
+        // First answers: in flight, and queued (requeued while its first
+        // worker was still computing). Both leave their container.
+        assert!(s.accept_result(1).is_some());
+        assert_eq!(s.accept_result(3), Some(0));
+        assert!(!s.in_flight.contains_key(&1));
+        assert_eq!(s.work_queue.len(), 1);
+        assert_eq!(s.work_queue[0].0, 4);
+        // Late duplicates and answers to tasks never seen are refused.
+        assert_eq!(s.accept_result(1), None);
+        assert_eq!(s.accept_result(3), None);
+        assert_eq!(s.accept_result(99), None);
+
+        // Nothing is overdue inside the timeout; past it, task 2's holder
+        // turns delinquent and leaves the ready queue.
+        let timeout = Duration::from_secs(5);
+        assert!(s.sweep_timeouts(start + timeout, timeout).is_empty());
+        let swept = s.sweep_timeouts(start + timeout + Duration::from_millis(1), timeout);
+        assert_eq!(swept.len(), 1);
+        assert_eq!((swept[0].0, swept[0].1.worker), (2, 4));
+        assert!(s.in_flight.is_empty());
+        assert!(s.delinquent.contains(&4));
+        assert!(s.ready.is_empty());
+        assert_eq!(s.stats.timeouts, 1);
     }
 }

@@ -699,6 +699,7 @@ pub fn run_regional_foreman<T: Transport>(
     let mut aborted = false;
     let mut next_ping: HashMap<Rank, Instant> = HashMap::new();
     let mut next_lease = Instant::now();
+    let mut next_sweep = Instant::now();
 
     loop {
         // Dispatch to the shard — the flat ladder, verbatim.
@@ -752,28 +753,21 @@ pub fn run_regional_foreman<T: Transport>(
             monitor(&transport, MonitorEvent::Dispatched { task, worker });
         }
 
-        // Worker timeouts.
+        // Worker timeouts, checked once per tick.
         let now = Instant::now();
-        let timed_out: Vec<u64> = s
-            .in_flight
-            .iter()
-            .filter(|(_, f)| now.duration_since(f.dispatched_at) > opts.worker_timeout)
-            .map(|(&task, _)| task)
-            .collect();
-        for task in timed_out {
-            let f = invariant(s.in_flight.remove(&task), "timed-out task not in flight")?;
-            s.delinquent.insert(f.worker);
-            s.ready.retain(|&w| w != f.worker);
-            s.stats.timeouts += 1;
-            monitor(
-                &transport,
-                MonitorEvent::WorkerTimedOut {
-                    worker: f.worker,
-                    task,
-                },
-            );
-            if let Some(q) = s.fail_task(task, f.body, f.worker, false, &obs) {
-                upward.push(q);
+        if now >= next_sweep {
+            next_sweep = now + tick;
+            for (task, f) in s.sweep_timeouts(now, opts.worker_timeout) {
+                monitor(
+                    &transport,
+                    MonitorEvent::WorkerTimedOut {
+                        worker: f.worker,
+                        task,
+                    },
+                );
+                if let Some(q) = s.fail_task(task, f.body, f.worker, false, &obs) {
+                    upward.push(q);
+                }
             }
         }
 
@@ -995,24 +989,7 @@ pub fn run_regional_foreman<T: Transport>(
                         s.stats.recoveries += 1;
                         monitor(&transport, MonitorEvent::WorkerRecovered { worker: from });
                     }
-                    let was_expected = s
-                        .in_flight
-                        .get(&task)
-                        .map(|f| f.worker == from)
-                        .unwrap_or(false);
-                    let is_new = !s.completed.contains(&task)
-                        && (was_expected
-                            || s.work_queue.iter().any(|(t, _)| *t == task)
-                            || s.in_flight.contains_key(&task));
-                    if is_new {
-                        s.completed.insert(task);
-                        s.failures.remove(&task);
-                        let service_us = s
-                            .in_flight
-                            .remove(&task)
-                            .map(|f| f.dispatched_at.elapsed().as_micros() as u64)
-                            .unwrap_or(0);
-                        s.work_queue.retain(|(t, _)| *t != task);
+                    if let Some(service_us) = s.accept_result(task) {
                         upward.push(msg);
                         s.stats.results_forwarded += 1;
                         monitor(

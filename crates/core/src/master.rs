@@ -21,11 +21,21 @@ use fdml_phylo::tree::Tree;
 use fdml_phylo::{newick, phylip};
 use std::collections::HashMap;
 
+/// One task's answer as it arrived: result Newick (empty for a score-only
+/// edit result), log-likelihood, work units.
+type Reply = (String, f64, u64);
+
 /// Master-side executor: each candidate becomes a `TreeTask` dispatched via
 /// the foreman; workers do the full per-tree optimization. With
 /// [`ClusterExecutor::with_incremental`] enabled, candidates instead travel
-/// as compact `TreeEditTask`s against a per-round `BaseTopology` broadcast
-/// and workers score them through their CLV caches.
+/// as compact `TreeEditTask`s against the adopted base's `BaseTopology`
+/// broadcast and workers score them through their CLV caches, answering
+/// with the score alone.
+///
+/// Verification ([`RoundExecutor::verify`]) is a wave of ordinary parallel
+/// `TreeTask`s, one per move, as wide as the fleet; adoption installs a
+/// verified tree with no further task. Result Newick is parsed only where
+/// a tree is needed — `set_base` and `verify` — never per candidate.
 pub struct ClusterExecutor<T: Transport> {
     transport: T,
     names: Vec<String>,
@@ -33,7 +43,6 @@ pub struct ClusterExecutor<T: Transport> {
     config_json: String,
     local: Option<(Alignment, LikelihoodEngine, SearchConfig)>,
     base: Option<Tree>,
-    base_lnl: f64,
     next_task: u64,
     round: u64,
     has_monitor: bool,
@@ -100,7 +109,6 @@ impl<T: Transport> ClusterExecutor<T> {
             config_json,
             local: None,
             base: None,
-            base_lnl: f64::NEG_INFINITY,
             next_task: 0,
             round: 0,
             has_monitor,
@@ -145,11 +153,7 @@ impl<T: Transport> ClusterExecutor<T> {
     /// Score a quarantined edit on the master's own CLV cache. Workers and
     /// the master parse the same base text and run the same junction
     /// algorithm, so the result is bit-identical to a healthy worker's.
-    fn score_edit_locally(
-        &mut self,
-        base_id: u64,
-        edit: &TreeEdit,
-    ) -> Result<(Tree, f64, u64), PhyloError> {
+    fn score_edit_locally(&mut self, base_id: u64, edit: &TreeEdit) -> Result<Reply, PhyloError> {
         if base_id != self.base_id {
             return Err(PhyloError::Format(format!(
                 "quarantined edit for stale base {base_id} (current {})",
@@ -167,18 +171,13 @@ impl<T: Transport> ClusterExecutor<T> {
             self.local_cache = Some((base_id, ClvCache::build(engine, base)));
         }
         let (_, cache) = self.local_cache.as_mut().expect("just built");
-        let mv = edit_to_move(edit);
-        let score = cache.score_edit(engine, &mv, &config.optimize)?;
-        let cand = cache.materialize(&mv, &score)?;
-        Ok((cand, score.ln_likelihood, score.work.work_units()))
+        let score = cache.score_edit(engine, &edit_to_move(edit), &config.optimize)?;
+        Ok((String::new(), score.ln_likelihood, score.work.work_units()))
     }
 
     /// Dispatch a batch of Newick strings; block until all results return.
     /// Results are reordered to match submission order.
-    fn dispatch_batch(
-        &mut self,
-        newicks: Vec<String>,
-    ) -> Result<Vec<(Tree, f64, u64)>, PhyloError> {
+    fn dispatch_batch(&mut self, newicks: Vec<String>) -> Result<Vec<Reply>, PhyloError> {
         let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(newicks.len());
         let n = newicks.len();
         for (i, text) in newicks.into_iter().enumerate() {
@@ -194,7 +193,7 @@ impl<T: Transport> ClusterExecutor<T> {
 
     /// Dispatch a round of compact edits against the current broadcast
     /// base; block until all results return, in submission order.
-    fn dispatch_edits(&mut self, moves: &[TreeMove]) -> Result<Vec<(Tree, f64, u64)>, PhyloError> {
+    fn dispatch_edits(&mut self, moves: &[TreeMove]) -> Result<Vec<Reply>, PhyloError> {
         let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(moves.len());
         let n = moves.len();
         for (i, mv) in moves.iter().enumerate() {
@@ -217,13 +216,14 @@ impl<T: Transport> ClusterExecutor<T> {
     }
 
     /// The shared result loop behind [`Self::dispatch_batch`] and
-    /// [`Self::dispatch_edits`].
+    /// [`Self::dispatch_edits`]. Result text is kept as received: only the
+    /// callers that need a tree parse it.
     fn collect_results(
         &mut self,
         index_of: HashMap<u64, usize>,
         n: usize,
-    ) -> Result<Vec<(Tree, f64, u64)>, PhyloError> {
-        let mut results: Vec<Option<(Tree, f64, u64)>> = (0..n).map(|_| None).collect();
+    ) -> Result<Vec<Reply>, PhyloError> {
+        let mut results: Vec<Option<Reply>> = (0..n).map(|_| None).collect();
         let mut received = 0usize;
         while received < n {
             let (_, msg) = self
@@ -241,8 +241,7 @@ impl<T: Transport> ClusterExecutor<T> {
                         continue;
                     };
                     if results[i].is_none() {
-                        let tree = newick::parse_tree_with_names(&text, &self.names)?;
-                        results[i] = Some((tree, ln_likelihood, work_units));
+                        results[i] = Some((text, ln_likelihood, work_units));
                         received += 1;
                     }
                 }
@@ -255,19 +254,23 @@ impl<T: Transport> ClusterExecutor<T> {
                     if results[i].is_some() {
                         continue;
                     }
-                    let (tree, lnl, work) = match payload {
+                    let reply = match payload {
                         TaskPayload::Tree { newick: text } => {
                             let (alignment, engine, config) = self.local_engine()?;
                             let mut tree = newick::parse_tree(&text, alignment)?;
                             let r = engine.optimize(&mut tree, &config.optimize);
-                            (tree, r.ln_likelihood, r.work.work_units())
+                            (
+                                newick::write_tree(&tree, alignment.names()),
+                                r.ln_likelihood,
+                                r.work.work_units(),
+                            )
                         }
                         TaskPayload::TreeEdit { base_id, edit } => {
                             self.score_edit_locally(base_id, &edit)?
                         }
                         TaskPayload::Jumble { .. } => continue,
                     };
-                    results[i] = Some((tree, lnl, work));
+                    results[i] = Some(reply);
                     received += 1;
                 }
                 Message::Abort { reason } => {
@@ -305,33 +308,29 @@ impl<T: Transport> ClusterExecutor<T> {
         self.base.as_ref().ok_or(ExecutorError::NoBase)
     }
 
-    fn announce_round(&mut self, candidates: usize, best_lnl: f64, best: &Tree) {
-        self.round += 1;
-        if self.has_monitor {
-            let _ = self.transport.send(
-                ranks::MONITOR,
-                &Message::Monitor(MonitorEvent::RoundComplete {
-                    round: self.round,
-                    candidates,
-                    best_ln_likelihood: best_lnl,
-                    best_newick: newick::write_tree(best, &self.names),
-                }),
-            );
-        }
+    /// `base + mv` as the Newick text a whole-tree task carries.
+    fn candidate_text(&self, mv: &TreeMove) -> Result<String, ExecutorError> {
+        let mut cand = self.base()?.clone();
+        apply_move(&mut cand, mv)?;
+        Ok(newick::write_tree(&cand, &self.names))
     }
-}
 
-impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
-    fn set_base(&mut self, tree: Tree) -> Result<BaseOutcome, ExecutorError> {
-        let text = newick::write_tree(&tree, &self.names);
-        let mut results = self.dispatch_batch(vec![text])?;
-        let (mut tree, lnl, work) = results.pop().expect("one result");
+    /// A whole-tree result as a tree in the master's taxon numbering.
+    fn outcome(&self, (text, lnl, work): Reply) -> Result<BaseOutcome, PhyloError> {
+        Ok(BaseOutcome {
+            tree: newick::parse_tree_with_names(&text, &self.names)?,
+            ln_likelihood: lnl,
+            work_units: work,
+        })
+    }
+
+    /// Make an optimized tree the base. In incremental mode, broadcast it
+    /// and re-parse the broadcast text ourselves: the returned arena is
+    /// then identical (by the determinism of Newick parsing) to the one
+    /// every worker builds, so the node ids inside the edits the driver
+    /// enumerates on this tree are meaningful on every rank.
+    fn install_base(&mut self, mut tree: Tree) -> Result<Tree, PhyloError> {
         if self.incremental {
-            // Broadcast the optimized base and re-parse the broadcast text
-            // ourselves: the returned arena is then identical (by the
-            // determinism of Newick parsing) to the one every worker
-            // builds, so the node ids inside the edits the driver
-            // enumerates on this tree are meaningful on every rank.
             let text = newick::write_tree(&tree, &self.names);
             self.base_id += 1;
             self.local_cache = None;
@@ -348,34 +347,62 @@ impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
             self.base_text = Some(text);
         }
         self.base = Some(tree.clone());
-        self.base_lnl = lnl;
-        Ok(BaseOutcome {
-            tree,
-            ln_likelihood: lnl,
-            work_units: work,
-        })
+        Ok(tree)
+    }
+
+    /// Tell the monitor a round finished. Candidates come back as scores,
+    /// so the round's best tree is rebuilt here, once, as `base + best
+    /// move` (the base's branch lengths, the move's default junction).
+    fn announce_round(
+        &mut self,
+        moves: &[TreeMove],
+        replies: &[Reply],
+    ) -> Result<(), ExecutorError> {
+        self.round += 1;
+        if !self.has_monitor {
+            return Ok(());
+        }
+        let Some((best, (_, lnl, _))) = replies
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
+        else {
+            return Ok(());
+        };
+        let event = MonitorEvent::RoundComplete {
+            round: self.round,
+            candidates: moves.len(),
+            best_ln_likelihood: *lnl,
+            best_newick: self.candidate_text(&moves[best])?,
+        };
+        let _ = self
+            .transport
+            .send(ranks::MONITOR, &Message::Monitor(event));
+        Ok(())
+    }
+}
+
+impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
+    fn set_base(&mut self, tree: Tree) -> Result<BaseOutcome, ExecutorError> {
+        let text = newick::write_tree(&tree, &self.names);
+        let reply = self.dispatch_batch(vec![text])?.pop().expect("one result");
+        let mut out = self.outcome(reply)?;
+        out.tree = self.install_base(out.tree)?;
+        Ok(out)
     }
 
     fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError> {
-        let results = if self.incremental {
+        let replies = if self.incremental {
             self.dispatch_edits(moves)?
         } else {
-            let mut newicks = Vec::with_capacity(moves.len());
-            for mv in moves {
-                let mut cand = self.base()?.clone();
-                apply_move(&mut cand, mv)?;
-                newicks.push(newick::write_tree(&cand, &self.names));
-            }
+            let newicks = moves
+                .iter()
+                .map(|mv| self.candidate_text(mv))
+                .collect::<Result<_, _>>()?;
             self.dispatch_batch(newicks)?
         };
-        let best = results
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(t, l, _)| (t.clone(), *l));
-        if let Some((tree, lnl)) = best {
-            self.announce_round(moves.len(), lnl, &tree);
-        }
-        Ok(results
+        self.announce_round(moves, &replies)?;
+        Ok(replies
             .into_iter()
             .map(|(_, lnl, work)| CandidateScore {
                 ln_likelihood: lnl,
@@ -384,10 +411,32 @@ impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
             .collect())
     }
 
-    fn commit(&mut self, mv: &TreeMove) -> Result<BaseOutcome, ExecutorError> {
-        let mut tree = self.base()?.clone();
-        apply_move(&mut tree, mv)?;
-        self.set_base(tree)
+    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError> {
+        let newicks = moves
+            .iter()
+            .map(|mv| self.candidate_text(mv))
+            .collect::<Result<_, _>>()?;
+        let replies = self.dispatch_batch(newicks)?;
+        replies
+            .into_iter()
+            .map(|reply| Ok(self.outcome(reply)?))
+            .collect()
+    }
+
+    fn verify_width(&self) -> usize {
+        self.transport
+            .size()
+            .saturating_sub(self.first_worker)
+            .max(1)
+    }
+
+    fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError> {
+        let tree = self.install_base(verified.tree)?;
+        Ok(BaseOutcome {
+            tree,
+            ln_likelihood: verified.ln_likelihood,
+            work_units: 0,
+        })
     }
 }
 
@@ -568,5 +617,250 @@ mod tests {
         assert!(text.contains("workers dead"), "got: {text}");
         ex.shutdown();
         foreman.join().unwrap();
+    }
+
+    #[test]
+    fn verify_is_one_parallel_wave_and_adopt_is_one_broadcast() {
+        use fdml_phylo::ops::enumerate_insertion_moves;
+        let (alignment, phylip_text, config_json) = problem();
+        let names: Vec<String> = alignment.names().to_vec();
+        let config = SearchConfig::from_engine_config_json(&config_json).unwrap();
+        let engine = config.build_engine(&alignment);
+        let mut ends = ThreadUniverse::create(2);
+        let foreman_end = ends.remove(1);
+        let master_end = ends.remove(0);
+
+        // A scripted foreman with a real engine behind it. It answers a
+        // lone task at once; a wave of three it holds until complete, then
+        // answers in reverse order, bouncing the middle task back as
+        // quarantined. Everything it is sent goes into the returned log.
+        let (worker_alignment, worker_config) = (alignment.clone(), config.clone());
+        let foreman = thread::spawn(move || {
+            let config = worker_config;
+            let names = worker_alignment.names().to_vec();
+            let engine = config.build_engine(&worker_alignment);
+            let answer = |task: u64, text: &str| {
+                let mut tree = newick::parse_tree(text, &worker_alignment).unwrap();
+                let r = engine.optimize(&mut tree, &config.optimize);
+                Message::TreeResult {
+                    task,
+                    newick: newick::write_tree(&tree, &names),
+                    ln_likelihood: r.ln_likelihood,
+                    work_units: r.work.work_units(),
+                }
+            };
+            let mut log: Vec<Message> = Vec::new();
+            let mut wave: Vec<(u64, String)> = Vec::new();
+            loop {
+                let (_, msg) = foreman_end.recv().unwrap();
+                log.push(msg.clone());
+                match msg {
+                    Message::TreeTask { task: 0, newick } => {
+                        foreman_end
+                            .send(ranks::MASTER, &answer(0, &newick))
+                            .unwrap();
+                    }
+                    Message::TreeTask { task, newick } => {
+                        wave.push((task, newick));
+                        if wave.len() == 3 {
+                            for (i, (task, text)) in wave.drain(..).enumerate().rev() {
+                                let reply = if i == 1 {
+                                    Message::Quarantined {
+                                        task,
+                                        failures: 3,
+                                        payload: TaskPayload::Tree { newick: text },
+                                    }
+                                } else {
+                                    answer(task, &text)
+                                };
+                                foreman_end.send(ranks::MASTER, &reply).unwrap();
+                            }
+                        }
+                    }
+                    Message::BaseTopology { .. } => {}
+                    Message::Shutdown => return log,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        });
+
+        let mut ex =
+            ClusterExecutor::new(master_end, names.clone(), phylip_text, config_json, false)
+                .with_incremental(true);
+        assert_eq!(
+            ex.verify_width(),
+            1,
+            "a universe with no worker rank still verifies"
+        );
+        let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
+        let moves = enumerate_insertion_moves(&base.tree, 3);
+        let verified = ex.verify(&moves).unwrap();
+
+        // Outcomes arrive in move order whatever the reply order, and each
+        // is what a worker — or, for the quarantined one, the master's own
+        // engine — computes from `base + move`: bit for bit.
+        assert_eq!(verified.len(), 3);
+        for (mv, got) in moves.iter().zip(&verified) {
+            let mut cand = base.tree.clone();
+            apply_move(&mut cand, mv).unwrap();
+            let text = newick::write_tree(&cand, &names);
+            let mut expect = newick::parse_tree(&text, &alignment).unwrap();
+            let r = engine.optimize(&mut expect, &config.optimize);
+            assert_eq!(got.ln_likelihood.to_bits(), r.ln_likelihood.to_bits());
+            assert_eq!(got.work_units, r.work.work_units());
+            assert_eq!(
+                newick::write_tree(&got.tree, &names),
+                newick::write_tree(&expect, &names)
+            );
+        }
+
+        let best = verified
+            .into_iter()
+            .max_by(|a, b| a.ln_likelihood.total_cmp(&b.ln_likelihood))
+            .unwrap();
+        let best_text = newick::write_tree(&best.tree, &names);
+        let adopted = ex.adopt(best).unwrap();
+        assert_eq!(adopted.work_units, 0);
+        assert_eq!(newick::write_tree(&adopted.tree, &names), best_text);
+        ex.shutdown();
+
+        // On the wire: set_base is a task plus a broadcast, the wave is
+        // three tasks and nothing else (the base is untouched), adoption is
+        // one broadcast of the verified tree and no task at all.
+        use fdml_comm::message::MessageKind::{BaseTopology, Shutdown, TreeTask};
+        let kinds: Vec<_> = foreman.join().unwrap().iter().map(Message::kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                TreeTask,
+                BaseTopology,
+                TreeTask,
+                TreeTask,
+                TreeTask,
+                BaseTopology,
+                Shutdown
+            ]
+        );
+    }
+
+    /// A worker endpoint that dies — every later call fails, as when the
+    /// process is killed — on the first whole-tree task it receives once
+    /// `armed` is set.
+    struct DiesOnTreeTask {
+        inner: fdml_comm::threads::ThreadTransport,
+        armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
+        dead: std::sync::atomic::AtomicBool,
+    }
+
+    impl Transport for DiesOnTreeTask {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+
+        fn send(&self, to: usize, msg: &Message) -> Result<(), fdml_comm::transport::CommError> {
+            use std::sync::atomic::Ordering;
+            if self.dead.load(Ordering::SeqCst) {
+                return Err(fdml_comm::transport::CommError::Disconnected(self.rank()));
+            }
+            self.inner.send(to, msg)
+        }
+
+        fn recv_timeout(
+            &self,
+            timeout: std::time::Duration,
+        ) -> Result<Option<(usize, Message)>, fdml_comm::transport::CommError> {
+            use std::sync::atomic::Ordering;
+            let got = self.inner.recv_timeout(timeout)?;
+            if matches!(got, Some((_, Message::TreeTask { .. })))
+                && self.armed.load(Ordering::SeqCst)
+            {
+                self.dead.store(true, Ordering::SeqCst);
+            }
+            if self.dead.load(Ordering::SeqCst) {
+                return Err(fdml_comm::transport::CommError::Disconnected(self.rank()));
+            }
+            Ok(got)
+        }
+    }
+
+    #[test]
+    fn worker_killed_mid_verify_wave_changes_no_outcome() {
+        use crate::foreman::run_foreman;
+        use crate::worker::run_worker;
+        use fdml_obs::Obs;
+        use fdml_phylo::ops::enumerate_insertion_moves;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        let (alignment, phylip_text, config_json) = problem();
+        let names: Vec<String> = alignment.names().to_vec();
+        // Ranks: master, foreman, (no monitor), three workers — rank 3 is
+        // the one that dies.
+        let mut ends = ThreadUniverse::create(6);
+        let armed = Arc::new(AtomicBool::new(false));
+        let mut workers = Vec::new();
+        for rank in (3..6).rev() {
+            let end = ends.remove(rank);
+            let armed = Arc::clone(&armed);
+            workers.push(thread::spawn(move || {
+                if rank == 3 {
+                    let doomed = DiesOnTreeTask {
+                        inner: end,
+                        armed,
+                        dead: AtomicBool::new(false),
+                    };
+                    run_worker(doomed, Obs::disabled()).is_err()
+                } else {
+                    run_worker(end, Obs::disabled()).is_err()
+                }
+            }));
+        }
+        let foreman_end = ends.remove(1);
+        let foreman = thread::spawn(move || {
+            run_foreman(
+                foreman_end,
+                Duration::from_millis(100),
+                false,
+                Obs::disabled(),
+            )
+            .unwrap()
+        });
+        let mut ex = ClusterExecutor::new(
+            ends.remove(0),
+            names.clone(),
+            phylip_text,
+            config_json,
+            false,
+        )
+        .with_incremental(true);
+        assert_eq!(ex.verify_width(), 3);
+        let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
+        let moves = enumerate_insertion_moves(&base.tree, 3);
+        // A scoring round first, so every worker has answered and waits in
+        // the foreman's ready queue: the wave of three then reaches all
+        // three workers, the doomed one included.
+        let scores = ex.score_round(&moves).unwrap();
+        assert_eq!(scores.len(), 3);
+        let healthy = ex.verify(&moves).unwrap();
+        armed.store(true, Ordering::SeqCst);
+        let wounded = ex.verify(&moves).unwrap();
+        for (h, w) in healthy.iter().zip(&wounded) {
+            assert_eq!(h.ln_likelihood.to_bits(), w.ln_likelihood.to_bits());
+            assert_eq!(h.work_units, w.work_units);
+            assert_eq!(h.tree, w.tree);
+        }
+        ex.shutdown();
+        let stats = foreman.join().unwrap();
+        assert!(
+            stats.timeouts >= 1,
+            "the dead worker's task must be requeued"
+        );
+        let died: Vec<bool> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        assert_eq!(died, [false, false, true], "exactly the doomed worker died");
     }
 }

@@ -155,10 +155,11 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
     }
 
     /// Resume by replaying committed rounds from a write-ahead log
-    /// instead of re-scoring them: each replayed round repeats the exact
-    /// executor calls (tentative commits and reverts) the original run
-    /// made, skipping candidate scoring entirely, so the resumed search
-    /// is bit-identical to the uninterrupted one. Composes with
+    /// instead of re-scoring them: each replayed round re-commits the move
+    /// the original run adopted (and nothing for a round that adopted
+    /// none), skipping candidate scoring and failed verifications
+    /// entirely, so the resumed search is bit-identical to the
+    /// uninterrupted one. Composes with
     /// [`resume_from`](Self::resume_from) when the WAL was taken on top
     /// of a checkpoint.
     pub fn resume_from_wal(mut self, rounds: Vec<WalRound>) -> Self {
@@ -320,8 +321,10 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
     }
 
     /// Rearrangement loop: dispatch the radius-limited SPR neighbourhood,
-    /// commit improvements, repeat until a round yields none (that final
-    /// fruitless round is real dispatched work, as in the paper).
+    /// adopt the first verified improvement, repeat until a round yields
+    /// none (that final fruitless round is real dispatched work, as in the
+    /// paper). The executor's base changes only when a round adopts: a
+    /// fruitless round leaves it — and `tree` — exactly as they were.
     fn rearrange_to_convergence(
         &mut self,
         mut tree: Tree,
@@ -338,40 +341,28 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
         };
         for _ in 0..self.config.max_rearrange_rounds {
             if let Some(rec) = self.pop_replay(phase) {
-                let backup = tree.clone();
+                // The log already decided the round: an accepted record is
+                // the commit of its last verified move, a rejected one
+                // changed nothing.
                 let mut verify_work = 0u64;
-                let mut accepted: Option<(Tree, f64)> = None;
-                for (i, wm) in rec.tried.iter().enumerate() {
-                    let committed = self.executor.commit(&wm.to_move())?;
-                    verify_work += committed.work_units;
-                    if i + 1 == rec.tried.len() && rec.accepted {
-                        accepted = Some((committed.tree, committed.ln_likelihood));
-                    } else {
-                        let restored = self.executor.set_base(backup.clone())?;
-                        verify_work += restored.work_units;
-                    }
+                if rec.accepted {
+                    let mv = rec.tried.last().ok_or_else(|| {
+                        PhyloError::InvalidTreeOp("wal accepted record with no move".into())
+                    })?;
+                    let committed = self.executor.commit(&mv.to_move())?;
+                    verify_work = committed.work_units;
+                    tree = committed.tree;
+                    lnl = committed.ln_likelihood;
                 }
+                check_replay_lnl(&rec, lnl)?;
                 self.record_round(kind, tree.num_tips(), &[], verify_work, rec.accepted);
                 self.wal_replayed += 1;
                 self.work_units += verify_work;
-                match accepted {
-                    Some((t, l)) => {
-                        check_replay_lnl(&rec, l)?;
-                        tree = t;
-                        lnl = l;
-                        self.notify(kind, 0, lnl, &tree);
-                        continue;
-                    }
-                    None => {
-                        let restored = self.executor.set_base(backup)?;
-                        self.work_units += restored.work_units;
-                        tree = restored.tree;
-                        lnl = restored.ln_likelihood.max(lnl);
-                        check_replay_lnl(&rec, lnl)?;
-                        self.notify(kind, 0, lnl, &tree);
-                        break;
-                    }
+                self.notify(kind, 0, lnl, &tree);
+                if rec.accepted {
+                    continue;
                 }
+                break;
             }
             let moves = enumerate_spr_moves(&tree, radius);
             if moves.is_empty() {
@@ -380,8 +371,8 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
             let scores = self.executor.score_round(&moves)?;
             // Leading candidates receive the full treatment in descending
             // score order ("it is then tested more carefully", §2.1): the
-            // first verified improvement is kept; candidates scoring far
-            // below the current tree are not worth verifying.
+            // first verified improvement in that order is kept; candidates
+            // scoring far below the current tree are not worth verifying.
             let mut order: Vec<usize> = (0..scores.len()).collect();
             order.sort_by(|&a, &b| {
                 scores[b]
@@ -389,50 +380,39 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
                     .total_cmp(&scores[a].ln_likelihood)
                     .then(a.cmp(&b))
             });
-            let backup = tree.clone();
+            let eligible: Vec<usize> = order
+                .into_iter()
+                .take(self.config.max_verify_per_round)
+                .take_while(|&i| scores[i].ln_likelihood > lnl - self.config.verify_slack)
+                .collect();
+            // Verify in waves as wide as the executor evaluates at once.
+            // Outcomes are consumed in rank order and everything behind the
+            // first improver is discarded, so the round's result, its
+            // `tried` list and its work do not depend on the width.
             let mut verify_work = 0u64;
             let mut tried: Vec<WalMove> = Vec::new();
-            let mut accepted: Option<(Tree, f64)> = None;
-            for &i in order.iter().take(self.config.max_verify_per_round) {
-                if scores[i].ln_likelihood <= lnl - self.config.verify_slack {
-                    break;
+            let mut accepted = false;
+            'waves: for wave in eligible.chunks(self.executor.verify_width()) {
+                let wave_moves: Vec<_> = wave.iter().map(|&i| moves[i]).collect();
+                for (mv, verified) in wave_moves.iter().zip(self.executor.verify(&wave_moves)?) {
+                    verify_work += verified.work_units;
+                    tried.push(WalMove::from_move(mv));
+                    if verified.ln_likelihood > lnl + self.config.min_improvement {
+                        let adopted = self.executor.adopt(verified)?;
+                        verify_work += adopted.work_units;
+                        tree = adopted.tree;
+                        lnl = adopted.ln_likelihood;
+                        accepted = true;
+                        break 'waves;
+                    }
                 }
-                let committed = self.executor.commit(&moves[i])?;
-                verify_work += committed.work_units;
-                tried.push(WalMove::from_move(&moves[i]));
-                if committed.ln_likelihood > lnl + self.config.min_improvement {
-                    accepted = Some((committed.tree, committed.ln_likelihood));
-                    break;
-                }
-                // Revert the tentative commit before trying the next one.
-                let restored = self.executor.set_base(backup.clone())?;
-                verify_work += restored.work_units;
             }
-            self.record_round(
-                kind,
-                tree.num_tips(),
-                &scores,
-                verify_work,
-                accepted.is_some(),
-            );
+            self.record_round(kind, tree.num_tips(), &scores, verify_work, accepted);
             self.work_units += verify_work;
-            match accepted {
-                Some((t, l)) => {
-                    tree = t;
-                    lnl = l;
-                    self.emit_wal(phase, tried, true, lnl)?;
-                    self.notify(kind, scores.len(), lnl, &tree);
-                }
-                None => {
-                    // Ensure the executor's base is the original tree.
-                    let restored = self.executor.set_base(backup)?;
-                    self.work_units += restored.work_units;
-                    tree = restored.tree;
-                    lnl = restored.ln_likelihood.max(lnl);
-                    self.emit_wal(phase, tried, false, lnl)?;
-                    self.notify(kind, scores.len(), lnl, &tree);
-                    break;
-                }
+            self.emit_wal(phase, tried, accepted, lnl)?;
+            self.notify(kind, scores.len(), lnl, &tree);
+            if !accepted {
+                break;
             }
         }
         Ok((tree, lnl))
@@ -955,5 +935,264 @@ mod checkpoint_tests {
             ln_likelihood: 0.0,
         };
         let _ = StepwiseSearch::new(&config, ex, 7).resume_from(cp);
+    }
+}
+
+#[cfg(test)]
+mod verify_tests {
+    use super::*;
+    use crate::executor::{BaseOutcome, ExecutorError, FullEvalExecutor, ScorerExecutor};
+    use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
+    use fdml_phylo::alignment::Alignment;
+    use fdml_phylo::ops::TreeMove;
+
+    /// One executor call, as the driver issued it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        SetBase,
+        Score,
+        /// A verify wave of this many moves.
+        Verify(usize),
+        Adopt,
+    }
+
+    /// Wraps an executor: logs the driver's call stream and answers
+    /// `verify_width` with a chosen width.
+    struct Probe<E> {
+        inner: E,
+        width: usize,
+        calls: Vec<Call>,
+    }
+
+    impl<E: RoundExecutor> Probe<E> {
+        fn new(inner: E, width: usize) -> Probe<E> {
+            Probe {
+                inner,
+                width,
+                calls: Vec::new(),
+            }
+        }
+    }
+
+    impl<E: RoundExecutor> RoundExecutor for Probe<E> {
+        fn set_base(&mut self, tree: Tree) -> Result<BaseOutcome, ExecutorError> {
+            self.calls.push(Call::SetBase);
+            self.inner.set_base(tree)
+        }
+
+        fn score_round(
+            &mut self,
+            moves: &[TreeMove],
+        ) -> Result<Vec<CandidateScore>, ExecutorError> {
+            self.calls.push(Call::Score);
+            self.inner.score_round(moves)
+        }
+
+        fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError> {
+            self.calls.push(Call::Verify(moves.len()));
+            self.inner.verify(moves)
+        }
+
+        fn verify_width(&self) -> usize {
+            self.width
+        }
+
+        fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError> {
+            self.calls.push(Call::Adopt);
+            let (tree, lnl) = (verified.tree.clone(), verified.ln_likelihood);
+            let adopted = self.inner.adopt(verified)?;
+            // In process, adopting is installing: not a branch moves.
+            assert_eq!(adopted.tree, tree);
+            assert_eq!(adopted.ln_likelihood.to_bits(), lnl.to_bits());
+            Ok(adopted)
+        }
+    }
+
+    /// Noisy enough that rearrangement rounds both succeed and fail, and
+    /// that the incremental ranking's leader is not always the improver.
+    fn alignment() -> Alignment {
+        let tree = yule_tree(14, 0.12, 0xA11CE);
+        evolve(&tree, 90, &EvolutionConfig::default(), 0xBEEF, "t")
+    }
+
+    struct Run {
+        newick: String,
+        lnl_bits: u64,
+        work_units: u64,
+        wal: Vec<WalRound>,
+        calls: Vec<Call>,
+    }
+
+    fn run_scorer(a: &Alignment, config: &SearchConfig, width: usize) -> Run {
+        let engine = config.build_engine(a);
+        let ex = Probe::new(ScorerExecutor::new(&engine, config.optimize), width);
+        finish(a, config, ex, Vec::new())
+    }
+
+    fn finish<E: RoundExecutor>(
+        a: &Alignment,
+        config: &SearchConfig,
+        ex: Probe<E>,
+        replay: Vec<WalRound>,
+    ) -> Run {
+        let mut wal = Vec::new();
+        let mut search = StepwiseSearch::new(config, ex, a.num_taxa())
+            .with_names(a.names().to_vec())
+            .resume_from_wal(replay)
+            .on_wal(|rec| wal.push(rec.clone()));
+        let result = search.run().unwrap();
+        let calls = search.into_executor().calls;
+        Run {
+            newick: newick::write_tree(&result.tree, a.names()),
+            lnl_bits: result.ln_likelihood.to_bits(),
+            work_units: result.work_units,
+            wal,
+            calls,
+        }
+    }
+
+    /// Split the call stream into rounds: each starts at a `Score`.
+    fn rounds(calls: &[Call]) -> Vec<&[Call]> {
+        let starts: Vec<usize> = (0..calls.len())
+            .filter(|&i| calls[i] == Call::Score)
+            .collect();
+        starts
+            .iter()
+            .enumerate()
+            .map(|(n, &at)| &calls[at + 1..starts.get(n + 1).copied().unwrap_or(calls.len())])
+            .collect()
+    }
+
+    #[test]
+    fn fruitless_rounds_leave_the_base_alone_and_improvers_are_adopted_as_verified() {
+        let a = alignment();
+        let config = SearchConfig {
+            jumble_seed: 11,
+            ..Default::default()
+        };
+        let run = run_scorer(&a, &config, 1);
+        // The only `set_base` of the whole search is the initial triplet:
+        // nothing is ever reverted or restored.
+        assert_eq!(run.calls[0], Call::SetBase);
+        assert_eq!(run.calls.iter().filter(|&&c| c == Call::SetBase).count(), 1);
+        let (mut fruitless, mut exhausted, mut improving) = (0, 0, 0);
+        for round in rounds(&run.calls) {
+            let verified: usize = round
+                .iter()
+                .map(|c| match c {
+                    Call::Verify(n) => *n,
+                    _ => 0,
+                })
+                .sum();
+            assert!(
+                verified <= config.max_verify_per_round,
+                "round verified {verified} trees: {round:?}"
+            );
+            match round.iter().filter(|&&c| c == Call::Adopt).count() {
+                0 => {
+                    // A fruitless round is verifications and nothing else.
+                    assert!(round.iter().all(|c| matches!(c, Call::Verify(_))));
+                    fruitless += 1;
+                    exhausted += usize::from(verified == config.max_verify_per_round);
+                }
+                1 => {
+                    // The improver is adopted straight from its
+                    // verification (`Probe::adopt` checks: the same tree,
+                    // bit for bit) and ends the round.
+                    assert_eq!(round.last(), Some(&Call::Adopt));
+                    assert_eq!(round[round.len() - 2], Call::Verify(1));
+                    improving += 1;
+                }
+                n => panic!("round adopted {n} bases: {round:?}"),
+            }
+        }
+        assert!(fruitless > 0 && exhausted > 0 && improving > 0);
+    }
+
+    #[test]
+    fn verify_width_changes_nothing_but_the_wave_size() {
+        let a = alignment();
+        for seed in [1u64, 5, 7, 11] {
+            let config = SearchConfig {
+                jumble_seed: seed,
+                ..Default::default()
+            };
+            let serial = run_scorer(&a, &config, 1);
+            for width in [2usize, 3, 8] {
+                let wide = run_scorer(&a, &config, width);
+                assert_eq!(wide.newick, serial.newick, "seed {seed} width {width}");
+                assert_eq!(wide.lnl_bits, serial.lnl_bits, "seed {seed} width {width}");
+                // The WAL — `tried` lists included — and the work charged
+                // stop at the adopted move, whatever else the wave held.
+                assert_eq!(wide.wal, serial.wal, "seed {seed} width {width}");
+                assert_eq!(
+                    wide.work_units, serial.work_units,
+                    "seed {seed} width {width}"
+                );
+                let widest = wide
+                    .calls
+                    .iter()
+                    .filter_map(|c| match c {
+                        Call::Verify(n) => Some(*n),
+                        _ => None,
+                    })
+                    .max();
+                assert_eq!(widest, Some(width), "seed {seed}: waves were not filled");
+            }
+        }
+        // The whole-tree executor takes the same path.
+        let config = SearchConfig {
+            jumble_seed: 11,
+            ..Default::default()
+        };
+        let engine = config.build_engine(&a);
+        let full = |width| {
+            let ex = Probe::new(FullEvalExecutor::new(&engine, config.optimize), width);
+            finish(&a, &config, ex, Vec::new())
+        };
+        let (serial, wide) = (full(1), full(3));
+        assert_eq!(wide.newick, serial.newick);
+        assert_eq!(wide.lnl_bits, serial.lnl_bits);
+        assert_eq!(wide.wal, serial.wal);
+    }
+
+    #[test]
+    fn wal_replay_commits_only_the_adopted_moves_at_any_width() {
+        let a = alignment();
+        let config = SearchConfig {
+            jumble_seed: 11,
+            ..Default::default()
+        };
+        const WIDTH: usize = 3;
+        let full = run_scorer(&a, &config, WIDTH);
+        // The log holds a round whose adopted move was not the first of
+        // its wave, and rounds that adopted nothing.
+        assert!(full
+            .wal
+            .iter()
+            .any(|r| r.accepted && r.tried.len() % WIDTH != 1));
+        assert!(full.wal.iter().any(|r| !r.accepted && !r.tried.is_empty()));
+        let adopted = full.wal.iter().filter(|r| r.accepted).count();
+
+        let engine = config.build_engine(&a);
+        for k in 0..=full.wal.len() {
+            // Replay under a different width than the log was written at.
+            let ex = Probe::new(ScorerExecutor::new(&engine, config.optimize), 1);
+            let resumed = finish(&a, &config, ex, full.wal[..k].to_vec());
+            assert_eq!(resumed.lnl_bits, full.lnl_bits, "prefix {k}");
+            assert_eq!(resumed.newick, full.newick, "prefix {k}");
+            assert_eq!(resumed.wal, full.wal[k..].to_vec(), "prefix {k}");
+            if k == full.wal.len() {
+                // A whole-log replay scores nothing and verifies exactly
+                // the adopted moves: rejected records replay as nothing.
+                assert!(!resumed.calls.contains(&Call::Score));
+                let verified = resumed
+                    .calls
+                    .iter()
+                    .filter(|c| matches!(c, Call::Verify(_)))
+                    .count();
+                assert_eq!(verified, adopted);
+            }
+        }
     }
 }

@@ -3,17 +3,19 @@
 //!
 //! A checkpoint captures the search only at taxon-addition boundaries; a
 //! long rearrangement phase between two boundaries is lost when the
-//! coordinator dies. The WAL closes that gap: after every *committed*
-//! round the search appends one [`WalRound`] — the verify ladder it
-//! walked (each tentatively committed move, in order), whether the last
-//! one was accepted, and the round-end log-likelihood — to a CRC32-framed
-//! log (see [`crate::durable`]). Resume replays the records by repeating
-//! the exact executor-call sequence (commit, revert, commit, …) while
-//! skipping candidate *scoring* entirely, which is where virtually all
-//! the compute lives. Because the executors are deterministic and the
-//! replayed calls are the very calls the original run made, the resumed
-//! search's state — down to optimized branch lengths — is bit-identical
-//! to the uninterrupted run, and so is its final Newick.
+//! coordinator dies. The WAL closes that gap: after every *completed*
+//! round the search appends one [`WalRound`] — the candidates it verified
+//! in rank order up to and including the one it adopted, whether the last
+//! one was adopted, and the round-end log-likelihood — to a CRC32-framed
+//! log (see [`crate::durable`]). Resume replays the records under one
+//! rule: an accepted record is the `commit` of its last tried move, a
+//! rejected record is nothing (a round that adopts nothing never touches
+//! the base). Candidate *scoring* and the failed verifications, which is
+//! where virtually all the compute lives, are skipped entirely. Because
+//! the executors are deterministic and a verification depends only on the
+//! base and its move, the resumed search's state — down to optimized
+//! branch lengths — is bit-identical to the uninterrupted run, and so is
+//! its final Newick.
 //!
 //! Records are appended *after* the round commits: a crash between commit
 //! and append merely re-runs that round live on resume, deterministically
@@ -117,7 +119,7 @@ impl WalMove {
     }
 }
 
-/// One committed round: everything needed to repeat its executor calls.
+/// One completed round: everything needed to replay its effect on the base.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WalRound {
     /// 0-based position in the round sequence (dedup key when records
@@ -125,13 +127,14 @@ pub struct WalRound {
     pub index: u64,
     /// Which search phase the round ran in.
     pub phase: WalPhase,
-    /// The verify ladder: each move tentatively committed, in order. For
-    /// an addition round this is the single chosen insertion. May be
-    /// empty for a fruitless rearrangement round whose best candidate
-    /// fell below the verify threshold.
+    /// The moves verified (fully optimized against the untouched base),
+    /// in rank order, ending at the adopted one if there is one. For an
+    /// addition round this is the single chosen insertion. May be empty
+    /// for a fruitless rearrangement round whose best candidate fell
+    /// below the verify threshold. Independent of the verify width.
     pub tried: Vec<WalMove>,
-    /// Whether the *last* entry of `tried` was accepted as the new base
-    /// (`false`: every tentative commit was reverted).
+    /// Whether the *last* entry of `tried` was adopted as the new base
+    /// (`false`: none improved, the base is unchanged).
     pub accepted: bool,
     /// Bit pattern of the round-end log-likelihood — the replay
     /// divergence guard: a replayed round must land on exactly these

@@ -228,12 +228,8 @@ pub fn run_worker_homed<T: Transport>(
                     cache = Some((base_id, ClvCache::build(&p.engine, base)));
                 }
                 let (_, c) = cache.as_mut().expect("just built");
-                let mv = edit_to_move(&edit);
                 let score = c
-                    .score_edit(&p.engine, &mv, &p.config.optimize)
-                    .map_err(|e| WorkerError::Protocol(format!("edit task {task}: {e}")))?;
-                let cand = c
-                    .materialize(&mv, &score)
+                    .score_edit(&p.engine, &edit_to_move(&edit), &p.config.optimize)
                     .map_err(|e| WorkerError::Protocol(format!("edit task {task}: {e}")))?;
                 let busy_us = started.elapsed().as_micros() as u64;
                 let work_units = score.work.work_units();
@@ -252,12 +248,15 @@ pub fn run_worker_homed<T: Transport>(
                     edges_recomputed: score.edges_recomputed,
                     fallbacks,
                 });
+                // Score-only reply: the master ranks candidates by lnL and
+                // rebuilds the one tree it wants itself, so no candidate
+                // is materialized or serialized here.
                 send_up(
                     &transport,
                     foreman,
                     &Message::TreeResult {
                         task,
-                        newick: newick::write_tree(&cand, p.alignment.names()),
+                        newick: String::new(),
                         ln_likelihood: score.ln_likelihood,
                         work_units,
                     },
@@ -559,11 +558,13 @@ mod tests {
                 task,
                 ln_likelihood,
                 newick: cand,
-                ..
+                work_units,
             } => {
                 assert_eq!(task, 1);
                 assert!(ln_likelihood.is_finite() && ln_likelihood < 0.0);
-                assert!(cand.contains("t3"), "candidate must gain the taxon: {cand}");
+                // Score-only: lnL and work, no candidate tree.
+                assert!(cand.is_empty(), "an edit reply carries no tree: {cand}");
+                assert!(work_units > 0);
                 ln_likelihood
             }
             other => panic!("unexpected {other:?}"),

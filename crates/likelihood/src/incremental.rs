@@ -28,7 +28,7 @@ use crate::kernels::{JunctionScratch, KernelScratch};
 use crate::scorer::{score_attachment, PruneContext};
 use crate::work::WorkCounter;
 use fdml_phylo::error::PhyloError;
-use fdml_phylo::ops::{apply_move, TreeMove};
+use fdml_phylo::ops::TreeMove;
 use fdml_phylo::tree::{NodeId, Tree, DEFAULT_BRANCH_LENGTH};
 
 /// The outcome of scoring one edit incrementally.
@@ -38,7 +38,8 @@ pub struct EditScore {
     /// other branch frozen at the base tree's lengths).
     pub ln_likelihood: f64,
     /// The three optimized junction branch lengths, ordered `[toward
-    /// anchor a, toward anchor b, pendant]`.
+    /// anchor a, toward anchor b, pendant]` — with `anchors`, enough to
+    /// rebuild the scored candidate tree.
     pub lens: [f64; 3],
     /// The two base-tree nodes flanking the new junction (the split edge's
     /// endpoints; for a regraft, ordered facing-the-prune-site first).
@@ -202,31 +203,6 @@ impl ClvCache {
             }
         }
     }
-
-    /// Materialize the candidate tree a score describes: the base tree with
-    /// the edit applied and the three junction branches set to the
-    /// optimized lengths. Evaluating this tree from scratch reproduces
-    /// `score.ln_likelihood` (the equivalence suite's oracle check).
-    pub fn materialize(&self, mv: &TreeMove, score: &EditScore) -> Result<Tree, PhyloError> {
-        let mut cand = self.tree.clone();
-        let pendant = apply_move(&mut cand, mv)?;
-        let outer = match *mv {
-            TreeMove::Insertion { taxon, .. } => cand.tip_of(taxon).ok_or_else(|| {
-                PhyloError::InvalidTreeOp(format!("inserted taxon {taxon} has no tip"))
-            })?,
-            TreeMove::Spr { root, .. } => root,
-        };
-        let q = cand.other_end(pendant, outer);
-        let (na, nb) = score.anchors;
-        for (n, len) in [(na, score.lens[0]), (nb, score.lens[1])] {
-            let e = cand.edge_between(q, n).ok_or_else(|| {
-                PhyloError::InvalidTreeOp(format!("junction anchor {n:?} not adjacent"))
-            })?;
-            cand.set_length(e, len);
-        }
-        cand.set_length(pendant, score.lens[2]);
-        Ok(cand)
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +212,29 @@ mod tests {
     use crate::kernels::KernelMode;
     use crate::scorer::TreeScorer;
     use fdml_phylo::alignment::Alignment;
-    use fdml_phylo::ops::{enumerate_insertion_moves, enumerate_spr_moves};
+    use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves};
+
+    /// The candidate tree a score describes: the base tree with the edit
+    /// applied and the three junction branches set to the optimized
+    /// lengths. Evaluating it from scratch must reproduce
+    /// `score.ln_likelihood` — the oracle of the equivalence suite below.
+    /// (Test support only: the runtime returns scores, never trees.)
+    fn materialize(cache: &ClvCache, mv: &TreeMove, score: &EditScore) -> Tree {
+        let mut cand = cache.tree.clone();
+        let pendant = apply_move(&mut cand, mv).unwrap();
+        let outer = match *mv {
+            TreeMove::Insertion { taxon, .. } => cand.tip_of(taxon).unwrap(),
+            TreeMove::Spr { root, .. } => root,
+        };
+        let q = cand.other_end(pendant, outer);
+        let (na, nb) = score.anchors;
+        for (n, len) in [(na, score.lens[0]), (nb, score.lens[1])] {
+            let e = cand.edge_between(q, n).expect("junction anchor adjacent");
+            cand.set_length(e, len);
+        }
+        cand.set_length(pendant, score.lens[2]);
+        cand
+    }
 
     /// Tiny deterministic generator (xorshift64*) for the seeded
     /// randomized equivalence suite.
@@ -321,7 +319,7 @@ mod tests {
                 let picks: Vec<TreeMove> = (0..12).map(|_| moves[rng.below(moves.len())]).collect();
                 for mv in &picks {
                     let score = cache.score_edit(&engine, mv, &opts).unwrap();
-                    let cand = cache.materialize(mv, &score).unwrap();
+                    let cand = materialize(&cache, mv, &score);
                     cand.check_valid().unwrap();
                     let scratch = engine.evaluate(&cand).ln_likelihood;
                     assert_close_1e12(

@@ -9,19 +9,20 @@
 //! likelihood needs only the CLVs adjacent to the changed region, with the
 //! three branch lengths at the junction optimized by Newton's method. The
 //! winning candidate is then given the full treatment ("it is then tested
-//! more carefully", paper §2.1) by [`TreeScorer::apply`].
+//! more carefully", paper §2.1) by a whole-tree optimization, and the tree
+//! that results is re-indexed by [`TreeScorer::from_optimized`].
 //!
 //! For SPR rearrangements, pruning a subtree invalidates the directional
 //! CLVs that *face* the prune site; those are recomputed lazily outward from
 //! the dissolved node, bounded by the rearrangement radius, while the
 //! away-facing CLVs are reused from the base tree unchanged.
 
-use crate::engine::{ClvBuffers, EvalResult, LikelihoodEngine, OptimizeOptions, Workspace};
+use crate::engine::{ClvBuffers, LikelihoodEngine, OptimizeOptions, Workspace};
 use crate::kernels::{self, JunctionScratch, KernelScratch};
 use crate::work::WorkCounter;
 use fdml_phylo::alignment::TaxonId;
 use fdml_phylo::dna::NUM_STATES;
-use fdml_phylo::ops::{apply_move, TreeMove};
+use fdml_phylo::ops::TreeMove;
 use fdml_phylo::tree::{EdgeId, NodeId, Tree, DEFAULT_BRANCH_LENGTH};
 use std::collections::HashMap;
 
@@ -61,13 +62,27 @@ impl<'e> TreeScorer<'e> {
         opts: OptimizeOptions,
     ) -> TreeScorer<'e> {
         let result = engine.optimize(&mut tree, &opts);
+        let mut scorer = TreeScorer::from_optimized(engine, tree, result.ln_likelihood, opts);
+        scorer.base_work += result.work;
+        scorer
+    }
+
+    /// Index the directional CLVs of a tree whose branch lengths are
+    /// already optimized and whose log-likelihood is known — the result of
+    /// a full verification — without optimizing it again.
+    pub fn from_optimized(
+        engine: &'e LikelihoodEngine,
+        tree: Tree,
+        ln_likelihood: f64,
+        opts: OptimizeOptions,
+    ) -> TreeScorer<'e> {
         let mut ws = Workspace::new(engine, &tree);
-        let mut work = result.work;
+        let mut work = WorkCounter::new();
         ws.compute_all_down(&tree, &mut work);
         ws.compute_all_up(&tree, &mut work);
         TreeScorer {
             engine,
-            ln_likelihood: result.ln_likelihood,
+            ln_likelihood,
             tree,
             ws,
             opts,
@@ -126,23 +141,6 @@ impl<'e> TreeScorer<'e> {
             out.push(scored);
         }
         out
-    }
-
-    /// Apply a move to the base tree, fully re-optimize, and re-index.
-    /// Returns the new base log-likelihood.
-    pub fn apply(&mut self, mv: &TreeMove) -> Result<EvalResult, fdml_phylo::error::PhyloError> {
-        apply_move(&mut self.tree, mv)?;
-        let result = self.engine.optimize(&mut self.tree, &self.opts);
-        self.ln_likelihood = result.ln_likelihood;
-        self.ws = Workspace::new(self.engine, &self.tree);
-        let mut work = result.work;
-        self.ws.compute_all_down(&self.tree, &mut work);
-        self.ws.compute_all_up(&self.tree, &mut work);
-        self.base_work += work;
-        Ok(EvalResult {
-            ln_likelihood: result.ln_likelihood,
-            work,
-        })
     }
 
     fn score_insertion(&mut self, taxon: TaxonId, at: (NodeId, NodeId)) -> ScoredMove {
@@ -460,7 +458,7 @@ mod tests {
     use super::*;
     use crate::engine::LikelihoodEngine;
     use fdml_phylo::alignment::Alignment;
-    use fdml_phylo::ops::{enumerate_insertion_moves, enumerate_spr_moves};
+    use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves};
 
     fn case() -> (Alignment, Tree) {
         // Every taxon carries unique substitutions so that no optimized
@@ -640,25 +638,32 @@ mod tests {
     }
 
     #[test]
-    fn apply_improves_base_tree() {
+    fn from_optimized_indexes_without_reoptimizing() {
         let (a, t) = case();
         let engine = LikelihoodEngine::new(&a);
-        let mut scorer = TreeScorer::new(&engine, t, OptimizeOptions::default());
-        let before = scorer.ln_likelihood();
-        let moves = enumerate_insertion_moves(scorer.tree(), 5);
-        let scores = scorer.score_moves(&moves);
-        let best = scores
-            .iter()
-            .enumerate()
-            .max_by(|x, y| x.1.ln_likelihood.total_cmp(&y.1.ln_likelihood))
-            .unwrap()
-            .0;
-        scorer.apply(&moves[best]).unwrap();
-        assert_eq!(scorer.tree().num_tips(), 6);
-        scorer.tree().check_valid().unwrap();
-        // Applying re-optimizes, so the committed lnL ≥ the scored value.
-        assert!(scorer.ln_likelihood() >= scores[best].ln_likelihood - 1e-6);
-        let _ = before;
+        let opts = OptimizeOptions::default();
+        let mut optimized = t.clone();
+        let lnl = engine.optimize(&mut optimized, &opts).ln_likelihood;
+        let mut adopted = TreeScorer::from_optimized(&engine, optimized.clone(), lnl, opts);
+        // The tree is taken as is: no Newton iteration runs, no branch moves.
+        assert_eq!(adopted.base_work().newton_pattern_iters, 0);
+        assert!(adopted.base_work().clv_pattern_updates > 0);
+        assert_eq!(adopted.ln_likelihood().to_bits(), lnl.to_bits());
+        for e in optimized.edge_ids() {
+            assert_eq!(
+                adopted.tree().length(e).to_bits(),
+                optimized.length(e).to_bits()
+            );
+        }
+        // `new` on the unoptimized tree reaches the same optimum by the same
+        // steps, so both scorers index the same CLVs and score alike.
+        let mut fresh = TreeScorer::new(&engine, t, opts);
+        let moves = enumerate_insertion_moves(fresh.tree(), 5);
+        let expected = fresh.score_moves(&moves);
+        let got = adopted.score_moves(&moves);
+        for (g, e) in got.iter().zip(&expected) {
+            assert_eq!(g.ln_likelihood.to_bits(), e.ln_likelihood.to_bits());
+        }
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //!   --isa LANE           kernel instruction set: scalar | avx2 | avx512 |
 //!                        neon (must be host-supported)         [auto-detect]
 //!   --incremental        score candidate rounds as base + edit through a
-//!                        per-worker CLV cache (parallel / --net modes)
+//!                        CLV cache (per worker with --parallel / --net,
+//!                        in process for the serial search)
 //!   --no-incremental     force whole-tree candidate scoring (the default)
 //!   --obs-out FILE       write runtime events as JSON lines (parallel only)
 //!   --obs-summary        print the end-of-run report (parallel only)
@@ -94,8 +95,8 @@ use fastdnaml::core::netrun::{
     net_coordinator_search, net_farm_search, run_net_peer, NetOptions, NetSpawn,
 };
 use fastdnaml::core::runner::{
-    bootstrap_analysis, evaluate_user_trees, farm_search, parallel_search, serial_search,
-    RunOptions,
+    bootstrap_analysis, evaluate_user_trees, farm_search, fast_serial_search, parallel_search,
+    serial_search, RunOptions,
 };
 use fastdnaml::core::search::StepwiseSearch;
 use fastdnaml::core::wal::WalSession;
@@ -552,8 +553,7 @@ fn main() -> ExitCode {
             eprintln!("fastdnaml: estimating {k} rate categories (DNArates pre-pass)…");
         }
         let engine = config.build_engine(&alignment);
-        let pre = fastdnaml::core::runner::fast_serial_search(&alignment, &config)
-            .expect("pre-pass search");
+        let pre = fast_serial_search(&alignment, &config).expect("pre-pass search");
         let est = estimate_rates(&engine, &pre.tree, &RateGrid::default());
         config.categories = Some(categorize(&est.per_pattern, engine.patterns().weights(), k));
     }
@@ -1067,6 +1067,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    } else if config.incremental {
+        // Base + edit scoring without a runtime: the in-process scorer.
+        fast_serial_search(&alignment, &config).expect("search")
     } else {
         serial_search(&alignment, &config).expect("search")
     };

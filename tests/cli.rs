@@ -324,3 +324,49 @@ fn help_flags_print_usage() {
         .unwrap()
         .contains("--grid-points"));
 }
+
+#[test]
+fn serial_incremental_flag_selects_the_scorer_executor() {
+    use fastdnaml::core::config::SearchConfig;
+    use fastdnaml::core::runner::{fast_serial_search, serial_search};
+    use fastdnaml::phylo::{newick, phylip};
+
+    let dir = workdir("serial_inc");
+    let run = |flags: &[&str]| -> String {
+        let out = fastdnaml()
+            .args(["--input"])
+            .arg(dir.join("data.phy"))
+            .args(["--jumble", "7", "--quiet"])
+            .args(flags)
+            .output()
+            .expect("run fastdnaml");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap().trim().to_string()
+    };
+    // What each executor produces for this search, from the library.
+    let alignment = phylip::parse(PHYLIP).unwrap();
+    let config = SearchConfig {
+        jumble_seed: 7,
+        ..SearchConfig::default()
+    };
+    let whole_tree = serial_search(&alignment, &config).unwrap().tree;
+    let whole_tree = newick::write_tree(&whole_tree, alignment.names());
+    let scorer = fast_serial_search(&alignment, &config).unwrap().tree;
+    let scorer = newick::write_tree(&scorer, alignment.names());
+    assert_ne!(
+        whole_tree, scorer,
+        "the two executors must be told apart by their bytes on this seed"
+    );
+
+    // Whole-tree scoring stays the default, and the escape hatch wins.
+    assert_eq!(run(&[]), whole_tree);
+    assert_eq!(run(&["--no-incremental"]), whole_tree);
+    assert_eq!(run(&["--incremental", "--no-incremental"]), whole_tree);
+    // The flag is no longer ignored by the serial program.
+    assert_eq!(run(&["--incremental"]), scorer);
+    std::fs::remove_dir_all(dir).ok();
+}

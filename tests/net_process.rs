@@ -302,3 +302,24 @@ fn json_wire_matches_binary_wire_exactly() {
     assert_eq!(json_tree, binary_tree);
     std::fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn incremental_search_is_identical_at_every_fleet_size_and_topology() {
+    // The verify wave is as wide as the fleet: one worker verifies the
+    // leading candidates one at a time, four verify four at once. Threads,
+    // processes and a regional tier, at four different widths, must all
+    // emit the same bytes.
+    let dir = workdir("inc_widths");
+    let (one_worker, _) = run(&dir, &["--parallel", "4", "--incremental", "--quiet"]);
+    for flags in [
+        &["--parallel", "6"][..],
+        &["--net", "spawn", "5"],
+        &["--net", "spawn", "9", "--regions", "2"],
+    ] {
+        let mut args = flags.to_vec();
+        args.extend(["--incremental", "--quiet"]);
+        let (tree, _) = run(&dir, &args);
+        assert_eq!(tree, one_worker, "{flags:?}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
