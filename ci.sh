@@ -81,8 +81,10 @@ cargo run --release -p fdml-bench --bin kernel_report -- --quick --intra-threads
 
 # Incremental-evaluation equivalence suite: seeded randomized edits must
 # score identically (<=1e-12) to from-scratch evaluation under both kernel
-# modes, bit-identical to the TreeScorer, in any scoring order.
+# modes, in any scoring order; the junction kernel's own suite rides the
+# same ClvCache.
 cargo test -q -p fdml-likelihood incremental
+cargo test -q -p fdml-likelihood scorer
 
 # Cross-path kernel equivalence matrix: {scalar, widest host ISA} ×
 # {1, 2, 4 intra-rank threads} × {Reference, Optimized} must agree bit for
@@ -97,6 +99,12 @@ write_smoke_data
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --net spawn 4 --quiet --output "$SMOKE/net.nwk"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --parallel 4 --quiet --output "$SMOKE/threads.nwk"
 cmp "$SMOKE/net.nwk" "$SMOKE/threads.nwk"
+
+# One canonical stream: the serial program is the same master over an
+# in-process transport, so with no runtime at all it emits the same bytes
+# (seed 7 whole-tree here; seed 5 edit-scored below).
+./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --quiet --output "$SMOKE/serial.nwk"
+cmp "$SMOKE/serial.nwk" "$SMOKE/threads.nwk"
 
 # ISA / intra-thread smoke: pinning the scalar lane, and running four
 # pattern-block threads per rank, must both emit the byte-identical tree —
@@ -119,6 +127,9 @@ cmp "$SMOKE/inc_threads.nwk" "$SMOKE/full_threads.nwk"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 5 --net spawn 4 --incremental --quiet \
   --output "$SMOKE/inc_net.nwk"
 cmp "$SMOKE/inc_net.nwk" "$SMOKE/full_threads.nwk"
+./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 5 --incremental --quiet \
+  --output "$SMOKE/inc_serial.nwk"
+cmp "$SMOKE/inc_serial.nwk" "$SMOKE/inc_threads.nwk"
 
 # Traffic smoke for the incremental path (`--obs-summary`, "traffic by
 # kind"): candidates are answered by their score alone, so the mean
@@ -186,7 +197,7 @@ done
 cmp "$SMOKE/farm_net_trees.txt" "$SMOKE/farm_thr_trees.txt"
 cmp "$SMOKE/farm_net.nwk" "$SMOKE/farm_thr.nwk"
 
-# Coordinator crash-recovery smoke, two kill styles:
+# Coordinator crash-recovery smoke, three kill styles:
 #
 # (1) Deterministic: --chaos-storage-crash aborts the coordinator at an
 # exact WAL storage operation, leaving the file a SIGKILL there would
@@ -204,11 +215,27 @@ test ! -f "$SMOKE/wal_crash.nwk"
 cmp "$SMOKE/wal_crash.nwk" "$SMOKE/threads.nwk"
 test -z "$(ls -A "$WALD")"   # log retired: the directory stays bounded
 #
-# (2) A real kill -9 mid-farm: 24 jumbles give the coordinator enough
+# (2) Across deployments: the same abort under --parallel, resumed with no
+# --parallel at all. Every deployment commits the same rounds, so the
+# serial program replays the threaded run's log to the same bytes.
+rm -f "$SMOKE/wal_cross.nwk"
+./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --parallel 4 --quiet \
+  --wal-dir "$WALD" --chaos-storage-crash 6 --output "$SMOKE/wal_cross.nwk" 2>/dev/null \
+  && { echo "crash injection did not kill the coordinator"; exit 1; }
+test -n "$(ls -A "$WALD")"    # the interrupted log is there to resume
+./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --quiet \
+  --wal-dir "$WALD" --output "$SMOKE/wal_cross.nwk"
+cmp "$SMOKE/wal_cross.nwk" "$SMOKE/threads.nwk"
+test -z "$(ls -A "$WALD")"
+#
+# (3) A real kill -9 mid-farm: 24 jumbles give the coordinator enough
 # wall time to be caught with its manifest and WAL half-written. The
 # relaunched command must finish the farm with per-jumble trees
 # byte-identical to an uninterrupted baseline.
 rm -rf "$WALD"; mkdir -p "$WALD"
+# A manifest left by a prior gate run would trip the kill before the farm
+# starts and resume that run's (possibly older build's) finished trees.
+rm -f "$SMOKE/farm_kill.json"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --jumbles 24 --parallel 4 --quiet \
   --jumble-trees "$SMOKE/farm_base_trees.txt" --output /dev/null
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --jumbles 24 --parallel 4 --quiet \

@@ -1,10 +1,10 @@
-//! End-to-end search benches: the serial program, the incremental-scoring
-//! program, and the threaded parallel program on a small dataset.
+//! End-to-end search benches: the in-process program in both scoring modes
+//! and the threaded parallel program on a small dataset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fdml_core::config::SearchConfig;
 use fdml_core::job::ResolvedJob;
-use fdml_core::runner::{fast_serial_search, parallel_search, serial_search, RunOptions};
+use fdml_core::runner::{parallel_search, search_in_process, RunOptions, SearchSession};
 use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
 use fdml_phylo::alignment::Alignment;
 use std::hint::black_box;
@@ -22,23 +22,28 @@ fn bench_search_modes(c: &mut Criterion) {
         final_radius: 1,
         ..Default::default()
     };
+    let job = ResolvedJob::single(alignment.clone(), config.clone());
+    let edit_scored = ResolvedJob::single(
+        alignment,
+        SearchConfig {
+            incremental: true,
+            ..config
+        },
+    );
+    let in_process = |job: &ResolvedJob| {
+        search_in_process(job, SearchSession::default())
+            .unwrap()
+            .ln_likelihood
+    };
     let mut group = c.benchmark_group("search_12taxa");
     group.sample_size(10);
     group.bench_function("serial_full_eval", |b| {
-        b.iter(|| black_box(serial_search(&alignment, &config).unwrap().ln_likelihood))
+        b.iter(|| black_box(in_process(&job)))
     });
     group.bench_function("serial_incremental", |b| {
-        b.iter(|| {
-            black_box(
-                fast_serial_search(&alignment, &config)
-                    .unwrap()
-                    .ln_likelihood,
-            )
-        })
+        b.iter(|| black_box(in_process(&edit_scored)))
     });
     group.bench_function("parallel_6ranks", |b| {
-        let job = ResolvedJob::from_parts(alignment.clone(), config.clone(), 1)
-            .expect("resolve benchmark job");
         b.iter(|| {
             black_box(
                 parallel_search(&job, 6, RunOptions::default())

@@ -14,14 +14,15 @@ use fdml_bench::kernel_report::{
 };
 use fdml_bench::Args;
 use fdml_core::config::SearchConfig;
-use fdml_core::executor::ScorerExecutor;
-use fdml_core::search::StepwiseSearch;
-use fdml_core::wal::{self, WalSession, WalWriter};
+use fdml_core::job::ResolvedJob;
+use fdml_core::loopback::Loopback;
+use fdml_core::runner::{search_on, SearchSession};
+use fdml_core::worker::ranks;
 use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
 use fdml_likelihood::engine::{LikelihoodEngine, OptimizeOptions};
 use fdml_likelihood::incremental::ClvCache;
 use fdml_likelihood::KernelMode;
-use fdml_obs::Obs;
+use fdml_obs::{Event, MemorySink, Obs};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves, TreeMove};
 use fdml_phylo::tree::Tree;
@@ -187,57 +188,45 @@ fn run_wal_overhead(samples: usize, quick: bool) -> WalOverheadReport {
     let (alignment, _) = dataset(taxa, sites);
     let config = SearchConfig {
         jumble_seed: 7,
+        incremental: true,
         ..SearchConfig::default()
     };
-    let engine = config.build_engine(&alignment);
-    let search = || {
-        StepwiseSearch::new(
-            &config,
-            ScorerExecutor::new(&engine, config.optimize),
-            alignment.num_taxa(),
-        )
-        .with_names(alignment.names().to_vec())
+    let job = ResolvedJob::single(alignment, config);
+    // The in-process program, bare or with its round log in `wal_dir`.
+    let search = |wal_dir: Option<&std::path::Path>, obs: &Obs| {
+        let session = SearchSession {
+            wal_dir: wal_dir.map(std::path::Path::to_path_buf),
+            ..SearchSession::default()
+        };
+        search_on(Loopback::new(), ranks::FIRST_WORKER, &job, session, obs)
+            .1
+            .expect("golden search")
     };
-    let baseline_result = search().run().expect("golden search");
+    let baseline_result = search(None, &Obs::disabled());
 
-    // One untimed instrumented run to learn the log's shape.
+    // One untimed observed run to learn the log's shape.
     let dir = std::env::temp_dir().join(format!("fdml-wal-bench-{}", std::process::id()));
-    let writer = std::cell::RefCell::new(
-        WalWriter::create(&dir, 0, config.jumble_seed, alignment.num_taxa()).expect("wal create"),
-    );
-    let logged_result = search()
-        .on_wal(|round| {
-            writer.borrow_mut().append(round).expect("wal append");
-        })
-        .run()
-        .expect("golden search under wal");
+    let mem = MemorySink::new();
+    let logged_result = search(Some(&dir), &Obs::multi(vec![Box::new(mem.clone())]));
     assert_eq!(
         baseline_result.ln_likelihood.to_bits(),
         logged_result.ln_likelihood.to_bits(),
-        "attaching the wal hook changed the search result"
+        "attaching the wal changed the search result"
     );
-    let (rounds, wal_bytes) = {
-        let w = writer.borrow();
-        (w.next_index(), w.len_bytes())
-    };
-    drop(writer);
-    wal::retire(&dir, 0, config.jumble_seed).expect("wal retire");
+    let (mut rounds, mut wal_bytes) = (0u64, 0u64);
+    for record in mem.take() {
+        if let Event::WalAppend { bytes, .. } = record.event {
+            rounds += 1;
+            wal_bytes += bytes;
+        }
+    }
 
-    let baseline = measure(samples, rounds.max(1), || {
-        black_box(search().run().expect("golden search").ln_likelihood);
-    });
     let obs = Obs::disabled();
+    let baseline = measure(samples, rounds.max(1), || {
+        black_box(search(None, &obs).ln_likelihood);
+    });
     let wal_arm = measure(samples, rounds.max(1), || {
-        let session = WalSession::open(&dir, 0, config.jumble_seed, alignment.num_taxa(), &obs)
-            .expect("wal open");
-        black_box(
-            search()
-                .on_wal(session.hook())
-                .run()
-                .expect("golden search under wal")
-                .ln_likelihood,
-        );
-        session.finish_and_retire().expect("wal retire");
+        black_box(search(Some(&dir), &obs).ln_likelihood);
     });
     let overhead = wal_arm.min_seconds / baseline.min_seconds - 1.0;
     let row = WalOverheadReport {

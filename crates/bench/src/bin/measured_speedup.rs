@@ -7,7 +7,7 @@
 use fdml_bench::Args;
 use fdml_core::config::SearchConfig;
 use fdml_core::job::ResolvedJob;
-use fdml_core::runner::{parallel_search, serial_search, RunOptions};
+use fdml_core::runner::{parallel_search, search_in_process, RunOptions, SearchSession};
 use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
 use std::time::Instant;
 
@@ -30,8 +30,9 @@ fn main() {
     };
     println!("Measured threaded speedup, {taxa} taxa × {sites} sites, radius {radius}");
     println!("(host has {host_cores} cores; 3 ranks are control processes)\n");
+    let job = ResolvedJob::single(alignment, config);
     let t0 = Instant::now();
-    let serial = serial_search(&alignment, &config).expect("serial search");
+    let serial = search_in_process(&job, SearchSession::default()).expect("serial search");
     let serial_time = t0.elapsed().as_secs_f64();
     println!(
         "{:>8} {:>12} {:>10} {:>14}",
@@ -45,8 +46,6 @@ fn main() {
     while workers <= max_workers {
         let ranks = workers + 3;
         let t0 = Instant::now();
-        let job = ResolvedJob::from_parts(alignment.clone(), config.clone(), 1)
-            .expect("resolve benchmark job");
         let outcome = parallel_search(&job, ranks, RunOptions::default()).expect("parallel search");
         let wall = t0.elapsed().as_secs_f64();
         println!(

@@ -6,7 +6,8 @@
 //! inspectable.
 
 use fdml_core::config::SearchConfig;
-use fdml_core::runner::traced_search;
+use fdml_core::job::ResolvedJob;
+use fdml_core::runner::{search_in_process, SearchSession};
 use fdml_core::trace::SearchTrace;
 use fdml_datagen::datasets::{paper_dataset, PaperDataset};
 use std::fs;
@@ -79,6 +80,7 @@ pub fn load_or_build_traces(request: &TraceRequest) -> Vec<SearchTrace> {
                 jumble_seed: seed,
                 rearrange_radius: request.radius,
                 final_radius: request.radius,
+                incremental: !request.full_evaluation,
                 ..SearchConfig::default()
             };
             eprintln!(
@@ -90,13 +92,14 @@ pub fn load_or_build_traces(request: &TraceRequest) -> Vec<SearchTrace> {
                 request.radius
             );
             let start = std::time::Instant::now();
-            let (_, trace) = traced_search(
-                &alignment,
-                &config,
-                request.dataset.label(),
-                request.full_evaluation,
-            )
-            .expect("search must succeed");
+            let session = SearchSession {
+                trace: Some(request.dataset.label().into()),
+                ..SearchSession::default()
+            };
+            let trace = search_in_process(&ResolvedJob::single(alignment, config), session)
+                .expect("search must succeed")
+                .trace
+                .expect("trace requested");
             eprintln!(
                 "[traces]   {} rounds, {} candidates, {:.1}s wall",
                 trace.rounds.len(),

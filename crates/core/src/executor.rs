@@ -1,31 +1,24 @@
-//! Round executors: how a batch of candidate trees gets evaluated.
+//! The round-executor contract: how the search driver asks for a batch of
+//! candidate trees to be evaluated.
 //!
 //! The search driver ([`crate::search::StepwiseSearch`]) is generic over
-//! this trait, exactly as fastDNAml's algorithm code is independent of
-//! whether tree evaluation happens in a subroutine (serial) or on remote
-//! workers (PVM/MPI):
+//! this trait, exactly as fastDNAml's algorithm code is independent of the
+//! message-passing layer. There is one implementation,
+//! [`crate::master::ClusterExecutor`]: candidates travel as tasks over a
+//! [`fdml_comm::transport::Transport`], whether the other end is a fleet
+//! of worker processes or the in-process [`crate::loopback::Loopback`] —
+//! the paper's serial build, "the parallel program linked against a
+//! sequential comm back end". The trait remains so the driver's tests can
+//! interpose on the call stream.
 //!
-//! * [`FullEvalExecutor`] — every candidate is materialized and fully
-//!   branch-length-optimized in process: the faithful worker computation
-//!   and the reference for correctness/determinism tests.
-//! * [`ScorerExecutor`] — candidates are scored incrementally
-//!   (fastDNAml's "rapid approximation of the insertion point"), making
-//!   paper-scale traces computable; the committed winner still gets the
-//!   full treatment.
-//!
-//! The cluster executor that dispatches candidates over a transport lives
-//! in [`crate::master`].
-//!
-//! Every executor separates *verifying* a move (fully optimize `base +
+//! The executor separates *verifying* a move (fully optimize `base +
 //! move`, base untouched) from *adopting* a verified tree as the new base
 //! (no recomputation). The driver's rearrangement rounds verify the
 //! leading candidates and adopt the first improver, so a fruitless round
 //! never touches the base and nothing is ever reverted.
 
-use fdml_likelihood::engine::{LikelihoodEngine, OptimizeOptions};
-use fdml_likelihood::scorer::TreeScorer;
 use fdml_phylo::error::PhyloError;
-use fdml_phylo::ops::{apply_move, TreeMove};
+use fdml_phylo::ops::TreeMove;
 use fdml_phylo::tree::Tree;
 use std::fmt;
 
@@ -134,157 +127,15 @@ pub trait RoundExecutor {
     }
 }
 
-/// Full per-candidate evaluation in process (the serial worker).
-pub struct FullEvalExecutor<'e> {
-    engine: &'e LikelihoodEngine,
-    opts: OptimizeOptions,
-    base: Option<Tree>,
-}
-
-impl<'e> FullEvalExecutor<'e> {
-    /// Create an executor over an engine.
-    pub fn new(engine: &'e LikelihoodEngine, opts: OptimizeOptions) -> FullEvalExecutor<'e> {
-        FullEvalExecutor {
-            engine,
-            opts,
-            base: None,
-        }
-    }
-
-    fn base(&self) -> Result<&Tree, ExecutorError> {
-        self.base.as_ref().ok_or(ExecutorError::NoBase)
-    }
-}
-
-impl RoundExecutor for FullEvalExecutor<'_> {
-    fn set_base(&mut self, mut tree: Tree) -> Result<BaseOutcome, ExecutorError> {
-        let r = self.engine.optimize(&mut tree, &self.opts);
-        let out = BaseOutcome {
-            tree: tree.clone(),
-            ln_likelihood: r.ln_likelihood,
-            work_units: r.work.work_units(),
-        };
-        self.base = Some(tree);
-        Ok(out)
-    }
-
-    fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError> {
-        // Whole-tree scoring is verification with the trees dropped.
-        Ok(self
-            .verify(moves)?
-            .into_iter()
-            .map(|full| CandidateScore {
-                ln_likelihood: full.ln_likelihood,
-                work_units: full.work_units,
-            })
-            .collect())
-    }
-
-    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError> {
-        moves
-            .iter()
-            .map(|mv| verify_in_process(self.engine, &self.opts, self.base()?, mv))
-            .collect()
-    }
-
-    fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError> {
-        self.base = Some(verified.tree.clone());
-        Ok(BaseOutcome {
-            work_units: 0,
-            ..verified
-        })
-    }
-}
-
-/// `base + mv`, fully optimized in process: the serial executors' verify.
-fn verify_in_process(
-    engine: &LikelihoodEngine,
-    opts: &OptimizeOptions,
-    base: &Tree,
-    mv: &TreeMove,
-) -> Result<BaseOutcome, ExecutorError> {
-    let mut tree = base.clone();
-    apply_move(&mut tree, mv)?;
-    let r = engine.optimize(&mut tree, opts);
-    Ok(BaseOutcome {
-        tree,
-        ln_likelihood: r.ln_likelihood,
-        work_units: r.work.work_units(),
-    })
-}
-
-/// Incremental scoring (see [`fdml_likelihood::scorer`]).
-pub struct ScorerExecutor<'e> {
-    engine: &'e LikelihoodEngine,
-    opts: OptimizeOptions,
-    scorer: Option<TreeScorer<'e>>,
-}
-
-impl<'e> ScorerExecutor<'e> {
-    /// Create an executor over an engine.
-    pub fn new(engine: &'e LikelihoodEngine, opts: OptimizeOptions) -> ScorerExecutor<'e> {
-        ScorerExecutor {
-            engine,
-            opts,
-            scorer: None,
-        }
-    }
-
-    /// Make `scorer`'s tree the base and report it.
-    fn install(&mut self, scorer: TreeScorer<'e>) -> BaseOutcome {
-        let out = BaseOutcome {
-            tree: scorer.tree().clone(),
-            ln_likelihood: scorer.ln_likelihood(),
-            work_units: scorer.base_work().work_units(),
-        };
-        self.scorer = Some(scorer);
-        out
-    }
-}
-
-impl RoundExecutor for ScorerExecutor<'_> {
-    fn set_base(&mut self, tree: Tree) -> Result<BaseOutcome, ExecutorError> {
-        let scorer = TreeScorer::new(self.engine, tree, self.opts);
-        Ok(self.install(scorer))
-    }
-
-    fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError> {
-        let scorer = self.scorer.as_mut().ok_or(ExecutorError::NoBase)?;
-        Ok(scorer
-            .score_moves(moves)
-            .into_iter()
-            .map(|s| CandidateScore {
-                ln_likelihood: s.ln_likelihood,
-                work_units: s.work.work_units(),
-            })
-            .collect())
-    }
-
-    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError> {
-        let base = self.scorer.as_ref().ok_or(ExecutorError::NoBase)?.tree();
-        moves
-            .iter()
-            .map(|mv| verify_in_process(self.engine, &self.opts, base, mv))
-            .collect()
-    }
-
-    fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError> {
-        // The only work adoption costs is indexing the tree's CLVs.
-        let scorer = TreeScorer::from_optimized(
-            self.engine,
-            verified.tree,
-            verified.ln_likelihood,
-            self.opts,
-        );
-        Ok(self.install(scorer))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SearchConfig;
+    use crate::loopback::Loopback;
+    use crate::master::ClusterExecutor;
     use fdml_phylo::alignment::Alignment;
     use fdml_phylo::ops::enumerate_insertion_moves;
+    use fdml_phylo::tree::NodeId;
 
     fn setup() -> (Alignment, Tree) {
         let a = Alignment::from_strings(&[
@@ -297,11 +148,19 @@ mod tests {
         (a, Tree::triplet(0, 1, 2))
     }
 
+    /// The in-process executor, whole-tree or edit-scored.
+    fn in_process(a: &Alignment, incremental: bool) -> ClusterExecutor<Loopback> {
+        let config = SearchConfig {
+            incremental,
+            ..SearchConfig::default()
+        };
+        ClusterExecutor::in_process(a, &config)
+    }
+
     #[test]
     fn full_eval_scores_and_commits() {
         let (a, t) = setup();
-        let engine = LikelihoodEngine::new(&a);
-        let mut ex = FullEvalExecutor::new(engine_ref(&engine), OptimizeOptions::default());
+        let mut ex = in_process(&a, false);
         let base = ex.set_base(t).unwrap();
         assert!(base.ln_likelihood < 0.0);
         let moves = enumerate_insertion_moves(&base.tree, 3);
@@ -315,11 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn scorer_executor_agrees_with_full_eval_on_ranking() {
+    fn edit_scoring_agrees_with_whole_tree_scoring_on_ranking() {
         let (a, t) = setup();
-        let engine = LikelihoodEngine::new(&a);
-        let mut full = FullEvalExecutor::new(engine_ref(&engine), OptimizeOptions::default());
-        let mut fast = ScorerExecutor::new(engine_ref(&engine), OptimizeOptions::default());
+        let mut full = in_process(&a, false);
+        let mut fast = in_process(&a, true);
         let base_full = full.set_base(t.clone()).unwrap();
         let base_fast = fast.set_base(t).unwrap();
         assert!((base_full.ln_likelihood - base_fast.ln_likelihood).abs() < 1e-6);
@@ -338,21 +196,15 @@ mod tests {
             .0
     }
 
-    fn engine_ref(e: &LikelihoodEngine) -> &LikelihoodEngine {
-        e
-    }
-
     #[test]
     fn commit_before_base_is_typed_error() {
-        use fdml_phylo::tree::NodeId;
         let (a, _) = setup();
-        let engine = LikelihoodEngine::new(&a);
         let mv = TreeMove::Insertion {
             taxon: 3,
             at: (NodeId(0), NodeId(1)),
         };
 
-        let mut full = FullEvalExecutor::new(&engine, OptimizeOptions::default());
+        let mut full = in_process(&a, false);
         assert!(matches!(full.commit(&mv), Err(ExecutorError::NoBase)));
         assert!(matches!(full.verify(&[mv]), Err(ExecutorError::NoBase)));
         assert!(matches!(
@@ -360,7 +212,7 @@ mod tests {
             Err(ExecutorError::NoBase)
         ));
 
-        let mut fast = ScorerExecutor::new(&engine, OptimizeOptions::default());
+        let mut fast = in_process(&a, true);
         assert!(matches!(fast.commit(&mv), Err(ExecutorError::NoBase)));
         assert!(matches!(fast.verify(&[mv]), Err(ExecutorError::NoBase)));
         assert!(matches!(

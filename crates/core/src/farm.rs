@@ -5,10 +5,12 @@
 //! This module is that layer: a two-level orchestrator in which the farm
 //! scheduler (level 1) shards whole jumbles across the worker pool while
 //! each jumble (level 2) is a complete stepwise-addition search. A jumble
-//! travels as a single [`Message::JumbleTask`]; the worker runs the exact
-//! in-process search a serial run would ([`run_one_jumble`]), so farm
-//! output is byte-identical to the serial baseline regardless of farm
-//! width or transport.
+//! travels as a single [`Message::JumbleTask`]; the worker runs it through
+//! [`Evaluator::jumble`] — the search every deployment runs, over an
+//! in-process loopback, always edit-scored — which is also what the serial
+//! farm calls, so farm output is byte-identical regardless of farm width
+//! or transport, and line *k* of it is the single search
+//! `--jumble seed_k --incremental`.
 //!
 //! The foreman's existing machinery — ready queue, timeout requeue, eager
 //! disconnect requeue, duplicate dedup — schedules jumbles exactly as it
@@ -24,21 +26,18 @@
 
 use crate::checkpoint::{FarmManifest, JumbleStatus};
 use crate::config::SearchConfig;
-use crate::executor::ScorerExecutor;
 use crate::jumble::adjust_seed;
-use crate::search::{SearchResult, StepwiseSearch};
 use crate::wal::{self, WalRound, WalSession, WalWriter};
-use crate::worker::ranks;
+use crate::worker::{ranks, Evaluator, WorkerError};
 use fdml_comm::message::Message;
 use fdml_comm::transport::Transport;
-use fdml_likelihood::engine::LikelihoodEngine;
 use fdml_obs::{Event, Obs};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::consensus::{Consensus, ConsensusAccumulator};
 use fdml_phylo::error::PhyloError;
 use fdml_phylo::{newick, phylip};
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// How a farm run is steered.
 #[derive(Debug, Clone, Default)]
@@ -130,70 +129,48 @@ pub fn dedup_adjusted(seeds: &[u64]) -> Result<Vec<u64>, PhyloError> {
     Ok(out)
 }
 
-/// Run one whole jumble in-process: the single code path shared by the
-/// serial farm and the workers, which is what makes farm output
-/// byte-identical to the serial baseline.
-pub fn run_one_jumble(
-    engine: &LikelihoodEngine,
-    alignment: &Alignment,
-    base_config: &SearchConfig,
-    seed: u64,
-) -> Result<SearchResult, PhyloError> {
-    let config = SearchConfig {
-        jumble_seed: seed,
-        ..base_config.clone()
-    };
-    let executor = ScorerExecutor::new(engine, config.optimize);
-    let result = StepwiseSearch::new(&config, executor, alignment.num_taxa())
-        .with_names(alignment.names().to_vec())
-        .run();
-    result
+/// The evaluator a coordinator runs jumbles on itself: the serial farm's
+/// only one, and the fallback for jumbles the foreman quarantined.
+fn local_evaluator(alignment: &Alignment, config: &SearchConfig) -> Result<Evaluator, PhyloError> {
+    Evaluator::for_problem(&phylip::write(alignment), &config.engine_config_json())
+        .map_err(|e| PhyloError::Format(e.to_string()))
 }
 
-/// [`run_one_jumble`] with a WAL attached: replay the committed prefix
-/// (scoring skipped, state bit-identical), run the remainder live, and
-/// hand each newly committed round to `on_wal` — the coordinator-side
-/// append, or a wire send on a worker.
-pub fn run_one_jumble_wal(
-    engine: &LikelihoodEngine,
+/// Run one jumble on this rank, through its on-disk WAL when a directory
+/// is configured: recover the log (or start one), replay, run live
+/// appending every committed round, and surface any append failure as a
+/// hard error — an unreported round would silently shrink the
+/// crash-tolerance window.
+fn jumble_here(
+    evaluator: &Evaluator,
     alignment: &Alignment,
-    base_config: &SearchConfig,
     seed: u64,
-    wal: Vec<WalRound>,
-    on_wal: impl FnMut(&WalRound),
-) -> Result<SearchResult, PhyloError> {
-    let config = SearchConfig {
-        jumble_seed: seed,
-        ..base_config.clone()
-    };
-    let executor = ScorerExecutor::new(engine, config.optimize);
-    let result = StepwiseSearch::new(&config, executor, alignment.num_taxa())
-        .with_names(alignment.names().to_vec())
-        .resume_from_wal(wal)
-        .on_wal(on_wal)
-        .run();
-    result
-}
-
-/// Run one jumble locally with its WAL on disk: recover the log (or start
-/// one), replay, run live appending every committed round, and surface any
-/// append failure as a hard error — an unreported round would silently
-/// shrink the crash-tolerance window.
-fn run_one_jumble_durable(
-    engine: &LikelihoodEngine,
-    alignment: &Alignment,
-    config: &SearchConfig,
-    seed: u64,
-    dir: &std::path::Path,
-    job: u64,
+    wal_dir: Option<&Path>,
     obs: &Obs,
-) -> Result<SearchResult, PhyloError> {
-    let io = |e: std::io::Error| PhyloError::Format(format!("wal jumble {seed}: {e}"));
-    let mut session = WalSession::open(dir, job, seed, alignment.num_taxa(), obs).map_err(io)?;
-    let rounds = session.take_rounds();
-    let result = run_one_jumble_wal(engine, alignment, config, seed, rounds, session.hook())?;
-    session.finish().map_err(io)?;
-    Ok(result)
+) -> Result<JumbleRun, PhyloError> {
+    let failed = |e: WorkerError| PhyloError::Format(e.to_string());
+    let result = match wal_dir {
+        Some(dir) => {
+            let io = |e: std::io::Error| PhyloError::Format(format!("wal jumble {seed}: {e}"));
+            let mut session =
+                WalSession::open(dir, 0, seed, alignment.num_taxa(), obs).map_err(io)?;
+            let result = evaluator
+                .jumble(seed, session.take_rounds(), session.hook())
+                .map_err(failed)?;
+            session.finish().map_err(io)?;
+            result
+        }
+        None => evaluator.jumble(seed, Vec::new(), |_| {}).map_err(failed)?,
+    };
+    Ok(JumbleRun {
+        seed,
+        newick: newick::write_tree(&result.tree, alignment.names()),
+        ln_likelihood: result.ln_likelihood,
+        rounds: result.rounds as u64,
+        candidates: result.candidates_evaluated as u64,
+        work_units: result.work_units,
+        reused: false,
+    })
 }
 
 /// The state a farm starts from: the manifest, the per-seed runs so far,
@@ -337,7 +314,7 @@ pub fn serial_farm(
 ) -> Result<FarmParts, PhyloError> {
     let (mut manifest, mut runs, mut acc, todo) = prepare(alignment, seeds, options, obs)?;
     let total = manifest.entries.len();
-    let engine = config.build_engine(alignment);
+    let evaluator = local_evaluator(alignment, config)?;
     for (i, &seed) in todo.iter().enumerate() {
         obs.emit(|| Event::JumbleStarted { seed });
         obs.emit(|| Event::FarmProgress {
@@ -346,19 +323,7 @@ pub fn serial_farm(
             pending: todo.len() - i - 1,
             total,
         });
-        let result = match &options.wal_dir {
-            Some(dir) => run_one_jumble_durable(&engine, alignment, config, seed, dir, 0, obs)?,
-            None => run_one_jumble(&engine, alignment, config, seed)?,
-        };
-        let run = JumbleRun {
-            seed,
-            newick: newick::write_tree(&result.tree, alignment.names()),
-            ln_likelihood: result.ln_likelihood,
-            rounds: result.rounds as u64,
-            candidates: result.candidates_evaluated as u64,
-            work_units: result.work_units,
-            reused: false,
-        };
+        let run = jumble_here(&evaluator, alignment, seed, options.wal_dir.as_deref(), obs)?;
         absorb(
             alignment,
             options,
@@ -413,7 +378,7 @@ pub fn run_farm_master<T: Transport>(
     let mut in_flight: usize = 0;
     let mut next_task: u64 = 0;
     // Built only if the foreman quarantines a jumble.
-    let mut local_engine: Option<LikelihoodEngine> = None;
+    let mut local: Option<Evaluator> = None;
     // One append handle per in-flight jumble when a WAL directory is
     // configured; entries leave the map when the jumble is absorbed.
     let mut writers: HashMap<u64, WalWriter> = HashMap::new();
@@ -521,25 +486,28 @@ pub fn run_farm_master<T: Transport>(
             }
             Message::Quarantined { payload, .. } => {
                 // The foreman exhausted this jumble's failure budget across
-                // distinct workers; run it here. Same `run_one_jumble` the
-                // workers call, so the tree is byte-identical.
+                // distinct workers; run it here. Same `Evaluator::jumble`
+                // the workers call, so the tree is byte-identical.
                 let fdml_comm::message::TaskPayload::Jumble { seed } = payload else {
                     continue;
                 };
                 if runs.contains_key(&seed) {
                     continue;
                 }
-                let engine = local_engine.get_or_insert_with(|| config.build_engine(alignment));
-                let result = match &options.wal_dir {
-                    Some(dir) => {
-                        // Drop our stale handle first: the local rerun
-                        // re-recovers the log, which may hold rounds the
-                        // failed workers streamed before dying.
-                        writers.remove(&seed);
-                        run_one_jumble_durable(engine, alignment, config, seed, dir, 0, obs)?
-                    }
-                    None => run_one_jumble(engine, alignment, config, seed)?,
-                };
+                if local.is_none() {
+                    local = Some(local_evaluator(alignment, config)?);
+                }
+                // Drop our stale WAL handle first: the local rerun
+                // re-recovers the log, which may hold rounds the failed
+                // workers streamed before dying.
+                writers.remove(&seed);
+                let run = jumble_here(
+                    local.as_ref().expect("just built"),
+                    alignment,
+                    seed,
+                    options.wal_dir.as_deref(),
+                    obs,
+                )?;
                 in_flight -= 1;
                 absorb(
                     alignment,
@@ -548,15 +516,7 @@ pub fn run_farm_master<T: Transport>(
                     &mut runs,
                     &mut acc,
                     obs,
-                    JumbleRun {
-                        seed,
-                        newick: newick::write_tree(&result.tree, alignment.names()),
-                        ln_likelihood: result.ln_likelihood,
-                        rounds: result.rounds as u64,
-                        candidates: result.candidates_evaluated as u64,
-                        work_units: result.work_units,
-                        reused: false,
-                    },
+                    run,
                 )?;
                 dispatch_up_to_width!();
             }

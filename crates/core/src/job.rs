@@ -45,6 +45,11 @@ impl ResolvedJob {
         })
     }
 
+    /// The one-shot case: a single search under `config.jumble_seed`.
+    pub fn single(alignment: Alignment, config: SearchConfig) -> ResolvedJob {
+        ResolvedJob::from_parts(alignment, config, 1).expect("one jumble always plans")
+    }
+
     /// Resolve a wire-level spec (the submit path and the daemon's
     /// registry). Fails with a typed [`PhyloError`] on malformed PHYLIP
     /// or config JSON.

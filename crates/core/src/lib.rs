@@ -5,16 +5,19 @@
 //!   odd-seed adjustment).
 //! * [`search`] — the stepwise-addition + rearrangement driver
 //!   (paper steps 2–5), generic over how candidate rounds are evaluated.
-//! * [`executor`] — round evaluation strategies: the in-process full
-//!   evaluator (the serial program, "the worker process acts as a
-//!   subroutine"), and the incremental scorer used for large traces.
+//! * [`executor`] — the round-executor contract between the driver and
+//!   whatever evaluates its candidate rounds.
 //! * [`master`], [`foreman`], [`worker`], [`monitor`] — the four parallel
 //!   modules of the paper (§2.2), written against `fdml-comm`'s transport.
+//!   [`master::ClusterExecutor`] is the one executor; [`worker::Evaluator`]
+//!   is the one place a task is computed.
+//! * [`loopback`] — the sequential transport (the paper's `comm_seq.c`):
+//!   the serial program is the master over an in-process evaluator.
 //! * [`job`] — the unified job surface: resolving a wire-level
 //!   `JobSpec` into the runnable form every orchestration entrypoint is
 //!   constructed from.
-//! * [`runner`] — entry points: serial search, threaded parallel search,
-//!   multi-jumble orchestration.
+//! * [`runner`] — entry points: `search_on` (the one way a search runs),
+//!   the in-process and threaded programs, the threaded jumble farm.
 //! * [`netrun`] — the same topology across OS processes over `fdml-net`'s
 //!   TCP transport: coordinator, peer, and single-command spawn launchers.
 //! * [`trace`] — dispatch-round traces consumed by the RS/6000 SP
@@ -42,6 +45,7 @@ pub mod foreman;
 pub mod hierarchy;
 pub mod job;
 pub mod jumble;
+pub mod loopback;
 pub mod master;
 pub mod monitor;
 pub mod netrun;
@@ -53,5 +57,5 @@ pub mod worker;
 
 pub use config::SearchConfig;
 pub use job::ResolvedJob;
-pub use runner::{parallel_search, serial_search, RunOptions};
+pub use runner::{parallel_search, search_in_process, search_on, RunOptions, SearchSession};
 pub use search::{SearchResult, StepwiseSearch};

@@ -6,19 +6,15 @@
 //! a transport (the paper's point about the algorithm being independent of
 //! the message-passing layer).
 
-use crate::config::SearchConfig;
-use crate::edits::{edit_to_move, move_to_edit};
+use crate::edits::move_to_edit;
 use crate::executor::{BaseOutcome, CandidateScore, ExecutorError, RoundExecutor};
-use crate::worker::ranks;
-use fdml_comm::message::{Message, MonitorEvent, TaskPayload, TreeEdit};
+use crate::worker::{ranks, Evaluator};
+use fdml_comm::message::{Message, MonitorEvent, TaskPayload};
 use fdml_comm::transport::Transport;
-use fdml_likelihood::engine::LikelihoodEngine;
-use fdml_likelihood::incremental::ClvCache;
-use fdml_phylo::alignment::Alignment;
 use fdml_phylo::error::PhyloError;
+use fdml_phylo::newick;
 use fdml_phylo::ops::{apply_move, TreeMove};
 use fdml_phylo::tree::Tree;
-use fdml_phylo::{newick, phylip};
 use std::collections::HashMap;
 
 /// One task's answer as it arrived: result Newick (empty for a score-only
@@ -41,7 +37,10 @@ pub struct ClusterExecutor<T: Transport> {
     names: Vec<String>,
     phylip: String,
     config_json: String,
-    local: Option<(Alignment, LikelihoodEngine, SearchConfig)>,
+    /// The master's own evaluator, built on the first quarantined task: it
+    /// is what the workers run, so a task evaluated here is byte-identical
+    /// to what a healthy worker would have returned.
+    local: Option<Evaluator>,
     base: Option<Tree>,
     next_task: u64,
     round: u64,
@@ -52,38 +51,17 @@ pub struct ClusterExecutor<T: Transport> {
     /// Newick text of the current broadcast base (incremental mode): the
     /// single source of truth every rank parses, so node ids agree.
     base_text: Option<String>,
-    /// The master's own CLV cache, built lazily to score quarantined edit
-    /// tasks bit-identically to a healthy worker.
-    local_cache: Option<(u64, ClvCache)>,
     /// First worker rank: [`ranks::FIRST_WORKER`] in the flat topology,
     /// higher when regional foremen sit between rank 2 and the fleet.
     first_worker: usize,
 }
 
 impl<T: Transport> ClusterExecutor<T> {
-    /// Create the executor and broadcast the problem data to all workers
-    /// (flat topology: workers start at [`ranks::FIRST_WORKER`]).
+    /// Create the executor and broadcast the problem data to the workers,
+    /// ranks `first_worker..`: [`ranks::FIRST_WORKER`] in the flat
+    /// topology, higher when regional foremen (which must not receive
+    /// worker problem data) sit between rank 2 and the fleet.
     pub fn new(
-        transport: T,
-        names: Vec<String>,
-        phylip: String,
-        config_json: String,
-        has_monitor: bool,
-    ) -> ClusterExecutor<T> {
-        Self::with_first_worker(
-            transport,
-            names,
-            phylip,
-            config_json,
-            has_monitor,
-            ranks::FIRST_WORKER,
-        )
-    }
-
-    /// Like [`ClusterExecutor::new`], but for a hierarchical topology
-    /// where workers start at `first_worker` (the ranks below it are
-    /// regional foremen, which must not receive worker problem data).
-    pub fn with_first_worker(
         transport: T,
         names: Vec<String>,
         phylip: String,
@@ -115,7 +93,6 @@ impl<T: Transport> ClusterExecutor<T> {
             incremental: false,
             base_id: 0,
             base_text: None,
-            local_cache: None,
             first_worker,
         }
     }
@@ -128,21 +105,6 @@ impl<T: Transport> ClusterExecutor<T> {
         self
     }
 
-    /// Build (once) the master's own likelihood engine, used only to
-    /// evaluate quarantined tasks. It runs the identical parse → optimize
-    /// path as the workers, so a locally evaluated task is byte-identical
-    /// to what a healthy worker would have returned.
-    fn local_engine(&mut self) -> Result<&(Alignment, LikelihoodEngine, SearchConfig), PhyloError> {
-        if self.local.is_none() {
-            let alignment = phylip::parse(&self.phylip)?;
-            let config = SearchConfig::from_engine_config_json(&self.config_json)
-                .map_err(|e| PhyloError::Format(format!("bad engine config: {e}")))?;
-            let engine = config.build_engine(&alignment);
-            self.local = Some((alignment, engine, config));
-        }
-        Ok(self.local.as_ref().expect("just built"))
-    }
-
     /// Orderly shutdown: tell the foreman, which cascades to workers and
     /// the monitor.
     pub fn shutdown(self) -> T {
@@ -150,74 +112,77 @@ impl<T: Transport> ClusterExecutor<T> {
         self.transport
     }
 
-    /// Score a quarantined edit on the master's own CLV cache. Workers and
-    /// the master parse the same base text and run the same junction
-    /// algorithm, so the result is bit-identical to a healthy worker's.
-    fn score_edit_locally(&mut self, base_id: u64, edit: &TreeEdit) -> Result<Reply, PhyloError> {
-        if base_id != self.base_id {
-            return Err(PhyloError::Format(format!(
-                "quarantined edit for stale base {base_id} (current {})",
-                self.base_id
-            )));
+    /// Evaluate a task the foreman gave up on, as a worker would have.
+    fn evaluate_locally(&mut self, payload: TaskPayload) -> Result<Option<Reply>, PhyloError> {
+        if self.local.is_none() {
+            let local = Evaluator::for_problem(&self.phylip, &self.config_json)
+                .map_err(|e| PhyloError::Format(e.to_string()))?;
+            self.local = Some(local);
         }
-        let text = self
-            .base_text
-            .clone()
-            .ok_or_else(|| PhyloError::Format("quarantined edit with no base".into()))?;
-        self.local_engine()?;
-        let (alignment, engine, config) = self.local.as_ref().expect("just built");
-        if self.local_cache.as_ref().map(|(id, _)| *id) != Some(base_id) {
-            let base = newick::parse_tree(&text, alignment)?;
-            self.local_cache = Some((base_id, ClvCache::build(engine, base)));
-        }
-        let (_, cache) = self.local_cache.as_mut().expect("just built");
-        let score = cache.score_edit(engine, &edit_to_move(edit), &config.optimize)?;
-        Ok((String::new(), score.ln_likelihood, score.work.work_units()))
+        let local = self.local.as_mut().expect("just built");
+        let done = match payload {
+            TaskPayload::Tree { newick } => local.tree_task(&newick),
+            TaskPayload::TreeEdit { base_id, .. } if base_id != self.base_id => {
+                return Err(PhyloError::Format(format!(
+                    "quarantined edit for stale base {base_id} (current {})",
+                    self.base_id
+                )))
+            }
+            TaskPayload::TreeEdit { base_id, edit } => {
+                local.edit_task(base_id, &edit, self.base_text.clone())
+            }
+            TaskPayload::Jumble { .. } => return Ok(None),
+        };
+        let done = done.map_err(|e| PhyloError::Format(format!("quarantined task: {e}")))?;
+        Ok(Some((
+            done.newick,
+            done.ln_likelihood,
+            done.work.work_units(),
+        )))
     }
 
-    /// Dispatch a batch of Newick strings; block until all results return.
-    /// Results are reordered to match submission order.
-    fn dispatch_batch(&mut self, newicks: Vec<String>) -> Result<Vec<Reply>, PhyloError> {
-        let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(newicks.len());
-        let n = newicks.len();
-        for (i, text) in newicks.into_iter().enumerate() {
+    /// Dispatch `n` tasks — `message(i, task_id)` builds the `i`-th — and
+    /// block until all results return, in submission order.
+    fn dispatch(
+        &mut self,
+        n: usize,
+        mut message: impl FnMut(usize, u64) -> Message,
+    ) -> Result<Vec<Reply>, PhyloError> {
+        let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(n);
+        for i in 0..n {
             let task = self.next_task;
             self.next_task += 1;
             index_of.insert(task, i);
             self.transport
-                .send(ranks::FOREMAN, &Message::TreeTask { task, newick: text })
+                .send(ranks::FOREMAN, &message(i, task))
                 .map_err(|e| PhyloError::Format(format!("transport: {e}")))?;
         }
         self.collect_results(index_of, n)
+    }
+
+    /// Dispatch whole trees as Newick text.
+    fn dispatch_batch(&mut self, newicks: Vec<String>) -> Result<Vec<Reply>, PhyloError> {
+        let mut newicks = newicks.into_iter();
+        self.dispatch(newicks.len(), |_, task| Message::TreeTask {
+            task,
+            newick: newicks.next().expect("one text per task"),
+        })
     }
 
     /// Dispatch a round of compact edits against the current broadcast
-    /// base; block until all results return, in submission order.
+    /// base.
     fn dispatch_edits(&mut self, moves: &[TreeMove]) -> Result<Vec<Reply>, PhyloError> {
-        let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(moves.len());
-        let n = moves.len();
-        for (i, mv) in moves.iter().enumerate() {
-            let task = self.next_task;
-            self.next_task += 1;
-            index_of.insert(task, i);
-            self.transport
-                .send(
-                    ranks::FOREMAN,
-                    &Message::TreeEditTask {
-                        task,
-                        base_id: self.base_id,
-                        edit: move_to_edit(mv),
-                        base_newick: None,
-                    },
-                )
-                .map_err(|e| PhyloError::Format(format!("transport: {e}")))?;
-        }
-        self.collect_results(index_of, n)
+        let base_id = self.base_id;
+        self.dispatch(moves.len(), |i, task| Message::TreeEditTask {
+            task,
+            base_id,
+            edit: move_to_edit(&moves[i]),
+            base_newick: None,
+        })
     }
 
-    /// The shared result loop behind [`Self::dispatch_batch`] and
-    /// [`Self::dispatch_edits`]. Result text is kept as received: only the
-    /// callers that need a tree parse it.
+    /// The result loop behind [`Self::dispatch`]. Result text is kept as
+    /// received: only the callers that need a tree parse it.
     fn collect_results(
         &mut self,
         index_of: HashMap<u64, usize>,
@@ -254,21 +219,8 @@ impl<T: Transport> ClusterExecutor<T> {
                     if results[i].is_some() {
                         continue;
                     }
-                    let reply = match payload {
-                        TaskPayload::Tree { newick: text } => {
-                            let (alignment, engine, config) = self.local_engine()?;
-                            let mut tree = newick::parse_tree(&text, alignment)?;
-                            let r = engine.optimize(&mut tree, &config.optimize);
-                            (
-                                newick::write_tree(&tree, alignment.names()),
-                                r.ln_likelihood,
-                                r.work.work_units(),
-                            )
-                        }
-                        TaskPayload::TreeEdit { base_id, edit } => {
-                            self.score_edit_locally(base_id, &edit)?
-                        }
-                        TaskPayload::Jumble { .. } => continue,
+                    let Some(reply) = self.evaluate_locally(payload)? else {
+                        continue;
                     };
                     results[i] = Some(reply);
                     received += 1;
@@ -333,7 +285,6 @@ impl<T: Transport> ClusterExecutor<T> {
         if self.incremental {
             let text = newick::write_tree(&tree, &self.names);
             self.base_id += 1;
-            self.local_cache = None;
             self.transport
                 .send(
                     ranks::FOREMAN,
@@ -392,6 +343,7 @@ impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
     }
 
     fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError> {
+        self.base()?;
         let replies = if self.incremental {
             self.dispatch_edits(moves)?
         } else {
@@ -441,10 +393,31 @@ impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
 }
 
 #[cfg(test)]
+impl ClusterExecutor<crate::loopback::Loopback> {
+    /// The in-process executor of `config`'s search over `alignment`.
+    pub(crate) fn in_process(
+        alignment: &fdml_phylo::alignment::Alignment,
+        config: &crate::config::SearchConfig,
+    ) -> Self {
+        ClusterExecutor::new(
+            crate::loopback::Loopback::new(),
+            alignment.names().to_vec(),
+            fdml_phylo::phylip::write(alignment),
+            config.engine_config_json(),
+            false,
+            ranks::FIRST_WORKER,
+        )
+        .with_incremental(config.incremental)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SearchConfig;
     use crate::search::argmax;
     use fdml_comm::threads::ThreadUniverse;
+    use fdml_phylo::alignment::Alignment;
     use fdml_phylo::tree::Tree;
     use std::thread;
 
@@ -505,6 +478,7 @@ mod tests {
             String::new(), // no workers to broadcast to in this 2-rank world
             String::new(),
             false,
+            ranks::FIRST_WORKER,
         );
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         assert_eq!(base.ln_likelihood, -1.0); // task 0
@@ -573,6 +547,7 @@ mod tests {
             phylip_text.clone(),
             config_json.clone(),
             false,
+            ranks::FIRST_WORKER,
         );
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         assert!(base.ln_likelihood.is_finite() && base.ln_likelihood < 0.0);
@@ -587,6 +562,71 @@ mod tests {
         let r = engine.optimize(&mut tree, &config.optimize);
         assert_eq!(base.ln_likelihood.to_bits(), r.ln_likelihood.to_bits());
         assert_eq!(base.work_units, r.work.work_units());
+    }
+
+    #[test]
+    fn quarantined_edit_is_scored_locally_and_matches_a_worker() {
+        use fdml_phylo::ops::enumerate_insertion_moves;
+        let (alignment, phylip_text, config_json) = problem();
+        let names: Vec<String> = alignment.names().to_vec();
+        let mut ends = ThreadUniverse::create(2);
+        let foreman_end = ends.remove(1);
+        let master_end = ends.remove(0);
+        // A foreman with one healthy worker behind it — an `Evaluator`, as
+        // in every worker — that serves whole trees but gives up on every
+        // edit, after noting what the worker would have answered.
+        let mut healthy = Evaluator::for_problem(&phylip_text, &config_json).unwrap();
+        let foreman = thread::spawn(move || {
+            let mut expected: Vec<(u64, u64)> = Vec::new();
+            loop {
+                let (_, msg) = foreman_end.recv().unwrap();
+                let reply = match msg {
+                    Message::TreeTask { task, newick } => {
+                        healthy.tree_task(&newick).unwrap().reply(task)
+                    }
+                    Message::BaseTopology { base_id, newick } => {
+                        healthy.set_base(base_id, newick);
+                        continue;
+                    }
+                    Message::TreeEditTask {
+                        task,
+                        base_id,
+                        edit,
+                        ..
+                    } => {
+                        let done = healthy.edit_task(base_id, &edit, None).unwrap();
+                        expected.push((done.ln_likelihood.to_bits(), done.work.work_units()));
+                        Message::Quarantined {
+                            task,
+                            failures: 3,
+                            payload: TaskPayload::TreeEdit { base_id, edit },
+                        }
+                    }
+                    Message::Shutdown => return expected,
+                    other => panic!("unexpected {other:?}"),
+                };
+                foreman_end.send(ranks::MASTER, &reply).unwrap();
+            }
+        });
+        let mut ex = ClusterExecutor::new(
+            master_end,
+            names,
+            phylip_text,
+            config_json,
+            false,
+            ranks::FIRST_WORKER,
+        )
+        .with_incremental(true);
+        let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
+        let moves = enumerate_insertion_moves(&base.tree, 3);
+        let scores = ex.score_round(&moves).unwrap();
+        ex.shutdown();
+        let got: Vec<(u64, u64)> = scores
+            .iter()
+            .map(|s| (s.ln_likelihood.to_bits(), s.work_units))
+            .collect();
+        assert_eq!(got.len(), 3);
+        assert_eq!(got, foreman.join().unwrap(), "local scores == the worker's");
     }
 
     #[test]
@@ -610,7 +650,8 @@ mod tests {
             let (_, msg) = foreman_end.recv().unwrap();
             assert_eq!(msg, Message::Shutdown);
         });
-        let mut ex = ClusterExecutor::new(master_end, names, String::new(), String::new(), false);
+        let mut ex =
+            ClusterExecutor::new(master_end, names, String::new(), String::new(), false, 3);
         let err = ex.set_base(Tree::triplet(0, 1, 2)).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("aborted"), "got: {text}");
@@ -684,9 +725,15 @@ mod tests {
             }
         });
 
-        let mut ex =
-            ClusterExecutor::new(master_end, names.clone(), phylip_text, config_json, false)
-                .with_incremental(true);
+        let mut ex = ClusterExecutor::new(
+            master_end,
+            names.clone(),
+            phylip_text,
+            config_json,
+            false,
+            3,
+        )
+        .with_incremental(true);
         assert_eq!(
             ex.verify_width(),
             1,
@@ -836,6 +883,7 @@ mod tests {
             phylip_text,
             config_json,
             false,
+            ranks::FIRST_WORKER,
         )
         .with_incremental(true);
         assert_eq!(ex.verify_width(), 3);

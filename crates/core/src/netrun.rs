@@ -17,7 +17,8 @@
 //! on one machine: children are re-invocations of the current executable in
 //! peer mode, connected over loopback.
 
-use crate::checkpoint::{Checkpoint, FarmManifest};
+use crate::checkpoint::FarmManifest;
+use crate::config::SearchConfig;
 use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
 use crate::foreman::{run_foreman, ForemanStats};
 use crate::hierarchy::{
@@ -25,20 +26,18 @@ use crate::hierarchy::{
     RootStats,
 };
 use crate::job::ResolvedJob;
-use crate::master::ClusterExecutor;
 use crate::monitor::{run_monitor, MonitorReport};
-use crate::search::{SearchResult, StepwiseSearch};
-use crate::wal::WalSession;
+use crate::runner::{search_on, RunObserver, SearchSession};
+use crate::search::SearchResult;
 use crate::worker::{ranks, run_worker_homed, WorkerStats};
 use fdml_chaos::ChaosPlan;
 use fdml_comm::message::Message;
 use fdml_comm::recording::Recording;
 use fdml_comm::transport::{CommError, Rank, Transport};
 use fdml_net::{ClientConfig, NetConfig, TcpHub, TcpTransport, WireFormat};
-use fdml_obs::{Event, MemorySink, Obs, RunReport, Sink};
+use fdml_obs::{Event, Obs, RunReport, Sink};
 use fdml_phylo::consensus::Consensus;
 use fdml_phylo::error::PhyloError;
-use fdml_phylo::phylip;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -102,17 +101,11 @@ pub struct NetOptions {
     /// Observer sinks. Empty (or all-null) disables observation and the
     /// outcome's `report` is `None`.
     pub sinks: Vec<Box<dyn Sink>>,
-    /// Write a [`Checkpoint`] file after every completed taxon addition
-    /// (one-shot searches only; farms checkpoint via their manifest).
-    pub checkpoint_out: Option<PathBuf>,
-    /// Resume a one-shot search from a checkpoint.
-    pub resume: Option<Checkpoint>,
-    /// Write-ahead round log directory for the coordinator's search
-    /// ([`crate::wal`]): an existing log resumes bit-identically from the
-    /// last committed round (finer-grained than a checkpoint, which only
-    /// captures taxon-addition boundaries). One-shot searches only; farms
-    /// log per jumble via [`FarmOptions::wal_dir`].
-    pub wal_dir: Option<PathBuf>,
+    /// What the coordinator's search persists and resumes from: checkpoint
+    /// files, the write-ahead round log. One-shot searches only; farms
+    /// checkpoint via their manifest and log per jumble via
+    /// [`FarmOptions::wal_dir`].
+    pub session: SearchSession,
     /// Fork the peers ourselves — the single-command cluster launch.
     pub spawn: Option<NetSpawn>,
     /// Regional foremen for a hierarchical universe (0 = flat). Announced
@@ -132,9 +125,7 @@ impl NetOptions {
             listen: listen.into(),
             num_ranks,
             sinks: Vec::new(),
-            checkpoint_out: None,
-            resume: None,
-            wal_dir: None,
+            session: SearchSession::default(),
             spawn: None,
             regions: 0,
             wire: WireFormat::default(),
@@ -196,20 +187,6 @@ pub enum PeerOutcome {
 
 /// How long the coordinator waits for the universe to assemble.
 const READY_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Tee a [`MemorySink`] into `sinks` when any sink is live, so the
-/// end-of-run report can be aggregated no matter where else events go.
-fn observe(mut sinks: Vec<Box<dyn Sink>>) -> (Obs, Option<MemorySink>) {
-    let observing = sinks.iter().any(|s| !s.is_null());
-    let mem = if observing {
-        let mem = MemorySink::new();
-        sinks.push(Box::new(mem.clone()));
-        Some(mem)
-    } else {
-        None
-    };
-    (Obs::multi(sinks), mem)
-}
 
 /// Build the peer-mode command line for one child.
 fn peer_command(spawn: &NetSpawn, addr: &str, rank: Option<Rank>) -> Command {
@@ -315,58 +292,39 @@ fn drain_and_reap(
     peer_exits
 }
 
-/// Run the coordinator: bind the hub, (optionally) fork peers, wait for
-/// the universe, then drive the stepwise search as rank 0.
-///
-/// `options.checkpoint_out` writes a [`Checkpoint`] file after every
-/// completed taxon addition; `options.resume` restarts from one —
-/// together they make a coordinator killed mid-search restartable (the
-/// peers are stateless between tasks, so only rank 0 carries state worth
-/// saving).
-pub fn net_coordinator_search(
-    job: &ResolvedJob,
+/// What a universe's peers left behind: the end-of-run report (`None`
+/// when unobserved) and the exit statuses of spawned peers, by rank.
+type NetTeardown = (Option<RunReport>, Vec<(Rank, Option<i32>)>);
+
+/// Run `master` as rank 0 of a TCP universe: bind the hub, (optionally)
+/// fork and supervise the peers, wait for the universe, and afterwards
+/// drain and reap it. `master` returns its endpoint, its value and the
+/// final log-likelihood, and must leave the universe shut down
+/// (`Shutdown` sent to the foreman) whatever its outcome.
+fn run_on_net<R>(
+    config: &SearchConfig,
     options: NetOptions,
-) -> Result<NetOutcome, PhyloError> {
+    master: impl FnOnce(Recording<TcpHub>, &Obs) -> (Recording<TcpHub>, Result<(R, f64), PhyloError>),
+) -> Result<(R, NetTeardown), PhyloError> {
     let NetOptions {
         listen,
         num_ranks,
         sinks,
-        checkpoint_out,
-        resume,
-        wal_dir,
         spawn,
         regions,
         wire,
+        ..
     } = options;
-    let alignment = &job.alignment;
-    let config = &job.config;
-    let first_worker = first_worker_rank(regions);
-    let (obs, mem) = observe(sinks);
-    obs.emit(|| Event::RunStarted {
-        ranks: num_ranks,
-        workers: num_ranks - first_worker,
-    });
-    obs.emit(|| Event::KernelDispatch {
-        isa: fdml_likelihood::isa::active().name().to_string(),
-        intra_threads: config.intra_threads,
-    });
-    // Open the WAL before binding the hub or forking peers: a bad
-    // --wal-dir fails the run before there is anything to tear down.
-    let mut wal_session = match &wal_dir {
-        Some(dir) => Some(
-            WalSession::open(dir, 0, config.jumble_seed, alignment.num_taxa(), &obs)
-                .map_err(|e| PhyloError::Format(format!("wal: {e}")))?,
-        ),
-        None => None,
-    };
-
+    let workers = num_ranks - first_worker_rank(regions);
+    let observer = RunObserver::start(sinks, num_ranks, workers, config);
+    let obs = &observer.obs;
     let (hub, mut children) = assemble_universe(
         &listen,
         num_ranks,
         config.worker_timeout,
         regions,
         wire,
-        &obs,
+        obs,
         &spawn,
     )?;
     let addr = hub.local_addr().to_string();
@@ -379,52 +337,34 @@ pub fn net_coordinator_search(
         )),
         _ => None,
     };
-
-    let master_end = Recording::new(hub, obs.clone());
-    let executor = ClusterExecutor::with_first_worker(
-        master_end,
-        alignment.names().to_vec(),
-        phylip::write(alignment),
-        config.engine_config_json(),
-        true,
-        first_worker,
-    )
-    .with_incremental(config.incremental);
-    let mut search = StepwiseSearch::new(config, executor, alignment.num_taxa())
-        .with_names(alignment.names().to_vec());
-    if let Some(cp) = resume {
-        search = search.resume_from(cp);
-    }
-    if let Some(path) = checkpoint_out {
-        search = search.on_checkpoint(move |cp| {
-            // Durable replace: a kill at any step leaves the previous
-            // checkpoint intact, and a completed write survives power loss.
-            let _ = cp.save(&path);
-        });
-    }
-    if let Some(session) = &mut wal_session {
-        let rounds = session.take_rounds();
-        search = search.resume_from_wal(rounds).on_wal(session.hook());
-    }
-    let result = search.run();
-    let executor = search.into_executor();
-    // `shutdown` returns the transport; the teardown helper keeps the hub
-    // alive until the peers acknowledge by disconnecting.
-    let master_end = executor.shutdown();
+    let (master_end, outcome) = master(Recording::new(hub, obs.clone()), obs);
+    // The teardown helper keeps the hub alive until the peers acknowledge
+    // the shutdown by disconnecting.
     let peer_exits = drain_and_reap(master_end, supervisor, children);
-    let result = result?;
-    if let Some(session) = wal_session {
-        // The tree is computed; retire the log (and surface any append
-        // error deferred during the run) before reporting success.
-        session
-            .finish_and_retire()
-            .map_err(|e| PhyloError::Format(format!("wal: {e}")))?;
-    }
-    obs.emit(|| Event::RunFinished {
-        ln_likelihood: result.ln_likelihood,
-    });
-    obs.flush();
-    let report = mem.map(|m| RunReport::from_events(&m.take()));
+    let (value, ln_likelihood) = outcome?;
+    Ok((value, (observer.finish(ln_likelihood), peer_exits)))
+}
+
+/// Run the coordinator: bind the hub, (optionally) fork peers, wait for
+/// the universe, then drive the stepwise search as rank 0.
+///
+/// `options.session` makes a coordinator killed mid-search restartable —
+/// from its checkpoint file or its round log (the peers are stateless
+/// between tasks, so only rank 0 carries state worth saving).
+pub fn net_coordinator_search(
+    job: &ResolvedJob,
+    mut options: NetOptions,
+) -> Result<NetOutcome, PhyloError> {
+    let first_worker = first_worker_rank(options.regions);
+    let session = std::mem::take(&mut options.session);
+    let (result, (report, peer_exits)) = run_on_net(&job.config, options, |master_end, obs| {
+        let (master_end, result) = search_on(master_end, first_worker, job, session, obs);
+        let outcome = result.map(|found| {
+            let ln_likelihood = found.ln_likelihood;
+            (found, ln_likelihood)
+        });
+        (master_end, outcome)
+    })?;
     Ok(NetOutcome {
         result,
         report,
@@ -458,60 +398,28 @@ pub fn net_farm_search(
     farm: &FarmOptions,
     options: NetOptions,
 ) -> Result<NetFarmOutcome, PhyloError> {
-    let NetOptions {
-        listen,
-        num_ranks,
-        sinks,
-        spawn,
-        wire,
-        // The farm shards whole jumbles, so its universe stays flat — a
-        // `regions` setting is ignored here just as in the threaded farm.
-        regions: _,
-        ..
-    } = options;
-    let alignment = &job.alignment;
-    let config = &job.config;
-    let (obs, mem) = observe(sinks);
-    obs.emit(|| Event::RunStarted {
-        ranks: num_ranks,
-        workers: num_ranks - ranks::FIRST_WORKER,
-    });
-    obs.emit(|| Event::KernelDispatch {
-        isa: fdml_likelihood::isa::active().name().to_string(),
-        intra_threads: config.intra_threads,
-    });
-
-    let (hub, mut children) = assemble_universe(
-        &listen,
-        num_ranks,
-        config.worker_timeout,
-        0,
-        wire,
-        &obs,
-        &spawn,
-    )?;
-    let addr = hub.local_addr().to_string();
-    let supervisor = match &spawn {
-        Some(s) if s.supervise => Some(Supervisor::start(
-            std::mem::take(&mut children),
-            s.clone(),
-            addr,
-            obs.clone(),
-        )),
-        _ => None,
-    };
-
-    let master_end = Recording::new(hub, obs.clone());
-    let parts = run_farm_master(&master_end, alignment, config, &job.seeds, farm, &obs);
-    // Shut the universe down regardless of the farm outcome.
-    let _ = master_end.send(ranks::FOREMAN, &Message::Shutdown);
-    let peer_exits = drain_and_reap(master_end, supervisor, children);
-    let parts = parts?;
-    obs.emit(|| Event::RunFinished {
-        ln_likelihood: parts.best_ln_likelihood(),
-    });
-    obs.flush();
-    let report = mem.map(|m| RunReport::from_events(&m.take()));
+    // The farm shards whole jumbles, so its universe stays flat — a
+    // `regions` setting is ignored here just as in the threaded farm.
+    let options = options.hierarchical(0);
+    let (parts, (report, peer_exits)) = run_on_net(&job.config, options, |master_end, obs| {
+        let parts = run_farm_master(
+            &master_end,
+            &job.alignment,
+            &job.config,
+            &job.seeds,
+            farm,
+            obs,
+        );
+        // Shut the universe down regardless of the farm outcome.
+        let _ = master_end.send(ranks::FOREMAN, &Message::Shutdown);
+        (
+            master_end,
+            parts.map(|p| {
+                let best = p.best_ln_likelihood();
+                (p, best)
+            }),
+        )
+    })?;
     Ok(NetFarmOutcome {
         runs: parts.runs,
         consensus: parts.consensus,

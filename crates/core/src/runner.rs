@@ -1,96 +1,152 @@
-//! Entry points: the serial program, the threaded parallel program, and
-//! multi-jumble orchestration.
+//! Entry points: the one way a single search runs ([`search_on`]), the
+//! in-process and threaded programs built on it, and the threaded jumble
+//! farm.
 
-use crate::checkpoint::FarmManifest;
+use crate::checkpoint::{Checkpoint, FarmManifest};
 use crate::config::SearchConfig;
-use crate::executor::{FullEvalExecutor, ScorerExecutor};
-use crate::farm::{dedup_adjusted, run_farm_master, run_one_jumble, FarmOptions, JumbleRun};
+use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
 use crate::foreman::{run_foreman, ForemanStats};
 use crate::hierarchy::{
     first_worker_rank, home_rank, regional_rank, run_regional_foreman, run_root_foreman,
     RegionalOptions, RootStats,
 };
 use crate::job::ResolvedJob;
+use crate::loopback::Loopback;
 use crate::master::ClusterExecutor;
 use crate::monitor::{run_monitor, MonitorReport};
 use crate::search::{SearchResult, StepwiseSearch};
-use crate::trace::SearchTrace;
 use crate::wal::WalSession;
-use crate::worker::{ranks, run_worker, run_worker_homed, WorkerStats};
+use crate::worker::{ranks, run_worker_homed, WorkerStats};
 use fdml_chaos::{ChaosPlan, ChaosTransport};
 use fdml_comm::fault::{FaultPlan, FaultyTransport};
 use fdml_comm::message::Message;
 use fdml_comm::recording::Recording;
-use fdml_comm::threads::ThreadUniverse;
+use fdml_comm::threads::{ThreadTransport, ThreadUniverse};
 use fdml_comm::transport::Transport;
-use fdml_likelihood::engine::LikelihoodEngine;
 use fdml_obs::{Event, MemorySink, Obs, RunReport, Sink};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::consensus::{consensus, Consensus};
 use fdml_phylo::error::PhyloError;
+use fdml_phylo::patterns::PatternAlignment;
 use fdml_phylo::phylip;
 use fdml_phylo::tree::Tree;
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::thread;
 
-/// Serial search: the worker evaluation runs as an in-process subroutine,
-/// exactly as in fastDNAml's serial build. Every candidate tree receives
-/// the full branch-length optimization.
-pub fn serial_search(
-    alignment: &Alignment,
-    config: &SearchConfig,
-) -> Result<SearchResult, PhyloError> {
-    let engine = config.build_engine(alignment);
-    let executor = FullEvalExecutor::new(&engine, config.optimize);
-    StepwiseSearch::new(config, executor, alignment.num_taxa())
-        .with_names(alignment.names().to_vec())
-        .run()
+/// What a single search carries besides its job: where it persists and
+/// what it resumes from. [`SearchSession::default`] is the plain run.
+#[derive(Debug, Default)]
+pub struct SearchSession {
+    /// Write a [`Checkpoint`] file after every completed taxon addition
+    /// (durable replace: a kill at any step leaves the previous one
+    /// intact).
+    pub checkpoint_out: Option<PathBuf>,
+    /// Resume from a checkpoint instead of starting at the triplet.
+    pub resume: Option<Checkpoint>,
+    /// Write-ahead round log directory ([`crate::wal`]): an existing log
+    /// is replayed (bit-identical resume from the last committed round),
+    /// every newly committed round is appended durably, and the log is
+    /// retired when the search completes.
+    pub wal_dir: Option<PathBuf>,
+    /// Record a [`crate::trace::SearchTrace`] under this dataset label
+    /// (returned in [`SearchResult::trace`]).
+    pub trace: Option<String>,
 }
 
-/// Serial search using the incremental candidate scorer (fast mode) —
-/// used for paper-scale trace generation.
-pub fn fast_serial_search(
-    alignment: &Alignment,
-    config: &SearchConfig,
-) -> Result<SearchResult, PhyloError> {
-    let engine = config.build_engine(alignment);
-    let executor = ScorerExecutor::new(&engine, config.optimize);
-    let result = StepwiseSearch::new(config, executor, alignment.num_taxa())
-        .with_names(alignment.names().to_vec())
-        .run();
-    result
-}
-
-/// Serial search with trace recording, for the simulator.
+/// Run `job`'s search as the master of the universe behind `master_end`
+/// (workers at ranks `first_worker..`) and shut that universe down. This
+/// is the one way a search runs — in process over a [`Loopback`], over
+/// threads, over TCP — so every deployment of a seed and scoring mode
+/// dispatches the same tasks, commits the same rounds and writes the same
+/// log. Returns the endpoint so the caller can tear its universe down.
 ///
-/// `full_evaluation = true` evaluates every candidate like a worker would
-/// (slow, faithful); `false` uses incremental scoring (fast; the simulator
-/// cost model adds the deterministic full-evaluation floor per candidate).
-pub fn traced_search(
-    alignment: &Alignment,
-    config: &SearchConfig,
-    dataset: &str,
-    full_evaluation: bool,
-) -> Result<(SearchResult, SearchTrace), PhyloError> {
-    let engine = config.build_engine(alignment);
-    let num_patterns = engine.patterns().num_patterns();
-    if full_evaluation {
-        let executor = FullEvalExecutor::new(&engine, config.optimize);
-        let mut search = StepwiseSearch::new(config, executor, alignment.num_taxa())
-            .with_names(alignment.names().to_vec())
-            .with_trace(dataset, alignment.num_sites(), num_patterns, true);
-        let result = search.run()?;
-        let trace = search.take_trace().expect("trace enabled");
-        Ok((result, trace))
-    } else {
-        let executor = ScorerExecutor::new(&engine, config.optimize);
-        let mut search = StepwiseSearch::new(config, executor, alignment.num_taxa())
-            .with_names(alignment.names().to_vec())
-            .with_trace(dataset, alignment.num_sites(), num_patterns, false);
-        let result = search.run()?;
-        let trace = search.take_trace().expect("trace enabled");
-        Ok((result, trace))
+/// A WAL append failure does not stop the search; it surfaces here once
+/// the tree is computed, before success is reported.
+pub fn search_on<T: Transport>(
+    master_end: T,
+    first_worker: usize,
+    job: &ResolvedJob,
+    session: SearchSession,
+    obs: &Obs,
+) -> (T, Result<SearchResult, PhyloError>) {
+    let (alignment, config) = (&job.alignment, &job.config);
+    let wal_io = |e: std::io::Error| PhyloError::Format(format!("wal: {e}"));
+    // Open the log before the first task is dispatched: a bad --wal-dir
+    // fails the run while nothing has been computed.
+    let mut wal = match &session.wal_dir {
+        Some(dir) => {
+            match WalSession::open(dir, 0, config.jumble_seed, alignment.num_taxa(), obs) {
+                Ok(wal) => Some(wal),
+                Err(e) => {
+                    let _ = master_end.send(ranks::FOREMAN, &Message::Shutdown);
+                    return (master_end, Err(wal_io(e)));
+                }
+            }
+        }
+        None => None,
+    };
+    let executor = ClusterExecutor::new(
+        master_end,
+        alignment.names().to_vec(),
+        phylip::write(alignment),
+        config.engine_config_json(),
+        true,
+        first_worker,
+    )
+    .with_incremental(config.incremental);
+    let mut search = StepwiseSearch::new(config, executor, alignment.num_taxa())
+        .with_names(alignment.names().to_vec());
+    if let Some(checkpoint) = session.resume {
+        search = search.resume_from(checkpoint);
     }
+    if let Some(path) = session.checkpoint_out {
+        search = search.on_checkpoint(move |checkpoint| {
+            let _ = checkpoint.save(&path);
+        });
+    }
+    if let Some(dataset) = session.trace {
+        let patterns = PatternAlignment::compress(alignment).num_patterns();
+        search = search.with_trace(
+            &dataset,
+            alignment.num_sites(),
+            patterns,
+            !config.incremental,
+        );
+    }
+    if let Some(wal) = &mut wal {
+        search = search.resume_from_wal(wal.take_rounds()).on_wal(wal.hook());
+    }
+    let result = search.run();
+    // Shut the universe down whatever the outcome.
+    let master_end = search.into_executor().shutdown();
+    let result = result.and_then(|found| {
+        if let Some(wal) = wal {
+            // The tree is computed; the log has nothing left to protect.
+            wal.finish_and_retire().map_err(wal_io)?;
+        }
+        Ok(found)
+    });
+    (master_end, result)
+}
+
+/// The serial program: [`search_on`] over a [`Loopback`], the worker
+/// evaluation running as an in-process subroutine exactly as in
+/// fastDNAml's serial build. `job.config.incremental` picks the scoring
+/// mode as it does on a cluster, and the tree is the cluster's, byte for
+/// byte.
+pub fn search_in_process(
+    job: &ResolvedJob,
+    session: SearchSession,
+) -> Result<SearchResult, PhyloError> {
+    search_on(
+        Loopback::new(),
+        ranks::FIRST_WORKER,
+        job,
+        session,
+        &Obs::disabled(),
+    )
+    .1
 }
 
 /// Optional machinery threaded through a parallel or farm run: fault
@@ -119,11 +175,9 @@ pub struct RunOptions {
     /// foreman `region` crash after forwarding `n` results, dropping its
     /// unflushed upward batch. Ignored in flat runs.
     pub die_region: Option<(usize, u64)>,
-    /// Write-ahead round log directory for the master's search
-    /// ([`crate::wal`]): an existing log is replayed (bit-identical
-    /// resume from the last committed round), and every newly committed
-    /// round is appended durably. `None` disables the WAL.
-    pub wal_dir: Option<std::path::PathBuf>,
+    /// What the master's search persists and resumes from (single
+    /// searches; a farm's rides in [`FarmOptions`]).
+    pub session: SearchSession,
 }
 
 impl RunOptions {
@@ -156,6 +210,45 @@ impl RunOptions {
     }
 }
 
+/// An observed run's event stream: the caller's sinks, teed into a memory
+/// sink when any of them is live so the end-of-run report can be
+/// aggregated no matter where else the events go.
+pub struct RunObserver {
+    /// The handle every rank of the run emits through.
+    pub obs: Obs,
+    mem: Option<MemorySink>,
+}
+
+impl RunObserver {
+    /// Start observing a run of `ranks` ranks, `workers` of them workers.
+    pub fn start(
+        mut sinks: Vec<Box<dyn Sink>>,
+        ranks: usize,
+        workers: usize,
+        config: &SearchConfig,
+    ) -> RunObserver {
+        let mem = sinks.iter().any(|s| !s.is_null()).then(MemorySink::new);
+        if let Some(mem) = &mem {
+            sinks.push(Box::new(mem.clone()));
+        }
+        let obs = Obs::multi(sinks);
+        obs.emit(|| Event::RunStarted { ranks, workers });
+        obs.emit(|| Event::KernelDispatch {
+            isa: fdml_likelihood::isa::active().name().to_string(),
+            intra_threads: config.intra_threads,
+        });
+        RunObserver { obs, mem }
+    }
+
+    /// Close the stream of a run that ended at `ln_likelihood`; the
+    /// report is `None` when the run was unobserved.
+    pub fn finish(self, ln_likelihood: f64) -> Option<RunReport> {
+        self.obs.emit(|| Event::RunFinished { ln_likelihood });
+        self.obs.flush();
+        self.mem.map(|m| RunReport::from_events(&m.take()))
+    }
+}
+
 /// Scheduling-tree statistics of a hierarchical run.
 #[derive(Debug)]
 pub struct HierarchyOutcome {
@@ -165,50 +258,35 @@ pub struct HierarchyOutcome {
     pub regions: HashMap<usize, ForemanStats>,
 }
 
-/// Everything a parallel run returns.
-#[derive(Debug)]
-pub struct ParallelOutcome {
-    /// The search result (identical tree to a serial run with the same
-    /// configuration).
-    pub result: SearchResult,
-    /// The monitor's aggregated instrumentation.
-    pub monitor: MonitorReport,
-    /// Foreman statistics — the flat foreman's, or the root foreman's
-    /// scheduler counters in a hierarchical run.
-    pub foreman: ForemanStats,
-    /// Per-worker statistics, indexed by rank.
-    pub workers: HashMap<usize, WorkerStats>,
-    /// Root and per-region statistics — `Some` only for hierarchical runs
-    /// (`RunOptions::regions > 0`).
-    pub hierarchy: Option<HierarchyOutcome>,
-    /// The end-of-run observability report — `Some` when the run was
-    /// observed (sinks in [`RunOptions`]), `None` otherwise.
-    pub report: Option<RunReport>,
+/// What the ranks of a threaded universe report when they are joined.
+struct FleetStats {
+    root: RootStats,
+    monitor: MonitorReport,
+    regions: HashMap<usize, ForemanStats>,
+    workers: HashMap<usize, WorkerStats>,
 }
 
-/// Parallel search over `num_ranks` thread-ranks: rank 0 master, rank 1
-/// foreman, rank 2 monitor, ranks 3.. workers. As in the paper, "the fully
-/// instrumented parallel version of fastDNAml requires a minimum of four
-/// processors".
-///
-/// The job (alignment + config) arrives as a [`ResolvedJob`]; faults,
-/// chaos, and observer sinks ride in [`RunOptions`]
-/// ([`RunOptions::default`] for a plain run).
-pub fn parallel_search(
-    job: &ResolvedJob,
+/// Run `master` as rank 0 of a universe of `num_ranks` thread-ranks: rank
+/// 1 the foreman (the root foreman when `options.regions > 0`, with the
+/// regional foremen above it), rank 2 the monitor, the rest workers behind
+/// their chaos / fault wrappers. `master` returns its value and the final
+/// log-likelihood, and must leave the universe shut down (`Shutdown` sent
+/// to the foreman) whatever its outcome; every rank is joined before that
+/// outcome is looked at.
+fn run_on_threads<R>(
+    config: &SearchConfig,
     num_ranks: usize,
     options: RunOptions,
-) -> Result<ParallelOutcome, PhyloError> {
+    master: impl FnOnce(Recording<ThreadTransport>, &Obs) -> Result<(R, f64), PhyloError>,
+) -> Result<(R, FleetStats, Option<RunReport>), PhyloError> {
     let RunOptions {
         mut faults,
         chaos,
-        mut sinks,
+        sinks,
         regions,
         die_region,
-        wal_dir,
+        session: _,
     } = options;
-    let alignment = &job.alignment;
-    let config = &job.config;
     let first_worker = first_worker_rank(regions);
     assert!(
         num_ranks >= 4,
@@ -218,34 +296,8 @@ pub fn parallel_search(
         regions == 0 || num_ranks > first_worker,
         "a hierarchical run needs at least one worker above its {regions} regional foremen"
     );
-    // When observing, tee into a memory sink so the end-of-run report can
-    // be aggregated no matter where else the events go.
-    let observing = sinks.iter().any(|s| !s.is_null());
-    let mem = if observing {
-        let mem = MemorySink::new();
-        sinks.push(Box::new(mem.clone()));
-        Some(mem)
-    } else {
-        None
-    };
-    let obs = Obs::multi(sinks);
-    obs.emit(|| Event::RunStarted {
-        ranks: num_ranks,
-        workers: num_ranks - first_worker,
-    });
-    obs.emit(|| Event::KernelDispatch {
-        isa: fdml_likelihood::isa::active().name().to_string(),
-        intra_threads: config.intra_threads,
-    });
-    // Open the WAL before spawning anything: a bad --wal-dir fails the
-    // run while it is still a one-liner to clean up.
-    let wal_session = match &wal_dir {
-        Some(dir) => Some(
-            WalSession::open(dir, 0, config.jumble_seed, alignment.num_taxa(), &obs)
-                .map_err(|e| PhyloError::Format(format!("wal: {e}")))?,
-        ),
-        None => None,
-    };
+    let observer = RunObserver::start(sinks, num_ranks, num_ranks - first_worker, config);
+    let obs = &observer.obs;
 
     let mut endpoints = ThreadUniverse::create(num_ranks);
     // Take endpoints from the back so indices stay valid.
@@ -313,26 +365,7 @@ pub fn parallel_search(
     let monitor_obs = obs.clone();
     let monitor_handle = thread::spawn(move || run_monitor(monitor_end, monitor_obs));
 
-    let executor = ClusterExecutor::with_first_worker(
-        master_end,
-        alignment.names().to_vec(),
-        phylip::write(alignment),
-        config.engine_config_json(),
-        true,
-        first_worker,
-    )
-    .with_incremental(config.incremental);
-    let mut search = StepwiseSearch::new(config, executor, alignment.num_taxa())
-        .with_names(alignment.names().to_vec());
-    let mut wal_session = wal_session;
-    if let Some(session) = &mut wal_session {
-        let rounds = session.take_rounds();
-        search = search.resume_from_wal(rounds).on_wal(session.hook());
-    }
-    let result = search.run();
-    // Shut everything down regardless of the search outcome.
-    let executor = search.into_executor();
-    executor.shutdown();
+    let outcome = master(master_end, obs);
     let root = foreman_handle
         .join()
         .expect("foreman thread must not panic")
@@ -341,69 +374,89 @@ pub fn parallel_search(
         .join()
         .expect("monitor thread must not panic")
         .expect("monitor must exit cleanly");
-    let mut region_stats = HashMap::new();
-    for (region, handle) in region_handles {
-        let stats = handle
-            .join()
-            .expect("regional foreman thread must not panic")
-            .unwrap_or_default();
-        region_stats.insert(region, stats);
-    }
-    let mut workers = HashMap::new();
-    for (rank, handle) in worker_handles {
-        let stats = handle
-            .join()
-            .expect("worker thread must not panic")
-            .unwrap_or_default();
-        workers.insert(rank, stats);
-    }
-    let result = result?;
-    if let Some(session) = wal_session {
-        // The result is about to be delivered; the log has nothing left
-        // to protect. Any append error deferred during the run surfaces
-        // here, after the tree is safe but before success is reported.
-        session
-            .finish_and_retire()
-            .map_err(|e| PhyloError::Format(format!("wal: {e}")))?;
-    }
-    obs.emit(|| Event::RunFinished {
-        ln_likelihood: result.ln_likelihood,
-    });
-    obs.flush();
-    let report = mem.map(|m| RunReport::from_events(&m.take()));
+    let regions = region_handles
+        .into_iter()
+        .map(|(region, handle)| {
+            let stats = handle
+                .join()
+                .expect("regional foreman thread must not panic");
+            (region, stats.unwrap_or_default())
+        })
+        .collect();
+    let workers = worker_handles
+        .into_iter()
+        .map(|(rank, handle)| {
+            let stats = handle.join().expect("worker thread must not panic");
+            (rank, stats.unwrap_or_default())
+        })
+        .collect();
+    let (value, ln_likelihood) = outcome?;
+    let stats = FleetStats {
+        root,
+        monitor,
+        regions,
+        workers,
+    };
+    Ok((value, stats, observer.finish(ln_likelihood)))
+}
+
+/// Everything a parallel run returns.
+#[derive(Debug)]
+pub struct ParallelOutcome {
+    /// The search result (the same tree, byte for byte, as every other
+    /// deployment of the same configuration).
+    pub result: SearchResult,
+    /// The monitor's aggregated instrumentation.
+    pub monitor: MonitorReport,
+    /// Foreman statistics — the flat foreman's, or the root foreman's
+    /// scheduler counters in a hierarchical run.
+    pub foreman: ForemanStats,
+    /// Per-worker statistics, indexed by rank.
+    pub workers: HashMap<usize, WorkerStats>,
+    /// Root and per-region statistics — `Some` only for hierarchical runs
+    /// (`RunOptions::regions > 0`).
+    pub hierarchy: Option<HierarchyOutcome>,
+    /// The end-of-run observability report — `Some` when the run was
+    /// observed (sinks in [`RunOptions`]), `None` otherwise.
+    pub report: Option<RunReport>,
+}
+
+/// Parallel search over `num_ranks` thread-ranks: rank 0 master, rank 1
+/// foreman, rank 2 monitor, ranks 3.. workers. As in the paper, "the fully
+/// instrumented parallel version of fastDNAml requires a minimum of four
+/// processors".
+///
+/// The job (alignment + config) arrives as a [`ResolvedJob`]; faults,
+/// chaos, and observer sinks ride in [`RunOptions`]
+/// ([`RunOptions::default`] for a plain run).
+pub fn parallel_search(
+    job: &ResolvedJob,
+    num_ranks: usize,
+    mut options: RunOptions,
+) -> Result<ParallelOutcome, PhyloError> {
+    let hierarchical = options.regions > 0;
+    let first_worker = first_worker_rank(options.regions);
+    let session = std::mem::take(&mut options.session);
+    let (result, stats, report) =
+        run_on_threads(&job.config, num_ranks, options, |master_end, obs| {
+            let result = search_on(master_end, first_worker, job, session, obs).1?;
+            let ln_likelihood = result.ln_likelihood;
+            Ok((result, ln_likelihood))
+        })?;
+    let FleetStats {
+        root,
+        monitor,
+        regions,
+        workers,
+    } = stats;
     Ok(ParallelOutcome {
         result,
         monitor,
         foreman: root.stats,
         workers,
-        hierarchy: (regions > 0).then_some(HierarchyOutcome {
-            root,
-            regions: region_stats,
-        }),
+        hierarchy: hierarchical.then_some(HierarchyOutcome { root, regions }),
         report,
     })
-}
-
-/// Run many jumbles serially and compute their majority-rule consensus —
-/// the biologist's workflow described in §2 of the paper.
-pub fn run_jumbles(
-    alignment: &Alignment,
-    base_config: &SearchConfig,
-    seeds: &[u64],
-) -> Result<(Vec<SearchResult>, Consensus), PhyloError> {
-    // Canonicalize up front: an empty list is a typed error (not a panic),
-    // and seeds that collide after the odd-seed adjustment (e.g. 4 and 5)
-    // would silently run the same jumble twice and double-weight it in the
-    // consensus.
-    let seeds = dedup_adjusted(seeds)?;
-    let engine = base_config.build_engine(alignment);
-    let mut results = Vec::with_capacity(seeds.len());
-    for &seed in &seeds {
-        results.push(run_one_jumble(&engine, alignment, base_config, seed)?);
-    }
-    let trees: Vec<Tree> = results.iter().map(|r| r.tree.clone()).collect();
-    let cons = consensus(&trees, alignment.num_taxa(), 0.5, alignment.names())?;
-    Ok((results, cons))
 }
 
 /// Everything a threaded farm run returns.
@@ -439,116 +492,37 @@ pub fn farm_search(
     run: RunOptions,
 ) -> Result<FarmOutcome, PhyloError> {
     // The farm stays flat: whole-jumble tasks are already coarse enough
-    // that the foreman is nowhere near its message ceiling, so `regions`
-    // and `die_region` do not apply here.
-    let RunOptions {
-        mut faults,
-        chaos,
-        mut sinks,
-        regions: _,
-        die_region: _,
-        // The farm's WAL rides in `FarmOptions::wal_dir` (one log per
-        // jumble), not here.
-        wal_dir: _,
-    } = run;
-    let alignment = &job.alignment;
-    let config = &job.config;
-    let seeds: &[u64] = &job.seeds;
-    assert!(
-        num_ranks >= 4,
-        "the fully instrumented parallel version requires at least four ranks"
-    );
-    let observing = sinks.iter().any(|s| !s.is_null());
-    let mem = if observing {
-        let mem = MemorySink::new();
-        sinks.push(Box::new(mem.clone()));
-        Some(mem)
-    } else {
-        None
+    // that the foreman is nowhere near its message ceiling. Its WAL rides
+    // in `FarmOptions::wal_dir` (one log per jumble).
+    let run = RunOptions {
+        regions: 0,
+        die_region: None,
+        ..run
     };
-    let obs = Obs::multi(sinks);
-    obs.emit(|| Event::RunStarted {
-        ranks: num_ranks,
-        workers: num_ranks - ranks::FIRST_WORKER,
-    });
-    obs.emit(|| Event::KernelDispatch {
-        isa: fdml_likelihood::isa::active().name().to_string(),
-        intra_threads: config.intra_threads,
-    });
-
-    let mut endpoints = ThreadUniverse::create(num_ranks);
-    let mut worker_handles = Vec::new();
-    for rank in (ranks::FIRST_WORKER..num_ranks).rev() {
-        let end = endpoints.remove(rank);
-        let fault = faults.remove(&rank);
-        let chaos = chaos.clone();
-        let worker_obs = obs.clone();
-        let handle = thread::spawn(move || match (chaos, fault) {
-            (Some(plan), _) => run_worker(
-                Recording::new(
-                    ChaosTransport::new(end, plan, worker_obs.clone()),
-                    worker_obs.clone(),
-                ),
-                worker_obs,
-            ),
-            (None, Some(plan)) => run_worker(
-                Recording::new(FaultyTransport::new(end, plan), worker_obs.clone()),
-                worker_obs,
-            ),
-            (None, None) => run_worker(Recording::new(end, worker_obs.clone()), worker_obs),
-        });
-        worker_handles.push((rank, handle));
-    }
-    let monitor_end = Recording::new(endpoints.remove(ranks::MONITOR), obs.clone());
-    let foreman_end = Recording::new(endpoints.remove(ranks::FOREMAN), obs.clone());
-    let master_end = Recording::new(endpoints.remove(ranks::MASTER), obs.clone());
-    let timeout = config.worker_timeout;
-    let foreman_obs = obs.clone();
-    let foreman_handle =
-        thread::spawn(move || run_foreman(foreman_end, timeout, true, foreman_obs));
-    let monitor_obs = obs.clone();
-    let monitor_handle = thread::spawn(move || run_monitor(monitor_end, monitor_obs));
-
-    let parts = run_farm_master(&master_end, alignment, config, seeds, &options, &obs);
-    // Shut everything down regardless of the farm outcome.
-    let _ = master_end.send(ranks::FOREMAN, &Message::Shutdown);
-    let foreman = foreman_handle
-        .join()
-        .expect("foreman thread must not panic")
-        .expect("foreman must exit cleanly");
-    let monitor = monitor_handle
-        .join()
-        .expect("monitor thread must not panic")
-        .expect("monitor must exit cleanly");
-    let mut workers = HashMap::new();
-    for (rank, handle) in worker_handles {
-        let stats = handle
-            .join()
-            .expect("worker thread must not panic")
-            .unwrap_or_default();
-        workers.insert(rank, stats);
-    }
-    let parts = parts?;
-    obs.emit(|| Event::RunFinished {
-        ln_likelihood: parts.best_ln_likelihood(),
-    });
-    obs.flush();
-    let report = mem.map(|m| RunReport::from_events(&m.take()));
+    let (parts, stats, report) = run_on_threads(&job.config, num_ranks, run, |master_end, obs| {
+        let parts = run_farm_master(
+            &master_end,
+            &job.alignment,
+            &job.config,
+            &job.seeds,
+            &options,
+            obs,
+        );
+        // Shut everything down regardless of the farm outcome.
+        let _ = master_end.send(ranks::FOREMAN, &Message::Shutdown);
+        let parts = parts?;
+        let best = parts.best_ln_likelihood();
+        Ok((parts, best))
+    })?;
     Ok(FarmOutcome {
         runs: parts.runs,
         consensus: parts.consensus,
         manifest: parts.manifest,
-        monitor,
-        foreman,
-        workers,
+        monitor: stats.monitor,
+        foreman: stats.root.stats,
+        workers: stats.workers,
         report,
     })
-}
-
-/// Convenience: build the default engine for an alignment (re-exported for
-/// examples and benches).
-pub fn default_engine(alignment: &Alignment) -> LikelihoodEngine {
-    SearchConfig::default().build_engine(alignment)
 }
 
 /// One evaluated user tree.
@@ -604,15 +578,17 @@ pub fn bootstrap_analysis(
     assert!(replicates >= 1);
     let samples = fdml_phylo::bootstrap::bootstrap_replicates(alignment, replicates, seed);
     let mut results = Vec::with_capacity(replicates);
-    for (i, sample) in samples.iter().enumerate() {
+    for (i, sample) in samples.into_iter().enumerate() {
         let config = SearchConfig {
             jumble_seed: base_config.jumble_seed.wrapping_add(2 * i as u64),
             // Each replicate has its own site patterns, so per-pattern
             // categories from the original alignment do not transfer.
             categories: None,
+            incremental: true,
             ..base_config.clone()
         };
-        results.push(fast_serial_search(sample, &config)?);
+        let job = ResolvedJob::single(sample, config);
+        results.push(search_in_process(&job, SearchSession::default())?);
     }
     let trees: Vec<Tree> = results.iter().map(|r| r.tree.clone()).collect();
     let cons = consensus(&trees, alignment.num_taxa(), 0.5, alignment.names())?;
@@ -677,6 +653,18 @@ mod tests {
         ResolvedJob::from_parts(a.clone(), config.clone(), 1).unwrap()
     }
 
+    fn serial_search(a: &Alignment, config: &SearchConfig) -> Result<SearchResult, PhyloError> {
+        search_in_process(&job(a, config), SearchSession::default())
+    }
+
+    fn run_jumbles(
+        a: &Alignment,
+        config: &SearchConfig,
+        seeds: &[u64],
+    ) -> Result<crate::farm::FarmParts, PhyloError> {
+        crate::farm::serial_farm(a, config, seeds, &FarmOptions::default(), &Obs::disabled())
+    }
+
     fn alignment() -> Alignment {
         Alignment::from_strings(&[
             ("t0", "ACGTACGTACGTACGTACGTACGTACGTACGT"),
@@ -711,14 +699,15 @@ mod tests {
         };
         let serial = serial_search(&a, &config).unwrap();
         let parallel = parallel_search(&job(&a, &config), 6, RunOptions::default()).unwrap();
-        // Identical search decisions: same topology; likelihoods agree to
-        // the Newick round-trip precision of branch lengths.
+        // One call stream: the same tree, bit for bit.
+        assert_eq!(serial.tree, parallel.result.tree);
         assert_eq!(
             SplitSet::of_tree(&serial.tree, 6),
             SplitSet::of_tree(&parallel.result.tree, 6)
         );
-        assert!(
-            (serial.ln_likelihood - parallel.result.ln_likelihood).abs() < 1e-5,
+        assert_eq!(
+            serial.ln_likelihood.to_bits(),
+            parallel.result.ln_likelihood.to_bits(),
             "serial {} vs parallel {}",
             serial.ln_likelihood,
             parallel.result.ln_likelihood
@@ -980,10 +969,10 @@ mod tests {
             final_radius: 2,
             ..Default::default()
         };
-        let (results, cons) = run_jumbles(&a, &config, &[1, 3, 5]).unwrap();
-        assert_eq!(results.len(), 3);
-        assert_eq!(cons.num_trees, 3);
-        let mut leaves = cons.tree.leaf_names();
+        let parts = run_jumbles(&a, &config, &[1, 3, 5]).unwrap();
+        assert_eq!(parts.runs.len(), 3);
+        assert_eq!(parts.consensus.num_trees, 3);
+        let mut leaves = parts.consensus.tree.leaf_names();
         leaves.sort_unstable();
         assert_eq!(leaves.len(), 6);
     }
@@ -998,9 +987,9 @@ mod tests {
         };
         assert!(run_jumbles(&a, &config, &[]).is_err());
         // 4 adjusts to 5: one jumble, not the same jumble twice.
-        let (results, cons) = run_jumbles(&a, &config, &[4, 5]).unwrap();
-        assert_eq!(results.len(), 1);
-        assert_eq!(cons.num_trees, 1);
+        let parts = run_jumbles(&a, &config, &[4, 5]).unwrap();
+        assert_eq!(parts.runs.len(), 1);
+        assert_eq!(parts.consensus.num_trees, 1);
     }
 
     #[test]
@@ -1010,12 +999,25 @@ mod tests {
             jumble_seed: 9,
             ..Default::default()
         };
-        let (result, trace) = traced_search(&a, &config, "toy", false).unwrap();
+        let traced = |full_evaluation: bool| {
+            let config = SearchConfig {
+                incremental: !full_evaluation,
+                ..config.clone()
+            };
+            let session = SearchSession {
+                trace: Some("toy".into()),
+                ..SearchSession::default()
+            };
+            let result = search_in_process(&job(&a, &config), session).unwrap();
+            let trace = result.trace.clone().expect("trace requested");
+            (result, trace)
+        };
+        let (result, trace) = traced(false);
         assert_eq!(trace.num_taxa, 6);
         assert_eq!(trace.final_ln_likelihood, result.ln_likelihood);
         assert!(trace.total_candidates() > 0);
         assert!(!trace.full_evaluation);
-        let (_, trace_full) = traced_search(&a, &config, "toy", true).unwrap();
+        let (_, trace_full) = traced(true);
         assert!(trace_full.full_evaluation);
         // Full evaluation does more work per candidate.
         assert!(trace_full.total_worker_work() > trace.total_worker_work());

@@ -44,6 +44,9 @@ pub struct SearchResult {
     pub work_units: u64,
     /// Rounds replayed from a write-ahead log instead of scored live.
     pub wal_replayed_rounds: usize,
+    /// The dispatch-round trace, when the search recorded one
+    /// ([`StepwiseSearch::with_trace`]).
+    pub trace: Option<SearchTrace>,
 }
 
 /// The stepwise-addition search, generic over the round executor.
@@ -99,7 +102,7 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
         self
     }
 
-    /// Enable trace recording for the simulator.
+    /// Record a trace for the simulator, returned in [`SearchResult::trace`].
     pub fn with_trace(
         mut self,
         dataset: &str,
@@ -166,11 +169,6 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
         self.wal_index = rounds.len() as u64;
         self.replay = rounds.into();
         self
-    }
-
-    /// Take the recorded trace (after [`StepwiseSearch::run`]).
-    pub fn take_trace(&mut self) -> Option<SearchTrace> {
-        self.trace.take()
     }
 
     /// Consume the search, returning the executor (e.g. for an orderly
@@ -306,7 +304,8 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
                 self.replay.len()
             )));
         }
-        if let Some(trace) = &mut self.trace {
+        let mut trace = self.trace.take();
+        if let Some(trace) = &mut trace {
             trace.final_ln_likelihood = lnl;
             trace.final_newick = newick::write_tree(&tree, &self.names);
         }
@@ -317,6 +316,7 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
             candidates_evaluated: self.candidates,
             work_units: self.work_units,
             wal_replayed_rounds: self.wal_replayed,
+            trace,
         })
     }
 
@@ -533,8 +533,7 @@ pub fn argmax(scores: &[CandidateScore]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{FullEvalExecutor, ScorerExecutor};
-    use fdml_likelihood::engine::LikelihoodEngine;
+    use crate::master::ClusterExecutor;
     use fdml_phylo::alignment::Alignment;
     use fdml_phylo::bipartition::SplitSet;
 
@@ -554,14 +553,13 @@ mod tests {
     #[test]
     fn recovers_generating_topology() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 3,
             rearrange_radius: 2,
             final_radius: 2,
             ..Default::default()
         };
-        let ex = FullEvalExecutor::new(&engine, config.optimize);
+        let ex = ClusterExecutor::in_process(&a, &config);
         let mut search = StepwiseSearch::new(&config, ex, 6);
         let result = search.run().unwrap();
         result.tree.check_valid().unwrap();
@@ -590,15 +588,18 @@ mod tests {
         // one-vertex rearrangement cannot always repair a misplacement.
         // With radius 2 the rearrangements do repair it here.
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 7,
             rearrange_radius: 2,
             final_radius: 2,
             ..Default::default()
         };
-        let full = FullEvalExecutor::new(&engine, config.optimize);
-        let fast = ScorerExecutor::new(&engine, config.optimize);
+        let edit_scored = SearchConfig {
+            incremental: true,
+            ..config.clone()
+        };
+        let full = ClusterExecutor::in_process(&a, &config);
+        let fast = ClusterExecutor::in_process(&a, &edit_scored);
         let r_full = StepwiseSearch::new(&config, full, 6).run().unwrap();
         let r_fast = StepwiseSearch::new(&config, fast, 6).run().unwrap();
         // The two modes converge to likelihood-equivalent optima. (On this
@@ -622,7 +623,6 @@ mod tests {
     #[test]
     fn different_jumbles_still_converge_on_strong_signal() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let mut trees = Vec::new();
         for seed in [1u64, 5, 9] {
             let config = SearchConfig {
@@ -631,7 +631,7 @@ mod tests {
                 final_radius: 2,
                 ..Default::default()
             };
-            let ex = FullEvalExecutor::new(&engine, config.optimize);
+            let ex = ClusterExecutor::in_process(&a, &config);
             let r = StepwiseSearch::new(&config, ex, 6).run().unwrap();
             trees.push(SplitSet::of_tree(&r.tree, 6));
         }
@@ -642,19 +642,18 @@ mod tests {
     #[test]
     fn trace_records_round_structure() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 1,
             rearrange_radius: 1,
             final_radius: 1,
             ..Default::default()
         };
-        let ex = FullEvalExecutor::new(&engine, config.optimize);
+        let ex = ClusterExecutor::in_process(&a, &config);
         let mut search = StepwiseSearch::new(&config, ex, 6)
             .with_names(a.names().to_vec())
             .with_trace("six", a.num_sites(), 0, true);
         let result = search.run().unwrap();
-        let trace = search.take_trace().unwrap();
+        let trace = result.trace.clone().unwrap();
         assert_eq!(trace.num_taxa, 6);
         assert_eq!(trace.final_ln_likelihood, result.ln_likelihood);
         assert!(!trace.final_newick.is_empty());
@@ -682,12 +681,11 @@ mod tests {
     #[test]
     fn observer_sees_monotone_likelihood() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 2,
             ..Default::default()
         };
-        let ex = FullEvalExecutor::new(&engine, config.optimize);
+        let ex = ClusterExecutor::in_process(&a, &config);
         let mut lnls: Vec<f64> = Vec::new();
         {
             let mut search = StepwiseSearch::new(&config, ex, 6).on_round(|info| {
@@ -707,14 +705,12 @@ mod tests {
     #[test]
     fn two_and_three_taxon_problems() {
         let a = Alignment::from_strings(&[("a", "ACGT"), ("b", "ACGA"), ("c", "AGGA")]).unwrap();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig::default();
-        let ex = FullEvalExecutor::new(&engine, config.optimize);
+        let ex = ClusterExecutor::in_process(&a, &config);
         let r = StepwiseSearch::new(&config, ex, 3).run().unwrap();
         assert_eq!(r.tree.num_tips(), 3);
         let a2 = Alignment::from_strings(&[("a", "ACGT"), ("b", "ACGA")]).unwrap();
-        let engine2 = LikelihoodEngine::new(&a2);
-        let ex2 = FullEvalExecutor::new(&engine2, config.optimize);
+        let ex2 = ClusterExecutor::in_process(&a2, &config);
         let r2 = StepwiseSearch::new(&config, ex2, 2).run().unwrap();
         assert_eq!(r2.tree.num_tips(), 2);
     }
@@ -743,8 +739,7 @@ mod tests {
 mod checkpoint_tests {
     use super::*;
     use crate::checkpoint::Checkpoint;
-    use crate::executor::FullEvalExecutor;
-    use fdml_likelihood::engine::LikelihoodEngine;
+    use crate::master::ClusterExecutor;
     use fdml_phylo::alignment::Alignment;
     use fdml_phylo::bipartition::SplitSet;
 
@@ -764,12 +759,11 @@ mod checkpoint_tests {
     #[test]
     fn checkpoints_are_emitted_per_addition() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 5,
             ..Default::default()
         };
-        let ex = FullEvalExecutor::new(&engine, config.optimize);
+        let ex = ClusterExecutor::in_process(&a, &config);
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
         {
             let mut search = StepwiseSearch::new(&config, ex, 7)
@@ -790,7 +784,6 @@ mod checkpoint_tests {
     #[test]
     fn resume_reproduces_the_uninterrupted_run() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 9,
             ..Default::default()
@@ -799,7 +792,7 @@ mod checkpoint_tests {
         // Uninterrupted run, saving the mid-run checkpoint.
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
         let full = {
-            let ex = FullEvalExecutor::new(&engine, config.optimize);
+            let ex = ClusterExecutor::in_process(&a, &config);
             let mut search = StepwiseSearch::new(&config, ex, 7)
                 .with_names(a.names().to_vec())
                 .on_checkpoint(|cp| checkpoints.push(cp.clone()));
@@ -810,7 +803,7 @@ mod checkpoint_tests {
         let mid = checkpoints.iter().find(|c| c.taxa_placed == 5).unwrap();
         let mid = Checkpoint::from_json(&mid.to_json()).unwrap();
         let resumed = {
-            let ex = FullEvalExecutor::new(&engine, config.optimize);
+            let ex = ClusterExecutor::in_process(&a, &config);
             let mut search = StepwiseSearch::new(&config, ex, 7)
                 .with_names(a.names().to_vec())
                 .resume_from(mid);
@@ -828,7 +821,6 @@ mod checkpoint_tests {
     #[test]
     fn wal_replay_of_every_prefix_is_bit_identical() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 9,
             ..Default::default()
@@ -837,7 +829,7 @@ mod checkpoint_tests {
         // Uninterrupted run, recording the WAL.
         let mut wal: Vec<crate::wal::WalRound> = Vec::new();
         let full = {
-            let ex = FullEvalExecutor::new(&engine, config.optimize);
+            let ex = ClusterExecutor::in_process(&a, &config);
             let mut search = StepwiseSearch::new(&config, ex, 7)
                 .with_names(a.names().to_vec())
                 .on_wal(|rec| wal.push(rec.clone()));
@@ -854,7 +846,7 @@ mod checkpoint_tests {
         for k in 0..=wal.len() {
             let mut tail: Vec<crate::wal::WalRound> = Vec::new();
             let resumed = {
-                let ex = FullEvalExecutor::new(&engine, config.optimize);
+                let ex = ClusterExecutor::in_process(&a, &config);
                 let mut search = StepwiseSearch::new(&config, ex, 7)
                     .with_names(a.names().to_vec())
                     .resume_from_wal(wal[..k].to_vec())
@@ -888,14 +880,13 @@ mod checkpoint_tests {
     #[test]
     fn wal_from_a_different_run_is_rejected() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 9,
             ..Default::default()
         };
         let mut wal: Vec<crate::wal::WalRound> = Vec::new();
         {
-            let ex = FullEvalExecutor::new(&engine, config.optimize);
+            let ex = ClusterExecutor::in_process(&a, &config);
             StepwiseSearch::new(&config, ex, 7)
                 .with_names(a.names().to_vec())
                 .on_wal(|rec| wal.push(rec.clone()))
@@ -905,7 +896,7 @@ mod checkpoint_tests {
         // Corrupt the recorded likelihood of a replayed round: resume
         // must fail loudly, not drift.
         wal[1].lnl_bits ^= 1;
-        let ex = FullEvalExecutor::new(&engine, config.optimize);
+        let ex = ClusterExecutor::in_process(&a, &config);
         let err = StepwiseSearch::new(&config, ex, 7)
             .with_names(a.names().to_vec())
             .resume_from_wal(wal.clone())
@@ -921,12 +912,11 @@ mod checkpoint_tests {
     #[should_panic(expected = "different jumble seed")]
     fn resume_with_wrong_seed_panics() {
         let a = alignment();
-        let engine = LikelihoodEngine::new(&a);
         let config = SearchConfig {
             jumble_seed: 1,
             ..Default::default()
         };
-        let ex = FullEvalExecutor::new(&engine, config.optimize);
+        let ex = ClusterExecutor::in_process(&a, &config);
         let cp = Checkpoint {
             jumble_seed: 2,
             order: (0..7).collect(),
@@ -941,7 +931,8 @@ mod checkpoint_tests {
 #[cfg(test)]
 mod verify_tests {
     use super::*;
-    use crate::executor::{BaseOutcome, ExecutorError, FullEvalExecutor, ScorerExecutor};
+    use crate::executor::{BaseOutcome, ExecutorError};
+    use crate::master::ClusterExecutor;
     use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
     use fdml_phylo::alignment::Alignment;
     use fdml_phylo::ops::TreeMove;
@@ -1023,10 +1014,17 @@ mod verify_tests {
         calls: Vec<Call>,
     }
 
+    /// The in-process executor, edit-scored.
+    fn scorer(a: &Alignment, config: &SearchConfig) -> ClusterExecutor<crate::loopback::Loopback> {
+        let edit_scored = SearchConfig {
+            incremental: true,
+            ..config.clone()
+        };
+        ClusterExecutor::in_process(a, &edit_scored)
+    }
+
     fn run_scorer(a: &Alignment, config: &SearchConfig, width: usize) -> Run {
-        let engine = config.build_engine(a);
-        let ex = Probe::new(ScorerExecutor::new(&engine, config.optimize), width);
-        finish(a, config, ex, Vec::new())
+        finish(a, config, Probe::new(scorer(a, config), width), Vec::new())
     }
 
     fn finish<E: RoundExecutor>(
@@ -1145,9 +1143,8 @@ mod verify_tests {
             jumble_seed: 11,
             ..Default::default()
         };
-        let engine = config.build_engine(&a);
         let full = |width| {
-            let ex = Probe::new(FullEvalExecutor::new(&engine, config.optimize), width);
+            let ex = Probe::new(ClusterExecutor::in_process(&a, &config), width);
             finish(&a, &config, ex, Vec::new())
         };
         let (serial, wide) = (full(1), full(3));
@@ -1174,10 +1171,9 @@ mod verify_tests {
         assert!(full.wal.iter().any(|r| !r.accepted && !r.tried.is_empty()));
         let adopted = full.wal.iter().filter(|r| r.accepted).count();
 
-        let engine = config.build_engine(&a);
         for k in 0..=full.wal.len() {
             // Replay under a different width than the log was written at.
-            let ex = Probe::new(ScorerExecutor::new(&engine, config.optimize), 1);
+            let ex = Probe::new(scorer(&a, &config), 1);
             let resumed = finish(&a, &config, ex, full.wal[..k].to_vec());
             assert_eq!(resumed.lnl_bits, full.lnl_bits, "prefix {k}");
             assert_eq!(resumed.newick, full.newick, "prefix {k}");

@@ -2,24 +2,35 @@
 //! topology and the likelihood value for the tree. The worker processes
 //! communicate only with the foreman process."
 //!
+//! What a worker computes lives in [`Evaluator`], the one place a task is
+//! evaluated: the worker loop below calls it for every task it is sent,
+//! the master calls it for tasks the foreman quarantined, and the
+//! in-process [`crate::loopback::Loopback`] transport calls it from `send`.
+//!
 //! In service mode ([`crate::netrun`] peers attached to an `fdml-serve`
 //! daemon) a worker serves several jobs at once: each
-//! [`Message::JobData`] broadcast installs one engine per job id, and
+//! [`Message::JobData`] broadcast installs one evaluator per job id, and
 //! job-tagged jumbles ([`Message::JobTask`]) from concurrent jobs
 //! interleave freely on the same rank.
 
 use crate::config::SearchConfig;
 use crate::edits::edit_to_move;
+use crate::loopback::Loopback;
+use crate::master::ClusterExecutor;
+use crate::search::{SearchResult, StepwiseSearch};
 use crate::wal::WalRound;
 use fdml_comm::job::JobId;
-use fdml_comm::message::Message;
+use fdml_comm::message::{Message, TreeEdit};
 use fdml_comm::transport::{CommError, Transport};
 use fdml_likelihood::engine::LikelihoodEngine;
 use fdml_likelihood::incremental::ClvCache;
+use fdml_likelihood::work::WorkCounter;
 use fdml_obs::{Event, Obs};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::{newick, phylip};
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 // The rank convention now lives with the transport layer; re-exported here
@@ -44,32 +55,223 @@ pub enum WorkerError {
     Protocol(String),
 }
 
+impl fmt::Display for WorkerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorkerError::Comm(e) => write!(f, "{e}"),
+            WorkerError::Protocol(what) => write!(f, "{what}"),
+        }
+    }
+}
+
 impl From<CommError> for WorkerError {
     fn from(e: CommError) -> WorkerError {
         WorkerError::Comm(e)
     }
 }
 
-/// One job's cached problem: the parsed alignment, the engine built from
-/// it, and the search controls.
+fn protocol(what: impl fmt::Display) -> WorkerError {
+    WorkerError::Protocol(what.to_string())
+}
+
+/// One job's problem: the texts it arrived as, and the alignment, engine
+/// and search controls built from them.
 struct Problem {
+    phylip: String,
+    config_json: String,
     alignment: Alignment,
     engine: LikelihoodEngine,
     config: SearchConfig,
 }
 
-impl Problem {
-    fn build(phylip_text: &str, config_json: &str) -> Result<Problem, WorkerError> {
-        let alignment = phylip::parse(phylip_text)
-            .map_err(|e| WorkerError::Protocol(format!("bad alignment: {e}")))?;
+/// One evaluated task.
+#[derive(Debug, Clone)]
+pub struct Evaluated {
+    /// The optimized tree; empty for an edit, which is answered by its
+    /// score alone (the master rebuilds the one tree it wants itself).
+    pub newick: String,
+    /// Log-likelihood of the tree or candidate.
+    pub ln_likelihood: f64,
+    /// Work the evaluation cost.
+    pub work: WorkCounter,
+    /// Time spent computing, in microseconds.
+    pub busy_us: u64,
+    /// Edits only: directional CLVs served from the cache.
+    pub cache_hits: u64,
+    /// Edits only: CLVs recomputed along the edit's dirty path.
+    pub edges_recomputed: u64,
+    /// Edits only: 1 when the base had to be installed from the task's
+    /// embedded text.
+    pub fallbacks: u64,
+}
+
+impl Evaluated {
+    /// The result message answering `task`.
+    pub fn reply(self, task: u64) -> Message {
+        Message::TreeResult {
+            task,
+            newick: self.newick,
+            ln_likelihood: self.ln_likelihood,
+            work_units: self.work.work_units(),
+        }
+    }
+}
+
+/// Everything that evaluates a task: one problem, the round's base as it
+/// was broadcast, and the CLV cache indexed from that base on the first
+/// edit that needs it (so a rank that never scores an edit pays nothing).
+#[derive(Default)]
+pub struct Evaluator {
+    problem: Option<Arc<Problem>>,
+    base: Option<(u64, String)>,
+    cache: Option<(u64, ClvCache)>,
+}
+
+impl Evaluator {
+    /// An evaluator of the problem these texts describe.
+    pub fn for_problem(phylip_text: &str, config_json: &str) -> Result<Evaluator, WorkerError> {
+        let mut evaluator = Evaluator::default();
+        evaluator.set_problem(phylip_text, config_json)?;
+        Ok(evaluator)
+    }
+
+    /// Install the problem every later task refers to, dropping any base of
+    /// the previous one. The same texts again keep the engine already built.
+    pub fn set_problem(&mut self, phylip_text: &str, config_json: &str) -> Result<(), WorkerError> {
+        self.base = None;
+        self.cache = None;
+        if self
+            .problem
+            .as_ref()
+            .is_some_and(|p| p.phylip == phylip_text && p.config_json == config_json)
+        {
+            return Ok(());
+        }
+        let alignment =
+            phylip::parse(phylip_text).map_err(|e| protocol(format!("bad alignment: {e}")))?;
         let config = SearchConfig::from_engine_config_json(config_json)
-            .map_err(|e| WorkerError::Protocol(format!("bad config: {e}")))?;
+            .map_err(|e| protocol(format!("bad config: {e}")))?;
         let engine = config.build_engine(&alignment);
-        Ok(Problem {
+        self.problem = Some(Arc::new(Problem {
+            phylip: phylip_text.to_string(),
+            config_json: config_json.to_string(),
             alignment,
             engine,
             config,
+        }));
+        Ok(())
+    }
+
+    fn problem(&self, what: &str) -> Result<&Arc<Problem>, WorkerError> {
+        self.problem
+            .as_ref()
+            .ok_or_else(|| protocol(format!("{what} before problem data")))
+    }
+
+    /// Install the round's base tree. Parsing and CLV indexing wait for
+    /// the first edit task.
+    pub fn set_base(&mut self, base_id: u64, newick: String) {
+        self.base = Some((base_id, newick));
+        self.cache = None;
+    }
+
+    /// The whole-tree task: parse, optimize every branch length, write.
+    pub fn tree_task(&self, text: &str) -> Result<Evaluated, WorkerError> {
+        let p = self.problem("task")?;
+        let mut tree = newick::parse_tree(text, &p.alignment)
+            .map_err(|e| protocol(format!("bad tree: {e}")))?;
+        let started = Instant::now();
+        let result = p.engine.optimize(&mut tree, &p.config.optimize);
+        Ok(Evaluated {
+            busy_us: started.elapsed().as_micros() as u64,
+            newick: newick::write_tree(&tree, p.alignment.names()),
+            ln_likelihood: result.ln_likelihood,
+            work: result.work,
+            cache_hits: 0,
+            edges_recomputed: 0,
+            fallbacks: 0,
         })
+    }
+
+    /// The edit task: score `base + edit` through the CLV cache of base
+    /// `base_id`. A self-contained dispatch carries the base text and
+    /// installs it when the broadcast was missed (a fresh respawn); an
+    /// edit for an unknown base without embedded text is an error — the
+    /// supervisor respawns the worker and the foreman requeues the task
+    /// self-contained.
+    pub fn edit_task(
+        &mut self,
+        base_id: u64,
+        edit: &TreeEdit,
+        base_newick: Option<String>,
+    ) -> Result<Evaluated, WorkerError> {
+        let p = Arc::clone(self.problem("edit task")?);
+        let mut fallbacks = 0;
+        if self.base.as_ref().map(|(id, _)| *id) != Some(base_id) {
+            let text =
+                base_newick.ok_or_else(|| protocol(format!("edit for unknown base {base_id}")))?;
+            self.set_base(base_id, text);
+            fallbacks = 1;
+        }
+        let started = Instant::now();
+        if self.cache.as_ref().map(|(id, _)| *id) != Some(base_id) {
+            let (_, text) = self.base.as_ref().expect("just ensured");
+            let base = newick::parse_tree(text, &p.alignment)
+                .map_err(|e| protocol(format!("bad base tree: {e}")))?;
+            self.cache = Some((base_id, ClvCache::build(&p.engine, base)));
+        }
+        let (_, cache) = self.cache.as_mut().expect("just built");
+        let score = cache
+            .score_edit(&p.engine, &edit_to_move(edit), &p.config.optimize)
+            .map_err(protocol)?;
+        Ok(Evaluated {
+            newick: String::new(),
+            ln_likelihood: score.ln_likelihood,
+            work: score.work,
+            busy_us: started.elapsed().as_micros() as u64,
+            cache_hits: score.cache_hits,
+            edges_recomputed: score.edges_recomputed,
+            fallbacks,
+        })
+    }
+
+    /// The jumble task: one whole stepwise-addition search under `seed`,
+    /// replaying the committed rounds in `wal` and handing every round
+    /// committed after them to `on_round`. It is the search every
+    /// deployment runs — the cluster executor — over a [`Loopback`] around
+    /// the engine already held here, and it is always edit-scored.
+    pub fn jumble(
+        &self,
+        seed: u64,
+        wal: Vec<WalRound>,
+        on_round: impl FnMut(&WalRound),
+    ) -> Result<SearchResult, WorkerError> {
+        let p = self.problem("jumble")?;
+        let config = SearchConfig {
+            jumble_seed: seed,
+            incremental: true,
+            ..p.config.clone()
+        };
+        let names = p.alignment.names().to_vec();
+        let inner = Loopback::around(Evaluator {
+            problem: Some(Arc::clone(p)),
+            ..Evaluator::default()
+        });
+        let executor = ClusterExecutor::new(
+            inner,
+            names.clone(),
+            p.phylip.clone(),
+            p.config_json.clone(),
+            false,
+            ranks::FIRST_WORKER,
+        )
+        .with_incremental(true);
+        let result = StepwiseSearch::new(&config, executor, names.len())
+            .with_names(names)
+            .resume_from_wal(wal)
+            .on_wal(on_round)
+            .run();
+        result.map_err(|e| protocol(format!("jumble {seed}: {e}")))
     }
 }
 
@@ -108,14 +310,21 @@ pub fn run_worker_homed<T: Transport>(
     obs: Obs,
 ) -> Result<WorkerStats, WorkerError> {
     let mut foreman = home;
-    let mut state: Option<Problem> = None;
-    let mut jobs: HashMap<JobId, Problem> = HashMap::new();
-    // Incremental evaluation state: the raw text of the round's base
-    // broadcast, and the CLV cache lazily indexed from it on the first
-    // edit task of the round.
-    let mut base_text: Option<(u64, String)> = None;
-    let mut cache: Option<(u64, ClvCache)> = None;
+    let mut main = Evaluator::default();
+    let mut jobs: HashMap<JobId, Evaluator> = HashMap::new();
     let mut stats = WorkerStats::default();
+    // Every finished task, whatever its kind, is counted and reported once.
+    let mut task_done = |task: u64, busy_us: u64, work_units: u64, pattern_updates: u64| {
+        stats.trees_evaluated += 1;
+        stats.work_units += work_units;
+        obs.emit(|| Event::WorkerTaskDone {
+            worker: transport.rank(),
+            task,
+            busy_us,
+            work_units,
+            pattern_updates,
+        });
+    };
     // Messages unpacked from a `Batch` frame, served before the transport
     // is polled again so batched tasks keep their dispatch order.
     let mut pending: VecDeque<Message> = VecDeque::new();
@@ -141,10 +350,7 @@ pub fn run_worker_homed<T: Transport>(
                 phylip,
                 config_json,
             } => {
-                state = Some(Problem::build(&phylip, &config_json)?);
-                // A new problem invalidates any base of the old one.
-                base_text = None;
-                cache = None;
+                main.set_problem(&phylip, &config_json)?;
                 send_up(&transport, foreman, &Message::WorkerReady)?;
             }
             Message::JobData {
@@ -156,178 +362,81 @@ pub fn run_worker_homed<T: Transport>(
                 // reply: the scheduler pairs this with the JobTask that
                 // needs it, and readiness is tracked per rank, not per
                 // job.
-                jobs.insert(job, Problem::build(&phylip, &config_json)?);
+                jobs.entry(job)
+                    .or_default()
+                    .set_problem(&phylip, &config_json)?;
             }
-            Message::TreeTask { task, newick: text } => {
-                let p = state
-                    .as_ref()
-                    .ok_or_else(|| WorkerError::Protocol("task before problem data".into()))?;
-                let mut tree = newick::parse_tree(&text, &p.alignment)
-                    .map_err(|e| WorkerError::Protocol(format!("bad tree: {e}")))?;
-                let started = Instant::now();
-                let result = p.engine.optimize(&mut tree, &p.config.optimize);
-                let busy_us = started.elapsed().as_micros() as u64;
-                stats.trees_evaluated += 1;
-                stats.work_units += result.work.work_units();
-                obs.emit(|| Event::WorkerTaskDone {
-                    worker: transport.rank(),
+            Message::TreeTask { task, newick } => {
+                let done = main.tree_task(&newick)?;
+                task_done(
                     task,
-                    busy_us,
-                    work_units: result.work.work_units(),
-                    pattern_updates: result.work.total_pattern_updates(),
-                });
-                send_up(
-                    &transport,
-                    foreman,
-                    &Message::TreeResult {
-                        task,
-                        newick: newick::write_tree(&tree, p.alignment.names()),
-                        ln_likelihood: result.ln_likelihood,
-                        work_units: result.work.work_units(),
-                    },
-                )?;
+                    done.busy_us,
+                    done.work.work_units(),
+                    done.work.total_pattern_updates(),
+                );
+                send_up(&transport, foreman, &done.reply(task))?;
             }
-            Message::BaseTopology { base_id, newick } => {
-                // The round's base tree. Parsing and CLV indexing are
-                // deferred to the first edit task, so a worker that never
-                // receives an edit pays nothing.
-                base_text = Some((base_id, newick));
-                cache = None;
-            }
+            Message::BaseTopology { base_id, newick } => main.set_base(base_id, newick),
             Message::TreeEditTask {
                 task,
                 base_id,
                 edit,
                 base_newick,
             } => {
-                let p = state
-                    .as_ref()
-                    .ok_or_else(|| WorkerError::Protocol("edit task before problem data".into()))?;
-                // Fallback ladder, bottom rung local to the worker: a
-                // self-contained dispatch carries the base text; install
-                // it when the broadcast was missed (fresh respawn). An
-                // edit for an unknown base with no embedded text is a
-                // protocol error — the supervisor respawns the worker and
-                // the foreman requeues the task self-contained.
-                let mut fallbacks = 0u64;
-                if base_text.as_ref().map(|(id, _)| *id) != Some(base_id) {
-                    let text = base_newick.ok_or_else(|| {
-                        WorkerError::Protocol(format!(
-                            "edit task {task} for unknown base {base_id}"
-                        ))
-                    })?;
-                    base_text = Some((base_id, text));
-                    cache = None;
-                    fallbacks = 1;
-                }
-                let started = Instant::now();
-                if cache.as_ref().map(|(id, _)| *id) != Some(base_id) {
-                    let (_, text) = base_text.as_ref().expect("just ensured");
-                    let base = newick::parse_tree(text, &p.alignment)
-                        .map_err(|e| WorkerError::Protocol(format!("bad base tree: {e}")))?;
-                    cache = Some((base_id, ClvCache::build(&p.engine, base)));
-                }
-                let (_, c) = cache.as_mut().expect("just built");
-                let score = c
-                    .score_edit(&p.engine, &edit_to_move(&edit), &p.config.optimize)
-                    .map_err(|e| WorkerError::Protocol(format!("edit task {task}: {e}")))?;
-                let busy_us = started.elapsed().as_micros() as u64;
-                let work_units = score.work.work_units();
-                stats.trees_evaluated += 1;
-                stats.work_units += work_units;
-                obs.emit(|| Event::WorkerTaskDone {
-                    worker: transport.rank(),
+                let done = main
+                    .edit_task(base_id, &edit, base_newick)
+                    .map_err(|e| protocol(format!("edit task {task}: {e}")))?;
+                task_done(
                     task,
-                    busy_us,
-                    work_units,
-                    pattern_updates: score.work.total_pattern_updates(),
-                });
+                    done.busy_us,
+                    done.work.work_units(),
+                    done.work.total_pattern_updates(),
+                );
                 obs.emit(|| Event::IncrementalEdit {
                     worker: transport.rank(),
-                    cache_hits: score.cache_hits,
-                    edges_recomputed: score.edges_recomputed,
-                    fallbacks,
+                    cache_hits: done.cache_hits,
+                    edges_recomputed: done.edges_recomputed,
+                    fallbacks: done.fallbacks,
                 });
-                // Score-only reply: the master ranks candidates by lnL and
-                // rebuilds the one tree it wants itself, so no candidate
-                // is materialized or serialized here.
-                send_up(
-                    &transport,
-                    foreman,
-                    &Message::TreeResult {
-                        task,
-                        newick: String::new(),
-                        ln_likelihood: score.ln_likelihood,
-                        work_units,
-                    },
-                )?;
+                send_up(&transport, foreman, &done.reply(task))?;
             }
-            Message::JumbleTask { task, seed } => {
-                let p = state
-                    .as_ref()
-                    .ok_or_else(|| WorkerError::Protocol("jumble before problem data".into()))?;
-                let started = Instant::now();
-                let result = crate::farm::run_one_jumble(&p.engine, &p.alignment, &p.config, seed)
-                    .map_err(|e| WorkerError::Protocol(format!("jumble {seed}: {e}")))?;
-                let busy_us = started.elapsed().as_micros() as u64;
-                stats.trees_evaluated += 1;
-                stats.work_units += result.work_units;
-                obs.emit(|| Event::WorkerTaskDone {
-                    worker: transport.rank(),
-                    task,
-                    busy_us,
-                    work_units: result.work_units,
-                    pattern_updates: 0,
-                });
-                send_up(
-                    &transport,
-                    foreman,
-                    &Message::JumbleResult {
+            msg @ (Message::JumbleTask { .. }
+            | Message::JobTask { .. }
+            | Message::JumbleResume { .. }) => {
+                // A whole jumble, in its three wire forms. `job` selects
+                // the problem and the reply: 0 is the anonymous farm
+                // (`JumbleResult`), anything else a daemon job
+                // (`JobTaskResult`). Only a `JumbleResume` is WAL-aware:
+                // it replays the committed prefix the coordinator carried
+                // inline, then streams each newly committed round back so
+                // the coordinator's log stays one round behind at most.
+                let (job, task, seed, wal) = match msg {
+                    Message::JumbleTask { task, seed } => (0, task, seed, None),
+                    Message::JobTask { job, task, seed } => (job, task, seed, None),
+                    Message::JumbleResume {
+                        job,
                         task,
                         seed,
-                        newick: newick::write_tree(&result.tree, p.alignment.names()),
-                        ln_likelihood: result.ln_likelihood,
-                        rounds: result.rounds as u64,
-                        candidates: result.candidates_evaluated as u64,
-                        work_units: result.work_units,
-                    },
-                )?;
-            }
-            Message::JumbleResume {
-                job,
-                task,
-                seed,
-                wal,
-            } => {
-                // A WAL-aware jumble: replay the committed prefix the
-                // coordinator carried inline, then run live, streaming each
-                // newly committed round back so the coordinator's log stays
-                // one round behind the search at most. `job` doubles as the
-                // reply selector: 0 is the anonymous farm (JumbleResult),
-                // anything else a daemon job (JobTaskResult).
-                let p = if job == 0 {
-                    state.as_ref().ok_or_else(|| {
-                        WorkerError::Protocol("jumble resume before problem data".into())
-                    })?
-                } else {
-                    jobs.get(&job).ok_or_else(|| {
-                        WorkerError::Protocol(format!("job {job} resume before its JobData"))
-                    })?
+                        wal,
+                    } => (job, task, seed, Some(wal)),
+                    _ => unreachable!("arm matches jumble messages only"),
                 };
-                let mut rounds = Vec::with_capacity(wal.len());
-                for entry in &wal {
-                    rounds.push(WalRound::from_json(entry).map_err(|e| {
-                        WorkerError::Protocol(format!("jumble {seed}: bad wal entry: {e}"))
-                    })?);
-                }
+                let evaluator = if job == 0 {
+                    &main
+                } else {
+                    jobs.get(&job)
+                        .ok_or_else(|| protocol(format!("job {job} task before its JobData")))?
+                };
+                let streaming = wal.is_some();
+                let replay = wal
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|entry| WalRound::from_json(entry))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| protocol(format!("jumble {seed}: bad wal entry: {e}")))?;
                 let started = Instant::now();
-                let result = crate::farm::run_one_jumble_wal(
-                    &p.engine,
-                    &p.alignment,
-                    &p.config,
-                    seed,
-                    rounds,
-                    |round| {
+                let result = evaluator.jumble(seed, replay, |round| {
+                    if streaming {
                         // Best-effort: a lost round merely re-runs live on
                         // the coordinator's next resume.
                         let _ = send_up(
@@ -340,20 +449,16 @@ pub fn run_worker_homed<T: Transport>(
                                 entry: round.to_json(),
                             },
                         );
-                    },
-                )
-                .map_err(|e| WorkerError::Protocol(format!("jumble {seed}: {e}")))?;
-                let busy_us = started.elapsed().as_micros() as u64;
-                stats.trees_evaluated += 1;
-                stats.work_units += result.work_units;
-                obs.emit(|| Event::WorkerTaskDone {
-                    worker: transport.rank(),
+                    }
+                })?;
+                task_done(
                     task,
-                    busy_us,
-                    work_units: result.work_units,
-                    pattern_updates: 0,
-                });
-                let newick = newick::write_tree(&result.tree, p.alignment.names());
+                    started.elapsed().as_micros() as u64,
+                    result.work_units,
+                    0,
+                );
+                let names = evaluator.problem("jumble")?.alignment.names();
+                let newick = newick::write_tree(&result.tree, names);
                 let reply = if job == 0 {
                     Message::JumbleResult {
                         task,
@@ -376,36 +481,6 @@ pub fn run_worker_homed<T: Transport>(
                 };
                 send_up(&transport, foreman, &reply)?;
             }
-            Message::JobTask { job, task, seed } => {
-                let p = jobs.get(&job).ok_or_else(|| {
-                    WorkerError::Protocol(format!("job {job} task before its JobData"))
-                })?;
-                let started = Instant::now();
-                let result = crate::farm::run_one_jumble(&p.engine, &p.alignment, &p.config, seed)
-                    .map_err(|e| WorkerError::Protocol(format!("job {job} jumble {seed}: {e}")))?;
-                let busy_us = started.elapsed().as_micros() as u64;
-                stats.trees_evaluated += 1;
-                stats.work_units += result.work_units;
-                obs.emit(|| Event::WorkerTaskDone {
-                    worker: transport.rank(),
-                    task,
-                    busy_us,
-                    work_units: result.work_units,
-                    pattern_updates: 0,
-                });
-                send_up(
-                    &transport,
-                    foreman,
-                    &Message::JobTaskResult {
-                        job,
-                        task,
-                        seed,
-                        newick: newick::write_tree(&result.tree, p.alignment.names()),
-                        ln_likelihood: result.ln_likelihood,
-                        work_units: result.work_units,
-                    },
-                )?;
-            }
             Message::JobRetire { job } => {
                 // The scheduler finished or failed the job; drop its engine
                 // so a long-lived shared-fleet worker does not accumulate
@@ -419,12 +494,7 @@ pub fn run_worker_homed<T: Transport>(
                 send_up(&transport, foreman, &Message::WorkerReady)?;
             }
             Message::Shutdown => return Ok(stats),
-            other => {
-                return Err(WorkerError::Protocol(format!(
-                    "unexpected message {}",
-                    other.kind()
-                )))
-            }
+            other => return Err(protocol(format!("unexpected message {}", other.kind()))),
         }
     }
 }

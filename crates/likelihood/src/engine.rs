@@ -527,20 +527,6 @@ impl<'e> Workspace<'e> {
         }
     }
 
-    /// The directional CLV anchored at `anchor` (an endpoint of `e`),
-    /// covering `anchor`'s component when `e` is cut, with its per-pattern
-    /// scale counts. Requires both sweeps to have run.
-    pub(crate) fn directional(&self, e: EdgeId, anchor: NodeId) -> (&[f64], &[i32]) {
-        self.clvs.directional(self.engine, e, anchor)
-    }
-
-    /// The underlying CLV buffers, for callers that resolve directional
-    /// CLVs against a separately borrowed engine (prune contexts, the
-    /// incremental cache).
-    pub(crate) fn clv_buffers(&self) -> &ClvBuffers {
-        &self.clvs
-    }
-
     /// Extract the computed CLV buffers, consuming the workspace view.
     /// The incremental cache owns its CLVs across tasks instead of
     /// borrowing the engine; `Drop` still recycles the remaining (emptied)

@@ -12,16 +12,19 @@
 //! outward (the minimal dirty set), memoized across edits sharing a prune
 //! point.
 //!
-//! Unlike [`crate::scorer::TreeScorer`], the cache *owns* its buffers
-//! instead of borrowing the engine, so a worker process can keep one cache
-//! alive across many single-edit tasks (the `TaskPayload::TreeEdit` wire
-//! form) and rebuild it only when the round's base topology changes.
+//! This is the scorer of every deployment: worker processes, the master's
+//! quarantine fallback and the in-process loopback all score an edit
+//! through a `ClvCache` (via `fdml_core::worker::Evaluator`). The cache
+//! *owns* its buffers instead of borrowing the engine, so a worker can
+//! keep one alive across many single-edit tasks (the
+//! `TaskPayload::TreeEdit` wire form) and rebuild it only when the round's
+//! base topology changes.
 //!
 //! Determinism: a score depends only on the base tree, the edit, and the
 //! engine configuration — never on which edits were scored before it on
 //! the same cache (the adjusted-CLV memo is a pure function of `(edge,
-//! anchor)`). Two workers, or a worker and the master's quarantine path,
-//! therefore produce bit-identical scores for the same edit.
+//! anchor)`). Any two ranks therefore produce bit-identical scores for the
+//! same edit.
 
 use crate::engine::{ClvBuffers, LikelihoodEngine, OptimizeOptions, Workspace};
 use crate::kernels::{JunctionScratch, KernelScratch};
@@ -58,7 +61,7 @@ pub struct EditScore {
 /// [`ClvCache::score_edit`] for each candidate edit of the round.
 pub struct ClvCache {
     tree: Tree,
-    clvs: ClvBuffers,
+    pub(crate) clvs: ClvBuffers,
     zero_scale: Vec<i32>,
     scratch: KernelScratch,
     junction: JunctionScratch,
@@ -210,7 +213,6 @@ mod tests {
     use super::*;
     use crate::engine::LikelihoodEngine;
     use crate::kernels::KernelMode;
-    use crate::scorer::TreeScorer;
     use fdml_phylo::alignment::Alignment;
     use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves};
 
@@ -299,8 +301,7 @@ mod tests {
     /// edits, the incremental score equals a from-scratch evaluation of the
     /// materialized candidate to ≤ 1e-12 (relative), on both kernel paths.
     /// Newton is disabled so the junction lengths are pinned and the score
-    /// is exactly a likelihood, not an optimum (the with-Newton path is
-    /// pinned bit-for-bit against `TreeScorer` below).
+    /// is exactly a likelihood, not an optimum.
     #[test]
     fn randomized_edits_match_from_scratch_reference() {
         for seed in [3u64, 17, 91] {
@@ -329,35 +330,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// With Newton enabled, the cache must agree bit-for-bit with
-    /// `TreeScorer` (the in-process scorer the serial search uses): same
-    /// base CLVs, same junction algorithm, same optimized lengths — this is
-    /// what makes a worker's edit score independent of which worker (or
-    /// the master's quarantine path) computes it.
-    #[test]
-    fn score_edit_is_bit_identical_to_tree_scorer() {
-        let mut rng = Rng(0xfeed);
-        let a = random_alignment(&mut rng, 7, 40);
-        let engine = LikelihoodEngine::new(&a);
-        let base = random_tree(&mut rng, 6);
-        let opts = OptimizeOptions::default();
-        let mut scorer = TreeScorer::new(&engine, base, opts);
-        let mut moves = enumerate_insertion_moves(scorer.tree(), 6);
-        moves.extend(enumerate_spr_moves(scorer.tree(), 2));
-        let expected = scorer.score_moves(&moves);
-        let mut cache = ClvCache::build(&engine, scorer.tree().clone());
-        for (mv, exp) in moves.iter().zip(&expected) {
-            let got = cache.score_edit(&engine, mv, &opts).unwrap();
-            assert_eq!(
-                got.ln_likelihood.to_bits(),
-                exp.ln_likelihood.to_bits(),
-                "move {mv:?}: cache {} vs scorer {}",
-                got.ln_likelihood,
-                exp.ln_likelihood
-            );
         }
     }
 

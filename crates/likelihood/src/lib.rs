@@ -42,5 +42,5 @@ pub use incremental::{ClvCache, EditScore};
 pub use isa::KernelIsa;
 pub use kernels::KernelMode;
 pub use par::{IntraPar, PAR_BLOCK};
-pub use scorer::{ScoredMove, TreeScorer};
+pub use scorer::ScoredMove;
 pub use work::WorkCounter;

@@ -1,5 +1,5 @@
-//! Incremental candidate scoring — fastDNAml's "rapid approximation of the
-//! insertion point".
+//! The junction kernel of incremental candidate scoring — fastDNAml's
+//! "rapid approximation of the insertion point".
 //!
 //! The stepwise-addition search evaluates huge numbers of candidate trees
 //! that differ from the current best tree by a single move. Re-deriving the
@@ -7,23 +7,25 @@
 //! almost all of the work, so fastDNAml scores candidates *incrementally*:
 //! the base tree's directional CLVs are built once, and a candidate's
 //! likelihood needs only the CLVs adjacent to the changed region, with the
-//! three branch lengths at the junction optimized by Newton's method. The
-//! winning candidate is then given the full treatment ("it is then tested
-//! more carefully", paper §2.1) by a whole-tree optimization, and the tree
-//! that results is re-indexed by [`TreeScorer::from_optimized`].
+//! three branch lengths at the junction optimized by Newton's method
+//! ([`score_attachment`]). The winning candidate is then given the full
+//! treatment ("it is then tested more carefully", paper §2.1) by a
+//! whole-tree optimization.
 //!
 //! For SPR rearrangements, pruning a subtree invalidates the directional
-//! CLVs that *face* the prune site; those are recomputed lazily outward from
-//! the dissolved node, bounded by the rearrangement radius, while the
-//! away-facing CLVs are reused from the base tree unchanged.
+//! CLVs that *face* the prune site; a [`PruneContext`] recomputes those
+//! lazily outward from the dissolved node, bounded by the rearrangement
+//! radius, while the away-facing CLVs are reused from the base tree
+//! unchanged.
+//!
+//! The scorer built on these two pieces — the one every deployment uses —
+//! is [`crate::incremental::ClvCache`].
 
-use crate::engine::{ClvBuffers, LikelihoodEngine, OptimizeOptions, Workspace};
+use crate::engine::{ClvBuffers, LikelihoodEngine, OptimizeOptions};
 use crate::kernels::{self, JunctionScratch, KernelScratch};
 use crate::work::WorkCounter;
-use fdml_phylo::alignment::TaxonId;
 use fdml_phylo::dna::NUM_STATES;
-use fdml_phylo::ops::TreeMove;
-use fdml_phylo::tree::{EdgeId, NodeId, Tree, DEFAULT_BRANCH_LENGTH};
+use fdml_phylo::tree::{EdgeId, NodeId, Tree};
 use std::collections::HashMap;
 
 /// The score of one candidate move.
@@ -36,181 +38,9 @@ pub struct ScoredMove {
     pub work: WorkCounter,
 }
 
-/// Incremental scorer bound to one base tree.
-pub struct TreeScorer<'e> {
-    engine: &'e LikelihoodEngine,
-    tree: Tree,
-    ln_likelihood: f64,
-    ws: Workspace<'e>,
-    opts: OptimizeOptions,
-    zero_scale: Vec<i32>,
-    /// Reusable kernel state for candidate scoring.
-    scratch: KernelScratch,
-    /// Reusable junction buffers for candidate scoring.
-    junction: JunctionScratch,
-    /// Work spent on base-tree maintenance (optimization + CLV builds),
-    /// excluding per-candidate scoring work.
-    base_work: WorkCounter,
-}
-
-impl<'e> TreeScorer<'e> {
-    /// Take ownership of a tree, optimize its branch lengths fully, and
-    /// index its directional CLVs.
-    pub fn new(
-        engine: &'e LikelihoodEngine,
-        mut tree: Tree,
-        opts: OptimizeOptions,
-    ) -> TreeScorer<'e> {
-        let result = engine.optimize(&mut tree, &opts);
-        let mut scorer = TreeScorer::from_optimized(engine, tree, result.ln_likelihood, opts);
-        scorer.base_work += result.work;
-        scorer
-    }
-
-    /// Index the directional CLVs of a tree whose branch lengths are
-    /// already optimized and whose log-likelihood is known — the result of
-    /// a full verification — without optimizing it again.
-    pub fn from_optimized(
-        engine: &'e LikelihoodEngine,
-        tree: Tree,
-        ln_likelihood: f64,
-        opts: OptimizeOptions,
-    ) -> TreeScorer<'e> {
-        let mut ws = Workspace::new(engine, &tree);
-        let mut work = WorkCounter::new();
-        ws.compute_all_down(&tree, &mut work);
-        ws.compute_all_up(&tree, &mut work);
-        TreeScorer {
-            engine,
-            ln_likelihood,
-            tree,
-            ws,
-            opts,
-            zero_scale: vec![0; engine.patterns().num_patterns()],
-            scratch: engine.kernel_scratch(),
-            junction: JunctionScratch::new(engine.patterns().num_patterns()),
-            base_work: work,
-        }
-    }
-
-    /// The current base tree.
-    pub fn tree(&self) -> &Tree {
-        &self.tree
-    }
-
-    /// Log-likelihood of the base tree.
-    pub fn ln_likelihood(&self) -> f64 {
-        self.ln_likelihood
-    }
-
-    /// Work spent on base-tree maintenance so far.
-    pub fn base_work(&self) -> WorkCounter {
-        self.base_work
-    }
-
-    /// Consume the scorer, returning the base tree.
-    pub fn into_tree(self) -> Tree {
-        self.tree
-    }
-
-    /// Score a batch of moves against the base tree. SPR moves sharing a
-    /// prune point reuse one prune context, so callers should keep the
-    /// grouped order produced by
-    /// [`fdml_phylo::ops::enumerate_spr_moves`].
-    pub fn score_moves(&mut self, moves: &[TreeMove]) -> Vec<ScoredMove> {
-        let mut out = Vec::with_capacity(moves.len());
-        let mut ctx: Option<PruneContext> = None;
-        for mv in moves {
-            let scored = match *mv {
-                TreeMove::Insertion { taxon, at } => self.score_insertion(taxon, at),
-                TreeMove::Spr {
-                    root,
-                    attachment,
-                    target,
-                } => {
-                    let rebuild = match &ctx {
-                        Some(c) => c.root != root || c.attachment != attachment,
-                        None => true,
-                    };
-                    if rebuild {
-                        ctx = Some(PruneContext::build(&self.tree, root, attachment));
-                    }
-                    self.score_spr(ctx.as_mut().expect("context just built"), target)
-                }
-            };
-            out.push(scored);
-        }
-        out
-    }
-
-    fn score_insertion(&mut self, taxon: TaxonId, at: (NodeId, NodeId)) -> ScoredMove {
-        let e = self
-            .tree
-            .edge_between(at.0, at.1)
-            .expect("insertion move must reference a live edge");
-        let (clv_a, sc_a) = self.ws.directional(e, at.0);
-        let (clv_b, sc_b) = self.ws.directional(e, at.1);
-        let clv_c = self.engine.tip_clv(taxon);
-        let half = self.tree.length(e) / 2.0;
-        let mut lens = [half, half, DEFAULT_BRANCH_LENGTH];
-        score_attachment(
-            self.engine,
-            &mut self.scratch,
-            &mut self.junction,
-            (clv_a, sc_a),
-            (clv_b, sc_b),
-            (clv_c, &self.zero_scale),
-            &mut lens,
-            &self.opts,
-        )
-    }
-
-    fn score_spr(&mut self, ctx: &mut PruneContext, target: (NodeId, NodeId)) -> ScoredMove {
-        let f = ctx
-            .work_tree
-            .edge_between(target.0, target.1)
-            .expect("SPR target must be a live edge of the pruned tree");
-        let dist = |n: NodeId| *ctx.node_dist.get(&n).unwrap_or(&u32::MAX);
-        let (facing, away) = if dist(target.0) <= dist(target.1) {
-            (target.0, target.1)
-        } else {
-            (target.1, target.0)
-        };
-        let mut work = WorkCounter::new();
-        ctx.ensure_adjusted(
-            self.engine,
-            self.ws.clv_buffers(),
-            &mut self.scratch,
-            f,
-            facing,
-            &mut work,
-        );
-        let (adj_clv, adj_sc) = ctx.adjusted.get(&(f, facing)).expect("just ensured");
-        let (away_clv, away_sc) = self.ws.directional(f, away);
-        // The pruned subtree's own CLV, anchored at its root, is the base
-        // tree's directional CLV of the old pendant edge.
-        let (sub_clv, sub_sc) = self.ws.directional(ctx.pendant_edge, ctx.subtree_root);
-        let half = ctx.work_tree.length(f) / 2.0;
-        let mut lens = [half, half, ctx.pendant_length];
-        let mut scored = score_attachment(
-            self.engine,
-            &mut self.scratch,
-            &mut self.junction,
-            (adj_clv, adj_sc),
-            (away_clv, away_sc),
-            (sub_clv, sub_sc),
-            &mut lens,
-            &self.opts,
-        );
-        scored.work += work;
-        scored
-    }
-}
-
 /// Per-prune-point scoring context: the base tree with one subtree detached,
-/// plus lazily recomputed CLVs facing the dissolved node. Shared with the
-/// incremental edit cache ([`crate::incremental::ClvCache`]), which resolves
-/// base CLVs from owned [`ClvBuffers`] rather than a borrowed workspace.
+/// plus lazily recomputed CLVs facing the dissolved node, resolved against
+/// the base tree's indexed [`ClvBuffers`].
 pub(crate) struct PruneContext {
     pub(crate) root: NodeId,
     pub(crate) attachment: NodeId,
@@ -457,8 +287,9 @@ pub(crate) fn score_attachment(
 mod tests {
     use super::*;
     use crate::engine::LikelihoodEngine;
+    use crate::incremental::{ClvCache, EditScore};
     use fdml_phylo::alignment::Alignment;
-    use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves};
+    use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves, TreeMove};
 
     fn case() -> (Alignment, Tree) {
         // Every taxon carries unique substitutions so that no optimized
@@ -482,6 +313,27 @@ mod tests {
         (a, t)
     }
 
+    /// The scorer as the search uses it: optimize the base fully, then
+    /// index its directional CLVs.
+    fn scorer(engine: &LikelihoodEngine, mut tree: Tree) -> (ClvCache, f64) {
+        let lnl = engine
+            .optimize(&mut tree, &OptimizeOptions::default())
+            .ln_likelihood;
+        (ClvCache::build(engine, tree), lnl)
+    }
+
+    fn score_moves(
+        cache: &mut ClvCache,
+        engine: &LikelihoodEngine,
+        moves: &[TreeMove],
+        opts: &OptimizeOptions,
+    ) -> Vec<EditScore> {
+        moves
+            .iter()
+            .map(|mv| cache.score_edit(engine, mv, opts).unwrap())
+            .collect()
+    }
+
     #[test]
     fn scorer_base_likelihood_matches_engine() {
         let (a, t) = case();
@@ -490,34 +342,27 @@ mod tests {
         let expected = engine
             .optimize(&mut t2, &OptimizeOptions::default())
             .ln_likelihood;
-        let scorer = TreeScorer::new(&engine, t, OptimizeOptions::default());
-        assert!((scorer.ln_likelihood() - expected).abs() < 1e-6);
+        let (cache, lnl) = scorer(&engine, t);
+        assert!((lnl - expected).abs() < 1e-6);
+        assert!((engine.evaluate(cache.tree()).ln_likelihood - expected).abs() < 1e-6);
     }
 
     #[test]
     fn insertion_scores_match_full_evaluation() {
-        // Scored lnL must equal a full evaluation of the candidate tree in
-        // which ONLY the three junction branch lengths were optimized.
+        // A scored lnL is the likelihood of the candidate with ONLY the
+        // three junction branch lengths optimized: a lower bound on, and
+        // within a loose gap of, the fully optimized candidate.
         let (a, t) = case();
         let engine = LikelihoodEngine::new(&a);
-        let mut scorer = TreeScorer::new(&engine, t, OptimizeOptions::default());
-        let moves = enumerate_insertion_moves(scorer.tree(), 5);
-        let scores = scorer.score_moves(&moves);
+        let opts = OptimizeOptions::default();
+        let (mut cache, _) = scorer(&engine, t);
+        let moves = enumerate_insertion_moves(cache.tree(), 5);
+        let scores = score_moves(&mut cache, &engine, &moves, &opts);
         assert_eq!(scores.len(), moves.len());
         for (mv, sc) in moves.iter().zip(&scores) {
-            // Rebuild the candidate and do a full (no-optimization)
-            // evaluation with the junction lengths the scorer found — the
-            // lnL values must agree, because the scorer's result IS the
-            // likelihood of that candidate tree.
-            let mut cand = scorer.tree().clone();
-            let pendant = apply_move(&mut cand, mv).unwrap();
-            // The scorer optimized the junction; emulate by optimizing the
-            // same three branches... instead simply check the scored value
-            // is close to a full evaluation after full optimization — it
-            // must be a lower bound and within a loose gap.
-            let full = engine
-                .optimize(&mut cand, &OptimizeOptions::default())
-                .ln_likelihood;
+            let mut cand = cache.tree().clone();
+            apply_move(&mut cand, mv).unwrap();
+            let full = engine.optimize(&mut cand, &opts).ln_likelihood;
             assert!(
                 sc.ln_likelihood <= full + 1e-6,
                 "scored {} must not exceed fully optimized {}",
@@ -530,7 +375,6 @@ mod tests {
                 sc.ln_likelihood,
                 full
             );
-            let _ = pendant;
         }
     }
 
@@ -540,9 +384,10 @@ mod tests {
         // argmax under full optimization for this easy dataset.
         let (a, t) = case();
         let engine = LikelihoodEngine::new(&a);
-        let mut scorer = TreeScorer::new(&engine, t, OptimizeOptions::default());
-        let moves = enumerate_insertion_moves(scorer.tree(), 5);
-        let scores = scorer.score_moves(&moves);
+        let opts = OptimizeOptions::default();
+        let (mut cache, _) = scorer(&engine, t);
+        let moves = enumerate_insertion_moves(cache.tree(), 5);
+        let scores = score_moves(&mut cache, &engine, &moves, &opts);
         let best_scored = scores
             .iter()
             .enumerate()
@@ -551,11 +396,9 @@ mod tests {
             .0;
         let mut best_full = (0, f64::NEG_INFINITY);
         for (i, mv) in moves.iter().enumerate() {
-            let mut cand = scorer.tree().clone();
+            let mut cand = cache.tree().clone();
             apply_move(&mut cand, mv).unwrap();
-            let lnl = engine
-                .optimize(&mut cand, &OptimizeOptions::default())
-                .ln_likelihood;
+            let lnl = engine.optimize(&mut cand, &opts).ln_likelihood;
             if lnl > best_full.1 {
                 best_full = (i, lnl);
             }
@@ -563,21 +406,20 @@ mod tests {
         assert_eq!(best_scored, best_full.0);
     }
 
-    #[test]
-    fn insertion_scores_exact_without_optimization() {
-        // With Newton disabled, the scorer's lnL is the plain likelihood of
-        // the candidate tree at exactly the lengths apply_move produces —
-        // so it must match a full evaluation almost bit-for-bit.
+    /// With Newton disabled, a scored lnL is the plain likelihood of the
+    /// candidate tree at exactly the lengths `apply_move` produces — so it
+    /// must match a full evaluation almost bit-for-bit.
+    fn assert_exact_without_optimization(moves_of: impl Fn(&Tree) -> Vec<TreeMove>) {
         let (a, t) = case();
         let engine = LikelihoodEngine::new(&a);
+        let (mut cache, _) = scorer(&engine, t);
         let mut opts = OptimizeOptions::default();
-        let mut scorer = TreeScorer::new(&engine, t, opts);
         opts.newton.max_iters = 0;
-        scorer.opts = opts;
-        let moves = enumerate_insertion_moves(scorer.tree(), 5);
-        let scores = scorer.score_moves(&moves);
+        let moves = moves_of(cache.tree());
+        assert!(!moves.is_empty());
+        let scores = score_moves(&mut cache, &engine, &moves, &opts);
         for (mv, sc) in moves.iter().zip(&scores) {
-            let mut cand = scorer.tree().clone();
+            let mut cand = cache.tree().clone();
             apply_move(&mut cand, mv).unwrap();
             let full = engine.evaluate(&cand).ln_likelihood;
             assert!(
@@ -590,43 +432,28 @@ mod tests {
     }
 
     #[test]
+    fn insertion_scores_exact_without_optimization() {
+        assert_exact_without_optimization(|t| enumerate_insertion_moves(t, 5));
+    }
+
+    #[test]
     fn spr_scores_exact_without_optimization() {
-        let (a, t) = case();
-        let engine = LikelihoodEngine::new(&a);
-        let mut opts = OptimizeOptions::default();
-        let mut scorer = TreeScorer::new(&engine, t, opts);
-        opts.newton.max_iters = 0;
-        scorer.opts = opts;
-        let moves = enumerate_spr_moves(scorer.tree(), 3);
-        assert!(!moves.is_empty());
-        let scores = scorer.score_moves(&moves);
-        for (mv, sc) in moves.iter().zip(&scores) {
-            let mut cand = scorer.tree().clone();
-            apply_move(&mut cand, mv).unwrap();
-            let full = engine.evaluate(&cand).ln_likelihood;
-            assert!(
-                (sc.ln_likelihood - full).abs() < 1e-8,
-                "move {mv:?}: scored {} vs evaluated {}",
-                sc.ln_likelihood,
-                full
-            );
-        }
+        assert_exact_without_optimization(|t| enumerate_spr_moves(t, 3));
     }
 
     #[test]
     fn spr_scores_bounded_by_full_optimization() {
         let (a, t) = case();
         let engine = LikelihoodEngine::new(&a);
-        let mut scorer = TreeScorer::new(&engine, t, OptimizeOptions::default());
-        let moves = enumerate_spr_moves(scorer.tree(), 2);
+        let opts = OptimizeOptions::default();
+        let (mut cache, _) = scorer(&engine, t);
+        let moves = enumerate_spr_moves(cache.tree(), 2);
         assert!(!moves.is_empty());
-        let scores = scorer.score_moves(&moves);
+        let scores = score_moves(&mut cache, &engine, &moves, &opts);
         for (mv, sc) in moves.iter().zip(&scores) {
-            let mut cand = scorer.tree().clone();
+            let mut cand = cache.tree().clone();
             apply_move(&mut cand, mv).unwrap();
-            let full = engine
-                .optimize(&mut cand, &OptimizeOptions::default())
-                .ln_likelihood;
+            let full = engine.optimize(&mut cand, &opts).ln_likelihood;
             assert!(
                 sc.ln_likelihood <= full + 1e-6,
                 "move {mv:?}: scored {} exceeds optimized {}",
@@ -643,24 +470,23 @@ mod tests {
         let engine = LikelihoodEngine::new(&a);
         let opts = OptimizeOptions::default();
         let mut optimized = t.clone();
-        let lnl = engine.optimize(&mut optimized, &opts).ln_likelihood;
-        let mut adopted = TreeScorer::from_optimized(&engine, optimized.clone(), lnl, opts);
+        engine.optimize(&mut optimized, &opts);
+        let mut adopted = ClvCache::build(&engine, optimized.clone());
         // The tree is taken as is: no Newton iteration runs, no branch moves.
-        assert_eq!(adopted.base_work().newton_pattern_iters, 0);
-        assert!(adopted.base_work().clv_pattern_updates > 0);
-        assert_eq!(adopted.ln_likelihood().to_bits(), lnl.to_bits());
+        assert_eq!(adopted.build_work().newton_pattern_iters, 0);
+        assert!(adopted.build_work().clv_pattern_updates > 0);
         for e in optimized.edge_ids() {
             assert_eq!(
                 adopted.tree().length(e).to_bits(),
                 optimized.length(e).to_bits()
             );
         }
-        // `new` on the unoptimized tree reaches the same optimum by the same
-        // steps, so both scorers index the same CLVs and score alike.
-        let mut fresh = TreeScorer::new(&engine, t, opts);
+        // Optimizing the unoptimized tree afresh reaches the same optimum by
+        // the same steps, so both caches index the same CLVs and score alike.
+        let (mut fresh, _) = scorer(&engine, t);
         let moves = enumerate_insertion_moves(fresh.tree(), 5);
-        let expected = fresh.score_moves(&moves);
-        let got = adopted.score_moves(&moves);
+        let expected = score_moves(&mut fresh, &engine, &moves, &opts);
+        let got = score_moves(&mut adopted, &engine, &moves, &opts);
         for (g, e) in got.iter().zip(&expected) {
             assert_eq!(g.ln_likelihood.to_bits(), e.ln_likelihood.to_bits());
         }
@@ -670,14 +496,14 @@ mod tests {
     fn scoring_accumulates_work() {
         let (a, t) = case();
         let engine = LikelihoodEngine::new(&a);
-        let mut scorer = TreeScorer::new(&engine, t, OptimizeOptions::default());
-        let moves = enumerate_insertion_moves(scorer.tree(), 5);
-        let scores = scorer.score_moves(&moves);
+        let (mut cache, _) = scorer(&engine, t);
+        let moves = enumerate_insertion_moves(cache.tree(), 5);
+        let scores = score_moves(&mut cache, &engine, &moves, &OptimizeOptions::default());
         for s in &scores {
             assert!(s.work.clv_pattern_updates > 0);
             assert!(s.work.newton_pattern_iters > 0);
         }
-        assert!(scorer.base_work().clv_pattern_updates > 0);
+        assert!(cache.build_work().clv_pattern_updates > 0);
     }
 
     #[test]
@@ -690,20 +516,13 @@ mod tests {
             let e = t.incident_edges(t.tip_of(taxon - 1).unwrap())[0];
             t.insert_taxon(taxon, e).unwrap();
         }
-        let mut scorer = TreeScorer::new(&engine, t, OptimizeOptions::default());
-        let moves = enumerate_spr_moves(scorer.tree(), 5);
-        let scores = scorer.score_moves(&moves);
+        let (mut cache, _) = scorer(&engine, t);
+        let moves = enumerate_spr_moves(cache.tree(), 5);
+        let scores = score_moves(&mut cache, &engine, &moves, &OptimizeOptions::default());
         assert_eq!(scores.len(), moves.len());
         for s in &scores {
             assert!(s.ln_likelihood.is_finite() && s.ln_likelihood < 0.0);
         }
-    }
-}
-
-impl<'e> TreeScorer<'e> {
-    /// Override the optimizer options used for scoring and re-optimization.
-    pub fn set_options(&mut self, opts: OptimizeOptions) {
-        self.opts = opts;
     }
 }
 
@@ -712,8 +531,9 @@ impl<'e> TreeScorer<'e> {
 mod adjusted_clv_tests {
     use super::*;
     use crate::engine::LikelihoodEngine;
+    use crate::incremental::ClvCache;
     use fdml_phylo::alignment::Alignment;
-    use fdml_phylo::ops::enumerate_spr_moves;
+    use fdml_phylo::ops::{enumerate_spr_moves, TreeMove};
 
     /// P(data in `anchor`'s component when `via` is cut | state at anchor),
     /// by direct 4x4 matrix recursion (single rate category assumed).
@@ -780,7 +600,8 @@ mod adjusted_clv_tests {
         let e = t.incident_edges(t.tip_of(3).unwrap())[0];
         t.insert_taxon(4, e).unwrap();
         let engine = LikelihoodEngine::new(&a);
-        let scorer = TreeScorer::new(&engine, t, OptimizeOptions::default());
+        engine.optimize(&mut t, &OptimizeOptions::default());
+        let scorer = ClvCache::build(&engine, t);
         let moves = enumerate_spr_moves(scorer.tree(), 5);
         for mv in &moves {
             let TreeMove::Spr {
@@ -800,14 +621,7 @@ mod adjusted_clv_tests {
             };
             let mut wk2 = WorkCounter::new();
             let mut scratch = KernelScratch::new(engine.categories());
-            ctx.ensure_adjusted(
-                &engine,
-                scorer.ws.clv_buffers(),
-                &mut scratch,
-                f,
-                facing,
-                &mut wk2,
-            );
+            ctx.ensure_adjusted(&engine, &scorer.clvs, &mut scratch, f, facing, &mut wk2);
             let (adj, adj_sc) = &ctx.adjusted[&(f, facing)];
             // Ground truth: matrix recursion over the remaining component.
             let wt = &ctx.work_tree;

@@ -9,6 +9,7 @@
 use crate::alignment::{Alignment, TaxonId};
 use crate::error::PhyloError;
 use crate::tree::{NodeId, Tree};
+use std::fmt::Write as _;
 
 /// A node of a parsed Newick tree. Leaves have a `name` and no children;
 /// internal nodes may also carry a label (ignored by [`ast_to_tree`]).
@@ -242,84 +243,97 @@ fn write_node(node: &NewickNode, out: &mut String) {
         out.push(')');
     }
     if let Some(name) = &node.name {
-        if name.chars().any(|c| "(),:;' \t".contains(c)) {
-            out.push('\'');
-            out.push_str(&name.replace('\'', "''"));
-            out.push('\'');
-        } else {
-            out.push_str(name);
-        }
+        write_name(name, out);
     }
     if let Some(len) = node.length {
-        out.push(':');
-        // Enough digits to round-trip branch lengths through text exactly
-        // like fastDNAml's %.6f, but without losing worker results.
-        out.push_str(&format!("{len:.9}"));
+        write_length(len, out);
     }
 }
 
-/// Convert an unrooted binary [`Tree`] into a Newick AST, rooting the
+fn write_name(name: &str, out: &mut String) {
+    if name.chars().any(|c| "(),:;' \t".contains(c)) {
+        out.push('\'');
+        out.push_str(&name.replace('\'', "''"));
+        out.push('\'');
+    } else {
+        out.push_str(name);
+    }
+}
+
+fn write_length(len: f64, out: &mut String) {
+    // Enough digits to round-trip branch lengths through text exactly
+    // like fastDNAml's %.6f, but without losing worker results.
+    write!(out, ":{len:.9}").expect("writing to a String cannot fail");
+}
+
+/// Serialize an unrooted binary [`Tree`] to a Newick string, rooting the
 /// serialization at the internal node adjacent to the lowest-numbered taxon
-/// (deterministic, so equal trees serialize identically).
-pub fn tree_to_ast(tree: &Tree, names: &[String]) -> NewickNode {
-    let name_of = |t: TaxonId| -> String {
-        names
-            .get(t as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("taxon{t}"))
-    };
+/// (deterministic, so equal trees serialize identically). Written straight
+/// from the tree into one buffer: this is on the path of every task.
+pub fn write_tree(tree: &Tree, names: &[String]) -> String {
+    let mut out = String::new();
+    out.push('(');
     if tree.num_tips() == 2 {
         let mut tips: Vec<(NodeId, TaxonId)> = tree.tips().collect();
         tips.sort_by_key(|&(_, t)| t);
         let e = tree.edge_ids().next().expect("pair has an edge");
         let half = tree.length(e) / 2.0;
-        return NewickNode::internal(
-            vec![
-                NewickNode::leaf(name_of(tips[0].1), Some(half)),
-                NewickNode::leaf(name_of(tips[1].1), Some(half)),
-            ],
-            None,
-        );
+        for (i, &(_, taxon)) in tips.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_taxon(taxon, names, &mut out);
+            write_length(half, &mut out);
+        }
+    } else {
+        let lowest = tree
+            .tips()
+            .min_by_key(|&(_, t)| t)
+            .expect("tree has tips")
+            .0;
+        let root = tree.neighbors(lowest).next().expect("tip has a neighbor").1;
+        for (i, (edge, next)) in tree.neighbors(root).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_subtree(tree, next, edge, names, &mut out);
+        }
     }
-    let lowest = tree
-        .tips()
-        .min_by_key(|&(_, t)| t)
-        .expect("tree has tips")
-        .0;
-    let root = tree.neighbors(lowest).next().expect("tip has a neighbor").1;
-    let mut children = Vec::with_capacity(3);
-    for (edge, next) in tree.neighbors(root) {
-        children.push(subtree_to_ast(tree, next, edge, &name_of));
-    }
-    NewickNode::internal(children, None)
+    out.push_str(");");
+    out
 }
 
-fn subtree_to_ast(
+fn write_taxon(taxon: TaxonId, names: &[String], out: &mut String) {
+    match names.get(taxon as usize) {
+        Some(name) => write_name(name, out),
+        None => write!(out, "taxon{taxon}").expect("writing to a String cannot fail"),
+    }
+}
+
+fn write_subtree(
     tree: &Tree,
     node: NodeId,
     via: crate::tree::EdgeId,
-    name_of: &dyn Fn(TaxonId) -> String,
-) -> NewickNode {
-    let length = Some(tree.length(via));
+    names: &[String],
+    out: &mut String,
+) {
     if let Some(taxon) = tree.taxon(node) {
-        return NewickNode::leaf(name_of(taxon), length);
-    }
-    let mut children = Vec::with_capacity(2);
-    for (edge, next) in tree.neighbors(node) {
-        if edge != via {
-            children.push(subtree_to_ast(tree, next, edge, name_of));
+        write_taxon(taxon, names, out);
+    } else {
+        out.push('(');
+        let mut first = true;
+        for (edge, next) in tree.neighbors(node) {
+            if edge != via {
+                if !first {
+                    out.push(',');
+                }
+                first = false;
+                write_subtree(tree, next, edge, names, out);
+            }
         }
+        out.push(')');
     }
-    NewickNode {
-        name: None,
-        length,
-        children,
-    }
-}
-
-/// Serialize a tree directly to a Newick string.
-pub fn write_tree(tree: &Tree, names: &[String]) -> String {
-    write(&tree_to_ast(tree, names))
+    write_length(tree.length(via), out);
 }
 
 /// Convert a Newick AST into an unrooted binary [`Tree`], resolving leaf

@@ -22,7 +22,7 @@
 //! jumble per cycle, bounded by its admitted `max_ranks` quota, so
 //! concurrent farms interleave over one fleet instead of queueing behind
 //! each other — and every jumble still runs through the same
-//! `run_one_jumble` code path, keeping results byte-identical to a
+//! `Evaluator::jumble` code path, keeping results byte-identical to a
 //! serial run of the same seeds.
 //!
 //! The daemon speaks the `fdml-wire` binary codec by default

@@ -940,7 +940,7 @@ fn notify_attached(attached: &mut Vec<TcpStream>, job: JobId, text: &str) {
 /// Build the final [`JobResult`] from a complete manifest: trees in plan
 /// order, the best tree (first on ties), and the majority-rule consensus
 /// for multi-jumble jobs — byte-identical to a serial farm over the same
-/// seeds, because every jumble ran through `run_one_jumble`.
+/// seeds, because every jumble ran through `Evaluator::jumble`.
 fn assemble_result(
     id: JobId,
     resolved: &ResolvedJob,

@@ -10,7 +10,8 @@
 //! ```
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::runner::fast_serial_search;
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{search_in_process, SearchSession};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::likelihood::distances::distance_matrix;
 use fastdnaml::likelihood::engine::{LikelihoodEngine, OptimizeOptions};
@@ -43,9 +44,14 @@ fn main() {
         jumble_seed: 3,
         rearrange_radius: 2,
         final_radius: 2,
+        incremental: true,
         ..SearchConfig::default()
     };
-    let ml = fast_serial_search(&alignment, &config).expect("ML search");
+    let ml = search_in_process(
+        &ResolvedJob::single(alignment.clone(), config),
+        SearchSession::default(),
+    )
+    .expect("ML search");
 
     // Score both trees under both criteria.
     let (pars_nj, _) = fitch_score(&nj_tree, &patterns);

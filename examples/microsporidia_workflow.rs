@@ -9,9 +9,11 @@
 //! ```
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::runner::run_jumbles;
+use fastdnaml::core::farm::{serial_farm, FarmOptions};
 use fastdnaml::datagen::datasets::{paper_dataset, PaperDataset};
+use fastdnaml::obs::Obs;
 use fastdnaml::phylo::bipartition::{robinson_foulds, SplitSet};
+use fastdnaml::phylo::newick;
 
 fn main() {
     let (alignment, generating_tree) = paper_dataset(PaperDataset::Taxa50, 0.08);
@@ -28,19 +30,28 @@ fn main() {
     };
     let seeds: Vec<u64> = (0..5).map(|i| 2 * i + 1).collect();
     println!("running {} jumbles (random addition orders)…", seeds.len());
-    let (results, consensus) = run_jumbles(&alignment, &config, &seeds).expect("jumbles succeed");
+    let farm = serial_farm(
+        &alignment,
+        &config,
+        &seeds,
+        &FarmOptions::default(),
+        &Obs::disabled(),
+    )
+    .expect("jumbles succeed");
+    let (results, consensus) = (farm.runs, farm.consensus);
 
     println!(
         "\n{:>6} {:>16} {:>12} {:>14}",
         "seed", "lnL", "rounds", "RF vs truth"
     );
-    for (seed, r) in seeds.iter().zip(&results) {
+    for r in &results {
+        let tree = newick::parse_tree(&r.newick, &alignment).expect("jumble tree parses");
         println!(
             "{:>6} {:>16.2} {:>12} {:>14}",
-            seed,
+            r.seed,
             r.ln_likelihood,
             r.rounds,
-            robinson_foulds(&r.tree, &generating_tree, 50)
+            robinson_foulds(&tree, &generating_tree, 50)
         );
     }
 

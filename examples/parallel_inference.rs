@@ -8,7 +8,7 @@
 
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{parallel_search, serial_search, RunOptions};
+use fastdnaml::core::runner::{parallel_search, search_in_process, RunOptions, SearchSession};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::obs::{MemorySink, Sink};
 use fastdnaml::phylo::bipartition::robinson_foulds;
@@ -25,9 +25,11 @@ fn main() {
         ..SearchConfig::default()
     };
 
+    let job = ResolvedJob::single(alignment, config);
+
     println!("serial baseline…");
     let t0 = Instant::now();
-    let serial = serial_search(&alignment, &config).expect("serial search");
+    let serial = search_in_process(&job, SearchSession::default()).expect("serial search");
     let serial_secs = t0.elapsed().as_secs_f64();
     println!("  lnL {:.3} in {serial_secs:.2}s", serial.ln_likelihood);
 
@@ -38,7 +40,6 @@ fn main() {
     println!("\nparallel run with {ranks} ranks ({workers} workers)…");
     let t0 = Instant::now();
     let sinks: Vec<Box<dyn Sink>> = vec![Box::new(MemorySink::new())];
-    let job = ResolvedJob::from_parts(alignment.clone(), config.clone(), 1).expect("resolve job");
     let outcome =
         parallel_search(&job, ranks, RunOptions::observed(sinks)).expect("parallel search");
     let par_secs = t0.elapsed().as_secs_f64();
@@ -48,9 +49,14 @@ fn main() {
         serial_secs / par_secs
     );
 
-    // The parallel run makes the same decisions as the serial one.
+    // The serial program is the parallel one over an in-process transport:
+    // the same decisions, the same tree.
     let rf = robinson_foulds(&serial.tree, &outcome.result.tree, 20);
     println!("  topology identical to serial: {}", rf == 0);
+    println!(
+        "  tree identical to serial, bit for bit: {}",
+        serial.tree == outcome.result.tree
+    );
 
     println!("\nmonitor report:");
     println!("  events                : {}", outcome.monitor.events);

@@ -35,7 +35,8 @@ fn main() {
         jumble_seed: 137,
         ..SearchConfig::default()
     };
-    let result = serial_search(&alignment, &config).expect("search succeeds");
+    let job = ResolvedJob::single(alignment.clone(), config);
+    let result = search_in_process(&job, SearchSession::default()).expect("search succeeds");
 
     println!("\nbest tree lnL = {:.4}", result.ln_likelihood);
     println!(

@@ -7,7 +7,8 @@
 //! ```
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::runner::fast_serial_search;
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{search_in_process, SearchSession};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::likelihood::engine::{LikelihoodEngine, OptimizeOptions};
 use fastdnaml::rates::{categorize, estimate_rates, RateGrid};
@@ -25,9 +26,14 @@ fn main() {
     // Reference tree from a homogeneous-model search.
     let config = SearchConfig {
         jumble_seed: 1,
+        incremental: true,
         ..SearchConfig::default()
     };
-    let result = fast_serial_search(&alignment, &config).expect("search");
+    let result = search_in_process(
+        &ResolvedJob::single(alignment.clone(), config),
+        SearchSession::default(),
+    )
+    .expect("search");
     println!(
         "reference tree lnL (single rate): {:.2}",
         result.ln_likelihood

@@ -8,7 +8,8 @@
 //! ```
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::runner::fast_serial_search;
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{search_in_process, SearchSession};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::phylo::newick;
 use fastdnaml::treeviz::svg::{render_comparison, SvgStyle};
@@ -24,9 +25,14 @@ fn main() {
     for seed in [1u64, 7, 13] {
         let config = SearchConfig {
             jumble_seed: seed,
+            incremental: true,
             ..SearchConfig::default()
         };
-        let r = fast_serial_search(&alignment, &config).expect("search");
+        let r = search_in_process(
+            &ResolvedJob::single(alignment.clone(), config),
+            SearchSession::default(),
+        )
+        .expect("search");
         let text = newick::write_tree(&r.tree, alignment.names());
         println!("jumble {seed}: lnL {:.3}", r.ln_likelihood);
         asts.push(newick::parse(&text).expect("round-trip"));

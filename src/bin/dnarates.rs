@@ -17,7 +17,8 @@
 //! line per site: `site  rate  category`.
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::runner::fast_serial_search;
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{search_in_process, SearchSession};
 use fastdnaml::likelihood::engine::LikelihoodEngine;
 use fastdnaml::phylo::{newick, phylip};
 use fastdnaml::rates::{categorize, estimate_rates, RateGrid};
@@ -69,7 +70,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = SearchConfig::default();
     let tree = match args.get("tree") {
         Some(path) => {
             let text = std::fs::read_to_string(path).expect("read tree file");
@@ -77,7 +77,12 @@ fn main() -> ExitCode {
         }
         None => {
             eprintln!("dnarates: no --tree given; inferring a reference tree first…");
-            fast_serial_search(&alignment, &config)
+            let config = SearchConfig {
+                incremental: true,
+                ..SearchConfig::default()
+            };
+            let job = ResolvedJob::single(alignment.clone(), config);
+            search_in_process(&job, SearchSession::default())
                 .expect("reference search")
                 .tree
         }

@@ -39,23 +39,26 @@
 //!   --incremental        score candidate rounds as base + edit through a
 //!                        CLV cache (per worker with --parallel / --net,
 //!                        in process for the serial search)
-//!   --no-incremental     force whole-tree candidate scoring (the default)
+//!   --no-incremental     force whole-tree candidate scoring (the default
+//!                        for a single search; farm jumbles — --jumbles N
+//!                        and daemon jobs — are always edit-scored)
 //!   --obs-out FILE       write runtime events as JSON lines (parallel only)
 //!   --obs-summary        print the end-of-run report (parallel only)
 //!   --bootstrap N        bootstrap with N replicates instead of jumbles
 //!   --user-trees FILE    evaluate the Newick trees in FILE, no search
 //!   --checkpoint FILE    write a resumable checkpoint after every step
-//!                        (--checkpoint-out is an alias; also honoured by
-//!                        the --net coordinator/spawn modes; with
+//!                        (--checkpoint-out is an alias; honoured on every
+//!                        deployment of a single search; with
 //!                        --jumbles > 1 it is the farm manifest)
 //!   --resume FILE        resume a single-jumble run from a checkpoint,
 //!                        or a farm from its manifest (--jumbles > 1)
 //!   --wal-dir DIR        write-ahead log of committed search rounds
 //!                        (serial, --parallel, --net, and farm modes): a
-//!                        killed run re-launched with the same command
-//!                        resumes bit-identically from its last committed
-//!                        round — finer-grained than a checkpoint, which
-//!                        only captures taxon-addition boundaries
+//!                        killed run re-launched with the same seed and
+//!                        scoring mode — on any deployment — resumes
+//!                        bit-identically from its last committed round;
+//!                        finer-grained than a checkpoint, which only
+//!                        captures taxon-addition boundaries
 //!   --outgroup T1,T2     root the output tree on this outgroup clade
 //!   --midpoint           midpoint-root the output tree
 //!   --output FILE        write the best tree / consensus ("-" = stdout)
@@ -88,20 +91,18 @@
 use fastdnaml::comm::job::JobSpec;
 use fastdnaml::core::checkpoint::{Checkpoint, FarmManifest};
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::executor::ScorerExecutor;
 use fastdnaml::core::farm::{serial_farm, FarmOptions, JumbleRun};
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::netrun::{
     net_coordinator_search, net_farm_search, run_net_peer, NetOptions, NetSpawn,
 };
 use fastdnaml::core::runner::{
-    bootstrap_analysis, evaluate_user_trees, farm_search, fast_serial_search, parallel_search,
-    serial_search, RunOptions,
+    bootstrap_analysis, evaluate_user_trees, farm_search, parallel_search, search_in_process,
+    RunObserver, RunOptions, SearchSession,
 };
-use fastdnaml::core::search::StepwiseSearch;
-use fastdnaml::core::wal::WalSession;
+use fastdnaml::core::search::SearchResult;
 use fastdnaml::net::WireFormat;
-use fastdnaml::obs::{JsonlSink, MemorySink, Obs, RunReport, Sink};
+use fastdnaml::obs::{JsonlSink, MemorySink, RunReport, Sink};
 use fastdnaml::phylo::consensus::Consensus;
 use fastdnaml::phylo::{fasta, newick, phylip};
 use fastdnaml::rates::{categorize, estimate_rates, RateGrid};
@@ -116,36 +117,87 @@ fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default:
         .unwrap_or(default)
 }
 
-/// Apply the shared topology flags — `--regions R` (hierarchical foreman
-/// tree) and `--wire json|binary` (hub data-plane codec) — to a
-/// [`NetOptions`] bundle.
-fn net_topology(
-    mut options: NetOptions,
+/// The observer sinks `--obs-out` / `--obs-summary` ask for.
+fn obs_sinks(args: &HashMap<String, String>, obs_summary: bool) -> Vec<Box<dyn Sink>> {
+    let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
+    if let Some(path) = args.get("obs-out") {
+        sinks.push(Box::new(
+            JsonlSink::create(path).unwrap_or_else(|e| panic!("--obs-out {path}: {e}")),
+        ));
+    }
+    if obs_summary && sinks.is_empty() {
+        // No event log requested, but the report still needs the stream.
+        sinks.push(Box::new(MemorySink::new()));
+    }
+    sinks
+}
+
+/// `--wire json|binary`: the hub's data-plane codec.
+fn wire_format(args: &HashMap<String, String>) -> Result<WireFormat, String> {
+    match args.get("wire") {
+        Some(w) => WireFormat::parse(w).ok_or(format!("--wire {w}: expected json or binary")),
+        None => Ok(WireFormat::default()),
+    }
+}
+
+/// The `--net coordinator | spawn N` universe the flags describe:
+/// `--listen`, `--ranks`, `--regions R` (hierarchical foreman tree),
+/// `--wire json|binary` (hub data-plane codec), and for `spawn` the peer
+/// launch settings.
+fn net_options(
+    mode: &str,
     args: &HashMap<String, String>,
+    flags: &[String],
+    sinks: Vec<Box<dyn Sink>>,
 ) -> Result<NetOptions, String> {
-    options = options.hierarchical(get(args, "regions", 0));
-    if let Some(w) = args.get("wire") {
-        match WireFormat::parse(w) {
-            Some(wire) => options = options.with_wire(wire),
-            None => return Err(format!("--wire {w}: expected json or binary")),
-        }
+    if mode != "coordinator" && mode != "spawn" {
+        return Err(format!(
+            "unknown --net mode {mode:?} (coordinator | worker | spawn N)"
+        ));
+    }
+    let listen = args
+        .get("listen")
+        .map(String::as_str)
+        .unwrap_or("127.0.0.1:0");
+    let mut options = NetOptions::new(listen, get(args, "ranks", 4))
+        .observed(sinks)
+        .hierarchical(get(args, "regions", 0))
+        .with_wire(wire_format(args)?);
+    if mode == "spawn" {
+        let die_rank = args.get("die-rank").and_then(|v| v.parse::<usize>().ok());
+        let die_tasks = args
+            .get("die-after-tasks")
+            .and_then(|v| v.parse::<u64>().ok());
+        options = options.spawning(NetSpawn {
+            program: std::env::current_exe().expect("current executable path"),
+            die_after_tasks: die_rank.zip(die_tasks),
+            quiet: flags.iter().any(|f| f == "quiet"),
+            supervise: flags.iter().any(|f| f == "supervise"),
+            max_restarts: get(args, "max-restarts", 3),
+        });
     }
     Ok(options)
 }
 
-/// Load a `--resume` farm manifest, naming the file in every failure: a
-/// missing, truncated, or non-manifest file is a clean error, not a panic.
-fn load_farm_manifest(path: &str) -> Result<FarmManifest, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("--resume {path}: {e}"))?;
-    FarmManifest::from_json(&text)
-        .map_err(|e| format!("--resume {path}: not a valid farm manifest: {e}"))
+/// Report spawned peers that did not exit cleanly.
+fn report_peer_exits(peer_exits: &[(usize, Option<i32>)]) {
+    for (rank, code) in peer_exits {
+        if *code != Some(0) {
+            eprintln!("fastdnaml: peer rank {rank} exited with {code:?}");
+        }
+    }
 }
 
-/// Load a `--resume` search checkpoint, naming the file in every failure.
-fn load_checkpoint(path: &str) -> Result<Checkpoint, String> {
+/// Load a `--resume` file — a farm manifest or a search checkpoint — naming
+/// the file in every failure: a missing, truncated, or foreign file is a
+/// clean error, not a panic.
+fn load_resume<T, E: std::fmt::Display>(
+    path: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("--resume {path}: {e}"))?;
-    Checkpoint::from_json(&text)
-        .map_err(|e| format!("--resume {path}: not a valid checkpoint: {e}"))
+    parse(&text).map_err(|e| format!("--resume {path}: not a valid {what}: {e}"))
 }
 
 fn parse_args() -> (HashMap<String, String>, Vec<String>) {
@@ -205,20 +257,23 @@ fastdnaml --input data.phy [options]
   --isa LANE           kernel instruction set: scalar | avx2 | avx512 |
                        neon (must be host-supported)         [auto-detect]
   --incremental        score candidate rounds as base + edit (CLV cache)
-  --no-incremental     force whole-tree candidate scoring (the default)
+  --no-incremental     force whole-tree candidate scoring (the default for
+                       a single search; farm jumbles — --jumbles N and
+                       daemon jobs — are always edit-scored)
   --obs-out FILE       write runtime events as JSON lines (parallel only)
   --obs-summary        print the end-of-run report (parallel only)
   --bootstrap N        bootstrap with N replicates instead of jumbles
   --user-trees FILE    evaluate the Newick trees in FILE, no search
   --checkpoint FILE    write a resumable checkpoint after every step
-                       (--checkpoint-out is an alias; also honoured by
-                       the --net coordinator/spawn modes; with
+                       (--checkpoint-out is an alias; honoured on every
+                       deployment of a single search; with
                        --jumbles > 1 it is the farm manifest)
   --resume FILE        resume a single-jumble run from a checkpoint,
                        or a farm from its manifest (--jumbles > 1)
-  --wal-dir DIR        write-ahead round log; re-running the same command
-                       resumes bit-identically from the last committed
-                       round (serial, --parallel, --net, farm)
+  --wal-dir DIR        write-ahead round log; re-running the same seed and
+                       scoring mode, on any deployment, resumes
+                       bit-identically from the last committed round
+                       (serial, --parallel, --net, farm)
   --chaos-storage-crash N  test hook: abort at the Nth durable-storage
                        operation, as a crash there would
   --outgroup T1,T2     root the output tree on this outgroup clade
@@ -254,6 +309,15 @@ fn emit_to(output: &str, text: &str) {
     }
 }
 
+/// `--jumble-trees FILE`, the determinism artifact: every jumble's tree,
+/// verbatim as the search produced it, one per line in seed order.
+fn write_jumble_trees<'a>(args: &HashMap<String, String>, trees: impl Iterator<Item = &'a str>) {
+    if let Some(path) = args.get("jumble-trees") {
+        let text: String = trees.flat_map(|tree| [tree, "\n"]).collect();
+        std::fs::write(path, text).expect("write jumble trees");
+    }
+}
+
 /// `--serve`: run the daemon until killed. Never returns on success — the
 /// scheduler thread owns the process from here.
 fn serve_mode(args: &HashMap<String, String>, flags: &[String], quiet: bool) -> ExitCode {
@@ -269,23 +333,17 @@ fn serve_mode(args: &HashMap<String, String>, flags: &[String], quiet: bool) -> 
     options.max_jobs = get(args, "max-jobs", 8);
     options.max_job_ranks = get(args, "max-job-ranks", 0);
     options.max_wall_ms = get(args, "max-wall-ms", 0);
-    if let Some(w) = args.get("wire") {
-        match WireFormat::parse(w) {
-            Some(wire) => options.wire = wire,
-            None => {
-                eprintln!("fastdnaml: --wire {w}: expected json or binary");
-                return ExitCode::FAILURE;
-            }
+    options.wire = match wire_format(args) {
+        Ok(wire) => wire,
+        Err(e) => {
+            eprintln!("fastdnaml: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     if flags.iter().any(|f| f == "spawn-workers") {
         options.spawn = Some(std::env::current_exe().expect("current executable path"));
     }
-    if let Some(path) = args.get("obs-out") {
-        options.sinks.push(Box::new(
-            JsonlSink::create(path).unwrap_or_else(|e| panic!("--obs-out {path}: {e}")),
-        ));
-    }
+    options.sinks = obs_sinks(args, false);
     let daemon = match Daemon::start(options) {
         Ok(d) => d,
         Err(e) => {
@@ -365,14 +423,7 @@ fn attach_mode(
                     );
                 }
             }
-            if let Some(path) = args.get("jumble-trees") {
-                let mut text = String::new();
-                for tree in &result.trees {
-                    text.push_str(&tree.newick);
-                    text.push('\n');
-                }
-                std::fs::write(path, text).expect("write jumble trees");
-            }
+            write_jumble_trees(args, result.trees.iter().map(|t| t.newick.as_str()));
             let best = result
                 .consensus_newick
                 .clone()
@@ -452,12 +503,7 @@ fn main() -> ExitCode {
             eprintln!("fastdnaml: --net worker requires --connect ADDR");
             return ExitCode::FAILURE;
         };
-        let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
-        if let Some(path) = args.get("obs-out") {
-            sinks.push(Box::new(
-                JsonlSink::create(path).unwrap_or_else(|e| panic!("--obs-out {path}: {e}")),
-            ));
-        }
+        let sinks = obs_sinks(&args, false);
         let die_after = args
             .get("die-after-tasks")
             .and_then(|v| v.parse::<u64>().ok());
@@ -553,7 +599,12 @@ fn main() -> ExitCode {
             eprintln!("fastdnaml: estimating {k} rate categories (DNArates pre-pass)…");
         }
         let engine = config.build_engine(&alignment);
-        let pre = fast_serial_search(&alignment, &config).expect("pre-pass search");
+        let pre_config = SearchConfig {
+            incremental: true,
+            ..config.clone()
+        };
+        let pre = ResolvedJob::single(alignment.clone(), pre_config);
+        let pre = search_in_process(&pre, SearchSession::default()).expect("pre-pass search");
         let est = estimate_rates(&engine, &pre.tree, &RateGrid::default());
         config.categories = Some(categorize(&est.per_pattern, engine.patterns().weights(), k));
     }
@@ -715,14 +766,34 @@ fn main() -> ExitCode {
         }
     };
 
+    // Observation and the multi-process universe are described once, for
+    // whichever mode runs below.
+    let obs_summary = flags.iter().any(|f| f == "obs-summary");
+    let sinks = obs_sinks(&args, obs_summary);
+    let wal_dir = args.get("wal-dir").map(std::path::PathBuf::from);
+    let net_mode = args.get("net").map(String::as_str);
+    let threads = args.get("parallel").and_then(|v| v.parse::<usize>().ok());
+    let fail = |what: &str, e: &dyn std::fmt::Display| {
+        eprintln!("fastdnaml: {what}: {e}");
+        ExitCode::FAILURE
+    };
+    let print_report = |report: &Option<RunReport>| {
+        if obs_summary {
+            match report {
+                Some(report) => println!("{report}"),
+                None => eprintln!("fastdnaml: no observability data collected"),
+            }
+        }
+    };
+
     // Multiple jumbles → the jumble farm: serial, threaded (--parallel), or
     // multi-process (--net), with an incremental majority-rule consensus
     // and a resumable manifest.
     if jumbles > 1 {
-        let seeds = job.seeds.clone();
+        let seeds = &job.seeds;
         let farm_resume = match args.get("resume") {
-            Some(path) => match load_farm_manifest(path) {
-                Ok(m) if m.seeds() != seeds => {
+            Some(path) => match load_resume(path, "farm manifest", FarmManifest::from_json) {
+                Ok(m) if m.seeds() != *seeds => {
                     eprintln!(
                         "fastdnaml: --resume {path}: manifest seeds {:?} do not match \
                          this farm's {:?} (same --jumble / --jumbles required)",
@@ -743,110 +814,46 @@ fn main() -> ExitCode {
             width: get(&args, "farm-width", 0),
             manifest_path: checkpoint_path.clone().map(std::path::PathBuf::from),
             resume: farm_resume,
-            wal_dir: args.get("wal-dir").map(std::path::PathBuf::from),
+            wal_dir,
         };
-        let obs_summary = flags.iter().any(|f| f == "obs-summary");
-        let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
-        if let Some(path) = args.get("obs-out") {
-            sinks.push(Box::new(
-                JsonlSink::create(path).unwrap_or_else(|e| panic!("--obs-out {path}: {e}")),
-            ));
-        }
-        if obs_summary && sinks.is_empty() {
-            sinks.push(Box::new(MemorySink::new()));
-        }
         let (runs, cons, report): (Vec<JumbleRun>, Consensus, Option<RunReport>) =
-            if let Some(mode) = args.get("net").map(String::as_str) {
-                if mode != "coordinator" && mode != "spawn" {
-                    eprintln!(
-                        "fastdnaml: unknown --net mode {mode:?} (coordinator | worker | spawn N)"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                let ranks: usize = get(&args, "ranks", 4);
-                let listen = args
-                    .get("listen")
-                    .map(String::as_str)
-                    .unwrap_or("127.0.0.1:0");
-                let mut net_options =
-                    match net_topology(NetOptions::new(listen, ranks).observed(sinks), &args) {
-                        Ok(o) => o,
-                        Err(e) => {
-                            eprintln!("fastdnaml: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                if mode == "spawn" {
-                    let die_rank = args.get("die-rank").and_then(|v| v.parse::<usize>().ok());
-                    let die_tasks = args
-                        .get("die-after-tasks")
-                        .and_then(|v| v.parse::<u64>().ok());
-                    net_options = net_options.spawning(NetSpawn {
-                        program: std::env::current_exe().expect("current executable path"),
-                        die_after_tasks: die_rank.zip(die_tasks),
-                        quiet,
-                        supervise: flags.iter().any(|f| f == "supervise"),
-                        max_restarts: get(&args, "max-restarts", 3),
-                    });
-                }
+            if let Some(mode) = net_mode {
+                let net_options = match net_options(mode, &args, &flags, sinks) {
+                    Ok(o) => o,
+                    Err(e) => return fail("net", &e),
+                };
                 if !quiet {
                     eprintln!(
-                        "fastdnaml: net {mode} farm: {} jumbles over {ranks} ranks via {listen}",
-                        seeds.len()
+                        "fastdnaml: net {mode} farm: {} jumbles over {} ranks via {}",
+                        seeds.len(),
+                        net_options.num_ranks,
+                        net_options.listen
                     );
                 }
                 let outcome = match net_farm_search(&job, &farm_options, net_options) {
                     Ok(o) => o,
-                    Err(e) => {
-                        eprintln!("fastdnaml: net farm: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                    Err(e) => return fail("net farm", &e),
                 };
                 if !quiet {
-                    for (rank, code) in &outcome.peer_exits {
-                        if *code != Some(0) {
-                            eprintln!("fastdnaml: peer rank {rank} exited with {code:?}");
-                        }
-                    }
+                    report_peer_exits(&outcome.peer_exits);
                 }
                 (outcome.runs, outcome.consensus, outcome.report)
-            } else if let Some(ranks) = args.get("parallel").and_then(|v| v.parse::<usize>().ok()) {
-                let outcome =
-                    match farm_search(&job, ranks, farm_options, RunOptions::observed(sinks)) {
-                        Ok(o) => o,
-                        Err(e) => {
-                            eprintln!("fastdnaml: farm: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                (outcome.runs, outcome.consensus, outcome.report)
+            } else if let Some(ranks) = threads {
+                match farm_search(&job, ranks, farm_options, RunOptions::observed(sinks)) {
+                    Ok(o) => (o.runs, o.consensus, o.report),
+                    Err(e) => return fail("farm", &e),
+                }
             } else {
-                let observing = sinks.iter().any(|s| !s.is_null());
-                let mem = if observing {
-                    let mem = MemorySink::new();
-                    sinks.push(Box::new(mem.clone()));
-                    Some(mem)
-                } else {
-                    None
-                };
-                let obs = Obs::multi(sinks);
-                let parts = match serial_farm(&alignment, &config, &seeds, &farm_options, &obs) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("fastdnaml: farm: {e}");
-                        return ExitCode::FAILURE;
+                let observer = RunObserver::start(sinks, 1, 1, &config);
+                match serial_farm(&alignment, &config, seeds, &farm_options, &observer.obs) {
+                    Ok(p) => {
+                        let report = observer.finish(p.best_ln_likelihood());
+                        (p.runs, p.consensus, report)
                     }
-                };
-                obs.flush();
-                let report = mem.map(|m| RunReport::from_events(&m.take()));
-                (parts.runs, parts.consensus, report)
+                    Err(e) => return fail("farm", &e),
+                }
             };
-        if obs_summary {
-            match &report {
-                Some(report) => println!("{report}"),
-                None => eprintln!("fastdnaml: no observability data collected"),
-            }
-        }
+        print_report(&report);
         if !quiet {
             for r in &runs {
                 eprintln!(
@@ -857,16 +864,7 @@ fn main() -> ExitCode {
                 );
             }
         }
-        // The determinism artifact: every jumble's tree, verbatim as the
-        // search produced it, one per line in seed order.
-        if let Some(path) = args.get("jumble-trees") {
-            let mut text = String::new();
-            for r in &runs {
-                text.push_str(&r.newick);
-                text.push('\n');
-            }
-            std::fs::write(path, text).expect("write jumble trees");
-        }
+        write_jumble_trees(&args, runs.iter().map(|r| r.newick.as_str()));
         emit(&newick::write(&cons.tree));
         if !quiet {
             eprintln!(
@@ -883,7 +881,7 @@ fn main() -> ExitCode {
     // log's round indices from the search's. (Farms compose the two —
     // manifest for finished jumbles, WAL for in-flight ones — because
     // there each jumble's WAL still starts at its round zero.)
-    if args.contains_key("wal-dir") && args.contains_key("resume") {
+    if wal_dir.is_some() && args.contains_key("resume") {
         eprintln!(
             "fastdnaml: --wal-dir and --resume conflict for single searches; \
              re-run with --wal-dir alone to resume from the round log"
@@ -891,7 +889,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let resume_checkpoint = match args.get("resume") {
-        Some(path) => match load_checkpoint(path) {
+        Some(path) => match load_resume(path, "checkpoint", Checkpoint::from_json) {
             Ok(cp) => Some(cp),
             Err(e) => {
                 eprintln!("fastdnaml: {e}");
@@ -901,112 +899,51 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    // Multi-process modes: coordinator (peers join from elsewhere) or
-    // spawn (the coordinator forks its own local peers).
-    if let Some(mode) = args.get("net").map(String::as_str) {
-        if mode != "coordinator" && mode != "spawn" {
-            eprintln!("fastdnaml: unknown --net mode {mode:?} (coordinator | worker | spawn N)");
-            return ExitCode::FAILURE;
-        }
-        let ranks: usize = get(&args, "ranks", 4);
-        let listen = args
-            .get("listen")
-            .map(String::as_str)
-            .unwrap_or("127.0.0.1:0");
-        let obs_summary = flags.iter().any(|f| f == "obs-summary");
-        let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
-        if let Some(path) = args.get("obs-out") {
-            sinks.push(Box::new(
-                JsonlSink::create(path).unwrap_or_else(|e| panic!("--obs-out {path}: {e}")),
-            ));
-        }
-        if obs_summary && sinks.is_empty() {
-            sinks.push(Box::new(MemorySink::new()));
-        }
-        let mut net_options =
-            match net_topology(NetOptions::new(listen, ranks).observed(sinks), &args) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("fastdnaml: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        net_options.checkpoint_out = checkpoint_path.clone().map(std::path::PathBuf::from);
-        net_options.resume = resume_checkpoint;
-        net_options.wal_dir = args.get("wal-dir").map(std::path::PathBuf::from);
-        if mode == "spawn" {
-            let die_rank = args.get("die-rank").and_then(|v| v.parse::<usize>().ok());
-            let die_tasks = args
-                .get("die-after-tasks")
-                .and_then(|v| v.parse::<u64>().ok());
-            net_options = net_options.spawning(NetSpawn {
-                program: std::env::current_exe().expect("current executable path"),
-                die_after_tasks: die_rank.zip(die_tasks),
-                quiet,
-                supervise: flags.iter().any(|f| f == "supervise"),
-                max_restarts: get(&args, "max-restarts", 3),
-            });
-        }
+    let session = SearchSession {
+        checkpoint_out: checkpoint_path.map(std::path::PathBuf::from),
+        resume: resume_checkpoint,
+        wal_dir,
+        trace: None,
+    };
+
+    // A single search, the same one on every deployment: multi-process
+    // (coordinator: peers join from elsewhere; spawn: the coordinator
+    // forks its own local peers), threaded, or in process.
+    let result: SearchResult = if let Some(mode) = net_mode {
+        let mut net_options = match net_options(mode, &args, &flags, sinks) {
+            Ok(o) => o,
+            Err(e) => return fail("net", &e),
+        };
+        net_options.session = session;
+        let ranks = net_options.num_ranks;
         if !quiet {
-            eprintln!("fastdnaml: net {mode}: {ranks} ranks via {listen}");
+            eprintln!(
+                "fastdnaml: net {mode}: {ranks} ranks via {}",
+                net_options.listen
+            );
         }
         let outcome = match net_coordinator_search(&job, net_options) {
             Ok(o) => o,
-            Err(e) => {
-                eprintln!("fastdnaml: net coordinator: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail("net coordinator", &e),
         };
-        if obs_summary {
-            match &outcome.report {
-                Some(report) => println!("{report}"),
-                None => eprintln!("fastdnaml: no observability data collected"),
-            }
-        }
+        print_report(&outcome.report);
         if !quiet {
             eprintln!(
                 "fastdnaml: lnL {:.4} over {} process ranks",
                 outcome.result.ln_likelihood, ranks
             );
-            for (rank, code) in &outcome.peer_exits {
-                if *code != Some(0) {
-                    eprintln!("fastdnaml: peer rank {rank} exited with {code:?}");
-                }
-            }
+            report_peer_exits(&outcome.peer_exits);
         }
-        emit(&render_tree(&outcome.result.tree));
-        return ExitCode::SUCCESS;
-    }
-
-    // Single search: parallel, resumable-serial, or plain serial.
-    if let Some(ranks) = args.get("parallel").and_then(|v| v.parse::<usize>().ok()) {
-        let obs_summary = flags.iter().any(|f| f == "obs-summary");
-        let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
-        if let Some(path) = args.get("obs-out") {
-            sinks.push(Box::new(
-                JsonlSink::create(path).unwrap_or_else(|e| panic!("--obs-out {path}: {e}")),
-            ));
-        }
-        if obs_summary && sinks.is_empty() {
-            // No event log requested, but the report still needs the stream.
-            sinks.push(Box::new(MemorySink::new()));
-        }
+        outcome.result
+    } else if let Some(ranks) = threads {
         let mut run_options = RunOptions::observed(sinks);
         run_options.regions = get(&args, "regions", 0);
-        run_options.wal_dir = args.get("wal-dir").map(std::path::PathBuf::from);
+        run_options.session = session;
         let outcome = match parallel_search(&job, ranks, run_options) {
             Ok(o) => o,
-            Err(e) => {
-                eprintln!("fastdnaml: parallel search: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail("parallel search", &e),
         };
-        if obs_summary {
-            match &outcome.report {
-                Some(report) => println!("{report}"),
-                None => eprintln!("fastdnaml: no observability data collected"),
-            }
-        }
+        print_report(&outcome.report);
         if !quiet {
             eprintln!(
                 "fastdnaml: lnL {:.4} ({} trees over {} workers, {} timeouts)",
@@ -1016,69 +953,20 @@ fn main() -> ExitCode {
                 outcome.foreman.timeouts
             );
         }
-        emit(&render_tree(&outcome.result.tree));
-        return ExitCode::SUCCESS;
-    }
-
-    let wal_dir = args.get("wal-dir").map(std::path::PathBuf::from);
-    let result = if checkpoint_path.is_some() || resume_checkpoint.is_some() || wal_dir.is_some() {
-        let engine = config.build_engine(&alignment);
-        let executor = ScorerExecutor::new(&engine, config.optimize);
-        let mut search = StepwiseSearch::new(&config, executor, alignment.num_taxa())
-            .with_names(alignment.names().to_vec());
-        if let Some(cp) = resume_checkpoint {
-            search = search.resume_from(cp);
-        }
-        if let Some(path) = checkpoint_path.clone() {
-            let path = std::path::PathBuf::from(path);
-            search = search.on_checkpoint(move |cp| {
-                cp.save(&path).expect("write checkpoint");
-            });
-        }
-        let obs = Obs::disabled();
-        let mut wal_session = match &wal_dir {
-            Some(dir) => {
-                match WalSession::open(dir, 0, config.jumble_seed, alignment.num_taxa(), &obs) {
-                    Ok(session) => Some(session),
-                    Err(e) => {
-                        eprintln!("fastdnaml: --wal-dir {}: {e}", dir.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            None => None,
-        };
-        if let Some(session) = &mut wal_session {
-            let rounds = session.take_rounds();
-            search = search.resume_from_wal(rounds).on_wal(session.hook());
-        }
-        match search.run() {
-            Ok(r) => {
-                if let Some(session) = wal_session {
-                    if let Err(e) = session.finish_and_retire() {
-                        eprintln!("fastdnaml: wal: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                r
-            }
-            Err(e) => {
-                eprintln!("fastdnaml: search: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if config.incremental {
-        // Base + edit scoring without a runtime: the in-process scorer.
-        fast_serial_search(&alignment, &config).expect("search")
+        outcome.result
     } else {
-        serial_search(&alignment, &config).expect("search")
+        let result = match search_in_process(&job, session) {
+            Ok(r) => r,
+            Err(e) => return fail("search", &e),
+        };
+        if !quiet {
+            eprintln!(
+                "fastdnaml: lnL {:.4} after {} candidate trees in {} rounds",
+                result.ln_likelihood, result.candidates_evaluated, result.rounds
+            );
+        }
+        result
     };
-    if !quiet {
-        eprintln!(
-            "fastdnaml: lnL {:.4} after {} candidate trees in {} rounds",
-            result.ln_likelihood, result.candidates_evaluated, result.rounds
-        );
-    }
     emit(&render_tree(&result.tree));
     ExitCode::SUCCESS
 }

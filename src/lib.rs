@@ -11,7 +11,8 @@
 //! * [`likelihood`] — the F84 maximum-likelihood kernel with Newton
 //!   branch-length optimization and rate categories.
 //! * [`rates`] — the DNArates analog (per-site rate estimation).
-//! * [`comm`] — the message-passing abstraction (serial / threads).
+//! * [`comm`] — the message-passing abstraction (threads; the sequential
+//!   loopback lives in [`core`]).
 //! * [`chaos`] — the deterministic chaos harness: seeded fault schedules
 //!   applied through a transport wrapper.
 //! * [`core`] — the fastDNAml search and the master / foreman / worker /
@@ -44,7 +45,8 @@
 //! ]).unwrap();
 //!
 //! let config = SearchConfig { jumble_seed: 137, ..SearchConfig::default() };
-//! let result = serial_search(&alignment, &config).unwrap();
+//! let job = ResolvedJob::single(alignment, config);
+//! let result = search_in_process(&job, SearchSession::default()).unwrap();
 //! assert_eq!(result.tree.num_tips(), 4);
 //! assert!(result.ln_likelihood < 0.0);
 //! ```
@@ -70,7 +72,9 @@ pub mod prelude {
     pub use fdml_comm::transport::Transport;
     pub use fdml_core::config::SearchConfig;
     pub use fdml_core::job::ResolvedJob;
-    pub use fdml_core::runner::{parallel_search, serial_search, RunOptions};
+    pub use fdml_core::runner::{
+        parallel_search, search_in_process, search_on, RunOptions, SearchSession,
+    };
     pub use fdml_core::search::SearchResult;
     pub use fdml_likelihood::engine::LikelihoodEngine;
     pub use fdml_likelihood::f84::F84Model;

@@ -14,7 +14,7 @@ use fastdnaml::core::checkpoint::FarmManifest;
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::farm::FarmOptions;
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{farm_search, parallel_search, RunOptions};
+use fastdnaml::core::runner::{farm_search, parallel_search, RunOptions, SearchSession};
 use fastdnaml::obs::{MemorySink, Sink};
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::newick;
@@ -231,7 +231,10 @@ fn coordinator_storage_kill_under_worker_chaos_resumes_byte_identical() {
     std::fs::create_dir_all(&dir).unwrap();
     let wal_opts = |plan: Option<&ChaosPlan>| RunOptions {
         chaos: plan.cloned(),
-        wal_dir: Some(dir.clone()),
+        session: SearchSession {
+            wal_dir: Some(dir.clone()),
+            ..SearchSession::default()
+        },
         ..RunOptions::default()
     };
 

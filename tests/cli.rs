@@ -325,41 +325,48 @@ fn help_flags_print_usage() {
         .contains("--grid-points"));
 }
 
+/// Run the serial program on the fixture (seed 7), return its stdout.
+fn serial_run(dir: &std::path::Path, flags: &[&str]) -> String {
+    let out = fastdnaml()
+        .args(["--input"])
+        .arg(dir.join("data.phy"))
+        .args(["--jumble", "7", "--quiet"])
+        .args(flags)
+        .output()
+        .expect("run fastdnaml");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap().trim().to_string()
+}
+
 #[test]
-fn serial_incremental_flag_selects_the_scorer_executor() {
+fn serial_incremental_flag_selects_the_scoring_mode() {
     use fastdnaml::core::config::SearchConfig;
-    use fastdnaml::core::runner::{fast_serial_search, serial_search};
+    use fastdnaml::core::job::ResolvedJob;
+    use fastdnaml::core::runner::{search_in_process, SearchSession};
     use fastdnaml::phylo::{newick, phylip};
 
     let dir = workdir("serial_inc");
-    let run = |flags: &[&str]| -> String {
-        let out = fastdnaml()
-            .args(["--input"])
-            .arg(dir.join("data.phy"))
-            .args(["--jumble", "7", "--quiet"])
-            .args(flags)
-            .output()
-            .expect("run fastdnaml");
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).unwrap().trim().to_string()
-    };
-    // What each executor produces for this search, from the library.
+    let run = |flags: &[&str]| serial_run(&dir, flags);
+    // What each scoring mode produces for this search, from the library.
     let alignment = phylip::parse(PHYLIP).unwrap();
-    let config = SearchConfig {
-        jumble_seed: 7,
-        ..SearchConfig::default()
+    let library = |incremental: bool| {
+        let config = SearchConfig {
+            jumble_seed: 7,
+            incremental,
+            ..SearchConfig::default()
+        };
+        let job = ResolvedJob::single(alignment.clone(), config);
+        let result = search_in_process(&job, SearchSession::default()).unwrap();
+        newick::write_tree(&result.tree, alignment.names())
     };
-    let whole_tree = serial_search(&alignment, &config).unwrap().tree;
-    let whole_tree = newick::write_tree(&whole_tree, alignment.names());
-    let scorer = fast_serial_search(&alignment, &config).unwrap().tree;
-    let scorer = newick::write_tree(&scorer, alignment.names());
+    let (whole_tree, scorer) = (library(false), library(true));
     assert_ne!(
         whole_tree, scorer,
-        "the two executors must be told apart by their bytes on this seed"
+        "the two scoring modes must be told apart by their bytes on this seed"
     );
 
     // Whole-tree scoring stays the default, and the escape hatch wins.
@@ -368,5 +375,41 @@ fn serial_incremental_flag_selects_the_scorer_executor() {
     assert_eq!(run(&["--incremental", "--no-incremental"]), whole_tree);
     // The flag is no longer ignored by the serial program.
     assert_eq!(run(&["--incremental"]), scorer);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn persistence_flags_do_not_change_the_serial_scoring_mode() {
+    // `--checkpoint`, `--resume` and `--wal-dir` used to route the serial
+    // program through the edit scorer whatever the scoring flags said.
+    let dir = workdir("serial_persist");
+    let (wal, cp) = (dir.join("wal"), dir.join("cp.json"));
+    let (wal, cp) = (wal.to_str().unwrap(), cp.to_str().unwrap());
+    let modes = ["--no-incremental", "--incremental"];
+    let plain = modes.map(|mode| serial_run(&dir, &[mode]));
+    assert_ne!(plain[0], plain[1], "the modes differ on this seed");
+    for (mode, plain) in modes.iter().zip(&plain) {
+        assert_eq!(
+            &serial_run(&dir, &[mode, "--wal-dir", wal]),
+            plain,
+            "{mode}"
+        );
+        assert_eq!(
+            &serial_run(&dir, &[mode, "--checkpoint", cp]),
+            plain,
+            "{mode}"
+        );
+        assert_eq!(
+            &serial_run(&dir, &[mode, "--checkpoint", cp, "--wal-dir", wal]),
+            plain,
+            "{mode}"
+        );
+        // A completed run retires its log: the directory is left empty.
+        assert_eq!(std::fs::read_dir(wal).unwrap().count(), 0, "{mode}");
+    }
+    // `--help` says which mode farm jumbles run in.
+    let help = fastdnaml().args(["--help"]).output().expect("run");
+    let help = String::from_utf8(help.stdout).unwrap();
+    assert!(help.contains("always edit-scored"), "help: {help}");
     std::fs::remove_dir_all(dir).ok();
 }

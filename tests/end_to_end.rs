@@ -3,11 +3,37 @@
 //! would.
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::runner::{fast_serial_search, run_jumbles, serial_search};
+use fastdnaml::core::farm::{serial_farm, FarmOptions};
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{search_in_process, SearchSession};
+use fastdnaml::core::search::SearchResult;
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::likelihood::engine::LikelihoodEngine;
+use fastdnaml::obs::Obs;
+use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::bipartition::{robinson_foulds, SplitSet};
 use fastdnaml::phylo::{newick, phylip};
+
+/// The serial program: the same search over the in-process transport.
+fn serial_search(
+    alignment: &Alignment,
+    config: &SearchConfig,
+) -> Result<SearchResult, fastdnaml::phylo::error::PhyloError> {
+    let job = ResolvedJob::single(alignment.clone(), config.clone());
+    search_in_process(&job, SearchSession::default())
+}
+
+/// The same, edit-scored (`--incremental`).
+fn edit_scored_search(
+    alignment: &Alignment,
+    config: &SearchConfig,
+) -> Result<SearchResult, fastdnaml::phylo::error::PhyloError> {
+    let config = SearchConfig {
+        incremental: true,
+        ..config.clone()
+    };
+    serial_search(alignment, &config)
+}
 
 #[test]
 fn search_recovers_generating_topology_with_strong_signal() {
@@ -27,7 +53,7 @@ fn search_recovers_generating_topology_with_strong_signal() {
         final_radius: 2,
         ..SearchConfig::default()
     };
-    let result = fast_serial_search(&alignment, &config).expect("search succeeds");
+    let result = edit_scored_search(&alignment, &config).expect("search succeeds");
     assert_eq!(
         robinson_foulds(&result.tree, &truth, 10),
         0,
@@ -66,7 +92,7 @@ fn full_and_fast_modes_agree_on_likelihood_scale() {
         ..SearchConfig::default()
     };
     let full = serial_search(&alignment, &config).expect("full");
-    let fast = fast_serial_search(&alignment, &config).expect("fast");
+    let fast = edit_scored_search(&alignment, &config).expect("fast");
     assert!(
         (full.ln_likelihood - fast.ln_likelihood).abs() < 1.0,
         "full {} vs fast {}",
@@ -90,8 +116,15 @@ fn consensus_of_jumbles_contains_well_supported_truth() {
         final_radius: 2,
         ..SearchConfig::default()
     };
-    let (results, consensus) =
-        run_jumbles(&alignment, &config, &[1, 5, 9]).expect("jumbles succeed");
+    let farm = serial_farm(
+        &alignment,
+        &config,
+        &[1, 5, 9],
+        &FarmOptions::default(),
+        &Obs::disabled(),
+    )
+    .expect("jumbles succeed");
+    let (results, consensus) = (farm.runs, farm.consensus);
     assert_eq!(results.len(), 3);
     // The consensus must be mostly made of true splits.
     let truth_splits = SplitSet::of_tree(&truth, 12);

@@ -20,7 +20,8 @@
 //! concurrent tests flipping it cannot change any asserted value.
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::runner::serial_search;
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{search_in_process, SearchSession};
 use fastdnaml::datagen::evolve::{evolve, EvolutionConfig};
 use fastdnaml::datagen::randtree::yule_tree;
 use fastdnaml::likelihood::categories::RateCategories;
@@ -198,7 +199,11 @@ fn full_search_trees_are_byte_identical_across_the_matrix() {
         jumble_seed: 3,
         ..SearchConfig::default()
     };
-    let base = serial_search(&alignment, &base_cfg).unwrap();
+    let serial_search = |config: &SearchConfig| {
+        let job = ResolvedJob::single(alignment.clone(), config.clone());
+        search_in_process(&job, SearchSession::default())
+    };
+    let base = serial_search(&base_cfg).unwrap();
     let base_newick = newick::write_tree(&base.tree, alignment.names());
     for lane in lanes() {
         isa::set_isa(Some(lane)).unwrap();
@@ -207,7 +212,7 @@ fn full_search_trees_are_byte_identical_across_the_matrix() {
                 intra_threads: threads,
                 ..base_cfg.clone()
             };
-            let got = serial_search(&alignment, &cfg).unwrap();
+            let got = serial_search(&cfg).unwrap();
             assert_eq!(
                 got.ln_likelihood.to_bits(),
                 base.ln_likelihood.to_bits(),

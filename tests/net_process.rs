@@ -323,3 +323,130 @@ fn incremental_search_is_identical_at_every_fleet_size_and_topology() {
     }
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// Every way of deploying a search, one worker to four, flat and
+/// hierarchical, with and without a runtime.
+const DEPLOYMENTS: [&[&str]; 5] = [
+    &[],
+    &["--parallel", "4"],
+    &["--parallel", "6"],
+    &["--net", "spawn", "5"],
+    &["--net", "spawn", "9", "--regions", "2"],
+];
+
+#[test]
+fn every_deployment_emits_the_same_tree_and_the_same_wal_records() {
+    use fastdnaml::chaos::storage::{self, StoragePlan};
+    use fastdnaml::core::config::SearchConfig;
+    use fastdnaml::core::job::ResolvedJob;
+    use fastdnaml::core::runner::{search_in_process, SearchSession};
+    use fastdnaml::core::wal;
+
+    let dir = workdir("identity");
+    let alignment = fastdnaml::phylo::phylip::parse(PHYLIP).unwrap();
+    let search = |seed: &str, mode: &str, deployment: &[&str], extra: &[&str]| {
+        let mut cmd = fastdnaml();
+        cmd.args(["--input"])
+            .arg(dir.join("data.phy"))
+            .args(["--jumble", seed, mode, "--quiet"])
+            .args(deployment)
+            .args(extra);
+        cmd.output().expect("run fastdnaml")
+    };
+    for seed in [1u64, 5, 7, 11] {
+        for incremental in [false, true] {
+            let mode = if incremental {
+                "--incremental"
+            } else {
+                "--no-incremental"
+            };
+            let seed_arg = seed.to_string();
+            // The in-process run with no runtime at all is the reference.
+            let mut trees = DEPLOYMENTS.iter().map(|deployment| {
+                let out = search(&seed_arg, mode, deployment, &[]);
+                assert!(out.status.success(), "{deployment:?} failed");
+                String::from_utf8(out.stdout).unwrap()
+            });
+            let reference = trees.next().unwrap();
+            for (tree, deployment) in trees.zip(&DEPLOYMENTS[1..]) {
+                assert_eq!(tree, reference, "seed {seed} {mode} {deployment:?}");
+            }
+
+            // The round log, compared as the bytes a crash at the log's
+            // last storage operation leaves behind: count the operations
+            // of the search in process, then stop every deployment there.
+            let config = SearchConfig {
+                jumble_seed: seed,
+                incremental,
+                ..SearchConfig::default()
+            };
+            let session = SearchSession {
+                wal_dir: Some(dir.join("probe")),
+                ..SearchSession::default()
+            };
+            storage::install(StoragePlan::quiet(0));
+            search_in_process(&ResolvedJob::single(alignment.clone(), config), session).unwrap();
+            let last_op = (storage::clear().ops - 1).to_string();
+            let mut logs = DEPLOYMENTS.iter().enumerate().map(|(i, deployment)| {
+                let wal_dir = dir.join(format!("wal-{seed}-{incremental}-{i}"));
+                let out = search(
+                    &seed_arg,
+                    mode,
+                    deployment,
+                    &[
+                        "--wal-dir",
+                        wal_dir.to_str().unwrap(),
+                        "--chaos-storage-crash",
+                        &last_op,
+                    ],
+                );
+                assert!(
+                    !out.status.success(),
+                    "{deployment:?}: crash did not surface"
+                );
+                let rounds = wal::load(&wal_dir, 0, seed).unwrap().unwrap().rounds;
+                assert!(rounds.len() > 4, "{deployment:?}: {} rounds", rounds.len());
+                std::fs::read(wal::wal_path(&wal_dir, 0, seed)).unwrap()
+            });
+            let reference = logs.next().unwrap();
+            for (log, deployment) in logs.zip(&DEPLOYMENTS[1..]) {
+                assert_eq!(log, reference, "seed {seed} {mode} {deployment:?}: wal");
+            }
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_farm_jumble_is_the_single_edit_scored_search_of_its_seed() {
+    let dir = workdir("farm_lines");
+    let trees = dir.join("trees.txt");
+    run(
+        &dir,
+        &[
+            "--jumbles",
+            "3",
+            "--quiet",
+            "--jumble-trees",
+            trees.to_str().unwrap(),
+        ],
+    );
+    let lines = std::fs::read_to_string(&trees).expect("jumble trees written");
+    // `run` searches from seed 7, so the farm planned seeds 7, 9, 11.
+    for (line, seed) in lines.lines().zip(["7", "9", "11"]) {
+        let out = fastdnaml()
+            .args(["--input"])
+            .arg(dir.join("data.phy"))
+            .args(["--jumble", seed, "--incremental", "--quiet"])
+            .output()
+            .expect("run fastdnaml");
+        assert!(out.status.success());
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap().trim(),
+            line,
+            "seed {seed}"
+        );
+    }
+    assert_eq!(lines.lines().count(), 3);
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -5,12 +5,22 @@
 use fastdnaml::comm::fault::FaultPlan;
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{parallel_search, serial_search, RunOptions};
+use fastdnaml::core::runner::{parallel_search, search_in_process, RunOptions, SearchSession};
+use fastdnaml::core::search::SearchResult;
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::bipartition::SplitSet;
 use std::collections::HashMap;
 use std::time::Duration;
+
+/// The serial program: the same search over the in-process transport.
+fn serial_search(
+    alignment: &Alignment,
+    config: &SearchConfig,
+) -> Result<SearchResult, fastdnaml::phylo::error::PhyloError> {
+    let job = ResolvedJob::single(alignment.clone(), config.clone());
+    search_in_process(&job, SearchSession::default())
+}
 
 fn dataset() -> Alignment {
     let tree = yule_tree(9, 0.1, 51);
@@ -38,6 +48,13 @@ fn worker_count_does_not_change_the_answer() {
             "ranks = {ranks}: serial {} vs parallel {}",
             serial.ln_likelihood,
             outcome.result.ln_likelihood
+        );
+        // One call stream: not merely the same topology, the same tree.
+        assert_eq!(serial.tree, outcome.result.tree, "ranks = {ranks}");
+        assert_eq!(
+            serial.ln_likelihood.to_bits(),
+            outcome.result.ln_likelihood.to_bits(),
+            "ranks = {ranks}"
         );
     }
 }

@@ -3,8 +3,8 @@
 //! restart-resume, and typed admission control.
 
 use fastdnaml::comm::job::{JobSpec, JobState, RejectReason};
-use fastdnaml::core::farm::run_one_jumble;
 use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{search_in_process, SearchSession};
 use fastdnaml::core::worker::run_worker;
 use fastdnaml::net::TcpTransport;
 use fastdnaml::obs::Obs;
@@ -31,15 +31,21 @@ const PHYLIP_A: &str = " 5 16\nta0 ACGTACGTACGTACGT\nta1 ACGTACGAACGTACGA\nta2 A
 const PHYLIP_B: &str = " 4 16\ntb0 AAGTACGTAGGTACGT\ntb1 ACGTACTAACGTACTA\ntb2 ACTTACGAACGAACGA\ntb3 TCTTAGGAACGATCGA\n";
 
 /// The ground truth the daemon must reproduce byte-for-byte: every
-/// planned seed run through the single-jumble code path, serially.
+/// planned seed as the single edit-scored search under that seed
+/// (`--jumble seed --incremental`), serially and in process.
 fn serial_reference(spec: &JobSpec) -> Vec<(u64, String, f64)> {
     let resolved = ResolvedJob::from_spec(spec).unwrap();
-    let engine = resolved.config.build_engine(&resolved.alignment);
     resolved
         .seeds
         .iter()
         .map(|&seed| {
-            let run = run_one_jumble(&engine, &resolved.alignment, &resolved.config, seed).unwrap();
+            let config = SearchConfig {
+                jumble_seed: seed,
+                incremental: true,
+                ..resolved.config.clone()
+            };
+            let single = ResolvedJob::single(resolved.alignment.clone(), config);
+            let run = search_in_process(&single, SearchSession::default()).unwrap();
             (
                 seed,
                 newick::write_tree(&run.tree, resolved.alignment.names()),

@@ -3,7 +3,8 @@
 //! just from synthetic ones.
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::runner::traced_search;
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{search_in_process, SearchSession};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::simsp::{scaling_table, simulate_trace, CostModel, SimConfig};
 
@@ -14,10 +15,17 @@ fn real_trace(taxa: usize, radius: usize) -> fastdnaml::core::trace::SearchTrace
         jumble_seed: 1,
         rearrange_radius: radius,
         final_radius: radius,
+        incremental: true,
         ..SearchConfig::default()
     };
-    let (_, trace) = traced_search(&alignment, &config, "itest", false).expect("traced search");
-    trace
+    let session = SearchSession {
+        trace: Some("itest".into()),
+        ..SearchSession::default()
+    };
+    search_in_process(&ResolvedJob::single(alignment, config), session)
+        .expect("traced search")
+        .trace
+        .expect("trace requested")
 }
 
 #[test]

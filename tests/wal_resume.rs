@@ -2,26 +2,28 @@
 //!
 //! The contract under test: a coordinator killed at any point and
 //! relaunched with the same command line produces the byte-identical
-//! final tree. The WAL replays an exact executor-call sequence, so a
-//! resumed run must consume a log its own deployment wrote — the matrix
-//! therefore *manufactures* real interrupted logs instead of synthesizing
-//! them: a storage-fault plan on the coordinator thread kills the log at
-//! every write boundary (`fdml_chaos::storage` faults are thread-local,
-//! and the master runs inline on the calling thread), leaving exactly the
-//! file a `kill -9` at that instant would have left. Each leftover log is
-//! then resumed through the real deployment paths: the threaded runtime,
-//! the multi-process TCP runtime via the CLI, the jumble farm (whose
-//! workers resume mid-jumble through the `JumbleResume` task), and both
-//! scoring modes.
+//! final tree — and, because every deployment runs the one executor and so
+//! commits the same rounds, relaunched on *any* deployment of the same
+//! seed and scoring mode. The matrix *manufactures* real interrupted logs
+//! instead of synthesizing them: a storage-fault plan on the coordinator
+//! thread kills the log at every write boundary (`fdml_chaos::storage`
+//! faults are thread-local, and the master runs inline on the calling
+//! thread), leaving exactly the file a `kill -9` at that instant would
+//! have left. Each leftover log is then resumed through the real
+//! deployment paths: the threaded runtime, the in-process program, the
+//! multi-process TCP runtime via the CLI, the jumble farm (whose workers
+//! resume mid-jumble through the `JumbleResume` task), and both scoring
+//! modes.
 
 use fastdnaml::chaos::storage::{self, StoragePlan};
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::executor::ScorerExecutor;
 use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmOptions};
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{farm_search, parallel_search, RunOptions};
-use fastdnaml::core::search::StepwiseSearch;
+use fastdnaml::core::runner::{
+    farm_search, parallel_search, search_in_process, RunOptions, SearchSession,
+};
 use fastdnaml::core::wal::{self, WalRound, WalWriter};
+use fastdnaml::core::worker::Evaluator;
 use fastdnaml::obs::{Event, MemorySink, Obs};
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::{newick, phylip};
@@ -61,11 +63,29 @@ fn run_threads(
         Some(m) => RunOptions::observed(vec![Box::new(m.clone())]),
         None => RunOptions::default(),
     };
-    options.wal_dir = Some(wal_dir.to_path_buf());
+    options.session.wal_dir = Some(wal_dir.to_path_buf());
     let outcome = parallel_search(&job, 4, options).map_err(|e| e.to_string())?;
     Ok((
         newick::write_tree(&outcome.result.tree, alignment.names()),
         outcome.result.ln_likelihood.to_bits(),
+    ))
+}
+
+/// Run the in-process search with a WAL in `wal_dir`.
+fn run_in_process(
+    alignment: &Alignment,
+    config: &SearchConfig,
+    wal_dir: &Path,
+) -> Result<(String, u64), String> {
+    let job = ResolvedJob::single(alignment.clone(), config.clone());
+    let session = SearchSession {
+        wal_dir: Some(wal_dir.to_path_buf()),
+        ..SearchSession::default()
+    };
+    let result = search_in_process(&job, session).map_err(|e| e.to_string())?;
+    Ok((
+        newick::write_tree(&result.tree, alignment.names()),
+        result.ln_likelihood.to_bits(),
     ))
 }
 
@@ -173,6 +193,56 @@ fn torn_tail_resumes_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One canonical call stream: a log interrupted under the threaded
+/// runtime resumes in process, and a log interrupted in process resumes
+/// under the threaded runtime — at every write boundary in whole-tree mode,
+/// spot-checked across the op range in edit-scored mode — to the bytes of
+/// the uninterrupted run, which are the same bytes on both.
+#[test]
+fn logs_replay_across_deployments() {
+    type Run = fn(&Alignment, &SearchConfig, &Path) -> Result<(String, u64), String>;
+    let threads: Run = |a, c, dir| run_threads(a, c, dir, None);
+    let in_process: Run = run_in_process;
+    let alignment = dataset();
+    let dir = workdir("cross");
+    for incremental in [false, true] {
+        let config = SearchConfig {
+            jumble_seed: 7,
+            incremental,
+            ..SearchConfig::default()
+        };
+        let expected = in_process(&alignment, &config, &dir.join("clean")).expect("clean run");
+        for (tag, writer, resumer) in [
+            ("threads-to-process", threads, in_process),
+            ("process-to-threads", in_process, threads),
+        ] {
+            storage::install(StoragePlan::quiet(0));
+            let clean = writer(&alignment, &config, &dir.join("probe")).expect("probe run");
+            let total_ops = storage::clear().ops;
+            assert_eq!(clean, expected, "{tag}: deployments disagree uninterrupted");
+            let ops: Vec<u64> = if incremental {
+                vec![0, 1, total_ops / 2, total_ops - 1]
+            } else {
+                (0..total_ops).collect()
+            };
+            for op in ops {
+                let wal_dir = dir.join(format!("{tag}-{incremental}-op{op}"));
+                storage::install(StoragePlan::quiet(0).crash_at(op));
+                let crashed = writer(&alignment, &config, &wal_dir);
+                storage::clear();
+                assert!(crashed.is_err(), "{tag} op {op}: crash did not surface");
+                let resumed = resumer(&alignment, &config, &wal_dir).expect("resume");
+                assert_eq!(resumed, expected, "{tag} op {op} incremental {incremental}");
+                assert!(
+                    !wal::wal_path(&wal_dir, 0, config.jumble_seed).exists(),
+                    "{tag} op {op}: wal not retired after the cross-deployment resume"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The incremental (base + edit) scoring mode resumes its own interrupted
 /// logs just like whole-tree mode: same sweep, spot-checked across the op
 /// range.
@@ -210,10 +280,10 @@ fn incremental_mode_resumes_its_own_log() {
 }
 
 /// The multi-process TCP deployment, driven through the real CLI: logs
-/// interrupted at assorted boundaries (manufactured in-process — the
-/// threaded and TCP coordinators run the identical master search, so
-/// their logs are interchangeable) must resume under `--net spawn
-/// --wal-dir` to output files byte-identical to the clean run's.
+/// interrupted at assorted boundaries (manufactured under the threaded
+/// runtime — every deployment runs the identical master search, so their
+/// logs are interchangeable) must resume under `--net spawn --wal-dir` to
+/// output files byte-identical to the clean run's.
 #[test]
 fn net_resume_interrupted_logs_via_cli() {
     let alignment = dataset();
@@ -270,9 +340,9 @@ fn net_resume_interrupted_logs_via_cli() {
 /// `JumbleResume` task (replaying the prefix, streaming only new rounds
 /// back), the farm's trees stay byte-identical to the un-killed serial
 /// farm, and every log is retired as its jumble completes — so the WAL
-/// directory is empty at the end no matter how many jumbles ran. Farm
-/// jumbles score through the `ScorerExecutor` in every deployment, so a
-/// serially recorded per-jumble log is the real artifact here.
+/// directory is empty at the end no matter how many jumbles ran. A farm
+/// jumble is `Evaluator::jumble` in every deployment, so a per-jumble log
+/// recorded from it here is the real artifact.
 #[test]
 fn farm_resumes_inflight_jumbles_and_bounds_wal_dir() {
     let alignment = dataset();
@@ -293,25 +363,17 @@ fn farm_resumes_inflight_jumbles_and_bounds_wal_dir() {
     .expect("serial farm");
     let expected: Vec<&str> = baseline.runs.iter().map(|r| r.newick.as_str()).collect();
 
-    // Record each jumble's full log (the farm's own executor flavor).
-    let engine = config.build_engine(&alignment);
+    // Record each jumble's full log, from the code every worker runs.
+    let evaluator =
+        Evaluator::for_problem(&phylip::write(&alignment), &config.engine_config_json())
+            .expect("problem installs");
     let logs: Vec<Vec<WalRound>> = seeds
         .iter()
         .map(|&seed| {
-            let per = SearchConfig {
-                jumble_seed: seed,
-                ..config.clone()
-            };
             let mut log: Vec<WalRound> = Vec::new();
-            StepwiseSearch::new(
-                &per,
-                ScorerExecutor::new(&engine, per.optimize),
-                alignment.num_taxa(),
-            )
-            .with_names(alignment.names().to_vec())
-            .on_wal(|round| log.push(round.clone()))
-            .run()
-            .expect("jumble baseline");
+            evaluator
+                .jumble(seed, Vec::new(), |round| log.push(round.clone()))
+                .expect("jumble baseline");
             log
         })
         .collect();
