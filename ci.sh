@@ -170,6 +170,20 @@ cmp "$SMOKE/wire_json.nwk" "$SMOKE/threads.nwk"
   --output "$SMOKE/hier.nwk"
 cmp "$SMOKE/hier.nwk" "$SMOKE/threads.nwk"
 
+# One scheduler core. The ladder (dispatch, timeout, probe, result,
+# WorkerReady, PeerDown) is the pure machine of core/src/sched.rs, driven
+# under a virtual clock by its unit tests; everything that receives, sends
+# or reads the clock is the one shell in foreman.rs. Neither a second copy
+# of the ladder nor I/O inside the machine may come back.
+cargo test -q -p fdml-core --lib sched
+if awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/sched.rs |
+  grep -nE 'Transport|recv_timeout|Instant::now|thread::sleep|serde_json'; then
+  echo "scheduler purity: crates/core/src/sched.rs touches I/O or the clock"
+  exit 1
+fi
+test "$(cat crates/core/src/*.rs | grep -c 'ready queue emptied mid-dispatch')" -eq 1
+test "$(cat crates/core/src/*.rs | grep -c 'the flat ladder, verbatim')" -eq 0
+
 # Scale smoke: the simulated 1024-rank hierarchical replay must complete
 # the identical task set with identical total compute to the flat replay,
 # hold per-rank efficiency within 20% of its 64-rank figure, and beat

@@ -30,9 +30,10 @@ pub enum FaultKind {
 }
 
 /// A fault plan: apply `kind` to the first `count` outgoing result
-/// messages (`TreeResult` or `JumbleResult`), then behave normally. For
-/// [`FaultKind::Disconnect`] the `count` is instead how many results are
-/// let *through* before the link is severed.
+/// messages (`TreeResult` or `JumbleResult`, alone or inside a `Batch`
+/// frame), then behave normally. For [`FaultKind::Disconnect`] the `count`
+/// is instead how many results are let *through* before the link is
+/// severed; a frame carrying more results than remain is lost whole.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// The fault to inject.
@@ -66,6 +67,16 @@ impl FaultPlan {
             kind: FaultKind::Disconnect,
             count,
         }
+    }
+}
+
+/// How many results one outgoing frame carries: a regional foreman streams
+/// them upward inside `Batch` frames, a worker sends them bare.
+fn results_in(msg: &Message) -> u64 {
+    match msg {
+        Message::TreeResult { .. } | Message::JumbleResult { .. } => 1,
+        Message::Batch { msgs } => msgs.iter().map(results_in).sum(),
+        _ => 0,
     }
 }
 
@@ -111,23 +122,24 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         if self.severed.load(Ordering::SeqCst) {
             return Err(CommError::Disconnected(self.inner.rank()));
         }
-        if let Message::TreeResult { .. } | Message::JumbleResult { .. } = msg {
+        let results = results_in(msg);
+        if results > 0 {
             let mut plan = self.plan.lock();
             match plan.kind {
                 FaultKind::Disconnect => {
-                    if plan.count == 0 {
+                    if plan.count < results {
                         drop(plan);
                         self.severed.store(true, Ordering::SeqCst);
                         return Err(CommError::Disconnected(self.inner.rank()));
                     }
-                    plan.count -= 1;
+                    plan.count -= results;
                 }
                 FaultKind::Drop if plan.count > 0 => {
-                    plan.count -= 1;
+                    plan.count = plan.count.saturating_sub(results);
                     return Ok(());
                 }
                 FaultKind::Delay(by) if plan.count > 0 => {
-                    plan.count -= 1;
+                    plan.count = plan.count.saturating_sub(results);
                     drop(plan);
                     std::thread::sleep(by);
                 }
@@ -234,6 +246,27 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+        assert!(receiver.try_recv().unwrap().is_none());
+    }
+
+    #[test]
+    fn results_inside_a_batch_count_against_the_plan() {
+        let mut ends = ThreadUniverse::create(2);
+        let receiver = ends.remove(0);
+        let faulty = FaultyTransport::new(ends.remove(0), FaultPlan::disconnect_after(3));
+        let batch = |tasks: &[u64]| Message::Batch {
+            msgs: tasks.iter().map(|&t| result_msg(t)).collect(),
+        };
+        // Two of the three allowed results leave in one frame...
+        faulty.send(0, &batch(&[0, 1])).unwrap();
+        assert_eq!(faulty.remaining(), 1);
+        // ...so a frame of two more is one too many, and is lost whole.
+        assert_eq!(
+            faulty.send(0, &batch(&[2, 3])),
+            Err(CommError::Disconnected(1))
+        );
+        assert!(faulty.is_severed());
+        assert_eq!(receiver.try_recv().unwrap().unwrap().1, batch(&[0, 1]));
         assert!(receiver.try_recv().unwrap().is_none());
     }
 

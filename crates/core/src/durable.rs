@@ -25,7 +25,7 @@
 //! or the new state — never a hybrid.
 
 use fdml_chaos::storage::{self, StorageFault, StorageOp};
-use fdml_net::wire::crc32;
+use fdml_wire::checksum::crc32;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};

@@ -10,7 +10,10 @@
 //! * [`master`], [`foreman`], [`worker`], [`monitor`] — the four parallel
 //!   modules of the paper (§2.2), written against `fdml-comm`'s transport.
 //!   [`master::ClusterExecutor`] is the one executor; [`worker::Evaluator`]
-//!   is the one place a task is computed.
+//!   is the one place a task is computed; the foreman's queues and
+//!   fault-tolerance ladder are one pure state machine (`sched`, private)
+//!   that [`foreman`]'s shell drives for the flat foreman, the regional
+//!   foremen and — as a second machine, [`hierarchy`] — the root.
 //! * [`loopback`] — the sequential transport (the paper's `comm_seq.c`):
 //!   the serial program is the master over an in-process evaluator.
 //! * [`job`] — the unified job surface: resolving a wire-level
@@ -50,6 +53,7 @@ pub mod master;
 pub mod monitor;
 pub mod netrun;
 pub mod runner;
+mod sched;
 pub mod search;
 pub mod trace;
 pub mod wal;

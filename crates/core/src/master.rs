@@ -836,7 +836,8 @@ mod tests {
 
     #[test]
     fn worker_killed_mid_verify_wave_changes_no_outcome() {
-        use crate::foreman::run_foreman;
+        use crate::foreman::run_scheduler;
+        use crate::sched::{tick_of, Sched};
         use crate::worker::run_worker;
         use fdml_obs::Obs;
         use fdml_phylo::ops::enumerate_insertion_moves;
@@ -869,13 +870,9 @@ mod tests {
         }
         let foreman_end = ends.remove(1);
         let foreman = thread::spawn(move || {
-            run_foreman(
-                foreman_end,
-                Duration::from_millis(100),
-                false,
-                Obs::disabled(),
-            )
-            .unwrap()
+            let timeout = Duration::from_millis(100);
+            let machine = Sched::flat(foreman_end.size(), timeout, false);
+            run_scheduler(foreman_end, machine, tick_of(timeout), Obs::disabled()).unwrap()
         });
         let mut ex = ClusterExecutor::new(
             ends.remove(0),

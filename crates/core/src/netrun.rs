@@ -3,7 +3,7 @@
 //! This is the launcher layer of the paper's distributed deployments: one
 //! *coordinator* process hosts the hub and the master (rank 0); *peer*
 //! processes dial in and become whatever rank the hub assigns — 1 foreman,
-//! 2 monitor, 3.. workers — running exactly the same `run_foreman` /
+//! 2 monitor, 3.. workers — running exactly the same `run_scheduler` /
 //! `run_monitor` / `run_worker` loops the threaded build runs, now against
 //! [`fdml_net::TcpTransport`] instead of a channel endpoint.
 //!
@@ -20,14 +20,12 @@
 use crate::checkpoint::FarmManifest;
 use crate::config::SearchConfig;
 use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
-use crate::foreman::{run_foreman, ForemanStats};
-use crate::hierarchy::{
-    first_worker_rank, home_rank, run_regional_foreman, run_root_foreman, RegionalOptions,
-    RootStats,
-};
+use crate::foreman::{run_scheduler, ForemanStats};
+use crate::hierarchy::{first_worker_rank, home_rank, Root, RootStats};
 use crate::job::ResolvedJob;
 use crate::monitor::{run_monitor, MonitorReport};
 use crate::runner::{search_on, RunObserver, SearchSession};
+use crate::sched::{tick_of, Sched};
 use crate::search::SearchResult;
 use crate::worker::{ranks, run_worker_homed, WorkerStats};
 use fdml_chaos::ChaosPlan;
@@ -571,20 +569,21 @@ pub fn run_net_peer(
     // its role purely from its rank — the same binary serves flat and
     // hierarchical universes with no extra flags.
     let regions = transport.regions();
+    let size = transport.size();
+    let tick = tick_of(worker_timeout);
     let outcome = match rank {
-        ranks::FOREMAN if regions > 0 => run_root_foreman(
+        ranks::FOREMAN if regions > 0 => run_scheduler(
             Recording::new(transport, obs.clone()),
-            regions,
-            worker_timeout,
-            true,
+            Root::new(regions, size, worker_timeout, true),
+            tick,
             obs.clone(),
         )
         .map(PeerOutcome::Root)
         .map_err(|e| format!("root foreman: {e}"))?,
-        ranks::FOREMAN => run_foreman(
+        ranks::FOREMAN => run_scheduler(
             Recording::new(transport, obs.clone()),
-            worker_timeout,
-            true,
+            Sched::flat(size, worker_timeout, true),
+            tick,
             obs.clone(),
         )
         .map(PeerOutcome::Foreman)
@@ -592,9 +591,10 @@ pub fn run_net_peer(
         ranks::MONITOR => run_monitor(Recording::new(transport, obs.clone()), obs.clone())
             .map(PeerOutcome::Monitor)
             .map_err(|e| format!("monitor: {e}"))?,
-        r if regions > 0 && r < first_worker_rank(regions) => run_regional_foreman(
+        r if regions > 0 && r < first_worker_rank(regions) => run_scheduler(
             Recording::new(transport, obs.clone()),
-            RegionalOptions::new(worker_timeout, true),
+            Sched::regional(r - ranks::FIRST_WORKER, worker_timeout, true),
+            tick,
             obs.clone(),
         )
         .map(PeerOutcome::Foreman)

@@ -5,15 +5,13 @@
 use crate::checkpoint::{Checkpoint, FarmManifest};
 use crate::config::SearchConfig;
 use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
-use crate::foreman::{run_foreman, ForemanStats};
-use crate::hierarchy::{
-    first_worker_rank, home_rank, regional_rank, run_regional_foreman, run_root_foreman,
-    RegionalOptions, RootStats,
-};
+use crate::foreman::{run_scheduler, ForemanError, ForemanStats};
+use crate::hierarchy::{first_worker_rank, home_rank, regional_rank, Root, RootStats};
 use crate::job::ResolvedJob;
 use crate::loopback::Loopback;
 use crate::master::ClusterExecutor;
 use crate::monitor::{run_monitor, MonitorReport};
+use crate::sched::{tick_of, Sched};
 use crate::search::{SearchResult, StepwiseSearch};
 use crate::wal::WalSession;
 use crate::worker::{ranks, run_worker_homed, WorkerStats};
@@ -33,6 +31,7 @@ use fdml_phylo::tree::Tree;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::thread;
+use std::time::Duration;
 
 /// What a single search carries besides its job: where it persists and
 /// what it resumes from. [`SearchSession::default`] is the plain run.
@@ -155,8 +154,11 @@ pub fn search_in_process(
 /// `parallel_search(&job, n, RunOptions::default())`.
 #[derive(Default)]
 pub struct RunOptions {
-    /// Injected per-worker fault plans, keyed by worker rank — exercises
-    /// the foreman's timeout machinery.
+    /// Injected fault plans, keyed by rank. On a worker rank they exercise
+    /// the foreman's timeout machinery; on a regional foreman's rank
+    /// (`3..3+regions`) they exercise the root's region-loss ladder —
+    /// [`FaultPlan::disconnect_after`] there is a regional foreman
+    /// crashing mid-round with its unsent results.
     pub faults: HashMap<usize, FaultPlan>,
     /// A seeded chaos plan: every worker transport is wrapped in
     /// [`ChaosTransport`], injecting the plan's exact per-rank drop /
@@ -171,10 +173,6 @@ pub struct RunOptions {
     /// at rank 1, regional foremen at ranks `3..3+R`, and shards the
     /// workers round-robin among them.
     pub regions: usize,
-    /// Test hook for the region-loss ladder: `(region, n)` makes regional
-    /// foreman `region` crash after forwarding `n` results, dropping its
-    /// unflushed upward batch. Ignored in flat runs.
-    pub die_region: Option<(usize, u64)>,
     /// What the master's search persists and resumes from (single
     /// searches; a farm's rides in [`FarmOptions`]).
     pub session: SearchSession,
@@ -190,7 +188,7 @@ impl RunOptions {
         }
     }
 
-    /// Fault injection only (keyed by worker rank).
+    /// Fault injection only (keyed by rank).
     pub fn with_faults(faults: HashMap<usize, FaultPlan>) -> RunOptions {
         RunOptions {
             faults,
@@ -284,7 +282,6 @@ fn run_on_threads<R>(
         chaos,
         sinks,
         regions,
-        die_region,
         session: _,
     } = options;
     let first_worker = first_worker_rank(regions);
@@ -335,31 +332,33 @@ fn run_on_threads<R>(
         });
         worker_handles.push((rank, handle));
     }
+    let timeout = config.worker_timeout;
     let mut region_handles = Vec::new();
     for region in (0..regions).rev() {
-        let end = Recording::new(endpoints.remove(regional_rank(region)), obs.clone());
+        let end = endpoints.remove(regional_rank(region));
+        let fault = faults.remove(&regional_rank(region));
         let region_obs = obs.clone();
-        let opts = RegionalOptions {
-            worker_timeout: config.worker_timeout,
-            has_monitor: true,
-            die_after_results: die_region.and_then(|(r, n)| (r == region).then_some(n)),
-        };
-        let handle = thread::spawn(move || run_regional_foreman(end, opts, region_obs));
+        let handle = thread::spawn(move || match fault {
+            Some(plan) => run_region(FaultyTransport::new(end, plan), region, timeout, region_obs),
+            None => run_region(end, region, timeout, region_obs),
+        });
         region_handles.push((region, handle));
     }
     let monitor_end = Recording::new(endpoints.remove(ranks::MONITOR), obs.clone());
     let foreman_end = Recording::new(endpoints.remove(ranks::FOREMAN), obs.clone());
     let master_end = Recording::new(endpoints.remove(ranks::MASTER), obs.clone());
-    let timeout = config.worker_timeout;
     let foreman_obs = obs.clone();
     let foreman_handle = thread::spawn(move || {
+        let tick = tick_of(timeout);
         if regions == 0 {
-            run_foreman(foreman_end, timeout, true, foreman_obs).map(|stats| RootStats {
+            let machine = Sched::flat(num_ranks, timeout, true);
+            run_scheduler(foreman_end, machine, tick, foreman_obs).map(|stats| RootStats {
                 stats,
                 ..RootStats::default()
             })
         } else {
-            run_root_foreman(foreman_end, regions, timeout, true, foreman_obs)
+            let machine = Root::new(regions, num_ranks, timeout, true);
+            run_scheduler(foreman_end, machine, tick, foreman_obs)
         }
     });
     let monitor_obs = obs.clone();
@@ -398,6 +397,23 @@ fn run_on_threads<R>(
         workers,
     };
     Ok((value, stats, observer.finish(ln_likelihood)))
+}
+
+/// Regional foreman `region` of a threaded universe, over its (possibly
+/// fault-wrapped) endpoint.
+fn run_region<T: Transport>(
+    end: T,
+    region: usize,
+    timeout: Duration,
+    obs: Obs,
+) -> Result<ForemanStats, ForemanError> {
+    let machine = Sched::regional(region, timeout, true);
+    run_scheduler(
+        Recording::new(end, obs.clone()),
+        machine,
+        tick_of(timeout),
+        obs,
+    )
 }
 
 /// Everything a parallel run returns.
@@ -494,11 +510,7 @@ pub fn farm_search(
     // The farm stays flat: whole-jumble tasks are already coarse enough
     // that the foreman is nowhere near its message ceiling. Its WAL rides
     // in `FarmOptions::wal_dir` (one log per jumble).
-    let run = RunOptions {
-        regions: 0,
-        die_region: None,
-        ..run
-    };
+    let run = RunOptions { regions: 0, ..run };
     let (parts, stats, report) = run_on_threads(&job.config, num_ranks, run, |master_end, obs| {
         let parts = run_farm_master(
             &master_end,
@@ -857,16 +869,18 @@ mod tests {
             ..Default::default()
         };
         let clean = parallel_search(&job(&a, &config), 6, RunOptions::default()).unwrap();
-        // Region 0 crashes after forwarding two results, dropping whatever
-        // sat unflushed in its upward batch. The root must reclaim its
-        // lease, re-home its workers to region 1, and the final tree must
-        // not change by a byte.
+        // Region 0's link is severed after it has passed two results
+        // upward, losing whatever it had not yet sent. The root must
+        // reclaim its lease, re-home its workers to region 1, and the final
+        // tree must not change by a byte.
+        let mut faults = HashMap::new();
+        faults.insert(regional_rank(0), FaultPlan::disconnect_after(2));
         let crashed = parallel_search(
             &job(&a, &config),
             9,
             RunOptions {
                 regions: 2,
-                die_region: Some((0, 2)),
+                faults,
                 ..RunOptions::default()
             },
         )
@@ -887,10 +901,9 @@ mod tests {
             h.root.workers_rehomed >= 1,
             "region 0's workers must re-home to region 1"
         );
-        assert_eq!(
-            h.regions.get(&0).map(|r| r.results_forwarded),
-            Some(2),
-            "the crash hook fires after exactly two results"
+        assert!(
+            h.root.stats.timeouts >= 1,
+            "the lease region 0 died holding must be reclaimed"
         );
     }
 

@@ -1,0 +1,1302 @@
+//! The scheduler core (paper §2.2): the foreman's ready queue, work queue,
+//! timeout → re-dispatch and late-answer re-admission as one pure state
+//! machine.
+//!
+//! [`Sched`] is told the time and one [`Event`] and appends the [`Action`]s
+//! they call for. It never receives, sends, sleeps or reads a clock —
+//! [`crate::foreman::run_scheduler`] is the only code that does — so every
+//! rung of the self-healing ladder runs under a virtual clock in the tests
+//! below, and a fix to it is made once.
+//!
+//! One machine, two positions in the scheduling tree, fixed at
+//! construction. [`Sched::flat`] is the paper's foreman: the master pushes
+//! tasks, every result goes back in a frame of its own, the members are all
+//! the worker ranks and `Shutdown` cascades. [`Sched::regional`] is the same
+//! machine under a leased supply ([`crate::hierarchy`]): it asks the root
+//! for work, streams results up as one frame per `Tick`, schedules onto
+//! whoever announced to it, answers the root's steal requests and probes,
+//! and leaves `Shutdown` to the root's broadcast. Everything worker-facing —
+//! dispatch, timeout, probe, result, `WorkerReady`, `PeerDown` — is shared.
+
+use crate::foreman::{invariant, ForemanError, ForemanStats, QUARANTINE_BUDGET};
+use crate::worker::ranks;
+use fdml_comm::message::{Message, MonitorEvent, TaskPayload, TreeEdit};
+use fdml_comm::transport::{CommError, Rank};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::ops::ControlFlow;
+use std::time::{Duration, Instant};
+
+/// What a scheduling machine is told.
+#[derive(Debug, Clone)]
+pub(crate) enum Event {
+    /// A message arrived from a rank.
+    Msg(Rank, Message),
+    /// Everything that had arrived has been absorbed: act on it. The shell
+    /// sends one after each drain of its queue and at least once per tick
+    /// period, so periodic work (sweep, probes) rides on it too.
+    Tick,
+    /// A [`Action::Send`] to this rank found the link dead — the threaded
+    /// runtime's death certificate (the TCP hub says `PeerDown` instead).
+    Undeliverable(Rank),
+}
+
+/// What a scheduling machine asks its shell to do.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Action {
+    /// Send a message to a rank. Sends are optimistic: the machine books
+    /// the message as delivered and hears [`Event::Undeliverable`] if not.
+    Send(Rank, Message),
+    /// Record an observability event.
+    Emit(fdml_obs::Event),
+}
+
+/// A pure scheduling state machine, as [`crate::foreman::run_scheduler`]
+/// drives it.
+pub(crate) trait Machine {
+    /// The counters reported at shutdown.
+    type Stats;
+
+    /// Absorb `ev` at time `now`, appending what it calls for to `out`.
+    /// `Break` means the machine was shut down.
+    fn step(
+        &mut self,
+        now: Instant,
+        ev: Event,
+        out: &mut Vec<Action>,
+    ) -> Result<ControlFlow<()>, ForemanError>;
+
+    /// The counters so far.
+    fn stats(&self) -> Self::Stats;
+}
+
+/// The period of the timeout sweep and of a region's lease requests, and
+/// the longest the shell waits for a message before the next `Tick`.
+pub(crate) fn tick_of(worker_timeout: Duration) -> Duration {
+    (worker_timeout / 4)
+        .max(Duration::from_millis(1))
+        .min(Duration::from_millis(50))
+}
+
+/// `msgs` as one frame: the message itself when it is alone, a `Batch`
+/// otherwise.
+pub(crate) fn frame(msgs: Vec<Message>) -> Message {
+    match <[Message; 1]>::try_from(msgs) {
+        Ok([one]) => one,
+        Err(msgs) => Message::Batch { msgs },
+    }
+}
+
+/// What a queued task asks a worker to do: evaluate one candidate tree, or
+/// run a whole jumble. The scheduling (ready queue, timeouts, eager
+/// requeue, duplicate dedup) is identical for all — only the dispatched
+/// message differs.
+#[derive(Debug, Clone)]
+pub(crate) enum TaskBody {
+    /// One candidate tree as Newick text.
+    Tree(String),
+    /// One whole stepwise-addition search, identified by its jumble seed.
+    Jumble(u64),
+    /// A jumble resumed from (and streaming back to) the coordinator's
+    /// write-ahead log. Requeue-safe: a second worker replays the same
+    /// prefix and, by determinism, re-streams the identical rounds, which
+    /// the coordinator's index-gated appends deduplicate.
+    JumbleResume {
+        /// The job the jumble belongs to (0 = the anonymous farm).
+        job: u64,
+        /// The jumble seed.
+        seed: u64,
+        /// The committed rounds to replay, one JSON `WalRound` each.
+        wal: Vec<String>,
+    },
+    /// One candidate edit against the round's broadcast base topology.
+    Edit {
+        /// Generation id of the base the edit applies to.
+        base_id: u64,
+        /// The edit itself.
+        edit: TreeEdit,
+        /// Force the dispatched message to embed the base text. Set when
+        /// the task is requeued after a failure: the next worker to take
+        /// it may be a fresh respawn with no cached base, and a
+        /// self-contained dispatch is the rung of the fallback ladder that
+        /// keeps the self-healing invariants independent of cache state.
+        self_contained: bool,
+    },
+}
+
+impl TaskBody {
+    /// Turn a dispatched task message back into its queue form — the
+    /// inverse of [`TaskBody::to_message`], used wherever a task arrives:
+    /// from the master, in a root grant, in a steal return. `None` for
+    /// non-task messages.
+    pub(crate) fn from_message(msg: Message) -> Option<(u64, TaskBody)> {
+        match msg {
+            Message::TreeTask { task, newick } => Some((task, TaskBody::Tree(newick))),
+            Message::JumbleTask { task, seed } => Some((task, TaskBody::Jumble(seed))),
+            Message::JumbleResume {
+                job,
+                task,
+                seed,
+                wal,
+            } => Some((task, TaskBody::JumbleResume { job, seed, wal })),
+            Message::TreeEditTask {
+                task,
+                base_id,
+                edit,
+                base_newick,
+            } => Some((
+                task,
+                TaskBody::Edit {
+                    base_id,
+                    edit,
+                    // A task that travels with its base embedded stays
+                    // self-contained: whoever dispatches it next cannot
+                    // assume the receiving worker saw any broadcast.
+                    self_contained: base_newick.is_some(),
+                },
+            )),
+            _ => None,
+        }
+    }
+
+    /// `base_text` is the base to embed for an [`TaskBody::Edit`]; `None`
+    /// dispatches the compact form (the worker is known to hold the base).
+    pub(crate) fn to_message(&self, task: u64, base_text: Option<&str>) -> Message {
+        match self {
+            TaskBody::Tree(newick) => Message::TreeTask {
+                task,
+                newick: newick.clone(),
+            },
+            TaskBody::Jumble(seed) => Message::JumbleTask { task, seed: *seed },
+            TaskBody::JumbleResume { job, seed, wal } => Message::JumbleResume {
+                job: *job,
+                task,
+                seed: *seed,
+                wal: wal.clone(),
+            },
+            TaskBody::Edit { base_id, edit, .. } => Message::TreeEditTask {
+                task,
+                base_id: *base_id,
+                edit: *edit,
+                base_newick: base_text.map(str::to_owned),
+            },
+        }
+    }
+
+    /// Force the self-contained dispatch form (edits embed their base from
+    /// here on). Identity for non-edit bodies.
+    pub(crate) fn self_contained(self) -> TaskBody {
+        match self {
+            TaskBody::Edit { base_id, edit, .. } => TaskBody::Edit {
+                base_id,
+                edit,
+                self_contained: true,
+            },
+            other => other,
+        }
+    }
+
+    fn into_payload(self) -> TaskPayload {
+        match self {
+            TaskBody::Tree(newick) => TaskPayload::Tree { newick },
+            TaskBody::Jumble(seed) => TaskPayload::Jumble { seed },
+            // The master re-runs a quarantined jumble locally against its
+            // own WAL copy; the streamed prefix need not travel back.
+            TaskBody::JumbleResume { seed, .. } => TaskPayload::Jumble { seed },
+            TaskBody::Edit { base_id, edit, .. } => TaskPayload::TreeEdit { base_id, edit },
+        }
+    }
+}
+
+/// The task a worker's answer is for, with the likelihood and work it
+/// reports; `None` for anything but a result.
+pub(crate) fn result_of(msg: &Message) -> Option<(u64, f64, u64)> {
+    match msg {
+        Message::TreeResult {
+            task,
+            ln_likelihood,
+            work_units,
+            ..
+        }
+        | Message::JumbleResult {
+            task,
+            ln_likelihood,
+            work_units,
+            ..
+        } => Some((*task, *ln_likelihood, *work_units)),
+        _ => None,
+    }
+}
+
+struct InFlight {
+    worker: Rank,
+    body: TaskBody,
+    dispatched_at: Instant,
+}
+
+/// The edge a machine gets its work over and returns its results over.
+#[derive(Default)]
+enum Upstream {
+    /// The master pushes tasks; every result goes back in its own frame.
+    #[default]
+    Master,
+    /// Region `region`'s root leases tasks on request; results wait in
+    /// `upward` and leave as one frame per `Tick`.
+    Root { region: usize },
+}
+
+/// The scheduling machine: configuration, ledger and timers.
+#[derive(Default)]
+pub(crate) struct Sched {
+    upstream: Upstream,
+    /// A worker holding a task longer than this is marked delinquent and
+    /// the task goes to a different worker; if the delinquent worker
+    /// answers later it is re-admitted (paper §2.2).
+    worker_timeout: Duration,
+    /// Whether a monitor sits at rank 2 to hear `Dispatched` / `Completed`.
+    has_monitor: bool,
+    /// The ranks scheduled onto: every worker rank of a flat universe; for
+    /// a region, whoever announced `WorkerReady` — its shard is dynamic
+    /// (refugees re-homed from a dead sibling join by announcing), so it
+    /// cannot be derived from rank arithmetic.
+    members: BTreeSet<Rank>,
+    work_queue: VecDeque<(u64, TaskBody)>,
+    ready: VecDeque<Rank>,
+    in_flight: HashMap<u64, InFlight>,
+    delinquent: BTreeSet<Rank>,
+    /// Workers whose link is known dead (a bounced send, or a `PeerDown`).
+    /// Distinct from `delinquent`: a delinquent worker may still answer; a
+    /// dead one cannot until it is heard from again.
+    dead: HashSet<Rank>,
+    completed: HashSet<u64>,
+    /// Per-task set of distinct workers that failed it, for the
+    /// poison-task quarantine budget.
+    failures: HashMap<u64, HashSet<Rank>>,
+    /// The current base topology broadcast (generation id + Newick text),
+    /// kept so edit dispatches can fall back to embedding the base for
+    /// workers that missed the broadcast.
+    base: Option<(u64, String)>,
+    /// Workers known to hold the current base broadcast. A rank leaves the
+    /// set when its link dies (a respawn has an empty cache) and rejoins
+    /// when the base is relayed to it.
+    has_base: HashSet<Rank>,
+    /// Results, quarantines and WAL rounds awaiting a region's next upward
+    /// frame.
+    upward: Vec<Message>,
+    next_sweep: Option<Instant>,
+    next_ping: HashMap<Rank, Instant>,
+    next_lease: Option<Instant>,
+    last_depth: Option<(usize, usize, usize)>,
+    aborted: bool,
+    stats: ForemanStats,
+}
+
+impl Sched {
+    /// The paper's foreman over a universe of `size` ranks.
+    pub(crate) fn flat(size: usize, worker_timeout: Duration, has_monitor: bool) -> Sched {
+        Sched {
+            members: (ranks::FIRST_WORKER..size).collect(),
+            worker_timeout,
+            has_monitor,
+            ..Sched::default()
+        }
+    }
+
+    /// Regional foreman number `region` under the root at rank 1.
+    pub(crate) fn regional(region: usize, worker_timeout: Duration, has_monitor: bool) -> Sched {
+        Sched {
+            upstream: Upstream::Root { region },
+            worker_timeout,
+            has_monitor,
+            ..Sched::default()
+        }
+    }
+
+    fn leased(&self) -> bool {
+        matches!(self.upstream, Upstream::Root { .. })
+    }
+
+    fn upstream_rank(&self) -> Rank {
+        match self.upstream {
+            Upstream::Master => ranks::MASTER,
+            Upstream::Root { .. } => ranks::FOREMAN,
+        }
+    }
+
+    /// Tasks held, queued or in flight.
+    fn outstanding(&self) -> usize {
+        self.work_queue.len() + self.in_flight.len()
+    }
+
+    /// How many more tasks the shard can absorb: the backlog is kept at
+    /// about two tasks per live worker.
+    fn demand(&self) -> u32 {
+        let live = self
+            .members
+            .iter()
+            .filter(|w| !self.dead.contains(w))
+            .count();
+        (2 * live).saturating_sub(self.outstanding()) as u32
+    }
+
+    /// The text of base `base_id`, if that is the base currently held.
+    fn base_text(&self, base_id: u64) -> Option<&str> {
+        self.base
+            .as_ref()
+            .filter(|(id, _)| *id == base_id)
+            .map(|(_, text)| text.as_str())
+    }
+
+    fn monitor(&self, ev: MonitorEvent, out: &mut Vec<Action>) {
+        if self.has_monitor {
+            out.push(Action::Send(ranks::MONITOR, Message::Monitor(ev)));
+        }
+    }
+
+    /// Hand a result, quarantine, WAL round or abort to the tier above.
+    fn send_up(&mut self, msg: Message, out: &mut Vec<Action>) {
+        match self.upstream {
+            Upstream::Master => out.push(Action::Send(ranks::MASTER, msg)),
+            Upstream::Root { .. } => self.upward.push(msg),
+        }
+    }
+
+    /// One message in. Never acts on the queues — that waits for the
+    /// `Tick` — but answers what must be answered at once.
+    fn absorb(&mut self, now: Instant, from: Rank, msg: Message, out: &mut Vec<Action>) {
+        if let Some((task, ln_likelihood, work_units)) = result_of(&msg) {
+            // A worker that answers is demonstrably alive.
+            self.readmit(from, out);
+            if let Some(service_us) = self.accept_result(task, now) {
+                self.stats.results_forwarded += 1;
+                self.send_up(msg, out);
+                let worker = from;
+                self.monitor(
+                    MonitorEvent::Completed {
+                        task,
+                        worker,
+                        ln_likelihood,
+                        work_units,
+                        service_us,
+                    },
+                    out,
+                );
+            } else {
+                self.stats.duplicates_ignored += 1;
+            }
+            self.ready.push_back(from);
+            return;
+        }
+        match msg {
+            // Lease grants arrive batched; unpack them in order.
+            Message::Batch { msgs } => {
+                for inner in msgs {
+                    self.absorb(now, from, inner, out);
+                }
+            }
+            Message::TreeTask { .. }
+            | Message::JumbleTask { .. }
+            | Message::JumbleResume { .. }
+            | Message::TreeEditTask { .. } => {
+                debug_assert_eq!(from, self.upstream_rank());
+                // An edit that embeds its base doubles as a base install:
+                // its dispatch, and later compact tasks of the round, rely
+                // on it.
+                if let Message::TreeEditTask {
+                    base_id,
+                    base_newick: Some(text),
+                    ..
+                } = &msg
+                {
+                    if self.base_text(*base_id).is_none() {
+                        self.has_base.clear();
+                        self.base = Some((*base_id, text.clone()));
+                    }
+                }
+                if let Some(queued) = TaskBody::from_message(msg) {
+                    self.work_queue.push_back(queued);
+                }
+            }
+            // A worker streaming one committed round of its jumble: relay
+            // toward the master, which owns the on-disk log. No dedup here
+            // (the coordinator's append is index-gated), and per-link FIFO
+            // keeps it ahead of the jumble's result.
+            msg @ Message::WalRound { .. } => self.send_up(msg, out),
+            Message::BaseTopology { base_id, newick } => {
+                // A new round base: remember it for embedded fallbacks and
+                // relay it to every live member. Per-link FIFO guarantees
+                // the base precedes any edit of the round on each worker's
+                // queue.
+                self.has_base.clear();
+                for &rank in &self.members {
+                    if !self.dead.contains(&rank) {
+                        let newick = newick.clone();
+                        out.push(Action::Send(
+                            rank,
+                            Message::BaseTopology { base_id, newick },
+                        ));
+                        self.has_base.insert(rank);
+                    }
+                }
+                self.base = Some((base_id, newick));
+            }
+            Message::StealRequest { want } if self.leased() => {
+                // Surrender the coldest queued tasks (back of the queue),
+                // base embedded so the thief can always score them. Always
+                // answer, even empty-handed: the root's steal ledger needs
+                // the resolution.
+                let keep = self.work_queue.len().saturating_sub(want as usize);
+                let surrendered = self.work_queue.split_off(keep);
+                let tasks = surrendered
+                    .iter()
+                    .map(|(task, body)| {
+                        let base = match body {
+                            TaskBody::Edit { base_id, .. } => self.base_text(*base_id),
+                            _ => None,
+                        };
+                        body.to_message(*task, base)
+                    })
+                    .collect();
+                out.push(Action::Send(ranks::FOREMAN, Message::StealReturn { tasks }));
+            }
+            Message::Ping if self.leased() => {
+                // Root liveness probe: answer with current demand.
+                let want = self.demand();
+                out.push(Action::Send(ranks::FOREMAN, Message::LeaseRequest { want }));
+            }
+            Message::WorkerReady => {
+                self.members.insert(from);
+                self.readmit(from, out);
+                // A worker announcing readiness without the current base
+                // is either fresh or a respawn: send the base now so its
+                // edit dispatches can go compact.
+                if !self.has_base.contains(&from) {
+                    if let Some((base_id, newick)) = self.base.clone() {
+                        out.push(Action::Send(
+                            from,
+                            Message::BaseTopology { base_id, newick },
+                        ));
+                        self.has_base.insert(from);
+                    }
+                }
+                // A respawned worker may re-announce while already queued;
+                // one slot per worker keeps dispatch fair.
+                if !self.ready.contains(&from) {
+                    self.ready.push_back(from);
+                }
+            }
+            // Synthesized by the TCP hub; on the threaded runtime
+            // `Undeliverable` plays this role.
+            Message::PeerDown { rank } => self.peer_down(rank, out),
+            // The rank rejoined (reconnect or supervisor respawn). It will
+            // announce `WorkerReady` once it has rebuilt its engine; until
+            // then just stop treating it as dead.
+            Message::PeerUp { rank } => self.readmit(rank, out),
+            other => debug_assert!(false, "scheduler got unexpected {}", other.kind()),
+        }
+    }
+
+    /// The `Tick`: act on everything absorbed so far.
+    fn act(&mut self, now: Instant, out: &mut Vec<Action>) -> Result<(), ForemanError> {
+        // Fault tolerance: re-queue trees held past the timeout. The sweep
+        // scans every in-flight entry, so it runs once per tick period,
+        // not per `Tick`.
+        if self.next_sweep.is_none_or(|due| now >= due) {
+            self.next_sweep = Some(now + tick_of(self.worker_timeout));
+            let timeout = self.worker_timeout;
+            let overdue = |held: &InFlight| now.duration_since(held.dispatched_at) > timeout;
+            self.take_back(overdue, false, out);
+        }
+
+        // Liveness probe: a delinquent worker receives no new work, so a
+        // silently dead one would never be rediscovered — and without it
+        // the all-dead check below could never trip on the threaded
+        // runtime. While work is outstanding, ping each delinquent,
+        // not-known-dead worker once per timeout period. An idle live
+        // worker answers `WorkerReady` and is re-admitted; a dropped
+        // thread endpoint bounces the send (TCP peers get `PeerDown` from
+        // the hub).
+        if self.outstanding() > 0 {
+            for &worker in &self.delinquent {
+                let due = self.next_ping.get(&worker).is_none_or(|&due| now >= due);
+                if due && !self.dead.contains(&worker) {
+                    self.next_ping.insert(worker, now + self.worker_timeout);
+                    out.push(Action::Send(worker, Message::Ping));
+                }
+            }
+        }
+
+        // Dispatch while both queues are non-empty.
+        while !self.work_queue.is_empty() && !self.ready.is_empty() {
+            let worker = invariant(self.ready.pop_front(), "ready queue emptied mid-dispatch")?;
+            if self.delinquent.contains(&worker) {
+                continue;
+            }
+            let (task, body) = invariant(
+                self.work_queue.pop_front(),
+                "work queue emptied mid-dispatch",
+            )?;
+            // Fallback ladder for edits: embed the base text when the task
+            // was requeued (self-contained) or this worker missed the
+            // broadcast; dispatch the compact form otherwise.
+            let embed = match &body {
+                TaskBody::Edit {
+                    base_id,
+                    self_contained,
+                    ..
+                } if *self_contained || !self.has_base.contains(&worker) => {
+                    self.base_text(*base_id)
+                }
+                _ => None,
+            };
+            let embedded = embed.is_some();
+            out.push(Action::Send(worker, body.to_message(task, embed)));
+            if embedded {
+                // The embedded base is installed by the worker on receipt,
+                // so its later tasks in this round can go compact again.
+                self.has_base.insert(worker);
+            }
+            let dispatched_at = now;
+            self.in_flight.insert(
+                task,
+                InFlight {
+                    worker,
+                    body,
+                    dispatched_at,
+                },
+            );
+            self.stats.dispatched += 1;
+            self.monitor(MonitorEvent::Dispatched { task, worker }, out);
+        }
+
+        // A region asks for more work when its shard can absorb it; the
+        // request doubles as its heartbeat.
+        if self.leased() && self.next_lease.is_none_or(|due| now >= due) {
+            let want = self.demand();
+            if want > 0 {
+                self.next_lease = Some(now + tick_of(self.worker_timeout));
+                out.push(Action::Send(ranks::FOREMAN, Message::LeaseRequest { want }));
+            }
+        }
+
+        // The run cannot heal if every member's link is dead while work is
+        // outstanding: say so upstream rather than spinning forever. The
+        // master surfaces a typed error and leaves its last checkpoint
+        // valid; the root reclaims the lease for a sibling. The machine
+        // keeps running — a worker may come back, and re-homed refugees may
+        // repopulate a region — and says so again if it strands again.
+        let stranded = !self.members.is_empty()
+            && self.members.iter().all(|w| self.dead.contains(w))
+            && self.outstanding() > 0;
+        if stranded && !self.aborted {
+            let reason = format!(
+                "all {} workers are dead with {} tasks outstanding",
+                self.members.len(),
+                self.outstanding()
+            );
+            self.send_up(Message::Abort { reason }, out);
+        }
+        self.aborted = stranded;
+
+        // One queue-depth sample per state change (paper §3: "queue-length
+        // data from the foreman").
+        let (work, ready, in_flight) = (
+            self.work_queue.len(),
+            self.ready.len(),
+            self.in_flight.len(),
+        );
+        if self.last_depth != Some((work, ready, in_flight)) {
+            self.last_depth = Some((work, ready, in_flight));
+            out.push(Action::Emit(match self.upstream {
+                Upstream::Master => fdml_obs::Event::QueueDepth {
+                    work,
+                    ready,
+                    in_flight,
+                },
+                Upstream::Root { region } => fdml_obs::Event::RegionQueueDepth {
+                    region,
+                    work,
+                    ready,
+                    in_flight,
+                },
+            }));
+        }
+
+        // A region's upward stream: one frame per `Tick`, however many
+        // results it carries.
+        if !self.upward.is_empty() {
+            let msgs = std::mem::take(&mut self.upward);
+            out.push(Action::Send(ranks::FOREMAN, frame(msgs)));
+        }
+        Ok(())
+    }
+
+    /// Take the tasks `lost` picks out of flight, in task order, and
+    /// attribute each to its holder, who turns delinquent and leaves the
+    /// ready queue. The task is requeued (`front`: at once, ahead of the
+    /// rest) or — once [`QUARANTINE_BUDGET`] distinct workers have failed
+    /// it — quarantined and handed upstream.
+    fn take_back(&mut self, lost: impl Fn(&InFlight) -> bool, front: bool, out: &mut Vec<Action>) {
+        let mut tasks: Vec<u64> = self
+            .in_flight
+            .iter()
+            .filter(|(_, held)| lost(held))
+            .map(|(&task, _)| task)
+            .collect();
+        tasks.sort_unstable();
+        if front {
+            tasks.reverse();
+        }
+        for task in tasks {
+            let Some(InFlight { worker, body, .. }) = self.in_flight.remove(&task) else {
+                continue;
+            };
+            self.delinquent.insert(worker);
+            self.ready.retain(|&w| w != worker);
+            self.stats.timeouts += 1;
+            self.monitor(MonitorEvent::WorkerTimedOut { worker, task }, out);
+            let failed = self.failures.entry(task).or_default();
+            failed.insert(worker);
+            let failures = failed.len() as u64;
+            // A requeued edit must be scoreable by any worker, including a
+            // fresh respawn that has no cached base: force the
+            // self-contained dispatch form from here on.
+            let body = body.self_contained();
+            if failures >= QUARANTINE_BUDGET {
+                // The task has now serially killed (or stalled) several
+                // different workers: stop feeding it to the fleet. Marking
+                // it completed makes any late answers plain duplicates.
+                self.failures.remove(&task);
+                self.completed.insert(task);
+                self.stats.quarantined += 1;
+                out.push(Action::Emit(fdml_obs::Event::TaskQuarantined {
+                    task,
+                    failures,
+                }));
+                let payload = body.into_payload();
+                self.send_up(
+                    Message::Quarantined {
+                        task,
+                        failures,
+                        payload,
+                    },
+                    out,
+                );
+            } else if front {
+                self.work_queue.push_front((task, body));
+            } else {
+                self.work_queue.push_back((task, body));
+            }
+        }
+    }
+
+    /// Book a worker's answer for `task`. `Some(service_us)` when it is the
+    /// first answer (dispatch-to-result latency; 0 when the task was not in
+    /// flight), `None` for a late duplicate. A task is in flight or queued,
+    /// never both, so the queue is searched only for the rare answer to a
+    /// task that was requeued while its first worker was still computing.
+    fn accept_result(&mut self, task: u64, now: Instant) -> Option<u64> {
+        if self.completed.contains(&task) {
+            return None;
+        }
+        let service_us = match self.in_flight.remove(&task) {
+            Some(f) => now.duration_since(f.dispatched_at).as_micros() as u64,
+            None => {
+                let queued = self.work_queue.iter().position(|(t, _)| *t == task)?;
+                self.work_queue.remove(queued);
+                0
+            }
+        };
+        self.completed.insert(task);
+        self.failures.remove(&task);
+        Some(service_us)
+    }
+
+    /// `worker` was heard from (or the hub saw it rejoin): it is neither
+    /// dead nor delinquent any more.
+    fn readmit(&mut self, worker: Rank, out: &mut Vec<Action>) {
+        self.dead.remove(&worker);
+        if self.delinquent.remove(&worker) {
+            self.stats.recoveries += 1;
+            self.monitor(MonitorEvent::WorkerRecovered { worker }, out);
+        }
+    }
+
+    /// Declare `worker`'s link dead — the network analogue of a delinquent
+    /// worker: bar it from dispatch and requeue everything it holds at
+    /// once, instead of waiting out the timeout (paper §2.2's recovery
+    /// path, triggered eagerly).
+    fn peer_down(&mut self, worker: Rank, out: &mut Vec<Action>) {
+        self.dead.insert(worker);
+        self.delinquent.insert(worker);
+        self.has_base.remove(&worker);
+        self.ready.retain(|&w| w != worker);
+        self.take_back(|held| held.worker == worker, true, out);
+    }
+}
+
+impl Machine for Sched {
+    type Stats = ForemanStats;
+
+    fn step(
+        &mut self,
+        now: Instant,
+        ev: Event,
+        out: &mut Vec<Action>,
+    ) -> Result<ControlFlow<()>, ForemanError> {
+        match ev {
+            Event::Tick => self.act(now, out)?,
+            // Without its upstream the machine has nobody to work for.
+            Event::Undeliverable(rank) if rank == self.upstream_rank() => {
+                return Err(CommError::Disconnected(rank).into());
+            }
+            // A monitor that went away costs instrumentation only.
+            Event::Undeliverable(ranks::MONITOR) => {}
+            Event::Undeliverable(rank) => self.peer_down(rank, out),
+            Event::Msg(from, Message::Shutdown) => {
+                debug_assert_eq!(from, self.upstream_rank());
+                // Under a root, the root's broadcast reaches the workers
+                // directly; a region that cascaded would shut them down
+                // twice.
+                if !self.leased() {
+                    for &rank in &self.members {
+                        out.push(Action::Send(rank, Message::Shutdown));
+                    }
+                    if self.has_monitor {
+                        out.push(Action::Send(ranks::MONITOR, Message::Shutdown));
+                    }
+                }
+                return Ok(ControlFlow::Break(()));
+            }
+            Event::Msg(from, msg) => self.absorb(now, from, msg, out),
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    fn stats(&self) -> ForemanStats {
+        self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hierarchy::{regional_rank, Root, GRANT_CAP};
+
+    const TIMEOUT: Duration = Duration::from_secs(10);
+    const MASTER: Rank = ranks::MASTER;
+    const ROOT: Rank = ranks::FOREMAN;
+
+    fn tree_task(task: u64) -> Message {
+        Message::TreeTask {
+            task,
+            newick: format!("(t{task});"),
+        }
+    }
+
+    fn tree_result(task: u64) -> Message {
+        Message::TreeResult {
+            task,
+            newick: String::new(),
+            ln_likelihood: -(task as f64),
+            work_units: 1,
+        }
+    }
+
+    fn edit_task(task: u64, base_id: u64, base_newick: Option<&str>) -> Message {
+        Message::TreeEditTask {
+            task,
+            base_id,
+            edit: TreeEdit::Insert {
+                taxon: task as u32,
+                a: 0,
+                b: 1,
+            },
+            base_newick: base_newick.map(str::to_owned),
+        }
+    }
+
+    fn base(base_id: u64, text: &str) -> Message {
+        Message::BaseTopology {
+            base_id,
+            newick: text.to_owned(),
+        }
+    }
+
+    /// Sends, in the order a machine asked for them.
+    type Sends = Vec<(Rank, Message)>;
+
+    /// One step of a machine that is not being shut down: the sends it
+    /// asked for.
+    fn feed<M: Machine>(m: &mut M, now: Instant, ev: Event) -> Sends {
+        let mut out = Vec::new();
+        assert!(m.step(now, ev, &mut out).unwrap().is_continue());
+        out.into_iter()
+            .filter_map(|action| match action {
+                Action::Send(to, msg) => Some((to, msg)),
+                Action::Emit(_) => None,
+            })
+            .collect()
+    }
+
+    /// [`feed`], with the liveness probes left out.
+    fn feed_sans_pings<M: Machine>(m: &mut M, now: Instant, ev: Event) -> Sends {
+        let mut sends = feed(m, now, ev);
+        sends.retain(|(_, msg)| *msg != Message::Ping);
+        sends
+    }
+
+    #[test]
+    fn timeout_requeues_elsewhere_a_late_answer_readmits_and_distinct_failures_quarantine() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // Ranks 3, 4 and 5 are the workers.
+        let mut m = Sched::flat(6, TIMEOUT, false);
+        feed(&mut m, at(0), Event::Msg(3, Message::WorkerReady));
+        feed(&mut m, at(0), Event::Msg(MASTER, tree_task(7)));
+        assert_eq!(feed(&mut m, at(0), Event::Tick), [(3, tree_task(7))]);
+
+        // At the timeout exactly nothing is overdue; past it the task is
+        // taken back, its holder probed, and — nobody else being ready —
+        // left on the queue.
+        assert_eq!(feed(&mut m, at(10_000), Event::Tick), []);
+        assert_eq!(feed(&mut m, at(10_100), Event::Tick), [(3, Message::Ping)]);
+        assert_eq!(m.stats().timeouts, 1);
+        // It goes to a different worker as soon as one turns up, and the
+        // probe is not repeated inside the timeout period.
+        feed(&mut m, at(10_200), Event::Msg(4, Message::WorkerReady));
+        assert_eq!(feed(&mut m, at(10_200), Event::Tick), [(4, tree_task(7))]);
+        assert_eq!(
+            feed(&mut m, at(10_300), Event::Msg(4, tree_result(7))),
+            [(MASTER, tree_result(7))]
+        );
+        // The delinquent worker answers late: a duplicate, not forwarded,
+        // but the worker is back in the rotation behind the other one.
+        assert_eq!(feed(&mut m, at(10_400), Event::Msg(3, tree_result(7))), []);
+        assert_eq!(m.stats().duplicates_ignored, 1);
+        assert_eq!(m.stats().recoveries, 1);
+        for task in [8, 9] {
+            feed(&mut m, at(10_500), Event::Msg(MASTER, tree_task(task)));
+        }
+        assert_eq!(
+            feed(&mut m, at(10_500), Event::Tick),
+            [(4, tree_task(8)), (3, tree_task(9))]
+        );
+        for (worker, task) in [(4, 8), (3, 9)] {
+            feed(&mut m, at(10_600), Event::Msg(worker, tree_result(task)));
+        }
+
+        // A poison task stalls each worker in turn — the serial fleet
+        // killer the quarantine budget exists for. Every sweep hands it to
+        // the next worker in line; the third distinct failure hands it to
+        // the master instead.
+        feed(&mut m, at(10_600), Event::Msg(5, Message::WorkerReady));
+        feed(&mut m, at(10_600), Event::Msg(MASTER, tree_task(13)));
+        assert_eq!(feed(&mut m, at(10_600), Event::Tick), [(4, tree_task(13))]);
+        assert_eq!(
+            feed_sans_pings(&mut m, at(20_700), Event::Tick),
+            [(3, tree_task(13))]
+        );
+        assert_eq!(
+            feed_sans_pings(&mut m, at(30_800), Event::Tick),
+            [(5, tree_task(13))]
+        );
+        let quarantined = Message::Quarantined {
+            task: 13,
+            failures: QUARANTINE_BUDGET,
+            payload: TaskPayload::Tree {
+                newick: "(t13);".into(),
+            },
+        };
+        assert_eq!(
+            feed_sans_pings(&mut m, at(40_900), Event::Tick),
+            [(MASTER, quarantined)]
+        );
+        // A late answer from a failed worker is a plain duplicate.
+        assert_eq!(feed(&mut m, at(41_000), Event::Msg(4, tree_result(13))), []);
+        let stats = m.stats();
+        assert_eq!(stats.quarantined, 1);
+        assert_eq!(stats.timeouts, 1 + QUARANTINE_BUDGET);
+        assert_eq!(stats.duplicates_ignored, 2);
+        assert_eq!(stats.results_forwarded, 3);
+        assert_eq!(m.outstanding(), 0);
+    }
+
+    #[test]
+    fn an_answer_is_booked_once_wherever_its_task_sits() {
+        let t0 = Instant::now();
+        let mut m = Sched::flat(5, TIMEOUT, false);
+        feed(&mut m, t0, Event::Msg(3, Message::WorkerReady));
+        feed(&mut m, t0, Event::Msg(MASTER, tree_task(1)));
+        feed(&mut m, t0, Event::Tick);
+        // Timed out and requeued with nobody to take it: the first
+        // worker's answer finds the task on the queue, not in flight, and
+        // is as good as any.
+        let late = t0 + TIMEOUT + Duration::from_secs(1);
+        feed(&mut m, late, Event::Tick);
+        assert_eq!(m.work_queue.len(), 1);
+        assert_eq!(
+            feed(&mut m, late, Event::Msg(3, tree_result(1))),
+            [(MASTER, tree_result(1))]
+        );
+        assert_eq!(m.outstanding(), 0);
+        // A second answer, and an answer to a task never seen, are refused.
+        assert_eq!(feed(&mut m, late, Event::Msg(3, tree_result(1))), []);
+        assert_eq!(feed(&mut m, late, Event::Msg(3, tree_result(99))), []);
+        assert_eq!(m.stats().results_forwarded, 1);
+        assert_eq!(m.stats().duplicates_ignored, 2);
+    }
+
+    #[test]
+    fn an_edit_that_arrives_with_its_base_is_dispatched_with_it() {
+        let t0 = Instant::now();
+        let mut m = Sched::flat(4, TIMEOUT, false);
+        feed(&mut m, t0, Event::Msg(3, Message::WorkerReady));
+        // No broadcast ever reached this foreman: the embedded text is the
+        // only copy of the base there is.
+        let task = edit_task(1, 9, Some("(base9);"));
+        feed(&mut m, t0, Event::Msg(MASTER, task.clone()));
+        assert_eq!(feed(&mut m, t0, Event::Tick), [(3, task)]);
+    }
+
+    /// The worker-facing half of a run: a fixed script of arrivals, answers,
+    /// silences and link failures, with the machine's own upstream rank
+    /// wherever the script speaks as the tier above.
+    fn scripted_run(mut m: Sched) -> (Sends, Sends) {
+        let up = m.upstream_rank();
+        let t0 = Instant::now();
+        let script = [
+            (0, Event::Msg(3, Message::WorkerReady)),
+            (0, Event::Msg(4, Message::WorkerReady)),
+            (0, Event::Msg(up, base(1, "(base1);"))),
+            (0, Event::Msg(up, edit_task(1, 1, None))),
+            (0, Event::Msg(up, edit_task(2, 1, None))),
+            (0, Event::Msg(up, edit_task(3, 1, Some("(base1);")))),
+            (0, Event::Msg(up, tree_task(4))),
+            (0, Event::Tick),
+            // Two answers between ticks: one upward frame for a region.
+            (10, Event::Msg(3, tree_result(1))),
+            (10, Event::Msg(4, tree_result(2))),
+            (10, Event::Tick),
+            // Worker 4's link drops while it holds a task; worker 3
+            // finishes its own and inherits it.
+            (20, Event::Msg(up, Message::PeerDown { rank: 4 })),
+            (20, Event::Tick),
+            (30, Event::Msg(3, tree_result(3))),
+            (30, Event::Tick),
+            // Worker 4 is back, without the base.
+            (40, Event::Msg(up, Message::PeerUp { rank: 4 })),
+            (40, Event::Msg(4, Message::WorkerReady)),
+            (40, Event::Msg(up, edit_task(5, 1, None))),
+            (40, Event::Tick),
+            // Worker 3 goes silent past the timeout; then a send to it
+            // bounces.
+            (20_000, Event::Tick),
+            (20_000, Event::Undeliverable(3)),
+            (20_000, Event::Tick),
+            (20_010, Event::Msg(4, tree_result(5))),
+            (20_010, Event::Tick),
+            (20_020, Event::Msg(4, tree_result(4))),
+            (20_020, Event::Tick),
+            // A new round: only the live member hears the broadcast.
+            (20_030, Event::Msg(up, base(2, "(base2);"))),
+            (20_030, Event::Msg(up, edit_task(6, 2, None))),
+            (20_030, Event::Tick),
+            (20_040, Event::Msg(4, tree_result(6))),
+            (20_040, Event::Tick),
+        ];
+        let (mut down, mut upward) = (Vec::new(), Vec::new());
+        for (ms, ev) in script {
+            for (to, msg) in feed(&mut m, t0 + Duration::from_millis(ms), ev) {
+                if to >= ranks::FIRST_WORKER {
+                    down.push((to, msg));
+                } else {
+                    upward.push((to, msg));
+                }
+            }
+        }
+        assert_eq!(m.outstanding(), 0, "the script leaves no work behind");
+        (down, upward)
+    }
+
+    #[test]
+    fn a_region_is_the_flat_machine_and_differs_only_upstream() {
+        let (flat_down, flat_up) = scripted_run(Sched::flat(5, TIMEOUT, false));
+        let (region_down, region_up) = scripted_run(Sched::regional(0, TIMEOUT, false));
+        // The claim the old copy made in a comment: to its workers a
+        // region is the flat foreman, message for message.
+        assert_eq!(flat_down, region_down);
+        assert!(flat_down.len() >= 12, "the script exercises the ladder");
+
+        // Upstream, the flat machine returns each result in a frame of its
+        // own to the master...
+        assert!(flat_up.iter().all(|(to, _)| *to == MASTER));
+        let flat_results: Vec<&Message> = flat_up.iter().map(|(_, msg)| msg).collect();
+        assert_eq!(flat_results.len(), 6);
+        // ...and a region streams the same results, in the same order, to
+        // the root — batched per tick, between its lease requests.
+        assert!(region_up.iter().all(|(to, _)| *to == ROOT));
+        let mut region_results = Vec::new();
+        let mut leases = 0;
+        let mut batches = 0;
+        for (_, msg) in &region_up {
+            match msg {
+                Message::LeaseRequest { .. } => leases += 1,
+                Message::Batch { msgs } => {
+                    batches += 1;
+                    region_results.extend(msgs);
+                }
+                other => region_results.push(other),
+            }
+        }
+        assert_eq!(flat_results, region_results);
+        assert_eq!(batches, 1, "the two answers between ticks share a frame");
+        assert!(leases >= 1, "a region asks for its work");
+    }
+
+    /// Every ordering of `items`.
+    fn permutations<V: Clone>(items: &[V]) -> Vec<Vec<V>> {
+        if items.len() <= 1 {
+            return vec![items.to_vec()];
+        }
+        let mut all = Vec::new();
+        for i in 0..items.len() {
+            let mut rest = items.to_vec();
+            let first = rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first.clone());
+                all.push(tail);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn every_interleaving_sends_each_task_upstream_once_and_ends_idle() {
+        // Two workers, three tasks, one bounced send, one stray duplicate
+        // answer — in every order. Worker 4 answers at once. Worker 3 is
+        // slow: its answer lands one stimulus later, and is lost if its
+        // link is declared dead first.
+        let stimuli = [
+            Event::Msg(MASTER, tree_task(1)),
+            Event::Msg(MASTER, tree_task(2)),
+            Event::Msg(MASTER, tree_task(3)),
+            Event::Msg(3, Message::WorkerReady),
+            Event::Msg(4, Message::WorkerReady),
+            Event::Undeliverable(3),
+            Event::Msg(4, tree_result(1)),
+        ];
+        let t0 = Instant::now();
+        let orders = permutations(&stimuli);
+        assert_eq!(orders.len(), 5040);
+        for order in orders {
+            let mut m = Sched::flat(5, TIMEOUT, false);
+            let mut now = t0;
+            let mut upstream: Vec<u64> = Vec::new();
+            let mut slow: Vec<u64> = Vec::new();
+            let mut check = |m: &Sched, sends: Sends| -> Vec<(Rank, u64)> {
+                for (task, _) in &m.work_queue {
+                    assert!(
+                        !m.in_flight.contains_key(task),
+                        "task {task} both queued and in flight in {order:?}"
+                    );
+                }
+                let mut dispatched = Vec::new();
+                for (to, msg) in sends {
+                    match msg {
+                        Message::TreeResult { task, .. } if to == MASTER => upstream.push(task),
+                        Message::TreeTask { task, .. } => dispatched.push((to, task)),
+                        Message::Ping => {}
+                        other => panic!("unexpected {other:?} to {to} in {order:?}"),
+                    }
+                }
+                dispatched
+            };
+            // Deliver a stimulus, tick, and let worker 4 answer whatever
+            // reaches it until the machine settles.
+            let mut settle = |m: &mut Sched, now: Instant, ev: Event, slow: &mut Vec<u64>| {
+                let mut pending = vec![ev, Event::Tick];
+                while !pending.is_empty() {
+                    for ev in std::mem::take(&mut pending) {
+                        let sends = feed(m, now, ev);
+                        for (worker, task) in check(m, sends) {
+                            if worker == 4 {
+                                pending.push(Event::Msg(4, tree_result(task)));
+                                pending.push(Event::Tick);
+                            } else {
+                                slow.push(task);
+                            }
+                        }
+                    }
+                }
+            };
+            for ev in order.iter().cloned() {
+                let late: Vec<u64> = match ev {
+                    Event::Undeliverable(3) => {
+                        slow.clear();
+                        Vec::new()
+                    }
+                    _ => std::mem::take(&mut slow),
+                };
+                now += Duration::from_millis(1);
+                settle(&mut m, now, ev, &mut slow);
+                for task in late {
+                    settle(&mut m, now, Event::Msg(3, tree_result(task)), &mut slow);
+                }
+            }
+            // Let the ladder run out: whatever worker 3 still holds either
+            // gets answered or times out onto worker 4.
+            for _ in 0..4 {
+                for task in std::mem::take(&mut slow) {
+                    settle(&mut m, now, Event::Msg(3, tree_result(task)), &mut slow);
+                }
+                now += TIMEOUT + Duration::from_secs(1);
+                settle(&mut m, now, Event::Tick, &mut slow);
+            }
+            upstream.sort_unstable();
+            assert_eq!(upstream, [1, 2, 3], "in {order:?}");
+            assert_eq!(m.outstanding(), 0, "not idle after {order:?}");
+            assert_eq!(m.stats().quarantined, 0);
+        }
+    }
+
+    /// A root over two regions (ranks 3 and 4) and four workers (5..9).
+    fn root() -> Root {
+        Root::new(2, 9, TIMEOUT, false)
+    }
+
+    fn batch(msgs: Vec<Message>) -> Message {
+        Message::Batch { msgs }
+    }
+
+    #[test]
+    fn root_grants_round_robin_in_frames_of_at_most_grant_cap() {
+        let t0 = Instant::now();
+        let mut m = root();
+        let total = 2 * GRANT_CAP as u64 + 10;
+        for task in 0..total {
+            feed(&mut m, t0, Event::Msg(MASTER, tree_task(task)));
+        }
+        for (region, want) in [(0, 74), (1, 64)] {
+            let ask = Message::LeaseRequest { want };
+            // Absorbing grants nothing: the burst is leased at the tick.
+            assert_eq!(feed(&mut m, t0, Event::Msg(regional_rank(region), ask)), []);
+        }
+        let frames = feed(&mut m, t0, Event::Tick);
+        // 64 to region 0, 64 to region 1, the last 10 to region 0 again:
+        // queue order is grant order.
+        let expect: Vec<(Rank, Message)> = [(0, 0..64), (1, 64..128), (0, 128..138)]
+            .into_iter()
+            .map(|(region, tasks)| (regional_rank(region), batch(tasks.map(tree_task).collect())))
+            .collect();
+        assert_eq!(frames, expect);
+        assert_eq!(m.stats().leases_granted, 3);
+        assert_eq!(m.stats().stats.dispatched, total);
+        // A single task is leased bare, not as a batch of one.
+        let ask = Message::LeaseRequest { want: 1 };
+        feed(&mut m, t0, Event::Msg(regional_rank(1), ask));
+        feed(&mut m, t0, Event::Msg(MASTER, tree_task(500)));
+        assert_eq!(
+            feed(&mut m, t0, Event::Tick),
+            [(regional_rank(1), tree_task(500))]
+        );
+    }
+
+    #[test]
+    fn root_arbitrates_one_steal_per_thief_and_forwards_each_result_once() {
+        let t0 = Instant::now();
+        let (a, b) = (regional_rank(0), regional_rank(1));
+        let mut m = root();
+        for task in 1..=4 {
+            feed(&mut m, t0, Event::Msg(MASTER, tree_task(task)));
+        }
+        feed(&mut m, t0, Event::Msg(a, Message::LeaseRequest { want: 4 }));
+        assert_eq!(
+            feed(&mut m, t0, Event::Tick),
+            [(a, batch((1..=4).map(tree_task).collect()))]
+        );
+        // B turns up hungry with the root queue dry: the root asks the
+        // loaded sibling to give some back — once.
+        feed(&mut m, t0, Event::Msg(b, Message::LeaseRequest { want: 2 }));
+        assert_eq!(
+            feed(&mut m, t0, Event::Tick),
+            [(a, Message::StealRequest { want: 2 })]
+        );
+        assert_eq!(feed(&mut m, t0, Event::Tick), []);
+        // A surrenders its two coldest tasks; they go straight to B.
+        let surrendered = vec![tree_task(3), tree_task(4)];
+        assert_eq!(
+            feed(
+                &mut m,
+                t0,
+                Event::Msg(
+                    a,
+                    Message::StealReturn {
+                        tasks: surrendered.clone()
+                    }
+                )
+            ),
+            [(b, batch(surrendered))]
+        );
+        assert_eq!(m.stats().tasks_stolen, 2);
+        // Everyone answers — A also for a task it gave away. The master
+        // sees each task exactly once.
+        let from_a = batch(vec![tree_result(1), tree_result(2), tree_result(3)]);
+        assert_eq!(
+            feed(&mut m, t0, Event::Msg(a, from_a)),
+            [1, 2, 3].map(|task| (MASTER, tree_result(task)))
+        );
+        let from_b = batch(vec![tree_result(3), tree_result(4)]);
+        assert_eq!(
+            feed(&mut m, t0, Event::Msg(b, from_b)),
+            [(MASTER, tree_result(4))]
+        );
+        assert_eq!(m.stats().stats.results_forwarded, 4);
+        assert_eq!(m.stats().stats.duplicates_ignored, 1);
+    }
+
+    #[test]
+    fn root_reclaims_a_dead_regions_lease_in_order_and_self_contained() {
+        let t0 = Instant::now();
+        let (a, b) = (regional_rank(0), regional_rank(1));
+        let mut m = root();
+        assert_eq!(
+            feed(&mut m, t0, Event::Msg(MASTER, base(7, "(base7);"))),
+            [(a, base(7, "(base7);")), (b, base(7, "(base7);"))]
+        );
+        for task in [12, 10, 11] {
+            feed(&mut m, t0, Event::Msg(MASTER, edit_task(task, 7, None)));
+        }
+        feed(&mut m, t0, Event::Msg(a, Message::LeaseRequest { want: 3 }));
+        // Both regions heard the broadcast, so the lease goes compact.
+        let compact = [12, 10, 11].map(|task| edit_task(task, 7, None));
+        assert_eq!(
+            feed(&mut m, t0, Event::Tick),
+            [(a, batch(compact.to_vec()))]
+        );
+        // A send to region A bounces. Its workers (ranks 5 and 7) are
+        // re-homed to B in rank order...
+        let rehome = Message::Rehome { foreman: b };
+        assert_eq!(
+            feed(&mut m, t0, Event::Undeliverable(a)),
+            [(5, rehome.clone()), (7, rehome)]
+        );
+        let stats = m.stats();
+        assert_eq!((stats.regions_lost, stats.workers_rehomed), (1, 2));
+        assert_eq!(stats.stats.timeouts, 3, "the whole lease reclaimed");
+        // ...and its lease is granted again in task order, every edit
+        // carrying the base: whoever runs it next need not have seen the
+        // broadcast.
+        feed(&mut m, t0, Event::Msg(b, Message::LeaseRequest { want: 3 }));
+        let contained = [10, 11, 12].map(|task| edit_task(task, 7, Some("(base7);")));
+        assert_eq!(
+            feed(&mut m, t0, Event::Tick),
+            [(b, batch(contained.to_vec()))]
+        );
+        // The dead region's late result still counts, once.
+        assert_eq!(
+            feed(&mut m, t0, Event::Msg(a, tree_result(10))),
+            [(MASTER, tree_result(10))]
+        );
+        assert_eq!(feed(&mut m, t0, Event::Msg(b, tree_result(10))), []);
+    }
+}

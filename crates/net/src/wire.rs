@@ -23,6 +23,7 @@
 use fdml_comm::job::{JobId, JobResult, JobSpec, JobStatus, RejectReason};
 use fdml_comm::message::Message;
 use fdml_comm::transport::Rank;
+use fdml_wire::checksum::crc32;
 use fdml_wire::{varint, WireFormat};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
@@ -36,39 +37,6 @@ use std::time::{Duration, Instant};
 /// the `job` binding on `Hello` and the service-plane frames
 /// (`Submit` … `Done`) the `fdml-serve` daemon speaks.
 pub const PROTOCOL_VERSION: u32 = 3;
-
-/// The IEEE 802.3 CRC32 lookup table (reflected polynomial 0xEDB88320),
-/// built at compile time so the checksum needs no runtime setup and no
-/// external crate.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// The standard IEEE CRC32 (the one `zlib`, Ethernet, and PNG use), so the
-/// framing stays verifiable with any off-the-shelf tool.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Upper bound on a frame body. Real frames are a few KiB (`ProblemData`
 /// is the largest); anything bigger is a corrupt stream or a hostile peer.
@@ -696,13 +664,6 @@ mod tests {
         a.write_all(&0u32.to_be_bytes()).unwrap(); // CRC field
         let err = read_frame(&mut b, Duration::from_secs(1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The standard check vector for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

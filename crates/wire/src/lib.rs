@@ -18,13 +18,15 @@
 //!   rollout with no flag-day.
 //!
 //! Framing — length prefix and CRC32 — is unchanged and stays in
-//! `fdml-net`; this crate only defines what goes inside a frame.
+//! `fdml-net`; this crate only defines what goes inside a frame, and
+//! holds the [`checksum`] that framing and the on-disk log share.
 //!
 //! The layout is pinned by a golden-bytes fixture test: changing any tag
 //! or field order must bump [`BINARY_VERSION`] and fail that test first.
 
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod varint;
 
 use fdml_comm::codec::{CodecError, JsonCodec, MessageCodec};
