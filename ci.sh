@@ -92,9 +92,9 @@ cargo test -q -p fdml-likelihood scorer
 # whole searches.
 cargo test -q --test kernel_equivalence
 
-# Multi-process smoke: a 4-rank TCP deployment (one OS process per rank,
-# loopback) must emit the identical tree, byte for byte, to the threaded
-# in-process run of the same search.
+# Multi-process smoke: a 4-rank TCP deployment (the coordinator plus one
+# worker process, loopback) must emit the identical tree, byte for byte,
+# to the threaded in-process run of the same search.
 write_smoke_data
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --net spawn 4 --quiet --output "$SMOKE/net.nwk"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --parallel 4 --quiet --output "$SMOKE/threads.nwk"
@@ -169,6 +169,44 @@ cmp "$SMOKE/wire_json.nwk" "$SMOKE/threads.nwk"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --net spawn 9 --regions 2 --quiet \
   --output "$SMOKE/hier.nwk"
 cmp "$SMOKE/hier.nwk" "$SMOKE/threads.nwk"
+
+# Hosted control ranks: a flat `--net spawn 5` is one coordinator process
+# running master, foreman and monitor, plus exactly two forked workers
+# (ranks 3 and 4) — nothing dials in as rank 1 or 2 — and it finds the
+# threaded run's tree on the 18-taxon traffic input.
+./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --net spawn 5 --incremental \
+  --obs-out "$SMOKE/flat_net.jsonl" --output "$SMOKE/flat_net.nwk" 2> "$SMOKE/flat_net.err"
+cmp "$SMOKE/flat_net.nwk" "$SMOKE/traffic.nwk"
+test "$(grep -c 'fastdnaml: rank [0-9]* done' "$SMOKE/flat_net.err")" -eq 2
+grep -q 'fastdnaml: rank 3 done: Worker' "$SMOKE/flat_net.err"
+grep -q 'fastdnaml: rank 4 done: Worker' "$SMOKE/flat_net.err"
+if grep -q 'peer rank [0-9]* exited' "$SMOKE/flat_net.err"; then
+  echo "hosted ranks smoke: a worker process did not exit cleanly"
+  exit 1
+fi
+test "$(grep -c '"NetPeerConnected"' "$SMOKE/flat_net.jsonl")" -eq 2
+if grep -E '"NetPeerConnected":\{"rank":[012]\}' "$SMOKE/flat_net.jsonl"; then
+  echo "hosted ranks smoke: a control rank dialed in over TCP"
+  exit 1
+fi
+
+# One syscall per side per burst: the socket's read timeout is armed in one
+# place, FrameReader::new — once per connection for the session loops of
+# hub.rs and client.rs, which read through their FrameReader, and per call
+# only under read_frame, the one-shot reader of handshakes and the service
+# plane. It must not creep back into a per-frame path.
+if grep -n 'set_read_timeout' crates/net/src/hub.rs crates/net/src/client.rs; then
+  echo "net: a session loop arms the socket timeout itself"
+  exit 1
+fi
+test "$(grep -c '\.set_read_timeout(' crates/net/src/wire.rs)" -eq 1
+for loop in peer_reader run_generation; do
+  if awk -v f="fn $loop" 'index($0, f) { on = 1 } on { print } on && /^}/ { exit }' \
+      crates/net/src/hub.rs crates/net/src/client.rs | grep -n 'read_frame('; then
+    echo "net: $loop reads frame by frame off the bare socket"
+    exit 1
+  fi
+done
 
 # One scheduler core. The ladder (dispatch, timeout, probe, result,
 # WorkerReady, PeerDown) is the pure machine of core/src/sched.rs, driven

@@ -1,11 +1,16 @@
 //! Multi-process orchestration over the TCP transport.
 //!
 //! This is the launcher layer of the paper's distributed deployments: one
-//! *coordinator* process hosts the hub and the master (rank 0); *peer*
-//! processes dial in and become whatever rank the hub assigns — 1 foreman,
-//! 2 monitor, 3.. workers — running exactly the same `run_scheduler` /
-//! `run_monitor` / `run_worker` loops the threaded build runs, now against
-//! [`fdml_net::TcpTransport`] instead of a channel endpoint.
+//! *coordinator* process hosts the hub and the control ranks — 0 master, 1
+//! foreman, 2 monitor, the latter two as threads over the hub's hosted
+//! endpoints, started by the same [`ServiceRanks`] helper the threaded
+//! runtime uses — and *peer* processes dial in and become whatever rank the
+//! hub assigns from 3 up: workers (and, with `--regions R`, the regional
+//! foremen at `3..3+R`), running exactly the same `run_worker` /
+//! `run_scheduler` loops the threaded build runs, now against
+//! [`fdml_net::TcpTransport`] instead of a channel endpoint. Master,
+//! foreman and monitor talk over channels; a task crosses a socket twice,
+//! foreman → worker and back.
 //!
 //! Like every orchestration entrypoint in this crate, the coordinators are
 //! constructed from a [`ResolvedJob`] (what to run) plus a [`NetOptions`]
@@ -21,10 +26,9 @@ use crate::checkpoint::FarmManifest;
 use crate::config::SearchConfig;
 use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
 use crate::foreman::{run_scheduler, ForemanStats};
-use crate::hierarchy::{first_worker_rank, home_rank, Root, RootStats};
+use crate::hierarchy::{first_worker_rank, home_rank};
 use crate::job::ResolvedJob;
-use crate::monitor::{run_monitor, MonitorReport};
-use crate::runner::{search_on, RunObserver, SearchSession};
+use crate::runner::{search_on, RunObserver, SearchSession, ServiceRanks, ServiceStats};
 use crate::sched::{tick_of, Sched};
 use crate::search::SearchResult;
 use crate::worker::{ranks, run_worker_homed, WorkerStats};
@@ -32,7 +36,7 @@ use fdml_chaos::ChaosPlan;
 use fdml_comm::message::Message;
 use fdml_comm::recording::Recording;
 use fdml_comm::transport::{CommError, Rank, Transport};
-use fdml_net::{ClientConfig, NetConfig, TcpHub, TcpTransport, WireFormat};
+use fdml_net::{ClientConfig, HostedRank, NetConfig, TcpHub, TcpTransport, WireFormat};
 use fdml_obs::{Event, Obs, RunReport, Sink};
 use fdml_phylo::consensus::Consensus;
 use fdml_phylo::error::PhyloError;
@@ -162,9 +166,23 @@ pub struct NetOutcome {
     /// The search result (identical to a threads-transport run with the
     /// same configuration).
     pub result: SearchResult,
-    /// End-of-run observability report — master-side traffic plus the
-    /// hub's per-peer connection events. `None` when unobserved.
+    /// End-of-run observability report — the coordinator's ranks (master,
+    /// foreman, monitor) plus the hub's per-peer connection events. `None`
+    /// when unobserved.
     pub report: Option<RunReport>,
+    /// What the coordinator's universe left behind.
+    pub fleet: NetFleet,
+}
+
+/// What a coordinator's universe leaves behind besides its result.
+#[derive(Debug)]
+pub struct NetFleet {
+    /// The foreman's and the monitor's shutdown statistics.
+    pub service: ServiceStats,
+    /// `Data` frames the hub relayed from one peer's socket to another's
+    /// over the whole run: zero in a flat universe, where workers speak
+    /// only to the (hosted) foreman.
+    pub relayed: u64,
     /// Exit statuses of spawned peers (spawn mode only), by rank.
     pub peer_exits: Vec<(Rank, Option<i32>)>,
 }
@@ -172,13 +190,9 @@ pub struct NetOutcome {
 /// What a peer process ran, with its shutdown statistics.
 #[derive(Debug)]
 pub enum PeerOutcome {
-    /// This process was rank 1 in a flat universe, or a regional foreman
-    /// (ranks `3..3+R`) in a hierarchical one.
+    /// This process was a regional foreman (ranks `3..3+R` of a
+    /// hierarchical universe).
     Foreman(ForemanStats),
-    /// This process was rank 1 of a hierarchical universe.
-    Root(RootStats),
-    /// This process was rank 2.
-    Monitor(MonitorReport),
     /// This process was a worker rank.
     Worker(WorkerStats),
 }
@@ -210,11 +224,17 @@ fn peer_command(spawn: &NetSpawn, addr: &str, rank: Option<Rank>) -> Command {
     cmd
 }
 
-/// Bind the hub, fork peers if asked, and wait for the universe.
+/// The coordinator's side of an assembled universe: the master's endpoint,
+/// the foreman's and the monitor's, and the forked peers.
+type Universe = (TcpHub, HostedRank, HostedRank, Vec<(Rank, Child)>);
+
+/// Bind the hub — hosting ranks 0–2 — fork the peers if asked, and wait
+/// for the universe.
 ///
-/// Spawning is sequential — each child's handshake is awaited before the
-/// next fork — so connection order, and therefore rank assignment, is
-/// deterministic (child *i* becomes rank *i*).
+/// Spawning is sequential — each child's handshake is awaited (on the
+/// hub's own signal, not a sleep) before the next fork — so connection
+/// order, and therefore rank assignment, is deterministic (child *i*
+/// becomes rank *i*).
 fn assemble_universe(
     listen: &str,
     num_ranks: usize,
@@ -223,7 +243,7 @@ fn assemble_universe(
     wire: WireFormat,
     obs: &Obs,
     spawn: &Option<NetSpawn>,
-) -> Result<(TcpHub, Vec<(Rank, Child)>), PhyloError> {
+) -> Result<Universe, PhyloError> {
     assert!(
         num_ranks >= 4,
         "the fully instrumented parallel version requires at least four ranks"
@@ -238,32 +258,31 @@ fn assemble_universe(
         wire,
         ..NetConfig::default()
     };
-    let hub = TcpHub::bind(listen, num_ranks, net_cfg, obs.clone())
-        .map_err(|e| PhyloError::Format(format!("bind {listen}: {e}")))?;
+    let (hub, mut hosted) =
+        TcpHub::bind_hosting(listen, num_ranks, ranks::FIRST_WORKER, net_cfg, obs.clone())
+            .map_err(|e| PhyloError::Format(format!("bind {listen}: {e}")))?;
+    let monitor_end = hosted.pop().expect("rank 2 is hosted");
+    let foreman_end = hosted.pop().expect("rank 1 is hosted");
     let addr = hub.local_addr().to_string();
 
     let mut children: Vec<(Rank, Child)> = Vec::new();
     if let Some(spawn) = spawn {
-        for rank in 1..num_ranks {
+        for rank in ranks::FIRST_WORKER..num_ranks {
             let child = peer_command(spawn, &addr, Some(rank))
                 .spawn()
                 .map_err(|e| PhyloError::Format(format!("spawn peer: {e}")))?;
             children.push((rank, child));
-            let deadline = Instant::now() + READY_TIMEOUT;
-            while hub.connected_peers() < rank {
-                if Instant::now() >= deadline {
-                    reap(&mut children, Duration::ZERO);
-                    return Err(PhyloError::Format(format!(
-                        "spawned peer for rank {rank} never connected"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            if !hub.wait_for_peers(READY_TIMEOUT, |connected| connected >= children.len()) {
+                reap(&mut children, Duration::ZERO);
+                return Err(PhyloError::Format(format!(
+                    "spawned peer for rank {rank} never connected"
+                )));
             }
         }
     }
     hub.wait_ready(READY_TIMEOUT)
         .map_err(|e| PhyloError::Format(format!("waiting for peers: {e}")))?;
-    Ok((hub, children))
+    Ok((hub, foreman_end, monitor_end, children))
 }
 
 /// Shut the universe down: stop supervision, wait for the peers to
@@ -281,29 +300,25 @@ fn drain_and_reap(
         children.append(&mut kids);
         peer_exits.append(&mut exits);
     }
-    let drain_deadline = Instant::now() + Duration::from_secs(10);
-    while master_end.inner().connected_peers() > 0 && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    master_end
+        .inner()
+        .wait_for_peers(Duration::from_secs(10), |connected| connected == 0);
     peer_exits.extend(reap(&mut children, Duration::from_secs(30)));
     drop(master_end);
     peer_exits
 }
 
-/// What a universe's peers left behind: the end-of-run report (`None`
-/// when unobserved) and the exit statuses of spawned peers, by rank.
-type NetTeardown = (Option<RunReport>, Vec<(Rank, Option<i32>)>);
-
 /// Run `master` as rank 0 of a TCP universe: bind the hub, (optionally)
-/// fork and supervise the peers, wait for the universe, and afterwards
-/// drain and reap it. `master` returns its endpoint, its value and the
-/// final log-likelihood, and must leave the universe shut down
-/// (`Shutdown` sent to the foreman) whatever its outcome.
+/// fork and supervise the peers, wait for the universe, start the foreman
+/// and the monitor on their hosted endpoints, and afterwards drain and
+/// reap it. `master` returns its endpoint, its value and the final
+/// log-likelihood, and must leave the universe shut down (`Shutdown` sent
+/// to the foreman) whatever its outcome.
 fn run_on_net<R>(
     config: &SearchConfig,
     options: NetOptions,
     master: impl FnOnce(Recording<TcpHub>, &Obs) -> (Recording<TcpHub>, Result<(R, f64), PhyloError>),
-) -> Result<(R, NetTeardown), PhyloError> {
+) -> Result<(R, Option<RunReport>, NetFleet), PhyloError> {
     let NetOptions {
         listen,
         num_ranks,
@@ -316,7 +331,7 @@ fn run_on_net<R>(
     let workers = num_ranks - first_worker_rank(regions);
     let observer = RunObserver::start(sinks, num_ranks, workers, config);
     let obs = &observer.obs;
-    let (hub, mut children) = assemble_universe(
+    let (hub, foreman_end, monitor_end, mut children) = assemble_universe(
         &listen,
         num_ranks,
         config.worker_timeout,
@@ -335,12 +350,26 @@ fn run_on_net<R>(
         )),
         _ => None,
     };
+    let service = ServiceRanks::start(
+        foreman_end,
+        monitor_end,
+        regions,
+        config.worker_timeout,
+        obs,
+    );
     let (master_end, outcome) = master(Recording::new(hub, obs.clone()), obs);
+    let service = service.join();
+    let relayed = master_end.inner().relayed();
     // The teardown helper keeps the hub alive until the peers acknowledge
     // the shutdown by disconnecting.
     let peer_exits = drain_and_reap(master_end, supervisor, children);
     let (value, ln_likelihood) = outcome?;
-    Ok((value, (observer.finish(ln_likelihood), peer_exits)))
+    let fleet = NetFleet {
+        service,
+        relayed,
+        peer_exits,
+    };
+    Ok((value, observer.finish(ln_likelihood), fleet))
 }
 
 /// Run the coordinator: bind the hub, (optionally) fork peers, wait for
@@ -355,7 +384,7 @@ pub fn net_coordinator_search(
 ) -> Result<NetOutcome, PhyloError> {
     let first_worker = first_worker_rank(options.regions);
     let session = std::mem::take(&mut options.session);
-    let (result, (report, peer_exits)) = run_on_net(&job.config, options, |master_end, obs| {
+    let (result, report, fleet) = run_on_net(&job.config, options, |master_end, obs| {
         let (master_end, result) = search_on(master_end, first_worker, job, session, obs);
         let outcome = result.map(|found| {
             let ln_likelihood = found.ln_likelihood;
@@ -366,7 +395,7 @@ pub fn net_coordinator_search(
     Ok(NetOutcome {
         result,
         report,
-        peer_exits,
+        fleet,
     })
 }
 
@@ -382,8 +411,8 @@ pub struct NetFarmOutcome {
     pub manifest: FarmManifest,
     /// End-of-run observability report. `None` when unobserved.
     pub report: Option<RunReport>,
-    /// Exit statuses of spawned peers (spawn mode only), by rank.
-    pub peer_exits: Vec<(Rank, Option<i32>)>,
+    /// What the coordinator's universe left behind.
+    pub fleet: NetFleet,
 }
 
 /// Run the coordinator as a jumble-farm master: bind the hub, (optionally)
@@ -399,7 +428,7 @@ pub fn net_farm_search(
     // The farm shards whole jumbles, so its universe stays flat — a
     // `regions` setting is ignored here just as in the threaded farm.
     let options = options.hierarchical(0);
-    let (parts, (report, peer_exits)) = run_on_net(&job.config, options, |master_end, obs| {
+    let (parts, report, fleet) = run_on_net(&job.config, options, |master_end, obs| {
         let parts = run_farm_master(
             &master_end,
             &job.alignment,
@@ -423,7 +452,7 @@ pub fn net_farm_search(
         consensus: parts.consensus,
         manifest: parts.manifest,
         report,
-        peer_exits,
+        fleet,
     })
 }
 
@@ -569,50 +598,32 @@ pub fn run_net_peer(
     // its role purely from its rank — the same binary serves flat and
     // hierarchical universes with no extra flags.
     let regions = transport.regions();
-    let size = transport.size();
-    let tick = tick_of(worker_timeout);
-    let outcome = match rank {
-        ranks::FOREMAN if regions > 0 => run_scheduler(
-            Recording::new(transport, obs.clone()),
-            Root::new(regions, size, worker_timeout, true),
-            tick,
-            obs.clone(),
-        )
-        .map(PeerOutcome::Root)
-        .map_err(|e| format!("root foreman: {e}"))?,
-        ranks::FOREMAN => run_scheduler(
-            Recording::new(transport, obs.clone()),
-            Sched::flat(size, worker_timeout, true),
-            tick,
-            obs.clone(),
-        )
-        .map(PeerOutcome::Foreman)
-        .map_err(|e| format!("foreman: {e}"))?,
-        ranks::MONITOR => run_monitor(Recording::new(transport, obs.clone()), obs.clone())
-            .map(PeerOutcome::Monitor)
-            .map_err(|e| format!("monitor: {e}"))?,
-        r if regions > 0 && r < first_worker_rank(regions) => run_scheduler(
-            Recording::new(transport, obs.clone()),
-            Sched::regional(r - ranks::FIRST_WORKER, worker_timeout, true),
-            tick,
-            obs.clone(),
-        )
-        .map(PeerOutcome::Foreman)
-        .map_err(|e| format!("regional foreman: {e}"))?,
-        _ => {
-            let home = if regions > 0 {
-                home_rank(rank, regions)
-            } else {
-                ranks::FOREMAN
-            };
-            let recorded = Recording::new(transport, obs.clone());
-            let stats = match die_after_tasks {
-                Some(n) => run_worker_homed(DieAfter::new(recorded, n), home, obs.clone()),
-                None => run_worker_homed(recorded, home, obs.clone()),
-            }
-            .map_err(|e| format!("worker: {e:?}"))?;
-            PeerOutcome::Worker(stats)
+    if rank < ranks::FIRST_WORKER {
+        // Only a coordinator from before control ranks were hosted hands
+        // these out.
+        return Err(format!(
+            "assigned control rank {rank}: this build's coordinator runs the foreman and \
+             the monitor itself"
+        ));
+    }
+    let recorded = Recording::new(transport, obs.clone());
+    let outcome = if rank < first_worker_rank(regions) {
+        let machine = Sched::regional(rank - ranks::FIRST_WORKER, worker_timeout, true);
+        run_scheduler(recorded, machine, tick_of(worker_timeout), obs.clone())
+            .map(PeerOutcome::Foreman)
+            .map_err(|e| format!("regional foreman: {e}"))?
+    } else {
+        let home = if regions > 0 {
+            home_rank(rank, regions)
+        } else {
+            ranks::FOREMAN
+        };
+        let stats = match die_after_tasks {
+            Some(n) => run_worker_homed(DieAfter::new(recorded, n), home, obs.clone()),
+            None => run_worker_homed(recorded, home, obs.clone()),
         }
+        .map_err(|e| format!("worker: {e:?}"))?;
+        PeerOutcome::Worker(stats)
     };
     obs.flush();
     Ok((rank, outcome))

@@ -20,7 +20,7 @@ use fdml_comm::fault::{FaultPlan, FaultyTransport};
 use fdml_comm::message::Message;
 use fdml_comm::recording::Recording;
 use fdml_comm::threads::{ThreadTransport, ThreadUniverse};
-use fdml_comm::transport::Transport;
+use fdml_comm::transport::{CommError, Transport};
 use fdml_obs::{Event, MemorySink, Obs, RunReport, Sink};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::consensus::{consensus, Consensus};
@@ -256,10 +256,78 @@ pub struct HierarchyOutcome {
     pub regions: HashMap<usize, ForemanStats>,
 }
 
+/// What a universe's service ranks report when they are joined.
+#[derive(Debug)]
+pub struct ServiceStats {
+    /// The foreman's counters: the flat foreman's in `root.stats` (the
+    /// rest zero), or the root foreman's in a hierarchical run.
+    pub root: RootStats,
+    /// The monitor's aggregated instrumentation.
+    pub monitor: MonitorReport,
+}
+
+/// The service ranks of a universe — rank 1 the foreman (the root foreman
+/// when `regions > 0`), rank 2 the monitor — running as threads of the
+/// master's process. Every launcher hosts them this way: over channel
+/// endpoints in a threaded universe, over the hub's hosted endpoints in a
+/// TCP one.
+pub(crate) struct ServiceRanks {
+    foreman: thread::JoinHandle<Result<RootStats, ForemanError>>,
+    monitor: thread::JoinHandle<Result<MonitorReport, CommError>>,
+}
+
+impl ServiceRanks {
+    /// Start the foreman on `foreman_end` and the monitor on
+    /// `monitor_end`.
+    pub(crate) fn start<T: Transport + Send + 'static>(
+        foreman_end: T,
+        monitor_end: T,
+        regions: usize,
+        timeout: Duration,
+        obs: &Obs,
+    ) -> ServiceRanks {
+        let num_ranks = foreman_end.size();
+        let foreman_end = Recording::new(foreman_end, obs.clone());
+        let monitor_end = Recording::new(monitor_end, obs.clone());
+        let foreman_obs = obs.clone();
+        let foreman = thread::spawn(move || {
+            let tick = tick_of(timeout);
+            if regions == 0 {
+                let machine = Sched::flat(num_ranks, timeout, true);
+                run_scheduler(foreman_end, machine, tick, foreman_obs).map(|stats| RootStats {
+                    stats,
+                    ..RootStats::default()
+                })
+            } else {
+                let machine = Root::new(regions, num_ranks, timeout, true);
+                run_scheduler(foreman_end, machine, tick, foreman_obs)
+            }
+        });
+        let monitor_obs = obs.clone();
+        let monitor = thread::spawn(move || run_monitor(monitor_end, monitor_obs));
+        ServiceRanks { foreman, monitor }
+    }
+
+    /// Join both ranks; the master must already have shut the universe
+    /// down.
+    pub(crate) fn join(self) -> ServiceStats {
+        let root = self
+            .foreman
+            .join()
+            .expect("foreman thread must not panic")
+            .expect("foreman must exit cleanly");
+        let monitor = self
+            .monitor
+            .join()
+            .expect("monitor thread must not panic")
+            .expect("monitor must exit cleanly");
+        ServiceStats { root, monitor }
+    }
+}
+
 /// What the ranks of a threaded universe report when they are joined.
 struct FleetStats {
-    root: RootStats,
-    monitor: MonitorReport,
+    service: ServiceStats,
     regions: HashMap<usize, ForemanStats>,
     workers: HashMap<usize, WorkerStats>,
 }
@@ -344,35 +412,13 @@ fn run_on_threads<R>(
         });
         region_handles.push((region, handle));
     }
-    let monitor_end = Recording::new(endpoints.remove(ranks::MONITOR), obs.clone());
-    let foreman_end = Recording::new(endpoints.remove(ranks::FOREMAN), obs.clone());
+    let monitor_end = endpoints.remove(ranks::MONITOR);
+    let foreman_end = endpoints.remove(ranks::FOREMAN);
     let master_end = Recording::new(endpoints.remove(ranks::MASTER), obs.clone());
-    let foreman_obs = obs.clone();
-    let foreman_handle = thread::spawn(move || {
-        let tick = tick_of(timeout);
-        if regions == 0 {
-            let machine = Sched::flat(num_ranks, timeout, true);
-            run_scheduler(foreman_end, machine, tick, foreman_obs).map(|stats| RootStats {
-                stats,
-                ..RootStats::default()
-            })
-        } else {
-            let machine = Root::new(regions, num_ranks, timeout, true);
-            run_scheduler(foreman_end, machine, tick, foreman_obs)
-        }
-    });
-    let monitor_obs = obs.clone();
-    let monitor_handle = thread::spawn(move || run_monitor(monitor_end, monitor_obs));
+    let service = ServiceRanks::start(foreman_end, monitor_end, regions, timeout, obs);
 
     let outcome = master(master_end, obs);
-    let root = foreman_handle
-        .join()
-        .expect("foreman thread must not panic")
-        .expect("foreman must exit cleanly");
-    let monitor = monitor_handle
-        .join()
-        .expect("monitor thread must not panic")
-        .expect("monitor must exit cleanly");
+    let service = service.join();
     let regions = region_handles
         .into_iter()
         .map(|(region, handle)| {
@@ -391,8 +437,7 @@ fn run_on_threads<R>(
         .collect();
     let (value, ln_likelihood) = outcome?;
     let stats = FleetStats {
-        root,
-        monitor,
+        service,
         regions,
         workers,
     };
@@ -460,8 +505,7 @@ pub fn parallel_search(
             Ok((result, ln_likelihood))
         })?;
     let FleetStats {
-        root,
-        monitor,
+        service: ServiceStats { root, monitor },
         regions,
         workers,
     } = stats;
@@ -530,8 +574,8 @@ pub fn farm_search(
         runs: parts.runs,
         consensus: parts.consensus,
         manifest: parts.manifest,
-        monitor: stats.monitor,
-        foreman: stats.root.stats,
+        monitor: stats.service.monitor,
+        foreman: stats.service.root.stats,
         workers: stats.workers,
         report,
     })

@@ -1,8 +1,10 @@
 //! The peer-side transport: a reconnecting TCP client.
 //!
 //! [`TcpTransport::connect`] dials the hub, handshakes, learns its rank,
-//! and then keeps a reader thread (frames in), a writer thread (bounded
-//! queue out, heartbeats when idle), and a manager thread that owns the
+//! and then keeps a reader thread (frames in, through one buffered
+//! [`FrameReader`] per connection), a writer thread (bounded queue out,
+//! everything queued in one `write`, heartbeats when idle), and a manager
+//! thread that owns the
 //! socket lifecycle. When the link drops — socket error or `miss_limit`
 //! silent heartbeat intervals — the manager reconnects with exponential
 //! backoff, presenting `Hello { rejoin: Some(rank) }` to reclaim its slot.
@@ -10,14 +12,16 @@
 //! dead, surfacing [`CommError::Disconnected`] to the rank's run loop so
 //! it exits and the coordinator's fault tolerance takes over.
 
-use crate::wire::{read_frame, write_frame, write_frame_as, Frame, PROTOCOL_VERSION};
+use crate::wire::{
+    coalesce_frames, read_frame, write_frame, write_frame_as, Frame, FrameReader, PROTOCOL_VERSION,
+};
 use fdml_comm::job::JobId;
 use fdml_comm::message::Message;
 use fdml_comm::transport::{CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
 use fdml_wire::WireFormat;
 use parking_lot::Mutex;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -41,8 +45,9 @@ pub struct ClientConfig {
     pub job: Option<JobId>,
     /// Claim this specific rank on the initial dial by presenting
     /// `Hello { rejoin: Some(rank) }` — the only way to take a slot the
-    /// hub reserved at bind time (see `TcpHub::bind_reserved`). `None` —
-    /// the default — accepts whatever rank the hub assigns.
+    /// hub reserved at bind time (see `TcpHub::bind_reserved`, which also
+    /// says why the daemon still needs this). `None` — the default —
+    /// accepts whatever rank the hub assigns.
     pub claim: Option<Rank>,
     /// The wire format this endpoint writes its data-plane frames in —
     /// provided the hub's `Welcome` shows it can sniff codecs. A hub that
@@ -367,6 +372,9 @@ fn run_generation(
     out_rx: &Arc<Mutex<Receiver<Frame>>>,
     in_tx: &Sender<(Rank, Message)>,
 ) {
+    let Ok(mut reader) = FrameReader::new(stream, shared.liveness.heartbeat) else {
+        return;
+    };
     let gen_stop = Arc::new(AtomicBool::new(false));
     let writer = {
         let stream = match stream.try_clone() {
@@ -387,7 +395,7 @@ fn run_generation(
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match read_frame(stream, shared.liveness.heartbeat) {
+        match reader.next_frame(stream) {
             Ok(Some(frame)) => {
                 misses = 0;
                 match frame {
@@ -427,43 +435,40 @@ fn run_generation(
     }
 }
 
-/// Drain the outgoing queue onto the socket; heartbeat when idle; say
-/// `Goodbye` when the endpoint is dropped.
+/// Drain the outgoing queue onto the socket — everything queued in one
+/// write; heartbeat when idle; say `Goodbye` when the endpoint is dropped.
 fn client_writer(
     mut stream: TcpStream,
     shared: Arc<ClientShared>,
     out_rx: Arc<Mutex<Receiver<Frame>>>,
     gen_stop: Arc<AtomicBool>,
 ) {
+    let mut buf = Vec::new();
+    let from = shared.rank;
     loop {
         if gen_stop.load(Ordering::SeqCst) {
             return;
         }
-        let next = out_rx.lock().recv_timeout(shared.liveness.heartbeat);
-        match next {
-            Ok(frame) => {
-                if write_frame_as(&mut stream, &frame, shared.wire).is_err() {
-                    // Wake the reader immediately rather than letting it
-                    // ride out its heartbeat misses.
+        let encoded = {
+            let out_rx = out_rx.lock();
+            let first = match out_rx.recv_timeout(shared.liveness.heartbeat) {
+                Ok(frame) => frame,
+                Err(mpsc::RecvTimeoutError::Timeout) => Frame::Heartbeat { from },
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // The endpoint was dropped: orderly exit.
+                    shared.shutdown.store(true, Ordering::SeqCst);
+                    let _ = write_frame_as(&mut stream, &Frame::Goodbye { from }, shared.wire);
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                let from = shared.rank;
-                if write_frame_as(&mut stream, &Frame::Heartbeat { from }, shared.wire).is_err() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // The endpoint was dropped: orderly exit.
-                shared.shutdown.store(true, Ordering::SeqCst);
-                let from = shared.rank;
-                let _ = write_frame_as(&mut stream, &Frame::Goodbye { from }, shared.wire);
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+            };
+            coalesce_frames(&mut buf, first, || out_rx.try_recv().ok(), shared.wire)
+        };
+        if encoded.and_then(|()| stream.write_all(&buf)).is_err() {
+            // Wake the reader immediately rather than letting it ride out
+            // its heartbeat misses.
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
         }
     }
 }

@@ -1,15 +1,26 @@
 //! The coordinator-side hub: listener, handshake, and message routing.
 //!
 //! The hub is the process topology's star point. It owns the listening
-//! socket, assigns ranks to connecting peers in arrival order (1, 2, 3, …),
-//! and relays every [`Frame::Data`] between them, so peer processes need a
-//! route to the coordinator only — exactly the property that let the
-//! paper's PVM version span clusters where workers could not reach each
-//! other directly. The hub's own process hosts rank 0 (the master): the
-//! [`TcpHub`] value *is* that rank's [`Transport`] endpoint.
+//! socket, assigns the remote ranks to connecting peers in arrival order,
+//! and routes every [`Frame::Data`], so peer processes need a route to the
+//! coordinator only — exactly the property that let the paper's PVM
+//! version span clusters where workers could not reach each other
+//! directly.
+//!
+//! The hub's own process *hosts* the low ranks. Rank 0 (the master) always:
+//! the [`TcpHub`] value is that rank's [`Transport`] endpoint. A
+//! coordinator also hosts its control ranks — 1 foreman, 2 monitor — as
+//! [`HostedRank`] endpoints ([`TcpHub::bind_hosting`]): in-process inboxes
+//! behind the same router, never handed to a dialer. One `deliver` serves
+//! every sender, local or remote: a hosted destination is a channel push,
+//! a remote one that connection's writer queue. Workers speak only to the
+//! foreman, so in a flat universe nothing is relayed peer to peer at all
+//! ([`TcpHub::relayed`] counts what is): a task crosses a socket twice,
+//! out and back.
 //!
 //! Liveness: every peer connection has a reader thread (frames in, misses
-//! counted) and a writer thread (bounded queue out, heartbeats when idle).
+//! counted) and a writer thread (bounded queue out, heartbeats when idle;
+//! whatever is queued goes out in one `write`, see `wire::coalesce_frames`).
 //! A peer silent for `miss_limit` heartbeat intervals — or whose socket
 //! errors — is declared dead: its slot is cleared, an obs event is emitted,
 //! and local sends to it fail with [`CommError::Disconnected`] so the
@@ -35,18 +46,18 @@
 //! all — it is handed off wholesale through [`TcpHub::accept_service`] to
 //! whoever is running the job API, socket and opening frame together.
 
-use crate::wire::{read_frame, write_frame, write_frame_as, Frame, PROTOCOL_VERSION};
+use crate::wire::{coalesce_frames, read_frame, write_frame, Frame, FrameReader, PROTOCOL_VERSION};
 use fdml_comm::job::{JobId, RejectReason};
 use fdml_comm::message::Message;
 use fdml_comm::transport::{ranks, CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
 use fdml_wire::WireFormat;
 use parking_lot::Mutex;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -61,7 +72,7 @@ pub struct NetConfig {
     /// Depth of each peer's bounded outgoing queue (frames).
     pub queue_depth: usize,
     /// The foreman's fault-tolerance timeout, forwarded in `Welcome` so a
-    /// remote foreman process configures itself from the wire.
+    /// remote (regional) foreman process configures itself from the wire.
     pub worker_timeout: Duration,
     /// The wire format the hub writes its data-plane frames in — to peers
     /// that advertised codec-sniffing support in their `Hello`. Peers that
@@ -122,42 +133,111 @@ struct HubShared {
     cfg: NetConfig,
     obs: Obs,
     shutdown: AtomicBool,
-    slots: Mutex<Vec<Slot>>,
-    /// Every reader thread (and rank-0 self-sends) feeds this.
-    in_tx: Sender<(Rank, Message)>,
+    /// Inboxes of the ranks this process hosts, `0..hosted.len()`. Their
+    /// entries in `slots` stay empty: no dialer is ever bound to them.
+    hosted: Vec<Sender<(Rank, Message)>>,
+    slots: std::sync::Mutex<Vec<Slot>>,
+    /// Signalled whenever a slot connects or disconnects.
+    changed: Condvar,
+    /// `Data` frames that came in on one socket and left on another.
+    relayed: AtomicU64,
     /// Service-plane connections flow here for [`TcpHub::accept_service`].
     service_tx: Sender<ServiceRequest>,
 }
 
 impl HubShared {
+    /// The slot table. A panicked holder does not wedge the hub: every
+    /// update leaves the table valid at every step.
+    fn slots(&self) -> MutexGuard<'_, Vec<Slot>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Route `msg` to rank `to` on behalf of `from`: the one path every
+    /// sender takes, hosted endpoint and socket reader alike. A hosted
+    /// destination is a channel push; a remote one is that connection's
+    /// bounded writer queue, with backpressure on the sender rather than
+    /// buffering without limit.
+    fn deliver(&self, from: Rank, to: Rank, msg: Message) -> Result<(), CommError> {
+        if to >= self.size {
+            return Err(CommError::UnknownRank(to));
+        }
+        if let Some(inbox) = self.hosted.get(to) {
+            return inbox
+                .send((from, msg))
+                .map_err(|_| CommError::Disconnected(to));
+        }
+        let mut frame = Frame::Data { from, to, msg };
+        loop {
+            // Looked up afresh each lap: a full queue to a dead-ish peer
+            // resolves when its liveness check clears the slot.
+            let Some(out) = self.slots()[to].out.clone() else {
+                return Err(CommError::Disconnected(to));
+            };
+            match out.try_send(frame) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Full(f)) => {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        return Err(CommError::Disconnected(to));
+                    }
+                    frame = f;
+                    thread::sleep(Duration::from_millis(1));
+                }
+                Err(TrySendError::Disconnected(_)) => return Err(CommError::Disconnected(to)),
+            }
+        }
+    }
+
+    /// Block until `enough(connected remote ranks)` holds, at most
+    /// `timeout`; whether it came to hold.
+    fn wait_for_peers(&self, timeout: Duration, enough: impl Fn(usize) -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut slots = self.slots();
+        loop {
+            if enough(slots.iter().filter(|s| s.out.is_some()).count()) {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            slots = self
+                .changed
+                .wait_timeout(slots, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
     /// Declare `rank`'s connection (of `generation`) dead. Idempotent and
     /// generation-checked: a reader noticing EOF and a writer noticing a
     /// send error race here harmlessly, and a thread from a replaced
     /// connection cannot kill its successor.
     fn mark_dead(&self, rank: Rank, generation: u64, graceful: bool) {
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots();
         let slot = &mut slots[rank];
         if slot.generation == generation && slot.out.is_some() {
             slot.out = None;
+            drop(slots);
+            self.changed.notify_all();
             self.obs
                 .emit(|| Event::NetPeerDisconnected { rank, graceful });
             if rank >= ranks::FIRST_WORKER {
-                let foreman_out = slots[ranks::FOREMAN].out.clone();
-                drop(slots);
-                self.notify_liveness(foreman_out, Message::PeerDown { rank });
+                self.notify_liveness(Message::PeerDown { rank });
             }
         }
     }
 
-    /// Tell the schedulers a worker's liveness changed. The hub otherwise
-    /// *silently drops* relays to dead peers, so without this the foreman
-    /// would only notice a lost worker when its task timed out; the
-    /// synthesized message triggers the eager-requeue path instead. The
-    /// local master always hears it; a remote foreman process hears it too
-    /// when connected.
-    fn notify_liveness(&self, foreman_out: Option<SyncSender<Frame>>, msg: Message) {
-        let _ = self.in_tx.send((ranks::MASTER, msg.clone()));
-        if let Some(out) = foreman_out {
+    /// Tell the schedulers a worker's liveness changed. Sends to a dead
+    /// peer fail, but a foreman waiting on a result sends nothing, so
+    /// without this it would only notice a lost worker when its task timed
+    /// out; the synthesized message triggers the eager-requeue path
+    /// instead. The master always hears it, and so does the foreman: in
+    /// its inbox when hosted, over its connection (if up) when remote.
+    fn notify_liveness(&self, msg: Message) {
+        let _ = self.hosted[ranks::MASTER].send((ranks::MASTER, msg.clone()));
+        if let Some(inbox) = self.hosted.get(ranks::FOREMAN) {
+            let _ = inbox.send((ranks::MASTER, msg));
+        } else if let Some(out) = self.slots()[ranks::FOREMAN].out.clone() {
             let _ = out.try_send(Frame::Data {
                 from: ranks::MASTER,
                 to: ranks::FOREMAN,
@@ -167,10 +247,42 @@ impl HubShared {
     }
 }
 
-/// The coordinator's endpoint: rank 0 of a TCP universe.
-pub struct TcpHub {
+/// The endpoint of a rank the hub's own process hosts: an in-process inbox
+/// in, the hub's router out. Rank 0's lives inside the [`TcpHub`]; a
+/// coordinator's control ranks come from [`TcpHub::bind_hosting`].
+pub struct HostedRank {
+    rank: Rank,
     shared: Arc<HubShared>,
-    in_rx: Mutex<Receiver<(Rank, Message)>>,
+    inbox: Mutex<Receiver<(Rank, Message)>>,
+}
+
+impl Transport for HostedRank {
+    fn rank(&self) -> Rank {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.shared.size
+    }
+
+    fn send(&self, to: Rank, msg: &Message) -> Result<(), CommError> {
+        self.shared.deliver(self.rank, to, msg.clone())
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<(Rank, Message)>, CommError> {
+        match self.inbox.lock().recv_timeout(timeout) {
+            Ok(pair) => Ok(Some(pair)),
+            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(CommError::Disconnected(self.rank)),
+        }
+    }
+}
+
+/// The coordinator's endpoint: rank 0 of a TCP universe, and the handle
+/// that owns the hub — dropping it stops the listener and every
+/// connection.
+pub struct TcpHub {
+    master: HostedRank,
     service_rx: Mutex<Receiver<ServiceRequest>>,
     local_addr: SocketAddr,
 }
@@ -189,11 +301,30 @@ impl TcpHub {
         TcpHub::bind_reserved(addr, size, &[], cfg, obs)
     }
 
+    /// [`TcpHub::bind`] for a coordinator that runs its control ranks
+    /// itself: ranks `0..hosted` live in this process — rank 0 is the
+    /// returned hub, ranks `1..hosted` the returned endpoints, in rank
+    /// order — and only ranks `hosted..size` are remote. A hosted rank is
+    /// never assigned to a dialer, not even one asking for it by number.
+    pub fn bind_hosting<A: ToSocketAddrs>(
+        addr: A,
+        size: usize,
+        hosted: usize,
+        cfg: NetConfig,
+        obs: Obs,
+    ) -> io::Result<(TcpHub, Vec<HostedRank>)> {
+        TcpHub::bind_inner(addr, size, hosted, &[], cfg, obs)
+    }
+
     /// [`TcpHub::bind`] with `reserved` ranks that fresh anonymous joins
     /// can never take: they stay free until a dialer claims them with
     /// `Hello { rejoin: Some(rank) }` (see `ClientConfig::claim`). The
     /// reservations are in place before the accept loop starts, so not
     /// even a peer dialing during startup can race for them.
+    // Only the serve daemon needs this (and `claim`, and `Slot::reserved`):
+    // it would host its scheduler and monitor ranks like a coordinator does,
+    // but benchmark/src/launch.rs:211 starts `serve_farm10`'s clock when it
+    // sees `ranks - 1` established connections to the daemon's port.
     pub fn bind_reserved<A: ToSocketAddrs>(
         addr: A,
         size: usize,
@@ -201,26 +332,41 @@ impl TcpHub {
         cfg: NetConfig,
         obs: Obs,
     ) -> io::Result<TcpHub> {
-        assert!(size >= 2, "a TCP universe needs at least one remote rank");
+        TcpHub::bind_inner(addr, size, 1, reserved, cfg, obs).map(|(hub, _)| hub)
+    }
+
+    fn bind_inner<A: ToSocketAddrs>(
+        addr: A,
+        size: usize,
+        hosted: usize,
+        reserved: &[Rank],
+        cfg: NetConfig,
+        obs: Obs,
+    ) -> io::Result<(TcpHub, Vec<HostedRank>)> {
+        assert!(hosted >= 1, "the hub's process always hosts rank 0");
+        assert!(
+            size > hosted,
+            "a TCP universe needs at least one remote rank"
+        );
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let (in_tx, in_rx) = mpsc::channel();
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..hosted).map(|_| mpsc::channel()).unzip();
         let (service_tx, service_rx) = mpsc::channel();
-        let mut slots = Vec::with_capacity(size);
-        for rank in 0..size {
-            slots.push(Slot {
+        let slots = (0..size)
+            .map(|rank| Slot {
                 reserved: reserved.contains(&rank),
                 ..Slot::default()
-            });
-        }
+            })
+            .collect();
         let shared = Arc::new(HubShared {
             size,
             cfg,
             obs,
             shutdown: AtomicBool::new(false),
-            slots: Mutex::new(slots),
-            in_tx,
+            hosted: inboxes,
+            slots: std::sync::Mutex::new(slots),
+            changed: Condvar::new(),
+            relayed: AtomicU64::new(0),
             service_tx,
         });
         let accept_shared = Arc::clone(&shared);
@@ -228,12 +374,20 @@ impl TcpHub {
             .name("fdml-net-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))
             .expect("spawn accept thread");
-        Ok(TcpHub {
-            shared,
-            in_rx: Mutex::new(in_rx),
+        let mut ends = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(rank, inbox)| HostedRank {
+                rank,
+                shared: Arc::clone(&shared),
+                inbox: Mutex::new(inbox),
+            });
+        let hub = TcpHub {
+            master: ends.next().expect("rank 0 is hosted"),
             service_rx: Mutex::new(service_rx),
             local_addr,
-        })
+        };
+        Ok((hub, ends.collect()))
     }
 
     /// Take the next service-plane connection (a `Submit` / `Query` /
@@ -253,29 +407,25 @@ impl TcpHub {
     /// Block until every remote rank has completed its handshake, or fail
     /// after `timeout`.
     pub fn wait_ready(&self, timeout: Duration) -> io::Result<()> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let connected = {
-                let slots = self.shared.slots.lock();
-                slots[1..].iter().all(|s| s.out.is_some())
-            };
-            if connected {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                let missing: Vec<Rank> = {
-                    let slots = self.shared.slots.lock();
-                    (1..self.shared.size)
-                        .filter(|&r| slots[r].out.is_none())
-                        .collect()
-                };
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("ranks {missing:?} never connected"),
-                ));
-            }
-            thread::sleep(Duration::from_millis(10));
+        let shared = &self.master.shared;
+        let remote = shared.size - shared.hosted.len();
+        if shared.wait_for_peers(timeout, |connected| connected == remote) {
+            return Ok(());
         }
+        let connected = self.peer_ranks();
+        let missing: Vec<Rank> = (shared.hosted.len()..shared.size)
+            .filter(|r| !connected.contains(r))
+            .collect();
+        Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("ranks {missing:?} never connected"),
+        ))
+    }
+
+    /// Block until `enough(`[`TcpHub::connected_peers`]`)` holds, woken by
+    /// every handshake and disconnect; `false` if `timeout` passes first.
+    pub fn wait_for_peers(&self, timeout: Duration, enough: impl Fn(usize) -> bool) -> bool {
+        self.master.shared.wait_for_peers(timeout, enough)
     }
 
     /// The remote ranks currently connected, in rank order. The daemon's
@@ -283,20 +433,26 @@ impl TcpHub {
     /// fleet (fresh joins are not announced over the foreman's transport
     /// the way reconnects are).
     pub fn peer_ranks(&self) -> Vec<Rank> {
-        self.shared.slots.lock()[1..]
+        self.master
+            .shared
+            .slots()
             .iter()
             .enumerate()
             .filter(|(_, s)| s.out.is_some())
-            .map(|(i, _)| i + 1)
+            .map(|(rank, _)| rank)
             .collect()
     }
 
     /// How many remote ranks are currently connected.
     pub fn connected_peers(&self) -> usize {
-        self.shared.slots.lock()[1..]
-            .iter()
-            .filter(|s| s.out.is_some())
-            .count()
+        self.peer_ranks().len()
+    }
+
+    /// `Data` frames the hub has relayed from one peer's socket to
+    /// another's. Zero for a whole flat run whose control ranks are
+    /// hosted: workers speak only to the foreman.
+    pub fn relayed(&self) -> u64 {
+        self.master.shared.relayed.load(Ordering::Relaxed)
     }
 
     /// Chaos hook: declare `rank`'s connection dead right now, as if its
@@ -305,67 +461,57 @@ impl TcpHub {
     /// re-binds it — used by tests to exercise reconnection without
     /// waiting for real network failures.
     pub fn sever_peer(&self, rank: Rank) {
-        if rank >= 1 && rank < self.shared.size {
-            let generation = self.shared.slots.lock()[rank].generation;
-            self.shared.mark_dead(rank, generation, false);
+        let shared = &self.master.shared;
+        if rank >= shared.hosted.len() && rank < shared.size {
+            let generation = shared.slots()[rank].generation;
+            shared.mark_dead(rank, generation, false);
         }
     }
 }
 
 impl Drop for TcpHub {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.master.shared.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop blocks in `accept`; one dial wakes it to see the
+        // flag and close the listener.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 }
 
 impl Transport for TcpHub {
     fn rank(&self) -> Rank {
-        0
+        self.master.rank()
     }
 
     fn size(&self) -> usize {
-        self.shared.size
+        self.master.size()
     }
 
     fn send(&self, to: Rank, msg: &Message) -> Result<(), CommError> {
-        if to >= self.shared.size {
-            return Err(CommError::UnknownRank(to));
-        }
-        if to == 0 {
-            return self
-                .shared
-                .in_tx
-                .send((0, msg.clone()))
-                .map_err(|_| CommError::Disconnected(0));
-        }
-        let out = {
-            let slots = self.shared.slots.lock();
-            slots[to].out.clone()
-        };
-        let Some(out) = out else {
-            return Err(CommError::Disconnected(to));
-        };
-        out.send(Frame::Data {
-            from: 0,
-            to,
-            msg: msg.clone(),
-        })
-        .map_err(|_| CommError::Disconnected(to))
+        self.master.send(to, msg)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(Rank, Message)>, CommError> {
-        match self.in_rx.lock().recv_timeout(timeout) {
-            Ok(pair) => Ok(Some(pair)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(CommError::Disconnected(0)),
-        }
+        self.master.recv_timeout(timeout)
     }
 }
 
+/// Accept dialers until the hub is dropped (its `Drop` dials in once to
+/// wake this loop out of the blocking `accept`).
 fn accept_loop(listener: TcpListener, shared: Arc<HubShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match stream {
+            Ok(stream) => {
                 let hs = Arc::clone(&shared);
                 // Handshake on its own thread: one slow dialer must not
                 // stall other peers' accepts.
@@ -373,9 +519,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<HubShared>) {
                     .name("fdml-net-handshake".into())
                     .spawn(move || handshake(stream, hs));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
+            // Out of descriptors or the like: let it clear.
             Err(_) => thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -440,8 +584,8 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
 
     // Pick (or re-bind) a slot under the lock; do the socket I/O after.
     let (rank, generation, out_rx, reconnected) = {
-        let mut slots = shared.slots.lock();
-        let (rank, reconnected) = match assign_slot(&slots, shared.size, rejoin, job) {
+        let mut slots = shared.slots();
+        let (rank, reconnected) = match assign_slot(&slots, shared.hosted.len(), rejoin, job) {
             Ok(pair) => pair,
             Err(reject) => {
                 drop(slots);
@@ -460,6 +604,7 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
         slot.out = Some(out_tx);
         (rank, slot.generation, out_rx, reconnected)
     };
+    shared.changed.notify_all();
 
     let welcome = Frame::Welcome {
         rank,
@@ -476,13 +621,12 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
     }
 
     if reconnected {
-        let reconnects = shared.slots.lock()[rank].reconnects;
+        let reconnects = shared.slots()[rank].reconnects;
         shared
             .obs
             .emit(|| Event::NetPeerReconnected { rank, reconnects });
         if rank >= ranks::FIRST_WORKER {
-            let foreman_out = shared.slots.lock()[ranks::FOREMAN].out.clone();
-            shared.notify_liveness(foreman_out, Message::PeerUp { rank });
+            shared.notify_liveness(Message::PeerUp { rank });
         }
     } else {
         shared.obs.emit(|| Event::NetPeerConnected { rank });
@@ -507,10 +651,11 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
 
 /// Choose a slot for a connecting peer: `Ok((rank, is_reconnect))`, or
 /// the `Reject`/`Rejected` frame to answer with. Called with the slot
-/// table locked.
+/// table locked; ranks below `hosted` live in this process and are never
+/// given out.
 fn assign_slot(
     slots: &[Slot],
-    size: usize,
+    hosted: usize,
     rejoin: Option<Rank>,
     job: Option<JobId>,
 ) -> Result<(Rank, bool), Frame> {
@@ -520,7 +665,12 @@ fn assign_slot(
     // different job's — a stale client whose rank the scheduler has since
     // re-dedicated must not compute against the wrong problem.
     if let Some(r) = rejoin {
-        if r >= 1 && r < size && slots[r].out.is_none() {
+        if r < hosted {
+            return Err(Frame::Reject {
+                reason: format!("rank {r} is hosted by the coordinator"),
+            });
+        }
+        if r < slots.len() && slots[r].out.is_none() {
             if slots[r].ever_connected && slots[r].job != job {
                 return Err(Frame::Rejected {
                     reason: RejectReason::WrongJob {
@@ -537,30 +687,23 @@ fn assign_slot(
     // dead slot (a replacement process for a dead peer counts as that
     // rank reconnecting). Reserved slots are excluded from both: they can
     // only ever be taken via the explicit-claim rejoin path above.
-    let peers = slots[..size]
-        .iter()
-        .enumerate()
-        .skip(1)
-        .filter(|(_, s)| !s.reserved);
-    if let Some((r, _)) = peers
-        .clone()
-        .find(|(_, s)| s.out.is_none() && !s.ever_connected)
-    {
-        return Ok((r, false));
-    }
-    peers
-        .clone()
-        .find(|(_, s)| s.out.is_none())
-        .map(|(r, _)| (r, true))
-        .ok_or(Frame::Reject {
-            reason: "universe is full".into(),
-        })
+    let free = |fresh_only: bool| {
+        slots
+            .iter()
+            .enumerate()
+            .skip(hosted)
+            .find(|(_, s)| !s.reserved && s.out.is_none() && !(fresh_only && s.ever_connected))
+            .map(|(r, s)| (r, s.ever_connected))
+    };
+    free(true).or_else(|| free(false)).ok_or(Frame::Reject {
+        reason: "universe is full".into(),
+    })
 }
 
-/// Drain a peer's outgoing queue onto its socket; heartbeat when idle.
-/// `wire` is the format negotiated for this connection — heartbeats ride
-/// it too, so liveness traffic stops paying JSON overhead the moment the
-/// peer can sniff.
+/// Drain a peer's outgoing queue onto its socket — everything queued in
+/// one write — and heartbeat when idle. `wire` is the format negotiated
+/// for this connection — heartbeats ride it too, so liveness traffic stops
+/// paying JSON overhead the moment the peer can sniff.
 fn peer_writer(
     mut stream: TcpStream,
     out_rx: Receiver<Frame>,
@@ -569,41 +712,53 @@ fn peer_writer(
     wire: WireFormat,
     shared: Arc<HubShared>,
 ) {
+    let mut buf = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match out_rx.recv_timeout(shared.cfg.heartbeat_interval) {
-            Ok(frame) => {
-                if write_frame_as(&mut stream, &frame, wire).is_err() {
-                    shared.mark_dead(rank, generation, false);
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if write_frame_as(&mut stream, &Frame::Heartbeat { from: 0 }, wire).is_err() {
-                    shared.mark_dead(rank, generation, false);
-                    return;
-                }
-            }
+        let first = match out_rx.recv_timeout(shared.cfg.heartbeat_interval) {
+            Ok(frame) => frame,
+            Err(mpsc::RecvTimeoutError::Timeout) => Frame::Heartbeat { from: 0 },
             // The slot was cleared (peer declared dead or replaced).
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        };
+        let written = coalesce_frames(&mut buf, first, || out_rx.try_recv().ok(), wire)
+            .and_then(|()| stream.write_all(&buf));
+        if written.is_err() {
+            shared.mark_dead(rank, generation, false);
+            return;
         }
     }
 }
 
 /// Read a peer's frames, route them, and watch its liveness.
 fn peer_reader(mut stream: TcpStream, rank: Rank, generation: u64, shared: Arc<HubShared>) {
+    let Ok(mut reader) = FrameReader::new(&stream, shared.cfg.heartbeat_interval) else {
+        shared.mark_dead(rank, generation, false);
+        return;
+    };
     let mut misses: u64 = 0;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match read_frame(&mut stream, shared.cfg.heartbeat_interval) {
+        match reader.next_frame(&mut stream) {
             Ok(Some(frame)) => {
                 misses = 0;
                 match frame {
-                    Frame::Data { from, to, msg } => route(&shared, rank, from, to, msg),
+                    // Peers can only speak for themselves: whatever `from`
+                    // the frame claims, it is attributed to the rank whose
+                    // connection it came in on.
+                    Frame::Data { to, msg, .. } => {
+                        // A dead destination is not this peer's problem:
+                        // the foreman's timeout machinery requeues whatever
+                        // the message carried.
+                        let relay = to >= shared.hosted.len();
+                        if shared.deliver(rank, to, msg).is_ok() && relay {
+                            shared.relayed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                     Frame::Heartbeat { .. } => {}
                     Frame::Goodbye { .. } => {
                         shared.mark_dead(rank, generation, true);
@@ -637,46 +792,6 @@ fn peer_reader(mut stream: TcpStream, rank: Rank, generation: u64, shared: Arc<H
                 }
                 shared.mark_dead(rank, generation, false);
                 return;
-            }
-        }
-    }
-}
-
-/// Deliver a routed frame: to the local rank 0, or relayed to a peer.
-fn route(shared: &Arc<HubShared>, via: Rank, from: Rank, to: Rank, msg: Message) {
-    // Peers can only speak for themselves; a mismatched `from` is a bug or
-    // a confused peer, and trusting it would mis-attribute results.
-    let from = if from == via { from } else { via };
-    if to == 0 {
-        let _ = shared.in_tx.send((from, msg));
-        return;
-    }
-    let out = {
-        let slots = shared.slots.lock();
-        if to >= shared.size {
-            return;
-        }
-        slots[to].out.clone()
-    };
-    if let Some(out) = out {
-        // Bounded relay: apply backpressure to this peer's reader rather
-        // than buffering without limit. A full queue to a *dead-ish* peer
-        // resolves when its liveness check clears the slot.
-        let frame = Frame::Data { from, to, msg };
-        let mut frame = Some(frame);
-        loop {
-            match out.try_send(frame.take().expect("frame present")) {
-                Ok(()) => return,
-                Err(TrySendError::Full(f)) => {
-                    frame = Some(f);
-                    thread::sleep(Duration::from_millis(1));
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                // Destination died; the foreman's timeout machinery will
-                // requeue whatever this message carried.
-                Err(TrySendError::Disconnected(_)) => return,
             }
         }
     }

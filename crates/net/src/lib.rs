@@ -5,11 +5,14 @@
 //! workspace's equivalent of that `comm_*.c` layer for plain sockets, so
 //! the same `fdml-core` run loops span OS processes and machines:
 //!
-//! * [`wire`] — the framed wire format: 4-byte length prefix + JSON, a
-//!   versioned `Hello`/`Welcome` handshake, heartbeats, `Goodbye`.
+//! * [`wire`] — the framed wire format: length prefix + CRC + a JSON or
+//!   binary body, a versioned `Hello`/`Welcome` handshake, heartbeats,
+//!   `Goodbye`; writers pack every queued frame into one `write`, readers
+//!   take every complete frame out of one `read`.
 //! * [`hub::TcpHub`] — the coordinator's endpoint (rank 0). Owns the
-//!   listening socket, assigns ranks in arrival order, relays every
-//!   message between peers, and watches their liveness. It also fronts
+//!   listening socket, hosts the coordinator's control ranks as in-process
+//!   [`hub::HostedRank`] endpoints, assigns the remote ranks in arrival
+//!   order, routes every message, and watches liveness. It also fronts
 //!   the v3 *service plane*: connections opening with `Submit` / `Query`
 //!   / `Attach` are handed to the job API via
 //!   [`hub::TcpHub::accept_service`].
@@ -33,4 +36,4 @@ pub mod wire;
 
 pub use client::{ClientConfig, TcpTransport};
 pub use fdml_wire::WireFormat;
-pub use hub::{NetConfig, ServiceRequest, TcpHub};
+pub use hub::{HostedRank, NetConfig, ServiceRequest, TcpHub};

@@ -182,30 +182,27 @@ const FTAG_DATA: u8 = 0;
 const FTAG_HEARTBEAT: u8 = 1;
 const FTAG_GOODBYE: u8 = 2;
 
-/// Encode a frame body in the compact codec, or `None` when the frame is
-/// control-plane (those stay JSON regardless of negotiation).
-fn encode_frame_body_binary(frame: &Frame) -> Option<Vec<u8>> {
-    let mut buf = Vec::with_capacity(32);
-    buf.push(fdml_wire::MAGIC);
-    buf.push(FRAME_BINARY_VERSION);
+/// Append a frame body in the compact codec; `false` (nothing appended)
+/// when the frame is control-plane — those stay JSON regardless of
+/// negotiation.
+fn encode_frame_body_binary(frame: &Frame, buf: &mut Vec<u8>) -> bool {
+    let tag = match frame {
+        Frame::Data { .. } => FTAG_DATA,
+        Frame::Heartbeat { .. } => FTAG_HEARTBEAT,
+        Frame::Goodbye { .. } => FTAG_GOODBYE,
+        _ => return false,
+    };
+    buf.extend_from_slice(&[fdml_wire::MAGIC, FRAME_BINARY_VERSION, tag]);
     match frame {
         Frame::Data { from, to, msg } => {
-            buf.push(FTAG_DATA);
-            varint::put_usize(&mut buf, *from);
-            varint::put_usize(&mut buf, *to);
-            fdml_wire::encode_body(msg, &mut buf);
+            varint::put_usize(buf, *from);
+            varint::put_usize(buf, *to);
+            fdml_wire::encode_body(msg, buf);
         }
-        Frame::Heartbeat { from } => {
-            buf.push(FTAG_HEARTBEAT);
-            varint::put_usize(&mut buf, *from);
-        }
-        Frame::Goodbye { from } => {
-            buf.push(FTAG_GOODBYE);
-            varint::put_usize(&mut buf, *from);
-        }
-        _ => return None,
+        Frame::Heartbeat { from } | Frame::Goodbye { from } => varint::put_usize(buf, *from),
+        _ => unreachable!("control-plane frames returned above"),
     }
-    Some(buf)
+    true
 }
 
 fn decode_frame_body_binary(body: &[u8]) -> io::Result<Frame> {
@@ -241,53 +238,82 @@ fn decode_frame_body_binary(body: &[u8]) -> io::Result<Frame> {
     Ok(frame)
 }
 
-fn frame_with_body(body: Vec<u8>) -> io::Result<Vec<u8>> {
-    if body.len() > MAX_FRAME_BYTES {
+/// Bytes of framing ahead of every body: length, then CRC32.
+const HEADER_BYTES: usize = 8;
+
+/// Append one complete frame — header and body — to `buf`. The body is
+/// encoded in place behind eight reserved bytes, which are patched once its
+/// length and checksum are known, so a frame costs no allocation of its own
+/// and any number of them can share one buffer and one `write`. On error
+/// `buf` is left as it was.
+pub fn encode_frame_into(buf: &mut Vec<u8>, frame: &Frame, format: WireFormat) -> io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; HEADER_BYTES]);
+    if format != WireFormat::Binary || !encode_frame_body_binary(frame, buf) {
+        match serde_json::to_string(frame) {
+            Ok(json) => buf.extend_from_slice(json.as_bytes()),
+            Err(e) => {
+                buf.truncate(start);
+                return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+            }
+        }
+    }
+    let body_len = buf.len() - start - HEADER_BYTES;
+    if body_len > MAX_FRAME_BYTES {
+        buf.truncate(start);
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame exceeds MAX_FRAME_BYTES",
         ));
     }
-    let mut buf = Vec::with_capacity(8 + body.len());
-    buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&crc32(&body).to_be_bytes());
-    buf.extend_from_slice(&body);
-    Ok(buf)
+    let crc = crc32(&buf[start + HEADER_BYTES..]);
+    buf[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
+    buf[start + 4..start + HEADER_BYTES].copy_from_slice(&crc.to_be_bytes());
+    Ok(())
 }
 
-fn encode_frame_as(frame: &Frame, format: WireFormat) -> io::Result<Vec<u8>> {
-    let body = match format {
-        WireFormat::Binary => match encode_frame_body_binary(frame) {
-            Some(body) => body,
-            None => json_body(frame)?,
-        },
-        WireFormat::Json => json_body(frame)?,
-    };
-    frame_with_body(body)
-}
+/// How many bytes a writer thread packs into one `write` before it stops
+/// draining its queue: enough for a whole round's burst of edit tasks or
+/// results, small enough that the first frame of a burst is not held back
+/// noticeably by encoding the rest.
+const COALESCE_BYTES: usize = 64 * 1024;
 
-fn json_body(frame: &Frame) -> io::Result<Vec<u8>> {
-    serde_json::to_string(frame)
-        .map(String::into_bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
-fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
-    encode_frame_as(frame, WireFormat::Json)
+/// Encode `first` and every frame `more` yields — what is *already* queued
+/// behind it, never waiting — into `buf` (cleared first), stopping at
+/// [`COALESCE_BYTES`]. The caller issues one `write_all` for the lot: a
+/// burst costs one syscall instead of one per frame. The bytes on the wire
+/// are exactly those of the frames written one by one.
+pub(crate) fn coalesce_frames(
+    buf: &mut Vec<u8>,
+    first: Frame,
+    mut more: impl FnMut() -> Option<Frame>,
+    format: WireFormat,
+) -> io::Result<()> {
+    buf.clear();
+    encode_frame_into(buf, &first, format)?;
+    while buf.len() < COALESCE_BYTES {
+        match more() {
+            Some(frame) => encode_frame_into(buf, &frame, format)?,
+            None => break,
+        }
+    }
+    Ok(())
 }
 
 /// Serialize and write one frame as JSON. Blocking; respects the stream's
 /// write timeout if one is set. The handshake path — negotiation has not
 /// happened yet, so the format must be the one every build can read.
 pub fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
-    stream.write_all(&encode_frame(frame)?)
+    write_frame_as(stream, frame, WireFormat::Json)
 }
 
 /// Serialize and write one frame in the negotiated format. Data-plane
 /// frames (`Data`/`Heartbeat`/`Goodbye`) honor `format`; control-plane
 /// frames are always JSON.
 pub fn write_frame_as(stream: &mut TcpStream, frame: &Frame, format: WireFormat) -> io::Result<()> {
-    stream.write_all(&encode_frame_as(frame, format)?)
+    let mut buf = Vec::new();
+    encode_frame_into(&mut buf, frame, format)?;
+    stream.write_all(&buf)
 }
 
 /// Write a frame whose body has one byte XOR-flipped *after* the CRC was
@@ -296,41 +322,148 @@ pub fn write_frame_as(stream: &mut TcpStream, frame: &Frame, format: WireFormat)
 /// conforming reader must reject it as corrupt rather than attempt to
 /// parse it. `byte` indexes into the JSON body, modulo its length.
 pub fn write_frame_corrupted(stream: &mut TcpStream, frame: &Frame, byte: usize) -> io::Result<()> {
-    let mut buf = encode_frame(frame)?;
-    let body_len = buf.len() - 8;
-    buf[8 + byte % body_len] ^= 0xA5;
+    let mut buf = Vec::new();
+    encode_frame_into(&mut buf, frame, WireFormat::Json)?;
+    let body_len = buf.len() - HEADER_BYTES;
+    buf[HEADER_BYTES + byte % body_len] ^= 0xA5;
     stream.write_all(&buf)
 }
 
-/// Read one frame, waiting at most `idle` for its first byte.
-///
-/// Returns `Ok(None)` on a *clean* idle timeout — no byte of the next frame
-/// had arrived, the stream is still aligned. Once a first byte is in, the
-/// frame must complete within [`FRAME_COMPLETION_TIMEOUT`] or the call
-/// fails: a partial frame cannot be resumed, so abandoning it mid-read
-/// would desynchronize everything after it.
-pub fn read_frame(stream: &mut TcpStream, idle: Duration) -> io::Result<Option<Frame>> {
-    // Wake often enough to notice both deadlines without busy-waiting.
-    let chunk = idle
-        .max(Duration::from_millis(1))
-        .min(Duration::from_millis(50));
-    stream.set_read_timeout(Some(chunk))?;
+/// The most a reader asks the kernel for at once, and the step by which
+/// its buffer grows toward a large frame: memory follows the bytes a peer
+/// has actually sent, never the length it merely claims.
+const READ_CHUNK: usize = 64 * 1024;
 
-    let mut header = [0u8; 8];
-    if !read_exact_deadline(stream, &mut header, Some(idle))? {
-        return Ok(None);
+/// A connection's inbound half: a buffer that takes whatever the kernel
+/// has and hands out every complete frame in it before reading again, so a
+/// burst of frames costs one `read`, and the socket's timeout is armed once
+/// — by [`FrameReader::new`] — instead of once per frame.
+pub struct FrameReader {
+    /// Unparsed bytes are `buf[head..tail]`; `buf.len()` is the space
+    /// reads may fill.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    idle: Duration,
+    /// Read past the frame being assembled. Off for [`read_frame`], whose
+    /// caller keeps using the bare socket afterwards.
+    greedy: bool,
+}
+
+impl FrameReader {
+    /// A reader for `stream` whose [`FrameReader::next_frame`] waits at
+    /// most `idle` for a frame to begin. Arms the socket's read timeout,
+    /// once: often enough to notice both deadlines without busy-waiting.
+    pub fn new(stream: &TcpStream, idle: Duration) -> io::Result<FrameReader> {
+        let poll = idle
+            .max(Duration::from_millis(1))
+            .min(Duration::from_millis(50));
+        stream.set_read_timeout(Some(poll))?;
+        Ok(FrameReader {
+            buf: Vec::new(),
+            head: 0,
+            tail: 0,
+            idle,
+            greedy: true,
+        })
     }
-    let len = u32::from_be_bytes(header[..4].try_into().expect("4-byte slice")) as usize;
-    let expected_crc = u32::from_be_bytes(header[4..].try_into().expect("4-byte slice"));
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds limit"),
-        ));
+
+    /// The next frame, from the buffer when one is already complete there,
+    /// else from `stream` (the one this reader was made for).
+    ///
+    /// Returns `Ok(None)` on a *clean* idle timeout — no byte of the next
+    /// frame had arrived, the stream is still aligned. Once a first byte is
+    /// in, the frame must complete within [`FRAME_COMPLETION_TIMEOUT`] or
+    /// the call fails: a partial frame cannot be abandoned without
+    /// desynchronizing everything after it.
+    pub fn next_frame(&mut self, stream: &mut impl Read) -> io::Result<Option<Frame>> {
+        // Taken when the first read is about to be issued: a frame that is
+        // already buffered costs no clock read.
+        let mut started: Option<Instant> = None;
+        loop {
+            let have = self.tail - self.head;
+            let need = if have < HEADER_BYTES {
+                HEADER_BYTES
+            } else {
+                let len = u32::from_be_bytes(
+                    self.buf[self.head..self.head + 4]
+                        .try_into()
+                        .expect("4-byte slice"),
+                ) as usize;
+                if len > MAX_FRAME_BYTES {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("frame length {len} exceeds limit"),
+                    ));
+                }
+                HEADER_BYTES + len
+            };
+            if have >= need {
+                let frame = decode_frame(&self.buf[self.head..self.head + need]);
+                self.head += need;
+                if self.head == self.tail {
+                    self.head = 0;
+                    self.tail = 0;
+                }
+                return frame.map(Some);
+            }
+            let end = self.make_room(need - have);
+            let start = *started.get_or_insert_with(Instant::now);
+            match stream.read(&mut self.buf[self.tail..end]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "peer closed the connection",
+                    ))
+                }
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if have == 0 {
+                        if start.elapsed() >= self.idle {
+                            return Ok(None);
+                        }
+                    } else if start.elapsed() >= FRAME_COMPLETION_TIMEOUT {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "frame stalled mid-read",
+                        ));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
-    let mut body = vec![0u8; len];
-    read_exact_deadline(stream, &mut body, None)?;
-    let actual_crc = crc32(&body);
+
+    /// Make space behind `tail` for the next read, given that the frame
+    /// being assembled still lacks `missing` bytes, and return where that
+    /// read may end. Leftover bytes are moved to the front first; only a
+    /// buffer with no space left at all grows, by at most [`READ_CHUNK`].
+    fn make_room(&mut self, missing: usize) -> usize {
+        let want = missing.min(READ_CHUNK);
+        if self.buf.len() - self.tail < want && self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.buf.len() == self.tail {
+            let step = if self.greedy { READ_CHUNK } else { want };
+            self.buf.resize(self.tail + step, 0);
+        }
+        let most = if self.greedy { READ_CHUNK } else { want };
+        self.buf.len().min(self.tail + most)
+    }
+}
+
+/// Check and decode one complete frame: header, then exactly the body the
+/// header announces.
+fn decode_frame(bytes: &[u8]) -> io::Result<Frame> {
+    let expected_crc = u32::from_be_bytes(bytes[4..HEADER_BYTES].try_into().expect("4-byte slice"));
+    let body = &bytes[HEADER_BYTES..];
+    let actual_crc = crc32(body);
     if actual_crc != expected_crc {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -341,58 +474,24 @@ pub fn read_frame(stream: &mut TcpStream, idle: Duration) -> io::Result<Option<F
     // leading UTF-8 for JSON), everything else is parsed as JSON. This is
     // what lets peers with different negotiated formats share one hub.
     if body.first() == Some(&fdml_wire::MAGIC) {
-        return Ok(Some(decode_frame_body_binary(&body)?));
+        return decode_frame_body_binary(body);
     }
-    let text = std::str::from_utf8(&body)
+    let text = std::str::from_utf8(body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    let frame: Frame = serde_json::from_str(text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(Some(frame))
+    serde_json::from_str(text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Fill `buf`, tolerating read-timeout wakeups. With `idle = Some(d)`,
-/// returns `Ok(false)` if nothing at all arrived within `d`. Once any byte
-/// has arrived (or with `idle = None`), the fill must finish within
-/// [`FRAME_COMPLETION_TIMEOUT`].
-fn read_exact_deadline(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    idle: Option<Duration>,
-) -> io::Result<bool> {
-    let start = Instant::now();
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed the connection",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if filled == 0 {
-                    if let Some(idle) = idle {
-                        if start.elapsed() >= idle {
-                            return Ok(false);
-                        }
-                        continue;
-                    }
-                }
-                if start.elapsed() >= FRAME_COMPLETION_TIMEOUT {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "frame stalled mid-read",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
+/// Read one frame off a bare socket, waiting at most `idle` for its first
+/// byte — [`FrameReader::next_frame`]'s contract, for the places that
+/// exchange a frame or two and keep no reader: handshakes and the service
+/// plane. It takes exactly the frame's bytes off the socket (whoever reads
+/// next finds it aligned) and arms the socket's timeout on every call;
+/// session loops hold a [`FrameReader`] instead.
+pub fn read_frame(stream: &mut TcpStream, idle: Duration) -> io::Result<Option<Frame>> {
+    let mut reader = FrameReader::new(stream, idle)?;
+    reader.greedy = false;
+    reader.next_frame(stream)
 }
 
 #[cfg(test)]
@@ -579,9 +678,13 @@ mod tests {
     fn binary_heartbeat_is_a_few_bytes() {
         // The liveness-probe satellite: a binary heartbeat body is magic,
         // version, tag, rank — four bytes, versus ~25 of JSON.
-        let body = encode_frame_body_binary(&Frame::Heartbeat { from: 63 }).unwrap();
+        let mut body = Vec::new();
+        assert!(encode_frame_body_binary(
+            &Frame::Heartbeat { from: 63 },
+            &mut body
+        ));
         assert_eq!(body.len(), 4);
-        let json = json_body(&Frame::Heartbeat { from: 63 }).unwrap();
+        let json = serde_json::to_string(&Frame::Heartbeat { from: 63 }).unwrap();
         assert!(json.len() > 4 * body.len());
     }
 
@@ -664,6 +767,154 @@ mod tests {
         a.write_all(&0u32.to_be_bytes()).unwrap(); // CRC field
         let err = read_frame(&mut b, Duration::from_secs(1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_hostile_length_allocates_only_for_the_bytes_that_arrive() {
+        // The largest length the protocol admits, from a peer that then
+        // sends ten bytes and hangs up: the reader must follow the bytes,
+        // not the claim, whether it reads ahead or takes one exact frame.
+        for greedy in [true, false] {
+            let (mut a, mut b) = pair();
+            a.write_all(&(MAX_FRAME_BYTES as u32).to_be_bytes())
+                .unwrap();
+            a.write_all(&0u32.to_be_bytes()).unwrap(); // CRC field
+            a.write_all(&[0x7B; 10]).unwrap();
+            drop(a);
+            let mut reader = FrameReader::new(&b, Duration::from_secs(1)).unwrap();
+            reader.greedy = greedy;
+            let err = reader.next_frame(&mut b).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            assert!(
+                reader.buf.capacity() <= 128 * 1024,
+                "{} bytes allocated for 18 received",
+                reader.buf.capacity()
+            );
+        }
+    }
+
+    /// A stream that hands out at most `cap` bytes per `read` and counts
+    /// the reads.
+    struct Dribble<'a> {
+        stream: &'a TcpStream,
+        cap: usize,
+        reads: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let cap = buf.len().min(self.cap);
+            self.stream.read(&mut buf[..cap])
+        }
+    }
+
+    fn numbered(t: u64) -> Frame {
+        Frame::Data {
+            from: 1,
+            to: 3 + (t % 5) as usize,
+            msg: Message::TreeResult {
+                task: t,
+                // Varying sizes, so frames straddle every kind of boundary.
+                newick: "(a:1,b:2);".repeat((t % 7) as usize),
+                ln_likelihood: -(t as f64),
+                work_units: t,
+            },
+        }
+    }
+
+    #[test]
+    fn a_burst_of_small_frames_arrives_whole_and_in_order() {
+        const FRAMES: u64 = 10_000;
+        let (mut a, b) = pair();
+        let writer = thread::spawn(move || {
+            // The writer threads' own loop: pack what is queued, write once.
+            let mut queue = (0..FRAMES).map(numbered);
+            let mut buf = Vec::new();
+            let mut writes = 0;
+            while let Some(first) = queue.next() {
+                coalesce_frames(&mut buf, first, || queue.next(), WireFormat::Binary).unwrap();
+                a.write_all(&buf).unwrap();
+                writes += 1;
+            }
+            (a, writes)
+        });
+        let mut reader = FrameReader::new(&b, Duration::from_secs(5)).unwrap();
+        // Reads capped at an odd size: nearly every one ends mid-frame, and
+        // the leftover has to carry over into the next.
+        let mut stream = Dribble {
+            stream: &b,
+            cap: 4099,
+            reads: 0,
+        };
+        for t in 0..FRAMES {
+            let got = reader.next_frame(&mut stream).unwrap().unwrap();
+            assert_eq!(got, numbered(t));
+        }
+        let (a, writes) = writer.join().unwrap();
+        // Both directions batched: far fewer syscalls than frames.
+        assert!(writes < FRAMES / 100, "{writes} writes");
+        assert!(
+            stream.reads < FRAMES as usize / 10,
+            "{} reads",
+            stream.reads
+        );
+        // Nothing is left over, and the stream is still aligned.
+        assert_eq!(reader.head, reader.tail);
+        drop(a);
+        let err = reader.next_frame(&mut stream).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn one_write_can_mix_codecs_and_planes() {
+        let (mut a, mut b) = pair();
+        let frames = [
+            (Frame::Heartbeat { from: 3 }, WireFormat::Binary),
+            (numbered(5), WireFormat::Json),
+            // Control-plane: JSON whatever the connection negotiated.
+            (
+                Frame::Reject {
+                    reason: "full".into(),
+                },
+                WireFormat::Binary,
+            ),
+            (numbered(6), WireFormat::Binary),
+            (Frame::Goodbye { from: 3 }, WireFormat::Json),
+        ];
+        let mut buf = Vec::new();
+        for (frame, format) in &frames {
+            encode_frame_into(&mut buf, frame, *format).unwrap();
+        }
+        // The coalesced bytes are the frames' own bytes, back to back.
+        let mut one_by_one = Vec::new();
+        for (frame, format) in &frames {
+            let mut single = Vec::new();
+            encode_frame_into(&mut single, frame, *format).unwrap();
+            one_by_one.extend(single);
+        }
+        assert_eq!(buf, one_by_one);
+        a.write_all(&buf).unwrap();
+        let mut reader = FrameReader::new(&b, Duration::from_secs(2)).unwrap();
+        for (frame, _) in &frames {
+            assert_eq!(&reader.next_frame(&mut b).unwrap().unwrap(), frame);
+        }
+        assert!(FrameReader::new(&b, Duration::from_millis(20))
+            .unwrap()
+            .next_frame(&mut b)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_and_leaves_the_buffer_alone() {
+        let mut buf = vec![1, 2, 3];
+        let huge = Frame::Reject {
+            reason: "x".repeat(MAX_FRAME_BYTES),
+        };
+        let err = encode_frame_into(&mut buf, &huge, WireFormat::Binary).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(buf, [1, 2, 3]);
     }
 
     #[test]

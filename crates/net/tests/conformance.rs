@@ -1,8 +1,10 @@
 //! Transport conformance: one behavioural contract, two implementations.
 //!
-//! Every check here runs against both the threaded transport (ranks as OS
+//! Every check here runs against the threaded transport (ranks as OS
 //! threads over channels) and the TCP transport (ranks as processes behind
-//! a hub, here exercised in-process over loopback). The run loops in
+//! a hub, here exercised in-process over loopback) — the latter both with
+//! every rank but 0 remote and the way a coordinator lays it out, ranks
+//! 0–2 hosted by the hub and only the workers remote. The run loops in
 //! `fdml-core` are written against the `Transport` trait alone, so any
 //! semantic daylight between the two implementations — ordering, timeout
 //! behaviour, failure surfaced — would show up as a parallel run behaving
@@ -12,7 +14,7 @@ use fdml_comm::message::Message;
 use fdml_comm::threads::ThreadUniverse;
 use fdml_comm::transport::{CommError, Transport};
 use fdml_net::wire::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
-use fdml_net::{ClientConfig, NetConfig, TcpHub, TcpTransport, WireFormat};
+use fdml_net::{ClientConfig, HostedRank, NetConfig, TcpHub, TcpTransport, WireFormat};
 use fdml_obs::{Event, MemorySink, Obs};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -49,10 +51,28 @@ fn tcp_universe(n: usize) -> Universe {
     ends
 }
 
-/// Run one check against both transports.
+/// A coordinator's layout: the hub hosts ranks 0–2 (fewer in a universe
+/// too small to leave a remote rank), the rest dial in.
+fn hosted_universe(n: usize) -> Universe {
+    let hosted = n.min(4) - 1;
+    let (hub, ends) =
+        TcpHub::bind_hosting("127.0.0.1:0", n, hosted, fast_net_config(), Obs::disabled()).unwrap();
+    let addr = hub.local_addr();
+    let mut universe: Universe = vec![Box::new(hub)];
+    universe.extend(ends.into_iter().map(|e| Box::new(e) as Box<dyn Transport>));
+    for expect in hosted..n {
+        let t = TcpTransport::connect(addr).unwrap();
+        assert_eq!(t.rank(), expect);
+        universe.push(Box::new(t));
+    }
+    universe
+}
+
+/// Run one check against every transport.
 fn for_both(n: usize, check: fn(Universe)) {
     check(thread_universe(n));
     check(tcp_universe(n));
+    check(hosted_universe(n));
 }
 
 fn task(t: u64) -> Message {
@@ -334,6 +354,157 @@ fn reserved_slots_are_skipped_by_fresh_joins_and_taken_by_claims() {
     // reserved slots never fall back to the fresh-join pool.
     let err = TcpTransport::connect(addr).map(|_| ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+}
+
+/// A coordinator's hub — ranks 0–2 hosted — for a universe of `n`.
+fn coordinator_hub(n: usize, obs: Obs) -> (TcpHub, HostedRank, HostedRank) {
+    let (hub, mut ends) =
+        TcpHub::bind_hosting("127.0.0.1:0", n, 3, fast_net_config(), obs).unwrap();
+    let monitor = ends.pop().unwrap();
+    let foreman = ends.pop().unwrap();
+    (hub, foreman, monitor)
+}
+
+#[test]
+fn hosted_ranks_talk_with_no_peer_connected() {
+    // Master, foreman and monitor are channel pushes apart: no socket is
+    // involved, so the traffic flows before any worker has dialed.
+    let (hub, foreman, monitor) = coordinator_hub(5, Obs::disabled());
+    assert_eq!(hub.connected_peers(), 0);
+    assert_eq!((foreman.rank(), monitor.rank()), (1, 2));
+    assert_eq!((foreman.size(), monitor.size()), (5, 5));
+    for t in 0..20 {
+        hub.send(1, &task(t)).unwrap();
+        foreman.send(2, &task(t)).unwrap();
+    }
+    for t in 0..20 {
+        assert_eq!(foreman.recv().unwrap(), (0, task(t)));
+        assert_eq!(monitor.recv().unwrap(), (1, task(t)));
+    }
+    monitor.send(0, &Message::Shutdown).unwrap();
+    assert_eq!(hub.recv().unwrap(), (2, Message::Shutdown));
+    // A worker that has not joined yet is simply not there.
+    assert_eq!(
+        foreman.send(3, &Message::Shutdown),
+        Err(CommError::Disconnected(3))
+    );
+    assert_eq!(hub.relayed(), 0);
+}
+
+#[test]
+fn hosted_and_remote_ranks_exchange_in_order_and_only_peers_are_relayed() {
+    let (hub, foreman, _monitor) = coordinator_hub(5, Obs::disabled());
+    let a = TcpTransport::connect(hub.local_addr()).unwrap();
+    let b = TcpTransport::connect(hub.local_addr()).unwrap();
+    assert_eq!((a.rank(), b.rank()), (3, 4));
+    // Foreman → worker and back, a burst each way: once each, FIFO.
+    for t in 0..200 {
+        foreman.send(3, &task(t)).unwrap();
+        a.send(1, &task(1000 + t)).unwrap();
+    }
+    for t in 0..200 {
+        assert_eq!(a.recv().unwrap(), (1, task(t)));
+        assert_eq!(foreman.recv().unwrap(), (3, task(1000 + t)));
+    }
+    assert!(a.try_recv().unwrap().is_none());
+    assert!(foreman.try_recv().unwrap().is_none());
+    // None of that went from one socket to another...
+    assert_eq!(hub.relayed(), 0);
+    // ... which only worker-to-worker traffic does.
+    a.send(4, &Message::WorkerReady).unwrap();
+    assert_eq!(b.recv().unwrap(), (3, Message::WorkerReady));
+    assert_eq!(hub.relayed(), 1);
+}
+
+#[test]
+fn hosted_ranks_are_never_given_to_a_dialer() {
+    let (hub, _foreman, _monitor) = coordinator_hub(4, Obs::disabled());
+    let addr = hub.local_addr();
+    // Asking for a hosted rank by number is refused outright — not quietly
+    // turned into a fresh join.
+    for hosted in 0..3 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_frame(
+            &mut stream,
+            &Frame::Hello {
+                version: PROTOCOL_VERSION,
+                rejoin: Some(hosted),
+                job: None,
+                wire: None,
+            },
+        )
+        .unwrap();
+        match read_frame(&mut stream, Duration::from_secs(5)).unwrap() {
+            Some(Frame::Reject { reason }) => assert!(reason.contains("hosted"), "{reason}"),
+            other => panic!("expected Reject, got {other:?}"),
+        }
+    }
+    assert_eq!(hub.connected_peers(), 0);
+    // A fresh join gets the first remote rank; the next finds the universe
+    // full rather than spilling into ranks 1 or 2.
+    let worker = TcpTransport::connect(addr).unwrap();
+    assert_eq!(worker.rank(), 3);
+    hub.wait_ready(Duration::from_secs(5)).unwrap();
+    let err = TcpTransport::connect(addr).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+}
+
+#[test]
+fn a_lost_worker_is_announced_to_the_master_and_the_hosted_foreman() {
+    let (hub, foreman, monitor) = coordinator_hub(4, Obs::disabled());
+    let mut stream = TcpStream::connect(hub.local_addr()).unwrap();
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+            rejoin: None,
+            job: None,
+            wire: None,
+        },
+    )
+    .unwrap();
+    let welcome = read_frame(&mut stream, Duration::from_secs(5)).unwrap();
+    assert!(matches!(welcome, Some(Frame::Welcome { rank: 3, .. })));
+    // The worker's process dies: no Goodbye, just a closed socket.
+    drop(stream);
+    let down = Message::PeerDown { rank: 3 };
+    assert_eq!(hub.recv().unwrap(), (0, down.clone()));
+    assert_eq!(foreman.recv().unwrap(), (0, down));
+    assert!(monitor.try_recv().unwrap().is_none());
+    assert!(hub.wait_for_peers(Duration::from_secs(5), |connected| connected == 0));
+}
+
+#[test]
+fn an_idle_connection_still_carries_heartbeats() {
+    // Writers pack what is queued into one write; with nothing queued they
+    // must still speak once per interval, or the other side's miss counter
+    // would declare a healthy, idle peer dead.
+    let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
+    let mut stream = TcpStream::connect(hub.local_addr()).unwrap();
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+            rejoin: None,
+            job: None,
+            wire: None,
+        },
+    )
+    .unwrap();
+    let welcome = read_frame(&mut stream, Duration::from_secs(5)).unwrap();
+    assert!(matches!(welcome, Some(Frame::Welcome { rank: 1, .. })));
+    for _ in 0..2 {
+        let beat = read_frame(&mut stream, Duration::from_secs(5)).unwrap();
+        assert_eq!(beat, Some(Frame::Heartbeat { from: 0 }));
+    }
+    // And the client's side of the same contract: an idle endpoint stays
+    // connected well past the miss limit.
+    drop(stream);
+    let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
+    let client = TcpTransport::connect(hub.local_addr()).unwrap();
+    std::thread::sleep(fast_net_config().heartbeat_interval * 8);
+    assert_eq!(hub.connected_peers(), 1);
+    assert!(!client.is_dead());
 }
 
 #[test]

@@ -15,16 +15,20 @@
 //!   --rates-file FILE    use a dnarates report for the category model
 //!   --parallel RANKS     run the threaded parallel program (≥ 4 ranks:
 //!                        master, foreman, monitor, workers)
-//!   --net coordinator    host the TCP hub and run rank 0 (master); use
-//!                        with --listen ADDR and --ranks N
+//!   --net coordinator    host the TCP hub and run the control ranks (0
+//!                        master, 1 foreman, 2 monitor) in this process;
+//!                        with --listen ADDR and --ranks N it waits for
+//!                        N-3 --net worker dials
 //!   --net worker         join a coordinator (or daemon) as a peer process;
 //!                        use with --connect ADDR (rank assigned by the hub)
-//!   --net spawn N        coordinator that also forks N-1 local worker
-//!                        processes — single-command multi-process run
+//!   --net spawn N        coordinator of an N-rank universe that also
+//!                        forks its N-3 workers as local processes —
+//!                        single-command multi-process run
 //!   --listen ADDR        coordinator / daemon bind address  [127.0.0.1:0]
 //!   --connect ADDR       address for --net worker and the job-API client
 //!                        modes (--submit / --status / --attach)
-//!   --ranks N            universe size for --net coordinator / --serve [4]
+//!   --ranks N            universe size, control ranks included, for
+//!                        --net coordinator / --serve                   [4]
 //!   --supervise          (--net spawn) respawn worker processes that die,
 //!                        with capped exponential backoff
 //!   --max-restarts N     respawn ceiling per worker slot with --supervise [3]
@@ -42,8 +46,8 @@
 //!   --no-incremental     force whole-tree candidate scoring (the default
 //!                        for a single search; farm jumbles — --jumbles N
 //!                        and daemon jobs — are always edit-scored)
-//!   --obs-out FILE       write runtime events as JSON lines (parallel only)
-//!   --obs-summary        print the end-of-run report (parallel only)
+//!   --obs-out FILE       write runtime events as JSON lines (--parallel, --net)
+//!   --obs-summary        print the end-of-run report (--parallel, --net)
 //!   --bootstrap N        bootstrap with N replicates instead of jumbles
 //!   --user-trees FILE    evaluate the Newick trees in FILE, no search
 //!   --checkpoint FILE    write a resumable checkpoint after every step
@@ -240,12 +244,16 @@ fastdnaml --input data.phy [options]
   --categories K       estimate K rate categories (DNArates) first
   --rates-file FILE    use a dnarates report for the category model
   --parallel RANKS     run the threaded parallel program (>= 4 ranks)
-  --net coordinator    host the TCP hub and run rank 0 (--listen, --ranks)
+  --net coordinator    host the TCP hub and run master, foreman and monitor
+                       (ranks 0-2) in this process; waits for N-3 workers
+                       (--listen, --ranks N)
   --net worker         join a coordinator or daemon as a peer (--connect)
-  --net spawn N        coordinator that also forks N-1 local peers
+  --net spawn N        coordinator of N ranks that also forks its N-3
+                       workers as local processes
   --listen ADDR        coordinator / daemon bind address [127.0.0.1:0]
   --connect ADDR       address for --net worker / --submit / --status / --attach
-  --ranks N            universe size for --net coordinator / --serve [4]
+  --ranks N            universe size, ranks 0-2 included, for
+                       --net coordinator / --serve [4]
   --supervise          (--net spawn) respawn dead worker processes
   --max-restarts N     respawn ceiling per worker slot with --supervise [3]
   --regions R          interpose R regional foremen between the foreman
@@ -260,8 +268,8 @@ fastdnaml --input data.phy [options]
   --no-incremental     force whole-tree candidate scoring (the default for
                        a single search; farm jumbles — --jumbles N and
                        daemon jobs — are always edit-scored)
-  --obs-out FILE       write runtime events as JSON lines (parallel only)
-  --obs-summary        print the end-of-run report (parallel only)
+  --obs-out FILE       write runtime events as JSON lines (--parallel, --net)
+  --obs-summary        print the end-of-run report (--parallel, --net)
   --bootstrap N        bootstrap with N replicates instead of jumbles
   --user-trees FILE    evaluate the Newick trees in FILE, no search
   --checkpoint FILE    write a resumable checkpoint after every step
@@ -835,7 +843,7 @@ fn main() -> ExitCode {
                     Err(e) => return fail("net farm", &e),
                 };
                 if !quiet {
-                    report_peer_exits(&outcome.peer_exits);
+                    report_peer_exits(&outcome.fleet.peer_exits);
                 }
                 (outcome.runs, outcome.consensus, outcome.report)
             } else if let Some(ranks) = threads {
@@ -928,11 +936,16 @@ fn main() -> ExitCode {
         };
         print_report(&outcome.report);
         if !quiet {
+            let foreman = outcome.fleet.service.root.stats;
             eprintln!(
-                "fastdnaml: lnL {:.4} over {} process ranks",
-                outcome.result.ln_likelihood, ranks
+                "fastdnaml: lnL {:.4} over {} ranks ({} trees, {} timeouts, {} frames relayed)",
+                outcome.result.ln_likelihood,
+                ranks,
+                foreman.results_forwarded,
+                foreman.timeouts,
+                outcome.fleet.relayed
             );
-            report_peer_exits(&outcome.peer_exits);
+            report_peer_exits(&outcome.fleet.peer_exits);
         }
         outcome.result
     } else if let Some(ranks) = threads {

@@ -1,5 +1,6 @@
 //! Multi-process end-to-end tests: the real `fastdnaml` binary running the
-//! TCP transport, one OS process per rank, over loopback.
+//! TCP transport — the coordinator hosting ranks 0–2, one OS process per
+//! worker (and per regional foreman) — over loopback.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -46,17 +47,35 @@ fn run(dir: &Path, extra: &[&str]) -> (String, String) {
     )
 }
 
-/// The `RunFinished` likelihood from an obs event log.
-fn final_lnl(log: &Path) -> f64 {
+/// The events of an obs log, in order.
+fn events(log: &Path) -> Vec<fastdnaml::obs::Event> {
     let text = std::fs::read_to_string(log).expect("event log written");
     let records = fastdnaml::obs::JsonlSink::parse(&text).expect("valid JSONL");
-    records
+    records.into_iter().map(|r| r.event).collect()
+}
+
+/// The `RunFinished` likelihood from an obs event log.
+fn final_lnl(log: &Path) -> f64 {
+    events(log)
         .iter()
-        .find_map(|r| match r.event {
-            fastdnaml::obs::Event::RunFinished { ln_likelihood } => Some(ln_likelihood),
+        .find_map(|e| match e {
+            fastdnaml::obs::Event::RunFinished { ln_likelihood } => Some(*ln_likelihood),
             _ => None,
         })
         .expect("RunFinished event present")
+}
+
+/// The ranks whose processes dialed the hub, in rank order.
+fn connected_ranks(log: &Path) -> Vec<usize> {
+    let mut ranks: Vec<usize> = events(log)
+        .iter()
+        .filter_map(|e| match e {
+            fastdnaml::obs::Event::NetPeerConnected { rank } => Some(*rank),
+            _ => None,
+        })
+        .collect();
+    ranks.sort_unstable();
+    ranks
 }
 
 #[test]
@@ -64,8 +83,8 @@ fn spawned_processes_match_threaded_parallel_exactly() {
     let dir = workdir("spawn");
     let net_log = dir.join("net.jsonl");
     let thr_log = dir.join("thr.jsonl");
-    // One command, four OS processes: coordinator (master) + foreman +
-    // monitor + worker, talking over loopback TCP.
+    // One command, two OS processes: the coordinator (master, foreman and
+    // monitor) and one worker, talking over loopback TCP.
     let (net_tree, _) = run(
         &dir,
         &[
@@ -96,18 +115,22 @@ fn spawned_processes_match_threaded_parallel_exactly() {
         (net_lnl - thr_lnl).abs() < 1e-9,
         "net {net_lnl} vs threads {thr_lnl}"
     );
-    // The hub recorded each peer process joining.
-    let text = std::fs::read_to_string(&net_log).unwrap();
-    let records = fastdnaml::obs::JsonlSink::parse(&text).unwrap();
-    for rank in 1..4usize {
-        assert!(
-            records.iter().any(|r| matches!(
-                r.event,
-                fastdnaml::obs::Event::NetPeerConnected { rank: got } if got == rank
-            )),
-            "rank {rank} never connected"
-        );
-    }
+    // Only the worker is a process that dials in: ranks 1 and 2 are hosted
+    // by the coordinator.
+    assert_eq!(connected_ranks(&net_log), [3]);
+    // ... so the coordinator's own log now holds the foreman's scheduling
+    // events, the same ones the threaded run records.
+    use fastdnaml::obs::Event;
+    let count =
+        |log: &Path, kind: fn(&Event) -> bool| events(log).iter().filter(|e| kind(e)).count();
+    let dispatched = |e: &Event| matches!(e, Event::TaskDispatched { .. });
+    assert!(count(&net_log, dispatched) > 0);
+    assert_eq!(count(&net_log, dispatched), count(&thr_log, dispatched));
+    assert_eq!(
+        count(&net_log, |e| matches!(e, Event::TaskCompleted { .. })),
+        count(&net_log, dispatched)
+    );
+    assert!(count(&net_log, |e| matches!(e, Event::QueueDepth { .. })) > 0);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -256,9 +279,10 @@ fn hierarchical_universe_matches_flat_processes_exactly() {
     let dir = workdir("hier");
     let log = dir.join("events.jsonl");
     let (flat_tree, _) = run(&dir, &["--net", "spawn", "6", "--quiet"]);
-    // Nine processes, two regions: master + root foreman + monitor + two
-    // regional foremen + four workers sharded round-robin between them.
-    // The extra scheduling layer must be invisible in the result.
+    // Nine ranks, two regions: master, root foreman and monitor in the
+    // coordinator, then two regional foremen and four workers sharded
+    // round-robin between them, one process each. The extra scheduling
+    // layer must be invisible in the result.
     let (hier_tree, _) = run(
         &dir,
         &[
@@ -273,18 +297,9 @@ fn hierarchical_universe_matches_flat_processes_exactly() {
         ],
     );
     assert_eq!(hier_tree, flat_tree);
-    // The whole nine-rank universe actually assembled.
-    let text = std::fs::read_to_string(&log).unwrap();
-    let records = fastdnaml::obs::JsonlSink::parse(&text).unwrap();
-    for rank in 1..9usize {
-        assert!(
-            records.iter().any(|r| matches!(
-                r.event,
-                fastdnaml::obs::Event::NetPeerConnected { rank: got } if got == rank
-            )),
-            "rank {rank} never connected"
-        );
-    }
+    // The whole nine-rank universe actually assembled: every rank the
+    // coordinator does not host itself dialed in.
+    assert_eq!(connected_ranks(&log), [3, 4, 5, 6, 7, 8]);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -322,6 +337,48 @@ fn incremental_search_is_identical_at_every_fleet_size_and_topology() {
         assert_eq!(tree, one_worker, "{flags:?}");
     }
     std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_flat_universe_relays_nothing_and_a_regional_one_does() {
+    use fastdnaml::core::config::SearchConfig;
+    use fastdnaml::core::job::ResolvedJob;
+    use fastdnaml::core::netrun::{net_coordinator_search, NetOptions, NetSpawn};
+
+    let alignment = fastdnaml::phylo::phylip::parse(PHYLIP).unwrap();
+    let config = SearchConfig {
+        jumble_seed: 7,
+        incremental: true,
+        ..SearchConfig::default()
+    };
+    let job = ResolvedJob::single(alignment, config);
+    let search = |ranks: usize, regions: usize| {
+        let spawn = NetSpawn {
+            quiet: true,
+            ..NetSpawn::new(env!("CARGO_BIN_EXE_fastdnaml").into())
+        };
+        let options = NetOptions::new("127.0.0.1:0", ranks)
+            .spawning(spawn)
+            .hierarchical(regions);
+        net_coordinator_search(&job, options).expect("net search")
+    };
+    // Flat: the workers speak only to the foreman, and the foreman lives
+    // in the coordinator — nothing goes from one socket to another, and
+    // the coordinator hands back the foreman's and the monitor's counts.
+    let flat = search(5, 0);
+    assert_eq!(flat.fleet.relayed, 0);
+    let foreman = flat.fleet.service.root.stats;
+    assert!(foreman.dispatched > 0);
+    assert_eq!(foreman.results_forwarded, foreman.dispatched);
+    assert!(flat.fleet.service.monitor.events > 0);
+    // With a regional tier the workers' foremen are peers too: their
+    // traffic is relayed.
+    let regional = search(9, 2);
+    assert!(regional.fleet.relayed > 0);
+    assert_eq!(
+        regional.result.ln_likelihood.to_bits(),
+        flat.result.ln_likelihood.to_bits()
+    );
 }
 
 /// Every way of deploying a search, one worker to four, flat and
