@@ -57,6 +57,18 @@ chaos_smoke() {
     --supervise --die-rank 4 --die-after-tasks 2 --worker-timeout-ms 300 \
     --output "$SMOKE/chaos_faulty.nwk"
   cmp "$SMOKE/chaos_clean.nwk" "$SMOKE/chaos_faulty.nwk"
+  # The same death with edit chunks in flight: `EditScores` replies count
+  # toward --die-after-tasks, so rank 4 exits owing a chunk, which the
+  # foreman requeues self-contained. On the 18-taxon input: the 6-taxon
+  # search is over before rank 4 has been handed a third task.
+  write_traffic_data
+  ./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 7 --incremental \
+    --net spawn 5 --quiet --output "$SMOKE/chaos_clean_inc.nwk"
+  ./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 7 --incremental \
+    --net spawn 5 --supervise --die-rank 4 --die-after-tasks 2 --worker-timeout-ms 300 \
+    --output "$SMOKE/chaos_faulty_inc.nwk" 2> "$SMOKE/chaos_faulty_inc.err"
+  cmp "$SMOKE/chaos_clean_inc.nwk" "$SMOKE/chaos_faulty_inc.nwk"
+  grep -q 'peer rank 4 exited with Some(3)' "$SMOKE/chaos_faulty_inc.err"
 }
 
 if [ "${1:-all}" = "chaos" ]; then
@@ -132,29 +144,63 @@ cmp "$SMOKE/inc_net.nwk" "$SMOKE/full_threads.nwk"
 cmp "$SMOKE/inc_serial.nwk" "$SMOKE/inc_threads.nwk"
 
 # Traffic smoke for the incremental path (`--obs-summary`, "traffic by
-# kind"): candidates are answered by their score alone, so the mean
-# TreeResult stays far below a Newick's size, and a round adopts at most one
-# base — one master->foreman frame plus one relay per worker — so
-# BaseTopology messages are bounded by (workers + 1) x (rounds + 1). A
-# verify ladder that reverts, or a worker that serializes candidates,
-# breaks one of the two.
+# kind"): candidates travel as chunks of edits and come back as scores —
+# a few bytes per candidate in `EditScores`, while `TreeResult`s (whole
+# trees) answer verification only, far fewer than there are candidates —
+# and a round adopts at most one base — one master->foreman frame plus one
+# relay per worker — so BaseTopology messages are bounded by
+# (workers + 1) x (rounds + 1). A verify ladder that reverts, or a
+# candidate that costs a tree or a frame of its own, breaks one of them.
 write_traffic_data
 ./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --parallel 5 --incremental --quiet \
-  --obs-summary --output "$SMOKE/traffic.nwk" > "$SMOKE/traffic_summary.txt"
+  --obs-summary --obs-out "$SMOKE/traffic.jsonl" --output "$SMOKE/traffic.nwk" > "$SMOKE/traffic_summary.txt"
 awk '
   /^  workers \(/      { gsub(/[^0-9]/, "", $2); workers = $2 }
   /^  rounds \(/       { gsub(/[^0-9]/, "", $2); rounds = $2 }
-  $1 == "TreeResult"   { result_msgs = $3; result_bytes = $6 }
+  /^    round +[0-9]+:/ { candidates += $3 }
+  $1 == "TreeResult"   { tree_msgs = $3 }
+  $1 == "EditChunk"    { chunk_msgs = $3 }
+  $1 == "EditScores"   { score_bytes = $6 }
   $1 == "BaseTopology" { base_msgs = $3 }
   END {
-    if (!workers || !rounds || !result_msgs || !base_msgs) {
+    if (!workers || !rounds || !candidates || !tree_msgs || !chunk_msgs || !score_bytes || !base_msgs) {
       print "traffic smoke: run report not understood"; exit 1
     }
-    printf "traffic smoke: TreeResult mean %.1f B, %d BaseTopology msgs for %d rounds on %d workers\n",
-      result_bytes / result_msgs, base_msgs, rounds, workers
-    if (result_bytes / result_msgs >= 256) { print "traffic smoke: results carry trees again"; exit 1 }
+    printf "traffic smoke: %d candidates in %d EditChunk msgs, %.1f B of scores each, %d TreeResult msgs, %d BaseTopology msgs for %d rounds on %d workers\n",
+      candidates, chunk_msgs, score_bytes / candidates, tree_msgs, base_msgs, rounds, workers
+    if (score_bytes / candidates >= 64) { print "traffic smoke: scores carry trees again"; exit 1 }
+    if (chunk_msgs >= candidates) { print "traffic smoke: a frame per candidate again"; exit 1 }
+    if (tree_msgs >= candidates) { print "traffic smoke: a whole tree per candidate"; exit 1 }
     if (base_msgs > (workers + 1) * (rounds + 1)) { print "traffic smoke: more than one base per round"; exit 1 }
   }' "$SMOKE/traffic_summary.txt"
+
+# Chunked dispatch: the chunk is the unit of edit work, so the foreman's
+# log holds fewer `TaskDispatched` than the search scored candidates, and
+# chunk boundaries (which follow the worker count) change no byte: the
+# threaded tree above, the in-process tree (one evaluator, four chunks a
+# round) and the TCP tree further down (`flat_net.nwk`) are one file.
+dispatched=$(grep -c '"TaskDispatched"' "$SMOKE/traffic.jsonl")
+candidates=$(grep -o '"RoundCompleted":{[^}]*"candidates":[0-9]*' "$SMOKE/traffic.jsonl" |
+  awk -F: '{ n += $NF } END { print n }')
+test "$dispatched" -gt 0
+test "$dispatched" -lt "$candidates"
+./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --incremental --quiet \
+  --output "$SMOKE/traffic_serial.nwk"
+cmp "$SMOKE/traffic_serial.nwk" "$SMOKE/traffic.nwk"
+# Nothing the runtime runs builds the retired one-edit task (the variant
+# and its codec arms stay for benchmark/src/probes.rs:249 only), and how a
+# round is chunked is a pure function of its size and the fleet's — no
+# environment variable reaches it.
+for f in crates/core/src/*.rs crates/net/src/*.rs; do
+  if awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f" | grep -n 'Message::TreeEditTask'; then
+    echo "chunked dispatch: $f builds or serves the single-edit task"
+    exit 1
+  fi
+done
+if grep -rnE 'env::var|option_env!' crates/core/src; then
+  echo "chunked dispatch: crates/core/src reads the environment"
+  exit 1
+fi
 
 # Wire-codec smoke: every fdml-wire frame round-trips (proptest + golden
 # bytes), JSON and binary peers interoperate frame-by-frame on one hub

@@ -1,14 +1,17 @@
-//! Wire-codec study: bytes per dispatched task and codec throughput for
-//! the three eras of the dispatch path — per-task JSON whole trees (the
-//! paper's design), per-task binary edits (`fdml-wire`), and lease-batched
-//! binary edits (the hierarchical scheduler's unit). Writes
-//! `BENCH_wire.json`.
+//! Wire-codec study: bytes per scored candidate and codec throughput for
+//! the eras of the dispatch path — one JSON whole tree per candidate (the
+//! paper's design), candidates as edits in `EditChunk` task frames (JSON,
+//! then `fdml-wire` binary), and lease-batched binary chunks (the
+//! hierarchical scheduler's unit). A task is a chunk of edits, cut by the
+//! master's own `edit_chunk_len`, so every figure is per *candidate*.
+//! Writes `BENCH_wire.json`.
 //!
-//! Usage: wire_report [--quick] [--taxa N] [--tasks N] [--out PATH]
+//! Usage: wire_report [--quick] [--taxa N] [--candidates N] [--workers N]
+//!                    [--out PATH]
 //!
-//! One gate is enforced (the process exits non-zero if it fails): the
-//! binary edit-task frame must carry a dispatch in at least **5× fewer
-//! bytes** than the JSON whole-tree frame it replaces.
+//! One gate is enforced (the process exits non-zero if it fails): a binary
+//! chunk frame must carry a candidate in at least **5× fewer bytes** than
+//! the JSON whole-tree frame it replaces.
 
 use fdml_bench::Args;
 use fdml_comm::{Message, TreeEdit};
@@ -19,25 +22,25 @@ use std::time::Instant;
 /// One codec × payload row of the study.
 #[derive(Serialize)]
 struct WireRow {
-    /// What travelled: `json-tree`, `json-edit`, `binary-edit`, or
+    /// What travelled: `json-tree`, `json-chunk`, `binary-chunk`, or
     /// `binary-batch64`.
     scheme: String,
-    /// Frames put on the wire for the whole round.
+    /// Frames put on the wire for all the rounds.
     frames: usize,
-    /// Total wire bytes for the round.
+    /// Total wire bytes.
     total_bytes: usize,
-    /// Wire bytes per dispatched task.
-    bytes_per_task: f64,
-    /// Encode throughput, tasks per second.
-    encode_tasks_per_sec: f64,
-    /// Decode throughput, tasks per second.
-    decode_tasks_per_sec: f64,
+    /// Wire bytes per scored candidate.
+    bytes_per_candidate: f64,
+    /// Encode throughput, candidates per second.
+    encode_candidates_per_sec: f64,
+    /// Decode throughput, candidates per second.
+    decode_candidates_per_sec: f64,
 }
 
 #[derive(Serialize)]
 struct ReductionGate {
-    json_tree_bytes_per_task: f64,
-    binary_edit_bytes_per_task: f64,
+    json_tree_bytes_per_candidate: f64,
+    binary_chunk_bytes_per_candidate: f64,
     reduction: f64,
     threshold: f64,
     pass: bool,
@@ -46,7 +49,13 @@ struct ReductionGate {
 #[derive(Serialize)]
 struct WireReport {
     taxa: usize,
-    tasks: usize,
+    candidates: usize,
+    /// Workers the rounds were chunked for.
+    workers: usize,
+    /// Candidates per rearrangement round (`2·taxa − 6`, radius 1).
+    round_moves: usize,
+    /// Edits per chunk task: `edit_chunk_len(round_moves, workers)`.
+    chunk_len: usize,
     rows: Vec<WireRow>,
     gate: ReductionGate,
 }
@@ -62,29 +71,25 @@ fn caterpillar(taxa: usize) -> String {
     s
 }
 
-/// The candidate edits of one dispatch round, deterministic in `i`.
-fn round_edits(tasks: usize, taxa: usize) -> Vec<(u64, TreeEdit)> {
+/// The candidate edits of the study, deterministic in `i`.
+fn candidate_edits(candidates: usize, taxa: usize) -> Vec<TreeEdit> {
     let nodes = (2 * taxa - 2) as u32;
-    (0..tasks)
-        .map(|i| {
-            let edit = TreeEdit::Regraft {
-                root: (i as u32 * 7) % nodes,
-                attachment: (i as u32 * 13 + 1) % nodes,
-                a: (i as u32 * 29 + 2) % nodes,
-                b: (i as u32 * 31 + 3) % nodes,
-            };
-            (i as u64, edit)
+    (0..candidates as u32)
+        .map(|i| TreeEdit::Regraft {
+            root: (i * 7) % nodes,
+            attachment: (i * 13 + 1) % nodes,
+            a: (i * 29 + 2) % nodes,
+            b: (i * 31 + 3) % nodes,
         })
         .collect()
 }
 
 /// Measure one scheme: encode every frame, decode every frame back, and
-/// report sizes plus throughput. `tasks_per_frame` converts frame counts
-/// into per-task figures for the batched scheme.
+/// report sizes plus throughput per candidate carried.
 fn measure(
     scheme: &str,
     frames: &[Message],
-    tasks: usize,
+    candidates: usize,
     encode: impl Fn(&Message) -> Vec<u8>,
 ) -> WireRow {
     let t0 = Instant::now();
@@ -101,9 +106,9 @@ fn measure(
         scheme: scheme.into(),
         frames: frames.len(),
         total_bytes,
-        bytes_per_task: total_bytes as f64 / tasks as f64,
-        encode_tasks_per_sec: tasks as f64 / encode_secs.max(1e-9),
-        decode_tasks_per_sec: tasks as f64 / decode_secs.max(1e-9),
+        bytes_per_candidate: total_bytes as f64 / candidates as f64,
+        encode_candidates_per_sec: candidates as f64 / encode_secs.max(1e-9),
+        decode_candidates_per_sec: candidates as f64 / decode_secs.max(1e-9),
     }
 }
 
@@ -111,87 +116,98 @@ fn main() {
     let args = Args::from_env();
     let quick = args.has_flag("quick");
     let taxa: usize = args.get("taxa", 200);
-    let tasks: usize = args.get("tasks", if quick { 2048 } else { 16384 });
+    let candidates: usize = args.get("candidates", if quick { 2048 } else { 16384 });
+    let workers: usize = args.get("workers", 2);
     let out = args.get_str("out", "BENCH_wire.json");
 
     let base = caterpillar(taxa);
-    let edits = round_edits(tasks, taxa);
+    let edits = candidate_edits(candidates, taxa);
+    // A radius-1 rearrangement round scores 2n − 6 candidates; the master
+    // cuts each round into chunks for its workers.
+    let round_moves = 2 * taxa - 6;
+    let chunk_len = fdml_core::master::edit_chunk_len(round_moves, workers);
 
     // The paper's era: every candidate ships as a whole Newick tree in a
     // JSON frame.
-    let json_trees: Vec<Message> = edits
-        .iter()
-        .map(|(task, _)| Message::TreeTask {
-            task: *task,
+    let json_trees: Vec<Message> = (0..candidates as u64)
+        .map(|task| Message::TreeTask {
+            task,
             newick: base.clone(),
         })
         .collect();
-    // The edit era, same JSON codec: the payload shrank before the codec
-    // did.
-    let edit_msgs: Vec<Message> = edits
-        .iter()
-        .map(|(task, edit)| Message::TreeEditTask {
-            task: *task,
+    // The edit era: a round's candidates travel as chunk tasks.
+    let chunks: Vec<Message> = edits
+        .chunks(round_moves)
+        .flat_map(|round| round.chunks(chunk_len))
+        .enumerate()
+        .map(|(task, chunk)| Message::EditChunk {
+            task: task as u64,
             base_id: 42,
-            edit: *edit,
+            edits: chunk.to_vec(),
             base_newick: None,
         })
         .collect();
-    // The hierarchical scheduler's unit: one binary frame per 64-task
-    // lease grant.
-    let batches: Vec<Message> = edit_msgs
+    // The hierarchical scheduler's unit: one binary frame per lease grant
+    // of up to 64 tasks.
+    let batches: Vec<Message> = chunks
         .chunks(fdml_core::hierarchy::GRANT_CAP)
-        .map(|chunk| Message::Batch {
-            msgs: chunk.to_vec(),
+        .map(|grant| Message::Batch {
+            msgs: grant.to_vec(),
         })
         .collect();
 
     let json = |m: &Message| WireFormat::Json.encode(m).expect("json encodes");
     let rows = vec![
-        measure("json-tree", &json_trees, tasks, json),
-        measure("json-edit", &edit_msgs, tasks, json),
-        measure("binary-edit", &edit_msgs, tasks, encode_message),
-        measure("binary-batch64", &batches, tasks, encode_message),
+        measure("json-tree", &json_trees, candidates, json),
+        measure("json-chunk", &chunks, candidates, json),
+        measure("binary-chunk", &chunks, candidates, encode_message),
+        measure("binary-batch64", &batches, candidates, encode_message),
     ];
 
-    println!("Wire study — {tasks} tasks, {taxa}-taxon base tree\n");
-    println!("scheme           frames  total bytes  bytes/task   enc Mtask/s   dec Mtask/s");
+    println!(
+        "Wire study — {candidates} candidates, {taxa}-taxon base tree, \
+         rounds of {round_moves} in chunks of {chunk_len} ({workers} workers)\n"
+    );
+    println!("scheme           frames  total bytes  bytes/cand   enc Mcand/s   dec Mcand/s");
     for r in &rows {
         println!(
             "{:<15} {:>7} {:>12} {:>11.1} {:>13.2} {:>13.2}",
             r.scheme,
             r.frames,
             r.total_bytes,
-            r.bytes_per_task,
-            r.encode_tasks_per_sec / 1e6,
-            r.decode_tasks_per_sec / 1e6
+            r.bytes_per_candidate,
+            r.encode_candidates_per_sec / 1e6,
+            r.decode_candidates_per_sec / 1e6
         );
     }
 
-    let per_task = |scheme: &str| {
+    let per_candidate = |scheme: &str| {
         rows.iter()
             .find(|r| r.scheme == scheme)
             .expect("scheme present")
-            .bytes_per_task
+            .bytes_per_candidate
     };
     let gate = ReductionGate {
-        json_tree_bytes_per_task: per_task("json-tree"),
-        binary_edit_bytes_per_task: per_task("binary-edit"),
-        reduction: per_task("json-tree") / per_task("binary-edit"),
+        json_tree_bytes_per_candidate: per_candidate("json-tree"),
+        binary_chunk_bytes_per_candidate: per_candidate("binary-chunk"),
+        reduction: per_candidate("json-tree") / per_candidate("binary-chunk"),
         threshold: 5.0,
-        pass: per_task("json-tree") >= 5.0 * per_task("binary-edit"),
+        pass: per_candidate("json-tree") >= 5.0 * per_candidate("binary-chunk"),
     };
     println!(
-        "\nbytes/task: json whole-tree {:.1} → binary edit {:.1} ({:.0}× reduction, gate ≥ {:.0}×)",
-        gate.json_tree_bytes_per_task,
-        gate.binary_edit_bytes_per_task,
+        "\nbytes/candidate: json whole-tree {:.1} → binary chunk {:.1} ({:.0}× reduction, gate ≥ {:.0}×)",
+        gate.json_tree_bytes_per_candidate,
+        gate.binary_chunk_bytes_per_candidate,
         gate.reduction,
         gate.threshold
     );
 
     let report = WireReport {
         taxa,
-        tasks,
+        candidates,
+        workers,
+        round_moves,
+        chunk_len,
         rows,
         gate,
     };
@@ -204,7 +220,7 @@ fn main() {
 
     assert!(
         report.gate.pass,
-        "binary edit frames must be ≥5× smaller per task than JSON whole-tree frames: {:.1} vs {:.1}",
-        report.gate.binary_edit_bytes_per_task, report.gate.json_tree_bytes_per_task
+        "binary chunk frames must be ≥5× smaller per candidate than JSON whole-tree frames: {:.1} vs {:.1}",
+        report.gate.binary_chunk_bytes_per_candidate, report.gate.json_tree_bytes_per_candidate
     );
 }

@@ -219,9 +219,10 @@ struct ChaosState {
 }
 
 /// A [`Transport`] wrapper applying a [`ChaosPlan`] to outgoing result
-/// messages (`TreeResult` / `JumbleResult`). Control traffic (problem
-/// data, readiness, shutdown) passes through untouched — chaos attacks
-/// the data plane, which is where the fault-tolerance machinery lives.
+/// messages ([`Message::is_result`]: `TreeResult`, `JumbleResult`,
+/// `EditScores`). Control traffic (problem data, readiness, shutdown)
+/// passes through untouched — chaos attacks the data plane, which is
+/// where the fault-tolerance machinery lives.
 pub struct ChaosTransport<T: Transport> {
     inner: T,
     plan: ChaosPlan,
@@ -304,10 +305,7 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         if self.severed.load(Ordering::SeqCst) {
             return Err(CommError::Disconnected(self.inner.rank()));
         }
-        if !matches!(
-            msg,
-            Message::TreeResult { .. } | Message::JumbleResult { .. }
-        ) {
+        if !msg.is_result() {
             return self.inner.send(to, msg);
         }
 
@@ -529,6 +527,29 @@ mod tests {
         // Control traffic is untouched.
         chaotic.send(0, &Message::WorkerReady).unwrap();
         assert!(receiver.try_recv().unwrap().is_some());
+    }
+
+    #[test]
+    fn chunk_scores_are_attacked_like_tree_results() {
+        // An edit chunk's answer is a result: it draws a fate and counts
+        // toward the kill index exactly as a `TreeResult` does.
+        let plan = ChaosPlan {
+            drop_per_mille: 1000,
+            ..ChaosPlan::quiet(0)
+        }
+        .with_kill(1, 2);
+        let mut ends = ThreadUniverse::create(2);
+        let receiver = ends.remove(0);
+        let chaotic = ChaosTransport::new(ends.remove(0), plan, Obs::disabled());
+        let scores = Message::EditScores {
+            task: 7,
+            scores: Vec::new(),
+        };
+        chaotic.send(0, &scores).unwrap();
+        chaotic.send(0, &result_msg(8)).unwrap();
+        assert!(receiver.try_recv().unwrap().is_none(), "both dropped");
+        assert_eq!(chaotic.stats().dropped, 2);
+        assert!(chaotic.send(0, &scores).is_err(), "third result: killed");
     }
 
     #[test]

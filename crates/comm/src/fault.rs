@@ -30,10 +30,11 @@ pub enum FaultKind {
 }
 
 /// A fault plan: apply `kind` to the first `count` outgoing result
-/// messages (`TreeResult` or `JumbleResult`, alone or inside a `Batch`
-/// frame), then behave normally. For [`FaultKind::Disconnect`] the `count`
-/// is instead how many results are let *through* before the link is
-/// severed; a frame carrying more results than remain is lost whole.
+/// messages ([`Message::is_result`]: `TreeResult`, `JumbleResult` or a
+/// chunk's `EditScores`, alone or inside a `Batch` frame), then behave
+/// normally. For [`FaultKind::Disconnect`] the `count` is instead how many
+/// results are let *through* before the link is severed; a frame carrying
+/// more results than remain is lost whole.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// The fault to inject.
@@ -74,9 +75,8 @@ impl FaultPlan {
 /// them upward inside `Batch` frames, a worker sends them bare.
 fn results_in(msg: &Message) -> u64 {
     match msg {
-        Message::TreeResult { .. } | Message::JumbleResult { .. } => 1,
         Message::Batch { msgs } => msgs.iter().map(results_in).sum(),
-        _ => 0,
+        _ => u64::from(msg.is_result()),
     }
 }
 
@@ -189,6 +189,20 @@ mod tests {
         }
         assert!(receiver.try_recv().unwrap().is_none());
         assert_eq!(faulty.remaining(), 0);
+    }
+
+    #[test]
+    fn chunk_scores_count_as_results_bare_and_batched() {
+        let scores = Message::EditScores {
+            task: 1,
+            scores: Vec::new(),
+        };
+        assert_eq!(results_in(&scores), 1);
+        let batch = Message::Batch {
+            msgs: vec![scores, result_msg(2), Message::WorkerReady],
+        };
+        assert_eq!(results_in(&batch), 2);
+        assert_eq!(results_in(&Message::Ping), 0);
     }
 
     #[test]

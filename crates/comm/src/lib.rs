@@ -36,7 +36,7 @@ pub use job::{
     JobId, JobResult, JobSpec, JobSpecBuilder, JobSpecError, JobState, JobStatus, JobTree,
     RejectReason,
 };
-pub use message::{Message, MessageKind, MonitorEvent, TaskPayload, TreeEdit};
+pub use message::{EditScore, Message, MessageKind, MonitorEvent, TaskPayload, TreeEdit};
 pub use recording::Recording;
 pub use threads::ThreadUniverse;
 pub use transport::{ranks, CommError, Rank, Transport};

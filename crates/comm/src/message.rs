@@ -96,6 +96,15 @@ pub enum TreeEdit {
     },
 }
 
+/// One edit's answer inside a [`Message::EditScores`] reply.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct EditScore {
+    /// Log-likelihood of `base + edit`.
+    pub ln_likelihood: f64,
+    /// Work units the scoring cost.
+    pub work_units: u64,
+}
+
 /// The payload of one unit of work, detached from its routing envelope.
 /// Carried inside [`Message::Quarantined`] so the master can evaluate a
 /// poisoned task locally with the same inputs the workers saw.
@@ -111,13 +120,13 @@ pub enum TaskPayload {
         /// The adjusted jumble seed.
         seed: u64,
     },
-    /// A candidate edit against a broadcast base topology (the payload of
-    /// a [`Message::TreeEditTask`]).
+    /// A chunk of candidate edits against a broadcast base topology (the
+    /// payload of a [`Message::EditChunk`]).
     TreeEdit {
-        /// Generation id of the base topology the edit applies to.
+        /// Generation id of the base topology the edits apply to.
         base_id: u64,
-        /// The edit itself.
-        edit: TreeEdit,
+        /// The edits, in the order their scores are expected back.
+        edits: Vec<TreeEdit>,
     },
 }
 
@@ -265,7 +274,7 @@ pub enum Message {
     },
     /// Master → foreman → workers: the base topology of the upcoming
     /// dispatch round. Workers index its per-edge CLVs once and then score
-    /// each [`Message::TreeEditTask`] of the round incrementally. A new
+    /// each [`Message::EditChunk`] of the round incrementally. A new
     /// broadcast (higher `base_id`) invalidates any cached predecessor.
     BaseTopology {
         /// Monotonically increasing generation id of this base.
@@ -274,10 +283,12 @@ pub enum Message {
         /// exactly: shortest-round-trip float formatting).
         newick: String,
     },
-    /// Foreman → worker: score one candidate edit against the round's base
-    /// topology. The compact sibling of [`Message::TreeTask`]: instead of
-    /// a whole Newick tree it carries a few node ids, and the worker
-    /// answers with an ordinary [`Message::TreeResult`].
+    /// One candidate edit as a task of its own, answered by a
+    /// [`Message::TreeResult`] with an empty Newick. Retired: candidates
+    /// travel in [`Message::EditChunk`]s, and nothing in the runtime builds
+    /// or serves this variant. It and its codec arms survive because the
+    /// benchmark's `wire.bytes_per_task` probe (`benchmark/src/probes.rs:249`)
+    /// constructs and round-trips it; delete both together (ROADMAP 1g).
     TreeEditTask {
         /// Task id, unique within the run.
         task: u64,
@@ -290,6 +301,33 @@ pub enum Message {
         /// after a peer death, or quarantine re-dispatch) — the
         /// self-contained rung of the fallback ladder.
         base_newick: Option<String>,
+    },
+    /// Foreman → worker: score a chunk of candidate edits against the
+    /// round's base topology — the unit of edit work. An edit is a few node
+    /// ids and ~40 µs of compute, so a round's moves travel a chunk per
+    /// frame, not a move per frame; the worker answers with one
+    /// [`Message::EditScores`].
+    EditChunk {
+        /// Task id, unique within the run.
+        task: u64,
+        /// Generation id of the base the edits apply to.
+        base_id: u64,
+        /// The edits to score, in order.
+        edits: Vec<TreeEdit>,
+        /// The base tree itself, embedded when the foreman cannot assume
+        /// the worker holds the broadcast base (fresh respawn, requeue
+        /// after a peer death, or quarantine re-dispatch) — the
+        /// self-contained rung of the fallback ladder.
+        base_newick: Option<String>,
+    },
+    /// Worker → foreman: the scores of an [`Message::EditChunk`], one per
+    /// edit, in the chunk's order. No trees: the master rebuilds the one
+    /// candidate it wants itself.
+    EditScores {
+        /// Task id echoed back.
+        task: u64,
+        /// One score per edit of the chunk, in edit order.
+        scores: Vec<EditScore>,
     },
     /// Foreman → worker: a liveness probe. A delinquent worker gets no new
     /// work, so without a probe a silently dead one would never be
@@ -419,6 +457,10 @@ pub enum MessageKind {
     BaseTopology,
     /// [`Message::TreeEditTask`].
     TreeEditTask,
+    /// [`Message::EditChunk`].
+    EditChunk,
+    /// [`Message::EditScores`].
+    EditScores,
     /// [`Message::Ping`].
     Ping,
     /// [`Message::Batch`].
@@ -460,6 +502,8 @@ impl MessageKind {
             MessageKind::JobRetire => "JobRetire",
             MessageKind::BaseTopology => "BaseTopology",
             MessageKind::TreeEditTask => "TreeEditTask",
+            MessageKind::EditChunk => "EditChunk",
+            MessageKind::EditScores => "EditScores",
             MessageKind::Ping => "Ping",
             MessageKind::Batch => "Batch",
             MessageKind::LeaseRequest => "LeaseRequest",
@@ -500,6 +544,8 @@ impl Message {
             Message::JobRetire { .. } => MessageKind::JobRetire,
             Message::BaseTopology { .. } => MessageKind::BaseTopology,
             Message::TreeEditTask { .. } => MessageKind::TreeEditTask,
+            Message::EditChunk { .. } => MessageKind::EditChunk,
+            Message::EditScores { .. } => MessageKind::EditScores,
             Message::Ping => MessageKind::Ping,
             Message::Batch { .. } => MessageKind::Batch,
             Message::LeaseRequest { .. } => MessageKind::LeaseRequest,
@@ -510,6 +556,16 @@ impl Message {
             Message::JumbleResume { .. } => MessageKind::JumbleResume,
             Message::Shutdown => MessageKind::Shutdown,
         }
+    }
+
+    /// Whether this is a worker's answer to a task — a whole-tree result,
+    /// a jumble result or a chunk's scores. The fault injectors count and
+    /// attack exactly these.
+    pub fn is_result(&self) -> bool {
+        matches!(
+            self,
+            Message::TreeResult { .. } | Message::JumbleResult { .. } | Message::EditScores { .. }
+        )
     }
 
     /// Approximate on-the-wire size in bytes (used by the simulator's
@@ -531,7 +587,7 @@ impl Message {
                 32 + match payload {
                     TaskPayload::Tree { newick } => newick.len() + 8,
                     TaskPayload::Jumble { .. } => 16,
-                    TaskPayload::TreeEdit { .. } => 32,
+                    TaskPayload::TreeEdit { edits, .. } => 16 + 16 * edits.len(),
                 }
             }
             Message::Abort { reason } => reason.len() + 16,
@@ -547,6 +603,10 @@ impl Message {
             Message::TreeEditTask { base_newick, .. } => {
                 48 + base_newick.as_ref().map_or(0, |n| n.len())
             }
+            Message::EditChunk {
+                edits, base_newick, ..
+            } => 32 + 16 * edits.len() + base_newick.as_ref().map_or(0, |n| n.len()),
+            Message::EditScores { scores, .. } => 24 + 16 * scores.len(),
             Message::Ping => 16,
             Message::Batch { msgs } => 16 + msgs.iter().map(Message::wire_bytes).sum::<usize>(),
             Message::LeaseRequest { .. } | Message::StealRequest { .. } => 24,
@@ -662,16 +722,47 @@ mod tests {
                 },
                 base_newick: Some("(a:1,b:2);".into()),
             },
+            Message::EditChunk {
+                task: 44,
+                base_id: 5,
+                edits: vec![
+                    TreeEdit::Insert {
+                        taxon: 4,
+                        a: 1,
+                        b: 2,
+                    },
+                    TreeEdit::Regraft {
+                        root: 6,
+                        attachment: 7,
+                        a: 1,
+                        b: 2,
+                    },
+                ],
+                base_newick: Some("(a:1,b:2);".into()),
+            },
+            Message::EditScores {
+                task: 44,
+                scores: vec![
+                    EditScore {
+                        ln_likelihood: -12.5,
+                        work_units: 7,
+                    },
+                    EditScore {
+                        ln_likelihood: -13.25,
+                        work_units: 9,
+                    },
+                ],
+            },
             Message::Quarantined {
                 task: 43,
                 failures: 3,
                 payload: TaskPayload::TreeEdit {
                     base_id: 5,
-                    edit: TreeEdit::Insert {
+                    edits: vec![TreeEdit::Insert {
                         taxon: 4,
                         a: 1,
                         b: 2,
-                    },
+                    }],
                 },
             },
             Message::Ping,
@@ -723,6 +814,8 @@ mod tests {
         assert_eq!(MessageKind::Abort.name(), "Abort");
         assert_eq!(MessageKind::BaseTopology.name(), "BaseTopology");
         assert_eq!(MessageKind::TreeEditTask.name(), "TreeEditTask");
+        assert_eq!(MessageKind::EditChunk.name(), "EditChunk");
+        assert_eq!(MessageKind::EditScores.name(), "EditScores");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct SearchConfig {
     /// through a per-worker CLV cache. Master-side only — like
     /// `worker_timeout` it never travels in the engine wire config; the
     /// mode a worker runs in is decided per task by the message it
-    /// receives (`TreeTask` vs `TreeEditTask`).
+    /// receives (`TreeTask` vs `EditChunk`).
     pub incremental: bool,
     /// Intra-rank kernel threads per worker (`--intra-threads`): the
     /// likelihood kernels fan pattern blocks across this many threads.

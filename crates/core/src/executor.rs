@@ -83,6 +83,20 @@ pub struct BaseOutcome {
     pub work_units: u64,
 }
 
+/// A fully optimized `base + move` that has not been adopted: the tree
+/// stays the Newick text its evaluator wrote. A round verifies many
+/// candidates and adopts at most one, so only
+/// [`adopt`](RoundExecutor::adopt) pays for a parse.
+#[derive(Debug, Clone)]
+pub struct Verified {
+    /// The optimized tree as Newick text.
+    pub newick: String,
+    /// Its log-likelihood.
+    pub ln_likelihood: f64,
+    /// Work units spent.
+    pub work_units: u64,
+}
+
 /// Evaluation strategy for candidate rounds.
 ///
 /// Calling [`RoundExecutor::score_round`], [`RoundExecutor::verify`] or
@@ -98,7 +112,7 @@ pub trait RoundExecutor {
     /// Fully optimize `base + move` for each move, in order. The base is
     /// untouched, and an outcome depends only on the base and its move —
     /// never on which other moves share the call.
-    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError>;
+    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<Verified>, ExecutorError>;
 
     /// How many moves one [`verify`](Self::verify) call evaluates
     /// concurrently (at least 1): the driver verifies candidates in waves
@@ -111,7 +125,7 @@ pub trait RoundExecutor {
     /// outcome) as the base without re-optimizing it. Returns the base as
     /// the executor will score against it; `work_units` is the work the
     /// adoption itself cost.
-    fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError>;
+    fn adopt(&mut self, verified: Verified) -> Result<BaseOutcome, ExecutorError>;
 
     /// Apply one move to the base, fully optimize, and make the result the
     /// new base: [`verify`](Self::verify) then [`adopt`](Self::adopt).

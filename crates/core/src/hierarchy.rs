@@ -297,7 +297,7 @@ impl Root {
             Message::TreeTask { .. }
             | Message::JumbleTask { .. }
             | Message::JumbleResume { .. }
-            | Message::TreeEditTask { .. } => {
+            | Message::EditChunk { .. } => {
                 debug_assert_eq!(from, ranks::MASTER);
                 if let Some(queued) = TaskBody::from_message(msg) {
                     self.queue.push_back(queued);

@@ -52,14 +52,14 @@ impl Loopback {
                 None
             }
             Message::TreeTask { task, newick } => Some(evaluator.tree_task(newick)?.reply(*task)),
-            Message::TreeEditTask {
+            Message::EditChunk {
                 task,
                 base_id,
-                edit,
+                edits,
                 base_newick,
             } => Some(
                 evaluator
-                    .edit_task(*base_id, edit, base_newick.clone())?
+                    .edit_task(*base_id, edits, base_newick.clone())?
                     .reply(*task),
             ),
             // Monitor traffic and the shutdown cascade have no one to reach.
@@ -191,10 +191,10 @@ mod tests {
         let base = "(t0:0.1,t1:0.1,t2:0.1);".to_string();
         let names: Vec<String> = (0..4).map(|i| format!("t{i}")).collect();
         let tree = newick::parse_tree_with_names(&base, &names).unwrap();
-        let edit = |base_newick| Message::TreeEditTask {
+        let edit = |base_newick| Message::EditChunk {
             task: 5,
             base_id: 9,
-            edit: move_to_edit(&enumerate_insertion_moves(&tree, 3)[0]),
+            edits: vec![move_to_edit(&enumerate_insertion_moves(&tree, 3)[0])],
             base_newick,
         };
         end.send(ranks::FOREMAN, &edit(None)).unwrap();
@@ -202,12 +202,7 @@ mod tests {
         // The same edit carrying its base is scored.
         end.send(ranks::FOREMAN, &edit(Some(base.clone()))).unwrap();
         match end.recv().unwrap() {
-            (
-                _,
-                Message::TreeResult {
-                    task: 5, newick, ..
-                },
-            ) => assert!(newick.is_empty()),
+            (_, Message::EditScores { task: 5, scores }) => assert_eq!(scores.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
     }

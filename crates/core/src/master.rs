@@ -7,9 +7,9 @@
 //! the message-passing layer).
 
 use crate::edits::move_to_edit;
-use crate::executor::{BaseOutcome, CandidateScore, ExecutorError, RoundExecutor};
+use crate::executor::{BaseOutcome, CandidateScore, ExecutorError, RoundExecutor, Verified};
 use crate::worker::{ranks, Evaluator};
-use fdml_comm::message::{Message, MonitorEvent, TaskPayload};
+use fdml_comm::message::{EditScore, Message, MonitorEvent, TaskPayload};
 use fdml_comm::transport::Transport;
 use fdml_phylo::error::PhyloError;
 use fdml_phylo::newick;
@@ -17,21 +17,45 @@ use fdml_phylo::ops::{apply_move, TreeMove};
 use fdml_phylo::tree::Tree;
 use std::collections::HashMap;
 
-/// One task's answer as it arrived: result Newick (empty for a score-only
-/// edit result), log-likelihood, work units.
-type Reply = (String, f64, u64);
+/// How many chunks a worker's share of an edit round is cut into. One
+/// chunk per worker would pay for the frames once but end every round on
+/// its slowest chunk (the paper's loose barrier, §3.2); a chunk per move is
+/// the paper's protocol and pays ~100 µs of turnaround for ~40 µs of
+/// scoring. Seconds-to-tree on the 101-taxon benchmark input is flat from
+/// 4 to 16 chunks per worker; 4 keeps the frame count lowest.
+const CHUNKS_PER_WORKER: usize = 4;
+
+/// How many edits go into one `EditChunk` task when `moves` candidates are
+/// scored by `workers` workers. With as many workers as moves (the paper's
+/// wide fleets) this is the paper's one tree per message.
+pub fn edit_chunk_len(moves: usize, workers: usize) -> usize {
+    moves.div_ceil(CHUNKS_PER_WORKER * workers.max(1)).max(1)
+}
+
+/// One task's answer as it arrived.
+enum Reply {
+    /// A whole-tree task: the optimized tree as text (parsed only where a
+    /// tree is needed), its log-likelihood and work units.
+    Tree(Verified),
+    /// An edit chunk: one score per edit.
+    Scores(Vec<EditScore>),
+}
+
+fn transport_error(e: impl std::fmt::Display) -> PhyloError {
+    PhyloError::Format(format!("transport: {e}"))
+}
 
 /// Master-side executor: each candidate becomes a `TreeTask` dispatched via
 /// the foreman; workers do the full per-tree optimization. With
 /// [`ClusterExecutor::with_incremental`] enabled, candidates instead travel
-/// as compact `TreeEditTask`s against the adopted base's `BaseTopology`
-/// broadcast and workers score them through their CLV caches, answering
-/// with the score alone.
+/// as compact edits against the adopted base's `BaseTopology` broadcast,
+/// [`edit_chunk_len`] of them per `EditChunk` task, and workers score them
+/// through their CLV caches, answering with the scores alone.
 ///
 /// Verification ([`RoundExecutor::verify`]) is a wave of ordinary parallel
 /// `TreeTask`s, one per move, as wide as the fleet; adoption installs a
 /// verified tree with no further task. Result Newick is parsed only where
-/// a tree is needed — `set_base` and `verify` — never per candidate.
+/// a tree is needed — `set_base` and `adopt` — never per candidate.
 pub struct ClusterExecutor<T: Transport> {
     transport: T,
     names: Vec<String>,
@@ -99,7 +123,7 @@ impl<T: Transport> ClusterExecutor<T> {
 
     /// Toggle incremental candidate evaluation: when on, `set_base`
     /// broadcasts the round's base topology and `score_round` dispatches
-    /// compact edits instead of whole candidate trees.
+    /// chunks of compact edits instead of whole candidate trees.
     pub fn with_incremental(mut self, on: bool) -> ClusterExecutor<T> {
         self.incremental = on;
         self
@@ -120,25 +144,27 @@ impl<T: Transport> ClusterExecutor<T> {
             self.local = Some(local);
         }
         let local = self.local.as_mut().expect("just built");
-        let done = match payload {
-            TaskPayload::Tree { newick } => local.tree_task(&newick),
+        let reply = match payload {
+            TaskPayload::Tree { newick } => local.tree_task(&newick).map(|done| {
+                Reply::Tree(Verified {
+                    newick: done.newick,
+                    ln_likelihood: done.ln_likelihood,
+                    work_units: done.work.work_units(),
+                })
+            }),
             TaskPayload::TreeEdit { base_id, .. } if base_id != self.base_id => {
                 return Err(PhyloError::Format(format!(
                     "quarantined edit for stale base {base_id} (current {})",
                     self.base_id
                 )))
             }
-            TaskPayload::TreeEdit { base_id, edit } => {
-                local.edit_task(base_id, &edit, self.base_text.clone())
-            }
+            TaskPayload::TreeEdit { base_id, edits } => local
+                .edit_task(base_id, &edits, self.base_text.clone())
+                .map(|done| Reply::Scores(done.scores)),
             TaskPayload::Jumble { .. } => return Ok(None),
         };
-        let done = done.map_err(|e| PhyloError::Format(format!("quarantined task: {e}")))?;
-        Ok(Some((
-            done.newick,
-            done.ln_likelihood,
-            done.work.work_units(),
-        )))
+        let reply = reply.map_err(|e| PhyloError::Format(format!("quarantined task: {e}")))?;
+        Ok(Some(reply))
     }
 
     /// Dispatch `n` tasks — `message(i, task_id)` builds the `i`-th — and
@@ -155,34 +181,70 @@ impl<T: Transport> ClusterExecutor<T> {
             index_of.insert(task, i);
             self.transport
                 .send(ranks::FOREMAN, &message(i, task))
-                .map_err(|e| PhyloError::Format(format!("transport: {e}")))?;
+                .map_err(transport_error)?;
         }
         self.collect_results(index_of, n)
     }
 
     /// Dispatch whole trees as Newick text.
-    fn dispatch_batch(&mut self, newicks: Vec<String>) -> Result<Vec<Reply>, PhyloError> {
+    fn dispatch_trees(&mut self, newicks: Vec<String>) -> Result<Vec<Verified>, PhyloError> {
         let mut newicks = newicks.into_iter();
-        self.dispatch(newicks.len(), |_, task| Message::TreeTask {
+        let replies = self.dispatch(newicks.len(), |_, task| Message::TreeTask {
             task,
             newick: newicks.next().expect("one text per task"),
-        })
+        })?;
+        replies
+            .into_iter()
+            .map(|reply| match reply {
+                Reply::Tree(tree) => Ok(tree),
+                Reply::Scores(_) => Err(PhyloError::Format(
+                    "a whole-tree task was answered with edit scores".into(),
+                )),
+            })
+            .collect()
     }
 
     /// Dispatch a round of compact edits against the current broadcast
-    /// base.
-    fn dispatch_edits(&mut self, moves: &[TreeMove]) -> Result<Vec<Reply>, PhyloError> {
+    /// base, a chunk per task, and return one score per move, in move
+    /// order.
+    fn dispatch_edits(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, PhyloError> {
         let base_id = self.base_id;
-        self.dispatch(moves.len(), |i, task| Message::TreeEditTask {
+        let chunks: Vec<&[TreeMove]> = moves
+            .chunks(edit_chunk_len(moves.len(), self.workers()))
+            .collect();
+        let replies = self.dispatch(chunks.len(), |i, task| Message::EditChunk {
             task,
             base_id,
-            edit: move_to_edit(&moves[i]),
+            edits: chunks[i].iter().map(move_to_edit).collect(),
             base_newick: None,
-        })
+        })?;
+        let mut scores = Vec::with_capacity(moves.len());
+        for (chunk, reply) in chunks.iter().zip(replies) {
+            match reply {
+                Reply::Scores(answered) if answered.len() == chunk.len() => {
+                    scores.extend(answered.iter().map(|s| CandidateScore {
+                        ln_likelihood: s.ln_likelihood,
+                        work_units: s.work_units,
+                    }));
+                }
+                Reply::Scores(answered) => {
+                    return Err(PhyloError::Format(format!(
+                        "a chunk of {} edits was answered with {} scores",
+                        chunk.len(),
+                        answered.len()
+                    )))
+                }
+                Reply::Tree(_) => {
+                    return Err(PhyloError::Format(
+                        "an edit chunk was answered with a whole tree".into(),
+                    ))
+                }
+            }
+        }
+        Ok(scores)
     }
 
-    /// The result loop behind [`Self::dispatch`]. Result text is kept as
-    /// received: only the callers that need a tree parse it.
+    /// The result loop behind [`Self::dispatch`].
     fn collect_results(
         &mut self,
         index_of: HashMap<u64, usize>,
@@ -191,39 +253,33 @@ impl<T: Transport> ClusterExecutor<T> {
         let mut results: Vec<Option<Reply>> = (0..n).map(|_| None).collect();
         let mut received = 0usize;
         while received < n {
-            let (_, msg) = self
-                .transport
-                .recv()
-                .map_err(|e| PhyloError::Format(format!("transport: {e}")))?;
-            match msg {
+            let (_, msg) = self.transport.recv().map_err(transport_error)?;
+            let (task, reply) = match msg {
                 Message::TreeResult {
                     task,
-                    newick: text,
+                    newick,
                     ln_likelihood,
                     work_units,
-                } => {
-                    let Some(&i) = index_of.get(&task) else {
-                        continue;
-                    };
-                    if results[i].is_none() {
-                        results[i] = Some((text, ln_likelihood, work_units));
-                        received += 1;
-                    }
-                }
+                } => (
+                    task,
+                    Reply::Tree(Verified {
+                        newick,
+                        ln_likelihood,
+                        work_units,
+                    }),
+                ),
+                Message::EditScores { task, scores } => (task, Reply::Scores(scores)),
                 Message::Quarantined { task, payload, .. } => {
                     // The foreman exhausted a task's failure budget across
                     // distinct workers; the master evaluates it itself.
-                    let Some(&i) = index_of.get(&task) else {
-                        continue;
-                    };
-                    if results[i].is_some() {
+                    let wanted = index_of.get(&task).is_some_and(|&i| results[i].is_none());
+                    if !wanted {
                         continue;
                     }
                     let Some(reply) = self.evaluate_locally(payload)? else {
                         continue;
                     };
-                    results[i] = Some(reply);
-                    received += 1;
+                    (task, reply)
                 }
                 Message::Abort { reason } => {
                     return Err(PhyloError::Format(format!("search aborted: {reason}")));
@@ -231,7 +287,7 @@ impl<T: Transport> ClusterExecutor<T> {
                 // Transport-synthesized liveness. A departed worker is the
                 // foreman's problem; a (re)joined worker needs the problem
                 // data before it can serve tasks.
-                Message::PeerDown { .. } => {}
+                Message::PeerDown { .. } => continue,
                 Message::PeerUp { rank } => {
                     // Only workers hold problem data; a rejoining regional
                     // foreman must not be mistaken for one.
@@ -244,16 +300,34 @@ impl<T: Transport> ClusterExecutor<T> {
                             },
                         );
                     }
+                    continue;
                 }
                 other => {
                     debug_assert!(false, "master got unexpected {}", other.kind());
+                    continue;
                 }
+            };
+            let Some(&i) = index_of.get(&task) else {
+                continue;
+            };
+            if results[i].is_none() {
+                results[i] = Some(reply);
+                received += 1;
             }
         }
         Ok(results
             .into_iter()
             .map(|r| r.expect("all received"))
             .collect())
+    }
+
+    /// Worker ranks in the universe (at least 1: the in-process loopback
+    /// and worker-less test universes still evaluate).
+    fn workers(&self) -> usize {
+        self.transport
+            .size()
+            .saturating_sub(self.first_worker)
+            .max(1)
     }
 
     fn base(&self) -> Result<&Tree, ExecutorError> {
@@ -267,23 +341,18 @@ impl<T: Transport> ClusterExecutor<T> {
         Ok(newick::write_tree(&cand, &self.names))
     }
 
-    /// A whole-tree result as a tree in the master's taxon numbering.
-    fn outcome(&self, (text, lnl, work): Reply) -> Result<BaseOutcome, PhyloError> {
-        Ok(BaseOutcome {
-            tree: newick::parse_tree_with_names(&text, &self.names)?,
-            ln_likelihood: lnl,
-            work_units: work,
-        })
-    }
-
-    /// Make an optimized tree the base. In incremental mode, broadcast it
-    /// and re-parse the broadcast text ourselves: the returned arena is
-    /// then identical (by the determinism of Newick parsing) to the one
-    /// every worker builds, so the node ids inside the edits the driver
-    /// enumerates on this tree are meaningful on every rank.
-    fn install_base(&mut self, mut tree: Tree) -> Result<Tree, PhyloError> {
+    /// Make an optimized tree, as the text its evaluator wrote, the base:
+    /// the one place a result is parsed. In incremental mode the same text
+    /// is broadcast, so the returned arena is identical (by the determinism
+    /// of Newick parsing) to the one every worker builds, and the node ids
+    /// inside the edits the driver enumerates on this tree are meaningful
+    /// on every rank.
+    fn install_base(&mut self, text: String) -> Result<Tree, PhyloError> {
+        let tree = newick::parse_tree_with_names(&text, &self.names)?;
+        // Writing is the inverse of parsing on text `write_tree` produced,
+        // so the reply is broadcast as it came rather than re-written.
+        debug_assert_eq!(newick::write_tree(&tree, &self.names), text);
         if self.incremental {
-            let text = newick::write_tree(&tree, &self.names);
             self.base_id += 1;
             self.transport
                 .send(
@@ -293,8 +362,7 @@ impl<T: Transport> ClusterExecutor<T> {
                         newick: text.clone(),
                     },
                 )
-                .map_err(|e| PhyloError::Format(format!("transport: {e}")))?;
-            tree = newick::parse_tree_with_names(&text, &self.names)?;
+                .map_err(transport_error)?;
             self.base_text = Some(text);
         }
         self.base = Some(tree.clone());
@@ -307,23 +375,23 @@ impl<T: Transport> ClusterExecutor<T> {
     fn announce_round(
         &mut self,
         moves: &[TreeMove],
-        replies: &[Reply],
+        scores: &[CandidateScore],
     ) -> Result<(), ExecutorError> {
         self.round += 1;
         if !self.has_monitor {
             return Ok(());
         }
-        let Some((best, (_, lnl, _))) = replies
+        let Some((best, score)) = scores
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
+            .max_by(|a, b| a.1.ln_likelihood.total_cmp(&b.1.ln_likelihood))
         else {
             return Ok(());
         };
         let event = MonitorEvent::RoundComplete {
             round: self.round,
             candidates: moves.len(),
-            best_ln_likelihood: *lnl,
+            best_ln_likelihood: score.ln_likelihood,
             best_newick: self.candidate_text(&moves[best])?,
         };
         let _ = self
@@ -336,56 +404,49 @@ impl<T: Transport> ClusterExecutor<T> {
 impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
     fn set_base(&mut self, tree: Tree) -> Result<BaseOutcome, ExecutorError> {
         let text = newick::write_tree(&tree, &self.names);
-        let reply = self.dispatch_batch(vec![text])?.pop().expect("one result");
-        let mut out = self.outcome(reply)?;
-        out.tree = self.install_base(out.tree)?;
+        let optimized = self.dispatch_trees(vec![text])?.pop().expect("one result");
+        let work_units = optimized.work_units;
+        let mut out = self.adopt(optimized)?;
+        out.work_units = work_units;
         Ok(out)
     }
 
     fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError> {
         self.base()?;
-        let replies = if self.incremental {
+        let scores = if self.incremental {
             self.dispatch_edits(moves)?
         } else {
             let newicks = moves
                 .iter()
                 .map(|mv| self.candidate_text(mv))
                 .collect::<Result<_, _>>()?;
-            self.dispatch_batch(newicks)?
+            self.dispatch_trees(newicks)?
+                .into_iter()
+                .map(|tree| CandidateScore {
+                    ln_likelihood: tree.ln_likelihood,
+                    work_units: tree.work_units,
+                })
+                .collect()
         };
-        self.announce_round(moves, &replies)?;
-        Ok(replies
-            .into_iter()
-            .map(|(_, lnl, work)| CandidateScore {
-                ln_likelihood: lnl,
-                work_units: work,
-            })
-            .collect())
+        self.announce_round(moves, &scores)?;
+        Ok(scores)
     }
 
-    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError> {
+    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<Verified>, ExecutorError> {
         let newicks = moves
             .iter()
             .map(|mv| self.candidate_text(mv))
             .collect::<Result<_, _>>()?;
-        let replies = self.dispatch_batch(newicks)?;
-        replies
-            .into_iter()
-            .map(|reply| Ok(self.outcome(reply)?))
-            .collect()
+        Ok(self.dispatch_trees(newicks)?)
     }
 
     fn verify_width(&self) -> usize {
-        self.transport
-            .size()
-            .saturating_sub(self.first_worker)
-            .max(1)
+        self.workers()
     }
 
-    fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError> {
-        let tree = self.install_base(verified.tree)?;
+    fn adopt(&mut self, verified: Verified) -> Result<BaseOutcome, ExecutorError> {
         Ok(BaseOutcome {
-            tree,
+            tree: self.install_base(verified.newick)?,
             ln_likelihood: verified.ln_likelihood,
             work_units: 0,
         })
@@ -497,6 +558,118 @@ mod tests {
         foreman.join().unwrap();
     }
 
+    #[test]
+    fn chunk_replies_in_reverse_order_land_in_move_order() {
+        use fdml_comm::message::TreeEdit;
+        // Two workers: 15 moves travel as 8 chunks of at most two edits.
+        let names: Vec<String> = (0..10).map(|i| format!("t{i}")).collect();
+        let mut ends = ThreadUniverse::create(5);
+        let foreman_end = ends.remove(1);
+        // A foreman that holds the whole round back, then answers the
+        // chunks last to first. An edit's score names the edit — its
+        // target edge — not the task that happened to carry it.
+        let foreman = thread::spawn(move || {
+            let mut chunks: Vec<(u64, Vec<TreeEdit>)> = Vec::new();
+            let mut frames = Vec::new();
+            loop {
+                let (_, msg) = foreman_end.recv().unwrap();
+                match msg {
+                    Message::TreeTask { task, newick } => foreman_end
+                        .send(
+                            ranks::MASTER,
+                            &Message::TreeResult {
+                                task,
+                                newick,
+                                ln_likelihood: -1.0,
+                                work_units: 1,
+                            },
+                        )
+                        .unwrap(),
+                    Message::BaseTopology { .. } => {}
+                    Message::EditChunk {
+                        task,
+                        base_id: 1,
+                        edits,
+                        base_newick: None,
+                    } => {
+                        frames.push(edits.len());
+                        chunks.push((task, edits));
+                        if frames.iter().sum::<usize>() < 15 {
+                            continue;
+                        }
+                        for (task, edits) in chunks.drain(..).rev() {
+                            let scores = edits
+                                .iter()
+                                .map(|edit| match *edit {
+                                    TreeEdit::Insert { a, b, .. } => EditScore {
+                                        ln_likelihood: -f64::from(100 * a + b),
+                                        work_units: u64::from(a + b),
+                                    },
+                                    other => panic!("unexpected {other:?}"),
+                                })
+                                .collect();
+                            foreman_end
+                                .send(ranks::MASTER, &Message::EditScores { task, scores })
+                                .unwrap();
+                        }
+                    }
+                    Message::Shutdown => return frames,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        });
+        let mut ex = ClusterExecutor::new(
+            ends.remove(0),
+            names.clone(),
+            String::new(),
+            String::new(),
+            false,
+            ranks::FIRST_WORKER,
+        )
+        .with_incremental(true);
+        assert_eq!(ex.verify_width(), 2);
+        let text = "(t0:1,t1:1,(t2:1,(t3:1,(t4:1,(t5:1,(t6:1,(t7:1,t8:1):1):1):1):1):1):1);";
+        let base = ex
+            .set_base(newick::parse_tree_with_names(text, &names).unwrap())
+            .unwrap();
+        let moves = fdml_phylo::ops::enumerate_insertion_moves(&base.tree, 9);
+        assert_eq!(moves.len(), 15);
+        let scores = ex.score_round(&moves).unwrap();
+        for (mv, score) in moves.iter().zip(&scores) {
+            let TreeMove::Insertion { at, .. } = *mv else {
+                panic!("unexpected {mv:?}")
+            };
+            assert_eq!(score.ln_likelihood, -f64::from(100 * at.0 .0 + at.1 .0));
+            assert_eq!(score.work_units, u64::from(at.0 .0 + at.1 .0));
+        }
+        ex.shutdown();
+        assert_eq!(foreman.join().unwrap(), [2, 2, 2, 2, 2, 2, 2, 1]);
+    }
+
+    #[test]
+    fn edit_chunk_len_cuts_a_round_into_four_chunks_per_worker() {
+        // One move, and fewer moves than workers: a chunk is never empty.
+        assert_eq!(edit_chunk_len(1, 2), 1);
+        assert_eq!(edit_chunk_len(3, 8), 1);
+        assert_eq!(edit_chunk_len(0, 2), 1);
+        // Exact multiples of 4 x workers, and one past them.
+        assert_eq!(edit_chunk_len(8, 2), 1);
+        assert_eq!(edit_chunk_len(9, 2), 2);
+        assert_eq!(edit_chunk_len(16, 2), 2);
+        assert_eq!(edit_chunk_len(17, 2), 3);
+        // The benchmark's 101-taxon round on two workers: 8 task frames.
+        assert_eq!(edit_chunk_len(195, 2), 25);
+        assert_eq!(195usize.div_ceil(edit_chunk_len(195, 2)), 8);
+        // In process (one worker) a round is four chunks.
+        assert_eq!(edit_chunk_len(195, 1), 49);
+        // The paper's wide fleets: one edit per task again.
+        assert_eq!(edit_chunk_len(195, 64), 1);
+        assert_eq!(edit_chunk_len(256, 64), 1);
+        assert_eq!(edit_chunk_len(257, 64), 2);
+        // A universe with no worker rank still chunks.
+        assert_eq!(edit_chunk_len(5, 0), 2);
+    }
+
     fn problem() -> (Alignment, String, String) {
         let a = Alignment::from_strings(&[
             ("t0", "ACGTACGTACGTACGTACGT"),
@@ -565,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_edit_is_scored_locally_and_matches_a_worker() {
+    fn quarantined_chunk_is_scored_locally_and_matches_a_worker() {
         use fdml_phylo::ops::enumerate_insertion_moves;
         let (alignment, phylip_text, config_json) = problem();
         let names: Vec<String> = alignment.names().to_vec();
@@ -578,6 +751,7 @@ mod tests {
         let mut healthy = Evaluator::for_problem(&phylip_text, &config_json).unwrap();
         let foreman = thread::spawn(move || {
             let mut expected: Vec<(u64, u64)> = Vec::new();
+            let mut chunk_lens: Vec<usize> = Vec::new();
             loop {
                 let (_, msg) = foreman_end.recv().unwrap();
                 let reply = match msg {
@@ -588,21 +762,26 @@ mod tests {
                         healthy.set_base(base_id, newick);
                         continue;
                     }
-                    Message::TreeEditTask {
+                    Message::EditChunk {
                         task,
                         base_id,
-                        edit,
+                        edits,
                         ..
                     } => {
-                        let done = healthy.edit_task(base_id, &edit, None).unwrap();
-                        expected.push((done.ln_likelihood.to_bits(), done.work.work_units()));
+                        let done = healthy.edit_task(base_id, &edits, None).unwrap();
+                        expected.extend(
+                            done.scores
+                                .iter()
+                                .map(|s| (s.ln_likelihood.to_bits(), s.work_units)),
+                        );
+                        chunk_lens.push(edits.len());
                         Message::Quarantined {
                             task,
                             failures: 3,
-                            payload: TaskPayload::TreeEdit { base_id, edit },
+                            payload: TaskPayload::TreeEdit { base_id, edits },
                         }
                     }
-                    Message::Shutdown => return expected,
+                    Message::Shutdown => return (expected, chunk_lens),
                     other => panic!("unexpected {other:?}"),
                 };
                 foreman_end.send(ranks::MASTER, &reply).unwrap();
@@ -618,15 +797,26 @@ mod tests {
         )
         .with_incremental(true);
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
-        let moves = enumerate_insertion_moves(&base.tree, 3);
-        let scores = ex.score_round(&moves).unwrap();
+        // Three moves, then (the same edges again) six: in this 2-rank
+        // world of one notional worker the second round's chunks hold two
+        // edits each, so a quarantined chunk of several edits is scored
+        // here too.
+        let mut moves = enumerate_insertion_moves(&base.tree, 3);
+        let mut got: Vec<(u64, u64)> = Vec::new();
+        for _ in 0..2 {
+            let scores = ex.score_round(&moves).unwrap();
+            got.extend(
+                scores
+                    .iter()
+                    .map(|s| (s.ln_likelihood.to_bits(), s.work_units)),
+            );
+            moves.extend(moves.clone());
+        }
         ex.shutdown();
-        let got: Vec<(u64, u64)> = scores
-            .iter()
-            .map(|s| (s.ln_likelihood.to_bits(), s.work_units))
-            .collect();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got, foreman.join().unwrap(), "local scores == the worker's");
+        assert_eq!(got.len(), 9);
+        let (expected, chunk_lens) = foreman.join().unwrap();
+        assert_eq!(got, expected, "local scores == the worker's, bit for bit");
+        assert_eq!(chunk_lens, [1, 1, 1, 2, 2, 2]);
     }
 
     #[test]
@@ -755,17 +945,14 @@ mod tests {
             let r = engine.optimize(&mut expect, &config.optimize);
             assert_eq!(got.ln_likelihood.to_bits(), r.ln_likelihood.to_bits());
             assert_eq!(got.work_units, r.work.work_units());
-            assert_eq!(
-                newick::write_tree(&got.tree, &names),
-                newick::write_tree(&expect, &names)
-            );
+            assert_eq!(got.newick, newick::write_tree(&expect, &names));
         }
 
         let best = verified
             .into_iter()
             .max_by(|a, b| a.ln_likelihood.total_cmp(&b.ln_likelihood))
             .unwrap();
-        let best_text = newick::write_tree(&best.tree, &names);
+        let best_text = best.newick.clone();
         let adopted = ex.adopt(best).unwrap();
         assert_eq!(adopted.work_units, 0);
         assert_eq!(newick::write_tree(&adopted.tree, &names), best_text);
@@ -897,7 +1084,7 @@ mod tests {
         for (h, w) in healthy.iter().zip(&wounded) {
             assert_eq!(h.ln_likelihood.to_bits(), w.ln_likelihood.to_bits());
             assert_eq!(h.work_units, w.work_units);
-            assert_eq!(h.tree, w.tree);
+            assert_eq!(h.newick, w.newick);
         }
         ex.shutdown();
         let stats = foreman.join().unwrap();

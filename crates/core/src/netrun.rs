@@ -629,9 +629,10 @@ pub fn run_net_peer(
     Ok((rank, outcome))
 }
 
-/// Chaos wrapper: lets `limit` results (tree or jumble) through, then terminates the
-/// whole process before the next one — a genuine worker death, distinct
-/// from [`fdml_comm::fault::FaultyTransport`]'s in-process severance.
+/// Chaos wrapper: lets `limit` results (tree, jumble or edit chunk)
+/// through, then terminates the whole process before the next one — a
+/// genuine worker death, distinct from
+/// [`fdml_comm::fault::FaultyTransport`]'s in-process severance.
 struct DieAfter<T: Transport> {
     inner: T,
     limit: u64,
@@ -658,7 +659,7 @@ impl<T: Transport> Transport for DieAfter<T> {
     }
 
     fn send(&self, to: Rank, msg: &Message) -> Result<(), CommError> {
-        if let Message::TreeResult { .. } | Message::JumbleResult { .. } = msg {
+        if msg.is_result() {
             if self.sent.get() >= self.limit {
                 // Abrupt death: no Goodbye, no flush — the coordinator
                 // must discover it via liveness, exactly like a crashed

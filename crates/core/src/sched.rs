@@ -86,10 +86,10 @@ pub(crate) fn frame(msgs: Vec<Message>) -> Message {
     }
 }
 
-/// What a queued task asks a worker to do: evaluate one candidate tree, or
-/// run a whole jumble. The scheduling (ready queue, timeouts, eager
-/// requeue, duplicate dedup) is identical for all — only the dispatched
-/// message differs.
+/// What a queued task asks a worker to do: evaluate one candidate tree,
+/// score a chunk of edits, or run a whole jumble. The scheduling (ready
+/// queue, timeouts, eager requeue, duplicate dedup) is identical for all —
+/// only the dispatched message differs.
 #[derive(Debug, Clone)]
 pub(crate) enum TaskBody {
     /// One candidate tree as Newick text.
@@ -108,12 +108,14 @@ pub(crate) enum TaskBody {
         /// The committed rounds to replay, one JSON `WalRound` each.
         wal: Vec<String>,
     },
-    /// One candidate edit against the round's broadcast base topology.
+    /// A chunk of candidate edits against the round's broadcast base
+    /// topology: scheduled, timed out, requeued, stolen and quarantined as
+    /// one task.
     Edit {
-        /// Generation id of the base the edit applies to.
+        /// Generation id of the base the edits apply to.
         base_id: u64,
-        /// The edit itself.
-        edit: TreeEdit,
+        /// The edits themselves.
+        edits: Vec<TreeEdit>,
         /// Force the dispatched message to embed the base text. Set when
         /// the task is requeued after a failure: the next worker to take
         /// it may be a fresh respawn with no cached base, and a
@@ -138,16 +140,16 @@ impl TaskBody {
                 seed,
                 wal,
             } => Some((task, TaskBody::JumbleResume { job, seed, wal })),
-            Message::TreeEditTask {
+            Message::EditChunk {
                 task,
                 base_id,
-                edit,
+                edits,
                 base_newick,
             } => Some((
                 task,
                 TaskBody::Edit {
                     base_id,
-                    edit,
+                    edits,
                     // A task that travels with its base embedded stays
                     // self-contained: whoever dispatches it next cannot
                     // assume the receiving worker saw any broadcast.
@@ -173,10 +175,10 @@ impl TaskBody {
                 seed: *seed,
                 wal: wal.clone(),
             },
-            TaskBody::Edit { base_id, edit, .. } => Message::TreeEditTask {
+            TaskBody::Edit { base_id, edits, .. } => Message::EditChunk {
                 task,
                 base_id: *base_id,
-                edit: *edit,
+                edits: edits.clone(),
                 base_newick: base_text.map(str::to_owned),
             },
         }
@@ -186,9 +188,9 @@ impl TaskBody {
     /// here on). Identity for non-edit bodies.
     pub(crate) fn self_contained(self) -> TaskBody {
         match self {
-            TaskBody::Edit { base_id, edit, .. } => TaskBody::Edit {
+            TaskBody::Edit { base_id, edits, .. } => TaskBody::Edit {
                 base_id,
-                edit,
+                edits,
                 self_contained: true,
             },
             other => other,
@@ -202,15 +204,25 @@ impl TaskBody {
             // The master re-runs a quarantined jumble locally against its
             // own WAL copy; the streamed prefix need not travel back.
             TaskBody::JumbleResume { seed, .. } => TaskPayload::Jumble { seed },
-            TaskBody::Edit { base_id, edit, .. } => TaskPayload::TreeEdit { base_id, edit },
+            TaskBody::Edit { base_id, edits, .. } => TaskPayload::TreeEdit { base_id, edits },
         }
     }
 }
 
 /// The task a worker's answer is for, with the likelihood and work it
-/// reports; `None` for anything but a result.
+/// reports — for a chunk of edits its best score and its summed work (a
+/// worker refuses an empty chunk, so there is always a best); `None` for
+/// anything but a result.
 pub(crate) fn result_of(msg: &Message) -> Option<(u64, f64, u64)> {
     match msg {
+        Message::EditScores { task, scores } => Some((
+            *task,
+            scores
+                .iter()
+                .map(|s| s.ln_likelihood)
+                .fold(f64::NEG_INFINITY, f64::max),
+            scores.iter().map(|s| s.work_units).sum(),
+        )),
         Message::TreeResult {
             task,
             ln_likelihood,
@@ -396,12 +408,12 @@ impl Sched {
             Message::TreeTask { .. }
             | Message::JumbleTask { .. }
             | Message::JumbleResume { .. }
-            | Message::TreeEditTask { .. } => {
+            | Message::EditChunk { .. } => {
                 debug_assert_eq!(from, self.upstream_rank());
-                // An edit that embeds its base doubles as a base install:
+                // A chunk that embeds its base doubles as a base install:
                 // its dispatch, and later compact tasks of the round, rely
                 // on it.
-                if let Message::TreeEditTask {
+                if let Message::EditChunk {
                     base_id,
                     base_newick: Some(text),
                     ..
@@ -781,6 +793,7 @@ impl Machine for Sched {
 mod tests {
     use super::*;
     use crate::hierarchy::{regional_rank, Root, GRANT_CAP};
+    use fdml_comm::message::EditScore;
 
     const TIMEOUT: Duration = Duration::from_secs(10);
     const MASTER: Rank = ranks::MASTER;
@@ -802,16 +815,30 @@ mod tests {
         }
     }
 
+    /// A chunk of two edits.
     fn edit_task(task: u64, base_id: u64, base_newick: Option<&str>) -> Message {
-        Message::TreeEditTask {
+        let edit = |b| TreeEdit::Insert {
+            taxon: task as u32,
+            a: 0,
+            b,
+        };
+        Message::EditChunk {
             task,
             base_id,
-            edit: TreeEdit::Insert {
-                taxon: task as u32,
-                a: 0,
-                b: 1,
-            },
+            edits: vec![edit(1), edit(2)],
             base_newick: base_newick.map(str::to_owned),
+        }
+    }
+
+    /// A worker's answer to [`edit_task`].
+    fn edit_scores(task: u64) -> Message {
+        let score = |ln_likelihood| EditScore {
+            ln_likelihood,
+            work_units: 3,
+        };
+        Message::EditScores {
+            task,
+            scores: vec![score(-20.0 - task as f64), score(-10.0 - task as f64)],
         }
     }
 
@@ -944,6 +971,101 @@ mod tests {
         assert_eq!(feed(&mut m, late, Event::Msg(3, tree_result(99))), []);
         assert_eq!(m.stats().results_forwarded, 1);
         assert_eq!(m.stats().duplicates_ignored, 2);
+    }
+
+    #[test]
+    fn a_timed_out_chunk_is_requeued_self_contained_and_its_late_answer_is_a_duplicate() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut m = Sched::flat(5, TIMEOUT, true);
+        let sends = |m: &mut Sched, now, ev| -> Sends {
+            let mut all = feed(m, now, ev);
+            all.retain(|(to, _)| *to != ranks::MONITOR);
+            all
+        };
+        feed(&mut m, at(0), Event::Msg(3, Message::WorkerReady));
+        feed(&mut m, at(0), Event::Msg(MASTER, base(1, "(base1);")));
+        feed(&mut m, at(0), Event::Msg(MASTER, edit_task(7, 1, None)));
+        // One chunk is one dispatch: one frame down, one `Dispatched`.
+        assert_eq!(
+            feed(&mut m, at(0), Event::Tick),
+            [
+                (3, edit_task(7, 1, None)),
+                (
+                    ranks::MONITOR,
+                    Message::Monitor(MonitorEvent::Dispatched { task: 7, worker: 3 })
+                )
+            ]
+        );
+        assert_eq!(m.stats().dispatched, 1);
+        // Worker 3 sits on it past the timeout; worker 4 turns up. The
+        // whole chunk goes to worker 4 with the base embedded, although the
+        // broadcast was relayed to it: whoever takes a requeued task need
+        // not have seen any broadcast.
+        assert_eq!(sends(&mut m, at(10_100), Event::Tick), [(3, Message::Ping)]);
+        assert_eq!(
+            sends(&mut m, at(10_200), Event::Msg(4, Message::WorkerReady)),
+            []
+        );
+        assert_eq!(
+            sends(&mut m, at(10_200), Event::Tick),
+            [(4, edit_task(7, 1, Some("(base1);")))]
+        );
+        // Worker 4's answer goes up whole and is reported once, by the
+        // chunk's best score and its summed work.
+        assert_eq!(
+            feed(&mut m, at(10_300), Event::Msg(4, edit_scores(7))),
+            [
+                (MASTER, edit_scores(7)),
+                (
+                    ranks::MONITOR,
+                    Message::Monitor(MonitorEvent::Completed {
+                        task: 7,
+                        worker: 4,
+                        ln_likelihood: -17.0,
+                        work_units: 6,
+                        service_us: 100_000,
+                    })
+                )
+            ]
+        );
+        // The delinquent worker's late answer is a counted duplicate: not
+        // forwarded, but the worker is back in the rotation.
+        assert_eq!(sends(&mut m, at(10_400), Event::Msg(3, edit_scores(7))), []);
+        let stats = m.stats();
+        assert_eq!(stats.duplicates_ignored, 1);
+        assert_eq!(stats.recoveries, 1);
+        assert_eq!(stats.timeouts, 1);
+        assert_eq!(stats.dispatched, 2);
+        assert_eq!(stats.results_forwarded, 1);
+        assert_eq!(m.outstanding(), 0);
+
+        // A chunk that fails QUARANTINE_BUDGET distinct workers goes to the
+        // master with all of its edits.
+        let mut m = Sched::flat(6, TIMEOUT, false);
+        for worker in 3..6 {
+            feed(&mut m, at(0), Event::Msg(worker, Message::WorkerReady));
+        }
+        feed(&mut m, at(0), Event::Msg(MASTER, base(1, "(base1);")));
+        feed(&mut m, at(0), Event::Msg(MASTER, edit_task(8, 1, None)));
+        feed(&mut m, at(0), Event::Tick);
+        for round in 1..QUARANTINE_BUDGET {
+            feed(&mut m, at(round * 10_100), Event::Tick);
+        }
+        let Message::EditChunk { edits, .. } = edit_task(8, 1, None) else {
+            unreachable!()
+        };
+        assert_eq!(
+            feed_sans_pings(&mut m, at(QUARANTINE_BUDGET * 10_100), Event::Tick),
+            [(
+                MASTER,
+                Message::Quarantined {
+                    task: 8,
+                    failures: QUARANTINE_BUDGET,
+                    payload: TaskPayload::TreeEdit { base_id: 1, edits },
+                }
+            )]
+        );
     }
 
     #[test]

@@ -931,7 +931,7 @@ mod checkpoint_tests {
 #[cfg(test)]
 mod verify_tests {
     use super::*;
-    use crate::executor::{BaseOutcome, ExecutorError};
+    use crate::executor::{BaseOutcome, ExecutorError, Verified};
     use crate::master::ClusterExecutor;
     use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
     use fdml_phylo::alignment::Alignment;
@@ -952,14 +952,16 @@ mod verify_tests {
     struct Probe<E> {
         inner: E,
         width: usize,
+        names: Vec<String>,
         calls: Vec<Call>,
     }
 
     impl<E: RoundExecutor> Probe<E> {
-        fn new(inner: E, width: usize) -> Probe<E> {
+        fn new(inner: E, width: usize, a: &Alignment) -> Probe<E> {
             Probe {
                 inner,
                 width,
+                names: a.names().to_vec(),
                 calls: Vec::new(),
             }
         }
@@ -979,7 +981,7 @@ mod verify_tests {
             self.inner.score_round(moves)
         }
 
-        fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<BaseOutcome>, ExecutorError> {
+        fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<Verified>, ExecutorError> {
             self.calls.push(Call::Verify(moves.len()));
             self.inner.verify(moves)
         }
@@ -988,12 +990,12 @@ mod verify_tests {
             self.width
         }
 
-        fn adopt(&mut self, verified: BaseOutcome) -> Result<BaseOutcome, ExecutorError> {
+        fn adopt(&mut self, verified: Verified) -> Result<BaseOutcome, ExecutorError> {
             self.calls.push(Call::Adopt);
-            let (tree, lnl) = (verified.tree.clone(), verified.ln_likelihood);
+            let (text, lnl) = (verified.newick.clone(), verified.ln_likelihood);
             let adopted = self.inner.adopt(verified)?;
             // In process, adopting is installing: not a branch moves.
-            assert_eq!(adopted.tree, tree);
+            assert_eq!(newick::write_tree(&adopted.tree, &self.names), text);
             assert_eq!(adopted.ln_likelihood.to_bits(), lnl.to_bits());
             Ok(adopted)
         }
@@ -1024,7 +1026,12 @@ mod verify_tests {
     }
 
     fn run_scorer(a: &Alignment, config: &SearchConfig, width: usize) -> Run {
-        finish(a, config, Probe::new(scorer(a, config), width), Vec::new())
+        finish(
+            a,
+            config,
+            Probe::new(scorer(a, config), width, a),
+            Vec::new(),
+        )
     }
 
     fn finish<E: RoundExecutor>(
@@ -1144,7 +1151,7 @@ mod verify_tests {
             ..Default::default()
         };
         let full = |width| {
-            let ex = Probe::new(ClusterExecutor::in_process(&a, &config), width);
+            let ex = Probe::new(ClusterExecutor::in_process(&a, &config), width, &a);
             finish(&a, &config, ex, Vec::new())
         };
         let (serial, wide) = (full(1), full(3));
@@ -1173,7 +1180,7 @@ mod verify_tests {
 
         for k in 0..=full.wal.len() {
             // Replay under a different width than the log was written at.
-            let ex = Probe::new(scorer(&a, &config), 1);
+            let ex = Probe::new(scorer(&a, &config), 1, &a);
             let resumed = finish(&a, &config, ex, full.wal[..k].to_vec());
             assert_eq!(resumed.lnl_bits, full.lnl_bits, "prefix {k}");
             assert_eq!(resumed.newick, full.newick, "prefix {k}");

@@ -20,7 +20,7 @@ use crate::master::ClusterExecutor;
 use crate::search::{SearchResult, StepwiseSearch};
 use crate::wal::WalRound;
 use fdml_comm::job::JobId;
-use fdml_comm::message::{Message, TreeEdit};
+use fdml_comm::message::{EditScore, Message, TreeEdit};
 use fdml_comm::transport::{CommError, Transport};
 use fdml_likelihood::engine::LikelihoodEngine;
 use fdml_likelihood::incremental::ClvCache;
@@ -84,25 +84,17 @@ struct Problem {
     config: SearchConfig,
 }
 
-/// One evaluated task.
+/// One evaluated whole-tree task.
 #[derive(Debug, Clone)]
 pub struct Evaluated {
-    /// The optimized tree; empty for an edit, which is answered by its
-    /// score alone (the master rebuilds the one tree it wants itself).
+    /// The optimized tree.
     pub newick: String,
-    /// Log-likelihood of the tree or candidate.
+    /// Its log-likelihood.
     pub ln_likelihood: f64,
     /// Work the evaluation cost.
     pub work: WorkCounter,
     /// Time spent computing, in microseconds.
     pub busy_us: u64,
-    /// Edits only: directional CLVs served from the cache.
-    pub cache_hits: u64,
-    /// Edits only: CLVs recomputed along the edit's dirty path.
-    pub edges_recomputed: u64,
-    /// Edits only: 1 when the base had to be installed from the task's
-    /// embedded text.
-    pub fallbacks: u64,
 }
 
 impl Evaluated {
@@ -113,6 +105,40 @@ impl Evaluated {
             newick: self.newick,
             ln_likelihood: self.ln_likelihood,
             work_units: self.work.work_units(),
+        }
+    }
+}
+
+/// One scored chunk of edits. Edits are answered by their scores alone (the
+/// master rebuilds the one tree it wants itself); everything else is the
+/// chunk's total.
+#[derive(Debug, Clone)]
+pub struct ScoredChunk {
+    /// One score per edit, in the chunk's order.
+    pub scores: Vec<EditScore>,
+    /// Raw per-pattern kernel operations the chunk cost.
+    pub pattern_updates: u64,
+    /// Time spent computing, in microseconds.
+    pub busy_us: u64,
+    /// Directional CLVs served from the cache.
+    pub cache_hits: u64,
+    /// CLVs recomputed along the edits' dirty paths.
+    pub edges_recomputed: u64,
+    /// 1 when the base had to be installed from the task's embedded text.
+    pub fallbacks: u64,
+}
+
+impl ScoredChunk {
+    /// Work units the chunk cost: the sum over its edits.
+    pub fn work_units(&self) -> u64 {
+        self.scores.iter().map(|s| s.work_units).sum()
+    }
+
+    /// The result message answering `task`.
+    pub fn reply(self, task: u64) -> Message {
+        Message::EditScores {
+            task,
+            scores: self.scores,
         }
     }
 }
@@ -187,25 +213,27 @@ impl Evaluator {
             newick: newick::write_tree(&tree, p.alignment.names()),
             ln_likelihood: result.ln_likelihood,
             work: result.work,
-            cache_hits: 0,
-            edges_recomputed: 0,
-            fallbacks: 0,
         })
     }
 
-    /// The edit task: score `base + edit` through the CLV cache of base
-    /// `base_id`. A self-contained dispatch carries the base text and
-    /// installs it when the broadcast was missed (a fresh respawn); an
-    /// edit for an unknown base without embedded text is an error — the
-    /// supervisor respawns the worker and the foreman requeues the task
-    /// self-contained.
+    /// The edit task: score `base + edit` for every edit of a chunk, in
+    /// order, through the CLV cache of base `base_id`. A self-contained
+    /// dispatch carries the base text and installs it when the broadcast
+    /// was missed (a fresh respawn); a chunk for an unknown base without
+    /// embedded text is an error — the supervisor respawns the worker and
+    /// the foreman requeues the task self-contained. An empty chunk is an
+    /// error too: the master never packs one, and it would have no best
+    /// score to report.
     pub fn edit_task(
         &mut self,
         base_id: u64,
-        edit: &TreeEdit,
+        edits: &[TreeEdit],
         base_newick: Option<String>,
-    ) -> Result<Evaluated, WorkerError> {
+    ) -> Result<ScoredChunk, WorkerError> {
         let p = Arc::clone(self.problem("edit task")?);
+        if edits.is_empty() {
+            return Err(protocol(format!("empty edit chunk for base {base_id}")));
+        }
         let mut fallbacks = 0;
         if self.base.as_ref().map(|(id, _)| *id) != Some(base_id) {
             let text =
@@ -221,18 +249,28 @@ impl Evaluator {
             self.cache = Some((base_id, ClvCache::build(&p.engine, base)));
         }
         let (_, cache) = self.cache.as_mut().expect("just built");
-        let score = cache
-            .score_edit(&p.engine, &edit_to_move(edit), &p.config.optimize)
-            .map_err(protocol)?;
-        Ok(Evaluated {
-            newick: String::new(),
-            ln_likelihood: score.ln_likelihood,
-            work: score.work,
-            busy_us: started.elapsed().as_micros() as u64,
-            cache_hits: score.cache_hits,
-            edges_recomputed: score.edges_recomputed,
+        let mut done = ScoredChunk {
+            scores: Vec::with_capacity(edits.len()),
+            pattern_updates: 0,
+            busy_us: 0,
+            cache_hits: 0,
+            edges_recomputed: 0,
             fallbacks,
-        })
+        };
+        for edit in edits {
+            let score = cache
+                .score_edit(&p.engine, &edit_to_move(edit), &p.config.optimize)
+                .map_err(protocol)?;
+            done.scores.push(EditScore {
+                ln_likelihood: score.ln_likelihood,
+                work_units: score.work.work_units(),
+            });
+            done.pattern_updates += score.work.total_pattern_updates();
+            done.cache_hits += score.cache_hits;
+            done.edges_recomputed += score.edges_recomputed;
+        }
+        done.busy_us = started.elapsed().as_micros() as u64;
+        Ok(done)
     }
 
     /// The jumble task: one whole stepwise-addition search under `seed`,
@@ -377,21 +415,17 @@ pub fn run_worker_homed<T: Transport>(
                 send_up(&transport, foreman, &done.reply(task))?;
             }
             Message::BaseTopology { base_id, newick } => main.set_base(base_id, newick),
-            Message::TreeEditTask {
+            Message::EditChunk {
                 task,
                 base_id,
-                edit,
+                edits,
                 base_newick,
             } => {
                 let done = main
-                    .edit_task(base_id, &edit, base_newick)
+                    .edit_task(base_id, &edits, base_newick)
                     .map_err(|e| protocol(format!("edit task {task}: {e}")))?;
-                task_done(
-                    task,
-                    done.busy_us,
-                    done.work.work_units(),
-                    done.work.total_pattern_updates(),
-                );
+                // One chunk is one task: reported once, with its totals.
+                task_done(task, done.busy_us, done.work_units(), done.pattern_updates);
                 obs.emit(|| Event::IncrementalEdit {
                     worker: transport.rank(),
                     cache_hits: done.cache_hits,
@@ -601,7 +635,8 @@ mod tests {
         let base = newick::parse_tree(&base_text, &a).unwrap();
         let edit = move_to_edit(&enumerate_insertion_moves(&base, 3)[0]);
 
-        // Broadcast path: the base arrives ahead of the compact edit.
+        // Broadcast path: the base arrives ahead of the compact chunk —
+        // here the same edit twice, so order and repeatability show.
         foreman_end
             .send(
                 3,
@@ -614,59 +649,51 @@ mod tests {
         foreman_end
             .send(
                 3,
-                &Message::TreeEditTask {
+                &Message::EditChunk {
                     task: 1,
                     base_id: 1,
-                    edit,
+                    edits: vec![edit, edit],
                     base_newick: None,
                 },
             )
             .unwrap();
         let (_, msg) = foreman_end.recv().unwrap();
-        let broadcast_lnl = match msg {
-            Message::TreeResult {
-                task,
-                ln_likelihood,
-                newick: cand,
-                work_units,
-            } => {
-                assert_eq!(task, 1);
-                assert!(ln_likelihood.is_finite() && ln_likelihood < 0.0);
-                // Score-only: lnL and work, no candidate tree.
-                assert!(cand.is_empty(), "an edit reply carries no tree: {cand}");
-                assert!(work_units > 0);
-                ln_likelihood
+        let broadcast = match msg {
+            // Score-only: one lnL and work figure per edit, no trees.
+            Message::EditScores { task: 1, scores } => {
+                assert_eq!(scores.len(), 2);
+                assert_eq!(scores[0], scores[1]);
+                assert!(scores[0].ln_likelihood.is_finite() && scores[0].ln_likelihood < 0.0);
+                assert!(scores[0].work_units > 0);
+                scores[0]
             }
             other => panic!("unexpected {other:?}"),
         };
 
-        // Self-contained path: a requeued edit for a base this worker never
-        // saw broadcast carries its own text, and rescoring through the
-        // rebuilt cache is bit-identical.
+        // Self-contained path: a requeued chunk for a base this worker
+        // never saw broadcast carries its own text, and rescoring through
+        // the rebuilt cache is bit-identical.
         foreman_end
             .send(
                 3,
-                &Message::TreeEditTask {
+                &Message::EditChunk {
                     task: 2,
                     base_id: 2,
-                    edit,
+                    edits: vec![edit],
                     base_newick: Some(base_text),
                 },
             )
             .unwrap();
         let (_, msg) = foreman_end.recv().unwrap();
         match msg {
-            Message::TreeResult {
-                task,
-                ln_likelihood,
-                ..
-            } => {
-                assert_eq!(task, 2);
+            Message::EditScores { task: 2, scores } => {
+                assert_eq!(scores.len(), 1);
                 assert_eq!(
-                    ln_likelihood.to_bits(),
-                    broadcast_lnl.to_bits(),
+                    scores[0].ln_likelihood.to_bits(),
+                    broadcast.ln_likelihood.to_bits(),
                     "self-contained rescore must be bit-identical"
                 );
+                assert_eq!(scores[0].work_units, broadcast.work_units);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -696,20 +723,31 @@ mod tests {
         foreman_end
             .send(
                 3,
-                &Message::TreeEditTask {
+                &Message::EditChunk {
                     task: 5,
                     base_id: 9,
-                    edit: TreeEdit::Insert {
+                    edits: vec![TreeEdit::Insert {
                         taxon: 0,
                         a: 0,
                         b: 1,
-                    },
+                    }],
                     base_newick: None,
                 },
             )
             .unwrap();
         let err = handle.join().unwrap().unwrap_err();
         assert!(format!("{err:?}").contains("unknown base"), "got: {err:?}");
+    }
+
+    #[test]
+    fn an_empty_chunk_is_a_protocol_error() {
+        // No edits, no best score: refused before any base is touched.
+        let (phylip_text, config_json) = problem();
+        let mut evaluator = Evaluator::for_problem(&phylip_text, &config_json).unwrap();
+        let err = evaluator
+            .edit_task(1, &[], Some("(t0:1,t1:1,t2:1);".into()))
+            .unwrap_err();
+        assert!(format!("{err}").contains("empty edit chunk"), "got: {err}");
     }
 
     #[test]

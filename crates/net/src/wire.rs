@@ -35,8 +35,11 @@ use std::time::{Duration, Instant};
 /// far more subtly than a refused connection does.
 /// Version 2 added the per-frame CRC32. Version 3 added job multiplexing:
 /// the `job` binding on `Hello` and the service-plane frames
-/// (`Submit` … `Done`) the `fdml-serve` daemon speaks.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// (`Submit` … `Done`) the `fdml-serve` daemon speaks. Version 4 made the
+/// chunk the unit of edit work (`EditChunk` / `EditScores`, binary tags
+/// 26 / 27): a version-3 worker would die on the first chunk it was sent,
+/// so it is turned away at the handshake instead.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on a frame body. Real frames are a few KiB (`ProblemData`
 /// is the largest); anything bigger is a corrupt stream or a hostile peer.

@@ -241,6 +241,37 @@ fn version_skew_is_rejected() {
 }
 
 #[test]
+fn a_worker_from_the_single_edit_build_is_rejected_at_the_handshake() {
+    // Protocol 3 scored one edit per `TreeEditTask`; this build sends
+    // `EditChunk`s (binary tag 26), which a version-3 decoder cannot read.
+    // Such a worker must learn that from a typed `Reject` when it joins,
+    // not from `BadTag("message", 26)` in the middle of a run.
+    assert_eq!(PROTOCOL_VERSION, 4);
+    let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
+    let mut stream = TcpStream::connect(hub.local_addr()).unwrap();
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            version: 3,
+            rejoin: None,
+            job: None,
+            wire: Some("binary".into()),
+        },
+    )
+    .unwrap();
+    match read_frame(&mut stream, Duration::from_secs(5)).unwrap() {
+        Some(Frame::Reject { reason }) => {
+            assert!(reason.contains("protocol version 3 != 4"), "got: {reason}")
+        }
+        other => panic!("expected Reject, got {other:?}"),
+    }
+    assert_eq!(hub.connected_peers(), 0);
+    // The slot it asked for is still free for a current-build worker.
+    let _current = TcpTransport::connect(hub.local_addr()).unwrap();
+    assert_eq!(hub.connected_peers(), 1);
+}
+
+#[test]
 fn full_universe_is_rejected() {
     let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
     let addr = hub.local_addr();

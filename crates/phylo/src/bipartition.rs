@@ -7,7 +7,7 @@
 //! across jumbles.
 
 use crate::alignment::TaxonId;
-use crate::tree::Tree;
+use crate::tree::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -194,49 +194,132 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The two pseudo-random keys of a taxon set: XORs of its taxa's keys.
+type SideKey = (u64, u64);
+
+fn taxon_key(taxon: TaxonId) -> SideKey {
+    (
+        splitmix64(taxon as u64 + 1),
+        splitmix64((taxon as u64) | 0xabcd_0000_0000),
+    )
+}
+
+/// What one non-trivial split adds to the fingerprint, from the key of its
+/// side without the lowest taxon.
+fn split_hash((xa, xb): SideKey) -> u128 {
+    ((splitmix64(xa) as u128) << 64) | splitmix64(xb ^ 0x5bd1_e995) as u128
+}
+
 /// A 128-bit order-independent topology fingerprint, computed in one O(n)
 /// postorder pass.
 ///
 /// Each taxon gets two fixed pseudo-random keys; each internal edge
 /// contributes a mix of the XOR of the keys of the taxa on its
-/// taxon-0-free side, and contributions are combined with a commutative
-/// wrapping sum. Two trees with the same topology (same non-trivial split
-/// set) always produce the same fingerprint; distinct topologies collide
-/// with probability ≈ 2⁻¹²⁸. The stepwise-addition search uses this to
-/// deduplicate candidate rearrangements without materializing split sets.
+/// lowest-taxon-free side, and contributions are combined with a
+/// commutative wrapping sum. Two trees with the same topology (same
+/// non-trivial split set) always produce the same fingerprint; distinct
+/// topologies collide with probability ≈ 2⁻¹²⁸. The stepwise-addition search
+/// uses this to deduplicate candidate rearrangements without materializing
+/// split sets.
 pub fn topology_fingerprint(tree: &Tree) -> u128 {
-    let lowest_tip = match tree.tips().min_by_key(|&(_, t)| t) {
-        Some((n, _)) => n,
-        None => return 0,
-    };
-    let order = tree.postorder_toward(lowest_tip);
-    // XOR of taxon keys in the subtree below each directed edge (child side).
-    let mut below_a = vec![0u64; tree.edge_capacity()];
-    let mut below_b = vec![0u64; tree.edge_capacity()];
-    let mut fp: u128 = 0;
-    for &(child, edge, _parent) in &order {
-        let (mut xa, mut xb) = match tree.taxon(child) {
-            Some(t) => (
-                splitmix64(t as u64 + 1),
-                splitmix64((t as u64) | 0xabcd_0000_0000),
-            ),
-            None => (0, 0),
+    SplitKeys::of(tree).fingerprint
+}
+
+/// The sums behind [`topology_fingerprint`], kept per node so the
+/// fingerprint of a rearranged tree follows from the splits the move
+/// changes instead of from another pass over the whole tree.
+///
+/// The tree is read as rooted at its lowest-taxon tip. Node ids index the
+/// tables, so they stay valid for any tree with the same topology and node
+/// ids — in particular across the detach/attach cycles of
+/// [`crate::ops::for_each_rearrangement`].
+pub(crate) struct SplitKeys {
+    /// The tree's fingerprint.
+    pub(crate) fingerprint: u128,
+    /// Key of the whole taxon set.
+    total: SideKey,
+    /// Per node: key of the taxa at or below it (unset for the root tip).
+    below: Vec<SideKey>,
+    /// Per node: its neighbor toward the lowest tip (itself for that tip
+    /// and for unused ids).
+    parent: Vec<NodeId>,
+}
+
+/// The taxa on one side of an edge, as [`SplitKeys`] sees them.
+#[derive(Clone, Copy)]
+pub(crate) struct Side {
+    key: SideKey,
+    /// Whether the lowest taxon is among them.
+    has_lowest: bool,
+}
+
+impl SplitKeys {
+    pub(crate) fn of(tree: &Tree) -> SplitKeys {
+        let nodes = tree.node_capacity();
+        let mut keys = SplitKeys {
+            fingerprint: 0,
+            total: (0, 0),
+            below: vec![(0, 0); nodes],
+            parent: (0..nodes as u32).map(NodeId).collect(),
         };
-        for (e, _) in tree.neighbors(child) {
-            if e != edge {
-                xa ^= below_a[e.0 as usize];
-                xb ^= below_b[e.0 as usize];
+        let Some((lowest_tip, _)) = tree.tips().min_by_key(|&(_, t)| t) else {
+            return keys;
+        };
+        for (_, taxon) in tree.tips() {
+            let k = taxon_key(taxon);
+            keys.total = (keys.total.0 ^ k.0, keys.total.1 ^ k.1);
+        }
+        for (child, edge, parent) in tree.postorder_toward(lowest_tip) {
+            let (mut xa, mut xb) = tree.taxon(child).map_or((0, 0), taxon_key);
+            for (e, next) in tree.neighbors(child) {
+                if e != edge {
+                    let (a, b) = keys.below[next.0 as usize];
+                    xa ^= a;
+                    xb ^= b;
+                }
+            }
+            keys.below[child.0 as usize] = (xa, xb);
+            keys.parent[child.0 as usize] = parent;
+            if tree.is_internal(child) && tree.is_internal(parent) {
+                keys.fingerprint = keys.fingerprint.wrapping_add(split_hash((xa, xb)));
             }
         }
-        below_a[edge.0 as usize] = xa;
-        below_b[edge.0 as usize] = xb;
-        let (u, v) = tree.endpoints(edge);
-        if tree.is_internal(u) && tree.is_internal(v) {
-            let h = ((splitmix64(xa) as u128) << 64) | splitmix64(xb ^ 0x5bd1_e995) as u128;
-            fp = fp.wrapping_add(h);
+        keys
+    }
+
+    /// The taxa on `to`'s side of the edge `from`–`to`.
+    pub(crate) fn side(&self, from: NodeId, to: NodeId) -> Side {
+        if self.parent[to.0 as usize] == from {
+            Side {
+                key: self.below[to.0 as usize],
+                has_lowest: false,
+            }
+        } else {
+            debug_assert_eq!(self.parent[from.0 as usize], to);
+            let (a, b) = self.below[from.0 as usize];
+            Side {
+                key: (self.total.0 ^ a, self.total.1 ^ b),
+                has_lowest: true,
+            }
         }
     }
-    fp
+
+    /// What the internal edge `a`–`b` adds to the fingerprint.
+    pub(crate) fn edge_hash(&self, a: NodeId, b: NodeId) -> u128 {
+        let child = if self.parent[b.0 as usize] == a { b } else { a };
+        split_hash(self.below[child.0 as usize])
+    }
+
+    /// What the split `x ∪ y | rest` adds to the fingerprint, for disjoint
+    /// sides `x` and `y`.
+    pub(crate) fn union_hash(&self, x: Side, y: Side) -> u128 {
+        let (mut a, mut b) = (x.key.0 ^ y.key.0, x.key.1 ^ y.key.1);
+        if x.has_lowest || y.has_lowest {
+            a ^= self.total.0;
+            b ^= self.total.1;
+        }
+        split_hash((a, b))
+    }
 }
 
 /// Counts split occurrences across many trees (for majority-rule consensus).

@@ -11,10 +11,11 @@
 //! enumerating the tens of thousands of candidates of a 150-taxon
 //! rearrangement round never clones the tree. Duplicated topologies
 //! (the same rearranged tree is often reachable from several prune points)
-//! are suppressed with the O(n) topology fingerprint.
+//! are suppressed by topology fingerprint, which a regraft changes only in
+//! the splits along its path: O(1) per candidate, not a pass over the tree.
 
 use crate::alignment::TaxonId;
-use crate::bipartition::topology_fingerprint;
+use crate::bipartition::SplitKeys;
 use crate::tree::{EdgeId, NodeId, Tree};
 use std::collections::HashSet;
 
@@ -73,53 +74,75 @@ fn prune_points(tree: &Tree) -> Vec<PrunePoint> {
     out
 }
 
-/// Edges of `tree` whose distance from `origin` is between 1 and `radius`,
-/// where edges adjacent to `origin` are at distance 1 (one vertex crossed).
-fn edges_within_radius(tree: &Tree, origin: EdgeId, radius: usize) -> Vec<EdgeId> {
-    let mut dist = vec![usize::MAX; tree.edge_capacity()];
-    dist[origin.0 as usize] = 0;
-    let mut frontier = vec![origin];
+/// The regraft targets of one prune point: the edges of the pruned `tree`
+/// between 1 and `radius` vertices from `origin` (edges adjacent to it cross
+/// one vertex), nearest first, each with the fingerprint of the tree that
+/// regrafting into it gives.
+///
+/// Moving the subtree one vertex further — over `node`, from the edge it
+/// came along onto an edge beyond — changes two splits of the candidate: the
+/// base edge that led to `node` no longer has the subtree on its near side,
+/// and the edge beyond now has it on its far side. So a target's
+/// fingerprint is its predecessor's, one term out and one in.
+fn regraft_targets(
+    tree: &Tree,
+    origin: EdgeId,
+    radius: usize,
+    base: &SplitKeys,
+    pp: PrunePoint,
+) -> Vec<(EdgeId, u128)> {
+    let pruned = base.side(pp.attachment, pp.root);
+    let mut seen = vec![false; tree.edge_capacity()];
+    seen[origin.0 as usize] = true;
+    let mut frontier = vec![(origin, base.fingerprint)];
     let mut out = Vec::new();
-    for d in 1..=radius {
+    for _ in 0..radius {
         let mut next = Vec::new();
-        for &e in &frontier {
+        for &(e, fp) in &frontier {
             let (a, b) = tree.endpoints(e);
             for node in [a, b] {
-                for (e2, _) in tree.neighbors(node) {
-                    if dist[e2.0 as usize] == usize::MAX {
-                        dist[e2.0 as usize] = d;
-                        next.push(e2);
-                        out.push(e2);
+                // In the base tree the origin is two edges around the
+                // dissolved node; every other edge is itself.
+                let near = if e == origin {
+                    pp.attachment
+                } else {
+                    tree.other_end(e, node)
+                };
+                let crossed = fp.wrapping_sub(base.edge_hash(near, node));
+                for (e2, far) in tree.neighbors(node) {
+                    if !seen[e2.0 as usize] {
+                        seen[e2.0 as usize] = true;
+                        let beyond = base.union_hash(base.side(node, far), pruned);
+                        next.push((e2, crossed.wrapping_add(beyond)));
                     }
                 }
             }
         }
-        frontier = next;
-        if frontier.is_empty() {
+        if next.is_empty() {
             break;
         }
+        out.extend_from_slice(&next);
+        frontier = next;
     }
     out
 }
 
-/// Visit every distinct tree obtained by pruning a subtree and regrafting it
-/// across at most `radius` internal vertices (paper steps 4 and 5).
+/// The walk behind [`for_each_rearrangement`] and [`enumerate_spr_moves`]:
+/// put `tree` into every distinct rearranged state in turn, hand it to
+/// `visit` with the move that leads there from the original, and restore
+/// it — branch lengths included — at the end.
 ///
-/// Each distinct topology is visited exactly once (deduplicated by
-/// fingerprint); the original topology is never visited. The tree is
-/// restored — including branch lengths — after enumeration. Returns the
-/// number of candidates visited.
-pub fn for_each_rearrangement(
-    tree: &mut Tree,
-    radius: usize,
-    mut visit: impl FnMut(&Tree, usize),
-) -> usize {
+/// Candidates are deduplicated by fingerprint, derived per target from the
+/// base tree's [`SplitKeys`] (node ids survive the detach/attach cycles), so
+/// a round costs O(n · targets per prune point), not a pass over the tree
+/// per candidate.
+fn walk_rearrangements(tree: &mut Tree, radius: usize, mut visit: impl FnMut(&Tree, TreeMove)) {
     if radius == 0 || tree.num_tips() < 4 {
-        return 0;
+        return;
     }
+    let base = SplitKeys::of(tree);
     let mut seen: HashSet<u128> = HashSet::new();
-    seen.insert(topology_fingerprint(tree));
-    let mut emitted = 0usize;
+    seen.insert(base.fingerprint);
     for pp in prune_points(tree) {
         let pendant = tree
             .edge_between(pp.root, pp.attachment)
@@ -135,16 +158,21 @@ pub fn for_each_rearrangement(
         let sub = tree
             .detach(pendant, pp.root)
             .expect("prune point must be detachable");
-        let targets = edges_within_radius(tree, sub.merged_edge, radius);
         let mut current = sub;
-        for target in targets {
+        for (target, fp) in regraft_targets(tree, sub.merged_edge, radius, &base, pp) {
+            let endpoints = tree.endpoints(target);
             let new_pendant = tree
                 .attach(current, target)
                 .expect("target edge must be live");
-            let fp = topology_fingerprint(tree);
             if seen.insert(fp) {
-                visit(tree, emitted);
-                emitted += 1;
+                visit(
+                    tree,
+                    TreeMove::Spr {
+                        root: pp.root,
+                        attachment: pp.attachment,
+                        target: endpoints,
+                    },
+                );
             }
             current = tree
                 .detach(new_pendant, pp.root)
@@ -163,8 +191,26 @@ pub fn for_each_rearrangement(
                 .expect("restored node must reconnect to original neighbors");
             tree.set_length(e, len);
         }
-        tree.set_length(restored_pendant, current.pendant_length);
     }
+}
+
+/// Visit every distinct tree obtained by pruning a subtree and regrafting it
+/// across at most `radius` internal vertices (paper steps 4 and 5).
+///
+/// Each distinct topology is visited exactly once (deduplicated by
+/// fingerprint); the original topology is never visited. The tree is
+/// restored — including branch lengths — after enumeration. Returns the
+/// number of candidates visited.
+pub fn for_each_rearrangement(
+    tree: &mut Tree,
+    radius: usize,
+    mut visit: impl FnMut(&Tree, usize),
+) -> usize {
+    let mut emitted = 0usize;
+    walk_rearrangements(tree, radius, |candidate, _| {
+        visit(candidate, emitted);
+        emitted += 1;
+    });
     emitted
 }
 
@@ -242,43 +288,7 @@ pub fn enumerate_insertion_moves(tree: &Tree, taxon: TaxonId) -> Vec<TreeMove> {
 /// topology. Enumeration order is deterministic.
 pub fn enumerate_spr_moves(tree: &Tree, radius: usize) -> Vec<TreeMove> {
     let mut moves = Vec::new();
-    if radius == 0 || tree.num_tips() < 4 {
-        return moves;
-    }
-    let mut work = tree.clone();
-    let mut seen: HashSet<u128> = HashSet::new();
-    seen.insert(topology_fingerprint(&work));
-    for pp in prune_points(&work) {
-        let pendant = work
-            .edge_between(pp.root, pp.attachment)
-            .expect("prune point nodes must be adjacent");
-        let around: Vec<(NodeId, f64)> = work
-            .neighbors(pp.attachment)
-            .filter(|&(e, _)| e != pendant)
-            .map(|(e, n)| (n, work.length(e)))
-            .collect();
-        let sub = work.detach(pendant, pp.root).expect("detachable");
-        let targets = edges_within_radius(&work, sub.merged_edge, radius);
-        let mut current = sub;
-        for target in targets {
-            let endpoints = work.endpoints(target);
-            let new_pendant = work.attach(current, target).expect("attachable");
-            if seen.insert(topology_fingerprint(&work)) {
-                moves.push(TreeMove::Spr {
-                    root: pp.root,
-                    attachment: pp.attachment,
-                    target: endpoints,
-                });
-            }
-            current = work.detach(new_pendant, pp.root).expect("detachable");
-        }
-        let restored = work.attach(current, sub.merged_edge).expect("restorable");
-        let p2 = work.other_end(restored, pp.root);
-        for (node, len) in around {
-            let e = work.edge_between(p2, node).expect("restored adjacency");
-            work.set_length(e, len);
-        }
-    }
+    walk_rearrangements(&mut tree.clone(), radius, |_, mv| moves.push(mv));
     moves
 }
 
@@ -295,7 +305,7 @@ pub fn nni_count(num_taxa: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bipartition::SplitSet;
+    use crate::bipartition::{topology_fingerprint, SplitSet};
 
     fn caterpillar(n: usize) -> Tree {
         let mut t = Tree::triplet(0, 1, 2);
@@ -314,6 +324,137 @@ mod tests {
             t.insert_taxon(new, e).unwrap();
         }
         t
+    }
+
+    /// The enumerator as it was before fingerprints were derived per
+    /// target: every candidate is re-fingerprinted from scratch. Kept as
+    /// the oracle for the move list and its order.
+    fn enumerate_spr_moves_refingerprinting(tree: &Tree, radius: usize) -> Vec<TreeMove> {
+        fn edges_within_radius(tree: &Tree, origin: EdgeId, radius: usize) -> Vec<EdgeId> {
+            let mut dist = vec![usize::MAX; tree.edge_capacity()];
+            dist[origin.0 as usize] = 0;
+            let mut frontier = vec![origin];
+            let mut out = Vec::new();
+            for d in 1..=radius {
+                let mut next = Vec::new();
+                for &e in &frontier {
+                    let (a, b) = tree.endpoints(e);
+                    for node in [a, b] {
+                        for (e2, _) in tree.neighbors(node) {
+                            if dist[e2.0 as usize] == usize::MAX {
+                                dist[e2.0 as usize] = d;
+                                next.push(e2);
+                                out.push(e2);
+                            }
+                        }
+                    }
+                }
+                frontier = next;
+                if frontier.is_empty() {
+                    break;
+                }
+            }
+            out
+        }
+
+        let mut moves = Vec::new();
+        if radius == 0 || tree.num_tips() < 4 {
+            return moves;
+        }
+        let mut work = tree.clone();
+        let mut seen: HashSet<u128> = HashSet::new();
+        seen.insert(topology_fingerprint(&work));
+        for pp in prune_points(&work) {
+            let pendant = work
+                .edge_between(pp.root, pp.attachment)
+                .expect("prune point nodes must be adjacent");
+            let around: Vec<(NodeId, f64)> = work
+                .neighbors(pp.attachment)
+                .filter(|&(e, _)| e != pendant)
+                .map(|(e, n)| (n, work.length(e)))
+                .collect();
+            let sub = work.detach(pendant, pp.root).expect("detachable");
+            let targets = edges_within_radius(&work, sub.merged_edge, radius);
+            let mut current = sub;
+            for target in targets {
+                let endpoints = work.endpoints(target);
+                let new_pendant = work.attach(current, target).expect("attachable");
+                if seen.insert(topology_fingerprint(&work)) {
+                    moves.push(TreeMove::Spr {
+                        root: pp.root,
+                        attachment: pp.attachment,
+                        target: endpoints,
+                    });
+                }
+                current = work.detach(new_pendant, pp.root).expect("detachable");
+            }
+            let restored = work.attach(current, sub.merged_edge).expect("restorable");
+            let p2 = work.other_end(restored, pp.root);
+            for (node, len) in around {
+                let e = work.edge_between(p2, node).expect("restored adjacency");
+                work.set_length(e, len);
+            }
+        }
+        moves
+    }
+
+    /// A tree on taxa `0..n` grown by inserting each taxon, in a shuffled
+    /// order, into a random edge.
+    fn random_tree(n: usize, seed: u64) -> Tree {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut taxa: Vec<TaxonId> = (0..n as TaxonId).collect();
+        for i in (1..n).rev() {
+            taxa.swap(i, next() % (i + 1));
+        }
+        let mut t = Tree::triplet(taxa[0], taxa[1], taxa[2]);
+        for &taxon in &taxa[3..] {
+            let edges: Vec<EdgeId> = t.edge_ids().collect();
+            t.insert_taxon(taxon, edges[next() % edges.len()]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn derived_fingerprints_and_move_lists_match_refingerprinting_on_random_trees() {
+        let sizes = [4usize, 5, 6, 7, 9, 13, 24, 50, 101, 120];
+        for (i, &n) in sizes.iter().enumerate() {
+            for radius in 1..=3 {
+                let tree = random_tree(n, 0x5eed + 31 * i as u64 + radius as u64);
+                // The same deduplicated moves in the same order.
+                assert_eq!(
+                    enumerate_spr_moves(&tree, radius),
+                    enumerate_spr_moves_refingerprinting(&tree, radius),
+                    "{n} taxa, radius {radius}"
+                );
+                // And, target by target (duplicates included), the derived
+                // fingerprint is the candidate's.
+                let base = SplitKeys::of(&tree);
+                assert_eq!(base.fingerprint, topology_fingerprint(&tree));
+                let mut checked = 0;
+                for pp in prune_points(&tree) {
+                    let mut work = tree.clone();
+                    let pendant = work.edge_between(pp.root, pp.attachment).unwrap();
+                    let sub = work.detach(pendant, pp.root).unwrap();
+                    for (target, fp) in regraft_targets(&work, sub.merged_edge, radius, &base, pp) {
+                        let mut candidate = work.clone();
+                        candidate.attach(sub, target).unwrap();
+                        assert_eq!(
+                            fp,
+                            topology_fingerprint(&candidate),
+                            "{n} taxa, radius {radius}, {pp:?} into {target:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+                assert!(checked >= 4, "{n} taxa, radius {radius}");
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod checksum;
 pub mod varint;
 
 use fdml_comm::codec::{CodecError, JsonCodec, MessageCodec};
-use fdml_comm::message::{Message, MonitorEvent, TaskPayload, TreeEdit};
+use fdml_comm::message::{EditScore, Message, MonitorEvent, TaskPayload, TreeEdit};
 use varint::Reader;
 
 /// First byte of every binary body. Deliberately not valid leading UTF-8
@@ -119,6 +119,8 @@ mod tag {
     pub const REHOME: u8 = 23;
     pub const WAL_ROUND: u8 = 24;
     pub const JUMBLE_RESUME: u8 = 25;
+    pub const EDIT_CHUNK: u8 = 26;
+    pub const EDIT_SCORES: u8 = 27;
 
     pub const MON_DISPATCHED: u8 = 0;
     pub const MON_COMPLETED: u8 = 1;
@@ -128,7 +130,9 @@ mod tag {
 
     pub const PAYLOAD_TREE: u8 = 0;
     pub const PAYLOAD_JUMBLE: u8 = 1;
+    /// Decode-only: one uncounted edit. Chunks are written under tag 3.
     pub const PAYLOAD_TREE_EDIT: u8 = 2;
+    pub const PAYLOAD_EDIT_CHUNK: u8 = 3;
 
     pub const EDIT_INSERT: u8 = 0;
     pub const EDIT_REGRAFT: u8 = 1;
@@ -174,6 +178,27 @@ fn get_edit(r: &mut Reader<'_>) -> Result<TreeEdit, WireError> {
     }
 }
 
+fn put_edits(buf: &mut Vec<u8>, edits: &[TreeEdit]) {
+    varint::put_usize(buf, edits.len());
+    for edit in edits {
+        put_edit(buf, edit);
+    }
+}
+
+fn get_edits(r: &mut Reader<'_>) -> Result<Vec<TreeEdit>, WireError> {
+    let n = r.usize()?;
+    // Every edit is at least a tag byte and three ids; reject counts the
+    // remaining bytes cannot possibly satisfy before allocating.
+    if n > r.remaining() / 4 {
+        return Err(WireError::Truncated);
+    }
+    let mut edits = Vec::with_capacity(n);
+    for _ in 0..n {
+        edits.push(get_edit(r)?);
+    }
+    Ok(edits)
+}
+
 fn put_payload(buf: &mut Vec<u8>, payload: &TaskPayload) {
     match payload {
         TaskPayload::Tree { newick } => {
@@ -184,10 +209,10 @@ fn put_payload(buf: &mut Vec<u8>, payload: &TaskPayload) {
             buf.push(tag::PAYLOAD_JUMBLE);
             varint::put_u64(buf, *seed);
         }
-        TaskPayload::TreeEdit { base_id, edit } => {
-            buf.push(tag::PAYLOAD_TREE_EDIT);
+        TaskPayload::TreeEdit { base_id, edits } => {
+            buf.push(tag::PAYLOAD_EDIT_CHUNK);
             varint::put_u64(buf, *base_id);
-            put_edit(buf, edit);
+            put_edits(buf, edits);
         }
     }
 }
@@ -196,9 +221,15 @@ fn get_payload(r: &mut Reader<'_>) -> Result<TaskPayload, WireError> {
     match r.u8()? {
         tag::PAYLOAD_TREE => Ok(TaskPayload::Tree { newick: r.str()? }),
         tag::PAYLOAD_JUMBLE => Ok(TaskPayload::Jumble { seed: r.u64()? }),
+        // Decode-only: the uncounted one-edit layout older builds wrote.
+        // Nothing encodes it; it goes with `TreeEditTask` (ROADMAP 1g).
         tag::PAYLOAD_TREE_EDIT => Ok(TaskPayload::TreeEdit {
             base_id: r.u64()?,
-            edit: get_edit(r)?,
+            edits: vec![get_edit(r)?],
+        }),
+        tag::PAYLOAD_EDIT_CHUNK => Ok(TaskPayload::TreeEdit {
+            base_id: r.u64()?,
+            edits: get_edits(r)?,
         }),
         t => Err(WireError::BadTag("task-payload", u64::from(t))),
     }
@@ -421,6 +452,9 @@ pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
             varint::put_u64(buf, *base_id);
             varint::put_str(buf, newick);
         }
+        // Retired: nothing in the runtime sends it. The arm (and its decode
+        // twin) stays for `benchmark/src/probes.rs:249`, which round-trips
+        // this variant — see `Message::TreeEditTask`.
         Message::TreeEditTask {
             task,
             base_id,
@@ -432,6 +466,27 @@ pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
             varint::put_u64(buf, *base_id);
             put_edit(buf, edit);
             varint::put_opt_str(buf, base_newick.as_deref());
+        }
+        Message::EditChunk {
+            task,
+            base_id,
+            edits,
+            base_newick,
+        } => {
+            buf.push(tag::EDIT_CHUNK);
+            varint::put_u64(buf, *task);
+            varint::put_u64(buf, *base_id);
+            put_edits(buf, edits);
+            varint::put_opt_str(buf, base_newick.as_deref());
+        }
+        Message::EditScores { task, scores } => {
+            buf.push(tag::EDIT_SCORES);
+            varint::put_u64(buf, *task);
+            varint::put_usize(buf, scores.len());
+            for score in scores {
+                varint::put_f64(buf, score.ln_likelihood);
+                varint::put_u64(buf, score.work_units);
+            }
         }
         Message::Ping => buf.push(tag::PING),
         Message::Shutdown => buf.push(tag::SHUTDOWN),
@@ -553,6 +608,30 @@ fn decode_body_at(r: &mut Reader<'_>, depth: u32) -> Result<Message, WireError> 
             edit: get_edit(r)?,
             base_newick: r.opt_str()?,
         }),
+        tag::EDIT_CHUNK => Ok(Message::EditChunk {
+            task: r.u64()?,
+            base_id: r.u64()?,
+            edits: get_edits(r)?,
+            base_newick: r.opt_str()?,
+        }),
+        tag::EDIT_SCORES => {
+            let task = r.u64()?;
+            let n = r.usize()?;
+            // Each score is eight float bytes and a varint; reject counts
+            // the remaining bytes cannot possibly satisfy before
+            // allocating.
+            if n > r.remaining() / 9 {
+                return Err(WireError::Truncated);
+            }
+            let mut scores = Vec::with_capacity(n);
+            for _ in 0..n {
+                scores.push(EditScore {
+                    ln_likelihood: r.f64()?,
+                    work_units: r.u64()?,
+                });
+            }
+            Ok(Message::EditScores { task, scores })
+        }
         tag::PING => Ok(Message::Ping),
         tag::SHUTDOWN => Ok(Message::Shutdown),
         tag::BATCH => Ok(Message::Batch {
@@ -788,6 +867,42 @@ mod tests {
         }
         let bytes = encode_message(&msg);
         assert_eq!(decode_message(&bytes), Err(WireError::TooDeep));
+    }
+
+    #[test]
+    fn hostile_chunk_counts_are_truncated_before_any_allocation() {
+        // Bodies claiming 2^60 edits / scores: the count is
+        // checked against the bytes actually left, so decoding fails as
+        // `Truncated` without reserving room for them (a `Vec` of 2^60
+        // edits would abort the process, not fail the test).
+        let chunk = |tag: u8, fields: &[u64]| {
+            let mut bytes = vec![MAGIC, BINARY_VERSION, tag];
+            for &f in fields {
+                varint::put_u64(&mut bytes, f);
+            }
+            bytes
+        };
+        // task, base id, count: a 12-byte message body.
+        let edits = chunk(26, &[1, 1, 1 << 60]);
+        assert_eq!(edits[2..].len(), 12);
+        assert_eq!(
+            decode_body(&mut Reader::new(&edits[2..])),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(decode_message(&edits), Err(WireError::Truncated));
+        // task, count.
+        let scores = chunk(27, &[1, 1 << 60]);
+        assert_eq!(decode_message(&scores), Err(WireError::Truncated));
+        // A quarantined chunk: task, failures, payload tag 3, base id, count.
+        let mut payload = chunk(9, &[1, 3]);
+        payload.push(3);
+        varint::put_u64(&mut payload, 1);
+        varint::put_u64(&mut payload, 1 << 60);
+        assert_eq!(decode_message(&payload), Err(WireError::Truncated));
+        // A count the remaining bytes could almost satisfy still fails.
+        let mut short = chunk(26, &[1, 1, 3]);
+        short.extend([0, 1, 2, 3, 0, 1, 2, 3, 0]);
+        assert_eq!(decode_message(&short), Err(WireError::Truncated));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! decoders reject the new layout instead of misreading it — then, and
 //! only then, regenerate the fixtures.
 
-use fdml_comm::message::{Message, MonitorEvent, TaskPayload, TreeEdit};
+use fdml_comm::message::{EditScore, Message, MonitorEvent, TaskPayload, TreeEdit};
 use fdml_wire::{decode_message, encode_message};
 
 fn hex(bytes: &[u8]) -> String {
@@ -86,22 +86,6 @@ fn fixtures() -> Vec<(&'static str, Message, &'static str)> {
         ),
         ("rehome", Message::Rehome { foreman: 5 }, "fd011705"),
         (
-            "quarantined",
-            Message::Quarantined {
-                task: 9,
-                failures: 3,
-                payload: TaskPayload::TreeEdit {
-                    base_id: 2,
-                    edit: TreeEdit::Insert {
-                        taxon: 1,
-                        a: 2,
-                        b: 3,
-                    },
-                },
-            },
-            "fd01090903020200010203",
-        ),
-        (
             "monitor_completed",
             Message::Monitor(MonitorEvent::Completed {
                 task: 4,
@@ -158,7 +142,107 @@ fn fixtures() -> Vec<(&'static str, Message, &'static str)> {
             },
             "fd011903ac020b01026162",
         ),
+        // Tags 26/27 and payload tag 3 (appended, PROTOCOL_VERSION 4).
+        (
+            "edit_chunk",
+            Message::EditChunk {
+                task: 65,
+                base_id: 9,
+                edits: vec![
+                    TreeEdit::Insert {
+                        taxon: 12,
+                        a: 3,
+                        b: 130,
+                    },
+                    TreeEdit::Regraft {
+                        root: 5,
+                        attachment: 6,
+                        a: 1,
+                        b: 2,
+                    },
+                ],
+                base_newick: None,
+            },
+            "fd011a410902000c038201010506010200",
+        ),
+        (
+            "edit_chunk_embedded",
+            Message::EditChunk {
+                task: 66,
+                base_id: 9,
+                edits: vec![TreeEdit::Regraft {
+                    root: 5,
+                    attachment: 6,
+                    a: 1,
+                    b: 2,
+                }],
+                base_newick: Some("(a,b);".into()),
+            },
+            "fd011a4209010105060102010628612c62293b",
+        ),
+        (
+            "edit_scores",
+            Message::EditScores {
+                task: 65,
+                scores: vec![
+                    EditScore {
+                        ln_likelihood: -1234.5625,
+                        work_units: 777,
+                    },
+                    EditScore {
+                        ln_likelihood: -0.5,
+                        work_units: 10,
+                    },
+                ],
+            },
+            "fd011b410200000000404a93c08906000000000000e0bf0a",
+        ),
+        (
+            "quarantined_chunk",
+            Message::Quarantined {
+                task: 9,
+                failures: 3,
+                payload: TaskPayload::TreeEdit {
+                    base_id: 2,
+                    edits: vec![
+                        TreeEdit::Insert {
+                            taxon: 1,
+                            a: 2,
+                            b: 3,
+                        },
+                        TreeEdit::Insert {
+                            taxon: 1,
+                            a: 3,
+                            b: 4,
+                        },
+                    ],
+                },
+            },
+            "fd010909030302020001020300010304",
+        ),
     ]
+}
+
+/// Layouts still read but no longer written: task-payload tag 2 (one
+/// uncounted edit) decodes to a one-edit chunk; the encoder writes every
+/// chunk, whatever its length, under the counted tag 3.
+fn decode_only_fixtures() -> Vec<(&'static str, Message, &'static str)> {
+    vec![(
+        "quarantined",
+        Message::Quarantined {
+            task: 9,
+            failures: 3,
+            payload: TaskPayload::TreeEdit {
+                base_id: 2,
+                edits: vec![TreeEdit::Insert {
+                    taxon: 1,
+                    a: 2,
+                    b: 3,
+                }],
+            },
+        },
+        "fd01090903020200010203",
+    )]
 }
 
 #[test]
@@ -174,7 +258,7 @@ fn encoder_matches_golden_bytes() {
 
 #[test]
 fn decoder_reads_golden_bytes() {
-    for (name, msg, expected) in fixtures() {
+    for (name, msg, expected) in fixtures().into_iter().chain(decode_only_fixtures()) {
         let bytes: Vec<u8> = (0..expected.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&expected[i..i + 2], 16).unwrap())
@@ -185,6 +269,27 @@ fn decoder_reads_golden_bytes() {
             "decoder disagrees with fixture `{name}`"
         );
     }
+}
+
+#[test]
+fn a_chunk_costs_a_few_bytes_per_candidate() {
+    // The point of chunking on the wire: task id, base id and framing are
+    // paid once per chunk, so a regraft costs its four ids and a tag.
+    let edits: Vec<TreeEdit> = (0..25)
+        .map(|i| TreeEdit::Regraft {
+            root: 100 + i,
+            attachment: 60,
+            a: 7,
+            b: i,
+        })
+        .collect();
+    let msg = Message::EditChunk {
+        task: 4242,
+        base_id: 17,
+        edits,
+        base_newick: None,
+    };
+    assert!(encode_message(&msg).len() <= 8 + 25 * 5);
 }
 
 #[test]

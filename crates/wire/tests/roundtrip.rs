@@ -6,7 +6,7 @@
 //! it with a thousand different payload shapes.
 
 use fdml_comm::codec::{JsonCodec, MessageCodec};
-use fdml_comm::message::{Message, MessageKind, MonitorEvent, TaskPayload, TreeEdit};
+use fdml_comm::message::{EditScore, Message, MessageKind, MonitorEvent, TaskPayload, TreeEdit};
 use fdml_wire::{decode_auto, BinaryCodec};
 use proptest::prelude::*;
 
@@ -63,6 +63,12 @@ impl Rng {
         }
     }
 
+    /// Zero to three edits: the empty chunk, the one-edit chunk (whose
+    /// quarantine payload keeps the frozen tag-2 layout) and longer ones.
+    fn edits(&mut self) -> Vec<TreeEdit> {
+        (0..self.next() % 4).map(|_| self.edit()).collect()
+    }
+
     fn payload(&mut self) -> TaskPayload {
         match self.next() % 3 {
             0 => TaskPayload::Tree {
@@ -71,7 +77,7 @@ impl Rng {
             1 => TaskPayload::Jumble { seed: self.next() },
             _ => TaskPayload::TreeEdit {
                 base_id: self.next(),
-                edit: self.edit(),
+                edits: self.edits(),
             },
         }
     }
@@ -201,6 +207,25 @@ impl Rng {
             22 => Message::Rehome {
                 foreman: (self.next() % 4096) as usize,
             },
+            23 => Message::EditChunk {
+                task: self.next(),
+                base_id: self.next(),
+                edits: self.edits(),
+                base_newick: if self.next().is_multiple_of(2) {
+                    None
+                } else {
+                    Some(self.string())
+                },
+            },
+            24 => Message::EditScores {
+                task: self.next(),
+                scores: (0..self.next() % 4)
+                    .map(|_| EditScore {
+                        ln_likelihood: self.f64(),
+                        work_units: self.next(),
+                    })
+                    .collect(),
+            },
             _ => Message::Shutdown,
         }
     }
@@ -219,7 +244,7 @@ impl Rng {
     }
 }
 
-const VARIANTS: usize = 24;
+const VARIANTS: usize = 26;
 
 fn roundtrip(codec: &dyn MessageCodec, msg: &Message) -> Result<(), TestCaseError> {
     let bytes = codec.encode(msg).expect("encode");

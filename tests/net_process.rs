@@ -22,6 +22,24 @@ fn workdir(name: &str) -> PathBuf {
     dir
 }
 
+/// Replace the work directory's 6-taxon toy (a search of a few
+/// milliseconds — over before the second worker process has announced
+/// itself, and well inside the supervisor's respawn backoff) with a
+/// synthesized problem big enough that the run comfortably outlasts a
+/// late joiner's first tasks, its death, and its re-fork.
+fn write_outlasting_problem(dir: &Path) {
+    let tree = fastdnaml::datagen::randtree::yule_tree(12, 0.1, 42);
+    let aln = fastdnaml::datagen::evolve(
+        &tree,
+        300,
+        &fastdnaml::datagen::EvolutionConfig::default(),
+        7,
+        "t",
+    );
+    std::fs::write(dir.join("data.phy"), fastdnaml::phylo::phylip::write(&aln))
+        .expect("write synthesized alignment");
+}
+
 fn fastdnaml() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fastdnaml"))
 }
@@ -138,6 +156,8 @@ fn spawned_processes_match_threaded_parallel_exactly() {
 fn killed_worker_process_is_requeued_and_the_result_stands() {
     let dir = workdir("chaos");
     let log = dir.join("events.jsonl");
+    // Rank 4 must be handed a third task to die on.
+    write_outlasting_problem(&dir);
     let (clean_tree, _) = run(&dir, &["--net", "spawn", "5", "--quiet"]);
     // Worker rank 4 calls process::exit after two results: a genuine
     // process death the foreman must detect (timeout, then the eager
@@ -182,20 +202,8 @@ fn killed_worker_process_is_requeued_and_the_result_stands() {
 fn supervised_worker_is_respawned_and_readmitted() {
     let dir = workdir("respawn");
     let log = dir.join("events.jsonl");
-    // The 6-taxon toy search finishes in tens of milliseconds — less than
-    // the supervisor's respawn backoff — so the respawned worker would
-    // have nothing left to rejoin. Synthesize a problem big enough that
-    // the run comfortably outlasts death, re-fork, and re-admission.
-    let tree = fastdnaml::datagen::randtree::yule_tree(12, 0.1, 42);
-    let aln = fastdnaml::datagen::evolve(
-        &tree,
-        300,
-        &fastdnaml::datagen::EvolutionConfig::default(),
-        7,
-        "t",
-    );
-    std::fs::write(dir.join("data.phy"), fastdnaml::phylo::phylip::write(&aln))
-        .expect("write synthesized alignment");
+    // Outlast death, re-fork and re-admission, not just the death.
+    write_outlasting_problem(&dir);
     let (clean_tree, _) = run(&dir, &["--net", "spawn", "5", "--quiet"]);
     // Worker rank 4 dies after two results, but this time a supervisor is
     // watching: the dead process is re-forked (without the die flags), it
