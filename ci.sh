@@ -85,8 +85,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Benches must keep compiling, and the kernel perf reporter must produce
 # valid JSON end to end (quick datasets; the checked-in BENCH_kernels.json
 # comes from a full run). The reporter itself enforces the >=3x incremental
-# candidate-round gate and the bit-identity of the intra-threaded engine,
-# so the --quick run doubles as both smokes.
+# candidate-round gate, the bit-identity of the intra-threaded engine and
+# that of the two-phase Newton objective with the scalar loop it replaced
+# (the `newton_objective` / `newton_value_only` / `w_terms` rows), so the
+# --quick run doubles as all three smokes.
 cargo bench --no-run
 cargo run --release -p fdml-bench --bin kernel_report -- --quick --intra-threads 2 \
   --out target/bench_kernels_smoke.json
@@ -98,7 +100,7 @@ cargo run --release -p fdml-bench --bin kernel_report -- --quick --intra-threads
 cargo test -q -p fdml-likelihood incremental
 cargo test -q -p fdml-likelihood scorer
 
-# Cross-path kernel equivalence matrix: {scalar, widest host ISA} ×
+# Cross-path kernel equivalence matrix: {every ISA lane the host has} ×
 # {1, 2, 4 intra-rank threads} × {Reference, Optimized} must agree bit for
 # bit on evaluation, optimization, Newton derivatives, score_edit, and
 # whole searches.
@@ -127,6 +129,32 @@ cmp "$SMOKE/isa_scalar.nwk" "$SMOKE/threads.nwk"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --parallel 4 --intra-threads 4 --quiet \
   --output "$SMOKE/intra4.nwk"
 cmp "$SMOKE/intra4.nwk" "$SMOKE/threads.nwk"
+# On an AVX-512 host the default lane above is AVX-512 and the narrower
+# vector lane would never run: pin it too where the CPU has it.
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then
+  ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --parallel 4 --isa avx2 --quiet \
+    --output "$SMOKE/isa_avx2.nwk"
+  cmp "$SMOKE/isa_avx2.nwk" "$SMOKE/threads.nwk"
+fi
+
+# Rates smoke: the DNArates pre-pass (`--categories`, a likelihood pass per
+# grid point over shared patterns and tip CLVs) and a search under a
+# dnarates report (`--rates-file`: several rate categories, so the kernels'
+# category runs are short) emit the same bytes on the scalar lane, on the
+# default one and at four pattern-block threads. The two are different
+# models — the report rounds its rates to six decimals — so each is
+# compared with itself, not with the other.
+./target/release/dnarates --input "$SMOKE/data.phy" --categories 4 --output "$SMOKE/rates.txt" 2>/dev/null
+for model in "--categories 4" "--rates-file $SMOKE/rates.txt"; do
+  ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 $model --quiet \
+    --output "$SMOKE/rates_default.nwk"
+  ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 $model --isa scalar --quiet \
+    --output "$SMOKE/rates_scalar.nwk"
+  ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 $model --intra-threads 4 --quiet \
+    --output "$SMOKE/rates_intra4.nwk"
+  cmp "$SMOKE/rates_scalar.nwk" "$SMOKE/rates_default.nwk"
+  cmp "$SMOKE/rates_intra4.nwk" "$SMOKE/rates_default.nwk"
+done
 
 # Incremental round smoke (golden seed 5): base + edit dispatch must emit
 # the identical tree, byte for byte, to whole-tree dispatch of the same

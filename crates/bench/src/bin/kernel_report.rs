@@ -10,7 +10,8 @@
 //! rows (default 4, the gated configuration).
 
 use fdml_bench::kernel_report::{
-    compare, measure, IntraScalingReport, KernelReport, WalOverheadReport, WorkloadReport,
+    compare, measure, IntraScalingReport, KernelReport, ObjectiveReport, WalOverheadReport,
+    WorkloadReport,
 };
 use fdml_bench::Args;
 use fdml_core::config::SearchConfig;
@@ -19,9 +20,15 @@ use fdml_core::loopback::Loopback;
 use fdml_core::runner::{search_on, SearchSession};
 use fdml_core::worker::ranks;
 use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
+use fdml_likelihood::categories::RateCategories;
+use fdml_likelihood::clv::WTerms;
 use fdml_likelihood::engine::{LikelihoodEngine, OptimizeOptions};
+use fdml_likelihood::f84::F84Model;
 use fdml_likelihood::incremental::ClvCache;
-use fdml_likelihood::KernelMode;
+use fdml_likelihood::kernels::{
+    self, CategoryRun, EdgeDerivCoefficients, LnProd, PatternWeights, WPlanes,
+};
+use fdml_likelihood::{IntraPar, KernelMode, PAR_BLOCK};
 use fdml_obs::{Event, MemorySink, Obs};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves, TreeMove};
@@ -262,6 +269,240 @@ fn run_wal_overhead(samples: usize, quick: bool) -> WalOverheadReport {
     row
 }
 
+/// The scalar Newton objective the two-phase kernel replaced (copied here
+/// from PR 16's `kernels::lnl_d012_block`/`lnl_d012_folded`): one pattern
+/// at a time, `LnProd::mul_pow` in the loop, one partial per `PAR_BLOCK`.
+fn scalar_lnl_d012(
+    deriv: &EdgeDerivCoefficients,
+    runs: &[CategoryRun],
+    w: &[WTerms],
+    weights: &[u32],
+) -> (f64, f64, f64) {
+    let mut total = LnProd::new();
+    let (mut d1, mut d2) = (0.0, 0.0);
+    for lo in (0..w.len()).step_by(PAR_BLOCK) {
+        let hi = w.len().min(lo + PAR_BLOCK);
+        let mut prod = LnProd::new();
+        let (mut b1, mut b2) = (0.0, 0.0);
+        for run in runs.iter().filter(|run| run.start < hi && run.end > lo) {
+            let co = &deriv.per_cat()[run.category];
+            let (v, g, h) = (&co.value, &co.d1, &co.d2);
+            for p in run.start.max(lo)..run.end.min(hi) {
+                let terms = &w[p];
+                let f =
+                    v.c1.mul_add(terms.w1, v.c2.mul_add(terms.w2, v.c3 * terms.w3))
+                        .max(f64::MIN_POSITIVE);
+                let fp =
+                    g.c1.mul_add(terms.w1, g.c2.mul_add(terms.w2, g.c3 * terms.w3));
+                let fpp =
+                    h.c1.mul_add(terms.w1, h.c2.mul_add(terms.w2, h.c3 * terms.w3));
+                let wgt = weights[p] as f64;
+                let inv = 1.0 / f;
+                let r = fp * inv;
+                prod.mul_pow(f, weights[p]);
+                b1 += wgt * r;
+                b2 += wgt * r.mul_add(-r, fpp * inv);
+            }
+        }
+        total.merge(&prod);
+        d1 += b1;
+        d2 += b2;
+    }
+    (total.value(), d1, d2)
+}
+
+/// The scalar W-term assembly the vector lanes replaced (PR 16's
+/// `kernels::w_terms_block`, its two reciprocals divided per call).
+fn scalar_w_terms(model: &F84Model, u: &[f64], d: &[f64], out: &mut [WTerms]) {
+    let [fa, fc, fg, ft] = model.freqs;
+    let inv_r = 1.0 / model.freq_r();
+    let inv_y = 1.0 / model.freq_y();
+    for ((w, uu), dd) in out.iter_mut().zip(u.chunks_exact(4)).zip(d.chunks_exact(4)) {
+        let w1 = (fa * uu[0]).mul_add(
+            dd[0],
+            (fc * uu[1]).mul_add(dd[1], (fg * uu[2]).mul_add(dd[2], ft * uu[3] * dd[3])),
+        );
+        let ur = fa.mul_add(uu[0], fg * uu[2]);
+        let uy = fc.mul_add(uu[1], ft * uu[3]);
+        let dr = fa.mul_add(dd[0], fg * dd[2]);
+        let dy = fc.mul_add(dd[1], ft * dd[3]);
+        *w = WTerms {
+            w1,
+            w2: (ur * dr).mul_add(inv_r, uy * dy * inv_y),
+            w3: (ur + uy) * (dr + dy),
+        };
+    }
+}
+
+/// Which alignment shape an objective row is measured on.
+struct ObjectiveShape {
+    /// Row-name suffix (`newton_objective<suffix>/N`).
+    suffix: &'static str,
+    /// One weight in this many is not 1 (at random positions, so the
+    /// kernels' weight branches are as predictable as on real columns).
+    non_unit_one_in: usize,
+    /// Rate categories; with more than one, the runs are 13 patterns long
+    /// and end mid-stage.
+    categories: usize,
+}
+
+/// The Newton-objective microkernel rows at one pattern count, shipped
+/// kernel against scalar original on the same inputs — bit for bit the
+/// same answer, checked here too. First the benchmark's shape (one weight
+/// in 36 is not 1, as 4 of 142 are on its 50-taxon alignment; one rate
+/// category): the full objective, its value-only form (against the full
+/// scalar objective — what Newton's closing evaluation used to cost) and
+/// the W-term assembly. Then the full objective on the shapes that shape
+/// flatters: half and all of the weights repeated columns, and four rate
+/// categories in short runs.
+fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ np as u64;
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let model = F84Model::new([0.26, 0.22, 0.31, 0.21], 2.0);
+    let u: Vec<f64> = (0..np * 4).map(|_| 0.01 + next()).collect();
+    let d: Vec<f64> = (0..np * 4).map(|_| 0.01 + next()).collect();
+    let mut w = vec![WTerms::ZERO; np];
+    scalar_w_terms(&model, &u, &d, &mut w);
+    let planes = WPlanes::new(&w);
+    let par = IntraPar::serial();
+
+    let mut out = vec![WTerms::ZERO; np];
+    kernels::w_terms_folded(&par, &model, &u, &d, &mut out);
+    assert_eq!(
+        out, w,
+        "the vectorized W-terms left the scalar original's bits"
+    );
+    let mut out_scalar = vec![WTerms::ZERO; np];
+
+    // One batch is ~0.1 ms of back-to-back evaluations.
+    let iters = (50_000 / np).max(1);
+    let batch = |eval: &mut dyn FnMut() -> f64| {
+        let start = std::time::Instant::now();
+        let mut acc = 0.0;
+        for _ in 0..iters {
+            acc += eval();
+        }
+        black_box(acc);
+        start.elapsed().as_secs_f64() * 1e9 / (iters * np) as f64
+    };
+    let row = |name: &str, kernel: &mut dyn FnMut() -> f64, scalar: &mut dyn FnMut() -> f64| {
+        let (mut best_kernel, mut best_scalar) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..samples {
+            best_kernel = best_kernel.min(batch(kernel));
+            best_scalar = best_scalar.min(batch(scalar));
+        }
+        let row = ObjectiveReport {
+            name: format!("{name}/{np}"),
+            patterns: np,
+            isa: fdml_likelihood::isa::active().name().to_string(),
+            host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            samples,
+            kernel_ns_per_pattern: best_kernel,
+            scalar_ns_per_pattern: best_scalar,
+            speedup: best_scalar / best_kernel,
+        };
+        println!(
+            "{:<40} new {:>6.2} ns  scalar {:>6.2} ns per pattern-iteration ({})  speedup {:.2}x",
+            row.name, row.kernel_ns_per_pattern, row.scalar_ns_per_pattern, row.isa, row.speedup
+        );
+        row
+    };
+
+    let shapes = [
+        ObjectiveShape {
+            suffix: "",
+            non_unit_one_in: 36,
+            categories: 1,
+        },
+        ObjectiveShape {
+            suffix: "_half_weighted",
+            non_unit_one_in: 2,
+            categories: 1,
+        },
+        ObjectiveShape {
+            suffix: "_all_weighted",
+            non_unit_one_in: 1,
+            categories: 1,
+        },
+        ObjectiveShape {
+            suffix: "_4cat",
+            non_unit_one_in: 36,
+            categories: 4,
+        },
+    ];
+    let mut rows = Vec::new();
+    for shape in shapes {
+        let share = 1.0 / shape.non_unit_one_in as f64;
+        let weights: Vec<u32> = (0..np)
+            .map(|p| {
+                if next() < share {
+                    2 + (p % 13) as u32
+                } else {
+                    1
+                }
+            })
+            .collect();
+        let bound = PatternWeights::new(&weights);
+        let cats = RateCategories::new(
+            (0..shape.categories)
+                .map(|c| 0.4 + 0.7 * c as f64)
+                .collect(),
+            (0..np)
+                .map(|p| (p / 13 % shape.categories) as u32)
+                .collect(),
+        );
+        let runs = kernels::category_runs(&cats);
+        let mut deriv = EdgeDerivCoefficients::default();
+        deriv.fill(&model, &cats, 0.37);
+
+        let want = scalar_lnl_d012(&deriv, &runs, &w, &weights);
+        let got = kernels::lnl_d012_folded(&par, &deriv, &runs, &planes, &bound);
+        assert_eq!(
+            (got.0.to_bits(), got.1.to_bits(), got.2.to_bits()),
+            (want.0.to_bits(), want.1.to_bits(), want.2.to_bits()),
+            "the two-phase objective left the scalar original's bits"
+        );
+        let value = kernels::lnl_value_folded(&par, &deriv, &runs, &planes, &bound);
+        assert_eq!(value.to_bits(), want.0.to_bits());
+
+        let (deriv, runs, w, weights) = (&deriv, &runs[..], &w, &weights);
+        rows.push(row(
+            &format!("newton_objective{}", shape.suffix),
+            &mut || {
+                kernels::lnl_d012_folded(&par, black_box(deriv), runs, black_box(&planes), &bound).0
+            },
+            &mut || scalar_lnl_d012(black_box(deriv), runs, black_box(w), weights).0,
+        ));
+        if !shape.suffix.is_empty() {
+            continue;
+        }
+        rows.push(row(
+            "newton_value_only",
+            &mut || {
+                kernels::lnl_value_folded(&par, black_box(deriv), runs, black_box(&planes), &bound)
+            },
+            &mut || scalar_lnl_d012(black_box(deriv), runs, black_box(w), weights).0,
+        ));
+        rows.push(row(
+            "w_terms",
+            &mut || {
+                kernels::w_terms_folded(&par, &model, black_box(&u), black_box(&d), &mut out);
+                out[np / 2].w1
+            },
+            &mut || {
+                scalar_w_terms(&model, black_box(&u), black_box(&d), &mut out_scalar);
+                out_scalar[np / 2].w1
+            },
+        ));
+    }
+    rows
+}
+
 fn main() {
     let args = Args::from_env();
     let quick = args.has_flag("quick");
@@ -402,12 +643,31 @@ fn main() {
 
     let wal_overhead = vec![run_wal_overhead(samples, quick)];
 
+    // The Newton objective on its own, at the benchmark's pattern count
+    // (142: one block) and a multi-block one. Report-only but for one gate
+    // in full mode: the two-phase objective must beat the scalar loop it
+    // replaced by 1.3x at 142 patterns on the benchmark's shape. (The gain
+    // is the fold's structure, not a vector lane: phase 1 is portable.)
+    let objective_samples = if quick { 20 } else { 400 };
+    let mut objective = run_objective_rows(142, objective_samples);
+    objective.extend(run_objective_rows(1209, objective_samples));
+    let gated = &objective[0];
+    if !quick {
+        assert!(
+            gated.speedup >= 1.3,
+            "{} fell below the 1.3x gate over the scalar original: {:.2}x",
+            gated.name,
+            gated.speedup
+        );
+    }
+
     let report = KernelReport {
         generated_by: "fdml-bench kernel_report".into(),
         quick,
         workloads,
         intra_scaling,
         wal_overhead,
+        objective,
     };
     std::fs::write(&out, report.to_json() + "\n").expect("write report");
     println!("wrote {out}");

@@ -100,6 +100,37 @@ pub struct WalOverheadReport {
     pub overhead: f64,
 }
 
+/// One Newton-objective microkernel row: the shipped kernel against the
+/// scalar loop it replaced, on one pattern count, one evaluation after
+/// another the way Newton issues them.
+///
+/// Times are nanoseconds per pattern-iteration from the fastest of
+/// `samples` batches (the two arms alternate batch by batch, so drift of
+/// the host hits both); `speedup` is their ratio. The full-mode gate is on
+/// `newton_objective/142` alone.
+#[derive(Debug, Clone, Serialize)]
+pub struct ObjectiveReport {
+    /// Row id: `newton_objective/N` (with `_half_weighted`, `_all_weighted`
+    /// or `_4cat` before the slash for the other alignment shapes),
+    /// `newton_value_only/N` or `w_terms/N`.
+    pub name: String,
+    /// Pattern count of one evaluation.
+    pub patterns: usize,
+    /// The active ISA lane (the W-term kernel dispatches on it; the
+    /// objective is one portable loop).
+    pub isa: String,
+    /// Hardware threads the measuring host had.
+    pub host_cores: usize,
+    /// Timed batches per arm.
+    pub samples: usize,
+    /// Shipped kernel, ns per pattern-iteration.
+    pub kernel_ns_per_pattern: f64,
+    /// The scalar original, ns per pattern-iteration.
+    pub scalar_ns_per_pattern: f64,
+    /// `scalar_ns_per_pattern / kernel_ns_per_pattern`.
+    pub speedup: f64,
+}
+
 /// The whole report, serialized to `BENCH_kernels.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelReport {
@@ -116,6 +147,10 @@ pub struct KernelReport {
     /// Write-ahead-log overhead rows (empty before the WAL).
     #[serde(default)]
     pub wal_overhead: Vec<WalOverheadReport>,
+    /// Newton-objective microkernel rows (empty before the two-phase
+    /// objective).
+    #[serde(default)]
+    pub objective: Vec<ObjectiveReport>,
 }
 
 impl KernelReport {
@@ -201,6 +236,16 @@ mod tests {
                 wal_min_seconds: 0.91,
                 overhead: 0.91 / 0.9 - 1.0,
             }],
+            objective: vec![ObjectiveReport {
+                name: "newton_objective/142".into(),
+                patterns: 142,
+                isa: "scalar".into(),
+                host_cores: 1,
+                samples: 3,
+                kernel_ns_per_pattern: 2.0,
+                scalar_ns_per_pattern: 5.0,
+                speedup: 2.5,
+            }],
             intra_scaling: vec![IntraScalingReport {
                 name: "intra_scaling/w/4".into(),
                 threads: 4,
@@ -220,5 +265,7 @@ mod tests {
         assert!(json.contains("\"modeled_speedup\""));
         assert!(json.contains("\"wal_overhead\""));
         assert!(json.contains("\"overhead\""));
+        assert!(json.contains("\"newton_objective/142\""));
+        assert!(json.contains("\"scalar_ns_per_pattern\""));
     }
 }

@@ -53,7 +53,12 @@ pub fn fill_tip_clv(patterns: &PatternAlignment, taxon: usize, clv: &mut [f64]) 
 /// The three per-pattern terms of the F84 edge likelihood
 /// `f_p(t) = c1·W1 + c2·W2 + c3·W3` between two CLVs anchored at the two
 /// ends of a branch.
+///
+/// `repr(C)`: the vector lanes of the W-term kernel in [`crate::kernels`]
+/// store a `[WTerms]` as a flat run of `f64` triples, interleaved in
+/// registers.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
 pub struct WTerms {
     /// Identity term `Σ_s π_s U(s) D(s)`.
     pub w1: f64,

@@ -17,7 +17,7 @@
 use crate::categories::RateCategories;
 use crate::clv::{fill_tip_clv, WTerms, LN_SCALE};
 use crate::f84::F84Model;
-use crate::kernels::{self, KernelMode, KernelScratch};
+use crate::kernels::{self, KernelMode, KernelScratch, PatternWeights};
 use crate::newton::NewtonOptions;
 use crate::par::IntraPar;
 use crate::work::WorkCounter;
@@ -26,7 +26,7 @@ use fdml_phylo::dna::NUM_STATES;
 use fdml_phylo::patterns::PatternAlignment;
 use fdml_phylo::tree::{EdgeId, NodeId, Tree};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Options controlling full-tree branch-length optimization.
 #[derive(Debug, Clone, Copy)]
@@ -63,11 +63,15 @@ pub struct EvalResult {
 /// model, and one rate-category assignment.
 #[derive(Debug, Clone)]
 pub struct LikelihoodEngine {
-    patterns: PatternAlignment,
+    /// Shared with the rate-scaled engines of the DNArates grid scan.
+    patterns: Arc<PatternAlignment>,
     model: F84Model,
     categories: RateCategories,
-    /// Tip CLVs cached per taxon.
-    tip_clvs: Vec<Vec<f64>>,
+    /// Tip CLVs cached per taxon (they depend on the patterns alone, so
+    /// rate-scaled engines share them too).
+    tip_clvs: Arc<Vec<Vec<f64>>>,
+    /// The pattern weights in the objective kernels' form (shared likewise).
+    weights: Arc<PatternWeights>,
     /// Which kernel implementation evaluations route through.
     mode: KernelMode,
     /// Intra-rank thread pool fanning kernel pattern blocks (serial by
@@ -192,10 +196,11 @@ impl LikelihoodEngine {
             })
             .collect();
         LikelihoodEngine {
-            patterns,
+            weights: Arc::new(PatternWeights::new(patterns.weights())),
+            patterns: Arc::new(patterns),
             model,
             categories,
-            tip_clvs,
+            tip_clvs: Arc::new(tip_clvs),
             mode: KernelMode::default(),
             intra: IntraPar::serial(),
             pool: WorkspacePool::new(),
@@ -254,6 +259,12 @@ impl LikelihoodEngine {
     /// The pattern-compressed alignment.
     pub fn patterns(&self) -> &PatternAlignment {
         &self.patterns
+    }
+
+    /// The pattern weights as the branch kernels take them
+    /// ([`kernels::branch_lnl`], [`kernels::optimize_branch_dispatch`]).
+    pub fn pattern_weights(&self) -> &PatternWeights {
+        &self.weights
     }
 
     /// The substitution model.
@@ -322,16 +333,23 @@ impl LikelihoodEngine {
     /// Per-pattern log-likelihoods with every rate multiplied by
     /// `rate_factor` (the DNArates grid scan).
     pub fn per_pattern_lnl_at_rate(&self, tree: &Tree, rate_factor: f64) -> Vec<f64> {
+        let scaled;
         let engine = if (rate_factor - 1.0).abs() < 1e-15 {
-            self.clone()
+            self
         } else {
-            LikelihoodEngine::with_parts(
-                self.patterns.clone(),
-                self.model.clone(),
-                self.categories.scaled(rate_factor),
-            )
+            scaled = LikelihoodEngine {
+                patterns: Arc::clone(&self.patterns),
+                model: self.model.clone(),
+                categories: self.categories.scaled(rate_factor),
+                tip_clvs: Arc::clone(&self.tip_clvs),
+                weights: Arc::clone(&self.weights),
+                mode: self.mode,
+                intra: self.intra.clone(),
+                pool: WorkspacePool::new(),
+            };
+            &scaled
         };
-        let mut ws = Workspace::new(&engine, tree);
+        let mut ws = Workspace::new(engine, tree);
         let mut work = WorkCounter::new();
         ws.compute_all_down(tree, &mut work);
         ws.per_pattern_root_lnl(tree)
@@ -700,7 +718,7 @@ impl<'e> Workspace<'e> {
             &engine.categories,
             &mut self.scratch,
             &self.wterms,
-            engine.patterns.weights(),
+            &engine.weights,
             t0,
             &opts.newton,
             work,
@@ -748,7 +766,7 @@ impl<'e> Workspace<'e> {
             &mut self.scratch,
             tree.length(self.root_edge),
             &self.wterms,
-            engine.patterns.weights(),
+            &engine.weights,
             down_sc,
         )
     }

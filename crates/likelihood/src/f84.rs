@@ -47,6 +47,11 @@ pub struct F84Model {
     freq_r: f64,
     /// π_C + π_T.
     freq_y: f64,
+    /// `1/π_R`, divided once here: the combine and W-term kernels
+    /// multiply by it on every coefficient fill and pattern block.
+    inv_freq_r: f64,
+    /// `1/π_Y`.
+    inv_freq_y: f64,
 }
 
 impl F84Model {
@@ -83,6 +88,8 @@ impl F84Model {
             fracchange,
             freq_r,
             freq_y,
+            inv_freq_r: 1.0 / freq_r,
+            inv_freq_y: 1.0 / freq_y,
         }
     }
 
@@ -126,6 +133,16 @@ impl F84Model {
     /// Pyrimidine total frequency π_Y.
     pub fn freq_y(&self) -> f64 {
         self.freq_y
+    }
+
+    /// `1/π_R`, cached at construction.
+    pub fn inv_freq_r(&self) -> f64 {
+        self.inv_freq_r
+    }
+
+    /// `1/π_Y`, cached at construction.
+    pub fn inv_freq_y(&self) -> f64 {
+        self.inv_freq_y
     }
 
     /// The coefficient triple `(c1, c2, c3)` for a branch of length `t`

@@ -32,6 +32,15 @@ pub enum KernelIsa {
 }
 
 impl KernelIsa {
+    /// Every lane, narrowest first (a host supports the scalar lane and at
+    /// most one family of the others); filter with [`KernelIsa::supported`].
+    pub const ALL: [KernelIsa; 4] = [
+        KernelIsa::Scalar,
+        KernelIsa::Neon,
+        KernelIsa::Avx2,
+        KernelIsa::Avx512,
+    ];
+
     /// Stable lowercase name, as accepted by [`KernelIsa::parse`] and the
     /// `--isa` flag, and as reported in `RunReport.kernel_isa`.
     pub fn name(self) -> &'static str {
@@ -102,15 +111,11 @@ impl std::fmt::Display for KernelIsa {
 
 /// Probe the host once: the widest lane this build can execute.
 fn probe() -> KernelIsa {
-    if KernelIsa::Avx512.supported() {
-        KernelIsa::Avx512
-    } else if KernelIsa::Avx2.supported() {
-        KernelIsa::Avx2
-    } else if KernelIsa::Neon.supported() {
-        KernelIsa::Neon
-    } else {
-        KernelIsa::Scalar
-    }
+    KernelIsa::ALL
+        .into_iter()
+        .rev()
+        .find(|lane| lane.supported())
+        .expect("the scalar lane is supported everywhere")
 }
 
 // 0 = not yet probed; otherwise an encoded KernelIsa.
@@ -170,12 +175,7 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for isa in [
-            KernelIsa::Scalar,
-            KernelIsa::Avx2,
-            KernelIsa::Avx512,
-            KernelIsa::Neon,
-        ] {
+        for isa in KernelIsa::ALL {
             assert_eq!(KernelIsa::parse(isa.name()), Some(isa));
             assert_eq!(KernelIsa::decode(isa.encode()), Some(isa));
         }

@@ -4,7 +4,7 @@
 //! This module is the default implementation behind
 //! [`crate::engine::LikelihoodEngine`]; the original scalar code lives in
 //! [`crate::reference`] and serves as the equivalence oracle and benchmark
-//! baseline. Five transformations separate the two:
+//! baseline. Six transformations separate the two:
 //!
 //! 1. **Folded coefficients** ([`EdgeCoefficients`]): the per-branch F84
 //!    triple `(c1, c2, c3)` is precomputed per rate category with
@@ -26,10 +26,11 @@
 //!    form ([`LnProd`]) that takes a single `ln` per evaluation.
 //! 4. **Runtime ISA dispatch** ([`crate::isa`]): the CLV-combine span
 //!    kernel selects scalar / AVX2+FMA / AVX-512 (x86-64) or NEON
-//!    (aarch64) per the host's detected features, one probe per process.
-//!    Every vector lane performs the exact scalar multiply-add DAG per
-//!    pattern (vertical packed ops only), so lane selection never changes
-//!    a bit of output.
+//!    (aarch64), and the W-term kernel scalar / AVX2+FMA / AVX-512, per
+//!    the host's detected features, one probe per process. Every vector
+//!    lane performs the exact scalar multiply-add DAG per pattern
+//!    (vertical packed ops only), so lane selection never changes a bit
+//!    of output.
 //! 5. **Pattern-block parallelism** ([`crate::par`]): the combine, W-term,
 //!    and likelihood-fold kernels split pattern space into canonical
 //!    [`crate::par::PAR_BLOCK`]-pattern blocks, fanned round-robin across
@@ -37,6 +38,18 @@
 //!    fold kernels compute one partial per block and merge the partials
 //!    serially in block order, so the result is bit-identical at any
 //!    thread count (the 1-thread execution *is* the canonical order).
+//! 6. **Two-phase objective** ([`lnl_d012_folded`], [`lnl_value_folded`],
+//!    [`branch_lnl_folded`]): a block of one rate category and mostly
+//!    distinct columns is taken a stage of 4 patterns at a time.
+//!    Everything a pattern contributes on its own — `f`, its
+//!    mantissa/exponent split, `w·f'/f`, `w·(f''/f − (f'/f)²)` — is
+//!    computed for the stage in one branch-free loop over unit-stride
+//!    planes ([`WPlanes`]; phase 1); what is left is a reduction that
+//!    visits the patterns in order (phase 2: one multiply and three adds
+//!    each), software-pipelined against phase 1 of the next stage. The
+//!    reduction order is the scalar loop's, so no likelihood bit moves.
+//!    Blocks of any other shape keep the scalar loop, which is as fast on
+//!    them.
 //!
 //! Work accounting is unchanged: both paths count one unit per pattern per
 //! kernel invocation, so `WorkCounter` totals are comparable across
@@ -45,7 +58,7 @@
 
 use crate::categories::RateCategories;
 use crate::clv::{WTerms, LN_SCALE, SCALE_FACTOR, SCALE_THRESHOLD};
-use crate::f84::{CoefficientsD2, F84Model};
+use crate::f84::{Coefficients, CoefficientsD2, F84Model};
 use crate::isa;
 use crate::newton::{self, NewtonOptions};
 use crate::par::{self, IntraPar, SendPtr};
@@ -57,8 +70,10 @@ use fdml_phylo::dna::{A, C, G, T};
 pub const SCALE_CHECK_BLOCK: usize = 32;
 
 /// Fold partial slots kept on the stack before falling back to the heap:
-/// 64 blocks × 256 patterns covers 16 384 patterns without allocating.
-const MAX_STACK_BLOCKS: usize = 64;
+/// 16 blocks × 256 patterns covers 4 096 patterns without allocating (the
+/// slots are initialized on every fold, so more of them is not free: 64
+/// cost a 142-pattern Newton evaluation ~27 ns of its ~350).
+const MAX_STACK_BLOCKS: usize = 16;
 
 /// Which kernel implementation an engine routes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,8 +118,8 @@ impl EdgeCoefficients {
 
     /// Recompute the table for a branch of length `t`.
     pub fn fill(&mut self, model: &F84Model, cats: &RateCategories, t: f64) {
-        let inv_r = 1.0 / model.freq_r();
-        let inv_y = 1.0 / model.freq_y();
+        let inv_r = model.inv_freq_r();
+        let inv_y = model.inv_freq_y();
         self.per_cat.clear();
         self.per_cat.extend((0..cats.num_categories()).map(|c| {
             let co = model.coefficients(t, cats.rate(c));
@@ -181,9 +196,78 @@ fn fill_category_runs(cats: &RateCategories, out: &mut Vec<CategoryRun>) {
     }
 }
 
+/// The pattern weights as the kernels read them, derived once per
+/// alignment (a [`crate::engine::LikelihoodEngine`] builds its own and
+/// shares it with the rate-scaled engines) instead of once per
+/// pattern-iteration: the counts, and the same numbers as `f64` — phase 1
+/// of the objective multiplies the derivative terms by them.
+#[derive(Debug, Clone)]
+pub struct PatternWeights {
+    raw: Vec<u32>,
+    as_f64: Vec<f64>,
+}
+
+impl PatternWeights {
+    /// Derive the constants of one weight vector.
+    pub fn new(weights: &[u32]) -> PatternWeights {
+        PatternWeights {
+            raw: weights.to_vec(),
+            as_f64: weights.iter().map(|&w| w as f64).collect(),
+        }
+    }
+
+    /// The weights themselves, one count per pattern.
+    pub fn raw(&self) -> &[u32] {
+        &self.raw
+    }
+}
+
+/// The W-terms of one branch as three planes — every `w1`, every `w2`,
+/// every `w3` — so that phase 1 of the objective reads unit-stride. A
+/// branch's W-terms are assembled once and its objective evaluated at every
+/// Newton iteration, so the dispatchers re-lay them out once per branch
+/// ([`KernelScratch`] owns the buffer).
+#[derive(Debug, Clone, Default)]
+pub struct WPlanes {
+    w1: Vec<f64>,
+    w2: Vec<f64>,
+    w3: Vec<f64>,
+}
+
+impl WPlanes {
+    /// The planes of `w`.
+    pub fn new(w: &[WTerms]) -> WPlanes {
+        let mut planes = WPlanes::default();
+        planes.fill(w);
+        planes
+    }
+
+    /// Refill in place (no allocation once sized).
+    pub fn fill(&mut self, w: &[WTerms]) {
+        for plane in [&mut self.w1, &mut self.w2, &mut self.w3] {
+            plane.resize(w.len(), 0.0);
+        }
+        let planes = self.w1.iter_mut().zip(&mut self.w2).zip(&mut self.w3);
+        for (((w1, w2), w3), terms) in planes.zip(w) {
+            (*w1, *w2, *w3) = (terms.w1, terms.w2, terms.w3);
+        }
+    }
+
+    /// How many patterns the planes hold.
+    pub fn len(&self) -> usize {
+        self.w1.len()
+    }
+
+    /// Whether the planes hold no pattern.
+    pub fn is_empty(&self) -> bool {
+        self.w1.is_empty()
+    }
+}
+
 /// Reusable per-workspace kernel state: the category-run decomposition,
 /// coefficient tables for the (at most two) branches of one kernel call,
-/// and the workspace's intra-rank thread-pool handle.
+/// the planes of the branch whose objective is being evaluated, and the
+/// workspace's intra-rank thread-pool handle.
 ///
 /// The `Default` value is an inert placeholder (no runs, no pattern maxes,
 /// serial) left behind when a workspace's scratch is recycled; build usable
@@ -195,6 +279,7 @@ pub struct KernelScratch {
     co_b: EdgeCoefficients,
     deriv: EdgeDerivCoefficients,
     maxes: Vec<f64>,
+    planes: WPlanes,
     par: IntraPar,
 }
 
@@ -214,6 +299,7 @@ impl KernelScratch {
             co_b: EdgeCoefficients::new(),
             deriv: EdgeDerivCoefficients::default(),
             maxes: vec![0.0; cats.num_patterns()],
+            planes: WPlanes::default(),
             par,
         }
     }
@@ -455,6 +541,7 @@ fn combine_span(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::FoldedCoefficients;
+    use crate::clv::WTerms;
     use core::arch::x86_64::*;
 
     /// 4×4 transpose: four pattern rows → four state lanes (or back).
@@ -560,6 +647,74 @@ mod x86 {
         quads * 16
     }
 
+    /// Three planes `[w1; 4]`, `[w2; 4]`, `[w3; 4]` stored as four `WTerms`
+    /// (`[w1 w2 w3]` per pattern, 12 doubles).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store_w4(dst: *mut f64, w1: __m256d, w2: __m256d, w3: __m256d) {
+        let m0 = _mm256_shuffle_pd(w1, w2, 0b0000); // a0 b0 | a2 b2
+        let m1 = _mm256_shuffle_pd(w3, w1, 0b1010); // c0 a1 | c2 a3
+        let m2 = _mm256_shuffle_pd(w2, w3, 0b1111); // b1 c1 | b3 c3
+        _mm256_storeu_pd(dst, _mm256_permute2f128_pd(m0, m1, 0x20));
+        _mm256_storeu_pd(dst.add(4), _mm256_permute2f128_pd(m2, m0, 0x30));
+        _mm256_storeu_pd(dst.add(8), _mm256_permute2f128_pd(m1, m2, 0x31));
+    }
+
+    /// W-term assembly over `out.len()/4` quads — the scalar DAG of
+    /// [`super::w_terms_pattern`], four wide. Returns how many *patterns*
+    /// were processed.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA; `u` and `d` hold four doubles
+    /// per element of `out`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn w_terms_avx2(
+        freqs: &[f64; 4],
+        inv_r: f64,
+        inv_y: f64,
+        u: &[f64],
+        d: &[f64],
+        out: &mut [WTerms],
+    ) -> usize {
+        let quads = out.len() / 4;
+        let [fa, fc, fg, ft] = [
+            _mm256_set1_pd(freqs[0]),
+            _mm256_set1_pd(freqs[1]),
+            _mm256_set1_pd(freqs[2]),
+            _mm256_set1_pd(freqs[3]),
+        ];
+        for q in 0..quads {
+            // Safety: `q * 16 + 16 <= u.len()` by the quad count.
+            let [ua, uc, ug, ut] = load4(u.as_ptr().add(q * 16));
+            let [da, dc, dg, dt] = load4(d.as_ptr().add(q * 16));
+            let w1 = _mm256_fmadd_pd(
+                _mm256_mul_pd(fa, ua),
+                da,
+                _mm256_fmadd_pd(
+                    _mm256_mul_pd(fc, uc),
+                    dc,
+                    _mm256_fmadd_pd(
+                        _mm256_mul_pd(fg, ug),
+                        dg,
+                        _mm256_mul_pd(_mm256_mul_pd(ft, ut), dt),
+                    ),
+                ),
+            );
+            let ur = _mm256_fmadd_pd(fa, ua, _mm256_mul_pd(fg, ug));
+            let uy = _mm256_fmadd_pd(fc, uc, _mm256_mul_pd(ft, ut));
+            let dr = _mm256_fmadd_pd(fa, da, _mm256_mul_pd(fg, dg));
+            let dy = _mm256_fmadd_pd(fc, dc, _mm256_mul_pd(ft, dt));
+            let w2 = _mm256_fmadd_pd(
+                _mm256_mul_pd(ur, dr),
+                _mm256_set1_pd(inv_r),
+                _mm256_mul_pd(_mm256_mul_pd(uy, dy), _mm256_set1_pd(inv_y)),
+            );
+            let w3 = _mm256_mul_pd(_mm256_add_pd(ur, uy), _mm256_add_pd(dr, dy));
+            store_w4(out.as_mut_ptr().add(q * 4).cast(), w1, w2, w3);
+        }
+        quads * 4
+    }
+
     /// An AVX-512 permutation index vector.
     #[inline]
     #[target_feature(enable = "avx512f")]
@@ -593,6 +748,33 @@ mod x86 {
         ]
     }
 
+    /// Load eight consecutive pattern-major patterns (`[A C G T]` each) and
+    /// transpose to state-major lanes `[vA, vC, vG, vT]`: four two-source
+    /// permutes split row pairs into `[A×4 C×4]` / `[G×4 T×4]`, four more
+    /// splice the halves into eight-lane state vectors.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load8(src: *const f64) -> [__m512d; 4] {
+        let lo = idx8([0, 4, 8, 12, 1, 5, 9, 13]);
+        let hi = idx8([2, 6, 10, 14, 3, 7, 11, 15]);
+        let merge_lo = idx8([0, 1, 2, 3, 8, 9, 10, 11]);
+        let merge_hi = idx8([4, 5, 6, 7, 12, 13, 14, 15]);
+        let r0 = _mm512_loadu_pd(src);
+        let r1 = _mm512_loadu_pd(src.add(8));
+        let r2 = _mm512_loadu_pd(src.add(16));
+        let r3 = _mm512_loadu_pd(src.add(24));
+        let s_lo = _mm512_permutex2var_pd(r0, lo, r1); // A0..A3 C0..C3
+        let s_hi = _mm512_permutex2var_pd(r0, hi, r1); // G0..G3 T0..T3
+        let u_lo = _mm512_permutex2var_pd(r2, lo, r3); // A4..A7 C4..C7
+        let u_hi = _mm512_permutex2var_pd(r2, hi, r3);
+        [
+            _mm512_permutex2var_pd(s_lo, merge_lo, u_lo), // vA
+            _mm512_permutex2var_pd(s_lo, merge_hi, u_lo), // vC
+            _mm512_permutex2var_pd(s_hi, merge_lo, u_hi), // vG
+            _mm512_permutex2var_pd(s_hi, merge_hi, u_hi), // vT
+        ]
+    }
+
     /// The combine kernel over eight patterns at a time (AVX-512F). The
     /// 8×4 pattern-major ↔ state-major transposes are pairs of two-source
     /// permutes (`vpermt2pd`), eight per direction. Returns how many
@@ -619,35 +801,11 @@ mod x86 {
             _mm512_set1_pd(freqs[2]),
             _mm512_set1_pd(freqs[3]),
         ];
-        // Gather indices: a row holds two pattern-major patterns
-        // [A C G T A' C' G' T']; `lo`/`hi` split a row pair into
-        // [A A' A'' A''' C …] / [G … T …]; `merge_*` splice two such
-        // four-lane halves into one eight-lane state vector.
-        let lo = idx8([0, 4, 8, 12, 1, 5, 9, 13]);
-        let hi = idx8([2, 6, 10, 14, 3, 7, 11, 15]);
-        let merge_lo = idx8([0, 1, 2, 3, 8, 9, 10, 11]);
-        let merge_hi = idx8([4, 5, 6, 7, 12, 13, 14, 15]);
         // Scatter indices for the inverse transpose (see the store below).
         let pair = idx8([0, 8, 1, 9, 2, 10, 3, 11]);
         let pair_hi = idx8([4, 12, 5, 13, 6, 14, 7, 15]);
         let quad_lo = idx8([0, 1, 8, 9, 2, 3, 10, 11]);
         let quad_hi = idx8([4, 5, 12, 13, 6, 7, 14, 15]);
-        let load8 = |src: *const f64| -> [__m512d; 4] {
-            let r0 = _mm512_loadu_pd(src);
-            let r1 = _mm512_loadu_pd(src.add(8));
-            let r2 = _mm512_loadu_pd(src.add(16));
-            let r3 = _mm512_loadu_pd(src.add(24));
-            let s_lo = _mm512_permutex2var_pd(r0, lo, r1); // A0..A3 C0..C3
-            let s_hi = _mm512_permutex2var_pd(r0, hi, r1); // G0..G3 T0..T3
-            let u_lo = _mm512_permutex2var_pd(r2, lo, r3); // A4..A7 C4..C7
-            let u_hi = _mm512_permutex2var_pd(r2, hi, r3);
-            [
-                _mm512_permutex2var_pd(s_lo, merge_lo, u_lo), // vA
-                _mm512_permutex2var_pd(s_lo, merge_hi, u_lo), // vC
-                _mm512_permutex2var_pd(s_hi, merge_lo, u_hi), // vG
-                _mm512_permutex2var_pd(s_hi, merge_hi, u_hi), // vT
-            ]
-        };
         for o in 0..octets {
             let base = o * 32;
             // Safety: `base + 32 <= x1.len()` by the octet count.
@@ -672,6 +830,80 @@ mod x86 {
             _mm512_storeu_pd(dst.add(24), _mm512_permutex2var_pd(ac_hi, quad_hi, gt_hi));
         }
         octets * 32
+    }
+
+    /// Three planes `[w1; 8]`, `[w2; 8]`, `[w3; 8]` stored as eight `WTerms`
+    /// (24 doubles).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_w8(dst: *mut f64, w1: __m512d, w2: __m512d, w3: __m512d) {
+        // Rows `a0 b0 c0 a1 b1 c1 a2 b2`, `c2 a3 b3 c3 a4 b4 c4 a5`,
+        // `b5 c5 a6 b6 c6 a7 b7 c7` (a = w1, b = w2, c = w3): interleave
+        // w1 with w2 at their final lanes, then drop w3 into the gaps.
+        let r0 = _mm512_permutex2var_pd(w1, idx8([0, 8, 0, 1, 9, 0, 2, 10]), w2);
+        let r1 = _mm512_permutex2var_pd(w1, idx8([0, 3, 11, 0, 4, 12, 0, 5]), w2);
+        let r2 = _mm512_permutex2var_pd(w1, idx8([13, 0, 6, 14, 0, 7, 15, 0]), w2);
+        let r0 = _mm512_permutex2var_pd(r0, idx8([0, 1, 8, 3, 4, 9, 6, 7]), w3);
+        let r1 = _mm512_permutex2var_pd(r1, idx8([10, 1, 2, 11, 4, 5, 12, 7]), w3);
+        let r2 = _mm512_permutex2var_pd(r2, idx8([0, 13, 2, 3, 14, 5, 6, 15]), w3);
+        _mm512_storeu_pd(dst, r0);
+        _mm512_storeu_pd(dst.add(8), r1);
+        _mm512_storeu_pd(dst.add(16), r2);
+    }
+
+    /// W-term assembly over `out.len()/8` octets — the DAG of
+    /// [`w_terms_avx2`], two registers wider. Returns how many *patterns*
+    /// were processed.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F; slice contract as for
+    /// [`w_terms_avx2`].
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn w_terms_avx512(
+        freqs: &[f64; 4],
+        inv_r: f64,
+        inv_y: f64,
+        u: &[f64],
+        d: &[f64],
+        out: &mut [WTerms],
+    ) -> usize {
+        let octets = out.len() / 8;
+        let [fa, fc, fg, ft] = [
+            _mm512_set1_pd(freqs[0]),
+            _mm512_set1_pd(freqs[1]),
+            _mm512_set1_pd(freqs[2]),
+            _mm512_set1_pd(freqs[3]),
+        ];
+        for o in 0..octets {
+            // Safety: `o * 32 + 32 <= u.len()` by the octet count.
+            let [ua, uc, ug, ut] = load8(u.as_ptr().add(o * 32));
+            let [da, dc, dg, dt] = load8(d.as_ptr().add(o * 32));
+            let w1 = _mm512_fmadd_pd(
+                _mm512_mul_pd(fa, ua),
+                da,
+                _mm512_fmadd_pd(
+                    _mm512_mul_pd(fc, uc),
+                    dc,
+                    _mm512_fmadd_pd(
+                        _mm512_mul_pd(fg, ug),
+                        dg,
+                        _mm512_mul_pd(_mm512_mul_pd(ft, ut), dt),
+                    ),
+                ),
+            );
+            let ur = _mm512_fmadd_pd(fa, ua, _mm512_mul_pd(fg, ug));
+            let uy = _mm512_fmadd_pd(fc, uc, _mm512_mul_pd(ft, ut));
+            let dr = _mm512_fmadd_pd(fa, da, _mm512_mul_pd(fg, dg));
+            let dy = _mm512_fmadd_pd(fc, dc, _mm512_mul_pd(ft, dt));
+            let w2 = _mm512_fmadd_pd(
+                _mm512_mul_pd(ur, dr),
+                _mm512_set1_pd(inv_r),
+                _mm512_mul_pd(_mm512_mul_pd(uy, dy), _mm512_set1_pd(inv_y)),
+            );
+            let w3 = _mm512_mul_pd(_mm512_add_pd(ur, uy), _mm512_add_pd(dr, dy));
+            store_w8(out.as_mut_ptr().add(o * 8).cast(), w1, w2, w3);
+        }
+        octets * 8
     }
 }
 
@@ -887,34 +1119,55 @@ pub fn combine_folded(
     np as u64
 }
 
-/// One pattern block of W-term assembly (local indexing on `out_b`).
+/// One pattern of W-term assembly (the scalar form; also the tail of the
+/// vector lanes).
+#[inline]
+fn w_terms_pattern(f: &[f64; 4], inv_r: f64, inv_y: f64, uu: &[f64], dd: &[f64]) -> WTerms {
+    let (fa, fc, fg, ft) = (f[A], f[C], f[G], f[T]);
+    let w1 = (fa * uu[A]).mul_add(
+        dd[A],
+        (fc * uu[C]).mul_add(dd[C], (fg * uu[G]).mul_add(dd[G], ft * uu[T] * dd[T])),
+    );
+    let ur = fa.mul_add(uu[A], fg * uu[G]);
+    let uy = fc.mul_add(uu[C], ft * uu[T]);
+    let dr = fa.mul_add(dd[A], fg * dd[G]);
+    let dy = fc.mul_add(dd[C], ft * dd[T]);
+    let w2 = (ur * dr).mul_add(inv_r, uy * dy * inv_y);
+    let w3 = (ur + uy) * (dr + dy);
+    WTerms { w1, w2, w3 }
+}
+
+/// One pattern block of W-term assembly (local indexing on `out_b`),
+/// dispatched through [`crate::isa::active`] like [`combine_span`]: the
+/// x86-64 lanes run the per-pattern DAG of [`w_terms_pattern`] 8 / 4
+/// patterns wide and the scalar loop covers the tail (and every other
+/// target: a NEON lane could not be compiled where this was written).
 fn w_terms_block(model: &F84Model, u: &[f64], d: &[f64], out_b: &mut [WTerms]) {
     let f = &model.freqs;
-    let (fa, fc, fg, ft) = (f[A], f[C], f[G], f[T]);
-    let inv_r = 1.0 / model.freq_r();
-    let inv_y = 1.0 / model.freq_y();
-    for ((w, uu), dd) in out_b
+    let (inv_r, inv_y) = (model.inv_freq_r(), model.inv_freq_y());
+    assert!(u.len() == out_b.len() * 4 && d.len() == u.len());
+    let done = match isa::active() {
+        // Safety: the lane is one the host supports (see `combine_span`);
+        // the slice lengths were checked above.
+        #[cfg(target_arch = "x86_64")]
+        isa::KernelIsa::Avx512 => unsafe { x86::w_terms_avx512(f, inv_r, inv_y, u, d, out_b) },
+        #[cfg(target_arch = "x86_64")]
+        isa::KernelIsa::Avx2 => unsafe { x86::w_terms_avx2(f, inv_r, inv_y, u, d, out_b) },
+        _ => 0,
+    };
+    for ((w, uu), dd) in out_b[done..]
         .iter_mut()
-        .zip(u.chunks_exact(4))
-        .zip(d.chunks_exact(4))
+        .zip(u[done * 4..].chunks_exact(4))
+        .zip(d[done * 4..].chunks_exact(4))
     {
-        let w1 = (fa * uu[A]).mul_add(
-            dd[A],
-            (fc * uu[C]).mul_add(dd[C], (fg * uu[G]).mul_add(dd[G], ft * uu[T] * dd[T])),
-        );
-        let ur = fa.mul_add(uu[A], fg * uu[G]);
-        let uy = fc.mul_add(uu[C], ft * uu[T]);
-        let dr = fa.mul_add(dd[A], fg * dd[G]);
-        let dy = fc.mul_add(dd[C], ft * dd[T]);
-        let w2 = (ur * dr).mul_add(inv_r, uy * dy * inv_y);
-        let w3 = (ur + uy) * (dr + dy);
-        *w = WTerms { w1, w2, w3 };
+        *w = w_terms_pattern(f, inv_r, inv_y, uu, dd);
     }
 }
 
-/// Optimized [`reference::edge_w_terms`]: reciprocal group frequencies
-/// hoisted, multiply-add form, pattern blocks fanned across `par`'s pool
-/// (a pure per-pattern map — bit-identical at any thread count).
+/// Optimized [`reference::edge_w_terms`]: cached reciprocal group
+/// frequencies, multiply-add form on the vector lanes, pattern blocks
+/// fanned across `par`'s pool (a pure per-pattern map — bit-identical at
+/// any thread count and on any lane).
 pub fn w_terms_folded(
     par: &IntraPar,
     model: &F84Model,
@@ -934,93 +1187,86 @@ pub fn w_terms_folded(
     np as u64
 }
 
-/// Per-block partial of the branch log-likelihood fold.
-#[derive(Clone, Copy)]
-struct LnlPartial {
-    prod: LnProd,
-    scale_sum: i64,
+/// Patterns per pipeline stage of the two-phase objective. Small on
+/// purpose — a stage's reduction (a 4-cycle multiply per pattern) and the
+/// next stage's phase 1 must sit in the out-of-order window together for
+/// the two to overlap: 4 measured 2.4 ns per pattern-iteration where 8
+/// measured 2.8 and 16 3.6 (2 ties with 4 and pays more per stage).
+const STAGE: usize = 4;
+
+/// What one pattern contributes to the objective on its own: `f = c·W`
+/// clamped to the smallest normal, and with `DERIV` the derivative terms
+/// `w·f'/f` and `w·(f''/f − (f'/f)²)` (0 without). `co` is the `(value,
+/// d/dt, d²/dt²)` coefficient triples; the last two are not read without
+/// `DERIV`.
+#[inline(always)]
+fn pattern_terms<const DERIV: bool>(
+    co: &[Coefficients; 3],
+    (w1, w2, w3): (f64, f64, f64),
+    wgt: f64,
+) -> (f64, f64, f64) {
+    let dot = |c: &Coefficients| c.c1.mul_add(w1, c.c2.mul_add(w2, c.c3 * w3));
+    let f = dot(&co[0]).max(f64::MIN_POSITIVE);
+    if !DERIV {
+        return (f, 0.0, 0.0);
+    }
+    let inv = 1.0 / f;
+    let r = dot(&co[1]) * inv;
+    (f, wgt * r, wgt * r.mul_add(-r, dot(&co[2]) * inv))
 }
 
-impl LnlPartial {
-    const IDENTITY: LnlPartial = LnlPartial {
-        prod: LnProd {
-            mantissa: 1.0,
-            exponent: 0,
-            extra: 0.0,
-        },
-        scale_sum: 0,
+/// Phase-1 output for one stage of patterns, consumed in order by phase 2:
+/// per pattern the mantissa of `f`, in `[1, 2)`, its binary exponent, and
+/// the two derivative terms.
+struct Stage {
+    m: [f64; STAGE],
+    e: [i64; STAGE],
+    a: [f64; STAGE],
+    b: [f64; STAGE],
+}
+
+impl Stage {
+    const EMPTY: Stage = Stage {
+        m: [0.0; STAGE],
+        e: [0; STAGE],
+        a: [0.0; STAGE],
+        b: [0.0; STAGE],
     };
-}
 
-fn branch_lnl_block(
-    co: &EdgeCoefficients,
-    runs: &[CategoryRun],
-    w: &[WTerms],
-    weights: &[u32],
-    scale: &[i32],
-    lo: usize,
-    hi: usize,
-) -> LnlPartial {
-    let mut prod = LnProd::new();
-    let mut scale_sum: i64 = 0;
-    for run in runs_from(runs, lo) {
-        if run.start >= hi {
-            break;
-        }
-        let c = &co.per_cat[run.category];
-        for p in run.start.max(lo)..run.end.min(hi) {
-            let terms = &w[p];
-            let f =
-                c.c1.mul_add(terms.w1, c.c2.mul_add(terms.w2, c.c3 * terms.w3))
-                    .max(f64::MIN_POSITIVE);
-            prod.mul_pow(f, weights[p]);
-            scale_sum += weights[p] as i64 * scale[p] as i64;
+    /// Phase 1: [`pattern_terms`] of a stage of patterns that share their
+    /// coefficients, `w` their three planes and `wgt` their weights. No
+    /// pattern depends on another and every load is unit-stride, so the
+    /// loop is the compiler's to vectorize.
+    #[inline(always)]
+    fn fill<const DERIV: bool>(
+        &mut self,
+        co: &[Coefficients; 3],
+        w: [&[f64; STAGE]; 3],
+        wgt: &[f64; STAGE],
+    ) {
+        for slot in 0..STAGE {
+            let terms = (w[0][slot], w[1][slot], w[2][slot]);
+            let (f, a, b) = pattern_terms::<DERIV>(co, terms, wgt[slot]);
+            let bits = f.to_bits();
+            self.m[slot] = f64::from_bits((bits & MANTISSA_MASK) | ONE_EXPONENT);
+            self.e[slot] = ((bits >> 52) & 0x7ff) as i64 - 1023;
+            if DERIV {
+                (self.a[slot], self.b[slot]) = (a, b);
+            }
         }
     }
-    LnlPartial { prod, scale_sum }
-}
 
-/// Optimized [`reference::edge_log_likelihood`] over a prefilled coefficient
-/// table: category runs plus [`LnProd`] (one `ln` total instead of one per
-/// pattern); the scale offset is accumulated exactly in integers. The fold
-/// runs as one [`LnProd`] partial per [`par::PAR_BLOCK`] pattern block —
-/// the canonical fixed-order reduction, executed serially or fanned across
-/// `par`'s pool with the partials merged in block order either way, so the
-/// result is bit-identical at any thread count.
-pub fn branch_lnl_folded(
-    par: &IntraPar,
-    co: &EdgeCoefficients,
-    runs: &[CategoryRun],
-    w: &[WTerms],
-    weights: &[u32],
-    scale: &[i32],
-) -> f64 {
-    let np = w.len();
-    let nblocks = par::block_count(np);
-    let mut stack = [LnlPartial::IDENTITY; MAX_STACK_BLOCKS];
-    let mut heap = Vec::new();
-    let parts: &mut [LnlPartial] = if nblocks <= MAX_STACK_BLOCKS {
-        &mut stack[..nblocks]
-    } else {
-        heap.resize(nblocks, LnlPartial::IDENTITY);
-        &mut heap
-    };
-    let parts_ptr = SendPtr(parts.as_mut_ptr());
-    par.for_each_block(nblocks, |b| {
-        let (lo, hi) = par::block_range(b, np);
-        // Safety: slot `b` is written by exactly one block invocation.
-        unsafe { *parts_ptr.get().add(b) = branch_lnl_block(co, runs, w, weights, scale, lo, hi) };
-    });
-    let mut prod = LnProd::new();
-    let mut scale_sum: i64 = 0;
-    for part in parts.iter() {
-        prod.merge(&part.prod);
-        scale_sum += part.scale_sum;
+    /// The `f` that [`Stage::fill`] split, whole again.
+    #[inline(always)]
+    fn f(&self, slot: usize) -> f64 {
+        f64::from_bits(
+            (self.m[slot].to_bits() & MANTISSA_MASK) | ((self.e[slot] + 1023) as u64) << 52,
+        )
     }
-    prod.value() + scale_sum as f64 * LN_SCALE
 }
 
-/// Per-block partial of the fused Newton objective fold.
+/// Per-block partial of a likelihood fold: the running product and, for
+/// the Newton objective, the two derivative sums.
 #[derive(Clone, Copy)]
 struct D012Partial {
     prod: LnProd,
@@ -1038,60 +1284,202 @@ impl D012Partial {
         d1: 0.0,
         d2: 0.0,
     };
+
+    /// Phase 2 over a stage through [`LnProd::mul_pow`] itself; `raw` is the
+    /// stage's weights. Out of line, as is everything the plain stage does
+    /// not need, so that the pipeline's loop keeps its accumulators in
+    /// registers; `#[cold]` says where to put the spills, not how often this
+    /// runs — on an alignment of many repeated columns it is every stage.
+    #[cold]
+    #[inline(never)]
+    fn fold_mul_pow<const DERIV: bool>(&mut self, st: &Stage, raw: &[u32; STAGE]) {
+        let mut next = *self;
+        for (slot, &w) in raw.iter().enumerate() {
+            next.prod.mul_pow(st.f(slot), w);
+            if DERIV {
+                next.d1 += st.a[slot];
+                next.d2 += st.b[slot];
+            }
+        }
+        *self = next;
+    }
+
+    /// Both phases fused, one pattern at a time over `lo..hi` — the scalar
+    /// loop the pipeline replaced, kept for what the pipeline does not
+    /// take. `runs` starts at the run holding `lo`.
+    fn fold_patterns<const DERIV: bool>(
+        &mut self,
+        coef: &impl Fn(usize) -> [Coefficients; 3],
+        runs: &[CategoryRun],
+        w: &WPlanes,
+        weights: &PatternWeights,
+        lo: usize,
+        hi: usize,
+    ) {
+        // A local copy, so the accumulators live in registers instead of
+        // being stored and reloaded through `self` pattern by pattern.
+        let mut part = *self;
+        for run in runs {
+            if run.start >= hi {
+                break;
+            }
+            let co = coef(run.category);
+            let span = run.start.max(lo)..run.end.min(hi);
+            let planes = w.w1[span.clone()]
+                .iter()
+                .zip(&w.w2[span.clone()])
+                .zip(&w.w3[span.clone()]);
+            let weights = weights.as_f64[span.clone()].iter().zip(&weights.raw[span]);
+            for (((&w1, &w2), &w3), (&wgt, &raw)) in planes.zip(weights) {
+                let (f, a, b) = pattern_terms::<DERIV>(&co, (w1, w2, w3), wgt);
+                part.prod.mul_pow(f, raw);
+                if DERIV {
+                    part.d1 += a;
+                    part.d2 += b;
+                }
+            }
+        }
+        *self = part;
+    }
 }
 
-fn lnl_d012_block(
-    deriv: &EdgeDerivCoefficients,
-    runs: &[CategoryRun],
-    w: &[WTerms],
-    weights: &[u32],
+/// The patterns `lo..hi` — whole stages of one category run — in two
+/// phases a [`STAGE`] at a time.
+///
+/// Phase 1 ([`Stage::fill`]) leaves the mantissa and exponent of each
+/// pattern's `f` and its derivative terms in a [`Stage`]. Phase 2 folds
+/// the stage in pattern order — `mantissa *= m; exponent += e; d1 += a;
+/// d2 += b` — and is the only part that carries a dependency from pattern
+/// to pattern. The next stage's phase 1 is issued before this stage's
+/// phase 2, so its work hides under the reduction's latency chain.
+///
+/// Phase 2 is [`LnProd::mul_pow`] per pattern, bit for bit. With every
+/// weight 1 the factors are in `[1, 2)`, so the running mantissa only
+/// grows: it crossed `1e128` — where `mul_pow` renormalizes, because
+/// another factor could eventually overflow — somewhere in the stage
+/// exactly when it is past it at the end. Such a stage is folded as bare
+/// multiplies and adds, and folded again through `mul_pow`
+/// ([`D012Partial::fold_mul_pow`]), from the state before it, in the
+/// (every ~850 patterns) case that the test would have fired; so is a
+/// stage that carries another weight.
+fn pipeline<const DERIV: bool>(
+    co: &[Coefficients; 3],
+    w: &WPlanes,
+    weights: &PatternWeights,
     lo: usize,
     hi: usize,
 ) -> D012Partial {
-    let mut prod = LnProd::new();
-    let mut d1 = 0.0;
-    let mut d2 = 0.0;
-    for run in runs_from(runs, lo) {
-        if run.start >= hi {
-            break;
-        }
-        let co = &deriv.per_cat[run.category];
-        let (v, g, h) = (&co.value, &co.d1, &co.d2);
-        for p in run.start.max(lo)..run.end.min(hi) {
-            let terms = &w[p];
-            let f =
-                v.c1.mul_add(terms.w1, v.c2.mul_add(terms.w2, v.c3 * terms.w3))
-                    .max(f64::MIN_POSITIVE);
-            let fp =
-                g.c1.mul_add(terms.w1, g.c2.mul_add(terms.w2, g.c3 * terms.w3));
-            let fpp =
-                h.c1.mul_add(terms.w1, h.c2.mul_add(terms.w2, h.c3 * terms.w3));
-            let wgt = weights[p] as f64;
-            let inv = 1.0 / f;
-            let r = fp * inv;
-            prod.mul_pow(f, weights[p]);
-            d1 += wgt * r;
-            d2 += wgt * r.mul_add(-r, fpp * inv);
-        }
+    // The accumulators are bare locals, gathered into a partial only where
+    // the out-of-line fold wants one: a partial whose address is taken
+    // lives in memory, and the chain with it.
+    let (mut mantissa, mut exponent, mut extra, mut d1, mut d2) = (1.0, 0, 0.0, 0.0, 0.0);
+    let mut stages = [Stage::EMPTY, Stage::EMPTY];
+    let [mut filling, mut folding] = stages.each_mut();
+    // The range of each array phase 1 reads, and of the weights phase 2
+    // tests: sliced once, so that a stage is a constant-length window.
+    let n = hi - lo;
+    let (w1, w2, w3) = (&w.w1[lo..hi], &w.w2[lo..hi], &w.w3[lo..hi]);
+    let (wgt, raw) = (&weights.as_f64[lo..hi], &weights.raw[lo..hi]);
+    fn stage<T>(of: &[T], at: usize) -> &[T; STAGE] {
+        of[at..at + STAGE]
+            .try_into()
+            .expect("a window of STAGE elements")
     }
-    D012Partial { prod, d1, d2 }
+    // The stage at `at` is filled on one turn and folded on the next.
+    for at in (0..n + STAGE).step_by(STAGE) {
+        if at < n {
+            filling.fill::<DERIV>(
+                co,
+                [stage(w1, at), stage(w2, at), stage(w3, at)],
+                stage(wgt, at),
+            );
+        }
+        std::mem::swap(&mut filling, &mut folding);
+        if at == 0 {
+            continue;
+        }
+        let raw = stage(raw, at - STAGE);
+        let st = &*filling;
+        // One OR over the stage instead of a branch per weight.
+        if raw.iter().fold(0, |odd, &w| odd | (w ^ 1)) == 0 {
+            let (mut m, mut e, mut s1, mut s2) = (mantissa, exponent, d1, d2);
+            for slot in 0..STAGE {
+                m *= st.m[slot];
+                e += st.e[slot];
+                if DERIV {
+                    s1 += st.a[slot];
+                    s2 += st.b[slot];
+                }
+            }
+            if m < 1e128 {
+                (mantissa, exponent, d1, d2) = (m, e, s1, s2);
+                continue;
+            }
+        }
+        let mut part = D012Partial {
+            prod: LnProd {
+                mantissa,
+                exponent,
+                extra,
+            },
+            d1,
+            d2,
+        };
+        part.fold_mul_pow::<DERIV>(st, raw);
+        (mantissa, exponent, extra) = (part.prod.mantissa, part.prod.exponent, part.prod.extra);
+        (d1, d2) = (part.d1, part.d2);
+    }
+    D012Partial {
+        prod: LnProd {
+            mantissa,
+            exponent,
+            extra,
+        },
+        d1,
+        d2,
+    }
 }
 
-/// Fused W-terms → (lnL, d1, d2) evaluation for Newton: one pass over the
-/// patterns computes the likelihood and both derivatives from a prefilled
-/// derivative-coefficient table. Matches
-/// [`crate::newton::log_likelihood_d012`] (which excludes the constant
-/// scaling offset) to rounding. Folded per pattern block exactly like
-/// [`branch_lnl_folded`] — the derivative sums merge in block order too,
-/// so Newton's trajectory is bit-identical at any thread count.
-pub fn lnl_d012_folded(
-    par: &IntraPar,
-    deriv: &EdgeDerivCoefficients,
+/// One block of a likelihood fold, the patterns `lo..hi`.
+///
+/// The [`pipeline`] takes the whole stages of a block that it is faster
+/// on: one rate category throughout (it pays a stage's latency to start
+/// and to drain, which a short run does not earn back) and at most an
+/// eighth of the weights not 1 (a stage that carries one goes through
+/// `mul_pow` on top of its phase 1). The rest of such a block, and any
+/// other block, is [`D012Partial::fold_patterns`]'s.
+fn objective_block<const DERIV: bool>(
+    coef: &impl Fn(usize) -> [Coefficients; 3],
     runs: &[CategoryRun],
-    w: &[WTerms],
-    weights: &[u32],
-) -> (f64, f64, f64) {
+    w: &WPlanes,
+    weights: &PatternWeights,
+    lo: usize,
+    hi: usize,
+) -> D012Partial {
+    let runs = runs_from(runs, lo);
+    let repeated = weights.raw[lo..hi].iter().filter(|&&w| w != 1).count();
+    let staged = if runs[0].end >= hi && repeated * 8 <= hi - lo {
+        lo + (hi - lo) / STAGE * STAGE
+    } else {
+        lo
+    };
+    let mut part = pipeline::<DERIV>(&coef(runs[0].category), w, weights, lo, staged);
+    part.fold_patterns::<DERIV>(coef, runs, w, weights, staged, hi);
+    part
+}
+
+/// Run [`objective_block`] per [`par::PAR_BLOCK`] pattern block — serially
+/// or fanned across `par`'s pool — and merge the partials in block order:
+/// the canonical fixed-order reduction, bit-identical at any thread count.
+fn objective_folded<const DERIV: bool>(
+    par: &IntraPar,
+    coef: &(impl Fn(usize) -> [Coefficients; 3] + Sync),
+    runs: &[CategoryRun],
+    w: &WPlanes,
+    weights: &PatternWeights,
+) -> D012Partial {
     let np = w.len();
+    assert_eq!(weights.raw.len(), np, "weights must cover every pattern");
     let nblocks = par::block_count(np);
     let mut stack = [D012Partial::IDENTITY; MAX_STACK_BLOCKS];
     let mut heap = Vec::new();
@@ -1105,17 +1493,92 @@ pub fn lnl_d012_folded(
     par.for_each_block(nblocks, |b| {
         let (lo, hi) = par::block_range(b, np);
         // Safety: slot `b` is written by exactly one block invocation.
-        unsafe { *parts_ptr.get().add(b) = lnl_d012_block(deriv, runs, w, weights, lo, hi) };
+        unsafe {
+            *parts_ptr.get().add(b) = objective_block::<DERIV>(coef, runs, w, weights, lo, hi)
+        };
     });
-    let mut prod = LnProd::new();
-    let mut d1 = 0.0;
-    let mut d2 = 0.0;
+    let mut total = D012Partial::IDENTITY;
     for part in parts.iter() {
-        prod.merge(&part.prod);
-        d1 += part.d1;
-        d2 += part.d2;
+        total.prod.merge(&part.prod);
+        total.d1 += part.d1;
+        total.d2 += part.d2;
     }
-    (prod.value(), d1, d2)
+    total
+}
+
+/// Optimized [`reference::edge_log_likelihood`] over a prefilled coefficient
+/// table: the value-only two-phase fold (one `ln` total instead of one per
+/// pattern) plus the scale offset, which is accumulated exactly in
+/// integers. Bit-identical at any thread count and on any lane.
+pub fn branch_lnl_folded(
+    par: &IntraPar,
+    co: &EdgeCoefficients,
+    runs: &[CategoryRun],
+    w: &WPlanes,
+    weights: &PatternWeights,
+    scale: &[i32],
+) -> f64 {
+    let coef = |cat: usize| {
+        let c = &co.per_cat[cat];
+        let value = Coefficients {
+            c1: c.c1,
+            c2: c.c2,
+            c3: c.c3,
+        };
+        [value; 3]
+    };
+    let prod = objective_folded::<false>(par, &coef, runs, w, weights).prod;
+    assert_eq!(
+        scale.len(),
+        w.len(),
+        "scale counts must cover every pattern"
+    );
+    let scale_sum: i64 = weights
+        .raw
+        .iter()
+        .zip(scale)
+        .map(|(&wt, &sc)| wt as i64 * sc as i64)
+        .sum();
+    prod.value() + scale_sum as f64 * LN_SCALE
+}
+
+fn deriv_coef(deriv: &EdgeDerivCoefficients) -> impl Fn(usize) -> [Coefficients; 3] + Sync + '_ {
+    move |cat| {
+        let c = &deriv.per_cat[cat];
+        [c.value, c.d1, c.d2]
+    }
+}
+
+/// Fused W-terms → (lnL, d1, d2) evaluation for Newton from a prefilled
+/// derivative-coefficient table. Matches
+/// [`crate::newton::log_likelihood_d012`] (which excludes the constant
+/// scaling offset) to rounding. Folded per pattern block exactly like
+/// [`branch_lnl_folded`] — the derivative sums merge in block order too,
+/// so Newton's trajectory is bit-identical at any thread count.
+pub fn lnl_d012_folded(
+    par: &IntraPar,
+    deriv: &EdgeDerivCoefficients,
+    runs: &[CategoryRun],
+    w: &WPlanes,
+    weights: &PatternWeights,
+) -> (f64, f64, f64) {
+    let total = objective_folded::<true>(par, &deriv_coef(deriv), runs, w, weights);
+    (total.prod.value(), total.d1, total.d2)
+}
+
+/// The lnL of [`lnl_d012_folded`] alone — the same product, the same bits
+/// — without the reciprocal and the two derivative dot products: what
+/// Newton's closing evaluation needs.
+pub fn lnl_value_folded(
+    par: &IntraPar,
+    deriv: &EdgeDerivCoefficients,
+    runs: &[CategoryRun],
+    w: &WPlanes,
+    weights: &PatternWeights,
+) -> f64 {
+    objective_folded::<false>(par, &deriv_coef(deriv), runs, w, weights)
+        .prod
+        .value()
 }
 
 /// Mode-dispatched internal-node CLV combine: fills the scratch coefficient
@@ -1198,18 +1661,21 @@ pub fn branch_lnl(
     scratch: &mut KernelScratch,
     t: f64,
     w: &[WTerms],
-    weights: &[u32],
+    weights: &PatternWeights,
     scale: &[i32],
 ) -> f64 {
     match mode {
-        KernelMode::Reference => reference::edge_log_likelihood(model, cats, t, w, weights, scale),
+        KernelMode::Reference => {
+            reference::edge_log_likelihood(model, cats, t, w, weights.raw(), scale)
+        }
         KernelMode::Optimized => {
             scratch.co_a.fill(model, cats, t);
+            scratch.planes.fill(w);
             branch_lnl_folded(
                 &scratch.par,
                 &scratch.co_a,
                 &scratch.runs,
-                w,
+                &scratch.planes,
                 weights,
                 scale,
             )
@@ -1221,7 +1687,8 @@ pub fn branch_lnl(
 /// shares the safeguarded iteration in [`crate::newton`] but evaluates the
 /// objective through the fused kernel with a reusable coefficient table —
 /// no allocation per iteration (the reference arm keeps the seed's
-/// per-iteration `Vec` collect).
+/// per-iteration `Vec` collect) — and answers the loop's value-only
+/// closing evaluation without the derivative work.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_branch_dispatch(
     mode: KernelMode,
@@ -1229,23 +1696,176 @@ pub fn optimize_branch_dispatch(
     cats: &RateCategories,
     scratch: &mut KernelScratch,
     w: &[WTerms],
-    weights: &[u32],
+    weights: &PatternWeights,
     t0: f64,
     opts: &NewtonOptions,
     work: &mut WorkCounter,
 ) -> f64 {
     match mode {
-        KernelMode::Reference => newton::optimize_branch(model, cats, w, weights, t0, opts, work),
+        KernelMode::Reference => {
+            newton::optimize_branch(model, cats, w, weights.raw(), t0, opts, work)
+        }
         KernelMode::Optimized => {
             let KernelScratch {
-                runs, deriv, par, ..
+                runs,
+                deriv,
+                planes,
+                par,
+                ..
             } = scratch;
-            newton::newton_loop(t0, opts, &mut |t| {
+            planes.fill(w);
+            newton::newton_loop(t0, opts, &mut |t, value_only| {
                 deriv.fill(model, cats, t);
                 work.newton_pattern_iters += w.len() as u64;
-                lnl_d012_folded(par, deriv, runs, w, weights)
+                if value_only {
+                    (
+                        lnl_value_folded(par, deriv, runs, planes, weights),
+                        0.0,
+                        0.0,
+                    )
+                } else {
+                    lnl_d012_folded(par, deriv, runs, planes, weights)
+                }
             })
         }
+    }
+}
+
+/// The scalar originals of the objective and W-term kernels, kept as the
+/// bit-for-bit oracle of the two-phase and vectorized forms: one pattern at
+/// a time, [`LnProd::mul_pow`] in the loop, the group reciprocals divided
+/// per block.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub fn lnl_d012_block(
+        deriv: &EdgeDerivCoefficients,
+        runs: &[CategoryRun],
+        w: &[WTerms],
+        weights: &[u32],
+        lo: usize,
+        hi: usize,
+    ) -> (LnProd, f64, f64) {
+        let mut prod = LnProd::new();
+        let mut d1 = 0.0;
+        let mut d2 = 0.0;
+        for run in runs_from(runs, lo) {
+            if run.start >= hi {
+                break;
+            }
+            let co = &deriv.per_cat[run.category];
+            let (v, g, h) = (&co.value, &co.d1, &co.d2);
+            for p in run.start.max(lo)..run.end.min(hi) {
+                let terms = &w[p];
+                let f =
+                    v.c1.mul_add(terms.w1, v.c2.mul_add(terms.w2, v.c3 * terms.w3))
+                        .max(f64::MIN_POSITIVE);
+                let fp =
+                    g.c1.mul_add(terms.w1, g.c2.mul_add(terms.w2, g.c3 * terms.w3));
+                let fpp =
+                    h.c1.mul_add(terms.w1, h.c2.mul_add(terms.w2, h.c3 * terms.w3));
+                let wgt = weights[p] as f64;
+                let inv = 1.0 / f;
+                let r = fp * inv;
+                prod.mul_pow(f, weights[p]);
+                d1 += wgt * r;
+                d2 += wgt * r.mul_add(-r, fpp * inv);
+            }
+        }
+        (prod, d1, d2)
+    }
+
+    pub fn lnl_d012_folded(
+        deriv: &EdgeDerivCoefficients,
+        runs: &[CategoryRun],
+        w: &[WTerms],
+        weights: &[u32],
+    ) -> (f64, f64, f64) {
+        let np = w.len();
+        let mut prod = LnProd::new();
+        let mut d1 = 0.0;
+        let mut d2 = 0.0;
+        for b in 0..par::block_count(np) {
+            let (lo, hi) = par::block_range(b, np);
+            let part = lnl_d012_block(deriv, runs, w, weights, lo, hi);
+            prod.merge(&part.0);
+            d1 += part.1;
+            d2 += part.2;
+        }
+        (prod.value(), d1, d2)
+    }
+
+    pub fn branch_lnl_folded(
+        co: &EdgeCoefficients,
+        runs: &[CategoryRun],
+        w: &[WTerms],
+        weights: &[u32],
+        scale: &[i32],
+    ) -> f64 {
+        let np = w.len();
+        let mut total = LnProd::new();
+        let mut scale_sum: i64 = 0;
+        for b in 0..par::block_count(np) {
+            let (lo, hi) = par::block_range(b, np);
+            let mut prod = LnProd::new();
+            for run in runs_from(runs, lo) {
+                if run.start >= hi {
+                    break;
+                }
+                let c = &co.per_cat[run.category];
+                for p in run.start.max(lo)..run.end.min(hi) {
+                    let terms = &w[p];
+                    let f =
+                        c.c1.mul_add(terms.w1, c.c2.mul_add(terms.w2, c.c3 * terms.w3))
+                            .max(f64::MIN_POSITIVE);
+                    prod.mul_pow(f, weights[p]);
+                    scale_sum += weights[p] as i64 * scale[p] as i64;
+                }
+            }
+            total.merge(&prod);
+        }
+        total.value() + scale_sum as f64 * LN_SCALE
+    }
+
+    pub fn w_terms(model: &F84Model, u: &[f64], d: &[f64], out: &mut [WTerms]) {
+        let f = &model.freqs;
+        let (fa, fc, fg, ft) = (f[A], f[C], f[G], f[T]);
+        let inv_r = 1.0 / model.freq_r();
+        let inv_y = 1.0 / model.freq_y();
+        for ((w, uu), dd) in out.iter_mut().zip(u.chunks_exact(4)).zip(d.chunks_exact(4)) {
+            let w1 = (fa * uu[A]).mul_add(
+                dd[A],
+                (fc * uu[C]).mul_add(dd[C], (fg * uu[G]).mul_add(dd[G], ft * uu[T] * dd[T])),
+            );
+            let ur = fa.mul_add(uu[A], fg * uu[G]);
+            let uy = fc.mul_add(uu[C], ft * uu[T]);
+            let dr = fa.mul_add(dd[A], fg * dd[G]);
+            let dy = fc.mul_add(dd[C], ft * dd[T]);
+            let w2 = (ur * dr).mul_add(inv_r, uy * dy * inv_y);
+            let w3 = (ur + uy) * (dr + dy);
+            *w = WTerms { w1, w2, w3 };
+        }
+    }
+
+    /// The optimizer over the scalar objective, every evaluation in full.
+    #[allow(clippy::too_many_arguments)]
+    pub fn optimize_branch(
+        model: &F84Model,
+        cats: &RateCategories,
+        runs: &[CategoryRun],
+        w: &[WTerms],
+        weights: &[u32],
+        t0: f64,
+        opts: &NewtonOptions,
+        work: &mut WorkCounter,
+    ) -> f64 {
+        let mut deriv = EdgeDerivCoefficients::default();
+        newton::newton_loop(t0, opts, &mut |t, _value_only| {
+            deriv.fill(model, cats, t);
+            work.newton_pattern_iters += w.len() as u64;
+            lnl_d012_folded(&deriv, runs, w, weights)
+        })
     }
 }
 
@@ -1443,6 +2063,241 @@ mod tests {
                 "block {block}"
             );
         }
+    }
+
+    /// xorshift64* in `[0, 1)`.
+    fn unit_stream(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed.max(1);
+        move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// `ncat` categories whose runs end mid-lane (5, 11), mid-stage and on
+    /// both sides of the first `PAR_BLOCK` boundary (250, 260).
+    fn cut_categories(np: usize, ncat: usize) -> RateCategories {
+        let cuts = [5usize, 11, 100, 250, 260, 600, 601];
+        let assignment = (0..np)
+            .map(|p| (cuts.iter().filter(|&&c| c <= p).count() % ncat) as u32)
+            .collect();
+        RateCategories::new(
+            (0..ncat).map(|c| 0.4 + 0.7 * c as f64).collect(),
+            assignment,
+        )
+    }
+
+    /// W-terms of random CLVs, salted with the values the clamp exists
+    /// for: all-zero, subnormal and NaN terms.
+    fn salted_w_terms(model: &F84Model, np: usize, seed: u64) -> Vec<WTerms> {
+        let mut next = unit_stream(seed);
+        let u: Vec<f64> = (0..np * 4).map(|_| 0.01 + next()).collect();
+        let d: Vec<f64> = (0..np * 4).map(|_| 0.01 + next()).collect();
+        let mut w = vec![WTerms::ZERO; np];
+        oracle::w_terms(model, &u, &d, &mut w);
+        for (p, terms) in w.iter_mut().enumerate() {
+            if p % 29 == 5 {
+                *terms = WTerms::ZERO;
+            } else if p % 31 == 7 {
+                terms.w1 = 5e-324;
+                terms.w2 = 0.0;
+                terms.w3 = 1e-310;
+            } else if p % 37 == 11 {
+                terms.w1 = f64::NAN;
+            }
+        }
+        w
+    }
+
+    /// 1, except at every `stride`-th pattern and on the stage and block
+    /// boundaries, where the other classes of weight take turns: 17 is an
+    /// alignment of mostly distinct columns, 2 one of mostly repeated ones
+    /// (every stage carries weights), 1 leaves no unit weight at all (and
+    /// two log-space fallbacks in one stage).
+    fn salted_weights(np: usize, stride: usize) -> Vec<u32> {
+        let classes = [0u32, 2, 14, POW_LIMIT, POW_LIMIT + 1];
+        let mut k = 0;
+        (0..np)
+            .map(|p| {
+                if p % stride == 3 % stride || [7, 8, 255, 256].contains(&p) {
+                    k += 1;
+                    classes[k % classes.len()]
+                } else {
+                    1
+                }
+            })
+            .collect()
+    }
+
+    fn supported_lanes() -> Vec<isa::KernelIsa> {
+        isa::KernelIsa::ALL
+            .into_iter()
+            .filter(|lane| lane.supported())
+            .collect()
+    }
+
+    /// Bit equality — except that a NaN only has to meet a NaN: IEEE 754
+    /// leaves the sign and payload an operation gives a NaN result open
+    /// (`r.mul_add(-r, x)` and a fused negate-multiply-add differ in it),
+    /// and nothing downstream reads them.
+    fn assert_bits(got: f64, want: f64, what: &str, tag: &str) {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{what}: {got} ({:#x}) vs {want} ({:#x}) ({tag})",
+            got.to_bits(),
+            want.to_bits()
+        );
+    }
+
+    /// The two-phase objective against the scalar original, bit for bit,
+    /// at every thread count and share of non-unit weights: `(lnL, d1,
+    /// d2)`, the value-only lnL, the branch lnL, and the optimizer's `t`
+    /// and work count. (The objective has no ISA lanes of its own: phase 1
+    /// is one portable loop.)
+    #[test]
+    fn objective_matches_the_scalar_original_bit_for_bit() {
+        let model = F84Model::new([0.31, 0.19, 0.27, 0.23], 2.0);
+        let pools = [1usize, 2, 4].map(IntraPar::with_threads);
+        let sizes = [1usize, 7, 8, 9, 255, 256, 257, 1000];
+        for (np, stride) in sizes.into_iter().flat_map(|np| [17, 2, 1].map(|s| (np, s))) {
+            let w = salted_w_terms(&model, np, 0xD012 + np as u64);
+            let planes = WPlanes::new(&w);
+            let weights = salted_weights(np, stride);
+            let bound = PatternWeights::new(&weights);
+            let scale: Vec<i32> = (0..np).map(|p| (p % 3) as i32).collect();
+            for ncat in 1..=4usize.min(np) {
+                let cats = cut_categories(np, ncat);
+                let runs = category_runs(&cats);
+                let mut deriv = EdgeDerivCoefficients::default();
+                deriv.fill(&model, &cats, 0.37);
+                let mut co = EdgeCoefficients::new();
+                co.fill(&model, &cats, 0.37);
+                let want = oracle::lnl_d012_folded(&deriv, &runs, &w, &weights);
+                let want_lnl = oracle::branch_lnl_folded(&co, &runs, &w, &weights, &scale);
+                let opts = NewtonOptions::default();
+                let mut want_work = WorkCounter::new();
+                let want_t = oracle::optimize_branch(
+                    &model,
+                    &cats,
+                    &runs,
+                    &w,
+                    &weights,
+                    0.2,
+                    &opts,
+                    &mut want_work,
+                );
+                for par in &pools {
+                    let tag = format!(
+                        "np={np} stride={stride} ncat={ncat} threads={}",
+                        par.threads()
+                    );
+                    let got = lnl_d012_folded(par, &deriv, &runs, &planes, &bound);
+                    assert_bits(got.0, want.0, "lnL", &tag);
+                    assert_bits(got.1, want.1, "d1", &tag);
+                    assert_bits(got.2, want.2, "d2", &tag);
+                    let value = lnl_value_folded(par, &deriv, &runs, &planes, &bound);
+                    assert_bits(value, want.0, "value-only lnL", &tag);
+                    let lnl = branch_lnl_folded(par, &co, &runs, &planes, &bound, &scale);
+                    assert_bits(lnl, want_lnl, "branch lnL", &tag);
+                    let mut scratch = KernelScratch::with_par(&cats, par.clone());
+                    let mut work = WorkCounter::new();
+                    let t = optimize_branch_dispatch(
+                        KernelMode::Optimized,
+                        &model,
+                        &cats,
+                        &mut scratch,
+                        &w,
+                        &bound,
+                        0.2,
+                        &opts,
+                        &mut work,
+                    );
+                    assert_bits(t, want_t, "optimized t", &tag);
+                    assert_eq!(work, want_work, "work ({tag})");
+                }
+            }
+        }
+    }
+
+    /// Enough factors close to 2 in one block that the running mantissa
+    /// passes `1e128` in the middle of a stage: the fold must renormalize
+    /// at the pattern where `mul_pow` does — in a stage of unit weights,
+    /// and in one that carries a weight. (`PAR_BLOCK` factors cannot get
+    /// there — 2^256 < 1e128 — so the block kernel is driven directly over
+    /// a longer range.)
+    #[test]
+    fn renormalize_fires_mid_stage_like_mul_pow() {
+        let model = F84Model::new([0.3, 0.2, 0.25, 0.25], 2.0);
+        let np = 1000;
+        let cats = RateCategories::single(np);
+        let runs = category_runs(&cats);
+        let mut deriv = EdgeDerivCoefficients::default();
+        deriv.fill(&model, &cats, 0.37);
+        let c1 = deriv.per_cat[0].value.c1;
+        let mut next = unit_stream(0x1e128);
+        let w: Vec<WTerms> = (0..np)
+            .map(|_| WTerms {
+                w1: (1.9 + 0.0999 * next()) / c1,
+                w2: 0.0,
+                w3: 0.0,
+            })
+            .collect();
+        // Every factor has exponent 0, so the running exponent leaves 0 at
+        // the renormalize: it happens, and not on a stage's last pattern.
+        let mut prod = LnProd::new();
+        let crossing = (0..np)
+            .find(|&p| {
+                prod.mul_pow(c1 * w[p].w1, 1);
+                prod.exponent != 0
+            })
+            .expect("the product crosses 1e128");
+        assert!(crossing % STAGE != STAGE - 1, "crossing at {crossing}");
+        // A weight right behind the crossing puts it in a weighted stage.
+        for (at, tag) in [(700, "unit stage"), (crossing + 1, "weighted stage")] {
+            let mut weights = vec![1u32; np];
+            weights[at] = 3;
+            let bound = PatternWeights::new(&weights);
+            let want = oracle::lnl_d012_block(&deriv, &runs, &w, &weights, 0, np);
+            let planes = WPlanes::new(&w);
+            let got = objective_block::<true>(&deriv_coef(&deriv), &runs, &planes, &bound, 0, np);
+            assert_eq!(
+                got.prod.mantissa.to_bits(),
+                want.0.mantissa.to_bits(),
+                "{tag}"
+            );
+            assert_eq!(got.prod.exponent, want.0.exponent, "{tag}");
+            assert_bits(got.prod.value(), want.0.value(), "lnL", tag);
+            assert_bits(got.d1, want.1, "d1", tag);
+            assert_bits(got.d2, want.2, "d2", tag);
+        }
+    }
+
+    /// The vectorized W-term assembly against the scalar original, bit for
+    /// bit, on every lane, at sizes that exercise each lane's tail.
+    #[test]
+    fn w_terms_match_the_scalar_original_bit_for_bit() {
+        let model = F84Model::new([0.31, 0.19, 0.27, 0.23], 2.0);
+        for np in [1usize, 7, 8, 9, 37, 257] {
+            let mut next = unit_stream(0xBEEF + np as u64);
+            let u: Vec<f64> = (0..np * 4).map(|_| 1e-3 + next()).collect();
+            let d: Vec<f64> = (0..np * 4).map(|_| 1e-30 * next()).collect();
+            let mut want = vec![WTerms::ZERO; np];
+            oracle::w_terms(&model, &u, &d, &mut want);
+            for lane in supported_lanes() {
+                isa::set_isa(Some(lane)).unwrap();
+                let mut got = vec![WTerms::ZERO; np];
+                w_terms_folded(&IntraPar::serial(), &model, &u, &d, &mut got);
+                for (p, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let tag = format!("np={np} lane={lane} pattern {p}");
+                    assert_bits(g.w1, w.w1, "w1", &tag);
+                    assert_bits(g.w2, w.w2, "w2", &tag);
+                    assert_bits(g.w3, w.w3, "w3", &tag);
+                }
+            }
+        }
+        isa::set_isa(None).unwrap();
     }
 
     #[cfg(target_arch = "x86_64")]

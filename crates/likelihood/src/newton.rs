@@ -85,15 +85,17 @@ pub fn log_likelihood_derivatives(
     (d1, d2)
 }
 
-/// The safeguarded Newton ascent shared by both kernel paths: `eval(t)`
-/// returns `(lnL, d1, d2)` at a candidate length (and does its own work
-/// accounting). Factored out so the optimized fused-kernel objective in
-/// [`crate::kernels`] and the scalar reference objective iterate through
-/// byte-identical control flow.
+/// The safeguarded Newton ascent shared by both kernel paths:
+/// `eval(t, value_only)` returns `(lnL, d1, d2)` at a candidate length (and
+/// does its own work accounting). `value_only` is a hint that the caller
+/// will read `lnL` alone — an objective may skip the derivatives then, as
+/// long as `lnL` keeps its bits. Factored out so the optimized fused-kernel
+/// objective in [`crate::kernels`] and the scalar reference objective
+/// iterate through byte-identical control flow.
 pub(crate) fn newton_loop(
     t0: f64,
     opts: &NewtonOptions,
-    eval: &mut dyn FnMut(f64) -> (f64, f64, f64),
+    eval: &mut dyn FnMut(f64, bool) -> (f64, f64, f64),
 ) -> f64 {
     if opts.max_iters == 0 {
         // Optimization disabled: keep the starting length exactly (the
@@ -105,7 +107,7 @@ pub(crate) fn newton_loop(
     let mut best_t = t;
     let mut best_lnl = f64::NEG_INFINITY;
     for _ in 0..opts.max_iters {
-        let (lnl, d1, d2) = eval(t);
+        let (lnl, d1, d2) = eval(t, false);
         // Track the best point actually visited: Newton steps can overshoot
         // and reduce the likelihood, but returning the argmax over visited
         // points makes the optimization monotone (never worse than t0).
@@ -131,7 +133,7 @@ pub(crate) fn newton_loop(
         }
     }
     // Account for the final point (reached but not yet measured).
-    let (lnl, _, _) = eval(t);
+    let (lnl, _, _) = eval(t, true);
     if lnl > best_lnl {
         best_t = t;
     }
@@ -153,7 +155,7 @@ pub fn optimize_branch(
     opts: &NewtonOptions,
     work: &mut WorkCounter,
 ) -> f64 {
-    newton_loop(t0, opts, &mut |t| {
+    newton_loop(t0, opts, &mut |t, _value_only| {
         work.newton_pattern_iters += w.len() as u64;
         log_likelihood_d012(model, cats, t, w, weights)
     })

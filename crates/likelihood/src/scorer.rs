@@ -213,7 +213,7 @@ pub(crate) fn score_attachment(
     let mode = engine.kernel_mode();
     let model = engine.model();
     let cats = engine.categories();
-    let weights = engine.patterns().weights();
+    let weights = engine.pattern_weights();
     let np = engine.patterns().num_patterns();
     let clvs = [a.0, b.0, c.0];
     let scales = [a.1, b.1, c.1];

@@ -173,6 +173,7 @@ fn branch_lnl_matches_reference() {
             let mut w = vec![WTerms::ZERO; np];
             reference::edge_w_terms(&model, &u, &d, &mut w);
             let weights = random_weights(&mut rng, np);
+            let bound = kernels::PatternWeights::new(&weights);
             let scale: Vec<i32> = (0..np).map(|_| rng.random_range(0u32..4) as i32).collect();
             let t = rng.random_range(0.001f64..8.0);
             let lnl_ref = reference::edge_log_likelihood(&model, &cats, t, &w, &weights, &scale);
@@ -183,7 +184,7 @@ fn branch_lnl_matches_reference() {
                 &mut scratch,
                 t,
                 &w,
-                &weights,
+                &bound,
                 &scale,
             );
             assert!(
@@ -206,7 +207,7 @@ fn newton_optimization_matches_reference() {
             let d = random_clv(&mut rng, np, false);
             let mut w = vec![WTerms::ZERO; np];
             reference::edge_w_terms(&model, &u, &d, &mut w);
-            let weights = random_weights(&mut rng, np);
+            let weights = kernels::PatternWeights::new(&random_weights(&mut rng, np));
             let t0 = rng.random_range(0.01f64..2.0);
             let opts = NewtonOptions::default();
             let mut wk_ref = WorkCounter::new();

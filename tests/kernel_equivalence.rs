@@ -3,7 +3,7 @@
 //! The contract this suite pins: the log-likelihood surface is a property
 //! of the *data and the model*, not of how the kernels happen to run. On
 //! seeded datasets it drives every execution path the dispatcher can take
-//! — {scalar, widest host ISA} × {1, 2, 4 intra-rank threads} ×
+//! — {every ISA lane the host supports} × {1, 2, 4 intra-rank threads} ×
 //! {Reference, Optimized} — through evaluation, branch optimization,
 //! Newton derivatives, incremental `score_edit`, and a whole stepwise
 //! search, and demands:
@@ -39,15 +39,13 @@ use fastdnaml::phylo::tree::Tree;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// The lanes this host can execute: always scalar, plus the widest
-/// detected ISA when that is something else.
+/// Every lane this host can execute: on an AVX-512 host that is scalar,
+/// AVX2 and AVX-512, so the narrower vector lane is not skipped.
 fn lanes() -> Vec<KernelIsa> {
-    let mut lanes = vec![KernelIsa::Scalar];
-    let best = isa::detected();
-    if best != KernelIsa::Scalar {
-        lanes.push(best);
-    }
-    lanes
+    KernelIsa::ALL
+        .into_iter()
+        .filter(|lane| lane.supported())
+        .collect()
 }
 
 fn fixture(taxa: usize, sites: usize, seed: u64) -> (Tree, Alignment) {
@@ -171,6 +169,10 @@ fn d012_fold_is_bit_identical_across_thread_counts() {
         let mut w = vec![WTerms::ZERO; np];
         reference::edge_w_terms(&model, &u, &d, &mut w);
         let weights: Vec<u32> = (0..np).map(|_| 1 + (next() * 5.0) as u32).collect();
+        let (w, weights) = (
+            kernels::WPlanes::new(&w),
+            kernels::PatternWeights::new(&weights),
+        );
         let mut deriv = EdgeDerivCoefficients::default();
         deriv.fill(&model, &cats, 0.37);
         let base = kernels::lnl_d012_folded(&IntraPar::serial(), &deriv, &runs, &w, &weights);
