@@ -87,11 +87,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 # comes from a full run). The reporter itself enforces the >=3x incremental
 # candidate-round gate, the bit-identity of the intra-threaded engine and
 # that of the two-phase Newton objective with the scalar loop it replaced
-# (the `newton_objective` / `newton_value_only` / `w_terms` rows), so the
-# --quick run doubles as all three smokes.
+# (the `newton_objective` / `w_terms` rows), so the --quick run doubles as
+# all three smokes.
 cargo bench --no-run
 cargo run --release -p fdml-bench --bin kernel_report -- --quick --intra-threads 2 \
   --out target/bench_kernels_smoke.json
+
+# Newton has one objective: the value-only form and the hint that selected
+# it went when a converged exit stopped measuring its last step.
+if grep -rn 'value_only\|lnl_value_folded' crates tests; then
+  echo "newton: the value-only objective is back"
+  exit 1
+fi
 
 # Incremental-evaluation equivalence suite: seeded randomized edits must
 # score identically (<=1e-12) to from-scratch evaluation under both kernel

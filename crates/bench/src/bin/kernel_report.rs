@@ -10,8 +10,8 @@
 //! rows (default 4, the gated configuration).
 
 use fdml_bench::kernel_report::{
-    compare, measure, IntraScalingReport, KernelReport, ObjectiveReport, WalOverheadReport,
-    WorkloadReport,
+    compare, measure, IntraScalingReport, KernelReport, ObjectiveReport, SmoothCandidateReport,
+    WalOverheadReport, WorkloadReport,
 };
 use fdml_bench::Args;
 use fdml_core::config::SearchConfig;
@@ -228,24 +228,31 @@ fn run_wal_overhead(samples: usize, quick: bool) -> WalOverheadReport {
         }
     }
 
+    // The arms alternate run by run, so a slow phase of the host hits
+    // both (one arm after the other read −25 % … +16 % on a shared host).
     let obs = Obs::disabled();
-    let baseline = measure(samples, rounds.max(1), || {
-        black_box(search(None, &obs).ln_likelihood);
-    });
-    let wal_arm = measure(samples, rounds.max(1), || {
-        black_box(search(Some(&dir), &obs).ln_likelihood);
-    });
-    let overhead = wal_arm.min_seconds / baseline.min_seconds - 1.0;
+    let time = |wal_dir: Option<&std::path::Path>| {
+        let start = std::time::Instant::now();
+        black_box(search(wal_dir, &obs).ln_likelihood);
+        start.elapsed().as_secs_f64()
+    };
+    let (mut bare, mut logged) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        bare.push(time(None));
+        logged.push(time(Some(&dir)));
+    }
+    let mean = |runs: &[f64]| runs.iter().sum::<f64>() / runs.len() as f64;
+    let min = |runs: &[f64]| runs.iter().copied().fold(f64::INFINITY, f64::min);
     let row = WalOverheadReport {
         name: format!("wal_overhead/golden_search/{taxa}"),
         samples,
         rounds,
         wal_bytes,
-        baseline_mean_seconds: baseline.mean_seconds,
-        baseline_min_seconds: baseline.min_seconds,
-        wal_mean_seconds: wal_arm.mean_seconds,
-        wal_min_seconds: wal_arm.min_seconds,
-        overhead,
+        baseline_mean_seconds: mean(&bare),
+        baseline_min_seconds: min(&bare),
+        wal_mean_seconds: mean(&logged),
+        wal_min_seconds: min(&logged),
+        overhead: min(&logged) / min(&bare) - 1.0,
     };
     println!(
         "{:<32} bare {:>8.3} ms  wal {:>9.3} ms  {} rounds, {} B    overhead {:+.2}%",
@@ -350,11 +357,9 @@ struct ObjectiveShape {
 /// kernel against scalar original on the same inputs — bit for bit the
 /// same answer, checked here too. First the benchmark's shape (one weight
 /// in 36 is not 1, as 4 of 142 are on its 50-taxon alignment; one rate
-/// category): the full objective, its value-only form (against the full
-/// scalar objective — what Newton's closing evaluation used to cost) and
-/// the W-term assembly. Then the full objective on the shapes that shape
-/// flatters: half and all of the weights repeated columns, and four rate
-/// categories in short runs.
+/// category): the full objective and the W-term assembly. Then the full
+/// objective on the shapes that shape flatters: half and all of the weights
+/// repeated columns, and four rate categories in short runs.
 fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
     let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ np as u64;
     let mut next = move || {
@@ -467,8 +472,6 @@ fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
             (want.0.to_bits(), want.1.to_bits(), want.2.to_bits()),
             "the two-phase objective left the scalar original's bits"
         );
-        let value = kernels::lnl_value_folded(&par, &deriv, &runs, &planes, &bound);
-        assert_eq!(value.to_bits(), want.0.to_bits());
 
         let (deriv, runs, w, weights) = (&deriv, &runs[..], &w, &weights);
         rows.push(row(
@@ -482,13 +485,6 @@ fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
             continue;
         }
         rows.push(row(
-            "newton_value_only",
-            &mut || {
-                kernels::lnl_value_folded(&par, black_box(deriv), runs, black_box(&planes), &bound)
-            },
-            &mut || scalar_lnl_d012(black_box(deriv), runs, black_box(w), weights).0,
-        ));
-        rows.push(row(
             "w_terms",
             &mut || {
                 kernels::w_terms_folded(&par, &model, black_box(&u), black_box(&d), &mut out);
@@ -501,6 +497,82 @@ fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
         ));
     }
     rows
+}
+
+/// The call the search makes per whole-tree candidate and per verified
+/// edit: `optimize` of a fully smoothed base plus one insertion at default
+/// lengths — every insertion of the last taxon, as in an addition round.
+/// Everything but the time is read off the `WorkCounter`: a branch visit
+/// is one W-term assembly, an objective evaluation one Newton
+/// pattern-sweep, and a pass combines `2n − 4` `up` CLVs and at most
+/// `n − 2` `down` ones on top of `compute_all_down`'s `n − 2`.
+fn run_smooth_candidate(taxa: usize, sites: usize, samples: usize) -> SmoothCandidateReport {
+    let (alignment, mut base) = dataset(taxa, sites);
+    let engine = SearchConfig::default().build_engine(&alignment);
+    let opts = OptimizeOptions::default();
+    let np = engine.patterns().num_patterns() as u64;
+    let (edges, internal) = (2 * taxa as u64 - 3, taxa as u64 - 2);
+    let passes_of =
+        |work: &fdml_likelihood::WorkCounter| (work.loglik_pattern_evals / np - 1) / edges;
+    // The base is a good tree — the generating one, less the last taxon —
+    // as the search's bases are; smoothed until a call stops short of the
+    // pass cap.
+    let last = taxa as u32 - 1;
+    base.remove_taxon(last).expect("the last taxon is a tip");
+    let settled = (0..32)
+        .any(|_| passes_of(&engine.optimize(&mut base, &opts).work) < opts.max_passes as u64);
+    assert!(
+        settled,
+        "{taxa}-taxon base still at the pass cap after 32 calls"
+    );
+    let candidates: Vec<Tree> = enumerate_insertion_moves(&base, last)
+        .iter()
+        .map(|mv| {
+            let mut t = base.clone();
+            apply_move(&mut t, mv).expect("move applies to base");
+            t
+        })
+        .collect();
+    let (mut passes, mut capped, mut evals, mut downs, mut updates) = (0, 0, 0, 0, 0);
+    for candidate in &candidates {
+        let work = engine.optimize(&mut candidate.clone(), &opts).work;
+        let p = passes_of(&work);
+        passes += p;
+        capped += u64::from(p == opts.max_passes as u64);
+        evals += work.newton_pattern_iters / np;
+        downs += work.clv_pattern_updates / np - internal - p * (edges - 1);
+        updates += work.total_pattern_updates();
+    }
+    let timing = measure(samples, updates, || {
+        for candidate in &candidates {
+            black_box(engine.optimize(&mut candidate.clone(), &opts).ln_likelihood);
+        }
+    });
+    let calls = candidates.len();
+    let row = SmoothCandidateReport {
+        name: format!("smooth_candidate/{taxa}"),
+        patterns: np as usize,
+        isa: fdml_likelihood::isa::active().name().to_string(),
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        samples,
+        calls,
+        ms_per_call: timing.mean_seconds * 1e3 / calls as f64,
+        mean_passes: passes as f64 / calls as f64,
+        capped_share: capped as f64 / calls as f64,
+        evals_per_visit: evals as f64 / (passes * edges) as f64,
+        down_combines_skipped: 1.0 - downs as f64 / (passes * internal) as f64,
+    };
+    println!(
+        "{:<32} {:>7.3} ms a call  {:.2} passes ({:.0}% at the cap)  {:.2} evaluations a visit  \
+         {:.0}% of down-combines skipped",
+        row.name,
+        row.ms_per_call,
+        row.mean_passes,
+        row.capped_share * 1e2,
+        row.evals_per_visit,
+        row.down_combines_skipped * 1e2
+    );
+    row
 }
 
 fn main() {
@@ -661,6 +733,17 @@ fn main() {
         );
     }
 
+    // The shape the search runs `optimize` on (a warm start), at the
+    // benchmark's two sizes; `tree_evaluate/optimize` above is the cold
+    // start. Report-only.
+    let smooth_candidate = if quick {
+        [(12, 100), (16, 100)]
+    } else {
+        [(50, 174), (101, 174)]
+    }
+    .map(|(taxa, sites)| run_smooth_candidate(taxa, sites, samples))
+    .to_vec();
+
     let report = KernelReport {
         generated_by: "fdml-bench kernel_report".into(),
         quick,
@@ -668,6 +751,7 @@ fn main() {
         intra_scaling,
         wal_overhead,
         objective,
+        smooth_candidate,
     };
     std::fs::write(&out, report.to_json() + "\n").expect("write report");
     println!("wrote {out}");

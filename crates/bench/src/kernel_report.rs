@@ -76,8 +76,9 @@ pub struct IntraScalingReport {
 /// Cost of the write-ahead round log on the golden search: the same
 /// stepwise search timed bare and with a [`fdml_core::wal`] session
 /// appending (and `fdatasync`ing) every committed round, including log
-/// creation and retirement. The gated number is the min-of-N wall ratio —
-/// the WAL's floor cost with scheduler noise squeezed out.
+/// creation and retirement, the two arms alternating run by run. The gated
+/// number is the min-of-N wall ratio — the WAL's floor cost with scheduler
+/// noise squeezed out.
 #[derive(Debug, Clone, Serialize)]
 pub struct WalOverheadReport {
     /// Workload id (e.g. `wal_overhead/golden_search/16`).
@@ -111,8 +112,8 @@ pub struct WalOverheadReport {
 #[derive(Debug, Clone, Serialize)]
 pub struct ObjectiveReport {
     /// Row id: `newton_objective/N` (with `_half_weighted`, `_all_weighted`
-    /// or `_4cat` before the slash for the other alignment shapes),
-    /// `newton_value_only/N` or `w_terms/N`.
+    /// or `_4cat` before the slash for the other alignment shapes) or
+    /// `w_terms/N`.
     pub name: String,
     /// Pattern count of one evaluation.
     pub patterns: usize,
@@ -129,6 +130,37 @@ pub struct ObjectiveReport {
     pub scalar_ns_per_pattern: f64,
     /// `scalar_ns_per_pattern / kernel_ns_per_pattern`.
     pub speedup: f64,
+}
+
+/// `optimize` on the shape the search runs it on: a fully smoothed base
+/// plus one insertion at default lengths, over every insertion edge of the
+/// last taxon. Counts are exact (read off the `WorkCounter`); only
+/// `ms_per_call` depends on the host. Report-only.
+#[derive(Debug, Clone, Serialize)]
+pub struct SmoothCandidateReport {
+    /// Row id: `smooth_candidate/TAXA`.
+    pub name: String,
+    /// Compressed pattern count of the alignment.
+    pub patterns: usize,
+    /// The active ISA lane.
+    pub isa: String,
+    /// Hardware threads the measuring host had.
+    pub host_cores: usize,
+    /// Timed sweeps over all candidates.
+    pub samples: usize,
+    /// Candidates (`optimize` calls) per sweep.
+    pub calls: usize,
+    /// Mean wall time of one `optimize` call, milliseconds.
+    pub ms_per_call: f64,
+    /// Mean smoothing passes per call.
+    pub mean_passes: f64,
+    /// Share of calls that ran into `OptimizeOptions::max_passes`.
+    pub capped_share: f64,
+    /// Newton objective evaluations per branch visit.
+    pub evals_per_visit: f64,
+    /// Share of a pass's `down` recombines skipped because nothing below
+    /// the edge moved.
+    pub down_combines_skipped: f64,
 }
 
 /// The whole report, serialized to `BENCH_kernels.json`.
@@ -151,6 +183,10 @@ pub struct KernelReport {
     /// objective).
     #[serde(default)]
     pub objective: Vec<ObjectiveReport>,
+    /// Warm-start `optimize` rows (empty before smoothing skipped clean
+    /// subtrees).
+    #[serde(default)]
+    pub smooth_candidate: Vec<SmoothCandidateReport>,
 }
 
 impl KernelReport {
@@ -246,6 +282,19 @@ mod tests {
                 scalar_ns_per_pattern: 5.0,
                 speedup: 2.5,
             }],
+            smooth_candidate: vec![SmoothCandidateReport {
+                name: "smooth_candidate/50".into(),
+                patterns: 142,
+                isa: "scalar".into(),
+                host_cores: 1,
+                samples: 3,
+                calls: 95,
+                ms_per_call: 0.9,
+                mean_passes: 5.9,
+                capped_share: 0.16,
+                evals_per_visit: 1.9,
+                down_combines_skipped: 0.37,
+            }],
             intra_scaling: vec![IntraScalingReport {
                 name: "intra_scaling/w/4".into(),
                 threads: 4,
@@ -267,5 +316,6 @@ mod tests {
         assert!(json.contains("\"overhead\""));
         assert!(json.contains("\"newton_objective/142\""));
         assert!(json.contains("\"scalar_ns_per_pattern\""));
+        assert!(json.contains("\"down_combines_skipped\""));
     }
 }

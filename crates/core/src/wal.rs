@@ -154,6 +154,13 @@ impl WalRound {
     }
 }
 
+/// Which build's arithmetic a log's `lnl_bits` were computed with. Replay
+/// compares likelihood *bits*, so a log is only replayable by a build that
+/// optimizes branch lengths to the same last bit; bump this whenever a
+/// change moves them (1: converged Newton exits stopped measuring their
+/// last step). Logs from before the field existed read as 0.
+pub const NUMERICS_EPOCH: u32 = 1;
+
 /// The first record of every WAL file: identifies the search so resume
 /// can refuse a mismatched log.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -162,6 +169,9 @@ pub struct WalStart {
     pub jumble_seed: u64,
     /// Taxon count of the search.
     pub num_taxa: usize,
+    /// The [`NUMERICS_EPOCH`] of the build that wrote the log.
+    #[serde(default)]
+    pub numerics: u32,
 }
 
 /// A record in the log: the opening [`WalStart`] or a committed round.
@@ -196,7 +206,9 @@ pub fn wal_path(dir: &Path, job: u64, seed: u64) -> PathBuf {
 }
 
 /// Load and validate the WAL for `(job, seed)` under `dir`. `Ok(None)`
-/// when no log exists or the log holds no usable header (a fresh run).
+/// when no log exists or the log holds no usable header (a fresh run) —
+/// a header of another [`NUMERICS_EPOCH`] is not usable: its rounds would
+/// fail the replay guard, so the jumble is recomputed instead.
 /// Records after a valid header are re-indexed from 0 — gaps cannot
 /// occur because appends are index-gated, but a recovered prefix is
 /// renumbered defensively.
@@ -213,7 +225,7 @@ pub fn load(dir: &Path, job: u64, seed: u64) -> io::Result<Option<WalState>> {
     let mut records = recovered.records.iter();
     let start = match records.next() {
         Some(first) => match parse(first) {
-            Some(WalRecord::Start(s)) => s,
+            Some(WalRecord::Start(s)) if s.numerics == NUMERICS_EPOCH => s,
             _ => return Ok(None),
         },
         None => return Ok(None),
@@ -265,6 +277,7 @@ impl WalWriter {
         let start = WalRecord::Start(WalStart {
             jumble_seed: seed,
             num_taxa,
+            numerics: NUMERICS_EPOCH,
         });
         log.append(
             serde_json::to_string(&start)
@@ -570,6 +583,40 @@ mod tests {
         let state = load(&dir, 0, 9).unwrap().unwrap();
         assert_eq!(state.rounds.len(), 2);
         assert!(!state.rounds[1].accepted);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn log_of_another_numerics_epoch_is_recomputed() {
+        // Written by the PR 17 build (`--jumble 7 --wal-dir`, crashed after
+        // two rounds): a header without `numerics`, then rounds whose
+        // `lnl_bits` this build's optimizer no longer lands on.
+        let old: &[u8] = include_bytes!("../testdata/pr17-jumble-7.wal");
+        let dir = scratch_dir();
+        let path = wal_path(&dir, 0, 7);
+        fs::write(&path, old).unwrap();
+        let recovered = durable::read_log(&path).unwrap().unwrap();
+        assert_eq!(recovered.records.len(), 3);
+        assert_eq!(recovered.dropped_bytes, 0);
+        let header: WalRecord =
+            serde_json::from_str(std::str::from_utf8(&recovered.records[0]).unwrap()).unwrap();
+        assert_eq!(
+            header,
+            WalRecord::Start(WalStart {
+                jumble_seed: 7,
+                num_taxa: 6,
+                numerics: 0,
+            })
+        );
+        // Not an error, not a replay: a fresh run, whose log replaces it.
+        assert!(load(&dir, 0, 7).unwrap().is_none());
+        let mut w = WalWriter::create(&dir, 0, 7, 6).unwrap();
+        assert!(fs::metadata(&path).unwrap().len() < old.len() as u64);
+        w.append(&round(0, true)).unwrap();
+        drop(w);
+        let state = load(&dir, 0, 7).unwrap().unwrap();
+        assert_eq!(state.start.numerics, NUMERICS_EPOCH);
+        assert_eq!(state.rounds, [round(0, true)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

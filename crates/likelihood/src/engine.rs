@@ -311,7 +311,7 @@ impl LikelihoodEngine {
         let mut work = WorkCounter::new();
         ws.compute_all_down(tree, &mut work);
         for _ in 0..opts.max_passes {
-            let max_delta = ws.smooth_pass(tree, opts, &mut work);
+            let (max_delta, _) = ws.smooth_edge(tree, ws.root_edge, opts, &mut work);
             if max_delta <= opts.length_tolerance {
                 break;
             }
@@ -576,31 +576,25 @@ impl<'e> Workspace<'e> {
             }
             return;
         }
-        let mut kids = [(usize::MAX, 0.0f64); 2];
-        let mut nk = 0;
-        for (f, _) in tree.neighbors(c) {
-            if f != e {
-                kids[nk] = (f.0 as usize, tree.length(f));
-                nk += 1;
-            }
-        }
-        debug_assert_eq!(nk, 2);
-        let (f1, f2) = (kids[0].0, kids[1].0);
+        let mut kids = edges_below(tree, c, e);
+        let (Some(f1), Some(f2)) = (kids.next(), kids.next()) else {
+            unreachable!("an internal node has two edges below it");
+        };
         let mut out = std::mem::take(&mut self.clvs.down[ei]);
         let mut out_scale = std::mem::take(&mut self.clvs.down_scale[ei]);
         out.resize(np * NUM_STATES, 0.0);
         out_scale.resize(np, 0);
-        let (clv1, sc1) = self.clvs.down_of(engine, f1);
-        let (clv2, sc2) = self.clvs.down_of(engine, f2);
+        let (clv1, sc1) = self.clvs.down_of(engine, f1.0 as usize);
+        let (clv2, sc2) = self.clvs.down_of(engine, f2.0 as usize);
         work.clv_pattern_updates += kernels::combine_edges(
             engine.mode,
             &engine.model,
             &engine.categories,
             &mut self.scratch,
-            kids[0].1,
+            tree.length(f1),
             clv1,
             sc1,
-            kids[1].1,
+            tree.length(f2),
             clv2,
             sc2,
             &mut out,
@@ -678,28 +672,49 @@ impl<'e> Workspace<'e> {
         self.clvs.up_scale[ei] = out_scale;
     }
 
-    /// One Gauss–Seidel sweep: preorder down the tree, optimizing each
-    /// branch with a fresh `up` CLV, then rebuilding `down` CLVs on the way
-    /// back up. Returns the largest branch-length change.
-    fn smooth_pass(
-        &mut self,
-        tree: &mut Tree,
-        opts: &OptimizeOptions,
-        work: &mut WorkCounter,
-    ) -> f64 {
-        self.smooth_edge(tree, self.root_edge, opts, work)
-    }
-
+    /// One Gauss–Seidel sweep over `e` and the subtree below it (from the
+    /// root edge: the whole tree): preorder down, optimizing each branch
+    /// with a fresh `up` CLV, then rebuilding `down` CLVs on the way back
+    /// up. Returns the largest length change there and whether any of
+    /// those lengths changed a bit.
+    ///
+    /// `down[e]` is a function of the lengths strictly below `e` alone and
+    /// is current when a pass starts (`compute_all_down`, then every pass
+    /// that moved one of them), so it is recombined only when one of them
+    /// moved in this pass — the skip is exact.
     fn smooth_edge(
         &mut self,
         tree: &mut Tree,
         e: EdgeId,
         opts: &OptimizeOptions,
         work: &mut WorkCounter,
-    ) -> f64 {
+    ) -> (f64, bool) {
+        let (t0, t) = self.optimize_edge(tree, e, opts, work);
+        let mut max_delta = (t - t0).abs();
+        let mut below_moved = false;
+        let c = self.clvs.child[e.0 as usize];
+        for f in edges_below(tree, c, e) {
+            let (delta, moved) = self.smooth_edge(tree, f, opts, work);
+            max_delta = max_delta.max(delta);
+            below_moved |= moved;
+        }
+        if below_moved {
+            self.compute_down_edge(tree, c, e, work);
+        }
+        (max_delta, below_moved || t.to_bits() != t0.to_bits())
+    }
+
+    /// Refresh `up[e]` and optimize the length of `e` between its two
+    /// directional CLVs. Returns the length before and after.
+    fn optimize_edge(
+        &mut self,
+        tree: &mut Tree,
+        e: EdgeId,
+        opts: &OptimizeOptions,
+        work: &mut WorkCounter,
+    ) -> (f64, f64) {
         let ei = e.0 as usize;
         self.compute_up_edge(tree, e, work);
-        // Optimize this branch.
         let engine = self.engine;
         let (up_clv, _) = self.clvs.up_of(engine, ei);
         let (down_clv, _) = self.clvs.down_of(engine, ei);
@@ -724,23 +739,7 @@ impl<'e> Workspace<'e> {
             work,
         );
         tree.set_length(e, t);
-        let mut max_delta = (t - t0).abs();
-        let c = self.clvs.child[ei];
-        if tree.is_internal(c) {
-            let mut kid_edges = [EdgeId(u32::MAX); 2];
-            let mut nk = 0;
-            for (f, _) in tree.neighbors(c) {
-                if f != e {
-                    kid_edges[nk] = f;
-                    nk += 1;
-                }
-            }
-            for &f in &kid_edges[..nk] {
-                max_delta = max_delta.max(self.smooth_edge(tree, f, opts, work));
-            }
-            self.compute_down_edge(tree, c, e, work);
-        }
-        max_delta
+        (t0, t)
     }
 
     /// Final log-likelihood at the root pendant edge.
@@ -804,6 +803,18 @@ impl<'e> Workspace<'e> {
     }
 }
 
+/// The edges of `c` other than `e`, its rootward one: two when `c` is
+/// internal, none when it is a tip. Owned, so the tree can be edited while
+/// they are walked.
+fn edges_below(tree: &Tree, c: NodeId, e: EdgeId) -> impl Iterator<Item = EdgeId> {
+    let mut kids = [None; 2];
+    let others = tree.incident_edges(c).iter().filter(|&&f| f != e);
+    for (slot, &f) in kids.iter_mut().zip(others) {
+        *slot = Some(f);
+    }
+    kids.into_iter().flatten()
+}
+
 impl Drop for Workspace<'_> {
     /// Recycle the buffer set through the engine's pool (optimized mode
     /// only; the reference mode frees per call like the seed).
@@ -825,6 +836,8 @@ mod tests {
     use super::*;
     use fdml_phylo::dna::Nucleotide;
     use fdml_phylo::tree::DEFAULT_BRANCH_LENGTH;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// Independent brute-force likelihood: per original site, recursive
     /// summation with full 4×4 transition matrices, no pattern compression,
@@ -1184,6 +1197,217 @@ mod tests {
         for e in t_serial.edge_ids() {
             assert_eq!(t_serial.length(e).to_bits(), t_pooled.length(e).to_bits());
         }
+    }
+
+    impl Workspace<'_> {
+        /// `smooth_edge` as it was before it skipped anything: every
+        /// internal edge's `down` is recombined on the way back up.
+        fn smooth_edge_recombining(
+            &mut self,
+            tree: &mut Tree,
+            e: EdgeId,
+            opts: &OptimizeOptions,
+            work: &mut WorkCounter,
+        ) -> f64 {
+            let (t0, t) = self.optimize_edge(tree, e, opts, work);
+            let mut max_delta = (t - t0).abs();
+            let c = self.clvs.child[e.0 as usize];
+            if tree.is_internal(c) {
+                for f in edges_below(tree, c, e) {
+                    max_delta = max_delta.max(self.smooth_edge_recombining(tree, f, opts, work));
+                }
+                self.compute_down_edge(tree, c, e, work);
+            }
+            max_delta
+        }
+    }
+
+    /// `LikelihoodEngine::optimize` over [`Workspace::smooth_edge_recombining`].
+    fn optimize_recombining(
+        engine: &LikelihoodEngine,
+        tree: &mut Tree,
+        opts: &OptimizeOptions,
+    ) -> EvalResult {
+        let mut ws = Workspace::new(engine, tree);
+        let mut work = WorkCounter::new();
+        ws.compute_all_down(tree, &mut work);
+        for _ in 0..opts.max_passes {
+            let max_delta = ws.smooth_edge_recombining(tree, ws.root_edge, opts, &mut work);
+            if max_delta <= opts.length_tolerance {
+                break;
+            }
+        }
+        let ln_likelihood = ws.root_log_likelihood(tree, &mut work);
+        work.trees_evaluated = 1;
+        EvalResult {
+            ln_likelihood,
+            work,
+        }
+    }
+
+    /// Sequences with phylogenetic signal: every taxon is a mutated copy
+    /// of an earlier one.
+    fn related_alignment(rng: &mut StdRng, taxa: usize, sites: usize) -> Alignment {
+        const BASES: [char; 4] = ['A', 'C', 'G', 'T'];
+        let mut rows: Vec<Vec<char>> = Vec::new();
+        for t in 0..taxa {
+            let row = match t {
+                0 => (0..sites)
+                    .map(|_| BASES[rng.random_range(0..4usize)])
+                    .collect(),
+                _ => rows[rng.random_range(0..t)]
+                    .iter()
+                    .map(|&b| match rng.random_range(0..100u32) {
+                        0..15 => BASES[rng.random_range(0..4usize)],
+                        _ => b,
+                    })
+                    .collect(),
+            };
+            rows.push(row);
+        }
+        let rows: Vec<(String, String)> = rows
+            .iter()
+            .enumerate()
+            .map(|(t, row)| (format!("t{t}"), row.iter().collect()))
+            .collect();
+        let refs: Vec<(&str, &str)> = rows.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+        Alignment::from_strings(&refs).unwrap()
+    }
+
+    /// Insert `taxon` at a random edge (default pendant length).
+    fn insert_at_random(rng: &mut StdRng, tree: &mut Tree, taxon: u32) {
+        let edges: Vec<EdgeId> = tree.edge_ids().collect();
+        tree.insert_taxon(taxon, edges[rng.random_range(0..edges.len())])
+            .unwrap();
+    }
+
+    #[test]
+    fn skipping_clean_down_clvs_is_exact() {
+        let opts = OptimizeOptions::default();
+        let mut rng = StdRng::seed_from_u64(0xD0);
+        // 300 and 400 sites span more than one intra-rank pattern block.
+        for (taxa, sites) in [
+            (4usize, 300),
+            (5, 60),
+            (9, 120),
+            (17, 400),
+            (33, 90),
+            (60, 150),
+        ] {
+            let a = related_alignment(&mut rng, taxa, sites);
+            let patterns = PatternAlignment::compress(&a);
+            let np = patterns.num_patterns();
+            let mut cold = Tree::triplet(0, 1, 2);
+            for taxon in 3..taxa as u32 - 1 {
+                insert_at_random(&mut rng, &mut cold, taxon);
+            }
+            // Warm: the search's candidate, an optimized base plus one
+            // insertion. Cold: the same topology at default lengths.
+            let mut warm = cold.clone();
+            if taxa > 4 {
+                LikelihoodEngine::new(&a).optimize(&mut warm, &opts);
+            }
+            let at = rng.random_range(0..cold.edge_ids().count());
+            for tree in [&mut cold, &mut warm] {
+                let e = tree.edge_ids().nth(at).unwrap();
+                tree.insert_taxon(taxa as u32 - 1, e).unwrap();
+            }
+            for ncat in [1usize, 4] {
+                let cats = match ncat {
+                    1 => RateCategories::single(np),
+                    _ => RateCategories::new(
+                        vec![0.3, 0.8, 1.4, 2.6],
+                        (0..np).map(|_| rng.random_range(0..4u32)).collect(),
+                    ),
+                };
+                let base = LikelihoodEngine::with_parts(
+                    patterns.clone(),
+                    F84Model::from_alignment(&a),
+                    cats,
+                );
+                for mode in [KernelMode::Optimized, KernelMode::Reference] {
+                    for threads in [1usize, 4] {
+                        let engine = base
+                            .clone()
+                            .with_kernel_mode(mode)
+                            .with_intra_threads(threads);
+                        for (start, tree) in [("cold", &cold), ("warm", &warm)] {
+                            let tag = format!(
+                                "{taxa} taxa, {np} patterns, {ncat} categories, {mode:?}, \
+                                 {threads} threads, {start}"
+                            );
+                            let (mut got, mut want) = (tree.clone(), tree.clone());
+                            let skipping = engine.optimize(&mut got, &opts);
+                            let recombining = optimize_recombining(&engine, &mut want, &opts);
+                            assert_eq!(
+                                fdml_phylo::newick::write_tree(&got, a.names()),
+                                fdml_phylo::newick::write_tree(&want, a.names()),
+                                "{tag}"
+                            );
+                            for e in got.edge_ids() {
+                                assert_eq!(
+                                    got.length(e).to_bits(),
+                                    want.length(e).to_bits(),
+                                    "{tag}"
+                                );
+                            }
+                            assert_eq!(
+                                skipping.ln_likelihood.to_bits(),
+                                recombining.ln_likelihood.to_bits(),
+                                "{tag}"
+                            );
+                            let (s, r) = (skipping.work, recombining.work);
+                            assert_eq!(s.newton_pattern_iters, r.newton_pattern_iters, "{tag}");
+                            assert_eq!(s.loglik_pattern_evals, r.loglik_pattern_evals, "{tag}");
+                            assert!(s.clv_pattern_updates <= r.clv_pattern_updates, "{tag}");
+                            // A small tree can move every subtree in every
+                            // pass; from 17 taxa on, some always sit still.
+                            if taxa >= 17 {
+                                assert!(s.clv_pattern_updates < r.clv_pattern_updates, "{tag}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pass_that_moves_nothing_recombines_nothing() {
+        // Smooth to the fixed point — every branch's first Newton step
+        // within tolerance, so every length keeps its bits — and look at
+        // that last pass: it refreshes the `up` CLVs and not one `down`.
+        let mut rng = StdRng::seed_from_u64(0xF1);
+        let a = related_alignment(&mut rng, 12, 200);
+        let mut tree = Tree::triplet(0, 1, 2);
+        for taxon in 3..12 {
+            insert_at_random(&mut rng, &mut tree, taxon);
+        }
+        let engine = LikelihoodEngine::new(&a);
+        let np = engine.patterns().num_patterns() as u64;
+        let opts = OptimizeOptions::default();
+        let mut ws = Workspace::new(&engine, &tree);
+        let mut work = WorkCounter::new();
+        ws.compute_all_down(&tree, &mut work);
+        let up_combines = tree.edge_ids().count() as u64 - 1;
+        let still = (0..64).any(|_| {
+            let before = work.clv_pattern_updates;
+            let (max_delta, _) = ws.smooth_edge(&mut tree, ws.root_edge, &opts, &mut work);
+            let combines = (work.clv_pattern_updates - before) / np;
+            assert!(combines >= up_combines);
+            if max_delta == 0.0 {
+                assert_eq!(combines, up_combines);
+            }
+            max_delta == 0.0
+        });
+        assert!(still, "no fixed point in 64 passes");
+        // The fixed point's CLVs are current: the likelihood read off them
+        // is the one a fresh workspace computes.
+        let lnl = ws.root_log_likelihood(&tree, &mut work);
+        assert_eq!(
+            lnl.to_bits(),
+            engine.evaluate(&tree).ln_likelihood.to_bits()
+        );
     }
 
     #[cfg(debug_assertions)]

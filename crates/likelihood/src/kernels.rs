@@ -38,9 +38,9 @@
 //!    fold kernels compute one partial per block and merge the partials
 //!    serially in block order, so the result is bit-identical at any
 //!    thread count (the 1-thread execution *is* the canonical order).
-//! 6. **Two-phase objective** ([`lnl_d012_folded`], [`lnl_value_folded`],
-//!    [`branch_lnl_folded`]): a block of one rate category and mostly
-//!    distinct columns is taken a stage of 4 patterns at a time.
+//! 6. **Two-phase objective** ([`lnl_d012_folded`], [`branch_lnl_folded`]):
+//!    a block of one rate category and mostly distinct columns is taken a
+//!    stage of 4 patterns at a time.
 //!    Everything a pattern contributes on its own — `f`, its
 //!    mantissa/exponent split, `w·f'/f`, `w·(f''/f − (f'/f)²)` — is
 //!    computed for the stage in one branch-free loop over unit-stride
@@ -1566,21 +1566,6 @@ pub fn lnl_d012_folded(
     (total.prod.value(), total.d1, total.d2)
 }
 
-/// The lnL of [`lnl_d012_folded`] alone — the same product, the same bits
-/// — without the reciprocal and the two derivative dot products: what
-/// Newton's closing evaluation needs.
-pub fn lnl_value_folded(
-    par: &IntraPar,
-    deriv: &EdgeDerivCoefficients,
-    runs: &[CategoryRun],
-    w: &WPlanes,
-    weights: &PatternWeights,
-) -> f64 {
-    objective_folded::<false>(par, &deriv_coef(deriv), runs, w, weights)
-        .prod
-        .value()
-}
-
 /// Mode-dispatched internal-node CLV combine: fills the scratch coefficient
 /// tables from the two branch lengths and runs the selected kernel.
 /// `Reference` reproduces the seed behavior including its per-call
@@ -1687,8 +1672,7 @@ pub fn branch_lnl(
 /// shares the safeguarded iteration in [`crate::newton`] but evaluates the
 /// objective through the fused kernel with a reusable coefficient table —
 /// no allocation per iteration (the reference arm keeps the seed's
-/// per-iteration `Vec` collect) — and answers the loop's value-only
-/// closing evaluation without the derivative work.
+/// per-iteration `Vec` collect).
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_branch_dispatch(
     mode: KernelMode,
@@ -1714,18 +1698,10 @@ pub fn optimize_branch_dispatch(
                 ..
             } = scratch;
             planes.fill(w);
-            newton::newton_loop(t0, opts, &mut |t, value_only| {
+            newton::newton_loop(t0, opts, &mut |t| {
                 deriv.fill(model, cats, t);
                 work.newton_pattern_iters += w.len() as u64;
-                if value_only {
-                    (
-                        lnl_value_folded(par, deriv, runs, planes, weights),
-                        0.0,
-                        0.0,
-                    )
-                } else {
-                    lnl_d012_folded(par, deriv, runs, planes, weights)
-                }
+                lnl_d012_folded(par, deriv, runs, planes, weights)
             })
         }
     }
@@ -1861,7 +1837,7 @@ mod oracle {
         work: &mut WorkCounter,
     ) -> f64 {
         let mut deriv = EdgeDerivCoefficients::default();
-        newton::newton_loop(t0, opts, &mut |t, _value_only| {
+        newton::newton_loop(t0, opts, &mut |t| {
             deriv.fill(model, cats, t);
             work.newton_pattern_iters += w.len() as u64;
             lnl_d012_folded(&deriv, runs, w, weights)
@@ -2153,9 +2129,8 @@ mod tests {
 
     /// The two-phase objective against the scalar original, bit for bit,
     /// at every thread count and share of non-unit weights: `(lnL, d1,
-    /// d2)`, the value-only lnL, the branch lnL, and the optimizer's `t`
-    /// and work count. (The objective has no ISA lanes of its own: phase 1
-    /// is one portable loop.)
+    /// d2)`, the branch lnL, and the optimizer's `t` and work count. (The
+    /// objective has no ISA lanes of its own: phase 1 is one portable loop.)
     #[test]
     fn objective_matches_the_scalar_original_bit_for_bit() {
         let model = F84Model::new([0.31, 0.19, 0.27, 0.23], 2.0);
@@ -2197,8 +2172,6 @@ mod tests {
                     assert_bits(got.0, want.0, "lnL", &tag);
                     assert_bits(got.1, want.1, "d1", &tag);
                     assert_bits(got.2, want.2, "d2", &tag);
-                    let value = lnl_value_folded(par, &deriv, &runs, &planes, &bound);
-                    assert_bits(value, want.0, "value-only lnL", &tag);
                     let lnl = branch_lnl_folded(par, &co, &runs, &planes, &bound, &scale);
                     assert_bits(lnl, want_lnl, "branch lnL", &tag);
                     let mut scratch = KernelScratch::with_par(&cats, par.clone());

@@ -85,17 +85,25 @@ pub fn log_likelihood_derivatives(
     (d1, d2)
 }
 
-/// The safeguarded Newton ascent shared by both kernel paths:
-/// `eval(t, value_only)` returns `(lnL, d1, d2)` at a candidate length (and
-/// does its own work accounting). `value_only` is a hint that the caller
-/// will read `lnL` alone — an objective may skip the derivatives then, as
-/// long as `lnL` keeps its bits. Factored out so the optimized fused-kernel
-/// objective in [`crate::kernels`] and the scalar reference objective
-/// iterate through byte-identical control flow.
+/// The safeguarded Newton ascent shared by both kernel paths: `eval(t)`
+/// returns `(lnL, d1, d2)` at a candidate length (and does its own work
+/// accounting). Factored out so the optimized fused-kernel objective in
+/// [`crate::kernels`] and the scalar reference objective iterate through
+/// byte-identical control flow.
+///
+/// The result is always a point `eval` has measured, the best of them, so
+/// it is never worse than `t0`. A step within tolerance ends the loop
+/// without being taken: it lies within tolerance of a measured point, so
+/// measuring it buys nothing (DNAml's `makenewz` has no such step either),
+/// and a branch that starts converged costs one evaluation and keeps `t0`
+/// bit for bit. Running out of `max_iters` is different: a branch climbing
+/// off [`MIN_BRANCH_LENGTH`] by doubling ends on a step of a factor of two,
+/// and skipping its measurement lands `optimize` in other local optima —
+/// that exit measures its last step.
 pub(crate) fn newton_loop(
     t0: f64,
     opts: &NewtonOptions,
-    eval: &mut dyn FnMut(f64, bool) -> (f64, f64, f64),
+    eval: &mut dyn FnMut(f64) -> (f64, f64, f64),
 ) -> f64 {
     if opts.max_iters == 0 {
         // Optimization disabled: keep the starting length exactly (the
@@ -107,7 +115,7 @@ pub(crate) fn newton_loop(
     let mut best_t = t;
     let mut best_lnl = f64::NEG_INFINITY;
     for _ in 0..opts.max_iters {
-        let (lnl, d1, d2) = eval(t, false);
+        let (lnl, d1, d2) = eval(t);
         // Track the best point actually visited: Newton steps can overshoot
         // and reduce the likelihood, but returning the argmax over visited
         // points makes the optimization monotone (never worse than t0).
@@ -126,14 +134,13 @@ pub(crate) fn newton_loop(
             // (boundary optima at t → 0 are common for identical sequences).
             (t * 0.1).max(MIN_BRANCH_LENGTH)
         };
-        let delta = (next - t).abs();
-        t = next;
-        if delta <= opts.tolerance * t.max(1e-3) {
-            break;
+        if (next - t).abs() <= opts.tolerance * next.max(1e-3) {
+            return best_t;
         }
+        t = next;
     }
-    // Account for the final point (reached but not yet measured).
-    let (lnl, _, _) = eval(t, true);
+    // Out of iterations: the last step is reached but not yet measured.
+    let (lnl, _, _) = eval(t);
     if lnl > best_lnl {
         best_t = t;
     }
@@ -155,7 +162,7 @@ pub fn optimize_branch(
     opts: &NewtonOptions,
     work: &mut WorkCounter,
 ) -> f64 {
-    newton_loop(t0, opts, &mut |t, _value_only| {
+    newton_loop(t0, opts, &mut |t| {
         work.newton_pattern_iters += w.len() as u64;
         log_likelihood_d012(model, cats, t, w, weights)
     })
@@ -183,6 +190,140 @@ mod tests {
         let u = [1.0, 0.0, 0.0, 0.0];
         crate::reference::edge_w_terms(&m, &u, &u, &mut terms);
         (terms, vec![1])
+    }
+
+    /// The loop before converged exits stopped measuring their last step:
+    /// every exit closes with an evaluation. The exhausted exit must still
+    /// agree with it bit for bit.
+    fn closing_loop(
+        t0: f64,
+        opts: &NewtonOptions,
+        eval: &mut dyn FnMut(f64) -> (f64, f64, f64),
+    ) -> f64 {
+        let mut t = t0.clamp(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH);
+        let (mut best_t, mut best_lnl) = (t, f64::NEG_INFINITY);
+        for _ in 0..opts.max_iters {
+            let (lnl, d1, d2) = eval(t);
+            if lnl > best_lnl {
+                (best_t, best_lnl) = (t, lnl);
+            }
+            let next = if d2 < 0.0 {
+                (t - d1 / d2).clamp(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH)
+            } else if d1 > 0.0 {
+                (t * 2.0).min(MAX_BRANCH_LENGTH)
+            } else {
+                (t * 0.1).max(MIN_BRANCH_LENGTH)
+            };
+            let delta = (next - t).abs();
+            t = next;
+            if delta <= opts.tolerance * t.max(1e-3) {
+                break;
+            }
+        }
+        if eval(t).0 > best_lnl {
+            best_t = t;
+        }
+        best_t
+    }
+
+    /// Run `newton_loop` over `objective`, recording where it was called.
+    fn counted(
+        t0: f64,
+        opts: &NewtonOptions,
+        objective: impl Fn(f64) -> (f64, f64, f64),
+    ) -> (f64, Vec<f64>) {
+        let mut calls = Vec::new();
+        let t = newton_loop(t0, opts, &mut |t| {
+            calls.push(t);
+            objective(t)
+        });
+        (t, calls)
+    }
+
+    /// `-(t - 0.3)²`: the Newton step lands on 0.3 from anywhere.
+    fn parabola(t: f64) -> (f64, f64, f64) {
+        (-(t - 0.3) * (t - 0.3), -2.0 * (t - 0.3), -2.0)
+    }
+
+    #[test]
+    fn converged_start_costs_one_evaluation_and_keeps_t0() {
+        let opts = NewtonOptions::default();
+        for t0 in [0.3, 0.3 + 1e-8, 0.3 - 2e-7] {
+            let (t, calls) = counted(t0, &opts, parabola);
+            assert_eq!(calls, [t0]);
+            assert_eq!(t.to_bits(), t0.to_bits());
+        }
+    }
+
+    #[test]
+    fn converged_exit_returns_a_measured_point_without_a_closing_call() {
+        // `-(t - 0.3)⁴`: Newton closes a third of the gap per step, so the
+        // loop runs many iterations before a step falls within tolerance.
+        let quartic = |t: f64| {
+            let x = t - 0.3;
+            (-x.powi(4), -4.0 * x.powi(3), -12.0 * x * x)
+        };
+        let opts = NewtonOptions {
+            max_iters: 60,
+            tolerance: 1e-6,
+        };
+        let (t, calls) = counted(0.05, &opts, quartic);
+        assert!(calls.len() > 10 && calls.len() < opts.max_iters);
+        // The last call is the iteration whose step was within tolerance —
+        // nothing was evaluated behind it — and every earlier step was not.
+        let converged = |at: f64| {
+            let (_, d1, d2) = quartic(at);
+            let next = at - d1 / d2;
+            (next - at).abs() <= opts.tolerance * next.max(1e-3)
+        };
+        let (last, earlier) = calls.split_last().unwrap();
+        assert!(converged(*last));
+        assert!(earlier.iter().all(|&at| !converged(at)));
+        // The objective rises along the way, so the best measured point is
+        // the last one.
+        assert_eq!(t.to_bits(), last.to_bits());
+        // One step from the parabola's far side: two calls, none closing.
+        let (t, calls) = counted(0.05, &NewtonOptions::default(), parabola);
+        assert_eq!(calls.len(), 2);
+        assert_eq!(t.to_bits(), calls[1].to_bits());
+    }
+
+    #[test]
+    fn exhausted_exit_measures_its_last_step_like_the_closing_loop() {
+        type Objective = fn(f64) -> (f64, f64, f64);
+        // No curvature, so every step is a doubling or a ×0.1 and none is
+        // ever within tolerance; the best point is the unmeasured last one.
+        let rising: Objective = |t| (t, 1.0, 0.0);
+        let falling: Objective = |t| (-t, -1.0, 0.0);
+        // Doubling off the floor past a peak at 1.5e-6: the last step is
+        // measured and found worse than the one before it.
+        let peaked: Objective = |t| (-(t - 1.5e-6).abs(), 1.0, 0.0);
+        let cases = [
+            (rising, MIN_BRANCH_LENGTH, 12, MIN_BRANCH_LENGTH * 4096.0),
+            (
+                falling,
+                MAX_BRANCH_LENGTH,
+                5,
+                MAX_BRANCH_LENGTH * 0.1f64.powi(5),
+            ),
+            (peaked, MIN_BRANCH_LENGTH, 8, MIN_BRANCH_LENGTH * 128.0),
+        ];
+        for (objective, t0, max_iters, want) in cases {
+            let opts = NewtonOptions {
+                max_iters,
+                tolerance: 1e-6,
+            };
+            let (t, calls) = counted(t0, &opts, objective);
+            assert_eq!(calls.len(), max_iters + 1);
+            let mut parent_calls = 0;
+            let parent = closing_loop(t0, &opts, &mut |t| {
+                parent_calls += 1;
+                objective(t)
+            });
+            assert_eq!(parent_calls, max_iters + 1);
+            assert_eq!(t.to_bits(), parent.to_bits());
+            assert!((t / want - 1.0).abs() < 1e-12, "{t} vs {want}");
+        }
     }
 
     #[test]

@@ -112,8 +112,21 @@ use fastdnaml::phylo::{fasta, newick, phylip};
 use fastdnaml::rates::{categorize, estimate_rates, RateGrid};
 use fastdnaml::serve::{client, Daemon, ServeOptions};
 use std::collections::HashMap;
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// `eprintln!` for the lines a `--net spawn` rank prints while its siblings
+/// live: stderr is unbuffered, so `eprintln!` emits a line fragment by
+/// fragment, the workers share the coordinator's stderr, and two reports
+/// would interleave mid-line. Here the whole line leaves in one `write`.
+macro_rules! report {
+    ($($arg:tt)*) => {{
+        let line = format!("{}\n", format_args!($($arg)*));
+        // A closed stderr loses the line; `eprintln!` would panic.
+        let _ = std::io::stderr().lock().write_all(line.as_bytes());
+    }};
+}
 
 fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
     args.get(key)
@@ -187,7 +200,7 @@ fn net_options(
 fn report_peer_exits(peer_exits: &[(usize, Option<i32>)]) {
     for (rank, code) in peer_exits {
         if *code != Some(0) {
-            eprintln!("fastdnaml: peer rank {rank} exited with {code:?}");
+            report!("fastdnaml: peer rank {rank} exited with {code:?}");
         }
     }
 }
@@ -518,12 +531,12 @@ fn main() -> ExitCode {
         match run_net_peer(connect, sinks, die_after) {
             Ok((rank, outcome)) => {
                 if !quiet {
-                    eprintln!("fastdnaml: rank {rank} done: {outcome:?}");
+                    report!("fastdnaml: rank {rank} done: {outcome:?}");
                 }
                 return ExitCode::SUCCESS;
             }
             Err(e) => {
-                eprintln!("fastdnaml: net worker: {e}");
+                report!("fastdnaml: net worker: {e}");
                 return ExitCode::FAILURE;
             }
         }
