@@ -303,6 +303,35 @@ fi
 test "$(cat crates/core/src/*.rs | grep -c 'ready queue emptied mid-dispatch')" -eq 1
 test "$(cat crates/core/src/*.rs | grep -c 'the flat ladder, verbatim')" -eq 0
 
+# One jumble farm. A job's jumbles are one `farm::Ledger` whether the farm
+# master (serial over the loopback, threads, TCP) or the daemon holds it:
+# a round log is opened in one place (`wal::open`), a manifest entry is
+# marked Done in one place (`Ledger::done`), and the copies that did both
+# by hand stay gone. The line count is the ROADMAP's "lines down" gate,
+# measured: 2 130 before the ledger.
+nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+for f in $(find crates src -name '*.rs' -path '*src/*'); do
+  if [ "$f" != crates/core/src/wal.rs ] &&
+    nontest "$f" | grep -n 'WalWriter::resume(\|WalWriter::create('; then
+    echo "one farm: $f opens a round log itself; that is wal::open"
+    exit 1
+  fi
+  if [ "$f" != crates/core/src/farm.rs ] && nontest "$f" | grep -n '\.mark_done('; then
+    echo "one farm: $f marks a jumble Done itself; that is Ledger::done"
+    exit 1
+  fi
+done
+if grep -rn 'fn open_wal\|fn jumble_here\|dispatch_up_to_width' crates src tests examples benchmark/src; then
+  echo "one farm: a hand-written copy of the ledger is back"
+  exit 1
+fi
+farm_lines=0
+for f in crates/core/src/farm.rs crates/core/src/loopback.rs crates/core/src/wal.rs \
+  crates/serve/src/scheduler.rs; do
+  farm_lines=$((farm_lines + $(nontest "$f" | wc -l)))
+done
+echo "one farm: farm.rs + loopback.rs + wal.rs + serve/scheduler.rs = $farm_lines non-test lines"
+
 # Scale smoke: the simulated 1024-rank hierarchical replay must complete
 # the identical task set with identical total compute to the flat replay,
 # hold per-rank efficiency within 20% of its 64-rank figure, and beat
@@ -418,6 +447,8 @@ ADDR=$(cat "$SERVE/addr")
 ./target/release/fastdnaml --attach "$JOB_A" --connect "$ADDR" --quiet --output "$SERVE/job_a.nwk"
 ./target/release/fastdnaml --attach "$JOB_B" --connect "$ADDR" --quiet --output "$SERVE/job_b.nwk"
 ./target/release/fastdnaml --status "$JOB_A" --connect "$ADDR" | grep -q done
+# Every jumble's round log went with its result: none outlives its job.
+[ -z "$(ls "$SERVE/state/wal")" ]
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" || true
 ./target/release/fastdnaml --input "$SERVE/data.phy" --jumble 7 --jumbles 3 --quiet \

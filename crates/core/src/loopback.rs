@@ -37,34 +37,48 @@ impl Loopback {
         }
     }
 
-    fn evaluate(&self, msg: &Message) -> Result<Option<Message>, WorkerError> {
+    /// Evaluate `msg` now, handing each reply to `up` the moment it exists:
+    /// a whole jumble's rounds as they commit — the jumble still running —
+    /// and then its result. What would kill a worker — a task it cannot make
+    /// sense of — comes back as the `Abort` a foreman sends once its last
+    /// worker is gone, so the master sees the same typed error.
+    pub(crate) fn serve(&self, msg: &Message, mut up: impl FnMut(Message)) {
+        if let Err(e) = self.evaluate(msg, &mut up) {
+            up(Message::Abort {
+                reason: e.to_string(),
+            });
+        }
+    }
+
+    fn evaluate(&self, msg: &Message, reply: &mut dyn FnMut(Message)) -> Result<(), WorkerError> {
         let mut evaluator = self.evaluator.borrow_mut();
-        Ok(match msg {
+        match msg {
             Message::ProblemData {
                 phylip,
                 config_json,
-            } => {
-                evaluator.set_problem(phylip, config_json)?;
-                None
-            }
+            } => evaluator.set_problem(phylip, config_json)?,
             Message::BaseTopology { base_id, newick } => {
-                evaluator.set_base(*base_id, newick.clone());
-                None
+                evaluator.set_base(*base_id, newick.clone())
             }
-            Message::TreeTask { task, newick } => Some(evaluator.tree_task(newick)?.reply(*task)),
+            Message::TreeTask { task, newick } => reply(evaluator.tree_task(newick)?.reply(*task)),
             Message::EditChunk {
                 task,
                 base_id,
                 edits,
                 base_newick,
-            } => Some(
+            } => reply(
                 evaluator
                     .edit_task(*base_id, edits, base_newick.clone())?
                     .reply(*task),
             ),
+            Message::JumbleTask { .. } | Message::JumbleResume { .. } => {
+                let (result, _) = evaluator.serve_jumble(msg, &mut *reply)?;
+                reply(result)
+            }
             // Monitor traffic and the shutdown cascade have no one to reach.
-            _ => None,
-        })
+            _ => {}
+        }
+        Ok(())
     }
 }
 
@@ -77,16 +91,9 @@ impl Transport for Loopback {
         ranks::FIRST_WORKER + 1
     }
 
-    /// Evaluate `msg` now. What would kill a worker — a task it cannot
-    /// make sense of — comes back as the `Abort` a foreman sends once its
-    /// last worker is gone, so the master sees the same typed error.
+    /// [`Loopback::serve`] into the queue the next `recv` reads.
     fn send(&self, _to: Rank, msg: &Message) -> Result<(), CommError> {
-        let reply = self.evaluate(msg).unwrap_or_else(|e| {
-            Some(Message::Abort {
-                reason: e.to_string(),
-            })
-        });
-        self.replies.borrow_mut().extend(reply);
+        self.serve(msg, |reply| self.replies.borrow_mut().push_back(reply));
         Ok(())
     }
 
@@ -181,6 +188,99 @@ mod tests {
             ClusterExecutor::new(Loopback::new(), names, "junk".into(), "{}".into(), false, 3);
         let err = ex.set_base(Tree::triplet(0, 1, 2)).unwrap_err().to_string();
         assert!(err.contains("aborted"), "got: {err}");
+    }
+
+    #[test]
+    fn a_resumed_jumble_queues_the_rounds_past_its_prefix_then_its_result() {
+        let a = phylip::parse(
+            "6 24
+t0 ACGTACGTACGTACGTACGTACGT
+t1 ACGTACGTACTTACGTACGTACGA
+t2 ACGAACGTACGTACGGACGTACGT
+t3 ACGAACGTACGTACGGACGTACTT
+t4 TCGAACGGACGTACGGAAGTACGT
+t5 TCGAACGGACGTACGGAAGTACGA
+",
+        )
+        .unwrap();
+        let config_json = SearchConfig::default().engine_config_json();
+        let evaluator = Evaluator::for_problem(&phylip::write(&a), &config_json).unwrap();
+        let mut log = Vec::new();
+        let whole = evaluator
+            .jumble(7, Vec::new(), |round| log.push(round.to_json()))
+            .unwrap();
+        assert!(log.len() > 3, "fixture too small: {} rounds", log.len());
+
+        let end = Loopback::around(evaluator);
+        let resume = Message::JumbleResume {
+            job: 0,
+            task: 4,
+            seed: 7,
+            wal: log[..2].to_vec(),
+        };
+        end.send(ranks::FOREMAN, &resume).unwrap();
+        for (index, entry) in log.iter().enumerate().skip(2) {
+            let want = Message::WalRound {
+                job: 0,
+                seed: 7,
+                index: index as u64,
+                entry: entry.clone(),
+            };
+            assert_eq!(end.recv().unwrap(), (ranks::FOREMAN, want));
+        }
+        match end.recv().unwrap() {
+            (
+                _,
+                Message::JumbleResult {
+                    task: 4,
+                    seed: 7,
+                    newick,
+                    ..
+                },
+            ) => {
+                assert_eq!(newick, newick::write_tree(&whole.tree, a.names()))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(
+            end.try_recv().unwrap(),
+            None,
+            "one result, nothing after it"
+        );
+
+        // Served, not sent: the same replies in the same order, each handed
+        // over as the jumble produces it, and nothing queues.
+        let mut served = Vec::new();
+        end.serve(&resume, |reply| served.push(reply));
+        let indices = served.iter().map_while(|reply| match reply {
+            Message::WalRound { index, .. } => Some(*index as usize),
+            _ => None,
+        });
+        assert_eq!(
+            indices.collect::<Vec<_>>(),
+            (2..log.len()).collect::<Vec<_>>()
+        );
+        assert_eq!(served.len(), log.len() - 2 + 1);
+        assert!(matches!(served.last(), Some(Message::JumbleResult { .. })));
+        assert_eq!(end.try_recv().unwrap(), None);
+
+        // A plain task streams nothing: only its result comes back.
+        end.send(ranks::FOREMAN, &Message::JumbleTask { task: 5, seed: 7 })
+            .unwrap();
+        assert!(matches!(
+            end.recv().unwrap(),
+            (_, Message::JumbleResult { task: 5, .. })
+        ));
+        assert_eq!(end.try_recv().unwrap(), None);
+    }
+
+    #[test]
+    fn jumble_before_problem_data_is_the_abort_the_master_handles() {
+        let end = Loopback::new();
+        end.send(ranks::FOREMAN, &Message::JumbleTask { task: 1, seed: 7 })
+            .unwrap();
+        assert!(abort_reason(&end).contains("before problem data"));
+        assert_eq!(end.try_recv().unwrap(), None);
     }
 
     #[test]

@@ -253,11 +253,33 @@ pub fn load(dir: &Path, job: u64, seed: u64) -> io::Result<Option<WalState>> {
 /// been durably recorded elsewhere (manifest, checkpoint, or registry).
 /// Missing file is fine (the jumble may have run WAL-less or pre-crash).
 pub fn retire(dir: &Path, job: u64, seed: u64) -> io::Result<()> {
-    match std::fs::remove_file(wal_path(dir, job, seed)) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
+    remove(&wal_path(dir, job, seed))
+}
+
+fn remove(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
     }
+}
+
+/// Recover the WAL for `(job, seed)` under `dir`, or start one: the
+/// committed rounds (empty on a fresh log) and the append handle continuing
+/// at the next index. The one place a log is opened — an in-process search
+/// ([`WalSession::open`]) and a coordinator's `farm::Ledger` both come here.
+pub fn open(
+    dir: &Path,
+    job: u64,
+    seed: u64,
+    num_taxa: usize,
+) -> io::Result<(Vec<WalRound>, WalWriter)> {
+    Ok(match load(dir, job, seed)? {
+        Some(state) => {
+            let writer = WalWriter::resume(dir, job, seed, &state)?;
+            (state.rounds, writer)
+        }
+        None => (Vec::new(), WalWriter::create(dir, job, seed, num_taxa)?),
+    })
 }
 
 /// Append-side handle for one jumble's WAL: index-gated, duplicate-safe.
@@ -327,16 +349,6 @@ impl WalWriter {
         Ok(Some(bytes))
     }
 
-    /// The index the next appended round must carry.
-    pub fn next_index(&self) -> u64 {
-        self.next_index
-    }
-
-    /// Total bytes in the log file.
-    pub fn len_bytes(&self) -> u64 {
-        self.log.len_bytes()
-    }
-
     /// The log's path.
     pub fn path(&self) -> &Path {
         self.log.path()
@@ -349,9 +361,9 @@ impl WalWriter {
 /// via [`WalSession::hook`], and surface any deferred append error when
 /// the run is over. The hook's I/O error cannot abort the search from
 /// inside the callback (it returns unit by design), so the session
-/// captures the first failure and [`WalSession::finish`] re-raises it —
-/// a silently unreported round would shrink the crash-tolerance window
-/// without anyone noticing.
+/// captures the first failure and [`WalSession::finish_and_retire`]
+/// re-raises it — a silently unreported round would shrink the
+/// crash-tolerance window without anyone noticing.
 pub struct WalSession {
     shared: Rc<RefCell<SessionShared>>,
     rounds: Option<Vec<WalRound>>,
@@ -375,13 +387,7 @@ impl WalSession {
         num_taxa: usize,
         obs: &Obs,
     ) -> io::Result<WalSession> {
-        let (rounds, writer) = match load(dir, job, seed)? {
-            Some(state) => {
-                let writer = WalWriter::resume(dir, job, seed, &state)?;
-                (state.rounds, writer)
-            }
-            None => (Vec::new(), WalWriter::create(dir, job, seed, num_taxa)?),
-        };
+        let (rounds, writer) = open(dir, job, seed, num_taxa)?;
         if !rounds.is_empty() {
             let replayed = rounds.len() as u64;
             obs.emit(|| Event::WalReplay {
@@ -411,7 +417,7 @@ impl WalSession {
     /// The append callback for `StepwiseSearch::on_wal`: index-gated
     /// append plus an [`Event::WalAppend`] per durable record. After the
     /// first I/O error the hook goes quiet (the search finishes, the
-    /// error surfaces in [`WalSession::finish`]).
+    /// error surfaces in [`WalSession::finish_and_retire`]).
     pub fn hook(&self) -> impl FnMut(&WalRound) {
         let shared = Rc::clone(&self.shared);
         move |round| {
@@ -435,24 +441,15 @@ impl WalSession {
         }
     }
 
-    /// Re-raise the first append error captured during the run, if any.
-    pub fn finish(self) -> io::Result<()> {
-        match self.shared.borrow_mut().error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// [`WalSession::finish`], then delete the log — for a search that
-    /// completed and delivered its result: the WAL has nothing left to
-    /// protect, and retiring it keeps `--wal-dir` bounded.
+    /// Re-raise the first append error captured during the run, if any;
+    /// otherwise delete the log — the search completed and delivered its
+    /// result, so the WAL has nothing left to protect, and retiring it
+    /// keeps `--wal-dir` bounded.
     pub fn finish_and_retire(self) -> io::Result<()> {
-        let path = self.shared.borrow().writer.path().to_path_buf();
-        self.finish()?;
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
+        let mut shared = self.shared.borrow_mut();
+        match shared.error.take() {
+            Some(e) => Err(e),
+            None => remove(shared.writer.path()),
         }
     }
 }
@@ -554,7 +551,7 @@ mod tests {
         // A restarted worker re-streams from 0: silently deduplicated.
         assert!(w.append(&round(0, true)).unwrap().is_none());
         assert!(w.append(&round(1, true)).unwrap().is_none());
-        assert_eq!(w.next_index(), 2);
+        assert_eq!(w.next_index, 2);
         // Skipping ahead means lost records: hard error.
         assert!(w.append(&round(5, true)).is_err());
         drop(w);
@@ -577,7 +574,7 @@ mod tests {
         assert_eq!(state.rounds.len(), 1);
         assert!(state.dropped_bytes > 0);
         let mut w = WalWriter::resume(&dir, 0, 9, &state).unwrap();
-        assert_eq!(w.next_index(), 1);
+        assert_eq!(w.next_index, 1);
         w.append(&round(1, false)).unwrap();
         drop(w);
         let state = load(&dir, 0, 9).unwrap().unwrap();

@@ -311,6 +311,74 @@ impl Evaluator {
             .run();
         result.map_err(|e| protocol(format!("jumble {seed}: {e}")))
     }
+
+    /// Serve a whole-jumble task in any of its three wire forms and build
+    /// its reply (a `JumbleResult` for the anonymous farm, a
+    /// `JobTaskResult` for a daemon job) plus the work units spent. Only a
+    /// `JumbleResume` is WAL-aware: it replays the committed prefix the
+    /// coordinator carried inline, then hands each newly committed round to
+    /// `up` as a `WalRound` so the coordinator's log stays one round behind
+    /// at most.
+    pub(crate) fn serve_jumble(
+        &self,
+        msg: &Message,
+        mut up: impl FnMut(Message),
+    ) -> Result<(Message, u64), WorkerError> {
+        let (job, task, seed, wal) = jumble_request(msg);
+        let replay = wal
+            .unwrap_or_default()
+            .iter()
+            .map(|entry| WalRound::from_json(entry))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| protocol(format!("jumble {seed}: bad wal entry: {e}")))?;
+        let result = self.jumble(seed, replay, |round| {
+            if wal.is_some() {
+                up(Message::WalRound {
+                    job,
+                    seed,
+                    index: round.index,
+                    entry: round.to_json(),
+                });
+            }
+        })?;
+        let newick = newick::write_tree(&result.tree, self.problem("jumble")?.alignment.names());
+        let reply = if job == 0 {
+            Message::JumbleResult {
+                task,
+                seed,
+                newick,
+                ln_likelihood: result.ln_likelihood,
+                rounds: result.rounds as u64,
+                candidates: result.candidates_evaluated as u64,
+                work_units: result.work_units,
+            }
+        } else {
+            Message::JobTaskResult {
+                job,
+                task,
+                seed,
+                newick,
+                ln_likelihood: result.ln_likelihood,
+                work_units: result.work_units,
+            }
+        };
+        Ok((reply, result.work_units))
+    }
+}
+
+/// `(job, task, seed, committed prefix)` of a whole-jumble task.
+pub(crate) fn jumble_request(msg: &Message) -> (JobId, u64, u64, Option<&[String]>) {
+    match msg {
+        Message::JumbleTask { task, seed } => (0, *task, *seed, None),
+        Message::JobTask { job, task, seed } => (*job, *task, *seed, None),
+        Message::JumbleResume {
+            job,
+            task,
+            seed,
+            wal,
+        } => (*job, *task, *seed, Some(wal)),
+        other => unreachable!("{} is not a jumble task", other.kind()),
+    }
 }
 
 /// Send a message up to the worker's current foreman, tolerating a dead
@@ -437,82 +505,22 @@ pub fn run_worker_homed<T: Transport>(
             msg @ (Message::JumbleTask { .. }
             | Message::JobTask { .. }
             | Message::JumbleResume { .. }) => {
-                // A whole jumble, in its three wire forms. `job` selects
-                // the problem and the reply: 0 is the anonymous farm
-                // (`JumbleResult`), anything else a daemon job
-                // (`JobTaskResult`). Only a `JumbleResume` is WAL-aware:
-                // it replays the committed prefix the coordinator carried
-                // inline, then streams each newly committed round back so
-                // the coordinator's log stays one round behind at most.
-                let (job, task, seed, wal) = match msg {
-                    Message::JumbleTask { task, seed } => (0, task, seed, None),
-                    Message::JobTask { job, task, seed } => (job, task, seed, None),
-                    Message::JumbleResume {
-                        job,
-                        task,
-                        seed,
-                        wal,
-                    } => (job, task, seed, Some(wal)),
-                    _ => unreachable!("arm matches jumble messages only"),
-                };
+                // `job` selects the problem: 0 is the anonymous farm,
+                // anything else a daemon job.
+                let (job, task, _, _) = jumble_request(&msg);
                 let evaluator = if job == 0 {
                     &main
                 } else {
                     jobs.get(&job)
                         .ok_or_else(|| protocol(format!("job {job} task before its JobData")))?
                 };
-                let streaming = wal.is_some();
-                let replay = wal
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|entry| WalRound::from_json(entry))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| protocol(format!("jumble {seed}: bad wal entry: {e}")))?;
                 let started = Instant::now();
-                let result = evaluator.jumble(seed, replay, |round| {
-                    if streaming {
-                        // Best-effort: a lost round merely re-runs live on
-                        // the coordinator's next resume.
-                        let _ = send_up(
-                            &transport,
-                            foreman,
-                            &Message::WalRound {
-                                job,
-                                seed,
-                                index: round.index,
-                                entry: round.to_json(),
-                            },
-                        );
-                    }
+                // Best-effort streaming: a lost round merely re-runs live
+                // on the coordinator's next resume.
+                let (reply, work_units) = evaluator.serve_jumble(&msg, |round| {
+                    let _ = send_up(&transport, foreman, &round);
                 })?;
-                task_done(
-                    task,
-                    started.elapsed().as_micros() as u64,
-                    result.work_units,
-                    0,
-                );
-                let names = evaluator.problem("jumble")?.alignment.names();
-                let newick = newick::write_tree(&result.tree, names);
-                let reply = if job == 0 {
-                    Message::JumbleResult {
-                        task,
-                        seed,
-                        newick,
-                        ln_likelihood: result.ln_likelihood,
-                        rounds: result.rounds as u64,
-                        candidates: result.candidates_evaluated as u64,
-                        work_units: result.work_units,
-                    }
-                } else {
-                    Message::JobTaskResult {
-                        job,
-                        task,
-                        seed,
-                        newick,
-                        ln_likelihood: result.ln_likelihood,
-                        work_units: result.work_units,
-                    }
-                };
+                task_done(task, started.elapsed().as_micros() as u64, work_units, 0);
                 send_up(&transport, foreman, &reply)?;
             }
             Message::JobRetire { job } => {

@@ -6,8 +6,15 @@
 //! runtime probe (`is_x86_feature_detected!` on x86-64, always-on NEON on
 //! aarch64): the widest supported [`KernelIsa`] is detected once and cached
 //! in an atomic, and every SIMD path is compiled unconditionally behind
-//! `#[target_feature]` so the same binary runs fast on AVX-512 servers and
-//! correctly on SSE2-only hosts.
+//! `#[target_feature]`, so which *hand-written lane* runs is the running
+//! host's choice, not the build's. That is not the same as a portable
+//! binary: the repository builds with `-C target-cpu=native`
+//! (`.cargo/config.toml`, for hardware FMA in the scalar code and
+//! autovectorized pattern loops), which lets the compiler use the build
+//! machine's whole instruction set everywhere, the scalar lane included —
+//! so a binary built here on an AVX-512 host is not expected to run on an
+//! SSE2-only one. Only a build without that flag gets "fast on AVX-512
+//! servers, correct on SSE2-only hosts" from this module.
 //!
 //! All lanes are bit-identical by construction: each vector kernel performs
 //! the exact same per-pattern multiply-add DAG as the scalar form (vertical

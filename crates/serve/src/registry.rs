@@ -30,7 +30,7 @@ use fdml_obs::{Event, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Compact the snapshot log back to one record when it accumulates this
 /// many; keeps `jobs.json` bounded regardless of how many transitions a
@@ -293,14 +293,6 @@ impl Registry {
     pub fn log_bytes(&self) -> u64 {
         self.log.len_bytes()
     }
-}
-
-/// Durably save `manifest` (helper for the scheduler, which holds
-/// manifests in memory). Routed through [`FarmManifest::save`], which
-/// uses the crash-consistent storage layer: the jumble is acknowledged
-/// only after its result is fsynced.
-pub fn save_manifest(path: &Path, manifest: &FarmManifest) -> io::Result<()> {
-    manifest.save(path)
 }
 
 #[cfg(test)]

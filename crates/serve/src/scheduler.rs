@@ -16,22 +16,25 @@
 //! workers it occupies at once, so a wide job cannot starve a narrow one.
 //!
 //! Durability: every admission and state transition is written through
-//! [`Registry`] before it is acknowledged, and every completed jumble
-//! lands in the job's farm manifest before the in-memory ledger advances.
-//! A daemon killed at any point restarts by requeueing exactly the
-//! `Pending` seeds — nothing lost, nothing run twice.
+//! [`Registry`] before it is acknowledged. A job's jumbles — manifest,
+//! pending seeds, dispatches in flight, round logs, consensus — are one
+//! [`Ledger`], the value the farm master drives too, so a completed jumble
+//! is in the job's manifest before anything else hears of it. A daemon
+//! killed at any point restarts by reopening each unfinished job's ledger
+//! from its manifest: exactly the `Pending` seeds are requeued — nothing
+//! lost, nothing run twice — and no round log outlives its jumble.
 
 use crate::registry::Registry;
 use fdml_comm::job::{JobId, JobResult, JobSpec, JobState, JobStatus, JobTree, RejectReason};
 use fdml_comm::message::Message;
 use fdml_comm::transport::{ranks, Rank, Transport};
-use fdml_core::checkpoint::{FarmManifest, JumbleStatus};
+use fdml_core::checkpoint::FarmManifest;
+use fdml_core::farm::{FarmParts, JumbleRun, Ledger};
 use fdml_core::job::ResolvedJob;
-use fdml_core::wal::{self, WalRound, WalWriter};
 use fdml_net::wire::{write_frame, Frame};
 use fdml_net::{ServiceRequest, TcpHub, TcpTransport};
-use fdml_obs::{Event, MemorySink, Obs, RunReport};
-use fdml_phylo::consensus::consensus;
+use fdml_obs::{Event, MemorySink, Obs, Record, RunReport, Sink};
+use fdml_phylo::error::PhyloError;
 use fdml_phylo::newick;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::TcpStream;
@@ -65,12 +68,8 @@ pub(crate) struct Limits {
 /// One admitted, unfinished job's live state.
 struct Active {
     resolved: ResolvedJob,
-    manifest: FarmManifest,
-    /// Seeds not yet dispatched, in plan order (requeues go to the front
-    /// so a restart-heavy run still drains oldest-first).
-    pending: VecDeque<u64>,
-    /// Jumbles currently on a worker.
-    in_flight: usize,
+    /// The job's jumbles; its round logs are namespaced by the job id.
+    ledger: Ledger,
     /// Effective worker cap (0 = share the whole fleet).
     width: usize,
     /// Effective wall budget (0 = unlimited), armed at first dispatch.
@@ -79,6 +78,7 @@ struct Active {
     started: bool,
     /// Per-job event buffer behind the per-job run report.
     sink: MemorySink,
+    /// Records into `sink` and, through [`Also`], the daemon's own log.
     obs: Obs,
     /// Streams attached with `Attach`, fed progress and the final result.
     attached: Vec<TcpStream>,
@@ -96,8 +96,16 @@ struct Worker {
 /// An outstanding dispatch.
 struct Flight {
     job: JobId,
-    seed: u64,
     rank: Rank,
+}
+
+/// The sink that copies a job's events into the daemon's log.
+struct Also(Obs);
+
+impl Sink for Also {
+    fn record(&self, record: &Record) {
+        self.0.emit(|| record.event.clone());
+    }
 }
 
 pub(crate) struct Scheduler {
@@ -115,10 +123,6 @@ pub(crate) struct Scheduler {
     results_order: VecDeque<JobId>,
     workers: HashMap<Rank, Worker>,
     in_flight: HashMap<u64, Flight>,
-    /// Append handle for each in-flight jumble's write-ahead round log,
-    /// keyed by (job, seed); entries leave when the jumble lands in the
-    /// manifest (log retired) or its log goes bad (log abandoned).
-    wal_writers: HashMap<(JobId, u64), WalWriter>,
     next_task: u64,
     mode: Arc<AtomicU8>,
 }
@@ -146,7 +150,6 @@ impl Scheduler {
             results_order: VecDeque::new(),
             workers: HashMap::new(),
             in_flight: HashMap::new(),
-            wal_writers: HashMap::new(),
             next_task: 1,
             mode,
         };
@@ -155,8 +158,8 @@ impl Scheduler {
     }
 
     /// Re-admit every unfinished job a previous daemon left in the state
-    /// directory: reload its manifest and requeue exactly the `Pending`
-    /// seeds.
+    /// directory: reopen its ledger from its manifest, which requeues
+    /// exactly the `Pending` seeds.
     fn revive(&mut self) {
         let unfinished: Vec<(JobId, JobSpec)> = self
             .registry
@@ -168,15 +171,12 @@ impl Scheduler {
             match ResolvedJob::from_spec(&spec) {
                 Ok(resolved) => {
                     let manifest = self.registry.load_manifest(id, &resolved.seeds);
-                    if manifest.is_complete() {
-                        // It finished just before the old daemon died;
-                        // only the registry transition was lost.
-                        let result = assemble_result(id, &resolved, &manifest, None);
-                        let _ = self.registry.set_state(id, JobState::Done);
-                        self.cache_result(id, result);
-                        continue;
+                    self.activate(id, &spec, resolved, Some(manifest));
+                    // It may have finished just before the old daemon
+                    // died, with only the registry transition lost.
+                    if self.active.get(&id).is_some_and(|j| j.ledger.is_complete()) {
+                        self.finish(id);
                     }
-                    self.activate(id, &spec, resolved, manifest);
                 }
                 Err(e) => {
                     let _ = self
@@ -187,12 +187,15 @@ impl Scheduler {
         }
     }
 
+    /// Open the job's ledger and put it on the ring; a manifest the ledger
+    /// refuses (a `Done` entry without its tree, foreign seeds) fails the
+    /// job with that reason.
     fn activate(
         &mut self,
         id: JobId,
         spec: &JobSpec,
         resolved: ResolvedJob,
-        manifest: FarmManifest,
+        resume: Option<FarmManifest>,
     ) {
         let slots = effective(spec.max_ranks as u64, self.limits.max_job_ranks as u64) as usize;
         // A rank running `intra_threads` kernel threads occupies that many
@@ -206,16 +209,32 @@ impl Scheduler {
             (slots / threads).max(1)
         };
         let wall_ms = effective(spec.max_wall_ms, self.limits.max_wall_ms);
-        let pending: VecDeque<u64> = manifest.unfinished().into();
         let sink = MemorySink::new();
-        let obs = Obs::new(Box::new(sink.clone()));
+        let obs = Obs::multi(vec![
+            Box::new(sink.clone()),
+            Box::new(Also(self.obs.clone())),
+        ]);
+        let ledger = match Ledger::open(
+            &resolved.alignment,
+            &resolved.seeds,
+            resume,
+            Some(self.registry.manifest_path(id)),
+            id,
+            Some(self.registry.wal_dir()),
+            &obs,
+        ) {
+            // A stale log that will not go is clutter, not the job's problem.
+            Ok((ledger, _stale)) => ledger,
+            Err(e) => {
+                let _ = self.registry.set_failed(id, e.to_string());
+                return;
+            }
+        };
         self.active.insert(
             id,
             Active {
                 resolved,
-                manifest,
-                pending,
-                in_flight: 0,
+                ledger,
                 width,
                 wall_ms,
                 deadline: None,
@@ -318,15 +337,7 @@ impl Scheduler {
     fn requeue(&mut self, task: u64) {
         if let Some(flight) = self.in_flight.remove(&task) {
             if let Some(job) = self.active.get_mut(&flight.job) {
-                job.in_flight = job.in_flight.saturating_sub(1);
-                let still_pending = job
-                    .manifest
-                    .entries
-                    .iter()
-                    .any(|e| e.seed == flight.seed && e.status == JumbleStatus::Pending);
-                if still_pending {
-                    job.pending.push_front(flight.seed);
-                }
+                job.ledger.requeue(task);
             }
         }
     }
@@ -341,12 +352,17 @@ impl Scheduler {
                 ln_likelihood,
                 ..
             } => self.absorb_result(job, task, seed, newick, ln_likelihood),
+            // A worker committed one search round. Whatever the ledger
+            // makes of it — a finished jumble's late stream, a bad payload,
+            // a gap, a failed append — costs crash-tolerance granularity,
+            // never correctness, so it is not allowed to disturb the job.
             Message::WalRound {
-                job,
-                seed,
-                index,
-                entry,
-            } => self.absorb_wal_round(job, seed, index, entry),
+                job, seed, entry, ..
+            } => {
+                if let Some(job) = self.active.get_mut(&job) {
+                    let _ = job.ledger.wal_round(seed, &entry);
+                }
+            }
             Message::PeerDown { rank } => self.worker_lost(rank),
             Message::PeerUp { rank } => self.worker_rejoined(rank),
             // Stray WorkerReady (ping answers), heartbeat artifacts, and
@@ -355,44 +371,8 @@ impl Scheduler {
         }
     }
 
-    /// A worker committed one search round: append it to the jumble's
-    /// log. All failure modes here cost only crash-tolerance granularity,
-    /// never correctness, so none of them is allowed to disturb the job:
-    /// a missing writer is a finished jumble's late stream (drop), an
-    /// unparseable entry is a bad worker payload (drop), a duplicate
-    /// index is a restarted worker re-streaming its prefix (deduped by
-    /// the writer), and an append error or index gap abandons this one
-    /// log while the jumble keeps running toward the manifest.
-    fn absorb_wal_round(&mut self, job_id: JobId, seed: u64, index: u64, entry: String) {
-        let Some(writer) = self.wal_writers.get_mut(&(job_id, seed)) else {
-            return;
-        };
-        let Ok(round) = WalRound::from_json(&entry) else {
-            return;
-        };
-        match writer.append(&round) {
-            Ok(Some(bytes)) => {
-                let ev = Event::WalAppend {
-                    job: job_id,
-                    seed,
-                    index,
-                    bytes,
-                };
-                self.obs.emit(|| ev.clone());
-                if let Some(job) = self.active.get(&job_id) {
-                    job.obs.emit(|| ev);
-                }
-            }
-            Ok(None) => {}
-            Err(_) => {
-                self.wal_writers.remove(&(job_id, seed));
-            }
-        }
-    }
-
     fn absorb_result(&mut self, job_id: JobId, task: u64, seed: u64, newick: String, lnl: f64) {
-        let flight = self.in_flight.remove(&task);
-        if let Some(f) = &flight {
+        if let Some(f) = self.in_flight.remove(&task) {
             if let Some(worker) = self.workers.get_mut(&f.rank) {
                 if worker.busy == Some(task) {
                     worker.busy = None;
@@ -402,82 +382,70 @@ impl Scheduler {
         let Some(job) = self.active.get_mut(&job_id) else {
             return; // late result for a finished/failed job
         };
-        // Only a flight that was still on the books for this job releases
-        // an in-flight count: a task already requeued by the liveness
-        // machinery was decremented there, and decrementing again for its
-        // late result would let in_flight hit zero while the recomputation
-        // is still on a worker.
-        if flight.as_ref().is_some_and(|f| f.job == job_id) {
-            job.in_flight = job.in_flight.saturating_sub(1);
-        }
-        let fresh = job
-            .manifest
-            .entries
-            .iter()
-            .any(|e| e.seed == seed && e.status == JumbleStatus::Pending);
-        if fresh {
-            // The liveness machinery may have requeued this seed while its
-            // original result was in transit; pull it back out so the
-            // jumble is not dispatched a second time.
-            job.pending.retain(|&s| s != seed);
-            job.manifest.mark_done(seed, newick, lnl);
-            let _ = job.manifest.save(&self.registry.manifest_path(job_id));
-            // The result is durable in the manifest: the round log has
-            // served its purpose.
-            self.wal_writers.remove(&(job_id, seed));
-            let _ = wal::retire(&self.registry.wal_dir(), job_id, seed);
-            let done = job
-                .manifest
-                .entries
-                .iter()
-                .filter(|e| e.status == JumbleStatus::Done)
-                .count();
-            let total = job.manifest.entries.len();
-            let ev = Event::JumbleCompleted {
-                seed,
-                ln_likelihood: lnl,
-                reused: false,
-            };
-            self.obs.emit(|| ev.clone());
-            job.obs.emit(|| ev);
-            let progress = Event::FarmProgress {
-                completed: done,
-                in_flight: job.in_flight,
-                pending: job.pending.len(),
-                total,
-            };
-            self.obs.emit(|| progress.clone());
-            job.obs.emit(|| progress);
-            let line = format!("jumble seed={seed} lnL={lnl:.4} ({done}/{total})");
-            notify_attached(&mut job.attached, job_id, &line);
+        // The ledger closes the flight only if `task` is still on its
+        // books: a task the liveness machinery requeued was closed there,
+        // so its late result cannot bring in-flight to zero while the
+        // recomputation is still on a worker.
+        let run = JumbleRun {
+            seed,
+            newick,
+            ln_likelihood: lnl,
+            ..JumbleRun::default()
+        };
+        match job.ledger.done(task, run) {
+            // It is in the manifest; whether its log went too is not the job's concern.
+            Ok((true, _retired)) => {
+                let (done, total) = job.ledger.completed();
+                let line = format!("jumble seed={seed} lnL={lnl:.4} ({done}/{total})");
+                notify_attached(&mut job.attached, job_id, &line);
+            }
+            Ok((false, _)) => {}
+            // A result that is no tree of this alignment, or a manifest
+            // that cannot be written: the job cannot keep its promise.
+            Err(e) => return self.fail(job_id, e.to_string()),
         }
         // Completion is checked on the duplicate path too: when a late
         // original result marked the final seed Done, the recomputation's
-        // duplicate may be the message that brings in_flight to zero.
-        if job.manifest.is_complete() && job.pending.is_empty() && job.in_flight == 0 {
+        // duplicate may be the message that closes the last flight.
+        if job.ledger.is_complete() {
             self.finish(job_id);
         }
+    }
+
+    /// Take a job off the active table and the ring, and tell the whole
+    /// fleet to evict its cached engine. Without retirement a long-lived
+    /// fleet leaks one engine per job served — on both sides. The broadcast
+    /// goes to every connected worker, not just those marked as knowing the
+    /// job: a worker that rejoined mid-job had its `knows` entry cleared
+    /// but may still hold the engine, and eviction of an unknown job is a
+    /// no-op.
+    fn close(&mut self, id: JobId) -> Option<Active> {
+        let job = self.active.remove(&id)?;
+        self.ring.retain(|&j| j != id);
+        for (&rank, worker) in self.workers.iter_mut() {
+            worker.knows.remove(&id);
+            let _ = self.foreman.send(rank, &Message::JobRetire { job: id });
+        }
+        Some(job)
     }
 
     /// Every jumble landed: assemble the result, persist `Done`, answer
     /// the attached clients.
     fn finish(&mut self, id: JobId) {
-        let Some(mut job) = self.active.remove(&id) else {
+        let Some(mut job) = self.close(id) else {
             return;
         };
-        self.ring.retain(|&j| j != id);
-        self.retire_job(id);
-        self.sweep_wal(id);
         let report = RunReport::from_events(&job.sink.snapshot());
         let report_json = serde_json::to_string(&report).ok();
-        let result = assemble_result(id, &job.resolved, &job.manifest, report_json);
+        let result = match job.ledger.finish() {
+            Ok(parts) => job_result(id, &parts, report_json),
+            Err(e) => return self.failed(id, &job.obs, job.attached, e.to_string()),
+        };
         let _ = self.registry.set_state(id, JobState::Done);
-        let ev = Event::JobCompleted {
+        job.obs.emit(|| Event::JobCompleted {
             job: id,
             best_ln_likelihood: result.best_ln_likelihood,
-        };
-        self.obs.emit(|| ev.clone());
-        job.obs.emit(|| ev);
+        });
         for mut stream in job.attached.drain(..) {
             let _ = write_frame(
                 &mut stream,
@@ -488,36 +456,6 @@ impl Scheduler {
             );
         }
         self.cache_result(id, result);
-    }
-
-    /// Tell the whole fleet to evict this job's cached engine, and forget
-    /// who knows it. Without retirement a long-lived fleet leaks one
-    /// engine per job served — on both sides. The broadcast goes to every
-    /// connected worker, not just those marked as knowing the job: a
-    /// worker that rejoined mid-job had its `knows` entry cleared but may
-    /// still hold the engine, and eviction of an unknown job is a no-op.
-    fn retire_job(&mut self, id: JobId) {
-        for (&rank, worker) in self.workers.iter_mut() {
-            worker.knows.remove(&id);
-            let _ = self.foreman.send(rank, &Message::JobRetire { job: id });
-        }
-    }
-
-    /// A job left the active table (finished or failed): its round logs
-    /// are dead weight — drop the writers and delete the files so the
-    /// wal directory stays bounded by the number of in-flight jumbles.
-    fn sweep_wal(&mut self, id: JobId) {
-        let dir = self.registry.wal_dir();
-        let seeds: Vec<u64> = self
-            .wal_writers
-            .keys()
-            .filter(|&&(j, _)| j == id)
-            .map(|&(_, s)| s)
-            .collect();
-        for seed in seeds {
-            self.wal_writers.remove(&(id, seed));
-            let _ = wal::retire(&dir, id, seed);
-        }
     }
 
     /// Remember a finished job's result, evicting the oldest entries past
@@ -533,21 +471,26 @@ impl Scheduler {
         }
     }
 
+    /// Abandon an active job. Its round logs are dead weight — including
+    /// any a previous daemon left for seeds this one never dispatched —
+    /// and go, so the wal directory stays bounded by the in-flight jumbles.
     fn fail(&mut self, id: JobId, reason: String) {
-        let Some(mut job) = self.active.remove(&id) else {
-            return;
-        };
-        self.ring.retain(|&j| j != id);
-        self.retire_job(id);
-        self.sweep_wal(id);
+        if let Some(mut job) = self.close(id) {
+            let _ = job.ledger.retire_logs();
+            self.failed(id, &job.obs, job.attached, reason);
+        }
+        // In-flight tasks stay in the flight table; their late results
+        // find no active job and are discarded.
+    }
+
+    /// Persist `Failed` and tell the attached clients why.
+    fn failed(&mut self, id: JobId, obs: &Obs, attached: Vec<TcpStream>, reason: String) {
         let _ = self.registry.set_failed(id, reason.clone());
-        let ev = Event::JobFailed {
+        obs.emit(|| Event::JobFailed {
             job: id,
             reason: reason.clone(),
-        };
-        self.obs.emit(|| ev.clone());
-        job.obs.emit(|| ev);
-        for mut stream in job.attached.drain(..) {
+        });
+        for mut stream in attached {
             let _ = write_frame(
                 &mut stream,
                 &Frame::Rejected {
@@ -558,8 +501,6 @@ impl Scheduler {
                 },
             );
         }
-        // In-flight tasks stay in the flight table; their late results
-        // find no active job and are discarded.
     }
 
     fn enforce_wall_quotas(&mut self) {
@@ -589,15 +530,15 @@ impl Scheduler {
                 let Some(id) = self.ring.pop_front() else {
                     break;
                 };
-                let eligible = self
-                    .active
-                    .get(&id)
-                    .map(|j| !j.pending.is_empty() && (j.width == 0 || j.in_flight < j.width))
-                    .unwrap_or(false);
+                let eligible = self.active.get(&id).is_some_and(|j| {
+                    !j.ledger.pending().is_empty()
+                        && (j.width == 0 || j.ledger.in_flight() < j.width)
+                });
                 self.ring.push_back(id);
                 if eligible {
-                    self.assign(id, rank);
-                    assigned = true;
+                    // A failed send ends the round: the fleet is refreshed
+                    // before this worker is tried again.
+                    assigned = self.assign(id, rank);
                     break;
                 }
             }
@@ -615,56 +556,23 @@ impl Scheduler {
             .min()
     }
 
-    fn assign(&mut self, id: JobId, rank: Rank) {
+    /// Send `id`'s next jumble to `rank`; `false` when nothing was sent.
+    fn assign(&mut self, id: JobId, rank: Rank) -> bool {
         let Some(job) = self.active.get_mut(&id) else {
-            return;
-        };
-        let Some(seed) = job.pending.pop_front() else {
-            return;
+            return false;
         };
         let task = self.next_task;
-        self.next_task += 1;
         // The jumble travels with its committed WAL prefix: the worker
         // replays it (scoring skipped), runs the rest live, and streams
         // each newly committed round back as a `WalRound`. A daemon killed
-        // mid-jumble re-dispatches the longer prefix on restart.
-        let task_msg = match open_wal(
-            &self.registry.wal_dir(),
-            id,
-            seed,
-            job.resolved.alignment.num_taxa(),
-        ) {
-            Ok((entries, writer)) => {
-                if !entries.is_empty() {
-                    let replayed = entries.len() as u64;
-                    let ev = Event::WalReplay {
-                        job: id,
-                        seed,
-                        rounds: replayed,
-                    };
-                    self.obs.emit(|| ev.clone());
-                    job.obs.emit(|| ev);
-                }
-                self.wal_writers.insert((id, seed), writer);
-                Message::JumbleResume {
-                    job: id,
-                    task,
-                    seed,
-                    wal: entries,
-                }
-            }
-            Err(_) => {
-                // A sick wal directory must not wedge the job: degrade to
-                // a WAL-less dispatch, widening this jumble's crash window
-                // back to manifest granularity.
-                self.wal_writers.remove(&(id, seed));
-                Message::JobTask {
-                    job: id,
-                    task,
-                    seed,
-                }
-            }
+        // mid-jumble re-dispatches the longer prefix on restart. A sick
+        // wal directory must not wedge the job: the ledger then hands out
+        // the WAL-less task, widening this jumble's crash window back to
+        // manifest granularity, and its error is dropped here.
+        let Some((task_msg, _wal)) = job.ledger.next(task) else {
+            return false;
         };
+        self.next_task += 1;
         // First contact between this worker and this job ships the
         // alignment and the first jumble in one `Batch` envelope, so a
         // dispatch always costs exactly one frame; the worker unpacks the
@@ -685,36 +593,25 @@ impl Scheduler {
             task_msg
         };
         if self.foreman.send(rank, &frame).is_err() {
-            job.pending.push_front(seed);
-            return;
+            job.ledger.requeue(task);
+            return false;
         }
         let worker = self.workers.get_mut(&rank).expect("worker present");
         if introduce {
             worker.knows.insert(id);
         }
         worker.busy = Some(task);
-        self.in_flight.insert(
-            task,
-            Flight {
-                job: id,
-                seed,
-                rank,
-            },
-        );
-        job.in_flight += 1;
+        self.in_flight.insert(task, Flight { job: id, rank });
         if !job.started {
             job.started = true;
             if job.wall_ms > 0 {
                 job.deadline = Some(Instant::now() + Duration::from_millis(job.wall_ms));
             }
             let _ = self.registry.set_state(id, JobState::Running);
-            let ev = Event::JobStarted { job: id };
-            self.obs.emit(|| ev.clone());
-            job.obs.emit(|| ev);
+            job.obs.emit(|| Event::JobStarted { job: id });
         }
-        let ev = Event::JumbleStarted { seed };
-        self.obs.emit(|| ev.clone());
-        job.obs.emit(|| ev);
+        job.ledger.started(task);
+        true
     }
 
     // ----- service plane -------------------------------------------------
@@ -774,67 +671,33 @@ impl Scheduler {
             .map_err(|e| RejectReason::Malformed {
                 reason: format!("state dir unwritable: {e}"),
             })?;
-        let manifest = FarmManifest::new(&resolved.seeds);
-        self.activate(id, &spec, resolved, manifest);
-        let jumbles = spec.jumbles;
-        let label = spec.label;
-        let ev = Event::JobSubmitted {
-            job: id,
-            jumbles,
-            label,
-        };
-        self.obs.emit(|| ev.clone());
+        self.activate(id, &spec, resolved, None);
         if let Some(job) = self.active.get(&id) {
-            job.obs.emit(|| ev);
+            job.obs.emit(|| Event::JobSubmitted {
+                job: id,
+                jumbles: spec.jumbles,
+                label: spec.label,
+            });
         }
         Ok(id)
     }
 
     fn status_of(&self, id: JobId) -> Option<JobStatus> {
         if let Some(job) = self.active.get(&id) {
-            let done = job
-                .manifest
-                .entries
-                .iter()
-                .filter(|e| e.status == JumbleStatus::Done)
-                .count();
-            return self.registry.status(id, done, job.manifest.entries.len());
+            let (done, total) = job.ledger.completed();
+            return self.registry.status(id, done, total);
         }
         let entry = self.registry.get(id)?;
         let manifest = self.registry.load_manifest(id, &[]);
-        let done = manifest
-            .entries
-            .iter()
-            .filter(|e| e.status == JumbleStatus::Done)
-            .count();
-        let total = if manifest.entries.is_empty() {
-            entry.spec.jumbles
-        } else {
-            manifest.entries.len()
+        let total = match manifest.entries.len() {
+            0 => entry.spec.jumbles,
+            n => n,
         };
+        let done = manifest.entries.len() - manifest.unfinished().len();
         self.registry.status(id, done, total)
     }
 
     fn attach(&mut self, id: JobId, mut stream: TcpStream) {
-        if let Some(result) = self.results.get(&id) {
-            // Keep the stream shape uniform whether the client attached
-            // before or after completion: at least one event, then Done.
-            let _ = write_frame(
-                &mut stream,
-                &Frame::JobEvent {
-                    job: id,
-                    text: "attached (already complete)".into(),
-                },
-            );
-            let _ = write_frame(
-                &mut stream,
-                &Frame::Done {
-                    job: id,
-                    result: result.clone(),
-                },
-            );
-            return;
-        }
         if let Some(job) = self.active.get_mut(&id) {
             let _ = write_frame(
                 &mut stream,
@@ -846,39 +709,34 @@ impl Scheduler {
             job.attached.push(stream);
             return;
         }
-        let answer = match self.registry.get(id) {
-            Some(entry) if entry.state == JobState::Done => {
-                // Completed before a restart; rebuild the result from the
-                // durable manifest (the in-memory report did not survive).
-                match ResolvedJob::from_spec(&entry.spec) {
-                    Ok(resolved) => {
-                        let manifest = self.registry.load_manifest(id, &resolved.seeds);
-                        let result = assemble_result(id, &resolved, &manifest, None);
+        let rejected = |reason| Frame::Rejected {
+            reason: RejectReason::JobFailed { job: id, reason },
+        };
+        let answer = match (self.results.get(&id).cloned(), self.registry.get(id)) {
+            (Some(result), _) => Frame::Done { job: id, result },
+            // Completed before a restart, or evicted from the cache: rebuild
+            // the result from the durable manifest (the in-memory report
+            // did not survive).
+            (None, Some(entry)) if entry.state == JobState::Done => {
+                match self.rebuild(id, &entry.spec) {
+                    Ok(parts) => {
+                        let result = job_result(id, &parts, None);
                         self.cache_result(id, result.clone());
                         Frame::Done { job: id, result }
                     }
-                    Err(e) => Frame::Rejected {
-                        reason: RejectReason::JobFailed {
-                            job: id,
-                            reason: format!("result unrecoverable: {e}"),
-                        },
-                    },
+                    Err(e) => rejected(format!("result unrecoverable: {e}")),
                 }
             }
-            Some(entry) if entry.state == JobState::Failed => Frame::Rejected {
-                reason: RejectReason::JobFailed {
-                    job: id,
-                    reason: entry
-                        .failure
-                        .clone()
-                        .unwrap_or_else(|| "unknown failure".into()),
-                },
-            },
+            (None, Some(entry)) if entry.state == JobState::Failed => {
+                rejected(entry.failure.clone().unwrap_or("unknown failure".into()))
+            }
             _ => Frame::Rejected {
                 reason: RejectReason::UnknownJob { job: id },
             },
         };
         if matches!(answer, Frame::Done { .. }) {
+            // Keep the stream shape uniform whether the client attached
+            // before or after completion: at least one event, then Done.
             let _ = write_frame(
                 &mut stream,
                 &Frame::JobEvent {
@@ -889,27 +747,14 @@ impl Scheduler {
         }
         let _ = write_frame(&mut stream, &answer);
     }
-}
 
-/// Recover (or start) the WAL for one (job, seed): returns the committed
-/// rounds as wire-ready JSON entries plus the append handle continuing at
-/// the next index.
-fn open_wal(
-    dir: &std::path::Path,
-    job: JobId,
-    seed: u64,
-    num_taxa: usize,
-) -> std::io::Result<(Vec<String>, WalWriter)> {
-    match wal::load(dir, job, seed)? {
-        Some(state) => {
-            let writer = WalWriter::resume(dir, job, seed, &state)?;
-            let entries = state.rounds.iter().map(|r| r.to_json()).collect();
-            Ok((entries, writer))
-        }
-        None => {
-            let writer = WalWriter::create(dir, job, seed, num_taxa)?;
-            Ok((Vec::new(), writer))
-        }
+    /// A finished job's trees and consensus, from its durable manifest.
+    fn rebuild(&self, id: JobId, spec: &JobSpec) -> Result<FarmParts, PhyloError> {
+        let job = ResolvedJob::from_spec(spec).map_err(|e| PhyloError::Format(e.to_string()))?;
+        let manifest = Some(self.registry.load_manifest(id, &job.seeds));
+        let (alignment, quiet) = (&job.alignment, Obs::disabled());
+        let (ledger, _) = Ledger::open(alignment, &job.seeds, manifest, None, id, None, &quiet)?;
+        ledger.finish()
     }
 }
 
@@ -937,57 +782,34 @@ fn notify_attached(attached: &mut Vec<TcpStream>, job: JobId, text: &str) {
     });
 }
 
-/// Build the final [`JobResult`] from a complete manifest: trees in plan
-/// order, the best tree (first on ties), and the majority-rule consensus
-/// for multi-jumble jobs — byte-identical to a serial farm over the same
-/// seeds, because every jumble ran through `Evaluator::jumble`.
-fn assemble_result(
-    id: JobId,
-    resolved: &ResolvedJob,
-    manifest: &FarmManifest,
-    report: Option<String>,
-) -> JobResult {
-    let trees: Vec<JobTree> = manifest
-        .entries
+/// The final [`JobResult`] of a finished farm: trees in plan order, the
+/// best tree (first on ties), and the majority-rule consensus for
+/// multi-jumble jobs — byte-identical to a serial farm over the same seeds,
+/// because it is the same ledger's [`FarmParts`].
+fn job_result(id: JobId, parts: &FarmParts, report: Option<String>) -> JobResult {
+    let trees: Vec<JobTree> = parts
+        .runs
         .iter()
-        .map(|e| JobTree {
-            seed: e.seed,
-            newick: e.newick.clone().unwrap_or_default(),
-            ln_likelihood: e.ln_likelihood.unwrap_or(f64::NEG_INFINITY),
+        .map(|r| JobTree {
+            seed: r.seed,
+            newick: r.newick.clone(),
+            ln_likelihood: r.ln_likelihood,
         })
         .collect();
     // Strictly-greater comparison keeps the first tree in plan order on
     // ties, matching the serial farm's tie-break.
-    let mut best = JobTree {
-        seed: 0,
-        newick: String::new(),
-        ln_likelihood: f64::NEG_INFINITY,
-    };
+    let mut best = &trees[0];
     for t in &trees {
         if t.ln_likelihood > best.ln_likelihood {
-            best = t.clone();
+            best = t;
         }
     }
-    let consensus_newick = if trees.len() > 1 {
-        let parsed: Result<Vec<_>, _> = trees
-            .iter()
-            .map(|t| newick::parse_tree(&t.newick, &resolved.alignment))
-            .collect();
-        parsed.ok().and_then(|ts| {
-            let names = resolved.alignment.names().to_vec();
-            consensus(&ts, names.len(), 0.5, &names)
-                .ok()
-                .map(|c| newick::write(&c.tree))
-        })
-    } else {
-        None
-    };
     JobResult {
         job: id,
-        trees,
-        consensus_newick,
-        best_newick: best.newick,
+        consensus_newick: (trees.len() > 1).then(|| newick::write(&parts.consensus.tree)),
+        best_newick: best.newick.clone(),
         best_ln_likelihood: best.ln_likelihood,
+        trees,
         report,
     }
 }
@@ -996,8 +818,9 @@ fn assemble_result(
 mod tests {
     use super::*;
     use fdml_core::config::SearchConfig;
+    use fdml_core::wal::{wal_path, WalWriter};
     use fdml_net::{ClientConfig, NetConfig};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     #[test]
     fn effective_caps_compose() {
@@ -1018,6 +841,11 @@ mod tests {
     fn test_scheduler(tag: &str) -> (Scheduler, PathBuf) {
         let dir = std::env::temp_dir().join(format!("fdml-sched-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        (scheduler_at(&dir), dir)
+    }
+
+    /// A scheduler over whatever state `dir` holds — a restarted daemon.
+    fn scheduler_at(dir: &Path) -> Scheduler {
         let hub = TcpHub::bind_reserved(
             "127.0.0.1:0",
             4,
@@ -1040,8 +868,8 @@ mod tests {
         };
         let foreman = claim(1);
         let monitor = claim(2);
-        let registry = Registry::open(&dir).unwrap();
-        let scheduler = Scheduler::new(
+        let registry = Registry::open(dir).unwrap();
+        Scheduler::new(
             hub,
             foreman,
             monitor,
@@ -1053,8 +881,7 @@ mod tests {
                 max_wall_ms: 0,
             },
             Arc::new(AtomicU8::new(MODE_RUN)),
-        );
-        (scheduler, dir)
+        )
     }
 
     fn one_jumble_spec() -> JobSpec {
@@ -1103,13 +930,13 @@ mod tests {
         let id = s.admit(one_jumble_spec()).unwrap();
         s.workers.insert(3, Worker::default());
         s.dispatch();
-        assert_eq!(s.active[&id].in_flight, 1);
-        assert!(s.active[&id].pending.is_empty());
+        assert_eq!(s.active[&id].ledger.in_flight(), 1);
+        assert!(s.active[&id].ledger.pending().is_empty());
 
         s.worker_rejoined(3);
-        assert_eq!(s.active[&id].in_flight, 0);
-        assert_eq!(s.active[&id].pending.len(), 1);
-        let seed = s.active[&id].pending[0];
+        assert_eq!(s.active[&id].ledger.in_flight(), 0);
+        assert_eq!(s.active[&id].ledger.pending().len(), 1);
+        let seed = s.active[&id].ledger.pending()[0];
 
         // The original worker's result for the requeued seed arrives
         // before the seed is re-dispatched.
@@ -1135,15 +962,15 @@ mod tests {
         s.workers.insert(3, Worker::default());
         s.dispatch(); // task 1
         s.worker_rejoined(3); // requeue: seed back to pending
-        let seed = s.active[&id].pending[0];
+        let seed = s.active[&id].ledger.pending()[0];
         s.dispatch(); // task 2: the recomputation
-        assert_eq!(s.active[&id].in_flight, 1);
+        assert_eq!(s.active[&id].ledger.in_flight(), 1);
 
         // Late original result for task 1: no flight on the books, so
         // in_flight must stay 1 (the recomputation is still out).
         s.absorb_result(id, 1, seed, "(t0:0.1,t1:0.1,t2:0.1);".into(), -42.0);
         assert!(s.active.contains_key(&id), "recomputation still in flight");
-        assert_eq!(s.active[&id].in_flight, 1);
+        assert_eq!(s.active[&id].ledger.in_flight(), 1);
 
         // The recomputation's result is a duplicate (seed already Done),
         // but it is what brings in_flight to zero — completion must run.
@@ -1152,5 +979,127 @@ mod tests {
         assert!(s.results.contains_key(&id));
         assert_eq!(s.registry.get(id).unwrap().state, JobState::Done);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ----- restarts: no round log outlives its jumble --------------------
+
+    const TREE: &str = "(t0:0.1,t1:0.1,t2:0.1);";
+
+    fn two_jumble_spec() -> JobSpec {
+        JobSpec {
+            jumbles: 2,
+            ..one_jumble_spec()
+        }
+    }
+
+    fn wal_files(dir: &Path) -> usize {
+        std::fs::read_dir(dir.join("wal")).map_or(0, |rd| rd.count())
+    }
+
+    /// A daemon that admitted a two-jumble job, landed its first seed and
+    /// was killed with the second on a worker; returns the job, its seeds
+    /// and the state directory.
+    fn killed_after_one_jumble(tag: &str) -> (JobId, Vec<u64>, PathBuf) {
+        let (mut s, dir) = test_scheduler(tag);
+        let id = s.admit(two_jumble_spec()).unwrap();
+        let seeds: Vec<u64> = s.active[&id].ledger.pending().iter().copied().collect();
+        s.workers.insert(3, Worker::default());
+        s.dispatch();
+        s.absorb_result(id, 1, seeds[0], TREE.into(), -42.0);
+        s.dispatch();
+        assert_eq!(s.active[&id].ledger.completed(), (1, 2));
+        assert_eq!(s.active[&id].ledger.in_flight(), 1);
+        (id, seeds, dir)
+    }
+
+    #[test]
+    fn revive_retires_the_stale_log_of_a_done_seed() {
+        // Killed between the manifest save and the log retire: the entry is
+        // Done, its complete log is still there.
+        let (id, seeds, dir) = killed_after_one_jumble("stale");
+        drop(WalWriter::create(&dir.join("wal"), id, seeds[0], 3).unwrap());
+        assert_eq!(wal_files(&dir), 2, "the stale log and the in-flight one");
+
+        let mut s = scheduler_at(&dir);
+        assert!(!wal_path(&dir.join("wal"), id, seeds[0]).exists());
+        assert_eq!(s.active[&id].ledger.pending().len(), 1);
+        s.workers.insert(3, Worker::default());
+        s.dispatch();
+        let task = *s.in_flight.keys().next().unwrap();
+        s.absorb_result(id, task, seeds[1], TREE.into(), -41.0);
+        assert_eq!(s.registry.get(id).unwrap().state, JobState::Done);
+        let result = &s.results[&id];
+        assert_eq!(result.trees.len(), 2);
+        assert_eq!(
+            (result.best_ln_likelihood, result.trees[1].seed),
+            (-41.0, seeds[1])
+        );
+        assert!(result.consensus_newick.is_some());
+        assert_eq!(wal_files(&dir), 0, "state/wal must be empty");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_that_will_not_go_never_fails_a_job() {
+        // `remove_file` removes no directory, whoever asks: one stands in
+        // for the Done seed's stale log at revive, another for the last
+        // seed's log when its result lands.
+        let (id, seeds, dir) = killed_after_one_jumble("stuck");
+        let stuck = |seed| wal_path(&dir.join("wal"), id, seed);
+        std::fs::create_dir(stuck(seeds[0])).unwrap();
+        let mut s = scheduler_at(&dir);
+        assert_eq!(s.active[&id].ledger.completed(), (1, 2));
+        s.workers.insert(3, Worker::default());
+        s.dispatch();
+        std::fs::remove_file(stuck(seeds[1])).unwrap();
+        std::fs::create_dir(stuck(seeds[1])).unwrap();
+        let task = *s.in_flight.keys().next().unwrap();
+        s.absorb_result(id, task, seeds[1], TREE.into(), -41.0);
+        assert_eq!(s.registry.get(id).unwrap().state, JobState::Done);
+        assert_eq!(s.results[&id].trees.len(), 2);
+        assert_eq!(wal_files(&dir), 2, "both are still in the way");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_job_failed_after_a_restart_takes_its_old_logs_with_it() {
+        // The second seed's log is from the previous incarnation; this one
+        // fails the job on its wall quota before ever dispatching that seed.
+        let (id, _, dir) = killed_after_one_jumble("quota");
+        assert_eq!(wal_files(&dir), 1);
+        let mut s = scheduler_at(&dir);
+        assert_eq!(s.active[&id].ledger.in_flight(), 0);
+        s.active.get_mut(&id).unwrap().deadline = Some(Instant::now());
+        s.active.get_mut(&id).unwrap().wall_ms = 5;
+        s.enforce_wall_quotas();
+        let entry = s.registry.get(id).unwrap();
+        assert_eq!(entry.state, JobState::Failed);
+        assert!(entry.failure.as_ref().unwrap().contains("wall-time"));
+        assert_eq!(wal_files(&dir), 0, "state/wal must be empty");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_done_entry_fails_the_job_with_the_farms_error() {
+        for (tag, newick, reason) in [
+            ("no-tree", None, "Done entry without a tree"),
+            ("bad-tree", Some("((t0,".to_string()), "leaf without a name"),
+        ] {
+            let (id, seeds, dir) = killed_after_one_jumble(tag);
+            let path = dir.join(format!("job-{id}.manifest.json"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let mut manifest = FarmManifest::from_json(&text).unwrap();
+            assert_eq!(manifest.unfinished(), [seeds[1]]);
+            manifest.entries[0].newick = newick;
+            manifest.save(&path).unwrap();
+
+            let s = scheduler_at(&dir);
+            assert!(!s.active.contains_key(&id) && !s.results.contains_key(&id));
+            let entry = s.registry.get(id).unwrap();
+            assert_eq!(entry.state, JobState::Failed);
+            let failure = entry.failure.clone().unwrap();
+            assert!(failure.contains(reason), "{tag}: {failure}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -217,31 +217,122 @@ fn load_resume<T, E: std::fmt::Display>(
     parse(&text).map_err(|e| format!("--resume {path}: not a valid {what}: {e}"))
 }
 
-fn parse_args() -> (HashMap<String, String>, Vec<String>) {
+/// The command line as `(value flags, switches)`. Only what [`FLAGS`]
+/// lists is accepted: a misspelt flag, a stray operand, a value flag
+/// without its value and a number that does not parse are each an error
+/// naming the offender, never a silently different run.
+fn parse_args(
+    argv: impl Iterator<Item = String>,
+) -> Result<(HashMap<String, String>, Vec<String>), String> {
     let mut values = HashMap::new();
     let mut flags = Vec::new();
-    let mut iter = std::env::args().skip(1).peekable();
+    let mut iter = argv.peekable();
     while let Some(item) = iter.next() {
-        if let Some(key) = item.strip_prefix("--") {
-            match iter.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    let value = iter.next().expect("peeked");
-                    // `--net spawn N` carries a second operand: the rank
-                    // count rides in as if `--ranks N` had been given.
-                    if key == "net" && value == "spawn" {
-                        if let Some(n) = iter.peek().and_then(|v| v.parse::<usize>().ok()) {
-                            values.insert("ranks".to_string(), n.to_string());
-                            iter.next();
-                        }
-                    }
-                    values.insert(key.to_string(), value);
-                }
-                _ => flags.push(key.to_string()),
+        let known = item
+            .strip_prefix("--")
+            .and_then(|key| FLAGS.iter().find(|(name, _)| *name == key));
+        let Some(&(key, takes)) = known else {
+            return Err(format!("unknown argument {item:?} (--help lists them)"));
+        };
+        if takes == Takes::Nothing {
+            flags.push(key.to_string());
+            continue;
+        }
+        let Some(value) = iter.next_if(|v| !v.starts_with("--")) else {
+            return Err(format!("--{key} expects a value"));
+        };
+        let parses = match takes {
+            Takes::Int => value.parse::<u64>().is_ok(),
+            Takes::Real => value.parse::<f64>().is_ok(),
+            _ => true,
+        };
+        if !parses {
+            return Err(format!("--{key} {value}: not a number"));
+        }
+        // `--net spawn N` carries a second operand: the rank count rides
+        // in as if `--ranks N` had been given.
+        if key == "net" && value == "spawn" {
+            if let Some(n) = iter.next_if(|v| v.parse::<usize>().is_ok()) {
+                values.insert("ranks".to_string(), n);
             }
         }
+        values.insert(key.to_string(), value);
     }
-    (values, flags)
+    Ok((values, flags))
 }
+
+/// What a flag is followed by on the command line.
+#[derive(Clone, Copy, PartialEq)]
+enum Takes {
+    /// A switch.
+    Nothing,
+    /// A path, name, address or mode, checked where it is used (`--net`
+    /// takes coordinator | worker | spawn N, and `peer` for worker).
+    Text,
+    /// An unsigned integer.
+    Int,
+    /// A decimal number.
+    Real,
+}
+
+/// Every flag the program understands, in [`USAGE`]'s order. The last two
+/// are not in `USAGE`: fault-injection hooks `--net spawn` passes to its
+/// children and the process tests pass to `--net spawn`.
+const FLAGS: &[(&str, Takes)] = &[
+    ("input", Takes::Text),
+    ("jumble", Takes::Int),
+    ("jumbles", Takes::Int),
+    ("farm-width", Takes::Int),
+    ("jumble-trees", Takes::Text),
+    ("radius", Takes::Int),
+    ("final-radius", Takes::Int),
+    ("tt-ratio", Takes::Real),
+    ("categories", Takes::Int),
+    ("rates-file", Takes::Text),
+    ("parallel", Takes::Int),
+    ("net", Takes::Text),
+    ("listen", Takes::Text),
+    ("connect", Takes::Text),
+    ("ranks", Takes::Int),
+    ("supervise", Takes::Nothing),
+    ("max-restarts", Takes::Int),
+    ("regions", Takes::Int),
+    ("wire", Takes::Text),
+    ("worker-timeout-ms", Takes::Int),
+    ("intra-threads", Takes::Int),
+    ("isa", Takes::Text),
+    ("incremental", Takes::Nothing),
+    ("no-incremental", Takes::Nothing),
+    ("obs-out", Takes::Text),
+    ("obs-summary", Takes::Nothing),
+    ("bootstrap", Takes::Int),
+    ("user-trees", Takes::Text),
+    ("checkpoint", Takes::Text),
+    ("checkpoint-out", Takes::Text),
+    ("resume", Takes::Text),
+    ("wal-dir", Takes::Text),
+    ("chaos-storage-crash", Takes::Text),
+    ("outgroup", Takes::Text),
+    ("midpoint", Takes::Nothing),
+    ("output", Takes::Text),
+    ("fasta", Takes::Nothing),
+    ("quiet", Takes::Nothing),
+    ("help", Takes::Nothing),
+    ("serve", Takes::Nothing),
+    ("state-dir", Takes::Text),
+    ("addr-file", Takes::Text),
+    ("spawn-workers", Takes::Nothing),
+    ("max-jobs", Takes::Int),
+    ("max-job-ranks", Takes::Int),
+    ("max-wall-ms", Takes::Int),
+    ("submit", Takes::Nothing),
+    ("job-label", Takes::Text),
+    ("status", Takes::Text),
+    ("attach", Takes::Text),
+    ("attach-timeout-ms", Takes::Int),
+    ("die-after-tasks", Takes::Int),
+    ("die-rank", Takes::Int),
+];
 
 const USAGE: &str = "\
 fastdnaml --input data.phy [options]
@@ -459,8 +550,17 @@ fn attach_mode(
     }
 }
 
+/// The one-line failure every bad invocation ends in.
+fn die(why: impl std::fmt::Display) -> ExitCode {
+    eprintln!("fastdnaml: {why}");
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
-    let (args, flags) = parse_args();
+    let (args, flags) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => return die(e),
+    };
     if flags.iter().any(|f| f == "help") {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
@@ -598,8 +698,13 @@ fn main() -> ExitCode {
 
     // Category model from a dnarates report file.
     if let Some(path) = args.get("rates-file") {
-        let report_text = std::fs::read_to_string(path).expect("read rates file");
-        let report = fastdnaml::rates::parse_report(&report_text).expect("parse rates file");
+        let report = match std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| fastdnaml::rates::parse_report(&text).map_err(|e| e.to_string()))
+        {
+            Ok(report) => report,
+            Err(e) => return die(format_args!("--rates-file {path}: {e}")),
+        };
         let patterns = fastdnaml::phylo::patterns::PatternAlignment::compress(&alignment);
         config.categories = Some(
             report
@@ -705,33 +810,33 @@ fn main() -> ExitCode {
     let emit = |text: &str| emit_to(output, text);
     // Optional rooting of result trees (§1.1: rooting is a separate step
     // after the unrooted search).
-    let outgroup: Option<Vec<u32>> = args.get("outgroup").map(|list| {
+    let outgroup = args.get("outgroup").map(|list| {
         list.split(',')
-            .map(|name| {
-                alignment
-                    .taxon_id(name.trim())
-                    .unwrap_or_else(|e| panic!("--outgroup: {e}"))
-            })
-            .collect()
+            .map(|name| alignment.taxon_id(name.trim()))
+            .collect::<Result<Vec<u32>, _>>()
     });
+    let outgroup = match outgroup.transpose() {
+        Ok(outgroup) => outgroup,
+        Err(e) => return die(format_args!("--outgroup: {e}")),
+    };
     let midpoint = flags.iter().any(|f| f == "midpoint");
-    let render_tree = |tree: &fastdnaml::phylo::tree::Tree| -> String {
-        if let Some(og) = &outgroup {
-            let rooted = fastdnaml::phylo::rooting::root_at_outgroup(tree, og, alignment.names())
-                .expect("outgroup rooting");
-            newick::write(&rooted)
+    let render_tree = |tree: &fastdnaml::phylo::tree::Tree| {
+        use fastdnaml::phylo::rooting::{midpoint_root, root_at_outgroup};
+        Ok::<_, fastdnaml::phylo::error::PhyloError>(if let Some(og) = &outgroup {
+            newick::write(&root_at_outgroup(tree, og, alignment.names())?)
         } else if midpoint {
-            let rooted = fastdnaml::phylo::rooting::midpoint_root(tree, alignment.names())
-                .expect("midpoint rooting");
-            newick::write(&rooted)
+            newick::write(&midpoint_root(tree, alignment.names())?)
         } else {
             newick::write_tree(tree, alignment.names())
-        }
+        })
     };
 
     // User-tree evaluation mode.
     if let Some(path) = args.get("user-trees") {
-        let trees_text = std::fs::read_to_string(path).expect("read user trees");
+        let trees_text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) => return die(format_args!("--user-trees {path}: {e}")),
+        };
         let newicks: Vec<String> = trees_text
             .lines()
             .map(str::trim)
@@ -993,6 +1098,62 @@ fn main() -> ExitCode {
         }
         result
     };
-    emit(&render_tree(&result.tree));
+    match render_tree(&result.tree) {
+        Ok(text) => emit(&text),
+        Err(e) => return die(format_args!("rooting: {e}")),
+    }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(HashMap<String, String>, Vec<String>), String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    /// `USAGE` and `FLAGS` name the same flags, but for the two hooks the
+    /// table says are hidden.
+    #[test]
+    fn usage_and_the_flag_table_agree() {
+        let mut documented: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|name| !name.is_empty())
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut table: Vec<&str> = FLAGS.iter().map(|(name, _)| *name).collect();
+        table.retain(|name| !["die-after-tasks", "die-rank"].contains(name));
+        table.sort_unstable();
+        assert_eq!(documented, table);
+        assert_eq!(table.len() + 2, FLAGS.len(), "a flag is listed twice");
+    }
+
+    #[test]
+    fn the_parser_takes_what_the_table_lists_and_nothing_else() {
+        let (values, flags) =
+            parse("--input a.phy --net spawn 5 --wire binary --incremental --quiet").unwrap();
+        assert_eq!(values["net"], "spawn");
+        assert_eq!(values["ranks"], "5", "spawn's operand rides in as --ranks");
+        assert_eq!(values["wire"], "binary");
+        assert_eq!(flags, ["incremental", "quiet"]);
+        let (values, _) = parse("--net spawn --ranks 6 --output -").unwrap();
+        assert_eq!(
+            (values["ranks"].as_str(), values["output"].as_str()),
+            ("6", "-")
+        );
+        for (line, named) in [
+            ("--incrmental", "--incrmental"),
+            ("--quiet yes", "yes"),
+            ("--radius", "--radius expects a value"),
+            ("--radius -1", "--radius -1"),
+            ("--jumbles 2.5", "--jumbles 2.5"),
+            ("--net spawn five", "five"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains(named), "{line}: {err}");
+        }
+    }
 }

@@ -312,6 +312,64 @@ fn parallel_run_writes_an_event_log_and_a_summary() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// Run the program on the fixture with `extra`; it must fail with exactly
+/// one line on stderr, which is returned.
+fn one_line_failure(dir: &std::path::Path, extra: &[&str]) -> String {
+    let out = fastdnaml()
+        .arg("--input")
+        .arg(dir.join("data.phy"))
+        .arg("--quiet")
+        .args(extra)
+        .output()
+        .expect("run fastdnaml");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{extra:?} still printed a tree");
+    assert_eq!(stderr.lines().count(), 1, "{extra:?}: {stderr}");
+    assert!(stderr.starts_with("fastdnaml: "), "{extra:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn what_the_cli_does_not_understand_it_refuses() {
+    let dir = workdir("strict");
+    // A typo'd flag used to run a different search without a word.
+    assert!(one_line_failure(&dir, &["--incrmental"]).contains("--incrmental"));
+    assert!(one_line_failure(&dir, &["--paralel", "5"]).contains("--paralel"));
+    assert!(one_line_failure(&dir, &["stray"]).contains("stray"));
+    // A number that does not parse used to be the default.
+    assert!(one_line_failure(&dir, &["--radius", "abc"]).contains("--radius abc"));
+    assert!(one_line_failure(&dir, &["--parallel", "x"]).contains("--parallel x"));
+    assert!(one_line_failure(&dir, &["--tt-ratio", "two"]).contains("--tt-ratio two"));
+    assert!(one_line_failure(&dir, &["--radius", "--midpoint"]).contains("--radius expects"));
+    // Files and names the user got wrong used to be panics (exit 101).
+    let missing = one_line_failure(&dir, &["--rates-file", "/nonexistent.rates"]);
+    assert!(
+        missing.contains("--rates-file /nonexistent.rates"),
+        "{missing}"
+    );
+    let garbage = dir.join("data.phy");
+    let garbage = one_line_failure(&dir, &["--rates-file", garbage.to_str().unwrap()]);
+    assert!(garbage.contains("--rates-file"), "{garbage}");
+    let trees = one_line_failure(&dir, &["--user-trees", "/nonexistent.nwk"]);
+    assert!(trees.contains("--user-trees /nonexistent.nwk"), "{trees}");
+    let outgroup = one_line_failure(&dir, &["--outgroup", "t0,nobody"]);
+    assert!(
+        outgroup.contains("--outgroup") && outgroup.contains("nobody"),
+        "{outgroup}"
+    );
+    // What the launchers pass is still understood: the hidden test hooks
+    // and the `peer` spelling get as far as dialing a dead address.
+    let out = fastdnaml()
+        .args(["--net", "peer", "--connect", "127.0.0.1:1", "--quiet"])
+        .args(["--die-after-tasks", "3", "--die-rank", "4"])
+        .output()
+        .expect("run fastdnaml");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("net worker"), "stderr: {stderr}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn help_flags_print_usage() {
     let out = fastdnaml().args(["--help"]).output().expect("run");

@@ -424,3 +424,72 @@ fn farm_resumes_inflight_jumbles_and_bounds_wal_dir() {
     assert!(leftover.is_empty(), "unretired wal files: {leftover:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The serial farm under a real kill: a coordinator that is SIGKILLed —
+/// nothing unwinds, nothing is flushed — with a jumble's rounds on disk
+/// is relaunched with the same command line, replays exactly those rounds
+/// instead of starting the jumble again, prints the clean run's trees and
+/// leaves no log behind. (That the rounds get there *while* the jumble
+/// runs, not in a burst after it, is a matter of the clock and is pinned
+/// where the clock is one thread's: `core::farm`'s unit tests.)
+#[test]
+fn serial_farm_killed_mid_jumble_has_its_rounds_on_disk() {
+    use std::time::{Duration, Instant};
+    let dir = workdir("sigkill");
+    // Big enough that a jumble outlasts many polls of its log.
+    let tree = fastdnaml::datagen::randtree::yule_tree(14, 0.1, 42);
+    let evolution = fastdnaml::datagen::EvolutionConfig::default();
+    let alignment = fastdnaml::datagen::evolve(&tree, 300, &evolution, 7, "t");
+    std::fs::write(dir.join("data.phy"), phylip::write(&alignment)).expect("write alignment");
+    let farm = |tag: &str, wal: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_fastdnaml"));
+        cmd.arg("--input")
+            .arg(dir.join("data.phy"))
+            .args(["--jumble", "7", "--jumbles", "2", "--quiet"])
+            .arg("--output")
+            .arg(dir.join(format!("{tag}.nwk")))
+            .arg("--jumble-trees")
+            .arg(dir.join(format!("{tag}.trees")));
+        if wal {
+            cmd.arg("--wal-dir").arg(dir.join("wal"));
+            cmd.arg("--obs-out").arg(dir.join(format!("{tag}.jsonl")));
+        }
+        cmd
+    };
+    let trees = |tag: &str| std::fs::read_to_string(dir.join(format!("{tag}.trees"))).unwrap();
+    assert!(farm("clean", false).status().expect("clean run").success());
+
+    const ROUNDS: usize = 3;
+    let logged = || match wal::load(&dir.join("wal"), 0, 7) {
+        Ok(Some(state)) => state.rounds.len(),
+        _ => 0,
+    };
+    let mut child = farm("killed", true).spawn().expect("spawn farm");
+    let deadline = Instant::now() + Duration::from_secs(300);
+    while logged() < ROUNDS {
+        let over = child.try_wait().expect("poll farm").is_some();
+        assert!(
+            !over && Instant::now() < deadline,
+            "the farm never had {ROUNDS} rounds of a running jumble on disk"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    child.kill().expect("kill farm");
+    child.wait().expect("reap farm");
+    let survived = logged();
+    assert!(survived >= ROUNDS, "{survived} rounds survived the kill");
+    assert!(!dir.join("killed.trees").exists(), "the farm had finished");
+
+    // Relaunched with the same command line: the prefix is replayed, the
+    // trees are the clean run's, and no log is left.
+    assert!(farm("resumed", true)
+        .status()
+        .expect("resumed run")
+        .success());
+    assert_eq!(trees("resumed"), trees("clean"));
+    let events = std::fs::read_to_string(dir.join("resumed.jsonl")).unwrap();
+    let replay = format!("\"WalReplay\":{{\"job\":0,\"seed\":7,\"rounds\":{survived}}}");
+    assert!(events.contains(&replay), "no {replay} in the event log");
+    assert_eq!(std::fs::read_dir(dir.join("wal")).unwrap().count(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
