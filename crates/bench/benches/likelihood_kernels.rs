@@ -109,7 +109,6 @@ fn bench_combine_kernels(c: &mut Criterion) {
             black_box(kernels::compute_w_terms(
                 KernelMode::Optimized,
                 &model,
-                &fdml_likelihood::IntraPar::serial(),
                 black_box(&clv1),
                 black_box(&clv2),
                 &mut w_opt,

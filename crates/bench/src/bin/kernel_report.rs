@@ -2,16 +2,14 @@
 //! `BENCH_kernels.json` (see `fdml_bench::kernel_report`).
 //!
 //! Usage:
-//!   kernel_report [--quick] [--samples N] [--out PATH] [--intra-threads N]
+//!   kernel_report [--quick] [--samples N] [--out PATH]
 //!
 //! `--quick` shrinks the datasets and sample counts to a CI smoke test;
 //! the checked-in report must come from a full (default) run.
-//! `--intra-threads N` sets the thread count of the intra-rank scaling
-//! rows (default 4, the gated configuration).
 
 use fdml_bench::kernel_report::{
-    compare, measure, IntraScalingReport, KernelReport, ObjectiveReport, SmoothCandidateReport,
-    WalOverheadReport, WorkloadReport,
+    compare, measure, KernelReport, ObjectiveReport, SmoothCandidateReport, WalOverheadReport,
+    WorkloadReport,
 };
 use fdml_bench::Args;
 use fdml_core::config::SearchConfig;
@@ -28,7 +26,7 @@ use fdml_likelihood::incremental::ClvCache;
 use fdml_likelihood::kernels::{
     self, CategoryRun, EdgeDerivCoefficients, LnProd, PatternWeights, WPlanes,
 };
-use fdml_likelihood::{IntraPar, KernelMode, PAR_BLOCK};
+use fdml_likelihood::{KernelMode, PAR_BLOCK};
 use fdml_obs::{Event, MemorySink, Obs};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves, TreeMove};
@@ -120,60 +118,6 @@ fn run_incremental_workload(
         row.reference.mean_seconds * 1e3,
         moves.len(),
         row.speedup
-    );
-    row
-}
-
-/// Times one evaluate pass serially and at `threads` pattern-block
-/// threads on the same optimized engine, checking the two log-likelihoods
-/// are bit-identical (the determinism contract) along the way. The gated
-/// number is the modeled critical-path speedup of the block schedule; the
-/// wall ratio rides along and is only meaningful when the host has at
-/// least `threads` cores.
-fn run_intra_scaling(
-    name: &str,
-    samples: usize,
-    engine: &mut LikelihoodEngine,
-    tree: &Tree,
-    threads: usize,
-) -> IntraScalingReport {
-    engine.set_kernel_mode(KernelMode::Optimized);
-    engine.set_intra_threads(1);
-    let serial_eval = engine.evaluate(tree);
-    let updates = serial_eval.work.total_pattern_updates();
-    let serial = measure(samples, updates, || {
-        black_box(engine.evaluate(tree).ln_likelihood);
-    });
-    engine.set_intra_threads(threads);
-    let threaded_eval = engine.evaluate(tree);
-    assert_eq!(
-        serial_eval.ln_likelihood.to_bits(),
-        threaded_eval.ln_likelihood.to_bits(),
-        "intra-rank threading changed the log-likelihood bits"
-    );
-    let threaded = measure(samples, updates, || {
-        black_box(engine.evaluate(tree).ln_likelihood);
-    });
-    engine.set_intra_threads(1);
-    let patterns = engine.patterns().num_patterns();
-    let row = IntraScalingReport {
-        name: name.to_string(),
-        threads,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        patterns,
-        modeled_speedup: fdml_likelihood::par::modeled_speedup(patterns, threads),
-        wall_speedup: serial.mean_seconds / threaded.mean_seconds,
-        serial,
-        threaded,
-    };
-    println!(
-        "{:<32} 1t {:>10.3} ms  {}t {:>8.3} ms  modeled {:.2}x  wall {:.2}x",
-        row.name,
-        row.serial.mean_seconds * 1e3,
-        row.threads,
-        row.threaded.mean_seconds * 1e3,
-        row.modeled_speedup,
-        row.wall_speedup
     );
     row
 }
@@ -374,10 +318,9 @@ fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
     let mut w = vec![WTerms::ZERO; np];
     scalar_w_terms(&model, &u, &d, &mut w);
     let planes = WPlanes::new(&w);
-    let par = IntraPar::serial();
 
     let mut out = vec![WTerms::ZERO; np];
-    kernels::w_terms_folded(&par, &model, &u, &d, &mut out);
+    kernels::w_terms_folded(&model, &u, &d, &mut out);
     assert_eq!(
         out, w,
         "the vectorized W-terms left the scalar original's bits"
@@ -466,7 +409,7 @@ fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
         deriv.fill(&model, &cats, 0.37);
 
         let want = scalar_lnl_d012(&deriv, &runs, &w, &weights);
-        let got = kernels::lnl_d012_folded(&par, &deriv, &runs, &planes, &bound);
+        let got = kernels::lnl_d012_folded(&deriv, &runs, &planes, &bound);
         assert_eq!(
             (got.0.to_bits(), got.1.to_bits(), got.2.to_bits()),
             (want.0.to_bits(), want.1.to_bits(), want.2.to_bits()),
@@ -476,9 +419,7 @@ fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
         let (deriv, runs, w, weights) = (&deriv, &runs[..], &w, &weights);
         rows.push(row(
             &format!("newton_objective{}", shape.suffix),
-            &mut || {
-                kernels::lnl_d012_folded(&par, black_box(deriv), runs, black_box(&planes), &bound).0
-            },
+            &mut || kernels::lnl_d012_folded(black_box(deriv), runs, black_box(&planes), &bound).0,
             &mut || scalar_lnl_d012(black_box(deriv), runs, black_box(w), weights).0,
         ));
         if !shape.suffix.is_empty() {
@@ -487,7 +428,7 @@ fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
         rows.push(row(
             "w_terms",
             &mut || {
-                kernels::w_terms_folded(&par, &model, black_box(&u), black_box(&d), &mut out);
+                kernels::w_terms_folded(&model, black_box(&u), black_box(&d), &mut out);
                 out[np / 2].w1
             },
             &mut || {
@@ -580,13 +521,11 @@ fn main() {
     let quick = args.has_flag("quick");
     let samples = args.get("samples", if quick { 3 } else { 15 });
     let out = args.get_str("out", "BENCH_kernels.json");
-    let intra_threads: usize = args.get("intra-threads", 4usize).max(2);
 
     let (eval_taxa, eval_sites) = if quick { (24, 200) } else { (101, 500) };
     let by_sites = if quick { (16, 300) } else { (32, 1858) };
 
     let mut workloads = Vec::new();
-    let mut intra_scaling = Vec::new();
 
     {
         let (alignment, tree) = dataset(eval_taxa, eval_sites);
@@ -619,52 +558,6 @@ fn main() {
             &mut engine,
             |e| e.evaluate(&tree).work.total_pattern_updates(),
         ));
-        // Intra-rank thread scaling on the widest alignment: one row at 2
-        // threads and one at the gated configuration.
-        for threads in [2usize, intra_threads] {
-            if intra_scaling
-                .iter()
-                .any(|r: &IntraScalingReport| r.threads == threads)
-            {
-                continue;
-            }
-            intra_scaling.push(run_intra_scaling(
-                &format!("intra_scaling/evaluate_by_sites/{threads}"),
-                samples,
-                &mut engine,
-                &tree,
-                threads,
-            ));
-        }
-    }
-
-    // The intra-rank gate. The block schedule itself is deterministic, so
-    // the gated number is the modeled critical-path speedup at 4 threads on
-    // the full-size pattern load — it regresses only if the block size or
-    // the round-robin assignment gets less balanced, independent of how
-    // many cores this host happens to have. Wall time is gated only on
-    // hosts that can actually run 4 threads in parallel, and only in full
-    // (non-quick) runs.
-    {
-        const GATE_PATTERNS: usize = 1500;
-        const GATE_THREADS: usize = 4;
-        let modeled = fdml_likelihood::par::modeled_speedup(GATE_PATTERNS, GATE_THREADS);
-        assert!(
-            modeled >= 2.5,
-            "modeled intra-rank speedup at {GATE_THREADS} threads regressed below the \
-             2.5x gate: {modeled:.2}x over {GATE_PATTERNS} patterns"
-        );
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if !quick && cores >= GATE_THREADS {
-            if let Some(row) = intra_scaling.iter().find(|r| r.threads == GATE_THREADS) {
-                assert!(
-                    row.wall_speedup >= 1.3,
-                    "wall intra-rank speedup at {GATE_THREADS} threads on a {cores}-core \
-                     host fell below 1.3x: {:.2}x",
-                    row.wall_speedup
-                );
-            }
-        }
     }
 
     {
@@ -748,7 +641,6 @@ fn main() {
         generated_by: "fdml-bench kernel_report".into(),
         quick,
         workloads,
-        intra_scaling,
         wal_overhead,
         objective,
         smooth_candidate,

@@ -209,25 +209,6 @@ fn main() {
         let r = simulate_trace_hierarchical(&trace, &cfg(p, &cost), &HierConfig::binary(regions));
         emit(row("hierarchical", regions, &r));
     }
-    // Intra-rank threading: every worker rank drives 4 pattern-block
-    // threads, so the machine's effective reach becomes ranks × cores.
-    // Worker compute shrinks by the modeled critical-path speedup of the
-    // block schedule (not by 4 — the trace's 900 patterns cap it).
-    let intra_cost = CostModel {
-        intra_threads: 4,
-        ..cost.clone()
-    };
-    println!(
-        "  (intra4: {:.2}x modeled per-rank speedup on {} patterns)",
-        intra_cost.intra_speedup(trace.num_patterns),
-        trace.num_patterns
-    );
-    for p in [64usize, 256, 1024, 4096] {
-        let regions = regions_for(p);
-        let r =
-            simulate_trace_hierarchical(&trace, &cfg(p, &intra_cost), &HierConfig::binary(regions));
-        emit(row("hier-intra4", regions, &r));
-    }
 
     // Gate 1: byte-identical replay at 1024 ranks.
     let flat_mem = MemorySink::new();

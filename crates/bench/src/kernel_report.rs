@@ -44,35 +44,6 @@ pub struct WorkloadReport {
     pub speedup: f64,
 }
 
-/// One intra-rank scaling row: the same optimized workload run serially
-/// and with `threads` pattern-block threads.
-///
-/// The gated number is `modeled_speedup` — the critical-path speedup of
-/// the round-robin block→thread assignment (heaviest thread's pattern
-/// load versus the whole alignment), a deterministic function of the
-/// pattern count and [`fdml_likelihood::PAR_BLOCK`]. Wall speedup is
-/// reported alongside but only meaningful when the host actually has
-/// `threads` cores; a one-core CI box oversubscribes and measures noise.
-#[derive(Debug, Clone, Serialize)]
-pub struct IntraScalingReport {
-    /// Workload id (e.g. `intra_scaling/evaluate_by_sites/4`).
-    pub name: String,
-    /// Pattern-block threads in the threaded run.
-    pub threads: usize,
-    /// Hardware threads the measuring host had.
-    pub host_cores: usize,
-    /// Compressed pattern count of the workload's alignment.
-    pub patterns: usize,
-    /// Critical-path speedup of the block schedule at `threads` threads.
-    pub modeled_speedup: f64,
-    /// Measured wall speedup, `serial.mean / threaded.mean`.
-    pub wall_speedup: f64,
-    /// Timing at one thread (the serial fold).
-    pub serial: ModeStats,
-    /// Timing at `threads` threads.
-    pub threaded: ModeStats,
-}
-
 /// Cost of the write-ahead round log on the golden search: the same
 /// stepwise search timed bare and with a [`fdml_core::wal`] session
 /// appending (and `fdatasync`ing) every committed round, including log
@@ -173,9 +144,6 @@ pub struct KernelReport {
     pub quick: bool,
     /// Per-workload comparisons.
     pub workloads: Vec<WorkloadReport>,
-    /// Intra-rank thread-scaling rows (empty before the rayon kernels).
-    #[serde(default)]
-    pub intra_scaling: Vec<IntraScalingReport>,
     /// Write-ahead-log overhead rows (empty before the WAL).
     #[serde(default)]
     pub wal_overhead: Vec<WalOverheadReport>,
@@ -295,23 +263,11 @@ mod tests {
                 evals_per_visit: 1.9,
                 down_combines_skipped: 0.37,
             }],
-            intra_scaling: vec![IntraScalingReport {
-                name: "intra_scaling/w/4".into(),
-                threads: 4,
-                host_cores: 1,
-                patterns: 1500,
-                modeled_speedup: fdml_likelihood::par::modeled_speedup(1500, 4),
-                wall_speedup: 1.0,
-                serial: s(2.0),
-                threaded: s(2.0),
-            }],
         };
         assert!((report.workloads[0].speedup - 2.0).abs() < 1e-12);
         let json = report.to_json();
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"tree_evaluate\"") || json.contains("\"w\""));
-        assert!(json.contains("\"intra_scaling\""));
-        assert!(json.contains("\"modeled_speedup\""));
         assert!(json.contains("\"wal_overhead\""));
         assert!(json.contains("\"overhead\""));
         assert!(json.contains("\"newton_objective/142\""));

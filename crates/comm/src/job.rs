@@ -44,19 +44,8 @@ pub struct JobSpec {
     /// Quota request: wall-time budget in milliseconds. `0` means
     /// unlimited (subject to the daemon's own ceiling).
     pub max_wall_ms: u64,
-    /// Intra-rank kernel threads per worker (`--intra-threads`). Typed
-    /// here (not just inside `config_json`) so the scheduler can account
-    /// a rank as `intra_threads` hardware slots without parsing the
-    /// engine config. `0` is normalized to 1 (serial) at build time;
-    /// absent in old payloads it deserializes to 1.
-    #[serde(default = "default_intra_threads")]
-    pub intra_threads: usize,
     /// Free-form label shown in status output.
     pub label: String,
-}
-
-fn default_intra_threads() -> usize {
-    1
 }
 
 impl JobSpec {
@@ -81,7 +70,6 @@ pub struct JobSpecBuilder {
     base_seed: Option<u64>,
     max_ranks: usize,
     max_wall_ms: u64,
-    intra_threads: usize,
     label: String,
     conflicts: Vec<(String, String)>,
 }
@@ -120,13 +108,6 @@ impl JobSpecBuilder {
     /// Request a wall-time budget in milliseconds (`--max-wall-ms`).
     pub fn max_wall_ms(mut self, ms: u64) -> Self {
         self.max_wall_ms = ms;
-        self
-    }
-
-    /// Set the intra-rank kernel thread count (`--intra-threads`);
-    /// `0` means "unset" and normalizes to 1 (serial).
-    pub fn intra_threads(mut self, n: usize) -> Self {
-        self.intra_threads = n;
         self
     }
 
@@ -195,7 +176,6 @@ impl JobSpecBuilder {
             base_seed,
             max_ranks: self.max_ranks,
             max_wall_ms: self.max_wall_ms,
-            intra_threads: self.intra_threads.max(1),
             label: self.label,
         })
     }

@@ -51,12 +51,6 @@ pub struct SearchConfig {
     /// mode a worker runs in is decided per task by the message it
     /// receives (`TreeTask` vs `EditChunk`).
     pub incremental: bool,
-    /// Intra-rank kernel threads per worker (`--intra-threads`): the
-    /// likelihood kernels fan pattern blocks across this many threads.
-    /// 1 (the default) keeps the serial fast path; results are
-    /// bit-identical at any value. Travels in the engine wire config so
-    /// remote workers build identically threaded engines.
-    pub intra_threads: usize,
 }
 
 impl Default for SearchConfig {
@@ -74,7 +68,6 @@ impl Default for SearchConfig {
             worker_timeout: Duration::from_secs(30),
             categories: None,
             incremental: false,
-            intra_threads: 1,
         }
     }
 }
@@ -103,7 +96,6 @@ impl SearchConfig {
             None => RateCategories::single(patterns.num_patterns()),
         };
         LikelihoodEngine::with_parts(patterns, model, categories)
-            .with_intra_threads(self.intra_threads)
     }
 
     /// The wire form of the engine configuration, broadcast to workers.
@@ -126,7 +118,9 @@ impl SearchConfig {
 /// [`fdml_comm::Message::ProblemData`]. Only `worker_timeout` (a purely
 /// foreman-side concern), `jumble_seed` (carried per-task), and
 /// `incremental` (a master-side dispatch choice, visible to workers only
-/// through which task message arrives) stay behind.
+/// through which task message arrives) stay behind. Keys this form does
+/// not know, such as the per-rank thread count older builds wrote, are
+/// ignored.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct EngineConfigWire {
     tt_ratio: f64,
@@ -148,12 +142,6 @@ struct EngineConfigWire {
     max_verify_per_round: usize,
     #[serde(default = "default_verify_slack")]
     verify_slack: f64,
-    #[serde(default = "default_intra_threads")]
-    intra_threads: usize,
-}
-
-fn default_intra_threads() -> usize {
-    1
 }
 
 fn default_rearrange_radius() -> usize {
@@ -196,7 +184,6 @@ impl From<&SearchConfig> for EngineConfigWire {
             max_rearrange_rounds: c.max_rearrange_rounds,
             max_verify_per_round: c.max_verify_per_round,
             verify_slack: c.verify_slack,
-            intra_threads: c.intra_threads,
         }
     }
 }
@@ -223,7 +210,6 @@ impl EngineConfigWire {
             max_rearrange_rounds: self.max_rearrange_rounds,
             max_verify_per_round: self.max_verify_per_round,
             verify_slack: self.verify_slack,
-            intra_threads: self.intra_threads,
             ..SearchConfig::default()
         }
     }
@@ -300,21 +286,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_wire_carries_intra_threads() {
+    fn engine_config_from_a_build_with_intra_threads_parses_the_same() {
+        // Builds that had intra-rank threads appended `"intra_threads":N`
+        // to this payload; a worker of this build reads the rest unchanged.
         let c = SearchConfig {
-            intra_threads: 4,
+            tt_ratio: 3.5,
+            rearrange_radius: 4,
+            categories: Some(RateCategories::new(vec![0.5, 2.0], vec![0, 1, 1])),
             ..SearchConfig::default()
         };
-        let back = SearchConfig::from_engine_config_json(&c.engine_config_json()).unwrap();
-        assert_eq!(back.intra_threads, 4);
-        // Pre-existing payloads without the field default to serial.
-        let json = r#"{"tt_ratio":2.0,"max_passes":2,"length_tolerance":1e-5,
-            "newton_max_iters":10,"newton_tolerance":1e-6,
-            "category_rates":[1.0],"category_assignment":null}"#;
-        let old = SearchConfig::from_engine_config_json(json).unwrap();
-        assert_eq!(old.intra_threads, 1);
-        let a = Alignment::from_strings(&[("x", "ACGT"), ("y", "ACGA")]).unwrap();
-        assert_eq!(c.build_engine(&a).intra_threads(), 4);
+        let json = c.engine_config_json();
+        let legacy = format!("{},\"intra_threads\":4}}", json.strip_suffix('}').unwrap());
+        let back = SearchConfig::from_engine_config_json(&legacy).unwrap();
+        assert_eq!(back.engine_config_json(), json);
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl ResolvedJob {
         let mut config = SearchConfig::from_engine_config_json(&spec.config_json)
             .map_err(|e| PhyloError::Format(format!("bad config in job spec: {e}")))?;
         config.jumble_seed = spec.base_seed;
-        // The typed field wins over whatever the wire config carries: the
-        // scheduler accounts slots from the spec, so the engines workers
-        // build must match it.
-        if spec.intra_threads > 0 {
-            config.intra_threads = spec.intra_threads;
-        }
         let seeds = plan_seeds(spec.base_seed, spec.jumbles)?;
         Ok(ResolvedJob {
             alignment,
@@ -83,7 +77,6 @@ impl ResolvedJob {
             base_seed: self.config.jumble_seed,
             max_ranks: 0,
             max_wall_ms: 0,
-            intra_threads: self.config.intra_threads,
             label: String::new(),
         }
     }
@@ -158,7 +151,6 @@ mod tests {
             base_seed: 1,
             max_ranks: 0,
             max_wall_ms: 0,
-            intra_threads: 1,
             label: String::new(),
         };
         assert!(ResolvedJob::from_spec(&spec).is_err());

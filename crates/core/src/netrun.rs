@@ -329,7 +329,7 @@ fn run_on_net<R>(
         ..
     } = options;
     let workers = num_ranks - first_worker_rank(regions);
-    let observer = RunObserver::start(sinks, num_ranks, workers, config);
+    let observer = RunObserver::start(sinks, num_ranks, workers);
     let obs = &observer.obs;
     let (hub, foreman_end, monitor_end, mut children) = assemble_universe(
         &listen,

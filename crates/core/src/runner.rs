@@ -219,12 +219,7 @@ pub struct RunObserver {
 
 impl RunObserver {
     /// Start observing a run of `ranks` ranks, `workers` of them workers.
-    pub fn start(
-        mut sinks: Vec<Box<dyn Sink>>,
-        ranks: usize,
-        workers: usize,
-        config: &SearchConfig,
-    ) -> RunObserver {
+    pub fn start(mut sinks: Vec<Box<dyn Sink>>, ranks: usize, workers: usize) -> RunObserver {
         let mem = sinks.iter().any(|s| !s.is_null()).then(MemorySink::new);
         if let Some(mem) = &mem {
             sinks.push(Box::new(mem.clone()));
@@ -233,7 +228,6 @@ impl RunObserver {
         obs.emit(|| Event::RunStarted { ranks, workers });
         obs.emit(|| Event::KernelDispatch {
             isa: fdml_likelihood::isa::active().name().to_string(),
-            intra_threads: config.intra_threads,
         });
         RunObserver { obs, mem }
     }
@@ -361,7 +355,7 @@ fn run_on_threads<R>(
         regions == 0 || num_ranks > first_worker,
         "a hierarchical run needs at least one worker above its {regions} regional foremen"
     );
-    let observer = RunObserver::start(sinks, num_ranks, num_ranks - first_worker, config);
+    let observer = RunObserver::start(sinks, num_ranks, num_ranks - first_worker);
     let obs = &observer.obs;
 
     let mut endpoints = ThreadUniverse::create(num_ranks);

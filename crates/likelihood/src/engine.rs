@@ -19,7 +19,6 @@ use crate::clv::{fill_tip_clv, WTerms, LN_SCALE};
 use crate::f84::F84Model;
 use crate::kernels::{self, KernelMode, KernelScratch, PatternWeights};
 use crate::newton::NewtonOptions;
-use crate::par::IntraPar;
 use crate::work::WorkCounter;
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::dna::NUM_STATES;
@@ -74,9 +73,6 @@ pub struct LikelihoodEngine {
     weights: Arc<PatternWeights>,
     /// Which kernel implementation evaluations route through.
     mode: KernelMode,
-    /// Intra-rank thread pool fanning kernel pattern blocks (serial by
-    /// default; see [`crate::par`]).
-    intra: IntraPar,
     /// Recycled workspace buffers (optimized mode only; the reference mode
     /// allocates per call like the seed implementation it reproduces).
     pool: WorkspacePool,
@@ -114,13 +110,13 @@ impl WorkspacePool {
     }
 
     /// Hand out a buffer set: a recycled one when available, else fresh.
-    fn lease(&self, categories: &RateCategories, par: &IntraPar) -> PoolEntry {
+    fn lease(&self, categories: &RateCategories) -> PoolEntry {
         let entry = self
             .entries
             .lock()
             .unwrap()
             .pop()
-            .unwrap_or_else(|| PoolEntry::fresh(categories, par));
+            .unwrap_or_else(|| PoolEntry::fresh(categories));
         #[cfg(debug_assertions)]
         {
             let inserted = self.outstanding.lock().unwrap().insert(entry.lease);
@@ -202,7 +198,6 @@ impl LikelihoodEngine {
             categories,
             tip_clvs: Arc::new(tip_clvs),
             mode: KernelMode::default(),
-            intra: IntraPar::serial(),
             pool: WorkspacePool::new(),
         }
     }
@@ -214,36 +209,11 @@ impl LikelihoodEngine {
         self
     }
 
-    /// The same engine with an `n`-thread intra-rank pool fanning kernel
-    /// pattern blocks (the `--intra-threads` flag); `n <= 1` keeps the
-    /// zero-overhead serial path. Results are bit-identical at any `n`.
-    pub fn with_intra_threads(mut self, n: usize) -> LikelihoodEngine {
-        self.set_intra_threads(n);
-        self
-    }
-
-    /// Rebuild the intra-rank pool in place.
-    pub fn set_intra_threads(&mut self, n: usize) {
-        self.intra = IntraPar::with_threads(n);
-        // Pooled kernel scratch carries a handle to the previous pool.
-        self.pool.clear();
-    }
-
-    /// The configured intra-rank thread count (1 when serial).
-    pub fn intra_threads(&self) -> usize {
-        self.intra.threads()
-    }
-
-    /// The intra-rank pool handle.
-    pub(crate) fn intra(&self) -> &IntraPar {
-        &self.intra
-    }
-
-    /// Kernel scratch bound to this engine's categories and intra-rank
-    /// pool, for callers whose scratch outlives a [`Workspace`] (the
-    /// scorer, the incremental CLV cache).
+    /// Kernel scratch bound to this engine's categories, for callers whose
+    /// scratch outlives a [`Workspace`] (the scorer, the incremental CLV
+    /// cache).
     pub(crate) fn kernel_scratch(&self) -> KernelScratch {
-        KernelScratch::with_par(&self.categories, self.intra.clone())
+        KernelScratch::new(&self.categories)
     }
 
     /// Switch the kernel implementation in place.
@@ -344,7 +314,6 @@ impl LikelihoodEngine {
                 tip_clvs: Arc::clone(&self.tip_clvs),
                 weights: Arc::clone(&self.weights),
                 mode: self.mode,
-                intra: self.intra.clone(),
                 pool: WorkspacePool::new(),
             };
             &scaled
@@ -451,11 +420,11 @@ struct PoolEntry {
 }
 
 impl PoolEntry {
-    fn fresh(categories: &RateCategories, par: &IntraPar) -> PoolEntry {
+    fn fresh(categories: &RateCategories) -> PoolEntry {
         PoolEntry {
             clvs: ClvBuffers::default(),
             wterms: Vec::new(),
-            scratch: KernelScratch::with_par(categories, par.clone()),
+            scratch: KernelScratch::new(categories),
             lease: NEXT_LEASE.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -491,11 +460,11 @@ impl<'e> Workspace<'e> {
         let order = tree.postorder_toward(root);
         let cap = tree.edge_capacity();
         let entry = if engine.mode == KernelMode::Optimized {
-            engine.pool.lease(&engine.categories, &engine.intra)
+            engine.pool.lease(&engine.categories)
         } else {
             // Reference mode reproduces the seed's allocate-per-call
             // behavior and never recycles through the pool.
-            PoolEntry::fresh(&engine.categories, &engine.intra)
+            PoolEntry::fresh(&engine.categories)
         };
         let PoolEntry {
             mut clvs,
@@ -721,7 +690,6 @@ impl<'e> Workspace<'e> {
         work.loglik_pattern_evals += kernels::compute_w_terms(
             engine.mode,
             &engine.model,
-            engine.intra(),
             up_clv,
             down_clv,
             &mut self.wterms,
@@ -750,14 +718,8 @@ impl<'e> Workspace<'e> {
         let root_taxon = tree.taxon(self.root).expect("root is a tip");
         let tip = engine.tip_clv(root_taxon);
         let (down_clv, down_sc) = self.clvs.down_of(engine, ei);
-        work.loglik_pattern_evals += kernels::compute_w_terms(
-            engine.mode,
-            &engine.model,
-            engine.intra(),
-            tip,
-            down_clv,
-            &mut self.wterms,
-        );
+        work.loglik_pattern_evals +=
+            kernels::compute_w_terms(engine.mode, &engine.model, tip, down_clv, &mut self.wterms);
         kernels::branch_lnl(
             engine.mode,
             &engine.model,
@@ -777,14 +739,7 @@ impl<'e> Workspace<'e> {
         let root_taxon = tree.taxon(self.root).expect("root is a tip");
         let tip = engine.tip_clv(root_taxon);
         let (down_clv, down_sc) = self.clvs.down_of(engine, ei);
-        kernels::compute_w_terms(
-            engine.mode,
-            &engine.model,
-            engine.intra(),
-            tip,
-            down_clv,
-            &mut self.wterms,
-        );
+        kernels::compute_w_terms(engine.mode, &engine.model, tip, down_clv, &mut self.wterms);
         // Cold path (one call per rate scan); the per-call allocation is fine.
         let co = crate::reference::branch_coefficients(
             &engine.model,
@@ -1174,31 +1129,6 @@ mod tests {
         assert_eq!(fresh.evaluate(&small).ln_likelihood, small_first);
     }
 
-    #[test]
-    fn intra_threads_are_bit_identical() {
-        // The canonical block reduction makes the thread count invisible
-        // in the output bits: evaluation and full branch-length
-        // optimization agree exactly between a serial engine and a
-        // 4-thread pool (on a tree large enough to span several blocks).
-        let (a, t) = five_taxon_case();
-        let serial = LikelihoodEngine::new(&a);
-        let pooled = LikelihoodEngine::new(&a).with_intra_threads(4);
-        assert_eq!(pooled.intra_threads(), 4);
-        assert_eq!(
-            serial.evaluate(&t).ln_likelihood,
-            pooled.evaluate(&t).ln_likelihood
-        );
-        let opts = OptimizeOptions::default();
-        let mut t_serial = t.clone();
-        let mut t_pooled = t.clone();
-        let lnl_s = serial.optimize(&mut t_serial, &opts).ln_likelihood;
-        let lnl_p = pooled.optimize(&mut t_pooled, &opts).ln_likelihood;
-        assert_eq!(lnl_s, lnl_p);
-        for e in t_serial.edge_ids() {
-            assert_eq!(t_serial.length(e).to_bits(), t_pooled.length(e).to_bits());
-        }
-    }
-
     impl Workspace<'_> {
         /// `smooth_edge` as it was before it skipped anything: every
         /// internal edge's `down` is recombined on the way back up.
@@ -1285,7 +1215,7 @@ mod tests {
     fn skipping_clean_down_clvs_is_exact() {
         let opts = OptimizeOptions::default();
         let mut rng = StdRng::seed_from_u64(0xD0);
-        // 300 and 400 sites span more than one intra-rank pattern block.
+        // 300 and 400 sites span more than one fold block.
         for (taxa, sites) in [
             (4usize, 300),
             (5, 60),
@@ -1326,45 +1256,35 @@ mod tests {
                     cats,
                 );
                 for mode in [KernelMode::Optimized, KernelMode::Reference] {
-                    for threads in [1usize, 4] {
-                        let engine = base
-                            .clone()
-                            .with_kernel_mode(mode)
-                            .with_intra_threads(threads);
-                        for (start, tree) in [("cold", &cold), ("warm", &warm)] {
-                            let tag = format!(
-                                "{taxa} taxa, {np} patterns, {ncat} categories, {mode:?}, \
-                                 {threads} threads, {start}"
-                            );
-                            let (mut got, mut want) = (tree.clone(), tree.clone());
-                            let skipping = engine.optimize(&mut got, &opts);
-                            let recombining = optimize_recombining(&engine, &mut want, &opts);
-                            assert_eq!(
-                                fdml_phylo::newick::write_tree(&got, a.names()),
-                                fdml_phylo::newick::write_tree(&want, a.names()),
-                                "{tag}"
-                            );
-                            for e in got.edge_ids() {
-                                assert_eq!(
-                                    got.length(e).to_bits(),
-                                    want.length(e).to_bits(),
-                                    "{tag}"
-                                );
-                            }
-                            assert_eq!(
-                                skipping.ln_likelihood.to_bits(),
-                                recombining.ln_likelihood.to_bits(),
-                                "{tag}"
-                            );
-                            let (s, r) = (skipping.work, recombining.work);
-                            assert_eq!(s.newton_pattern_iters, r.newton_pattern_iters, "{tag}");
-                            assert_eq!(s.loglik_pattern_evals, r.loglik_pattern_evals, "{tag}");
-                            assert!(s.clv_pattern_updates <= r.clv_pattern_updates, "{tag}");
-                            // A small tree can move every subtree in every
-                            // pass; from 17 taxa on, some always sit still.
-                            if taxa >= 17 {
-                                assert!(s.clv_pattern_updates < r.clv_pattern_updates, "{tag}");
-                            }
+                    let engine = base.clone().with_kernel_mode(mode);
+                    for (start, tree) in [("cold", &cold), ("warm", &warm)] {
+                        let tag = format!(
+                            "{taxa} taxa, {np} patterns, {ncat} categories, {mode:?}, {start}"
+                        );
+                        let (mut got, mut want) = (tree.clone(), tree.clone());
+                        let skipping = engine.optimize(&mut got, &opts);
+                        let recombining = optimize_recombining(&engine, &mut want, &opts);
+                        assert_eq!(
+                            fdml_phylo::newick::write_tree(&got, a.names()),
+                            fdml_phylo::newick::write_tree(&want, a.names()),
+                            "{tag}"
+                        );
+                        for e in got.edge_ids() {
+                            assert_eq!(got.length(e).to_bits(), want.length(e).to_bits(), "{tag}");
+                        }
+                        assert_eq!(
+                            skipping.ln_likelihood.to_bits(),
+                            recombining.ln_likelihood.to_bits(),
+                            "{tag}"
+                        );
+                        let (s, r) = (skipping.work, recombining.work);
+                        assert_eq!(s.newton_pattern_iters, r.newton_pattern_iters, "{tag}");
+                        assert_eq!(s.loglik_pattern_evals, r.loglik_pattern_evals, "{tag}");
+                        assert!(s.clv_pattern_updates <= r.clv_pattern_updates, "{tag}");
+                        // A small tree can move every subtree in every
+                        // pass; from 17 taxa on, some always sit still.
+                        if taxa >= 17 {
+                            assert!(s.clv_pattern_updates < r.clv_pattern_updates, "{tag}");
                         }
                     }
                 }
@@ -1416,15 +1336,14 @@ mod tests {
     fn pool_detects_double_hand_out() {
         let pool = WorkspacePool::new();
         let cats = RateCategories::single(4);
-        let par = IntraPar::serial();
-        let first = pool.lease(&cats, &par);
+        let first = pool.lease(&cats);
         // Forge an entry aliasing `first`'s lease id and sneak it into the
         // idle stack: handing the same id out twice must trip the debug
         // assertion before two workspaces could share buffers.
-        let mut forged = PoolEntry::fresh(&cats, &par);
+        let mut forged = PoolEntry::fresh(&cats);
         forged.lease = first.lease;
         pool.entries.lock().unwrap().push(forged);
-        let _second = pool.lease(&cats, &par);
+        let _second = pool.lease(&cats);
     }
 
     #[cfg(debug_assertions)]
@@ -1433,7 +1352,7 @@ mod tests {
     fn pool_rejects_unleased_return() {
         let pool = WorkspacePool::new();
         let cats = RateCategories::single(4);
-        pool.put(PoolEntry::fresh(&cats, &IntraPar::serial()));
+        pool.put(PoolEntry::fresh(&cats));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Optimized likelihood kernels: division-free, allocation-free, blocked,
-//! runtime-dispatched, and intra-rank parallel.
+//! and runtime-dispatched.
 //!
 //! This module is the default implementation behind
 //! [`crate::engine::LikelihoodEngine`]; the original scalar code lives in
@@ -31,13 +31,15 @@
 //!    lane performs the exact scalar multiply-add DAG per pattern
 //!    (vertical packed ops only), so lane selection never changes a bit
 //!    of output.
-//! 5. **Pattern-block parallelism** ([`crate::par`]): the combine, W-term,
-//!    and likelihood-fold kernels split pattern space into canonical
-//!    [`crate::par::PAR_BLOCK`]-pattern blocks, fanned round-robin across
-//!    the scratch's [`IntraPar`] pool. Map kernels write disjoint slices;
-//!    fold kernels compute one partial per block and merge the partials
-//!    serially in block order, so the result is bit-identical at any
-//!    thread count (the 1-thread execution *is* the canonical order).
+//! 5. **The canonical fold cut** ([`PAR_BLOCK`]): the likelihood folds cut
+//!    pattern space into fixed [`PAR_BLOCK`]-pattern blocks, fold each
+//!    block into a partial of its own and merge the partials in block
+//!    order. Where the cut falls decides where [`LnProd`] renormalizes, so
+//!    it is part of what defines the lnL bits: a function of the pattern
+//!    count alone, and changed only with the WAL's numerics epoch. The
+//!    combine and W-term kernels are pure per-pattern maps whose rescale
+//!    windows are aligned to pattern 0, so they take the whole range at
+//!    once.
 //! 6. **Two-phase objective** ([`lnl_d012_folded`], [`branch_lnl_folded`]):
 //!    a block of one rate category and mostly distinct columns is taken a
 //!    stage of 4 patterns at a time.
@@ -54,14 +56,13 @@
 //! Work accounting is unchanged: both paths count one unit per pattern per
 //! kernel invocation, so `WorkCounter` totals are comparable across
 //! [`KernelMode::Optimized`] and [`KernelMode::Reference`] runs — and
-//! across thread counts and ISAs.
+//! across ISAs.
 
 use crate::categories::RateCategories;
 use crate::clv::{WTerms, LN_SCALE, SCALE_FACTOR, SCALE_THRESHOLD};
 use crate::f84::{Coefficients, CoefficientsD2, F84Model};
 use crate::isa;
 use crate::newton::{self, NewtonOptions};
-use crate::par::{self, IntraPar, SendPtr};
 use crate::reference;
 use crate::work::WorkCounter;
 use fdml_phylo::dna::{A, C, G, T};
@@ -69,11 +70,21 @@ use fdml_phylo::dna::{A, C, G, T};
 /// How many patterns the deferred underflow scan covers per block.
 pub const SCALE_CHECK_BLOCK: usize = 32;
 
-/// Fold partial slots kept on the stack before falling back to the heap:
-/// 16 blocks × 256 patterns covers 4 096 patterns without allocating (the
-/// slots are initialized on every fold, so more of them is not free: 64
-/// cost a 142-pattern Newton evaluation ~27 ns of its ~350).
-const MAX_STACK_BLOCKS: usize = 16;
+/// Patterns per block of the likelihood folds — the canonical cut; see
+/// point 5 of the module docs. 256 patterns: a multiple of
+/// [`SCALE_CHECK_BLOCK`] and of the widest SIMD quad (8).
+pub const PAR_BLOCK: usize = 256;
+
+/// How many [`PAR_BLOCK`] blocks cover `np` patterns.
+fn block_count(np: usize) -> usize {
+    np.div_ceil(PAR_BLOCK)
+}
+
+/// The pattern range of block `b` over `np` patterns.
+fn block_range(b: usize, np: usize) -> (usize, usize) {
+    let lo = b * PAR_BLOCK;
+    (lo, (lo + PAR_BLOCK).min(np))
+}
 
 /// Which kernel implementation an engine routes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -266,12 +277,11 @@ impl WPlanes {
 
 /// Reusable per-workspace kernel state: the category-run decomposition,
 /// coefficient tables for the (at most two) branches of one kernel call,
-/// the planes of the branch whose objective is being evaluated, and the
-/// workspace's intra-rank thread-pool handle.
+/// and the planes of the branch whose objective is being evaluated.
 ///
-/// The `Default` value is an inert placeholder (no runs, no pattern maxes,
-/// serial) left behind when a workspace's scratch is recycled; build usable
-/// scratch with [`KernelScratch::new`] or [`KernelScratch::with_par`].
+/// The `Default` value is an inert placeholder (no runs, no pattern maxes)
+/// left behind when a workspace's scratch is recycled; build usable scratch
+/// with [`KernelScratch::new`].
 #[derive(Debug, Clone, Default)]
 pub struct KernelScratch {
     runs: Vec<CategoryRun>,
@@ -280,19 +290,13 @@ pub struct KernelScratch {
     deriv: EdgeDerivCoefficients,
     maxes: Vec<f64>,
     planes: WPlanes,
-    par: IntraPar,
 }
 
 impl KernelScratch {
-    /// Serial scratch bound to one category assignment (the runs are
-    /// computed once here; a `RateCategories` is immutable for the
-    /// scratch's lifetime).
+    /// Scratch bound to one category assignment (the runs are computed
+    /// once here; a `RateCategories` is immutable for the scratch's
+    /// lifetime).
     pub fn new(cats: &RateCategories) -> KernelScratch {
-        KernelScratch::with_par(cats, IntraPar::serial())
-    }
-
-    /// Scratch whose kernels fan pattern blocks across `par`'s pool.
-    pub fn with_par(cats: &RateCategories, par: IntraPar) -> KernelScratch {
         KernelScratch {
             runs: category_runs(cats),
             co_a: EdgeCoefficients::new(),
@@ -300,18 +304,12 @@ impl KernelScratch {
             deriv: EdgeDerivCoefficients::default(),
             maxes: vec![0.0; cats.num_patterns()],
             planes: WPlanes::default(),
-            par,
         }
     }
 
     /// The category runs.
     pub fn runs(&self) -> &[CategoryRun] {
         &self.runs
-    }
-
-    /// The intra-rank pool handle this scratch's kernels dispatch through.
-    pub fn par(&self) -> &IntraPar {
-        &self.par
     }
 }
 
@@ -420,7 +418,7 @@ impl LnProd {
     /// the non-negative-zero values that occur here), so a single-block
     /// fold is bit-identical to the plain serial fold — which is what
     /// keeps historical likelihood bits stable for alignments of at most
-    /// [`par::PAR_BLOCK`] patterns.
+    /// [`PAR_BLOCK`] patterns.
     #[inline]
     pub fn merge(&mut self, other: &LnProd) {
         self.mantissa *= other.mantissa;
@@ -439,9 +437,9 @@ impl LnProd {
 
 /// Fold `(f, w)` factors through [`LnProd`] in independent chunks of
 /// `block` factors, merging the per-chunk partials in chunk order — the
-/// schedule-independent reduction shape used by the parallel fold kernels
-/// (whose chunk is [`par::PAR_BLOCK`] patterns). A `block` of at least
-/// `factors.len()` degenerates to the plain serial fold, bit for bit.
+/// reduction shape of the likelihood folds (whose chunk is [`PAR_BLOCK`]
+/// patterns). A `block` of at least `factors.len()` degenerates to the
+/// plain serial fold, bit for bit.
 /// Exposed for the determinism proptests.
 pub fn blocked_ln_prod(factors: &[(f64, u32)], block: usize) -> LnProd {
     assert!(block > 0, "block size must be positive");
@@ -1002,88 +1000,13 @@ fn runs_from(runs: &[CategoryRun], lo: usize) -> &[CategoryRun] {
     &runs[runs.partition_point(|r| r.end <= lo)..]
 }
 
-/// One pattern block of the combine kernel: spans clipped to `[lo, hi)`
-/// plus the deferred rescale scan over the block. `out_b`, `scale_b`, and
-/// `maxes_b` are the block's exclusive sub-slices (local indexing).
-#[allow(clippy::too_many_arguments)]
-fn combine_block(
-    model: &F84Model,
-    runs: &[CategoryRun],
-    co1: &[FoldedCoefficients],
-    clv1: &[f64],
-    scale1: &[i32],
-    co2: &[FoldedCoefficients],
-    clv2: &[f64],
-    scale2: &[i32],
-    lo: usize,
-    hi: usize,
-    out_b: &mut [f64],
-    scale_b: &mut [i32],
-    maxes_b: &mut [f64],
-) {
-    for run in runs_from(runs, lo) {
-        if run.start >= hi {
-            break;
-        }
-        let ca = co1[run.category];
-        let cb = co2[run.category];
-        let (s, e) = (run.start.max(lo), run.end.min(hi));
-        combine_span(
-            model,
-            &ca,
-            &cb,
-            &clv1[s * 4..e * 4],
-            &clv2[s * 4..e * 4],
-            &mut out_b[(s - lo) * 4..(e - lo) * 4],
-            &mut maxes_b[s - lo..e - lo],
-        );
-    }
-    // Deferred rescaling: scan the per-pattern maxima (recorded by the
-    // combine loop while the products were in registers) a
-    // [`SCALE_CHECK_BLOCK`] at a time. Because `lo` is a multiple of
-    // [`par::PAR_BLOCK`] (itself a multiple of the scan block), these
-    // windows coincide exactly with the serial full-range scan. The fast
-    // path (every max comfortably above threshold — the overwhelmingly
-    // common case) only copies scale sums; the cold path replicates the
-    // reference per-pattern decision exactly.
-    let mut p = lo;
-    while p < hi {
-        let end = (p + SCALE_CHECK_BLOCK).min(hi);
-        let mut all_above = true;
-        for &m in &maxes_b[p - lo..end - lo] {
-            all_above &= m >= SCALE_THRESHOLD;
-        }
-        if all_above {
-            for q in p..end {
-                scale_b[q - lo] = scale1[q] + scale2[q];
-            }
-        } else {
-            for q in p..end {
-                let m = maxes_b[q - lo];
-                let b = (q - lo) * 4;
-                let mut sc = scale1[q] + scale2[q];
-                if m < SCALE_THRESHOLD && m > 0.0 {
-                    for v in &mut out_b[b..b + 4] {
-                        *v *= SCALE_FACTOR;
-                    }
-                    sc += 1;
-                }
-                scale_b[q - lo] = sc;
-            }
-        }
-        p = end;
-    }
-}
-
 /// Optimized [`reference::combine_children`]: folded coefficients, category
-/// runs, multiply-add inner loop, deferred blocked rescaling, pattern
-/// blocks fanned across `par`'s pool. Numerics agree with the reference to
-/// rounding (≤1e-12 per entry in the equivalence suite) and are
-/// bit-identical at any thread count (every per-pattern output is a pure
-/// map; the rescale decision is pattern-local).
+/// runs, multiply-add inner loop, deferred blocked rescaling. Numerics
+/// agree with the reference to rounding (≤1e-12 per entry in the
+/// equivalence suite); every per-pattern output is a pure map and the
+/// rescale decision is pattern-local.
 #[allow(clippy::too_many_arguments)]
 pub fn combine_folded(
-    par: &IntraPar,
     model: &F84Model,
     runs: &[CategoryRun],
     co1: &[FoldedCoefficients],
@@ -1097,25 +1020,55 @@ pub fn combine_folded(
     maxes: &mut [f64],
 ) -> u64 {
     let np = scale_out.len();
-    let nblocks = par::block_count(np);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let scale_ptr = SendPtr(scale_out.as_mut_ptr());
-    let maxes_ptr = SendPtr(maxes.as_mut_ptr());
-    par.for_each_block(nblocks, |b| {
-        let (lo, hi) = par::block_range(b, np);
-        // Safety: block `b` owns patterns `[lo, hi)` exclusively; blocks
-        // are disjoint and the broadcast completes before `out` is reused.
-        let (out_b, scale_b, maxes_b) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(out_ptr.get().add(lo * 4), (hi - lo) * 4),
-                std::slice::from_raw_parts_mut(scale_ptr.get().add(lo), hi - lo),
-                std::slice::from_raw_parts_mut(maxes_ptr.get().add(lo), hi - lo),
-            )
-        };
-        combine_block(
-            model, runs, co1, clv1, scale1, co2, clv2, scale2, lo, hi, out_b, scale_b, maxes_b,
+    for run in runs {
+        if run.start >= np {
+            break;
+        }
+        let ca = co1[run.category];
+        let cb = co2[run.category];
+        let (s, e) = (run.start, run.end.min(np));
+        combine_span(
+            model,
+            &ca,
+            &cb,
+            &clv1[s * 4..e * 4],
+            &clv2[s * 4..e * 4],
+            &mut out[s * 4..e * 4],
+            &mut maxes[s..e],
         );
-    });
+    }
+    // Deferred rescaling: scan the per-pattern maxima (recorded by the
+    // combine loop while the products were in registers) a
+    // [`SCALE_CHECK_BLOCK`] at a time. The fast path (every max comfortably
+    // above threshold — the overwhelmingly common case) only copies scale
+    // sums; the cold path replicates the reference per-pattern decision
+    // exactly.
+    let mut p = 0;
+    while p < np {
+        let end = (p + SCALE_CHECK_BLOCK).min(np);
+        let mut all_above = true;
+        for &m in &maxes[p..end] {
+            all_above &= m >= SCALE_THRESHOLD;
+        }
+        if all_above {
+            for q in p..end {
+                scale_out[q] = scale1[q] + scale2[q];
+            }
+        } else {
+            for q in p..end {
+                let m = maxes[q];
+                let mut sc = scale1[q] + scale2[q];
+                if m < SCALE_THRESHOLD && m > 0.0 {
+                    for v in &mut out[q * 4..q * 4 + 4] {
+                        *v *= SCALE_FACTOR;
+                    }
+                    sc += 1;
+                }
+                scale_out[q] = sc;
+            }
+        }
+        p = end;
+    }
     np as u64
 }
 
@@ -1137,54 +1090,33 @@ fn w_terms_pattern(f: &[f64; 4], inv_r: f64, inv_y: f64, uu: &[f64], dd: &[f64])
     WTerms { w1, w2, w3 }
 }
 
-/// One pattern block of W-term assembly (local indexing on `out_b`),
-/// dispatched through [`crate::isa::active`] like [`combine_span`]: the
-/// x86-64 lanes run the per-pattern DAG of [`w_terms_pattern`] 8 / 4
-/// patterns wide and the scalar loop covers the tail (and every other
-/// target: a NEON lane could not be compiled where this was written).
-fn w_terms_block(model: &F84Model, u: &[f64], d: &[f64], out_b: &mut [WTerms]) {
+/// Optimized [`reference::edge_w_terms`]: cached reciprocal group
+/// frequencies and the multiply-add form, dispatched through
+/// [`crate::isa::active`] like [`combine_span`]: the x86-64 lanes run the
+/// per-pattern DAG of [`w_terms_pattern`] 8 / 4 patterns wide and the
+/// scalar loop covers the tail (and every other target: a NEON lane could
+/// not be compiled where this was written) — bit-identical on any lane.
+pub fn w_terms_folded(model: &F84Model, u: &[f64], d: &[f64], out: &mut [WTerms]) -> u64 {
     let f = &model.freqs;
     let (inv_r, inv_y) = (model.inv_freq_r(), model.inv_freq_y());
-    assert!(u.len() == out_b.len() * 4 && d.len() == u.len());
+    assert!(u.len() == out.len() * 4 && d.len() == u.len());
     let done = match isa::active() {
         // Safety: the lane is one the host supports (see `combine_span`);
         // the slice lengths were checked above.
         #[cfg(target_arch = "x86_64")]
-        isa::KernelIsa::Avx512 => unsafe { x86::w_terms_avx512(f, inv_r, inv_y, u, d, out_b) },
+        isa::KernelIsa::Avx512 => unsafe { x86::w_terms_avx512(f, inv_r, inv_y, u, d, out) },
         #[cfg(target_arch = "x86_64")]
-        isa::KernelIsa::Avx2 => unsafe { x86::w_terms_avx2(f, inv_r, inv_y, u, d, out_b) },
+        isa::KernelIsa::Avx2 => unsafe { x86::w_terms_avx2(f, inv_r, inv_y, u, d, out) },
         _ => 0,
     };
-    for ((w, uu), dd) in out_b[done..]
+    for ((w, uu), dd) in out[done..]
         .iter_mut()
         .zip(u[done * 4..].chunks_exact(4))
         .zip(d[done * 4..].chunks_exact(4))
     {
         *w = w_terms_pattern(f, inv_r, inv_y, uu, dd);
     }
-}
-
-/// Optimized [`reference::edge_w_terms`]: cached reciprocal group
-/// frequencies, multiply-add form on the vector lanes, pattern blocks
-/// fanned across `par`'s pool (a pure per-pattern map — bit-identical at
-/// any thread count and on any lane).
-pub fn w_terms_folded(
-    par: &IntraPar,
-    model: &F84Model,
-    u: &[f64],
-    d: &[f64],
-    out: &mut [WTerms],
-) -> u64 {
-    let np = out.len();
-    let nblocks = par::block_count(np);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    par.for_each_block(nblocks, |b| {
-        let (lo, hi) = par::block_range(b, np);
-        // Safety: block `b` owns `out[lo..hi]` exclusively.
-        let out_b = unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo), hi - lo) };
-        w_terms_block(model, &u[lo * 4..hi * 4], &d[lo * 4..hi * 4], out_b);
-    });
-    np as u64
+    out.len() as u64
 }
 
 /// Patterns per pipeline stage of the two-phase objective. Small on
@@ -1468,37 +1400,21 @@ fn objective_block<const DERIV: bool>(
     part
 }
 
-/// Run [`objective_block`] per [`par::PAR_BLOCK`] pattern block — serially
-/// or fanned across `par`'s pool — and merge the partials in block order:
-/// the canonical fixed-order reduction, bit-identical at any thread count.
+/// Run [`objective_block`] per [`PAR_BLOCK`] pattern block and merge each
+/// block's partial, in block order, as soon as it is computed: the
+/// canonical fixed-order reduction.
 fn objective_folded<const DERIV: bool>(
-    par: &IntraPar,
-    coef: &(impl Fn(usize) -> [Coefficients; 3] + Sync),
+    coef: &impl Fn(usize) -> [Coefficients; 3],
     runs: &[CategoryRun],
     w: &WPlanes,
     weights: &PatternWeights,
 ) -> D012Partial {
     let np = w.len();
     assert_eq!(weights.raw.len(), np, "weights must cover every pattern");
-    let nblocks = par::block_count(np);
-    let mut stack = [D012Partial::IDENTITY; MAX_STACK_BLOCKS];
-    let mut heap = Vec::new();
-    let parts: &mut [D012Partial] = if nblocks <= MAX_STACK_BLOCKS {
-        &mut stack[..nblocks]
-    } else {
-        heap.resize(nblocks, D012Partial::IDENTITY);
-        &mut heap
-    };
-    let parts_ptr = SendPtr(parts.as_mut_ptr());
-    par.for_each_block(nblocks, |b| {
-        let (lo, hi) = par::block_range(b, np);
-        // Safety: slot `b` is written by exactly one block invocation.
-        unsafe {
-            *parts_ptr.get().add(b) = objective_block::<DERIV>(coef, runs, w, weights, lo, hi)
-        };
-    });
     let mut total = D012Partial::IDENTITY;
-    for part in parts.iter() {
+    for b in 0..block_count(np) {
+        let (lo, hi) = block_range(b, np);
+        let part = objective_block::<DERIV>(coef, runs, w, weights, lo, hi);
         total.prod.merge(&part.prod);
         total.d1 += part.d1;
         total.d2 += part.d2;
@@ -1509,9 +1425,8 @@ fn objective_folded<const DERIV: bool>(
 /// Optimized [`reference::edge_log_likelihood`] over a prefilled coefficient
 /// table: the value-only two-phase fold (one `ln` total instead of one per
 /// pattern) plus the scale offset, which is accumulated exactly in
-/// integers. Bit-identical at any thread count and on any lane.
+/// integers. Bit-identical on any lane.
 pub fn branch_lnl_folded(
-    par: &IntraPar,
     co: &EdgeCoefficients,
     runs: &[CategoryRun],
     w: &WPlanes,
@@ -1527,7 +1442,7 @@ pub fn branch_lnl_folded(
         };
         [value; 3]
     };
-    let prod = objective_folded::<false>(par, &coef, runs, w, weights).prod;
+    let prod = objective_folded::<false>(&coef, runs, w, weights).prod;
     assert_eq!(
         scale.len(),
         w.len(),
@@ -1542,7 +1457,7 @@ pub fn branch_lnl_folded(
     prod.value() + scale_sum as f64 * LN_SCALE
 }
 
-fn deriv_coef(deriv: &EdgeDerivCoefficients) -> impl Fn(usize) -> [Coefficients; 3] + Sync + '_ {
+fn deriv_coef(deriv: &EdgeDerivCoefficients) -> impl Fn(usize) -> [Coefficients; 3] + '_ {
     move |cat| {
         let c = &deriv.per_cat[cat];
         [c.value, c.d1, c.d2]
@@ -1553,16 +1468,14 @@ fn deriv_coef(deriv: &EdgeDerivCoefficients) -> impl Fn(usize) -> [Coefficients;
 /// derivative-coefficient table. Matches
 /// [`crate::newton::log_likelihood_d012`] (which excludes the constant
 /// scaling offset) to rounding. Folded per pattern block exactly like
-/// [`branch_lnl_folded`] — the derivative sums merge in block order too,
-/// so Newton's trajectory is bit-identical at any thread count.
+/// [`branch_lnl_folded`]: the derivative sums merge in block order too.
 pub fn lnl_d012_folded(
-    par: &IntraPar,
     deriv: &EdgeDerivCoefficients,
     runs: &[CategoryRun],
     w: &WPlanes,
     weights: &PatternWeights,
 ) -> (f64, f64, f64) {
-    let total = objective_folded::<true>(par, &deriv_coef(deriv), runs, w, weights);
+    let total = objective_folded::<true>(&deriv_coef(deriv), runs, w, weights);
     (total.prod.value(), total.d1, total.d2)
 }
 
@@ -1599,13 +1512,11 @@ pub fn combine_edges(
                 co_a,
                 co_b,
                 maxes,
-                par,
                 ..
             } = scratch;
             co_a.fill(model, cats, t1);
             co_b.fill(model, cats, t2);
             combine_folded(
-                par,
                 model,
                 runs,
                 &co_a.per_cat,
@@ -1626,14 +1537,13 @@ pub fn combine_edges(
 pub fn compute_w_terms(
     mode: KernelMode,
     model: &F84Model,
-    par: &IntraPar,
     u: &[f64],
     d: &[f64],
     out: &mut [WTerms],
 ) -> u64 {
     match mode {
         KernelMode::Reference => reference::edge_w_terms(model, u, d, out),
-        KernelMode::Optimized => w_terms_folded(par, model, u, d, out),
+        KernelMode::Optimized => w_terms_folded(model, u, d, out),
     }
 }
 
@@ -1657,7 +1567,6 @@ pub fn branch_lnl(
             scratch.co_a.fill(model, cats, t);
             scratch.planes.fill(w);
             branch_lnl_folded(
-                &scratch.par,
                 &scratch.co_a,
                 &scratch.runs,
                 &scratch.planes,
@@ -1694,14 +1603,13 @@ pub fn optimize_branch_dispatch(
                 runs,
                 deriv,
                 planes,
-                par,
                 ..
             } = scratch;
             planes.fill(w);
             newton::newton_loop(t0, opts, &mut |t| {
                 deriv.fill(model, cats, t);
                 work.newton_pattern_iters += w.len() as u64;
-                lnl_d012_folded(par, deriv, runs, planes, weights)
+                lnl_d012_folded(deriv, runs, planes, weights)
             })
         }
     }
@@ -1762,8 +1670,8 @@ mod oracle {
         let mut prod = LnProd::new();
         let mut d1 = 0.0;
         let mut d2 = 0.0;
-        for b in 0..par::block_count(np) {
-            let (lo, hi) = par::block_range(b, np);
+        for b in 0..block_count(np) {
+            let (lo, hi) = block_range(b, np);
             let part = lnl_d012_block(deriv, runs, w, weights, lo, hi);
             prod.merge(&part.0);
             d1 += part.1;
@@ -1782,8 +1690,8 @@ mod oracle {
         let np = w.len();
         let mut total = LnProd::new();
         let mut scale_sum: i64 = 0;
-        for b in 0..par::block_count(np) {
-            let (lo, hi) = par::block_range(b, np);
+        for b in 0..block_count(np) {
+            let (lo, hi) = block_range(b, np);
             let mut prod = LnProd::new();
             for run in runs_from(runs, lo) {
                 if run.start >= hi {
@@ -1995,6 +1903,20 @@ mod tests {
     }
 
     #[test]
+    fn block_partition_covers_patterns_exactly() {
+        for np in [0, 1, 255, 256, 257, 1000, 4096] {
+            let mut covered = 0;
+            for b in 0..block_count(np) {
+                let (lo, hi) = block_range(b, np);
+                assert_eq!(lo, covered);
+                assert!(hi > lo);
+                covered = hi;
+            }
+            assert_eq!(covered, np);
+        }
+    }
+
+    #[test]
     fn single_block_fold_is_bitwise_serial() {
         // Merging one partial into the identity must reproduce the plain
         // serial fold bit for bit — the guarantee that keeps historical
@@ -2128,13 +2050,12 @@ mod tests {
     }
 
     /// The two-phase objective against the scalar original, bit for bit,
-    /// at every thread count and share of non-unit weights: `(lnL, d1,
-    /// d2)`, the branch lnL, and the optimizer's `t` and work count. (The
-    /// objective has no ISA lanes of its own: phase 1 is one portable loop.)
+    /// at every share of non-unit weights: `(lnL, d1, d2)`, the branch lnL,
+    /// and the optimizer's `t` and work count. (The objective has no ISA
+    /// lanes of its own: phase 1 is one portable loop.)
     #[test]
     fn objective_matches_the_scalar_original_bit_for_bit() {
         let model = F84Model::new([0.31, 0.19, 0.27, 0.23], 2.0);
-        let pools = [1usize, 2, 4].map(IntraPar::with_threads);
         let sizes = [1usize, 7, 8, 9, 255, 256, 257, 1000];
         for (np, stride) in sizes.into_iter().flat_map(|np| [17, 2, 1].map(|s| (np, s))) {
             let w = salted_w_terms(&model, np, 0xD012 + np as u64);
@@ -2163,33 +2084,28 @@ mod tests {
                     &opts,
                     &mut want_work,
                 );
-                for par in &pools {
-                    let tag = format!(
-                        "np={np} stride={stride} ncat={ncat} threads={}",
-                        par.threads()
-                    );
-                    let got = lnl_d012_folded(par, &deriv, &runs, &planes, &bound);
-                    assert_bits(got.0, want.0, "lnL", &tag);
-                    assert_bits(got.1, want.1, "d1", &tag);
-                    assert_bits(got.2, want.2, "d2", &tag);
-                    let lnl = branch_lnl_folded(par, &co, &runs, &planes, &bound, &scale);
-                    assert_bits(lnl, want_lnl, "branch lnL", &tag);
-                    let mut scratch = KernelScratch::with_par(&cats, par.clone());
-                    let mut work = WorkCounter::new();
-                    let t = optimize_branch_dispatch(
-                        KernelMode::Optimized,
-                        &model,
-                        &cats,
-                        &mut scratch,
-                        &w,
-                        &bound,
-                        0.2,
-                        &opts,
-                        &mut work,
-                    );
-                    assert_bits(t, want_t, "optimized t", &tag);
-                    assert_eq!(work, want_work, "work ({tag})");
-                }
+                let tag = format!("np={np} stride={stride} ncat={ncat}");
+                let got = lnl_d012_folded(&deriv, &runs, &planes, &bound);
+                assert_bits(got.0, want.0, "lnL", &tag);
+                assert_bits(got.1, want.1, "d1", &tag);
+                assert_bits(got.2, want.2, "d2", &tag);
+                let lnl = branch_lnl_folded(&co, &runs, &planes, &bound, &scale);
+                assert_bits(lnl, want_lnl, "branch lnL", &tag);
+                let mut scratch = KernelScratch::new(&cats);
+                let mut work = WorkCounter::new();
+                let t = optimize_branch_dispatch(
+                    KernelMode::Optimized,
+                    &model,
+                    &cats,
+                    &mut scratch,
+                    &w,
+                    &bound,
+                    0.2,
+                    &opts,
+                    &mut work,
+                );
+                assert_bits(t, want_t, "optimized t", &tag);
+                assert_eq!(work, want_work, "work ({tag})");
             }
         }
     }
@@ -2261,7 +2177,7 @@ mod tests {
             for lane in supported_lanes() {
                 isa::set_isa(Some(lane)).unwrap();
                 let mut got = vec![WTerms::ZERO; np];
-                w_terms_folded(&IntraPar::serial(), &model, &u, &d, &mut got);
+                w_terms_folded(&model, &u, &d, &mut got);
                 for (p, (g, w)) in got.iter().zip(&want).enumerate() {
                     let tag = format!("np={np} lane={lane} pattern {p}");
                     assert_bits(g.w1, w.w1, "w1", &tag);

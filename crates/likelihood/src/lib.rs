@@ -9,8 +9,7 @@
 //! * **Felsenstein pruning** over conditional likelihood vectors with
 //!   underflow scaling (layout and constants in [`clv`]; the blocked,
 //!   division-free default kernels in [`kernels`]; the scalar oracle in
-//!   [`reference`]; runtime SIMD lane selection in [`isa`]; intra-rank
-//!   pattern-block parallelism in [`par`]),
+//!   [`reference`]; runtime SIMD lane selection in [`isa`]),
 //! * **Newton–Raphson branch-length optimization** using the three-term
 //!   F84 decomposition ([`newton`]),
 //! * the full-tree evaluator with Gauss–Seidel smoothing passes
@@ -30,7 +29,6 @@ pub mod incremental;
 pub mod isa;
 pub mod kernels;
 pub mod newton;
-pub mod par;
 pub mod reference;
 pub mod scorer;
 pub mod work;
@@ -40,7 +38,6 @@ pub use engine::{EvalResult, LikelihoodEngine, OptimizeOptions};
 pub use f84::F84Model;
 pub use incremental::{ClvCache, EditScore};
 pub use isa::KernelIsa;
-pub use kernels::KernelMode;
-pub use par::{IntraPar, PAR_BLOCK};
+pub use kernels::{KernelMode, PAR_BLOCK};
 pub use scorer::ScoredMove;
 pub use work::WorkCounter;

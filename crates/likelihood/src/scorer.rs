@@ -241,7 +241,6 @@ pub(crate) fn score_attachment(
             work.loglik_pattern_evals += kernels::compute_w_terms(
                 mode,
                 model,
-                scratch.par(),
                 &junction.pair_clv,
                 clvs[i],
                 &mut junction.wterms,

@@ -141,14 +141,7 @@ fn w_terms_match_reference() {
         let mut w_ref = vec![WTerms::ZERO; np];
         let mut w_opt = vec![WTerms::ZERO; np];
         reference::edge_w_terms(&model, &u, &d, &mut w_ref);
-        kernels::compute_w_terms(
-            KernelMode::Optimized,
-            &model,
-            &fdml_likelihood::IntraPar::serial(),
-            &u,
-            &d,
-            &mut w_opt,
-        );
+        kernels::compute_w_terms(KernelMode::Optimized, &model, &u, &d, &mut w_opt);
         for (p, (a, b)) in w_opt.iter().zip(&w_ref).enumerate() {
             for (x, y) in [(a.w1, b.w1), (a.w2, b.w2), (a.w3, b.w3)] {
                 assert!(

@@ -147,10 +147,9 @@ proptest! {
         seed in 0u64..10_000,
         block in 1usize..600,
     ) {
-        // The parallel fold's determinism contract, in miniature: chunk
-        // partials computed independently (here: in reverse chunk order,
-        // standing in for any thread schedule) and merged in chunk order
-        // reproduce the sequential blocked fold bit for bit.
+        // The blocked fold's merge contract, in miniature: chunk partials
+        // computed independently (here: in reverse chunk order) and merged
+        // in chunk order reproduce the sequential blocked fold bit for bit.
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;

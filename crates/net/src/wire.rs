@@ -559,7 +559,6 @@ mod tests {
                     base_seed: 11,
                     max_ranks: 4,
                     max_wall_ms: 0,
-                    intra_threads: 2,
                     label: "demo".into(),
                 },
             },

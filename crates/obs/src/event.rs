@@ -276,14 +276,11 @@ pub enum Event {
         reason: String,
     },
     /// The likelihood kernel configuration a run resolved at startup:
-    /// which SIMD instruction set the dispatcher selected and how many
-    /// intra-rank pattern-block threads each engine runs with.
+    /// which SIMD instruction set the dispatcher selected.
     KernelDispatch {
         /// Active instruction set name (`KernelIsa::name`): "scalar",
         /// "avx2", "avx512", or "neon".
         isa: String,
-        /// Pattern-block threads per worker engine (1 = serial).
-        intra_threads: usize,
     },
     /// One committed round was appended to a write-ahead log.
     WalAppend {

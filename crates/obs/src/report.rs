@@ -176,10 +176,6 @@ pub struct RunReport {
     /// the run predates kernel-dispatch observability.
     #[serde(default)]
     pub kernel_isa: String,
-    /// Intra-rank pattern-block threads per engine (`KernelDispatch`
-    /// event); 0 when no such event was seen.
-    #[serde(default)]
-    pub intra_threads: usize,
     /// Committed rounds appended to write-ahead logs (`WalAppend`).
     #[serde(default)]
     pub wal_appends: u64,
@@ -221,7 +217,6 @@ impl RunReport {
         let mut hierarchy = HierarchyStats::default();
         let mut regions_seen: std::collections::BTreeSet<usize> = Default::default();
         let mut kernel_isa = String::new();
-        let mut intra_threads = 0usize;
         let mut wal_appends = 0u64;
         let mut wal_bytes = 0u64;
         let mut wal_replayed_rounds = 0u64;
@@ -357,13 +352,7 @@ impl RunReport {
                 | Event::JobStarted { .. }
                 | Event::JobCompleted { .. }
                 | Event::JobFailed { .. } => {}
-                Event::KernelDispatch {
-                    isa,
-                    intra_threads: t,
-                } => {
-                    kernel_isa = isa.clone();
-                    intra_threads = *t;
-                }
+                Event::KernelDispatch { isa } => kernel_isa = isa.clone(),
                 Event::WalAppend { bytes, .. } => {
                     wal_appends += 1;
                     wal_bytes += bytes;
@@ -429,7 +418,6 @@ impl RunReport {
                 ..hierarchy
             },
             kernel_isa,
-            intra_threads,
             wal_appends,
             wal_bytes,
             wal_replayed_rounds,
@@ -460,13 +448,7 @@ impl fmt::Display for RunReport {
             writeln!(f, "  ranks: {n}")?;
         }
         if !self.kernel_isa.is_empty() {
-            writeln!(
-                f,
-                "  kernels: {} isa, {} intra-rank thread{}",
-                self.kernel_isa,
-                self.intra_threads.max(1),
-                if self.intra_threads > 1 { "s" } else { "" }
-            )?;
+            writeln!(f, "  kernels: {} isa", self.kernel_isa)?;
         }
         writeln!(
             f,

@@ -308,7 +308,6 @@ mod tests {
             base_seed: 1,
             max_ranks: 0,
             max_wall_ms: 0,
-            intra_threads: 1,
             label: label.into(),
         }
     }
@@ -418,6 +417,26 @@ mod tests {
         assert!(raw.starts_with(fdml_core::durable::LOG_MAGIC));
         let reg = Registry::open(&dir).unwrap();
         assert_eq!(reg.jobs().count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_queued_job_from_a_build_with_intra_threads_is_revived() {
+        // Builds that had intra-rank threads stored `"intra_threads"` in
+        // every spec; a daemon restarted on this build reads the rest.
+        let dir = std::env::temp_dir().join(format!("fdml-reg-i-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = r#"{"next_id": 3, "jobs": [{"id": 2, "spec": {
+            "phylip": " 4 4\na ACGT\nb ACGA\nc AGGT\nd ACTT\n", "config_json": "{}",
+            "jumbles": 2, "base_seed": 1, "max_ranks": 0, "max_wall_ms": 0,
+            "intra_threads": 4, "label": "queued"}, "state": "Queued", "failure": null}]}"#;
+        durable::write_log_atomic(&dir.join("jobs.json"), &[old.as_bytes()]).unwrap();
+        let mut reg = Registry::open(&dir).unwrap();
+        let entry = reg.get(2).expect("the queued job survives the upgrade");
+        assert_eq!(entry.state, JobState::Queued);
+        assert_eq!(entry.spec, spec("queued"));
+        assert_eq!(reg.admit(spec("next"), &[1]).unwrap(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

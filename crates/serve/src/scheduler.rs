@@ -197,17 +197,7 @@ impl Scheduler {
         resolved: ResolvedJob,
         resume: Option<FarmManifest>,
     ) {
-        let slots = effective(spec.max_ranks as u64, self.limits.max_job_ranks as u64) as usize;
-        // A rank running `intra_threads` kernel threads occupies that many
-        // hardware slots, so the job's concurrent-rank width is its slot
-        // budget divided by its per-rank thread count (min 1 — a budget,
-        // once granted, always admits at least one rank).
-        let threads = spec.intra_threads.max(1);
-        let width = if slots == 0 {
-            0
-        } else {
-            (slots / threads).max(1)
-        };
+        let width = effective(spec.max_ranks as u64, self.limits.max_job_ranks as u64) as usize;
         let wall_ms = effective(spec.max_wall_ms, self.limits.max_wall_ms);
         let sink = MemorySink::new();
         let obs = Obs::multi(vec![
@@ -893,32 +883,6 @@ mod tests {
             .label("late-result")
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn width_accounts_intra_threads_as_slots() {
-        // A rank running N kernel threads occupies N hardware slots: a
-        // 4-slot budget admits 2 concurrent ranks at 2 threads each, and
-        // an oversubscribed request still gets one rank.
-        let (mut s, dir) = test_scheduler("slots");
-        let wide = JobSpec {
-            max_ranks: 4,
-            intra_threads: 2,
-            ..one_jumble_spec()
-        };
-        let id = s.admit(wide).unwrap();
-        assert_eq!(s.active[&id].width, 2);
-        let over = JobSpec {
-            max_ranks: 4,
-            intra_threads: 16,
-            ..one_jumble_spec()
-        };
-        let id2 = s.admit(over).unwrap();
-        assert_eq!(s.active[&id2].width, 1);
-        let uncapped = one_jumble_spec();
-        let id3 = s.admit(uncapped).unwrap();
-        assert_eq!(s.active[&id3].width, 0, "no budget, no cap");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -24,18 +24,6 @@ pub struct CostModel {
     /// Smoothing passes assumed for the full-evaluation floor when the
     /// trace was recorded with incremental scoring.
     pub assumed_passes: usize,
-    /// Pattern-block threads each worker rank drives (`--intra-threads`);
-    /// 1 is the single-threaded worker the paper measured. Worker compute
-    /// is divided by the critical-path speedup of the block schedule
-    /// (`fdml_likelihood::par::modeled_speedup`), never by the raw thread
-    /// count — an alignment with few pattern blocks cannot use many
-    /// threads, and the model says so.
-    #[serde(default = "default_intra_threads")]
-    pub intra_threads: usize,
-}
-
-fn default_intra_threads() -> usize {
-    1
 }
 
 impl CostModel {
@@ -48,7 +36,6 @@ impl CostModel {
             foreman_overhead: 10e-6,
             master_gen_per_taxon: 1e-6,
             assumed_passes: 8,
-            intra_threads: 1,
         }
     }
 
@@ -93,13 +80,6 @@ impl CostModel {
         2 * edges * np + (self.assumed_passes as u64) * edges * np * 11 / 2
     }
 
-    /// The intra-rank speedup a worker achieves on `patterns` patterns:
-    /// the critical-path speedup of the round-robin block schedule at
-    /// `intra_threads` threads (1.0 for the single-threaded worker).
-    pub fn intra_speedup(&self, patterns: usize) -> f64 {
-        fdml_likelihood::par::modeled_speedup(patterns, self.intra_threads)
-    }
-
     /// Worker compute seconds for one candidate in a given trace mode.
     pub fn candidate_seconds(
         &self,
@@ -113,24 +93,17 @@ impl CostModel {
         } else {
             recorded_units + self.full_eval_floor_units(taxa, patterns)
         };
-        units as f64 * self.seconds_per_work_unit / self.intra_speedup(patterns)
+        units as f64 * self.seconds_per_work_unit
     }
 
     /// Total serial-program seconds for a trace: every candidate evaluated
     /// one after another on a single processor, plus the master-side work,
-    /// with no messaging (the paper's conservative baseline). The serial
-    /// program is single-threaded by definition, so the baseline ignores
-    /// `intra_threads` — speedup figures stay relative to one processor
-    /// running one thread.
+    /// with no messaging (the paper's conservative baseline).
     pub fn serial_seconds(&self, trace: &SearchTrace) -> f64 {
-        let one_thread = CostModel {
-            intra_threads: 1,
-            ..self.clone()
-        };
         let mut total = 0.0;
         for round in &trace.rounds {
             for &w in &round.candidate_work {
-                total += one_thread.candidate_seconds(
+                total += self.candidate_seconds(
                     w,
                     round.taxa_in_tree,
                     trace.num_patterns,
@@ -211,30 +184,12 @@ mod tests {
     }
 
     #[test]
-    fn intra_threads_speed_workers_but_not_the_serial_baseline() {
-        let one = CostModel::power3_sp();
-        let four = CostModel {
-            intra_threads: 4,
-            ..CostModel::power3_sp()
-        };
-        // 1500 patterns: 6 blocks round-robined over 4 threads, heaviest
-        // thread carries 512 → 1500/512 ≈ 2.93x.
-        let speedup = four.intra_speedup(1500);
-        assert!(speedup > 2.5 && speedup < 4.0, "modeled {speedup}");
-        let serial_units = one.candidate_seconds(100_000, 50, 1500, true);
-        let threaded = four.candidate_seconds(100_000, 50, 1500, true);
-        assert!((serial_units / threaded - speedup).abs() < 1e-12);
-        // The serial program is single-threaded regardless of the model.
-        let t = toy_trace(true);
-        assert!((one.serial_seconds(&t) - four.serial_seconds(&t)).abs() < 1e-15);
-        // Old serialized models (no intra_threads key) default to 1.
-        let legacy: CostModel = serde_json::from_str(
-            &serde_json::to_string(&one)
-                .unwrap()
-                .replace("\"intra_threads\":1,", "")
-                .replace(",\"intra_threads\":1", ""),
-        )
-        .unwrap();
-        assert_eq!(legacy.intra_threads, 1);
+    fn a_model_serialized_with_intra_threads_parses_the_same() {
+        // Builds that modeled intra-rank threads wrote the key; it is
+        // ignored now.
+        let json = serde_json::to_string(&CostModel::power3_sp()).unwrap();
+        let legacy = format!("{},\"intra_threads\":4}}", json.strip_suffix('}').unwrap());
+        let back: CostModel = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 }

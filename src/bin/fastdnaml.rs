@@ -36,8 +36,6 @@
 //!                        and the workers (--parallel / --net) [0 = flat]
 //!   --wire FORMAT        hub data-plane codec, json | binary (--net) [binary]
 //!   --worker-timeout-ms T  foreman timeout before a task is requeued
-//!   --intra-threads N    pattern-block threads per worker engine; the
-//!                        log-likelihood is bit-identical at any N     [1]
 //!   --isa LANE           kernel instruction set: scalar | avx2 | avx512 |
 //!                        neon (must be host-supported)         [auto-detect]
 //!   --incremental        score candidate rounds as base + edit through a
@@ -135,18 +133,20 @@ fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default:
 }
 
 /// The observer sinks `--obs-out` / `--obs-summary` ask for.
-fn obs_sinks(args: &HashMap<String, String>, obs_summary: bool) -> Vec<Box<dyn Sink>> {
+fn obs_sinks(
+    args: &HashMap<String, String>,
+    obs_summary: bool,
+) -> Result<Vec<Box<dyn Sink>>, String> {
     let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
     if let Some(path) = args.get("obs-out") {
-        sinks.push(Box::new(
-            JsonlSink::create(path).unwrap_or_else(|e| panic!("--obs-out {path}: {e}")),
-        ));
+        let sink = JsonlSink::create(path).map_err(|e| format!("--obs-out {path}: {e}"))?;
+        sinks.push(Box::new(sink));
     }
     if obs_summary && sinks.is_empty() {
         // No event log requested, but the report still needs the stream.
         sinks.push(Box::new(MemorySink::new()));
     }
-    sinks
+    Ok(sinks)
 }
 
 /// `--wire json|binary`: the hub's data-plane codec.
@@ -299,7 +299,6 @@ const FLAGS: &[(&str, Takes)] = &[
     ("regions", Takes::Int),
     ("wire", Takes::Text),
     ("worker-timeout-ms", Takes::Int),
-    ("intra-threads", Takes::Int),
     ("isa", Takes::Text),
     ("incremental", Takes::Nothing),
     ("no-incremental", Takes::Nothing),
@@ -364,8 +363,6 @@ fastdnaml --input data.phy [options]
                        and the workers (--parallel / --net) [0 = flat]
   --wire FORMAT        hub data-plane codec, json | binary (--net) [binary]
   --worker-timeout-ms T  foreman timeout before a task is requeued
-  --intra-threads N    pattern-block threads per worker engine; the
-                       log-likelihood is bit-identical at any N     [1]
   --isa LANE           kernel instruction set: scalar | avx2 | avx512 |
                        neon (must be host-supported)         [auto-detect]
   --incremental        score candidate rounds as base + edit (CLV cache)
@@ -413,29 +410,32 @@ Service mode (the always-on job daemon and its clients):
 ";
 
 /// Write `text` to `--output` (default `-` = stdout).
-fn emit_to(output: &str, text: &str) {
+fn emit_to(output: &str, text: &str) -> Result<(), String> {
     if output == "-" {
         println!("{text}");
-    } else {
-        std::fs::write(output, format!("{text}\n")).expect("write output");
+        return Ok(());
     }
+    std::fs::write(output, format!("{text}\n")).map_err(|e| format!("--output {output}: {e}"))
 }
 
 /// `--jumble-trees FILE`, the determinism artifact: every jumble's tree,
 /// verbatim as the search produced it, one per line in seed order.
-fn write_jumble_trees<'a>(args: &HashMap<String, String>, trees: impl Iterator<Item = &'a str>) {
-    if let Some(path) = args.get("jumble-trees") {
-        let text: String = trees.flat_map(|tree| [tree, "\n"]).collect();
-        std::fs::write(path, text).expect("write jumble trees");
-    }
+fn write_jumble_trees<'a>(
+    args: &HashMap<String, String>,
+    trees: impl Iterator<Item = &'a str>,
+) -> Result<(), String> {
+    let Some(path) = args.get("jumble-trees") else {
+        return Ok(());
+    };
+    let text: String = trees.flat_map(|tree| [tree, "\n"]).collect();
+    std::fs::write(path, text).map_err(|e| format!("--jumble-trees {path}: {e}"))
 }
 
 /// `--serve`: run the daemon until killed. Never returns on success — the
 /// scheduler thread owns the process from here.
 fn serve_mode(args: &HashMap<String, String>, flags: &[String], quiet: bool) -> ExitCode {
     let Some(state_dir) = args.get("state-dir") else {
-        eprintln!("fastdnaml: --serve requires --state-dir DIR");
-        return ExitCode::FAILURE;
+        return die("--serve requires --state-dir DIR");
     };
     let listen = args
         .get("listen")
@@ -447,25 +447,24 @@ fn serve_mode(args: &HashMap<String, String>, flags: &[String], quiet: bool) -> 
     options.max_wall_ms = get(args, "max-wall-ms", 0);
     options.wire = match wire_format(args) {
         Ok(wire) => wire,
-        Err(e) => {
-            eprintln!("fastdnaml: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return die(e),
     };
     if flags.iter().any(|f| f == "spawn-workers") {
         options.spawn = Some(std::env::current_exe().expect("current executable path"));
     }
-    options.sinks = obs_sinks(args, false);
+    options.sinks = match obs_sinks(args, false) {
+        Ok(sinks) => sinks,
+        Err(e) => return die(e),
+    };
     let daemon = match Daemon::start(options) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("fastdnaml: serve: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return die(format_args!("serve: {e}")),
     };
     let addr = daemon.local_addr();
     if let Some(path) = args.get("addr-file") {
-        std::fs::write(path, addr.to_string()).expect("write addr file");
+        if let Err(e) = std::fs::write(path, addr.to_string()) {
+            return die(format_args!("--addr-file {path}: {e}"));
+        }
     }
     if !quiet {
         eprintln!("fastdnaml: serving jobs on {addr} (state in {state_dir})");
@@ -480,8 +479,9 @@ fn serve_mode(args: &HashMap<String, String>, flags: &[String], quiet: bool) -> 
 /// `--status JOB`: one-line report from the daemon at `--connect`.
 fn status_mode(connect: &str, job_arg: &str) -> ExitCode {
     let Ok(job) = job_arg.parse::<u64>() else {
-        eprintln!("fastdnaml: --status takes a numeric job id, got {job_arg:?}");
-        return ExitCode::FAILURE;
+        return die(format_args!(
+            "--status takes a numeric job id, got {job_arg:?}"
+        ));
     };
     match client::status(connect, job) {
         Ok(status) => {
@@ -500,10 +500,7 @@ fn status_mode(connect: &str, job_arg: &str) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("fastdnaml: status: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => die(format_args!("status: {e}")),
     }
 }
 
@@ -516,8 +513,9 @@ fn attach_mode(
     quiet: bool,
 ) -> ExitCode {
     let Ok(job) = job_arg.parse::<u64>() else {
-        eprintln!("fastdnaml: --attach takes a numeric job id, got {job_arg:?}");
-        return ExitCode::FAILURE;
+        return die(format_args!(
+            "--attach takes a numeric job id, got {job_arg:?}"
+        ));
     };
     let patience = Duration::from_millis(get(args, "attach-timeout-ms", 600_000u64));
     let mut on_event = |text: &str| {
@@ -535,18 +533,17 @@ fn attach_mode(
                     );
                 }
             }
-            write_jumble_trees(args, result.trees.iter().map(|t| t.newick.as_str()));
             let best = result
                 .consensus_newick
                 .clone()
                 .unwrap_or_else(|| result.best_newick.clone());
-            emit_to(args.get("output").map(String::as_str).unwrap_or("-"), &best);
-            ExitCode::SUCCESS
+            let output = args.get("output").map(String::as_str).unwrap_or("-");
+            done(
+                write_jumble_trees(args, result.trees.iter().map(|t| t.newick.as_str()))
+                    .and_then(|()| emit_to(output, &best)),
+            )
         }
-        Err(e) => {
-            eprintln!("fastdnaml: attach: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => die(format_args!("attach: {e}")),
     }
 }
 
@@ -554,6 +551,11 @@ fn attach_mode(
 fn die(why: impl std::fmt::Display) -> ExitCode {
     eprintln!("fastdnaml: {why}");
     ExitCode::FAILURE
+}
+
+/// Success, or [`die`] with the error.
+fn done(result: Result<(), String>) -> ExitCode {
+    result.map_or_else(die, |()| ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -572,12 +574,12 @@ fn main() -> ExitCode {
     // config arrives over the wire — runs the requested lane.
     if let Some(name) = args.get("isa") {
         let Some(isa) = fastdnaml::likelihood::KernelIsa::parse(name) else {
-            eprintln!("fastdnaml: --isa {name}: expected scalar, avx2, avx512, or neon");
-            return ExitCode::FAILURE;
+            return die(format_args!(
+                "--isa {name}: expected scalar, avx2, avx512, or neon"
+            ));
         };
         if let Err(e) = fastdnaml::likelihood::isa::set_isa(Some(isa)) {
-            eprintln!("fastdnaml: --isa {name}: {e}");
-            return ExitCode::FAILURE;
+            return die(format_args!("--isa {name}: {e}"));
         }
     }
 
@@ -589,8 +591,7 @@ fn main() -> ExitCode {
     // recovers the byte-identical tree.
     if let Some(op) = args.get("chaos-storage-crash") {
         let Ok(op) = op.parse::<u64>() else {
-            eprintln!("fastdnaml: --chaos-storage-crash expects an operation index");
-            return ExitCode::FAILURE;
+            return die("--chaos-storage-crash expects an operation index");
         };
         fastdnaml::chaos::storage::install(
             fastdnaml::chaos::storage::StoragePlan::quiet(0).crash_at(op),
@@ -606,8 +607,7 @@ fn main() -> ExitCode {
     // Client modes that only need a job id and the daemon address.
     if args.contains_key("status") || args.contains_key("attach") {
         let Some(connect) = args.get("connect") else {
-            eprintln!("fastdnaml: --status / --attach require --connect ADDR");
-            return ExitCode::FAILURE;
+            return die("--status / --attach require --connect ADDR");
         };
         if let Some(job) = args.get("status") {
             return status_mode(connect, job);
@@ -621,10 +621,12 @@ fn main() -> ExitCode {
     // the wire, like an MPI rank joining a job.
     if matches!(args.get("net").map(String::as_str), Some("worker" | "peer")) {
         let Some(connect) = args.get("connect") else {
-            eprintln!("fastdnaml: --net worker requires --connect ADDR");
-            return ExitCode::FAILURE;
+            return die("--net worker requires --connect ADDR");
         };
-        let sinks = obs_sinks(&args, false);
+        let sinks = match obs_sinks(&args, false) {
+            Ok(sinks) => sinks,
+            Err(e) => return die(e),
+        };
         let die_after = args
             .get("die-after-tasks")
             .and_then(|v| v.parse::<u64>().ok());
@@ -643,15 +645,11 @@ fn main() -> ExitCode {
     }
 
     let Some(input) = args.get("input") else {
-        eprintln!("fastdnaml: --input FILE is required\n\n{USAGE}");
-        return ExitCode::FAILURE;
+        return die(format_args!("--input FILE is required\n\n{USAGE}"));
     };
     let text = match std::fs::read_to_string(input) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("fastdnaml: cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return die(format_args!("cannot read {input}: {e}")),
     };
     let alignment = match if flags.iter().any(|f| f == "fasta") {
         fasta::parse(&text)
@@ -659,10 +657,7 @@ fn main() -> ExitCode {
         phylip::parse(&text)
     } {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("fastdnaml: cannot parse {input}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return die(format_args!("cannot parse {input}: {e}")),
     };
     if !quiet {
         eprintln!(
@@ -673,13 +668,11 @@ fn main() -> ExitCode {
     }
 
     let radius: usize = get(&args, "radius", 1);
-    let intra_threads: usize = get(&args, "intra-threads", 1usize).max(1);
     let mut config = SearchConfig {
         jumble_seed: get(&args, "jumble", 1),
         rearrange_radius: radius,
         final_radius: get(&args, "final-radius", radius),
         tt_ratio: get(&args, "tt-ratio", 2.0),
-        intra_threads,
         ..SearchConfig::default()
     };
     if let Some(ms) = args
@@ -749,7 +742,6 @@ fn main() -> ExitCode {
             .base_seed(config.jumble_seed)
             .max_ranks(get(&args, "max-job-ranks", 0usize))
             .max_wall_ms(get(&args, "max-wall-ms", 0u64))
-            .intra_threads(intra_threads)
             .label(args.get("job-label").cloned().unwrap_or_default())
             .conflict_if(
                 flags.iter().any(|f| f == "midpoint") && has("outgroup"),
@@ -778,18 +770,14 @@ fn main() -> ExitCode {
             .build();
         match spec_result {
             Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("fastdnaml: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return die(e),
         }
     };
 
     // Submit mode: the spec goes to the daemon instead of running here.
     if submit {
         let Some(connect) = args.get("connect") else {
-            eprintln!("fastdnaml: --submit requires --connect ADDR");
-            return ExitCode::FAILURE;
+            return die("--submit requires --connect ADDR");
         };
         return match client::submit(connect.as_str(), &spec) {
             Ok(job) => {
@@ -799,15 +787,11 @@ fn main() -> ExitCode {
                 println!("{job}");
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("fastdnaml: submit: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => die(format_args!("submit: {e}")),
         };
     }
 
     let output = args.get("output").map(String::as_str).unwrap_or("-");
-    let emit = |text: &str| emit_to(output, text);
     // Optional rooting of result trees (§1.1: rooting is a separate step
     // after the unrooted search).
     let outgroup = args.get("outgroup").map(|list| {
@@ -843,8 +827,10 @@ fn main() -> ExitCode {
             .filter(|l| !l.is_empty())
             .map(String::from)
             .collect();
-        let evaluated =
-            evaluate_user_trees(&alignment, &config, &newicks).expect("evaluate user trees");
+        let evaluated = match evaluate_user_trees(&alignment, &config, &newicks) {
+            Ok(evaluated) => evaluated,
+            Err(e) => return die(format_args!("--user-trees {path}: {e}")),
+        };
         for (i, e) in evaluated.iter().enumerate() {
             println!("tree {:>3}: lnL {:.4}", i + 1, e.ln_likelihood);
         }
@@ -852,8 +838,7 @@ fn main() -> ExitCode {
             .iter()
             .max_by(|a, b| a.ln_likelihood.total_cmp(&b.ln_likelihood))
             .expect("at least one tree");
-        emit(&best.newick);
-        return ExitCode::SUCCESS;
+        return done(emit_to(output, &best.newick));
     }
 
     // Bootstrap mode.
@@ -863,7 +848,9 @@ fn main() -> ExitCode {
         }
         let (_, cons) =
             bootstrap_analysis(&alignment, &config, n, config.jumble_seed).expect("bootstrap");
-        emit(&newick::write(&cons.tree));
+        if let Err(e) = emit_to(output, &newick::write(&cons.tree)) {
+            return die(e);
+        }
         if !quiet {
             eprintln!(
                 "fastdnaml: consensus has {} splits above 50%",
@@ -886,23 +873,20 @@ fn main() -> ExitCode {
     // spec.
     let job = match ResolvedJob::from_parts(alignment.clone(), config.clone(), jumbles) {
         Ok(job) => job,
-        Err(e) => {
-            eprintln!("fastdnaml: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return die(e),
     };
 
     // Observation and the multi-process universe are described once, for
     // whichever mode runs below.
     let obs_summary = flags.iter().any(|f| f == "obs-summary");
-    let sinks = obs_sinks(&args, obs_summary);
+    let sinks = match obs_sinks(&args, obs_summary) {
+        Ok(sinks) => sinks,
+        Err(e) => return die(e),
+    };
     let wal_dir = args.get("wal-dir").map(std::path::PathBuf::from);
     let net_mode = args.get("net").map(String::as_str);
     let threads = args.get("parallel").and_then(|v| v.parse::<usize>().ok());
-    let fail = |what: &str, e: &dyn std::fmt::Display| {
-        eprintln!("fastdnaml: {what}: {e}");
-        ExitCode::FAILURE
-    };
+    let fail = |what: &str, e: &dyn std::fmt::Display| die(format_args!("{what}: {e}"));
     let print_report = |report: &Option<RunReport>| {
         if obs_summary {
             match report {
@@ -920,19 +904,15 @@ fn main() -> ExitCode {
         let farm_resume = match args.get("resume") {
             Some(path) => match load_resume(path, "farm manifest", FarmManifest::from_json) {
                 Ok(m) if m.seeds() != *seeds => {
-                    eprintln!(
-                        "fastdnaml: --resume {path}: manifest seeds {:?} do not match \
+                    return die(format_args!(
+                        "--resume {path}: manifest seeds {:?} do not match \
                          this farm's {:?} (same --jumble / --jumbles required)",
                         m.seeds(),
                         seeds
-                    );
-                    return ExitCode::FAILURE;
+                    ));
                 }
                 Ok(m) => Some(m),
-                Err(e) => {
-                    eprintln!("fastdnaml: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return die(e),
             },
             None => None,
         };
@@ -970,7 +950,7 @@ fn main() -> ExitCode {
                     Err(e) => return fail("farm", &e),
                 }
             } else {
-                let observer = RunObserver::start(sinks, 1, 1, &config);
+                let observer = RunObserver::start(sinks, 1, 1);
                 match serial_farm(&alignment, &config, seeds, &farm_options, &observer.obs) {
                     Ok(p) => {
                         let report = observer.finish(p.best_ln_likelihood());
@@ -990,8 +970,11 @@ fn main() -> ExitCode {
                 );
             }
         }
-        write_jumble_trees(&args, runs.iter().map(|r| r.newick.as_str()));
-        emit(&newick::write(&cons.tree));
+        if let Err(e) = write_jumble_trees(&args, runs.iter().map(|r| r.newick.as_str()))
+            .and_then(|()| emit_to(output, &newick::write(&cons.tree)))
+        {
+            return die(e);
+        }
         if !quiet {
             eprintln!(
                 "fastdnaml: consensus of {} jumbles has {} splits above 50%",
@@ -1008,19 +991,13 @@ fn main() -> ExitCode {
     // manifest for finished jumbles, WAL for in-flight ones — because
     // there each jumble's WAL still starts at its round zero.)
     if wal_dir.is_some() && args.contains_key("resume") {
-        eprintln!(
-            "fastdnaml: --wal-dir and --resume conflict for single searches; \
-             re-run with --wal-dir alone to resume from the round log"
-        );
-        return ExitCode::FAILURE;
+        return die("--wal-dir and --resume conflict for single searches; \
+             re-run with --wal-dir alone to resume from the round log");
     }
     let resume_checkpoint = match args.get("resume") {
         Some(path) => match load_resume(path, "checkpoint", Checkpoint::from_json) {
             Ok(cp) => Some(cp),
-            Err(e) => {
-                eprintln!("fastdnaml: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return die(e),
         },
         None => None,
     };
@@ -1099,10 +1076,9 @@ fn main() -> ExitCode {
         result
     };
     match render_tree(&result.tree) {
-        Ok(text) => emit(&text),
-        Err(e) => return die(format_args!("rooting: {e}")),
+        Ok(text) => done(emit_to(output, &text)),
+        Err(e) => die(format_args!("rooting: {e}")),
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -370,6 +370,74 @@ fn what_the_cli_does_not_understand_it_refuses() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A run whose result file cannot be written — each of these used to panic
+/// with a backtrace (exit 101) — fails with one line naming the file.
+fn unwritable_file_is_one_line_error(tag: &str, extra: &[&str], named: &str) {
+    let dir = workdir(tag);
+    let line = one_line_failure(&dir, extra);
+    assert!(!line.contains("panicked"), "{extra:?}: {line}");
+    assert!(line.contains(named), "{extra:?}: {line}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn unwritable_output_is_a_one_line_error() {
+    unwritable_file_is_one_line_error(
+        "unwritable_output",
+        &["--output", "/nonexistent/x.tre"],
+        "/nonexistent/x.tre",
+    );
+}
+
+#[test]
+fn unwritable_jumble_trees_is_a_one_line_error() {
+    unwritable_file_is_one_line_error(
+        "unwritable_jumbles",
+        &["--jumbles", "2", "--jumble-trees", "/nonexistent/j.txt"],
+        "/nonexistent/j.txt",
+    );
+}
+
+#[test]
+fn unwritable_obs_out_is_a_one_line_error() {
+    unwritable_file_is_one_line_error(
+        "unwritable_obs",
+        &["--parallel", "4", "--obs-out", "/nonexistent/o.jsonl"],
+        "/nonexistent/o.jsonl",
+    );
+}
+
+#[test]
+fn unwritable_addr_file_is_a_one_line_error() {
+    let dir = workdir("addr_state");
+    let state = dir.join("state");
+    let state = state.to_str().unwrap();
+    unwritable_file_is_one_line_error(
+        "unwritable_addr",
+        &[
+            "--serve",
+            "--state-dir",
+            state,
+            "--addr-file",
+            "/nonexistent/a.txt",
+        ],
+        "/nonexistent/a.txt",
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_user_tree_missing_taxa_is_a_one_line_error() {
+    let dir = workdir("partial_tree");
+    let partial = dir.join("partial.nwk");
+    std::fs::write(&partial, "(t0,t1,t2);\n").unwrap();
+    // Used to panic with `InvalidTreeOp` out of `expect` (exit 101).
+    let line = one_line_failure(&dir, &["--user-trees", partial.to_str().unwrap()]);
+    assert!(!line.contains("panicked"), "{line}");
+    assert!(line.contains("3 of 6 taxa"), "{line}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn help_flags_print_usage() {
     let out = fastdnaml().args(["--help"]).output().expect("run");

@@ -82,27 +82,3 @@ fn golden_lnl_is_identical_on_every_supported_isa() {
     }
     isa::set_isa(None).unwrap();
 }
-
-/// Intra-rank pattern-block threading reproduces the golden value bit for
-/// bit: the blocked reduction's merge order is canonical at every thread
-/// count, so four threads compute the serial engine's exact answer.
-#[test]
-fn golden_lnl_is_identical_with_intra_threads() {
-    let (tree, alignment) = fixture();
-    let serial = LikelihoodEngine::new(&alignment)
-        .evaluate(&tree)
-        .ln_likelihood;
-    for threads in [2usize, 4] {
-        let engine = LikelihoodEngine::new(&alignment).with_intra_threads(threads);
-        let lnl = engine.evaluate(&tree).ln_likelihood;
-        assert_eq!(
-            lnl.to_bits(),
-            serial.to_bits(),
-            "{threads} intra threads changed the log-likelihood bits"
-        );
-    }
-    assert!(
-        (serial - GOLDEN_LNL).abs() < 1e-6,
-        "serial engine drifted from golden value: {serial} vs {GOLDEN_LNL}"
-    );
-}

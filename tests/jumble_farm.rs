@@ -12,7 +12,7 @@ use fastdnaml::core::checkpoint::{FarmManifest, JumbleStatus};
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmOptions};
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{farm_search, RunOptions};
+use fastdnaml::core::runner::{farm_search, FarmOutcome, RunOptions};
 use fastdnaml::obs::Obs;
 use fastdnaml::phylo::phylip;
 use std::collections::HashMap;
@@ -99,42 +99,63 @@ fn farm_output_is_identical_across_widths_and_transports() {
 #[test]
 fn farm_survives_the_fault_matrix_with_identical_output() {
     let alignment = phylip::parse(PHYLIP).unwrap();
+    // A jumble here is a few milliseconds: the timeout leaves a healthy
+    // worker two orders of magnitude of scheduling slack, so on a loaded
+    // host only the planted fault trips it.
     let config = SearchConfig {
         jumble_seed: 7,
-        worker_timeout: Duration::from_millis(200),
+        worker_timeout: Duration::from_millis(500),
         ..Default::default()
     };
-    // More jumbles than workers: after a worker's first result the queue
-    // is still non-empty, so every worker is guaranteed a second task —
-    // which makes each fault below fire deterministically.
     let job = ResolvedJob::from_parts(alignment.clone(), config.clone(), 8).unwrap();
     let clean = farm_search(&job, 6, FarmOptions::default(), RunOptions::default()).unwrap();
     assert_eq!(clean.runs.len(), 8);
-    let cases: Vec<(&str, FaultPlan, bool)> = vec![
+    // (name, worker 3's plan, tasks worker 3 must be handed for the plan
+    // to fire, whether it comes back)
+    let cases: Vec<(&str, FaultPlan, u64, bool)> = vec![
         // Worker 3 silently drops its first jumble result: requeued by
         // timeout.
-        ("drop", FaultPlan::drop_first(1), true),
+        ("drop", FaultPlan::drop_first(1), 1, true),
         // Worker 3 delays each result past the timeout: the foreman times
         // it out, requeues, then re-admits the stragglers.
         (
             "delay",
-            FaultPlan::delay_first(2, Duration::from_millis(350)),
+            FaultPlan::delay_first(2, Duration::from_millis(800)),
+            1,
             true,
         ),
         // Worker 3's link is severed after one result: its second jumble
         // is stranded in flight and must be requeued on a survivor.
-        ("disconnect", FaultPlan::disconnect_after(1), false),
+        ("disconnect", FaultPlan::disconnect_after(1), 2, false),
     ];
-    for (name, plan, recovers) in cases {
-        let mut faults = HashMap::new();
-        faults.insert(3usize, plan);
-        let faulty = farm_search(
-            &job,
-            6,
-            FarmOptions::default(),
-            RunOptions::with_faults(faults),
-        )
-        .unwrap();
+    for (name, plan, needs, recovers) in cases {
+        // Workers announce themselves in whatever order the host schedules
+        // them, and one that comes up late can find its siblings have
+        // drained the queue before it was handed the tasks its fault needs.
+        // Such a farm never met the fault: its output is still checked,
+        // and the case runs again.
+        let faulty = (0..FAULT_ATTEMPTS)
+            .find_map(|_| {
+                let mut faults = HashMap::new();
+                faults.insert(3usize, plan.clone());
+                let faulty = farm_search(
+                    &job,
+                    6,
+                    FarmOptions::default(),
+                    RunOptions::with_faults(faults),
+                )
+                .unwrap();
+                assert_same_farm(name, &clean, &faulty);
+                let handed = faulty
+                    .monitor
+                    .per_worker
+                    .get(&3)
+                    .map_or(0, |w| w.dispatched);
+                (handed >= needs).then_some(faulty)
+            })
+            .unwrap_or_else(|| {
+                panic!("{name}: worker 3 was never handed {needs} tasks in {FAULT_ATTEMPTS} farms")
+            });
         assert!(
             faulty.foreman.timeouts >= 1,
             "{name}: foreman must detect the fault"
@@ -142,23 +163,31 @@ fn farm_survives_the_fault_matrix_with_identical_output() {
         if !recovers {
             assert_eq!(faulty.foreman.recoveries, 0, "{name}: dead stays dead");
         }
-        assert_eq!(faulty.runs.len(), clean.runs.len(), "{name}: every jumble");
-        for (c, f) in clean.runs.iter().zip(&faulty.runs) {
-            assert_eq!(c.seed, f.seed, "{name}: seed order");
-            assert_eq!(c.newick, f.newick, "{name}: tree for seed {}", c.seed);
-            assert_eq!(
-                c.ln_likelihood.to_bits(),
-                f.ln_likelihood.to_bits(),
-                "{name}: lnL for seed {}",
-                c.seed
-            );
-        }
-        assert_eq!(
-            faulty.consensus.splits, clean.consensus.splits,
-            "{name}: consensus splits"
-        );
-        assert!(faulty.manifest.is_complete(), "{name}: manifest complete");
     }
+}
+
+/// How many farms a fault-matrix case may run before worker 3 is handed
+/// the tasks its fault needs.
+const FAULT_ATTEMPTS: usize = 5;
+
+/// A faulty farm's output is the clean farm's, byte for byte.
+fn assert_same_farm(name: &str, clean: &FarmOutcome, faulty: &FarmOutcome) {
+    assert_eq!(faulty.runs.len(), clean.runs.len(), "{name}: every jumble");
+    for (c, f) in clean.runs.iter().zip(&faulty.runs) {
+        assert_eq!(c.seed, f.seed, "{name}: seed order");
+        assert_eq!(c.newick, f.newick, "{name}: tree for seed {}", c.seed);
+        assert_eq!(
+            c.ln_likelihood.to_bits(),
+            f.ln_likelihood.to_bits(),
+            "{name}: lnL for seed {}",
+            c.seed
+        );
+    }
+    assert_eq!(
+        faulty.consensus.splits, clean.consensus.splits,
+        "{name}: consensus splits"
+    );
+    assert!(faulty.manifest.is_complete(), "{name}: manifest complete");
 }
 
 /// A worker process killed mid-farm (`--die-rank`): the farm completes on
@@ -304,55 +333,4 @@ fn golden_ten_seed_farm() {
     }
     let got = fastdnaml::phylo::newick::write(&parts.consensus.tree);
     assert_eq!(got, GOLDEN_CONSENSUS);
-
-    // The same ten-seed farm with four pattern-block threads per engine
-    // reproduces every tree byte for byte and every likelihood bit for
-    // bit — intra-rank parallelism is invisible in the output.
-    let threaded_config = SearchConfig {
-        intra_threads: 4,
-        ..config
-    };
-    let threaded = serial_farm(
-        &alignment,
-        &threaded_config,
-        &seeds,
-        &FarmOptions::default(),
-        &Obs::disabled(),
-    )
-    .unwrap();
-    assert_eq!(threaded.runs.len(), parts.runs.len());
-    for (serial, intra) in parts.runs.iter().zip(&threaded.runs) {
-        assert_eq!(serial.seed, intra.seed);
-        assert_eq!(
-            serial.newick, intra.newick,
-            "intra-threaded farm tree diverged for seed {}",
-            serial.seed
-        );
-        assert_eq!(
-            serial.ln_likelihood.to_bits(),
-            intra.ln_likelihood.to_bits(),
-            "intra-threaded farm lnL diverged for seed {}",
-            serial.seed
-        );
-    }
-    assert_eq!(
-        fastdnaml::phylo::newick::write(&threaded.consensus.tree),
-        GOLDEN_CONSENSUS
-    );
-}
-
-/// The CLI flag end of the same contract: `--intra-threads 4` emits
-/// byte-identical per-jumble trees and consensus.
-#[test]
-fn intra_threaded_cli_farm_reproduces_serial_output() {
-    let dir = workdir("intra");
-    let (base_trees, base_cons, _) = run_farm(&dir, "serial", &["--quiet"]);
-    let (intra_trees, intra_cons, _) =
-        run_farm(&dir, "intra4", &["--intra-threads", "4", "--quiet"]);
-    assert_eq!(
-        intra_trees, base_trees,
-        "--intra-threads 4: per-jumble trees"
-    );
-    assert_eq!(intra_cons, base_cons, "--intra-threads 4: consensus");
-    std::fs::remove_dir_all(dir).ok();
 }

@@ -3,15 +3,12 @@
 //! The contract this suite pins: the log-likelihood surface is a property
 //! of the *data and the model*, not of how the kernels happen to run. On
 //! seeded datasets it drives every execution path the dispatcher can take
-//! — {every ISA lane the host supports} × {1, 2, 4 intra-rank threads} ×
-//! {Reference, Optimized} — through evaluation, branch optimization,
-//! Newton derivatives, incremental `score_edit`, and a whole stepwise
-//! search, and demands:
+//! — {every ISA lane the host supports} × {Reference, Optimized} —
+//! through evaluation, branch optimization, Newton derivatives,
+//! incremental `score_edit`, and a whole stepwise search, and demands:
 //!
-//! * within one `KernelMode`, every ISA lane and every thread count is
-//!   **bit-identical** (the SIMD lanes execute the exact scalar FMA DAG
-//!   vertically, and the blocked fold's merge order is canonical at all
-//!   thread counts);
+//! * within one `KernelMode`, every ISA lane is **bit-identical** (the
+//!   SIMD lanes execute the exact scalar FMA DAG vertically);
 //! * across modes, lnL agrees to the established 1e-9 relative contract
 //!   (the optimized path refolds coefficients, so bits may differ);
 //! * final search trees are **byte-identical** Newick across the matrix.
@@ -31,13 +28,11 @@ use fastdnaml::likelihood::incremental::ClvCache;
 use fastdnaml::likelihood::isa::{self, KernelIsa};
 use fastdnaml::likelihood::kernels::{self, EdgeDerivCoefficients};
 use fastdnaml::likelihood::reference;
-use fastdnaml::likelihood::{IntraPar, KernelMode};
+use fastdnaml::likelihood::KernelMode;
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::newick;
 use fastdnaml::phylo::ops::enumerate_spr_moves;
 use fastdnaml::phylo::tree::Tree;
-
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Every lane this host can execute: on an AVX-512 host that is scalar,
 /// AVX2 and AVX-512, so the narrower vector lane is not skipped.
@@ -71,15 +66,15 @@ fn score_edits(engine: &LikelihoodEngine, base: &Tree) -> Vec<f64> {
 }
 
 /// The full matrix on two seeded datasets — the second one compresses to
-/// more patterns than one `PAR_BLOCK`, so multi-block folds and the
-/// round-robin thread schedule are genuinely exercised.
+/// more patterns than one `PAR_BLOCK`, so multi-block folds are genuinely
+/// exercised.
 #[test]
 fn matrix_evaluate_optimize_and_score_edit_agree() {
     for (taxa, sites, seed) in [(10usize, 300usize, 11u64), (20, 800, 23)] {
         let (tree, alignment) = fixture(taxa, sites, seed);
         let mut cross_mode: Vec<f64> = Vec::new();
         for mode in [KernelMode::Reference, KernelMode::Optimized] {
-            // Baseline: scalar lane, serial fold.
+            // Baseline: the scalar lane.
             isa::set_isa(Some(KernelIsa::Scalar)).unwrap();
             let base_engine = LikelihoodEngine::new(&alignment).with_kernel_mode(mode);
             let base_eval = base_engine.evaluate(&tree).ln_likelihood;
@@ -92,47 +87,40 @@ fn matrix_evaluate_optimize_and_score_edit_agree() {
 
             for lane in lanes() {
                 isa::set_isa(Some(lane)).unwrap();
-                for threads in THREADS {
-                    let tag = format!(
-                        "taxa={taxa} mode={mode:?} lane={} threads={threads}",
-                        lane.name()
-                    );
-                    let engine = LikelihoodEngine::new(&alignment)
-                        .with_kernel_mode(mode)
-                        .with_intra_threads(threads);
+                let tag = format!("taxa={taxa} mode={mode:?} lane={}", lane.name());
+                let engine = LikelihoodEngine::new(&alignment).with_kernel_mode(mode);
+                assert_eq!(
+                    engine.evaluate(&tree).ln_likelihood.to_bits(),
+                    base_eval.to_bits(),
+                    "evaluate diverged ({tag})"
+                );
+                let mut t = tree.clone();
+                let opt = engine.optimize(&mut t, &OptimizeOptions::default());
+                assert_eq!(
+                    opt.ln_likelihood.to_bits(),
+                    base_opt.to_bits(),
+                    "optimize lnL diverged ({tag})"
+                );
+                assert_eq!(
+                    newick::write_tree(&t, alignment.names()),
+                    newick::write_tree(&base_tree, alignment.names()),
+                    "optimized tree diverged ({tag})"
+                );
+                for e in base_tree.edge_ids() {
                     assert_eq!(
-                        engine.evaluate(&tree).ln_likelihood.to_bits(),
-                        base_eval.to_bits(),
-                        "evaluate diverged ({tag})"
+                        t.length(e).to_bits(),
+                        base_tree.length(e).to_bits(),
+                        "branch length diverged on edge {e:?} ({tag})"
                     );
-                    let mut t = tree.clone();
-                    let opt = engine.optimize(&mut t, &OptimizeOptions::default());
+                }
+                let edits = score_edits(&engine, &tree);
+                assert_eq!(edits.len(), base_edits.len());
+                for (i, (got, want)) in edits.iter().zip(&base_edits).enumerate() {
                     assert_eq!(
-                        opt.ln_likelihood.to_bits(),
-                        base_opt.to_bits(),
-                        "optimize lnL diverged ({tag})"
+                        got.to_bits(),
+                        want.to_bits(),
+                        "score_edit[{i}] diverged ({tag})"
                     );
-                    assert_eq!(
-                        newick::write_tree(&t, alignment.names()),
-                        newick::write_tree(&base_tree, alignment.names()),
-                        "optimized tree diverged ({tag})"
-                    );
-                    for e in base_tree.edge_ids() {
-                        assert_eq!(
-                            t.length(e).to_bits(),
-                            base_tree.length(e).to_bits(),
-                            "branch length diverged on edge {e:?} ({tag})"
-                        );
-                    }
-                    let edits = score_edits(&engine, &tree);
-                    assert_eq!(edits.len(), base_edits.len());
-                    for (i, (got, want)) in edits.iter().zip(&base_edits).enumerate() {
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "score_edit[{i}] diverged ({tag})"
-                        );
-                    }
                 }
             }
         }
@@ -147,11 +135,11 @@ fn matrix_evaluate_optimize_and_score_edit_agree() {
     isa::set_isa(None).unwrap();
 }
 
-/// Newton's fused (lnL, d1, d2) fold is bit-identical at every thread
-/// count — all three outputs, not just the likelihood, because the
-/// derivative sums merge in the same canonical block order.
+/// Newton's fused (lnL, d1, d2) fold is bit-identical on every lane — all
+/// three outputs, not just the likelihood — for a short block, exactly one
+/// `PAR_BLOCK`, and several blocks with a ragged tail.
 #[test]
-fn d012_fold_is_bit_identical_across_thread_counts() {
+fn d012_fold_is_bit_identical_across_lanes() {
     // Deterministic xorshift64* stream; no RNG crate needed here.
     let mut state = 0x9E3779B97F4A7C15u64;
     let mut next = move || {
@@ -175,24 +163,22 @@ fn d012_fold_is_bit_identical_across_thread_counts() {
         );
         let mut deriv = EdgeDerivCoefficients::default();
         deriv.fill(&model, &cats, 0.37);
-        let base = kernels::lnl_d012_folded(&IntraPar::serial(), &deriv, &runs, &w, &weights);
-        for threads in [2usize, 4, 7] {
-            let got = kernels::lnl_d012_folded(
-                &IntraPar::with_threads(threads),
-                &deriv,
-                &runs,
-                &w,
-                &weights,
-            );
-            assert_eq!(got.0.to_bits(), base.0.to_bits(), "lnL np={np} t={threads}");
-            assert_eq!(got.1.to_bits(), base.1.to_bits(), "d1 np={np} t={threads}");
-            assert_eq!(got.2.to_bits(), base.2.to_bits(), "d2 np={np} t={threads}");
+        isa::set_isa(Some(KernelIsa::Scalar)).unwrap();
+        let base = kernels::lnl_d012_folded(&deriv, &runs, &w, &weights);
+        for lane in lanes() {
+            isa::set_isa(Some(lane)).unwrap();
+            let got = kernels::lnl_d012_folded(&deriv, &runs, &w, &weights);
+            let lane = lane.name();
+            assert_eq!(got.0.to_bits(), base.0.to_bits(), "lnL np={np} {lane}");
+            assert_eq!(got.1.to_bits(), base.1.to_bits(), "d1 np={np} {lane}");
+            assert_eq!(got.2.to_bits(), base.2.to_bits(), "d2 np={np} {lane}");
         }
     }
+    isa::set_isa(None).unwrap();
 }
 
-/// A whole stepwise search lands on a byte-identical final tree across
-/// every lane × thread-count combination.
+/// A whole stepwise search lands on a byte-identical final tree on every
+/// lane.
 #[test]
 fn full_search_trees_are_byte_identical_across_the_matrix() {
     let (_, alignment) = fixture(8, 200, 5);
@@ -209,25 +195,19 @@ fn full_search_trees_are_byte_identical_across_the_matrix() {
     let base_newick = newick::write_tree(&base.tree, alignment.names());
     for lane in lanes() {
         isa::set_isa(Some(lane)).unwrap();
-        for threads in THREADS {
-            let cfg = SearchConfig {
-                intra_threads: threads,
-                ..base_cfg.clone()
-            };
-            let got = serial_search(&cfg).unwrap();
-            assert_eq!(
-                got.ln_likelihood.to_bits(),
-                base.ln_likelihood.to_bits(),
-                "search lnL diverged (lane={} threads={threads})",
-                lane.name()
-            );
-            assert_eq!(
-                newick::write_tree(&got.tree, alignment.names()),
-                base_newick,
-                "search tree diverged (lane={} threads={threads})",
-                lane.name()
-            );
-        }
+        let got = serial_search(&base_cfg).unwrap();
+        assert_eq!(
+            got.ln_likelihood.to_bits(),
+            base.ln_likelihood.to_bits(),
+            "search lnL diverged (lane={})",
+            lane.name()
+        );
+        assert_eq!(
+            newick::write_tree(&got.tree, alignment.names()),
+            base_newick,
+            "search tree diverged (lane={})",
+            lane.name()
+        );
     }
     isa::set_isa(None).unwrap();
 }
