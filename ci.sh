@@ -213,6 +213,28 @@ test "$dispatched" -lt "$candidates"
 ./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --incremental --quiet \
   --output "$SMOKE/traffic_serial.nwk"
 cmp "$SMOKE/traffic_serial.nwk" "$SMOKE/traffic.nwk"
+
+# Whole-tree traffic: scoring fully optimizes each candidate, so its
+# result is the verified outcome and the verify/commit steps reuse it —
+# one task per candidate plus the starting triplet's `set_base`, on
+# threads, in process and over TCP alike.
+./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --parallel 5 --no-incremental --quiet \
+  --obs-summary --output "$SMOKE/whole.nwk" > "$SMOKE/whole_summary.txt"
+awk '
+  /^  tasks:/           { dispatched = $2 }
+  /^    round +[0-9]+:/ { candidates += $3 }
+  END {
+    printf "whole-tree traffic smoke: %d tasks for %d candidates\n", dispatched, candidates
+    if (!candidates || dispatched != candidates + 1) {
+      print "whole-tree traffic smoke: a candidate optimized twice (or not at all)"; exit 1
+    }
+  }' "$SMOKE/whole_summary.txt"
+./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --no-incremental --quiet \
+  --output "$SMOKE/whole_serial.nwk"
+cmp "$SMOKE/whole_serial.nwk" "$SMOKE/whole.nwk"
+./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --net spawn 5 --no-incremental --quiet \
+  --output "$SMOKE/whole_net.nwk"
+cmp "$SMOKE/whole_net.nwk" "$SMOKE/whole.nwk"
 # Nothing the runtime runs builds the retired one-edit task (the variant
 # and its codec arms stay for benchmark/src/probes.rs:249 only), and how a
 # round is chunked is a pure function of its size and the fleet's — no

@@ -112,6 +112,11 @@ pub trait RoundExecutor {
     /// Fully optimize `base + move` for each move, in order. The base is
     /// untouched, and an outcome depends only on the base and its move —
     /// never on which other moves share the call.
+    ///
+    /// An executor whose [`score_round`](Self::score_round) already fully
+    /// optimized `base + move` (whole-tree scoring) may return that outcome
+    /// instead of recomputing it, bit for bit the same, with `work_units`
+    /// 0: its work was charged when it was scored.
     fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<Verified>, ExecutorError>;
 
     /// How many moves one [`verify`](Self::verify) call evaluates
@@ -128,7 +133,8 @@ pub trait RoundExecutor {
     fn adopt(&mut self, verified: Verified) -> Result<BaseOutcome, ExecutorError>;
 
     /// Apply one move to the base, fully optimize, and make the result the
-    /// new base: [`verify`](Self::verify) then [`adopt`](Self::adopt).
+    /// new base: [`verify`](Self::verify) then [`adopt`](Self::adopt), so a
+    /// move the round already optimized costs no further work.
     fn commit(&mut self, mv: &TreeMove) -> Result<BaseOutcome, ExecutorError> {
         let verified = self
             .verify(std::slice::from_ref(mv))?
@@ -147,9 +153,14 @@ mod tests {
     use crate::config::SearchConfig;
     use crate::loopback::Loopback;
     use crate::master::ClusterExecutor;
+    use fdml_comm::message::Message;
+    use fdml_comm::transport::{CommError, Transport};
     use fdml_phylo::alignment::Alignment;
     use fdml_phylo::ops::enumerate_insertion_moves;
     use fdml_phylo::tree::NodeId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn setup() -> (Alignment, Tree) {
         let a = Alignment::from_strings(&[
@@ -237,5 +248,175 @@ mod tests {
         // The conversion into PhyloError keeps the message.
         let p: PhyloError = ExecutorError::NoBase.into();
         assert!(p.to_string().contains("set_base"));
+    }
+
+    /// The in-process transport, counting the tasks that reach the
+    /// evaluator behind it.
+    struct Counting {
+        inner: Loopback,
+        tasks: Arc<AtomicUsize>,
+    }
+
+    impl Transport for Counting {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+
+        fn send(&self, to: usize, msg: &Message) -> Result<(), CommError> {
+            if matches!(msg, Message::TreeTask { .. } | Message::EditChunk { .. }) {
+                self.tasks.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.send(to, msg)
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Message)>, CommError> {
+            self.inner.recv_timeout(timeout)
+        }
+
+        fn recv(&self) -> Result<(usize, Message), CommError> {
+            self.inner.recv()
+        }
+    }
+
+    /// Five taxa, so the second insertion round has five candidates.
+    fn five_taxa() -> Alignment {
+        Alignment::from_strings(&[
+            ("t0", "ACGTACGTACGTACGTACGTACGTACGT"),
+            ("t1", "ACGTACGTACTTACGTACGAACGTACTT"),
+            ("t2", "ACGAACGTACGTACGGAGGTACGAACGT"),
+            ("t3", "TCGAACGGACGTACGGAGGAACGTTCGT"),
+            ("t4", "TCGAACGGACGTACGTAGGAACGTTCGA"),
+        ])
+        .unwrap()
+    }
+
+    /// The in-process executor over a [`Counting`] transport, and a
+    /// reader of how many tasks it has dispatched so far.
+    fn counted(
+        a: &Alignment,
+        incremental: bool,
+    ) -> (ClusterExecutor<Counting>, impl Fn() -> usize) {
+        let tasks = Arc::new(AtomicUsize::new(0));
+        let transport = Counting {
+            inner: Loopback::new(),
+            tasks: Arc::clone(&tasks),
+        };
+        let config = SearchConfig {
+            incremental,
+            ..SearchConfig::default()
+        };
+        let ex = ClusterExecutor::new(
+            transport,
+            a.names().to_vec(),
+            fdml_phylo::phylip::write(a),
+            config.engine_config_json(),
+            false,
+            crate::worker::ranks::FIRST_WORKER,
+        )
+        .with_incremental(incremental);
+        (ex, move || tasks.load(Ordering::SeqCst))
+    }
+
+    fn bits(outcomes: &[Verified]) -> Vec<u64> {
+        outcomes.iter().map(|v| v.ln_likelihood.to_bits()).collect()
+    }
+
+    #[test]
+    fn whole_tree_verify_and_commit_reuse_the_rounds_outcomes() {
+        let a = five_taxa();
+        let (mut ex, tasks) = counted(&a, false);
+        let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
+        assert_eq!(tasks(), 1);
+        let moves = enumerate_insertion_moves(&base.tree, 3);
+        let scores = ex.score_round(&moves).unwrap();
+        assert_eq!(tasks(), 4);
+
+        // Any subset of the round, in any order: no task, the scores' bits,
+        // no work charged a second time.
+        let subset = [moves[2], moves[0]];
+        let kept = ex.verify(&subset).unwrap();
+        assert_eq!(tasks(), 4);
+        assert_eq!(
+            bits(&kept),
+            [2, 0].map(|i| scores[i].ln_likelihood.to_bits())
+        );
+        assert!(kept.iter().all(|v| v.work_units == 0));
+
+        // Committing the round's argmax dispatches nothing either.
+        let best = argmax(&scores);
+        let committed = ex.commit(&moves[best]).unwrap();
+        assert_eq!(tasks(), 4);
+        assert_eq!(
+            committed.ln_likelihood.to_bits(),
+            scores[best].ln_likelihood.to_bits()
+        );
+        assert_eq!(committed.work_units, 0);
+    }
+
+    #[test]
+    fn whole_tree_verify_dispatches_what_the_round_did_not_score_and_everything_after_adopt() {
+        let a = five_taxa();
+        let names = a.names().to_vec();
+        let (mut ex, tasks) = counted(&a, false);
+        let triplet = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
+        let moves = enumerate_insertion_moves(&triplet.tree, 3);
+        let scores = ex.score_round(&moves).unwrap();
+        let base = ex.commit(&moves[argmax(&scores)]).unwrap();
+        let moves = enumerate_insertion_moves(&base.tree, 4);
+        assert_eq!(moves.len(), 5);
+        let before = tasks();
+        let scores = ex.score_round(&moves[..3]).unwrap();
+        assert_eq!(tasks(), before + 3);
+
+        // Moves the round did not hold are dispatched, and only those: a
+        // mixed call keeps its order.
+        let fresh = ex.verify(&moves[3..]).unwrap();
+        assert_eq!(tasks(), before + 5);
+        assert!(fresh.iter().all(|v| v.work_units > 0));
+        let mixed = ex.verify(&[moves[4], moves[1]]).unwrap();
+        assert_eq!(tasks(), before + 6);
+        assert_eq!(
+            bits(&mixed),
+            [fresh[1].ln_likelihood, scores[1].ln_likelihood].map(f64::to_bits)
+        );
+        assert_eq!(mixed[0].newick, fresh[1].newick);
+        let kept = ex.verify(&moves[..3]).unwrap();
+        assert_eq!(tasks(), before + 6);
+
+        // Adopting a tree — even the base itself, so every move stays
+        // valid — forgets the round: each move is optimized again, to the
+        // same bits and text.
+        ex.adopt(Verified {
+            newick: fdml_phylo::newick::write_tree(&base.tree, &names),
+            ln_likelihood: base.ln_likelihood,
+            work_units: 0,
+        })
+        .unwrap();
+        let again = ex.verify(&moves[..3]).unwrap();
+        assert_eq!(tasks(), before + 9);
+        assert_eq!(bits(&again), bits(&kept));
+        for (again, kept) in again.iter().zip(&kept) {
+            assert_eq!(again.newick, kept.newick);
+            assert!(again.work_units > 0);
+        }
+    }
+
+    #[test]
+    fn incremental_verify_always_dispatches() {
+        let a = five_taxa();
+        let (mut ex, tasks) = counted(&a, true);
+        let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
+        let moves = enumerate_insertion_moves(&base.tree, 3);
+        let scores = ex.score_round(&moves).unwrap();
+        let before = tasks();
+        let verified = ex.verify(&moves).unwrap();
+        assert_eq!(tasks(), before + moves.len());
+        assert!(verified.iter().all(|v| v.work_units > 0));
+        ex.commit(&moves[argmax(&scores)]).unwrap();
+        assert_eq!(tasks(), before + moves.len() + 1);
     }
 }

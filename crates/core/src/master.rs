@@ -54,8 +54,12 @@ fn transport_error(e: impl std::fmt::Display) -> PhyloError {
 ///
 /// Verification ([`RoundExecutor::verify`]) is a wave of ordinary parallel
 /// `TreeTask`s, one per move, as wide as the fleet; adoption installs a
-/// verified tree with no further task. Result Newick is parsed only where
-/// a tree is needed — `set_base` and `adopt` — never per candidate.
+/// verified tree with no further task. In whole-tree mode a round's
+/// `TreeResult`s already are the verified outcomes — scoring fully
+/// optimizes the same `base + move` text — so they are kept, and a
+/// verification of a scored move dispatches nothing. Result Newick is
+/// parsed only where a tree is needed — `set_base` and `adopt` — never per
+/// candidate.
 pub struct ClusterExecutor<T: Transport> {
     transport: T,
     names: Vec<String>,
@@ -75,6 +79,10 @@ pub struct ClusterExecutor<T: Transport> {
     /// Newick text of the current broadcast base (incremental mode): the
     /// single source of truth every rank parses, so node ids agree.
     base_text: Option<String>,
+    /// The last whole-tree round's outcomes, by move: a verification of one
+    /// of them would repeat its optimization bit for bit. Emptied whenever
+    /// the base changes.
+    scored: Vec<(TreeMove, Verified)>,
     /// First worker rank: [`ranks::FIRST_WORKER`] in the flat topology,
     /// higher when regional foremen sit between rank 2 and the fleet.
     first_worker: usize,
@@ -117,6 +125,7 @@ impl<T: Transport> ClusterExecutor<T> {
             incremental: false,
             base_id: 0,
             base_text: None,
+            scored: Vec::new(),
             first_worker,
         }
     }
@@ -341,6 +350,12 @@ impl<T: Transport> ClusterExecutor<T> {
         Ok(newick::write_tree(&cand, &self.names))
     }
 
+    /// The last whole-tree round's outcome for `mv`, if it scored it.
+    fn kept(&self, mv: &TreeMove) -> Option<&Verified> {
+        let (_, kept) = self.scored.iter().find(|(scored, _)| scored == mv)?;
+        Some(kept)
+    }
+
     /// Make an optimized tree, as the text its evaluator wrote, the base:
     /// the one place a result is parsed. In incremental mode the same text
     /// is broadcast, so the returned arena is identical (by the determinism
@@ -352,6 +367,7 @@ impl<T: Transport> ClusterExecutor<T> {
         // Writing is the inverse of parsing on text `write_tree` produced,
         // so the reply is broadcast as it came rather than re-written.
         debug_assert_eq!(newick::write_tree(&tree, &self.names), text);
+        self.scored.clear();
         if self.incremental {
             self.base_id += 1;
             self.transport
@@ -420,24 +436,40 @@ impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
                 .iter()
                 .map(|mv| self.candidate_text(mv))
                 .collect::<Result<_, _>>()?;
-            self.dispatch_trees(newicks)?
-                .into_iter()
+            let verified = self.dispatch_trees(newicks)?;
+            let scores = verified
+                .iter()
                 .map(|tree| CandidateScore {
                     ln_likelihood: tree.ln_likelihood,
                     work_units: tree.work_units,
                 })
-                .collect()
+                .collect();
+            self.scored = moves.iter().copied().zip(verified).collect();
+            scores
         };
         self.announce_round(moves, &scores)?;
         Ok(scores)
     }
 
+    /// A move the last whole-tree round scored is answered from that
+    /// round, at no work; only the others are dispatched.
     fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<Verified>, ExecutorError> {
         let newicks = moves
             .iter()
+            .filter(|mv| self.kept(mv).is_none())
             .map(|mv| self.candidate_text(mv))
             .collect::<Result<_, _>>()?;
-        Ok(self.dispatch_trees(newicks)?)
+        let mut fresh = self.dispatch_trees(newicks)?.into_iter();
+        Ok(moves
+            .iter()
+            .map(|mv| match self.kept(mv) {
+                Some(kept) => Verified {
+                    work_units: 0,
+                    ..kept.clone()
+                },
+                None => fresh.next().expect("one result per dispatched move"),
+            })
+            .collect())
     }
 
     fn verify_width(&self) -> usize {

@@ -17,6 +17,10 @@
 //! whoever announced to it, answers the root's steal requests and probes,
 //! and leaves `Shutdown` to the root's broadcast. Everything worker-facing —
 //! dispatch, timeout, probe, result, `WorkerReady`, `PeerDown` — is shared.
+//!
+//! A worker holds at most [`PIPELINE_DEPTH`] tasks: the one it computes
+//! and, while the queue is long, the next one, so that it starts that task
+//! the moment it answers instead of after a round trip through the foreman.
 
 use crate::foreman::{invariant, ForemanError, ForemanStats, QUARANTINE_BUDGET};
 use crate::worker::ranks;
@@ -68,6 +72,16 @@ pub(crate) trait Machine {
     /// The counters so far.
     fn stats(&self) -> Self::Stats;
 }
+
+/// How many tasks a worker may hold at once. A worker is given a second
+/// task only when every live, non-delinquent worker already holds one, at
+/// least as many tasks as there are such workers stay queued after it, and
+/// the task is round-scoped (a candidate tree or a chunk of edits — never a
+/// whole jumble, whose hand-off is nothing next to its search and which
+/// would stall a farm's tail behind a long sibling). The second task's
+/// timeout runs from the moment the task ahead of it is answered, and a
+/// worker that turns delinquent or dead gives back everything it holds.
+const PIPELINE_DEPTH: usize = 2;
 
 /// The period of the timeout sweep and of a region's lease requests, and
 /// the longest the shell waits for a message before the next `Tick`.
@@ -197,6 +211,11 @@ impl TaskBody {
         }
     }
 
+    /// Part of a round: worth queueing behind a worker's current task.
+    fn round_scoped(&self) -> bool {
+        matches!(self, TaskBody::Tree(_) | TaskBody::Edit { .. })
+    }
+
     fn into_payload(self) -> TaskPayload {
         match self {
             TaskBody::Tree(newick) => TaskPayload::Tree { newick },
@@ -242,7 +261,10 @@ pub(crate) fn result_of(msg: &Message) -> Option<(u64, f64, u64)> {
 struct InFlight {
     worker: Rank,
     body: TaskBody,
-    dispatched_at: Instant,
+    /// When the worker began on it: its dispatch, or — for a task queued
+    /// behind another on the same worker — the answer to that task. `None`
+    /// while it waits, so its timeout clock has not started.
+    started: Option<Instant>,
 }
 
 /// The edge a machine gets its work over and returns its results over.
@@ -395,7 +417,10 @@ impl Sched {
             } else {
                 self.stats.duplicates_ignored += 1;
             }
-            self.ready.push_back(from);
+            // A worker still holding a task is busy with it, not ready.
+            if !self.in_flight.values().any(|held| held.worker == from) {
+                self.ready.push_back(from);
+            }
             return;
         }
         match msg {
@@ -515,7 +540,10 @@ impl Sched {
         if self.next_sweep.is_none_or(|due| now >= due) {
             self.next_sweep = Some(now + tick_of(self.worker_timeout));
             let timeout = self.worker_timeout;
-            let overdue = |held: &InFlight| now.duration_since(held.dispatched_at) > timeout;
+            let overdue = |held: &InFlight| {
+                held.started
+                    .is_some_and(|started| now.duration_since(started) > timeout)
+            };
             self.take_back(overdue, false, out);
         }
 
@@ -547,38 +575,9 @@ impl Sched {
                 self.work_queue.pop_front(),
                 "work queue emptied mid-dispatch",
             )?;
-            // Fallback ladder for edits: embed the base text when the task
-            // was requeued (self-contained) or this worker missed the
-            // broadcast; dispatch the compact form otherwise.
-            let embed = match &body {
-                TaskBody::Edit {
-                    base_id,
-                    self_contained,
-                    ..
-                } if *self_contained || !self.has_base.contains(&worker) => {
-                    self.base_text(*base_id)
-                }
-                _ => None,
-            };
-            let embedded = embed.is_some();
-            out.push(Action::Send(worker, body.to_message(task, embed)));
-            if embedded {
-                // The embedded base is installed by the worker on receipt,
-                // so its later tasks in this round can go compact again.
-                self.has_base.insert(worker);
-            }
-            let dispatched_at = now;
-            self.in_flight.insert(
-                task,
-                InFlight {
-                    worker,
-                    body,
-                    dispatched_at,
-                },
-            );
-            self.stats.dispatched += 1;
-            self.monitor(MonitorEvent::Dispatched { task, worker }, out);
+            self.dispatch(worker, task, body, Some(now), out);
         }
+        self.pipeline(out)?;
 
         // A region asks for more work when its shard can absorb it; the
         // request doubles as its heartbeat.
@@ -642,16 +641,110 @@ impl Sched {
         Ok(())
     }
 
-    /// Take the tasks `lost` picks out of flight, in task order, and
-    /// attribute each to its holder, who turns delinquent and leaves the
-    /// ready queue. The task is requeued (`front`: at once, ahead of the
-    /// rest) or — once [`QUARANTINE_BUDGET`] distinct workers have failed
-    /// it — quarantined and handed upstream.
+    /// Send `task` to `worker` and book it in flight. `started` is `None`
+    /// when it queues behind the worker's current task.
+    fn dispatch(
+        &mut self,
+        worker: Rank,
+        task: u64,
+        body: TaskBody,
+        started: Option<Instant>,
+        out: &mut Vec<Action>,
+    ) {
+        // Fallback ladder for edits: embed the base text when the task was
+        // requeued (self-contained) or this worker missed the broadcast;
+        // dispatch the compact form otherwise.
+        let embed = match &body {
+            TaskBody::Edit {
+                base_id,
+                self_contained,
+                ..
+            } if *self_contained || !self.has_base.contains(&worker) => self.base_text(*base_id),
+            _ => None,
+        };
+        let embedded = embed.is_some();
+        out.push(Action::Send(worker, body.to_message(task, embed)));
+        if embedded {
+            // The embedded base is installed by the worker on receipt, so
+            // its later tasks in this round can go compact again.
+            self.has_base.insert(worker);
+        }
+        self.in_flight.insert(
+            task,
+            InFlight {
+                worker,
+                body,
+                started,
+            },
+        );
+        self.stats.dispatched += 1;
+        self.monitor(MonitorEvent::Dispatched { task, worker }, out);
+    }
+
+    /// Give busy workers their next task ahead of time, under the rule of
+    /// [`PIPELINE_DEPTH`]; the workers whose current task began earliest
+    /// are served first.
+    fn pipeline(&mut self, out: &mut Vec<Action>) -> Result<(), ForemanError> {
+        let live: Vec<Rank> = self
+            .members
+            .iter()
+            .filter(|w| !self.dead.contains(w) && !self.delinquent.contains(w))
+            .copied()
+            .collect();
+        if self.work_queue.len() <= live.len() {
+            return Ok(());
+        }
+        let mut held: HashMap<Rank, (usize, Option<Instant>)> = HashMap::new();
+        for f in self.in_flight.values() {
+            let (count, started) = held.entry(f.worker).or_default();
+            *count += 1;
+            *started = (*started).max(f.started);
+        }
+        if live.iter().any(|w| !held.contains_key(w)) {
+            return Ok(());
+        }
+        let mut next: Vec<(Option<Instant>, Rank)> = live
+            .iter()
+            .map(|w| (held[w], *w))
+            .filter(|&((count, _), _)| count < PIPELINE_DEPTH)
+            .map(|((_, started), w)| (started, w))
+            .collect();
+        next.sort_unstable();
+        for (_, worker) in next {
+            let round_scoped = self
+                .work_queue
+                .front()
+                .is_some_and(|(_, body)| body.round_scoped());
+            if self.work_queue.len() <= live.len() || !round_scoped {
+                break;
+            }
+            let (task, body) = invariant(
+                self.work_queue.pop_front(),
+                "work queue emptied mid-pipeline",
+            )?;
+            self.dispatch(worker, task, body, None, out);
+        }
+        Ok(())
+    }
+
+    /// Take the tasks `lost` picks out of flight, with everything else
+    /// their holders hold, in task order. Each holder turns delinquent and
+    /// leaves the ready queue. A task its holder had begun counts as that
+    /// worker's failure; one still waiting behind it does not. The task is
+    /// requeued (`front`: at once, ahead of the rest) or — once
+    /// [`QUARANTINE_BUDGET`] distinct workers have failed it — quarantined
+    /// and handed upstream.
     fn take_back(&mut self, lost: impl Fn(&InFlight) -> bool, front: bool, out: &mut Vec<Action>) {
+        let holders: BTreeSet<Rank> = self
+            .in_flight
+            .values()
+            .filter(|held| lost(held))
+            .map(|held| held.worker)
+            .collect();
         let mut tasks: Vec<u64> = self
             .in_flight
             .iter()
-            .filter(|(_, held)| lost(held))
+            .filter(|(_, held)| holders.contains(&held.worker))
             .map(|(&task, _)| task)
             .collect();
         tasks.sort_unstable();
@@ -659,20 +752,29 @@ impl Sched {
             tasks.reverse();
         }
         for task in tasks {
-            let Some(InFlight { worker, body, .. }) = self.in_flight.remove(&task) else {
+            let Some(InFlight {
+                worker,
+                body,
+                started,
+            }) = self.in_flight.remove(&task)
+            else {
                 continue;
             };
             self.delinquent.insert(worker);
             self.ready.retain(|&w| w != worker);
+            // A requeued edit must be scoreable by any worker, including a
+            // fresh respawn that has no cached base: force the
+            // self-contained dispatch form from here on.
+            let body = body.self_contained();
+            if started.is_none() {
+                self.requeue(task, body, front);
+                continue;
+            }
             self.stats.timeouts += 1;
             self.monitor(MonitorEvent::WorkerTimedOut { worker, task }, out);
             let failed = self.failures.entry(task).or_default();
             failed.insert(worker);
             let failures = failed.len() as u64;
-            // A requeued edit must be scoreable by any worker, including a
-            // fresh respawn that has no cached base: force the
-            // self-contained dispatch form from here on.
-            let body = body.self_contained();
             if failures >= QUARANTINE_BUDGET {
                 // The task has now serially killed (or stalled) several
                 // different workers: stop feeding it to the fleet. Marking
@@ -693,17 +795,23 @@ impl Sched {
                     },
                     out,
                 );
-            } else if front {
-                self.work_queue.push_front((task, body));
             } else {
-                self.work_queue.push_back((task, body));
+                self.requeue(task, body, front);
             }
         }
     }
 
+    fn requeue(&mut self, task: u64, body: TaskBody, front: bool) {
+        if front {
+            self.work_queue.push_front((task, body));
+        } else {
+            self.work_queue.push_back((task, body));
+        }
+    }
+
     /// Book a worker's answer for `task`. `Some(service_us)` when it is the
-    /// first answer (dispatch-to-result latency; 0 when the task was not in
-    /// flight), `None` for a late duplicate. A task is in flight or queued,
+    /// first answer (latency from when its worker began on it; 0 when the
+    /// task was not in flight), `None` for a late duplicate. A task is in flight or queued,
     /// never both, so the queue is searched only for the rare answer to a
     /// task that was requeued while its first worker was still computing.
     fn accept_result(&mut self, task: u64, now: Instant) -> Option<u64> {
@@ -711,7 +819,14 @@ impl Sched {
             return None;
         }
         let service_us = match self.in_flight.remove(&task) {
-            Some(f) => now.duration_since(f.dispatched_at).as_micros() as u64,
+            Some(f) => {
+                // Whatever waited behind it on that worker starts now.
+                if let Some(next) = self.in_flight.values_mut().find(|n| n.worker == f.worker) {
+                    next.started.get_or_insert(now);
+                }
+                f.started
+                    .map_or(0, |started| now.duration_since(started).as_micros() as u64)
+            }
             None => {
                 let queued = self.work_queue.iter().position(|(t, _)| *t == task)?;
                 self.work_queue.remove(queued);
@@ -1279,6 +1394,195 @@ mod tests {
             assert_eq!(m.outstanding(), 0, "not idle after {order:?}");
             assert_eq!(m.stats().quarantined, 0);
         }
+    }
+
+    /// A flat machine over workers 3 and 4, both announced at `t0`, with
+    /// `tasks` queued by the master.
+    fn two_workers(t0: Instant, tasks: impl IntoIterator<Item = Message>) -> Sched {
+        let mut m = Sched::flat(5, TIMEOUT, false);
+        for worker in [3, 4] {
+            feed(&mut m, t0, Event::Msg(worker, Message::WorkerReady));
+        }
+        for task in tasks {
+            feed(&mut m, t0, Event::Msg(MASTER, task));
+        }
+        m
+    }
+
+    #[test]
+    fn a_wave_as_wide_as_the_fleet_goes_one_task_per_worker() {
+        let t0 = Instant::now();
+        let mut m = two_workers(t0, (1..=2).map(tree_task));
+        assert_eq!(
+            feed(&mut m, t0, Event::Tick),
+            [(3, tree_task(1)), (4, tree_task(2))]
+        );
+        // Five tasks: one each, then a second for the worker that began
+        // first — two stay queued, as many as there are workers — and no
+        // more.
+        let mut m = two_workers(t0, (1..=5).map(tree_task));
+        assert_eq!(
+            feed(&mut m, t0, Event::Tick),
+            [(3, tree_task(1)), (4, tree_task(2)), (3, tree_task(3))]
+        );
+        assert_eq!(m.work_queue.len(), 2);
+        // Worker 3 answers its first task: it is still busy with the one
+        // it holds, so it gets a new second task only while the queue stays
+        // long enough — here it does not.
+        assert_eq!(
+            feed(&mut m, t0, Event::Msg(3, tree_result(1))),
+            [(MASTER, tree_result(1))]
+        );
+        assert_eq!(feed(&mut m, t0, Event::Tick), []);
+        assert!(m.ready.is_empty());
+    }
+
+    #[test]
+    fn no_second_task_while_a_live_worker_holds_none() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // Worker 4 has not announced itself: it is live and holds nothing,
+        // so worker 3 gets one task however long the queue.
+        let mut m = Sched::flat(5, TIMEOUT, false);
+        feed(&mut m, at(0), Event::Msg(3, Message::WorkerReady));
+        for task in 1..=10 {
+            feed(
+                &mut m,
+                at(0),
+                Event::Msg(MASTER, edit_task(task, 1, Some("(b);"))),
+            );
+        }
+        let tasks = |sends: Sends| -> Vec<(Rank, u64)> {
+            sends
+                .into_iter()
+                .map(|(to, msg)| match msg {
+                    Message::EditChunk { task, .. } => (to, task),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(tasks(feed(&mut m, at(0), Event::Tick)), [(3, 1)]);
+        // Once it is busy too, both queue one more, the worker that began
+        // first first.
+        feed(&mut m, at(1), Event::Msg(4, Message::WorkerReady));
+        assert_eq!(
+            tasks(feed(&mut m, at(1), Event::Tick)),
+            [(4, 2), (3, 3), (4, 4)]
+        );
+        // Answering the first of two tasks makes a worker busy, not ready:
+        // its next task is already there, and it queues another.
+        assert_eq!(m.ready.len(), 0);
+        feed(&mut m, at(2), Event::Msg(3, edit_scores(1)));
+        assert_eq!(tasks(feed(&mut m, at(2), Event::Tick)), [(3, 5)]);
+        assert_eq!(m.stats().dispatched, 5);
+    }
+
+    #[test]
+    fn whole_jumbles_are_never_queued_behind_each_other() {
+        let t0 = Instant::now();
+        let jumble = |task| Message::JumbleTask { task, seed: task };
+        let resume = |task| Message::JumbleResume {
+            job: 1,
+            task,
+            seed: task,
+            wal: Vec::new(),
+        };
+        for tasks in [
+            (1..=10).map(jumble).collect::<Vec<_>>(),
+            (1..=10).map(resume).collect(),
+        ] {
+            let mut m = two_workers(t0, tasks.clone());
+            assert_eq!(
+                feed(&mut m, t0, Event::Tick),
+                [(3, tasks[0].clone()), (4, tasks[1].clone())]
+            );
+            assert_eq!(m.work_queue.len(), 8);
+        }
+        // A jumble at the head of the queue ends the pipelining there.
+        let mut m = two_workers(
+            t0,
+            [
+                tree_task(1),
+                tree_task(2),
+                jumble(3),
+                tree_task(4),
+                tree_task(5),
+            ],
+        );
+        assert_eq!(
+            feed(&mut m, t0, Event::Tick),
+            [(3, tree_task(1)), (4, tree_task(2))]
+        );
+    }
+
+    #[test]
+    fn a_second_tasks_timeout_runs_from_the_answer_ahead_of_it() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut m = two_workers(at(0), (1..=5).map(tree_task));
+        feed(&mut m, at(0), Event::Tick);
+        // Worker 4 works off everything but what worker 3 holds.
+        for (ms, task) in [(1, 2), (2, 4), (3, 5)] {
+            feed(&mut m, at(ms), Event::Msg(4, tree_result(task)));
+            feed(&mut m, at(ms), Event::Tick);
+        }
+        assert_eq!(m.outstanding(), 2);
+        // Worker 3 answers task 1 after 9 s; task 3 has waited behind it
+        // since 0 but its clock starts only now.
+        feed(&mut m, at(9_000), Event::Msg(3, tree_result(1)));
+        assert_eq!(feed(&mut m, at(10_100), Event::Tick), []);
+        assert_eq!(feed(&mut m, at(19_000), Event::Tick), []);
+        assert_eq!(
+            feed(&mut m, at(19_100), Event::Tick),
+            [(3, Message::Ping), (4, tree_task(3))]
+        );
+        assert_eq!(m.stats().timeouts, 1);
+    }
+
+    #[test]
+    fn a_failed_worker_gives_back_both_tasks_it_holds() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // Its link goes down: both tasks are requeued at once, in order,
+        // ahead of the rest; only the one it had begun counts against it.
+        let mut m = two_workers(at(0), (1..=5).map(tree_task));
+        feed(&mut m, at(0), Event::Tick);
+        feed(
+            &mut m,
+            at(1),
+            Event::Msg(MASTER, Message::PeerDown { rank: 3 }),
+        );
+        let queued: Vec<u64> = m.work_queue.iter().map(|(task, _)| *task).collect();
+        assert_eq!(queued, [1, 3, 4, 5]);
+        assert_eq!(m.stats().timeouts, 1);
+        assert!(!m.failures.contains_key(&3));
+        // The survivor, busy with task 2, queues the first of them.
+        assert_eq!(feed(&mut m, at(1), Event::Tick), [(4, tree_task(1))]);
+
+        // It goes silent past the timeout: the sweep takes back both.
+        let mut m = two_workers(at(0), (1..=5).map(tree_task));
+        feed(&mut m, at(0), Event::Tick);
+        for (ms, task) in [(1, 2), (2, 4), (3, 5)] {
+            feed(&mut m, at(ms), Event::Msg(4, tree_result(task)));
+            feed(&mut m, at(ms), Event::Tick);
+        }
+        assert_eq!(
+            feed(&mut m, at(10_100), Event::Tick),
+            [(3, Message::Ping), (4, tree_task(1))]
+        );
+        let queued: Vec<u64> = m.work_queue.iter().map(|(task, _)| *task).collect();
+        assert_eq!(queued, [3]);
+        assert_eq!(m.stats().timeouts, 1);
+        assert_eq!(
+            feed(&mut m, at(10_200), Event::Msg(4, tree_result(1))),
+            [(MASTER, tree_result(1))]
+        );
+        assert_eq!(feed(&mut m, at(10_200), Event::Tick), [(4, tree_task(3))]);
+        // The silent worker's late answer is a duplicate.
+        assert_eq!(feed(&mut m, at(10_300), Event::Msg(3, tree_result(1))), []);
+        feed(&mut m, at(10_300), Event::Msg(4, tree_result(3)));
+        assert_eq!(m.outstanding(), 0);
+        assert_eq!(m.stats().results_forwarded, 5);
     }
 
     /// A root over two regions (ranks 3 and 4) and four workers (5..9).

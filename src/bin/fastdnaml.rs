@@ -90,7 +90,7 @@
 //!   --attach-timeout-ms T  give up attaching after this long   [600000]
 //! ```
 
-use fastdnaml::comm::job::JobSpec;
+use fastdnaml::comm::job::{JobSpec, JobSpecError};
 use fastdnaml::core::checkpoint::{Checkpoint, FarmManifest};
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::farm::{serial_farm, FarmOptions, JumbleRun};
@@ -667,6 +667,17 @@ fn main() -> ExitCode {
         );
     }
 
+    // Counts that must be positive are refused before any work starts,
+    // the way the `JobSpec` builder refuses `--jumbles 0`.
+    for flag in ["categories", "bootstrap"] {
+        if args.get(flag).is_some_and(|v| v.parse::<usize>() == Ok(0)) {
+            return die(JobSpecError::Invalid {
+                flag: format!("--{flag}"),
+                reason: "must be at least 1".into(),
+            });
+        }
+    }
+
     let radius: usize = get(&args, "radius", 1);
     let mut config = SearchConfig {
         jumble_seed: get(&args, "jumble", 1),
@@ -834,10 +845,12 @@ fn main() -> ExitCode {
         for (i, e) in evaluated.iter().enumerate() {
             println!("tree {:>3}: lnL {:.4}", i + 1, e.ln_likelihood);
         }
-        let best = evaluated
+        let Some(best) = evaluated
             .iter()
             .max_by(|a, b| a.ln_likelihood.total_cmp(&b.ln_likelihood))
-            .expect("at least one tree");
+        else {
+            return die(format_args!("--user-trees {path}: no trees in the file"));
+        };
         return done(emit_to(output, &best.newick));
     }
 

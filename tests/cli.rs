@@ -438,6 +438,41 @@ fn a_user_tree_missing_taxa_is_a_one_line_error() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A count of zero used to trip an assertion (exit 101); it is refused
+/// like `--jumbles 0`.
+fn zero_count_is_refused(tag: &str, flag: &str) {
+    let dir = workdir(tag);
+    let line = one_line_failure(&dir, &[flag, "0"]);
+    assert!(!line.contains("panicked"), "{line}");
+    assert!(line.contains(flag) && line.contains("at least 1"), "{line}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn zero_categories_is_a_one_line_error() {
+    zero_count_is_refused("zero_categories", "--categories");
+}
+
+#[test]
+fn zero_bootstrap_replicates_is_a_one_line_error() {
+    zero_count_is_refused("zero_bootstrap", "--bootstrap");
+}
+
+#[test]
+fn an_empty_user_tree_file_is_a_one_line_error() {
+    let dir = workdir("empty_trees");
+    let empty = dir.join("empty.nwk");
+    std::fs::write(&empty, "\n\n").unwrap();
+    // Used to panic out of `expect("at least one tree")` (exit 101).
+    let line = one_line_failure(&dir, &["--user-trees", empty.to_str().unwrap()]);
+    assert!(!line.contains("panicked"), "{line}");
+    assert!(
+        line.contains("--user-trees") && line.contains("no trees"),
+        "{line}"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn help_flags_print_usage() {
     let out = fastdnaml().args(["--help"]).output().expect("run");
