@@ -214,6 +214,26 @@ test "$dispatched" -lt "$candidates"
   --output "$SMOKE/traffic_serial.nwk"
 cmp "$SMOKE/traffic_serial.nwk" "$SMOKE/traffic.nwk"
 
+# Window traffic: verification keeps workers + 1 tasks sent beyond its
+# decided prefix, and each rank decided as not improving releases one
+# more, so what is sent past an improver is a function of the ranks alone.
+# Two threaded runs and a TCP run report one `tasks: N dispatched`, however
+# their answers raced, and print the in-process tree.
+window_tasks() {
+  ./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --incremental --quiet \
+    --obs-summary --output "$SMOKE/window_$1.nwk" "${@:2}" | awk '/^  tasks:/ { print $2 }'
+}
+window_a=$(window_tasks a --parallel 5)
+window_b=$(window_tasks b --parallel 5)
+window_net=$(window_tasks net --net spawn 5)
+echo "window traffic smoke: $window_a and $window_b tasks on threads, $window_net over TCP"
+test -n "$window_a"
+test "$window_a" = "$window_b"
+test "$window_a" = "$window_net"
+for run in a b net; do
+  cmp "$SMOKE/traffic_serial.nwk" "$SMOKE/window_$run.nwk"
+done
+
 # Whole-tree traffic: scoring fully optimizes each candidate, so its
 # result is the verified outcome and the verify/commit steps reuse it —
 # one task per candidate plus the starting triplet's `set_base`, on

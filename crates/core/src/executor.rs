@@ -109,22 +109,22 @@ pub trait RoundExecutor {
     /// Score every move against the current base.
     fn score_round(&mut self, moves: &[TreeMove]) -> Result<Vec<CandidateScore>, ExecutorError>;
 
-    /// Fully optimize `base + move` for each move, in order. The base is
+    /// Fully optimize `base + move` for the moves in order, up to and
+    /// including the first whose log-likelihood is above `bar` — the
+    /// round's improver — or all of them if none is. The base is
     /// untouched, and an outcome depends only on the base and its move —
     /// never on which other moves share the call.
+    ///
+    /// The returned prefix — and so a round's `tried` list, its WAL record
+    /// and the work it charges — never depends on how many moves the
+    /// executor had in flight: an outcome it computed past the improver is
+    /// neither returned nor charged.
     ///
     /// An executor whose [`score_round`](Self::score_round) already fully
     /// optimized `base + move` (whole-tree scoring) may return that outcome
     /// instead of recomputing it, bit for bit the same, with `work_units`
     /// 0: its work was charged when it was scored.
-    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<Verified>, ExecutorError>;
-
-    /// How many moves one [`verify`](Self::verify) call evaluates
-    /// concurrently (at least 1): the driver verifies candidates in waves
-    /// of this size.
-    fn verify_width(&self) -> usize {
-        1
-    }
+    fn verify(&mut self, moves: &[TreeMove], bar: f64) -> Result<Vec<Verified>, ExecutorError>;
 
     /// Install an already-optimized tree (a [`verify`](Self::verify)
     /// outcome) as the base without re-optimizing it. Returns the base as
@@ -136,10 +136,11 @@ pub trait RoundExecutor {
     /// new base: [`verify`](Self::verify) then [`adopt`](Self::adopt), so a
     /// move the round already optimized costs no further work.
     fn commit(&mut self, mv: &TreeMove) -> Result<BaseOutcome, ExecutorError> {
+        // One move is its own prefix, whatever the bar.
         let verified = self
-            .verify(std::slice::from_ref(mv))?
+            .verify(std::slice::from_ref(mv), f64::INFINITY)?
             .pop()
-            .expect("verify returns one outcome per move");
+            .expect("verify returns the one move's outcome");
         let verify_work = verified.work_units;
         let mut adopted = self.adopt(verified)?;
         adopted.work_units += verify_work;
@@ -151,16 +152,14 @@ pub trait RoundExecutor {
 mod tests {
     use super::*;
     use crate::config::SearchConfig;
-    use crate::loopback::Loopback;
+    use crate::loopback::{Counting, Loopback};
     use crate::master::ClusterExecutor;
-    use fdml_comm::message::Message;
-    use fdml_comm::transport::{CommError, Transport};
     use fdml_phylo::alignment::Alignment;
     use fdml_phylo::ops::enumerate_insertion_moves;
     use fdml_phylo::tree::NodeId;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
+
+    /// No bar: every move's outcome comes back.
+    const ALL: f64 = f64::INFINITY;
 
     fn setup() -> (Alignment, Tree) {
         let a = Alignment::from_strings(&[
@@ -231,7 +230,10 @@ mod tests {
 
         let mut full = in_process(&a, false);
         assert!(matches!(full.commit(&mv), Err(ExecutorError::NoBase)));
-        assert!(matches!(full.verify(&[mv]), Err(ExecutorError::NoBase)));
+        assert!(matches!(
+            full.verify(&[mv], ALL),
+            Err(ExecutorError::NoBase)
+        ));
         assert!(matches!(
             full.score_round(&[mv]),
             Err(ExecutorError::NoBase)
@@ -239,7 +241,10 @@ mod tests {
 
         let mut fast = in_process(&a, true);
         assert!(matches!(fast.commit(&mv), Err(ExecutorError::NoBase)));
-        assert!(matches!(fast.verify(&[mv]), Err(ExecutorError::NoBase)));
+        assert!(matches!(
+            fast.verify(&[mv], ALL),
+            Err(ExecutorError::NoBase)
+        ));
         assert!(matches!(
             fast.score_round(&[mv]),
             Err(ExecutorError::NoBase)
@@ -248,38 +253,6 @@ mod tests {
         // The conversion into PhyloError keeps the message.
         let p: PhyloError = ExecutorError::NoBase.into();
         assert!(p.to_string().contains("set_base"));
-    }
-
-    /// The in-process transport, counting the tasks that reach the
-    /// evaluator behind it.
-    struct Counting {
-        inner: Loopback,
-        tasks: Arc<AtomicUsize>,
-    }
-
-    impl Transport for Counting {
-        fn rank(&self) -> usize {
-            self.inner.rank()
-        }
-
-        fn size(&self) -> usize {
-            self.inner.size()
-        }
-
-        fn send(&self, to: usize, msg: &Message) -> Result<(), CommError> {
-            if matches!(msg, Message::TreeTask { .. } | Message::EditChunk { .. }) {
-                self.tasks.fetch_add(1, Ordering::SeqCst);
-            }
-            self.inner.send(to, msg)
-        }
-
-        fn recv_timeout(&self, timeout: Duration) -> Result<Option<(usize, Message)>, CommError> {
-            self.inner.recv_timeout(timeout)
-        }
-
-        fn recv(&self) -> Result<(usize, Message), CommError> {
-            self.inner.recv()
-        }
     }
 
     /// Five taxa, so the second insertion round has five candidates.
@@ -300,25 +273,12 @@ mod tests {
         a: &Alignment,
         incremental: bool,
     ) -> (ClusterExecutor<Counting>, impl Fn() -> usize) {
-        let tasks = Arc::new(AtomicUsize::new(0));
-        let transport = Counting {
-            inner: Loopback::new(),
-            tasks: Arc::clone(&tasks),
-        };
+        let (transport, tasks) = Counting::new();
         let config = SearchConfig {
             incremental,
             ..SearchConfig::default()
         };
-        let ex = ClusterExecutor::new(
-            transport,
-            a.names().to_vec(),
-            fdml_phylo::phylip::write(a),
-            config.engine_config_json(),
-            false,
-            crate::worker::ranks::FIRST_WORKER,
-        )
-        .with_incremental(incremental);
-        (ex, move || tasks.load(Ordering::SeqCst))
+        (ClusterExecutor::over(transport, a, &config), tasks)
     }
 
     fn bits(outcomes: &[Verified]) -> Vec<u64> {
@@ -328,7 +288,9 @@ mod tests {
     #[test]
     fn whole_tree_verify_and_commit_reuse_the_rounds_outcomes() {
         let a = five_taxa();
-        let (mut ex, tasks) = counted(&a, false);
+        // A window wider than the loopback's: kept moves take no slot in it.
+        let (ex, tasks) = counted(&a, false);
+        let mut ex = ex.with_window(3);
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         assert_eq!(tasks(), 1);
         let moves = enumerate_insertion_moves(&base.tree, 3);
@@ -338,13 +300,20 @@ mod tests {
         // Any subset of the round, in any order: no task, the scores' bits,
         // no work charged a second time.
         let subset = [moves[2], moves[0]];
-        let kept = ex.verify(&subset).unwrap();
+        let kept = ex.verify(&subset, ALL).unwrap();
         assert_eq!(tasks(), 4);
         assert_eq!(
             bits(&kept),
             [2, 0].map(|i| scores[i].ln_likelihood.to_bits())
         );
         assert!(kept.iter().all(|v| v.work_units == 0));
+
+        // Stopping at an improver: the prefix up to it, still no task.
+        let bar = scores[0].ln_likelihood.min(scores[1].ln_likelihood) - 1.0;
+        let prefix = ex.verify(&[moves[2], moves[0], moves[1]], bar).unwrap();
+        assert_eq!(tasks(), 4);
+        let first = usize::from(scores[2].ln_likelihood <= bar);
+        assert_eq!(prefix.len(), first + 1);
 
         // Committing the round's argmax dispatches nothing either.
         let best = argmax(&scores);
@@ -361,7 +330,8 @@ mod tests {
     fn whole_tree_verify_dispatches_what_the_round_did_not_score_and_everything_after_adopt() {
         let a = five_taxa();
         let names = a.names().to_vec();
-        let (mut ex, tasks) = counted(&a, false);
+        let (ex, tasks) = counted(&a, false);
+        let mut ex = ex.with_window(3);
         let triplet = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         let moves = enumerate_insertion_moves(&triplet.tree, 3);
         let scores = ex.score_round(&moves).unwrap();
@@ -374,17 +344,17 @@ mod tests {
 
         // Moves the round did not hold are dispatched, and only those: a
         // mixed call keeps its order.
-        let fresh = ex.verify(&moves[3..]).unwrap();
+        let fresh = ex.verify(&moves[3..], ALL).unwrap();
         assert_eq!(tasks(), before + 5);
         assert!(fresh.iter().all(|v| v.work_units > 0));
-        let mixed = ex.verify(&[moves[4], moves[1]]).unwrap();
+        let mixed = ex.verify(&[moves[4], moves[1]], ALL).unwrap();
         assert_eq!(tasks(), before + 6);
         assert_eq!(
             bits(&mixed),
             [fresh[1].ln_likelihood, scores[1].ln_likelihood].map(f64::to_bits)
         );
         assert_eq!(mixed[0].newick, fresh[1].newick);
-        let kept = ex.verify(&moves[..3]).unwrap();
+        let kept = ex.verify(&moves[..3], ALL).unwrap();
         assert_eq!(tasks(), before + 6);
 
         // Adopting a tree — even the base itself, so every move stays
@@ -396,7 +366,7 @@ mod tests {
             work_units: 0,
         })
         .unwrap();
-        let again = ex.verify(&moves[..3]).unwrap();
+        let again = ex.verify(&moves[..3], ALL).unwrap();
         assert_eq!(tasks(), before + 9);
         assert_eq!(bits(&again), bits(&kept));
         for (again, kept) in again.iter().zip(&kept) {
@@ -413,10 +383,76 @@ mod tests {
         let moves = enumerate_insertion_moves(&base.tree, 3);
         let scores = ex.score_round(&moves).unwrap();
         let before = tasks();
-        let verified = ex.verify(&moves).unwrap();
+        let verified = ex.verify(&moves, ALL).unwrap();
         assert_eq!(tasks(), before + moves.len());
         assert!(verified.iter().all(|v| v.work_units > 0));
         ex.commit(&moves[argmax(&scores)]).unwrap();
         assert_eq!(tasks(), before + moves.len() + 1);
+    }
+
+    /// Five candidates on the five-taxon problem's second insertion round,
+    /// with the executor that scored them.
+    fn second_round(
+        window: usize,
+    ) -> (ClusterExecutor<Counting>, impl Fn() -> usize, Vec<TreeMove>) {
+        let (ex, tasks) = counted(&five_taxa(), true);
+        let mut ex = ex.with_window(window);
+        let triplet = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
+        let moves = enumerate_insertion_moves(&triplet.tree, 3);
+        let scores = ex.score_round(&moves).unwrap();
+        let base = ex.commit(&moves[argmax(&scores)]).unwrap();
+        let moves = enumerate_insertion_moves(&base.tree, 4);
+        assert_eq!(moves.len(), 5);
+        ex.score_round(&moves).unwrap();
+        (ex, tasks, moves)
+    }
+
+    #[test]
+    fn verify_returns_the_prefix_to_the_improver_and_sends_the_window_past_it() {
+        let (mut ex, tasks, moves) = second_round(1);
+        let all = ex.verify(&moves, ALL).unwrap();
+        let n = moves.len();
+        let mut improvers = 0;
+        for j in 0..n {
+            // The bar that makes rank `j` the first improver, if one does.
+            let bar = all[..j]
+                .iter()
+                .map(|v| v.ln_likelihood)
+                .fold(f64::NEG_INFINITY, f64::max);
+            if all[j].ln_likelihood <= bar {
+                continue;
+            }
+            improvers += 1;
+            for window in [1, 2, 3, 8] {
+                let (mut ex, tasks, _) = second_round(window);
+                let before = tasks();
+                let got = ex.verify(&moves, bar).unwrap();
+                // Over the loopback a window of one evaluates nothing past
+                // the improver; a wider one sends `min(n, j + window)`.
+                assert_eq!(
+                    tasks() - before,
+                    n.min(j + window),
+                    "rank {j} window {window}"
+                );
+                assert_eq!(bits(&got), bits(&all[..=j]), "rank {j} window {window}");
+                for (got, all) in got.iter().zip(&all) {
+                    assert_eq!(got.newick, all.newick);
+                    assert_eq!(got.work_units, all.work_units);
+                }
+                // What was sent past the improver is dropped, not mistaken
+                // for the next call's answers.
+                let again = ex.verify(&moves, ALL).unwrap();
+                assert_eq!(bits(&again), bits(&all), "rank {j} window {window}");
+            }
+        }
+        assert!(improvers >= 2, "only {improvers} ranks can lead");
+        // None improves: every outcome, every move sent once.
+        let before = tasks();
+        let none = ex.verify(&moves, f64::INFINITY).unwrap();
+        assert_eq!(tasks() - before, n);
+        assert_eq!(bits(&none), bits(&all));
+        // An empty round sends nothing and blocks on nothing.
+        assert!(ex.verify(&[], f64::NEG_INFINITY).unwrap().is_empty());
+        assert_eq!(tasks() - before, n);
     }
 }

@@ -110,6 +110,57 @@ impl Transport for Loopback {
     }
 }
 
+/// The in-process transport, counting the tasks that reach the evaluator
+/// behind it.
+#[cfg(test)]
+pub(crate) struct Counting {
+    inner: Loopback,
+    tasks: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+#[cfg(test)]
+impl Counting {
+    /// A counting loopback, and a reader of how many tasks it has been
+    /// sent so far.
+    pub(crate) fn new() -> (Counting, impl Fn() -> usize) {
+        let tasks = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let reader = std::sync::Arc::clone(&tasks);
+        let transport = Counting {
+            inner: Loopback::new(),
+            tasks,
+        };
+        (transport, move || {
+            reader.load(std::sync::atomic::Ordering::SeqCst)
+        })
+    }
+}
+
+#[cfg(test)]
+impl Transport for Counting {
+    fn rank(&self) -> Rank {
+        self.inner.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+
+    fn send(&self, to: Rank, msg: &Message) -> Result<(), CommError> {
+        if matches!(msg, Message::TreeTask { .. } | Message::EditChunk { .. }) {
+            self.tasks.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+        self.inner.send(to, msg)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<(Rank, Message)>, CommError> {
+        self.inner.recv_timeout(timeout)
+    }
+
+    fn recv(&self) -> Result<(Rank, Message), CommError> {
+        self.inner.recv()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

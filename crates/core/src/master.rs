@@ -32,6 +32,20 @@ pub fn edit_chunk_len(moves: usize, workers: usize) -> usize {
     moves.div_ceil(CHUNKS_PER_WORKER * workers.max(1)).max(1)
 }
 
+/// How many whole-tree tasks a verification keeps sent beyond its decided
+/// prefix when the universe has `workers` workers: one per worker and one
+/// spare at the foreman, so a worker that answers is handed the next rank
+/// without waiting for the master. A single worker gets no spare: the
+/// in-process [`crate::loopback::Loopback`] evaluates a task inside `send`,
+/// so a spare would be computed and thrown away.
+pub(crate) fn verify_window(workers: usize) -> usize {
+    if workers >= 2 {
+        workers + 1
+    } else {
+        1
+    }
+}
+
 /// One task's answer as it arrived.
 enum Reply {
     /// A whole-tree task: the optimized tree as text (parsed only where a
@@ -39,6 +53,18 @@ enum Reply {
     Tree(Verified),
     /// An edit chunk: one score per edit.
     Scores(Vec<EditScore>),
+}
+
+impl Reply {
+    /// The answer of a whole-tree task.
+    fn into_tree(self) -> Result<Verified, PhyloError> {
+        match self {
+            Reply::Tree(tree) => Ok(tree),
+            Reply::Scores(_) => Err(PhyloError::Format(
+                "a whole-tree task was answered with edit scores".into(),
+            )),
+        }
+    }
 }
 
 fn transport_error(e: impl std::fmt::Display) -> PhyloError {
@@ -52,14 +78,14 @@ fn transport_error(e: impl std::fmt::Display) -> PhyloError {
 /// [`edit_chunk_len`] of them per `EditChunk` task, and workers score them
 /// through their CLV caches, answering with the scores alone.
 ///
-/// Verification ([`RoundExecutor::verify`]) is a wave of ordinary parallel
-/// `TreeTask`s, one per move, as wide as the fleet; adoption installs a
-/// verified tree with no further task. In whole-tree mode a round's
-/// `TreeResult`s already are the verified outcomes — scoring fully
-/// optimizes the same `base + move` text — so they are kept, and a
-/// verification of a scored move dispatches nothing. Result Newick is
-/// parsed only where a tree is needed — `set_base` and `adopt` — never per
-/// candidate.
+/// Verification ([`RoundExecutor::verify`]) streams ordinary `TreeTask`s,
+/// one per move, through a window of `workers + 1` tasks beyond the
+/// decided prefix (one with a single worker); adoption installs a verified
+/// tree with no further task. In whole-tree mode a round's `TreeResult`s
+/// already are the verified outcomes — scoring fully optimizes the same
+/// `base + move` text — so they are kept, and a verification of a scored
+/// move dispatches nothing. Result Newick is parsed only where a tree is
+/// needed — `set_base` and `adopt` — never per candidate.
 pub struct ClusterExecutor<T: Transport> {
     transport: T,
     names: Vec<String>,
@@ -86,6 +112,9 @@ pub struct ClusterExecutor<T: Transport> {
     /// First worker rank: [`ranks::FIRST_WORKER`] in the flat topology,
     /// higher when regional foremen sit between rank 2 and the fleet.
     first_worker: usize,
+    /// Verification tasks kept sent beyond the decided prefix
+    /// ([`verify_window`] of the universe's workers).
+    window: usize,
 }
 
 impl<T: Transport> ClusterExecutor<T> {
@@ -112,7 +141,7 @@ impl<T: Transport> ClusterExecutor<T> {
                 },
             );
         }
-        ClusterExecutor {
+        let mut executor = ClusterExecutor {
             transport,
             names,
             phylip,
@@ -127,7 +156,10 @@ impl<T: Transport> ClusterExecutor<T> {
             base_text: None,
             scored: Vec::new(),
             first_worker,
-        }
+            window: 1,
+        };
+        executor.window = verify_window(executor.workers());
+        executor
     }
 
     /// Toggle incremental candidate evaluation: when on, `set_base`
@@ -202,15 +234,7 @@ impl<T: Transport> ClusterExecutor<T> {
             task,
             newick: newicks.next().expect("one text per task"),
         })?;
-        replies
-            .into_iter()
-            .map(|reply| match reply {
-                Reply::Tree(tree) => Ok(tree),
-                Reply::Scores(_) => Err(PhyloError::Format(
-                    "a whole-tree task was answered with edit scores".into(),
-                )),
-            })
-            .collect()
+        replies.into_iter().map(Reply::into_tree).collect()
     }
 
     /// Dispatch a round of compact edits against the current broadcast
@@ -262,59 +286,9 @@ impl<T: Transport> ClusterExecutor<T> {
         let mut results: Vec<Option<Reply>> = (0..n).map(|_| None).collect();
         let mut received = 0usize;
         while received < n {
-            let (_, msg) = self.transport.recv().map_err(transport_error)?;
-            let (task, reply) = match msg {
-                Message::TreeResult {
-                    task,
-                    newick,
-                    ln_likelihood,
-                    work_units,
-                } => (
-                    task,
-                    Reply::Tree(Verified {
-                        newick,
-                        ln_likelihood,
-                        work_units,
-                    }),
-                ),
-                Message::EditScores { task, scores } => (task, Reply::Scores(scores)),
-                Message::Quarantined { task, payload, .. } => {
-                    // The foreman exhausted a task's failure budget across
-                    // distinct workers; the master evaluates it itself.
-                    let wanted = index_of.get(&task).is_some_and(|&i| results[i].is_none());
-                    if !wanted {
-                        continue;
-                    }
-                    let Some(reply) = self.evaluate_locally(payload)? else {
-                        continue;
-                    };
-                    (task, reply)
-                }
-                Message::Abort { reason } => {
-                    return Err(PhyloError::Format(format!("search aborted: {reason}")));
-                }
-                // Transport-synthesized liveness. A departed worker is the
-                // foreman's problem; a (re)joined worker needs the problem
-                // data before it can serve tasks.
-                Message::PeerDown { .. } => continue,
-                Message::PeerUp { rank } => {
-                    // Only workers hold problem data; a rejoining regional
-                    // foreman must not be mistaken for one.
-                    if rank >= self.first_worker {
-                        let _ = self.transport.send(
-                            rank,
-                            &Message::ProblemData {
-                                phylip: self.phylip.clone(),
-                                config_json: self.config_json.clone(),
-                            },
-                        );
-                    }
-                    continue;
-                }
-                other => {
-                    debug_assert!(false, "master got unexpected {}", other.kind());
-                    continue;
-                }
+            let wanted = |task| index_of.get(&task).is_some_and(|&i| results[i].is_none());
+            let Some((task, reply)) = self.receive(wanted)? else {
+                continue;
             };
             let Some(&i) = index_of.get(&task) else {
                 continue;
@@ -328,6 +302,66 @@ impl<T: Transport> ClusterExecutor<T> {
             .into_iter()
             .map(|r| r.expect("all received"))
             .collect())
+    }
+
+    /// Wait for the next message and return the task answer it carries,
+    /// if any: a result, or a quarantined task — one the foreman gave up on
+    /// — evaluated here if `wanted` says its answer is still awaited. An
+    /// answer to a task nobody awaits (a late one, or one sent past a
+    /// verification's improver) comes back too; the caller drops it by
+    /// task id.
+    fn receive(
+        &mut self,
+        wanted: impl Fn(u64) -> bool,
+    ) -> Result<Option<(u64, Reply)>, PhyloError> {
+        let (_, msg) = self.transport.recv().map_err(transport_error)?;
+        Ok(match msg {
+            Message::TreeResult {
+                task,
+                newick,
+                ln_likelihood,
+                work_units,
+            } => Some((
+                task,
+                Reply::Tree(Verified {
+                    newick,
+                    ln_likelihood,
+                    work_units,
+                }),
+            )),
+            Message::EditScores { task, scores } => Some((task, Reply::Scores(scores))),
+            // The foreman exhausted a task's failure budget across distinct
+            // workers; the master evaluates it itself.
+            Message::Quarantined { task, payload, .. } if wanted(task) => {
+                self.evaluate_locally(payload)?.map(|reply| (task, reply))
+            }
+            Message::Quarantined { .. } => None,
+            Message::Abort { reason } => {
+                return Err(PhyloError::Format(format!("search aborted: {reason}")));
+            }
+            // Transport-synthesized liveness. A departed worker is the
+            // foreman's problem; a (re)joined worker needs the problem data
+            // before it can serve tasks.
+            Message::PeerDown { .. } => None,
+            Message::PeerUp { rank } => {
+                // Only workers hold problem data; a rejoining regional
+                // foreman must not be mistaken for one.
+                if rank >= self.first_worker {
+                    let _ = self.transport.send(
+                        rank,
+                        &Message::ProblemData {
+                            phylip: self.phylip.clone(),
+                            config_json: self.config_json.clone(),
+                        },
+                    );
+                }
+                None
+            }
+            other => {
+                debug_assert!(false, "master got unexpected {}", other.kind());
+                None
+            }
+        })
     }
 
     /// Worker ranks in the universe (at least 1: the in-process loopback
@@ -451,29 +485,73 @@ impl<T: Transport> RoundExecutor for ClusterExecutor<T> {
         Ok(scores)
     }
 
-    /// A move the last whole-tree round scored is answered from that
-    /// round, at no work; only the others are dispatched.
-    fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<Verified>, ExecutorError> {
-        let newicks = moves
+    /// Ranks are decided strictly in order. A move the last whole-tree
+    /// round scored is answered from that round, at no work and with no
+    /// task; the others stream through the window: at most `window` tasks
+    /// sent beyond the decided prefix, each rank decided as not improving
+    /// releasing one more. So a call whose first improver is rank `j` (of
+    /// `n` moves, none kept) sends `min(n, j + window)` tasks whatever
+    /// order the answers arrive in; answers behind the improver are
+    /// dropped by task id when they arrive, and never charged.
+    fn verify(&mut self, moves: &[TreeMove], bar: f64) -> Result<Vec<Verified>, ExecutorError> {
+        let mut outcomes: Vec<Option<Verified>> = moves
             .iter()
-            .filter(|mv| self.kept(mv).is_none())
-            .map(|mv| self.candidate_text(mv))
-            .collect::<Result<_, _>>()?;
-        let mut fresh = self.dispatch_trees(newicks)?.into_iter();
-        Ok(moves
-            .iter()
-            .map(|mv| match self.kept(mv) {
-                Some(kept) => Verified {
+            .map(|mv| {
+                self.kept(mv).map(|kept| Verified {
                     work_units: 0,
                     ..kept.clone()
-                },
-                None => fresh.next().expect("one result per dispatched move"),
+                })
             })
+            .collect();
+        let fresh: Vec<bool> = outcomes.iter().map(Option::is_none).collect();
+        let mut index_of: HashMap<u64, usize> = HashMap::new();
+        // Ranks below `decided` are decided; tasks are sent up to `next`,
+        // `ahead` of them beyond the decided prefix.
+        let (mut decided, mut next, mut ahead) = (0, 0, 0);
+        while decided < moves.len() {
+            // The released tasks are written first and sent as one burst,
+            // which the foreman leases in one batch.
+            let mut release = Vec::new();
+            while ahead < self.window && next < moves.len() {
+                if fresh[next] {
+                    let task = self.next_task;
+                    self.next_task += 1;
+                    index_of.insert(task, next);
+                    let newick = self.candidate_text(&moves[next])?;
+                    release.push(Message::TreeTask { task, newick });
+                    ahead += 1;
+                }
+                next += 1;
+            }
+            for task in &release {
+                self.transport
+                    .send(ranks::FOREMAN, task)
+                    .map_err(transport_error)?;
+            }
+            if let Some(outcome) = &outcomes[decided] {
+                let improves = outcome.ln_likelihood > bar;
+                ahead -= usize::from(fresh[decided]);
+                decided += 1;
+                if improves {
+                    break;
+                }
+                continue;
+            }
+            let wanted = |task| index_of.get(&task).is_some_and(|&i| outcomes[i].is_none());
+            let Some((task, reply)) = self.receive(wanted)? else {
+                continue;
+            };
+            if let Some(&i) = index_of.get(&task) {
+                if outcomes[i].is_none() {
+                    outcomes[i] = Some(reply.into_tree()?);
+                }
+            }
+        }
+        Ok(outcomes
+            .into_iter()
+            .take(decided)
+            .map(|outcome| outcome.expect("a decided rank has its outcome"))
             .collect())
-    }
-
-    fn verify_width(&self) -> usize {
-        self.workers()
     }
 
     fn adopt(&mut self, verified: Verified) -> Result<BaseOutcome, ExecutorError> {
@@ -492,8 +570,20 @@ impl ClusterExecutor<crate::loopback::Loopback> {
         alignment: &fdml_phylo::alignment::Alignment,
         config: &crate::config::SearchConfig,
     ) -> Self {
+        ClusterExecutor::over(crate::loopback::Loopback::new(), alignment, config)
+    }
+}
+
+#[cfg(test)]
+impl<T: Transport> ClusterExecutor<T> {
+    /// `config`'s search over `alignment`, its workers behind `transport`.
+    pub(crate) fn over(
+        transport: T,
+        alignment: &fdml_phylo::alignment::Alignment,
+        config: &crate::config::SearchConfig,
+    ) -> Self {
         ClusterExecutor::new(
-            crate::loopback::Loopback::new(),
+            transport,
             alignment.names().to_vec(),
             fdml_phylo::phylip::write(alignment),
             config.engine_config_json(),
@@ -501,6 +591,13 @@ impl ClusterExecutor<crate::loopback::Loopback> {
             ranks::FIRST_WORKER,
         )
         .with_incremental(config.incremental)
+    }
+
+    /// The same executor with a verification window other than its
+    /// universe's: what returns must not change.
+    pub(crate) fn with_window(mut self, window: usize) -> Self {
+        self.window = window;
+        self
     }
 }
 
@@ -512,6 +609,7 @@ mod tests {
     use fdml_comm::threads::ThreadUniverse;
     use fdml_phylo::alignment::Alignment;
     use fdml_phylo::tree::Tree;
+    use std::sync::Mutex;
     use std::thread;
 
     /// A scripted foreman: answers every TreeTask, but holds results back
@@ -659,7 +757,7 @@ mod tests {
             ranks::FIRST_WORKER,
         )
         .with_incremental(true);
-        assert_eq!(ex.verify_width(), 2);
+        assert_eq!(ex.window, 3, "two workers and a spare");
         let text = "(t0:1,t1:1,(t2:1,(t3:1,(t4:1,(t5:1,(t6:1,(t7:1,t8:1):1):1):1):1):1):1);";
         let base = ex
             .set_base(newick::parse_tree_with_names(text, &names).unwrap())
@@ -883,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_is_one_parallel_wave_and_adopt_is_one_broadcast() {
+    fn verify_streams_through_the_window_and_adopt_is_one_broadcast() {
         use fdml_phylo::ops::enumerate_insertion_moves;
         let (alignment, phylip_text, config_json) = problem();
         let names: Vec<String> = alignment.names().to_vec();
@@ -894,7 +992,8 @@ mod tests {
         let master_end = ends.remove(0);
 
         // A scripted foreman with a real engine behind it. It answers a
-        // lone task at once; a wave of three it holds until complete, then
+        // lone task at once; the three verification tasks — a window of
+        // three has them all in flight — it holds until complete, then
         // answers in reverse order, bouncing the middle task back as
         // quarantined. Everything it is sent goes into the returned log.
         let (worker_alignment, worker_config) = (alignment.clone(), config.clone());
@@ -947,7 +1046,7 @@ mod tests {
             }
         });
 
-        let mut ex = ClusterExecutor::new(
+        let ex = ClusterExecutor::new(
             master_end,
             names.clone(),
             phylip_text,
@@ -957,13 +1056,13 @@ mod tests {
         )
         .with_incremental(true);
         assert_eq!(
-            ex.verify_width(),
-            1,
+            ex.window, 1,
             "a universe with no worker rank still verifies"
         );
+        let mut ex = ex.with_window(3);
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         let moves = enumerate_insertion_moves(&base.tree, 3);
-        let verified = ex.verify(&moves).unwrap();
+        let verified = ex.verify(&moves, f64::INFINITY).unwrap();
 
         // Outcomes arrive in move order whatever the reply order, and each
         // is what a worker — or, for the quarantined one, the master's own
@@ -990,7 +1089,7 @@ mod tests {
         assert_eq!(newick::write_tree(&adopted.tree, &names), best_text);
         ex.shutdown();
 
-        // On the wire: set_base is a task plus a broadcast, the wave is
+        // On the wire: set_base is a task plus a broadcast, verification is
         // three tasks and nothing else (the base is untouched), adoption is
         // one broadcast of the verified tree and no task at all.
         use fdml_comm::message::MessageKind::{BaseTopology, Shutdown, TreeTask};
@@ -1011,11 +1110,12 @@ mod tests {
 
     /// A worker endpoint that dies — every later call fails, as when the
     /// process is killed — on the first whole-tree task it receives once
-    /// `armed` is set.
+    /// `armed` is set, and counts its `WorkerReady` in `announced`.
     struct DiesOnTreeTask {
         inner: fdml_comm::threads::ThreadTransport,
         armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
         dead: std::sync::atomic::AtomicBool,
+        announced: std::sync::Arc<std::sync::atomic::AtomicUsize>,
     }
 
     impl Transport for DiesOnTreeTask {
@@ -1032,7 +1132,11 @@ mod tests {
             if self.dead.load(Ordering::SeqCst) {
                 return Err(fdml_comm::transport::CommError::Disconnected(self.rank()));
             }
-            self.inner.send(to, msg)
+            self.inner.send(to, msg)?;
+            if matches!(msg, Message::WorkerReady) {
+                self.announced.fetch_add(1, Ordering::SeqCst);
+            }
+            Ok(())
         }
 
         fn recv_timeout(
@@ -1054,13 +1158,13 @@ mod tests {
     }
 
     #[test]
-    fn worker_killed_mid_verify_wave_changes_no_outcome() {
+    fn worker_killed_mid_verification_changes_no_outcome() {
         use crate::foreman::run_scheduler;
         use crate::sched::{tick_of, Sched};
         use crate::worker::run_worker;
         use fdml_obs::Obs;
         use fdml_phylo::ops::enumerate_insertion_moves;
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         use std::sync::Arc;
         use std::time::Duration;
 
@@ -1070,21 +1174,20 @@ mod tests {
         // the one that dies.
         let mut ends = ThreadUniverse::create(6);
         let armed = Arc::new(AtomicBool::new(false));
+        let announced = Arc::new(AtomicUsize::new(0));
         let mut workers = Vec::new();
         for rank in (3..6).rev() {
-            let end = ends.remove(rank);
-            let armed = Arc::clone(&armed);
+            let end = DiesOnTreeTask {
+                inner: ends.remove(rank),
+                armed: match rank {
+                    3 => Arc::clone(&armed),
+                    _ => Arc::default(),
+                },
+                dead: AtomicBool::new(false),
+                announced: Arc::clone(&announced),
+            };
             workers.push(thread::spawn(move || {
-                if rank == 3 {
-                    let doomed = DiesOnTreeTask {
-                        inner: end,
-                        armed,
-                        dead: AtomicBool::new(false),
-                    };
-                    run_worker(doomed, Obs::disabled()).is_err()
-                } else {
-                    run_worker(end, Obs::disabled()).is_err()
-                }
+                run_worker(end, Obs::disabled()).is_err()
             }));
         }
         let foreman_end = ends.remove(1);
@@ -1102,17 +1205,23 @@ mod tests {
             ranks::FIRST_WORKER,
         )
         .with_incremental(true);
-        assert_eq!(ex.verify_width(), 3);
+        assert_eq!(ex.window, 4, "three workers and a spare");
+        // Every worker, having its problem data, is in the foreman's inbox
+        // ahead of the first task, however late its thread started.
+        while announced.load(Ordering::SeqCst) < 3 {
+            thread::yield_now();
+        }
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         let moves = enumerate_insertion_moves(&base.tree, 3);
         // A scoring round first, so every worker has answered and waits in
-        // the foreman's ready queue: the wave of three then reaches all
-        // three workers, the doomed one included.
+        // the foreman's ready queue: the window of four then sends all three
+        // tasks at once, and they reach all three workers, the doomed one
+        // included.
         let scores = ex.score_round(&moves).unwrap();
         assert_eq!(scores.len(), 3);
-        let healthy = ex.verify(&moves).unwrap();
+        let healthy = ex.verify(&moves, f64::INFINITY).unwrap();
         armed.store(true, Ordering::SeqCst);
-        let wounded = ex.verify(&moves).unwrap();
+        let wounded = ex.verify(&moves, f64::INFINITY).unwrap();
         for (h, w) in healthy.iter().zip(&wounded) {
             assert_eq!(h.ln_likelihood.to_bits(), w.ln_likelihood.to_bits());
             assert_eq!(h.work_units, w.work_units);
@@ -1126,5 +1235,209 @@ mod tests {
         );
         let died: Vec<bool> = workers.into_iter().map(|w| w.join().unwrap()).collect();
         assert_eq!(died, [false, false, true], "exactly the doomed worker died");
+    }
+
+    /// A foreman and two workers, scripted in process. Whole-tree tasks
+    /// wait until the master blocks in `recv`; `script` then picks which
+    /// waiting task is answered next (the oldest once it runs out), so a
+    /// test can walk every answer order. A task is answered with its own
+    /// text, lnL 0 if that text is candidate `improver`, `-(10 + rank)` for
+    /// any other candidate and -100 for anything else (the base), one work
+    /// unit. The tasks listed in `quarantine` come back quarantined.
+    #[derive(Default)]
+    struct Scripted {
+        candidates: Vec<String>,
+        improver: Option<usize>,
+        waiting: Mutex<Vec<(u64, String)>>,
+        sent: Mutex<usize>,
+        script: Mutex<std::collections::VecDeque<usize>>,
+        /// Per answer: the pick made and how many tasks it chose among.
+        picks: Mutex<Vec<(usize, usize)>>,
+        quarantine: Mutex<Vec<u64>>,
+    }
+
+    /// The value behind a test's lock.
+    fn at<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+        lock.lock().unwrap()
+    }
+
+    impl Transport for Scripted {
+        fn rank(&self) -> usize {
+            ranks::MASTER
+        }
+
+        fn size(&self) -> usize {
+            ranks::FIRST_WORKER + 2
+        }
+
+        fn send(&self, _to: usize, msg: &Message) -> Result<(), fdml_comm::transport::CommError> {
+            if let Message::TreeTask { task, newick } = msg {
+                *at(&self.sent) += 1;
+                at(&self.waiting).push((*task, newick.clone()));
+            }
+            Ok(())
+        }
+
+        fn recv_timeout(
+            &self,
+            _timeout: std::time::Duration,
+        ) -> Result<Option<(usize, Message)>, fdml_comm::transport::CommError> {
+            let mut waiting = at(&self.waiting);
+            if waiting.is_empty() {
+                return Ok(None);
+            }
+            let pick = at(&self.script).pop_front().unwrap_or(0);
+            at(&self.picks).push((pick, waiting.len()));
+            let (task, newick) = waiting.remove(pick);
+            if at(&self.quarantine).contains(&task) {
+                let payload = TaskPayload::Tree { newick };
+                let failures = 3;
+                let msg = Message::Quarantined {
+                    task,
+                    failures,
+                    payload,
+                };
+                return Ok(Some((ranks::FOREMAN, msg)));
+            }
+            let rank = self.candidates.iter().position(|c| *c == newick);
+            let ln_likelihood = match rank {
+                Some(r) if Some(r) == self.improver => 0.0,
+                Some(r) => -(10.0 + r as f64),
+                None => -100.0,
+            };
+            let reply = Message::TreeResult {
+                task,
+                newick,
+                ln_likelihood,
+                work_units: 1,
+            };
+            Ok(Some((ranks::FOREMAN, reply)))
+        }
+
+        fn recv(&self) -> Result<(usize, Message), fdml_comm::transport::CommError> {
+            self.try_recv()?
+                .ok_or(fdml_comm::transport::CommError::Disconnected(
+                    ranks::FOREMAN,
+                ))
+        }
+    }
+
+    const BASE: &str = "(t0:1,t1:1,(t2:1,(t3:1,t4:1):1):1);";
+
+    /// The executor over a [`Scripted`] fleet, its base installed, and the
+    /// seven insertions of `t5` into it. With no problem data, a task the
+    /// master had to evaluate itself would fail the call.
+    fn scripted(
+        improver: Option<usize>,
+        script: &[usize],
+    ) -> (ClusterExecutor<Scripted>, Vec<TreeMove>) {
+        let names: Vec<String> = (0..6).map(|i| format!("t{i}")).collect();
+        let base = newick::parse_tree_with_names(BASE, &names).unwrap();
+        let moves = fdml_phylo::ops::enumerate_insertion_moves(&base, 5);
+        let candidates = moves
+            .iter()
+            .map(|mv| {
+                let mut cand = base.clone();
+                apply_move(&mut cand, mv).unwrap();
+                newick::write_tree(&cand, &names)
+            })
+            .collect();
+        let transport = Scripted {
+            candidates,
+            improver,
+            ..Scripted::default()
+        };
+        let mut ex = ClusterExecutor::new(
+            transport,
+            names,
+            String::new(),
+            String::new(),
+            false,
+            ranks::FIRST_WORKER,
+        );
+        assert_eq!(ex.window, 3, "two workers and a spare");
+        ex.set_base(base).unwrap();
+        *at(&ex.transport.sent) = 0;
+        at(&ex.transport.picks).clear();
+        at(&ex.transport.script).extend(script);
+        (ex, moves)
+    }
+
+    /// Check one verification's outcomes against the scripted answers:
+    /// ranks `0..=j` (all of them without an improver), in rank order.
+    fn assert_prefix(got: &[Verified], ex: &ClusterExecutor<Scripted>, n: usize) {
+        let last = ex.transport.improver.unwrap_or(n - 1);
+        assert_eq!(got.len(), last + 1);
+        for (rank, outcome) in got.iter().enumerate() {
+            assert_eq!(outcome.newick, ex.transport.candidates[rank]);
+            let lnl = if Some(rank) == ex.transport.improver {
+                0.0
+            } else {
+                -(10.0 + rank as f64)
+            };
+            assert_eq!(outcome.ln_likelihood, lnl);
+            assert_eq!(outcome.work_units, 1);
+        }
+    }
+
+    #[test]
+    fn the_window_sends_the_same_tasks_in_every_answer_order() {
+        const BAR: f64 = -1.0;
+        for improver in [Some(0), Some(1), Some(3), Some(5), Some(6), None] {
+            let (_, moves) = scripted(improver, &[]);
+            let n = moves.len();
+            assert_eq!(n, 7);
+            let expect = improver.map_or(n, |j| n.min(j + 3));
+            // Walk every sequence of picks: each run follows a script, then
+            // the oldest; every choice it met unscripted is a new script.
+            let mut scripts: Vec<Vec<usize>> = vec![Vec::new()];
+            let mut orders = 0;
+            while let Some(script) = scripts.pop() {
+                let (mut ex, _) = scripted(improver, &script);
+                let got = ex.verify(&moves, BAR).unwrap();
+                assert_prefix(&got, &ex, n);
+                assert_eq!(
+                    *at(&ex.transport.sent),
+                    expect,
+                    "improver {improver:?} picks {:?}",
+                    at(&ex.transport.picks)
+                );
+                let picks = at(&ex.transport.picks);
+                for (step, &(_, choices)) in picks.iter().enumerate().skip(script.len()) {
+                    for other in 1..choices {
+                        let mut next: Vec<usize> = picks[..step].iter().map(|p| p.0).collect();
+                        next.push(other);
+                        scripts.push(next);
+                    }
+                }
+                orders += 1;
+            }
+            // The window holds three tasks, so orders branch.
+            assert!(orders > 1, "improver {improver:?}: one answer order");
+        }
+    }
+
+    #[test]
+    fn answers_behind_the_improver_are_dropped_by_the_next_call() {
+        let (mut ex, moves) = scripted(Some(1), &[]);
+        let got = ex.verify(&moves, -1.0).unwrap();
+        assert_prefix(&got, &ex, moves.len());
+        // Ranks 2 and 3 were sent past the improver and are still out.
+        assert_eq!(*at(&ex.transport.sent), 4);
+        assert_eq!(at(&ex.transport.waiting).len(), 2);
+
+        // They arrive first, during the next dispatch: a result and a
+        // quarantined task. Neither is taken for one of its answers, and the
+        // quarantined one is not evaluated here (it would fail the call: the
+        // master holds no problem data).
+        let stale: Vec<u64> = at(&ex.transport.waiting).iter().map(|w| w.0).collect();
+        at(&ex.transport.quarantine).push(stale[1]);
+        at(&ex.transport.picks).clear();
+        let scores = ex.score_round(&moves[4..]).unwrap();
+        assert_eq!(at(&ex.transport.picks).len(), 5, "2 stale answers, 3 fresh");
+        let lnls: Vec<f64> = scores.iter().map(|s| s.ln_likelihood).collect();
+        assert_eq!(lnls, [-14.0, -15.0, -16.0]);
+        assert!(scores.iter().all(|s| s.work_units == 1));
+        assert!(at(&ex.transport.waiting).is_empty());
     }
 }

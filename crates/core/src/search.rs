@@ -9,7 +9,7 @@ use crate::trace::{RoundKind, RoundRecord, SearchTrace};
 use crate::wal::{WalMove, WalPhase, WalRound};
 use fdml_phylo::error::PhyloError;
 use fdml_phylo::newick;
-use fdml_phylo::ops::{enumerate_insertion_moves, enumerate_spr_moves};
+use fdml_phylo::ops::{enumerate_insertion_moves, enumerate_spr_moves, TreeMove};
 use fdml_phylo::tree::Tree;
 use std::collections::VecDeque;
 
@@ -380,32 +380,32 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
                     .total_cmp(&scores[a].ln_likelihood)
                     .then(a.cmp(&b))
             });
-            let eligible: Vec<usize> = order
+            let eligible: Vec<TreeMove> = order
                 .into_iter()
                 .take(self.config.max_verify_per_round)
                 .take_while(|&i| scores[i].ln_likelihood > lnl - self.config.verify_slack)
+                .map(|i| moves[i])
                 .collect();
-            // Verify in waves as wide as the executor evaluates at once.
-            // Outcomes are consumed in rank order and everything behind the
-            // first improver is discarded, so the round's result, its
-            // `tried` list and its work do not depend on the width.
-            let mut verify_work = 0u64;
-            let mut tried: Vec<WalMove> = Vec::new();
-            let mut accepted = false;
-            'waves: for wave in eligible.chunks(self.executor.verify_width()) {
-                let wave_moves: Vec<_> = wave.iter().map(|&i| moves[i]).collect();
-                for (mv, verified) in wave_moves.iter().zip(self.executor.verify(&wave_moves)?) {
-                    verify_work += verified.work_units;
-                    tried.push(WalMove::from_move(mv));
-                    if verified.ln_likelihood > lnl + self.config.min_improvement {
-                        let adopted = self.executor.adopt(verified)?;
-                        verify_work += adopted.work_units;
-                        tree = adopted.tree;
-                        lnl = adopted.ln_likelihood;
-                        accepted = true;
-                        break 'waves;
-                    }
-                }
+            // One call verifies them in rank order and stops at the first
+            // improver, whose outcome is adopted exactly as verified; how
+            // many the executor had in flight changes nothing returned.
+            let bar = lnl + self.config.min_improvement;
+            let verified = self.executor.verify(&eligible, bar)?;
+            let tried: Vec<WalMove> = eligible[..verified.len()]
+                .iter()
+                .map(WalMove::from_move)
+                .collect();
+            let mut verify_work: u64 = verified.iter().map(|v| v.work_units).sum();
+            let improver = verified
+                .into_iter()
+                .last()
+                .filter(|v| v.ln_likelihood > bar);
+            let accepted = improver.is_some();
+            if let Some(improver) = improver {
+                let adopted = self.executor.adopt(improver)?;
+                verify_work += adopted.work_units;
+                tree = adopted.tree;
+                lnl = adopted.ln_likelihood;
             }
             self.record_round(kind, tree.num_tips(), &scores, verify_work, accepted);
             self.work_units += verify_work;
@@ -932,6 +932,7 @@ mod checkpoint_tests {
 mod verify_tests {
     use super::*;
     use crate::executor::{BaseOutcome, ExecutorError, Verified};
+    use crate::loopback::Counting;
     use crate::master::ClusterExecutor;
     use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
     use fdml_phylo::alignment::Alignment;
@@ -942,25 +943,22 @@ mod verify_tests {
     enum Call {
         SetBase,
         Score,
-        /// A verify wave of this many moves.
+        /// A verification that returned this many outcomes.
         Verify(usize),
         Adopt,
     }
 
-    /// Wraps an executor: logs the driver's call stream and answers
-    /// `verify_width` with a chosen width.
+    /// Wraps an executor and logs the driver's call stream.
     struct Probe<E> {
         inner: E,
-        width: usize,
         names: Vec<String>,
         calls: Vec<Call>,
     }
 
     impl<E: RoundExecutor> Probe<E> {
-        fn new(inner: E, width: usize, a: &Alignment) -> Probe<E> {
+        fn new(inner: E, a: &Alignment) -> Probe<E> {
             Probe {
                 inner,
-                width,
                 names: a.names().to_vec(),
                 calls: Vec::new(),
             }
@@ -981,13 +979,10 @@ mod verify_tests {
             self.inner.score_round(moves)
         }
 
-        fn verify(&mut self, moves: &[TreeMove]) -> Result<Vec<Verified>, ExecutorError> {
-            self.calls.push(Call::Verify(moves.len()));
-            self.inner.verify(moves)
-        }
-
-        fn verify_width(&self) -> usize {
-            self.width
+        fn verify(&mut self, moves: &[TreeMove], bar: f64) -> Result<Vec<Verified>, ExecutorError> {
+            let verified = self.inner.verify(moves, bar)?;
+            self.calls.push(Call::Verify(verified.len()));
+            Ok(verified)
         }
 
         fn adopt(&mut self, verified: Verified) -> Result<BaseOutcome, ExecutorError> {
@@ -1014,24 +1009,31 @@ mod verify_tests {
         work_units: u64,
         wal: Vec<WalRound>,
         calls: Vec<Call>,
+        /// Tasks the executor sent, verification past an improver included.
+        tasks: usize,
     }
 
-    /// The in-process executor, edit-scored.
-    fn scorer(a: &Alignment, config: &SearchConfig) -> ClusterExecutor<crate::loopback::Loopback> {
+    /// The in-process executor, edit-scored, verifying through `window`,
+    /// and a reader of the tasks it has sent.
+    fn scorer(
+        a: &Alignment,
+        config: &SearchConfig,
+        window: usize,
+    ) -> (ClusterExecutor<Counting>, impl Fn() -> usize) {
         let edit_scored = SearchConfig {
             incremental: true,
             ..config.clone()
         };
-        ClusterExecutor::in_process(a, &edit_scored)
+        let (transport, tasks) = Counting::new();
+        let ex = ClusterExecutor::over(transport, a, &edit_scored).with_window(window);
+        (ex, tasks)
     }
 
-    fn run_scorer(a: &Alignment, config: &SearchConfig, width: usize) -> Run {
-        finish(
-            a,
-            config,
-            Probe::new(scorer(a, config), width, a),
-            Vec::new(),
-        )
+    fn run_scorer(a: &Alignment, config: &SearchConfig, window: usize) -> Run {
+        let (ex, tasks) = scorer(a, config, window);
+        let mut run = finish(a, config, Probe::new(ex, a), Vec::new());
+        run.tasks = tasks();
+        run
     }
 
     fn finish<E: RoundExecutor>(
@@ -1053,6 +1055,7 @@ mod verify_tests {
             work_units: result.work_units,
             wal,
             calls,
+            tasks: 0,
         }
     }
 
@@ -1082,40 +1085,32 @@ mod verify_tests {
         assert_eq!(run.calls.iter().filter(|&&c| c == Call::SetBase).count(), 1);
         let (mut fruitless, mut exhausted, mut improving) = (0, 0, 0);
         for round in rounds(&run.calls) {
-            let verified: usize = round
-                .iter()
-                .map(|c| match c {
-                    Call::Verify(n) => *n,
-                    _ => 0,
-                })
-                .sum();
+            // A round is one verification, of at most the per-round cap.
+            let Call::Verify(verified) = round[0] else {
+                panic!("round did not start with a verification: {round:?}")
+            };
             assert!(
                 verified <= config.max_verify_per_round,
                 "round verified {verified} trees: {round:?}"
             );
-            match round.iter().filter(|&&c| c == Call::Adopt).count() {
-                0 => {
-                    // A fruitless round is verifications and nothing else.
-                    assert!(round.iter().all(|c| matches!(c, Call::Verify(_))));
+            match round[1..] {
+                // A fruitless round verifies and does nothing else.
+                [] => {
                     fruitless += 1;
                     exhausted += usize::from(verified == config.max_verify_per_round);
                 }
-                1 => {
-                    // The improver is adopted straight from its
-                    // verification (`Probe::adopt` checks: the same tree,
-                    // bit for bit) and ends the round.
-                    assert_eq!(round.last(), Some(&Call::Adopt));
-                    assert_eq!(round[round.len() - 2], Call::Verify(1));
-                    improving += 1;
-                }
-                n => panic!("round adopted {n} bases: {round:?}"),
+                // The improver is adopted straight from its verification
+                // (`Probe::adopt` checks: the same tree, bit for bit) and
+                // ends the round.
+                [Call::Adopt] => improving += 1,
+                _ => panic!("round is not one verification and at most one adopt: {round:?}"),
             }
         }
         assert!(fruitless > 0 && exhausted > 0 && improving > 0);
     }
 
     #[test]
-    fn verify_width_changes_nothing_but_the_wave_size() {
+    fn the_verify_window_changes_nothing_but_the_tasks_sent() {
         let a = alignment();
         for seed in [1u64, 5, 7, 11] {
             let config = SearchConfig {
@@ -1123,65 +1118,74 @@ mod verify_tests {
                 ..Default::default()
             };
             let serial = run_scorer(&a, &config, 1);
-            for width in [2usize, 3, 8] {
-                let wide = run_scorer(&a, &config, width);
-                assert_eq!(wide.newick, serial.newick, "seed {seed} width {width}");
-                assert_eq!(wide.lnl_bits, serial.lnl_bits, "seed {seed} width {width}");
+            let mut sent = serial.tasks;
+            for window in [2usize, 3, 8] {
+                let wide = run_scorer(&a, &config, window);
+                assert_eq!(wide.newick, serial.newick, "seed {seed} window {window}");
+                assert_eq!(
+                    wide.lnl_bits, serial.lnl_bits,
+                    "seed {seed} window {window}"
+                );
                 // The WAL — `tried` lists included — and the work charged
-                // stop at the adopted move, whatever else the wave held.
-                assert_eq!(wide.wal, serial.wal, "seed {seed} width {width}");
+                // stop at the adopted move, whatever else was in flight.
+                assert_eq!(wide.wal, serial.wal, "seed {seed} window {window}");
                 assert_eq!(
                     wide.work_units, serial.work_units,
-                    "seed {seed} width {width}"
+                    "seed {seed} window {window}"
                 );
-                let widest = wide
-                    .calls
-                    .iter()
-                    .filter_map(|c| match c {
-                        Call::Verify(n) => Some(*n),
-                        _ => None,
-                    })
-                    .max();
-                assert_eq!(widest, Some(width), "seed {seed}: waves were not filled");
+                assert_eq!(wide.calls, serial.calls, "seed {seed} window {window}");
+                // A wider window did send past improvers.
+                assert!(
+                    wide.tasks > sent,
+                    "seed {seed}: window {window} sent no more"
+                );
+                sent = wide.tasks;
             }
         }
-        // The whole-tree executor takes the same path.
+        // The whole-tree executor takes the same path, and its verification
+        // is answered from the round's own outcomes: no window sends more.
         let config = SearchConfig {
             jumble_seed: 11,
             ..Default::default()
         };
-        let full = |width| {
-            let ex = Probe::new(ClusterExecutor::in_process(&a, &config), width, &a);
-            finish(&a, &config, ex, Vec::new())
+        let full = |window| {
+            let (transport, tasks) = Counting::new();
+            let ex = ClusterExecutor::over(transport, &a, &config).with_window(window);
+            let mut run = finish(&a, &config, Probe::new(ex, &a), Vec::new());
+            run.tasks = tasks();
+            run
         };
-        let (serial, wide) = (full(1), full(3));
-        assert_eq!(wide.newick, serial.newick);
-        assert_eq!(wide.lnl_bits, serial.lnl_bits);
-        assert_eq!(wide.wal, serial.wal);
+        let serial = full(1);
+        for window in [2usize, 3, 8] {
+            let wide = full(window);
+            assert_eq!(wide.newick, serial.newick, "window {window}");
+            assert_eq!(wide.lnl_bits, serial.lnl_bits, "window {window}");
+            assert_eq!(wide.wal, serial.wal, "window {window}");
+            assert_eq!(wide.work_units, serial.work_units, "window {window}");
+            assert_eq!(wide.tasks, serial.tasks, "window {window}");
+        }
     }
 
     #[test]
-    fn wal_replay_commits_only_the_adopted_moves_at_any_width() {
+    fn wal_replay_commits_only_the_adopted_moves_at_any_window() {
         let a = alignment();
         let config = SearchConfig {
             jumble_seed: 11,
             ..Default::default()
         };
-        const WIDTH: usize = 3;
-        let full = run_scorer(&a, &config, WIDTH);
-        // The log holds a round whose adopted move was not the first of
-        // its wave, and rounds that adopted nothing.
-        assert!(full
-            .wal
-            .iter()
-            .any(|r| r.accepted && r.tried.len() % WIDTH != 1));
+        const WINDOW: usize = 3;
+        let full = run_scorer(&a, &config, WINDOW);
+        // The log holds a round whose adopted move was not its first
+        // candidate — later ranks were in flight when it was decided — and
+        // rounds that adopted nothing.
+        assert!(full.wal.iter().any(|r| r.accepted && r.tried.len() > 1));
         assert!(full.wal.iter().any(|r| !r.accepted && !r.tried.is_empty()));
         let adopted = full.wal.iter().filter(|r| r.accepted).count();
 
         for k in 0..=full.wal.len() {
-            // Replay under a different width than the log was written at.
-            let ex = Probe::new(scorer(&a, &config), 1, &a);
-            let resumed = finish(&a, &config, ex, full.wal[..k].to_vec());
+            // Replay under a different window than the log was written at.
+            let (ex, _) = scorer(&a, &config, 1);
+            let resumed = finish(&a, &config, Probe::new(ex, &a), full.wal[..k].to_vec());
             assert_eq!(resumed.lnl_bits, full.lnl_bits, "prefix {k}");
             assert_eq!(resumed.newick, full.newick, "prefix {k}");
             assert_eq!(resumed.wal, full.wal[k..].to_vec(), "prefix {k}");

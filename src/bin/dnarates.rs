@@ -70,23 +70,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let tree = match args.get("tree") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).expect("read tree file");
-            newick::parse_tree(text.trim(), &alignment).expect("parse reference tree")
-        }
-        None => {
-            eprintln!("dnarates: no --tree given; inferring a reference tree first…");
-            let config = SearchConfig {
-                incremental: true,
-                ..SearchConfig::default()
-            };
-            let job = ResolvedJob::single(alignment.clone(), config);
-            search_in_process(&job, SearchSession::default())
-                .expect("reference search")
-                .tree
-        }
-    };
     let grid = RateGrid {
         min: args
             .get("grid-min")
@@ -106,6 +89,40 @@ fn main() -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
 
+    // A grid or category count the estimator cannot use is refused before
+    // the reference tree is inferred, not after.
+    let refusal = if k == 0 {
+        Some("--categories must be at least 1")
+    } else if grid.points < 3 {
+        Some("--grid-points must be at least 3")
+    } else if !(grid.min.is_finite() && grid.min > 0.0) {
+        Some("--grid-min must be a finite number above 0")
+    } else if !(grid.max.is_finite() && grid.max > grid.min) {
+        Some("--grid-max must be a finite number above --grid-min")
+    } else {
+        None
+    };
+    if let Some(why) = refusal {
+        eprintln!("dnarates: {why}");
+        return ExitCode::FAILURE;
+    }
+    let tree = match args.get("tree") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).expect("read tree file");
+            newick::parse_tree(text.trim(), &alignment).expect("parse reference tree")
+        }
+        None => {
+            eprintln!("dnarates: no --tree given; inferring a reference tree first…");
+            let config = SearchConfig {
+                incremental: true,
+                ..SearchConfig::default()
+            };
+            let job = ResolvedJob::single(alignment.clone(), config);
+            search_in_process(&job, SearchSession::default())
+                .expect("reference search")
+                .tree
+        }
+    };
     let engine = LikelihoodEngine::new(&alignment);
     let estimate = estimate_rates(&engine, &tree, &grid);
     let cats = categorize(&estimate.per_pattern, engine.patterns().weights(), k);

@@ -94,6 +94,7 @@ use fastdnaml::comm::job::{JobSpec, JobSpecError};
 use fastdnaml::core::checkpoint::{Checkpoint, FarmManifest};
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::farm::{serial_farm, FarmOptions, JumbleRun};
+use fastdnaml::core::hierarchy::first_worker_rank;
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::netrun::{
     net_coordinator_search, net_farm_search, run_net_peer, NetOptions, NetSpawn,
@@ -678,12 +679,54 @@ fn main() -> ExitCode {
         }
     }
 
+    // A ratio every rank receives as JSON, which has no NaN or infinity.
+    let tt_ratio: f64 = get(&args, "tt-ratio", 2.0);
+    if !(tt_ratio.is_finite() && tt_ratio > 0.0) {
+        return die(JobSpecError::Invalid {
+            flag: "--tt-ratio".into(),
+            reason: "must be a finite number above 0".into(),
+        });
+    }
+
+    // A universe must hold the master, foreman and monitor (ranks 0-2),
+    // its regional foremen and at least one worker; one that cannot is
+    // refused before any rank starts. A threaded farm has no regions.
+    let universe = match args.get("net").map(String::as_str) {
+        Some("spawn") => Some(("--net spawn", get(&args, "ranks", 4usize))),
+        Some("coordinator") => Some(("--ranks", get(&args, "ranks", 4))),
+        _ => args
+            .get("parallel")
+            .map(|_| ("--parallel", get(&args, "parallel", 0))),
+    };
+    if let Some((flag, ranks)) = universe {
+        let regions: usize = get(&args, "regions", 0);
+        let regional = regions > 0 && (flag != "--parallel" || get(&args, "jumbles", 1usize) <= 1);
+        if ranks < 4 {
+            return die(JobSpecError::Invalid {
+                flag: flag.into(),
+                reason: format!(
+                    "{ranks} ranks: at least 4 needed (master, foreman, monitor and a worker)"
+                ),
+            });
+        }
+        if regional && ranks <= first_worker_rank(regions) {
+            return die(JobSpecError::Invalid {
+                flag: "--regions".into(),
+                reason: format!(
+                    "{regions} regional foremen leave no worker among {ranks} ranks \
+                     (at least {} needed)",
+                    first_worker_rank(regions) + 1
+                ),
+            });
+        }
+    }
+
     let radius: usize = get(&args, "radius", 1);
     let mut config = SearchConfig {
         jumble_seed: get(&args, "jumble", 1),
         rearrange_radius: radius,
         final_radius: get(&args, "final-radius", radius),
-        tt_ratio: get(&args, "tt-ratio", 2.0),
+        tt_ratio,
         ..SearchConfig::default()
     };
     if let Some(ms) = args

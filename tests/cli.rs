@@ -574,3 +574,71 @@ fn persistence_flags_do_not_change_the_serial_scoring_mode() {
     assert!(help.contains("always edit-scored"), "help: {help}");
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// A universe too small for its ranks used to trip an assertion once the
+/// ranks were being started (exit 101); it is refused up front, naming the
+/// flag.
+#[test]
+fn a_universe_without_room_for_a_worker_is_a_one_line_error() {
+    let dir = workdir("small_universe");
+    let cases: [(&[&str], &str); 9] = [
+        (&["--parallel", "0"], "--parallel"),
+        (&["--parallel", "1"], "--parallel"),
+        (&["--parallel", "3"], "--parallel"),
+        (&["--parallel", "3", "--jumbles", "2"], "--parallel"),
+        (&["--net", "spawn", "3"], "--net spawn"),
+        (&["--net", "coordinator", "--ranks", "3"], "--ranks"),
+        (&["--parallel", "5", "--regions", "5"], "--regions"),
+        (&["--parallel", "6", "--regions", "3"], "--regions"),
+        (&["--net", "spawn", "5", "--regions", "2"], "--regions"),
+    ];
+    for (extra, flag) in cases {
+        let line = one_line_failure(&dir, extra);
+        assert!(!line.contains("panicked"), "{extra:?}: {line}");
+        assert!(line.contains(flag), "{extra:?}: {line}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// `--tt-ratio nan` and `inf` used to fail inside the search ("bad config:
+/// expected f64, got null"), and `-1` and `0` to run silently.
+#[test]
+fn a_tt_ratio_that_is_not_a_finite_positive_number_is_a_one_line_error() {
+    let dir = workdir("tt_ratio");
+    for value in ["nan", "inf", "-1", "0"] {
+        let line = one_line_failure(&dir, &["--tt-ratio", value]);
+        assert!(!line.contains("panicked"), "{value}: {line}");
+        assert!(line.contains("--tt-ratio"), "{value}: {line}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A grid or category count `dnarates` cannot use used to panic after the
+/// reference tree had been inferred; it is refused before.
+#[test]
+fn dnarates_refuses_a_bad_grid_up_front() {
+    let dir = workdir("dnarates_grid");
+    let cases: [(&[&str], &str); 6] = [
+        (&["--categories", "0"], "--categories"),
+        (&["--grid-points", "0"], "--grid-points"),
+        (&["--grid-points", "1"], "--grid-points"),
+        (&["--grid-min", "0"], "--grid-min"),
+        (&["--grid-min", "-1"], "--grid-min"),
+        (&["--grid-min", "5", "--grid-max", "1"], "--grid-max"),
+    ];
+    for (extra, flag) in cases {
+        let out = dnarates()
+            .arg("--input")
+            .arg(dir.join("data.phy"))
+            .args(extra)
+            .output()
+            .expect("run dnarates");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{extra:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+        assert!(!stderr.contains("inferring"), "{extra:?}: {stderr}");
+        assert!(stderr.contains(flag), "{extra:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
