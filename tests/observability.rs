@@ -144,22 +144,40 @@ fn event_stream_and_report_match_foreman_stats() {
     );
 }
 
+/// The delayed-worker scenario sized from this build's task times. A
+/// fault-free run of `job` measures its slowest task; the worker timeout
+/// is three times that (never below 40 ms) and the first-answer delay
+/// three timeouts, so the timeout fires on the delayed answer alone and the
+/// late answer lands well before the run ends. Fixed figures fit one build
+/// only: these whole-tree tasks take milliseconds optimized but ~100 ms
+/// unoptimized, and a timeout shorter than a task times out every task.
+fn sized_timeout_and_delay(job: &ResolvedJob) -> (Duration, Duration) {
+    let sinks: Vec<Box<dyn Sink>> = vec![Box::new(MemorySink::new())];
+    let outcome = parallel_search(job, 5, RunOptions::observed(sinks)).expect("fault-free run");
+    let slowest = Duration::from_micros(outcome.report.expect("report").service_us.max);
+    let timeout = (slowest * 3).max(Duration::from_millis(40));
+    (timeout, timeout * 3)
+}
+
 #[test]
 fn timeout_and_recovery_show_up_in_the_event_stream() {
     // Same fault scenario as the runtime test: worker 3 sits on its first
     // answer past the timeout, gets declared delinquent, then re-admitted.
     let tree = yule_tree(16, 0.1, 52);
     let alignment = evolve(&tree, 700, &EvolutionConfig::default(), 6, "taxon");
-    let config = SearchConfig {
+    let fault_free = SearchConfig {
         jumble_seed: 11,
-        worker_timeout: Duration::from_millis(40),
         ..SearchConfig::default()
     };
-    let mut faults = HashMap::new();
-    faults.insert(
-        3usize,
-        FaultPlan::delay_first(1, Duration::from_millis(150)),
+    let (timeout, delay) = sized_timeout_and_delay(
+        &ResolvedJob::from_parts(alignment.clone(), fault_free.clone(), 1).unwrap(),
     );
+    let config = SearchConfig {
+        worker_timeout: timeout,
+        ..fault_free
+    };
+    let mut faults = HashMap::new();
+    faults.insert(3usize, FaultPlan::delay_first(1, delay));
     let mem = MemorySink::new();
     let sinks: Vec<Box<dyn Sink>> = vec![Box::new(mem.clone())];
     let job = ResolvedJob::from_parts(alignment.clone(), config.clone(), 1).unwrap();
@@ -178,7 +196,7 @@ fn timeout_and_recovery_show_up_in_the_event_stream() {
     let stats = &outcome.foreman;
     assert!(
         stats.timeouts >= 1 && stats.recoveries >= 1,
-        "fault did not fire: {stats:?}"
+        "fault did not fire (timeout {timeout:?}, delay {delay:?}): {stats:?}"
     );
     assert_eq!(
         count(&records, |e| matches!(e, Event::TaskTimedOut { .. })),
