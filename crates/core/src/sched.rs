@@ -80,7 +80,9 @@ pub(crate) trait Machine {
 /// whole jumble, whose hand-off is nothing next to its search and which
 /// would stall a farm's tail behind a long sibling). The second task's
 /// timeout runs from the moment the task ahead of it is answered, and a
-/// worker that turns delinquent or dead gives back everything it holds.
+/// worker that turns delinquent or dead gives back everything it holds. A
+/// delinquent worker is handed nothing new while it still computes what it
+/// gave back.
 const PIPELINE_DEPTH: usize = 2;
 
 /// The period of the timeout sweep and of a region's lease requests, and
@@ -258,6 +260,26 @@ pub(crate) fn result_of(msg: &Message) -> Option<(u64, f64, u64)> {
     }
 }
 
+/// The tasks a worker owes. They are settled by its answers, by its link
+/// dying, or by its answer to a probe sent after they were taken back: a
+/// worker answers a probe only after everything sent to it before.
+#[derive(Default)]
+struct Owed {
+    tasks: HashSet<u64>,
+    /// Probes sent to the worker when its tasks were last taken back.
+    probes_sent: u64,
+}
+
+/// Probes sent to a worker and `WorkerReady`s heard back. Answers come in
+/// the order the probes went, so the `n`th answer is to the `n`th probe or
+/// — when one was lost — a later one. A `WorkerReady` beyond the probes
+/// sent is an unprompted announcement and counts as no answer.
+#[derive(Default)]
+struct Probes {
+    sent: u64,
+    answered: u64,
+}
+
 struct InFlight {
     worker: Rank,
     body: TaskBody,
@@ -305,6 +327,14 @@ pub(crate) struct Sched {
     /// Per-task set of distinct workers that failed it, for the
     /// poison-task quarantine budget.
     failures: HashMap<u64, HashSet<Rank>>,
+    /// Per worker, the tasks taken back from it that it still has: it
+    /// computes them anyway, in order, ahead of anything sent to it later.
+    /// A worker owing any stays delinquent, so one slower than the timeout
+    /// is not handed new work to time out on behind its own backlog.
+    owed: HashMap<Rank, Owed>,
+    /// Per worker, the probes sent to it and answered, while its link
+    /// lives.
+    probes: HashMap<Rank, Probes>,
     /// The current base topology broadcast (generation id + Newick text),
     /// kept so edit dispatches can fall back to embedding the base for
     /// workers that missed the broadcast.
@@ -356,6 +386,11 @@ impl Sched {
         }
     }
 
+    /// Whether `worker` holds a task in flight or owes one taken back.
+    fn busy(&self, worker: Rank) -> bool {
+        self.owed.contains_key(&worker) || self.in_flight.values().any(|held| held.worker == worker)
+    }
+
     /// Tasks held, queued or in flight.
     fn outstanding(&self) -> usize {
         self.work_queue.len() + self.in_flight.len()
@@ -398,8 +433,17 @@ impl Sched {
     /// `Tick` — but answers what must be answered at once.
     fn absorb(&mut self, now: Instant, from: Rank, msg: Message, out: &mut Vec<Action>) {
         if let Some((task, ln_likelihood, work_units)) = result_of(&msg) {
-            // A worker that answers is demonstrably alive.
-            self.readmit(from, out);
+            // A worker that answers is demonstrably alive, and back in the
+            // rotation once it owes nothing.
+            if let Some(owed) = self.owed.get_mut(&from) {
+                owed.tasks.remove(&task);
+                if owed.tasks.is_empty() {
+                    self.owed.remove(&from);
+                }
+            }
+            if !self.owed.contains_key(&from) {
+                self.readmit(from, out);
+            }
             if let Some(service_us) = self.accept_result(task, now) {
                 self.stats.results_forwarded += 1;
                 self.send_up(msg, out);
@@ -417,8 +461,8 @@ impl Sched {
             } else {
                 self.stats.duplicates_ignored += 1;
             }
-            // A worker still holding a task is busy with it, not ready.
-            if !self.in_flight.values().any(|held| held.worker == from) {
+            // A worker still holding or owing a task is busy, not ready.
+            if !self.busy(from) {
                 self.ready.push_back(from);
             }
             return;
@@ -502,7 +546,19 @@ impl Sched {
             }
             Message::WorkerReady => {
                 self.members.insert(from);
-                self.readmit(from, out);
+                let probes = self.probes.entry(from).or_default();
+                probes.answered = (probes.answered + 1).min(probes.sent);
+                let answered = probes.answered;
+                if self
+                    .owed
+                    .get(&from)
+                    .is_some_and(|owed| answered > owed.probes_sent)
+                {
+                    self.owed.remove(&from);
+                }
+                if !self.owed.contains_key(&from) {
+                    self.readmit(from, out);
+                }
                 // A worker announcing readiness without the current base
                 // is either fresh or a respawn: send the base now so its
                 // edit dispatches can go compact.
@@ -516,8 +572,10 @@ impl Sched {
                     }
                 }
                 // A respawned worker may re-announce while already queued;
-                // one slot per worker keeps dispatch fair.
-                if !self.ready.contains(&from) {
+                // one slot per worker keeps dispatch fair. A probe answered
+                // while the worker holds a task does not make it ready: its
+                // answer to that task will.
+                if !self.ready.contains(&from) && !self.busy(from) {
                     self.ready.push_back(from);
                 }
             }
@@ -560,6 +618,7 @@ impl Sched {
                 let due = self.next_ping.get(&worker).is_none_or(|&due| now >= due);
                 if due && !self.dead.contains(&worker) {
                     self.next_ping.insert(worker, now + self.worker_timeout);
+                    self.probes.entry(worker).or_default().sent += 1;
                     out.push(Action::Send(worker, Message::Ping));
                 }
             }
@@ -762,6 +821,9 @@ impl Sched {
             };
             self.delinquent.insert(worker);
             self.ready.retain(|&w| w != worker);
+            let owed = self.owed.entry(worker).or_default();
+            owed.tasks.insert(task);
+            owed.probes_sent = self.probes.get(&worker).map_or(0, |p| p.sent);
             // A requeued edit must be scoreable by any worker, including a
             // fresh respawn that has no cached base: force the
             // self-contained dispatch form from here on.
@@ -858,6 +920,9 @@ impl Sched {
         self.has_base.remove(&worker);
         self.ready.retain(|&w| w != worker);
         self.take_back(|held| held.worker == worker, true, out);
+        // Whatever it had, probes too, went with the link.
+        self.owed.remove(&worker);
+        self.probes.remove(&worker);
     }
 }
 
@@ -1513,6 +1578,64 @@ mod tests {
             feed(&mut m, t0, Event::Tick),
             [(3, tree_task(1)), (4, tree_task(2))]
         );
+    }
+
+    #[test]
+    fn a_worker_slower_than_the_timeout_gets_no_work_while_it_owes_some() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // Rank 3 is the only worker.
+        let mut m = Sched::flat(4, TIMEOUT, false);
+        feed(&mut m, at(0), Event::Msg(3, Message::WorkerReady));
+        for task in 1..=4 {
+            feed(&mut m, at(0), Event::Msg(MASTER, tree_task(task)));
+        }
+        assert_eq!(
+            feed(&mut m, at(0), Event::Tick),
+            [(3, tree_task(1)), (3, tree_task(2))]
+        );
+        // Task 1 outlasts the timeout: both tasks are taken back, and the
+        // worker is probed (probe 1).
+        assert_eq!(feed(&mut m, at(10_100), Event::Tick), [(3, Message::Ping)]);
+        // The worker still computes both. Its answer to task 1 is the
+        // first there is, but task 2 is still ahead of anything it would
+        // be sent now: it stays out of the rotation.
+        assert_eq!(
+            feed(&mut m, at(10_200), Event::Msg(3, tree_result(1))),
+            [(MASTER, tree_result(1))]
+        );
+        assert_eq!(feed_sans_pings(&mut m, at(10_200), Event::Tick), []);
+        assert_eq!(m.stats().recoveries, 0);
+        // Its answer to task 2 settles what it owes.
+        assert_eq!(
+            feed(&mut m, at(10_300), Event::Msg(3, tree_result(2))),
+            [(MASTER, tree_result(2))]
+        );
+        assert_eq!(m.stats().recoveries, 1);
+        assert_eq!(feed(&mut m, at(10_300), Event::Tick), [(3, tree_task(3))]);
+
+        // Task 3 is taken back too (probe 2), and the worker's answer to it
+        // is lost. Its answer to probe 1, sent before task 3 was taken
+        // back, says nothing about task 3...
+        assert_eq!(feed(&mut m, at(20_400), Event::Tick), [(3, Message::Ping)]);
+        feed(&mut m, at(20_500), Event::Msg(3, Message::WorkerReady));
+        assert_eq!(feed_sans_pings(&mut m, at(20_500), Event::Tick), []);
+        // ...its answer to probe 2 shows it is past it.
+        feed(&mut m, at(20_600), Event::Msg(3, Message::WorkerReady));
+        assert_eq!(m.stats().recoveries, 2);
+        assert_eq!(feed(&mut m, at(20_600), Event::Tick), [(3, tree_task(4))]);
+        // An announcement while it holds a task does not make it ready:
+        // its answer to the task does.
+        feed(&mut m, at(20_700), Event::Msg(3, Message::WorkerReady));
+        assert_eq!(feed(&mut m, at(20_700), Event::Tick), []);
+        feed(&mut m, at(20_800), Event::Msg(3, tree_result(4)));
+        assert_eq!(feed(&mut m, at(20_800), Event::Tick), [(3, tree_task(3))]);
+        feed(&mut m, at(20_900), Event::Msg(3, tree_result(3)));
+        let stats = m.stats();
+        assert_eq!(stats.dispatched, 5);
+        assert_eq!(stats.timeouts, 2);
+        assert_eq!(stats.results_forwarded, 4);
+        assert_eq!(m.outstanding(), 0);
     }
 
     #[test]
