@@ -220,8 +220,10 @@ cmp "$SMOKE/traffic_serial.nwk" "$SMOKE/traffic.nwk"
 # Two threaded runs and a TCP run report one `tasks: N dispatched`, however
 # their answers raced, and print the in-process tree.
 window_tasks() {
+  tag=$1
+  shift
   ./target/release/fastdnaml --input "$SMOKE/traffic.phy" --jumble 5 --incremental --quiet \
-    --obs-summary --output "$SMOKE/window_$1.nwk" "${@:2}" | awk '/^  tasks:/ { print $2 }'
+    --obs-summary --output "$SMOKE/window_$tag.nwk" "$@" | awk '/^  tasks:/ { print $2 }'
 }
 window_a=$(window_tasks a --parallel 5)
 window_b=$(window_tasks b --parallel 5)
@@ -384,6 +386,26 @@ for f in $(find Cargo.toml crates src tests examples shims -name '*.rs' -o -name
     exit 1
   fi
 done
+# One recovery story: the round log under --wal-dir is how any run
+# resumes. The checkpoint file, its type and its hooks stay gone from
+# everything but test modules, and each retired flag is refused in one
+# line that names what replaced it.
+retired='\bCheckpoint\b|checkpoint_out|on_checkpoint|resume_from\('
+for f in $(find crates src examples -name '*.rs'); do
+  if nontest "$f" | grep -nE "$retired"; then
+    echo "one recovery story: $f brings the checkpoint file back"
+    exit 1
+  fi
+done
+for flag in --checkpoint --checkpoint-out --resume; do
+  status=0
+  ./target/release/fastdnaml --input "$SMOKE/data.phy" "$flag" "$SMOKE/cp.json" --quiet \
+    2> "$SMOKE/retired.err" || status=$?
+  test "$status" -eq 1
+  test "$(wc -l < "$SMOKE/retired.err")" -eq 1
+  grep -q -- "$flag .*--wal-dir" "$SMOKE/retired.err"
+done
+
 status=0
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --intra-threads 4 --quiet \
   2> "$SMOKE/intra.err" || status=$?
@@ -451,26 +473,23 @@ test -z "$(ls -A "$WALD")"
 #
 # (3) A real kill -9 mid-farm: 24 jumbles give the coordinator enough
 # wall time to be caught with its manifest and WAL half-written. The
-# relaunched command must finish the farm with per-jumble trees
-# byte-identical to an uninterrupted baseline.
+# relaunched command — the same one, --wal-dir alone — must finish the
+# farm with per-jumble trees byte-identical to an uninterrupted baseline.
+# The farm's manifest stays in the directory; no round log does.
 rm -rf "$WALD"; mkdir -p "$WALD"
-# A manifest left by a prior gate run would trip the kill before the farm
-# starts and resume that run's (possibly older build's) finished trees.
-rm -f "$SMOKE/farm_kill.json"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --jumbles 24 --parallel 4 --quiet \
   --jumble-trees "$SMOKE/farm_base_trees.txt" --output /dev/null
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --jumbles 24 --parallel 4 --quiet \
-  --wal-dir "$WALD" --checkpoint "$SMOKE/farm_kill.json" \
-  --jumble-trees "$SMOKE/farm_kill_trees.txt" --output /dev/null &
+  --wal-dir "$WALD" --jumble-trees "$SMOKE/farm_kill_trees.txt" --output /dev/null &
 FARM_PID=$!
-until [ -s "$SMOKE/farm_kill.json" ]; do sleep 0.02; done
+until [ -s "$WALD/manifest.json" ]; do sleep 0.02; done
 kill -9 "$FARM_PID" 2>/dev/null || true
 wait "$FARM_PID" 2>/dev/null || true
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --jumbles 24 --parallel 4 --quiet \
-  --wal-dir "$WALD" --checkpoint "$SMOKE/farm_kill.json" --resume "$SMOKE/farm_kill.json" \
-  --jumble-trees "$SMOKE/farm_kill_trees.txt" --output /dev/null
+  --wal-dir "$WALD" --jumble-trees "$SMOKE/farm_kill_trees.txt" --output /dev/null
 cmp "$SMOKE/farm_kill_trees.txt" "$SMOKE/farm_base_trees.txt"
-test -z "$(ls -A "$WALD")"
+test -s "$WALD/manifest.json"
+test -z "$(find "$WALD" -name '*.wal')"
 
 # The full crash-point matrices behind the smoke (every WAL boundary,
 # every storage op of a farm, torn tails, fault storms) run as part of
@@ -506,8 +525,9 @@ ADDR=$(cat "$SERVE/addr")
 ./target/release/fastdnaml --attach "$JOB_A" --connect "$ADDR" --quiet --output "$SERVE/job_a.nwk"
 ./target/release/fastdnaml --attach "$JOB_B" --connect "$ADDR" --quiet --output "$SERVE/job_b.nwk"
 ./target/release/fastdnaml --status "$JOB_A" --connect "$ADDR" | grep -q done
-# Every jumble's round log went with its result: none outlives its job.
-[ -z "$(ls "$SERVE/state/wal")" ]
+# Every jumble's round log went with its result: none outlives its job
+# (the jobs' manifests stay beside them).
+[ -z "$(find "$SERVE/state/wal" -name '*.wal')" ]
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" || true
 ./target/release/fastdnaml --input "$SERVE/data.phy" --jumble 7 --jumbles 3 --quiet \

@@ -221,7 +221,7 @@ pub enum Message {
     },
     /// Foreman → master: the run cannot continue (every worker is dead
     /// with work still outstanding). The master surfaces a typed error and
-    /// leaves the last checkpoint on disk.
+    /// leaves its round log on disk.
     Abort {
         /// Human-readable cause.
         reason: String,

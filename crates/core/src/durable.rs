@@ -1,12 +1,8 @@
 //! The crash-consistent storage layer shared by every coordinator-side
-//! persistence path: checkpoints, farm manifests, the serve registry, and
-//! the write-ahead round log.
-//!
-//! Before this module, `Checkpoint`, `FarmManifest`, and `Registry` each
-//! carried their own write-then-rename snippet — none of which fsynced, so
-//! a crash right after an acknowledgement could lose the acknowledged
-//! state, and none of which could read back a half-written file. Two
-//! primitives replace all of them:
+//! persistence path: farm manifests, the serve registry, and the
+//! write-ahead round log. Two primitives, and no other write-then-rename
+//! snippet anywhere, so every acknowledged state is fsynced and every
+//! half-written file reads back as its last valid version:
 //!
 //! * [`atomic_write`] — the full durable-replace sequence: write a
 //!   temporary sibling, `fsync` it, rename it over the target, `fsync`

@@ -20,12 +20,13 @@
 //!
 //! What a farm has to remember is one [`Ledger`]: results stream into an
 //! incremental majority-rule consensus ([`ConsensusAccumulator`]) and into
-//! a [`FarmManifest`] checkpoint (write-then-rename after every
-//! completion), so `--resume` recomputes only unfinished jumbles and the
+//! a [`FarmManifest`] (write-then-rename after every completion), and each
+//! in-flight jumble keeps its round log ([`crate::wal`]), all in one
+//! directory. Re-running the same farm over that directory recomputes only
+//! unfinished jumbles, each from its last committed round, and the
 //! consensus is available the moment the last jumble lands. The job
 //! daemon's scheduler keeps each job in the same ledger.
 
-use crate::checkpoint::{FarmManifest, JumbleStatus, ManifestEntry};
 use crate::config::SearchConfig;
 use crate::jumble::adjust_seed;
 use crate::loopback::Loopback;
@@ -38,9 +39,10 @@ use fdml_phylo::alignment::Alignment;
 use fdml_phylo::consensus::{Consensus, ConsensusAccumulator};
 use fdml_phylo::error::PhyloError;
 use fdml_phylo::{newick, phylip};
+use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// How a farm run is steered.
 #[derive(Debug, Clone, Default)]
@@ -49,18 +51,117 @@ pub struct FarmOptions {
     /// pending jumbles" (the foreman then shards the workers across all of
     /// them). A small width bounds the blast radius of a restart.
     pub width: usize,
-    /// Where to write the manifest after every completed jumble (atomic
-    /// write-then-rename). `None` disables checkpointing.
-    pub manifest_path: Option<PathBuf>,
-    /// A previously written manifest to resume from: `Done` entries are
-    /// replayed into the consensus without recomputation, `Pending` entries
-    /// are run.
-    pub resume: Option<FarmManifest>,
-    /// Where each in-flight jumble keeps its write-ahead round log
-    /// ([`crate::wal`]). `None` disables the WAL; with a directory, a
-    /// killed coordinator resumes every unfinished jumble from its last
-    /// committed round instead of its last taxon-addition boundary.
+    /// Where the farm keeps its manifest and each in-flight jumble's round
+    /// log ([`crate::wal`]). A farm killed and re-run over the same
+    /// directory takes its finished jumbles from the manifest and resumes
+    /// the others from their last committed round. `None` persists nothing.
     pub wal_dir: Option<PathBuf>,
+}
+
+/// The lifecycle of one jumble inside a farm manifest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum JumbleStatus {
+    /// Not finished yet (queued or in flight when the farm stopped).
+    Pending,
+    /// Finished; `newick` and `ln_likelihood` are recorded.
+    Done,
+}
+
+/// One jumble's entry in a [`FarmManifest`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ManifestEntry {
+    /// The adjusted, deduplicated jumble seed.
+    pub seed: u64,
+    /// Where this jumble stands.
+    pub status: JumbleStatus,
+    /// The jumble's best tree (present when `Done`).
+    pub newick: Option<String>,
+    /// Its log-likelihood (present when `Done`).
+    pub ln_likelihood: Option<f64>,
+}
+
+/// What a farm has finished: one entry per jumble, saved after every
+/// completion, so a killed farm resumes by recomputing only the `Pending`
+/// entries. Deliberately timestamp-free: two farms over the same problem
+/// and seeds produce byte-identical manifests regardless of completion order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FarmManifest {
+    /// The [`problem_key`] of the alignment and configuration the entries
+    /// were computed for; `None` in manifests written before it was kept.
+    #[serde(default)]
+    pub problem: Option<String>,
+    /// Entries in seed order (the order results are reported in).
+    pub entries: Vec<ManifestEntry>,
+}
+
+impl FarmManifest {
+    /// A fresh manifest with every seed `Pending`, for no problem in particular.
+    pub fn new(seeds: &[u64]) -> FarmManifest {
+        let pending = |&seed| ManifestEntry {
+            seed,
+            status: JumbleStatus::Pending,
+            newick: None,
+            ln_likelihood: None,
+        };
+        FarmManifest {
+            problem: None,
+            entries: seeds.iter().map(pending).collect(),
+        }
+    }
+
+    /// The manifest saved at `path`: `None` when there is no file (a fresh
+    /// farm), an error naming the file when it cannot be read or does not
+    /// parse — a farm that forgot its finished jumbles would silently run
+    /// them all again.
+    pub fn load(path: &Path) -> Result<Option<FarmManifest>, PhyloError> {
+        let named = |e: String| PhyloError::Format(format!("{}: {e}", path.display()));
+        let text = match std::fs::read_to_string(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            read => read.map_err(|e| named(e.to_string()))?,
+        };
+        let manifest =
+            serde_json::from_str(&text).map_err(|e| format!("not a valid farm manifest: {e}"));
+        manifest.map(Some).map_err(named)
+    }
+
+    /// The seeds, in manifest order.
+    pub fn seeds(&self) -> Vec<u64> {
+        self.entries.iter().map(|e| e.seed).collect()
+    }
+
+    /// Seeds still `Pending`, in manifest order.
+    pub fn unfinished(&self) -> Vec<u64> {
+        let pending = self
+            .entries
+            .iter()
+            .filter(|e| e.status == JumbleStatus::Pending);
+        pending.map(|e| e.seed).collect()
+    }
+
+    /// `(done, total)` jumbles.
+    pub fn completed(&self) -> (usize, usize) {
+        let total = self.entries.len();
+        (total - self.unfinished().len(), total)
+    }
+
+    /// Record a finished jumble.
+    fn mark_done(&mut self, seed: u64, newick: String, ln_likelihood: f64) {
+        if let Some(entry) = self.entries.iter_mut().find(|e| e.seed == seed) {
+            entry.status = JumbleStatus::Done;
+            entry.newick = Some(newick);
+            entry.ln_likelihood = Some(ln_likelihood);
+        }
+    }
+
+    /// Write durably through the crash-consistent storage layer
+    /// ([`crate::durable::atomic_write`]): a kill at any step leaves either
+    /// the previous manifest or the new one — never a torn file — and a
+    /// completed save survives power loss (the farm acks jumbles only after
+    /// this returns).
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        let json = serde_json::to_string_pretty(self).expect("manifest serializes");
+        crate::durable::atomic_write(path, json.as_bytes())
+    }
 }
 
 /// One jumble's outcome in a farm run.
@@ -89,8 +190,6 @@ pub struct FarmParts {
     pub runs: Vec<JumbleRun>,
     /// The majority-rule consensus of all jumble trees.
     pub consensus: Consensus,
-    /// The final manifest (every entry `Done`).
-    pub manifest: FarmManifest,
 }
 
 impl FarmParts {
@@ -101,6 +200,16 @@ impl FarmParts {
             .map(|r| r.ln_likelihood)
             .fold(f64::NEG_INFINITY, f64::max)
     }
+}
+
+/// What a farm's jumbles are computed for: a stable FNV-1a hash of the
+/// alignment and of the engine configuration its workers receive, in hex.
+/// A manifest keeps it, so a directory reused for another alignment or
+/// other settings is refused instead of answered with the old trees.
+pub fn problem_key(alignment: &Alignment, config: &SearchConfig) -> String {
+    let text = phylip::write(alignment) + &config.engine_config_json();
+    let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    format!("{:016x}", text.bytes().fold(0xcbf2_9ce4_8422_2325, fnv))
 }
 
 /// The CLI's seed schedule: `jumbles` seeds starting at `base_seed` with
@@ -135,18 +244,20 @@ pub fn dedup_adjusted(seeds: &[u64]) -> Result<Vec<u64>, PhyloError> {
 /// One job's jumble bookkeeping, as a plain value with no transport and
 /// no clock: the manifest, the seeds still to dispatch, the dispatches in
 /// flight (by task id), one round log per in-flight jumble, the per-seed
-/// runs and the running consensus. The farm master (over threads, TCP or
-/// the serial [`Loopback`]) and the daemon's scheduler both drive one. What
-/// an error means is its holder's policy — the farm master aborts on any,
-/// the daemon fails the job on a bad result and shrugs off a sick log — so
-/// a log's trouble (`io::Result`) travels beside an outcome, never as it.
+/// runs and the running consensus. The manifest and the logs live in one
+/// directory, named by [`wal::manifest_path`] and [`wal::wal_path`]. The
+/// farm master (over threads, TCP or the serial [`Loopback`]) and the
+/// daemon's scheduler both drive one. What an error means is its holder's
+/// policy — the farm master aborts on any, the daemon fails the job on a
+/// bad result and shrugs off a sick log — so a log's trouble
+/// (`io::Result`) travels beside an outcome, never as it.
 pub struct Ledger {
     names: Vec<String>,
     manifest: FarmManifest,
-    manifest_path: Option<PathBuf>,
-    /// The problem its tasks and round-log files name; 0: the anonymous farm.
+    /// The problem its tasks and files name; 0: the anonymous farm.
     job: u64,
-    wal_dir: Option<PathBuf>,
+    /// Where the manifest and the round logs live; `None`: nowhere.
+    dir: Option<PathBuf>,
     runs: HashMap<u64, JumbleRun>,
     acc: ConsensusAccumulator,
     /// Seeds not yet dispatched, in plan order; requeues go to the front.
@@ -159,33 +270,45 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Start (or resume) a job: validate the seed list against the resume
-    /// manifest or build a fresh one, fold every `Done` entry into the
-    /// consensus, and retire those entries' round logs — a crash can land
-    /// between the manifest rename and the retire, and the stale log would
-    /// otherwise survive every future resume. The second value is a log
-    /// that would not go; the ledger is good either way.
+    /// Start (or resume) a job: load the manifest `dir` holds and check
+    /// its problem and seeds against this farm's (none there: a fresh one;
+    /// one that does not parse or does not match: an error naming the
+    /// file), fold every `Done` entry into the consensus, and retire those
+    /// entries' round logs — a crash can land between the manifest rename
+    /// and the retire, and the stale log would otherwise survive every
+    /// future resume. The second value is a log that would not go; the
+    /// ledger is good either way.
     pub fn open(
         alignment: &Alignment,
+        config: &SearchConfig,
         seeds: &[u64],
-        resume: Option<FarmManifest>,
-        manifest_path: Option<PathBuf>,
         job: u64,
-        wal_dir: Option<PathBuf>,
+        dir: Option<PathBuf>,
         obs: &Obs,
     ) -> Result<(Ledger, io::Result<()>), PhyloError> {
         let seeds = dedup_adjusted(seeds)?;
-        let manifest = match resume {
-            Some(m) if m.seeds() != seeds => {
-                return Err(PhyloError::InvalidTreeOp(format!(
-                    "manifest seeds {:?} do not match the requested farm {:?}",
-                    m.seeds(),
-                    seeds
-                )));
-            }
-            Some(m) => m,
-            None => FarmManifest::new(&seeds),
+        let problem = problem_key(alignment, config);
+        let path = dir.as_deref().map(|dir| wal::manifest_path(dir, job));
+        let loaded = path.as_deref().map(FarmManifest::load).transpose()?;
+        let mut manifest = loaded
+            .flatten()
+            .unwrap_or_else(|| FarmManifest::new(&seeds));
+        let why = if manifest.problem.as_ref().is_some_and(|p| *p != problem) {
+            "manifest is for another alignment or other settings".to_string()
+        } else if manifest.seeds() != seeds {
+            let theirs = manifest.seeds();
+            format!("manifest seeds {theirs:?} do not match the requested farm {seeds:?}")
+        } else {
+            String::new()
         };
+        if !why.is_empty() {
+            let path = path.unwrap_or_default();
+            return Err(PhyloError::InvalidTreeOp(format!(
+                "{}: {why}",
+                path.display()
+            )));
+        }
+        manifest.problem = Some(problem);
         let names = alignment.names().to_vec();
         let mut acc = ConsensusAccumulator::new(names.len(), 0.5, names.clone())?;
         let mut runs = HashMap::new();
@@ -215,9 +338,8 @@ impl Ledger {
             names,
             pending: manifest.unfinished().into(),
             manifest,
-            manifest_path,
             job,
-            wal_dir,
+            dir,
             acc,
             flights: HashMap::new(),
             writers: HashMap::new(),
@@ -230,7 +352,7 @@ impl Ledger {
 
     /// Delete the round logs of `seeds`: all are tried, the first failure kept.
     fn retire<'a>(&self, seeds: impl IntoIterator<Item = &'a u64>) -> io::Result<()> {
-        let dir = self.wal_dir.as_deref();
+        let dir = self.dir.as_deref();
         let gone = |&seed| dir.map_or(Ok(()), |dir| wal::retire(dir, self.job, seed));
         seeds.into_iter().map(gone).fold(Ok(()), Result::and)
     }
@@ -250,11 +372,13 @@ impl Ledger {
             0 => Message::JumbleTask { task, seed },
             job => Message::JobTask { job, task, seed },
         };
-        let Some(dir) = &self.wal_dir else {
+        let Some(dir) = &self.dir else {
             return Some((plain, Ok(())));
         };
-        Some(match wal::open(dir, job, seed, self.names.len()) {
-            Ok((prefix, writer)) => {
+        // A log of another numerics epoch restarts: a worker replays bit
+        // for bit.
+        Some(match wal::open(dir, job, seed, self.names.len(), false) {
+            Ok((_, prefix, writer)) => {
                 if !prefix.is_empty() {
                     let rounds = prefix.len() as u64;
                     self.obs.emit(|| Event::WalReplay { job, seed, rounds });
@@ -330,8 +454,11 @@ impl Ledger {
         self.pending.retain(|&s| s != seed);
         self.manifest
             .mark_done(seed, run.newick.clone(), run.ln_likelihood);
-        if let Some(path) = &self.manifest_path {
-            self.manifest.save(path).map_err(failed("write manifest"))?;
+        if let Some(dir) = &self.dir {
+            let path = wal::manifest_path(dir, self.job);
+            self.manifest
+                .save(&path)
+                .map_err(failed("write manifest"))?;
         }
         self.writers.remove(&seed);
         let retired = self.retire([&seed]);
@@ -359,8 +486,7 @@ impl Ledger {
     }
 
     fn is_pending(&self, seed: u64) -> bool {
-        let pending = |e: &ManifestEntry| e.seed == seed && e.status == JumbleStatus::Pending;
-        self.manifest.entries.iter().any(pending)
+        self.manifest.unfinished().contains(&seed)
     }
 
     /// Seeds waiting for a dispatch, next first.
@@ -375,13 +501,12 @@ impl Ledger {
 
     /// `(done, total)` jumbles.
     pub fn completed(&self) -> (usize, usize) {
-        let total = self.manifest.entries.len();
-        (total - self.manifest.unfinished().len(), total)
+        self.manifest.completed()
     }
 
     /// Every jumble is `Done` and no dispatch is outstanding.
     pub fn is_complete(&self) -> bool {
-        self.flights.is_empty() && self.manifest.is_complete()
+        self.flights.is_empty() && self.manifest.unfinished().is_empty()
     }
 
     /// Emit the job's `FarmProgress`.
@@ -403,8 +528,8 @@ impl Ledger {
         self.retire(&self.manifest.unfinished())
     }
 
-    /// The finished job: runs in plan order (not arrival order), their
-    /// majority-rule consensus, the manifest.
+    /// The finished job: runs in plan order (not arrival order) and their
+    /// majority-rule consensus.
     pub fn finish(mut self) -> Result<FarmParts, PhyloError> {
         let runs = self
             .manifest
@@ -416,7 +541,6 @@ impl Ledger {
         Ok(FarmParts {
             runs,
             consensus: self.acc.consensus()?,
-            manifest: self.manifest,
         })
     }
 }
@@ -547,10 +671,8 @@ fn master<T: Transport>(
         // foreman's problem (eager requeue / all-dead abort), not ours.
         let _ = transport.send(rank, &problem);
     }
-    let (resume, manifest_path) = (options.resume.clone(), options.manifest_path.clone());
-    let wal_dir = options.wal_dir.clone();
-    let (mut ledger, stale) =
-        Ledger::open(alignment, seeds, resume, manifest_path, 0, wal_dir, obs)?;
+    let dir = options.wal_dir.clone();
+    let (mut ledger, stale) = Ledger::open(alignment, config, seeds, 0, dir, obs)?;
     stale.map_err(failed("wal"))?;
     let mut next_task: u64 = 0;
     // Built only if the foreman quarantines a jumble.
@@ -614,6 +736,45 @@ mod tests {
         assert!(dedup_adjusted(&[]).is_err());
     }
 
+    #[test]
+    fn manifest_tracks_completion() {
+        let mut m = FarmManifest::new(&[1, 3, 5]);
+        assert_eq!(m.seeds(), vec![1, 3, 5]);
+        assert_eq!(m.unfinished(), vec![1, 3, 5]);
+        assert_eq!(m.completed(), (0, 3));
+        m.mark_done(3, "(a:1,b:1);".into(), -10.0);
+        assert_eq!(m.unfinished(), vec![1, 5]);
+        assert_eq!(m.completed(), (1, 3));
+        m.mark_done(1, "(a:1,b:1);".into(), -11.0);
+        m.mark_done(5, "(a:1,b:1);".into(), -12.0);
+        assert_eq!(m.completed(), (3, 3));
+        let json = serde_json::to_string_pretty(&m).unwrap();
+        let back: FarmManifest = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.entries[1].ln_likelihood, Some(-10.0));
+    }
+
+    #[test]
+    fn manifest_save_is_atomic_and_order_independent() {
+        let dir = workdir("manifest");
+        let path = dir.join("farm.json");
+        assert_eq!(FarmManifest::load(&path).unwrap(), None, "none yet");
+        let mut a = FarmManifest::new(&[1, 3]);
+        a.mark_done(1, "(x);".into(), -1.0);
+        a.mark_done(3, "(y);".into(), -2.0);
+        let mut b = FarmManifest::new(&[1, 3]);
+        b.mark_done(3, "(y);".into(), -2.0);
+        b.mark_done(1, "(x);".into(), -1.0);
+        // Completion order does not leak into the serialized form.
+        a.save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        b.save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), saved);
+        assert_eq!(FarmManifest::load(&path).unwrap(), Some(a));
+        assert!(!path.with_extension("tmp").exists(), "tmp must be renamed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     // ----- the ledger, with no transport and no clock ---------------------
 
     use crate::wal::{wal_path, WalMove, WalPhase};
@@ -647,21 +808,27 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
             .runs
     }
 
-    fn open(alignment: &Alignment, dir: &Path, resume: Option<FarmManifest>) -> Ledger {
-        let (manifest, wal) = (dir.join("manifest.json"), dir.join("wal"));
+    fn open(alignment: &Alignment, dir: &Path) -> Ledger {
         let quiet = Obs::disabled();
         let (ledger, stale) = Ledger::open(
             alignment,
+            &SearchConfig::default(),
             &SEEDS,
-            resume,
-            Some(manifest),
             0,
-            Some(wal),
+            Some(dir.join("wal")),
             &quiet,
         )
         .unwrap();
         stale.expect("stale logs retire");
         ledger
+    }
+
+    /// The manifest the ledger over `dir` saved.
+    fn saved(dir: &Path) -> FarmManifest {
+        let path = wal::manifest_path(&dir.join("wal"), 0);
+        FarmManifest::load(&path)
+            .unwrap()
+            .expect("a manifest was saved")
     }
 
     /// `Ledger::done`, the log retired: was the result fresh?
@@ -703,7 +870,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let alignment = phylip::parse(PHYLIP).unwrap();
         let runs = baseline(&alignment);
         let dir = workdir("dup");
-        let mut ledger = open(&alignment, &dir, None);
+        let mut ledger = open(&alignment, &dir);
         let msg = next_ok(&mut ledger, 0);
         assert!(
             matches!(msg, Message::JumbleResume { task: 0, seed: 7, ref wal, .. } if wal.is_empty())
@@ -711,7 +878,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         assert!(wal_path(&dir.join("wal"), 0, 7).exists());
         assert!(done(&mut ledger, 0, &runs[0]));
         assert!(!wal_path(&dir.join("wal"), 0, 7).exists(), "log retired");
-        let on_disk = std::fs::read(dir.join("manifest.json")).unwrap();
+        let on_disk = saved(&dir);
         assert_eq!(ledger.completed(), (1, 3));
 
         // The same seed answers again under another task id, with another
@@ -723,7 +890,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let mut foreign = runs[1].clone();
         foreign.seed = 99;
         assert!(!done(&mut ledger, 6, &foreign));
-        assert_eq!(std::fs::read(dir.join("manifest.json")).unwrap(), on_disk);
+        assert_eq!(saved(&dir), on_disk);
         assert_eq!(ledger.completed(), (1, 3));
         assert_eq!(ledger.acc.num_trees(), 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -734,7 +901,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let alignment = phylip::parse(PHYLIP).unwrap();
         let runs = baseline(&alignment);
         let dir = workdir("late");
-        let mut ledger = open(&alignment, &dir, None);
+        let mut ledger = open(&alignment, &dir);
         next_ok(&mut ledger, 0);
         next_ok(&mut ledger, 1);
         assert_eq!((ledger.in_flight(), ledger.pending().len()), (2, 1));
@@ -767,7 +934,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let alignment = phylip::parse(PHYLIP).unwrap();
         let runs = baseline(&alignment);
         let dir = workdir("rounds");
-        let mut ledger = open(&alignment, &dir, None);
+        let mut ledger = open(&alignment, &dir);
         next_ok(&mut ledger, 0);
         ledger.wal_round(7, &round(0)).unwrap();
         ledger.wal_round(7, &round(1)).unwrap();
@@ -798,15 +965,24 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
     fn an_unopenable_log_yields_the_plain_task_and_its_error() {
         let alignment = phylip::parse(PHYLIP).unwrap();
         let dir = workdir("sick");
-        // The log directory is a file: nothing can be created under it.
-        std::fs::write(dir.join("wal"), b"in the way").unwrap();
+        // A directory stands where seed 7's log goes: no log opens there.
+        for job in [0, 3] {
+            std::fs::create_dir_all(wal_path(&dir.join("wal"), job, 7)).unwrap();
+        }
         let quiet = Obs::disabled();
         // The job id picks the wire form whether or not there are logs.
         for (job, task, wal) in [(0, 4, true), (3, 5, true), (3, 6, false)] {
             let wal = wal.then(|| dir.join("wal"));
             let sick = wal.is_some();
-            let (mut ledger, _) =
-                Ledger::open(&alignment, &SEEDS, None, None, job, wal, &quiet).unwrap();
+            let (mut ledger, _) = Ledger::open(
+                &alignment,
+                &SearchConfig::default(),
+                &SEEDS,
+                job,
+                wal,
+                &quiet,
+            )
+            .unwrap();
             let (msg, opened) = ledger.next(task).unwrap();
             assert_eq!(opened.is_err(), sick);
             let plain = match job {
@@ -828,20 +1004,18 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let dir = workdir("stuck");
         let mem = fdml_obs::MemorySink::new();
         let obs = Obs::new(Box::new(mem.clone()));
-        let open = |resume| {
-            let (manifest, wal) = (dir.join("manifest.json"), dir.join("wal"));
+        let open = || {
             Ledger::open(
                 &alignment,
+                &SearchConfig::default(),
                 &SEEDS,
-                resume,
-                Some(manifest),
                 0,
-                Some(wal),
+                Some(dir.join("wal")),
                 &obs,
             )
             .unwrap()
         };
-        let (mut ledger, stale) = open(None);
+        let (mut ledger, stale) = open();
         stale.unwrap();
         next_ok(&mut ledger, 0);
         // Nothing removes a directory with `remove_file`, root included.
@@ -852,9 +1026,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         assert!(fresh && retired.is_err());
         // The jumble is Done everywhere it has to be.
         assert_eq!(ledger.completed(), (1, 3));
-        let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        let manifest = FarmManifest::from_json(&text).unwrap();
-        assert_eq!(manifest.unfinished(), [9, 11]);
+        assert_eq!(saved(&dir).unfinished(), [9, 11]);
         let completed = |e: &Event| matches!(e, Event::JumbleCompleted { seed: 7, .. });
         assert_eq!(
             mem.snapshot()
@@ -865,7 +1037,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         );
 
         // Reopened, the stale log is still in the way and still only that.
-        let (mut ledger, stale) = open(Some(manifest));
+        let (mut ledger, stale) = open();
         assert!(stale.is_err());
         assert_eq!(ledger.completed(), (1, 3));
         for (task, run) in [(1, &runs[1]), (2, &runs[2])] {
@@ -881,7 +1053,8 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let alignment = phylip::parse(PHYLIP).unwrap();
         let mem = fdml_obs::MemorySink::new();
         let obs = Obs::new(Box::new(mem.clone()));
-        let (mut ledger, _) = Ledger::open(&alignment, &SEEDS, None, None, 0, None, &obs).unwrap();
+        let (mut ledger, _) =
+            Ledger::open(&alignment, &SearchConfig::default(), &SEEDS, 0, None, &obs).unwrap();
         let started = || {
             let started = |e: &Event| matches!(e, Event::JumbleStarted { seed: 7 });
             mem.snapshot().iter().filter(|r| started(&r.event)).count()
@@ -901,15 +1074,91 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
     #[test]
     fn a_manifest_of_other_seeds_is_refused() {
         let alignment = phylip::parse(PHYLIP).unwrap();
-        let foreign = Some(FarmManifest::new(&[1, 3, 5]));
-        let err = Ledger::open(&alignment, &SEEDS, foreign, None, 0, None, &Obs::disabled())
-            .err()
-            .expect("foreign manifest")
-            .to_string();
+        let dir = workdir("foreign");
+        let path = wal::manifest_path(&dir, 0);
+        FarmManifest::new(&[1, 3, 5]).save(&path).unwrap();
+        let err = Ledger::open(
+            &alignment,
+            &SearchConfig::default(),
+            &SEEDS,
+            0,
+            Some(dir.clone()),
+            &Obs::disabled(),
+        )
+        .err()
+        .expect("foreign manifest")
+        .to_string();
         assert!(
             err.contains("manifest seeds") && err.contains("do not match"),
             "got: {err}"
         );
+        assert!(err.contains(&path.display().to_string()), "got: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_manifest_of_another_problem_is_refused() {
+        let alignment = phylip::parse(PHYLIP).unwrap();
+        let dir = workdir("other-problem");
+        let quiet = Obs::disabled();
+        let open = |config: &SearchConfig| {
+            Ledger::open(&alignment, config, &SEEDS, 0, Some(dir.clone()), &quiet)
+        };
+        let mut ledger = open(&SearchConfig::default()).unwrap().0;
+        next_ok(&mut ledger, 0);
+        assert!(done(&mut ledger, 0, &baseline(&alignment)[0]));
+        let path = wal::manifest_path(&dir, 0);
+        // Another radius: the finished jumble is not this farm's.
+        let wider = SearchConfig {
+            rearrange_radius: 3,
+            ..SearchConfig::default()
+        };
+        let err = open(&wider).err().expect("another problem").to_string();
+        assert!(
+            err.contains(&path.display().to_string()) && err.contains("another alignment"),
+            "got: {err}"
+        );
+        // The same problem resumes; a manifest from before the key was
+        // kept is taken as it stands and gains the key on its next save.
+        assert_eq!(
+            open(&SearchConfig::default()).unwrap().0.completed(),
+            (1, 3)
+        );
+        let mut legacy = FarmManifest::load(&path).unwrap().unwrap();
+        legacy.problem = None;
+        legacy.save(&path).unwrap();
+        assert_eq!(open(&wider).unwrap().0.completed(), (1, 3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_manifest_that_does_not_parse_is_an_error_naming_it() {
+        let alignment = phylip::parse(PHYLIP).unwrap();
+        let dir = workdir("garbled");
+        let quiet = Obs::disabled();
+        let open = || {
+            Ledger::open(
+                &alignment,
+                &SearchConfig::default(),
+                &SEEDS,
+                4,
+                Some(dir.clone()),
+                &quiet,
+            )
+        };
+        // None there: a fresh job.
+        assert_eq!(open().unwrap().0.completed(), (0, 3));
+        // Torn mid-JSON (a copied or tampered file): not a silent restart.
+        let path = wal::manifest_path(&dir, 4);
+        FarmManifest::new(&SEEDS).save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        let err = open().err().expect("a garbled manifest").to_string();
+        assert!(
+            err.contains(&path.display().to_string()) && err.contains("not a valid farm manifest"),
+            "got: {err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -917,7 +1166,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let alignment = phylip::parse(PHYLIP).unwrap();
         let runs = baseline(&alignment);
         let dir = workdir("order");
-        let mut ledger = open(&alignment, &dir, None);
+        let mut ledger = open(&alignment, &dir);
         for task in 0..3 {
             next_ok(&mut ledger, task);
         }
@@ -929,13 +1178,8 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
 
         // Reopened from the manifest on disk, with a stale log planted for
         // a Done seed: the two are replayed, the log goes, one seed is left.
-        let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
         drop(WalWriter::create(&dir.join("wal"), 0, 11, 6).unwrap());
-        let mut ledger = open(
-            &alignment,
-            &dir,
-            Some(FarmManifest::from_json(&text).unwrap()),
-        );
+        let mut ledger = open(&alignment, &dir);
         assert!(!wal_path(&dir.join("wal"), 0, 11).exists());
         assert_eq!(ledger.pending().iter().copied().collect::<Vec<_>>(), [9]);
         next_ok(&mut ledger, 0);
@@ -953,8 +1197,11 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
             .collect();
         assert_eq!(got, want);
         assert_eq!(parts.consensus.num_trees, 3);
-        assert!(parts.manifest.is_complete());
-        assert_eq!(std::fs::read_dir(dir.join("wal")).unwrap().count(), 0);
+        assert!(saved(&dir).unfinished().is_empty());
+        // Only the manifest stays: it is what the farm finished.
+        let left: Vec<_> = std::fs::read_dir(dir.join("wal")).unwrap().collect();
+        assert_eq!(left.len(), 1);
+        assert!(wal::manifest_path(&dir.join("wal"), 0).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1006,7 +1253,6 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let config = SearchConfig::default();
         let farm = |dir: &Path, seeds: &[u64]| {
             let options = FarmOptions {
-                manifest_path: Some(dir.join("manifest.json")),
                 wal_dir: Some(dir.join("wal")),
                 ..FarmOptions::default()
             };
@@ -1025,9 +1271,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
         let killed = farm(&dir, &SEEDS);
         storage::clear();
         assert!(killed.is_err());
-        let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        let manifest = FarmManifest::from_json(&text).unwrap();
-        assert_eq!(manifest.unfinished(), [9, 11], "jumble 7 was saved");
+        assert_eq!(saved(&dir).unfinished(), [9, 11], "jumble 7 was saved");
         assert!(
             !wal_path(&dir.join("wal"), 0, 7).exists(),
             "and its log retired"

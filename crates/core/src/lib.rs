@@ -25,20 +25,19 @@
 //!   TCP transport: coordinator, peer, and single-command spawn launchers.
 //! * [`trace`] — dispatch-round traces consumed by the RS/6000 SP
 //!   simulator to regenerate Figures 3 and 4.
-//! * [`checkpoint`] — resumable snapshots of long runs, including the farm
-//!   manifest.
 //! * [`durable`] — the crash-consistent storage layer: fsynced atomic
 //!   replace and the CRC32-framed append-only log with truncate-to-valid
-//!   recovery, shared by checkpoints, manifests, the registry, and the WAL.
-//! * [`wal`] — the write-ahead round log that makes the coordinator as
-//!   killable as the workers: one framed record per committed search round,
-//!   replayed on `--resume` for a byte-identical restart.
+//!   recovery, shared by farm manifests, the registry, and the WAL.
+//! * [`wal`] — the write-ahead round log, the one way a run resumes: one
+//!   framed record per committed search round, replayed when the same run
+//!   is re-launched over the same `--wal-dir` — byte-identically within a
+//!   numerics epoch, along the same trajectory across epochs.
 //! * [`farm`] — the jumble farm: whole random-addition searches sharded
-//!   across the worker pool, streaming into an incremental consensus.
+//!   across the worker pool, streaming into an incremental consensus and a
+//!   manifest kept beside the jumbles' round logs.
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod config;
 pub mod durable;
 mod edits;

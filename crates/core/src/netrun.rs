@@ -22,7 +22,6 @@
 //! on one machine: children are re-invocations of the current executable in
 //! peer mode, connected over loopback.
 
-use crate::checkpoint::FarmManifest;
 use crate::config::SearchConfig;
 use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
 use crate::foreman::{run_scheduler, ForemanStats};
@@ -92,7 +91,7 @@ impl NetSpawn {
 }
 
 /// Where and how a coordinator runs: the listen address, universe size,
-/// observer sinks, checkpointing, and optional peer spawning. The job
+/// observer sinks, the round log, and optional peer spawning. The job
 /// itself (alignment, config, seeds) rides separately as a
 /// [`ResolvedJob`]; [`NetOptions::new`] gives the plain unobserved run.
 pub struct NetOptions {
@@ -103,10 +102,9 @@ pub struct NetOptions {
     /// Observer sinks. Empty (or all-null) disables observation and the
     /// outcome's `report` is `None`.
     pub sinks: Vec<Box<dyn Sink>>,
-    /// What the coordinator's search persists and resumes from: checkpoint
-    /// files, the write-ahead round log. One-shot searches only; farms
-    /// checkpoint via their manifest and log per jumble via
-    /// [`FarmOptions::wal_dir`].
+    /// What the coordinator's search persists and resumes from: the
+    /// write-ahead round log. One-shot searches only; a farm keeps its
+    /// manifest and per-jumble logs in [`FarmOptions::wal_dir`].
     pub session: SearchSession,
     /// Fork the peers ourselves — the single-command cluster launch.
     pub spawn: Option<NetSpawn>,
@@ -121,7 +119,7 @@ pub struct NetOptions {
 
 impl NetOptions {
     /// Plain settings: listen on `listen`, expect `num_ranks` ranks, no
-    /// observation, no checkpointing, peers dial in on their own.
+    /// observation, no round log, peers dial in on their own.
     pub fn new(listen: impl Into<String>, num_ranks: usize) -> NetOptions {
         NetOptions {
             listen: listen.into(),
@@ -376,7 +374,7 @@ fn run_on_net<R>(
 /// the universe, then drive the stepwise search as rank 0.
 ///
 /// `options.session` makes a coordinator killed mid-search restartable —
-/// from its checkpoint file or its round log (the peers are stateless
+/// from its round log (the peers are stateless
 /// between tasks, so only rank 0 carries state worth saving).
 pub fn net_coordinator_search(
     job: &ResolvedJob,
@@ -407,8 +405,6 @@ pub struct NetFarmOutcome {
     pub runs: Vec<JumbleRun>,
     /// The majority-rule consensus over all jumbles.
     pub consensus: Consensus,
-    /// The final manifest (every entry `Done`).
-    pub manifest: FarmManifest,
     /// End-of-run observability report. `None` when unobserved.
     pub report: Option<RunReport>,
     /// What the coordinator's universe left behind.
@@ -417,8 +413,8 @@ pub struct NetFarmOutcome {
 
 /// Run the coordinator as a jumble-farm master: bind the hub, (optionally)
 /// fork peers, then shard the job's planned seeds across the worker
-/// processes via [`run_farm_master`]. Manifest checkpointing and resume
-/// come from `farm`; the peers run the same worker loop as a tree-task
+/// processes via [`run_farm_master`]. The manifest and the round logs come
+/// from `farm`; the peers run the same worker loop as a tree-task
 /// search, so no peer-side flags change.
 pub fn net_farm_search(
     job: &ResolvedJob,
@@ -450,7 +446,6 @@ pub fn net_farm_search(
     Ok(NetFarmOutcome {
         runs: parts.runs,
         consensus: parts.consensus,
-        manifest: parts.manifest,
         report,
         fleet,
     })

@@ -2,7 +2,6 @@
 //! in-process and threaded programs built on it, and the threaded jumble
 //! farm.
 
-use crate::checkpoint::{Checkpoint, FarmManifest};
 use crate::config::SearchConfig;
 use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
 use crate::foreman::{run_scheduler, ForemanError, ForemanStats};
@@ -34,19 +33,15 @@ use std::thread;
 use std::time::Duration;
 
 /// What a single search carries besides its job: where it persists and
-/// what it resumes from. [`SearchSession::default`] is the plain run.
+/// resumes from, and whether it traces. [`SearchSession::default`] is the
+/// plain run.
 #[derive(Debug, Default)]
 pub struct SearchSession {
-    /// Write a [`Checkpoint`] file after every completed taxon addition
-    /// (durable replace: a kill at any step leaves the previous one
-    /// intact).
-    pub checkpoint_out: Option<PathBuf>,
-    /// Resume from a checkpoint instead of starting at the triplet.
-    pub resume: Option<Checkpoint>,
     /// Write-ahead round log directory ([`crate::wal`]): an existing log
-    /// is replayed (bit-identical resume from the last committed round),
-    /// every newly committed round is appended durably, and the log is
-    /// retired when the search completes.
+    /// is replayed (bit-identical resume from the last committed round; the
+    /// same trajectory for a log of another numerics epoch), every newly
+    /// committed round is appended durably, and the log is retired when
+    /// the search completes.
     pub wal_dir: Option<PathBuf>,
     /// Record a [`crate::trace::SearchTrace`] under this dataset label
     /// (returned in [`SearchResult::trace`]).
@@ -73,17 +68,13 @@ pub fn search_on<T: Transport>(
     let wal_io = |e: std::io::Error| PhyloError::Format(format!("wal: {e}"));
     // Open the log before the first task is dispatched: a bad --wal-dir
     // fails the run while nothing has been computed.
-    let mut wal = match &session.wal_dir {
-        Some(dir) => {
-            match WalSession::open(dir, 0, config.jumble_seed, alignment.num_taxa(), obs) {
-                Ok(wal) => Some(wal),
-                Err(e) => {
-                    let _ = master_end.send(ranks::FOREMAN, &Message::Shutdown);
-                    return (master_end, Err(wal_io(e)));
-                }
-            }
+    let open = |dir| WalSession::open(dir, 0, config.jumble_seed, alignment.num_taxa(), obs);
+    let mut wal = match session.wal_dir.as_deref().map(open).transpose() {
+        Ok(wal) => wal,
+        Err(e) => {
+            let _ = master_end.send(ranks::FOREMAN, &Message::Shutdown);
+            return (master_end, Err(wal_io(e)));
         }
-        None => None,
     };
     let executor = ClusterExecutor::new(
         master_end,
@@ -96,14 +87,6 @@ pub fn search_on<T: Transport>(
     .with_incremental(config.incremental);
     let mut search = StepwiseSearch::new(config, executor, alignment.num_taxa())
         .with_names(alignment.names().to_vec());
-    if let Some(checkpoint) = session.resume {
-        search = search.resume_from(checkpoint);
-    }
-    if let Some(path) = session.checkpoint_out {
-        search = search.on_checkpoint(move |checkpoint| {
-            let _ = checkpoint.save(&path);
-        });
-    }
     if let Some(dataset) = session.trace {
         let patterns = PatternAlignment::compress(alignment).num_patterns();
         search = search.with_trace(
@@ -114,7 +97,7 @@ pub fn search_on<T: Transport>(
         );
     }
     if let Some(wal) = &mut wal {
-        search = search.resume_from_wal(wal.take_rounds()).on_wal(wal.hook());
+        search = wal.attach(search);
     }
     let result = search.run();
     // Shut the universe down whatever the outcome.
@@ -521,8 +504,6 @@ pub struct FarmOutcome {
     pub runs: Vec<JumbleRun>,
     /// The majority-rule consensus over all jumbles.
     pub consensus: Consensus,
-    /// The final manifest (every entry `Done`).
-    pub manifest: FarmManifest,
     /// The monitor's aggregated instrumentation.
     pub monitor: MonitorReport,
     /// Foreman statistics.
@@ -567,7 +548,6 @@ pub fn farm_search(
     Ok(FarmOutcome {
         runs: parts.runs,
         consensus: parts.consensus,
-        manifest: parts.manifest,
         monitor: stats.service.monitor,
         foreman: stats.service.root.stats,
         workers: stats.workers,

@@ -650,7 +650,7 @@ impl Sched {
 
         // The run cannot heal if every member's link is dead while work is
         // outstanding: say so upstream rather than spinning forever. The
-        // master surfaces a typed error and leaves its last checkpoint
+        // master surfaces a typed error and leaves its round log
         // valid; the root reclaims the lease for a sibling. The machine
         // keeps running — a worker may come back, and re-homed refugees may
         // repopulate a region — and says so again if it strands again.

@@ -1,12 +1,11 @@
 //! The fastDNAml search driver: stepwise addition with rearrangement
 //! (paper §2, steps 1–5), independent of how rounds are evaluated.
 
-use crate::checkpoint::Checkpoint;
 use crate::config::SearchConfig;
 use crate::executor::{CandidateScore, RoundExecutor};
 use crate::jumble::jumble_order;
 use crate::trace::{RoundKind, RoundRecord, SearchTrace};
-use crate::wal::{WalMove, WalPhase, WalRound};
+use crate::wal::{WalMove, WalPhase, WalRound, NUMERICS_EPOCH, REPLAY_TOLERANCE};
 use fdml_phylo::error::PhyloError;
 use fdml_phylo::newick;
 use fdml_phylo::ops::{enumerate_insertion_moves, enumerate_spr_moves, TreeMove};
@@ -58,14 +57,12 @@ pub struct StepwiseSearch<'c, E: RoundExecutor> {
     trace: Option<SearchTrace>,
     #[allow(clippy::type_complexity)]
     on_round: Option<Box<dyn FnMut(&RoundInfo<'_>) + Send + 'c>>,
-    #[allow(clippy::type_complexity)]
-    on_checkpoint: Option<Box<dyn FnMut(&Checkpoint) + Send + 'c>>,
     // Deliberately not `Send`: the WAL sink often captures a borrowed
     // transport, and searches are constructed and run on one thread.
     #[allow(clippy::type_complexity)]
     on_wal: Option<Box<dyn FnMut(&WalRound) + 'c>>,
-    resume: Option<Checkpoint>,
     replay: VecDeque<WalRound>,
+    replay_numerics: u32,
     wal_index: u64,
     wal_replayed: usize,
     rounds: usize,
@@ -83,10 +80,9 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
             names: (0..num_taxa).map(|i| format!("taxon{i}")).collect(),
             trace: None,
             on_round: None,
-            on_checkpoint: None,
             on_wal: None,
-            resume: None,
             replay: VecDeque::new(),
+            replay_numerics: NUMERICS_EPOCH,
             wal_index: 0,
             wal_replayed: 0,
             rounds: 0,
@@ -130,24 +126,6 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
         self
     }
 
-    /// Receive a [`Checkpoint`] after every completed taxon-addition step
-    /// (write it to disk to make the run resumable).
-    pub fn on_checkpoint(mut self, f: impl FnMut(&Checkpoint) + Send + 'c) -> Self {
-        self.on_checkpoint = Some(Box::new(f));
-        self
-    }
-
-    /// Resume from a checkpoint instead of starting at the triplet. The
-    /// checkpoint's jumble seed must match the configuration's.
-    pub fn resume_from(mut self, checkpoint: Checkpoint) -> Self {
-        assert_eq!(
-            checkpoint.jumble_seed, self.config.jumble_seed,
-            "checkpoint was taken under a different jumble seed"
-        );
-        self.resume = Some(checkpoint);
-        self
-    }
-
     /// Receive a [`WalRound`] after every committed round (append it to
     /// the write-ahead log, or stream it to the coordinator). Replayed
     /// rounds are not re-emitted; the first emitted record carries the
@@ -162,12 +140,20 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
     /// the original run adopted (and nothing for a round that adopted
     /// none), skipping candidate scoring and failed verifications
     /// entirely, so the resumed search is bit-identical to the
-    /// uninterrupted one. Composes with
-    /// [`resume_from`](Self::resume_from) when the WAL was taken on top
-    /// of a checkpoint.
+    /// uninterrupted one.
     pub fn resume_from_wal(mut self, rounds: Vec<WalRound>) -> Self {
         self.wal_index = rounds.len() as u64;
         self.replay = rounds.into();
+        self
+    }
+
+    /// The [`NUMERICS_EPOCH`] the [`resume_from_wal`](Self::resume_from_wal)
+    /// rounds were computed under (default: this build's). Under another
+    /// epoch the replay commits the same moves and the divergence guard
+    /// allows [`REPLAY_TOLERANCE`] relative: the same trajectory, not the
+    /// same bits.
+    pub fn replay_epoch(mut self, numerics: u32) -> Self {
+        self.replay_numerics = numerics;
         self
     }
 
@@ -182,33 +168,12 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
         if self.num_taxa < 2 {
             return Err(PhyloError::InvalidTreeOp("need at least two taxa".into()));
         }
-        // Step 1: random addition order (or the checkpointed one).
-        let resume = self.resume.take();
-        let (order, start_idx, initial) = match resume {
-            Some(cp) => {
-                assert_eq!(
-                    cp.order.len(),
-                    self.num_taxa,
-                    "checkpoint taxon count mismatch"
-                );
-                let tree = newick::parse_tree_with_names(&cp.tree_newick, &self.names)?;
-                assert_eq!(
-                    tree.num_tips(),
-                    cp.taxa_placed,
-                    "checkpoint tree/count mismatch"
-                );
-                (cp.order, cp.taxa_placed, tree)
-            }
-            None => {
-                let order = jumble_order(self.num_taxa, self.config.jumble_seed);
-                // Step 2: the initial tree.
-                let initial = if self.num_taxa == 2 {
-                    Tree::pair(order[0], order[1])
-                } else {
-                    Tree::triplet(order[0], order[1], order[2])
-                };
-                (order, 3.min(self.num_taxa), initial)
-            }
+        // Step 1: random addition order; step 2: the initial tree.
+        let order = jumble_order(self.num_taxa, self.config.jumble_seed);
+        let initial = if self.num_taxa == 2 {
+            Tree::pair(order[0], order[1])
+        } else {
+            Tree::triplet(order[0], order[1], order[2])
         };
         let base = self.executor.set_base(initial)?;
         self.work_units += base.work_units;
@@ -216,8 +181,7 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
         let mut lnl = base.ln_likelihood;
 
         // Step 3 + 4: add each remaining taxon, then rearrange locally.
-        for idx in start_idx..self.num_taxa {
-            let taxon = order[idx];
+        for (idx, &taxon) in order.iter().enumerate().skip(3) {
             if let Some(rec) = self.pop_replay(WalPhase::Addition) {
                 // Replay the committed insertion without scoring the
                 // round: the WAL already decided it.
@@ -225,7 +189,7 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
                     PhyloError::InvalidTreeOp("wal addition record with no move".into())
                 })?;
                 let committed = self.executor.commit(&mv.to_move())?;
-                check_replay_lnl(&rec, committed.ln_likelihood)?;
+                self.check_replay_lnl(&rec, committed.ln_likelihood)?;
                 self.record_round(
                     RoundKind::TaxonAddition,
                     idx + 1,
@@ -271,15 +235,6 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
             )?;
             tree = t2;
             lnl = l2;
-            if let Some(sink) = &mut self.on_checkpoint {
-                sink(&Checkpoint {
-                    jumble_seed: self.config.jumble_seed,
-                    order: order.clone(),
-                    taxa_placed: idx + 1,
-                    tree_newick: newick::write_tree(&tree, &self.names),
-                    ln_likelihood: lnl,
-                });
-            }
         }
 
         // Step 5: final rearrangement (possibly more extensive). When the
@@ -354,7 +309,7 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
                     tree = committed.tree;
                     lnl = committed.ln_likelihood;
                 }
-                check_replay_lnl(&rec, lnl)?;
+                self.check_replay_lnl(&rec, lnl)?;
                 self.record_round(kind, tree.num_tips(), &[], verify_work, rec.accepted);
                 self.wal_replayed += 1;
                 self.work_units += verify_work;
@@ -463,6 +418,28 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
         Ok(())
     }
 
+    /// The replay divergence guard: a replayed round must reproduce the
+    /// recorded log-likelihood — bit for bit within an epoch, within
+    /// [`REPLAY_TOLERANCE`] across epochs — or the log does not belong to
+    /// this (config, data, seed), or its move no longer applies, and
+    /// resuming would silently drift.
+    fn check_replay_lnl(&self, rec: &WalRound, lnl: f64) -> Result<(), PhyloError> {
+        let logged = f64::from_bits(rec.lnl_bits);
+        let agrees = if self.replay_numerics == NUMERICS_EPOCH {
+            lnl.to_bits() == rec.lnl_bits
+        } else {
+            (lnl - logged).abs() <= REPLAY_TOLERANCE * logged.abs()
+        };
+        if !agrees {
+            return Err(PhyloError::InvalidTreeOp(format!(
+                "write-ahead log divergence at round {}: replay reached lnl {lnl} but the log \
+                 recorded {logged} (log from a different run?)",
+                rec.index
+            )));
+        }
+        Ok(())
+    }
+
     fn record_round(
         &mut self,
         kind: RoundKind,
@@ -498,22 +475,6 @@ impl<'c, E: RoundExecutor> StepwiseSearch<'c, E> {
             });
         }
     }
-}
-
-/// The replay divergence guard: a replayed round must reproduce the
-/// recorded log-likelihood bit for bit, or the log does not belong to
-/// this (config, data, seed) and resuming would silently drift.
-fn check_replay_lnl(rec: &WalRound, lnl: f64) -> Result<(), PhyloError> {
-    if lnl.to_bits() != rec.lnl_bits {
-        return Err(PhyloError::InvalidTreeOp(format!(
-            "write-ahead log divergence at round {}: replay reached lnl {} but the log \
-             recorded {} (log from a different run?)",
-            rec.index,
-            lnl,
-            f64::from_bits(rec.lnl_bits)
-        )));
-    }
-    Ok(())
 }
 
 /// First index achieving the maximum log-likelihood: the deterministic
@@ -738,10 +699,8 @@ mod tests {
 #[cfg(test)]
 mod checkpoint_tests {
     use super::*;
-    use crate::checkpoint::Checkpoint;
     use crate::master::ClusterExecutor;
     use fdml_phylo::alignment::Alignment;
-    use fdml_phylo::bipartition::SplitSet;
 
     fn alignment() -> Alignment {
         Alignment::from_strings(&[
@@ -757,65 +716,27 @@ mod checkpoint_tests {
     }
 
     #[test]
-    fn checkpoints_are_emitted_per_addition() {
+    fn the_log_holds_one_addition_per_taxon_beyond_the_triplet() {
+        // The round log is the checkpoint: the taxa placed are the count
+        // of its Addition records.
         let a = alignment();
         let config = SearchConfig {
             jumble_seed: 5,
             ..Default::default()
         };
         let ex = ClusterExecutor::in_process(&a, &config);
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        {
-            let mut search = StepwiseSearch::new(&config, ex, 7)
-                .with_names(a.names().to_vec())
-                .on_checkpoint(|cp| checkpoints.push(cp.clone()));
-            search.run().unwrap();
-        }
-        // One checkpoint per added taxon beyond the triplet: taxa 4..=7.
-        assert_eq!(checkpoints.len(), 4);
-        assert_eq!(checkpoints[0].taxa_placed, 4);
-        assert_eq!(checkpoints[3].taxa_placed, 7);
-        for cp in &checkpoints {
-            assert_eq!(cp.jumble_seed, 5);
-            assert!(cp.ln_likelihood.is_finite());
-        }
-    }
-
-    #[test]
-    fn resume_reproduces_the_uninterrupted_run() {
-        let a = alignment();
-        let config = SearchConfig {
-            jumble_seed: 9,
-            ..Default::default()
-        };
-
-        // Uninterrupted run, saving the mid-run checkpoint.
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let full = {
-            let ex = ClusterExecutor::in_process(&a, &config);
-            let mut search = StepwiseSearch::new(&config, ex, 7)
-                .with_names(a.names().to_vec())
-                .on_checkpoint(|cp| checkpoints.push(cp.clone()));
-            search.run().unwrap()
-        };
-        // Resume from the checkpoint with 5 of 7 taxa placed (round-trip
-        // it through JSON as a real restart would).
-        let mid = checkpoints.iter().find(|c| c.taxa_placed == 5).unwrap();
-        let mid = Checkpoint::from_json(&mid.to_json()).unwrap();
-        let resumed = {
-            let ex = ClusterExecutor::in_process(&a, &config);
-            let mut search = StepwiseSearch::new(&config, ex, 7)
-                .with_names(a.names().to_vec())
-                .resume_from(mid);
-            search.run().unwrap()
-        };
-        assert_eq!(
-            SplitSet::of_tree(&full.tree, 7),
-            SplitSet::of_tree(&resumed.tree, 7)
-        );
-        assert!((full.ln_likelihood - resumed.ln_likelihood).abs() < 1e-6);
-        // The resumed run did strictly less work.
-        assert!(resumed.candidates_evaluated < full.candidates_evaluated);
+        let mut wal: Vec<WalRound> = Vec::new();
+        StepwiseSearch::new(&config, ex, 7)
+            .with_names(a.names().to_vec())
+            .on_wal(|rec| wal.push(rec.clone()))
+            .run()
+            .unwrap();
+        let additions: Vec<&WalRound> = wal
+            .iter()
+            .filter(|r| r.phase == WalPhase::Addition)
+            .collect();
+        assert_eq!(additions.len(), 4, "taxa 4..=7");
+        assert!(additions.iter().all(|r| r.accepted && r.tried.len() == 1));
     }
 
     #[test]
@@ -906,25 +827,6 @@ mod checkpoint_tests {
             format!("{err:?}").contains("divergence"),
             "unexpected error: {err:?}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "different jumble seed")]
-    fn resume_with_wrong_seed_panics() {
-        let a = alignment();
-        let config = SearchConfig {
-            jumble_seed: 1,
-            ..Default::default()
-        };
-        let ex = ClusterExecutor::in_process(&a, &config);
-        let cp = Checkpoint {
-            jumble_seed: 2,
-            order: (0..7).collect(),
-            taxa_placed: 4,
-            tree_newick: String::new(),
-            ln_likelihood: 0.0,
-        };
-        let _ = StepwiseSearch::new(&config, ex, 7).resume_from(cp);
     }
 }
 

@@ -1,21 +1,22 @@
-//! The write-ahead round log: coordinator crash tolerance at round
-//! granularity.
+//! The write-ahead round log: how a run resumes.
 //!
-//! A checkpoint captures the search only at taxon-addition boundaries; a
-//! long rearrangement phase between two boundaries is lost when the
-//! coordinator dies. The WAL closes that gap: after every *completed*
-//! round the search appends one [`WalRound`] — the candidates it verified
-//! in rank order up to and including the one it adopted, whether the last
-//! one was adopted, and the round-end log-likelihood — to a CRC32-framed
-//! log (see [`crate::durable`]). Resume replays the records under one
-//! rule: an accepted record is the `commit` of its last tried move, a
-//! rejected record is nothing (a round that adopts nothing never touches
-//! the base). Candidate *scoring* and the failed verifications, which is
-//! where virtually all the compute lives, are skipped entirely. Because
-//! the executors are deterministic and a verification depends only on the
-//! base and its move, the resumed search's state — down to optimized
-//! branch lengths — is bit-identical to the uninterrupted run, and so is
-//! its final Newick.
+//! After every *completed* round the search appends one [`WalRound`] — the
+//! candidates it verified in rank order up to and including the one it
+//! adopted, whether the last one was adopted, and the round-end
+//! log-likelihood — to a CRC32-framed log (see [`crate::durable`]). The log
+//! is the search's checkpoint: the addition order is `jumble_order(seed)`,
+//! the tree is the logged moves replayed, and the taxa placed are the count
+//! of `Addition` records. Resume replays the records under one rule: an
+//! accepted record is the `commit` of its last tried move, a rejected
+//! record is nothing (a round that adopts nothing never touches the base).
+//! Candidate *scoring* and the failed verifications, which is where
+//! virtually all the compute lives, are skipped entirely. Because the
+//! executors are deterministic and a verification depends only on the base
+//! and its move, a log of this build's [`NUMERICS_EPOCH`] resumes to the
+//! uninterrupted run's state bit for bit — down to optimized branch lengths
+//! — and so to its final Newick. A single search also resumes a log of
+//! another epoch: it commits the same moves and continues live, its guard
+//! comparing likelihoods within a relative tolerance instead of by bits.
 //!
 //! Records are appended *after* the round commits: a crash between commit
 //! and append merely re-runs that round live on resume, deterministically
@@ -23,11 +24,14 @@
 //! sequence, and any torn tail is dropped by the durable layer's
 //! truncate-to-valid recovery.
 //!
-//! One WAL file per (job, jumble seed) lives under `--wal-dir`; on jumble
-//! completion the farm retires the file (the result is in the manifest or
-//! checkpoint by then), keeping the directory bounded.
+//! One directory holds a run's state: one log per (job, jumble seed) and,
+//! for a farm, its manifest ([`manifest_path`]). On jumble completion the
+//! farm retires the log (the result is in the manifest by then), keeping
+//! the directory bounded.
 
 use crate::durable::{self, LogWriter};
+use crate::executor::RoundExecutor;
+use crate::search::StepwiseSearch;
 use fdml_obs::{Event, Obs};
 use fdml_phylo::ops::TreeMove;
 use fdml_phylo::tree::NodeId;
@@ -137,8 +141,9 @@ pub struct WalRound {
     /// (`false`: none improved, the base is unchanged).
     pub accepted: bool,
     /// Bit pattern of the round-end log-likelihood — the replay
-    /// divergence guard: a replayed round must land on exactly these
-    /// bits or resume aborts rather than silently drift.
+    /// divergence guard: a replayed round must land on exactly these bits
+    /// (within a relative tolerance for a log of another
+    /// [`NUMERICS_EPOCH`]) or resume aborts rather than silently drift.
     pub lnl_bits: u64,
 }
 
@@ -154,12 +159,19 @@ impl WalRound {
     }
 }
 
-/// Which build's arithmetic a log's `lnl_bits` were computed with. Replay
-/// compares likelihood *bits*, so a log is only replayable by a build that
-/// optimizes branch lengths to the same last bit; bump this whenever a
-/// change moves them (1: converged Newton exits stopped measuring their
-/// last step). Logs from before the field existed read as 0.
+/// Which build's arithmetic a log's `lnl_bits` were computed with; bump
+/// it whenever a change moves optimized branch lengths by a bit (1:
+/// converged Newton exits stopped measuring their last step). Logs from
+/// before the field existed read as 0. Replay compares likelihood bits
+/// only within an epoch. A single search resumes a log of another epoch
+/// by committing its moves under [`REPLAY_TOLERANCE`]; a farm jumble of
+/// another epoch restarts, its finished siblings kept by the manifest.
 pub const NUMERICS_EPOCH: u32 = 1;
+
+/// The relative likelihood difference a replayed round may show against
+/// a log of another [`NUMERICS_EPOCH`]: arithmetic drift, not a different
+/// run or a move that no longer applies.
+pub const REPLAY_TOLERANCE: f64 = 1e-6;
 
 /// The first record of every WAL file: identifies the search so resume
 /// can refuse a mismatched log.
@@ -194,21 +206,29 @@ pub struct WalState {
     pub dropped_bytes: u64,
 }
 
-/// Path of the WAL for `seed` under `dir`, optionally namespaced by a
-/// serve-job id (`job == 0` means "no job": the plain farm and serial
-/// paths; registry job ids start at 1).
-pub fn wal_path(dir: &Path, job: u64, seed: u64) -> PathBuf {
-    if job == 0 {
-        dir.join(format!("jumble-{seed}.wal"))
-    } else {
-        dir.join(format!("job-{job}-jumble-{seed}.wal"))
+/// The one naming rule of a state directory: `name` for the CLI's runs
+/// (`job == 0`), `job-<job>-name` for a daemon job (registry job ids start
+/// at 1), so any number of jobs share the directory.
+fn job_file(dir: &Path, job: u64, name: &str) -> PathBuf {
+    match job {
+        0 => dir.join(name),
+        job => dir.join(format!("job-{job}-{name}")),
     }
 }
 
-/// Load and validate the WAL for `(job, seed)` under `dir`. `Ok(None)`
-/// when no log exists or the log holds no usable header (a fresh run) —
-/// a header of another [`NUMERICS_EPOCH`] is not usable: its rounds would
-/// fail the replay guard, so the jumble is recomputed instead.
+/// Path of the WAL for `seed` under `dir`.
+pub fn wal_path(dir: &Path, job: u64, seed: u64) -> PathBuf {
+    job_file(dir, job, &format!("jumble-{seed}.wal"))
+}
+
+/// Path of `job`'s farm manifest under `dir`, beside its jumbles' logs.
+pub fn manifest_path(dir: &Path, job: u64) -> PathBuf {
+    job_file(dir, job, "manifest.json")
+}
+
+/// Load the WAL for `(job, seed)` under `dir`. `Ok(None)` when no log
+/// exists or the log holds no parseable header (a fresh run); the header
+/// may name another [`NUMERICS_EPOCH`] — what that means is the caller's.
 /// Records after a valid header are re-indexed from 0 — gaps cannot
 /// occur because appends are index-gated, but a recovered prefix is
 /// renumbered defensively.
@@ -225,7 +245,7 @@ pub fn load(dir: &Path, job: u64, seed: u64) -> io::Result<Option<WalState>> {
     let mut records = recovered.records.iter();
     let start = match records.next() {
         Some(first) => match parse(first) {
-            Some(WalRecord::Start(s)) if s.numerics == NUMERICS_EPOCH => s,
+            Some(WalRecord::Start(s)) => s,
             _ => return Ok(None),
         },
         None => return Ok(None),
@@ -250,7 +270,7 @@ pub fn load(dir: &Path, job: u64, seed: u64) -> io::Result<Option<WalState>> {
 }
 
 /// Delete the WAL for `(job, seed)` — called when the jumble's result has
-/// been durably recorded elsewhere (manifest, checkpoint, or registry).
+/// been durably recorded in the manifest.
 /// Missing file is fine (the jumble may have run WAL-less or pre-crash).
 pub fn retire(dir: &Path, job: u64, seed: u64) -> io::Result<()> {
     remove(&wal_path(dir, job, seed))
@@ -264,22 +284,29 @@ fn remove(path: &Path) -> io::Result<()> {
 }
 
 /// Recover the WAL for `(job, seed)` under `dir`, or start one: the
-/// committed rounds (empty on a fresh log) and the append handle continuing
-/// at the next index. The one place a log is opened — an in-process search
-/// ([`WalSession::open`]) and a coordinator's `farm::Ledger` both come here.
+/// [`NUMERICS_EPOCH`] of its rounds, the rounds (none on a fresh log) and
+/// the append handle continuing at the next index. A log of another [`NUMERICS_EPOCH`] is recovered only
+/// `across_epochs` (a single search); otherwise it is replaced by a fresh
+/// one (a farm jumble restarts). The one place a log is opened — an
+/// in-process search ([`WalSession::open`]) and a coordinator's
+/// `farm::Ledger` both come here.
 pub fn open(
     dir: &Path,
     job: u64,
     seed: u64,
     num_taxa: usize,
-) -> io::Result<(Vec<WalRound>, WalWriter)> {
-    Ok(match load(dir, job, seed)? {
-        Some(state) => {
+    across_epochs: bool,
+) -> io::Result<(u32, Vec<WalRound>, WalWriter)> {
+    match load(dir, job, seed)? {
+        Some(state) if across_epochs || state.start.numerics == NUMERICS_EPOCH => {
             let writer = WalWriter::resume(dir, job, seed, &state)?;
-            (state.rounds, writer)
+            Ok((state.start.numerics, state.rounds, writer))
         }
-        None => (Vec::new(), WalWriter::create(dir, job, seed, num_taxa)?),
-    })
+        _ => {
+            let writer = WalWriter::create(dir, job, seed, num_taxa)?;
+            Ok((NUMERICS_EPOCH, Vec::new(), writer))
+        }
+    }
 }
 
 /// Append-side handle for one jumble's WAL: index-gated, duplicate-safe.
@@ -356,17 +383,17 @@ impl WalWriter {
 }
 
 /// One coordinator-side WAL attachment for an in-process search: recover
-/// the log (or start one), hand the committed prefix to
-/// `StepwiseSearch::resume_from_wal`, append each newly committed round
-/// via [`WalSession::hook`], and surface any deferred append error when
-/// the run is over. The hook's I/O error cannot abort the search from
+/// the log of any epoch (or start one), [`attach`](WalSession::attach) it
+/// to the search, and surface any deferred append error when the run is
+/// over. The hook's I/O error cannot abort the search from
 /// inside the callback (it returns unit by design), so the session
 /// captures the first failure and [`WalSession::finish_and_retire`]
 /// re-raises it — a silently unreported round would shrink the
 /// crash-tolerance window without anyone noticing.
 pub struct WalSession {
     shared: Rc<RefCell<SessionShared>>,
-    rounds: Option<Vec<WalRound>>,
+    rounds: Vec<WalRound>,
+    numerics: u32,
 }
 
 struct SessionShared {
@@ -387,7 +414,7 @@ impl WalSession {
         num_taxa: usize,
         obs: &Obs,
     ) -> io::Result<WalSession> {
-        let (rounds, writer) = open(dir, job, seed, num_taxa)?;
+        let (numerics, rounds, writer) = open(dir, job, seed, num_taxa, true)?;
         if !rounds.is_empty() {
             let replayed = rounds.len() as u64;
             obs.emit(|| Event::WalReplay {
@@ -404,23 +431,24 @@ impl WalSession {
                 job,
                 seed,
             })),
-            rounds: Some(rounds),
+            rounds,
+            numerics,
         })
     }
 
-    /// The recovered committed prefix, for `resume_from_wal`. Empty after
-    /// the first call (and on a fresh log).
-    pub fn take_rounds(&mut self) -> Vec<WalRound> {
-        self.rounds.take().unwrap_or_default()
-    }
-
-    /// The append callback for `StepwiseSearch::on_wal`: index-gated
-    /// append plus an [`Event::WalAppend`] per durable record. After the
-    /// first I/O error the hook goes quiet (the search finishes, the
-    /// error surfaces in [`WalSession::finish_and_retire`]).
-    pub fn hook(&self) -> impl FnMut(&WalRound) {
+    /// Attach to `search`: it replays the recovered prefix (once; under
+    /// the prefix's epoch) and hands every round it commits to the append
+    /// hook — index-gated, one [`Event::WalAppend`] per durable record.
+    /// After the first I/O error the hook goes quiet (the search finishes,
+    /// the error surfaces in [`WalSession::finish_and_retire`]).
+    pub fn attach<'c, E: RoundExecutor>(
+        &mut self,
+        search: StepwiseSearch<'c, E>,
+    ) -> StepwiseSearch<'c, E> {
+        let rounds = std::mem::take(&mut self.rounds);
+        let search = search.resume_from_wal(rounds).replay_epoch(self.numerics);
         let shared = Rc::clone(&self.shared);
-        move |round| {
+        search.on_wal(move |round| {
             let mut s = shared.borrow_mut();
             if s.error.is_some() {
                 return;
@@ -438,7 +466,7 @@ impl WalSession {
                 Ok(None) => {}
                 Err(e) => s.error = Some(e),
             }
-        }
+        })
     }
 
     /// Re-raise the first append error captured during the run, if any;
@@ -605,9 +633,16 @@ mod tests {
                 numerics: 0,
             })
         );
-        // Not an error, not a replay: a fresh run, whose log replaces it.
-        assert!(load(&dir, 0, 7).unwrap().is_none());
-        let mut w = WalWriter::create(&dir, 0, 7, 6).unwrap();
+        // A single search recovers it, epoch and all, to replay within
+        // tolerance; recovering leaves the file as it was.
+        let (numerics, rounds, w) = open(&dir, 0, 7, 6, true).unwrap();
+        assert_eq!((numerics, rounds.len()), (0, 2));
+        drop(w);
+        assert_eq!(fs::read(&path).unwrap(), old);
+        // A farm jumble: not an error, not a replay — a fresh run, whose
+        // log replaces it.
+        let (numerics, rounds, mut w) = open(&dir, 0, 7, 6, false).unwrap();
+        assert!(rounds.is_empty() && numerics == NUMERICS_EPOCH);
         assert!(fs::metadata(&path).unwrap().len() < old.len() as u64);
         w.append(&round(0, true)).unwrap();
         drop(w);

@@ -13,19 +13,21 @@
 //!   startup, and the log compacts back to a single record once it grows.
 //!   Files from daemons predating the framed format (plain JSON) are read
 //!   and migrated on the first save.
-//! * `job-<id>.manifest.json` — one farm manifest per job, the same
-//!   [`FarmManifest`] format the jumble farm checkpoints with: which
-//!   adjusted seeds are planned, and for each `Done` seed the tree and
-//!   its likelihood. Written after every completed jumble, through the
-//!   same durable layer.
+//! * `wal/` — each job's farm state, kept by its `fdml_core::farm::Ledger`
+//!   exactly as a CLI farm keeps its `--wal-dir`: the job's manifest
+//!   (each `Done` seed's tree and likelihood, saved after every completed
+//!   jumble) and one round log per in-flight jumble, both named by job id.
+//!
+//!   Opening the registry moves a manifest older daemons kept beside
+//!   `jobs.json` (`job-<id>.manifest.json`) into `wal/`.
 //!
 //! A restarted daemon reloads both, requeues every `Pending` seed, and
 //! resumes — no jumble is lost, and none runs twice, because a seed is
 //! only marked `Done` when its result is already on disk.
 
 use fdml_comm::job::{JobId, JobSpec, JobState, JobStatus};
-use fdml_core::checkpoint::FarmManifest;
 use fdml_core::durable::{self, LogWriter};
+use fdml_core::wal;
 use fdml_obs::{Event, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -147,6 +149,15 @@ impl Registry {
             }
             None => (1, BTreeMap::new()),
         };
+        // Daemons before the ledger kept its own files left each job's
+        // manifest beside `jobs.json`: move it to where the ledger reads it.
+        for &id in jobs.keys() {
+            let legacy = dir.join(format!("job-{id}.manifest.json"));
+            let path = wal::manifest_path(&dir.join("wal"), id);
+            if legacy.exists() && !path.exists() {
+                std::fs::rename(&legacy, &path)?;
+            }
+        }
         // `resume` truncates any torn tail so appends continue cleanly;
         // for a fresh or legacy path it starts a new framed log.
         let log = if migrate {
@@ -173,8 +184,8 @@ impl Registry {
     }
 
     /// Admit a spec: assign the next id, record the job as
-    /// [`JobState::Queued`], create its manifest, and persist both.
-    pub fn admit(&mut self, spec: JobSpec, seeds: &[u64]) -> io::Result<JobId> {
+    /// [`JobState::Queued`], and persist.
+    pub fn admit(&mut self, spec: JobSpec) -> io::Result<JobId> {
         let id = self.next_id;
         self.next_id += 1;
         self.jobs.insert(
@@ -186,7 +197,6 @@ impl Registry {
                 failure: None,
             },
         );
-        FarmManifest::new(seeds).save(&self.manifest_path(id))?;
         self.save()?;
         Ok(id)
     }
@@ -230,25 +240,11 @@ impl Registry {
             .count()
     }
 
-    /// Where `id`'s farm manifest lives.
-    pub fn manifest_path(&self, id: JobId) -> PathBuf {
-        self.dir.join(format!("job-{id}.manifest.json"))
-    }
-
-    /// Where every job's write-ahead round logs live (one file per
-    /// in-flight jumble, namespaced by job id; see `fdml_core::wal`).
+    /// Where every job's manifest and write-ahead round logs live (one
+    /// manifest per job, one log per in-flight jumble, named by job id; see
+    /// `fdml_core::wal::manifest_path` and `wal_path`).
     pub fn wal_dir(&self) -> PathBuf {
         self.dir.join("wal")
-    }
-
-    /// Reload `id`'s manifest from disk (a fresh all-`Pending` one if the
-    /// file is somehow missing).
-    pub fn load_manifest(&self, id: JobId, seeds: &[u64]) -> FarmManifest {
-        let path = self.manifest_path(id);
-        std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| FarmManifest::from_json(&text).ok())
-            .unwrap_or_else(|| FarmManifest::new(seeds))
     }
 
     /// Assemble the `--status` answer for `id` given its manifest
@@ -318,8 +314,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut reg = Registry::open(&dir).unwrap();
-            assert_eq!(reg.admit(spec("a"), &[1, 3]).unwrap(), 1);
-            assert_eq!(reg.admit(spec("b"), &[5, 7]).unwrap(), 2);
+            assert_eq!(reg.admit(spec("a")).unwrap(), 1);
+            assert_eq!(reg.admit(spec("b")).unwrap(), 2);
             reg.set_state(2, JobState::Running).unwrap();
         }
         {
@@ -328,23 +324,8 @@ mod tests {
             assert_eq!(reg.get(2).unwrap().state, JobState::Running);
             assert_eq!(reg.get(1).unwrap().spec.label, "a");
             // The next id continues where the dead daemon stopped.
-            assert_eq!(reg.admit(spec("c"), &[9]).unwrap(), 3);
+            assert_eq!(reg.admit(spec("c")).unwrap(), 3);
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_round_trips_through_the_state_dir() {
-        let dir = std::env::temp_dir().join(format!("fdml-reg-m-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut reg = Registry::open(&dir).unwrap();
-        let id = reg.admit(spec("m"), &[1, 3, 5]).unwrap();
-        let mut manifest = reg.load_manifest(id, &[1, 3, 5]);
-        manifest.mark_done(3, "(a,b,(c,d));".into(), -42.0);
-        manifest.save(&reg.manifest_path(id)).unwrap();
-        let back = reg.load_manifest(id, &[1, 3, 5]);
-        assert_eq!(back.unfinished(), vec![1, 5]);
-        assert!(!back.is_complete());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -354,8 +335,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut reg = Registry::open(&dir).unwrap();
-            reg.admit(spec("a"), &[1]).unwrap();
-            reg.admit(spec("b"), &[3]).unwrap();
+            reg.admit(spec("a")).unwrap();
+            reg.admit(spec("b")).unwrap();
             reg.set_state(2, JobState::Running).unwrap();
         }
         // Tear the snapshot log mid-record, as a crash during save would.
@@ -411,7 +392,7 @@ mod tests {
         std::fs::write(dir.join("jobs.json"), &legacy).unwrap();
         let mut reg = Registry::open(&dir).unwrap();
         assert_eq!(reg.get(4).unwrap().spec.label, "old");
-        assert_eq!(reg.admit(spec("new"), &[1]).unwrap(), 5);
+        assert_eq!(reg.admit(spec("new")).unwrap(), 5);
         // The file is now a framed log and keeps round-tripping.
         let raw = std::fs::read(dir.join("jobs.json")).unwrap();
         assert!(raw.starts_with(fdml_core::durable::LOG_MAGIC));
@@ -436,7 +417,7 @@ mod tests {
         let entry = reg.get(2).expect("the queued job survives the upgrade");
         assert_eq!(entry.state, JobState::Queued);
         assert_eq!(entry.spec, spec("queued"));
-        assert_eq!(reg.admit(spec("next"), &[1]).unwrap(), 3);
+        assert_eq!(reg.admit(spec("next")).unwrap(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -462,7 +443,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fdml-reg-c-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut reg = Registry::open(&dir).unwrap();
-        let id = reg.admit(spec("churn"), &[1]).unwrap();
+        let id = reg.admit(spec("churn")).unwrap();
         // Enough transitions to force several compactions.
         let mut max_bytes = 0u64;
         for i in 0..(3 * COMPACT_AT) {
@@ -496,7 +477,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut reg = Registry::open(&dir).unwrap();
-            let id = reg.admit(spec("f"), &[1]).unwrap();
+            let id = reg.admit(spec("f")).unwrap();
             reg.set_failed(id, "wall-time quota exhausted".into())
                 .unwrap();
         }

@@ -28,9 +28,9 @@ use crate::registry::Registry;
 use fdml_comm::job::{JobId, JobResult, JobSpec, JobState, JobStatus, JobTree, RejectReason};
 use fdml_comm::message::Message;
 use fdml_comm::transport::{ranks, Rank, Transport};
-use fdml_core::checkpoint::FarmManifest;
-use fdml_core::farm::{FarmParts, JumbleRun, Ledger};
+use fdml_core::farm::{FarmManifest, FarmParts, JumbleRun, Ledger};
 use fdml_core::job::ResolvedJob;
+use fdml_core::wal;
 use fdml_net::wire::{write_frame, Frame};
 use fdml_net::{ServiceRequest, TcpHub, TcpTransport};
 use fdml_obs::{Event, MemorySink, Obs, Record, RunReport, Sink};
@@ -170,8 +170,7 @@ impl Scheduler {
         for (id, spec) in unfinished {
             match ResolvedJob::from_spec(&spec) {
                 Ok(resolved) => {
-                    let manifest = self.registry.load_manifest(id, &resolved.seeds);
-                    self.activate(id, &spec, resolved, Some(manifest));
+                    self.activate(id, &spec, resolved);
                     // It may have finished just before the old daemon
                     // died, with only the registry transition lost.
                     if self.active.get(&id).is_some_and(|j| j.ledger.is_complete()) {
@@ -188,15 +187,9 @@ impl Scheduler {
     }
 
     /// Open the job's ledger and put it on the ring; a manifest the ledger
-    /// refuses (a `Done` entry without its tree, foreign seeds) fails the
-    /// job with that reason.
-    fn activate(
-        &mut self,
-        id: JobId,
-        spec: &JobSpec,
-        resolved: ResolvedJob,
-        resume: Option<FarmManifest>,
-    ) {
+    /// refuses (one that does not parse, a `Done` entry without its tree,
+    /// foreign seeds) fails the job with that reason.
+    fn activate(&mut self, id: JobId, spec: &JobSpec, resolved: ResolvedJob) {
         let width = effective(spec.max_ranks as u64, self.limits.max_job_ranks as u64) as usize;
         let wall_ms = effective(spec.max_wall_ms, self.limits.max_wall_ms);
         let sink = MemorySink::new();
@@ -204,15 +197,9 @@ impl Scheduler {
             Box::new(sink.clone()),
             Box::new(Also(self.obs.clone())),
         ]);
-        let ledger = match Ledger::open(
-            &resolved.alignment,
-            &resolved.seeds,
-            resume,
-            Some(self.registry.manifest_path(id)),
-            id,
-            Some(self.registry.wal_dir()),
-            &obs,
-        ) {
+        let dir = Some(self.registry.wal_dir());
+        let (alignment, config) = (&resolved.alignment, &resolved.config);
+        let ledger = match Ledger::open(alignment, config, &resolved.seeds, id, dir, &obs) {
             // A stale log that will not go is clutter, not the job's problem.
             Ok((ledger, _stale)) => ledger,
             Err(e) => {
@@ -657,11 +644,11 @@ impl Scheduler {
         }
         let id = self
             .registry
-            .admit(spec.clone(), &resolved.seeds)
+            .admit(spec.clone())
             .map_err(|e| RejectReason::Malformed {
                 reason: format!("state dir unwritable: {e}"),
             })?;
-        self.activate(id, &spec, resolved, None);
+        self.activate(id, &spec, resolved);
         if let Some(job) = self.active.get(&id) {
             job.obs.emit(|| Event::JobSubmitted {
                 job: id,
@@ -678,12 +665,13 @@ impl Scheduler {
             return self.registry.status(id, done, total);
         }
         let entry = self.registry.get(id)?;
-        let manifest = self.registry.load_manifest(id, &[]);
-        let total = match manifest.entries.len() {
-            0 => entry.spec.jumbles,
-            n => n,
+        // Done or failed. One that failed before a jumble finished, or on a
+        // manifest that does not parse, reports none done.
+        let path = wal::manifest_path(&self.registry.wal_dir(), id);
+        let (done, total) = match FarmManifest::load(&path) {
+            Ok(Some(manifest)) => manifest.completed(),
+            _ => (0, entry.spec.jumbles),
         };
-        let done = manifest.entries.len() - manifest.unfinished().len();
         self.registry.status(id, done, total)
     }
 
@@ -741,9 +729,9 @@ impl Scheduler {
     /// A finished job's trees and consensus, from its durable manifest.
     fn rebuild(&self, id: JobId, spec: &JobSpec) -> Result<FarmParts, PhyloError> {
         let job = ResolvedJob::from_spec(spec).map_err(|e| PhyloError::Format(e.to_string()))?;
-        let manifest = Some(self.registry.load_manifest(id, &job.seeds));
         let (alignment, quiet) = (&job.alignment, Obs::disabled());
-        let (ledger, _) = Ledger::open(alignment, &job.seeds, manifest, None, id, None, &quiet)?;
+        let dir = Some(self.registry.wal_dir());
+        let (ledger, _) = Ledger::open(alignment, &job.config, &job.seeds, id, dir, &quiet)?;
         ledger.finish()
     }
 }
@@ -956,8 +944,14 @@ mod tests {
         }
     }
 
+    /// Round logs left in the state directory (the manifests stay).
     fn wal_files(dir: &Path) -> usize {
-        std::fs::read_dir(dir.join("wal")).map_or(0, |rd| rd.count())
+        let entries = std::fs::read_dir(dir.join("wal"))
+            .into_iter()
+            .flatten()
+            .flatten();
+        let is_log = |e: &std::fs::DirEntry| e.path().extension().is_some_and(|x| x == "wal");
+        entries.filter(is_log).count()
     }
 
     /// A daemon that admitted a two-jumble job, landed its first seed and
@@ -999,7 +993,7 @@ mod tests {
             (-41.0, seeds[1])
         );
         assert!(result.consensus_newick.is_some());
-        assert_eq!(wal_files(&dir), 0, "state/wal must be empty");
+        assert_eq!(wal_files(&dir), 0, "no round log is left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1039,7 +1033,7 @@ mod tests {
         let entry = s.registry.get(id).unwrap();
         assert_eq!(entry.state, JobState::Failed);
         assert!(entry.failure.as_ref().unwrap().contains("wall-time"));
-        assert_eq!(wal_files(&dir), 0, "state/wal must be empty");
+        assert_eq!(wal_files(&dir), 0, "no round log is left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1050,9 +1044,8 @@ mod tests {
             ("bad-tree", Some("((t0,".to_string()), "leaf without a name"),
         ] {
             let (id, seeds, dir) = killed_after_one_jumble(tag);
-            let path = dir.join(format!("job-{id}.manifest.json"));
-            let text = std::fs::read_to_string(&path).unwrap();
-            let mut manifest = FarmManifest::from_json(&text).unwrap();
+            let path = wal::manifest_path(&dir.join("wal"), id);
+            let mut manifest = FarmManifest::load(&path).unwrap().unwrap();
             assert_eq!(manifest.unfinished(), [seeds[1]]);
             manifest.entries[0].newick = newick;
             manifest.save(&path).unwrap();
@@ -1065,5 +1058,82 @@ mod tests {
             assert!(failure.contains(reason), "{tag}: {failure}");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn manifests_in_the_old_layout_revive_and_rebuild_their_jobs() {
+        // One job finished and one killed mid-way, under a daemon that kept
+        // each manifest as `job-N.manifest.json` beside `jobs.json`, with
+        // no problem key.
+        let (mut s, dir) = test_scheduler("legacy");
+        let done = s.admit(one_jumble_spec()).unwrap();
+        s.workers.insert(3, Worker::default());
+        s.dispatch();
+        let task = *s.in_flight.keys().next().unwrap();
+        s.absorb_result(done, task, 7, TREE.into(), -40.0);
+        assert_eq!(s.registry.get(done).unwrap().state, JobState::Done);
+        let running = s.admit(two_jumble_spec()).unwrap();
+        let seeds: Vec<u64> = s.active[&running]
+            .ledger
+            .pending()
+            .iter()
+            .copied()
+            .collect();
+        s.dispatch();
+        let task = *s.in_flight.keys().next().unwrap();
+        s.absorb_result(running, task, seeds[0], TREE.into(), -42.0);
+        drop(s);
+        for id in [done, running] {
+            let path = wal::manifest_path(&dir.join("wal"), id);
+            let mut manifest = FarmManifest::load(&path).unwrap().unwrap();
+            manifest.problem = None;
+            manifest
+                .save(&dir.join(format!("job-{id}.manifest.json")))
+                .unwrap();
+            std::fs::remove_file(&path).unwrap();
+        }
+
+        let s = scheduler_at(&dir);
+        assert_eq!(s.registry.get(running).unwrap().state, JobState::Running);
+        assert_eq!(s.active[&running].ledger.completed(), (1, 2));
+        assert_eq!(s.status_of(done).unwrap().done, 1);
+        let spec = s.registry.get(done).unwrap().spec.clone();
+        let parts = s.rebuild(done, &spec).expect("the finished job's result");
+        assert_eq!((parts.runs.len(), parts.best_ln_likelihood()), (1, -40.0));
+        assert!(!dir.join(format!("job-{done}.manifest.json")).exists());
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_manifest_that_does_not_parse_fails_only_its_job() {
+        let (id, _, dir) = killed_after_one_jumble("garbled");
+        let mut s = scheduler_at(&dir);
+        let other = s.admit(two_jumble_spec()).unwrap();
+        drop(s);
+        let path = wal::manifest_path(&dir.join("wal"), id);
+        std::fs::write(&path, "{ \"entries\": [").unwrap();
+
+        let s = scheduler_at(&dir);
+        let entry = s.registry.get(id).unwrap();
+        assert_eq!(entry.state, JobState::Failed);
+        let failure = entry.failure.clone().unwrap();
+        assert!(
+            failure.contains(&path.display().to_string())
+                && failure.contains("not a valid farm manifest"),
+            "{failure}"
+        );
+        assert_eq!(s.status_of(id).unwrap().done, 0);
+        assert_eq!(s.active[&other].ledger.completed(), (0, 2));
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // No manifest at all is a job that has finished nothing yet.
+        let (id, _, dir) = killed_after_one_jumble("missing");
+        std::fs::remove_file(wal::manifest_path(&dir.join("wal"), id)).unwrap();
+        let s = scheduler_at(&dir);
+        assert_eq!(s.registry.get(id).unwrap().state, JobState::Running);
+        assert_eq!(s.active[&id].ledger.completed(), (0, 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,28 +1,18 @@
 //! The DNArates companion program: estimate per-site evolutionary rates on
 //! a fixed tree and emit rate categories for fastdnaml.
 //!
-//! ```text
-//! dnarates --input data.phy --tree tree.nwk [options]
-//!
-//!   --input FILE       PHYLIP alignment                       [required]
-//!   --tree FILE        reference tree (Newick)                [optional: inferred]
-//!   --categories K     number of rate categories              [8]
-//!   --grid-min R       smallest rate considered               [0.05]
-//!   --grid-max R       largest rate considered                [20.0]
-//!   --grid-points N    rate grid resolution                   [25]
-//!   --output FILE      write the rate report ("-" = stdout)
-//! ```
+//! Its flags are [`USAGE`], what `--help` prints, and nothing else.
 //!
 //! Output format: one header line, one `category rates:` line, then one
 //! line per site: `site  rate  category`.
 
+use fastdnaml::cli::{get, parse_args, Takes};
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{search_in_process, SearchSession};
 use fastdnaml::likelihood::engine::LikelihoodEngine;
 use fastdnaml::phylo::{newick, phylip};
 use fastdnaml::rates::{categorize, estimate_rates, RateGrid};
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -38,56 +28,49 @@ dnarates --input data.phy [--tree tree.nwk] [options]
   --help             show this message
 ";
 
+/// Every flag the program understands, in [`USAGE`]'s order.
+const FLAGS: &[(&str, Takes)] = &[
+    ("input", Takes::Text),
+    ("tree", Takes::Text),
+    ("categories", Takes::Int),
+    ("grid-min", Takes::Real),
+    ("grid-max", Takes::Real),
+    ("grid-points", Takes::Int),
+    ("output", Takes::Text),
+    ("help", Takes::Nothing),
+];
+
+/// The one-line failure every bad invocation ends in.
+fn die(why: impl std::fmt::Display) -> ExitCode {
+    eprintln!("dnarates: {why}");
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
-    let mut args: HashMap<String, String> = HashMap::new();
-    let mut iter = std::env::args().skip(1).peekable();
-    while let Some(item) = iter.next() {
-        if let Some(key) = item.strip_prefix("--") {
-            if let Some(v) = iter.peek() {
-                if !v.starts_with("--") {
-                    args.insert(key.to_string(), iter.next().expect("peeked"));
-                    continue;
-                }
-            }
-            args.insert(key.to_string(), String::new());
-        }
-    }
-    if args.contains_key("help") {
+    let (args, switches) = match parse_args(std::env::args().skip(1), FLAGS) {
+        Ok(parsed) => parsed,
+        Err(e) => return die(e),
+    };
+    if switches.iter().any(|s| s == "help") {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
     let Some(input) = args.get("input") else {
-        eprintln!("dnarates: --input FILE is required\n\n{USAGE}");
-        return ExitCode::FAILURE;
+        return die(format_args!("--input FILE is required\n\n{USAGE}"));
     };
     let alignment = match std::fs::read_to_string(input)
         .map_err(|e| e.to_string())
         .and_then(|t| phylip::parse(&t).map_err(|e| e.to_string()))
     {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("dnarates: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return die(e),
     };
     let grid = RateGrid {
-        min: args
-            .get("grid-min")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.05),
-        max: args
-            .get("grid-max")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20.0),
-        points: args
-            .get("grid-points")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(25),
+        min: get(&args, "grid-min", 0.05),
+        max: get(&args, "grid-max", 20.0),
+        points: get(&args, "grid-points", 25),
     };
-    let k: usize = args
-        .get("categories")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
+    let k: usize = get(&args, "categories", 8);
 
     // A grid or category count the estimator cannot use is refused before
     // the reference tree is inferred, not after.
@@ -103,13 +86,23 @@ fn main() -> ExitCode {
         None
     };
     if let Some(why) = refusal {
-        eprintln!("dnarates: {why}");
-        return ExitCode::FAILURE;
+        return die(why);
     }
     let tree = match args.get("tree") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).expect("read tree file");
-            newick::parse_tree(text.trim(), &alignment).expect("parse reference tree")
+            let tree = std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| {
+                    newick::parse_tree(text.trim(), &alignment).map_err(|e| e.to_string())
+                })
+                .and_then(|tree| match tree.num_tips() {
+                    n if n == alignment.num_taxa() => Ok(tree),
+                    n => Err(format!("tree has {n} of {} taxa", alignment.num_taxa())),
+                });
+            match tree {
+                Ok(tree) => tree,
+                Err(e) => return die(format_args!("--tree {path}: {e}")),
+            }
         }
         None => {
             eprintln!("dnarates: no --tree given; inferring a reference tree first…");
@@ -118,9 +111,10 @@ fn main() -> ExitCode {
                 ..SearchConfig::default()
             };
             let job = ResolvedJob::single(alignment.clone(), config);
-            search_in_process(&job, SearchSession::default())
-                .expect("reference search")
-                .tree
+            match search_in_process(&job, SearchSession::default()) {
+                Ok(found) => found.tree,
+                Err(e) => return die(format_args!("reference search: {e}")),
+            }
         }
     };
     let engine = LikelihoodEngine::new(&alignment);
@@ -146,7 +140,31 @@ fn main() -> ExitCode {
     );
     match args.get("output").map(String::as_str) {
         Some("-") | None => print!("{out}"),
-        Some(path) => std::fs::write(path, out).expect("write output"),
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, out) {
+                return die(format_args!("--output {path}: {e}"));
+            }
+        }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `USAGE` and `FLAGS` name the same flags.
+    #[test]
+    fn usage_and_the_flag_table_agree() {
+        let mut documented: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|name| !name.is_empty())
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut table: Vec<&str> = FLAGS.iter().map(|(name, _)| *name).collect();
+        table.sort_unstable();
+        assert_eq!(documented, table);
+    }
 }

@@ -48,19 +48,13 @@
 //!   --obs-summary        print the end-of-run report (--parallel, --net)
 //!   --bootstrap N        bootstrap with N replicates instead of jumbles
 //!   --user-trees FILE    evaluate the Newick trees in FILE, no search
-//!   --checkpoint FILE    write a resumable checkpoint after every step
-//!                        (--checkpoint-out is an alias; honoured on every
-//!                        deployment of a single search; with
-//!                        --jumbles > 1 it is the farm manifest)
-//!   --resume FILE        resume a single-jumble run from a checkpoint,
-//!                        or a farm from its manifest (--jumbles > 1)
-//!   --wal-dir DIR        write-ahead log of committed search rounds
-//!                        (serial, --parallel, --net, and farm modes): a
-//!                        killed run re-launched with the same seed and
-//!                        scoring mode — on any deployment — resumes
-//!                        bit-identically from its last committed round;
-//!                        finer-grained than a checkpoint, which only
-//!                        captures taxon-addition boundaries
+//!   --wal-dir DIR        where a run keeps what it needs to resume: the
+//!                        write-ahead log of committed search rounds
+//!                        (serial, --parallel, --net), and for a farm its
+//!                        manifest too. A killed run re-launched with the
+//!                        same command — on any deployment — resumes from
+//!                        its last committed round, bit-identically within
+//!                        a numerics epoch
 //!   --outgroup T1,T2     root the output tree on this outgroup clade
 //!   --midpoint           midpoint-root the output tree
 //!   --output FILE        write the best tree / consensus ("-" = stdout)
@@ -90,8 +84,8 @@
 //!   --attach-timeout-ms T  give up attaching after this long   [600000]
 //! ```
 
+use fastdnaml::cli::{self, get, Takes};
 use fastdnaml::comm::job::{JobSpec, JobSpecError};
-use fastdnaml::core::checkpoint::{Checkpoint, FarmManifest};
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::farm::{serial_farm, FarmOptions, JumbleRun};
 use fastdnaml::core::hierarchy::first_worker_rank;
@@ -125,12 +119,6 @@ macro_rules! report {
         // A closed stderr loses the line; `eprintln!` would panic.
         let _ = std::io::stderr().lock().write_all(line.as_bytes());
     }};
-}
-
-fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// The observer sinks `--obs-out` / `--obs-summary` ask for.
@@ -206,74 +194,26 @@ fn report_peer_exits(peer_exits: &[(usize, Option<i32>)]) {
     }
 }
 
-/// Load a `--resume` file — a farm manifest or a search checkpoint — naming
-/// the file in every failure: a missing, truncated, or foreign file is a
-/// clean error, not a panic.
-fn load_resume<T, E: std::fmt::Display>(
-    path: &str,
-    what: &str,
-    parse: impl Fn(&str) -> Result<T, E>,
-) -> Result<T, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("--resume {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("--resume {path}: not a valid {what}: {e}"))
-}
-
-/// The command line as `(value flags, switches)`. Only what [`FLAGS`]
-/// lists is accepted: a misspelt flag, a stray operand, a value flag
-/// without its value and a number that does not parse are each an error
-/// naming the offender, never a silently different run.
-fn parse_args(
-    argv: impl Iterator<Item = String>,
-) -> Result<(HashMap<String, String>, Vec<String>), String> {
-    let mut values = HashMap::new();
-    let mut flags = Vec::new();
-    let mut iter = argv.peekable();
-    while let Some(item) = iter.next() {
-        let known = item
-            .strip_prefix("--")
-            .and_then(|key| FLAGS.iter().find(|(name, _)| *name == key));
-        let Some(&(key, takes)) = known else {
-            return Err(format!("unknown argument {item:?} (--help lists them)"));
-        };
-        if takes == Takes::Nothing {
-            flags.push(key.to_string());
-            continue;
-        }
-        let Some(value) = iter.next_if(|v| !v.starts_with("--")) else {
-            return Err(format!("--{key} expects a value"));
-        };
-        let parses = match takes {
-            Takes::Int => value.parse::<u64>().is_ok(),
-            Takes::Real => value.parse::<f64>().is_ok(),
-            _ => true,
-        };
-        if !parses {
-            return Err(format!("--{key} {value}: not a number"));
-        }
-        // `--net spawn N` carries a second operand: the rank count rides
-        // in as if `--ranks N` had been given.
-        if key == "net" && value == "spawn" {
-            if let Some(n) = iter.next_if(|v| v.parse::<usize>().is_ok()) {
-                values.insert("ranks".to_string(), n);
-            }
-        }
-        values.insert(key.to_string(), value);
+/// The command line as `(value flags, switches)`, parsed against
+/// [`FLAGS`] ([`cli::parse_args`]); a [`RETIRED`] flag is an error naming
+/// what replaced it.
+fn parse_args(argv: impl Iterator<Item = String>) -> Result<cli::Args, String> {
+    let mut argv: Vec<String> = argv.collect();
+    let mut keys = argv.iter().filter_map(|item| item.strip_prefix("--"));
+    if let Some(key) = keys.find(|key| RETIRED.contains(key)) {
+        return Err(format!(
+            "--{key} is retired: a run resumes from its round log; \
+             re-run the same command with --wal-dir DIR"
+        ));
     }
-    Ok((values, flags))
-}
-
-/// What a flag is followed by on the command line.
-#[derive(Clone, Copy, PartialEq)]
-enum Takes {
-    /// A switch.
-    Nothing,
-    /// A path, name, address or mode, checked where it is used (`--net`
-    /// takes coordinator | worker | spawn N, and `peer` for worker).
-    Text,
-    /// An unsigned integer.
-    Int,
-    /// A decimal number.
-    Real,
+    // `--net spawn N` carries a second operand: the rank count rides in
+    // as if `--ranks N` had been given.
+    for i in (0..argv.len().saturating_sub(2)).rev() {
+        if argv[i] == "--net" && argv[i + 1] == "spawn" && argv[i + 2].parse::<usize>().is_ok() {
+            argv.insert(i + 2, "--ranks".into());
+        }
+    }
+    cli::parse_args(argv, FLAGS)
 }
 
 /// Every flag the program understands, in [`USAGE`]'s order. The last two
@@ -307,9 +247,6 @@ const FLAGS: &[(&str, Takes)] = &[
     ("obs-summary", Takes::Nothing),
     ("bootstrap", Takes::Int),
     ("user-trees", Takes::Text),
-    ("checkpoint", Takes::Text),
-    ("checkpoint-out", Takes::Text),
-    ("resume", Takes::Text),
     ("wal-dir", Takes::Text),
     ("chaos-storage-crash", Takes::Text),
     ("outgroup", Takes::Text),
@@ -333,6 +270,9 @@ const FLAGS: &[(&str, Takes)] = &[
     ("die-after-tasks", Takes::Int),
     ("die-rank", Takes::Int),
 ];
+
+/// The flags of the checkpoint files the round log replaced.
+const RETIRED: &[&str] = &["checkpoint", "checkpoint-out", "resume"];
 
 const USAGE: &str = "\
 fastdnaml --input data.phy [options]
@@ -374,15 +314,9 @@ fastdnaml --input data.phy [options]
   --obs-summary        print the end-of-run report (--parallel, --net)
   --bootstrap N        bootstrap with N replicates instead of jumbles
   --user-trees FILE    evaluate the Newick trees in FILE, no search
-  --checkpoint FILE    write a resumable checkpoint after every step
-                       (--checkpoint-out is an alias; honoured on every
-                       deployment of a single search; with
-                       --jumbles > 1 it is the farm manifest)
-  --resume FILE        resume a single-jumble run from a checkpoint,
-                       or a farm from its manifest (--jumbles > 1)
-  --wal-dir DIR        write-ahead round log; re-running the same seed and
-                       scoring mode, on any deployment, resumes
-                       bit-identically from the last committed round
+  --wal-dir DIR        keep the run's round log (and a farm's manifest)
+                       in DIR; re-running the same command, on any
+                       deployment, resumes from the last committed round
                        (serial, --parallel, --net, farm)
   --chaos-storage-crash N  test hook: abort at the Nth durable-storage
                        operation, as a crash there would
@@ -813,14 +747,17 @@ fn main() -> ExitCode {
                 "--user-trees",
                 "--bootstrap",
             )
-            .conflict_if(has("bootstrap") && has("resume"), "--bootstrap", "--resume")
+            .conflict_if(
+                has("bootstrap") && has("wal-dir"),
+                "--bootstrap",
+                "--wal-dir",
+            )
             .conflict_if(has("parallel") && has("net"), "--parallel", "--net")
             .conflict_if(submit && has("parallel"), "--submit", "--parallel")
             .conflict_if(submit && has("net"), "--submit", "--net")
             .conflict_if(submit && has("bootstrap"), "--submit", "--bootstrap")
             .conflict_if(submit && has("user-trees"), "--submit", "--user-trees")
-            .conflict_if(submit && has("resume"), "--submit", "--resume")
-            .conflict_if(submit && has("checkpoint"), "--submit", "--checkpoint")
+            .conflict_if(submit && has("wal-dir"), "--submit", "--wal-dir")
             .build();
         match spec_result {
             Ok(spec) => spec,
@@ -916,14 +853,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Checkpoint / resume apply to the serial search, the net coordinator
-    // (rank 0 carries all the search state either way), and the jumble farm
-    // (where the file is a farm manifest instead of a search checkpoint).
-    let checkpoint_path = args
-        .get("checkpoint-out")
-        .or_else(|| args.get("checkpoint"))
-        .cloned();
-
     // The resolved job drives every remaining mode: alignment + config +
     // planned seeds, the same value the daemon builds from a submitted
     // spec.
@@ -954,28 +883,11 @@ fn main() -> ExitCode {
 
     // Multiple jumbles → the jumble farm: serial, threaded (--parallel), or
     // multi-process (--net), with an incremental majority-rule consensus
-    // and a resumable manifest.
+    // and, under --wal-dir, a manifest beside the round logs.
     if jumbles > 1 {
         let seeds = &job.seeds;
-        let farm_resume = match args.get("resume") {
-            Some(path) => match load_resume(path, "farm manifest", FarmManifest::from_json) {
-                Ok(m) if m.seeds() != *seeds => {
-                    return die(format_args!(
-                        "--resume {path}: manifest seeds {:?} do not match \
-                         this farm's {:?} (same --jumble / --jumbles required)",
-                        m.seeds(),
-                        seeds
-                    ));
-                }
-                Ok(m) => Some(m),
-                Err(e) => return die(e),
-            },
-            None => None,
-        };
         let farm_options = FarmOptions {
             width: get(&args, "farm-width", 0),
-            manifest_path: checkpoint_path.clone().map(std::path::PathBuf::from),
-            resume: farm_resume,
             wal_dir,
         };
         let (runs, cons, report): (Vec<JumbleRun>, Consensus, Option<RunReport>) =
@@ -1041,26 +953,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // A WAL resumes from its own log, replaying the search from round
-    // zero; splicing a checkpoint underneath it would desynchronize the
-    // log's round indices from the search's. (Farms compose the two —
-    // manifest for finished jumbles, WAL for in-flight ones — because
-    // there each jumble's WAL still starts at its round zero.)
-    if wal_dir.is_some() && args.contains_key("resume") {
-        return die("--wal-dir and --resume conflict for single searches; \
-             re-run with --wal-dir alone to resume from the round log");
-    }
-    let resume_checkpoint = match args.get("resume") {
-        Some(path) => match load_resume(path, "checkpoint", Checkpoint::from_json) {
-            Ok(cp) => Some(cp),
-            Err(e) => return die(e),
-        },
-        None => None,
-    };
-
     let session = SearchSession {
-        checkpoint_out: checkpoint_path.map(std::path::PathBuf::from),
-        resume: resume_checkpoint,
         wal_dir,
         trace: None,
     };
@@ -1141,7 +1034,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<(HashMap<String, String>, Vec<String>), String> {
+    fn parse(line: &str) -> Result<cli::Args, String> {
         parse_args(line.split_whitespace().map(String::from))
     }
 

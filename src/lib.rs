@@ -53,6 +53,8 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
+
 pub use fdml_chaos as chaos;
 pub use fdml_comm as comm;
 pub use fdml_core as core;

@@ -6,15 +6,15 @@
 //! fault-free run — drops are requeued, delays are deduplicated, corrupt
 //! frames degrade to loss, and a killed worker's work is redistributed.
 //! When no worker survives, the run ends in a clean typed error and the
-//! farm manifest on disk remains valid and resumable.
+//! farm's manifest and round logs on disk remain valid and resumable.
 
 use fastdnaml::chaos::storage::{self, StoragePlan};
 use fastdnaml::chaos::ChaosPlan;
-use fastdnaml::core::checkpoint::FarmManifest;
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::farm::FarmOptions;
+use fastdnaml::core::farm::{FarmManifest, FarmOptions};
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{farm_search, parallel_search, RunOptions, SearchSession};
+use fastdnaml::core::wal;
 use fastdnaml::obs::{MemorySink, Sink};
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::newick;
@@ -285,8 +285,7 @@ fn all_workers_dead_is_a_typed_error_with_a_resumable_manifest() {
     };
     let seeds = [1, 3, 5, 7, 9, 11];
     let dir = std::env::temp_dir().join(format!("fdml_chaos_soak_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let manifest_path = dir.join("farm.json");
+    let _ = std::fs::remove_dir_all(&dir);
     // Every worker dies after completing one jumble: three land, three
     // never can.
     let plan = ChaosPlan::quiet(0)
@@ -295,8 +294,7 @@ fn all_workers_dead_is_a_typed_error_with_a_resumable_manifest() {
         .with_kill(5, 1);
     let options = FarmOptions {
         width: 0,
-        manifest_path: Some(manifest_path.clone()),
-        ..FarmOptions::default()
+        wal_dir: Some(dir.clone()),
     };
     let job = farm_job(&a, &cfg, &seeds);
     let err = farm_search(&job, 6, options, RunOptions::chaotic(&plan))
@@ -306,9 +304,9 @@ fn all_workers_dead_is_a_typed_error_with_a_resumable_manifest() {
 
     // The manifest survived the collapse and resumes to completion on a
     // healthy universe.
-    let manifest =
-        FarmManifest::from_json(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
-    let done = manifest.entries.len() - manifest.unfinished().len();
+    let path = wal::manifest_path(&dir, 0);
+    let manifest = FarmManifest::load(&path).unwrap().expect("manifest saved");
+    let (done, _) = manifest.completed();
     assert!(
         done >= 1,
         "at least one jumble completed before the collapse"
@@ -322,8 +320,7 @@ fn all_workers_dead_is_a_typed_error_with_a_resumable_manifest() {
         6,
         FarmOptions {
             width: 0,
-            resume: Some(manifest),
-            ..FarmOptions::default()
+            wal_dir: Some(dir.clone()),
         },
         RunOptions::default(),
     )

@@ -50,120 +50,97 @@ fn serial_search_emits_a_tree() {
 }
 
 #[test]
-fn checkpoint_then_resume_gives_same_tree() {
+fn a_killed_run_resumes_from_its_round_log_alone() {
     let dir = workdir("resume");
-    let cp = dir.join("cp.json");
-    let run = |extra: &[&str]| -> String {
-        let mut cmd = fastdnaml();
-        cmd.args(["--input"])
+    let wal = dir.join("wal");
+    let run = |extra: &[&str]| {
+        fastdnaml()
+            .args(["--input"])
             .arg(dir.join("data.phy"))
-            .args(["--jumble", "9", "--quiet"]);
-        for a in extra {
-            cmd.arg(a);
-        }
-        let out = cmd.output().expect("run");
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).unwrap().trim().to_string()
+            .args(["--jumble", "9", "--quiet"])
+            .args(extra)
+            .output()
+            .expect("run")
     };
-    let full = run(&["--checkpoint", cp.to_str().unwrap()]);
-    assert!(cp.exists(), "checkpoint file must be written");
-    let resumed = run(&["--resume", cp.to_str().unwrap()]);
-    // The saved checkpoint is the final one (all taxa placed), so resuming
-    // re-optimizes and emits the same topology.
-    let names: Vec<String> = (0..6).map(|i| format!("t{i}")).collect();
-    let a = fastdnaml::phylo::newick::parse_tree_with_names(&full, &names).unwrap();
-    let b = fastdnaml::phylo::newick::parse_tree_with_names(&resumed, &names).unwrap();
-    assert_eq!(fastdnaml::phylo::bipartition::robinson_foulds(&a, &b, 6), 0);
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn truncated_checkpoint_fails_cleanly_naming_the_file() {
-    let dir = workdir("badcp");
-    let cp = dir.join("cp.json");
-    let out = fastdnaml()
-        .args(["--input"])
-        .arg(dir.join("data.phy"))
-        .args(["--jumble", "9", "--quiet", "--checkpoint"])
-        .arg(&cp)
-        .output()
-        .expect("run");
-    assert!(out.status.success());
-    // Chop the checkpoint mid-JSON — a crash during write-then-rename
-    // cannot produce this, but a copied or tampered file can.
-    let text = std::fs::read_to_string(&cp).unwrap();
-    std::fs::write(&cp, &text[..text.len() / 2]).unwrap();
-    let out = fastdnaml()
-        .args(["--input"])
-        .arg(dir.join("data.phy"))
-        .args(["--jumble", "9", "--quiet", "--resume"])
-        .arg(&cp)
-        .output()
-        .expect("run");
-    assert!(!out.status.success(), "truncated checkpoint must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let plain = run(&[]);
+    assert!(plain.status.success());
+    // Killed at its sixth storage operation, the run leaves its log behind.
+    let wal_arg = wal.to_str().unwrap();
+    let killed = run(&["--wal-dir", wal_arg, "--chaos-storage-crash", "6"]);
+    assert!(!killed.status.success(), "the crash must stop the run");
+    assert_eq!(std::fs::read_dir(&wal).unwrap().count(), 1);
+    // The same command again replays the log and prints the same tree.
+    let resumed = run(&["--wal-dir", wal_arg]);
     assert!(
-        stderr.contains("cp.json") && stderr.contains("not a valid checkpoint"),
-        "stderr must name the file and the problem: {stderr}"
+        resumed.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&resumed.stderr)
     );
-    assert!(!stderr.contains("panicked"), "no panic output: {stderr}");
+    assert_eq!(resumed.stdout, plain.stdout);
+    assert_eq!(std::fs::read_dir(&wal).unwrap().count(), 0, "log retired");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The checkpoint file's flags are gone; each says what replaced it rather
+/// than reading as a typo.
+#[test]
+fn the_retired_checkpoint_flags_name_the_wal_dir() {
+    let dir = workdir("retired");
+    for flag in ["--checkpoint", "--checkpoint-out", "--resume"] {
+        let line = one_line_failure(&dir, &[flag, "cp.json"]);
+        assert!(line.contains(flag) && line.contains("--wal-dir"), "{line}");
+        assert!(!dir.join("cp.json").exists());
+    }
+    // Runs no round log serves refuse one rather than ignore it.
+    for (extra, first) in [
+        (&["--bootstrap", "2", "--wal-dir", "w"][..], "--bootstrap"),
+        (&["--submit", "--wal-dir", "w"][..], "--submit"),
+    ] {
+        let line = one_line_failure(&dir, extra);
+        assert!(line.contains(first) && line.contains("--wal-dir"), "{line}");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
-fn wrong_seed_farm_manifest_fails_cleanly_naming_the_file() {
+fn a_foreign_or_garbled_farm_manifest_fails_cleanly_naming_the_file() {
     let dir = workdir("badfarm");
-    let manifest = dir.join("farm.json");
-    let out = fastdnaml()
-        .args(["--input"])
-        .arg(dir.join("data.phy"))
-        .args(["--jumble", "1", "--jumbles", "3", "--radius", "1"])
-        .args(["--quiet", "--checkpoint"])
-        .arg(&manifest)
-        .output()
-        .expect("run");
+    let wal = dir.join("wal");
+    let manifest = wal.join("manifest.json");
+    let farm = |seed: &str, radius: &str| {
+        fastdnaml()
+            .args(["--input"])
+            .arg(dir.join("data.phy"))
+            .args(["--jumble", seed, "--jumbles", "3", "--radius", radius])
+            .args(["--quiet", "--wal-dir"])
+            .arg(&wal)
+            .output()
+            .expect("run")
+    };
+    let out = farm("1", "1");
     assert!(
         out.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // Resuming under a different base seed plans a different seed set;
+    assert!(manifest.exists(), "the finished farm keeps its manifest");
+    // Re-running under a different base seed plans a different seed set;
     // silently mixing the two farms would corrupt the consensus.
-    let out = fastdnaml()
-        .args(["--input"])
-        .arg(dir.join("data.phy"))
-        .args(["--jumble", "11", "--jumbles", "3", "--radius", "1"])
-        .args(["--quiet", "--resume"])
-        .arg(&manifest)
-        .output()
-        .expect("run");
-    assert!(!out.status.success(), "wrong-seed manifest must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("farm.json") && stderr.contains("do not match"),
-        "stderr must name the file and the mismatch: {stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "no panic output: {stderr}");
-    // A garbled manifest is caught at parse time, same contract.
+    let failure = |out: std::process::Output| {
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("manifest.json"), "{stderr}");
+        stderr
+    };
+    assert!(failure(farm("11", "1")).contains("do not match"));
+    // The same seeds under other settings are another farm: answering it
+    // with the finished farm's trees would compute nothing.
+    assert!(failure(farm("1", "2")).contains("another alignment or other settings"));
+    // A garbled manifest is an error, not a silent re-run of every jumble.
     std::fs::write(&manifest, "{ not json").unwrap();
-    let out = fastdnaml()
-        .args(["--input"])
-        .arg(dir.join("data.phy"))
-        .args(["--jumble", "1", "--jumbles", "3", "--radius", "1"])
-        .args(["--quiet", "--resume"])
-        .arg(&manifest)
-        .output()
-        .expect("run");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("farm.json") && stderr.contains("not a valid farm manifest"),
-        "stderr: {stderr}"
-    );
+    assert!(failure(farm("1", "1")).contains("not a valid farm manifest"));
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -541,27 +518,17 @@ fn serial_incremental_flag_selects_the_scoring_mode() {
 
 #[test]
 fn persistence_flags_do_not_change_the_serial_scoring_mode() {
-    // `--checkpoint`, `--resume` and `--wal-dir` used to route the serial
-    // program through the edit scorer whatever the scoring flags said.
+    // `--wal-dir` used to route the serial program through the edit
+    // scorer whatever the scoring flags said.
     let dir = workdir("serial_persist");
-    let (wal, cp) = (dir.join("wal"), dir.join("cp.json"));
-    let (wal, cp) = (wal.to_str().unwrap(), cp.to_str().unwrap());
+    let wal = dir.join("wal");
+    let wal = wal.to_str().unwrap();
     let modes = ["--no-incremental", "--incremental"];
     let plain = modes.map(|mode| serial_run(&dir, &[mode]));
     assert_ne!(plain[0], plain[1], "the modes differ on this seed");
     for (mode, plain) in modes.iter().zip(&plain) {
         assert_eq!(
             &serial_run(&dir, &[mode, "--wal-dir", wal]),
-            plain,
-            "{mode}"
-        );
-        assert_eq!(
-            &serial_run(&dir, &[mode, "--checkpoint", cp]),
-            plain,
-            "{mode}"
-        );
-        assert_eq!(
-            &serial_run(&dir, &[mode, "--checkpoint", cp, "--wal-dir", wal]),
             plain,
             "{mode}"
         );
@@ -639,6 +606,52 @@ fn dnarates_refuses_a_bad_grid_up_front() {
         assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
         assert!(!stderr.contains("inferring"), "{extra:?}: {stderr}");
         assert!(stderr.contains(flag), "{extra:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Each of these used to run something else without a word (`--categoris
+/// 2` ran 8 categories, `--grid-min abc` used 0.05) or to panic (exit 101)
+/// on a tree file or an output file it could not use.
+#[test]
+fn dnarates_refuses_what_it_does_not_understand() {
+    let dir = workdir("dnarates_strict");
+    let partial = dir.join("partial.nwk");
+    std::fs::write(&partial, "(t0,t1,t2);\n").unwrap();
+    let garbled = dir.join("garbled.nwk");
+    std::fs::write(&garbled, "((t0,t1").unwrap();
+    let tree = dir.join("tree.nwk");
+    std::fs::write(&tree, "((t0,t1),(t2,t3),(t4,t5));\n").unwrap();
+    let (partial, garbled, tree) = (
+        partial.to_str().unwrap(),
+        garbled.to_str().unwrap(),
+        tree.to_str().unwrap(),
+    );
+    let cases: [(&[&str], &str); 8] = [
+        (&["--categoris", "2"], "--categoris"),
+        (&["--grid-min", "abc"], "--grid-min abc"),
+        (&["--grid-points", "many"], "--grid-points many"),
+        (&["--output"], "--output expects a value"),
+        (&["--tree", "/nonexistent.nwk"], "--tree /nonexistent.nwk"),
+        (&["--tree", garbled], garbled),
+        (&["--tree", partial], "3 of 6 taxa"),
+        (
+            &["--tree", tree, "--output", "/nonexistent/r.txt"],
+            "/nonexistent/r.txt",
+        ),
+    ];
+    for (extra, named) in cases {
+        let out = dnarates()
+            .arg("--input")
+            .arg(dir.join("data.phy"))
+            .args(extra)
+            .output()
+            .expect("run dnarates");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{extra:?}: {stderr}");
+        assert!(stderr.starts_with("dnarates: "), "{extra:?}: {stderr}");
+        assert!(stderr.contains(named), "{extra:?}: {stderr}");
     }
     std::fs::remove_dir_all(dir).ok();
 }

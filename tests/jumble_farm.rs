@@ -8,9 +8,8 @@
 //! and through a kill/resume cycle driven by the farm manifest.
 
 use fastdnaml::comm::fault::FaultPlan;
-use fastdnaml::core::checkpoint::{FarmManifest, JumbleStatus};
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmOptions};
+use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmManifest, FarmOptions, JumbleStatus};
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{farm_search, FarmOutcome, RunOptions};
 use fastdnaml::obs::Obs;
@@ -187,7 +186,6 @@ fn assert_same_farm(name: &str, clean: &FarmOutcome, faulty: &FarmOutcome) {
         faulty.consensus.splits, clean.consensus.splits,
         "{name}: consensus splits"
     );
-    assert!(faulty.manifest.is_complete(), "{name}: manifest complete");
 }
 
 /// A worker process killed mid-farm (`--die-rank`): the farm completes on
@@ -234,14 +232,18 @@ fn killed_worker_process_does_not_change_the_farm_output() {
 #[test]
 fn resume_from_a_partial_manifest_reproduces_the_run() {
     let dir = workdir("resume");
-    let manifest_path = dir.join("farm.json");
+    let (full_dir, partial_dir) = (dir.join("full"), dir.join("partial"));
+    let (full_path, partial_path) = (
+        full_dir.join("manifest.json"),
+        partial_dir.join("manifest.json"),
+    );
     let (full_trees, full_cons, _) = run_farm(
         &dir,
         "full",
-        &["--quiet", "--checkpoint", manifest_path.to_str().unwrap()],
+        &["--quiet", "--wal-dir", full_dir.to_str().unwrap()],
     );
-    let full = FarmManifest::from_json(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
-    assert!(full.is_complete());
+    let full = FarmManifest::load(&full_path).unwrap().unwrap();
+    assert!(full.unfinished().is_empty());
     // Reconstruct the manifest a farm killed after two completions would
     // have left behind: the last three entries back to Pending.
     let mut partial = full.clone();
@@ -250,7 +252,7 @@ fn resume_from_a_partial_manifest_reproduces_the_run() {
         entry.newick = None;
         entry.ln_likelihood = None;
     }
-    let partial_path = dir.join("partial.json");
+    std::fs::create_dir_all(&partial_dir).unwrap();
     partial.save(&partial_path).unwrap();
     let (resumed_trees, resumed_cons, stderr) = run_farm(
         &dir,
@@ -258,33 +260,36 @@ fn resume_from_a_partial_manifest_reproduces_the_run() {
         &[
             "--parallel",
             "4",
-            "--resume",
-            partial_path.to_str().unwrap(),
-            "--checkpoint",
-            partial_path.to_str().unwrap(),
+            "--wal-dir",
+            partial_dir.to_str().unwrap(),
         ],
     );
     assert_eq!(resumed_trees, full_trees);
     assert_eq!(resumed_cons, full_cons);
     // The two finished jumbles were replayed, not recomputed.
     assert_eq!(stderr.matches("(resumed)").count(), 2, "stderr: {stderr}");
-    let after = FarmManifest::from_json(&std::fs::read_to_string(&partial_path).unwrap()).unwrap();
+    let after = FarmManifest::load(&partial_path).unwrap().unwrap();
     assert_eq!(after, full, "resumed manifest converges to the full one");
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// A resume manifest for a different seed set is refused rather than
-/// silently recombined.
+/// A manifest of a different seed set is refused rather than silently
+/// recombined.
 #[test]
 fn mismatched_manifest_is_rejected() {
     let alignment = phylip::parse(PHYLIP).unwrap();
     let config = SearchConfig::default();
+    let dir = workdir("mismatch");
+    FarmManifest::new(&[99, 101])
+        .save(&dir.join("manifest.json"))
+        .unwrap();
     let options = FarmOptions {
-        resume: Some(FarmManifest::new(&[99, 101])),
+        wal_dir: Some(dir.clone()),
         ..Default::default()
     };
     let err = serial_farm(&alignment, &config, &[1, 3], &options, &Obs::disabled());
     assert!(err.is_err());
+    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Golden regression: a fixed 10-seed farm on the committed 6-taxon

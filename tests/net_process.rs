@@ -250,39 +250,6 @@ fn supervised_worker_is_respawned_and_readmitted() {
 }
 
 #[test]
-fn coordinator_checkpoint_resumes_to_the_same_tree() {
-    let dir = workdir("netcp");
-    let cp = dir.join("cp.json");
-    let (full_tree, _) = run(
-        &dir,
-        &[
-            "--net",
-            "spawn",
-            "4",
-            "--quiet",
-            "--checkpoint-out",
-            cp.to_str().unwrap(),
-        ],
-    );
-    assert!(cp.exists(), "checkpoint file must be written");
-    // A fresh universe resumes rank 0's saved state; the peers are
-    // stateless between tasks so nothing else needs restoring.
-    let (resumed_tree, _) = run(
-        &dir,
-        &[
-            "--net",
-            "spawn",
-            "4",
-            "--quiet",
-            "--resume",
-            cp.to_str().unwrap(),
-        ],
-    );
-    assert_eq!(resumed_tree, full_tree);
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
 fn hierarchical_universe_matches_flat_processes_exactly() {
     let dir = workdir("hier");
     let log = dir.join("events.jsonl");
@@ -386,6 +353,69 @@ fn a_flat_universe_relays_nothing_and_a_regional_one_does() {
     assert_eq!(
         regional.result.ln_likelihood.to_bits(),
         flat.result.ln_likelihood.to_bits()
+    );
+}
+
+#[test]
+fn a_timeout_shorter_than_every_task_costs_no_task_twice_on_one_worker_process() {
+    // The `--net spawn 5` twin of the threaded runtime's test: every task
+    // outlasts the timeout, so every worker process is timed out on every
+    // task and computes it anyway. Handed more work before it has
+    // answered, it would time out behind its own backlog.
+    use fastdnaml::core::config::SearchConfig;
+    use fastdnaml::core::job::ResolvedJob;
+    use fastdnaml::core::netrun::{net_coordinator_search, NetOptions, NetSpawn};
+    use fastdnaml::core::runner::{search_in_process, SearchSession};
+    use fastdnaml::datagen::{evolve, randtree::yule_tree, EvolutionConfig};
+    use fastdnaml::obs::MemorySink;
+    use std::time::Duration;
+
+    let alignment = evolve(
+        &yule_tree(9, 0.1, 51),
+        400,
+        &EvolutionConfig::default(),
+        6,
+        "taxon",
+    );
+    let search = |config: &SearchConfig, observed: bool| {
+        let job = ResolvedJob::single(alignment.clone(), config.clone());
+        let spawn = NetSpawn {
+            quiet: true,
+            ..NetSpawn::new(env!("CARGO_BIN_EXE_fastdnaml").into())
+        };
+        let mut options = NetOptions::new("127.0.0.1:0", 5).spawning(spawn);
+        if observed {
+            options = options.observed(vec![Box::new(MemorySink::new())]);
+        }
+        net_coordinator_search(&job, options).expect("net search")
+    };
+    let fault_free = SearchConfig {
+        jumble_seed: 11,
+        ..SearchConfig::default()
+    };
+    let measured = search(&fault_free, true);
+    let quickest = measured.report.expect("report").service_us.min;
+    // The master's task stream does not depend on the timeout.
+    let tasks = measured.fleet.service.root.stats.dispatched;
+    let config = SearchConfig {
+        worker_timeout: Duration::from_micros(quickest / 2).max(Duration::from_micros(1)),
+        ..fault_free
+    };
+    let outcome = search(&config, false);
+    let stats = outcome.fleet.service.root.stats;
+    assert!(stats.timeouts >= 1, "{stats:?}");
+    // Ranks 3 and 4 are the worker processes.
+    assert!(
+        stats.dispatched <= 2 * tasks,
+        "{tasks} tasks, timeout {:?}: {stats:?}",
+        config.worker_timeout
+    );
+    let job = ResolvedJob::single(alignment.clone(), config.clone());
+    let serial = search_in_process(&job, SearchSession::default()).expect("serial");
+    assert_eq!(serial.tree, outcome.result.tree);
+    assert_eq!(
+        serial.ln_likelihood.to_bits(),
+        outcome.result.ln_likelihood.to_bits()
     );
 }
 

@@ -2,17 +2,17 @@
 //! under injected filesystem faults.
 //!
 //! The crash-consistent storage layer (`fdml_core::durable`) promises
-//! old-or-new semantics for atomic snapshots (checkpoints, farm
-//! manifests) and prefix recovery for logs (the WAL). This suite drives
+//! old-or-new semantics for atomic snapshots (farm manifests) and prefix
+//! recovery for logs (the WAL). This suite drives
 //! the *real* coordinator paths — not the primitives — through every
 //! storage crash-point and through seeded transient-fault storms, and
 //! asserts a relaunched coordinator always converges to the byte-
 //! identical answer.
 
 use fastdnaml::chaos::storage::{self, StoragePlan};
-use fastdnaml::core::checkpoint::FarmManifest;
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmOptions};
+use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmManifest, FarmOptions};
+use fastdnaml::core::wal;
 use fastdnaml::obs::Obs;
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::phylip;
@@ -32,6 +32,12 @@ fn dataset() -> Alignment {
     phylip::parse(PHYLIP).expect("fixture parses")
 }
 
+/// The manifest a farm pass over `dir` saved, if it saved one.
+fn manifest(dir: &Path) -> Result<Option<FarmManifest>, String> {
+    let path = wal::manifest_path(&dir.join("wal"), 0);
+    FarmManifest::load(&path).map_err(|e| e.to_string())
+}
+
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fdml_stfault_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -39,7 +45,7 @@ fn workdir(name: &str) -> PathBuf {
     dir
 }
 
-/// One full farm pass with manifest + WAL in `dir`, resuming from
+/// One full farm pass with manifest + WAL in `dir/wal`, resuming from
 /// whatever a previous (possibly killed) pass left there — exactly what
 /// re-running the CLI command does.
 fn run_farm_pass(
@@ -48,14 +54,7 @@ fn run_farm_pass(
     seeds: &[u64],
     dir: &Path,
 ) -> Result<Vec<String>, String> {
-    let manifest_path = dir.join("manifest.json");
-    let resume = match std::fs::read_to_string(&manifest_path) {
-        Ok(text) => Some(FarmManifest::from_json(&text).map_err(|e| e.to_string())?),
-        Err(_) => None,
-    };
     let options = FarmOptions {
-        manifest_path: Some(manifest_path),
-        resume,
         wal_dir: Some(dir.join("wal")),
         ..FarmOptions::default()
     };
@@ -68,7 +67,7 @@ fn run_farm_pass(
 /// interleaved durable paths (the per-jumble WAL and the atomic manifest
 /// snapshot after each jumble). Kill the coordinator at *every* storage
 /// operation of the whole farm, relaunch, and require the byte-identical
-/// per-jumble trees, a complete manifest, and an empty WAL directory.
+/// per-jumble trees, a complete manifest, and no round log left.
 #[test]
 fn farm_crash_at_every_storage_op_recovers_byte_identical() {
     let alignment = dataset();
@@ -102,15 +101,15 @@ fn farm_crash_at_every_storage_op_recovers_byte_identical() {
             run_farm_pass(&alignment, &config, &seeds, &pass_dir).expect("recovery pass");
         assert_eq!(recovered, expected, "op {op}: trees diverged");
 
-        let manifest = FarmManifest::from_json(
-            &std::fs::read_to_string(pass_dir.join("manifest.json")).expect("manifest written"),
-        )
-        .expect("manifest parses");
-        assert!(manifest.is_complete(), "op {op}: manifest incomplete");
-        let leftover = std::fs::read_dir(pass_dir.join("wal"))
-            .map(|rd| rd.count())
-            .unwrap_or(0);
-        assert_eq!(leftover, 0, "op {op}: unretired wal files");
+        let manifest = manifest(&pass_dir).expect("manifest parses");
+        let manifest = manifest.expect("manifest written");
+        assert!(
+            manifest.unfinished().is_empty(),
+            "op {op}: manifest incomplete"
+        );
+        let leftover = std::fs::read_dir(pass_dir.join("wal")).unwrap().flatten();
+        let logs = leftover.filter(|e| e.path().extension().is_some_and(|x| x == "wal"));
+        assert_eq!(logs.count(), 0, "op {op}: unretired wal files");
     }
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&clean_dir).ok();
@@ -142,10 +141,9 @@ fn manifest_is_old_or_new_never_torn() {
         storage::install(StoragePlan::quiet(0).crash_at(op));
         let _ = run_farm_pass(&alignment, &config, &seeds, &pass_dir);
         storage::clear();
-        let manifest_path = pass_dir.join("manifest.json");
-        if let Ok(text) = std::fs::read_to_string(&manifest_path) {
-            let manifest = FarmManifest::from_json(&text)
-                .unwrap_or_else(|e| panic!("op {op}: torn manifest on disk: {e}"));
+        let saved = manifest(&pass_dir);
+        let saved = saved.unwrap_or_else(|e| panic!("op {op}: torn manifest on disk: {e}"));
+        if let Some(manifest) = saved {
             assert_eq!(manifest.seeds(), seeds, "op {op}: manifest seed drift");
         }
     }

@@ -17,15 +17,18 @@
 
 use fastdnaml::chaos::storage::{self, StoragePlan};
 use fastdnaml::core::config::SearchConfig;
+use fastdnaml::core::durable::LogWriter;
 use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmOptions};
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{
     farm_search, parallel_search, search_in_process, RunOptions, SearchSession,
 };
-use fastdnaml::core::wal::{self, WalRound, WalWriter};
+use fastdnaml::core::search::SearchResult;
+use fastdnaml::core::wal::{self, WalRecord, WalRound, WalStart, WalWriter, NUMERICS_EPOCH};
 use fastdnaml::core::worker::Evaluator;
 use fastdnaml::obs::{Event, MemorySink, Obs};
 use fastdnaml::phylo::alignment::Alignment;
+use fastdnaml::phylo::bipartition::robinson_foulds;
 use fastdnaml::phylo::{newick, phylip};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -87,6 +90,13 @@ fn run_in_process(
         newick::write_tree(&result.tree, alignment.names()),
         result.ln_likelihood.to_bits(),
     ))
+}
+
+/// The round logs left in `dir` (a farm's manifest stays beside them).
+fn logs_left(dir: &Path) -> Vec<std::ffi::OsString> {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    let logs = entries.filter(|e| e.path().extension().is_some_and(|x| x == "wal"));
+    logs.map(|e| e.file_name()).collect()
 }
 
 /// Count WAL events a memory sink observed.
@@ -339,8 +349,8 @@ fn net_resume_interrupted_logs_via_cli() {
 /// jumble. Workers resume those jumbles mid-search through the
 /// `JumbleResume` task (replaying the prefix, streaming only new rounds
 /// back), the farm's trees stay byte-identical to the un-killed serial
-/// farm, and every log is retired as its jumble completes — so the WAL
-/// directory is empty at the end no matter how many jumbles ran. A farm
+/// farm, and every log is retired as its jumble completes — so no log is
+/// left at the end no matter how many jumbles ran. A farm
 /// jumble is `Evaluator::jumble` in every deployment, so a per-jumble log
 /// recorded from it here is the real artifact.
 #[test]
@@ -416,11 +426,9 @@ fn farm_resumes_inflight_jumbles_and_bounds_wal_dir() {
     let planted: usize = plant_ks.iter().sum();
     assert_eq!(replayed, planted as u64, "farm replay count");
 
-    // Every jumble retired its log: the WAL directory is bounded by the
-    // in-flight set during the run and empty after it.
-    let leftover: Vec<_> = std::fs::read_dir(&wal_dir)
-        .map(|rd| rd.filter_map(|e| e.ok().map(|e| e.file_name())).collect())
-        .unwrap_or_default();
+    // Every jumble retired its log: the logs are bounded by the in-flight
+    // set during the run and gone after it.
+    let leftover = logs_left(&wal_dir);
     assert!(leftover.is_empty(), "unretired wal files: {leftover:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -490,6 +498,106 @@ fn serial_farm_killed_mid_jumble_has_its_rounds_on_disk() {
     let events = std::fs::read_to_string(dir.join("resumed.jsonl")).unwrap();
     let replay = format!("\"WalReplay\":{{\"job\":0,\"seed\":7,\"rounds\":{survived}}}");
     assert!(events.contains(&replay), "no {replay} in the event log");
-    assert_eq!(std::fs::read_dir(dir.join("wal")).unwrap().count(), 0);
+    assert!(logs_left(&dir.join("wal")).is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crashed run's committed prefix as a build of another numerics epoch
+/// would have written it: the header stamped `numerics`, every recorded
+/// likelihood a few ULP away from what this build computes.
+fn perturbed_log(wal_dir: &Path, seed: u64, rounds: &[WalRound], numerics: u32) {
+    let header = WalRecord::Start(WalStart {
+        jumble_seed: seed,
+        num_taxa: 6,
+        numerics,
+    });
+    let records = std::iter::once(header).chain(rounds.iter().map(|round| {
+        WalRecord::Round(WalRound {
+            lnl_bits: round.lnl_bits + 3,
+            ..round.clone()
+        })
+    }));
+    let mut log = LogWriter::create(&wal::wal_path(wal_dir, 0, seed)).expect("log");
+    for record in records {
+        let text = serde_json::to_string(&record).unwrap();
+        log.append(text.as_bytes()).expect("append");
+    }
+}
+
+/// The clean run of seed 7 and a log of the same search, killed halfway
+/// through its storage operations.
+fn clean_run_and_a_killed_prefix(dir: &Path) -> (SearchResult, Vec<WalRound>) {
+    let config = SearchConfig {
+        jumble_seed: 7,
+        ..SearchConfig::default()
+    };
+    let clean = run_session(&config, None).expect("clean run");
+    storage::install(StoragePlan::quiet(0));
+    run_session(&config, Some(dir.join("probe"))).expect("probe run");
+    let total_ops = storage::clear().ops;
+    storage::install(StoragePlan::quiet(0).crash_at(total_ops / 2));
+    run_session(&config, Some(dir.join("victim"))).expect_err("injected crash");
+    storage::clear();
+    let prefix = wal::load(&dir.join("victim"), 0, 7)
+        .unwrap()
+        .unwrap()
+        .rounds;
+    assert!(prefix.len() >= 2, "{} rounds logged", prefix.len());
+    (clean, prefix)
+}
+
+/// The in-process search of `config` over the fixture, logging in `wal_dir`.
+fn run_session(config: &SearchConfig, wal_dir: Option<PathBuf>) -> Result<SearchResult, String> {
+    let job = ResolvedJob::single(dataset(), config.clone());
+    let session = SearchSession {
+        wal_dir,
+        ..SearchSession::default()
+    };
+    search_in_process(&job, session).map_err(|e| e.to_string())
+}
+
+/// A numerics-epoch bump no longer throws a single search's log away. A
+/// log of another epoch whose likelihoods differ in the last bits resumes
+/// along the same trajectory: the same topology, a likelihood within the
+/// replay tolerance, and only the rounds after the log computed.
+#[test]
+fn a_log_of_another_epoch_resumes_to_the_same_tree() {
+    let dir = workdir("epoch");
+    let (clean, prefix) = clean_run_and_a_killed_prefix(&dir);
+    let foreign = dir.join("foreign");
+    perturbed_log(&foreign, 7, &prefix, NUMERICS_EPOCH - 1);
+    let config = SearchConfig {
+        jumble_seed: 7,
+        ..SearchConfig::default()
+    };
+    let resumed = run_session(&config, Some(foreign.clone())).expect("a foreign epoch resumes");
+    let rf = robinson_foulds(&resumed.tree, &clean.tree, 6);
+    assert_eq!(rf, 0, "topology diverged");
+    let drift = (resumed.ln_likelihood - clean.ln_likelihood).abs();
+    assert!(
+        drift <= 1e-6 * clean.ln_likelihood.abs(),
+        "lnL drifted {drift}"
+    );
+    assert_eq!(resumed.wal_replayed_rounds, prefix.len());
+    assert!(resumed.candidates_evaluated < clean.candidates_evaluated);
+    assert!(resumed.work_units < clean.work_units);
+    assert!(!wal::wal_path(&foreign, 0, 7).exists(), "log retired");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same perturbed log claiming this build's epoch is refused: within
+/// an epoch a replay that misses a bit is a different run.
+#[test]
+fn a_perturbed_log_of_this_epoch_is_refused() {
+    let dir = workdir("same_epoch");
+    let (_, prefix) = clean_run_and_a_killed_prefix(&dir);
+    let same = dir.join("same");
+    perturbed_log(&same, 7, &prefix, NUMERICS_EPOCH);
+    let config = SearchConfig {
+        jumble_seed: 7,
+        ..SearchConfig::default()
+    };
+    let err = run_session(&config, Some(same)).expect_err("a perturbed log of this epoch");
+    assert!(err.contains("divergence"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
