@@ -16,7 +16,6 @@ use fdml_core::config::SearchConfig;
 use fdml_core::job::ResolvedJob;
 use fdml_core::loopback::Loopback;
 use fdml_core::runner::{search_on, SearchSession};
-use fdml_core::worker::ranks;
 use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
 use fdml_likelihood::categories::RateCategories;
 use fdml_likelihood::clv::WTerms;
@@ -149,7 +148,7 @@ fn run_wal_overhead(samples: usize, quick: bool) -> WalOverheadReport {
             wal_dir: wal_dir.map(std::path::Path::to_path_buf),
             ..SearchSession::default()
         };
-        search_on(Loopback::new(), ranks::FIRST_WORKER, &job, session, obs)
+        search_on(Loopback::new(), &job, session, obs)
             .1
             .expect("golden search")
     };

@@ -1,8 +1,8 @@
 //! Wire-codec study: bytes per scored candidate and codec throughput for
 //! the eras of the dispatch path — one JSON whole tree per candidate (the
 //! paper's design), candidates as edits in `EditChunk` task frames (JSON,
-//! then `fdml-wire` binary), and lease-batched binary chunks (the
-//! hierarchical scheduler's unit). A task is a chunk of edits, cut by the
+//! then `fdml-wire` binary), and lease-batched binary chunks (the unit of
+//! `fdml-simsp`'s simulated hierarchical scheduler). A task is a chunk of edits, cut by the
 //! master's own `edit_chunk_len`, so every figure is per *candidate*.
 //! Writes `BENCH_wire.json`.
 //!
@@ -147,10 +147,10 @@ fn main() {
             base_newick: None,
         })
         .collect();
-    // The hierarchical scheduler's unit: one binary frame per lease grant
-    // of up to 64 tasks.
+    // The simulated hierarchical scheduler's unit: one binary frame per
+    // lease grant of up to `GRANT_CAP` tasks.
     let batches: Vec<Message> = chunks
-        .chunks(fdml_core::hierarchy::GRANT_CAP)
+        .chunks(fdml_simsp::HierConfig::GRANT_CAP)
         .map(|grant| Message::Batch {
             msgs: grant.to_vec(),
         })

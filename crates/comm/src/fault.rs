@@ -71,8 +71,8 @@ impl FaultPlan {
     }
 }
 
-/// How many results one outgoing frame carries: a regional foreman streams
-/// them upward inside `Batch` frames, a worker sends them bare.
+/// How many results one outgoing frame carries: a worker sends them bare,
+/// and a `Batch` frame counts each result inside it.
 fn results_in(msg: &Message) -> u64 {
     match msg {
         Message::Batch { msgs } => msgs.iter().map(results_in).sum(),
@@ -101,11 +101,6 @@ impl<T: Transport> FaultyTransport<T> {
     /// Remaining faults to inject.
     pub fn remaining(&self) -> u64 {
         self.plan.lock().count
-    }
-
-    /// Whether a [`FaultKind::Disconnect`] plan has triggered.
-    pub fn is_severed(&self) -> bool {
-        self.severed.load(Ordering::SeqCst)
     }
 }
 
@@ -161,6 +156,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::threads::ThreadUniverse;
+
+    impl<T: Transport> FaultyTransport<T> {
+        /// Whether a [`FaultKind::Disconnect`] plan has triggered.
+        fn is_severed(&self) -> bool {
+            self.severed.load(Ordering::SeqCst)
+        }
+    }
 
     fn result_msg(task: u64) -> Message {
         Message::TreeResult {

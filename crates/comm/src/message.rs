@@ -336,45 +336,13 @@ pub enum Message {
     /// [`Message::WorkerReady`]; on the threaded transport a dead endpoint
     /// fails the send instead.
     Ping,
-    /// Several messages in one envelope, delivered in order. The batching
-    /// unit of the hierarchical scheduler: a lease grant is a batch of task
-    /// messages flowing down, and a regional foreman streams a batch of
-    /// results upward, so a 4096-rank fleet pays one frame per batch
-    /// instead of one per task. Receivers unpack and process the inner
-    /// messages exactly as if they had arrived individually.
+    /// Several messages in one envelope, delivered in order: the daemon
+    /// sends a job's data together with its task as one frame. Receivers
+    /// unpack and process the inner messages exactly as if they had arrived
+    /// individually.
     Batch {
         /// The bundled messages, in delivery order.
         msgs: Vec<Message>,
-    },
-    /// Regional foreman → root foreman: lease `want` more tasks for this
-    /// region. The region is identified by the sender's rank. Doubles as
-    /// the liveness answer to a root [`Message::Ping`] probe.
-    LeaseRequest {
-        /// How many tasks the region wants on top of its current lease.
-        want: u32,
-    },
-    /// Root foreman → regional foreman: return up to `want` queued
-    /// (not-yet-dispatched) tasks so a drained sibling region can steal
-    /// them. The victim answers with [`Message::StealReturn`].
-    StealRequest {
-        /// Upper bound on tasks to give back.
-        want: u32,
-    },
-    /// Regional foreman → root foreman: the tasks surrendered to a
-    /// [`Message::StealRequest`], coldest first (taken from the back of the
-    /// region's queue). May be empty if the queue drained in the meantime.
-    StealReturn {
-        /// The surrendered task messages, ready for regrant.
-        tasks: Vec<Message>,
-    },
-    /// Root foreman → worker: report to a (new) regional foreman. Sent on
-    /// first contact to shard the fleet, and again when a worker's region
-    /// dies and it must re-home to a sibling. The worker switches its
-    /// upstream rank and announces itself there with
-    /// [`Message::WorkerReady`].
-    Rehome {
-        /// The rank of the regional foreman to report to.
-        foreman: usize,
     },
     /// Worker → foreman → master: one committed search round of a
     /// remotely running jumble, as a framed write-ahead-log entry. The
@@ -465,14 +433,6 @@ pub enum MessageKind {
     Ping,
     /// [`Message::Batch`].
     Batch,
-    /// [`Message::LeaseRequest`].
-    LeaseRequest,
-    /// [`Message::StealRequest`].
-    StealRequest,
-    /// [`Message::StealReturn`].
-    StealReturn,
-    /// [`Message::Rehome`].
-    Rehome,
     /// [`Message::WalRound`].
     WalRound,
     /// [`Message::JumbleResume`].
@@ -506,10 +466,6 @@ impl MessageKind {
             MessageKind::EditScores => "EditScores",
             MessageKind::Ping => "Ping",
             MessageKind::Batch => "Batch",
-            MessageKind::LeaseRequest => "LeaseRequest",
-            MessageKind::StealRequest => "StealRequest",
-            MessageKind::StealReturn => "StealReturn",
-            MessageKind::Rehome => "Rehome",
             MessageKind::WalRound => "WalRound",
             MessageKind::JumbleResume => "JumbleResume",
             MessageKind::Shutdown => "Shutdown",
@@ -548,10 +504,6 @@ impl Message {
             Message::EditScores { .. } => MessageKind::EditScores,
             Message::Ping => MessageKind::Ping,
             Message::Batch { .. } => MessageKind::Batch,
-            Message::LeaseRequest { .. } => MessageKind::LeaseRequest,
-            Message::StealRequest { .. } => MessageKind::StealRequest,
-            Message::StealReturn { .. } => MessageKind::StealReturn,
-            Message::Rehome { .. } => MessageKind::Rehome,
             Message::WalRound { .. } => MessageKind::WalRound,
             Message::JumbleResume { .. } => MessageKind::JumbleResume,
             Message::Shutdown => MessageKind::Shutdown,
@@ -609,11 +561,6 @@ impl Message {
             Message::EditScores { scores, .. } => 24 + 16 * scores.len(),
             Message::Ping => 16,
             Message::Batch { msgs } => 16 + msgs.iter().map(Message::wire_bytes).sum::<usize>(),
-            Message::LeaseRequest { .. } | Message::StealRequest { .. } => 24,
-            Message::StealReturn { tasks } => {
-                16 + tasks.iter().map(Message::wire_bytes).sum::<usize>()
-            }
-            Message::Rehome { .. } => 24,
             Message::WalRound { entry, .. } => entry.len() + 40,
             Message::JumbleResume { wal, .. } => {
                 40 + wal.iter().map(|e| e.len() + 8).sum::<usize>()
@@ -775,12 +722,6 @@ mod tests {
                     Message::WorkerReady,
                 ],
             },
-            Message::LeaseRequest { want: 16 },
-            Message::StealRequest { want: 4 },
-            Message::StealReturn {
-                tasks: vec![Message::JumbleTask { task: 51, seed: 3 }],
-            },
-            Message::Rehome { foreman: 5 },
             Message::WalRound {
                 job: 0,
                 seed: 11,

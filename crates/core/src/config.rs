@@ -73,17 +73,6 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
-    /// The paper's performance-test settings: rearrangement radius 5 in
-    /// both the local and final steps (§3.1).
-    pub fn paper_settings(jumble_seed: u64) -> SearchConfig {
-        SearchConfig {
-            jumble_seed,
-            rearrange_radius: 5,
-            final_radius: 5,
-            ..SearchConfig::default()
-        }
-    }
-
     /// Build the likelihood engine this configuration describes.
     pub fn build_engine(&self, alignment: &Alignment) -> LikelihoodEngine {
         let patterns = PatternAlignment::compress(alignment);
@@ -224,14 +213,6 @@ mod tests {
         let c = SearchConfig::default();
         assert_eq!(c.rearrange_radius, 1);
         assert_eq!(c.tt_ratio, 2.0);
-    }
-
-    #[test]
-    fn paper_settings_use_radius_five() {
-        let c = SearchConfig::paper_settings(42);
-        assert_eq!(c.rearrange_radius, 5);
-        assert_eq!(c.final_radius, 5);
-        assert_eq!(c.jumble_seed, 42);
     }
 
     #[test]

@@ -228,7 +228,6 @@ pub fn write_log_atomic(path: &Path, records: &[&[u8]]) -> io::Result<()> {
 pub struct LogWriter {
     file: File,
     path: PathBuf,
-    bytes: u64,
 }
 
 impl LogWriter {
@@ -247,7 +246,6 @@ impl LogWriter {
         Ok(LogWriter {
             file,
             path: path.to_path_buf(),
-            bytes: LOG_MAGIC.len() as u64,
         })
     }
 
@@ -274,12 +272,10 @@ impl LogWriter {
             file.sync_data()?;
         }
         file.seek(SeekFrom::End(0))?;
-        let bytes = recovered.valid_bytes;
         Ok((
             LogWriter {
                 file,
                 path: path.to_path_buf(),
-                bytes,
             },
             recovered,
         ))
@@ -295,13 +291,7 @@ impl LogWriter {
         frame.extend_from_slice(payload);
         faulted_write(&mut self.file, &frame, StorageOp::Append, &self.path)?;
         faulted_step(StorageOp::SyncAppend, &self.path, || self.file.sync_data())?;
-        self.bytes += frame.len() as u64;
         Ok(frame.len() as u64)
-    }
-
-    /// Total valid bytes in the log, including the magic header.
-    pub fn len_bytes(&self) -> u64 {
-        self.bytes
     }
 
     /// The log's path.
@@ -412,7 +402,7 @@ mod tests {
         let path = dir.join("rounds.wal");
         let mut w = LogWriter::create(&path).unwrap();
         w.append(b"good").unwrap();
-        let second_at = w.len_bytes();
+        let second_at = fs::metadata(&path).unwrap().len();
         w.append(b"badly-stored").unwrap();
         w.append(b"unreachable").unwrap();
         drop(w);

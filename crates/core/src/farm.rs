@@ -212,6 +212,16 @@ pub fn problem_key(alignment: &Alignment, config: &SearchConfig) -> String {
     format!("{:016x}", text.bytes().fold(0xcbf2_9ce4_8422_2325, fnv))
 }
 
+/// What a round log's header names ([`wal::WalStart::problem`]): the
+/// [`problem_key`] and the scoring mode, which the engine configuration
+/// leaves out. A whole-tree and an edit-scored search of one seed commit
+/// different rounds, and a single search and a farm jumble of that seed
+/// share a log name, so the mode must be in the key.
+pub fn log_key(alignment: &Alignment, config: &SearchConfig) -> String {
+    let mode = if config.incremental { "edit" } else { "whole" };
+    format!("{}-{mode}", problem_key(alignment, config))
+}
+
 /// The CLI's seed schedule: `jumbles` seeds starting at `base_seed` with
 /// stride 2 (fastDNAml's convention keeps user seeds odd), adjusted and
 /// deduplicated.
@@ -253,6 +263,8 @@ pub fn dedup_adjusted(seeds: &[u64]) -> Result<Vec<u64>, PhyloError> {
 /// (`io::Result`) travels beside an outcome, never as it.
 pub struct Ledger {
     names: Vec<String>,
+    /// What the jumbles' round logs name: a farm jumble is edit-scored.
+    log_key: String,
     manifest: FarmManifest,
     /// The problem its tasks and files name; 0: the anonymous farm.
     job: u64,
@@ -334,8 +346,16 @@ impl Ledger {
             };
             runs.insert(entry.seed, run);
         }
+        let log_key = log_key(
+            alignment,
+            &SearchConfig {
+                incremental: true,
+                ..config.clone()
+            },
+        );
         let ledger = Ledger {
             names,
+            log_key,
             pending: manifest.unfinished().into(),
             manifest,
             job,
@@ -377,7 +397,8 @@ impl Ledger {
         };
         // A log of another numerics epoch restarts: a worker replays bit
         // for bit.
-        Some(match wal::open(dir, job, seed, self.names.len(), false) {
+        let opened = wal::open(dir, job, seed, self.names.len(), &self.log_key, false);
+        Some(match opened {
             Ok((_, prefix, writer)) => {
                 if !prefix.is_empty() {
                     let rounds = prefix.len() as u64;
@@ -1178,7 +1199,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
 
         // Reopened from the manifest on disk, with a stale log planted for
         // a Done seed: the two are replayed, the log goes, one seed is left.
-        drop(WalWriter::create(&dir.join("wal"), 0, 11, 6).unwrap());
+        drop(WalWriter::create(&dir.join("wal"), 0, 11, 6, "stale").unwrap());
         let mut ledger = open(&alignment, &dir);
         assert!(!wal_path(&dir.join("wal"), 0, 11).exists());
         assert_eq!(ledger.pending().iter().copied().collect::<Vec<_>>(), [9]);

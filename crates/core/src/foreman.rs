@@ -7,11 +7,9 @@
 //!
 //! The queues and the fault-tolerance ladder are the pure machine of
 //! `crate::sched`; this module is its I/O shell. `run_scheduler` is the
-//! only code of the scheduling tier — flat foreman, regional foreman, root
-//! foreman — that receives, sends or reads the clock.
+//! only code of the foreman that receives, sends or reads the clock.
 
-use crate::sched::{Action, Event, Machine};
-use fdml_comm::message::Message;
+use crate::sched::{Action, Event, Sched};
 use fdml_comm::transport::{CommError, Transport};
 use fdml_obs::Obs;
 use std::collections::VecDeque;
@@ -83,14 +81,13 @@ pub struct ForemanStats {
 /// it gives the machine its next [`Event::Tick`].
 ///
 /// Pass [`Obs::disabled`] to run unobserved; otherwise the machine's
-/// events are recorded as it emits them, and every multi-message frame
-/// that leaves is recorded as a `BatchSent`.
-pub(crate) fn run_scheduler<T: Transport, M: Machine>(
+/// events are recorded as it emits them.
+pub(crate) fn run_scheduler<T: Transport>(
     transport: T,
-    mut machine: M,
+    mut machine: Sched,
     tick: Duration,
     obs: Obs,
-) -> Result<M::Stats, ForemanError> {
+) -> Result<ForemanStats, ForemanError> {
     // Both buffers live as long as the loop: a step allocates nothing for
     // its actions.
     let mut inbox: VecDeque<Event> = VecDeque::new();
@@ -98,21 +95,13 @@ pub(crate) fn run_scheduler<T: Transport, M: Machine>(
     // One step: the machine absorbs `ev`, then its actions are carried out.
     // A send that finds its link dead goes back in the inbox as
     // `Undeliverable`.
-    let mut drive = |machine: &mut M, ev: Event, inbox: &mut VecDeque<Event>| {
+    let mut drive = |machine: &mut Sched, ev: Event, inbox: &mut VecDeque<Event>| {
         let flow = machine.step(Instant::now(), ev, &mut out)?;
         for action in out.drain(..) {
             match action {
                 Action::Emit(event) => obs.emit(|| event),
                 Action::Send(to, msg) => match transport.send(to, &msg) {
-                    Ok(()) => {
-                        if let Message::Batch { msgs } = &msg {
-                            obs.emit(|| fdml_obs::Event::BatchSent {
-                                from: transport.rank(),
-                                msgs: msgs.len(),
-                                bytes: msg.wire_bytes() as u64,
-                            });
-                        }
-                    }
+                    Ok(()) => {}
                     Err(CommError::Disconnected(_)) => {
                         inbox.push_back(Event::Undeliverable(to));
                     }
@@ -124,8 +113,7 @@ pub(crate) fn run_scheduler<T: Transport, M: Machine>(
     };
     loop {
         // Absorb everything already queued before acting on any of it, so
-        // a burst of master tasks coalesces into one batched lease and a
-        // burst of results into one upward frame.
+        // a burst of master tasks and results is dispatched in one `Tick`.
         while let Some(ev) = inbox.pop_front() {
             if drive(&mut machine, ev, &mut inbox)?.is_break() {
                 return Ok(machine.stats());
@@ -150,9 +138,9 @@ pub(crate) fn run_scheduler<T: Transport, M: Machine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{tick_of, Sched};
+    use crate::sched::tick_of;
     use crate::worker::ranks;
-    use fdml_comm::message::MonitorEvent;
+    use fdml_comm::message::{Message, MonitorEvent};
     use fdml_comm::threads::{ThreadTransport, ThreadUniverse};
     use std::thread;
 

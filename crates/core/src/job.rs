@@ -66,25 +66,6 @@ impl ResolvedJob {
             seeds,
         })
     }
-
-    /// Export back to the wire form (the CLI one-shot path builds its spec
-    /// this way so one-shot and submitted runs describe jobs identically).
-    pub fn to_spec(&self) -> JobSpec {
-        JobSpec {
-            phylip: phylip::write(&self.alignment),
-            config_json: self.config.engine_config_json(),
-            jumbles: self.seeds.len().max(1),
-            base_seed: self.config.jumble_seed,
-            max_ranks: 0,
-            max_wall_ms: 0,
-            label: String::new(),
-        }
-    }
-
-    /// Whether this job is a multi-jumble farm (vs a one-shot search).
-    pub fn is_farm(&self) -> bool {
-        self.seeds.len() > 1
-    }
 }
 
 #[cfg(test)]
@@ -100,23 +81,6 @@ mod tests {
             ("t3", "TCTTACGAACGA"),
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn spec_round_trip_preserves_search_inputs() {
-        let config = SearchConfig {
-            jumble_seed: 7,
-            rearrange_radius: 2,
-            ..SearchConfig::default()
-        };
-        let job = ResolvedJob::from_parts(alignment(), config, 3).unwrap();
-        let spec = job.to_spec();
-        let back = ResolvedJob::from_spec(&spec).unwrap();
-        assert_eq!(back.seeds, job.seeds);
-        assert_eq!(back.config.jumble_seed, 7);
-        assert_eq!(back.config.rearrange_radius, 2);
-        assert_eq!(back.alignment.names(), job.alignment.names());
-        assert!(back.is_farm());
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   [`master::ClusterExecutor`] is the one executor; [`worker::Evaluator`]
 //!   is the one place a task is computed; the foreman's queues and
 //!   fault-tolerance ladder are one pure state machine (`sched`, private)
-//!   that [`foreman`]'s shell drives for the flat foreman, the regional
-//!   foremen and — as a second machine, [`hierarchy`] — the root.
+//!   that [`foreman`]'s shell drives.
 //! * [`loopback`] — the sequential transport (the paper's `comm_seq.c`):
 //!   the serial program is the master over an in-process evaluator.
 //! * [`job`] — the unified job surface: resolving a wire-level
@@ -44,7 +43,6 @@ mod edits;
 pub mod executor;
 pub mod farm;
 pub mod foreman;
-pub mod hierarchy;
 pub mod job;
 pub mod jumble;
 pub mod loopback;

@@ -236,7 +236,7 @@ mod tests {
         // Through the executor: the search fails, it does not panic.
         let names = (0..3).map(|i| format!("t{i}")).collect();
         let mut ex =
-            ClusterExecutor::new(Loopback::new(), names, "junk".into(), "{}".into(), false, 3);
+            ClusterExecutor::new(Loopback::new(), names, "junk".into(), "{}".into(), false);
         let err = ex.set_base(Tree::triplet(0, 1, 2)).unwrap_err().to_string();
         assert!(err.contains("aborted"), "got: {err}");
     }

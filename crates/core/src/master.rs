@@ -109,9 +109,6 @@ pub struct ClusterExecutor<T: Transport> {
     /// of them would repeat its optimization bit for bit. Emptied whenever
     /// the base changes.
     scored: Vec<(TreeMove, Verified)>,
-    /// First worker rank: [`ranks::FIRST_WORKER`] in the flat topology,
-    /// higher when regional foremen sit between rank 2 and the fleet.
-    first_worker: usize,
     /// Verification tasks kept sent beyond the decided prefix
     /// ([`verify_window`] of the universe's workers).
     window: usize,
@@ -119,18 +116,15 @@ pub struct ClusterExecutor<T: Transport> {
 
 impl<T: Transport> ClusterExecutor<T> {
     /// Create the executor and broadcast the problem data to the workers,
-    /// ranks `first_worker..`: [`ranks::FIRST_WORKER`] in the flat
-    /// topology, higher when regional foremen (which must not receive
-    /// worker problem data) sit between rank 2 and the fleet.
+    /// ranks [`ranks::FIRST_WORKER`]`..`.
     pub fn new(
         transport: T,
         names: Vec<String>,
         phylip: String,
         config_json: String,
         has_monitor: bool,
-        first_worker: usize,
     ) -> ClusterExecutor<T> {
-        for rank in first_worker..transport.size() {
+        for rank in ranks::FIRST_WORKER..transport.size() {
             // A worker that died before the broadcast is the foreman's
             // problem (eager requeue / all-dead abort), not a panic here.
             let _ = transport.send(
@@ -155,7 +149,6 @@ impl<T: Transport> ClusterExecutor<T> {
             base_id: 0,
             base_text: None,
             scored: Vec::new(),
-            first_worker,
             window: 1,
         };
         executor.window = verify_window(executor.workers());
@@ -344,17 +337,13 @@ impl<T: Transport> ClusterExecutor<T> {
             // before it can serve tasks.
             Message::PeerDown { .. } => None,
             Message::PeerUp { rank } => {
-                // Only workers hold problem data; a rejoining regional
-                // foreman must not be mistaken for one.
-                if rank >= self.first_worker {
-                    let _ = self.transport.send(
-                        rank,
-                        &Message::ProblemData {
-                            phylip: self.phylip.clone(),
-                            config_json: self.config_json.clone(),
-                        },
-                    );
-                }
+                let _ = self.transport.send(
+                    rank,
+                    &Message::ProblemData {
+                        phylip: self.phylip.clone(),
+                        config_json: self.config_json.clone(),
+                    },
+                );
                 None
             }
             other => {
@@ -369,7 +358,7 @@ impl<T: Transport> ClusterExecutor<T> {
     fn workers(&self) -> usize {
         self.transport
             .size()
-            .saturating_sub(self.first_worker)
+            .saturating_sub(ranks::FIRST_WORKER)
             .max(1)
     }
 
@@ -588,7 +577,6 @@ impl<T: Transport> ClusterExecutor<T> {
             fdml_phylo::phylip::write(alignment),
             config.engine_config_json(),
             false,
-            ranks::FIRST_WORKER,
         )
         .with_incremental(config.incremental)
     }
@@ -669,7 +657,6 @@ mod tests {
             String::new(), // no workers to broadcast to in this 2-rank world
             String::new(),
             false,
-            ranks::FIRST_WORKER,
         );
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         assert_eq!(base.ln_likelihood, -1.0); // task 0
@@ -754,7 +741,6 @@ mod tests {
             String::new(),
             String::new(),
             false,
-            ranks::FIRST_WORKER,
         )
         .with_incremental(true);
         assert_eq!(ex.window, 3, "two workers and a spare");
@@ -850,7 +836,6 @@ mod tests {
             phylip_text.clone(),
             config_json.clone(),
             false,
-            ranks::FIRST_WORKER,
         );
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         assert!(base.ln_likelihood.is_finite() && base.ln_likelihood < 0.0);
@@ -917,15 +902,8 @@ mod tests {
                 foreman_end.send(ranks::MASTER, &reply).unwrap();
             }
         });
-        let mut ex = ClusterExecutor::new(
-            master_end,
-            names,
-            phylip_text,
-            config_json,
-            false,
-            ranks::FIRST_WORKER,
-        )
-        .with_incremental(true);
+        let mut ex = ClusterExecutor::new(master_end, names, phylip_text, config_json, false)
+            .with_incremental(true);
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         // Three moves, then (the same edges again) six: in this 2-rank
         // world of one notional worker the second round's chunks hold two
@@ -970,8 +948,7 @@ mod tests {
             let (_, msg) = foreman_end.recv().unwrap();
             assert_eq!(msg, Message::Shutdown);
         });
-        let mut ex =
-            ClusterExecutor::new(master_end, names, String::new(), String::new(), false, 3);
+        let mut ex = ClusterExecutor::new(master_end, names, String::new(), String::new(), false);
         let err = ex.set_base(Tree::triplet(0, 1, 2)).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("aborted"), "got: {text}");
@@ -1046,15 +1023,8 @@ mod tests {
             }
         });
 
-        let ex = ClusterExecutor::new(
-            master_end,
-            names.clone(),
-            phylip_text,
-            config_json,
-            false,
-            3,
-        )
-        .with_incremental(true);
+        let ex = ClusterExecutor::new(master_end, names.clone(), phylip_text, config_json, false)
+            .with_incremental(true);
         assert_eq!(
             ex.window, 1,
             "a universe with no worker rank still verifies"
@@ -1202,7 +1172,6 @@ mod tests {
             phylip_text,
             config_json,
             false,
-            ranks::FIRST_WORKER,
         )
         .with_incremental(true);
         assert_eq!(ex.window, 4, "three workers and a spare");
@@ -1347,14 +1316,7 @@ mod tests {
             improver,
             ..Scripted::default()
         };
-        let mut ex = ClusterExecutor::new(
-            transport,
-            names,
-            String::new(),
-            String::new(),
-            false,
-            ranks::FIRST_WORKER,
-        );
+        let mut ex = ClusterExecutor::new(transport, names, String::new(), String::new(), false);
         assert_eq!(ex.window, 3, "two workers and a spare");
         ex.set_base(base).unwrap();
         *at(&ex.transport.sent) = 0;

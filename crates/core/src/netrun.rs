@@ -4,13 +4,11 @@
 //! *coordinator* process hosts the hub and the control ranks — 0 master, 1
 //! foreman, 2 monitor, the latter two as threads over the hub's hosted
 //! endpoints, started by the same [`ServiceRanks`] helper the threaded
-//! runtime uses — and *peer* processes dial in and become whatever rank the
-//! hub assigns from 3 up: workers (and, with `--regions R`, the regional
-//! foremen at `3..3+R`), running exactly the same `run_worker` /
-//! `run_scheduler` loops the threaded build runs, now against
-//! [`fdml_net::TcpTransport`] instead of a channel endpoint. Master,
-//! foreman and monitor talk over channels; a task crosses a socket twice,
-//! foreman → worker and back.
+//! runtime uses — and *peer* processes dial in and become the worker rank
+//! the hub assigns from 3 up, running exactly the same `run_worker` loop
+//! the threaded build runs, now against [`fdml_net::TcpTransport`] instead
+//! of a channel endpoint. Master, foreman and monitor talk over channels; a
+//! task crosses a socket twice, foreman → worker and back.
 //!
 //! Like every orchestration entrypoint in this crate, the coordinators are
 //! constructed from a [`ResolvedJob`] (what to run) plus a [`NetOptions`]
@@ -24,14 +22,10 @@
 
 use crate::config::SearchConfig;
 use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
-use crate::foreman::{run_scheduler, ForemanStats};
-use crate::hierarchy::{first_worker_rank, home_rank};
 use crate::job::ResolvedJob;
 use crate::runner::{search_on, RunObserver, SearchSession, ServiceRanks, ServiceStats};
-use crate::sched::{tick_of, Sched};
 use crate::search::SearchResult;
-use crate::worker::{ranks, run_worker_homed, WorkerStats};
-use fdml_chaos::ChaosPlan;
+use crate::worker::{ranks, run_worker, WorkerStats};
 use fdml_comm::message::Message;
 use fdml_comm::recording::Recording;
 use fdml_comm::transport::{CommError, Rank, Transport};
@@ -80,14 +74,6 @@ impl NetSpawn {
             max_restarts: 3,
         }
     }
-
-    /// Maps a [`ChaosPlan`]'s kill schedule onto a real process death:
-    /// the first scheduled kill becomes a `--die-after-tasks` child (the
-    /// process-level analogue of the plan's in-process link severance).
-    pub fn with_chaos_kills(mut self, plan: &ChaosPlan) -> NetSpawn {
-        self.die_after_tasks = plan.kills.first().copied();
-        self
-    }
 }
 
 /// Where and how a coordinator runs: the listen address, universe size,
@@ -108,10 +94,6 @@ pub struct NetOptions {
     pub session: SearchSession,
     /// Fork the peers ourselves — the single-command cluster launch.
     pub spawn: Option<NetSpawn>,
-    /// Regional foremen for a hierarchical universe (0 = flat). Announced
-    /// in every `Welcome`, so each peer derives its role from its rank —
-    /// no peer-side flag changes.
-    pub regions: usize,
     /// Wire format the hub writes to codec-sniffing peers (JSON peers
     /// still interoperate frame by frame).
     pub wire: WireFormat,
@@ -127,7 +109,6 @@ impl NetOptions {
             sinks: Vec::new(),
             session: SearchSession::default(),
             spawn: None,
-            regions: 0,
             wire: WireFormat::default(),
         }
     }
@@ -141,13 +122,6 @@ impl NetOptions {
     /// Fork the peers from `spawn` instead of waiting for external dials.
     pub fn spawning(mut self, spawn: NetSpawn) -> NetOptions {
         self.spawn = Some(spawn);
-        self
-    }
-
-    /// Interpose `regions` regional foremen between the root foreman and
-    /// the workers.
-    pub fn hierarchical(mut self, regions: usize) -> NetOptions {
-        self.regions = regions;
         self
     }
 
@@ -183,16 +157,6 @@ pub struct NetFleet {
     pub relayed: u64,
     /// Exit statuses of spawned peers (spawn mode only), by rank.
     pub peer_exits: Vec<(Rank, Option<i32>)>,
-}
-
-/// What a peer process ran, with its shutdown statistics.
-#[derive(Debug)]
-pub enum PeerOutcome {
-    /// This process was a regional foreman (ranks `3..3+R` of a
-    /// hierarchical universe).
-    Foreman(ForemanStats),
-    /// This process was a worker rank.
-    Worker(WorkerStats),
 }
 
 /// How long the coordinator waits for the universe to assemble.
@@ -236,8 +200,6 @@ type Universe = (TcpHub, HostedRank, HostedRank, Vec<(Rank, Child)>);
 fn assemble_universe(
     listen: &str,
     num_ranks: usize,
-    worker_timeout: Duration,
-    regions: usize,
     wire: WireFormat,
     obs: &Obs,
     spawn: &Option<NetSpawn>,
@@ -246,13 +208,7 @@ fn assemble_universe(
         num_ranks >= 4,
         "the fully instrumented parallel version requires at least four ranks"
     );
-    assert!(
-        regions == 0 || num_ranks > first_worker_rank(regions),
-        "a hierarchical universe needs at least one worker above its {regions} regional foremen"
-    );
     let net_cfg = NetConfig {
-        worker_timeout,
-        regions,
         wire,
         ..NetConfig::default()
     };
@@ -322,22 +278,13 @@ fn run_on_net<R>(
         num_ranks,
         sinks,
         spawn,
-        regions,
         wire,
         ..
     } = options;
-    let workers = num_ranks - first_worker_rank(regions);
-    let observer = RunObserver::start(sinks, num_ranks, workers);
+    let observer = RunObserver::start(sinks, num_ranks, num_ranks - ranks::FIRST_WORKER);
     let obs = &observer.obs;
-    let (hub, foreman_end, monitor_end, mut children) = assemble_universe(
-        &listen,
-        num_ranks,
-        config.worker_timeout,
-        regions,
-        wire,
-        obs,
-        &spawn,
-    )?;
+    let (hub, foreman_end, monitor_end, mut children) =
+        assemble_universe(&listen, num_ranks, wire, obs, &spawn)?;
     let addr = hub.local_addr().to_string();
     let supervisor = match &spawn {
         Some(s) if s.supervise => Some(Supervisor::start(
@@ -348,13 +295,7 @@ fn run_on_net<R>(
         )),
         _ => None,
     };
-    let service = ServiceRanks::start(
-        foreman_end,
-        monitor_end,
-        regions,
-        config.worker_timeout,
-        obs,
-    );
+    let service = ServiceRanks::start(foreman_end, monitor_end, config.worker_timeout, obs);
     let (master_end, outcome) = master(Recording::new(hub, obs.clone()), obs);
     let service = service.join();
     let relayed = master_end.inner().relayed();
@@ -380,10 +321,9 @@ pub fn net_coordinator_search(
     job: &ResolvedJob,
     mut options: NetOptions,
 ) -> Result<NetOutcome, PhyloError> {
-    let first_worker = first_worker_rank(options.regions);
     let session = std::mem::take(&mut options.session);
     let (result, report, fleet) = run_on_net(&job.config, options, |master_end, obs| {
-        let (master_end, result) = search_on(master_end, first_worker, job, session, obs);
+        let (master_end, result) = search_on(master_end, job, session, obs);
         let outcome = result.map(|found| {
             let ln_likelihood = found.ln_likelihood;
             (found, ln_likelihood)
@@ -421,9 +361,6 @@ pub fn net_farm_search(
     farm: &FarmOptions,
     options: NetOptions,
 ) -> Result<NetFarmOutcome, PhyloError> {
-    // The farm shards whole jumbles, so its universe stays flat — a
-    // `regions` setting is ignored here just as in the threaded farm.
-    let options = options.hierarchical(0);
     let (parts, report, fleet) = run_on_net(&job.config, options, |master_end, obs| {
         let parts = run_farm_master(
             &master_end,
@@ -577,22 +514,17 @@ fn reap(children: &mut Vec<(Rank, Child)>, grace: Duration) -> Vec<(Rank, Option
 }
 
 /// Run this process as a peer: dial the coordinator, learn our rank, and
-/// run that rank's loop until shutdown. `die_after_tasks` arms the chaos
+/// run the worker loop until shutdown. `die_after_tasks` arms the chaos
 /// exit used by fault-injection tests (see [`NetSpawn::die_after_tasks`]).
 pub fn run_net_peer(
     connect: &str,
     sinks: Vec<Box<dyn Sink>>,
     die_after_tasks: Option<u64>,
-) -> Result<(Rank, PeerOutcome), String> {
+) -> Result<(Rank, WorkerStats), String> {
     let obs = Obs::multi(sinks);
     let transport = TcpTransport::connect_observed(connect, ClientConfig::default(), obs.clone())
         .map_err(|e| format!("connect {connect}: {e}"))?;
     let rank = transport.rank();
-    let worker_timeout = transport.worker_timeout();
-    // The `Welcome` frame carries the universe's shape, so a peer derives
-    // its role purely from its rank — the same binary serves flat and
-    // hierarchical universes with no extra flags.
-    let regions = transport.regions();
     if rank < ranks::FIRST_WORKER {
         // Only a coordinator from before control ranks were hosted hands
         // these out.
@@ -602,26 +534,13 @@ pub fn run_net_peer(
         ));
     }
     let recorded = Recording::new(transport, obs.clone());
-    let outcome = if rank < first_worker_rank(regions) {
-        let machine = Sched::regional(rank - ranks::FIRST_WORKER, worker_timeout, true);
-        run_scheduler(recorded, machine, tick_of(worker_timeout), obs.clone())
-            .map(PeerOutcome::Foreman)
-            .map_err(|e| format!("regional foreman: {e}"))?
-    } else {
-        let home = if regions > 0 {
-            home_rank(rank, regions)
-        } else {
-            ranks::FOREMAN
-        };
-        let stats = match die_after_tasks {
-            Some(n) => run_worker_homed(DieAfter::new(recorded, n), home, obs.clone()),
-            None => run_worker_homed(recorded, home, obs.clone()),
-        }
-        .map_err(|e| format!("worker: {e:?}"))?;
-        PeerOutcome::Worker(stats)
-    };
+    let stats = match die_after_tasks {
+        Some(n) => run_worker(DieAfter::new(recorded, n), obs.clone()),
+        None => run_worker(recorded, obs.clone()),
+    }
+    .map_err(|e| format!("worker: {e:?}"))?;
     obs.flush();
-    Ok((rank, outcome))
+    Ok((rank, stats))
 }
 
 /// Chaos wrapper: lets `limit` results (tree, jumble or edit chunk)

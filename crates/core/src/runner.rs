@@ -3,9 +3,8 @@
 //! farm.
 
 use crate::config::SearchConfig;
-use crate::farm::{run_farm_master, FarmOptions, JumbleRun};
+use crate::farm::{log_key, run_farm_master, FarmOptions, JumbleRun};
 use crate::foreman::{run_scheduler, ForemanError, ForemanStats};
-use crate::hierarchy::{first_worker_rank, home_rank, regional_rank, Root, RootStats};
 use crate::job::ResolvedJob;
 use crate::loopback::Loopback;
 use crate::master::ClusterExecutor;
@@ -13,7 +12,7 @@ use crate::monitor::{run_monitor, MonitorReport};
 use crate::sched::{tick_of, Sched};
 use crate::search::{SearchResult, StepwiseSearch};
 use crate::wal::WalSession;
-use crate::worker::{ranks, run_worker_homed, WorkerStats};
+use crate::worker::{ranks, run_worker, WorkerStats};
 use fdml_chaos::{ChaosPlan, ChaosTransport};
 use fdml_comm::fault::{FaultPlan, FaultyTransport};
 use fdml_comm::message::Message;
@@ -49,17 +48,16 @@ pub struct SearchSession {
 }
 
 /// Run `job`'s search as the master of the universe behind `master_end`
-/// (workers at ranks `first_worker..`) and shut that universe down. This
-/// is the one way a search runs — in process over a [`Loopback`], over
-/// threads, over TCP — so every deployment of a seed and scoring mode
-/// dispatches the same tasks, commits the same rounds and writes the same
-/// log. Returns the endpoint so the caller can tear its universe down.
+/// (workers at ranks [`ranks::FIRST_WORKER`]`..`) and shut that universe
+/// down. This is the one way a search runs — in process over a
+/// [`Loopback`], over threads, over TCP — so every deployment of a seed
+/// and scoring mode dispatches the same tasks, commits the same rounds and
+/// writes the same log. Returns the endpoint so the caller can tear its universe down.
 ///
 /// A WAL append failure does not stop the search; it surfaces here once
 /// the tree is computed, before success is reported.
 pub fn search_on<T: Transport>(
     master_end: T,
-    first_worker: usize,
     job: &ResolvedJob,
     session: SearchSession,
     obs: &Obs,
@@ -68,7 +66,10 @@ pub fn search_on<T: Transport>(
     let wal_io = |e: std::io::Error| PhyloError::Format(format!("wal: {e}"));
     // Open the log before the first task is dispatched: a bad --wal-dir
     // fails the run while nothing has been computed.
-    let open = |dir| WalSession::open(dir, 0, config.jumble_seed, alignment.num_taxa(), obs);
+    let open = |dir| {
+        let key = log_key(alignment, config);
+        WalSession::open(dir, 0, config.jumble_seed, alignment.num_taxa(), &key, obs)
+    };
     let mut wal = match session.wal_dir.as_deref().map(open).transpose() {
         Ok(wal) => wal,
         Err(e) => {
@@ -82,7 +83,6 @@ pub fn search_on<T: Transport>(
         phylip::write(alignment),
         config.engine_config_json(),
         true,
-        first_worker,
     )
     .with_incremental(config.incremental);
     let mut search = StepwiseSearch::new(config, executor, alignment.num_taxa())
@@ -121,14 +121,7 @@ pub fn search_in_process(
     job: &ResolvedJob,
     session: SearchSession,
 ) -> Result<SearchResult, PhyloError> {
-    search_on(
-        Loopback::new(),
-        ranks::FIRST_WORKER,
-        job,
-        session,
-        &Obs::disabled(),
-    )
-    .1
+    search_on(Loopback::new(), job, session, &Obs::disabled()).1
 }
 
 /// Optional machinery threaded through a parallel or farm run: fault
@@ -137,11 +130,8 @@ pub fn search_in_process(
 /// `parallel_search(&job, n, RunOptions::default())`.
 #[derive(Default)]
 pub struct RunOptions {
-    /// Injected fault plans, keyed by rank. On a worker rank they exercise
-    /// the foreman's timeout machinery; on a regional foreman's rank
-    /// (`3..3+regions`) they exercise the root's region-loss ladder —
-    /// [`FaultPlan::disconnect_after`] there is a regional foreman
-    /// crashing mid-round with its unsent results.
+    /// Injected fault plans, keyed by worker rank: they exercise the
+    /// foreman's timeout machinery.
     pub faults: HashMap<usize, FaultPlan>,
     /// A seeded chaos plan: every worker transport is wrapped in
     /// [`ChaosTransport`], injecting the plan's exact per-rank drop /
@@ -151,11 +141,6 @@ pub struct RunOptions {
     /// the instrumented code paths then cost one branch per emit point and
     /// no allocation, and the outcome's `report` is `None`.
     pub sinks: Vec<Box<dyn Sink>>,
-    /// Number of regional foremen for a hierarchical run: `0` (the
-    /// default) is the paper's flat topology; `R > 0` puts a root foreman
-    /// at rank 1, regional foremen at ranks `3..3+R`, and shards the
-    /// workers round-robin among them.
-    pub regions: usize,
     /// What the master's search persists and resumes from (single
     /// searches; a farm's rides in [`FarmOptions`]).
     pub session: SearchSession,
@@ -224,32 +209,21 @@ impl RunObserver {
     }
 }
 
-/// Scheduling-tree statistics of a hierarchical run.
-#[derive(Debug)]
-pub struct HierarchyOutcome {
-    /// The root foreman's leasing / stealing / region-loss counters.
-    pub root: RootStats,
-    /// Per-region foreman statistics, indexed by region index.
-    pub regions: HashMap<usize, ForemanStats>,
-}
-
 /// What a universe's service ranks report when they are joined.
 #[derive(Debug)]
 pub struct ServiceStats {
-    /// The foreman's counters: the flat foreman's in `root.stats` (the
-    /// rest zero), or the root foreman's in a hierarchical run.
-    pub root: RootStats,
+    /// The foreman's counters.
+    pub foreman: ForemanStats,
     /// The monitor's aggregated instrumentation.
     pub monitor: MonitorReport,
 }
 
-/// The service ranks of a universe — rank 1 the foreman (the root foreman
-/// when `regions > 0`), rank 2 the monitor — running as threads of the
-/// master's process. Every launcher hosts them this way: over channel
-/// endpoints in a threaded universe, over the hub's hosted endpoints in a
-/// TCP one.
+/// The service ranks of a universe — rank 1 the foreman, rank 2 the
+/// monitor — running as threads of the master's process. Every launcher
+/// hosts them this way: over channel endpoints in a threaded universe,
+/// over the hub's hosted endpoints in a TCP one.
 pub(crate) struct ServiceRanks {
-    foreman: thread::JoinHandle<Result<RootStats, ForemanError>>,
+    foreman: thread::JoinHandle<Result<ForemanStats, ForemanError>>,
     monitor: thread::JoinHandle<Result<MonitorReport, CommError>>,
 }
 
@@ -259,7 +233,6 @@ impl ServiceRanks {
     pub(crate) fn start<T: Transport + Send + 'static>(
         foreman_end: T,
         monitor_end: T,
-        regions: usize,
         timeout: Duration,
         obs: &Obs,
     ) -> ServiceRanks {
@@ -268,17 +241,8 @@ impl ServiceRanks {
         let monitor_end = Recording::new(monitor_end, obs.clone());
         let foreman_obs = obs.clone();
         let foreman = thread::spawn(move || {
-            let tick = tick_of(timeout);
-            if regions == 0 {
-                let machine = Sched::flat(num_ranks, timeout, true);
-                run_scheduler(foreman_end, machine, tick, foreman_obs).map(|stats| RootStats {
-                    stats,
-                    ..RootStats::default()
-                })
-            } else {
-                let machine = Root::new(regions, num_ranks, timeout, true);
-                run_scheduler(foreman_end, machine, tick, foreman_obs)
-            }
+            let machine = Sched::flat(num_ranks, timeout, true);
+            run_scheduler(foreman_end, machine, tick_of(timeout), foreman_obs)
         });
         let monitor_obs = obs.clone();
         let monitor = thread::spawn(move || run_monitor(monitor_end, monitor_obs));
@@ -288,7 +252,7 @@ impl ServiceRanks {
     /// Join both ranks; the master must already have shut the universe
     /// down.
     pub(crate) fn join(self) -> ServiceStats {
-        let root = self
+        let foreman = self
             .foreman
             .join()
             .expect("foreman thread must not panic")
@@ -298,24 +262,22 @@ impl ServiceRanks {
             .join()
             .expect("monitor thread must not panic")
             .expect("monitor must exit cleanly");
-        ServiceStats { root, monitor }
+        ServiceStats { foreman, monitor }
     }
 }
 
 /// What the ranks of a threaded universe report when they are joined.
 struct FleetStats {
     service: ServiceStats,
-    regions: HashMap<usize, ForemanStats>,
     workers: HashMap<usize, WorkerStats>,
 }
 
 /// Run `master` as rank 0 of a universe of `num_ranks` thread-ranks: rank
-/// 1 the foreman (the root foreman when `options.regions > 0`, with the
-/// regional foremen above it), rank 2 the monitor, the rest workers behind
-/// their chaos / fault wrappers. `master` returns its value and the final
-/// log-likelihood, and must leave the universe shut down (`Shutdown` sent
-/// to the foreman) whatever its outcome; every rank is joined before that
-/// outcome is looked at.
+/// 1 the foreman, rank 2 the monitor, the rest workers behind their chaos /
+/// fault wrappers. `master` returns its value and the final log-likelihood,
+/// and must leave the universe shut down (`Shutdown` sent to the foreman)
+/// whatever its outcome; every rank is joined before that outcome is
+/// looked at.
 fn run_on_threads<R>(
     config: &SearchConfig,
     num_ranks: usize,
@@ -326,85 +288,46 @@ fn run_on_threads<R>(
         mut faults,
         chaos,
         sinks,
-        regions,
         session: _,
     } = options;
-    let first_worker = first_worker_rank(regions);
     assert!(
         num_ranks >= 4,
         "the fully instrumented parallel version requires at least four ranks"
     );
-    assert!(
-        regions == 0 || num_ranks > first_worker,
-        "a hierarchical run needs at least one worker above its {regions} regional foremen"
-    );
-    let observer = RunObserver::start(sinks, num_ranks, num_ranks - first_worker);
+    let observer = RunObserver::start(sinks, num_ranks, num_ranks - ranks::FIRST_WORKER);
     let obs = &observer.obs;
 
     let mut endpoints = ThreadUniverse::create(num_ranks);
     // Take endpoints from the back so indices stay valid.
     let mut worker_handles = Vec::new();
-    for rank in (first_worker..num_ranks).rev() {
+    for rank in (ranks::FIRST_WORKER..num_ranks).rev() {
         let end = endpoints.remove(rank);
         let fault = faults.remove(&rank);
         let chaos = chaos.clone();
         let worker_obs = obs.clone();
-        // Flat: every worker reports to the foreman at rank 1. With
-        // regions, workers are sharded round-robin among the regional
-        // foremen at ranks 3..3+R.
-        let home = if regions == 0 {
-            ranks::FOREMAN
-        } else {
-            home_rank(rank, regions)
-        };
         let handle = thread::spawn(move || match (chaos, fault) {
-            (Some(plan), _) => run_worker_homed(
+            (Some(plan), _) => run_worker(
                 Recording::new(
                     ChaosTransport::new(end, plan, worker_obs.clone()),
                     worker_obs.clone(),
                 ),
-                home,
                 worker_obs,
             ),
-            (None, Some(plan)) => run_worker_homed(
+            (None, Some(plan)) => run_worker(
                 Recording::new(FaultyTransport::new(end, plan), worker_obs.clone()),
-                home,
                 worker_obs,
             ),
-            (None, None) => {
-                run_worker_homed(Recording::new(end, worker_obs.clone()), home, worker_obs)
-            }
+            (None, None) => run_worker(Recording::new(end, worker_obs.clone()), worker_obs),
         });
         worker_handles.push((rank, handle));
-    }
-    let timeout = config.worker_timeout;
-    let mut region_handles = Vec::new();
-    for region in (0..regions).rev() {
-        let end = endpoints.remove(regional_rank(region));
-        let fault = faults.remove(&regional_rank(region));
-        let region_obs = obs.clone();
-        let handle = thread::spawn(move || match fault {
-            Some(plan) => run_region(FaultyTransport::new(end, plan), region, timeout, region_obs),
-            None => run_region(end, region, timeout, region_obs),
-        });
-        region_handles.push((region, handle));
     }
     let monitor_end = endpoints.remove(ranks::MONITOR);
     let foreman_end = endpoints.remove(ranks::FOREMAN);
     let master_end = Recording::new(endpoints.remove(ranks::MASTER), obs.clone());
-    let service = ServiceRanks::start(foreman_end, monitor_end, regions, timeout, obs);
+    let service = ServiceRanks::start(foreman_end, monitor_end, config.worker_timeout, obs);
 
     let outcome = master(master_end, obs);
     let service = service.join();
-    let regions = region_handles
-        .into_iter()
-        .map(|(region, handle)| {
-            let stats = handle
-                .join()
-                .expect("regional foreman thread must not panic");
-            (region, stats.unwrap_or_default())
-        })
-        .collect();
     let workers = worker_handles
         .into_iter()
         .map(|(rank, handle)| {
@@ -413,29 +336,8 @@ fn run_on_threads<R>(
         })
         .collect();
     let (value, ln_likelihood) = outcome?;
-    let stats = FleetStats {
-        service,
-        regions,
-        workers,
-    };
+    let stats = FleetStats { service, workers };
     Ok((value, stats, observer.finish(ln_likelihood)))
-}
-
-/// Regional foreman `region` of a threaded universe, over its (possibly
-/// fault-wrapped) endpoint.
-fn run_region<T: Transport>(
-    end: T,
-    region: usize,
-    timeout: Duration,
-    obs: Obs,
-) -> Result<ForemanStats, ForemanError> {
-    let machine = Sched::regional(region, timeout, true);
-    run_scheduler(
-        Recording::new(end, obs.clone()),
-        machine,
-        tick_of(timeout),
-        obs,
-    )
 }
 
 /// Everything a parallel run returns.
@@ -446,14 +348,10 @@ pub struct ParallelOutcome {
     pub result: SearchResult,
     /// The monitor's aggregated instrumentation.
     pub monitor: MonitorReport,
-    /// Foreman statistics — the flat foreman's, or the root foreman's
-    /// scheduler counters in a hierarchical run.
+    /// Foreman statistics.
     pub foreman: ForemanStats,
     /// Per-worker statistics, indexed by rank.
     pub workers: HashMap<usize, WorkerStats>,
-    /// Root and per-region statistics — `Some` only for hierarchical runs
-    /// (`RunOptions::regions > 0`).
-    pub hierarchy: Option<HierarchyOutcome>,
     /// The end-of-run observability report — `Some` when the run was
     /// observed (sinks in [`RunOptions`]), `None` otherwise.
     pub report: Option<RunReport>,
@@ -472,26 +370,22 @@ pub fn parallel_search(
     num_ranks: usize,
     mut options: RunOptions,
 ) -> Result<ParallelOutcome, PhyloError> {
-    let hierarchical = options.regions > 0;
-    let first_worker = first_worker_rank(options.regions);
     let session = std::mem::take(&mut options.session);
     let (result, stats, report) =
         run_on_threads(&job.config, num_ranks, options, |master_end, obs| {
-            let result = search_on(master_end, first_worker, job, session, obs).1?;
+            let result = search_on(master_end, job, session, obs).1?;
             let ln_likelihood = result.ln_likelihood;
             Ok((result, ln_likelihood))
         })?;
     let FleetStats {
-        service: ServiceStats { root, monitor },
-        regions,
+        service: ServiceStats { foreman, monitor },
         workers,
     } = stats;
     Ok(ParallelOutcome {
         result,
         monitor,
-        foreman: root.stats,
+        foreman,
         workers,
-        hierarchy: hierarchical.then_some(HierarchyOutcome { root, regions }),
         report,
     })
 }
@@ -526,10 +420,7 @@ pub fn farm_search(
     options: FarmOptions,
     run: RunOptions,
 ) -> Result<FarmOutcome, PhyloError> {
-    // The farm stays flat: whole-jumble tasks are already coarse enough
-    // that the foreman is nowhere near its message ceiling. Its WAL rides
-    // in `FarmOptions::wal_dir` (one log per jumble).
-    let run = RunOptions { regions: 0, ..run };
+    // The farm's WAL rides in `FarmOptions::wal_dir` (one log per jumble).
     let (parts, stats, report) = run_on_threads(&job.config, num_ranks, run, |master_end, obs| {
         let parts = run_farm_master(
             &master_end,
@@ -549,7 +440,7 @@ pub fn farm_search(
         runs: parts.runs,
         consensus: parts.consensus,
         monitor: stats.service.monitor,
-        foreman: stats.service.root.stats,
+        foreman: stats.service.foreman,
         workers: stats.workers,
         report,
     })
@@ -623,54 +514,6 @@ pub fn bootstrap_analysis(
     let trees: Vec<Tree> = results.iter().map(|r| r.tree.clone()).collect();
     let cons = consensus(&trees, alignment.num_taxa(), 0.5, alignment.names())?;
     Ok((results, cons))
-}
-
-/// Maximize the likelihood over the transition/transversion ratio by a
-/// golden-section search on a fixed tree (fastDNAml's `T` option asks the
-/// user for the ratio; this finds the ML value).
-pub fn optimize_tt_ratio(
-    alignment: &Alignment,
-    config: &SearchConfig,
-    tree: &Tree,
-    lo: f64,
-    hi: f64,
-) -> (f64, f64) {
-    assert!(lo > 0.0 && hi > lo);
-    let eval = |tt: f64| -> f64 {
-        let cfg = SearchConfig {
-            tt_ratio: tt,
-            ..config.clone()
-        };
-        let engine = cfg.build_engine(alignment);
-        let mut t = tree.clone();
-        engine.optimize(&mut t, &cfg.optimize).ln_likelihood
-    };
-    // Golden-section search in ln(tt) space.
-    let phi = 0.5 * (5f64.sqrt() - 1.0);
-    let (mut a, mut b) = (lo.ln(), hi.ln());
-    let mut c = b - phi * (b - a);
-    let mut d = a + phi * (b - a);
-    let (mut fc, mut fd) = (eval(c.exp()), eval(d.exp()));
-    for _ in 0..24 {
-        if fc > fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - phi * (b - a);
-            fc = eval(c.exp());
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + phi * (b - a);
-            fd = eval(d.exp());
-        }
-        if (b - a).abs() < 1e-3 {
-            break;
-        }
-    }
-    let tt = (0.5 * (a + b)).exp();
-    (tt, eval(tt))
 }
 
 #[cfg(test)]
@@ -797,132 +640,6 @@ mod tests {
             assert!(hits > 0, "seed {seed}: no CLV cache hits recorded");
             assert_eq!(fallbacks, 0, "seed {seed}: healthy run must not fall back");
         }
-    }
-
-    #[test]
-    fn hierarchical_run_is_byte_identical_to_flat() {
-        use fdml_phylo::newick;
-        let a = alignment();
-        for seed in [1u64, 5, 11] {
-            let config = SearchConfig {
-                jumble_seed: seed,
-                ..Default::default()
-            };
-            let flat = parallel_search(&job(&a, &config), 6, RunOptions::default()).unwrap();
-            // Same job over a two-region tree: ranks 0-2 control, 3-4
-            // regional foremen, 5-8 workers (two per region).
-            let hier = parallel_search(
-                &job(&a, &config),
-                9,
-                RunOptions {
-                    regions: 2,
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-            // The golden property: interposing a scheduling tier changes
-            // WHERE tasks run, never WHAT the search returns.
-            assert_eq!(
-                newick::write_tree(&flat.result.tree, a.names()),
-                newick::write_tree(&hier.result.tree, a.names()),
-                "seed {seed}"
-            );
-            assert_eq!(
-                flat.result.ln_likelihood.to_bits(),
-                hier.result.ln_likelihood.to_bits(),
-                "seed {seed}: flat {} vs hierarchical {}",
-                flat.result.ln_likelihood,
-                hier.result.ln_likelihood
-            );
-            let h = hier.hierarchy.expect("hierarchical run records its tree");
-            assert!(h.root.leases_granted > 0, "seed {seed}: no leases granted");
-            assert_eq!(h.regions.len(), 2);
-            let regional_results: u64 = h.regions.values().map(|r| r.results_forwarded).sum();
-            assert!(
-                regional_results >= h.root.stats.results_forwarded,
-                "regions forwarded {regional_results} < root accepted {}",
-                h.root.stats.results_forwarded
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_hierarchical_run_is_byte_identical_to_flat() {
-        use fdml_phylo::newick;
-        let a = alignment();
-        let config = SearchConfig {
-            jumble_seed: 5,
-            incremental: true,
-            ..Default::default()
-        };
-        let flat = parallel_search(&job(&a, &config), 6, RunOptions::default()).unwrap();
-        let hier = parallel_search(
-            &job(&a, &config),
-            9,
-            RunOptions {
-                regions: 2,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        // Edits travel master → root → region → worker with the base
-        // relayed down the same path; the result must not notice.
-        assert_eq!(
-            newick::write_tree(&flat.result.tree, a.names()),
-            newick::write_tree(&hier.result.tree, a.names())
-        );
-        assert_eq!(
-            flat.result.ln_likelihood.to_bits(),
-            hier.result.ln_likelihood.to_bits()
-        );
-    }
-
-    #[test]
-    fn killing_a_regional_foreman_mid_round_is_byte_identical() {
-        use fdml_phylo::newick;
-        let a = alignment();
-        let config = SearchConfig {
-            jumble_seed: 5,
-            worker_timeout: Duration::from_millis(150),
-            ..Default::default()
-        };
-        let clean = parallel_search(&job(&a, &config), 6, RunOptions::default()).unwrap();
-        // Region 0's link is severed after it has passed two results
-        // upward, losing whatever it had not yet sent. The root must
-        // reclaim its lease, re-home its workers to region 1, and the final
-        // tree must not change by a byte.
-        let mut faults = HashMap::new();
-        faults.insert(regional_rank(0), FaultPlan::disconnect_after(2));
-        let crashed = parallel_search(
-            &job(&a, &config),
-            9,
-            RunOptions {
-                regions: 2,
-                faults,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            newick::write_tree(&clean.result.tree, a.names()),
-            newick::write_tree(&crashed.result.tree, a.names())
-        );
-        assert_eq!(
-            clean.result.ln_likelihood.to_bits(),
-            crashed.result.ln_likelihood.to_bits()
-        );
-        let h = crashed
-            .hierarchy
-            .expect("hierarchical run records its tree");
-        assert_eq!(h.root.regions_lost, 1, "region 0 must be declared dead");
-        assert!(
-            h.root.workers_rehomed >= 1,
-            "region 0's workers must re-home to region 1"
-        );
-        assert!(
-            h.root.stats.timeouts >= 1,
-            "the lease region 0 died holding must be reclaimed"
-        );
     }
 
     #[test]
@@ -1134,32 +851,6 @@ mod mode_tests {
             hits * 2 >= cons.splits.len(),
             "{hits}/{}",
             cons.splits.len()
-        );
-    }
-
-    #[test]
-    fn tt_ratio_optimization_recovers_generating_ratio() {
-        // Generate with a strong transition bias and check the ML estimate
-        // lands near it (wide tolerance: finite data).
-        let (a, truth) = dataset(10, 1500, 6.0);
-        let config = SearchConfig::default();
-        let (tt, lnl) = optimize_tt_ratio(&a, &config, &truth, 0.8, 30.0);
-        assert!(lnl.is_finite());
-        assert!(
-            tt > 3.0 && tt < 12.0,
-            "generating ratio 6.0, estimated {tt}"
-        );
-        // And the likelihood at the estimate beats the default 2.0.
-        let cfg2 = SearchConfig {
-            tt_ratio: 2.0,
-            ..config.clone()
-        };
-        let engine2 = cfg2.build_engine(&a);
-        let mut t2 = truth.clone();
-        let at_default = engine2.optimize(&mut t2, &cfg2.optimize).ln_likelihood;
-        assert!(
-            lnl > at_default,
-            "lnl(tt̂={tt:.2}) = {lnl} vs lnl(2.0) = {at_default}"
         );
     }
 }

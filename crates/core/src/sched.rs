@@ -8,15 +8,10 @@
 //! rung of the self-healing ladder runs under a virtual clock in the tests
 //! below, and a fix to it is made once.
 //!
-//! One machine, two positions in the scheduling tree, fixed at
-//! construction. [`Sched::flat`] is the paper's foreman: the master pushes
-//! tasks, every result goes back in a frame of its own, the members are all
-//! the worker ranks and `Shutdown` cascades. [`Sched::regional`] is the same
-//! machine under a leased supply ([`crate::hierarchy`]): it asks the root
-//! for work, streams results up as one frame per `Tick`, schedules onto
-//! whoever announced to it, answers the root's steal requests and probes,
-//! and leaves `Shutdown` to the root's broadcast. Everything worker-facing —
-//! dispatch, timeout, probe, result, `WorkerReady`, `PeerDown` — is shared.
+//! [`Sched::flat`] is the paper's foreman: the master pushes tasks, every
+//! result goes back to it in a frame of its own, the workers are every rank
+//! from [`ranks::FIRST_WORKER`] up, and the master's `Shutdown` cascades to
+//! them.
 //!
 //! A worker holds at most [`PIPELINE_DEPTH`] tasks: the one it computes
 //! and, while the queue is long, the next one, so that it starts that task
@@ -54,25 +49,6 @@ pub(crate) enum Action {
     Emit(fdml_obs::Event),
 }
 
-/// A pure scheduling state machine, as [`crate::foreman::run_scheduler`]
-/// drives it.
-pub(crate) trait Machine {
-    /// The counters reported at shutdown.
-    type Stats;
-
-    /// Absorb `ev` at time `now`, appending what it calls for to `out`.
-    /// `Break` means the machine was shut down.
-    fn step(
-        &mut self,
-        now: Instant,
-        ev: Event,
-        out: &mut Vec<Action>,
-    ) -> Result<ControlFlow<()>, ForemanError>;
-
-    /// The counters so far.
-    fn stats(&self) -> Self::Stats;
-}
-
 /// How many tasks a worker may hold at once. A worker is given a second
 /// task only when every live, non-delinquent worker already holds one, at
 /// least as many tasks as there are such workers stay queued after it, and
@@ -85,21 +61,12 @@ pub(crate) trait Machine {
 /// gave back.
 const PIPELINE_DEPTH: usize = 2;
 
-/// The period of the timeout sweep and of a region's lease requests, and
-/// the longest the shell waits for a message before the next `Tick`.
+/// The period of the timeout sweep, and the longest the shell waits for a
+/// message before the next `Tick`.
 pub(crate) fn tick_of(worker_timeout: Duration) -> Duration {
     (worker_timeout / 4)
         .max(Duration::from_millis(1))
         .min(Duration::from_millis(50))
-}
-
-/// `msgs` as one frame: the message itself when it is alone, a `Batch`
-/// otherwise.
-pub(crate) fn frame(msgs: Vec<Message>) -> Message {
-    match <[Message; 1]>::try_from(msgs) {
-        Ok([one]) => one,
-        Err(msgs) => Message::Batch { msgs },
-    }
 }
 
 /// What a queued task asks a worker to do: evaluate one candidate tree,
@@ -125,8 +92,8 @@ pub(crate) enum TaskBody {
         wal: Vec<String>,
     },
     /// A chunk of candidate edits against the round's broadcast base
-    /// topology: scheduled, timed out, requeued, stolen and quarantined as
-    /// one task.
+    /// topology: scheduled, timed out, requeued and quarantined as one
+    /// task.
     Edit {
         /// Generation id of the base the edits apply to.
         base_id: u64,
@@ -142,10 +109,8 @@ pub(crate) enum TaskBody {
 }
 
 impl TaskBody {
-    /// Turn a dispatched task message back into its queue form — the
-    /// inverse of [`TaskBody::to_message`], used wherever a task arrives:
-    /// from the master, in a root grant, in a steal return. `None` for
-    /// non-task messages.
+    /// Turn a task message from the master into its queue form — the
+    /// inverse of [`TaskBody::to_message`]. `None` for non-task messages.
     pub(crate) fn from_message(msg: Message) -> Option<(u64, TaskBody)> {
         match msg {
             Message::TreeTask { task, newick } => Some((task, TaskBody::Tree(newick))),
@@ -289,31 +254,16 @@ struct InFlight {
     started: Option<Instant>,
 }
 
-/// The edge a machine gets its work over and returns its results over.
-#[derive(Default)]
-enum Upstream {
-    /// The master pushes tasks; every result goes back in its own frame.
-    #[default]
-    Master,
-    /// Region `region`'s root leases tasks on request; results wait in
-    /// `upward` and leave as one frame per `Tick`.
-    Root { region: usize },
-}
-
 /// The scheduling machine: configuration, ledger and timers.
 #[derive(Default)]
 pub(crate) struct Sched {
-    upstream: Upstream,
     /// A worker holding a task longer than this is marked delinquent and
     /// the task goes to a different worker; if the delinquent worker
     /// answers later it is re-admitted (paper §2.2).
     worker_timeout: Duration,
     /// Whether a monitor sits at rank 2 to hear `Dispatched` / `Completed`.
     has_monitor: bool,
-    /// The ranks scheduled onto: every worker rank of a flat universe; for
-    /// a region, whoever announced `WorkerReady` — its shard is dynamic
-    /// (refugees re-homed from a dead sibling join by announcing), so it
-    /// cannot be derived from rank arithmetic.
+    /// The ranks scheduled onto: every worker rank of the universe.
     members: BTreeSet<Rank>,
     work_queue: VecDeque<(u64, TaskBody)>,
     ready: VecDeque<Rank>,
@@ -343,12 +293,8 @@ pub(crate) struct Sched {
     /// set when its link dies (a respawn has an empty cache) and rejoins
     /// when the base is relayed to it.
     has_base: HashSet<Rank>,
-    /// Results, quarantines and WAL rounds awaiting a region's next upward
-    /// frame.
-    upward: Vec<Message>,
     next_sweep: Option<Instant>,
     next_ping: HashMap<Rank, Instant>,
-    next_lease: Option<Instant>,
     last_depth: Option<(usize, usize, usize)>,
     aborted: bool,
     stats: ForemanStats,
@@ -365,27 +311,6 @@ impl Sched {
         }
     }
 
-    /// Regional foreman number `region` under the root at rank 1.
-    pub(crate) fn regional(region: usize, worker_timeout: Duration, has_monitor: bool) -> Sched {
-        Sched {
-            upstream: Upstream::Root { region },
-            worker_timeout,
-            has_monitor,
-            ..Sched::default()
-        }
-    }
-
-    fn leased(&self) -> bool {
-        matches!(self.upstream, Upstream::Root { .. })
-    }
-
-    fn upstream_rank(&self) -> Rank {
-        match self.upstream {
-            Upstream::Master => ranks::MASTER,
-            Upstream::Root { .. } => ranks::FOREMAN,
-        }
-    }
-
     /// Whether `worker` holds a task in flight or owes one taken back.
     fn busy(&self, worker: Rank) -> bool {
         self.owed.contains_key(&worker) || self.in_flight.values().any(|held| held.worker == worker)
@@ -394,17 +319,6 @@ impl Sched {
     /// Tasks held, queued or in flight.
     fn outstanding(&self) -> usize {
         self.work_queue.len() + self.in_flight.len()
-    }
-
-    /// How many more tasks the shard can absorb: the backlog is kept at
-    /// about two tasks per live worker.
-    fn demand(&self) -> u32 {
-        let live = self
-            .members
-            .iter()
-            .filter(|w| !self.dead.contains(w))
-            .count();
-        (2 * live).saturating_sub(self.outstanding()) as u32
     }
 
     /// The text of base `base_id`, if that is the base currently held.
@@ -418,14 +332,6 @@ impl Sched {
     fn monitor(&self, ev: MonitorEvent, out: &mut Vec<Action>) {
         if self.has_monitor {
             out.push(Action::Send(ranks::MONITOR, Message::Monitor(ev)));
-        }
-    }
-
-    /// Hand a result, quarantine, WAL round or abort to the tier above.
-    fn send_up(&mut self, msg: Message, out: &mut Vec<Action>) {
-        match self.upstream {
-            Upstream::Master => out.push(Action::Send(ranks::MASTER, msg)),
-            Upstream::Root { .. } => self.upward.push(msg),
         }
     }
 
@@ -446,7 +352,7 @@ impl Sched {
             }
             if let Some(service_us) = self.accept_result(task, now) {
                 self.stats.results_forwarded += 1;
-                self.send_up(msg, out);
+                out.push(Action::Send(ranks::MASTER, msg));
                 let worker = from;
                 self.monitor(
                     MonitorEvent::Completed {
@@ -468,17 +374,11 @@ impl Sched {
             return;
         }
         match msg {
-            // Lease grants arrive batched; unpack them in order.
-            Message::Batch { msgs } => {
-                for inner in msgs {
-                    self.absorb(now, from, inner, out);
-                }
-            }
             Message::TreeTask { .. }
             | Message::JumbleTask { .. }
             | Message::JumbleResume { .. }
             | Message::EditChunk { .. } => {
-                debug_assert_eq!(from, self.upstream_rank());
+                debug_assert_eq!(from, ranks::MASTER);
                 // A chunk that embeds its base doubles as a base install:
                 // its dispatch, and later compact tasks of the round, rely
                 // on it.
@@ -498,10 +398,10 @@ impl Sched {
                 }
             }
             // A worker streaming one committed round of its jumble: relay
-            // toward the master, which owns the on-disk log. No dedup here
-            // (the coordinator's append is index-gated), and per-link FIFO
-            // keeps it ahead of the jumble's result.
-            msg @ Message::WalRound { .. } => self.send_up(msg, out),
+            // to the master, which owns the on-disk log. No dedup here (the
+            // coordinator's append is index-gated), and per-link FIFO keeps
+            // it ahead of the jumble's result.
+            msg @ Message::WalRound { .. } => out.push(Action::Send(ranks::MASTER, msg)),
             Message::BaseTopology { base_id, newick } => {
                 // A new round base: remember it for embedded fallbacks and
                 // relay it to every live member. Per-link FIFO guarantees
@@ -520,32 +420,7 @@ impl Sched {
                 }
                 self.base = Some((base_id, newick));
             }
-            Message::StealRequest { want } if self.leased() => {
-                // Surrender the coldest queued tasks (back of the queue),
-                // base embedded so the thief can always score them. Always
-                // answer, even empty-handed: the root's steal ledger needs
-                // the resolution.
-                let keep = self.work_queue.len().saturating_sub(want as usize);
-                let surrendered = self.work_queue.split_off(keep);
-                let tasks = surrendered
-                    .iter()
-                    .map(|(task, body)| {
-                        let base = match body {
-                            TaskBody::Edit { base_id, .. } => self.base_text(*base_id),
-                            _ => None,
-                        };
-                        body.to_message(*task, base)
-                    })
-                    .collect();
-                out.push(Action::Send(ranks::FOREMAN, Message::StealReturn { tasks }));
-            }
-            Message::Ping if self.leased() => {
-                // Root liveness probe: answer with current demand.
-                let want = self.demand();
-                out.push(Action::Send(ranks::FOREMAN, Message::LeaseRequest { want }));
-            }
             Message::WorkerReady => {
-                self.members.insert(from);
                 let probes = self.probes.entry(from).or_default();
                 probes.answered = (probes.answered + 1).min(probes.sent);
                 let answered = probes.answered;
@@ -638,22 +513,11 @@ impl Sched {
         }
         self.pipeline(out)?;
 
-        // A region asks for more work when its shard can absorb it; the
-        // request doubles as its heartbeat.
-        if self.leased() && self.next_lease.is_none_or(|due| now >= due) {
-            let want = self.demand();
-            if want > 0 {
-                self.next_lease = Some(now + tick_of(self.worker_timeout));
-                out.push(Action::Send(ranks::FOREMAN, Message::LeaseRequest { want }));
-            }
-        }
-
         // The run cannot heal if every member's link is dead while work is
-        // outstanding: say so upstream rather than spinning forever. The
-        // master surfaces a typed error and leaves its round log
-        // valid; the root reclaims the lease for a sibling. The machine
-        // keeps running — a worker may come back, and re-homed refugees may
-        // repopulate a region — and says so again if it strands again.
+        // outstanding: say so to the master rather than spinning forever.
+        // The master surfaces a typed error and leaves its round log valid.
+        // The machine keeps running — a worker may come back — and says so
+        // again if it strands again.
         let stranded = !self.members.is_empty()
             && self.members.iter().all(|w| self.dead.contains(w))
             && self.outstanding() > 0;
@@ -663,7 +527,7 @@ impl Sched {
                 self.members.len(),
                 self.outstanding()
             );
-            self.send_up(Message::Abort { reason }, out);
+            out.push(Action::Send(ranks::MASTER, Message::Abort { reason }));
         }
         self.aborted = stranded;
 
@@ -676,26 +540,11 @@ impl Sched {
         );
         if self.last_depth != Some((work, ready, in_flight)) {
             self.last_depth = Some((work, ready, in_flight));
-            out.push(Action::Emit(match self.upstream {
-                Upstream::Master => fdml_obs::Event::QueueDepth {
-                    work,
-                    ready,
-                    in_flight,
-                },
-                Upstream::Root { region } => fdml_obs::Event::RegionQueueDepth {
-                    region,
-                    work,
-                    ready,
-                    in_flight,
-                },
+            out.push(Action::Emit(fdml_obs::Event::QueueDepth {
+                work,
+                ready,
+                in_flight,
             }));
-        }
-
-        // A region's upward stream: one frame per `Tick`, however many
-        // results it carries.
-        if !self.upward.is_empty() {
-            let msgs = std::mem::take(&mut self.upward);
-            out.push(Action::Send(ranks::FOREMAN, frame(msgs)));
         }
         Ok(())
     }
@@ -792,7 +641,7 @@ impl Sched {
     /// worker's failure; one still waiting behind it does not. The task is
     /// requeued (`front`: at once, ahead of the rest) or — once
     /// [`QUARANTINE_BUDGET`] distinct workers have failed it — quarantined
-    /// and handed upstream.
+    /// and handed to the master.
     fn take_back(&mut self, lost: impl Fn(&InFlight) -> bool, front: bool, out: &mut Vec<Action>) {
         let holders: BTreeSet<Rank> = self
             .in_flight
@@ -849,14 +698,14 @@ impl Sched {
                     failures,
                 }));
                 let payload = body.into_payload();
-                self.send_up(
+                out.push(Action::Send(
+                    ranks::MASTER,
                     Message::Quarantined {
                         task,
                         failures,
                         payload,
                     },
-                    out,
-                );
+                ));
             } else {
                 self.requeue(task, body, front);
             }
@@ -924,12 +773,10 @@ impl Sched {
         self.owed.remove(&worker);
         self.probes.remove(&worker);
     }
-}
 
-impl Machine for Sched {
-    type Stats = ForemanStats;
-
-    fn step(
+    /// Absorb `ev` at time `now`, appending what it calls for to `out`.
+    /// `Break` means the machine was shut down.
+    pub(crate) fn step(
         &mut self,
         now: Instant,
         ev: Event,
@@ -937,25 +784,20 @@ impl Machine for Sched {
     ) -> Result<ControlFlow<()>, ForemanError> {
         match ev {
             Event::Tick => self.act(now, out)?,
-            // Without its upstream the machine has nobody to work for.
-            Event::Undeliverable(rank) if rank == self.upstream_rank() => {
-                return Err(CommError::Disconnected(rank).into());
+            // Without the master the machine has nobody to work for.
+            Event::Undeliverable(ranks::MASTER) => {
+                return Err(CommError::Disconnected(ranks::MASTER).into());
             }
             // A monitor that went away costs instrumentation only.
             Event::Undeliverable(ranks::MONITOR) => {}
             Event::Undeliverable(rank) => self.peer_down(rank, out),
             Event::Msg(from, Message::Shutdown) => {
-                debug_assert_eq!(from, self.upstream_rank());
-                // Under a root, the root's broadcast reaches the workers
-                // directly; a region that cascaded would shut them down
-                // twice.
-                if !self.leased() {
-                    for &rank in &self.members {
-                        out.push(Action::Send(rank, Message::Shutdown));
-                    }
-                    if self.has_monitor {
-                        out.push(Action::Send(ranks::MONITOR, Message::Shutdown));
-                    }
+                debug_assert_eq!(from, ranks::MASTER);
+                for &rank in &self.members {
+                    out.push(Action::Send(rank, Message::Shutdown));
+                }
+                if self.has_monitor {
+                    out.push(Action::Send(ranks::MONITOR, Message::Shutdown));
                 }
                 return Ok(ControlFlow::Break(()));
             }
@@ -964,7 +806,8 @@ impl Machine for Sched {
         Ok(ControlFlow::Continue(()))
     }
 
-    fn stats(&self) -> ForemanStats {
+    /// The counters so far.
+    pub(crate) fn stats(&self) -> ForemanStats {
         self.stats
     }
 }
@@ -972,12 +815,10 @@ impl Machine for Sched {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{regional_rank, Root, GRANT_CAP};
     use fdml_comm::message::EditScore;
 
     const TIMEOUT: Duration = Duration::from_secs(10);
     const MASTER: Rank = ranks::MASTER;
-    const ROOT: Rank = ranks::FOREMAN;
 
     fn tree_task(task: u64) -> Message {
         Message::TreeTask {
@@ -1034,7 +875,7 @@ mod tests {
 
     /// One step of a machine that is not being shut down: the sends it
     /// asked for.
-    fn feed<M: Machine>(m: &mut M, now: Instant, ev: Event) -> Sends {
+    fn feed(m: &mut Sched, now: Instant, ev: Event) -> Sends {
         let mut out = Vec::new();
         assert!(m.step(now, ev, &mut out).unwrap().is_continue());
         out.into_iter()
@@ -1046,7 +887,7 @@ mod tests {
     }
 
     /// [`feed`], with the liveness probes left out.
-    fn feed_sans_pings<M: Machine>(m: &mut M, now: Instant, ev: Event) -> Sends {
+    fn feed_sans_pings(m: &mut Sched, now: Instant, ev: Event) -> Sends {
         let mut sends = feed(m, now, ev);
         sends.retain(|(_, msg)| *msg != Message::Ping);
         sends
@@ -1260,35 +1101,34 @@ mod tests {
         assert_eq!(feed(&mut m, t0, Event::Tick), [(3, task)]);
     }
 
-    /// The worker-facing half of a run: a fixed script of arrivals, answers,
-    /// silences and link failures, with the machine's own upstream rank
-    /// wherever the script speaks as the tier above.
-    fn scripted_run(mut m: Sched) -> (Sends, Sends) {
-        let up = m.upstream_rank();
+    #[test]
+    fn a_scripted_run_heals_every_fault_and_returns_each_result_in_its_own_frame() {
+        // A fixed script of arrivals, answers, silences and link failures.
+        let mut m = Sched::flat(5, TIMEOUT, false);
         let t0 = Instant::now();
         let script = [
             (0, Event::Msg(3, Message::WorkerReady)),
             (0, Event::Msg(4, Message::WorkerReady)),
-            (0, Event::Msg(up, base(1, "(base1);"))),
-            (0, Event::Msg(up, edit_task(1, 1, None))),
-            (0, Event::Msg(up, edit_task(2, 1, None))),
-            (0, Event::Msg(up, edit_task(3, 1, Some("(base1);")))),
-            (0, Event::Msg(up, tree_task(4))),
+            (0, Event::Msg(MASTER, base(1, "(base1);"))),
+            (0, Event::Msg(MASTER, edit_task(1, 1, None))),
+            (0, Event::Msg(MASTER, edit_task(2, 1, None))),
+            (0, Event::Msg(MASTER, edit_task(3, 1, Some("(base1);")))),
+            (0, Event::Msg(MASTER, tree_task(4))),
             (0, Event::Tick),
-            // Two answers between ticks: one upward frame for a region.
+            // Two answers between ticks.
             (10, Event::Msg(3, tree_result(1))),
             (10, Event::Msg(4, tree_result(2))),
             (10, Event::Tick),
             // Worker 4's link drops while it holds a task; worker 3
             // finishes its own and inherits it.
-            (20, Event::Msg(up, Message::PeerDown { rank: 4 })),
+            (20, Event::Msg(MASTER, Message::PeerDown { rank: 4 })),
             (20, Event::Tick),
             (30, Event::Msg(3, tree_result(3))),
             (30, Event::Tick),
             // Worker 4 is back, without the base.
-            (40, Event::Msg(up, Message::PeerUp { rank: 4 })),
+            (40, Event::Msg(MASTER, Message::PeerUp { rank: 4 })),
             (40, Event::Msg(4, Message::WorkerReady)),
-            (40, Event::Msg(up, edit_task(5, 1, None))),
+            (40, Event::Msg(MASTER, edit_task(5, 1, None))),
             (40, Event::Tick),
             // Worker 3 goes silent past the timeout; then a send to it
             // bounces.
@@ -1300,8 +1140,8 @@ mod tests {
             (20_020, Event::Msg(4, tree_result(4))),
             (20_020, Event::Tick),
             // A new round: only the live member hears the broadcast.
-            (20_030, Event::Msg(up, base(2, "(base2);"))),
-            (20_030, Event::Msg(up, edit_task(6, 2, None))),
+            (20_030, Event::Msg(MASTER, base(2, "(base2);"))),
+            (20_030, Event::Msg(MASTER, edit_task(6, 2, None))),
             (20_030, Event::Tick),
             (20_040, Event::Msg(4, tree_result(6))),
             (20_040, Event::Tick),
@@ -1317,42 +1157,12 @@ mod tests {
             }
         }
         assert_eq!(m.outstanding(), 0, "the script leaves no work behind");
-        (down, upward)
-    }
-
-    #[test]
-    fn a_region_is_the_flat_machine_and_differs_only_upstream() {
-        let (flat_down, flat_up) = scripted_run(Sched::flat(5, TIMEOUT, false));
-        let (region_down, region_up) = scripted_run(Sched::regional(0, TIMEOUT, false));
-        // The claim the old copy made in a comment: to its workers a
-        // region is the flat foreman, message for message.
-        assert_eq!(flat_down, region_down);
-        assert!(flat_down.len() >= 12, "the script exercises the ladder");
-
-        // Upstream, the flat machine returns each result in a frame of its
-        // own to the master...
-        assert!(flat_up.iter().all(|(to, _)| *to == MASTER));
-        let flat_results: Vec<&Message> = flat_up.iter().map(|(_, msg)| msg).collect();
-        assert_eq!(flat_results.len(), 6);
-        // ...and a region streams the same results, in the same order, to
-        // the root — batched per tick, between its lease requests.
-        assert!(region_up.iter().all(|(to, _)| *to == ROOT));
-        let mut region_results = Vec::new();
-        let mut leases = 0;
-        let mut batches = 0;
-        for (_, msg) in &region_up {
-            match msg {
-                Message::LeaseRequest { .. } => leases += 1,
-                Message::Batch { msgs } => {
-                    batches += 1;
-                    region_results.extend(msgs);
-                }
-                other => region_results.push(other),
-            }
-        }
-        assert_eq!(flat_results, region_results);
-        assert_eq!(batches, 1, "the two answers between ticks share a frame");
-        assert!(leases >= 1, "a region asks for its work");
+        assert!(down.len() >= 12, "the script exercises the ladder");
+        // Every result goes back to the master in a frame of its own.
+        assert!(upward
+            .iter()
+            .all(|(to, msg)| *to == MASTER && msg.is_result()));
+        assert_eq!(upward.len(), 6);
     }
 
     /// Every ordering of `items`.
@@ -1706,146 +1516,5 @@ mod tests {
         feed(&mut m, at(10_300), Event::Msg(4, tree_result(3)));
         assert_eq!(m.outstanding(), 0);
         assert_eq!(m.stats().results_forwarded, 5);
-    }
-
-    /// A root over two regions (ranks 3 and 4) and four workers (5..9).
-    fn root() -> Root {
-        Root::new(2, 9, TIMEOUT, false)
-    }
-
-    fn batch(msgs: Vec<Message>) -> Message {
-        Message::Batch { msgs }
-    }
-
-    #[test]
-    fn root_grants_round_robin_in_frames_of_at_most_grant_cap() {
-        let t0 = Instant::now();
-        let mut m = root();
-        let total = 2 * GRANT_CAP as u64 + 10;
-        for task in 0..total {
-            feed(&mut m, t0, Event::Msg(MASTER, tree_task(task)));
-        }
-        for (region, want) in [(0, 74), (1, 64)] {
-            let ask = Message::LeaseRequest { want };
-            // Absorbing grants nothing: the burst is leased at the tick.
-            assert_eq!(feed(&mut m, t0, Event::Msg(regional_rank(region), ask)), []);
-        }
-        let frames = feed(&mut m, t0, Event::Tick);
-        // 64 to region 0, 64 to region 1, the last 10 to region 0 again:
-        // queue order is grant order.
-        let expect: Vec<(Rank, Message)> = [(0, 0..64), (1, 64..128), (0, 128..138)]
-            .into_iter()
-            .map(|(region, tasks)| (regional_rank(region), batch(tasks.map(tree_task).collect())))
-            .collect();
-        assert_eq!(frames, expect);
-        assert_eq!(m.stats().leases_granted, 3);
-        assert_eq!(m.stats().stats.dispatched, total);
-        // A single task is leased bare, not as a batch of one.
-        let ask = Message::LeaseRequest { want: 1 };
-        feed(&mut m, t0, Event::Msg(regional_rank(1), ask));
-        feed(&mut m, t0, Event::Msg(MASTER, tree_task(500)));
-        assert_eq!(
-            feed(&mut m, t0, Event::Tick),
-            [(regional_rank(1), tree_task(500))]
-        );
-    }
-
-    #[test]
-    fn root_arbitrates_one_steal_per_thief_and_forwards_each_result_once() {
-        let t0 = Instant::now();
-        let (a, b) = (regional_rank(0), regional_rank(1));
-        let mut m = root();
-        for task in 1..=4 {
-            feed(&mut m, t0, Event::Msg(MASTER, tree_task(task)));
-        }
-        feed(&mut m, t0, Event::Msg(a, Message::LeaseRequest { want: 4 }));
-        assert_eq!(
-            feed(&mut m, t0, Event::Tick),
-            [(a, batch((1..=4).map(tree_task).collect()))]
-        );
-        // B turns up hungry with the root queue dry: the root asks the
-        // loaded sibling to give some back — once.
-        feed(&mut m, t0, Event::Msg(b, Message::LeaseRequest { want: 2 }));
-        assert_eq!(
-            feed(&mut m, t0, Event::Tick),
-            [(a, Message::StealRequest { want: 2 })]
-        );
-        assert_eq!(feed(&mut m, t0, Event::Tick), []);
-        // A surrenders its two coldest tasks; they go straight to B.
-        let surrendered = vec![tree_task(3), tree_task(4)];
-        assert_eq!(
-            feed(
-                &mut m,
-                t0,
-                Event::Msg(
-                    a,
-                    Message::StealReturn {
-                        tasks: surrendered.clone()
-                    }
-                )
-            ),
-            [(b, batch(surrendered))]
-        );
-        assert_eq!(m.stats().tasks_stolen, 2);
-        // Everyone answers — A also for a task it gave away. The master
-        // sees each task exactly once.
-        let from_a = batch(vec![tree_result(1), tree_result(2), tree_result(3)]);
-        assert_eq!(
-            feed(&mut m, t0, Event::Msg(a, from_a)),
-            [1, 2, 3].map(|task| (MASTER, tree_result(task)))
-        );
-        let from_b = batch(vec![tree_result(3), tree_result(4)]);
-        assert_eq!(
-            feed(&mut m, t0, Event::Msg(b, from_b)),
-            [(MASTER, tree_result(4))]
-        );
-        assert_eq!(m.stats().stats.results_forwarded, 4);
-        assert_eq!(m.stats().stats.duplicates_ignored, 1);
-    }
-
-    #[test]
-    fn root_reclaims_a_dead_regions_lease_in_order_and_self_contained() {
-        let t0 = Instant::now();
-        let (a, b) = (regional_rank(0), regional_rank(1));
-        let mut m = root();
-        assert_eq!(
-            feed(&mut m, t0, Event::Msg(MASTER, base(7, "(base7);"))),
-            [(a, base(7, "(base7);")), (b, base(7, "(base7);"))]
-        );
-        for task in [12, 10, 11] {
-            feed(&mut m, t0, Event::Msg(MASTER, edit_task(task, 7, None)));
-        }
-        feed(&mut m, t0, Event::Msg(a, Message::LeaseRequest { want: 3 }));
-        // Both regions heard the broadcast, so the lease goes compact.
-        let compact = [12, 10, 11].map(|task| edit_task(task, 7, None));
-        assert_eq!(
-            feed(&mut m, t0, Event::Tick),
-            [(a, batch(compact.to_vec()))]
-        );
-        // A send to region A bounces. Its workers (ranks 5 and 7) are
-        // re-homed to B in rank order...
-        let rehome = Message::Rehome { foreman: b };
-        assert_eq!(
-            feed(&mut m, t0, Event::Undeliverable(a)),
-            [(5, rehome.clone()), (7, rehome)]
-        );
-        let stats = m.stats();
-        assert_eq!((stats.regions_lost, stats.workers_rehomed), (1, 2));
-        assert_eq!(stats.stats.timeouts, 3, "the whole lease reclaimed");
-        // ...and its lease is granted again in task order, every edit
-        // carrying the base: whoever runs it next need not have seen the
-        // broadcast.
-        feed(&mut m, t0, Event::Msg(b, Message::LeaseRequest { want: 3 }));
-        let contained = [10, 11, 12].map(|task| edit_task(task, 7, Some("(base7);")));
-        assert_eq!(
-            feed(&mut m, t0, Event::Tick),
-            [(b, batch(contained.to_vec()))]
-        );
-        // The dead region's late result still counts, once.
-        assert_eq!(
-            feed(&mut m, t0, Event::Msg(a, tree_result(10))),
-            [(MASTER, tree_result(10))]
-        );
-        assert_eq!(feed(&mut m, t0, Event::Msg(b, tree_result(10))), []);
     }
 }

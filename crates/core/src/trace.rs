@@ -47,13 +47,6 @@ fn default_improved() -> bool {
     true
 }
 
-impl RoundRecord {
-    /// Total worker work in this round.
-    pub fn total_candidate_work(&self) -> u64 {
-        self.candidate_work.iter().sum()
-    }
-}
-
 /// A complete trace of one jumble's search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchTrace {
@@ -81,19 +74,6 @@ pub struct SearchTrace {
 }
 
 impl SearchTrace {
-    /// Total candidate (worker-side) work units across all rounds.
-    pub fn total_worker_work(&self) -> u64 {
-        self.rounds
-            .iter()
-            .map(RoundRecord::total_candidate_work)
-            .sum()
-    }
-
-    /// Total master (serial) work units across all rounds.
-    pub fn total_master_work(&self) -> u64 {
-        self.rounds.iter().map(|r| r.master_work).sum()
-    }
-
     /// Total number of candidate trees evaluated.
     pub fn total_candidates(&self) -> usize {
         self.rounds.iter().map(|r| r.candidate_work.len()).sum()
@@ -102,6 +82,18 @@ impl SearchTrace {
 
 #[cfg(test)]
 mod tests {
+    impl SearchTrace {
+        /// Total candidate (worker-side) work units across all rounds.
+        pub(crate) fn total_worker_work(&self) -> u64 {
+            self.rounds.iter().flat_map(|r| &r.candidate_work).sum()
+        }
+
+        /// Total master (serial) work units across all rounds.
+        fn total_master_work(&self) -> u64 {
+            self.rounds.iter().map(|r| r.master_work).sum()
+        }
+    }
+
     use super::*;
 
     fn sample() -> SearchTrace {

@@ -184,6 +184,13 @@ pub struct WalStart {
     /// The [`NUMERICS_EPOCH`] of the build that wrote the log.
     #[serde(default)]
     pub numerics: u32,
+    /// The problem the rounds were committed for: alignment, settings and
+    /// scoring mode ([`crate::farm::log_key`]). `None` in logs written
+    /// before it was kept, which are refused: a single search and a farm
+    /// jumble of one seed share a log name, and such a log cannot say
+    /// which of them it belongs to.
+    #[serde(default)]
+    pub problem: Option<String>,
 }
 
 /// A record in the log: the opening [`WalStart`] or a committed round.
@@ -285,25 +292,39 @@ fn remove(path: &Path) -> io::Result<()> {
 
 /// Recover the WAL for `(job, seed)` under `dir`, or start one: the
 /// [`NUMERICS_EPOCH`] of its rounds, the rounds (none on a fresh log) and
-/// the append handle continuing at the next index. A log of another [`NUMERICS_EPOCH`] is recovered only
-/// `across_epochs` (a single search); otherwise it is replaced by a fresh
-/// one (a farm jumble restarts). The one place a log is opened — an
-/// in-process search ([`WalSession::open`]) and a coordinator's
-/// `farm::Ledger` both come here.
+/// the append handle continuing at the next index. A log whose header
+/// names another problem than `key` ([`WalStart::problem`]), or none, is
+/// refused with an error naming the file, and left as it is. A log of
+/// another [`NUMERICS_EPOCH`] is recovered only `across_epochs` (a single
+/// search); otherwise it is replaced by a fresh one (a farm jumble
+/// restarts). The one place a log is opened — an in-process search
+/// ([`WalSession::open`]) and a coordinator's `farm::Ledger` both come
+/// here.
 pub fn open(
     dir: &Path,
     job: u64,
     seed: u64,
     num_taxa: usize,
+    key: &str,
     across_epochs: bool,
 ) -> io::Result<(u32, Vec<WalRound>, WalWriter)> {
     match load(dir, job, seed)? {
+        Some(state) if state.start.problem.as_deref() != Some(key) => {
+            let why = match state.start.problem {
+                Some(_) => {
+                    "round log is for another alignment, other settings or another scoring mode"
+                }
+                None => "round log names no problem (an older build wrote it)",
+            };
+            let path = wal_path(dir, job, seed);
+            Err(io::Error::other(format!("{}: {why}", path.display())))
+        }
         Some(state) if across_epochs || state.start.numerics == NUMERICS_EPOCH => {
             let writer = WalWriter::resume(dir, job, seed, &state)?;
             Ok((state.start.numerics, state.rounds, writer))
         }
         _ => {
-            let writer = WalWriter::create(dir, job, seed, num_taxa)?;
+            let writer = WalWriter::create(dir, job, seed, num_taxa, key)?;
             Ok((NUMERICS_EPOCH, Vec::new(), writer))
         }
     }
@@ -318,8 +339,14 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Create a fresh WAL (truncating any unusable previous file) and
-    /// durably write the [`WalStart`] header.
-    pub fn create(dir: &Path, job: u64, seed: u64, num_taxa: usize) -> io::Result<WalWriter> {
+    /// durably write the [`WalStart`] header, naming problem `key`.
+    pub fn create(
+        dir: &Path,
+        job: u64,
+        seed: u64,
+        num_taxa: usize,
+        key: &str,
+    ) -> io::Result<WalWriter> {
         std::fs::create_dir_all(dir)?;
         let path = wal_path(dir, job, seed);
         let mut log = LogWriter::create(&path)?;
@@ -327,6 +354,7 @@ impl WalWriter {
             jumble_seed: seed,
             num_taxa,
             numerics: NUMERICS_EPOCH,
+            problem: Some(key.to_owned()),
         });
         log.append(
             serde_json::to_string(&start)
@@ -405,16 +433,18 @@ struct SessionShared {
 }
 
 impl WalSession {
-    /// Recover (or start) the WAL for `(job, seed)` under `dir`, emitting
-    /// [`Event::WalReplay`] when a committed prefix was found.
+    /// Recover (or start) the WAL for `(job, seed)` under `dir`, for
+    /// problem `key`, emitting [`Event::WalReplay`] when a committed prefix
+    /// was found.
     pub fn open(
         dir: &Path,
         job: u64,
         seed: u64,
         num_taxa: usize,
+        key: &str,
         obs: &Obs,
     ) -> io::Result<WalSession> {
-        let (numerics, rounds, writer) = open(dir, job, seed, num_taxa, true)?;
+        let (numerics, rounds, writer) = open(dir, job, seed, num_taxa, key, true)?;
         if !rounds.is_empty() {
             let replayed = rounds.len() as u64;
             obs.emit(|| Event::WalReplay {
@@ -490,6 +520,9 @@ mod tests {
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
+    /// The problem the logs of these tests are for.
+    const KEY: &str = "test-problem";
+
     fn scratch_dir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "fdml-wal-{}-{}",
@@ -540,7 +573,7 @@ mod tests {
     #[test]
     fn create_append_load_roundtrip() {
         let dir = scratch_dir();
-        let mut w = WalWriter::create(&dir, 0, 7, 6).unwrap();
+        let mut w = WalWriter::create(&dir, 0, 7, 6, KEY).unwrap();
         for i in 0..4 {
             assert!(w.append(&round(i, i != 3)).unwrap().is_some());
         }
@@ -560,8 +593,8 @@ mod tests {
     #[test]
     fn job_namespacing_separates_files() {
         let dir = scratch_dir();
-        let mut a = WalWriter::create(&dir, 1, 7, 6).unwrap();
-        let mut b = WalWriter::create(&dir, 2, 7, 6).unwrap();
+        let mut a = WalWriter::create(&dir, 1, 7, 6, KEY).unwrap();
+        let mut b = WalWriter::create(&dir, 2, 7, 6, KEY).unwrap();
         a.append(&round(0, true)).unwrap();
         b.append(&round(0, true)).unwrap();
         b.append(&round(1, true)).unwrap();
@@ -573,7 +606,7 @@ mod tests {
     #[test]
     fn duplicate_indices_are_ignored_and_gaps_rejected() {
         let dir = scratch_dir();
-        let mut w = WalWriter::create(&dir, 0, 3, 6).unwrap();
+        let mut w = WalWriter::create(&dir, 0, 3, 6, KEY).unwrap();
         assert!(w.append(&round(0, true)).unwrap().is_some());
         assert!(w.append(&round(1, true)).unwrap().is_some());
         // A restarted worker re-streams from 0: silently deduplicated.
@@ -590,7 +623,7 @@ mod tests {
     #[test]
     fn resume_continues_after_torn_tail() {
         let dir = scratch_dir();
-        let mut w = WalWriter::create(&dir, 0, 9, 6).unwrap();
+        let mut w = WalWriter::create(&dir, 0, 9, 6, KEY).unwrap();
         w.append(&round(0, true)).unwrap();
         w.append(&round(1, true)).unwrap();
         drop(w);
@@ -615,7 +648,9 @@ mod tests {
     fn log_of_another_numerics_epoch_is_recomputed() {
         // Written by the PR 17 build (`--jumble 7 --wal-dir`, crashed after
         // two rounds): a header without `numerics`, then rounds whose
-        // `lnl_bits` this build's optimizer no longer lands on.
+        // `lnl_bits` this build's optimizer no longer lands on. Its header
+        // has since been given a problem key (`pr17-seed7`), re-framed, so
+        // that only the epoch differs.
         let old: &[u8] = include_bytes!("../testdata/pr17-jumble-7.wal");
         let dir = scratch_dir();
         let path = wal_path(&dir, 0, 7);
@@ -631,17 +666,18 @@ mod tests {
                 jumble_seed: 7,
                 num_taxa: 6,
                 numerics: 0,
+                problem: Some("pr17-seed7".into()),
             })
         );
         // A single search recovers it, epoch and all, to replay within
         // tolerance; recovering leaves the file as it was.
-        let (numerics, rounds, w) = open(&dir, 0, 7, 6, true).unwrap();
+        let (numerics, rounds, w) = open(&dir, 0, 7, 6, "pr17-seed7", true).unwrap();
         assert_eq!((numerics, rounds.len()), (0, 2));
         drop(w);
         assert_eq!(fs::read(&path).unwrap(), old);
         // A farm jumble: not an error, not a replay — a fresh run, whose
         // log replaces it.
-        let (numerics, rounds, mut w) = open(&dir, 0, 7, 6, false).unwrap();
+        let (numerics, rounds, mut w) = open(&dir, 0, 7, 6, "pr17-seed7", false).unwrap();
         assert!(rounds.is_empty() && numerics == NUMERICS_EPOCH);
         assert!(fs::metadata(&path).unwrap().len() < old.len() as u64);
         w.append(&round(0, true)).unwrap();
@@ -653,9 +689,43 @@ mod tests {
     }
 
     #[test]
+    fn a_log_of_another_problem_or_of_none_is_refused_and_kept() {
+        let dir = scratch_dir();
+        let mut w = WalWriter::create(&dir, 0, 7, 6, KEY).unwrap();
+        w.append(&round(0, true)).unwrap();
+        drop(w);
+        let path = wal_path(&dir, 0, 7);
+        let before = fs::read(&path).unwrap();
+        for across_epochs in [true, false] {
+            let err = open(&dir, 0, 7, 6, "another-problem", across_epochs).unwrap_err();
+            let err = err.to_string();
+            assert!(err.starts_with(&path.display().to_string()), "{err}");
+            assert!(err.contains("another"), "{err}");
+            assert_eq!(err.lines().count(), 1);
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                before,
+                "the log is left as it was"
+            );
+        }
+        // A header without a key: an older build's log, whichever run
+        // wrote it.
+        let mut log = LogWriter::create(&path).unwrap();
+        let keyless = r#"{"Start":{"jumble_seed":7,"num_taxa":6,"numerics":1}}"#;
+        log.append(keyless.as_bytes()).unwrap();
+        drop(log);
+        let err = open(&dir, 0, 7, 6, KEY, true).unwrap_err().to_string();
+        assert!(err.contains("names no problem"), "{err}");
+        // The same key opens it.
+        WalWriter::create(&dir, 0, 7, 6, KEY).unwrap();
+        assert!(open(&dir, 0, 7, 6, KEY, true).is_ok());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn retire_deletes_and_tolerates_missing() {
         let dir = scratch_dir();
-        let w = WalWriter::create(&dir, 0, 5, 6).unwrap();
+        let w = WalWriter::create(&dir, 0, 5, 6, KEY).unwrap();
         drop(w);
         assert!(wal_path(&dir, 0, 5).exists());
         retire(&dir, 0, 5).unwrap();

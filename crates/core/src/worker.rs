@@ -301,7 +301,6 @@ impl Evaluator {
             p.phylip.clone(),
             p.config_json.clone(),
             false,
-            ranks::FIRST_WORKER,
         )
         .with_incremental(true);
         let result = StepwiseSearch::new(&config, executor, names.len())
@@ -381,14 +380,11 @@ pub(crate) fn jumble_request(msg: &Message) -> (JobId, u64, u64, Option<&[String
     }
 }
 
-/// Send a message up to the worker's current foreman, tolerating a dead
-/// link. In the hierarchical topology a worker's regional foreman can die
-/// while the worker computes; the root reclaims the lost lease (so an
-/// undelivered result's task is re-dispatched elsewhere) and re-homes the
-/// worker with a [`Message::Rehome`] — exiting here would turn a healable
-/// failure into a lost worker.
-fn send_up<T: Transport>(transport: &T, foreman: usize, msg: &Message) -> Result<(), WorkerError> {
-    match transport.send(foreman, msg) {
+/// Send a message to the foreman, tolerating a dead link: an undelivered
+/// result is the foreman's to take back and re-dispatch, and the loop ends
+/// on `Shutdown` or a failed receive, not on a failed send.
+fn send_up<T: Transport>(transport: &T, msg: &Message) -> Result<(), WorkerError> {
+    match transport.send(ranks::FOREMAN, msg) {
         Err(CommError::Disconnected(_)) => Ok(()),
         other => other.map_err(WorkerError::from),
     }
@@ -399,23 +395,8 @@ fn send_up<T: Transport>(transport: &T, foreman: usize, msg: &Message) -> Result
 /// [`Event::WorkerTaskDone`] carrying the time spent inside likelihood
 /// optimization (compute only — queueing and transport excluded).
 ///
-/// The worker reports to rank [`ranks::FOREMAN`] — the flat topology of
-/// the paper. Hierarchical fleets home workers onto regional foremen via
-/// [`run_worker_homed`].
+/// The worker reports to rank [`ranks::FOREMAN`], as in the paper.
 pub fn run_worker<T: Transport>(transport: T, obs: Obs) -> Result<WorkerStats, WorkerError> {
-    run_worker_homed(transport, ranks::FOREMAN, obs)
-}
-
-/// [`run_worker`] with an explicit home foreman rank: the worker announces
-/// to `home` and sends every result there, until a [`Message::Rehome`]
-/// moves it to a different foreman (the self-healing path when a regional
-/// foreman dies).
-pub fn run_worker_homed<T: Transport>(
-    transport: T,
-    home: usize,
-    obs: Obs,
-) -> Result<WorkerStats, WorkerError> {
-    let mut foreman = home;
     let mut main = Evaluator::default();
     let mut jobs: HashMap<JobId, Evaluator> = HashMap::new();
     let mut stats = WorkerStats::default();
@@ -445,19 +426,12 @@ pub fn run_worker_homed<T: Transport>(
                 // unpack in order and serve them as if sent individually.
                 pending.extend(msgs);
             }
-            Message::Rehome { foreman: new_home } => {
-                // The root moved us to a sibling region after our foreman
-                // died. Announce to the new foreman; it replies with the
-                // current base broadcast if one is live.
-                foreman = new_home;
-                send_up(&transport, foreman, &Message::WorkerReady)?;
-            }
             Message::ProblemData {
                 phylip,
                 config_json,
             } => {
                 main.set_problem(&phylip, &config_json)?;
-                send_up(&transport, foreman, &Message::WorkerReady)?;
+                send_up(&transport, &Message::WorkerReady)?;
             }
             Message::JobData {
                 job,
@@ -480,7 +454,7 @@ pub fn run_worker_homed<T: Transport>(
                     done.work.work_units(),
                     done.work.total_pattern_updates(),
                 );
-                send_up(&transport, foreman, &done.reply(task))?;
+                send_up(&transport, &done.reply(task))?;
             }
             Message::BaseTopology { base_id, newick } => main.set_base(base_id, newick),
             Message::EditChunk {
@@ -500,7 +474,7 @@ pub fn run_worker_homed<T: Transport>(
                     edges_recomputed: done.edges_recomputed,
                     fallbacks: done.fallbacks,
                 });
-                send_up(&transport, foreman, &done.reply(task))?;
+                send_up(&transport, &done.reply(task))?;
             }
             msg @ (Message::JumbleTask { .. }
             | Message::JobTask { .. }
@@ -518,10 +492,10 @@ pub fn run_worker_homed<T: Transport>(
                 // Best-effort streaming: a lost round merely re-runs live
                 // on the coordinator's next resume.
                 let (reply, work_units) = evaluator.serve_jumble(&msg, |round| {
-                    let _ = send_up(&transport, foreman, &round);
+                    let _ = send_up(&transport, &round);
                 })?;
                 task_done(task, started.elapsed().as_micros() as u64, work_units, 0);
-                send_up(&transport, foreman, &reply)?;
+                send_up(&transport, &reply)?;
             }
             Message::JobRetire { job } => {
                 // The scheduler finished or failed the job; drop its engine
@@ -533,7 +507,7 @@ pub fn run_worker_homed<T: Transport>(
                 // Foreman liveness probe: answering re-admits a worker
                 // whose result was lost in flight and who would otherwise
                 // idle forever as delinquent.
-                send_up(&transport, foreman, &Message::WorkerReady)?;
+                send_up(&transport, &Message::WorkerReady)?;
             }
             Message::Shutdown => return Ok(stats),
             other => return Err(protocol(format!("unexpected message {}", other.kind()))),

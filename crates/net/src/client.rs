@@ -95,8 +95,6 @@ struct ClientShared {
 pub struct TcpTransport {
     shared: Arc<ClientShared>,
     size: usize,
-    worker_timeout: Duration,
-    regions: usize,
     in_rx: Mutex<Receiver<(Rank, Message)>>,
     /// Loopback for self-sends (never crosses the wire).
     self_tx: Sender<(Rank, Message)>,
@@ -126,11 +124,9 @@ impl TcpTransport {
         let Frame::Welcome {
             rank,
             size,
-            worker_timeout_ms,
             heartbeat_ms,
             miss_limit,
             wire,
-            regions,
         } = welcome
         else {
             unreachable!("handshake returns Welcome only");
@@ -171,25 +167,11 @@ impl TcpTransport {
         Ok(TcpTransport {
             shared,
             size,
-            worker_timeout: Duration::from_millis(worker_timeout_ms),
-            regions,
             in_rx: Mutex::new(in_rx),
             self_tx,
             out_tx: Some(out_tx),
             manager: Some(manager),
         })
-    }
-
-    /// The foreman timeout the hub announced (ms precision).
-    pub fn worker_timeout(&self) -> Duration {
-        self.worker_timeout
-    }
-
-    /// Regional foremen the hub announced (0 = flat topology). A peer
-    /// derives its role — root foreman, regional foreman, or worker —
-    /// from its rank and this count.
-    pub fn regions(&self) -> usize {
-        self.regions
     }
 
     /// Whether reconnection has been exhausted and the endpoint is dead.

@@ -71,16 +71,10 @@ pub struct NetConfig {
     pub miss_limit: u32,
     /// Depth of each peer's bounded outgoing queue (frames).
     pub queue_depth: usize,
-    /// The foreman's fault-tolerance timeout, forwarded in `Welcome` so a
-    /// remote (regional) foreman process configures itself from the wire.
-    pub worker_timeout: Duration,
     /// The wire format the hub writes its data-plane frames in — to peers
     /// that advertised codec-sniffing support in their `Hello`. Peers that
     /// did not (pre-negotiation builds) are written JSON regardless.
     pub wire: WireFormat,
-    /// Regional foremen in the hierarchical topology (0 = flat). Announced
-    /// in every `Welcome` so each peer derives its role from its rank.
-    pub regions: usize,
 }
 
 impl Default for NetConfig {
@@ -89,9 +83,7 @@ impl Default for NetConfig {
             heartbeat_interval: Duration::from_millis(500),
             miss_limit: 4,
             queue_depth: 256,
-            worker_timeout: Duration::from_secs(5),
             wire: WireFormat::Binary,
-            regions: 0,
         }
     }
 }
@@ -609,11 +601,9 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
     let welcome = Frame::Welcome {
         rank,
         size: shared.size,
-        worker_timeout_ms: shared.cfg.worker_timeout.as_millis() as u64,
         heartbeat_ms: shared.cfg.heartbeat_interval.as_millis() as u64,
         miss_limit: shared.cfg.miss_limit,
         wire: Some(peer_wire.name().to_string()),
-        regions: shared.cfg.regions,
     };
     if write_frame(&mut stream, &welcome).is_err() {
         shared.mark_dead(rank, generation, false);

@@ -38,8 +38,12 @@ use std::time::{Duration, Instant};
 /// (`Submit` … `Done`) the `fdml-serve` daemon speaks. Version 4 made the
 /// chunk the unit of edit work (`EditChunk` / `EditScores`, binary tags
 /// 26 / 27): a version-3 worker would die on the first chunk it was sent,
-/// so it is turned away at the handshake instead.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// so it is turned away at the handshake instead. Version 5 retired the
+/// hierarchical foreman tree: `Welcome` no longer announces regional
+/// foremen, and the tree's messages (binary tags 20–23) are gone, so a
+/// version-4 peer that would take a rank for a regional foreman is turned
+/// away too.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on a frame body. Real frames are a few KiB (`ProblemData`
 /// is the largest); anything bigger is a corrupt stream or a hostile peer.
@@ -80,9 +84,6 @@ pub enum Frame {
         rank: Rank,
         /// Total ranks in the universe.
         size: usize,
-        /// The foreman's fault-tolerance timeout, so a remote foreman
-        /// process learns its configuration over the wire.
-        worker_timeout_ms: u64,
         /// Liveness: heartbeat cadence every peer must keep.
         heartbeat_ms: u64,
         /// Liveness: consecutive silent intervals before a peer is dead.
@@ -92,11 +93,6 @@ pub enum Frame {
         /// negotiation (they write JSON).
         #[serde(default)]
         wire: Option<String>,
-        /// Number of regional foremen in the hierarchical topology, or 0
-        /// for the flat single-foreman universe. A peer derives its role
-        /// from its rank and this count.
-        #[serde(default)]
-        regions: usize,
     },
     /// Hub → client, refusing a `Hello` (version skew, full universe).
     Reject {
@@ -319,19 +315,6 @@ pub fn write_frame_as(stream: &mut TcpStream, frame: &Frame, format: WireFormat)
     stream.write_all(&buf)
 }
 
-/// Write a frame whose body has one byte XOR-flipped *after* the CRC was
-/// computed: the byte-flipping injection mode. The frame is well-formed at
-/// the framing layer (correct length) but its checksum cannot match, so a
-/// conforming reader must reject it as corrupt rather than attempt to
-/// parse it. `byte` indexes into the JSON body, modulo its length.
-pub fn write_frame_corrupted(stream: &mut TcpStream, frame: &Frame, byte: usize) -> io::Result<()> {
-    let mut buf = Vec::new();
-    encode_frame_into(&mut buf, frame, WireFormat::Json)?;
-    let body_len = buf.len() - HEADER_BYTES;
-    buf[HEADER_BYTES + byte % body_len] ^= 0xA5;
-    stream.write_all(&buf)
-}
-
 /// The most a reader asks the kernel for at once, and the step by which
 /// its buffer grows toward a large frame: memory follows the bytes a peer
 /// has actually sent, never the length it merely claims.
@@ -503,6 +486,19 @@ mod tests {
     use std::net::TcpListener;
     use std::thread;
 
+    /// Write a frame whose body has one byte XOR-flipped *after* the CRC
+    /// was computed: the frame is well-formed at the framing layer (correct
+    /// length) but its checksum cannot match, so a conforming reader must
+    /// reject it as corrupt rather than attempt to parse it. `byte` indexes
+    /// into the JSON body, modulo its length.
+    fn write_frame_corrupted(stream: &mut TcpStream, frame: &Frame, byte: usize) -> io::Result<()> {
+        let mut buf = Vec::new();
+        encode_frame_into(&mut buf, frame, WireFormat::Json)?;
+        let body_len = buf.len() - HEADER_BYTES;
+        buf[HEADER_BYTES + byte % body_len] ^= 0xA5;
+        stream.write_all(&buf)
+    }
+
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -530,11 +526,9 @@ mod tests {
             Frame::Welcome {
                 rank: 4,
                 size: 6,
-                worker_timeout_ms: 5000,
                 heartbeat_ms: 500,
                 miss_limit: 4,
                 wire: Some("binary".into()),
-                regions: 2,
             },
             Frame::Reject {
                 reason: "full".into(),
@@ -626,19 +620,17 @@ mod tests {
 
     #[test]
     fn pre_negotiation_welcome_still_parses() {
-        // A seed-era hub omits `wire` and `regions`: flat topology, JSON.
-        let json = r#"{"Welcome":{"rank":3,"size":5,"worker_timeout_ms":5000,"heartbeat_ms":500,"miss_limit":4}}"#;
+        // A seed-era hub omits `wire`: JSON.
+        let json = r#"{"Welcome":{"rank":3,"size":5,"heartbeat_ms":500,"miss_limit":4}}"#;
         let f: Frame = serde_json::from_str(json).unwrap();
         assert_eq!(
             f,
             Frame::Welcome {
                 rank: 3,
                 size: 5,
-                worker_timeout_ms: 5000,
                 heartbeat_ms: 500,
                 miss_limit: 4,
                 wire: None,
-                regions: 0,
             }
         );
     }
@@ -661,7 +653,7 @@ mod tests {
                 from: 1,
                 to: 4,
                 msg: Message::Batch {
-                    msgs: vec![Message::Ping, Message::LeaseRequest { want: 8 }],
+                    msgs: vec![Message::Ping, Message::JumbleTask { task: 8, seed: 3 }],
                 },
             },
             Frame::Heartbeat { from: 2 },

@@ -241,31 +241,36 @@ fn version_skew_is_rejected() {
 }
 
 #[test]
-fn a_worker_from_the_single_edit_build_is_rejected_at_the_handshake() {
+fn a_worker_from_an_older_build_is_rejected_at_the_handshake() {
     // Protocol 3 scored one edit per `TreeEditTask`; this build sends
     // `EditChunk`s (binary tag 26), which a version-3 decoder cannot read.
-    // Such a worker must learn that from a typed `Reject` when it joins,
-    // not from `BadTag("message", 26)` in the middle of a run.
-    assert_eq!(PROTOCOL_VERSION, 4);
+    // Protocol 4 announced regional foremen in its `Welcome` and spoke the
+    // foreman tree's messages (binary tags 20-23), which this build no
+    // longer decodes. Such a worker must learn that from a typed `Reject`
+    // when it joins, not from a `BadTag` in the middle of a run.
+    assert_eq!(PROTOCOL_VERSION, 5);
     let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
-    let mut stream = TcpStream::connect(hub.local_addr()).unwrap();
-    write_frame(
-        &mut stream,
-        &Frame::Hello {
-            version: 3,
-            rejoin: None,
-            job: None,
-            wire: Some("binary".into()),
-        },
-    )
-    .unwrap();
-    match read_frame(&mut stream, Duration::from_secs(5)).unwrap() {
-        Some(Frame::Reject { reason }) => {
-            assert!(reason.contains("protocol version 3 != 4"), "got: {reason}")
+    for old in [3, 4] {
+        let mut stream = TcpStream::connect(hub.local_addr()).unwrap();
+        write_frame(
+            &mut stream,
+            &Frame::Hello {
+                version: old,
+                rejoin: None,
+                job: None,
+                wire: Some("binary".into()),
+            },
+        )
+        .unwrap();
+        match read_frame(&mut stream, Duration::from_secs(5)).unwrap() {
+            Some(Frame::Reject { reason }) => {
+                let expected = format!("protocol version {old} != 5");
+                assert!(reason.contains(&expected), "got: {reason}")
+            }
+            other => panic!("expected Reject, got {other:?}"),
         }
-        other => panic!("expected Reject, got {other:?}"),
+        assert_eq!(hub.connected_peers(), 0);
     }
-    assert_eq!(hub.connected_peers(), 0);
     // The slot it asked for is still free for a current-build worker.
     let _current = TcpTransport::connect(hub.local_addr()).unwrap();
     assert_eq!(hub.connected_peers(), 1);
@@ -737,18 +742,4 @@ fn mixed_codec_peers_interoperate_frame_by_frame() {
     assert_eq!(json.recv().unwrap(), (1, task(8)));
     json.send(0, &Message::Shutdown).unwrap();
     assert_eq!(hub.recv().unwrap(), (2, Message::Shutdown));
-}
-
-#[test]
-fn welcome_announces_the_hierarchy_shape() {
-    // A peer needs nothing but its rank and the `Welcome` to know whether
-    // it is a flat worker, a regional foreman, or a re-homed worker: the
-    // hub announces the region count to every joiner.
-    let cfg = NetConfig {
-        regions: 2,
-        ..fast_net_config()
-    };
-    let hub = TcpHub::bind("127.0.0.1:0", 2, cfg, Obs::disabled()).unwrap();
-    let client = TcpTransport::connect(hub.local_addr()).unwrap();
-    assert_eq!(client.regions(), 2);
 }

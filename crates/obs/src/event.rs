@@ -206,8 +206,8 @@ pub enum Event {
         /// Distinct workers that failed the task before quarantine.
         failures: u64,
     },
-    /// A regional foreman's queue state after a scheduling action
-    /// (hierarchical fleets; the root foreman keeps emitting the global
+    /// A regional foreman's queue state in `fdml-simsp`'s simulated
+    /// two-level foreman tree (the runtime has one foreman, which emits
     /// [`Event::QueueDepth`]).
     RegionQueueDepth {
         /// Region index (0-based; region r is rank 3 + r).
@@ -219,26 +219,16 @@ pub enum Event {
         /// Tasks dispatched to this region's workers and not yet answered.
         in_flight: usize,
     },
-    /// The root foreman granted a lease batch to a regional foreman.
+    /// The simulated root foreman granted a lease batch to a regional
+    /// foreman.
     LeaseGranted {
         /// The receiving region's index.
         region: usize,
         /// Tasks in the grant.
         tasks: usize,
     },
-    /// The root foreman moved tasks from one region's lease to another's
-    /// (work stealing: the thief drained its shard while the victim still
-    /// had queued work).
-    TaskStolen {
-        /// The region that gave tasks up.
-        from_region: usize,
-        /// The region that received them.
-        to_region: usize,
-        /// Tasks moved.
-        tasks: usize,
-    },
-    /// A multi-message frame left a scheduling tier (lease grants, result
-    /// aggregation) — the wire-amortization gauge of the foreman tree.
+    /// A multi-message frame left a tier of the simulated foreman tree
+    /// (lease grants, result aggregation) — its wire-amortization gauge.
     BatchSent {
         /// Sending rank.
         from: usize,
@@ -346,7 +336,6 @@ impl Event {
             Event::TaskQuarantined { .. } => "TaskQuarantined",
             Event::RegionQueueDepth { .. } => "RegionQueueDepth",
             Event::LeaseGranted { .. } => "LeaseGranted",
-            Event::TaskStolen { .. } => "TaskStolen",
             Event::BatchSent { .. } => "BatchSent",
             Event::JobSubmitted { .. } => "JobSubmitted",
             Event::JobStarted { .. } => "JobStarted",

@@ -71,18 +71,15 @@ pub struct NetPeerStats {
     pub reconnects: u64,
 }
 
-/// Aggregate counters of the two-level foreman tree (all zero for flat
-/// runs): leasing, stealing, and wire-batching activity.
+/// Aggregate counters of the simulated two-level foreman tree
+/// (`fdml-simsp`'s hierarchical replay; all zero for a run of the
+/// runtime): leasing and wire-batching activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HierarchyStats {
     /// Lease batches the root granted to regional foremen.
     pub leases_granted: u64,
     /// Tasks inside those grants.
     pub tasks_leased: u64,
-    /// Steal transfers arbitrated by the root.
-    pub steals: u64,
-    /// Tasks moved between regions by stealing.
-    pub tasks_stolen: u64,
     /// Multi-message frames sent between scheduling tiers.
     pub batches_sent: u64,
     /// Messages carried inside those frames.
@@ -337,10 +334,6 @@ impl RunReport {
                     hierarchy.leases_granted += 1;
                     hierarchy.tasks_leased += *tasks as u64;
                 }
-                Event::TaskStolen { tasks, .. } => {
-                    hierarchy.steals += 1;
-                    hierarchy.tasks_stolen += *tasks as u64;
-                }
                 Event::BatchSent { msgs, bytes, .. } => {
                     hierarchy.batches_sent += 1;
                     hierarchy.batched_msgs += *msgs as u64;
@@ -467,12 +460,10 @@ impl fmt::Display for RunReport {
             let h = &self.hierarchy;
             writeln!(
                 f,
-                "  hierarchy: {} regions, {} leases / {} tasks granted, {} steals / {} tasks moved, {} batches ({} msgs, {} B)",
+                "  hierarchy: {} regions, {} leases / {} tasks granted, {} batches ({} msgs, {} B)",
                 h.regions_seen,
                 h.leases_granted,
                 h.tasks_leased,
-                h.steals,
-                h.tasks_stolen,
                 h.batches_sent,
                 h.batched_msgs,
                 h.batched_bytes
@@ -969,14 +960,6 @@ mod tests {
                 },
             ),
             rec(
-                4,
-                Event::TaskStolen {
-                    from_region: 0,
-                    to_region: 1,
-                    tasks: 3,
-                },
-            ),
-            rec(
                 5,
                 Event::BatchSent {
                     from: 3,
@@ -989,8 +972,6 @@ mod tests {
         let h = &report.hierarchy;
         assert_eq!(h.leases_granted, 2);
         assert_eq!(h.tasks_leased, 12);
-        assert_eq!(h.steals, 1);
-        assert_eq!(h.tasks_stolen, 3);
         assert_eq!(h.batches_sent, 1);
         assert_eq!(h.batched_msgs, 5);
         assert_eq!(h.batched_bytes, 420);
@@ -998,7 +979,6 @@ mod tests {
         assert_eq!(h.regions_seen, 2);
         let text = report.to_string();
         assert!(text.contains("2 leases / 12 tasks granted"), "got: {text}");
-        assert!(text.contains("1 steals / 3 tasks moved"), "got: {text}");
         // A report serialized before the hierarchy block existed parses.
         // The block is a flat object, so the first `}` after the key (plus
         // the trailing comma) bounds exactly what has to go.

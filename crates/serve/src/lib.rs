@@ -28,11 +28,10 @@
 //! The daemon speaks the `fdml-wire` binary codec by default
 //! ([`ServeOptions::wire`]) and introduces each job to a worker in a
 //! single `Batch` frame (alignment + first jumble together). Its
-//! scheduling scope stays **flat**, though: the unit of work is a whole
-//! jumble — thousands of candidate evaluations per frame — so a single
-//! scheduler saturates far more workers than the per-candidate dispatch
-//! path does, and the two-level foreman tree (`--regions`, see the
-//! one-shot coordinator) is deliberately not replicated here.
+//! scheduling is flat, like the one-shot coordinator's: the unit of work
+//! is a whole jumble — thousands of candidate evaluations per frame — so a
+//! single scheduler saturates far more workers than the per-candidate
+//! dispatch path does.
 
 #![warn(missing_docs)]
 

@@ -283,12 +283,6 @@ impl Registry {
         }
         Ok(())
     }
-
-    /// Bytes currently in the `jobs.json` snapshot log (compaction keeps
-    /// this bounded).
-    pub fn log_bytes(&self) -> u64 {
-        self.log.len_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -443,6 +437,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fdml-reg-c-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut reg = Registry::open(&dir).unwrap();
+        let log_bytes = || std::fs::metadata(dir.join("jobs.json")).unwrap().len();
         let id = reg.admit(spec("churn")).unwrap();
         // Enough transitions to force several compactions.
         let mut max_bytes = 0u64;
@@ -453,13 +448,13 @@ mod tests {
                 JobState::Queued
             };
             reg.set_state(id, state).unwrap();
-            max_bytes = max_bytes.max(reg.log_bytes());
+            max_bytes = max_bytes.max(log_bytes());
         }
         // The log never exceeds COMPACT_AT-and-change snapshots' worth.
         let one_snapshot = {
             let raw = std::fs::read(dir.join("jobs.json")).unwrap();
             fdml_core::durable::validate_log_bytes(&raw);
-            reg.log_bytes() / reg.snapshots_in_log.max(1)
+            log_bytes() / reg.snapshots_in_log.max(1)
         };
         assert!(
             max_bytes < one_snapshot * (COMPACT_AT + 4),

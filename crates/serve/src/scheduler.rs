@@ -975,7 +975,7 @@ mod tests {
         // Killed between the manifest save and the log retire: the entry is
         // Done, its complete log is still there.
         let (id, seeds, dir) = killed_after_one_jumble("stale");
-        drop(WalWriter::create(&dir.join("wal"), id, seeds[0], 3).unwrap());
+        drop(WalWriter::create(&dir.join("wal"), id, seeds[0], 3, "stale").unwrap());
         assert_eq!(wal_files(&dir), 2, "the stale log and the in-flight one");
 
         let mut s = scheduler_at(&dir);

@@ -316,9 +316,9 @@ pub fn simulate_trace_observed(trace: &SearchTrace, config: &SimConfig, obs: &Ob
 #[derive(Debug, Clone)]
 pub struct HierConfig {
     /// Regional foremen (each owns the round-robin worker shard
-    /// `w % regions`, mirroring `fdml_core::hierarchy::home_region`).
+    /// `w % regions`).
     pub regions: usize,
-    /// Tasks per lease batch (the runtime's `GRANT_CAP`).
+    /// Tasks per lease batch ([`HierConfig::GRANT_CAP`] as deployed).
     pub grant: usize,
     /// Wire bytes of one downward task frame.
     pub task_bytes: usize,
@@ -331,16 +331,27 @@ pub struct HierConfig {
 }
 
 impl HierConfig {
-    /// The deployed configuration: `regions` regional foremen, the
-    /// runtime's grant cap, the measured binary `TreeEditTask` frame, and
-    /// edit-era candidate generation (~1 µs per candidate).
+    /// Most tasks a single lease grant may carry: it bounds the damage of
+    /// losing a region mid-lease and keeps the root's grants round-robin
+    /// fair.
+    pub const GRANT_CAP: usize = 64;
+
+    /// The deployed configuration: `regions` regional foremen, the grant
+    /// cap, the measured binary `TreeEditTask` frame, and edit-era
+    /// candidate generation (~1 µs per candidate).
     pub fn binary(regions: usize) -> HierConfig {
         HierConfig {
             regions,
-            grant: fdml_core::hierarchy::GRANT_CAP,
+            grant: HierConfig::GRANT_CAP,
             task_bytes: binary_edit_task_bytes(),
             gen_per_task: 1e-6,
         }
+    }
+
+    /// First worker rank: the control ranks (master, root foreman,
+    /// monitor) and the regional foremen come before the fleet.
+    pub fn first_worker_rank(&self) -> usize {
+        3 + self.regions
     }
 }
 
@@ -384,8 +395,9 @@ pub fn binary_edit_task_bytes() -> usize {
 /// Worker compute and per-candidate work are identical to
 /// [`simulate_trace`], so `worker_busy_seconds` matches the flat replay
 /// exactly and the completed task set is the same — the topology is
-/// invisible in the result, just as the real runtime's hierarchical runs
-/// are byte-identical to flat ones.
+/// invisible in the result. (The runtime once shipped this tree as
+/// `--regions`; it was retired because it ran ~10× slower than the flat
+/// foreman on every shape measured, DESIGN §12.2.)
 pub fn simulate_trace_hierarchical(
     trace: &SearchTrace,
     config: &SimConfig,
@@ -418,9 +430,9 @@ pub fn simulate_trace_hierarchical_observed(
         ranks: config.processors,
         workers,
     });
-    let first_worker = fdml_core::hierarchy::first_worker_rank(regions);
+    let first_worker = hier.first_worker_rank();
     // Worker w (0-based) lives in region w % regions and is global rank
-    // first_worker + w, exactly as the runtime shards the fleet.
+    // first_worker + w.
     let mut clock = 0.0f64;
     let mut busy = 0.0f64;
     let mut next_task = 0u64;

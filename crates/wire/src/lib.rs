@@ -10,9 +10,9 @@
 //! * body = `0xFD` magic, format version byte, variant tag byte, fields;
 //! * integers are LEB128 varints, floats are exact IEEE-754 bit patterns,
 //!   strings are length-prefixed UTF-8 ([`varint`]);
-//! * [`Message::Batch`] and [`Message::StealReturn`] nest inner message
-//!   bodies recursively (varint count, then each body tag-first), so one
-//!   frame carries a whole lease grant or result batch;
+//! * [`Message::Batch`] nests inner message bodies recursively (varint
+//!   count, then each body tag-first), so one frame carries a job's data
+//!   and its task;
 //! * the first body byte distinguishes codecs (`0xFD` vs JSON's `{`), so
 //!   readers sniff per body and binary/JSON peers interoperate during a
 //!   rollout with no flag-day.
@@ -41,9 +41,9 @@ pub const MAGIC: u8 = 0xFD;
 /// Bump on any incompatible change; decoders reject other versions.
 pub const BINARY_VERSION: u8 = 1;
 
-/// Deepest allowed nesting of [`Message::Batch`] / [`Message::StealReturn`]
-/// while decoding, so a malicious body cannot recurse the stack away. The
-/// runtime never nests more than two levels (a batch of task messages).
+/// Deepest allowed nesting of [`Message::Batch`] while decoding, so a
+/// malicious body cannot recurse the stack away. The runtime never nests
+/// more than two levels (a batch of task messages).
 const MAX_DEPTH: u32 = 8;
 
 /// A malformed binary body.
@@ -113,10 +113,9 @@ mod tag {
     pub const PING: u8 = 17;
     pub const SHUTDOWN: u8 = 18;
     pub const BATCH: u8 = 19;
-    pub const LEASE_REQUEST: u8 = 20;
-    pub const STEAL_REQUEST: u8 = 21;
-    pub const STEAL_RETURN: u8 = 22;
-    pub const REHOME: u8 = 23;
+    // 20-23 are retired, never to be reused: the lease request, steal
+    // request, steal return and re-home messages of the hierarchical
+    // foreman tree. A body carrying one decodes to `BadTag`.
     pub const WAL_ROUND: u8 = 24;
     pub const JUMBLE_RESUME: u8 = 25;
     pub const EDIT_CHUNK: u8 = 26;
@@ -494,22 +493,6 @@ pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
             buf.push(tag::BATCH);
             put_msgs(buf, msgs);
         }
-        Message::LeaseRequest { want } => {
-            buf.push(tag::LEASE_REQUEST);
-            varint::put_u32(buf, *want);
-        }
-        Message::StealRequest { want } => {
-            buf.push(tag::STEAL_REQUEST);
-            varint::put_u32(buf, *want);
-        }
-        Message::StealReturn { tasks } => {
-            buf.push(tag::STEAL_RETURN);
-            put_msgs(buf, tasks);
-        }
-        Message::Rehome { foreman } => {
-            buf.push(tag::REHOME);
-            varint::put_usize(buf, *foreman);
-        }
         Message::WalRound {
             job,
             seed,
@@ -636,14 +619,6 @@ fn decode_body_at(r: &mut Reader<'_>, depth: u32) -> Result<Message, WireError> 
         tag::SHUTDOWN => Ok(Message::Shutdown),
         tag::BATCH => Ok(Message::Batch {
             msgs: get_msgs(r, depth)?,
-        }),
-        tag::LEASE_REQUEST => Ok(Message::LeaseRequest { want: r.u32()? }),
-        tag::STEAL_REQUEST => Ok(Message::StealRequest { want: r.u32()? }),
-        tag::STEAL_RETURN => Ok(Message::StealReturn {
-            tasks: get_msgs(r, depth)?,
-        }),
-        tag::REHOME => Ok(Message::Rehome {
-            foreman: r.usize()?,
         }),
         tag::WAL_ROUND => Ok(Message::WalRound {
             job: r.u64()?,
@@ -841,7 +816,7 @@ mod tests {
 
     #[test]
     fn auto_detect_sniffs_both_codecs() {
-        let msg = Message::LeaseRequest { want: 32 };
+        let msg = Message::JumbleTask { task: 32, seed: 7 };
         let bin = encode_message(&msg);
         let json = JsonCodec.encode(&msg).unwrap();
         assert_eq!(decode_auto(&bin).unwrap(), msg);

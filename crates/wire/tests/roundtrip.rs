@@ -195,19 +195,7 @@ impl Rng {
             18 => Message::Batch {
                 msgs: self.messages(depth),
             },
-            19 => Message::LeaseRequest {
-                want: self.next() as u32,
-            },
-            20 => Message::StealRequest {
-                want: self.next() as u32,
-            },
-            21 => Message::StealReturn {
-                tasks: self.messages(depth),
-            },
-            22 => Message::Rehome {
-                foreman: (self.next() % 4096) as usize,
-            },
-            23 => Message::EditChunk {
+            19 => Message::EditChunk {
                 task: self.next(),
                 base_id: self.next(),
                 edits: self.edits(),
@@ -217,7 +205,7 @@ impl Rng {
                     Some(self.string())
                 },
             },
-            24 => Message::EditScores {
+            20 => Message::EditScores {
                 task: self.next(),
                 scores: (0..self.next() % 4)
                     .map(|_| EditScore {
@@ -244,7 +232,7 @@ impl Rng {
     }
 }
 
-const VARIANTS: usize = 26;
+const VARIANTS: usize = 22;
 
 fn roundtrip(codec: &dyn MessageCodec, msg: &Message) -> Result<(), TestCaseError> {
     let bytes = codec.encode(msg).expect("encode");

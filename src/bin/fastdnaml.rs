@@ -1,94 +1,10 @@
-//! The fastDNAml command-line program.
-//!
-//! ```text
-//! fastdnaml --input data.phy [options]
-//!
-//!   --input FILE         PHYLIP (or FASTA with --fasta) alignment   [required]
-//!   --jumble SEED        random addition-order seed                 [1]
-//!   --jumbles N          number of random orderings to analyze      [1]
-//!   --farm-width W       max jumbles in flight at once (0 = all)    [0]
-//!   --jumble-trees FILE  write every jumble's tree, one per line
-//!   --radius K           vertices crossed in local rearrangements   [1]
-//!   --final-radius K     vertices crossed in the final pass         [= radius]
-//!   --tt-ratio R         transition/transversion ratio              [2.0]
-//!   --categories K       estimate K rate categories (DNArates) first
-//!   --rates-file FILE    use a dnarates report for the category model
-//!   --parallel RANKS     run the threaded parallel program (≥ 4 ranks:
-//!                        master, foreman, monitor, workers)
-//!   --net coordinator    host the TCP hub and run the control ranks (0
-//!                        master, 1 foreman, 2 monitor) in this process;
-//!                        with --listen ADDR and --ranks N it waits for
-//!                        N-3 --net worker dials
-//!   --net worker         join a coordinator (or daemon) as a peer process;
-//!                        use with --connect ADDR (rank assigned by the hub)
-//!   --net spawn N        coordinator of an N-rank universe that also
-//!                        forks its N-3 workers as local processes —
-//!                        single-command multi-process run
-//!   --listen ADDR        coordinator / daemon bind address  [127.0.0.1:0]
-//!   --connect ADDR       address for --net worker and the job-API client
-//!                        modes (--submit / --status / --attach)
-//!   --ranks N            universe size, control ranks included, for
-//!                        --net coordinator / --serve                   [4]
-//!   --supervise          (--net spawn) respawn worker processes that die,
-//!                        with capped exponential backoff
-//!   --max-restarts N     respawn ceiling per worker slot with --supervise [3]
-//!   --regions R          interpose R regional foremen between the foreman
-//!                        and the workers (--parallel / --net) [0 = flat]
-//!   --wire FORMAT        hub data-plane codec, json | binary (--net) [binary]
-//!   --worker-timeout-ms T  foreman timeout before a task is requeued
-//!   --isa LANE           kernel instruction set: scalar | avx2 | avx512 |
-//!                        neon (must be host-supported)         [auto-detect]
-//!   --incremental        score candidate rounds as base + edit through a
-//!                        CLV cache (per worker with --parallel / --net,
-//!                        in process for the serial search)
-//!   --no-incremental     force whole-tree candidate scoring (the default
-//!                        for a single search; farm jumbles — --jumbles N
-//!                        and daemon jobs — are always edit-scored)
-//!   --obs-out FILE       write runtime events as JSON lines (--parallel, --net)
-//!   --obs-summary        print the end-of-run report (--parallel, --net)
-//!   --bootstrap N        bootstrap with N replicates instead of jumbles
-//!   --user-trees FILE    evaluate the Newick trees in FILE, no search
-//!   --wal-dir DIR        where a run keeps what it needs to resume: the
-//!                        write-ahead log of committed search rounds
-//!                        (serial, --parallel, --net), and for a farm its
-//!                        manifest too. A killed run re-launched with the
-//!                        same command — on any deployment — resumes from
-//!                        its last committed round, bit-identically within
-//!                        a numerics epoch
-//!   --outgroup T1,T2     root the output tree on this outgroup clade
-//!   --midpoint           midpoint-root the output tree
-//!   --output FILE        write the best tree / consensus ("-" = stdout)
-//!   --fasta              input is FASTA instead of PHYLIP
-//!   --quiet              suppress progress output
-//!
-//! Service mode — the always-on multi-tenant daemon and its clients:
-//!
-//!   --serve              run the job daemon: the hub stays up across jobs
-//!                        and a shared worker fleet serves every submitted
-//!                        farm (--listen, --ranks, --state-dir)
-//!   --state-dir DIR      durable job state (jobs.json + manifests); a
-//!                        restarted daemon resumes unfinished jobs [required]
-//!   --addr-file FILE     (--serve) write the bound address, for scripts
-//!                        that start the daemon on an ephemeral port
-//!   --spawn-workers      (--serve) fork this binary as the worker fleet
-//!   --max-jobs N         (--serve) admission queue limit            [8]
-//!   --max-job-ranks N    ceiling on a job's worker quota (--serve);
-//!                        the quota request itself with --submit     [0]
-//!   --max-wall-ms T      ceiling on a job's wall budget (--serve);
-//!                        the budget request itself with --submit    [0]
-//!   --submit             submit --input as a job to the daemon at
-//!                        --connect; prints the admitted job id
-//!   --job-label NAME     (--submit) display label for the job
-//!   --status JOB         print a submitted job's state and progress
-//!   --attach JOB         stream a job's progress and write its result
-//!   --attach-timeout-ms T  give up attaching after this long   [600000]
-//! ```
+//! The fastDNAml command-line program. `fastdnaml --help` prints every
+//! flag; its text is `USAGE` below, and the flags it accepts are `FLAGS`.
 
 use fastdnaml::cli::{self, get, Takes};
 use fastdnaml::comm::job::{JobSpec, JobSpecError};
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::farm::{serial_farm, FarmOptions, JumbleRun};
-use fastdnaml::core::hierarchy::first_worker_rank;
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::netrun::{
     net_coordinator_search, net_farm_search, run_net_peer, NetOptions, NetSpawn,
@@ -147,9 +63,8 @@ fn wire_format(args: &HashMap<String, String>) -> Result<WireFormat, String> {
 }
 
 /// The `--net coordinator | spawn N` universe the flags describe:
-/// `--listen`, `--ranks`, `--regions R` (hierarchical foreman tree),
-/// `--wire json|binary` (hub data-plane codec), and for `spawn` the peer
-/// launch settings.
+/// `--listen`, `--ranks`, `--wire json|binary` (hub data-plane codec), and
+/// for `spawn` the peer launch settings.
 fn net_options(
     mode: &str,
     args: &HashMap<String, String>,
@@ -167,7 +82,6 @@ fn net_options(
         .unwrap_or("127.0.0.1:0");
     let mut options = NetOptions::new(listen, get(args, "ranks", 4))
         .observed(sinks)
-        .hierarchical(get(args, "regions", 0))
         .with_wire(wire_format(args)?);
     if mode == "spawn" {
         let die_rank = args.get("die-rank").and_then(|v| v.parse::<usize>().ok());
@@ -237,7 +151,6 @@ const FLAGS: &[(&str, Takes)] = &[
     ("ranks", Takes::Int),
     ("supervise", Takes::Nothing),
     ("max-restarts", Takes::Int),
-    ("regions", Takes::Int),
     ("wire", Takes::Text),
     ("worker-timeout-ms", Takes::Int),
     ("isa", Takes::Text),
@@ -300,8 +213,6 @@ fastdnaml --input data.phy [options]
                        --net coordinator / --serve [4]
   --supervise          (--net spawn) respawn dead worker processes
   --max-restarts N     respawn ceiling per worker slot with --supervise [3]
-  --regions R          interpose R regional foremen between the foreman
-                       and the workers (--parallel / --net) [0 = flat]
   --wire FORMAT        hub data-plane codec, json | binary (--net) [binary]
   --worker-timeout-ms T  foreman timeout before a task is requeued
   --isa LANE           kernel instruction set: scalar | avx2 | avx512 |
@@ -566,9 +477,9 @@ fn main() -> ExitCode {
             .get("die-after-tasks")
             .and_then(|v| v.parse::<u64>().ok());
         match run_net_peer(connect, sinks, die_after) {
-            Ok((rank, outcome)) => {
+            Ok((rank, stats)) => {
                 if !quiet {
-                    report!("fastdnaml: rank {rank} done: {outcome:?}");
+                    report!("fastdnaml: rank {rank} done: Worker({stats:?})");
                 }
                 return ExitCode::SUCCESS;
             }
@@ -622,9 +533,9 @@ fn main() -> ExitCode {
         });
     }
 
-    // A universe must hold the master, foreman and monitor (ranks 0-2),
-    // its regional foremen and at least one worker; one that cannot is
-    // refused before any rank starts. A threaded farm has no regions.
+    // A universe must hold the master, foreman and monitor (ranks 0-2) and
+    // at least one worker; one that cannot is refused before any rank
+    // starts.
     let universe = match args.get("net").map(String::as_str) {
         Some("spawn") => Some(("--net spawn", get(&args, "ranks", 4usize))),
         Some("coordinator") => Some(("--ranks", get(&args, "ranks", 4))),
@@ -633,23 +544,11 @@ fn main() -> ExitCode {
             .map(|_| ("--parallel", get(&args, "parallel", 0))),
     };
     if let Some((flag, ranks)) = universe {
-        let regions: usize = get(&args, "regions", 0);
-        let regional = regions > 0 && (flag != "--parallel" || get(&args, "jumbles", 1usize) <= 1);
         if ranks < 4 {
             return die(JobSpecError::Invalid {
                 flag: flag.into(),
                 reason: format!(
                     "{ranks} ranks: at least 4 needed (master, foreman, monitor and a worker)"
-                ),
-            });
-        }
-        if regional && ranks <= first_worker_rank(regions) {
-            return die(JobSpecError::Invalid {
-                flag: "--regions".into(),
-                reason: format!(
-                    "{regions} regional foremen leave no worker among {ranks} ranks \
-                     (at least {} needed)",
-                    first_worker_rank(regions) + 1
                 ),
             });
         }
@@ -980,7 +879,7 @@ fn main() -> ExitCode {
         };
         print_report(&outcome.report);
         if !quiet {
-            let foreman = outcome.fleet.service.root.stats;
+            let foreman = outcome.fleet.service.foreman;
             eprintln!(
                 "fastdnaml: lnL {:.4} over {} ranks ({} trees, {} timeouts, {} frames relayed)",
                 outcome.result.ln_likelihood,
@@ -994,7 +893,6 @@ fn main() -> ExitCode {
         outcome.result
     } else if let Some(ranks) = threads {
         let mut run_options = RunOptions::observed(sinks);
-        run_options.regions = get(&args, "regions", 0);
         run_options.session = session;
         let outcome = match parallel_search(&job, ranks, run_options) {
             Ok(o) => o,

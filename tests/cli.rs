@@ -81,6 +81,61 @@ fn a_killed_run_resumes_from_its_round_log_alone() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A single search and a farm jumble of one seed share a log name. A
+/// whole-tree `--jumble 7` run killed mid-search used to leave a log that a
+/// later (edit-scored) `--jumbles 2` farm over the same directory replayed
+/// into its jumble 7 without a word, printing another tree for it than a
+/// clean farm. The log names its problem and scoring mode now: the farm
+/// refuses it in one line naming the file, and leaves it to the search
+/// that wrote it.
+#[test]
+fn a_farm_refuses_a_whole_tree_searchs_round_log_naming_it() {
+    let dir = workdir("log_key");
+    let wal = dir.join("wal");
+    let wal_arg = wal.to_str().unwrap();
+    let run = |extra: &[&str]| {
+        fastdnaml()
+            .args(["--input"])
+            .arg(dir.join("data.phy"))
+            .args(["--jumble", "7", "--quiet"])
+            .args(extra)
+            .output()
+            .expect("run")
+    };
+    let killed = run(&["--wal-dir", wal_arg, "--chaos-storage-crash", "6"]);
+    assert!(!killed.status.success(), "the crash must stop the run");
+    let log = wal.join("jumble-7.wal");
+    assert!(log.exists(), "the killed search leaves its log");
+    let trees = dir.join("trees.txt");
+    let trees_arg = trees.to_str().unwrap();
+    let farm = run(&[
+        "--jumbles",
+        "2",
+        "--wal-dir",
+        wal_arg,
+        "--jumble-trees",
+        trees_arg,
+    ]);
+    let stderr = String::from_utf8(farm.stderr).unwrap();
+    assert_eq!(farm.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("jumble-7.wal"), "{stderr}");
+    assert!(farm.stdout.is_empty(), "the farm printed a tree");
+    assert!(!trees.exists(), "the farm wrote jumble trees");
+    assert!(log.exists(), "the refused log is kept");
+    // The search that wrote it still resumes from it.
+    let plain = run(&[]);
+    let resumed = run(&["--wal-dir", wal_arg]);
+    assert!(
+        resumed.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(resumed.stdout, plain.stdout);
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// The checkpoint file's flags are gone; each says what replaced it rather
 /// than reading as a typo.
 #[test]
@@ -548,16 +603,16 @@ fn persistence_flags_do_not_change_the_serial_scoring_mode() {
 #[test]
 fn a_universe_without_room_for_a_worker_is_a_one_line_error() {
     let dir = workdir("small_universe");
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--parallel", "0"], "--parallel"),
         (&["--parallel", "1"], "--parallel"),
         (&["--parallel", "3"], "--parallel"),
         (&["--parallel", "3", "--jumbles", "2"], "--parallel"),
         (&["--net", "spawn", "3"], "--net spawn"),
         (&["--net", "coordinator", "--ranks", "3"], "--ranks"),
-        (&["--parallel", "5", "--regions", "5"], "--regions"),
-        (&["--parallel", "6", "--regions", "3"], "--regions"),
-        (&["--net", "spawn", "5", "--regions", "2"], "--regions"),
+        // The foreman tree is retired: its flag is refused like any
+        // unknown one.
+        (&["--parallel", "5", "--regions", "2"], "--regions"),
     ];
     for (extra, flag) in cases {
         let line = one_line_failure(&dir, extra);

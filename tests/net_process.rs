@@ -1,6 +1,6 @@
 //! Multi-process end-to-end tests: the real `fastdnaml` binary running the
 //! TCP transport — the coordinator hosting ranks 0–2, one OS process per
-//! worker (and per regional foreman) — over loopback.
+//! worker — over loopback.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -250,35 +250,6 @@ fn supervised_worker_is_respawned_and_readmitted() {
 }
 
 #[test]
-fn hierarchical_universe_matches_flat_processes_exactly() {
-    let dir = workdir("hier");
-    let log = dir.join("events.jsonl");
-    let (flat_tree, _) = run(&dir, &["--net", "spawn", "6", "--quiet"]);
-    // Nine ranks, two regions: master, root foreman and monitor in the
-    // coordinator, then two regional foremen and four workers sharded
-    // round-robin between them, one process each. The extra scheduling
-    // layer must be invisible in the result.
-    let (hier_tree, _) = run(
-        &dir,
-        &[
-            "--net",
-            "spawn",
-            "9",
-            "--regions",
-            "2",
-            "--quiet",
-            "--obs-out",
-            log.to_str().unwrap(),
-        ],
-    );
-    assert_eq!(hier_tree, flat_tree);
-    // The whole nine-rank universe actually assembled: every rank the
-    // coordinator does not host itself dialed in.
-    assert_eq!(connected_ranks(&log), [3, 4, 5, 6, 7, 8]);
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
 fn json_wire_matches_binary_wire_exactly() {
     let dir = workdir("wirefmt");
     // Same universe, opposite hub codecs. The peers default to binary, so
@@ -296,16 +267,12 @@ fn json_wire_matches_binary_wire_exactly() {
 #[test]
 fn incremental_search_is_identical_at_every_fleet_size_and_topology() {
     // The verify wave is as wide as the fleet: one worker verifies the
-    // leading candidates one at a time, four verify four at once. Threads,
-    // processes and a regional tier, at four different widths, must all
-    // emit the same bytes.
+    // leading candidates one at a time, three verify three at once.
+    // Threads and processes, at three different widths, must all emit the
+    // same bytes.
     let dir = workdir("inc_widths");
     let (one_worker, _) = run(&dir, &["--parallel", "4", "--incremental", "--quiet"]);
-    for flags in [
-        &["--parallel", "6"][..],
-        &["--net", "spawn", "5"],
-        &["--net", "spawn", "9", "--regions", "2"],
-    ] {
+    for flags in [&["--parallel", "6"][..], &["--net", "spawn", "5"]] {
         let mut args = flags.to_vec();
         args.extend(["--incremental", "--quiet"]);
         let (tree, _) = run(&dir, &args);
@@ -315,7 +282,7 @@ fn incremental_search_is_identical_at_every_fleet_size_and_topology() {
 }
 
 #[test]
-fn a_flat_universe_relays_nothing_and_a_regional_one_does() {
+fn a_flat_universe_relays_nothing() {
     use fastdnaml::core::config::SearchConfig;
     use fastdnaml::core::job::ResolvedJob;
     use fastdnaml::core::netrun::{net_coordinator_search, NetOptions, NetSpawn};
@@ -327,33 +294,20 @@ fn a_flat_universe_relays_nothing_and_a_regional_one_does() {
         ..SearchConfig::default()
     };
     let job = ResolvedJob::single(alignment, config);
-    let search = |ranks: usize, regions: usize| {
-        let spawn = NetSpawn {
-            quiet: true,
-            ..NetSpawn::new(env!("CARGO_BIN_EXE_fastdnaml").into())
-        };
-        let options = NetOptions::new("127.0.0.1:0", ranks)
-            .spawning(spawn)
-            .hierarchical(regions);
-        net_coordinator_search(&job, options).expect("net search")
+    let spawn = NetSpawn {
+        quiet: true,
+        ..NetSpawn::new(env!("CARGO_BIN_EXE_fastdnaml").into())
     };
-    // Flat: the workers speak only to the foreman, and the foreman lives
-    // in the coordinator — nothing goes from one socket to another, and
-    // the coordinator hands back the foreman's and the monitor's counts.
-    let flat = search(5, 0);
+    let options = NetOptions::new("127.0.0.1:0", 5).spawning(spawn);
+    // The workers speak only to the foreman, and the foreman lives in the
+    // coordinator — nothing goes from one socket to another, and the
+    // coordinator hands back the foreman's and the monitor's counts.
+    let flat = net_coordinator_search(&job, options).expect("net search");
     assert_eq!(flat.fleet.relayed, 0);
-    let foreman = flat.fleet.service.root.stats;
+    let foreman = flat.fleet.service.foreman;
     assert!(foreman.dispatched > 0);
     assert_eq!(foreman.results_forwarded, foreman.dispatched);
     assert!(flat.fleet.service.monitor.events > 0);
-    // With a regional tier the workers' foremen are peers too: their
-    // traffic is relayed.
-    let regional = search(9, 2);
-    assert!(regional.fleet.relayed > 0);
-    assert_eq!(
-        regional.result.ln_likelihood.to_bits(),
-        flat.result.ln_likelihood.to_bits()
-    );
 }
 
 #[test]
@@ -396,13 +350,13 @@ fn a_timeout_shorter_than_every_task_costs_no_task_twice_on_one_worker_process()
     let measured = search(&fault_free, true);
     let quickest = measured.report.expect("report").service_us.min;
     // The master's task stream does not depend on the timeout.
-    let tasks = measured.fleet.service.root.stats.dispatched;
+    let tasks = measured.fleet.service.foreman.dispatched;
     let config = SearchConfig {
         worker_timeout: Duration::from_micros(quickest / 2).max(Duration::from_micros(1)),
         ..fault_free
     };
     let outcome = search(&config, false);
-    let stats = outcome.fleet.service.root.stats;
+    let stats = outcome.fleet.service.foreman;
     assert!(stats.timeouts >= 1, "{stats:?}");
     // Ranks 3 and 4 are the worker processes.
     assert!(
@@ -419,14 +373,13 @@ fn a_timeout_shorter_than_every_task_costs_no_task_twice_on_one_worker_process()
     );
 }
 
-/// Every way of deploying a search, one worker to four, flat and
-/// hierarchical, with and without a runtime.
-const DEPLOYMENTS: [&[&str]; 5] = [
+/// Every way of deploying a search, one worker to three, with and without
+/// a runtime.
+const DEPLOYMENTS: [&[&str]; 4] = [
     &[],
     &["--parallel", "4"],
     &["--parallel", "6"],
     &["--net", "spawn", "5"],
-    &["--net", "spawn", "9", "--regions", "2"],
 ];
 
 #[test]

@@ -200,10 +200,10 @@ fn job_namespaced_logs_are_isolated() {
     let wal_dir = dir.join("wal");
 
     // Job 1 writes a log and is "killed" (log left behind).
-    let mut w1 =
-        fastdnaml::core::wal::WalWriter::create(&wal_dir, 1, 7, alignment.num_taxa()).unwrap();
+    let taxa = alignment.num_taxa();
+    let mut w1 = fastdnaml::core::wal::WalWriter::create(&wal_dir, 1, 7, taxa, "job-1").unwrap();
     // Job 2's log is corrupted on disk.
-    let w2 = fastdnaml::core::wal::WalWriter::create(&wal_dir, 2, 7, alignment.num_taxa()).unwrap();
+    let w2 = fastdnaml::core::wal::WalWriter::create(&wal_dir, 2, 7, taxa, "job-2").unwrap();
     drop(w2);
     std::fs::write(fastdnaml::core::wal::wal_path(&wal_dir, 2, 7), b"garbage").unwrap();
 

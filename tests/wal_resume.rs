@@ -18,7 +18,7 @@
 use fastdnaml::chaos::storage::{self, StoragePlan};
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::durable::LogWriter;
-use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmOptions};
+use fastdnaml::core::farm::{log_key, plan_seeds, serial_farm, FarmOptions};
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{
     farm_search, parallel_search, search_in_process, RunOptions, SearchSession,
@@ -395,12 +395,20 @@ fn farm_resumes_inflight_jumbles_and_bounds_wal_dir() {
     let dir = workdir("farm");
     let wal_dir = dir.join("wal");
     let plant_ks = [logs[0].len(), logs[1].len() / 2, 1, 0];
+    // Farm jumbles are edit-scored, and their logs say so.
+    let key = log_key(
+        &alignment,
+        &SearchConfig {
+            incremental: true,
+            ..config.clone()
+        },
+    );
     for (i, (&seed, log)) in seeds.iter().zip(&logs).enumerate() {
         if plant_ks[i] == 0 {
             continue;
         }
         let mut writer =
-            WalWriter::create(&wal_dir, 0, seed, alignment.num_taxa()).expect("plant wal");
+            WalWriter::create(&wal_dir, 0, seed, alignment.num_taxa(), &key).expect("plant wal");
         for round in &log[..plant_ks[i]] {
             writer.append(round).expect("plant append");
         }
@@ -506,10 +514,15 @@ fn serial_farm_killed_mid_jumble_has_its_rounds_on_disk() {
 /// would have written it: the header stamped `numerics`, every recorded
 /// likelihood a few ULP away from what this build computes.
 fn perturbed_log(wal_dir: &Path, seed: u64, rounds: &[WalRound], numerics: u32) {
+    let config = SearchConfig {
+        jumble_seed: seed,
+        ..SearchConfig::default()
+    };
     let header = WalRecord::Start(WalStart {
         jumble_seed: seed,
         num_taxa: 6,
         numerics,
+        problem: Some(log_key(&dataset(), &config)),
     });
     let records = std::iter::once(header).chain(rounds.iter().map(|round| {
         WalRecord::Round(WalRound {
