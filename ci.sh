@@ -393,6 +393,18 @@ for f in $(find crates src examples -name '*.rs'); do
     exit 1
   fi
 done
+# One run shape: every run is one `farm::Ledger` job under one master,
+# with one launcher per transport, one outcome type, one round-log path
+# and one replay rule. The per-shape entry points, outcome types, the
+# single search's own log session and the farm's epoch switch stay gone
+# from everything but test modules.
+retired='search_in_process|parallel_search|net_coordinator_search|serial_farm|farm_search|net_farm_search|ParallelOutcome|FarmOutcome|NetOutcome|NetFarmOutcome|SearchSession|WalSession|across_epochs|FarmOptions'
+for f in $(find crates src examples -name '*.rs'); do
+  if nontest "$f" | grep -nE "$retired"; then
+    echo "one run shape: $f brings a second run shape back"
+    exit 1
+  fi
+done
 for flag in --checkpoint --checkpoint-out --resume; do
   status=0
   ./target/release/fastdnaml --input "$SMOKE/data.phy" "$flag" "$SMOKE/cp.json" --quiet \
@@ -491,7 +503,9 @@ cmp "$SMOKE/farm_net.nwk" "$SMOKE/farm_thr.nwk"
 # (1) Deterministic: --chaos-storage-crash aborts the coordinator at an
 # exact WAL storage operation, leaving the file a SIGKILL there would
 # leave. Re-running the same command must resume from the round log and
-# emit the byte-identical tree, then retire the log.
+# emit the byte-identical tree, then retire the log and keep the run's
+# manifest. Running it once more answers from that manifest, unsearched,
+# with the same bytes.
 WALD="$SMOKE/wal_crash"
 rm -rf "$WALD"; mkdir -p "$WALD"
 rm -f "$SMOKE/wal_crash.nwk"   # stale output from a prior gate run
@@ -502,11 +516,17 @@ test ! -f "$SMOKE/wal_crash.nwk"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --parallel 4 --quiet \
   --wal-dir "$WALD" --output "$SMOKE/wal_crash.nwk"
 cmp "$SMOKE/wal_crash.nwk" "$SMOKE/threads.nwk"
-test -z "$(ls -A "$WALD")"   # log retired: the directory stays bounded
+test -z "$(find "$WALD" -name '*.wal')"   # log retired: the directory stays bounded
+test -s "$WALD/manifest.json"
+./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --parallel 4 --quiet \
+  --wal-dir "$WALD" --output "$SMOKE/wal_rerun.nwk"
+cmp "$SMOKE/wal_rerun.nwk" "$SMOKE/threads.nwk"
 #
 # (2) Across deployments: the same abort under --parallel, resumed with no
 # --parallel at all. Every deployment commits the same rounds, so the
-# serial program replays the threaded run's log to the same bytes.
+# serial program replays the threaded run's log to the same bytes. The
+# directory starts empty: (1)'s manifest would answer this run.
+rm -rf "$WALD"; mkdir -p "$WALD"
 rm -f "$SMOKE/wal_cross.nwk"
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --parallel 4 --quiet \
   --wal-dir "$WALD" --chaos-storage-crash 6 --output "$SMOKE/wal_cross.nwk" 2>/dev/null \
@@ -515,7 +535,8 @@ test -n "$(ls -A "$WALD")"    # the interrupted log is there to resume
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --quiet \
   --wal-dir "$WALD" --output "$SMOKE/wal_cross.nwk"
 cmp "$SMOKE/wal_cross.nwk" "$SMOKE/threads.nwk"
-test -z "$(ls -A "$WALD")"
+test -z "$(find "$WALD" -name '*.wal')"
+test -s "$WALD/manifest.json"
 #
 # (3) A real kill -9 mid-farm: 24 jumbles give the coordinator enough
 # wall time to be caught with its manifest and WAL half-written. The

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fdml_core::config::SearchConfig;
 use fdml_core::job::ResolvedJob;
-use fdml_core::runner::{parallel_search, search_in_process, RunOptions, SearchSession};
+use fdml_core::runner::{run_in_process, run_threaded, RunOptions};
 use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
 use fdml_phylo::alignment::Alignment;
 use std::hint::black_box;
@@ -31,9 +31,7 @@ fn bench_search_modes(c: &mut Criterion) {
         },
     );
     let in_process = |job: &ResolvedJob| {
-        search_in_process(job, SearchSession::default())
-            .unwrap()
-            .ln_likelihood
+        run_in_process(job, RunOptions::default()).unwrap().runs[0].ln_likelihood
     };
     let mut group = c.benchmark_group("search_12taxa");
     group.sample_size(10);
@@ -45,12 +43,7 @@ fn bench_search_modes(c: &mut Criterion) {
     });
     group.bench_function("parallel_6ranks", |b| {
         b.iter(|| {
-            black_box(
-                parallel_search(&job, 6, RunOptions::default())
-                    .unwrap()
-                    .result
-                    .ln_likelihood,
-            )
+            black_box(run_threaded(&job, 6, RunOptions::default()).unwrap().runs[0].ln_likelihood)
         })
     });
     group.finish();

@@ -14,8 +14,7 @@ use fdml_bench::kernel_report::{
 use fdml_bench::Args;
 use fdml_core::config::SearchConfig;
 use fdml_core::job::ResolvedJob;
-use fdml_core::loopback::Loopback;
-use fdml_core::runner::{search_on, SearchSession};
+use fdml_core::runner::{run_in_process, RunOptions};
 use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
 use fdml_likelihood::categories::RateCategories;
 use fdml_likelihood::clv::WTerms;
@@ -26,11 +25,12 @@ use fdml_likelihood::kernels::{
     self, CategoryRun, EdgeDerivCoefficients, LnProd, PatternWeights, WPlanes,
 };
 use fdml_likelihood::{KernelMode, PAR_BLOCK};
-use fdml_obs::{Event, MemorySink, Obs};
+use fdml_obs::{Event, MemorySink};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::ops::{apply_move, enumerate_insertion_moves, enumerate_spr_moves, TreeMove};
 use fdml_phylo::tree::Tree;
 use std::hint::black_box;
+use std::path::PathBuf;
 
 fn dataset(taxa: usize, sites: usize) -> (Alignment, Tree) {
     let tree = yule_tree(taxa, 0.08, 42);
@@ -142,48 +142,55 @@ fn run_wal_overhead(samples: usize, quick: bool) -> WalOverheadReport {
         ..SearchConfig::default()
     };
     let job = ResolvedJob::single(alignment, config);
-    // The in-process program, bare or with its round log in `wal_dir`.
-    let search = |wal_dir: Option<&std::path::Path>, obs: &Obs| {
-        let session = SearchSession {
-            wal_dir: wal_dir.map(std::path::Path::to_path_buf),
-            ..SearchSession::default()
+    // The in-process program, bare or with its round log in `wal_dir`,
+    // both arms observed alike: its wall time, its log-likelihood, and the
+    // rounds it appended with their bytes.
+    let search = |wal_dir: Option<PathBuf>| {
+        let mem = MemorySink::new();
+        let options = RunOptions {
+            wal_dir,
+            ..RunOptions::observed(vec![Box::new(mem.clone())])
         };
-        search_on(Loopback::new(), &job, session, obs)
-            .1
-            .expect("golden search")
+        let start = std::time::Instant::now();
+        let outcome = run_in_process(&job, options).expect("golden search");
+        let seconds = start.elapsed().as_secs_f64();
+        let (mut rounds, mut bytes) = (0u64, 0u64);
+        for record in mem.take() {
+            if let Event::WalAppend { bytes: b, .. } = record.event {
+                rounds += 1;
+                bytes += b;
+            }
+        }
+        (seconds, outcome.runs[0].ln_likelihood, rounds, bytes)
     };
-    let baseline_result = search(None, &Obs::disabled());
+    // A finished run's directory answers a re-run from its manifest, so
+    // every logged run gets a directory of its own.
+    let root = std::env::temp_dir().join(format!("fdml-wal-bench-{}", std::process::id()));
+    let fresh = |n: usize| Some(root.join(format!("run-{n}")));
+    let (_, baseline_lnl, _, _) = search(None);
 
-    // One untimed observed run to learn the log's shape.
-    let dir = std::env::temp_dir().join(format!("fdml-wal-bench-{}", std::process::id()));
-    let mem = MemorySink::new();
-    let logged_result = search(Some(&dir), &Obs::multi(vec![Box::new(mem.clone())]));
+    // One untimed run to learn the log's shape.
+    let (_, logged_lnl, rounds, wal_bytes) = search(fresh(0));
     assert_eq!(
-        baseline_result.ln_likelihood.to_bits(),
-        logged_result.ln_likelihood.to_bits(),
+        baseline_lnl.to_bits(),
+        logged_lnl.to_bits(),
         "attaching the wal changed the search result"
     );
-    let (mut rounds, mut wal_bytes) = (0u64, 0u64);
-    for record in mem.take() {
-        if let Event::WalAppend { bytes, .. } = record.event {
-            rounds += 1;
-            wal_bytes += bytes;
-        }
-    }
+    assert!(rounds > 0, "the logged search appended no round");
 
     // The arms alternate run by run, so a slow phase of the host hits
     // both (one arm after the other read −25 % … +16 % on a shared host).
-    let obs = Obs::disabled();
-    let time = |wal_dir: Option<&std::path::Path>| {
-        let start = std::time::Instant::now();
-        black_box(search(wal_dir, &obs).ln_likelihood);
-        start.elapsed().as_secs_f64()
-    };
     let (mut bare, mut logged) = (Vec::new(), Vec::new());
-    for _ in 0..samples {
-        bare.push(time(None));
-        logged.push(time(Some(&dir)));
+    for n in 1..=samples {
+        bare.push(black_box(search(None)).0);
+        let (seconds, _, appended, _) = search(fresh(n));
+        assert_eq!(
+            appended, rounds,
+            "logged run {n} appended {appended} rounds"
+        );
+        logged.push(seconds);
     }
+    let _ = std::fs::remove_dir_all(&root);
     let mean = |runs: &[f64]| runs.iter().sum::<f64>() / runs.len() as f64;
     let min = |runs: &[f64]| runs.iter().copied().fold(f64::INFINITY, f64::min);
     let row = WalOverheadReport {

@@ -7,7 +7,7 @@
 use fdml_bench::Args;
 use fdml_core::config::SearchConfig;
 use fdml_core::job::ResolvedJob;
-use fdml_core::runner::{parallel_search, search_in_process, RunOptions, SearchSession};
+use fdml_core::runner::{run_in_process, run_threaded, RunOptions};
 use fdml_datagen::{evolve, yule_tree, EvolutionConfig};
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ fn main() {
     println!("(host has {host_cores} cores; 3 ranks are control processes)\n");
     let job = ResolvedJob::single(alignment, config);
     let t0 = Instant::now();
-    let serial = search_in_process(&job, SearchSession::default()).expect("serial search");
+    let serial = run_in_process(&job, RunOptions::default()).expect("serial search");
     let serial_time = t0.elapsed().as_secs_f64();
     println!(
         "{:>8} {:>12} {:>10} {:>14}",
@@ -40,20 +40,20 @@ fn main() {
     );
     println!(
         "{:>8} {:>12.2} {:>10.2} {:>14.3}  (serial)",
-        1, serial_time, 1.0, serial.ln_likelihood
+        1, serial_time, 1.0, serial.runs[0].ln_likelihood
     );
     let mut workers = 1usize;
     while workers <= max_workers {
         let ranks = workers + 3;
         let t0 = Instant::now();
-        let outcome = parallel_search(&job, ranks, RunOptions::default()).expect("parallel search");
+        let outcome = run_threaded(&job, ranks, RunOptions::default()).expect("parallel search");
         let wall = t0.elapsed().as_secs_f64();
         println!(
             "{:>8} {:>12.2} {:>10.2} {:>14.3}  (ranks={ranks}, util cv={:.2})",
             workers,
             wall,
             serial_time / wall,
-            outcome.result.ln_likelihood,
+            outcome.runs[0].ln_likelihood,
             outcome.monitor.load_imbalance()
         );
         workers *= 2;

@@ -378,6 +378,10 @@ pub enum Message {
         task: u64,
         /// The jumble seed (already adjusted and deduplicated).
         seed: u64,
+        /// The numerics epoch the `wal` rounds were computed under: the
+        /// worker replays them bit for bit within its own epoch and within
+        /// the replay tolerance across epochs, as a single search does.
+        numerics: u32,
         /// The committed rounds so far, one `WalRecord::Round` JSON text
         /// per entry, in order. Empty for a fresh start.
         wal: Vec<String>,
@@ -732,6 +736,7 @@ mod tests {
                 job: 3,
                 task: 60,
                 seed: 11,
+                numerics: 1,
                 wal: vec![r#"{"Round":{"index":0}}"#.into()],
             },
             Message::Shutdown,

@@ -293,11 +293,6 @@ impl LogWriter {
         faulted_step(StorageOp::SyncAppend, &self.path, || self.file.sync_data())?;
         Ok(frame.len() as u64)
     }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]

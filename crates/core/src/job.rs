@@ -2,8 +2,8 @@
 //! orchestration entrypoints consume.
 //!
 //! Every high-level entrypoint in this crate — [`crate::runner`]'s
-//! threaded searches, [`crate::netrun`]'s TCP launchers, and the
-//! `fdml-serve` daemon's scheduler — is constructed from the same
+//! in-process and threaded launchers, [`crate::netrun`]'s TCP launcher,
+//! and the `fdml-serve` daemon's scheduler — is constructed from the same
 //! [`ResolvedJob`]: the parsed alignment, the search configuration, and
 //! the planned jumble-seed list. One description of a job, however it
 //! arrived (CLI flags, a `Submit` frame, or a durable registry entry).
@@ -24,7 +24,7 @@ pub struct ResolvedJob {
     /// The search configuration (model, radii, fault-tolerance timeout).
     pub config: SearchConfig,
     /// The adjusted, deduplicated jumble seeds, in plan order. A
-    /// single-element list is the one-shot (non-farm) case.
+    /// single-element list is the single search.
     pub seeds: Vec<u64>,
 }
 
@@ -51,14 +51,16 @@ impl ResolvedJob {
     }
 
     /// Resolve a wire-level spec (the submit path and the daemon's
-    /// registry). Fails with a typed [`PhyloError`] on malformed PHYLIP
-    /// or config JSON.
+    /// registry). The daemon ships every jumble whole to a worker, which
+    /// scores it edit by edit, so the job is edit-scored. Fails with a
+    /// typed [`PhyloError`] on malformed PHYLIP or config JSON.
     pub fn from_spec(spec: &JobSpec) -> Result<ResolvedJob, PhyloError> {
         let alignment = phylip::parse(&spec.phylip)
             .map_err(|e| PhyloError::Format(format!("bad alignment in job spec: {e}")))?;
         let mut config = SearchConfig::from_engine_config_json(&spec.config_json)
             .map_err(|e| PhyloError::Format(format!("bad config in job spec: {e}")))?;
         config.jumble_seed = spec.base_seed;
+        config.incremental = true;
         let seeds = plan_seeds(spec.base_seed, spec.jumbles)?;
         Ok(ResolvedJob {
             alignment,

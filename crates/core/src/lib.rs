@@ -18,10 +18,13 @@
 //! * [`job`] — the unified job surface: resolving a wire-level
 //!   `JobSpec` into the runnable form every orchestration entrypoint is
 //!   constructed from.
-//! * [`runner`] — entry points: `search_on` (the one way a search runs),
-//!   the in-process and threaded programs, the threaded jumble farm.
+//! * [`runner`] — entry points: one launcher per transport family (in
+//!   process, threads; TCP in [`netrun`]), each running its job as one
+//!   `farm::Ledger` job and returning one `RunOutcome`, and `search_on`,
+//!   the one round loop of a search.
 //! * [`netrun`] — the same topology across OS processes over `fdml-net`'s
-//!   TCP transport: coordinator, peer, and single-command spawn launchers.
+//!   TCP transport: the coordinator (spawning its peers or not) and the
+//!   peer.
 //! * [`trace`] — dispatch-round traces consumed by the RS/6000 SP
 //!   simulator to regenerate Figures 3 and 4.
 //! * [`durable`] — the crash-consistent storage layer: fsynced atomic
@@ -31,9 +34,10 @@
 //!   framed record per committed search round, replayed when the same run
 //!   is re-launched over the same `--wal-dir` — byte-identically within a
 //!   numerics epoch, along the same trajectory across epochs.
-//! * [`farm`] — the jumble farm: whole random-addition searches sharded
-//!   across the worker pool, streaming into an incremental consensus and a
-//!   manifest kept beside the jumbles' round logs.
+//! * [`farm`] — the run shape: every run is a job of one or more jumbles
+//!   in one `Ledger` (manifest, round logs, consensus) under one master;
+//!   one jumble is the single search, several are sharded across the
+//!   worker pool.
 
 #![warn(missing_docs)]
 
@@ -58,5 +62,5 @@ pub mod worker;
 
 pub use config::SearchConfig;
 pub use job::ResolvedJob;
-pub use runner::{parallel_search, search_in_process, search_on, RunOptions, SearchSession};
+pub use runner::{run_in_process, run_threaded, search_on, RunOptions, RunOutcome};
 pub use search::{SearchResult, StepwiseSearch};

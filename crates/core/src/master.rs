@@ -71,6 +71,16 @@ fn transport_error(e: impl std::fmt::Display) -> PhyloError {
     PhyloError::Format(format!("transport: {e}"))
 }
 
+/// Send `problem` (a [`Message::ProblemData`]) to every worker rank of
+/// `transport`'s universe: once per run, before its first task. A worker
+/// that died before the broadcast is the foreman's problem (eager requeue /
+/// all-dead abort), not the caller's.
+pub fn broadcast_problem<T: Transport>(transport: &T, problem: &Message) {
+    for rank in ranks::FIRST_WORKER..transport.size() {
+        let _ = transport.send(rank, problem);
+    }
+}
+
 /// Master-side executor: each candidate becomes a `TreeTask` dispatched via
 /// the foreman; workers do the full per-tree optimization. With
 /// [`ClusterExecutor::with_incremental`] enabled, candidates instead travel
@@ -115,8 +125,9 @@ pub struct ClusterExecutor<T: Transport> {
 }
 
 impl<T: Transport> ClusterExecutor<T> {
-    /// Create the executor and broadcast the problem data to the workers,
-    /// ranks [`ranks::FIRST_WORKER`]`..`.
+    /// Create the executor over a universe whose workers, ranks
+    /// [`ranks::FIRST_WORKER`]`..`, already hold the problem data
+    /// ([`broadcast_problem`]): a (re)joining worker is sent it again.
     pub fn new(
         transport: T,
         names: Vec<String>,
@@ -124,17 +135,6 @@ impl<T: Transport> ClusterExecutor<T> {
         config_json: String,
         has_monitor: bool,
     ) -> ClusterExecutor<T> {
-        for rank in ranks::FIRST_WORKER..transport.size() {
-            // A worker that died before the broadcast is the foreman's
-            // problem (eager requeue / all-dead abort), not a panic here.
-            let _ = transport.send(
-                rank,
-                &Message::ProblemData {
-                    phylip: phylip.clone(),
-                    config_json: config_json.clone(),
-                },
-            );
-        }
         let mut executor = ClusterExecutor {
             transport,
             names,
@@ -163,10 +163,10 @@ impl<T: Transport> ClusterExecutor<T> {
         self
     }
 
-    /// Orderly shutdown: tell the foreman, which cascades to workers and
-    /// the monitor.
-    pub fn shutdown(self) -> T {
-        let _ = self.transport.send(ranks::FOREMAN, &Message::Shutdown);
+    /// Hand the universe back as it is, for its next search or its
+    /// shutdown (`Shutdown` to the foreman, which cascades to workers and
+    /// the monitor).
+    pub fn into_transport(self) -> T {
         self.transport
     }
 
@@ -571,14 +571,18 @@ impl<T: Transport> ClusterExecutor<T> {
         alignment: &fdml_phylo::alignment::Alignment,
         config: &crate::config::SearchConfig,
     ) -> Self {
-        ClusterExecutor::new(
-            transport,
-            alignment.names().to_vec(),
+        let (phylip, config_json) = (
             fdml_phylo::phylip::write(alignment),
             config.engine_config_json(),
-            false,
-        )
-        .with_incremental(config.incremental)
+        );
+        let problem = Message::ProblemData {
+            phylip: phylip.clone(),
+            config_json: config_json.clone(),
+        };
+        broadcast_problem(&transport, &problem);
+        let names = alignment.names().to_vec();
+        ClusterExecutor::new(transport, names, phylip, config_json, false)
+            .with_incremental(config.incremental)
     }
 
     /// The same executor with a verification window other than its
@@ -599,6 +603,11 @@ mod tests {
     use fdml_phylo::tree::Tree;
     use std::sync::Mutex;
     use std::thread;
+
+    /// Tell the executor's foreman to shut its universe down.
+    fn shut_down<T: Transport>(ex: ClusterExecutor<T>) {
+        let _ = ex.into_transport().send(ranks::FOREMAN, &Message::Shutdown);
+    }
 
     /// A scripted foreman: answers every TreeTask, but holds results back
     /// and replies in REVERSE arrival order with recognizable likelihoods.
@@ -671,7 +680,7 @@ mod tests {
         assert_eq!(works, vec![2, 3, 4]);
         // Deterministic selection: argmax picks the first (task 1).
         assert_eq!(argmax(&scores), 0);
-        ex.shutdown();
+        shut_down(ex);
         foreman.join().unwrap();
     }
 
@@ -758,7 +767,7 @@ mod tests {
             assert_eq!(score.ln_likelihood, -f64::from(100 * at.0 .0 + at.1 .0));
             assert_eq!(score.work_units, u64::from(at.0 .0 + at.1 .0));
         }
-        ex.shutdown();
+        shut_down(ex);
         assert_eq!(foreman.join().unwrap(), [2, 2, 2, 2, 2, 2, 2, 1]);
     }
 
@@ -839,7 +848,7 @@ mod tests {
         );
         let base = ex.set_base(Tree::triplet(0, 1, 2)).unwrap();
         assert!(base.ln_likelihood.is_finite() && base.ln_likelihood < 0.0);
-        ex.shutdown();
+        shut_down(ex);
         foreman.join().unwrap();
 
         // Byte-identical to what a healthy worker (same engine, same
@@ -920,7 +929,7 @@ mod tests {
             );
             moves.extend(moves.clone());
         }
-        ex.shutdown();
+        shut_down(ex);
         assert_eq!(got.len(), 9);
         let (expected, chunk_lens) = foreman.join().unwrap();
         assert_eq!(got, expected, "local scores == the worker's, bit for bit");
@@ -953,7 +962,7 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("aborted"), "got: {text}");
         assert!(text.contains("workers dead"), "got: {text}");
-        ex.shutdown();
+        shut_down(ex);
         foreman.join().unwrap();
     }
 
@@ -1057,7 +1066,7 @@ mod tests {
         let adopted = ex.adopt(best).unwrap();
         assert_eq!(adopted.work_units, 0);
         assert_eq!(newick::write_tree(&adopted.tree, &names), best_text);
-        ex.shutdown();
+        shut_down(ex);
 
         // On the wire: set_base is a task plus a broadcast, verification is
         // three tasks and nothing else (the base is untouched), adoption is
@@ -1166,14 +1175,15 @@ mod tests {
             let machine = Sched::flat(foreman_end.size(), timeout, false);
             run_scheduler(foreman_end, machine, tick_of(timeout), Obs::disabled()).unwrap()
         });
-        let mut ex = ClusterExecutor::new(
-            ends.remove(0),
-            names.clone(),
-            phylip_text,
-            config_json,
-            false,
-        )
-        .with_incremental(true);
+        let master_end = ends.remove(0);
+        let problem = Message::ProblemData {
+            phylip: phylip_text.clone(),
+            config_json: config_json.clone(),
+        };
+        broadcast_problem(&master_end, &problem);
+        let mut ex =
+            ClusterExecutor::new(master_end, names.clone(), phylip_text, config_json, false)
+                .with_incremental(true);
         assert_eq!(ex.window, 4, "three workers and a spare");
         // Every worker, having its problem data, is in the foreman's inbox
         // ahead of the first task, however late its thread started.
@@ -1196,7 +1206,7 @@ mod tests {
             assert_eq!(h.work_units, w.work_units);
             assert_eq!(h.newick, w.newick);
         }
-        ex.shutdown();
+        shut_down(ex);
         let stats = foreman.join().unwrap();
         assert!(
             stats.timeouts >= 1,

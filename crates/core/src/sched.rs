@@ -88,6 +88,8 @@ pub(crate) enum TaskBody {
         job: u64,
         /// The jumble seed.
         seed: u64,
+        /// The numerics epoch of the rounds to replay.
+        numerics: u32,
         /// The committed rounds to replay, one JSON `WalRound` each.
         wal: Vec<String>,
     },
@@ -119,8 +121,17 @@ impl TaskBody {
                 job,
                 task,
                 seed,
+                numerics,
                 wal,
-            } => Some((task, TaskBody::JumbleResume { job, seed, wal })),
+            } => Some((
+                task,
+                TaskBody::JumbleResume {
+                    job,
+                    seed,
+                    numerics,
+                    wal,
+                },
+            )),
             Message::EditChunk {
                 task,
                 base_id,
@@ -150,10 +161,16 @@ impl TaskBody {
                 newick: newick.clone(),
             },
             TaskBody::Jumble(seed) => Message::JumbleTask { task, seed: *seed },
-            TaskBody::JumbleResume { job, seed, wal } => Message::JumbleResume {
+            TaskBody::JumbleResume {
+                job,
+                seed,
+                numerics,
+                wal,
+            } => Message::JumbleResume {
                 job: *job,
                 task,
                 seed: *seed,
+                numerics: *numerics,
                 wal: wal.clone(),
             },
             TaskBody::Edit { base_id, edits, .. } => Message::EditChunk {
@@ -1360,6 +1377,7 @@ mod tests {
             job: 1,
             task,
             seed: task,
+            numerics: 1,
             wal: Vec::new(),
         };
         for tasks in [

@@ -14,9 +14,10 @@
 //! executors are deterministic and a verification depends only on the base
 //! and its move, a log of this build's [`NUMERICS_EPOCH`] resumes to the
 //! uninterrupted run's state bit for bit — down to optimized branch lengths
-//! — and so to its final Newick. A single search also resumes a log of
-//! another epoch: it commits the same moves and continues live, its guard
-//! comparing likelihoods within a relative tolerance instead of by bits.
+//! — and so to its final Newick. A log of another epoch resumes too, on
+//! every deployment and in every run shape: it commits the same moves and
+//! continues live, its guard comparing likelihoods within a relative
+//! tolerance instead of by bits. That is the one replay rule.
 //!
 //! Records are appended *after* the round commits: a crash between commit
 //! and append merely re-runs that round live on resume, deterministically
@@ -24,22 +25,19 @@
 //! sequence, and any torn tail is dropped by the durable layer's
 //! truncate-to-valid recovery.
 //!
-//! One directory holds a run's state: one log per (job, jumble seed) and,
-//! for a farm, its manifest ([`manifest_path`]). On jumble completion the
-//! farm retires the log (the result is in the manifest by then), keeping
-//! the directory bounded.
+//! One directory holds a run's state: one log per (job, jumble seed) and
+//! the run's manifest ([`manifest_path`]), both kept by the run's
+//! [`crate::farm::Ledger`] — a single search is a one-jumble job. When a
+//! jumble completes its log is retired (the result is in the manifest by
+//! then), keeping the directory bounded; the manifest stays and answers a
+//! re-run of the finished job.
 
 use crate::durable::{self, LogWriter};
-use crate::executor::RoundExecutor;
-use crate::search::StepwiseSearch;
-use fdml_obs::{Event, Obs};
 use fdml_phylo::ops::TreeMove;
 use fdml_phylo::tree::NodeId;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 /// Which phase of the search a WAL round belongs to. Mirrors
 /// [`crate::trace::RoundKind`] but is its own type so the on-disk format
@@ -163,9 +161,8 @@ impl WalRound {
 /// it whenever a change moves optimized branch lengths by a bit (1:
 /// converged Newton exits stopped measuring their last step). Logs from
 /// before the field existed read as 0. Replay compares likelihood bits
-/// only within an epoch. A single search resumes a log of another epoch
-/// by committing its moves under [`REPLAY_TOLERANCE`]; a farm jumble of
-/// another epoch restarts, its finished siblings kept by the manifest.
+/// only within an epoch; a log of another epoch is replayed by committing
+/// its moves under [`REPLAY_TOLERANCE`], wherever its jumble runs.
 pub const NUMERICS_EPOCH: u32 = 1;
 
 /// The relative likelihood difference a replayed round may show against
@@ -186,9 +183,9 @@ pub struct WalStart {
     pub numerics: u32,
     /// The problem the rounds were committed for: alignment, settings and
     /// scoring mode ([`crate::farm::log_key`]). `None` in logs written
-    /// before it was kept, which are refused: a single search and a farm
-    /// jumble of one seed share a log name, and such a log cannot say
-    /// which of them it belongs to.
+    /// before it was kept, which are refused: a whole-tree and an
+    /// edit-scored jumble of one seed share a log name, and such a log
+    /// cannot say which of them it belongs to.
     #[serde(default)]
     pub problem: Option<String>,
 }
@@ -280,33 +277,24 @@ pub fn load(dir: &Path, job: u64, seed: u64) -> io::Result<Option<WalState>> {
 /// been durably recorded in the manifest.
 /// Missing file is fine (the jumble may have run WAL-less or pre-crash).
 pub fn retire(dir: &Path, job: u64, seed: u64) -> io::Result<()> {
-    remove(&wal_path(dir, job, seed))
-}
-
-fn remove(path: &Path) -> io::Result<()> {
-    match std::fs::remove_file(path) {
+    match std::fs::remove_file(wal_path(dir, job, seed)) {
         Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
         _ => Ok(()),
     }
 }
 
 /// Recover the WAL for `(job, seed)` under `dir`, or start one: the
-/// [`NUMERICS_EPOCH`] of its rounds, the rounds (none on a fresh log) and
-/// the append handle continuing at the next index. A log whose header
-/// names another problem than `key` ([`WalStart::problem`]), or none, is
-/// refused with an error naming the file, and left as it is. A log of
-/// another [`NUMERICS_EPOCH`] is recovered only `across_epochs` (a single
-/// search); otherwise it is replaced by a fresh one (a farm jumble
-/// restarts). The one place a log is opened — an in-process search
-/// ([`WalSession::open`]) and a coordinator's `farm::Ledger` both come
-/// here.
+/// [`NUMERICS_EPOCH`] of its rounds (of any epoch), the rounds (none on a
+/// fresh log) and the append handle continuing at the next index. A log
+/// whose header names another problem than `key` ([`WalStart::problem`]),
+/// or none, is refused with an error naming the file, and left as it is.
+/// The one place a log is opened: every run's `farm::Ledger` comes here.
 pub fn open(
     dir: &Path,
     job: u64,
     seed: u64,
     num_taxa: usize,
     key: &str,
-    across_epochs: bool,
 ) -> io::Result<(u32, Vec<WalRound>, WalWriter)> {
     match load(dir, job, seed)? {
         Some(state) if state.start.problem.as_deref() != Some(key) => {
@@ -319,11 +307,11 @@ pub fn open(
             let path = wal_path(dir, job, seed);
             Err(io::Error::other(format!("{}: {why}", path.display())))
         }
-        Some(state) if across_epochs || state.start.numerics == NUMERICS_EPOCH => {
+        Some(state) => {
             let writer = WalWriter::resume(dir, job, seed, &state)?;
             Ok((state.start.numerics, state.rounds, writer))
         }
-        _ => {
+        None => {
             let writer = WalWriter::create(dir, job, seed, num_taxa, key)?;
             Ok((NUMERICS_EPOCH, Vec::new(), writer))
         }
@@ -402,113 +390,6 @@ impl WalWriter {
         )?;
         self.next_index += 1;
         Ok(Some(bytes))
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        self.log.path()
-    }
-}
-
-/// One coordinator-side WAL attachment for an in-process search: recover
-/// the log of any epoch (or start one), [`attach`](WalSession::attach) it
-/// to the search, and surface any deferred append error when the run is
-/// over. The hook's I/O error cannot abort the search from
-/// inside the callback (it returns unit by design), so the session
-/// captures the first failure and [`WalSession::finish_and_retire`]
-/// re-raises it — a silently unreported round would shrink the
-/// crash-tolerance window without anyone noticing.
-pub struct WalSession {
-    shared: Rc<RefCell<SessionShared>>,
-    rounds: Vec<WalRound>,
-    numerics: u32,
-}
-
-struct SessionShared {
-    writer: WalWriter,
-    error: Option<io::Error>,
-    obs: Obs,
-    job: u64,
-    seed: u64,
-}
-
-impl WalSession {
-    /// Recover (or start) the WAL for `(job, seed)` under `dir`, for
-    /// problem `key`, emitting [`Event::WalReplay`] when a committed prefix
-    /// was found.
-    pub fn open(
-        dir: &Path,
-        job: u64,
-        seed: u64,
-        num_taxa: usize,
-        key: &str,
-        obs: &Obs,
-    ) -> io::Result<WalSession> {
-        let (numerics, rounds, writer) = open(dir, job, seed, num_taxa, key, true)?;
-        if !rounds.is_empty() {
-            let replayed = rounds.len() as u64;
-            obs.emit(|| Event::WalReplay {
-                job,
-                seed,
-                rounds: replayed,
-            });
-        }
-        Ok(WalSession {
-            shared: Rc::new(RefCell::new(SessionShared {
-                writer,
-                error: None,
-                obs: obs.clone(),
-                job,
-                seed,
-            })),
-            rounds,
-            numerics,
-        })
-    }
-
-    /// Attach to `search`: it replays the recovered prefix (once; under
-    /// the prefix's epoch) and hands every round it commits to the append
-    /// hook — index-gated, one [`Event::WalAppend`] per durable record.
-    /// After the first I/O error the hook goes quiet (the search finishes,
-    /// the error surfaces in [`WalSession::finish_and_retire`]).
-    pub fn attach<'c, E: RoundExecutor>(
-        &mut self,
-        search: StepwiseSearch<'c, E>,
-    ) -> StepwiseSearch<'c, E> {
-        let rounds = std::mem::take(&mut self.rounds);
-        let search = search.resume_from_wal(rounds).replay_epoch(self.numerics);
-        let shared = Rc::clone(&self.shared);
-        search.on_wal(move |round| {
-            let mut s = shared.borrow_mut();
-            if s.error.is_some() {
-                return;
-            }
-            match s.writer.append(round) {
-                Ok(Some(bytes)) => {
-                    let (job, seed, index) = (s.job, s.seed, round.index);
-                    s.obs.emit(|| Event::WalAppend {
-                        job,
-                        seed,
-                        index,
-                        bytes,
-                    });
-                }
-                Ok(None) => {}
-                Err(e) => s.error = Some(e),
-            }
-        })
-    }
-
-    /// Re-raise the first append error captured during the run, if any;
-    /// otherwise delete the log — the search completed and delivered its
-    /// result, so the WAL has nothing left to protect, and retiring it
-    /// keeps `--wal-dir` bounded.
-    pub fn finish_and_retire(self) -> io::Result<()> {
-        let mut shared = self.shared.borrow_mut();
-        match shared.error.take() {
-            Some(e) => Err(e),
-            None => remove(shared.writer.path()),
-        }
     }
 }
 
@@ -645,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn log_of_another_numerics_epoch_is_recomputed() {
+    fn log_of_another_numerics_epoch_is_recovered_with_its_epoch() {
         // Written by the PR 17 build (`--jumble 7 --wal-dir`, crashed after
         // two rounds): a header without `numerics`, then rounds whose
         // `lnl_bits` this build's optimizer no longer lands on. Its header
@@ -669,22 +550,16 @@ mod tests {
                 problem: Some("pr17-seed7".into()),
             })
         );
-        // A single search recovers it, epoch and all, to replay within
-        // tolerance; recovering leaves the file as it was.
-        let (numerics, rounds, w) = open(&dir, 0, 7, 6, "pr17-seed7", true).unwrap();
+        // Recovered, epoch and all, to replay within tolerance, whatever
+        // runs the jumble; recovering leaves the file as it was.
+        let (numerics, rounds, mut w) = open(&dir, 0, 7, 6, "pr17-seed7").unwrap();
         assert_eq!((numerics, rounds.len()), (0, 2));
-        drop(w);
         assert_eq!(fs::read(&path).unwrap(), old);
-        // A farm jumble: not an error, not a replay — a fresh run, whose
-        // log replaces it.
-        let (numerics, rounds, mut w) = open(&dir, 0, 7, 6, "pr17-seed7", false).unwrap();
-        assert!(rounds.is_empty() && numerics == NUMERICS_EPOCH);
-        assert!(fs::metadata(&path).unwrap().len() < old.len() as u64);
-        w.append(&round(0, true)).unwrap();
+        // The rounds computed after the prefix continue the same log.
+        w.append(&round(2, true)).unwrap();
         drop(w);
         let state = load(&dir, 0, 7).unwrap().unwrap();
-        assert_eq!(state.start.numerics, NUMERICS_EPOCH);
-        assert_eq!(state.rounds, [round(0, true)]);
+        assert_eq!((state.start.numerics, state.rounds.len()), (0, 3));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -696,29 +571,27 @@ mod tests {
         drop(w);
         let path = wal_path(&dir, 0, 7);
         let before = fs::read(&path).unwrap();
-        for across_epochs in [true, false] {
-            let err = open(&dir, 0, 7, 6, "another-problem", across_epochs).unwrap_err();
-            let err = err.to_string();
-            assert!(err.starts_with(&path.display().to_string()), "{err}");
-            assert!(err.contains("another"), "{err}");
-            assert_eq!(err.lines().count(), 1);
-            assert_eq!(
-                fs::read(&path).unwrap(),
-                before,
-                "the log is left as it was"
-            );
-        }
+        let err = open(&dir, 0, 7, 6, "another-problem").unwrap_err();
+        let err = err.to_string();
+        assert!(err.starts_with(&path.display().to_string()), "{err}");
+        assert!(err.contains("another"), "{err}");
+        assert_eq!(err.lines().count(), 1);
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            before,
+            "the log is left as it was"
+        );
         // A header without a key: an older build's log, whichever run
         // wrote it.
         let mut log = LogWriter::create(&path).unwrap();
         let keyless = r#"{"Start":{"jumble_seed":7,"num_taxa":6,"numerics":1}}"#;
         log.append(keyless.as_bytes()).unwrap();
         drop(log);
-        let err = open(&dir, 0, 7, 6, KEY, true).unwrap_err().to_string();
+        let err = open(&dir, 0, 7, 6, KEY).unwrap_err().to_string();
         assert!(err.contains("names no problem"), "{err}");
         // The same key opens it.
         WalWriter::create(&dir, 0, 7, 6, KEY).unwrap();
-        assert!(open(&dir, 0, 7, 6, KEY, true).is_ok());
+        assert!(open(&dir, 0, 7, 6, KEY).is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 

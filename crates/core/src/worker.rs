@@ -18,7 +18,7 @@ use crate::edits::edit_to_move;
 use crate::loopback::Loopback;
 use crate::master::ClusterExecutor;
 use crate::search::{SearchResult, StepwiseSearch};
-use crate::wal::WalRound;
+use crate::wal::{WalRound, NUMERICS_EPOCH};
 use fdml_comm::job::JobId;
 use fdml_comm::message::{EditScore, Message, TreeEdit};
 use fdml_comm::transport::{CommError, Transport};
@@ -274,13 +274,15 @@ impl Evaluator {
     }
 
     /// The jumble task: one whole stepwise-addition search under `seed`,
-    /// replaying the committed rounds in `wal` and handing every round
-    /// committed after them to `on_round`. It is the search every
+    /// replaying the committed rounds in `wal` — computed under numerics
+    /// epoch `numerics`, replayed as a single search replays them — and
+    /// handing every round committed after them to `on_round`. It is the search every
     /// deployment runs — the cluster executor — over a [`Loopback`] around
     /// the engine already held here, and it is always edit-scored.
     pub fn jumble(
         &self,
         seed: u64,
+        numerics: u32,
         wal: Vec<WalRound>,
         on_round: impl FnMut(&WalRound),
     ) -> Result<SearchResult, WorkerError> {
@@ -306,6 +308,7 @@ impl Evaluator {
         let result = StepwiseSearch::new(&config, executor, names.len())
             .with_names(names)
             .resume_from_wal(wal)
+            .replay_epoch(numerics)
             .on_wal(on_round)
             .run();
         result.map_err(|e| protocol(format!("jumble {seed}: {e}")))
@@ -323,15 +326,15 @@ impl Evaluator {
         msg: &Message,
         mut up: impl FnMut(Message),
     ) -> Result<(Message, u64), WorkerError> {
-        let (job, task, seed, wal) = jumble_request(msg);
+        let (job, task, seed, prefix) = jumble_request(msg);
+        let (numerics, wal) = prefix.unwrap_or((NUMERICS_EPOCH, &[]));
         let replay = wal
-            .unwrap_or_default()
             .iter()
             .map(|entry| WalRound::from_json(entry))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| protocol(format!("jumble {seed}: bad wal entry: {e}")))?;
-        let result = self.jumble(seed, replay, |round| {
-            if wal.is_some() {
+        let result = self.jumble(seed, numerics, replay, |round| {
+            if prefix.is_some() {
                 up(Message::WalRound {
                     job,
                     seed,
@@ -365,8 +368,12 @@ impl Evaluator {
     }
 }
 
+/// A resumed jumble's committed prefix as it travels: the numerics epoch
+/// of its rounds, and the rounds as JSON.
+type WirePrefix<'a> = (u32, &'a [String]);
+
 /// `(job, task, seed, committed prefix)` of a whole-jumble task.
-pub(crate) fn jumble_request(msg: &Message) -> (JobId, u64, u64, Option<&[String]>) {
+pub(crate) fn jumble_request(msg: &Message) -> (JobId, u64, u64, Option<WirePrefix<'_>>) {
     match msg {
         Message::JumbleTask { task, seed } => (0, *task, *seed, None),
         Message::JobTask { job, task, seed } => (*job, *task, *seed, None),
@@ -374,8 +381,9 @@ pub(crate) fn jumble_request(msg: &Message) -> (JobId, u64, u64, Option<&[String
             job,
             task,
             seed,
+            numerics,
             wal,
-        } => (*job, *task, *seed, Some(wal)),
+        } => (*job, *task, *seed, Some((*numerics, wal))),
         other => unreachable!("{} is not a jumble task", other.kind()),
     }
 }

@@ -49,9 +49,8 @@ pub struct ClientConfig {
     /// says why the daemon still needs this). `None` — the default —
     /// accepts whatever rank the hub assigns.
     pub claim: Option<Rank>,
-    /// The wire format this endpoint writes its data-plane frames in —
-    /// provided the hub's `Welcome` shows it can sniff codecs. A hub that
-    /// predates negotiation is written JSON regardless of this setting.
+    /// The wire format this endpoint writes its data-plane frames in.
+    /// Every reader of this protocol version sniffs the codec per body.
     pub wire: WireFormat,
 }
 
@@ -126,21 +125,13 @@ impl TcpTransport {
             size,
             heartbeat_ms,
             miss_limit,
-            wire,
+            ..
         } = welcome
         else {
             unreachable!("handshake returns Welcome only");
         };
         obs.emit(|| Event::NetPeerConnected { rank });
-
-        // A `wire` field in the Welcome — whatever its value — marks a hub
-        // with the sniffing reader; only then is writing the configured
-        // (possibly binary) format safe.
-        let write_wire = if wire.is_some() {
-            cfg.wire
-        } else {
-            WireFormat::Json
-        };
+        let wire = cfg.wire;
         let (in_tx, in_rx) = mpsc::channel();
         let (out_tx, out_rx) = mpsc::sync_channel(cfg.queue_depth);
         let shared = Arc::new(ClientShared {
@@ -152,7 +143,7 @@ impl TcpTransport {
                 heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
                 miss_limit: miss_limit.max(1),
             },
-            wire: write_wire,
+            wire,
             dead: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
@@ -265,9 +256,8 @@ impl Transport for TcpTransport {
 }
 
 /// Present a `Hello`, expect a `Welcome`. The `Hello` itself is always
-/// JSON (negotiation has not happened yet); the `wire` field it carries
-/// advertises both this build's sniffing reader and its writing
-/// preference.
+/// JSON; the `wire` field it carries names the format this endpoint
+/// writes.
 fn handshake(
     stream: &mut TcpStream,
     rejoin: Option<Rank>,

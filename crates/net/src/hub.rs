@@ -71,9 +71,8 @@ pub struct NetConfig {
     pub miss_limit: u32,
     /// Depth of each peer's bounded outgoing queue (frames).
     pub queue_depth: usize,
-    /// The wire format the hub writes its data-plane frames in — to peers
-    /// that advertised codec-sniffing support in their `Hello`. Peers that
-    /// did not (pre-negotiation builds) are written JSON regardless.
+    /// The wire format the hub writes its data-plane frames in, to every
+    /// peer: each reader of this protocol version sniffs the codec.
     pub wire: WireFormat,
 }
 
@@ -526,24 +525,16 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
         Ok(Some(f)) => f,
         _ => return,
     };
-    let (rejoin, job, peer_wire) = match hello {
+    // Every peer of this protocol version reads either codec, so the hub
+    // writes its configured one to all of them.
+    let peer_wire = shared.cfg.wire;
+    let (rejoin, job) = match hello {
         Frame::Hello {
             version,
             rejoin,
             job,
-            wire,
-        } if version == PROTOCOL_VERSION => {
-            // Negotiation: a `wire` field — any value — marks a build with
-            // the codec-sniffing reader, so the hub may write its
-            // configured format. Its absence marks a pre-negotiation peer
-            // that can only parse JSON.
-            let peer_wire = if wire.is_some() {
-                shared.cfg.wire
-            } else {
-                WireFormat::Json
-            };
-            (rejoin, job, peer_wire)
-        }
+            ..
+        } if version == PROTOCOL_VERSION => (rejoin, job),
         Frame::Hello { version, .. } => {
             let _ = write_frame(
                 &mut stream,
@@ -691,9 +682,9 @@ fn assign_slot(
 }
 
 /// Drain a peer's outgoing queue onto its socket — everything queued in
-/// one write — and heartbeat when idle. `wire` is the format negotiated
-/// for this connection — heartbeats ride it too, so liveness traffic stops
-/// paying JSON overhead the moment the peer can sniff.
+/// one write — and heartbeat when idle. `wire` is the format the hub
+/// writes — heartbeats ride it too, so liveness traffic pays no JSON
+/// overhead on a binary hub.
 fn peer_writer(
     mut stream: TcpStream,
     out_rx: Receiver<Frame>,

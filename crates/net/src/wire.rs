@@ -15,10 +15,9 @@
 //!   rare, human-inspected, and must parse before any negotiation exists.
 //! * Binary (first byte [`fdml_wire::MAGIC`]) — the compact encoding for
 //!   the chatty data plane (`Data`, `Heartbeat`, `Goodbye`): a tag byte
-//!   and varint fields ([`fdml_wire`]), negotiated in the Hello/Welcome
-//!   handshake. Readers always sniff per frame, so a JSON master and a
-//!   binary worker interoperate mid-rollout — negotiation only tells each
-//!   writer what to emit.
+//!   and varint fields ([`fdml_wire`]), each writer's choice (`--wire`),
+//!   named in the Hello/Welcome handshake. Readers always sniff per
+//!   frame, so a JSON master and a binary worker interoperate.
 
 use fdml_comm::job::{JobId, JobResult, JobSpec, JobStatus, RejectReason};
 use fdml_comm::message::Message;
@@ -42,8 +41,10 @@ use std::time::{Duration, Instant};
 /// hierarchical foreman tree: `Welcome` no longer announces regional
 /// foremen, and the tree's messages (binary tags 20–23) are gone, so a
 /// version-4 peer that would take a rank for a regional foreman is turned
-/// away too.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// away too. Version 6 carries a resumed jumble's numerics epoch (binary
+/// tag 28; tag 25 is retired), so a worker replays another epoch's log
+/// under the tolerance a single search uses.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Upper bound on a frame body. Real frames are a few KiB (`ProblemData`
 /// is the largest); anything bigger is a corrupt stream or a hostile peer.
@@ -72,9 +73,8 @@ pub enum Frame {
         #[serde(default)]
         job: Option<JobId>,
         /// The wire format this client will write its data-plane frames
-        /// in (`"json"` or `"binary"`). Absent from peers that predate
-        /// negotiation, which therefore write JSON — exactly what the
-        /// sniffing reader assumes for them.
+        /// in (`"json"` or `"binary"`). Informational: readers sniff the
+        /// codec of every body.
         #[serde(default)]
         wire: Option<String>,
     },
@@ -88,9 +88,8 @@ pub enum Frame {
         heartbeat_ms: u64,
         /// Liveness: consecutive silent intervals before a peer is dead.
         miss_limit: u32,
-        /// The wire format the hub will write to this peer — the
-        /// negotiation confirmation. Absent from hubs that predate
-        /// negotiation (they write JSON).
+        /// The wire format the hub will write to this peer.
+        /// Informational: readers sniff the codec of every body.
         #[serde(default)]
         wire: Option<String>,
     },

@@ -246,11 +246,13 @@ fn a_worker_from_an_older_build_is_rejected_at_the_handshake() {
     // `EditChunk`s (binary tag 26), which a version-3 decoder cannot read.
     // Protocol 4 announced regional foremen in its `Welcome` and spoke the
     // foreman tree's messages (binary tags 20-23), which this build no
-    // longer decodes. Such a worker must learn that from a typed `Reject`
-    // when it joins, not from a `BadTag` in the middle of a run.
-    assert_eq!(PROTOCOL_VERSION, 5);
+    // longer decodes. Protocol 5 sent a resumed jumble without the
+    // numerics epoch of its prefix (binary tag 25), which this build
+    // refuses. Such a worker must learn that from a typed `Reject` when it
+    // joins, not from a `BadTag` in the middle of a run.
+    assert_eq!(PROTOCOL_VERSION, 6);
     let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
-    for old in [3, 4] {
+    for old in [3, 4, 5] {
         let mut stream = TcpStream::connect(hub.local_addr()).unwrap();
         write_frame(
             &mut stream,
@@ -264,7 +266,7 @@ fn a_worker_from_an_older_build_is_rejected_at_the_handshake() {
         .unwrap();
         match read_frame(&mut stream, Duration::from_secs(5)).unwrap() {
             Some(Frame::Reject { reason }) => {
-                let expected = format!("protocol version {old} != 5");
+                let expected = format!("protocol version {old} != 6");
                 assert!(reason.contains(&expected), "got: {reason}")
             }
             other => panic!("expected Reject, got {other:?}"),
@@ -712,11 +714,10 @@ fn dead_hub_exhausts_reconnects_and_surfaces_disconnected() {
 
 #[test]
 fn mixed_codec_peers_interoperate_frame_by_frame() {
-    // Codec choice is negotiated per connection, not per universe: here the
-    // hub writes JSON while one worker writes binary and another writes
-    // JSON, and every route — hub→binary, binary→json (relayed), json→hub —
-    // still delivers the same messages. This is the "old master, new
-    // worker" mixed-fleet deployment the versioned handshake exists for.
+    // Codec choice is each writer's, not the universe's: here the hub
+    // writes JSON while one worker writes binary and another writes JSON,
+    // and every route — hub→binary, binary→json (relayed), json→hub —
+    // still delivers the same messages, because every reader sniffs.
     let cfg = NetConfig {
         wire: WireFormat::Json,
         ..fast_net_config()

@@ -117,9 +117,11 @@ mod tag {
     // request, steal return and re-home messages of the hierarchical
     // foreman tree. A body carrying one decodes to `BadTag`.
     pub const WAL_ROUND: u8 = 24;
-    pub const JUMBLE_RESUME: u8 = 25;
+    // 25 is retired too: a resumed jumble without its prefix's numerics
+    // epoch. Tag 28 carries the epoch.
     pub const EDIT_CHUNK: u8 = 26;
     pub const EDIT_SCORES: u8 = 27;
+    pub const JUMBLE_RESUME: u8 = 28;
 
     pub const MON_DISPATCHED: u8 = 0;
     pub const MON_COMPLETED: u8 = 1;
@@ -509,12 +511,14 @@ pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
             job,
             task,
             seed,
+            numerics,
             wal,
         } => {
             buf.push(tag::JUMBLE_RESUME);
             varint::put_u64(buf, *job);
             varint::put_u64(buf, *task);
             varint::put_u64(buf, *seed);
+            varint::put_u32(buf, *numerics);
             varint::put_usize(buf, wal.len());
             for entry in wal {
                 varint::put_str(buf, entry);
@@ -630,6 +634,7 @@ fn decode_body_at(r: &mut Reader<'_>, depth: u32) -> Result<Message, WireError> 
             let job = r.u64()?;
             let task = r.u64()?;
             let seed = r.u64()?;
+            let numerics = r.u32()?;
             let n = r.usize()?;
             // Each entry is at least a length byte; reject counts the
             // remaining bytes cannot possibly satisfy before allocating.
@@ -644,6 +649,7 @@ fn decode_body_at(r: &mut Reader<'_>, depth: u32) -> Result<Message, WireError> 
                 job,
                 task,
                 seed,
+                numerics,
                 wal,
             })
         }
@@ -705,8 +711,8 @@ impl MessageCodec for BinaryCodec {
 
 /// The wire format a peer writes with. Readers never need it — every body
 /// is sniffed by its first byte — so two peers with different formats
-/// still understand each other; the negotiated value only tells a writer
-/// what its counterpart prefers to receive.
+/// still understand each other; the value only tells a writer what to
+/// emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
     /// One serde-JSON document per message (the seed format).

@@ -114,16 +114,6 @@ fn fixtures() -> Vec<(&'static str, Message, &'static str)> {
             },
             "fd0118000b020178",
         ),
-        (
-            "jumble_resume",
-            Message::JumbleResume {
-                job: 3,
-                task: 300,
-                seed: 11,
-                wal: vec!["ab".into()],
-            },
-            "fd011903ac020b01026162",
-        ),
         // Tags 26/27 and payload tag 3 (appended, PROTOCOL_VERSION 4).
         (
             "edit_chunk",
@@ -202,6 +192,19 @@ fn fixtures() -> Vec<(&'static str, Message, &'static str)> {
             },
             "fd010909030302020001020300010304",
         ),
+        // Tag 28 (appended, PROTOCOL_VERSION 6): a resumed jumble with its
+        // prefix's numerics epoch.
+        (
+            "jumble_resume",
+            Message::JumbleResume {
+                job: 3,
+                task: 300,
+                seed: 11,
+                numerics: 1,
+                wal: vec!["ab".into()],
+            },
+            "fd011c03ac020b0101026162",
+        ),
     ]
 }
 
@@ -254,9 +257,10 @@ fn decoder_reads_golden_bytes() {
 }
 
 /// Tags 20-23 carried the hierarchical foreman tree's lease request, steal
-/// request, steal return and re-home. The tree is retired and its tags are
-/// never reused: the bytes an older peer wrote for them are refused as an
-/// unknown tag, by the binary decoder and by the sniffing reader alike.
+/// request, steal return and re-home; tag 25 a resumed jumble without its
+/// prefix's numerics epoch (tag 28 now). Retired tags are never reused:
+/// the bytes an older peer wrote for them are refused as an unknown tag,
+/// by the binary decoder and by the sniffing reader alike.
 #[test]
 fn retired_tags_decode_to_a_typed_error() {
     for (tag, old_golden) in [
@@ -264,6 +268,7 @@ fn retired_tags_decode_to_a_typed_error() {
         (21, "fd011504"),
         (22, "fd01160104028001"),
         (23, "fd011705"),
+        (25, "fd011903ac020b01026162"),
     ] {
         let bytes: Vec<u8> = (0..old_golden.len())
             .step_by(2)

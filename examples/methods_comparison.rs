@@ -11,7 +11,7 @@
 
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{search_in_process, SearchSession};
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::likelihood::distances::distance_matrix;
 use fastdnaml::likelihood::engine::{LikelihoodEngine, OptimizeOptions};
@@ -47,15 +47,13 @@ fn main() {
         incremental: true,
         ..SearchConfig::default()
     };
-    let ml = search_in_process(
-        &ResolvedJob::single(alignment.clone(), config),
-        SearchSession::default(),
-    )
-    .expect("ML search");
+    let job = ResolvedJob::single(alignment.clone(), config);
+    let ml = run_in_process(&job, RunOptions::default()).expect("ML search");
+    let ml_tree = ml.runs[0].tree(alignment.names()).expect("ML tree parses");
 
     // Score both trees under both criteria.
     let (pars_nj, _) = fitch_score(&nj_tree, &patterns);
-    let (pars_ml, _) = fitch_score(&ml.tree, &patterns);
+    let (pars_ml, _) = fitch_score(&ml_tree, &patterns);
 
     println!(
         "{:<22} {:>14} {:>12} {:>12}",
@@ -71,13 +69,13 @@ fn main() {
     println!(
         "{:<22} {:>14.2} {:>12} {:>12}",
         "maximum likelihood",
-        ml.ln_likelihood,
+        ml.runs[0].ln_likelihood,
         pars_ml,
-        robinson_foulds(&ml.tree, &truth, 14)
+        robinson_foulds(&ml_tree, &truth, 14)
     );
     println!(
         "\nML tree is never worse in likelihood (Δ = {:+.2}); the criteria can",
-        ml.ln_likelihood - nj_lnl
+        ml.runs[0].ln_likelihood - nj_lnl
     );
     println!("disagree on topology, which is exactly what the comparison reveals.");
 }

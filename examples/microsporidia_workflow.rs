@@ -9,9 +9,9 @@
 //! ```
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::farm::{serial_farm, FarmOptions};
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::datagen::datasets::{paper_dataset, PaperDataset};
-use fastdnaml::obs::Obs;
 use fastdnaml::phylo::bipartition::{robinson_foulds, SplitSet};
 use fastdnaml::phylo::newick;
 
@@ -28,16 +28,12 @@ fn main() {
         final_radius: 2,
         ..SearchConfig::default()
     };
-    let seeds: Vec<u64> = (0..5).map(|i| 2 * i + 1).collect();
-    println!("running {} jumbles (random addition orders)…", seeds.len());
-    let farm = serial_farm(
-        &alignment,
-        &config,
-        &seeds,
-        &FarmOptions::default(),
-        &Obs::disabled(),
-    )
-    .expect("jumbles succeed");
+    let job = ResolvedJob::from_parts(alignment.clone(), config, 5).expect("five jumbles plan");
+    println!(
+        "running {} jumbles (random addition orders)…",
+        job.seeds.len()
+    );
+    let farm = run_in_process(&job, RunOptions::default()).expect("jumbles succeed");
     let (results, consensus) = (farm.runs, farm.consensus);
 
     println!(

@@ -36,15 +36,15 @@ fn main() {
         ..SearchConfig::default()
     };
     let job = ResolvedJob::single(alignment.clone(), config);
-    let result = search_in_process(&job, SearchSession::default()).expect("search succeeds");
+    let outcome = run_in_process(&job, RunOptions::default()).expect("search succeeds");
+    let result = &outcome.runs[0];
 
     println!("\nbest tree lnL = {:.4}", result.ln_likelihood);
     println!(
         "({} candidate trees evaluated in {} dispatch rounds)\n",
-        result.candidates_evaluated, result.rounds
+        result.candidates, result.rounds
     );
-    let text = newick::write_tree(&result.tree, alignment.names());
-    println!("Newick: {text}\n");
-    let ast = newick::parse(&text).expect("round-trip");
+    println!("Newick: {}\n", result.newick);
+    let ast = newick::parse(&result.newick).expect("round-trip");
     println!("{}", treeviz::ascii::render(&ast, 72));
 }

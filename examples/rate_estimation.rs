@@ -8,7 +8,7 @@
 
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{search_in_process, SearchSession};
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::likelihood::engine::{LikelihoodEngine, OptimizeOptions};
 use fastdnaml::rates::{categorize, estimate_rates, RateGrid};
@@ -29,11 +29,10 @@ fn main() {
         incremental: true,
         ..SearchConfig::default()
     };
-    let result = search_in_process(
-        &ResolvedJob::single(alignment.clone(), config),
-        SearchSession::default(),
-    )
-    .expect("search");
+    let job = ResolvedJob::single(alignment.clone(), config);
+    let outcome = run_in_process(&job, RunOptions::default()).expect("search");
+    let result = &outcome.runs[0];
+    let tree = result.tree(alignment.names()).expect("tree parses");
     println!(
         "reference tree lnL (single rate): {:.2}",
         result.ln_likelihood
@@ -42,7 +41,7 @@ fn main() {
     // DNArates: per-site ML rates on the reference tree.
     let engine = LikelihoodEngine::new(&alignment);
     let grid = RateGrid::default();
-    let estimate = estimate_rates(&engine, &result.tree, &grid);
+    let estimate = estimate_rates(&engine, &tree, &grid);
     let mean: f64 = estimate.per_site.iter().sum::<f64>() / estimate.per_site.len() as f64;
     let slow = estimate
         .per_site
@@ -61,7 +60,7 @@ fn main() {
         let cats = categorize(&estimate.per_pattern, engine.patterns().weights(), k);
         let mut engine_k = engine.clone();
         engine_k.set_categories(cats);
-        let mut t = result.tree.clone();
+        let mut t = tree.clone();
         let refit = engine_k.optimize(&mut t, &OptimizeOptions::default());
         println!(
             "{k} categories: lnL {:.2}  (Δ vs single rate: {:+.2})",

@@ -9,7 +9,7 @@
 
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{search_in_process, SearchSession};
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::phylo::newick;
 use fastdnaml::treeviz::svg::{render_comparison, SvgStyle};
@@ -28,14 +28,11 @@ fn main() {
             incremental: true,
             ..SearchConfig::default()
         };
-        let r = search_in_process(
-            &ResolvedJob::single(alignment.clone(), config),
-            SearchSession::default(),
-        )
-        .expect("search");
-        let text = newick::write_tree(&r.tree, alignment.names());
+        let job = ResolvedJob::single(alignment.clone(), config);
+        let outcome = run_in_process(&job, RunOptions::default()).expect("search");
+        let r = &outcome.runs[0];
         println!("jumble {seed}: lnL {:.3}", r.ln_likelihood);
-        asts.push(newick::parse(&text).expect("round-trip"));
+        asts.push(newick::parse(&r.newick).expect("round-trip"));
     }
 
     // Pivot into canonical orientation so only real topological differences

@@ -9,7 +9,7 @@
 use fastdnaml::cli::{get, parse_args, Takes};
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{search_in_process, SearchSession};
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::likelihood::engine::LikelihoodEngine;
 use fastdnaml::phylo::{newick, phylip};
 use fastdnaml::rates::{categorize, estimate_rates, RateGrid};
@@ -111,8 +111,10 @@ fn main() -> ExitCode {
                 ..SearchConfig::default()
             };
             let job = ResolvedJob::single(alignment.clone(), config);
-            match search_in_process(&job, SearchSession::default()) {
-                Ok(found) => found.tree,
+            let found = run_in_process(&job, RunOptions::default());
+            let found = found.and_then(|found| found.runs[0].tree(alignment.names()));
+            match found {
+                Ok(tree) => tree,
                 Err(e) => return die(format_args!("reference search: {e}")),
             }
         }

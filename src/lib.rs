@@ -46,9 +46,9 @@
 //!
 //! let config = SearchConfig { jumble_seed: 137, ..SearchConfig::default() };
 //! let job = ResolvedJob::single(alignment, config);
-//! let result = search_in_process(&job, SearchSession::default()).unwrap();
-//! assert_eq!(result.tree.num_tips(), 4);
-//! assert!(result.ln_likelihood < 0.0);
+//! let outcome = run_in_process(&job, RunOptions::default()).unwrap();
+//! assert!(outcome.runs[0].newick.contains("chicken"));
+//! assert!(outcome.runs[0].ln_likelihood < 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -74,9 +74,7 @@ pub mod prelude {
     pub use fdml_comm::transport::Transport;
     pub use fdml_core::config::SearchConfig;
     pub use fdml_core::job::ResolvedJob;
-    pub use fdml_core::runner::{
-        parallel_search, search_in_process, search_on, RunOptions, SearchSession,
-    };
+    pub use fdml_core::runner::{run_in_process, run_threaded, search_on, RunOptions, RunOutcome};
     pub use fdml_core::search::SearchResult;
     pub use fdml_likelihood::engine::LikelihoodEngine;
     pub use fdml_likelihood::f84::F84Model;

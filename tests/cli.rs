@@ -1,7 +1,7 @@
 //! Integration tests of the two command-line programs, driven end-to-end
 //! through their real binaries.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const PHYLIP: &str = "\
@@ -77,7 +77,7 @@ fn a_killed_run_resumes_from_its_round_log_alone() {
         String::from_utf8_lossy(&resumed.stderr)
     );
     assert_eq!(resumed.stdout, plain.stdout);
-    assert_eq!(std::fs::read_dir(&wal).unwrap().count(), 0, "log retired");
+    assert_eq!(wal_files(&wal), ["manifest.json"], "log retired");
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -518,6 +518,71 @@ fn help_flags_print_usage() {
         .contains("--grid-points"));
 }
 
+/// The names of the files in `dir`, sorted.
+fn wal_files(dir: &Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).unwrap().flatten();
+    let mut names: Vec<String> = entries
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A finished single search's `--wal-dir` answers a re-run of the same
+/// command from its manifest: the same bytes, plain and rooted either way,
+/// and not one round computed or logged.
+#[test]
+fn a_finished_single_search_answers_a_rerun_from_its_manifest() {
+    let dir = workdir("rerun");
+    for rooting in [&[][..], &["--outgroup", "t4,t5"], &["--midpoint"]] {
+        let wal = dir.join(format!("wal{}", rooting.len()));
+        let wal = wal.to_str().unwrap();
+        let events = dir.join("rerun.jsonl");
+        let events = events.to_str().unwrap();
+        let logged = [rooting, &["--wal-dir", wal]].concat();
+        let first = serial_run(&dir, &logged);
+        assert_eq!(first, serial_run(&dir, rooting), "{rooting:?}");
+        let rerun = serial_run(&dir, &[&logged[..], &["--obs-out", events]].concat());
+        assert_eq!(rerun, first, "{rooting:?}");
+        let log = std::fs::read_to_string(events).unwrap();
+        assert!(
+            !log.contains("WalAppend") && !log.contains("WalReplay"),
+            "{log}"
+        );
+        assert!(log.contains(r#""reused":true"#), "{log}");
+        assert_eq!(wal_files(Path::new(wal)), ["manifest.json"]);
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// One taxon is not a search. The pre-pass and the bootstrap searches say
+/// so in one line, as a plain search does, instead of panicking.
+#[test]
+fn a_one_taxon_alignment_fails_the_pre_pass_and_the_bootstrap_in_one_line() {
+    let dir = workdir("one_taxon");
+    std::fs::write(dir.join("one.phy"), "1 8\nA ACGTACGT\n").unwrap();
+    for (flag, what) in [
+        ("--categories", "pre-pass search"),
+        ("--bootstrap", "bootstrap"),
+    ] {
+        let out = fastdnaml()
+            .args(["--input"])
+            .arg(dir.join("one.phy"))
+            .args([flag, "2", "--quiet"])
+            .output()
+            .expect("run fastdnaml");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("fastdnaml: {what}: ")) && stderr.contains("two taxa"),
+            "{flag}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Run the serial program on the fixture (seed 7), return its stdout.
 fn serial_run(dir: &std::path::Path, flags: &[&str]) -> String {
     let out = fastdnaml()
@@ -539,8 +604,8 @@ fn serial_run(dir: &std::path::Path, flags: &[&str]) -> String {
 fn serial_incremental_flag_selects_the_scoring_mode() {
     use fastdnaml::core::config::SearchConfig;
     use fastdnaml::core::job::ResolvedJob;
-    use fastdnaml::core::runner::{search_in_process, SearchSession};
-    use fastdnaml::phylo::{newick, phylip};
+    use fastdnaml::core::runner::{run_in_process, RunOptions};
+    use fastdnaml::phylo::phylip;
 
     let dir = workdir("serial_inc");
     let run = |flags: &[&str]| serial_run(&dir, flags);
@@ -553,8 +618,8 @@ fn serial_incremental_flag_selects_the_scoring_mode() {
             ..SearchConfig::default()
         };
         let job = ResolvedJob::single(alignment.clone(), config);
-        let result = search_in_process(&job, SearchSession::default()).unwrap();
-        newick::write_tree(&result.tree, alignment.names())
+        let outcome = run_in_process(&job, RunOptions::default()).unwrap();
+        outcome.runs[0].newick.clone()
     };
     let (whole_tree, scorer) = (library(false), library(true));
     assert_ne!(
@@ -576,20 +641,32 @@ fn persistence_flags_do_not_change_the_serial_scoring_mode() {
     // `--wal-dir` used to route the serial program through the edit
     // scorer whatever the scoring flags said.
     let dir = workdir("serial_persist");
-    let wal = dir.join("wal");
-    let wal = wal.to_str().unwrap();
     let modes = ["--no-incremental", "--incremental"];
     let plain = modes.map(|mode| serial_run(&dir, &[mode]));
     assert_ne!(plain[0], plain[1], "the modes differ on this seed");
     for (mode, plain) in modes.iter().zip(&plain) {
+        let wal = dir.join(format!("wal{mode}"));
+        let wal = wal.to_str().unwrap();
         assert_eq!(
             &serial_run(&dir, &[mode, "--wal-dir", wal]),
             plain,
             "{mode}"
         );
-        // A completed run retires its log: the directory is left empty.
-        assert_eq!(std::fs::read_dir(wal).unwrap().count(), 0, "{mode}");
+        // A completed run retires its log and keeps its manifest.
+        assert_eq!(wal_files(Path::new(wal)), ["manifest.json"], "{mode}");
     }
+    // The manifest names its scoring mode: the other mode's search of the
+    // same seed is refused in one line naming it, not answered.
+    let whole = dir.join("wal--no-incremental");
+    let whole = whole.to_str().unwrap();
+    let line = one_line_failure(
+        &dir,
+        &["--jumble", "7", "--incremental", "--wal-dir", whole],
+    );
+    assert!(
+        line.contains("manifest.json") && line.contains("another scoring mode"),
+        "{line}"
+    );
     // `--help` says which mode farm jumbles run in.
     let help = fastdnaml().args(["--help"]).output().expect("run");
     let help = String::from_utf8(help.stdout).unwrap();

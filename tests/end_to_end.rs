@@ -3,31 +3,35 @@
 //! would.
 
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::farm::{serial_farm, FarmOptions};
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{search_in_process, SearchSession};
-use fastdnaml::core::search::SearchResult;
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::likelihood::engine::LikelihoodEngine;
-use fastdnaml::obs::Obs;
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::bipartition::{robinson_foulds, SplitSet};
+use fastdnaml::phylo::error::PhyloError;
+use fastdnaml::phylo::tree::Tree;
 use fastdnaml::phylo::{newick, phylip};
 
+/// A single search's tree and log-likelihood.
+struct Found {
+    tree: Tree,
+    ln_likelihood: f64,
+}
+
 /// The serial program: the same search over the in-process transport.
-fn serial_search(
-    alignment: &Alignment,
-    config: &SearchConfig,
-) -> Result<SearchResult, fastdnaml::phylo::error::PhyloError> {
+fn serial_search(alignment: &Alignment, config: &SearchConfig) -> Result<Found, PhyloError> {
     let job = ResolvedJob::single(alignment.clone(), config.clone());
-    search_in_process(&job, SearchSession::default())
+    let outcome = run_in_process(&job, RunOptions::default())?;
+    let run = &outcome.runs[0];
+    Ok(Found {
+        tree: run.tree(alignment.names())?,
+        ln_likelihood: run.ln_likelihood,
+    })
 }
 
 /// The same, edit-scored (`--incremental`).
-fn edit_scored_search(
-    alignment: &Alignment,
-    config: &SearchConfig,
-) -> Result<SearchResult, fastdnaml::phylo::error::PhyloError> {
+fn edit_scored_search(alignment: &Alignment, config: &SearchConfig) -> Result<Found, PhyloError> {
     let config = SearchConfig {
         incremental: true,
         ..config.clone()
@@ -116,14 +120,12 @@ fn consensus_of_jumbles_contains_well_supported_truth() {
         final_radius: 2,
         ..SearchConfig::default()
     };
-    let farm = serial_farm(
-        &alignment,
-        &config,
-        &[1, 5, 9],
-        &FarmOptions::default(),
-        &Obs::disabled(),
-    )
-    .expect("jumbles succeed");
+    let job = ResolvedJob {
+        alignment: alignment.clone(),
+        config,
+        seeds: vec![1, 5, 9],
+    };
+    let farm = run_in_process(&job, RunOptions::default()).expect("jumbles succeed");
     let (results, consensus) = (farm.runs, farm.consensus);
     assert_eq!(results.len(), 3);
     // The consensus must be mostly made of true splits.

@@ -18,7 +18,7 @@
 
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{search_in_process, SearchSession};
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::datagen::evolve::{evolve, EvolutionConfig};
 use fastdnaml::datagen::randtree::yule_tree;
 use fastdnaml::likelihood::categories::RateCategories;
@@ -189,10 +189,10 @@ fn full_search_trees_are_byte_identical_across_the_matrix() {
     };
     let serial_search = |config: &SearchConfig| {
         let job = ResolvedJob::single(alignment.clone(), config.clone());
-        search_in_process(&job, SearchSession::default())
+        run_in_process(&job, RunOptions::default()).map(|found| found.runs[0].clone())
     };
     let base = serial_search(&base_cfg).unwrap();
-    let base_newick = newick::write_tree(&base.tree, alignment.names());
+    let base_newick = base.newick.clone();
     for lane in lanes() {
         isa::set_isa(Some(lane)).unwrap();
         let got = serial_search(&base_cfg).unwrap();
@@ -203,7 +203,7 @@ fn full_search_trees_are_byte_identical_across_the_matrix() {
             lane.name()
         );
         assert_eq!(
-            newick::write_tree(&got.tree, alignment.names()),
+            got.newick,
             base_newick,
             "search tree diverged (lane={})",
             lane.name()

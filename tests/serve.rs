@@ -4,11 +4,10 @@
 
 use fastdnaml::comm::job::{JobSpec, JobState, RejectReason};
 use fastdnaml::core::job::ResolvedJob;
-use fastdnaml::core::runner::{search_in_process, SearchSession};
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::core::worker::run_worker;
 use fastdnaml::net::TcpTransport;
 use fastdnaml::obs::Obs;
-use fastdnaml::phylo::newick;
 use fastdnaml::prelude::SearchConfig;
 use fastdnaml::serve::{client, Daemon, ServeOptions};
 use std::net::SocketAddr;
@@ -45,12 +44,8 @@ fn serial_reference(spec: &JobSpec) -> Vec<(u64, String, f64)> {
                 ..resolved.config.clone()
             };
             let single = ResolvedJob::single(resolved.alignment.clone(), config);
-            let run = search_in_process(&single, SearchSession::default()).unwrap();
-            (
-                seed,
-                newick::write_tree(&run.tree, resolved.alignment.names()),
-                run.ln_likelihood,
-            )
+            let run = run_in_process(&single, RunOptions::default()).unwrap();
+            (seed, run.runs[0].newick.clone(), run.runs[0].ln_likelihood)
         })
         .collect()
 }

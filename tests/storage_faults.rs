@@ -11,9 +11,10 @@
 
 use fastdnaml::chaos::storage::{self, StoragePlan};
 use fastdnaml::core::config::SearchConfig;
-use fastdnaml::core::farm::{plan_seeds, serial_farm, FarmManifest, FarmOptions};
+use fastdnaml::core::farm::{plan_seeds, FarmManifest};
+use fastdnaml::core::job::ResolvedJob;
+use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::core::wal;
-use fastdnaml::obs::Obs;
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::phylip;
 use std::path::{Path, PathBuf};
@@ -54,12 +55,16 @@ fn run_farm_pass(
     seeds: &[u64],
     dir: &Path,
 ) -> Result<Vec<String>, String> {
-    let options = FarmOptions {
-        wal_dir: Some(dir.join("wal")),
-        ..FarmOptions::default()
+    let job = ResolvedJob {
+        alignment: alignment.clone(),
+        config: config.clone(),
+        seeds: seeds.to_vec(),
     };
-    let parts = serial_farm(alignment, config, seeds, &options, &Obs::disabled())
-        .map_err(|e| e.to_string())?;
+    let options = RunOptions {
+        wal_dir: Some(dir.join("wal")),
+        ..RunOptions::default()
+    };
+    let parts = run_in_process(&job, options).map_err(|e| e.to_string())?;
     Ok(parts.runs.into_iter().map(|r| r.newick).collect())
 }
 
