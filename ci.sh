@@ -440,6 +440,17 @@ test "$status" -eq 1
 test "$(wc -l < "$SMOKE/regions.err")" -eq 1
 grep -q 'unknown argument "--regions"' "$SMOKE/regions.err"
 
+# One scheduler: the daemon's jumbles go through the universe's foreman
+# (`Sched`), so the daemon's own worker table and its `Batch` introduction
+# stay gone from crates/serve/src but for test modules.
+retired='struct Worker\b|struct Flight|fn idle_worker|fn worker_lost|fn worker_rejoined|Message::Batch'
+for f in $(find crates/serve/src -name '*.rs'); do
+  if nontest "$f" | grep -nE "$retired"; then
+    echo "one scheduler: $f keeps a worker table of its own again"
+    exit 1
+  fi
+done
+
 # No dead public surface: every `pub fn` of the runtime's library crates
 # (core, serve, comm, net) has a caller outside its own file's test module
 # — another file, a test target, an example or the benchmark — or a line
@@ -483,10 +494,24 @@ cargo run --release -p fdml-bench --bin wire_report -- --quick --out target/benc
 # the library surface (`benchmark/src/probes.rs`) and drives the binary
 # through its flags; its 12-taxon `--quick` runs of the two incremental
 # workloads catch drift in either before the benchmark driver does.
+# Building the benchmark rewrites its lock file (it drops a stale entry),
+# and CI changes nothing under benchmark/: the file is saved first and put
+# back afterwards, on failure too, and a checkout must show benchmark/
+# clean once the smoke is over.
+cp benchmark/Cargo.lock target/benchmark-Cargo.lock.saved
+trap 'cp target/benchmark-Cargo.lock.saved benchmark/Cargo.lock' EXIT
 for workload in threads101_inc net101_inc; do
   cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --quick --repeats 1
 done
+cp target/benchmark-Cargo.lock.saved benchmark/Cargo.lock
+trap - EXIT
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1 &&
+  [ -n "$(git status --porcelain -- benchmark)" ]; then
+  echo "benchmark smoke: CI left benchmark/ changed"
+  git status --porcelain -- benchmark
+  exit 1
+fi
 
 # Jumble-farm smoke: 3 jumbles at width 2, sharded over worker processes
 # (TCP) and worker threads — the per-jumble trees and the consensus must

@@ -226,8 +226,9 @@ pub enum Message {
         /// Human-readable cause.
         reason: String,
     },
-    /// Daemon scheduler → worker: the problem data of one job in a
-    /// multi-tenant fleet. Unlike [`Message::ProblemData`] (one anonymous
+    /// Daemon master → worker: the problem data of one job in a
+    /// multi-tenant fleet, sent when the job is admitted and whenever a
+    /// worker joins. Unlike [`Message::ProblemData`] (one anonymous
     /// problem per process lifetime) this is tagged with the job id, and a
     /// worker caches one engine per job so tasks from concurrent jobs can
     /// interleave on the same rank.
@@ -239,9 +240,9 @@ pub enum Message {
         /// Engine configuration (model, categories, optimizer options).
         config_json: String,
     },
-    /// Daemon scheduler → worker: run one whole jumble of one job. The
-    /// worker evaluates it with the engine cached for `job` (the scheduler
-    /// always sends [`Message::JobData`] first).
+    /// Daemon master → foreman → worker: run one whole jumble of one job.
+    /// The worker evaluates it with the engine cached for `job` (its
+    /// [`Message::JobData`] always arrives first).
     JobTask {
         /// The job the jumble belongs to.
         job: crate::job::JobId,
@@ -250,7 +251,7 @@ pub enum Message {
         /// The jumble seed (already adjusted and deduplicated).
         seed: u64,
     },
-    /// Worker → daemon scheduler: a finished job jumble.
+    /// Worker → foreman → daemon master: a finished job jumble.
     JobTaskResult {
         /// The job echoed back.
         job: crate::job::JobId,
@@ -265,8 +266,8 @@ pub enum Message {
         /// Work units expended over the whole search.
         work_units: u64,
     },
-    /// Daemon scheduler → worker: a job is finished or failed; drop its
-    /// cached engine. Without retirement a long-lived shared-fleet worker
+    /// Daemon master → worker: a job is finished or failed and none of its
+    /// jumbles is out any more; drop its cached engine. Without retirement a long-lived shared-fleet worker
     /// would keep one alignment + likelihood state per job ever served.
     JobRetire {
         /// The job to evict.
@@ -336,8 +337,7 @@ pub enum Message {
     /// [`Message::WorkerReady`]; on the threaded transport a dead endpoint
     /// fails the send instead.
     Ping,
-    /// Several messages in one envelope, delivered in order: the daemon
-    /// sends a job's data together with its task as one frame. Receivers
+    /// Several messages in one envelope, delivered in order. Receivers
     /// unpack and process the inner messages exactly as if they had arrived
     /// individually.
     Batch {

@@ -29,8 +29,9 @@
 //! in-flight jumble keeps its round log ([`crate::wal`]), all in one
 //! directory. Re-running the same job over that directory recomputes only
 //! unfinished jumbles, each from its last committed round, and answers a
-//! finished one from the manifest. The job daemon's scheduler keeps each
-//! job in the same ledger.
+//! finished one from the manifest. The job daemon is a master too: it
+//! keeps each job in the same ledger and sends its jumbles through the
+//! same foreman.
 
 use crate::config::SearchConfig;
 use crate::job::ResolvedJob;
@@ -266,7 +267,7 @@ pub fn dedup_adjusted(seeds: &[u64]) -> Result<Vec<u64>, PhyloError> {
 /// runs and the running consensus. The manifest and the logs live in one
 /// directory, named by [`wal::manifest_path`] and [`wal::wal_path`]. The
 /// run master (over threads, TCP or the in-process [`Loopback`]) and the
-/// daemon's scheduler both drive one. What an error means is its holder's
+/// daemon's master both drive one. What an error means is its holder's
 /// policy — the run master aborts on any, the daemon fails the job on a
 /// bad result and shrugs off a sick log — so a log's trouble
 /// (`io::Result`) travels beside an outcome, never as it.

@@ -244,16 +244,19 @@ impl RunObserver {
 /// The service ranks of a universe — rank 1 the foreman, rank 2 the
 /// monitor — running as threads of the master's process. Every launcher
 /// hosts them this way: over channel endpoints in a threaded universe,
-/// over the hub's hosted endpoints in a TCP one.
-pub(crate) struct ServiceRanks {
+/// over the hub's hosted endpoints in a TCP one, and the job daemon over
+/// its two loopback connections to its own hub.
+pub struct ServiceRanks {
     foreman: thread::JoinHandle<Result<ForemanStats, ForemanError>>,
     monitor: thread::JoinHandle<Result<MonitorReport, CommError>>,
 }
 
 impl ServiceRanks {
     /// Start the foreman on `foreman_end` and the monitor on
-    /// `monitor_end`.
-    pub(crate) fn start<T: Transport + Send + 'static>(
+    /// `monitor_end`. A worker holding a task longer than `timeout` loses
+    /// it to another; `Duration::MAX` never takes one back but for a
+    /// dropped link.
+    pub fn start<T: Transport + Send + 'static>(
         foreman_end: T,
         monitor_end: T,
         timeout: Duration,
@@ -274,7 +277,7 @@ impl ServiceRanks {
 
     /// Join both ranks, for the foreman's counters and the monitor's
     /// instrumentation; the master must already have shut the universe down.
-    pub(crate) fn join(self) -> (ForemanStats, MonitorReport) {
+    pub fn join(self) -> (ForemanStats, MonitorReport) {
         let foreman = self
             .foreman
             .join()

@@ -11,14 +11,16 @@
 //! [`Sched::flat`] is the paper's foreman: the master pushes tasks, every
 //! result goes back to it in a frame of its own, the workers are every rank
 //! from [`ranks::FIRST_WORKER`] up, and the master's `Shutdown` cascades to
-//! them.
+//! them. Every deployment runs it, the job daemon too: its jumbles of many
+//! jobs (`JobTask`) queue, requeue and dedup like a farm's, under a timeout
+//! that never fires (`Duration::MAX`), so only a dropped link takes one back.
 //!
 //! A worker holds at most [`PIPELINE_DEPTH`] tasks: the one it computes
 //! and, while the queue is long, the next one, so that it starts that task
 //! the moment it answers instead of after a round trip through the foreman.
 
 use crate::foreman::{invariant, ForemanError, ForemanStats, QUARANTINE_BUDGET};
-use crate::worker::ranks;
+use crate::worker::{jumble_request, ranks};
 use fdml_comm::message::{Message, MonitorEvent, TaskPayload, TreeEdit};
 use fdml_comm::transport::{CommError, Rank};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -77,22 +79,13 @@ pub(crate) fn tick_of(worker_timeout: Duration) -> Duration {
 pub(crate) enum TaskBody {
     /// One candidate tree as Newick text.
     Tree(String),
-    /// One whole stepwise-addition search, identified by its jumble seed.
-    Jumble(u64),
-    /// A jumble resumed from (and streaming back to) the coordinator's
-    /// write-ahead log. Requeue-safe: a second worker replays the same
-    /// prefix and, by determinism, re-streams the identical rounds, which
-    /// the coordinator's index-gated appends deduplicate.
-    JumbleResume {
-        /// The job the jumble belongs to (0 = the anonymous farm).
-        job: u64,
-        /// The jumble seed.
-        seed: u64,
-        /// The numerics epoch of the rounds to replay.
-        numerics: u32,
-        /// The committed rounds to replay, one JSON `WalRound` each.
-        wal: Vec<String>,
-    },
+    /// One whole stepwise-addition search, kept as the master sent it: a
+    /// farm's `JumbleTask`, a daemon job's `JobTask`, or either one resumed
+    /// from (and streaming back to) a write-ahead log as a `JumbleResume`.
+    /// Requeue-safe: a second worker replays the same prefix and, by
+    /// determinism, re-streams the identical rounds, which the master's
+    /// index-gated appends deduplicate.
+    Jumble(Message),
     /// A chunk of candidate edits against the round's broadcast base
     /// topology: scheduled, timed out, requeued and quarantined as one
     /// task.
@@ -116,22 +109,11 @@ impl TaskBody {
     pub(crate) fn from_message(msg: Message) -> Option<(u64, TaskBody)> {
         match msg {
             Message::TreeTask { task, newick } => Some((task, TaskBody::Tree(newick))),
-            Message::JumbleTask { task, seed } => Some((task, TaskBody::Jumble(seed))),
-            Message::JumbleResume {
-                job,
-                task,
-                seed,
-                numerics,
-                wal,
-            } => Some((
-                task,
-                TaskBody::JumbleResume {
-                    job,
-                    seed,
-                    numerics,
-                    wal,
-                },
-            )),
+            msg @ (Message::JumbleTask { .. }
+            | Message::JobTask { .. }
+            | Message::JumbleResume { .. }) => {
+                Some((jumble_request(&msg).1, TaskBody::Jumble(msg)))
+            }
             Message::EditChunk {
                 task,
                 base_id,
@@ -160,19 +142,8 @@ impl TaskBody {
                 task,
                 newick: newick.clone(),
             },
-            TaskBody::Jumble(seed) => Message::JumbleTask { task, seed: *seed },
-            TaskBody::JumbleResume {
-                job,
-                seed,
-                numerics,
-                wal,
-            } => Message::JumbleResume {
-                job: *job,
-                task,
-                seed: *seed,
-                numerics: *numerics,
-                wal: wal.clone(),
-            },
+            // Its task id is the one it was queued under.
+            TaskBody::Jumble(msg) => msg.clone(),
             TaskBody::Edit { base_id, edits, .. } => Message::EditChunk {
                 task,
                 base_id: *base_id,
@@ -203,10 +174,11 @@ impl TaskBody {
     fn into_payload(self) -> TaskPayload {
         match self {
             TaskBody::Tree(newick) => TaskPayload::Tree { newick },
-            TaskBody::Jumble(seed) => TaskPayload::Jumble { seed },
             // The master re-runs a quarantined jumble locally against its
             // own WAL copy; the streamed prefix need not travel back.
-            TaskBody::JumbleResume { seed, .. } => TaskPayload::Jumble { seed },
+            TaskBody::Jumble(msg) => TaskPayload::Jumble {
+                seed: jumble_request(&msg).2,
+            },
             TaskBody::Edit { base_id, edits, .. } => TaskPayload::TreeEdit { base_id, edits },
         }
     }
@@ -227,6 +199,12 @@ pub(crate) fn result_of(msg: &Message) -> Option<(u64, f64, u64)> {
             scores.iter().map(|s| s.work_units).sum(),
         )),
         Message::TreeResult {
+            task,
+            ln_likelihood,
+            work_units,
+            ..
+        }
+        | Message::JobTaskResult {
             task,
             ln_likelihood,
             work_units,
@@ -311,7 +289,9 @@ pub(crate) struct Sched {
     /// when the base is relayed to it.
     has_base: HashSet<Rank>,
     next_sweep: Option<Instant>,
-    next_ping: HashMap<Rank, Instant>,
+    /// When each delinquent worker is probed next; `None`: never again (a
+    /// timeout that never fires has no period to probe by).
+    next_ping: HashMap<Rank, Option<Instant>>,
     last_depth: Option<(usize, usize, usize)>,
     aborted: bool,
     stats: ForemanStats,
@@ -393,6 +373,7 @@ impl Sched {
         match msg {
             Message::TreeTask { .. }
             | Message::JumbleTask { .. }
+            | Message::JobTask { .. }
             | Message::JumbleResume { .. }
             | Message::EditChunk { .. } => {
                 debug_assert_eq!(from, ranks::MASTER);
@@ -507,9 +488,11 @@ impl Sched {
         // the hub).
         if self.outstanding() > 0 {
             for &worker in &self.delinquent {
-                let due = self.next_ping.get(&worker).is_none_or(|&due| now >= due);
+                let next = self.next_ping.get(&worker);
+                let due = next.is_none_or(|next| next.is_some_and(|due| now >= due));
                 if due && !self.dead.contains(&worker) {
-                    self.next_ping.insert(worker, now + self.worker_timeout);
+                    let next = now.checked_add(self.worker_timeout);
+                    self.next_ping.insert(worker, next);
                     self.probes.entry(worker).or_default().sent += 1;
                     out.push(Action::Send(worker, Message::Ping));
                 }
@@ -1406,6 +1389,98 @@ mod tests {
             feed(&mut m, t0, Event::Tick),
             [(3, tree_task(1)), (4, tree_task(2))]
         );
+    }
+
+    /// Jumble `task` of daemon job 2, and a worker's answer to it.
+    fn job_task(task: u64) -> Message {
+        Message::JobTask {
+            job: 2,
+            task,
+            seed: 100 + task,
+        }
+    }
+
+    fn job_result(task: u64) -> Message {
+        Message::JobTaskResult {
+            job: 2,
+            task,
+            seed: 100 + task,
+            newick: format!("(j{task});"),
+            ln_likelihood: -(task as f64),
+            work_units: 1,
+        }
+    }
+
+    #[test]
+    fn a_daemon_jumble_lost_with_its_link_is_redone_and_answered_once() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // The daemon's foreman: a timeout that never fires.
+        let mut m = Sched::flat(5, Duration::MAX, false);
+        feed(&mut m, at(0), Event::Msg(3, Message::WorkerReady));
+        for task in [1, 2] {
+            feed(&mut m, at(0), Event::Msg(MASTER, job_task(task)));
+        }
+        assert_eq!(feed(&mut m, at(0), Event::Tick), [(3, job_task(1))]);
+        // Worker 3's link drops while it runs task 1: the task goes back to
+        // the front of the queue, ahead of task 2, and on to worker 4.
+        let down = Message::PeerDown { rank: 3 };
+        assert_eq!(feed(&mut m, at(1), Event::Msg(MASTER, down)), []);
+        let queued: Vec<u64> = m.work_queue.iter().map(|(task, _)| *task).collect();
+        assert_eq!(queued, [1, 2]);
+        feed(&mut m, at(2), Event::Msg(4, Message::WorkerReady));
+        assert_eq!(feed(&mut m, at(2), Event::Tick), [(4, job_task(1))]);
+        // Worker 3 rejoins and its original answer lands first: booked and
+        // forwarded. The recomputation's answer is a duplicate.
+        feed(
+            &mut m,
+            at(3),
+            Event::Msg(MASTER, Message::PeerUp { rank: 3 }),
+        );
+        assert_eq!(
+            feed(&mut m, at(3), Event::Msg(3, job_result(1))),
+            [(MASTER, job_result(1))]
+        );
+        assert_eq!(feed(&mut m, at(4), Event::Msg(4, job_result(1))), []);
+        assert_eq!(feed(&mut m, at(5), Event::Tick), [(3, job_task(2))]);
+        assert_eq!(
+            feed(&mut m, at(6), Event::Msg(3, job_result(2))),
+            [(MASTER, job_result(2))]
+        );
+        let stats = m.stats();
+        assert_eq!(stats.dispatched, 3);
+        assert_eq!(stats.results_forwarded, 2);
+        assert_eq!(stats.duplicates_ignored, 1);
+        assert_eq!((stats.timeouts, stats.recoveries), (1, 1));
+        assert_eq!(m.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_timeout_that_never_fires_holds_a_jumble_for_a_year_until_its_link_drops() {
+        let t0 = Instant::now();
+        let year = Duration::from_secs(365 * 24 * 3600);
+        let mut m = Sched::flat(5, Duration::MAX, true);
+        let sends = |m: &mut Sched, now, ev| -> Sends {
+            let mut all = feed(m, now, ev);
+            all.retain(|(to, _)| *to != ranks::MONITOR);
+            all
+        };
+        feed(&mut m, t0, Event::Msg(3, Message::WorkerReady));
+        feed(&mut m, t0, Event::Msg(MASTER, job_task(1)));
+        assert_eq!(sends(&mut m, t0, Event::Tick), [(3, job_task(1))]);
+        // A year on, with a second worker idle, the jumble is still worker
+        // 3's: no timeout, no probe, no re-dispatch.
+        feed(&mut m, t0 + year, Event::Msg(4, Message::WorkerReady));
+        for _ in 0..3 {
+            assert_eq!(sends(&mut m, t0 + year, Event::Tick), []);
+        }
+        assert_eq!(m.stats().timeouts, 0);
+        assert_eq!(m.in_flight[&1].worker, 3);
+        // Its link drops: it goes to worker 4 at once.
+        let down = Message::PeerDown { rank: 3 };
+        feed(&mut m, t0 + year, Event::Msg(MASTER, down));
+        assert_eq!(sends(&mut m, t0 + year, Event::Tick), [(4, job_task(1))]);
+        assert_eq!(m.stats().timeouts, 1);
     }
 
     #[test]

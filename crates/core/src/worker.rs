@@ -447,9 +447,9 @@ pub fn run_worker<T: Transport>(transport: T, obs: Obs) -> Result<WorkerStats, W
                 config_json,
             } => {
                 // Per-job data in a multi-tenant fleet. No WorkerReady
-                // reply: the scheduler pairs this with the JobTask that
-                // needs it, and readiness is tracked per rank, not per
-                // job.
+                // reply: the daemon follows its data with a `Ping`, whose
+                // answer makes this rank ready, and readiness is tracked
+                // per rank, not per job.
                 jobs.entry(job)
                     .or_default()
                     .set_problem(&phylip, &config_json)?;
@@ -506,7 +506,7 @@ pub fn run_worker<T: Transport>(transport: T, obs: Obs) -> Result<WorkerStats, W
                 send_up(&transport, &reply)?;
             }
             Message::JobRetire { job } => {
-                // The scheduler finished or failed the job; drop its engine
+                // The daemon finished or failed the job; drop its engine
                 // so a long-lived shared-fleet worker does not accumulate
                 // one alignment + likelihood state per job ever served.
                 jobs.remove(&job);

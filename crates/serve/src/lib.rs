@@ -8,9 +8,9 @@
 //! streamed progress and the final trees out.
 //!
 //! * [`ServeOptions`] / [`Daemon`] — configure and run the daemon: the
-//!   hub (rank 0), the scheduler's loopback foreman connection (rank 1),
-//!   a monitor placeholder (rank 2), and optionally forked worker
-//!   processes (ranks 3+).
+//!   hub with the daemon's master (rank 0), the universe's foreman and
+//!   monitor on two loopback connections (ranks 1 and 2), and optionally
+//!   forked worker processes (ranks 3+).
 //! * [`registry::Registry`] — durable job state under one directory:
 //!   `jobs.json` plus a farm manifest per job, written through before
 //!   any acknowledgement, so a killed daemon resumes its in-flight jobs
@@ -18,19 +18,20 @@
 //! * [`client`] — the submit / status / attach calls the CLI's
 //!   `--submit`, `--status`, and `--attach` modes wrap.
 //!
-//! Scheduling is fair-share round-robin: each eligible job receives one
-//! jumble per cycle, bounded by its admitted `max_ranks` quota, so
-//! concurrent farms interleave over one fleet instead of queueing behind
-//! each other — and every jumble still runs through the same
+//! Admission is fair-share round-robin: each eligible job receives one
+//! jumble per free worker in turn, bounded by its admitted `max_ranks`
+//! quota, so concurrent farms interleave over one fleet instead of
+//! queueing behind each other. The jumbles go through the same foreman
+//! (`Sched`) as every CLI run's, and each runs through the same
 //! `Evaluator::jumble` code path, keeping results byte-identical to a
 //! serial run of the same seeds.
 //!
 //! The daemon speaks the `fdml-wire` binary codec by default
-//! ([`ServeOptions::wire`]) and introduces each job to a worker in a
-//! single `Batch` frame (alignment + first jumble together). Its
-//! scheduling is flat, like the one-shot coordinator's: the unit of work
-//! is a whole jumble — thousands of candidate evaluations per frame — so a
-//! single scheduler saturates far more workers than the per-candidate
+//! ([`ServeOptions::wire`]). Every worker holds one engine per active
+//! job: a job's `JobData` reaches each worker when the job is admitted or
+//! the worker joins, before any of the job's jumbles can. The unit of
+//! work is a whole jumble — thousands of candidate evaluations per frame
+//! — so one foreman saturates far more workers than the per-candidate
 //! dispatch path does.
 
 #![warn(missing_docs)]
@@ -42,6 +43,7 @@ mod scheduler;
 pub use registry::{JobEntry, Registry};
 
 use fdml_comm::transport::{ranks, Rank, Transport};
+use fdml_core::runner::ServiceRanks;
 use fdml_net::{ClientConfig, NetConfig, TcpHub, TcpTransport, WireFormat};
 use fdml_obs::{Obs, Sink};
 use scheduler::{Limits, Scheduler, MODE_KILL, MODE_RUN, MODE_STOP};
@@ -52,13 +54,14 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Configuration for one daemon instance.
 pub struct ServeOptions {
     /// Address to listen on (`"127.0.0.1:0"` picks a free port).
     pub listen: String,
-    /// Universe size: rank 0 (hub) + rank 1 (scheduler) + rank 2
-    /// (monitor placeholder) + workers. Must be at least 4.
+    /// Universe size: rank 0 (hub and master) + rank 1 (foreman) + rank 2
+    /// (monitor) + workers. Must be at least 4.
     pub num_ranks: usize,
     /// Durable state directory (`jobs.json` + per-job manifests).
     pub state_dir: PathBuf,
@@ -104,9 +107,10 @@ impl ServeOptions {
     }
 }
 
-/// A running daemon: the hub, the scheduler thread, and any forked
-/// workers. Dropping the handle hard-stops everything (like a crash);
-/// call [`Daemon::stop`] for a graceful shutdown.
+/// A running daemon: the hub, the master thread, the foreman and monitor
+/// threads, and any forked workers. Dropping the handle hard-stops
+/// everything (like a crash); call [`Daemon::stop`] for a graceful
+/// shutdown.
 pub struct Daemon {
     addr: SocketAddr,
     mode: Arc<AtomicU8>,
@@ -115,52 +119,17 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Bind the hub, dial the scheduler and monitor ranks, fork workers
-    /// if asked, revive unfinished jobs from the state directory, and
-    /// start scheduling.
+    /// Bind the hub, start the foreman and the monitor, fork workers if
+    /// asked, revive unfinished jobs from the state directory, and start
+    /// the master.
     pub fn start(options: ServeOptions) -> io::Result<Daemon> {
         assert!(
             options.num_ranks >= 4,
-            "a daemon universe needs hub + scheduler + monitor + at least one worker"
+            "a daemon universe needs hub + foreman + monitor + at least one worker"
         );
         let obs = Obs::multi(options.sinks);
-        // Ranks 1 and 2 are reserved before the hub starts accepting, so
-        // an external worker (or a stale client) dialing the listen
-        // address during startup cannot race the daemon for its own
-        // scheduler and monitor slots.
-        let hub = TcpHub::bind_reserved(
-            options.listen.as_str(),
-            options.num_ranks,
-            &[ranks::FOREMAN, ranks::MONITOR],
-            NetConfig {
-                wire: options.wire,
-                ..NetConfig::default()
-            },
-            obs.clone(),
-        )?;
+        let (hub, service) = universe(&options.listen, options.num_ranks, options.wire, &obs)?;
         let addr = hub.local_addr();
-        // Explicit claims pin the scheduler to rank 1 (the foreman slot,
-        // where workers address their results) and the placeholder to
-        // rank 2, leaving 3.. for the fleet.
-        let claim = |rank: Rank, what: &str| -> io::Result<TcpTransport> {
-            let transport = TcpTransport::connect_observed(
-                addr,
-                ClientConfig {
-                    claim: Some(rank),
-                    ..ClientConfig::default()
-                },
-                Obs::disabled(),
-            )?;
-            if transport.rank() != rank {
-                return Err(io::Error::other(format!(
-                    "{what} claimed rank {rank} but was assigned {}",
-                    transport.rank()
-                )));
-            }
-            Ok(transport)
-        };
-        let foreman = claim(ranks::FOREMAN, "scheduler")?;
-        let monitor = claim(ranks::MONITOR, "monitor placeholder")?;
         let mut children = Vec::new();
         if let Some(program) = &options.spawn {
             for _ in 3..options.num_ranks {
@@ -186,17 +155,9 @@ impl Daemon {
             max_wall_ms: options.max_wall_ms,
         };
         let mode = Arc::new(AtomicU8::new(MODE_RUN));
-        let scheduler = Scheduler::new(
-            hub,
-            foreman,
-            monitor,
-            registry,
-            obs,
-            limits,
-            Arc::clone(&mode),
-        );
+        let scheduler = Scheduler::new(hub, service, registry, obs, limits, Arc::clone(&mode));
         let thread = std::thread::Builder::new()
-            .name("fdml-serve-sched".into())
+            .name("fdml-serve-master".into())
             .spawn(move || scheduler.run())?;
         Ok(Daemon {
             addr,
@@ -211,15 +172,18 @@ impl Daemon {
         self.addr
     }
 
-    /// Graceful shutdown: workers receive `Shutdown`, durable state is
-    /// already on disk, forked children are reaped.
+    /// Graceful shutdown: the foreman passes `Shutdown` on to the workers
+    /// and the monitor, the daemon waits for every peer to hang up (durable
+    /// state is already on disk), and forked children are reaped.
     pub fn stop(mut self) {
         self.halt(MODE_STOP);
     }
 
-    /// Hard stop, simulating a daemon crash: no farewell to anyone.
-    /// Durable state stays exactly as the last write-through left it —
-    /// the restart-resume path's test hook.
+    /// Hard stop, simulating a daemon crash: no farewell to anyone, and
+    /// nothing joined but the master. Durable state stays exactly as the
+    /// last write-through left it — the restart-resume path's test hook.
+    /// The foreman and the monitor end on their own once their links to
+    /// the dropped hub give up.
     pub fn kill(mut self) {
         self.halt(MODE_KILL);
     }
@@ -240,4 +204,48 @@ impl Drop for Daemon {
     fn drop(&mut self) {
         self.halt(MODE_KILL);
     }
+}
+
+/// Bind the hub for `num_ranks` ranks with ranks 1 and 2 reserved, claim
+/// them over loopback, and run the universe's foreman and monitor on the
+/// two connections. The foreman's timeout never fires: a jumble runs as
+/// long as it runs, and only a dropped connection takes it back.
+///
+/// The ranks are reserved before the hub starts accepting, so an external
+/// worker (or a stale client) dialing the listen address during startup
+/// cannot race the daemon for its own foreman and monitor slots.
+fn universe(
+    listen: &str,
+    num_ranks: usize,
+    wire: WireFormat,
+    obs: &Obs,
+) -> io::Result<(TcpHub, ServiceRanks)> {
+    let hub = TcpHub::bind_reserved(
+        listen,
+        num_ranks,
+        &[ranks::FOREMAN, ranks::MONITOR],
+        NetConfig {
+            wire,
+            ..NetConfig::default()
+        },
+        obs.clone(),
+    )?;
+    let addr = hub.local_addr();
+    let claim = |rank: Rank| -> io::Result<TcpTransport> {
+        let config = ClientConfig {
+            claim: Some(rank),
+            ..ClientConfig::default()
+        };
+        let transport = TcpTransport::connect_observed(addr, config, Obs::disabled())?;
+        if transport.rank() != rank {
+            return Err(io::Error::other(format!(
+                "claimed rank {rank} but was assigned {}",
+                transport.rank()
+            )));
+        }
+        Ok(transport)
+    };
+    let (foreman, monitor) = (claim(ranks::FOREMAN)?, claim(ranks::MONITOR)?);
+    let service = ServiceRanks::start(foreman, monitor, Duration::MAX, obs);
+    Ok((hub, service))
 }

@@ -1,19 +1,31 @@
-//! The daemon's fair-share scheduler: one loop owning the hub, the job
-//! registry, and the shared worker fleet.
+//! The daemon's master: one loop owning the hub's rank 0, the job
+//! registry, the fair-share ring and the service plane.
 //!
-//! Topology: the daemon process hosts the [`TcpHub`] (rank 0) and dials
-//! its own loopback twice — rank 1 is the scheduler's transport (the
-//! foreman slot, so worker [`Message::JobTaskResult`] replies route
-//! here), rank 2 a placeholder monitor connection keeping the classic
-//! rank convention (workers at 3 and up). Worker processes are either
-//! forked by the daemon or join externally with
-//! `fastdnaml --net worker --connect ADDR`; either way they are one
-//! *shared* fleet, multiplexed across every admitted job.
+//! Topology: the daemon process hosts the [`TcpHub`] (rank 0, this master)
+//! and dials its own loopback twice: rank 1 runs the universe's foreman and
+//! rank 2 its monitor — the [`ServiceRanks`] every CLI deployment runs — so
+//! workers start at rank 3. Worker processes are either forked by the
+//! daemon or join externally with `fastdnaml --net worker --connect ADDR`;
+//! either way they are one *shared* fleet, multiplexed across every
+//! admitted job.
 //!
-//! Fair share: active jobs sit in a round-robin ring; each dispatch round
-//! hands one jumble to one idle worker per eligible job, cycling until
-//! workers or work run out. A job's `max_ranks` quota caps how many
-//! workers it occupies at once, so a wide job cannot starve a narrow one.
+//! Like the farm master (`farm::run_job`), this master sends each job's
+//! next task to the foreman and folds what comes back — `JobTaskResult`,
+//! `WalRound`, `Quarantined` — into that job's [`Ledger`]. The foreman owns
+//! the ready queue and the requeue of a lost worker's jumble; its timeout
+//! never fires, so only a dropped connection takes a jumble back. The
+//! master greets each worker it sees join or rejoin with every active
+//! job's `JobData`, then a `Ping`: the worker's `WorkerReady` answer puts
+//! it in the foreman's ready queue, so no jumble reaches a worker before
+//! its job's data does. A job's `JobRetire` goes out once the job is closed
+//! and none of its tasks is still out, so no worker is handed a jumble of
+//! a job whose engine it has dropped.
+//!
+//! Fair share: active jobs sit in a round-robin ring, refilled one jumble
+//! per free worker — the tasks out never outnumber the greeted workers, so
+//! each job's next jumble leaves the moment a worker frees up. A job's
+//! `max_ranks` quota caps how many of its jumbles are out at once, so a
+//! wide job cannot starve a narrow one.
 //!
 //! Durability: every admission and state transition is written through
 //! [`Registry`] before it is acknowledged. A job's jumbles — manifest,
@@ -30,21 +42,22 @@ use fdml_comm::message::Message;
 use fdml_comm::transport::{ranks, Rank, Transport};
 use fdml_core::farm::{FarmManifest, FarmParts, JumbleRun, Ledger};
 use fdml_core::job::ResolvedJob;
+use fdml_core::runner::ServiceRanks;
 use fdml_core::wal;
 use fdml_net::wire::{write_frame, Frame};
-use fdml_net::{ServiceRequest, TcpHub, TcpTransport};
+use fdml_net::{ServiceRequest, TcpHub};
 use fdml_obs::{Event, MemorySink, Obs, Record, RunReport, Sink};
 use fdml_phylo::error::PhyloError;
-use fdml_phylo::newick;
-use std::collections::{HashMap, HashSet, VecDeque};
+use fdml_phylo::{newick, phylip};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Scheduler run mode, shared with the [`crate::Daemon`] handle.
+/// Master run mode, shared with the [`crate::Daemon`] handle.
 pub(crate) const MODE_RUN: u8 = 0;
-/// Graceful stop: workers get `Shutdown`, state is flushed.
+/// Graceful stop: the universe is shut down and drained.
 pub(crate) const MODE_STOP: u8 = 1;
 /// Hard stop: drop everything mid-flight, as a crash would.
 pub(crate) const MODE_KILL: u8 = 2;
@@ -67,7 +80,8 @@ pub(crate) struct Limits {
 
 /// One admitted, unfinished job's live state.
 struct Active {
-    resolved: ResolvedJob,
+    /// The job's `JobData`, as every worker receives it.
+    data: Message,
     /// The job's jumbles; its round logs are namespaced by the job id.
     ledger: Ledger,
     /// Effective worker cap (0 = share the whole fleet).
@@ -84,21 +98,6 @@ struct Active {
     attached: Vec<TcpStream>,
 }
 
-/// One shared-fleet worker's state.
-#[derive(Default)]
-struct Worker {
-    /// The task currently on this worker, if any.
-    busy: Option<u64>,
-    /// Jobs whose `JobData` this worker process has already received.
-    knows: HashSet<JobId>,
-}
-
-/// An outstanding dispatch.
-struct Flight {
-    job: JobId,
-    rank: Rank,
-}
-
 /// The sink that copies a job's events into the daemon's log.
 struct Also(Obs);
 
@@ -110,9 +109,8 @@ impl Sink for Also {
 
 pub(crate) struct Scheduler {
     hub: TcpHub,
-    foreman: TcpTransport,
-    /// Holds the monitor rank open so workers start at rank 3.
-    _monitor: TcpTransport,
+    /// The foreman and the monitor.
+    service: ServiceRanks,
     registry: Registry,
     obs: Obs,
     limits: Limits,
@@ -121,8 +119,11 @@ pub(crate) struct Scheduler {
     results: HashMap<JobId, JobResult>,
     /// Insertion order of `results`, for bounded eviction.
     results_order: VecDeque<JobId>,
-    workers: HashMap<Rank, Worker>,
-    in_flight: HashMap<u64, Flight>,
+    /// Workers greeted since they last joined.
+    greeted: BTreeSet<Rank>,
+    /// The job of every task sent to the foreman and neither answered nor
+    /// quarantined yet.
+    tasks: HashMap<u64, JobId>,
     next_task: u64,
     mode: Arc<AtomicU8>,
 }
@@ -130,8 +131,7 @@ pub(crate) struct Scheduler {
 impl Scheduler {
     pub(crate) fn new(
         hub: TcpHub,
-        foreman: TcpTransport,
-        monitor: TcpTransport,
+        service: ServiceRanks,
         registry: Registry,
         obs: Obs,
         limits: Limits,
@@ -139,8 +139,7 @@ impl Scheduler {
     ) -> Scheduler {
         let mut s = Scheduler {
             hub,
-            foreman,
-            _monitor: monitor,
+            service,
             registry,
             obs,
             limits,
@@ -148,8 +147,8 @@ impl Scheduler {
             ring: VecDeque::new(),
             results: HashMap::new(),
             results_order: VecDeque::new(),
-            workers: HashMap::new(),
-            in_flight: HashMap::new(),
+            greeted: BTreeSet::new(),
+            tasks: HashMap::new(),
             next_task: 1,
             mode,
         };
@@ -186,9 +185,10 @@ impl Scheduler {
         }
     }
 
-    /// Open the job's ledger and put it on the ring; a manifest the ledger
-    /// refuses (one that does not parse, a `Done` entry without its tree,
-    /// foreign seeds) fails the job with that reason.
+    /// Open the job's ledger, hand its data to every greeted worker and
+    /// put it on the ring; a manifest the ledger refuses (one that does not
+    /// parse, a `Done` entry without its tree, foreign seeds) fails the job
+    /// with that reason.
     fn activate(&mut self, id: JobId, spec: &JobSpec, resolved: ResolvedJob) {
         let width = effective(spec.max_ranks as u64, self.limits.max_job_ranks as u64) as usize;
         let wall_ms = effective(spec.max_wall_ms, self.limits.max_wall_ms);
@@ -207,10 +207,18 @@ impl Scheduler {
                 return;
             }
         };
+        let data = Message::JobData {
+            job: id,
+            phylip: phylip::write(alignment),
+            config_json: config.engine_config_json(),
+        };
+        for &rank in &self.greeted {
+            let _ = self.hub.send(rank, &data);
+        }
         self.active.insert(
             id,
             Active {
-                resolved,
+                data,
                 ledger,
                 width,
                 wall_ms,
@@ -224,102 +232,77 @@ impl Scheduler {
         self.ring.push_back(id);
     }
 
-    /// The scheduler loop: drain service connections, drain worker
-    /// results, refresh the fleet, enforce wall quotas, dispatch.
+    /// The master loop, until the daemon handle changes the mode.
     pub(crate) fn run(mut self) {
-        loop {
-            match self.mode.load(Ordering::SeqCst) {
-                MODE_RUN => {}
-                MODE_STOP => {
-                    for (&rank, _) in self.workers.iter() {
-                        let _ = self.foreman.send(rank, &Message::Shutdown);
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                    return;
-                }
-                _ => return,
-            }
-
-            // Service plane: Submit / Query / Attach openers.
-            let mut service_wait = Duration::from_millis(10);
-            while let Some(req) = self.hub.accept_service(service_wait) {
-                service_wait = Duration::ZERO;
-                self.handle_service(req);
-            }
-
-            // Compute plane: results and liveness, via the foreman slot.
-            let mut recv_wait = Duration::from_millis(10);
-            while let Ok(Some((from, msg))) = self.foreman.recv_timeout(recv_wait) {
-                recv_wait = Duration::ZERO;
-                self.handle_message(from, msg);
-            }
-
-            // The hub's own rank-0 queue gets liveness notifications too;
-            // nothing reads it in daemon mode, so drain and discard.
-            while let Ok(Some(_)) = self.hub.recv_timeout(Duration::ZERO) {}
-
-            self.refresh_workers();
-            self.enforce_wall_quotas();
-            self.dispatch();
+        while self.mode.load(Ordering::SeqCst) == MODE_RUN {
+            self.poll();
         }
+        if self.mode.load(Ordering::SeqCst) == MODE_STOP {
+            self.drain();
+        }
+        // A hard stop joins nothing: the hub drops with `self`, and the
+        // service ranks end when their links give up.
     }
 
-    /// Reconcile the worker table with the hub's live connections.
-    fn refresh_workers(&mut self) {
-        let connected: HashSet<Rank> = self
+    /// One turn of the loop: serve the service connections, fold in what
+    /// the foreman and the hub sent, greet newcomers, enforce wall quotas,
+    /// dispatch.
+    fn poll(&mut self) {
+        let mut wait = Duration::from_millis(10);
+        while let Some(req) = self.hub.accept_service(wait) {
+            wait = Duration::ZERO;
+            self.handle_service(req);
+        }
+        let mut wait = Duration::from_millis(10);
+        while let Ok(Some((_, msg))) = self.hub.recv_timeout(wait) {
+            wait = Duration::ZERO;
+            self.handle_message(msg);
+        }
+        self.greet_newcomers();
+        self.enforce_wall_quotas();
+        self.dispatch();
+    }
+
+    /// Graceful stop: the foreman passes `Shutdown` on to the workers and
+    /// the monitor; wait for both service ranks to end and for every peer
+    /// to hang up.
+    fn drain(self) {
+        let Scheduler { hub, service, .. } = self;
+        if hub.send(ranks::FOREMAN, &Message::Shutdown).is_ok() {
+            service.join();
+        }
+        hub.wait_for_peers(Duration::from_secs(10), |connected| connected == 0);
+    }
+
+    /// Greet every worker that joined since the last look, and forget the
+    /// ones that left.
+    fn greet_newcomers(&mut self) {
+        let connected: BTreeSet<Rank> = self
             .hub
             .peer_ranks()
             .into_iter()
-            .filter(|&r| r >= ranks::FIRST_WORKER)
+            .filter(|&rank| rank >= ranks::FIRST_WORKER)
             .collect();
-        for &rank in &connected {
-            self.workers.entry(rank).or_default();
-        }
-        let gone: Vec<Rank> = self
-            .workers
-            .keys()
-            .filter(|r| !connected.contains(r))
-            .copied()
-            .collect();
-        for rank in gone {
-            self.worker_lost(rank);
-        }
-    }
-
-    /// A worker's connection dropped: requeue whatever it carried. Its
-    /// late result, should the process somehow still deliver one through
-    /// a rejoin, is deduplicated against the manifest.
-    fn worker_lost(&mut self, rank: Rank) {
-        let Some(worker) = self.workers.remove(&rank) else {
-            return;
-        };
-        if let Some(task) = worker.busy {
-            self.requeue(task);
-        }
-    }
-
-    /// A worker reconnected under the same rank: it may be a fresh
-    /// replacement process with no engines, so its `JobData` cache resets
-    /// and anything it carried is requeued.
-    fn worker_rejoined(&mut self, rank: Rank) {
-        if let Some(worker) = self.workers.get_mut(&rank) {
-            let busy = worker.busy.take();
-            worker.knows.clear();
-            if let Some(task) = busy {
-                self.requeue(task);
+        self.greeted.retain(|rank| connected.contains(rank));
+        for rank in connected {
+            if !self.greeted.contains(&rank) {
+                self.greet(rank);
             }
         }
     }
 
-    fn requeue(&mut self, task: u64) {
-        if let Some(flight) = self.in_flight.remove(&task) {
-            if let Some(job) = self.active.get_mut(&flight.job) {
-                job.ledger.requeue(task);
-            }
+    /// Send `rank` every active job's data, then a `Ping`: the worker's
+    /// `WorkerReady` answer, which comes after the data is installed, makes
+    /// it ready at the foreman.
+    fn greet(&mut self, rank: Rank) {
+        for job in self.active.values() {
+            let _ = self.hub.send(rank, &job.data);
         }
+        let _ = self.hub.send(rank, &Message::Ping);
+        self.greeted.insert(rank);
     }
 
-    fn handle_message(&mut self, _from: Rank, msg: Message) {
+    fn handle_message(&mut self, msg: Message) {
         match msg {
             Message::JobTaskResult {
                 job,
@@ -328,7 +311,10 @@ impl Scheduler {
                 newick,
                 ln_likelihood,
                 ..
-            } => self.absorb_result(job, task, seed, newick, ln_likelihood),
+            } => {
+                self.tasks.remove(&task);
+                self.absorb_result(job, task, seed, newick, ln_likelihood);
+            }
             // A worker committed one search round. Whatever the ledger
             // makes of it — a finished jumble's late stream, a bad payload,
             // a gap, a failed append — costs crash-tolerance granularity,
@@ -340,29 +326,32 @@ impl Scheduler {
                     let _ = job.ledger.wal_round(seed, &entry);
                 }
             }
-            Message::PeerDown { rank } => self.worker_lost(rank),
-            Message::PeerUp { rank } => self.worker_rejoined(rank),
-            // Stray WorkerReady (ping answers), heartbeat artifacts, and
-            // legacy single-job traffic are not the scheduler's concern.
+            // The foreman gave up on a jumble that several workers died
+            // holding: a live job queues its seed again, to go out anew.
+            Message::Quarantined { task, .. } => {
+                if let Some(job) = self.tasks.remove(&task) {
+                    match self.active.get_mut(&job) {
+                        Some(active) => {
+                            active.ledger.requeue(task);
+                        }
+                        None => self.retire_if_idle(job),
+                    }
+                }
+            }
+            // A rank rebound after its link died — a reconnect or a fresh
+            // process in a dead slot — may hold no engines.
+            Message::PeerUp { rank } => self.greet(rank),
+            // An `Abort` (every worker gone) is not the end of a daemon:
+            // workers may come back. The rest is the foreman's business.
             _ => {}
         }
     }
 
     fn absorb_result(&mut self, job_id: JobId, task: u64, seed: u64, newick: String, lnl: f64) {
-        if let Some(f) = self.in_flight.remove(&task) {
-            if let Some(worker) = self.workers.get_mut(&f.rank) {
-                if worker.busy == Some(task) {
-                    worker.busy = None;
-                }
-            }
-        }
         let Some(job) = self.active.get_mut(&job_id) else {
-            return; // late result for a finished/failed job
+            // A closed job's task: the last of them retires the job.
+            return self.retire_if_idle(job_id);
         };
-        // The ledger closes the flight only if `task` is still on its
-        // books: a task the liveness machinery requeued was closed there,
-        // so its late result cannot bring in-flight to zero while the
-        // recomputation is still on a worker.
         let run = JumbleRun {
             seed,
             newick,
@@ -381,29 +370,34 @@ impl Scheduler {
             // that cannot be written: the job cannot keep its promise.
             Err(e) => return self.fail(job_id, e.to_string()),
         }
-        // Completion is checked on the duplicate path too: when a late
-        // original result marked the final seed Done, the recomputation's
-        // duplicate may be the message that closes the last flight.
         if job.ledger.is_complete() {
             self.finish(job_id);
         }
     }
 
-    /// Take a job off the active table and the ring, and tell the whole
-    /// fleet to evict its cached engine. Without retirement a long-lived
-    /// fleet leaks one engine per job served — on both sides. The broadcast
-    /// goes to every connected worker, not just those marked as knowing the
-    /// job: a worker that rejoined mid-job had its `knows` entry cleared
-    /// but may still hold the engine, and eviction of an unknown job is a
-    /// no-op.
+    /// Take a job off the active table and the ring, and retire it from
+    /// the fleet unless some of its tasks are still out.
     fn close(&mut self, id: JobId) -> Option<Active> {
         let job = self.active.remove(&id)?;
         self.ring.retain(|&j| j != id);
-        for (&rank, worker) in self.workers.iter_mut() {
-            worker.knows.remove(&id);
-            let _ = self.foreman.send(rank, &Message::JobRetire { job: id });
-        }
+        self.retire_if_idle(id);
         Some(job)
+    }
+
+    /// Tell every connected worker to evict the engine of closed job `id`,
+    /// once none of its tasks is out: the foreman sends none of them again
+    /// after its first answer or its quarantine, so no worker is handed a
+    /// jumble of `id` after this. Without retirement a long-lived fleet
+    /// leaks one engine per job served.
+    fn retire_if_idle(&self, id: JobId) {
+        if self.tasks.values().any(|&job| job == id) {
+            return;
+        }
+        for rank in self.hub.peer_ranks() {
+            if rank >= ranks::FIRST_WORKER {
+                let _ = self.hub.send(rank, &Message::JobRetire { job: id });
+            }
+        }
     }
 
     /// Every jumble landed: assemble the result, persist `Done`, answer
@@ -456,8 +450,8 @@ impl Scheduler {
             let _ = job.ledger.retire_logs();
             self.failed(id, &job.obs, job.attached, reason);
         }
-        // In-flight tasks stay in the flight table; their late results
-        // find no active job and are discarded.
+        // Its tasks still out are answered to nobody; the last of them
+        // retires the job from the fleet.
     }
 
     /// Persist `Failed` and tell the attached clients why.
@@ -495,46 +489,37 @@ impl Scheduler {
         }
     }
 
-    /// Fair-share dispatch: one jumble per eligible job per ring cycle,
-    /// until idle workers or eligible work run out.
+    /// Fair share: while a greeted worker is free, send the next eligible
+    /// job's next jumble to the foreman, taking the jobs in ring order.
     fn dispatch(&mut self) {
-        loop {
-            let Some(rank) = self.idle_worker() else {
+        while self.tasks.len() < self.greeted.len() {
+            let Some(id) = self.next_eligible() else {
                 return;
             };
-            let mut assigned = false;
-            for _ in 0..self.ring.len() {
-                let Some(id) = self.ring.pop_front() else {
-                    break;
-                };
-                let eligible = self.active.get(&id).is_some_and(|j| {
-                    !j.ledger.pending().is_empty()
-                        && (j.width == 0 || j.ledger.in_flight() < j.width)
-                });
-                self.ring.push_back(id);
-                if eligible {
-                    // A failed send ends the round: the fleet is refreshed
-                    // before this worker is tried again.
-                    assigned = self.assign(id, rank);
-                    break;
-                }
-            }
-            if !assigned {
+            if !self.assign(id) {
                 return;
             }
         }
     }
 
-    fn idle_worker(&self) -> Option<Rank> {
-        self.workers
-            .iter()
-            .filter(|(_, w)| w.busy.is_none())
-            .map(|(&r, _)| r)
-            .min()
+    /// The next job on the ring with a seed pending and room under its
+    /// quota; it goes to the back of the ring.
+    fn next_eligible(&mut self) -> Option<JobId> {
+        for _ in 0..self.ring.len() {
+            let id = self.ring.pop_front()?;
+            self.ring.push_back(id);
+            let eligible = self.active.get(&id).is_some_and(|j| {
+                !j.ledger.pending().is_empty() && (j.width == 0 || j.ledger.in_flight() < j.width)
+            });
+            if eligible {
+                return Some(id);
+            }
+        }
+        None
     }
 
-    /// Send `id`'s next jumble to `rank`; `false` when nothing was sent.
-    fn assign(&mut self, id: JobId, rank: Rank) -> bool {
+    /// Send `id`'s next jumble to the foreman; `false` when nothing was sent.
+    fn assign(&mut self, id: JobId) -> bool {
         let Some(job) = self.active.get_mut(&id) else {
             return false;
         };
@@ -546,39 +531,15 @@ impl Scheduler {
         // wal directory must not wedge the job: the ledger then hands out
         // the WAL-less task, widening this jumble's crash window back to
         // manifest granularity, and its error is dropped here.
-        let Some((task_msg, _wal)) = job.ledger.next(task) else {
+        let Some((msg, _wal)) = job.ledger.next(task) else {
             return false;
         };
         self.next_task += 1;
-        // First contact between this worker and this job ships the
-        // alignment and the first jumble in one `Batch` envelope, so a
-        // dispatch always costs exactly one frame; the worker unpacks the
-        // batch in order, installing the engine before the task arrives.
-        let introduce = !self.workers.entry(rank).or_default().knows.contains(&id);
-        let frame = if introduce {
-            Message::Batch {
-                msgs: vec![
-                    Message::JobData {
-                        job: id,
-                        phylip: fdml_phylo::phylip::write(&job.resolved.alignment),
-                        config_json: job.resolved.config.engine_config_json(),
-                    },
-                    task_msg,
-                ],
-            }
-        } else {
-            task_msg
-        };
-        if self.foreman.send(rank, &frame).is_err() {
+        if self.hub.send(ranks::FOREMAN, &msg).is_err() {
             job.ledger.requeue(task);
             return false;
         }
-        let worker = self.workers.get_mut(&rank).expect("worker present");
-        if introduce {
-            worker.knows.insert(id);
-        }
-        worker.busy = Some(task);
-        self.in_flight.insert(task, Flight { job: id, rank });
+        self.tasks.insert(task, id);
         if !job.started {
             job.started = true;
             if job.wall_ms > 0 {
@@ -797,7 +758,7 @@ mod tests {
     use super::*;
     use fdml_core::config::SearchConfig;
     use fdml_core::wal::{wal_path, WalWriter};
-    use fdml_net::{ClientConfig, NetConfig};
+    use fdml_net::{TcpTransport, WireFormat};
     use std::path::{Path, PathBuf};
 
     #[test]
@@ -809,12 +770,13 @@ mod tests {
         assert_eq!(effective(4, 8), 4);
     }
 
-    // ----- duplicate / late-result accounting ---------------------------
+    // ----- the master over its foreman ------------------------------------
     //
-    // These drive the scheduler's internals directly (no real worker
-    // processes): a "worker" is an entry in the worker table, and results
-    // are injected via absorb_result, so the exact interleavings of the
-    // liveness machinery and in-transit results can be replayed.
+    // These drive the master's internals directly over a real universe (the
+    // foreman and the monitor run): a "worker" is a greeted rank, and the
+    // foreman's forward of its answer is injected with `answer`, so the
+    // ledger's side of each interleaving can be replayed. What the foreman
+    // does with a lost worker's task is `Sched`'s, tested there.
 
     fn test_scheduler(tag: &str) -> (Scheduler, PathBuf) {
         let dir = std::env::temp_dir().join(format!("fdml-sched-{tag}-{}", std::process::id()));
@@ -822,37 +784,16 @@ mod tests {
         (scheduler_at(&dir), dir)
     }
 
-    /// A scheduler over whatever state `dir` holds — a restarted daemon.
+    /// A master over whatever state `dir` holds — a restarted daemon.
     fn scheduler_at(dir: &Path) -> Scheduler {
-        let hub = TcpHub::bind_reserved(
-            "127.0.0.1:0",
-            4,
-            &[1, 2],
-            NetConfig::default(),
-            Obs::disabled(),
-        )
-        .unwrap();
-        let addr = hub.local_addr();
-        let claim = |rank| {
-            TcpTransport::connect_observed(
-                addr,
-                ClientConfig {
-                    claim: Some(rank),
-                    ..ClientConfig::default()
-                },
-                Obs::disabled(),
-            )
-            .unwrap()
-        };
-        let foreman = claim(1);
-        let monitor = claim(2);
+        let quiet = Obs::disabled();
+        let (hub, service) = crate::universe("127.0.0.1:0", 4, WireFormat::Binary, &quiet).unwrap();
         let registry = Registry::open(dir).unwrap();
         Scheduler::new(
             hub,
-            foreman,
-            monitor,
+            service,
             registry,
-            Obs::disabled(),
+            quiet,
             Limits {
                 max_jobs: 8,
                 max_job_ranks: 0,
@@ -860,6 +801,18 @@ mod tests {
             },
             Arc::new(AtomicU8::new(MODE_RUN)),
         )
+    }
+
+    /// The foreman's forward of a worker's answer to `task`.
+    fn answer(s: &mut Scheduler, job: JobId, task: u64, seed: u64, ln_likelihood: f64) {
+        s.handle_message(Message::JobTaskResult {
+            job,
+            task,
+            seed,
+            newick: TREE.into(),
+            ln_likelihood,
+            work_units: 1,
+        });
     }
 
     fn one_jumble_spec() -> JobSpec {
@@ -874,62 +827,55 @@ mod tests {
     }
 
     #[test]
-    fn late_result_after_requeue_completes_the_job() {
-        // A busy worker's connection flaps: PeerUp requeues its seed, then
-        // the original result still arrives. The job must finish — with
-        // the seed pulled back out of the pending queue, not recomputed.
-        let (mut s, dir) = test_scheduler("flap");
-        let id = s.admit(one_jumble_spec()).unwrap();
-        s.workers.insert(3, Worker::default());
-        s.dispatch();
-        assert_eq!(s.active[&id].ledger.in_flight(), 1);
-        assert!(s.active[&id].ledger.pending().is_empty());
+    fn a_failed_jobs_engine_is_retired_once_its_last_task_is_answered() {
+        let (mut s, dir) = test_scheduler("retire");
+        let id = s.admit(two_jumble_spec()).unwrap();
+        let worker = TcpTransport::connect(s.hub.local_addr()).unwrap();
+        assert_eq!(worker.rank(), 3);
+        // What reaches the worker next, the master running meanwhile.
+        let next = |s: &mut Scheduler, patience: Duration| -> Option<Message> {
+            let deadline = Instant::now() + patience;
+            while Instant::now() < deadline {
+                s.poll();
+                if let Some((_, msg)) = worker.recv_timeout(Duration::from_millis(5)).unwrap() {
+                    return Some(msg);
+                }
+            }
+            None
+        };
+        let patience = Duration::from_secs(20);
+        // Greeted: the job's data, then a probe whose answer makes it ready.
+        assert!(matches!(next(&mut s, patience), Some(Message::JobData { job, .. }) if job == id));
+        assert_eq!(next(&mut s, patience), Some(Message::Ping));
+        worker.send(ranks::FOREMAN, &Message::WorkerReady).unwrap();
+        let Some(Message::JumbleResume {
+            job, task, seed, ..
+        }) = next(&mut s, patience)
+        else {
+            panic!("the worker was sent no jumble");
+        };
+        assert_eq!(job, id);
 
-        s.worker_rejoined(3);
-        assert_eq!(s.active[&id].ledger.in_flight(), 0);
-        assert_eq!(s.active[&id].ledger.pending().len(), 1);
-        let seed = s.active[&id].ledger.pending()[0];
+        // The job fails on its wall quota while the worker runs its task.
+        let active = s.active.get_mut(&id).unwrap();
+        (active.deadline, active.wall_ms) = (Some(Instant::now()), 5);
+        s.enforce_wall_quotas();
+        assert_eq!(s.registry.get(id).unwrap().state, JobState::Failed);
+        assert_eq!(next(&mut s, Duration::from_millis(300)), None);
 
-        // The original worker's result for the requeued seed arrives
-        // before the seed is re-dispatched.
-        s.absorb_result(id, 1, seed, "(t0:0.1,t1:0.1,t2:0.1);".into(), -42.0);
-        assert!(!s.active.contains_key(&id), "job should have finished");
-        assert!(s.results.contains_key(&id));
-        assert_eq!(
-            s.registry.get(id).unwrap().state,
-            JobState::Done,
-            "completion must be persisted"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recomputed_duplicate_still_completes_the_job() {
-        // Worse interleaving: the requeued seed is *re-dispatched* before
-        // the original result lands. The late original marks the seed
-        // Done; the recomputation's duplicate must then (a) not
-        // double-decrement in_flight and (b) still trigger completion.
-        let (mut s, dir) = test_scheduler("dup");
-        let id = s.admit(one_jumble_spec()).unwrap();
-        s.workers.insert(3, Worker::default());
-        s.dispatch(); // task 1
-        s.worker_rejoined(3); // requeue: seed back to pending
-        let seed = s.active[&id].ledger.pending()[0];
-        s.dispatch(); // task 2: the recomputation
-        assert_eq!(s.active[&id].ledger.in_flight(), 1);
-
-        // Late original result for task 1: no flight on the books, so
-        // in_flight must stay 1 (the recomputation is still out).
-        s.absorb_result(id, 1, seed, "(t0:0.1,t1:0.1,t2:0.1);".into(), -42.0);
-        assert!(s.active.contains_key(&id), "recomputation still in flight");
-        assert_eq!(s.active[&id].ledger.in_flight(), 1);
-
-        // The recomputation's result is a duplicate (seed already Done),
-        // but it is what brings in_flight to zero — completion must run.
-        s.absorb_result(id, 2, seed, "(t0:0.1,t1:0.1,t2:0.1);".into(), -42.0);
-        assert!(!s.active.contains_key(&id), "job should have finished");
-        assert!(s.results.contains_key(&id));
-        assert_eq!(s.registry.get(id).unwrap().state, JobState::Done);
+        // Its answer is the job's last task out: the retirement follows.
+        let late = Message::JobTaskResult {
+            job: id,
+            task,
+            seed,
+            newick: TREE.into(),
+            ln_likelihood: -42.0,
+            work_units: 1,
+        };
+        worker.send(ranks::FOREMAN, &late).unwrap();
+        assert_eq!(next(&mut s, patience), Some(Message::JobRetire { job: id }));
+        assert!(s.tasks.is_empty());
+        drop(s);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -961,9 +907,9 @@ mod tests {
         let (mut s, dir) = test_scheduler(tag);
         let id = s.admit(two_jumble_spec()).unwrap();
         let seeds: Vec<u64> = s.active[&id].ledger.pending().iter().copied().collect();
-        s.workers.insert(3, Worker::default());
+        s.greeted.insert(3);
         s.dispatch();
-        s.absorb_result(id, 1, seeds[0], TREE.into(), -42.0);
+        answer(&mut s, id, 1, seeds[0], -42.0);
         s.dispatch();
         assert_eq!(s.active[&id].ledger.completed(), (1, 2));
         assert_eq!(s.active[&id].ledger.in_flight(), 1);
@@ -981,10 +927,10 @@ mod tests {
         let mut s = scheduler_at(&dir);
         assert!(!wal_path(&dir.join("wal"), id, seeds[0]).exists());
         assert_eq!(s.active[&id].ledger.pending().len(), 1);
-        s.workers.insert(3, Worker::default());
+        s.greeted.insert(3);
         s.dispatch();
-        let task = *s.in_flight.keys().next().unwrap();
-        s.absorb_result(id, task, seeds[1], TREE.into(), -41.0);
+        let task = *s.tasks.keys().next().unwrap();
+        answer(&mut s, id, task, seeds[1], -41.0);
         assert_eq!(s.registry.get(id).unwrap().state, JobState::Done);
         let result = &s.results[&id];
         assert_eq!(result.trees.len(), 2);
@@ -1007,12 +953,12 @@ mod tests {
         std::fs::create_dir(stuck(seeds[0])).unwrap();
         let mut s = scheduler_at(&dir);
         assert_eq!(s.active[&id].ledger.completed(), (1, 2));
-        s.workers.insert(3, Worker::default());
+        s.greeted.insert(3);
         s.dispatch();
         std::fs::remove_file(stuck(seeds[1])).unwrap();
         std::fs::create_dir(stuck(seeds[1])).unwrap();
-        let task = *s.in_flight.keys().next().unwrap();
-        s.absorb_result(id, task, seeds[1], TREE.into(), -41.0);
+        let task = *s.tasks.keys().next().unwrap();
+        answer(&mut s, id, task, seeds[1], -41.0);
         assert_eq!(s.registry.get(id).unwrap().state, JobState::Done);
         assert_eq!(s.results[&id].trees.len(), 2);
         assert_eq!(wal_files(&dir), 2, "both are still in the way");
@@ -1067,10 +1013,10 @@ mod tests {
         // no problem key.
         let (mut s, dir) = test_scheduler("legacy");
         let done = s.admit(one_jumble_spec()).unwrap();
-        s.workers.insert(3, Worker::default());
+        s.greeted.insert(3);
         s.dispatch();
-        let task = *s.in_flight.keys().next().unwrap();
-        s.absorb_result(done, task, 7, TREE.into(), -40.0);
+        let task = *s.tasks.keys().next().unwrap();
+        answer(&mut s, done, task, 7, -40.0);
         assert_eq!(s.registry.get(done).unwrap().state, JobState::Done);
         let running = s.admit(two_jumble_spec()).unwrap();
         let seeds: Vec<u64> = s.active[&running]
@@ -1080,8 +1026,8 @@ mod tests {
             .copied()
             .collect();
         s.dispatch();
-        let task = *s.in_flight.keys().next().unwrap();
-        s.absorb_result(running, task, seeds[0], TREE.into(), -42.0);
+        let task = *s.tasks.keys().next().unwrap();
+        answer(&mut s, running, task, seeds[0], -42.0);
         drop(s);
         for id in [done, running] {
             let path = wal::manifest_path(&dir.join("wal"), id);

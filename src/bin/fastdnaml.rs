@@ -847,7 +847,10 @@ fn main() -> ExitCode {
         single.tree(alignment.names()).and_then(|t| render_tree(&t))
     };
     match text {
-        Ok(text) => done(emit_to(output, &text)),
+        Ok(text) => done(
+            write_jumble_trees(&args, std::iter::once(single.newick.as_str()))
+                .and_then(|()| emit_to(output, &text)),
+        ),
         Err(e) => die(format_args!("rooting: {e}")),
     }
 }

@@ -272,6 +272,42 @@ fn user_tree_mode_ranks_trees() {
 }
 
 #[test]
+fn a_single_search_writes_its_tree_to_the_jumble_trees_file() {
+    let dir = workdir("single_trees");
+    let trees = dir.join("trees.txt");
+    // Rooted for print, verbatim in the file: line 1 is the search's tree.
+    let out = fastdnaml()
+        .args(["--input"])
+        .arg(dir.join("data.phy"))
+        .args([
+            "--jumble",
+            "7",
+            "--outgroup",
+            "t5",
+            "--quiet",
+            "--jumble-trees",
+        ])
+        .arg(&trees)
+        .output()
+        .expect("run fastdnaml");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let plain = fastdnaml()
+        .args(["--input"])
+        .arg(dir.join("data.phy"))
+        .args(["--jumble", "7", "--quiet"])
+        .output()
+        .expect("run fastdnaml");
+    let written = std::fs::read_to_string(&trees).expect("the --jumble-trees file");
+    assert_eq!(written, String::from_utf8(plain.stdout).unwrap());
+    assert_eq!(written.lines().count(), 1);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn outgroup_and_midpoint_rooting() {
     let dir = workdir("rooting");
     let run = |extra: &[&str]| -> String {

@@ -1,8 +1,10 @@
 //! End-to-end tests of the `fdml-serve` daemon: multi-tenant scheduling
-//! over one shared fleet, byte-identical results vs serial runs, durable
-//! restart-resume, and typed admission control.
+//! over one shared fleet, byte-identical results vs serial runs, a worker
+//! lost mid-jumble, durable restart-resume, and typed admission control.
 
 use fastdnaml::comm::job::{JobSpec, JobState, RejectReason};
+use fastdnaml::comm::message::Message;
+use fastdnaml::comm::transport::{ranks, Transport};
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::core::worker::run_worker;
@@ -61,6 +63,29 @@ fn fleet(addr: SocketAddr, n: usize) -> Vec<JoinHandle<()>> {
             })
         })
         .collect()
+}
+
+/// A worker that answers the daemon's probes like a real one and hangs up
+/// on the first jumble it is handed (alone or in a batch with its job's
+/// data); whether it was handed one.
+fn deserter(addr: SocketAddr) -> JoinHandle<bool> {
+    let jumble =
+        |msg: &Message| matches!(msg, Message::JobTask { .. } | Message::JumbleResume { .. });
+    thread::spawn(move || {
+        let transport = TcpTransport::connect(addr).unwrap();
+        while let Ok((_, msg)) = transport.recv() {
+            match msg {
+                Message::Ping => {
+                    let _ = transport.send(ranks::FOREMAN, &Message::WorkerReady);
+                }
+                Message::Batch { msgs } if msgs.iter().any(jumble) => return true,
+                msg if jumble(&msg) => return true,
+                Message::Shutdown => return false,
+                _ => {}
+            }
+        }
+        false
+    })
 }
 
 fn state_dir(tag: &str) -> PathBuf {
@@ -123,6 +148,37 @@ fn concurrent_jobs_over_one_fleet_match_serial_runs() {
     assert_eq!(status.done, status.total);
     assert_eq!(status.label, "farm-a");
 
+    daemon.stop();
+    for w in workers {
+        let _ = w.join();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_lost_mid_jumble_costs_the_job_nothing() {
+    let dir = state_dir("deserter");
+    let daemon = Daemon::start(ServeOptions::new("127.0.0.1:0", 5, &dir)).unwrap();
+    let addr = daemon.local_addr();
+    // The deserter is in the fleet first, so it is handed one of the
+    // first jumbles; the real worker must pick up what it drops.
+    let deserter = deserter(addr);
+    thread::sleep(Duration::from_millis(300));
+    let workers = fleet(addr, 1);
+    let spec_a = spec(PHYLIP_A, 4, 41, "deserted");
+    let want = serial_reference(&spec_a);
+    let job = client::submit(addr, &spec_a).unwrap();
+    let result = client::attach(addr, job, Duration::from_secs(120), &mut |_| {}).unwrap();
+    assert!(
+        deserter.join().unwrap(),
+        "the deserter was handed no jumble"
+    );
+    let seeds: Vec<u64> = result.trees.iter().map(|t| t.seed).collect();
+    let want_seeds: Vec<u64> = want.iter().map(|w| w.0).collect();
+    assert_eq!(seeds, want_seeds);
+    for (tree, (seed, newick_text, _)) in result.trees.iter().zip(want.iter()) {
+        assert_eq!(&tree.newick, newick_text, "seed {seed} diverged");
+    }
     daemon.stop();
     for w in workers {
         let _ = w.join();
