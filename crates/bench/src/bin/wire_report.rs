@@ -1,8 +1,7 @@
 //! Wire-codec study: bytes per scored candidate and codec throughput for
 //! the eras of the dispatch path — one JSON whole tree per candidate (the
 //! paper's design), candidates as edits in `EditChunk` task frames (JSON,
-//! then `fdml-wire` binary), and lease-batched binary chunks (the unit of
-//! `fdml-simsp`'s simulated hierarchical scheduler). A task is a chunk of edits, cut by the
+//! then `fdml-wire` binary). A task is a chunk of edits, cut by the
 //! master's own `edit_chunk_len`, so every figure is per *candidate*.
 //! Writes `BENCH_wire.json`.
 //!
@@ -22,8 +21,7 @@ use std::time::Instant;
 /// One codec × payload row of the study.
 #[derive(Serialize)]
 struct WireRow {
-    /// What travelled: `json-tree`, `json-chunk`, `binary-chunk`, or
-    /// `binary-batch64`.
+    /// What travelled: `json-tree`, `json-chunk` or `binary-chunk`.
     scheme: String,
     /// Frames put on the wire for all the rounds.
     frames: usize,
@@ -147,21 +145,12 @@ fn main() {
             base_newick: None,
         })
         .collect();
-    // The simulated hierarchical scheduler's unit: one binary frame per
-    // lease grant of up to `GRANT_CAP` tasks.
-    let batches: Vec<Message> = chunks
-        .chunks(fdml_simsp::HierConfig::GRANT_CAP)
-        .map(|grant| Message::Batch {
-            msgs: grant.to_vec(),
-        })
-        .collect();
 
     let json = |m: &Message| WireFormat::Json.encode(m).expect("json encodes");
     let rows = vec![
         measure("json-tree", &json_trees, candidates, json),
         measure("json-chunk", &chunks, candidates, json),
         measure("binary-chunk", &chunks, candidates, encode_message),
-        measure("binary-batch64", &batches, candidates, encode_message),
     ];
 
     println!(

@@ -31,10 +31,9 @@ pub enum FaultKind {
 
 /// A fault plan: apply `kind` to the first `count` outgoing result
 /// messages ([`Message::is_result`]: `TreeResult`, `JumbleResult` or a
-/// chunk's `EditScores`, alone or inside a `Batch` frame), then behave
-/// normally. For [`FaultKind::Disconnect`] the `count` is instead how many
-/// results are let *through* before the link is severed; a frame carrying
-/// more results than remain is lost whole.
+/// chunk's `EditScores`), then behave normally. For
+/// [`FaultKind::Disconnect`] the `count` is instead how many results are
+/// let *through* before the link is severed.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// The fault to inject.
@@ -68,15 +67,6 @@ impl FaultPlan {
             kind: FaultKind::Disconnect,
             count,
         }
-    }
-}
-
-/// How many results one outgoing frame carries: a worker sends them bare,
-/// and a `Batch` frame counts each result inside it.
-fn results_in(msg: &Message) -> u64 {
-    match msg {
-        Message::Batch { msgs } => msgs.iter().map(results_in).sum(),
-        _ => u64::from(msg.is_result()),
     }
 }
 
@@ -117,24 +107,23 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         if self.severed.load(Ordering::SeqCst) {
             return Err(CommError::Disconnected(self.inner.rank()));
         }
-        let results = results_in(msg);
-        if results > 0 {
+        if msg.is_result() {
             let mut plan = self.plan.lock();
             match plan.kind {
                 FaultKind::Disconnect => {
-                    if plan.count < results {
+                    if plan.count == 0 {
                         drop(plan);
                         self.severed.store(true, Ordering::SeqCst);
                         return Err(CommError::Disconnected(self.inner.rank()));
                     }
-                    plan.count -= results;
+                    plan.count -= 1;
                 }
                 FaultKind::Drop if plan.count > 0 => {
-                    plan.count = plan.count.saturating_sub(results);
+                    plan.count -= 1;
                     return Ok(());
                 }
                 FaultKind::Delay(by) if plan.count > 0 => {
-                    plan.count = plan.count.saturating_sub(results);
+                    plan.count -= 1;
                     drop(plan);
                     std::thread::sleep(by);
                 }
@@ -194,17 +183,20 @@ mod tests {
     }
 
     #[test]
-    fn chunk_scores_count_as_results_bare_and_batched() {
+    fn chunk_scores_count_as_results() {
+        let mut ends = ThreadUniverse::create(2);
+        let receiver = ends.remove(0);
+        let faulty = FaultyTransport::new(ends.remove(0), FaultPlan::drop_first(1));
+        faulty.send(0, &Message::Ping).unwrap();
         let scores = Message::EditScores {
             task: 1,
             scores: Vec::new(),
         };
-        assert_eq!(results_in(&scores), 1);
-        let batch = Message::Batch {
-            msgs: vec![scores, result_msg(2), Message::WorkerReady],
-        };
-        assert_eq!(results_in(&batch), 2);
-        assert_eq!(results_in(&Message::Ping), 0);
+        faulty.send(0, &scores).unwrap();
+        assert_eq!(faulty.remaining(), 0);
+        // The ping passed; the scores were the one dropped result.
+        assert_eq!(receiver.try_recv().unwrap().unwrap().1, Message::Ping);
+        assert!(receiver.try_recv().unwrap().is_none());
     }
 
     #[test]
@@ -262,27 +254,6 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert!(receiver.try_recv().unwrap().is_none());
-    }
-
-    #[test]
-    fn results_inside_a_batch_count_against_the_plan() {
-        let mut ends = ThreadUniverse::create(2);
-        let receiver = ends.remove(0);
-        let faulty = FaultyTransport::new(ends.remove(0), FaultPlan::disconnect_after(3));
-        let batch = |tasks: &[u64]| Message::Batch {
-            msgs: tasks.iter().map(|&t| result_msg(t)).collect(),
-        };
-        // Two of the three allowed results leave in one frame...
-        faulty.send(0, &batch(&[0, 1])).unwrap();
-        assert_eq!(faulty.remaining(), 1);
-        // ...so a frame of two more is one too many, and is lost whole.
-        assert_eq!(
-            faulty.send(0, &batch(&[2, 3])),
-            Err(CommError::Disconnected(1))
-        );
-        assert!(faulty.is_severed());
-        assert_eq!(receiver.try_recv().unwrap().unwrap().1, batch(&[0, 1]));
         assert!(receiver.try_recv().unwrap().is_none());
     }
 

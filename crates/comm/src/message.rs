@@ -337,13 +337,6 @@ pub enum Message {
     /// [`Message::WorkerReady`]; on the threaded transport a dead endpoint
     /// fails the send instead.
     Ping,
-    /// Several messages in one envelope, delivered in order. Receivers
-    /// unpack and process the inner messages exactly as if they had arrived
-    /// individually.
-    Batch {
-        /// The bundled messages, in delivery order.
-        msgs: Vec<Message>,
-    },
     /// Worker → foreman → master: one committed search round of a
     /// remotely running jumble, as a framed write-ahead-log entry. The
     /// coordinator appends it to the jumble's WAL so a killed-and-resumed
@@ -435,8 +428,6 @@ pub enum MessageKind {
     EditScores,
     /// [`Message::Ping`].
     Ping,
-    /// [`Message::Batch`].
-    Batch,
     /// [`Message::WalRound`].
     WalRound,
     /// [`Message::JumbleResume`].
@@ -469,7 +460,6 @@ impl MessageKind {
             MessageKind::EditChunk => "EditChunk",
             MessageKind::EditScores => "EditScores",
             MessageKind::Ping => "Ping",
-            MessageKind::Batch => "Batch",
             MessageKind::WalRound => "WalRound",
             MessageKind::JumbleResume => "JumbleResume",
             MessageKind::Shutdown => "Shutdown",
@@ -507,7 +497,6 @@ impl Message {
             Message::EditChunk { .. } => MessageKind::EditChunk,
             Message::EditScores { .. } => MessageKind::EditScores,
             Message::Ping => MessageKind::Ping,
-            Message::Batch { .. } => MessageKind::Batch,
             Message::WalRound { .. } => MessageKind::WalRound,
             Message::JumbleResume { .. } => MessageKind::JumbleResume,
             Message::Shutdown => MessageKind::Shutdown,
@@ -564,7 +553,6 @@ impl Message {
             } => 32 + 16 * edits.len() + base_newick.as_ref().map_or(0, |n| n.len()),
             Message::EditScores { scores, .. } => 24 + 16 * scores.len(),
             Message::Ping => 16,
-            Message::Batch { msgs } => 16 + msgs.iter().map(Message::wire_bytes).sum::<usize>(),
             Message::WalRound { entry, .. } => entry.len() + 40,
             Message::JumbleResume { wal, .. } => {
                 40 + wal.iter().map(|e| e.len() + 8).sum::<usize>()
@@ -717,15 +705,6 @@ mod tests {
                 },
             },
             Message::Ping,
-            Message::Batch {
-                msgs: vec![
-                    Message::TreeTask {
-                        task: 50,
-                        newick: "(a:1,b:2);".into(),
-                    },
-                    Message::WorkerReady,
-                ],
-            },
             Message::WalRound {
                 job: 0,
                 seed: 11,

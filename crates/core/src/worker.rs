@@ -28,7 +28,7 @@ use fdml_likelihood::work::WorkCounter;
 use fdml_obs::{Event, Obs};
 use fdml_phylo::alignment::Alignment;
 use fdml_phylo::{newick, phylip};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -420,20 +420,8 @@ pub fn run_worker<T: Transport>(transport: T, obs: Obs) -> Result<WorkerStats, W
             pattern_updates,
         });
     };
-    // Messages unpacked from a `Batch` frame, served before the transport
-    // is polled again so batched tasks keep their dispatch order.
-    let mut pending: VecDeque<Message> = VecDeque::new();
     loop {
-        let msg = match pending.pop_front() {
-            Some(msg) => msg,
-            None => transport.recv()?.1,
-        };
-        match msg {
-            Message::Batch { msgs } => {
-                // One frame, many messages (e.g. a job's data + its task):
-                // unpack in order and serve them as if sent individually.
-                pending.extend(msgs);
-            }
+        match transport.recv()?.1 {
             Message::ProblemData {
                 phylip,
                 config_json,

@@ -43,8 +43,10 @@ use std::time::{Duration, Instant};
 /// version-4 peer that would take a rank for a regional foreman is turned
 /// away too. Version 6 carries a resumed jumble's numerics epoch (binary
 /// tag 28; tag 25 is retired), so a worker replays another epoch's log
-/// under the tolerance a single search uses.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// under the tolerance a single search uses. Version 7 retired the
+/// foreman tree's batch frame (binary tag 19), so a version-6 peer that
+/// would send one is turned away at the handshake, not mid-run.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Upper bound on a frame body. Real frames are a few KiB (`ProblemData`
 /// is the largest); anything bigger is a corrupt stream or a hostile peer.
@@ -651,9 +653,7 @@ mod tests {
             Frame::Data {
                 from: 1,
                 to: 4,
-                msg: Message::Batch {
-                    msgs: vec![Message::Ping, Message::JumbleTask { task: 8, seed: 3 }],
-                },
+                msg: Message::JumbleTask { task: 8, seed: 3 },
             },
             Frame::Heartbeat { from: 2 },
             Frame::Goodbye { from: 5 },

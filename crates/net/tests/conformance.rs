@@ -248,11 +248,12 @@ fn a_worker_from_an_older_build_is_rejected_at_the_handshake() {
     // foreman tree's messages (binary tags 20-23), which this build no
     // longer decodes. Protocol 5 sent a resumed jumble without the
     // numerics epoch of its prefix (binary tag 25), which this build
-    // refuses. Such a worker must learn that from a typed `Reject` when it
-    // joins, not from a `BadTag` in the middle of a run.
-    assert_eq!(PROTOCOL_VERSION, 6);
+    // refuses. Protocol 6 still knew the batch frame (binary tag 19). Such
+    // a worker must learn that from a typed `Reject` when it joins, not
+    // from a `BadTag` in the middle of a run.
+    assert_eq!(PROTOCOL_VERSION, 7);
     let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
-    for old in [3, 4, 5] {
+    for old in [3, 4, 5, 6] {
         let mut stream = TcpStream::connect(hub.local_addr()).unwrap();
         write_frame(
             &mut stream,
@@ -266,7 +267,7 @@ fn a_worker_from_an_older_build_is_rejected_at_the_handshake() {
         .unwrap();
         match read_frame(&mut stream, Duration::from_secs(5)).unwrap() {
             Some(Frame::Reject { reason }) => {
-                let expected = format!("protocol version {old} != 6");
+                let expected = format!("protocol version {old} != 7");
                 assert!(reason.contains(&expected), "got: {reason}")
             }
             other => panic!("expected Reject, got {other:?}"),

@@ -206,37 +206,6 @@ pub enum Event {
         /// Distinct workers that failed the task before quarantine.
         failures: u64,
     },
-    /// A regional foreman's queue state in `fdml-simsp`'s simulated
-    /// two-level foreman tree (the runtime has one foreman, which emits
-    /// [`Event::QueueDepth`]).
-    RegionQueueDepth {
-        /// Region index (0-based; region r is rank 3 + r).
-        region: usize,
-        /// Leased tasks waiting for a worker in this region.
-        work: usize,
-        /// Idle workers in this region.
-        ready: usize,
-        /// Tasks dispatched to this region's workers and not yet answered.
-        in_flight: usize,
-    },
-    /// The simulated root foreman granted a lease batch to a regional
-    /// foreman.
-    LeaseGranted {
-        /// The receiving region's index.
-        region: usize,
-        /// Tasks in the grant.
-        tasks: usize,
-    },
-    /// A multi-message frame left a tier of the simulated foreman tree
-    /// (lease grants, result aggregation) — its wire-amortization gauge.
-    BatchSent {
-        /// Sending rank.
-        from: usize,
-        /// Messages inside the batch.
-        msgs: usize,
-        /// Approximate wire size of the batch (`Message::wire_bytes`).
-        bytes: u64,
-    },
     /// The daemon admitted a job into its registry (service mode).
     JobSubmitted {
         /// The registry id assigned at admission.
@@ -334,9 +303,6 @@ impl Event {
             Event::WorkerRespawned { .. } => "WorkerRespawned",
             Event::FrameCorrupt { .. } => "FrameCorrupt",
             Event::TaskQuarantined { .. } => "TaskQuarantined",
-            Event::RegionQueueDepth { .. } => "RegionQueueDepth",
-            Event::LeaseGranted { .. } => "LeaseGranted",
-            Event::BatchSent { .. } => "BatchSent",
             Event::JobSubmitted { .. } => "JobSubmitted",
             Event::JobStarted { .. } => "JobStarted",
             Event::JobCompleted { .. } => "JobCompleted",

@@ -71,27 +71,6 @@ pub struct NetPeerStats {
     pub reconnects: u64,
 }
 
-/// Aggregate counters of the simulated two-level foreman tree
-/// (`fdml-simsp`'s hierarchical replay; all zero for a run of the
-/// runtime): leasing and wire-batching activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct HierarchyStats {
-    /// Lease batches the root granted to regional foremen.
-    pub leases_granted: u64,
-    /// Tasks inside those grants.
-    pub tasks_leased: u64,
-    /// Multi-message frames sent between scheduling tiers.
-    pub batches_sent: u64,
-    /// Messages carried inside those frames.
-    pub batched_msgs: u64,
-    /// Approximate wire bytes of those frames.
-    pub batched_bytes: u64,
-    /// Deepest regional work queue observed.
-    pub max_region_depth: usize,
-    /// Distinct regions that reported queue depth.
-    pub regions_seen: usize,
-}
-
 /// One finished jumble of a farm run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JumbleOutcome {
@@ -165,10 +144,6 @@ pub struct RunReport {
     /// and evaluated locally on the master (`TaskQuarantined` events).
     #[serde(default)]
     pub quarantined: u64,
-    /// Foreman-tree activity: leasing, stealing, batching (all zero for
-    /// flat runs).
-    #[serde(default)]
-    pub hierarchy: HierarchyStats,
     /// Active SIMD instruction set (`KernelDispatch` event), empty when
     /// the run predates kernel-dispatch observability.
     #[serde(default)]
@@ -211,8 +186,6 @@ impl RunReport {
         let mut respawns = 0u64;
         let mut corrupt_frames = 0u64;
         let mut quarantined = 0u64;
-        let mut hierarchy = HierarchyStats::default();
-        let mut regions_seen: std::collections::BTreeSet<usize> = Default::default();
         let mut kernel_isa = String::new();
         let mut wal_appends = 0u64;
         let mut wal_bytes = 0u64;
@@ -326,19 +299,6 @@ impl RunReport {
                 Event::WorkerRespawned { .. } => respawns += 1,
                 Event::FrameCorrupt { .. } => corrupt_frames += 1,
                 Event::TaskQuarantined { .. } => quarantined += 1,
-                Event::RegionQueueDepth { region, work, .. } => {
-                    regions_seen.insert(*region);
-                    hierarchy.max_region_depth = hierarchy.max_region_depth.max(*work);
-                }
-                Event::LeaseGranted { tasks, .. } => {
-                    hierarchy.leases_granted += 1;
-                    hierarchy.tasks_leased += *tasks as u64;
-                }
-                Event::BatchSent { msgs, bytes, .. } => {
-                    hierarchy.batches_sent += 1;
-                    hierarchy.batched_msgs += *msgs as u64;
-                    hierarchy.batched_bytes += bytes;
-                }
                 // Job lifecycle events belong to the daemon's per-job
                 // ledger, not the per-run report.
                 Event::JobSubmitted { .. }
@@ -406,10 +366,6 @@ impl RunReport {
             respawns,
             corrupt_frames,
             quarantined,
-            hierarchy: HierarchyStats {
-                regions_seen: regions_seen.len(),
-                ..hierarchy
-            },
             kernel_isa,
             wal_appends,
             wal_bytes,
@@ -454,19 +410,6 @@ impl fmt::Display for RunReport {
                 f,
                 "  faults: {} respawns, {} corrupt frames, {} quarantined tasks",
                 self.respawns, self.corrupt_frames, self.quarantined
-            )?;
-        }
-        if self.hierarchy.leases_granted > 0 {
-            let h = &self.hierarchy;
-            writeln!(
-                f,
-                "  hierarchy: {} regions, {} leases / {} tasks granted, {} batches ({} msgs, {} B)",
-                h.regions_seen,
-                h.leases_granted,
-                h.tasks_leased,
-                h.batches_sent,
-                h.batched_msgs,
-                h.batched_bytes
             )?;
         }
         if self.service_us.count > 0 {
@@ -925,72 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_events_aggregate_into_tree_counters() {
-        let records = vec![
-            rec(
-                0,
-                Event::LeaseGranted {
-                    region: 0,
-                    tasks: 8,
-                },
-            ),
-            rec(
-                1,
-                Event::LeaseGranted {
-                    region: 1,
-                    tasks: 4,
-                },
-            ),
-            rec(
-                2,
-                Event::RegionQueueDepth {
-                    region: 0,
-                    work: 6,
-                    ready: 2,
-                    in_flight: 2,
-                },
-            ),
-            rec(
-                3,
-                Event::RegionQueueDepth {
-                    region: 1,
-                    work: 3,
-                    ready: 1,
-                    in_flight: 1,
-                },
-            ),
-            rec(
-                5,
-                Event::BatchSent {
-                    from: 3,
-                    msgs: 5,
-                    bytes: 420,
-                },
-            ),
-        ];
-        let report = RunReport::from_events(&records);
-        let h = &report.hierarchy;
-        assert_eq!(h.leases_granted, 2);
-        assert_eq!(h.tasks_leased, 12);
-        assert_eq!(h.batches_sent, 1);
-        assert_eq!(h.batched_msgs, 5);
-        assert_eq!(h.batched_bytes, 420);
-        assert_eq!(h.max_region_depth, 6);
-        assert_eq!(h.regions_seen, 2);
-        let text = report.to_string();
-        assert!(text.contains("2 leases / 12 tasks granted"), "got: {text}");
-        // A report serialized before the hierarchy block existed parses.
-        // The block is a flat object, so the first `}` after the key (plus
-        // the trailing comma) bounds exactly what has to go.
-        let json = serde_json::to_string(&report).unwrap();
-        let start = json.find("\"hierarchy\":").unwrap();
-        let end = json[start..].find('}').unwrap() + start;
-        let stripped = format!("{}{}", &json[..start], &json[end + 2..]);
-        let back: RunReport = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.hierarchy, HierarchyStats::default());
-    }
-
-    #[test]
     fn empty_stream_is_a_zero_report() {
         let report = RunReport::from_events(&[]);
         assert_eq!(report.span_us, 0);
@@ -1023,6 +900,18 @@ mod tests {
         let report = RunReport::from_events(&records);
         let json = serde_json::to_string(&report).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report);
+        // A report written while the simulated foreman tree existed still
+        // carries its `hierarchy` block; the unknown key is ignored.
+        let old = json.replacen(
+            "\"kernel_isa\":",
+            "\"hierarchy\":{\"leases_granted\":2,\"tasks_leased\":12,\"batches_sent\":1,\
+             \"batched_msgs\":5,\"batched_bytes\":420,\"max_region_depth\":6,\
+             \"regions_seen\":2},\"kernel_isa\":",
+            1,
+        );
+        assert!(old.contains("\"hierarchy\":{"), "got: {old}");
+        let back: RunReport = serde_json::from_str(&old).unwrap();
         assert_eq!(back, report);
     }
 }

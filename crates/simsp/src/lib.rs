@@ -20,13 +20,6 @@
 //! worker count, per-tree cost variance, dedicated control processors,
 //! dispatch serialization — is taken from the measured trace or the
 //! machine model, not from curve fitting.
-//!
-//! Past the paper's 64-processor ceiling,
-//! [`schedule::simulate_trace_hierarchical`] replays the same traces
-//! through the two-level foreman tree (regional foremen, lease batches,
-//! and the *measured* `fdml-wire` binary frame sizes), extending the
-//! scaling curves to 4096 simulated ranks — the `scaling_report` bench
-//! writes them to `BENCH_scaling.json`.
 
 #![warn(missing_docs)]
 
@@ -37,7 +30,5 @@ pub mod schedule;
 pub use cost::CostModel;
 pub use report::{scaling_table, ScalingRow};
 pub use schedule::{
-    binary_edit_task_bytes, simulate_trace, simulate_trace_hierarchical,
-    simulate_trace_hierarchical_observed, simulate_trace_observed, simulate_trace_speculative,
-    HierConfig, SimConfig, SimReport,
+    simulate_trace, simulate_trace_observed, simulate_trace_speculative, SimConfig, SimReport,
 };

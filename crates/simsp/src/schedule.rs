@@ -306,241 +306,6 @@ pub fn simulate_trace_observed(trace: &SearchTrace, config: &SimConfig, obs: &Ob
     }
 }
 
-/// Shape of the two-level foreman tree for [`simulate_trace_hierarchical`]:
-/// how many regional foremen sit between the root foreman and the workers,
-/// how many tasks ride in one lease grant, and how large one task frame is
-/// on the wire. The frame size should come from [`binary_edit_task_bytes`]
-/// (the real `fdml-wire` encoding of a representative candidate), not from
-/// an assumed constant — the whole point of the scale-out study is that
-/// the measured frame shrink moves the dispatch wall.
-#[derive(Debug, Clone)]
-pub struct HierConfig {
-    /// Regional foremen (each owns the round-robin worker shard
-    /// `w % regions`).
-    pub regions: usize,
-    /// Tasks per lease batch ([`HierConfig::GRANT_CAP`] as deployed).
-    pub grant: usize,
-    /// Wire bytes of one downward task frame.
-    pub task_bytes: usize,
-    /// Master seconds to generate one candidate. In the edit-task era a
-    /// candidate leaves the master as a handful of node ids, so this is a
-    /// small constant — unlike the flat model's per-taxon Newick
-    /// serialization (`CostModel::master_gen_per_taxon`), it does not grow
-    /// with the tree.
-    pub gen_per_task: f64,
-}
-
-impl HierConfig {
-    /// Most tasks a single lease grant may carry: it bounds the damage of
-    /// losing a region mid-lease and keeps the root's grants round-robin
-    /// fair.
-    pub const GRANT_CAP: usize = 64;
-
-    /// The deployed configuration: `regions` regional foremen, the grant
-    /// cap, the measured binary `TreeEditTask` frame, and edit-era
-    /// candidate generation (~1 µs per candidate).
-    pub fn binary(regions: usize) -> HierConfig {
-        HierConfig {
-            regions,
-            grant: HierConfig::GRANT_CAP,
-            task_bytes: binary_edit_task_bytes(),
-            gen_per_task: 1e-6,
-        }
-    }
-
-    /// First worker rank: the control ranks (master, root foreman,
-    /// monitor) and the regional foremen come before the fleet.
-    pub fn first_worker_rank(&self) -> usize {
-        3 + self.regions
-    }
-}
-
-/// Measured wire size of a representative candidate task in the binary
-/// codec: a `TreeEditTask` carrying a regraft (the most common and largest
-/// steady-state edit), no embedded base. This is what a worker receives
-/// for every candidate of an incremental round.
-pub fn binary_edit_task_bytes() -> usize {
-    use fdml_comm::message::{Message, TreeEdit};
-    let msg = Message::TreeEditTask {
-        task: u32::MAX as u64,
-        base_id: 1000,
-        edit: TreeEdit::Regraft {
-            root: 4000,
-            attachment: 4001,
-            a: 4002,
-            b: 4003,
-        },
-        base_newick: None,
-    };
-    fdml_wire::encode_message(&msg).len()
-}
-
-/// Replay a trace on a two-level foreman tree — the scale-out topology
-/// that pushes past the paper's 64-processor ceiling.
-///
-/// The model mirrors the real scheduler's cost structure:
-///
-/// * The **root foreman** serializes per *batch*, not per task: batch `k`
-///   (up to `grant` tasks) occupies it for one `foreman_overhead` plus the
-///   batch's wire time, and batches go to regions round-robin.
-/// * Each **regional foreman** serializes its own shard's per-task
-///   dispatch — so that cost divides by the region count instead of
-///   bounding the whole fleet.
-/// * Results return to the regional foreman with the usual tree-message
-///   cost and reach the master one aggregated relay hop (one latency)
-///   later, modelling the batched upward stream.
-/// * The **master** generates compact edits ([`HierConfig::gen_per_task`]
-///   per candidate) instead of serializing whole Newick trees.
-///
-/// Worker compute and per-candidate work are identical to
-/// [`simulate_trace`], so `worker_busy_seconds` matches the flat replay
-/// exactly and the completed task set is the same — the topology is
-/// invisible in the result. (The runtime once shipped this tree as
-/// `--regions`; it was retired because it ran ~10× slower than the flat
-/// foreman on every shape measured, DESIGN §12.2.)
-pub fn simulate_trace_hierarchical(
-    trace: &SearchTrace,
-    config: &SimConfig,
-    hier: &HierConfig,
-) -> SimReport {
-    simulate_trace_hierarchical_observed(trace, config, hier, &Obs::disabled())
-}
-
-/// [`simulate_trace_hierarchical`] emitting the runtime's event schema,
-/// including the hierarchy events (`LeaseGranted`, `BatchSent`,
-/// `RegionQueueDepth`) that populate `RunReport::hierarchy`.
-pub fn simulate_trace_hierarchical_observed(
-    trace: &SearchTrace,
-    config: &SimConfig,
-    hier: &HierConfig,
-    obs: &Obs,
-) -> SimReport {
-    let cost = &config.cost;
-    let regions = hier.regions;
-    assert!(regions >= 1, "hierarchical simulation needs >= 1 region");
-    assert!(hier.grant >= 1);
-    assert!(
-        config.processors >= 4 + regions,
-        "need master+root+monitor+{regions} regionals and >= 1 worker"
-    );
-    let workers = config.processors - 3 - regions;
-    let serial_seconds = cost.serial_seconds(trace);
-    let sim_us = |t: f64| (t * 1e6).round() as u64;
-    obs.emit_at(0, || Event::RunStarted {
-        ranks: config.processors,
-        workers,
-    });
-    let first_worker = hier.first_worker_rank();
-    // Worker w (0-based) lives in region w % regions and is global rank
-    // first_worker + w.
-    let mut clock = 0.0f64;
-    let mut busy = 0.0f64;
-    let mut next_task = 0u64;
-    for (round_no, round) in trace.rounds.iter().enumerate() {
-        let gen = round.candidate_work.len() as f64 * hier.gen_per_task;
-        let round_start = clock + gen;
-        let result_msg = cost.message_seconds(cost.tree_message_bytes(round.taxa_in_tree));
-        let mut shard: Vec<BinaryHeap<Reverse<(OrderedF64, usize)>>> =
-            vec![BinaryHeap::new(); regions];
-        for w in 0..workers {
-            shard[w % regions].push(Reverse((OrderedF64(round_start), w)));
-        }
-        // When the regional foreman's dispatch loop frees up, per region.
-        let mut regional_free = vec![round_start; regions];
-        let mut root_free = round_start;
-        let mut round_end = round_start;
-        for (k, chunk) in round.candidate_work.chunks(hier.grant).enumerate() {
-            let region = k % regions;
-            // Root occupancy: one queue operation plus the batch's bytes
-            // through its link — per batch, the 64× relief over per-task.
-            let batch_bytes = 16 + chunk.len() * hier.task_bytes;
-            root_free += cost.foreman_overhead + batch_bytes as f64 / cost.bandwidth;
-            let leave_root = root_free;
-            let arrival = leave_root + cost.message_latency;
-            obs.emit_at(sim_us(leave_root), || Event::LeaseGranted {
-                region,
-                tasks: chunk.len(),
-            });
-            obs.emit_at(sim_us(leave_root), || Event::BatchSent {
-                from: fdml_core::worker::ranks::FOREMAN,
-                msgs: chunk.len(),
-                bytes: batch_bytes as u64,
-            });
-            obs.emit_at(sim_us(arrival), || Event::RegionQueueDepth {
-                region,
-                work: chunk.len(),
-                ready: 0,
-                in_flight: 0,
-            });
-            for &units in chunk {
-                let compute = cost.candidate_seconds(
-                    units,
-                    round.taxa_in_tree,
-                    trace.num_patterns,
-                    trace.full_evaluation,
-                );
-                // Regional dispatch serializes within the shard only.
-                let dispatch_ready = arrival.max(regional_free[region])
-                    + cost.foreman_overhead
-                    + hier.task_bytes as f64 / cost.bandwidth;
-                regional_free[region] = dispatch_ready;
-                let Reverse((OrderedF64(avail), w)) = shard[region].pop().expect("shard non-empty");
-                let start = avail.max(dispatch_ready) + cost.message_latency;
-                let end = start + compute + result_msg;
-                // The aggregated upward stream: one extra relay latency,
-                // bandwidth already charged on the worker→regional leg.
-                let at_master = end + cost.message_latency;
-                busy += compute;
-                round_end = round_end.max(at_master);
-                shard[region].push(Reverse((OrderedF64(end), w)));
-                let task = next_task;
-                next_task += 1;
-                let rank = first_worker + w;
-                obs.emit_at(sim_us(dispatch_ready), || Event::TaskDispatched {
-                    task,
-                    worker: rank,
-                });
-                obs.emit_at(sim_us(start + compute), || Event::WorkerTaskDone {
-                    worker: rank,
-                    task,
-                    busy_us: sim_us(compute),
-                    work_units: units,
-                    pattern_updates: units,
-                });
-                obs.emit_at(sim_us(at_master), || Event::TaskCompleted {
-                    task,
-                    worker: rank,
-                    service_us: sim_us(at_master - dispatch_ready),
-                    work_units: units,
-                    ln_likelihood: 0.0,
-                });
-            }
-        }
-        clock = round_end + round.master_work as f64 * cost.seconds_per_work_unit;
-        obs.emit_at(sim_us(round_end), || Event::RoundCompleted {
-            round: round_no as u64 + 1,
-            candidates: round.candidate_work.len(),
-            best_ln_likelihood: 0.0,
-        });
-    }
-    obs.emit_at(sim_us(clock), || Event::RunFinished {
-        ln_likelihood: trace.final_ln_likelihood,
-    });
-    let utilization = if clock > 0.0 {
-        busy / (workers as f64 * clock)
-    } else {
-        0.0
-    };
-    SimReport {
-        processors: config.processors,
-        wall_seconds: clock,
-        serial_seconds,
-        worker_busy_seconds: busy,
-        utilization,
-        rounds: trace.rounds.len(),
-    }
-}
-
 /// Total order wrapper for the availability heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrderedF64(f64);
@@ -848,160 +613,5 @@ mod speculation_tests {
             let spec = simulate_trace_speculative(&t, &cfg);
             assert!(spec.wall_seconds <= plain.wall_seconds * 1.0000001, "P={p}");
         }
-    }
-}
-
-#[cfg(test)]
-mod hierarchy_tests {
-    use super::*;
-    use fdml_obs::{Event, MemorySink, RunReport};
-    use std::collections::BTreeSet;
-
-    /// A trace big enough that a 1024-rank fleet has work for everyone.
-    fn wide_trace(rounds: usize, round_size: usize) -> SearchTrace {
-        use fdml_core::trace::{RoundKind, RoundRecord};
-        let rs = (0..rounds)
-            .map(|r| RoundRecord {
-                kind: RoundKind::Rearrangement,
-                taxa_in_tree: 200,
-                candidate_work: (0..round_size)
-                    .map(|j| 2_000_000 + ((r * 131 + j * 977) % 1_500_000) as u64)
-                    .collect(),
-                master_work: 300_000,
-                improved: true,
-            })
-            .collect();
-        SearchTrace {
-            dataset: "wide".into(),
-            num_taxa: 200,
-            num_sites: 2000,
-            num_patterns: 900,
-            jumble_seed: 1,
-            full_evaluation: true,
-            rounds: rs,
-            final_ln_likelihood: -42.5,
-            final_newick: "(a,(b,c));".into(),
-        }
-    }
-
-    /// The completed task ids and the final likelihood from an event log —
-    /// the simulator's analogue of "the bytes of the final tree".
-    fn outcome(events: &[fdml_obs::Record]) -> (BTreeSet<u64>, f64) {
-        let mut tasks = BTreeSet::new();
-        let mut lnl = f64::NAN;
-        for r in events {
-            match r.event {
-                Event::TaskCompleted { task, .. } => {
-                    assert!(tasks.insert(task), "task {task} completed twice");
-                }
-                Event::RunFinished { ln_likelihood } => lnl = ln_likelihood,
-                _ => {}
-            }
-        }
-        (tasks, lnl)
-    }
-
-    #[test]
-    fn hierarchical_replay_is_work_identical_to_flat_at_1024_ranks() {
-        // The scale smoke: 1024 simulated ranks through the two-level
-        // scheduler must complete exactly the task set the flat foreman
-        // completes, with identical per-candidate compute — the topology
-        // only changes *when* work happens, never *what* the search does.
-        let t = wide_trace(4, 4096);
-        let cfg = SimConfig {
-            processors: 1024,
-            cost: CostModel::power3_sp(),
-        };
-        let flat_mem = MemorySink::new();
-        let flat = simulate_trace_observed(&t, &cfg, &Obs::new(Box::new(flat_mem.clone())));
-        let hier_mem = MemorySink::new();
-        let hier = simulate_trace_hierarchical_observed(
-            &t,
-            &cfg,
-            &HierConfig::binary(16),
-            &Obs::new(Box::new(hier_mem.clone())),
-        );
-        let (flat_tasks, flat_lnl) = outcome(&flat_mem.take());
-        let (hier_tasks, hier_lnl) = outcome(&hier_mem.take());
-        assert_eq!(hier_tasks, flat_tasks);
-        assert_eq!(hier_tasks.len(), 4 * 4096);
-        assert_eq!(hier_lnl, flat_lnl);
-        assert!((hier.worker_busy_seconds - flat.worker_busy_seconds).abs() < 1e-6);
-        assert_eq!(hier.rounds, flat.rounds);
-    }
-
-    #[test]
-    fn hierarchy_events_populate_the_run_report() {
-        let t = wide_trace(2, 512);
-        let cfg = SimConfig {
-            processors: 128,
-            cost: CostModel::power3_sp(),
-        };
-        let mem = MemorySink::new();
-        simulate_trace_hierarchical_observed(
-            &t,
-            &cfg,
-            &HierConfig::binary(4),
-            &Obs::new(Box::new(mem.clone())),
-        );
-        let report = RunReport::from_events(&mem.take());
-        assert_eq!(report.hierarchy.regions_seen, 4);
-        // 512 candidates / 64-task grants = 8 leases per round, 2 rounds.
-        assert_eq!(report.hierarchy.leases_granted, 16);
-        assert_eq!(report.hierarchy.tasks_leased, 2 * 512);
-        assert_eq!(report.hierarchy.batches_sent, 16);
-        assert!(report.hierarchy.batched_bytes > 0);
-        assert_eq!(report.completed, 2 * 512);
-    }
-
-    #[test]
-    fn binary_task_frame_is_small_and_stable() {
-        let bytes = binary_edit_task_bytes();
-        // The ~50 B TreeEdit story of PR 7, now measured off the real
-        // codec: a steady-state candidate frame stays under 64 bytes.
-        assert!(bytes > 8 && bytes < 64, "got {bytes}");
-    }
-
-    #[test]
-    fn regional_serialization_beats_the_flat_wall_at_scale() {
-        // Make dispatch the bottleneck: tiny compute, many candidates.
-        use fdml_core::trace::{RoundKind, RoundRecord};
-        let t = SearchTrace {
-            dataset: "dispatch-bound".into(),
-            num_taxa: 200,
-            num_sites: 2000,
-            num_patterns: 900,
-            jumble_seed: 1,
-            full_evaluation: true,
-            rounds: vec![RoundRecord {
-                kind: RoundKind::Rearrangement,
-                taxa_in_tree: 200,
-                candidate_work: vec![50_000; 16_384],
-                master_work: 0,
-                improved: true,
-            }],
-            final_ln_likelihood: -1.0,
-            final_newick: String::new(),
-        };
-        // Flat with the JSON-era frames: each dispatch occupies the single
-        // foreman for overhead + frame wire time.
-        let json_frame = CostModel::power3_sp().tree_message_bytes(200);
-        let flat_cost = CostModel {
-            foreman_overhead: 10e-6 + json_frame as f64 / CostModel::power3_sp().bandwidth,
-            ..CostModel::power3_sp()
-        };
-        let cfg = |cost| SimConfig {
-            processors: 2048,
-            cost,
-        };
-        let flat = simulate_trace(&t, &cfg(flat_cost));
-        let hier =
-            simulate_trace_hierarchical(&t, &cfg(CostModel::power3_sp()), &HierConfig::binary(31));
-        assert!(
-            hier.wall_seconds < flat.wall_seconds,
-            "hierarchical {} must beat the dispatch-bound flat {}",
-            hier.wall_seconds,
-            flat.wall_seconds
-        );
     }
 }

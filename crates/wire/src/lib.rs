@@ -10,9 +10,6 @@
 //! * body = `0xFD` magic, format version byte, variant tag byte, fields;
 //! * integers are LEB128 varints, floats are exact IEEE-754 bit patterns,
 //!   strings are length-prefixed UTF-8 ([`varint`]);
-//! * [`Message::Batch`] nests inner message bodies recursively (varint
-//!   count, then each body tag-first), so one frame carries a job's data
-//!   and its task;
 //! * the first body byte distinguishes codecs (`0xFD` vs JSON's `{`), so
 //!   readers sniff per body and binary/JSON peers interoperate during a
 //!   rollout with no flag-day.
@@ -41,11 +38,6 @@ pub const MAGIC: u8 = 0xFD;
 /// Bump on any incompatible change; decoders reject other versions.
 pub const BINARY_VERSION: u8 = 1;
 
-/// Deepest allowed nesting of [`Message::Batch`] while decoding, so a
-/// malicious body cannot recurse the stack away. The runtime never nests
-/// more than two levels (a batch of task messages).
-const MAX_DEPTH: u32 = 8;
-
 /// A malformed binary body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -63,8 +55,6 @@ pub enum WireError {
     BadUtf8,
     /// Decoding finished with bytes left over.
     Trailing(usize),
-    /// Batches nested deeper than [`MAX_DEPTH`].
-    TooDeep,
 }
 
 impl std::fmt::Display for WireError {
@@ -77,7 +67,6 @@ impl std::fmt::Display for WireError {
             WireError::VarintOverflow => write!(f, "varint overflows its field"),
             WireError::BadUtf8 => write!(f, "string field is not utf-8"),
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
-            WireError::TooDeep => write!(f, "batch nesting exceeds {MAX_DEPTH} levels"),
         }
     }
 }
@@ -112,10 +101,9 @@ mod tag {
     pub const TREE_EDIT_TASK: u8 = 16;
     pub const PING: u8 = 17;
     pub const SHUTDOWN: u8 = 18;
-    pub const BATCH: u8 = 19;
-    // 20-23 are retired, never to be reused: the lease request, steal
-    // request, steal return and re-home messages of the hierarchical
-    // foreman tree. A body carrying one decodes to `BadTag`.
+    // 19-23 are retired, never to be reused: the batch frame, lease
+    // request, steal request, steal return and re-home messages of the
+    // hierarchical foreman tree. A body carrying one decodes to `BadTag`.
     pub const WAL_ROUND: u8 = 24;
     // 25 is retired too: a resumed jumble without its prefix's numerics
     // epoch. Tag 28 carries the epoch.
@@ -309,32 +297,8 @@ fn get_monitor(r: &mut Reader<'_>) -> Result<MonitorEvent, WireError> {
     }
 }
 
-fn put_msgs(buf: &mut Vec<u8>, msgs: &[Message]) {
-    varint::put_usize(buf, msgs.len());
-    for m in msgs {
-        encode_body(m, buf);
-    }
-}
-
-fn get_msgs(r: &mut Reader<'_>, depth: u32) -> Result<Vec<Message>, WireError> {
-    if depth >= MAX_DEPTH {
-        return Err(WireError::TooDeep);
-    }
-    let n = r.usize()?;
-    // Every message body is at least one tag byte; reject counts the
-    // remaining bytes cannot possibly satisfy before allocating.
-    if n > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_body_at(r, depth + 1)?);
-    }
-    Ok(out)
-}
-
 /// Append one message body — variant tag, then fields — without the
-/// magic/version header. This is the nesting unit used inside batches.
+/// magic/version header.
 pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
     match msg {
         Message::ProblemData {
@@ -491,10 +455,6 @@ pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
         }
         Message::Ping => buf.push(tag::PING),
         Message::Shutdown => buf.push(tag::SHUTDOWN),
-        Message::Batch { msgs } => {
-            buf.push(tag::BATCH);
-            put_msgs(buf, msgs);
-        }
         Message::WalRound {
             job,
             seed,
@@ -527,7 +487,8 @@ pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
     }
 }
 
-fn decode_body_at(r: &mut Reader<'_>, depth: u32) -> Result<Message, WireError> {
+/// Decode one message body (no magic/version header) from a reader.
+pub fn decode_body(r: &mut Reader<'_>) -> Result<Message, WireError> {
     match r.u8()? {
         tag::PROBLEM_DATA => Ok(Message::ProblemData {
             phylip: r.str()?,
@@ -621,9 +582,6 @@ fn decode_body_at(r: &mut Reader<'_>, depth: u32) -> Result<Message, WireError> 
         }
         tag::PING => Ok(Message::Ping),
         tag::SHUTDOWN => Ok(Message::Shutdown),
-        tag::BATCH => Ok(Message::Batch {
-            msgs: get_msgs(r, depth)?,
-        }),
         tag::WAL_ROUND => Ok(Message::WalRound {
             job: r.u64()?,
             seed: r.u64()?,
@@ -655,11 +613,6 @@ fn decode_body_at(r: &mut Reader<'_>, depth: u32) -> Result<Message, WireError> 
         }
         t => Err(WireError::BadTag("message", u64::from(t))),
     }
-}
-
-/// Decode one message body (no magic/version header) from a reader.
-pub fn decode_body(r: &mut Reader<'_>) -> Result<Message, WireError> {
-    decode_body_at(r, 0)
 }
 
 /// Encode a complete binary body: magic, version, then the message.
@@ -790,24 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrips_a_batch() {
-        let msg = Message::Batch {
-            msgs: vec![
-                sample_edit_task(),
-                Message::TreeResult {
-                    task: 1,
-                    newick: "(a:1.25,b:0.5);".into(),
-                    ln_likelihood: -1234.5678901234,
-                    work_units: 99,
-                },
-                Message::Ping,
-            ],
-        };
-        let bytes = encode_message(&msg);
-        assert_eq!(decode_message(&bytes).unwrap(), msg);
-    }
-
-    #[test]
     fn binary_is_much_smaller_than_json_for_edit_tasks() {
         let msg = sample_edit_task();
         let bin = encode_message(&msg);
@@ -838,16 +773,6 @@ mod tests {
         let mut bytes = encode_message(&Message::Ping);
         bytes.push(0);
         assert_eq!(decode_message(&bytes), Err(WireError::Trailing(1)));
-    }
-
-    #[test]
-    fn deep_batch_nesting_is_rejected() {
-        let mut msg = Message::Ping;
-        for _ in 0..(MAX_DEPTH + 1) {
-            msg = Message::Batch { msgs: vec![msg] };
-        }
-        let bytes = encode_message(&msg);
-        assert_eq!(decode_message(&bytes), Err(WireError::TooDeep));
     }
 
     #[test]
@@ -884,13 +809,9 @@ mod tests {
         let mut short = chunk(26, &[1, 1, 3]);
         short.extend([0, 1, 2, 3, 0, 1, 2, 3, 0]);
         assert_eq!(decode_message(&short), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn hostile_batch_count_does_not_allocate() {
-        // A batch claiming u64::MAX messages must fail fast, not OOM.
-        let mut bytes = vec![MAGIC, BINARY_VERSION, 19];
-        varint::put_u64(&mut bytes, u64::MAX);
-        assert!(decode_message(&bytes).is_err());
+        // A resume claiming u64::MAX log entries: job, task, seed,
+        // numerics, count.
+        let resume = chunk(28, &[1, 1, 1, 1, u64::MAX]);
+        assert_eq!(decode_message(&resume), Err(WireError::Truncated));
     }
 }

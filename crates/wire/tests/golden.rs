@@ -86,25 +86,6 @@ fn fixtures() -> Vec<(&'static str, Message, &'static str)> {
             "fd0106010403000000000000e0bf0ae807",
         ),
         (
-            "batch",
-            Message::Batch {
-                msgs: vec![
-                    Message::TreeEditTask {
-                        task: 65,
-                        base_id: 9,
-                        edit: TreeEdit::Insert {
-                            taxon: 12,
-                            a: 3,
-                            b: 130,
-                        },
-                        base_newick: None,
-                    },
-                    Message::Ping,
-                ],
-            },
-            "fd011302104109000c0382010011",
-        ),
-        (
             "wal_round",
             Message::WalRound {
                 job: 0,
@@ -256,14 +237,15 @@ fn decoder_reads_golden_bytes() {
     }
 }
 
-/// Tags 20-23 carried the hierarchical foreman tree's lease request, steal
-/// request, steal return and re-home; tag 25 a resumed jumble without its
+/// Tags 19-23 carried the hierarchical foreman tree's batch frame, lease
+/// request, steal request, steal return and re-home; tag 25 a resumed jumble without its
 /// prefix's numerics epoch (tag 28 now). Retired tags are never reused:
 /// the bytes an older peer wrote for them are refused as an unknown tag,
 /// by the binary decoder and by the sniffing reader alike.
 #[test]
 fn retired_tags_decode_to_a_typed_error() {
     for (tag, old_golden) in [
+        (19, "fd011302104109000c0382010011"),
         (20, "fd0114c801"),
         (21, "fd011504"),
         (22, "fd01160104028001"),

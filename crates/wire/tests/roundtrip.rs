@@ -2,8 +2,8 @@
 //!
 //! The generator is seed-driven: each case builds one message of every
 //! variant from a splitmix64 stream, so a single proptest case sweeps the
-//! whole vocabulary (including nested batches) and a thousand cases sweep
-//! it with a thousand different payload shapes.
+//! whole vocabulary and a thousand cases sweep it with a thousand
+//! different payload shapes.
 
 use fdml_comm::codec::{JsonCodec, MessageCodec};
 use fdml_comm::message::{EditScore, Message, MessageKind, MonitorEvent, TaskPayload, TreeEdit};
@@ -111,9 +111,8 @@ impl Rng {
         }
     }
 
-    /// One message of the variant with this index; `depth` bounds batch
-    /// nesting so generation terminates.
-    fn message(&mut self, variant: usize, depth: u32) -> Message {
+    /// One message of the variant with this index.
+    fn message(&mut self, variant: usize) -> Message {
         match variant {
             0 => Message::ProblemData {
                 phylip: self.string(),
@@ -192,10 +191,7 @@ impl Rng {
                 },
             },
             17 => Message::Ping,
-            18 => Message::Batch {
-                msgs: self.messages(depth),
-            },
-            19 => Message::EditChunk {
+            18 => Message::EditChunk {
                 task: self.next(),
                 base_id: self.next(),
                 edits: self.edits(),
@@ -205,7 +201,7 @@ impl Rng {
                     Some(self.string())
                 },
             },
-            20 => Message::EditScores {
+            19 => Message::EditScores {
                 task: self.next(),
                 scores: (0..self.next() % 4)
                     .map(|_| EditScore {
@@ -217,22 +213,9 @@ impl Rng {
             _ => Message::Shutdown,
         }
     }
-
-    fn messages(&mut self, depth: u32) -> Vec<Message> {
-        if depth == 0 {
-            return Vec::new();
-        }
-        let n = (self.next() % 4) as usize;
-        (0..n)
-            .map(|_| {
-                let v = (self.next() % VARIANTS as u64) as usize;
-                self.message(v, depth - 1)
-            })
-            .collect()
-    }
 }
 
-const VARIANTS: usize = 22;
+const VARIANTS: usize = 21;
 
 fn roundtrip(codec: &dyn MessageCodec, msg: &Message) -> Result<(), TestCaseError> {
     let bytes = codec.encode(msg).expect("encode");
@@ -250,7 +233,7 @@ proptest! {
     fn every_variant_roundtrips_in_both_codecs(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         for variant in 0..VARIANTS {
-            let msg = rng.message(variant, 2);
+            let msg = rng.message(variant);
             roundtrip(&BinaryCodec, &msg)?;
             roundtrip(&JsonCodec, &msg)?;
         }
@@ -264,6 +247,6 @@ proptest! {
 fn generator_covers_every_message_kind() {
     let mut rng = Rng(7);
     let kinds: std::collections::BTreeSet<MessageKind> =
-        (0..VARIANTS).map(|v| rng.message(v, 1).kind()).collect();
+        (0..VARIANTS).map(|v| rng.message(v).kind()).collect();
     assert_eq!(kinds.len(), VARIANTS, "generator misses a variant");
 }

@@ -567,6 +567,77 @@ fn main() -> ExitCode {
         config.incremental = false;
     }
 
+    // Every front-end path funnels through the JobSpec builder: mutually
+    // exclusive flags become one typed error naming the offenders instead
+    // of whichever code path happened to win, before any work starts.
+    let jumbles: usize = get(&args, "jumbles", 1);
+    let submit = flags.iter().any(|f| f == "submit");
+    let spec: JobSpec = {
+        let has = |key: &str| args.contains_key(key);
+        let builder = JobSpec::builder()
+            .phylip(phylip::write(&alignment))
+            .config_json(config.engine_config_json())
+            .jumbles(jumbles)
+            .base_seed(config.jumble_seed)
+            .max_ranks(get(&args, "max-job-ranks", 0usize))
+            .max_wall_ms(get(&args, "max-wall-ms", 0u64))
+            .label(args.get("job-label").cloned().unwrap_or_default())
+            .conflict_if(
+                flags.iter().any(|f| f == "midpoint") && has("outgroup"),
+                "--midpoint",
+                "--outgroup",
+            )
+            .conflict_if(has("bootstrap") && jumbles > 1, "--bootstrap", "--jumbles")
+            .conflict_if(
+                has("user-trees") && jumbles > 1,
+                "--user-trees",
+                "--jumbles",
+            )
+            .conflict_if(
+                has("user-trees") && has("bootstrap"),
+                "--user-trees",
+                "--bootstrap",
+            )
+            .conflict_if(
+                has("bootstrap") && has("wal-dir"),
+                "--bootstrap",
+                "--wal-dir",
+            )
+            .conflict_if(has("parallel") && has("net"), "--parallel", "--net")
+            .conflict_if(submit && has("parallel"), "--submit", "--parallel")
+            .conflict_if(submit && has("net"), "--submit", "--net")
+            .conflict_if(submit && has("bootstrap"), "--submit", "--bootstrap")
+            .conflict_if(submit && has("user-trees"), "--submit", "--user-trees")
+            .conflict_if(submit && has("wal-dir"), "--submit", "--wal-dir");
+        // The bootstrap runs its replicates serially, edit-scored and
+        // without a category model, and writes only the unrooted
+        // consensus; a flag it would ignore is refused instead.
+        let bootstrap_ignores = [
+            "parallel",
+            "net",
+            "obs-out",
+            "obs-summary",
+            "jumble-trees",
+            "no-incremental",
+            "categories",
+            "rates-file",
+            "outgroup",
+            "midpoint",
+        ];
+        let given = |key: &str| has(key) || flags.iter().any(|f| f == key);
+        let spec_result = bootstrap_ignores
+            .iter()
+            .fold(builder, |builder, flag| {
+                let both = has("bootstrap") && given(flag);
+                builder.conflict_if(both, "--bootstrap", format!("--{flag}"))
+            })
+            .build();
+        match spec_result {
+            Ok(spec) => spec,
+            Err(e) => return die(e),
+        }
+    };
+
     // Category model from a dnarates report file.
     if let Some(path) = args.get("rates-file") {
         let report = match std::fs::read_to_string(path)
@@ -611,59 +682,15 @@ fn main() -> ExitCode {
         config.categories = Some(categorize(&est.per_pattern, engine.patterns().weights(), k));
     }
 
-    // Every front-end path funnels through the JobSpec builder: mutually
-    // exclusive flags become one typed error naming the offenders instead
-    // of whichever code path happened to win.
-    let jumbles: usize = get(&args, "jumbles", 1);
-    let submit = flags.iter().any(|f| f == "submit");
-    let spec: JobSpec = {
-        let has = |key: &str| args.contains_key(key);
-        let spec_result = JobSpec::builder()
-            .phylip(phylip::write(&alignment))
-            .config_json(config.engine_config_json())
-            .jumbles(jumbles)
-            .base_seed(config.jumble_seed)
-            .max_ranks(get(&args, "max-job-ranks", 0usize))
-            .max_wall_ms(get(&args, "max-wall-ms", 0u64))
-            .label(args.get("job-label").cloned().unwrap_or_default())
-            .conflict_if(
-                flags.iter().any(|f| f == "midpoint") && has("outgroup"),
-                "--midpoint",
-                "--outgroup",
-            )
-            .conflict_if(has("bootstrap") && jumbles > 1, "--bootstrap", "--jumbles")
-            .conflict_if(
-                has("user-trees") && jumbles > 1,
-                "--user-trees",
-                "--jumbles",
-            )
-            .conflict_if(
-                has("user-trees") && has("bootstrap"),
-                "--user-trees",
-                "--bootstrap",
-            )
-            .conflict_if(
-                has("bootstrap") && has("wal-dir"),
-                "--bootstrap",
-                "--wal-dir",
-            )
-            .conflict_if(has("parallel") && has("net"), "--parallel", "--net")
-            .conflict_if(submit && has("parallel"), "--submit", "--parallel")
-            .conflict_if(submit && has("net"), "--submit", "--net")
-            .conflict_if(submit && has("bootstrap"), "--submit", "--bootstrap")
-            .conflict_if(submit && has("user-trees"), "--submit", "--user-trees")
-            .conflict_if(submit && has("wal-dir"), "--submit", "--wal-dir")
-            .build();
-        match spec_result {
-            Ok(spec) => spec,
-            Err(e) => return die(e),
-        }
-    };
-
     // Submit mode: the spec goes to the daemon instead of running here.
     if submit {
         let Some(connect) = args.get("connect") else {
             return die("--submit requires --connect ADDR");
+        };
+        // The spec carries the category model the pre-pass estimated.
+        let spec = JobSpec {
+            config_json: config.engine_config_json(),
+            ..spec
         };
         return match client::submit(connect.as_str(), &spec) {
             Ok(job) => {

@@ -157,6 +157,48 @@ fn the_retired_checkpoint_flags_name_the_wal_dir() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A bootstrap runs its replicates serially, edit-scored and without a
+/// category model, and writes only the unrooted consensus: each flag it
+/// would silently ignore is refused in one line naming both, and nothing
+/// is written.
+#[test]
+fn a_bootstrap_refuses_the_flags_it_cannot_serve() {
+    let dir = workdir("bootstrap_conflicts");
+    let rates = dir.join("rates.txt");
+    let out = dnarates()
+        .args(["--input"])
+        .arg(dir.join("data.phy"))
+        .args(["--categories", "2", "--output"])
+        .arg(&rates)
+        .output()
+        .expect("run dnarates");
+    assert!(out.status.success());
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (obs, trees) = (file("o.jsonl"), file("t.txt"));
+    let rates = rates.to_str().unwrap();
+    for (extra, refused) in [
+        (&["--parallel", "5"][..], "--parallel"),
+        (&["--net", "spawn", "5"][..], "--net"),
+        (&["--obs-out", &obs][..], "--obs-out"),
+        (&["--jumble-trees", &trees][..], "--jumble-trees"),
+        (&["--obs-summary"][..], "--obs-summary"),
+        (&["--no-incremental"][..], "--no-incremental"),
+        (&["--categories", "2"][..], "--categories"),
+        (&["--rates-file", rates][..], "--rates-file"),
+        (&["--outgroup", "t0"][..], "--outgroup"),
+        (&["--midpoint"][..], "--midpoint"),
+    ] {
+        let args = [&["--bootstrap", "2"][..], extra].concat();
+        let line = one_line_failure(&dir, &args);
+        assert!(
+            line.contains("--bootstrap") && line.contains(refused),
+            "{line}"
+        );
+    }
+    assert!(!Path::new(&obs).exists() && !Path::new(&trees).exists());
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn a_foreign_or_garbled_farm_manifest_fails_cleanly_naming_the_file() {
     let dir = workdir("badfarm");

@@ -66,8 +66,7 @@ fn fleet(addr: SocketAddr, n: usize) -> Vec<JoinHandle<()>> {
 }
 
 /// A worker that answers the daemon's probes like a real one and hangs up
-/// on the first jumble it is handed (alone or in a batch with its job's
-/// data); whether it was handed one.
+/// on the first jumble it is handed; whether it was handed one.
 fn deserter(addr: SocketAddr) -> JoinHandle<bool> {
     let jumble =
         |msg: &Message| matches!(msg, Message::JobTask { .. } | Message::JumbleResume { .. });
@@ -78,7 +77,6 @@ fn deserter(addr: SocketAddr) -> JoinHandle<bool> {
                 Message::Ping => {
                     let _ = transport.send(ranks::FOREMAN, &Message::WorkerReady);
                 }
-                Message::Batch { msgs } if msgs.iter().any(jumble) => return true,
                 msg if jumble(&msg) => return true,
                 Message::Shutdown => return false,
                 _ => {}
