@@ -273,14 +273,22 @@ if grep -rnE 'env::var|option_env!' crates/core/src; then
 fi
 
 # Wire-codec smoke: every fdml-wire frame round-trips (proptest + golden
-# bytes), JSON and binary peers interoperate frame-by-frame on one hub
-# (the mixed-codec conformance tests), and both codecs emit byte-identical
-# trees end to end as real OS processes.
+# bytes) and the transport passes its conformance suite. Binary is the
+# only data-plane encoding: `--wire binary` names it and runs the same
+# tree as real OS processes, and `--wire json` is refused in one line.
 cargo test -q -p fdml-wire
 cargo test -q -p fdml-net --test conformance
+./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --net spawn 4 --wire binary --quiet \
+  --output "$SMOKE/wire_binary.nwk"
+cmp "$SMOKE/wire_binary.nwk" "$SMOKE/threads.nwk"
+rm -f "$SMOKE/wire_json.nwk"
+status=0
 ./target/release/fastdnaml --input "$SMOKE/data.phy" --jumble 7 --net spawn 4 --wire json --quiet \
-  --output "$SMOKE/wire_json.nwk"
-cmp "$SMOKE/wire_json.nwk" "$SMOKE/threads.nwk"
+  --output "$SMOKE/wire_json.nwk" 2> "$SMOKE/wire_json.err" || status=$?
+test "$status" -eq 1
+test "$(wc -l < "$SMOKE/wire_json.err")" -eq 1
+grep -q -- '--wire json' "$SMOKE/wire_json.err"
+test ! -e "$SMOKE/wire_json.nwk"
 
 # Hosted control ranks: a flat `--net spawn 5` is one coordinator process
 # running master, foreman and monitor, plus exactly two forked workers
@@ -450,6 +458,26 @@ for f in $(find crates/serve/src -name '*.rs'); do
     exit 1
   fi
 done
+# One data-plane vocabulary: binary is the only data-plane encoding, with
+# no knob, codec object or sniffing decoder to pick another, and a jumble
+# goes out as a `JobTask` or a `JumbleResume` and comes back as one
+# `JumbleResult`. The job-less task stays gone from the non-test code,
+# and the retired daemon answer (kept for the benchmark's codec probe)
+# from everything that runs a jumble.
+retired='WireFormat|BinaryCodec|decode_auto|write_frame_as|with_wire|Message::JumbleTask'
+for f in $(find crates/*/src src -name '*.rs'); do
+  if nontest "$f" | grep -nE "$retired"; then
+    echo "one data-plane vocabulary: $f brings a second encoding or jumble form back"
+    exit 1
+  fi
+done
+for f in $(find crates/core/src crates/serve/src crates/net/src src -name '*.rs'); do
+  if nontest "$f" | grep -n 'JobTaskResult'; then
+    echo "one data-plane vocabulary: $f answers a jumble with the retired JobTaskResult"
+    exit 1
+  fi
+done
+
 # Nor does the foreman tree survive as a model: simsp's simulated
 # hierarchy, its report events, the batch frame and the nesting bound
 # that only the batch frame needed stay gone from the non-test code.

@@ -13,8 +13,8 @@
 //! the JSON whole-tree frame it replaces.
 
 use fdml_bench::Args;
-use fdml_comm::{Message, TreeEdit};
-use fdml_wire::{decode_auto, encode_message, WireFormat};
+use fdml_comm::{JsonCodec, Message, MessageCodec, TreeEdit};
+use fdml_wire::{decode_message, encode_message};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -89,6 +89,7 @@ fn measure(
     frames: &[Message],
     candidates: usize,
     encode: impl Fn(&Message) -> Vec<u8>,
+    decode: impl Fn(&[u8]) -> Option<Message>,
 ) -> WireRow {
     let t0 = Instant::now();
     let encoded: Vec<Vec<u8>> = frames.iter().map(&encode).collect();
@@ -96,7 +97,7 @@ fn measure(
     let total_bytes: usize = encoded.iter().map(Vec::len).sum();
     let t1 = Instant::now();
     for bytes in &encoded {
-        let msg = decode_auto(bytes).expect("round-trip decodes");
+        let msg = decode(bytes).expect("round-trip decodes");
         std::hint::black_box(msg);
     }
     let decode_secs = t1.elapsed().as_secs_f64();
@@ -146,11 +147,19 @@ fn main() {
         })
         .collect();
 
-    let json = |m: &Message| WireFormat::Json.encode(m).expect("json encodes");
+    let json = |m: &Message| JsonCodec.encode(m).expect("json encodes");
+    let from_json = |b: &[u8]| JsonCodec.decode(b).ok();
+    let from_binary = |b: &[u8]| decode_message(b).ok();
     let rows = vec![
-        measure("json-tree", &json_trees, candidates, json),
-        measure("json-chunk", &chunks, candidates, json),
-        measure("binary-chunk", &chunks, candidates, encode_message),
+        measure("json-tree", &json_trees, candidates, json, from_json),
+        measure("json-chunk", &chunks, candidates, json, from_json),
+        measure(
+            "binary-chunk",
+            &chunks,
+            candidates,
+            encode_message,
+            from_binary,
+        ),
     ];
 
     println!(

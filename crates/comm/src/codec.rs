@@ -1,11 +1,12 @@
-//! Pluggable message codecs.
+//! Message codecs.
 //!
 //! The transport crates frame bytes; *what* those bytes say is a codec's
-//! job. The JSON codec lives here because every crate that speaks
-//! [`Message`] already depends on serde; the compact binary codec lives in
-//! `fdml-wire` so the vocabulary crate stays free of wire-layout concerns.
-//! A codec encodes one message to one self-describing byte body — framing
-//! (length prefix, CRC) stays with the transport.
+//! job. The data plane speaks one encoding, the compact binary layout of
+//! `fdml-wire` (which keeps the vocabulary crate free of wire-layout
+//! concerns). The JSON codec here is the reference rendering of a
+//! [`Message`]: human-readable, used by the benchmark's codec probe and by
+//! tests as an independent round-trip. Framing (length prefix, CRC) stays
+//! with the transport.
 
 use crate::message::Message;
 use std::fmt;
@@ -32,30 +33,20 @@ impl std::error::Error for CodecError {}
 
 /// Turns a [`Message`] into a byte body and back.
 ///
-/// Contract: `decode(encode(m)) == m` for every message, and the first
-/// byte of the body identifies the codec (JSON bodies start with `b'{'`,
-/// binary bodies with the `0xFD` magic), so a reader can sniff the codec
-/// per body and mixed-codec fleets interoperate.
+/// Contract: `decode(encode(m)) == m` for every message.
 pub trait MessageCodec: Send + Sync {
-    /// The stable codec name used in handshakes and CLI flags.
-    fn name(&self) -> &'static str;
     /// Serialize one message to a self-describing byte body.
     fn encode(&self, msg: &Message) -> Result<Vec<u8>, CodecError>;
     /// Parse a byte body produced by [`MessageCodec::encode`].
     fn decode(&self, bytes: &[u8]) -> Result<Message, CodecError>;
 }
 
-/// The human-readable codec: one serde-JSON document per message. This is
-/// the seed wire format and remains the negotiation fallback, so a peer
-/// that predates the binary codec keeps working unmodified.
+/// The human-readable codec: one serde-JSON document per message, the
+/// reference rendering of the vocabulary. No transport writes it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JsonCodec;
 
 impl MessageCodec for JsonCodec {
-    fn name(&self) -> &'static str {
-        "json"
-    }
-
     fn encode(&self, msg: &Message) -> Result<Vec<u8>, CodecError> {
         serde_json::to_string(msg)
             .map(String::into_bytes)

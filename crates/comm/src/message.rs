@@ -115,7 +115,8 @@ pub enum TaskPayload {
         /// The candidate tree as Newick text.
         newick: String,
     },
-    /// A whole jumble (the payload of a [`Message::JumbleTask`]).
+    /// A whole jumble (the payload of a [`Message::JobTask`] or a
+    /// [`Message::JumbleResume`]).
     Jumble {
         /// The adjusted jumble seed.
         seed: u64,
@@ -163,18 +164,12 @@ pub enum Message {
         /// Work units expended (for instrumentation and the simulator).
         work_units: u64,
     },
-    /// Foreman → worker: run one whole jumble (a complete stepwise-addition
-    /// search with this addition-order seed) and return the final tree.
-    /// This is the farm's unit of work: an entire random restart, not one
-    /// candidate tree.
-    JumbleTask {
-        /// Task id, unique within the run.
-        task: u64,
-        /// The jumble seed (already adjusted and deduplicated).
-        seed: u64,
-    },
-    /// Worker → foreman: a finished jumble.
+    /// Worker → foreman → master: a finished jumble, the one answer to
+    /// every jumble request ([`Message::JobTask`] or
+    /// [`Message::JumbleResume`]).
     JumbleResult {
+        /// The job echoed back (0 = the run's own problem).
+        job: crate::job::JobId,
         /// Task id echoed back.
         task: u64,
         /// The jumble seed echoed back.
@@ -240,18 +235,27 @@ pub enum Message {
         /// Engine configuration (model, categories, optimizer options).
         config_json: String,
     },
-    /// Daemon master → foreman → worker: run one whole jumble of one job.
-    /// The worker evaluates it with the engine cached for `job` (its
-    /// [`Message::JobData`] always arrives first).
+    /// Master → foreman → worker: run one whole jumble (a complete
+    /// stepwise-addition search with this addition-order seed) and answer
+    /// with a [`Message::JumbleResult`]. This is the unit of work of a job
+    /// of several jumbles: an entire random restart, not one candidate
+    /// tree. Job 0 is the run's own problem ([`Message::ProblemData`]);
+    /// any other job is a daemon job, evaluated with the engine cached for
+    /// it (its [`Message::JobData`] always arrives first).
     JobTask {
-        /// The job the jumble belongs to.
+        /// The job the jumble belongs to (0 = the run's own problem).
         job: crate::job::JobId,
         /// Task id, unique within the daemon's lifetime.
         task: u64,
         /// The jumble seed (already adjusted and deduplicated).
         seed: u64,
     },
-    /// Worker → foreman → daemon master: a finished job jumble.
+    /// A finished daemon-job jumble without its search's round and
+    /// candidate counts. Retired: every jumble is answered by a
+    /// [`Message::JumbleResult`], and nothing in the runtime sends this
+    /// variant. It and its codec arms survive because the benchmark's
+    /// `wire.bytes_per_task` probe (`benchmark/src/probes.rs`) constructs
+    /// and round-trips it; delete both together (ROADMAP 1c).
     JobTaskResult {
         /// The job echoed back.
         job: crate::job::JobId,
@@ -357,15 +361,13 @@ pub enum Message {
     },
     /// Coordinator → worker: run one whole jumble, resuming from the
     /// write-ahead log carried inline. The WAL-aware sibling of
-    /// [`Message::JumbleTask`] / [`Message::JobTask`]: an empty `wal`
-    /// means a fresh start, a non-empty one replays the committed rounds
-    /// before going live, and either way the worker streams every
-    /// subsequent committed round back as [`Message::WalRound`].
+    /// [`Message::JobTask`]: an empty `wal` means a fresh start, a
+    /// non-empty one replays the committed rounds before going live, and
+    /// either way the worker streams every subsequent committed round back
+    /// as [`Message::WalRound`], then answers with a
+    /// [`Message::JumbleResult`].
     JumbleResume {
-        /// The job the jumble belongs to (0 = the anonymous one-shot
-        /// farm; the worker answers with [`Message::JumbleResult`].
-        /// Non-zero = a daemon job; the worker answers with
-        /// [`Message::JobTaskResult`]).
+        /// The job the jumble belongs to (0 = the run's own problem).
         job: u64,
         /// Task id, unique within the run.
         task: u64,
@@ -396,8 +398,6 @@ pub enum MessageKind {
     TreeTask,
     /// [`Message::TreeResult`].
     TreeResult,
-    /// [`Message::JumbleTask`].
-    JumbleTask,
     /// [`Message::JumbleResult`].
     JumbleResult,
     /// [`Message::Monitor`].
@@ -444,7 +444,6 @@ impl MessageKind {
             MessageKind::WorkerReady => "WorkerReady",
             MessageKind::TreeTask => "TreeTask",
             MessageKind::TreeResult => "TreeResult",
-            MessageKind::JumbleTask => "JumbleTask",
             MessageKind::JumbleResult => "JumbleResult",
             MessageKind::Monitor => "Monitor",
             MessageKind::PeerDown => "PeerDown",
@@ -481,7 +480,6 @@ impl Message {
             Message::WorkerReady => MessageKind::WorkerReady,
             Message::TreeTask { .. } => MessageKind::TreeTask,
             Message::TreeResult { .. } => MessageKind::TreeResult,
-            Message::JumbleTask { .. } => MessageKind::JumbleTask,
             Message::JumbleResult { .. } => MessageKind::JumbleResult,
             Message::Monitor(_) => MessageKind::Monitor,
             Message::PeerDown { .. } => MessageKind::PeerDown,
@@ -524,8 +522,7 @@ impl Message {
             Message::WorkerReady => 16,
             Message::TreeTask { newick, .. } => newick.len() + 24,
             Message::TreeResult { newick, .. } => newick.len() + 40,
-            Message::JumbleTask { .. } => 32,
-            Message::JumbleResult { newick, .. } => newick.len() + 64,
+            Message::JumbleResult { newick, .. } => newick.len() + 72,
             Message::Monitor(_) => 64,
             Message::PeerDown { .. } | Message::PeerUp { .. } => 24,
             Message::Quarantined { payload, .. } => {
@@ -584,8 +581,8 @@ mod tests {
                 ln_likelihood: -123.45,
                 work_units: 999,
             },
-            Message::JumbleTask { task: 8, seed: 11 },
             Message::JumbleResult {
+                job: 0,
                 task: 8,
                 seed: 11,
                 newick: "(a:1,b:2);".into(),

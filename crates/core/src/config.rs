@@ -94,7 +94,7 @@ impl SearchConfig {
 
     /// Rebuild a search configuration from the wire form (worker side).
     /// The wire carries both the engine model and the search-control
-    /// fields, so a worker handed a whole jumble ([`fdml_comm::Message::JumbleTask`])
+    /// fields, so a worker handed a whole jumble ([`fdml_comm::Message::JobTask`])
     /// runs the byte-identical search a serial process would.
     pub fn from_engine_config_json(json: &str) -> Result<SearchConfig, serde_json::Error> {
         let wire: EngineConfigWire = serde_json::from_str(json)?;

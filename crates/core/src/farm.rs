@@ -10,7 +10,9 @@
 //! several jumbles is a two-level orchestrator: the master shards whole
 //! jumbles across the worker pool (level one) while each jumble is a
 //! complete stepwise-addition search (level two). A jumble travels as a
-//! single [`Message::JumbleTask`]; the worker runs it through
+//! single [`Message::JobTask`] (job 0 is the run's own problem) or, with a
+//! round log, a [`Message::JumbleResume`], and comes back as one
+//! [`Message::JumbleResult`] either way; the worker runs it through
 //! [`crate::worker::Evaluator::jumble`] — the search every deployment runs,
 //! over an in-process loopback, always edit-scored. In process the master
 //! runs over a [`Loopback`], so output is byte-identical regardless of
@@ -435,13 +437,7 @@ impl Ledger {
                 };
                 (resume, Ok(()))
             }
-            log => {
-                let plain = match job {
-                    0 => Message::JumbleTask { task, seed },
-                    job => Message::JobTask { job, task, seed },
-                };
-                (plain, log.map(drop))
-            }
+            log => (Message::JobTask { job, task, seed }, log.map(drop)),
         })
     }
 
@@ -785,6 +781,7 @@ fn absorb(ledger: &mut Ledger, msg: Message) -> Result<bool, PhyloError> {
             rounds,
             candidates,
             work_units,
+            ..
         } => {
             let run = JumbleRun {
                 seed,
@@ -1134,7 +1131,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
             std::fs::create_dir_all(wal_path(&dir.join("wal"), job, 7)).unwrap();
         }
         let quiet = Obs::disabled();
-        // The job id picks the wire form whether or not there are logs.
+        // Without a log, every job's jumble goes out as a plain task.
         for (job, task, wal) in [(0, 4, true), (3, 5, true), (3, 6, false)] {
             let wal = wal.then(|| dir.join("wal"));
             let sick = wal.is_some();
@@ -1149,11 +1146,7 @@ t5        TCGAACGGACGTACGGAAGTACGTTCCTACGGAGGAACGA
             .unwrap();
             let (msg, opened) = ledger.next(task).unwrap();
             assert_eq!(opened.is_err(), sick);
-            let plain = match job {
-                0 => Message::JumbleTask { task, seed: 7 },
-                job => Message::JobTask { job, task, seed: 7 },
-            };
-            assert_eq!(msg, plain);
+            assert_eq!(msg, Message::JobTask { job, task, seed: 7 });
             // The dispatch is on the books all the same, and WAL-less.
             assert_eq!(ledger.in_flight(), 1);
             ledger.wal_round(7, &round(0)).unwrap();

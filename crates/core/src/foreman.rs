@@ -265,12 +265,16 @@ mod tests {
         let master = ends.remove(0);
         let f = thread::spawn(move || run_flat(foreman_end, Duration::from_secs(5), false));
         worker.send(ranks::FOREMAN, &Message::WorkerReady).unwrap();
-        master
-            .send(ranks::FOREMAN, &Message::JumbleTask { task: 5, seed: 9 })
-            .unwrap();
+        let jumble = Message::JobTask {
+            job: 0,
+            task: 5,
+            seed: 9,
+        };
+        master.send(ranks::FOREMAN, &jumble).unwrap();
         let (_, msg) = worker.recv().unwrap();
-        assert_eq!(msg, Message::JumbleTask { task: 5, seed: 9 });
+        assert_eq!(msg, jumble);
         let result = Message::JumbleResult {
+            job: 0,
             task: 5,
             seed: 9,
             newick: "(a:1,b:1);".into(),

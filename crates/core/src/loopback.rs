@@ -71,7 +71,7 @@ impl Loopback {
                     .edit_task(*base_id, edits, base_newick.clone())?
                     .reply(*task),
             ),
-            Message::JumbleTask { .. } | Message::JumbleResume { .. } => {
+            Message::JobTask { .. } | Message::JumbleResume { .. } => {
                 let (result, _) = evaluator.serve_jumble(msg, &mut *reply)?;
                 reply(result)
             }
@@ -320,8 +320,12 @@ t5 TCGAACGGACGTACGGAAGTACGA
         assert_eq!(end.try_recv().unwrap(), None);
 
         // A plain task streams nothing: only its result comes back.
-        end.send(ranks::FOREMAN, &Message::JumbleTask { task: 5, seed: 7 })
-            .unwrap();
+        let plain = Message::JobTask {
+            job: 0,
+            task: 5,
+            seed: 7,
+        };
+        end.send(ranks::FOREMAN, &plain).unwrap();
         assert!(matches!(
             end.recv().unwrap(),
             (_, Message::JumbleResult { task: 5, .. })
@@ -332,8 +336,12 @@ t5 TCGAACGGACGTACGGAAGTACGA
     #[test]
     fn jumble_before_problem_data_is_the_abort_the_master_handles() {
         let end = Loopback::new();
-        end.send(ranks::FOREMAN, &Message::JumbleTask { task: 1, seed: 7 })
-            .unwrap();
+        let jumble = Message::JobTask {
+            job: 0,
+            task: 1,
+            seed: 7,
+        };
+        end.send(ranks::FOREMAN, &jumble).unwrap();
         assert!(abort_reason(&end).contains("before problem data"));
         assert_eq!(end.try_recv().unwrap(), None);
     }

@@ -28,7 +28,7 @@ use crate::worker::{ranks, run_worker, WorkerStats};
 use fdml_comm::message::Message;
 use fdml_comm::recording::Recording;
 use fdml_comm::transport::{CommError, Rank, Transport};
-use fdml_net::{ClientConfig, HostedRank, NetConfig, TcpHub, TcpTransport, WireFormat};
+use fdml_net::{ClientConfig, HostedRank, NetConfig, TcpHub, TcpTransport};
 use fdml_obs::{Event, Obs, Sink};
 use fdml_phylo::error::PhyloError;
 use std::cell::Cell;
@@ -75,8 +75,8 @@ impl NetSpawn {
     }
 }
 
-/// Where a coordinator runs: the listen address, universe size, the
-/// hub's wire format and optional peer spawning. The job itself rides as a
+/// Where a coordinator runs: the listen address, universe size and
+/// optional peer spawning. The job itself rides as a
 /// [`ResolvedJob`], how it is steered as [`RunOptions`];
 /// [`NetOptions::new`] waits for external dials.
 #[derive(Debug, Clone)]
@@ -87,8 +87,6 @@ pub struct NetOptions {
     pub num_ranks: usize,
     /// Fork the peers ourselves — the single-command cluster launch.
     pub spawn: Option<NetSpawn>,
-    /// Wire format the hub writes (every peer reads either codec).
-    pub wire: WireFormat,
 }
 
 impl NetOptions {
@@ -99,19 +97,12 @@ impl NetOptions {
             listen: listen.into(),
             num_ranks,
             spawn: None,
-            wire: WireFormat::default(),
         }
     }
 
     /// Fork the peers from `spawn` instead of waiting for external dials.
     pub fn spawning(mut self, spawn: NetSpawn) -> NetOptions {
         self.spawn = Some(spawn);
-        self
-    }
-
-    /// Set the hub's data-plane wire format.
-    pub fn with_wire(mut self, wire: WireFormat) -> NetOptions {
-        self.wire = wire;
         self
     }
 }
@@ -157,7 +148,6 @@ type Universe = (TcpHub, HostedRank, HostedRank, Vec<(Rank, Child)>);
 fn assemble_universe(
     listen: &str,
     num_ranks: usize,
-    wire: WireFormat,
     obs: &Obs,
     spawn: &Option<NetSpawn>,
 ) -> Result<Universe, PhyloError> {
@@ -165,13 +155,14 @@ fn assemble_universe(
         num_ranks >= 4,
         "the fully instrumented parallel version requires at least four ranks"
     );
-    let net_cfg = NetConfig {
-        wire,
-        ..NetConfig::default()
-    };
-    let (hub, mut hosted) =
-        TcpHub::bind_hosting(listen, num_ranks, ranks::FIRST_WORKER, net_cfg, obs.clone())
-            .map_err(|e| PhyloError::Format(format!("bind {listen}: {e}")))?;
+    let (hub, mut hosted) = TcpHub::bind_hosting(
+        listen,
+        num_ranks,
+        ranks::FIRST_WORKER,
+        NetConfig::default(),
+        obs.clone(),
+    )
+    .map_err(|e| PhyloError::Format(format!("bind {listen}: {e}")))?;
     let monitor_end = hosted.pop().expect("rank 2 is hosted");
     let foreman_end = hosted.pop().expect("rank 1 is hosted");
     let addr = hub.local_addr().to_string();
@@ -236,12 +227,11 @@ pub fn run_net(
         listen,
         num_ranks,
         spawn,
-        wire,
     } = net;
     let observer = RunObserver::start(options.sinks, num_ranks, num_ranks - ranks::FIRST_WORKER);
     let obs = &observer.obs;
     let (hub, foreman_end, monitor_end, mut children) =
-        assemble_universe(&listen, num_ranks, wire, obs, &spawn)?;
+        assemble_universe(&listen, num_ranks, obs, &spawn)?;
     let addr = hub.local_addr().to_string();
     let supervisor = match &spawn {
         Some(s) if s.supervise => Some(Supervisor::start(

@@ -80,8 +80,8 @@ pub(crate) enum TaskBody {
     /// One candidate tree as Newick text.
     Tree(String),
     /// One whole stepwise-addition search, kept as the master sent it: a
-    /// farm's `JumbleTask`, a daemon job's `JobTask`, or either one resumed
-    /// from (and streaming back to) a write-ahead log as a `JumbleResume`.
+    /// `JobTask`, or one resumed from (and streaming back to) a
+    /// write-ahead log as a `JumbleResume`.
     /// Requeue-safe: a second worker replays the same prefix and, by
     /// determinism, re-streams the identical rounds, which the master's
     /// index-gated appends deduplicate.
@@ -109,9 +109,7 @@ impl TaskBody {
     pub(crate) fn from_message(msg: Message) -> Option<(u64, TaskBody)> {
         match msg {
             Message::TreeTask { task, newick } => Some((task, TaskBody::Tree(newick))),
-            msg @ (Message::JumbleTask { .. }
-            | Message::JobTask { .. }
-            | Message::JumbleResume { .. }) => {
+            msg @ (Message::JobTask { .. } | Message::JumbleResume { .. }) => {
                 Some((jumble_request(&msg).1, TaskBody::Jumble(msg)))
             }
             Message::EditChunk {
@@ -199,12 +197,6 @@ pub(crate) fn result_of(msg: &Message) -> Option<(u64, f64, u64)> {
             scores.iter().map(|s| s.work_units).sum(),
         )),
         Message::TreeResult {
-            task,
-            ln_likelihood,
-            work_units,
-            ..
-        }
-        | Message::JobTaskResult {
             task,
             ln_likelihood,
             work_units,
@@ -372,7 +364,6 @@ impl Sched {
         }
         match msg {
             Message::TreeTask { .. }
-            | Message::JumbleTask { .. }
             | Message::JobTask { .. }
             | Message::JumbleResume { .. }
             | Message::EditChunk { .. } => {
@@ -1355,7 +1346,11 @@ mod tests {
     #[test]
     fn whole_jumbles_are_never_queued_behind_each_other() {
         let t0 = Instant::now();
-        let jumble = |task| Message::JumbleTask { task, seed: task };
+        let jumble = |task| Message::JobTask {
+            job: 0,
+            task,
+            seed: task,
+        };
         let resume = |task| Message::JumbleResume {
             job: 1,
             task,
@@ -1401,12 +1396,14 @@ mod tests {
     }
 
     fn job_result(task: u64) -> Message {
-        Message::JobTaskResult {
+        Message::JumbleResult {
             job: 2,
             task,
             seed: 100 + task,
             newick: format!("(j{task});"),
             ln_likelihood: -(task as f64),
+            rounds: 1,
+            candidates: 1,
             work_units: 1,
         }
     }

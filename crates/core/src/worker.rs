@@ -314,9 +314,8 @@ impl Evaluator {
         result.map_err(|e| protocol(format!("jumble {seed}: {e}")))
     }
 
-    /// Serve a whole-jumble task in any of its three wire forms and build
-    /// its reply (a `JumbleResult` for the anonymous farm, a
-    /// `JobTaskResult` for a daemon job) plus the work units spent. Only a
+    /// Serve a whole-jumble task in either of its wire forms and build its
+    /// `JumbleResult`, plus the work units spent. Only a
     /// `JumbleResume` is WAL-aware: it replays the committed prefix the
     /// coordinator carried inline, then hands each newly committed round to
     /// `up` as a `WalRound` so the coordinator's log stays one round behind
@@ -344,25 +343,15 @@ impl Evaluator {
             }
         })?;
         let newick = newick::write_tree(&result.tree, self.problem("jumble")?.alignment.names());
-        let reply = if job == 0 {
-            Message::JumbleResult {
-                task,
-                seed,
-                newick,
-                ln_likelihood: result.ln_likelihood,
-                rounds: result.rounds as u64,
-                candidates: result.candidates_evaluated as u64,
-                work_units: result.work_units,
-            }
-        } else {
-            Message::JobTaskResult {
-                job,
-                task,
-                seed,
-                newick,
-                ln_likelihood: result.ln_likelihood,
-                work_units: result.work_units,
-            }
+        let reply = Message::JumbleResult {
+            job,
+            task,
+            seed,
+            newick,
+            ln_likelihood: result.ln_likelihood,
+            rounds: result.rounds as u64,
+            candidates: result.candidates_evaluated as u64,
+            work_units: result.work_units,
         };
         Ok((reply, result.work_units))
     }
@@ -375,7 +364,6 @@ type WirePrefix<'a> = (u32, &'a [String]);
 /// `(job, task, seed, committed prefix)` of a whole-jumble task.
 pub(crate) fn jumble_request(msg: &Message) -> (JobId, u64, u64, Option<WirePrefix<'_>>) {
     match msg {
-        Message::JumbleTask { task, seed } => (0, *task, *seed, None),
         Message::JobTask { job, task, seed } => (*job, *task, *seed, None),
         Message::JumbleResume {
             job,
@@ -472,11 +460,9 @@ pub fn run_worker<T: Transport>(transport: T, obs: Obs) -> Result<WorkerStats, W
                 });
                 send_up(&transport, &done.reply(task))?;
             }
-            msg @ (Message::JumbleTask { .. }
-            | Message::JobTask { .. }
-            | Message::JumbleResume { .. }) => {
-                // `job` selects the problem: 0 is the anonymous farm,
-                // anything else a daemon job.
+            msg @ (Message::JobTask { .. } | Message::JumbleResume { .. }) => {
+                // `job` selects the problem: 0 is the run's own, anything
+                // else a daemon job's.
                 let (job, task, _, _) = jumble_request(&msg);
                 let evaluator = if job == 0 {
                     &main
@@ -747,11 +733,19 @@ mod tests {
         let (_, msg) = foreman_end.recv().unwrap();
         assert_eq!(msg, Message::WorkerReady);
         foreman_end
-            .send(3, &Message::JumbleTask { task: 7, seed: 9 })
+            .send(
+                3,
+                &Message::JobTask {
+                    job: 0,
+                    task: 7,
+                    seed: 9,
+                },
+            )
             .unwrap();
         let (_, msg) = foreman_end.recv().unwrap();
         match msg {
             Message::JumbleResult {
+                job: 0,
                 task,
                 seed,
                 newick,
@@ -902,7 +896,7 @@ mod tests {
                 .unwrap();
             let (_, msg) = foreman_end.recv().unwrap();
             match msg {
-                Message::JobTaskResult {
+                Message::JumbleResult {
                     job: j,
                     task: t,
                     seed: s,
@@ -951,7 +945,7 @@ mod tests {
             )
             .unwrap();
         let (_, msg) = foreman_end.recv().unwrap();
-        assert!(matches!(msg, Message::JobTaskResult { job: 1, .. }));
+        assert!(matches!(msg, Message::JumbleResult { job: 1, .. }));
         // Retire the job; a further task for it must now be a protocol
         // error, proving the cached engine is gone rather than leaked.
         foreman_end.send(3, &Message::JobRetire { job: 1 }).unwrap();

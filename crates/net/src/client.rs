@@ -12,14 +12,11 @@
 //! dead, surfacing [`CommError::Disconnected`] to the rank's run loop so
 //! it exits and the coordinator's fault tolerance takes over.
 
-use crate::wire::{
-    coalesce_frames, read_frame, write_frame, write_frame_as, Frame, FrameReader, PROTOCOL_VERSION,
-};
+use crate::wire::{coalesce_frames, read_frame, write_frame, Frame, FrameReader, PROTOCOL_VERSION};
 use fdml_comm::job::JobId;
 use fdml_comm::message::Message;
 use fdml_comm::transport::{CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
-use fdml_wire::WireFormat;
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -49,9 +46,6 @@ pub struct ClientConfig {
     /// says why the daemon still needs this). `None` — the default —
     /// accepts whatever rank the hub assigns.
     pub claim: Option<Rank>,
-    /// The wire format this endpoint writes its data-plane frames in.
-    /// Every reader of this protocol version sniffs the codec per body.
-    pub wire: WireFormat,
 }
 
 impl Default for ClientConfig {
@@ -62,7 +56,6 @@ impl Default for ClientConfig {
             queue_depth: 256,
             job: None,
             claim: None,
-            wire: WireFormat::Binary,
         }
     }
 }
@@ -80,9 +73,6 @@ struct ClientShared {
     cfg: ClientConfig,
     obs: Obs,
     liveness: Liveness,
-    /// The format this endpoint actually writes: the configured preference,
-    /// downgraded to JSON when the hub cannot sniff.
-    wire: WireFormat,
     /// Set when reconnection is exhausted: the endpoint is permanently
     /// broken and every operation fails `Disconnected`.
     dead: AtomicBool,
@@ -119,7 +109,7 @@ impl TcpTransport {
         let addr_s = addr.to_string();
         let mut stream = TcpStream::connect(&addr)?;
         stream.set_nodelay(true).ok();
-        let welcome = handshake(&mut stream, cfg.claim, cfg.job, cfg.wire)?;
+        let welcome = handshake(&mut stream, cfg.claim, cfg.job)?;
         let Frame::Welcome {
             rank,
             size,
@@ -131,7 +121,6 @@ impl TcpTransport {
             unreachable!("handshake returns Welcome only");
         };
         obs.emit(|| Event::NetPeerConnected { rank });
-        let wire = cfg.wire;
         let (in_tx, in_rx) = mpsc::channel();
         let (out_tx, out_rx) = mpsc::sync_channel(cfg.queue_depth);
         let shared = Arc::new(ClientShared {
@@ -143,7 +132,6 @@ impl TcpTransport {
                 heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
                 miss_limit: miss_limit.max(1),
             },
-            wire,
             dead: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
@@ -255,14 +243,11 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Present a `Hello`, expect a `Welcome`. The `Hello` itself is always
-/// JSON; the `wire` field it carries names the format this endpoint
-/// writes.
+/// Present a `Hello`, expect a `Welcome`.
 fn handshake(
     stream: &mut TcpStream,
     rejoin: Option<Rank>,
     job: Option<JobId>,
-    wire: WireFormat,
 ) -> io::Result<Frame> {
     write_frame(
         stream,
@@ -270,7 +255,6 @@ fn handshake(
             version: PROTOCOL_VERSION,
             rejoin,
             job,
-            wire: Some(wire.name().to_string()),
         },
     )?;
     match read_frame(stream, Duration::from_secs(5))? {
@@ -429,12 +413,12 @@ fn client_writer(
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     // The endpoint was dropped: orderly exit.
                     shared.shutdown.store(true, Ordering::SeqCst);
-                    let _ = write_frame_as(&mut stream, &Frame::Goodbye { from }, shared.wire);
+                    let _ = write_frame(&mut stream, &Frame::Goodbye { from });
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
             };
-            coalesce_frames(&mut buf, first, || out_rx.try_recv().ok(), shared.wire)
+            coalesce_frames(&mut buf, first, || out_rx.try_recv().ok())
         };
         if encoded.and_then(|()| stream.write_all(&buf)).is_err() {
             // Wake the reader immediately rather than letting it ride out
@@ -483,12 +467,7 @@ fn reconnect(shared: &Arc<ClientShared>) -> Option<TcpStream> {
             continue;
         };
         stream.set_nodelay(true).ok();
-        match handshake(
-            &mut stream,
-            Some(shared.rank),
-            shared.cfg.job,
-            shared.cfg.wire,
-        ) {
+        match handshake(&mut stream, Some(shared.rank), shared.cfg.job) {
             Ok(Frame::Welcome { rank, .. }) if rank == shared.rank => return Some(stream),
             // The hub gave our slot away (or refused us): no way back.
             Ok(_) | Err(_) => continue,

@@ -51,7 +51,6 @@ use fdml_comm::job::{JobId, RejectReason};
 use fdml_comm::message::Message;
 use fdml_comm::transport::{ranks, CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
-use fdml_wire::WireFormat;
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -71,9 +70,6 @@ pub struct NetConfig {
     pub miss_limit: u32,
     /// Depth of each peer's bounded outgoing queue (frames).
     pub queue_depth: usize,
-    /// The wire format the hub writes its data-plane frames in, to every
-    /// peer: each reader of this protocol version sniffs the codec.
-    pub wire: WireFormat,
 }
 
 impl Default for NetConfig {
@@ -82,7 +78,6 @@ impl Default for NetConfig {
             heartbeat_interval: Duration::from_millis(500),
             miss_limit: 4,
             queue_depth: 256,
-            wire: WireFormat::Binary,
         }
     }
 }
@@ -525,9 +520,6 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
         Ok(Some(f)) => f,
         _ => return,
     };
-    // Every peer of this protocol version reads either codec, so the hub
-    // writes its configured one to all of them.
-    let peer_wire = shared.cfg.wire;
     let (rejoin, job) = match hello {
         Frame::Hello {
             version,
@@ -594,7 +586,6 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
         size: shared.size,
         heartbeat_ms: shared.cfg.heartbeat_interval.as_millis() as u64,
         miss_limit: shared.cfg.miss_limit,
-        wire: Some(peer_wire.name().to_string()),
     };
     if write_frame(&mut stream, &welcome).is_err() {
         shared.mark_dead(rank, generation, false);
@@ -623,7 +614,7 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
     let ws = Arc::clone(&shared);
     let _ = thread::Builder::new()
         .name(format!("fdml-net-w{rank}"))
-        .spawn(move || peer_writer(writer_stream, out_rx, rank, generation, peer_wire, ws));
+        .spawn(move || peer_writer(writer_stream, out_rx, rank, generation, ws));
     let rs = Arc::clone(&shared);
     let _ = thread::Builder::new()
         .name(format!("fdml-net-r{rank}"))
@@ -682,15 +673,12 @@ fn assign_slot(
 }
 
 /// Drain a peer's outgoing queue onto its socket — everything queued in
-/// one write — and heartbeat when idle. `wire` is the format the hub
-/// writes — heartbeats ride it too, so liveness traffic pays no JSON
-/// overhead on a binary hub.
+/// one write — and heartbeat when idle.
 fn peer_writer(
     mut stream: TcpStream,
     out_rx: Receiver<Frame>,
     rank: Rank,
     generation: u64,
-    wire: WireFormat,
     shared: Arc<HubShared>,
 ) {
     let mut buf = Vec::new();
@@ -704,7 +692,7 @@ fn peer_writer(
             // The slot was cleared (peer declared dead or replaced).
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
         };
-        let written = coalesce_frames(&mut buf, first, || out_rx.try_recv().ok(), wire)
+        let written = coalesce_frames(&mut buf, first, || out_rx.try_recv().ok())
             .and_then(|()| stream.write_all(&buf));
         if written.is_err() {
             shared.mark_dead(rank, generation, false);

@@ -5,8 +5,9 @@
 //! workspace's equivalent of that `comm_*.c` layer for plain sockets, so
 //! the same `fdml-core` run loops span OS processes and machines:
 //!
-//! * [`wire`] — the framed wire format: length prefix + CRC + a JSON or
-//!   binary body, a versioned `Hello`/`Welcome` handshake, heartbeats,
+//! * [`wire`] — the framed wire format: length prefix + CRC + a binary
+//!   data-plane or JSON control-plane body, a versioned `Hello`/`Welcome`
+//!   handshake, heartbeats,
 //!   `Goodbye`; writers pack every queued frame into one `write`, readers
 //!   take every complete frame out of one `read`.
 //! * [`hub::TcpHub`] — the coordinator's endpoint (rank 0). Owns the
@@ -35,5 +36,4 @@ pub mod hub;
 pub mod wire;
 
 pub use client::{ClientConfig, TcpTransport};
-pub use fdml_wire::WireFormat;
 pub use hub::{HostedRank, NetConfig, ServiceRequest, TcpHub};

@@ -7,23 +7,21 @@
 //! failure instead of a parse panic or — worse — a silently wrong
 //! likelihood.
 //!
-//! The body comes in two codecs, sniffed by its first byte:
+//! The body is one of two encodings, told apart by its first byte:
 //!
-//! * JSON (first byte `{`) — the seed encoding: self-describing,
-//!   debuggable, and the permanent format of the bootstrap and service
-//!   planes (`Hello`/`Welcome`/`Reject`, `Submit` … `Done`), which are
-//!   rare, human-inspected, and must parse before any negotiation exists.
-//! * Binary (first byte [`fdml_wire::MAGIC`]) — the compact encoding for
-//!   the chatty data plane (`Data`, `Heartbeat`, `Goodbye`): a tag byte
-//!   and varint fields ([`fdml_wire`]), each writer's choice (`--wire`),
-//!   named in the Hello/Welcome handshake. Readers always sniff per
-//!   frame, so a JSON master and a binary worker interoperate.
+//! * Binary (first byte [`fdml_wire::MAGIC`]) — the data plane (`Data`,
+//!   `Heartbeat`, `Goodbye`): a tag byte and varint fields
+//!   ([`fdml_wire`]). Every writer uses it; there is no other data-plane
+//!   encoding.
+//! * JSON (first byte `{`) — the bootstrap and service planes
+//!   (`Hello`/`Welcome`/`Reject`, `Submit` … `Done`), which are rare,
+//!   human-inspected, and must parse before a peer's version is known.
 
 use fdml_comm::job::{JobId, JobResult, JobSpec, JobStatus, RejectReason};
 use fdml_comm::message::Message;
 use fdml_comm::transport::Rank;
 use fdml_wire::checksum::crc32;
-use fdml_wire::{varint, WireFormat};
+use fdml_wire::varint;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -45,8 +43,12 @@ use std::time::{Duration, Instant};
 /// tag 28; tag 25 is retired), so a worker replays another epoch's log
 /// under the tolerance a single search uses. Version 7 retired the
 /// foreman tree's batch frame (binary tag 19), so a version-6 peer that
-/// would send one is turned away at the handshake, not mid-run.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// would send one is turned away at the handshake, not mid-run. Version 8
+/// made binary the only data-plane encoding (`Hello`/`Welcome` no longer
+/// name one) and gave every jumble one request form and one answer: the
+/// job-less jumble task and result (binary tags 4 and 5) are retired, and
+/// a `JumbleResult` carries its job (tag 29).
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Upper bound on a frame body. Real frames are a few KiB (`ProblemData`
 /// is the largest); anything bigger is a corrupt stream or a hostile peer.
@@ -74,11 +76,6 @@ pub enum Frame {
         /// reattaching to a slot the daemon has since given to another.
         #[serde(default)]
         job: Option<JobId>,
-        /// The wire format this client will write its data-plane frames
-        /// in (`"json"` or `"binary"`). Informational: readers sniff the
-        /// codec of every body.
-        #[serde(default)]
-        wire: Option<String>,
     },
     /// Hub → client, accepting a `Hello`.
     Welcome {
@@ -90,10 +87,6 @@ pub enum Frame {
         heartbeat_ms: u64,
         /// Liveness: consecutive silent intervals before a peer is dead.
         miss_limit: u32,
-        /// The wire format the hub will write to this peer.
-        /// Informational: readers sniff the codec of every body.
-        #[serde(default)]
-        wire: Option<String>,
     },
     /// Hub → client, refusing a `Hello` (version skew, full universe).
     Reject {
@@ -182,9 +175,8 @@ const FTAG_DATA: u8 = 0;
 const FTAG_HEARTBEAT: u8 = 1;
 const FTAG_GOODBYE: u8 = 2;
 
-/// Append a frame body in the compact codec; `false` (nothing appended)
-/// when the frame is control-plane — those stay JSON regardless of
-/// negotiation.
+/// Append a data-plane frame's binary body; `false` (nothing appended)
+/// when the frame is control-plane — those are JSON.
 fn encode_frame_body_binary(frame: &Frame, buf: &mut Vec<u8>) -> bool {
     let tag = match frame {
         Frame::Data { .. } => FTAG_DATA,
@@ -244,12 +236,12 @@ const HEADER_BYTES: usize = 8;
 /// Append one complete frame — header and body — to `buf`. The body is
 /// encoded in place behind eight reserved bytes, which are patched once its
 /// length and checksum are known, so a frame costs no allocation of its own
-/// and any number of them can share one buffer and one `write`. On error
-/// `buf` is left as it was.
-pub fn encode_frame_into(buf: &mut Vec<u8>, frame: &Frame, format: WireFormat) -> io::Result<()> {
+/// and any number of them can share one buffer and one `write`. Data-plane
+/// frames are binary, the rest JSON. On error `buf` is left as it was.
+pub fn encode_frame_into(buf: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
     let start = buf.len();
     buf.extend_from_slice(&[0u8; HEADER_BYTES]);
-    if format != WireFormat::Binary || !encode_frame_body_binary(frame, buf) {
+    if !encode_frame_body_binary(frame, buf) {
         match serde_json::to_string(frame) {
             Ok(json) => buf.extend_from_slice(json.as_bytes()),
             Err(e) => {
@@ -287,32 +279,23 @@ pub(crate) fn coalesce_frames(
     buf: &mut Vec<u8>,
     first: Frame,
     mut more: impl FnMut() -> Option<Frame>,
-    format: WireFormat,
 ) -> io::Result<()> {
     buf.clear();
-    encode_frame_into(buf, &first, format)?;
+    encode_frame_into(buf, &first)?;
     while buf.len() < COALESCE_BYTES {
         match more() {
-            Some(frame) => encode_frame_into(buf, &frame, format)?,
+            Some(frame) => encode_frame_into(buf, &frame)?,
             None => break,
         }
     }
     Ok(())
 }
 
-/// Serialize and write one frame as JSON. Blocking; respects the stream's
-/// write timeout if one is set. The handshake path — negotiation has not
-/// happened yet, so the format must be the one every build can read.
+/// Serialize and write one frame ([`encode_frame_into`]). Blocking;
+/// respects the stream's write timeout if one is set.
 pub fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
-    write_frame_as(stream, frame, WireFormat::Json)
-}
-
-/// Serialize and write one frame in the negotiated format. Data-plane
-/// frames (`Data`/`Heartbeat`/`Goodbye`) honor `format`; control-plane
-/// frames are always JSON.
-pub fn write_frame_as(stream: &mut TcpStream, frame: &Frame, format: WireFormat) -> io::Result<()> {
     let mut buf = Vec::new();
-    encode_frame_into(&mut buf, frame, format)?;
+    encode_frame_into(&mut buf, frame)?;
     stream.write_all(&buf)
 }
 
@@ -457,9 +440,8 @@ fn decode_frame(bytes: &[u8]) -> io::Result<Frame> {
             format!("frame CRC mismatch: header says {expected_crc:#010x}, body hashes to {actual_crc:#010x}"),
         ));
     }
-    // Codec sniff: binary bodies lead with the wire magic (never valid
-    // leading UTF-8 for JSON), everything else is parsed as JSON. This is
-    // what lets peers with different negotiated formats share one hub.
+    // Binary data-plane bodies lead with the wire magic (never valid
+    // leading UTF-8 for JSON); everything else is a JSON control frame.
     if body.first() == Some(&fdml_wire::MAGIC) {
         return decode_frame_body_binary(body);
     }
@@ -491,10 +473,10 @@ mod tests {
     /// was computed: the frame is well-formed at the framing layer (correct
     /// length) but its checksum cannot match, so a conforming reader must
     /// reject it as corrupt rather than attempt to parse it. `byte` indexes
-    /// into the JSON body, modulo its length.
+    /// into the body, modulo its length.
     fn write_frame_corrupted(stream: &mut TcpStream, frame: &Frame, byte: usize) -> io::Result<()> {
         let mut buf = Vec::new();
-        encode_frame_into(&mut buf, frame, WireFormat::Json)?;
+        encode_frame_into(&mut buf, frame)?;
         let body_len = buf.len() - HEADER_BYTES;
         buf[HEADER_BYTES + byte % body_len] ^= 0xA5;
         stream.write_all(&buf)
@@ -516,20 +498,17 @@ mod tests {
                 version: PROTOCOL_VERSION,
                 rejoin: None,
                 job: None,
-                wire: None,
             },
             Frame::Hello {
                 version: PROTOCOL_VERSION,
                 rejoin: Some(3),
                 job: Some(7),
-                wire: Some("binary".into()),
             },
             Frame::Welcome {
                 rank: 4,
                 size: 6,
                 heartbeat_ms: 500,
                 miss_limit: 4,
-                wire: Some("binary".into()),
             },
             Frame::Reject {
                 reason: "full".into(),
@@ -614,24 +593,23 @@ mod tests {
                 version: 3,
                 rejoin: None,
                 job: None,
-                wire: None,
             }
         );
     }
 
     #[test]
-    fn pre_negotiation_welcome_still_parses() {
-        // A seed-era hub omits `wire`: JSON.
-        let json = r#"{"Welcome":{"rank":3,"size":5,"heartbeat_ms":500,"miss_limit":4}}"#;
+    fn an_older_hello_naming_its_wire_still_parses() {
+        // A version-7 peer names the encoding it writes. The field is gone,
+        // but the Hello must still parse so the hub can refuse its version
+        // in words.
+        let json = r#"{"Hello":{"version":7,"rejoin":null,"job":null,"wire":"binary"}}"#;
         let f: Frame = serde_json::from_str(json).unwrap();
         assert_eq!(
             f,
-            Frame::Welcome {
-                rank: 3,
-                size: 5,
-                heartbeat_ms: 500,
-                miss_limit: 4,
-                wire: None,
+            Frame::Hello {
+                version: 7,
+                rejoin: None,
+                job: None,
             }
         );
     }
@@ -653,13 +631,21 @@ mod tests {
             Frame::Data {
                 from: 1,
                 to: 4,
-                msg: Message::JumbleTask { task: 8, seed: 3 },
+                msg: Message::JobTask {
+                    job: 0,
+                    task: 8,
+                    seed: 3,
+                },
             },
             Frame::Heartbeat { from: 2 },
             Frame::Goodbye { from: 5 },
         ];
+        let mut raw = Vec::new();
         for f in &frames {
-            write_frame_as(&mut a, f, WireFormat::Binary).unwrap();
+            encode_frame_into(&mut raw, f).unwrap();
+            assert_eq!(raw[HEADER_BYTES], fdml_wire::MAGIC, "{f:?} is binary");
+            a.write_all(&raw).unwrap();
+            raw.clear();
         }
         for f in &frames {
             let got = read_frame(&mut b, Duration::from_secs(2)).unwrap().unwrap();
@@ -682,37 +668,18 @@ mod tests {
     }
 
     #[test]
-    fn control_plane_frames_stay_json_even_when_binary_negotiated() {
+    fn control_plane_frames_stay_json() {
         let (mut a, mut b) = pair();
         let hello = Frame::Hello {
             version: PROTOCOL_VERSION,
             rejoin: None,
             job: None,
-            wire: Some("binary".into()),
         };
-        write_frame_as(&mut a, &hello, WireFormat::Binary).unwrap();
+        write_frame(&mut a, &hello).unwrap();
         // Peek at the raw bytes: the body must start with '{'.
         let mut raw = [0u8; 9];
         b.read_exact(&mut raw).unwrap();
         assert_eq!(raw[8], b'{');
-    }
-
-    #[test]
-    fn mixed_codec_frames_interleave_on_one_stream() {
-        let (mut a, mut b) = pair();
-        let hb = Frame::Heartbeat { from: 3 };
-        let data = Frame::Data {
-            from: 3,
-            to: 1,
-            msg: Message::WorkerReady,
-        };
-        write_frame_as(&mut a, &hb, WireFormat::Binary).unwrap();
-        write_frame_as(&mut a, &data, WireFormat::Json).unwrap();
-        write_frame_as(&mut a, &data, WireFormat::Binary).unwrap();
-        for expected in [&hb, &data, &data] {
-            let got = read_frame(&mut b, Duration::from_secs(2)).unwrap().unwrap();
-            assert_eq!(&got, expected);
-        }
     }
 
     #[test]
@@ -826,7 +793,7 @@ mod tests {
             let mut buf = Vec::new();
             let mut writes = 0;
             while let Some(first) = queue.next() {
-                coalesce_frames(&mut buf, first, || queue.next(), WireFormat::Binary).unwrap();
+                coalesce_frames(&mut buf, first, || queue.next()).unwrap();
                 a.write_all(&buf).unwrap();
                 writes += 1;
             }
@@ -860,36 +827,33 @@ mod tests {
     }
 
     #[test]
-    fn one_write_can_mix_codecs_and_planes() {
+    fn one_write_can_mix_planes() {
         let (mut a, mut b) = pair();
         let frames = [
-            (Frame::Heartbeat { from: 3 }, WireFormat::Binary),
-            (numbered(5), WireFormat::Json),
-            // Control-plane: JSON whatever the connection negotiated.
-            (
-                Frame::Reject {
-                    reason: "full".into(),
-                },
-                WireFormat::Binary,
-            ),
-            (numbered(6), WireFormat::Binary),
-            (Frame::Goodbye { from: 3 }, WireFormat::Json),
+            Frame::Heartbeat { from: 3 },
+            numbered(5),
+            // Control-plane: JSON between binary frames.
+            Frame::Reject {
+                reason: "full".into(),
+            },
+            numbered(6),
+            Frame::Goodbye { from: 3 },
         ];
         let mut buf = Vec::new();
-        for (frame, format) in &frames {
-            encode_frame_into(&mut buf, frame, *format).unwrap();
+        for frame in &frames {
+            encode_frame_into(&mut buf, frame).unwrap();
         }
         // The coalesced bytes are the frames' own bytes, back to back.
         let mut one_by_one = Vec::new();
-        for (frame, format) in &frames {
+        for frame in &frames {
             let mut single = Vec::new();
-            encode_frame_into(&mut single, frame, *format).unwrap();
+            encode_frame_into(&mut single, frame).unwrap();
             one_by_one.extend(single);
         }
         assert_eq!(buf, one_by_one);
         a.write_all(&buf).unwrap();
         let mut reader = FrameReader::new(&b, Duration::from_secs(2)).unwrap();
-        for (frame, _) in &frames {
+        for frame in &frames {
             assert_eq!(&reader.next_frame(&mut b).unwrap().unwrap(), frame);
         }
         assert!(FrameReader::new(&b, Duration::from_millis(20))
@@ -905,7 +869,7 @@ mod tests {
         let huge = Frame::Reject {
             reason: "x".repeat(MAX_FRAME_BYTES),
         };
-        let err = encode_frame_into(&mut buf, &huge, WireFormat::Binary).unwrap_err();
+        let err = encode_frame_into(&mut buf, &huge).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(buf, [1, 2, 3]);
     }

@@ -14,8 +14,10 @@ use fdml_comm::message::Message;
 use fdml_comm::threads::ThreadUniverse;
 use fdml_comm::transport::{CommError, Transport};
 use fdml_net::wire::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
-use fdml_net::{ClientConfig, HostedRank, NetConfig, TcpHub, TcpTransport, WireFormat};
+use fdml_net::{ClientConfig, HostedRank, NetConfig, TcpHub, TcpTransport};
 use fdml_obs::{Event, MemorySink, Obs};
+use fdml_wire::checksum::crc32;
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -228,7 +230,6 @@ fn version_skew_is_rejected() {
             version: PROTOCOL_VERSION + 999,
             rejoin: None,
             job: None,
-            wire: None,
         },
     )
     .unwrap();
@@ -248,26 +249,26 @@ fn a_worker_from_an_older_build_is_rejected_at_the_handshake() {
     // foreman tree's messages (binary tags 20-23), which this build no
     // longer decodes. Protocol 5 sent a resumed jumble without the
     // numerics epoch of its prefix (binary tag 25), which this build
-    // refuses. Protocol 6 still knew the batch frame (binary tag 19). Such
-    // a worker must learn that from a typed `Reject` when it joins, not
-    // from a `BadTag` in the middle of a run.
-    assert_eq!(PROTOCOL_VERSION, 7);
+    // refuses. Protocol 6 still knew the batch frame (binary tag 19).
+    // Protocol 7 sent a farm's jumbles as `JumbleTask`s and answered them
+    // with job-less `JumbleResult`s (binary tags 4 and 5). Such a worker
+    // must learn that from a typed `Reject` when it joins, not from a
+    // `BadTag` in the middle of a run.
+    assert_eq!(PROTOCOL_VERSION, 8);
     let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
-    for old in [3, 4, 5, 6] {
+    for old in [3, 4, 5, 6, 7] {
         let mut stream = TcpStream::connect(hub.local_addr()).unwrap();
-        write_frame(
-            &mut stream,
-            &Frame::Hello {
-                version: old,
-                rejoin: None,
-                job: None,
-                wire: Some("binary".into()),
-            },
-        )
-        .unwrap();
+        // The `Hello` as those builds wrote it, naming the wire format its
+        // writer used — a field this build no longer has.
+        let hello =
+            format!(r#"{{"Hello":{{"version":{old},"rejoin":null,"job":null,"wire":"binary"}}}}"#);
+        let mut raw = (hello.len() as u32).to_be_bytes().to_vec();
+        raw.extend(crc32(hello.as_bytes()).to_be_bytes());
+        raw.extend(hello.as_bytes());
+        stream.write_all(&raw).unwrap();
         match read_frame(&mut stream, Duration::from_secs(5)).unwrap() {
             Some(Frame::Reject { reason }) => {
-                let expected = format!("protocol version {old} != 7");
+                let expected = format!("protocol version {old} != 8");
                 assert!(reason.contains(&expected), "got: {reason}")
             }
             other => panic!("expected Reject, got {other:?}"),
@@ -302,7 +303,6 @@ fn cross_job_rejoin_is_rejected_with_typed_reason() {
             version: PROTOCOL_VERSION,
             rejoin: None,
             job: Some(1),
-            wire: None,
         },
     )
     .unwrap();
@@ -320,7 +320,6 @@ fn cross_job_rejoin_is_rejected_with_typed_reason() {
             version: PROTOCOL_VERSION,
             rejoin: Some(1),
             job: Some(2),
-            wire: None,
         },
     )
     .unwrap();
@@ -345,7 +344,6 @@ fn cross_job_rejoin_is_rejected_with_typed_reason() {
             version: PROTOCOL_VERSION,
             rejoin: Some(1),
             job: Some(1),
-            wire: None,
         },
     )
     .unwrap();
@@ -469,7 +467,6 @@ fn hosted_ranks_are_never_given_to_a_dialer() {
                 version: PROTOCOL_VERSION,
                 rejoin: Some(hosted),
                 job: None,
-                wire: None,
             },
         )
         .unwrap();
@@ -498,7 +495,6 @@ fn a_lost_worker_is_announced_to_the_master_and_the_hosted_foreman() {
             version: PROTOCOL_VERSION,
             rejoin: None,
             job: None,
-            wire: None,
         },
     )
     .unwrap();
@@ -526,7 +522,6 @@ fn an_idle_connection_still_carries_heartbeats() {
             version: PROTOCOL_VERSION,
             rejoin: None,
             job: None,
-            wire: None,
         },
     )
     .unwrap();
@@ -597,7 +592,6 @@ fn silent_peer_is_declared_dead_by_heartbeat_misses() {
             version: PROTOCOL_VERSION,
             rejoin: None,
             job: None,
-            wire: None,
         },
     )
     .unwrap();
@@ -711,37 +705,4 @@ fn dead_hub_exhausts_reconnects_and_surfaces_disconnected() {
         client.send(0, &Message::WorkerReady),
         Err(CommError::Disconnected(1))
     );
-}
-
-#[test]
-fn mixed_codec_peers_interoperate_frame_by_frame() {
-    // Codec choice is each writer's, not the universe's: here the hub
-    // writes JSON while one worker writes binary and another writes JSON,
-    // and every route — hub→binary, binary→json (relayed), json→hub —
-    // still delivers the same messages, because every reader sniffs.
-    let cfg = NetConfig {
-        wire: WireFormat::Json,
-        ..fast_net_config()
-    };
-    let hub = TcpHub::bind("127.0.0.1:0", 3, cfg, Obs::disabled()).unwrap();
-    let addr = hub.local_addr();
-    let binary_cfg = ClientConfig {
-        wire: WireFormat::Binary,
-        ..ClientConfig::default()
-    };
-    let json_cfg = ClientConfig {
-        wire: WireFormat::Json,
-        ..ClientConfig::default()
-    };
-    let binary = TcpTransport::connect_observed(addr, binary_cfg, Obs::disabled()).unwrap();
-    let json = TcpTransport::connect_observed(addr, json_cfg, Obs::disabled()).unwrap();
-    assert_eq!((binary.rank(), json.rank()), (1, 2));
-
-    hub.send(1, &task(7)).unwrap();
-    assert_eq!(binary.recv().unwrap(), (0, task(7)));
-    // Peer-to-peer crosses codecs: a binary frame in, a JSON frame out.
-    binary.send(2, &task(8)).unwrap();
-    assert_eq!(json.recv().unwrap(), (1, task(8)));
-    json.send(0, &Message::Shutdown).unwrap();
-    assert_eq!(hub.recv().unwrap(), (2, Message::Shutdown));
 }

@@ -26,13 +26,11 @@
 //! `Evaluator::jumble` code path, keeping results byte-identical to a
 //! serial run of the same seeds.
 //!
-//! The daemon speaks the `fdml-wire` binary codec by default
-//! ([`ServeOptions::wire`]). Every worker holds one engine per active
-//! job: a job's `JobData` reaches each worker when the job is admitted or
-//! the worker joins, before any of the job's jumbles can. The unit of
-//! work is a whole jumble — thousands of candidate evaluations per frame
-//! — so one foreman saturates far more workers than the per-candidate
-//! dispatch path does.
+//! Every worker holds one engine per active job: a job's `JobData`
+//! reaches each worker when the job is admitted or the worker joins,
+//! before any of the job's jumbles can. The unit of work is a whole
+//! jumble — thousands of candidate evaluations per frame — so one foreman
+//! saturates far more workers than the per-candidate dispatch path does.
 
 #![warn(missing_docs)]
 
@@ -44,7 +42,7 @@ pub use registry::{JobEntry, Registry};
 
 use fdml_comm::transport::{ranks, Rank, Transport};
 use fdml_core::runner::ServiceRanks;
-use fdml_net::{ClientConfig, NetConfig, TcpHub, TcpTransport, WireFormat};
+use fdml_net::{ClientConfig, NetConfig, TcpHub, TcpTransport};
 use fdml_obs::{Obs, Sink};
 use scheduler::{Limits, Scheduler, MODE_KILL, MODE_RUN, MODE_STOP};
 use std::io;
@@ -79,15 +77,11 @@ pub struct ServeOptions {
     /// Observability sinks for the daemon-global event stream (each job
     /// additionally gets its own in-memory sink behind its run report).
     pub sinks: Vec<Box<dyn Sink>>,
-    /// Wire format the hub writes its data-plane frames in. Workers that
-    /// did not advertise codec-sniffing support are written JSON
-    /// regardless, so a mixed fleet keeps working.
-    pub wire: WireFormat,
 }
 
 impl ServeOptions {
     /// Defaults: queue limit 8, no rank/wall ceilings, no forked
-    /// workers, unobserved, binary wire.
+    /// workers, unobserved.
     pub fn new(
         listen: impl Into<String>,
         num_ranks: usize,
@@ -102,7 +96,6 @@ impl ServeOptions {
             max_wall_ms: 0,
             spawn: None,
             sinks: Vec::new(),
-            wire: WireFormat::Binary,
         }
     }
 }
@@ -128,7 +121,7 @@ impl Daemon {
             "a daemon universe needs hub + foreman + monitor + at least one worker"
         );
         let obs = Obs::multi(options.sinks);
-        let (hub, service) = universe(&options.listen, options.num_ranks, options.wire, &obs)?;
+        let (hub, service) = universe(&options.listen, options.num_ranks, &obs)?;
         let addr = hub.local_addr();
         let mut children = Vec::new();
         if let Some(program) = &options.spawn {
@@ -214,20 +207,12 @@ impl Drop for Daemon {
 /// The ranks are reserved before the hub starts accepting, so an external
 /// worker (or a stale client) dialing the listen address during startup
 /// cannot race the daemon for its own foreman and monitor slots.
-fn universe(
-    listen: &str,
-    num_ranks: usize,
-    wire: WireFormat,
-    obs: &Obs,
-) -> io::Result<(TcpHub, ServiceRanks)> {
+fn universe(listen: &str, num_ranks: usize, obs: &Obs) -> io::Result<(TcpHub, ServiceRanks)> {
     let hub = TcpHub::bind_reserved(
         listen,
         num_ranks,
         &[ranks::FOREMAN, ranks::MONITOR],
-        NetConfig {
-            wire,
-            ..NetConfig::default()
-        },
+        NetConfig::default(),
         obs.clone(),
     )?;
     let addr = hub.local_addr();

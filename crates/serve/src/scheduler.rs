@@ -10,7 +10,7 @@
 //! admitted job.
 //!
 //! Like the farm master (`farm::run_job`), this master sends each job's
-//! next task to the foreman and folds what comes back — `JobTaskResult`,
+//! next task to the foreman and folds what comes back — `JumbleResult`,
 //! `WalRound`, `Quarantined` — into that job's [`Ledger`]. The foreman owns
 //! the ready queue and the requeue of a lost worker's jumble; its timeout
 //! never fires, so only a dropped connection takes a jumble back. The
@@ -304,7 +304,7 @@ impl Scheduler {
 
     fn handle_message(&mut self, msg: Message) {
         match msg {
-            Message::JobTaskResult {
+            Message::JumbleResult {
                 job,
                 task,
                 seed,
@@ -758,7 +758,7 @@ mod tests {
     use super::*;
     use fdml_core::config::SearchConfig;
     use fdml_core::wal::{wal_path, WalWriter};
-    use fdml_net::{TcpTransport, WireFormat};
+    use fdml_net::TcpTransport;
     use std::path::{Path, PathBuf};
 
     #[test]
@@ -787,7 +787,7 @@ mod tests {
     /// A master over whatever state `dir` holds — a restarted daemon.
     fn scheduler_at(dir: &Path) -> Scheduler {
         let quiet = Obs::disabled();
-        let (hub, service) = crate::universe("127.0.0.1:0", 4, WireFormat::Binary, &quiet).unwrap();
+        let (hub, service) = crate::universe("127.0.0.1:0", 4, &quiet).unwrap();
         let registry = Registry::open(dir).unwrap();
         Scheduler::new(
             hub,
@@ -805,12 +805,14 @@ mod tests {
 
     /// The foreman's forward of a worker's answer to `task`.
     fn answer(s: &mut Scheduler, job: JobId, task: u64, seed: u64, ln_likelihood: f64) {
-        s.handle_message(Message::JobTaskResult {
+        s.handle_message(Message::JumbleResult {
             job,
             task,
             seed,
             newick: TREE.into(),
             ln_likelihood,
+            rounds: 1,
+            candidates: 1,
             work_units: 1,
         });
     }
@@ -864,12 +866,14 @@ mod tests {
         assert_eq!(next(&mut s, Duration::from_millis(300)), None);
 
         // Its answer is the job's last task out: the retirement follows.
-        let late = Message::JobTaskResult {
+        let late = Message::JumbleResult {
             job: id,
             task,
             seed,
             newick: TREE.into(),
             ln_likelihood: -42.0,
+            rounds: 1,
+            candidates: 1,
             work_units: 1,
         };
         worker.send(ranks::FOREMAN, &late).unwrap();

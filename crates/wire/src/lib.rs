@@ -1,18 +1,17 @@
-//! `fdml-wire` — the compact binary codec for the runtime's messages.
+//! `fdml-wire` — the binary codec of the runtime's messages, the only
+//! encoding the data plane speaks.
 //!
-//! The seed wire format is one JSON document per message: self-describing
-//! and easy to debug, but a ~50 B [`TreeEdit`](fdml_comm::TreeEdit) task
-//! costs well over 100 bytes of field names and quoting, and at thousands
-//! of ranks the master's NIC serializes on that overhead (the paper's §3.2
-//! dispatch wall, moved from the CPU to the wire). This crate defines the
-//! binary alternative:
+//! A message rendered as JSON ([`JsonCodec`](fdml_comm::codec::JsonCodec),
+//! kept as the reference rendering) costs its field names and quoting: a
+//! ~50 B [`TreeEdit`](fdml_comm::TreeEdit) task is well over 100 bytes, and
+//! at thousands of ranks the master's NIC serializes on that overhead (the
+//! paper's §3.2 dispatch wall, moved from the CPU to the wire). The layout:
 //!
 //! * body = `0xFD` magic, format version byte, variant tag byte, fields;
 //! * integers are LEB128 varints, floats are exact IEEE-754 bit patterns,
 //!   strings are length-prefixed UTF-8 ([`varint`]);
-//! * the first body byte distinguishes codecs (`0xFD` vs JSON's `{`), so
-//!   readers sniff per body and binary/JSON peers interoperate during a
-//!   rollout with no flag-day.
+//! * the first body byte is never a JSON document's `{`, so a frame reader
+//!   tells a binary data-plane body from a JSON control-plane one by it.
 //!
 //! Framing — length prefix and CRC32 — is unchanged and stays in
 //! `fdml-net`; this crate only defines what goes inside a frame, and
@@ -26,12 +25,11 @@
 pub mod checksum;
 pub mod varint;
 
-use fdml_comm::codec::{CodecError, JsonCodec, MessageCodec};
 use fdml_comm::message::{EditScore, Message, MonitorEvent, TaskPayload, TreeEdit};
 use varint::Reader;
 
 /// First byte of every binary body. Deliberately not valid leading UTF-8
-/// for a JSON document, so codec sniffing is unambiguous.
+/// for a JSON document, so a binary body is never mistaken for JSON.
 pub const MAGIC: u8 = 0xFD;
 
 /// Version of the binary layout (tags, field order, primitive encodings).
@@ -73,12 +71,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<WireError> for CodecError {
-    fn from(e: WireError) -> Self {
-        CodecError::Decode(e.to_string())
-    }
-}
-
 // Variant tags. Append-only: new variants take the next free tag; existing
 // tags are frozen by the golden-bytes test.
 mod tag {
@@ -86,8 +78,8 @@ mod tag {
     pub const WORKER_READY: u8 = 1;
     pub const TREE_TASK: u8 = 2;
     pub const TREE_RESULT: u8 = 3;
-    pub const JUMBLE_TASK: u8 = 4;
-    pub const JUMBLE_RESULT: u8 = 5;
+    // 4 and 5 are retired: the job-less jumble task (a `JobTask` of job 0
+    // now) and the job-less jumble result (tag 29 carries the job).
     pub const MONITOR: u8 = 6;
     pub const PEER_DOWN: u8 = 7;
     pub const PEER_UP: u8 = 8;
@@ -110,6 +102,7 @@ mod tag {
     pub const EDIT_CHUNK: u8 = 26;
     pub const EDIT_SCORES: u8 = 27;
     pub const JUMBLE_RESUME: u8 = 28;
+    pub const JUMBLE_RESULT: u8 = 29;
 
     pub const MON_DISPATCHED: u8 = 0;
     pub const MON_COMPLETED: u8 = 1;
@@ -327,12 +320,8 @@ pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
             varint::put_f64(buf, *ln_likelihood);
             varint::put_u64(buf, *work_units);
         }
-        Message::JumbleTask { task, seed } => {
-            buf.push(tag::JUMBLE_TASK);
-            varint::put_u64(buf, *task);
-            varint::put_u64(buf, *seed);
-        }
         Message::JumbleResult {
+            job,
             task,
             seed,
             newick,
@@ -342,6 +331,7 @@ pub fn encode_body(msg: &Message, buf: &mut Vec<u8>) {
             work_units,
         } => {
             buf.push(tag::JUMBLE_RESULT);
+            varint::put_u64(buf, *job);
             varint::put_u64(buf, *task);
             varint::put_u64(buf, *seed);
             varint::put_str(buf, newick);
@@ -505,11 +495,8 @@ pub fn decode_body(r: &mut Reader<'_>) -> Result<Message, WireError> {
             ln_likelihood: r.f64()?,
             work_units: r.u64()?,
         }),
-        tag::JUMBLE_TASK => Ok(Message::JumbleTask {
-            task: r.u64()?,
-            seed: r.u64()?,
-        }),
         tag::JUMBLE_RESULT => Ok(Message::JumbleResult {
+            job: r.u64()?,
             task: r.u64()?,
             seed: r.u64()?,
             newick: r.str()?,
@@ -643,90 +630,10 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
     Ok(msg)
 }
 
-/// The binary codec as a [`MessageCodec`] — the negotiated alternative to
-/// [`JsonCodec`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinaryCodec;
-
-impl MessageCodec for BinaryCodec {
-    fn name(&self) -> &'static str {
-        "binary"
-    }
-
-    fn encode(&self, msg: &Message) -> Result<Vec<u8>, CodecError> {
-        Ok(encode_message(msg))
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<Message, CodecError> {
-        Ok(decode_message(bytes)?)
-    }
-}
-
-/// The wire format a peer writes with. Readers never need it — every body
-/// is sniffed by its first byte — so two peers with different formats
-/// still understand each other; the value only tells a writer what to
-/// emit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// One serde-JSON document per message (the seed format).
-    Json,
-    /// The compact tagged-varint layout of this crate (the default).
-    #[default]
-    Binary,
-}
-
-impl WireFormat {
-    /// Parse a `--wire` flag or handshake field value.
-    pub fn parse(s: &str) -> Option<WireFormat> {
-        match s {
-            "json" => Some(WireFormat::Json),
-            "binary" => Some(WireFormat::Binary),
-            _ => None,
-        }
-    }
-
-    /// The stable name used in flags and handshakes.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireFormat::Json => "json",
-            WireFormat::Binary => "binary",
-        }
-    }
-
-    /// The codec implementing this format.
-    pub fn codec(self) -> &'static dyn MessageCodec {
-        match self {
-            WireFormat::Json => &JsonCodec,
-            WireFormat::Binary => &BinaryCodec,
-        }
-    }
-
-    /// Encode with this format's codec.
-    pub fn encode(self, msg: &Message) -> Result<Vec<u8>, CodecError> {
-        self.codec().encode(msg)
-    }
-}
-
-impl std::fmt::Display for WireFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Decode a body in whichever codec produced it, sniffed from the first
-/// byte: [`MAGIC`] means binary, anything else is handed to the JSON
-/// codec. This is what makes mixed-codec fleets work — a reader does not
-/// care what the sender negotiated.
-pub fn decode_auto(bytes: &[u8]) -> Result<Message, CodecError> {
-    match bytes.first() {
-        Some(&MAGIC) => Ok(decode_message(bytes)?),
-        _ => JsonCodec.decode(bytes),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdml_comm::codec::{JsonCodec, MessageCodec};
 
     fn sample_edit_task() -> Message {
         Message::TreeEditTask {
@@ -753,15 +660,6 @@ mod tests {
             bin.len(),
             json.len()
         );
-    }
-
-    #[test]
-    fn auto_detect_sniffs_both_codecs() {
-        let msg = Message::JumbleTask { task: 32, seed: 7 };
-        let bin = encode_message(&msg);
-        let json = JsonCodec.encode(&msg).unwrap();
-        assert_eq!(decode_auto(&bin).unwrap(), msg);
-        assert_eq!(decode_auto(&json).unwrap(), msg);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use fastdnaml::core::netrun::{run_net, run_net_peer, NetOptions, NetSpawn};
 use fastdnaml::core::runner::{
     bootstrap_analysis, evaluate_user_trees, run_in_process, run_threaded, RunOptions,
 };
-use fastdnaml::net::WireFormat;
 use fastdnaml::obs::{JsonlSink, MemorySink, Sink};
 use fastdnaml::phylo::{fasta, newick, phylip};
 use fastdnaml::rates::{categorize, estimate_rates, RateGrid};
@@ -48,17 +47,8 @@ fn obs_sinks(
     Ok(sinks)
 }
 
-/// `--wire json|binary`: the hub's data-plane codec.
-fn wire_format(args: &HashMap<String, String>) -> Result<WireFormat, String> {
-    match args.get("wire") {
-        Some(w) => WireFormat::parse(w).ok_or(format!("--wire {w}: expected json or binary")),
-        None => Ok(WireFormat::default()),
-    }
-}
-
 /// The `--net coordinator | spawn N` universe the flags describe:
-/// `--listen`, `--ranks`, `--wire json|binary` (hub data-plane codec), and
-/// for `spawn` the peer launch settings.
+/// `--listen`, `--ranks`, and for `spawn` the peer launch settings.
 fn net_options(
     mode: &str,
     args: &HashMap<String, String>,
@@ -73,7 +63,7 @@ fn net_options(
         .get("listen")
         .map(String::as_str)
         .unwrap_or("127.0.0.1:0");
-    let mut options = NetOptions::new(listen, get(args, "ranks", 4)).with_wire(wire_format(args)?);
+    let mut options = NetOptions::new(listen, get(args, "ranks", 4));
     if mode == "spawn" {
         let die_rank = args.get("die-rank").and_then(|v| v.parse::<usize>().ok());
         let die_tasks = args
@@ -204,7 +194,7 @@ fastdnaml --input data.phy [options]
                        --net coordinator / --serve [4]
   --supervise          (--net spawn) respawn dead worker processes
   --max-restarts N     respawn ceiling per worker slot with --supervise [3]
-  --wire FORMAT        hub data-plane codec, json | binary (--net) [binary]
+  --wire binary        the data-plane encoding; binary is the only one
   --worker-timeout-ms T  foreman timeout before a task is requeued
   --isa LANE           kernel instruction set: scalar | avx2 | avx512 |
                        neon (must be host-supported)         [auto-detect]
@@ -282,10 +272,6 @@ fn serve_mode(args: &HashMap<String, String>, flags: &[String], quiet: bool) -> 
     options.max_jobs = get(args, "max-jobs", 8);
     options.max_job_ranks = get(args, "max-job-ranks", 0);
     options.max_wall_ms = get(args, "max-wall-ms", 0);
-    options.wire = match wire_format(args) {
-        Ok(wire) => wire,
-        Err(e) => return die(e),
-    };
     if flags.iter().any(|f| f == "spawn-workers") {
         options.spawn = Some(std::env::current_exe().expect("current executable path"));
     }
@@ -405,6 +391,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let quiet = flags.iter().any(|f| f == "quiet");
+
+    // The data plane has one encoding. `--wire binary` names it, so a
+    // command line that spells it out still runs; any other is refused in
+    // every mode, not ignored.
+    if let Some(wire) = args.get("wire").filter(|wire| *wire != "binary") {
+        return die(format_args!("--wire {wire}: the data plane is binary only"));
+    }
 
     // `--isa` narrows the kernel dispatch before any engine exists; it is
     // applied first so every mode — including `--net worker`, whose engine
@@ -611,25 +604,44 @@ fn main() -> ExitCode {
             .conflict_if(submit && has("wal-dir"), "--submit", "--wal-dir");
         // The bootstrap runs its replicates serially, edit-scored and
         // without a category model, and writes only the unrooted
-        // consensus; a flag it would ignore is refused instead.
-        let bootstrap_ignores = [
-            "parallel",
-            "net",
-            "obs-out",
-            "obs-summary",
-            "jumble-trees",
-            "no-incremental",
-            "categories",
-            "rates-file",
-            "outgroup",
-            "midpoint",
+        // consensus; user-tree evaluation scores the given trees in
+        // process and writes only the best one. A flag either would
+        // ignore is refused instead.
+        let ignores: [(&str, &[&str]); 2] = [
+            (
+                "bootstrap",
+                &[
+                    "parallel",
+                    "net",
+                    "obs-out",
+                    "obs-summary",
+                    "jumble-trees",
+                    "no-incremental",
+                    "categories",
+                    "rates-file",
+                    "outgroup",
+                    "midpoint",
+                ],
+            ),
+            (
+                "user-trees",
+                &[
+                    "parallel",
+                    "net",
+                    "obs-out",
+                    "obs-summary",
+                    "jumble-trees",
+                    "wal-dir",
+                ],
+            ),
         ];
         let given = |key: &str| has(key) || flags.iter().any(|f| f == key);
-        let spec_result = bootstrap_ignores
+        let spec_result = ignores
             .iter()
-            .fold(builder, |builder, flag| {
-                let both = has("bootstrap") && given(flag);
-                builder.conflict_if(both, "--bootstrap", format!("--{flag}"))
+            .flat_map(|&(mode, ignored)| ignored.iter().map(move |&flag| (mode, flag)))
+            .fold(builder, |builder, (mode, flag)| {
+                let both = has(mode) && given(flag);
+                builder.conflict_if(both, format!("--{mode}"), format!("--{flag}"))
             })
             .build();
         match spec_result {
@@ -753,7 +765,10 @@ fn main() -> ExitCode {
         else {
             return die(format_args!("--user-trees {path}: no trees in the file"));
         };
-        return done(emit_to(output, &best.newick));
+        return match render_tree(&best.tree) {
+            Ok(text) => done(emit_to(output, &text)),
+            Err(e) => die(format_args!("rooting: {e}")),
+        };
     }
 
     // Bootstrap mode.

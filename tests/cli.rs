@@ -199,6 +199,74 @@ fn a_bootstrap_refuses_the_flags_it_cannot_serve() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// User-tree evaluation scores the given trees in process and writes only
+/// the best one: each flag it would silently ignore is refused in one line
+/// naming both, and nothing is written.
+#[test]
+fn user_tree_evaluation_refuses_the_flags_it_cannot_serve() {
+    let dir = workdir("user_tree_conflicts");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let user = file("user.nwk");
+    std::fs::write(&user, "((t0,t1),(t2,t3),(t4,t5));\n").unwrap();
+    let (obs, trees, wal) = (file("o.jsonl"), file("t.txt"), file("wal"));
+    for (extra, refused) in [
+        (&["--parallel", "5"][..], "--parallel"),
+        (&["--net", "spawn", "4"][..], "--net"),
+        (&["--obs-out", &obs][..], "--obs-out"),
+        (&["--jumble-trees", &trees][..], "--jumble-trees"),
+        (&["--wal-dir", &wal][..], "--wal-dir"),
+        (&["--obs-summary"][..], "--obs-summary"),
+    ] {
+        let args = [&["--user-trees", &user][..], extra].concat();
+        let line = one_line_failure(&dir, &args);
+        assert!(
+            line.contains("--user-trees") && line.contains(refused),
+            "{line}"
+        );
+    }
+    for path in [&obs, &trees, &wal] {
+        assert!(!Path::new(path).exists(), "{path} was written");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The best user tree is rooted as asked, like a search's tree.
+#[test]
+fn the_best_user_tree_is_rooted_as_asked() {
+    let dir = workdir("user_tree_rooting");
+    let user = dir.join("user.nwk");
+    std::fs::write(&user, "((t0,t1),(t2,t3),(t4,t5));\n").unwrap();
+    let run = |extra: &[&str]| -> String {
+        let out = fastdnaml()
+            .args(["--input"])
+            .arg(dir.join("data.phy"))
+            .args(["--quiet", "--user-trees"])
+            .arg(&user)
+            .args(extra)
+            .output()
+            .expect("run fastdnaml");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        stdout.lines().last().unwrap().to_string()
+    };
+    // Unrooted: the trifurcation the search engine writes.
+    let plain = fastdnaml::phylo::newick::parse(&run(&[])).unwrap();
+    assert_eq!(plain.children.len(), 3);
+    // Outgroup: two children at the root, one of them t0 alone.
+    let rooted = fastdnaml::phylo::newick::parse(&run(&["--outgroup", "t0"])).unwrap();
+    assert_eq!(rooted.children.len(), 2);
+    assert!(rooted.children.iter().any(|c| c.leaf_names() == vec!["t0"]));
+    // Midpoint: a rooted binary tree over all six taxa.
+    let rooted = fastdnaml::phylo::newick::parse(&run(&["--midpoint"])).unwrap();
+    assert_eq!(rooted.children.len(), 2);
+    assert_eq!(rooted.leaf_names().len(), 6);
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn a_foreign_or_garbled_farm_manifest_fails_cleanly_naming_the_file() {
     let dir = workdir("badfarm");

@@ -250,17 +250,41 @@ fn supervised_worker_is_respawned_and_readmitted() {
 }
 
 #[test]
-fn json_wire_matches_binary_wire_exactly() {
+fn the_data_plane_is_binary_only() {
     let dir = workdir("wirefmt");
-    // Same universe, opposite hub codecs. The peers default to binary, so
-    // the JSON run is a genuinely mixed fleet (JSON hub ↔ binary workers)
-    // relying on per-connection negotiation.
+    // `--wire binary` names the one encoding: accepted, and a no-op.
     let (binary_tree, _) = run(
         &dir,
         &["--net", "spawn", "4", "--quiet", "--wire", "binary"],
     );
-    let (json_tree, _) = run(&dir, &["--net", "spawn", "4", "--quiet", "--wire", "json"]);
-    assert_eq!(json_tree, binary_tree);
+    let (plain_tree, _) = run(&dir, &["--net", "spawn", "4", "--quiet"]);
+    assert_eq!(binary_tree, plain_tree);
+    // Any other is refused in one line, in every mode, before any rank,
+    // socket or state directory exists.
+    let state = dir.join("state");
+    let state_arg = state.to_str().unwrap();
+    for mode in [
+        &[][..],
+        &["--parallel", "5"],
+        &["--net", "spawn", "4"],
+        &["--net", "coordinator"],
+        &["--net", "worker", "--connect", "127.0.0.1:9"],
+        &["--serve", "--state-dir", state_arg],
+    ] {
+        let out = fastdnaml()
+            .args(["--input"])
+            .arg(dir.join("data.phy"))
+            .args(["--jumble", "7", "--quiet", "--wire", "json"])
+            .args(mode)
+            .output()
+            .expect("run fastdnaml");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{mode:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{mode:?} printed a tree");
+        assert_eq!(stderr.lines().count(), 1, "{mode:?}: {stderr}");
+        assert!(stderr.contains("--wire json"), "{mode:?}: {stderr}");
+    }
+    assert!(!state.exists(), "a refused daemon made its state directory");
     std::fs::remove_dir_all(dir).ok();
 }
 
