@@ -489,6 +489,17 @@ for f in $(find crates/*/src src -name '*.rs'); do
   fi
 done
 
+# One flag table: each flag is declared once, with the modes that read it,
+# and `--help`, bounds and refusals come from it. No hand-written usage
+# text, conflict list, spec builder or job-bound rank slot comes back.
+retired='const USAGE|JobSpecBuilder|conflict_if|WrongJob'
+for f in $(find crates/*/src src -name '*.rs'); do
+  if nontest "$f" | grep -nE "$retired"; then
+    echo "one flag table: $f brings a second list of what a flag means back"
+    exit 1
+  fi
+done
+
 # No dead public surface: every `pub fn` of the runtime's library crates
 # (core, serve, comm, net) has a caller outside its own file's test module
 # — another file, a test target, an example or the benchmark — or a line

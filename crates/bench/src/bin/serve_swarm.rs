@@ -60,14 +60,15 @@ fn main() {
                     let tree = yule_tree(taxa, 0.08, 21 + stamp);
                     let alignment =
                         evolve(&tree, sites, &EvolutionConfig::default(), 5 + stamp, "t");
-                    let spec = JobSpec::builder()
-                        .phylip(phylip::write(&alignment))
-                        .config_json(SearchConfig::default().engine_config_json())
-                        .jumbles(jumbles)
-                        .base_seed(1 + stamp)
-                        .label(format!("swarm-{c}-{j}"))
-                        .build()
-                        .expect("swarm spec");
+                    let spec = JobSpec {
+                        phylip: phylip::write(&alignment),
+                        config_json: SearchConfig::default().engine_config_json(),
+                        jumbles,
+                        base_seed: 1 + stamp,
+                        max_ranks: 0,
+                        max_wall_ms: 0,
+                        label: format!("swarm-{c}-{j}"),
+                    };
                     let t = Instant::now();
                     let job = client::submit(addr, &spec).expect("submit");
                     let result = client::attach(addr, job, Duration::from_secs(600), &mut |_| {})

@@ -32,10 +32,7 @@ pub mod threads;
 pub mod transport;
 
 pub use codec::{CodecError, JsonCodec, MessageCodec};
-pub use job::{
-    JobId, JobResult, JobSpec, JobSpecBuilder, JobSpecError, JobState, JobStatus, JobTree,
-    RejectReason,
-};
+pub use job::{JobId, JobResult, JobSpec, JobState, JobStatus, JobTree, RejectReason};
 pub use message::{EditScore, Message, MessageKind, MonitorEvent, TaskPayload, TreeEdit};
 pub use recording::Recording;
 pub use threads::ThreadUniverse;

@@ -95,10 +95,11 @@ impl SearchConfig {
     /// Rebuild a search configuration from the wire form (worker side).
     /// The wire carries both the engine model and the search-control
     /// fields, so a worker handed a whole jumble ([`fdml_comm::Message::JobTask`])
-    /// runs the byte-identical search a serial process would.
-    pub fn from_engine_config_json(json: &str) -> Result<SearchConfig, serde_json::Error> {
-        let wire: EngineConfigWire = serde_json::from_str(json)?;
-        Ok(wire.into_config())
+    /// runs the byte-identical search a serial process would. A ratio or
+    /// a category model no engine can be built from is an error naming it.
+    pub fn from_engine_config_json(json: &str) -> Result<SearchConfig, String> {
+        let wire: EngineConfigWire = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        wire.into_config()
     }
 }
 
@@ -178,11 +179,31 @@ impl From<&SearchConfig> for EngineConfigWire {
 }
 
 impl EngineConfigWire {
-    fn into_config(self) -> SearchConfig {
+    fn into_config(self) -> Result<SearchConfig, String> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.tt_ratio) {
+            return Err(format!(
+                "tt_ratio {}: not a finite number above 0",
+                self.tt_ratio
+            ));
+        }
+        let rates = &self.category_rates;
+        if rates.is_empty() || !rates.iter().all(|&r| positive(r)) {
+            return Err(format!(
+                "category_rates {rates:?}: not one or more finite numbers above 0"
+            ));
+        }
+        let assignment = self.category_assignment.as_deref().unwrap_or_default();
+        if let Some(c) = assignment.iter().find(|&&c| c as usize >= rates.len()) {
+            return Err(format!(
+                "category_assignment names category {c} of {}",
+                rates.len()
+            ));
+        }
         let categories = self
             .category_assignment
             .map(|assignment| RateCategories::new(self.category_rates.clone(), assignment));
-        SearchConfig {
+        Ok(SearchConfig {
             tt_ratio: self.tt_ratio,
             optimize: OptimizeOptions {
                 max_passes: self.max_passes,
@@ -200,7 +221,7 @@ impl EngineConfigWire {
             max_verify_per_round: self.max_verify_per_round,
             verify_slack: self.verify_slack,
             ..SearchConfig::default()
-        }
+        })
     }
 }
 

@@ -110,8 +110,10 @@ impl NetOptions {
 /// How long the coordinator waits for the universe to assemble.
 const READY_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Build the peer-mode command line for one child.
-fn peer_command(spawn: &NetSpawn, addr: &str, rank: Option<Rank>) -> Command {
+/// The `--net worker` command line of one forked peer: `rank` is the rank
+/// it will be, if a `--die-after-tasks` plan may name it. Its stdout is
+/// closed; its stderr is the caller's.
+pub fn peer_command(spawn: &NetSpawn, addr: &str, rank: Option<Rank>) -> Command {
     let mut cmd = Command::new(&spawn.program);
     cmd.arg("--net")
         .arg("worker")

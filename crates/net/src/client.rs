@@ -13,7 +13,6 @@
 //! it exits and the coordinator's fault tolerance takes over.
 
 use crate::wire::{coalesce_frames, read_frame, write_frame, Frame, FrameReader, PROTOCOL_VERSION};
-use fdml_comm::job::JobId;
 use fdml_comm::message::Message;
 use fdml_comm::transport::{CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
@@ -36,10 +35,6 @@ pub struct ClientConfig {
     pub reconnect_backoff: Duration,
     /// Depth of the bounded outgoing queue (frames).
     pub queue_depth: usize,
-    /// The job this connection's rank is dedicated to, presented in
-    /// every `Hello` (initial and rejoin). `None` — the default — joins
-    /// as a shared-fleet rank. See the hub's cross-job rejoin guard.
-    pub job: Option<JobId>,
     /// Claim this specific rank on the initial dial by presenting
     /// `Hello { rejoin: Some(rank) }` — the only way to take a slot the
     /// hub reserved at bind time (see `TcpHub::bind_reserved`, which also
@@ -54,7 +49,6 @@ impl Default for ClientConfig {
             reconnect_attempts: 5,
             reconnect_backoff: Duration::from_millis(100),
             queue_depth: 256,
-            job: None,
             claim: None,
         }
     }
@@ -109,7 +103,7 @@ impl TcpTransport {
         let addr_s = addr.to_string();
         let mut stream = TcpStream::connect(&addr)?;
         stream.set_nodelay(true).ok();
-        let welcome = handshake(&mut stream, cfg.claim, cfg.job)?;
+        let welcome = handshake(&mut stream, cfg.claim)?;
         let Frame::Welcome {
             rank,
             size,
@@ -244,17 +238,12 @@ impl Transport for TcpTransport {
 }
 
 /// Present a `Hello`, expect a `Welcome`.
-fn handshake(
-    stream: &mut TcpStream,
-    rejoin: Option<Rank>,
-    job: Option<JobId>,
-) -> io::Result<Frame> {
+fn handshake(stream: &mut TcpStream, rejoin: Option<Rank>) -> io::Result<Frame> {
     write_frame(
         stream,
         &Frame::Hello {
             version: PROTOCOL_VERSION,
             rejoin,
-            job,
         },
     )?;
     match read_frame(stream, Duration::from_secs(5))? {
@@ -467,7 +456,7 @@ fn reconnect(shared: &Arc<ClientShared>) -> Option<TcpStream> {
             continue;
         };
         stream.set_nodelay(true).ok();
-        match handshake(&mut stream, Some(shared.rank), shared.cfg.job) {
+        match handshake(&mut stream, Some(shared.rank)) {
             Ok(Frame::Welcome { rank, .. }) if rank == shared.rank => return Some(stream),
             // The hub gave our slot away (or refused us): no way back.
             Ok(_) | Err(_) => continue,

@@ -25,15 +25,10 @@
 //! errors — is declared dead: its slot is cleared, an obs event is emitted,
 //! and local sends to it fail with [`CommError::Disconnected`] so the
 //! foreman's requeue machinery takes over. A dead peer that dials back in
-//! with `Hello { rejoin: Some(rank) }` is re-bound to its old slot — but
-//! only if its `job` binding still matches the slot's: once a dead slot
-//! has been handed to a different job's replacement, the stale client's
-//! rejoin is refused with a typed `Reject` (the cross-job guard, sitting
-//! alongside the per-connection generation check). The binding is
-//! *client-asserted*: each `Hello` carries the job its fleet launcher
-//! configured (`ClientConfig::job`), and the hub remembers what the last
-//! occupant presented. Shared-fleet daemon workers present no binding, so
-//! the guard protects exactly the fleets that opt in per job.
+//! with `Hello { rejoin: Some(rank) }` is re-bound to its old slot, and
+//! the per-connection generation check keeps the old connection's threads
+//! from touching the new one. Every worker serves every job of a daemon's
+//! shared fleet, so a slot is bound to no job.
 //!
 //! Slots can also be *reserved* at bind time ([`TcpHub::bind_reserved`]):
 //! a reserved rank is never handed to an anonymous fresh join and must be
@@ -47,7 +42,7 @@
 //! whoever is running the job API, socket and opening frame together.
 
 use crate::wire::{coalesce_frames, read_frame, write_frame, Frame, FrameReader, PROTOCOL_VERSION};
-use fdml_comm::job::{JobId, RejectReason};
+use fdml_comm::job::RejectReason;
 use fdml_comm::message::Message;
 use fdml_comm::transport::{ranks, CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
@@ -94,11 +89,6 @@ struct Slot {
     ever_connected: bool,
     /// Completed rebinds after a drop.
     reconnects: u64,
-    /// The job this rank slot is currently dedicated to (`None` for a
-    /// shared or single-job fleet). Client-asserted: set at every bind
-    /// from the occupant's own `Hello { job }`; a rejoin must present the
-    /// same binding or be refused.
-    job: Option<JobId>,
     /// A reserved slot is never assigned to a fresh anonymous join; it
     /// must be claimed with `Hello { rejoin: Some(rank) }`.
     reserved: bool,
@@ -520,13 +510,10 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
         Ok(Some(f)) => f,
         _ => return,
     };
-    let (rejoin, job) = match hello {
+    let rejoin = match hello {
         Frame::Hello {
-            version,
-            rejoin,
-            job,
-            ..
-        } if version == PROTOCOL_VERSION => (rejoin, job),
+            version, rejoin, ..
+        } if version == PROTOCOL_VERSION => rejoin,
         Frame::Hello { version, .. } => {
             let _ = write_frame(
                 &mut stream,
@@ -560,7 +547,7 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
     // Pick (or re-bind) a slot under the lock; do the socket I/O after.
     let (rank, generation, out_rx, reconnected) = {
         let mut slots = shared.slots();
-        let (rank, reconnected) = match assign_slot(&slots, shared.hosted.len(), rejoin, job) {
+        let (rank, reconnected) = match assign_slot(&slots, shared.hosted.len(), rejoin) {
             Ok(pair) => pair,
             Err(reject) => {
                 drop(slots);
@@ -571,7 +558,6 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
         let slot = &mut slots[rank];
         slot.generation += 1;
         slot.ever_connected = true;
-        slot.job = job;
         if reconnected {
             slot.reconnects += 1;
         }
@@ -622,20 +608,11 @@ fn handshake(mut stream: TcpStream, shared: Arc<HubShared>) {
 }
 
 /// Choose a slot for a connecting peer: `Ok((rank, is_reconnect))`, or
-/// the `Reject`/`Rejected` frame to answer with. Called with the slot
+/// the `Reject` frame to answer with. Called with the slot
 /// table locked; ranks below `hosted` live in this process and are never
 /// given out.
-fn assign_slot(
-    slots: &[Slot],
-    hosted: usize,
-    rejoin: Option<Rank>,
-    job: Option<JobId>,
-) -> Result<(Rank, bool), Frame> {
-    // A rejoin gets its old rank back iff that slot is currently dead
-    // *and* still bound to the same job. The generation check protects a
-    // slot from its own past connections; this guard protects it from a
-    // different job's — a stale client whose rank the scheduler has since
-    // re-dedicated must not compute against the wrong problem.
+fn assign_slot(slots: &[Slot], hosted: usize, rejoin: Option<Rank>) -> Result<(Rank, bool), Frame> {
+    // A rejoin gets its old rank back iff that slot is currently dead.
     if let Some(r) = rejoin {
         if r < hosted {
             return Err(Frame::Reject {
@@ -643,15 +620,6 @@ fn assign_slot(
             });
         }
         if r < slots.len() && slots[r].out.is_none() {
-            if slots[r].ever_connected && slots[r].job != job {
-                return Err(Frame::Rejected {
-                    reason: RejectReason::WrongJob {
-                        rank: r,
-                        bound: slots[r].job,
-                        presented: job,
-                    },
-                });
-            }
             return Ok((r, slots[r].ever_connected));
         }
     }

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 /// version differs — mixing builds across a cluster corrupts likelihoods
 /// far more subtly than a refused connection does.
 /// Version 2 added the per-frame CRC32. Version 3 added job multiplexing:
-/// the `job` binding on `Hello` and the service-plane frames
+/// the service-plane frames
 /// (`Submit` … `Done`) the `fdml-serve` daemon speaks. Version 4 made the
 /// chunk the unit of edit work (`EditChunk` / `EditScores`, binary tags
 /// 26 / 27): a version-3 worker would die on the first chunk it was sent,
@@ -69,13 +69,6 @@ pub enum Frame {
         /// `None` for a fresh join; `Some(rank)` when reconnecting after a
         /// dropped link, asking for the old rank back.
         rejoin: Option<Rank>,
-        /// The job this connection's rank slot is dedicated to; `None`
-        /// for a shared-fleet (or single-job) universe. A rejoin whose
-        /// `job` differs from the slot's current binding is rejected —
-        /// the cross-job guard that keeps a stale client of one job from
-        /// reattaching to a slot the daemon has since given to another.
-        #[serde(default)]
-        job: Option<JobId>,
     },
     /// Hub → client, accepting a `Hello`.
     Welcome {
@@ -497,12 +490,10 @@ mod tests {
             Frame::Hello {
                 version: PROTOCOL_VERSION,
                 rejoin: None,
-                job: None,
             },
             Frame::Hello {
                 version: PROTOCOL_VERSION,
                 rejoin: Some(3),
-                job: Some(7),
             },
             Frame::Welcome {
                 rank: 4,
@@ -582,17 +573,16 @@ mod tests {
     }
 
     #[test]
-    fn hello_without_job_binding_still_parses() {
-        // The `job` field is `#[serde(default)]`: a Hello emitted without
-        // it (single-job launchers never set one) must parse as unbound.
-        let json = r#"{"Hello":{"version":3,"rejoin":null}}"#;
+    fn an_older_hello_naming_a_job_still_parses() {
+        // Builds of protocol 3-8 could bind a rank slot to a job. The field
+        // is gone, but such a Hello must still parse, its binding ignored.
+        let json = r#"{"Hello":{"version":8,"rejoin":3,"job":7}}"#;
         let f: Frame = serde_json::from_str(json).unwrap();
         assert_eq!(
             f,
             Frame::Hello {
-                version: 3,
-                rejoin: None,
-                job: None,
+                version: 8,
+                rejoin: Some(3),
             }
         );
     }
@@ -609,7 +599,6 @@ mod tests {
             Frame::Hello {
                 version: 7,
                 rejoin: None,
-                job: None,
             }
         );
     }
@@ -673,7 +662,6 @@ mod tests {
         let hello = Frame::Hello {
             version: PROTOCOL_VERSION,
             rejoin: None,
-            job: None,
         };
         write_frame(&mut a, &hello).unwrap();
         // Peek at the raw bytes: the body must start with '{'.

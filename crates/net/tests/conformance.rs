@@ -229,7 +229,6 @@ fn version_skew_is_rejected() {
         &Frame::Hello {
             version: PROTOCOL_VERSION + 999,
             rejoin: None,
-            job: None,
         },
     )
     .unwrap();
@@ -287,68 +286,6 @@ fn full_universe_is_rejected() {
     let _first = TcpTransport::connect(addr).unwrap();
     let err = TcpTransport::connect(addr).map(|_| ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
-}
-
-#[test]
-fn cross_job_rejoin_is_rejected_with_typed_reason() {
-    use fdml_comm::job::RejectReason;
-    let hub = TcpHub::bind("127.0.0.1:0", 2, fast_net_config(), Obs::disabled()).unwrap();
-    let addr = hub.local_addr();
-
-    // A worker dedicated to job 1 claims rank 1, then dies.
-    let mut a = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut a,
-        &Frame::Hello {
-            version: PROTOCOL_VERSION,
-            rejoin: None,
-            job: Some(1),
-        },
-    )
-    .unwrap();
-    let welcome = read_frame(&mut a, Duration::from_secs(5)).unwrap();
-    assert!(matches!(welcome, Some(Frame::Welcome { rank: 1, .. })));
-    hub.sever_peer(1);
-
-    // The generation check alone would admit this: the slot is dead and
-    // the rank matches. The cross-job guard must still refuse it, because
-    // the slot belongs to job 1 and this client claims job 2.
-    let mut b = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut b,
-        &Frame::Hello {
-            version: PROTOCOL_VERSION,
-            rejoin: Some(1),
-            job: Some(2),
-        },
-    )
-    .unwrap();
-    match read_frame(&mut b, Duration::from_secs(5)).unwrap() {
-        Some(Frame::Rejected { reason }) => assert_eq!(
-            reason,
-            RejectReason::WrongJob {
-                rank: 1,
-                bound: Some(1),
-                presented: Some(2),
-            }
-        ),
-        other => panic!("expected a typed WrongJob rejection, got {other:?}"),
-    }
-    assert_eq!(hub.connected_peers(), 0);
-
-    // The rightful owner (same job binding) still gets its slot back.
-    let mut c = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut c,
-        &Frame::Hello {
-            version: PROTOCOL_VERSION,
-            rejoin: Some(1),
-            job: Some(1),
-        },
-    )
-    .unwrap();
-    let welcome = read_frame(&mut c, Duration::from_secs(5)).unwrap();
-    assert!(matches!(welcome, Some(Frame::Welcome { rank: 1, .. })));
 }
 
 #[test]
@@ -450,6 +387,9 @@ fn hosted_and_remote_ranks_exchange_in_order_and_only_peers_are_relayed() {
     // ... which only worker-to-worker traffic does.
     a.send(4, &Message::WorkerReady).unwrap();
     assert_eq!(b.recv().unwrap(), (3, Message::WorkerReady));
+    // The hub counts a relay once it has delivered it, so `b` can read the
+    // frame a moment before the count moves.
+    eventually(|| hub.relayed() == 1, "the relay to be counted");
     assert_eq!(hub.relayed(), 1);
 }
 
@@ -466,7 +406,6 @@ fn hosted_ranks_are_never_given_to_a_dialer() {
             &Frame::Hello {
                 version: PROTOCOL_VERSION,
                 rejoin: Some(hosted),
-                job: None,
             },
         )
         .unwrap();
@@ -494,7 +433,6 @@ fn a_lost_worker_is_announced_to_the_master_and_the_hosted_foreman() {
         &Frame::Hello {
             version: PROTOCOL_VERSION,
             rejoin: None,
-            job: None,
         },
     )
     .unwrap();
@@ -521,7 +459,6 @@ fn an_idle_connection_still_carries_heartbeats() {
         &Frame::Hello {
             version: PROTOCOL_VERSION,
             rejoin: None,
-            job: None,
         },
     )
     .unwrap();
@@ -591,7 +528,6 @@ fn silent_peer_is_declared_dead_by_heartbeat_misses() {
         &Frame::Hello {
             version: PROTOCOL_VERSION,
             rejoin: None,
-            job: None,
         },
     )
     .unwrap();

@@ -41,6 +41,7 @@ mod scheduler;
 pub use registry::{JobEntry, Registry};
 
 use fdml_comm::transport::{ranks, Rank, Transport};
+use fdml_core::netrun::{peer_command, NetSpawn};
 use fdml_core::runner::ServiceRanks;
 use fdml_net::{ClientConfig, NetConfig, TcpHub, TcpTransport};
 use fdml_obs::{Obs, Sink};
@@ -48,7 +49,7 @@ use scheduler::{Limits, Scheduler, MODE_KILL, MODE_RUN, MODE_STOP};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Stdio};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -125,17 +126,13 @@ impl Daemon {
         let addr = hub.local_addr();
         let mut children = Vec::new();
         if let Some(program) = &options.spawn {
+            let fleet = NetSpawn {
+                quiet: true,
+                ..NetSpawn::new(program.clone())
+            };
             for _ in 3..options.num_ranks {
-                let child = Command::new(program)
-                    .arg("--net")
-                    .arg("worker")
-                    .arg("--connect")
-                    .arg(addr.to_string())
-                    .arg("--quiet")
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::null())
-                    .spawn()?;
-                children.push(child);
+                let mut command = peer_command(&fleet, &addr.to_string(), None);
+                children.push(command.stderr(Stdio::null()).spawn()?);
             }
         }
         // Observed open: a torn `jobs.json` tail recovers to the last

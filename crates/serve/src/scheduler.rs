@@ -417,6 +417,9 @@ impl Scheduler {
             job: id,
             best_ln_likelihood: result.best_ln_likelihood,
         });
+        // A daemon stops only by being killed: a finished job's events
+        // reach the event log before its clients hear it is done.
+        self.obs.flush();
         for mut stream in job.attached.drain(..) {
             let _ = write_frame(
                 &mut stream,
@@ -461,6 +464,7 @@ impl Scheduler {
             job: id,
             reason: reason.clone(),
         });
+        self.obs.flush();
         for mut stream in attached {
             let _ = write_frame(
                 &mut stream,
@@ -818,14 +822,15 @@ mod tests {
     }
 
     fn one_jumble_spec() -> JobSpec {
-        JobSpec::builder()
-            .phylip(" 3 12\nt0 ACGTACGTACGT\nt1 ACGTACGAACGT\nt2 ACTTACGAACGA\n")
-            .config_json(SearchConfig::default().engine_config_json())
-            .jumbles(1)
-            .base_seed(7)
-            .label("late-result")
-            .build()
-            .unwrap()
+        JobSpec {
+            phylip: " 3 12\nt0 ACGTACGTACGT\nt1 ACGTACGAACGT\nt2 ACTTACGAACGA\n".into(),
+            config_json: SearchConfig::default().engine_config_json(),
+            jumbles: 1,
+            base_seed: 7,
+            max_ranks: 0,
+            max_wall_ms: 0,
+            label: "late-result".into(),
+        }
     }
 
     #[test]

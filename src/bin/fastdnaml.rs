@@ -1,8 +1,11 @@
-//! The fastDNAml command-line program. `fastdnaml --help` prints every
-//! flag; its text is `USAGE` below, and the flags it accepts are `FLAGS`.
+//! The fastDNAml command-line program. Its flags are `FLAGS`, each with
+//! the modes that read it; `fastdnaml --help` prints the table.
 
-use fastdnaml::cli::{self, get, Takes};
-use fastdnaml::comm::job::{JobSpec, JobSpecError};
+use fastdnaml::cli::Takes::{Int, Nothing, OneOf, Real, Text};
+use fastdnaml::cli::{self, flag, get, Flag, Mode, Modes, Program};
+use fastdnaml::cli::{ALL, ATTACH, BOOTSTRAP, COORDINATOR, FARM, ONE, PARALLEL, SEARCH, SERIAL};
+use fastdnaml::cli::{SERVE, SPAWN, STATUS, SUBMIT, USER_TREES, WORKER};
+use fastdnaml::comm::job::JobSpec;
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::netrun::{run_net, run_net_peer, NetOptions, NetSpawn};
@@ -49,35 +52,26 @@ fn obs_sinks(
 
 /// The `--net coordinator | spawn N` universe the flags describe:
 /// `--listen`, `--ranks`, and for `spawn` the peer launch settings.
-fn net_options(
-    mode: &str,
-    args: &HashMap<String, String>,
-    flags: &[String],
-) -> Result<NetOptions, String> {
-    if mode != "coordinator" && mode != "spawn" {
-        return Err(format!(
-            "unknown --net mode {mode:?} (coordinator | worker | spawn N)"
-        ));
-    }
+fn net_options(mode: &str, args: &HashMap<String, String>, flags: &[String]) -> NetOptions {
     let listen = args
         .get("listen")
         .map(String::as_str)
         .unwrap_or("127.0.0.1:0");
-    let mut options = NetOptions::new(listen, get(args, "ranks", 4));
-    if mode == "spawn" {
-        let die_rank = args.get("die-rank").and_then(|v| v.parse::<usize>().ok());
-        let die_tasks = args
-            .get("die-after-tasks")
-            .and_then(|v| v.parse::<u64>().ok());
-        options = options.spawning(NetSpawn {
-            program: std::env::current_exe().expect("current executable path"),
-            die_after_tasks: die_rank.zip(die_tasks),
-            quiet: flags.iter().any(|f| f == "quiet"),
-            supervise: flags.iter().any(|f| f == "supervise"),
-            max_restarts: get(args, "max-restarts", 3),
-        });
+    let options = NetOptions::new(listen, get(args, "ranks", 4));
+    if mode != "spawn" {
+        return options;
     }
-    Ok(options)
+    let die_rank = args.get("die-rank").and_then(|v| v.parse::<usize>().ok());
+    let die_tasks = args
+        .get("die-after-tasks")
+        .and_then(|v| v.parse::<u64>().ok());
+    options.spawning(NetSpawn {
+        program: std::env::current_exe().expect("current executable path"),
+        die_after_tasks: die_rank.zip(die_tasks),
+        quiet: flags.iter().any(|f| f == "quiet"),
+        supervise: flags.iter().any(|f| f == "supervise"),
+        max_restarts: get(args, "max-restarts", 3),
+    })
 }
 
 /// Report spawned peers that did not exit cleanly.
@@ -89,9 +83,9 @@ fn report_peer_exits(peer_exits: &[(usize, Option<i32>)]) {
     }
 }
 
-/// The command line as `(value flags, switches)`, parsed against
-/// [`FLAGS`] ([`cli::parse_args`]); a [`RETIRED`] flag is an error naming
-/// what replaced it.
+/// The command line as `(value flags, switches)`, parsed and checked
+/// against [`PROGRAM`] ([`cli::parse_args`]); a [`RETIRED`] flag is an
+/// error naming what replaced it.
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<cli::Args, String> {
     let mut argv: Vec<String> = argv.collect();
     let mut keys = argv.iter().filter_map(|item| item.strip_prefix("--"));
@@ -108,133 +102,123 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<cli::Args, String> {
             argv.insert(i + 2, "--ranks".into());
         }
     }
-    cli::parse_args(argv, FLAGS)
+    cli::parse_args(argv, &PROGRAM)
 }
-
-/// Every flag the program understands, in [`USAGE`]'s order. The last two
-/// are not in `USAGE`: fault-injection hooks `--net spawn` passes to its
-/// children and the process tests pass to `--net spawn`.
-const FLAGS: &[(&str, Takes)] = &[
-    ("input", Takes::Text),
-    ("jumble", Takes::Int),
-    ("jumbles", Takes::Int),
-    ("farm-width", Takes::Int),
-    ("jumble-trees", Takes::Text),
-    ("radius", Takes::Int),
-    ("final-radius", Takes::Int),
-    ("tt-ratio", Takes::Real),
-    ("categories", Takes::Int),
-    ("rates-file", Takes::Text),
-    ("parallel", Takes::Int),
-    ("net", Takes::Text),
-    ("listen", Takes::Text),
-    ("connect", Takes::Text),
-    ("ranks", Takes::Int),
-    ("supervise", Takes::Nothing),
-    ("max-restarts", Takes::Int),
-    ("wire", Takes::Text),
-    ("worker-timeout-ms", Takes::Int),
-    ("isa", Takes::Text),
-    ("incremental", Takes::Nothing),
-    ("no-incremental", Takes::Nothing),
-    ("obs-out", Takes::Text),
-    ("obs-summary", Takes::Nothing),
-    ("bootstrap", Takes::Int),
-    ("user-trees", Takes::Text),
-    ("wal-dir", Takes::Text),
-    ("chaos-storage-crash", Takes::Text),
-    ("outgroup", Takes::Text),
-    ("midpoint", Takes::Nothing),
-    ("output", Takes::Text),
-    ("fasta", Takes::Nothing),
-    ("quiet", Takes::Nothing),
-    ("help", Takes::Nothing),
-    ("serve", Takes::Nothing),
-    ("state-dir", Takes::Text),
-    ("addr-file", Takes::Text),
-    ("spawn-workers", Takes::Nothing),
-    ("max-jobs", Takes::Int),
-    ("max-job-ranks", Takes::Int),
-    ("max-wall-ms", Takes::Int),
-    ("submit", Takes::Nothing),
-    ("job-label", Takes::Text),
-    ("status", Takes::Text),
-    ("attach", Takes::Text),
-    ("attach-timeout-ms", Takes::Int),
-    ("die-after-tasks", Takes::Int),
-    ("die-rank", Takes::Int),
-];
 
 /// The flags of the checkpoint files the round log replaced.
 const RETIRED: &[&str] = &["checkpoint", "checkpoint-out", "resume"];
 
-const USAGE: &str = "\
-fastdnaml --input data.phy [options]
+/// The modes that read the alignment.
+const PROBLEM: Modes = SEARCH | SUBMIT | USER_TREES | BOOTSTRAP;
+/// The model a search, a daemon job and a bootstrap search under.
+const SEARCHED: Modes = SEARCH | SUBMIT | BOOTSTRAP;
+/// A search with its own category model, or user trees scored under one.
+const CATEGORIES: Modes = SEARCH | SUBMIT | USER_TREES;
+/// A search of one jumble, in any deployment.
+const SINGLE: Modes = SEARCH & !FARM;
+/// A search that runs a foreman over other ranks.
+const RANKED: Modes = SEARCH & !SERIAL;
+/// A search over the TCP hub.
+const NET: Modes = SEARCH & !SERIAL & !PARALLEL;
 
-  --input FILE         PHYLIP (or FASTA with --fasta) alignment   [required]
-  --jumble SEED        random addition-order seed                 [1]
-  --jumbles N          number of random orderings to analyze      [1]
-  --farm-width W       max jumbles in flight at once (0 = all)    [0]
-  --jumble-trees FILE  write every jumble's tree, one per line
-  --radius K           vertices crossed in local rearrangements   [1]
-  --final-radius K     vertices crossed in the final pass         [= radius]
-  --tt-ratio R         transition/transversion ratio              [2.0]
-  --categories K       estimate K rate categories (DNArates) first
-  --rates-file FILE    use a dnarates report for the category model
-  --parallel RANKS     run the threaded parallel program (>= 4 ranks)
-  --net coordinator    host the TCP hub and run master, foreman and monitor
-                       (ranks 0-2) in this process; waits for N-3 workers
-                       (--listen, --ranks N)
-  --net worker         join a coordinator or daemon as a peer (--connect)
-  --net spawn N        coordinator of N ranks that also forks its N-3
-                       workers as local processes
-  --listen ADDR        coordinator / daemon bind address [127.0.0.1:0]
-  --connect ADDR       address for --net worker / --submit / --status / --attach
-  --ranks N            universe size, ranks 0-2 included, for
-                       --net coordinator / --serve [4]
-  --supervise          (--net spawn) respawn dead worker processes
-  --max-restarts N     respawn ceiling per worker slot with --supervise [3]
-  --wire binary        the data-plane encoding; binary is the only one
-  --worker-timeout-ms T  foreman timeout before a task is requeued
-  --isa LANE           kernel instruction set: scalar | avx2 | avx512 |
-                       neon (must be host-supported)         [auto-detect]
-  --incremental        score candidate rounds as base + edit (CLV cache)
-  --no-incremental     force whole-tree candidate scoring (the default for
-                       a single search; farm jumbles — --jumbles N and
-                       daemon jobs — are always edit-scored)
-  --obs-out FILE       write runtime events as JSON lines
-  --obs-summary        print the end-of-run report
-  --bootstrap N        bootstrap with N replicates instead of jumbles
-  --user-trees FILE    evaluate the Newick trees in FILE, no search
-  --wal-dir DIR        keep the run's round logs and manifest in DIR;
-                       re-running the same command, on any deployment,
-                       resumes from the last committed round, and a
-                       finished run's directory answers it unsearched
-  --chaos-storage-crash N  test hook: abort at the Nth durable-storage
-                       operation, as a crash there would
-  --outgroup T1,T2     root the output tree on this outgroup clade
-  --midpoint           midpoint-root the output tree
-  --output FILE        write the best tree / consensus (\"-\" = stdout)
-  --fasta              input is FASTA instead of PHYLIP
-  --quiet              suppress progress output
-  --help               show this message
+/// Every flag the program understands, with the modes that read it, in
+/// `--help`'s order: the flags that the same modes read stand together.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("quiet", Nothing, ALL, "suppress progress output"),
+    flag("help", Nothing, ALL, "show this message"),
+    flag("isa", Text("LANE"), ALL, "kernel instruction set: scalar | avx2 | avx512 | neon (host-supported) [auto-detect]"),
+    flag("wire", OneOf(&["binary"]), ALL, "the data-plane encoding; binary is the only one"),
+    flag("chaos-storage-crash", Int("N", 0), ALL, "test hook: abort at the Nth durable-storage operation, as a crash there would"),
+    // `--serve` reads no alignment; it still accepts one (ROADMAP item 8).
+    flag("input", Text("FILE"), PROBLEM | SERVE, "PHYLIP (or FASTA with --fasta) alignment [required]"),
+    flag("fasta", Nothing, PROBLEM, "input is FASTA instead of PHYLIP"),
+    flag("tt-ratio", Real("R"), SEARCHED | USER_TREES, "transition/transversion ratio [2.0]"),
+    flag("jumble", Int("SEED", 1), SEARCHED, "random addition-order seed [1]"),
+    flag("radius", Int("K", 0), SEARCHED, "vertices crossed in local rearrangements [1]"),
+    flag("final-radius", Int("K", 0), SEARCHED, "vertices crossed in the final pass [= radius]"),
+    flag("categories", Int("K", 1), CATEGORIES, "estimate K rate categories (DNArates) first"),
+    flag("rates-file", Text("FILE"), CATEGORIES, "use a dnarates report for the category model"),
+    flag("jumbles", Int("N", 1), SEARCH | SUBMIT, "number of random orderings to analyze [1]"),
+    flag("output", Text("FILE"), SEARCH | USER_TREES | BOOTSTRAP | ATTACH, "write the best tree / consensus (\"-\" = stdout) [-]"),
+    flag("jumble-trees", Text("FILE"), SEARCH | ATTACH, "write every jumble's tree, one per line"),
+    flag("outgroup", Text("T1,T2"), SINGLE | USER_TREES, "root the output tree on this outgroup clade"),
+    flag("midpoint", Nothing, SINGLE | USER_TREES, "midpoint-root the output tree"),
+    flag("incremental", Nothing, SINGLE, "score candidate rounds as base + edit (CLV cache)"),
+    flag("no-incremental", Nothing, SINGLE, "whole-tree candidate scoring, the default for a single search (farm jumbles and daemon jobs are always edit-scored)"),
+    flag("obs-summary", Nothing, SEARCH, "print the end-of-run report"),
+    flag("wal-dir", Text("DIR"), SEARCH, "keep round logs and manifest in DIR; the same command, on any deployment, resumes or answers from them"),
+    flag("obs-out", Text("FILE"), SEARCH | SERVE | WORKER, "write runtime events as JSON lines"),
+    flag("farm-width", Int("W", 0), SEARCH & !ONE, "max jumbles in flight at once (0 = all) [0]"),
+    flag("parallel", Int("RANKS", 4), PARALLEL | ONE | FARM, "run the threaded parallel program over RANKS ranks"),
+    flag("net", OneOf(&["coordinator", "worker", "spawn", "peer"]), NET | WORKER, "host the TCP hub and ranks 0-2 for peers that dial in; join one as a peer (--connect); or host it and fork N-3 workers (spawn N)"),
+    flag("listen", Text("ADDR"), NET | SERVE, "coordinator / daemon bind address [127.0.0.1:0]"),
+    flag("ranks", Int("N", 4), NET | SERVE, "universe size, ranks 0-2 (master, foreman, monitor) included [4]"),
+    flag("worker-timeout-ms", Int("T", 0), RANKED, "foreman timeout before a task is requeued"),
+    flag("supervise", Nothing, SPAWN | ONE | FARM, "respawn dead worker processes"),
+    flag("max-restarts", Int("N", 0), SPAWN | ONE | FARM, "respawn ceiling per worker slot with --supervise [3]"),
+    flag("die-rank", Int("RANK", 0), SPAWN | ONE | FARM, "test hook: the worker rank --die-after-tasks applies to"),
+    flag("die-after-tasks", Int("N", 0), WORKER | SPAWN | ONE | FARM, "test hook: a worker exits after N results (--net spawn: the --die-rank one)"),
+    flag("bootstrap", Int("N", 1), BOOTSTRAP, "bootstrap with N replicates instead of jumbles"),
+    flag("user-trees", Text("FILE"), USER_TREES, "evaluate the Newick trees in FILE, no search"),
+    flag("submit", Nothing, SUBMIT, "submit --input to the daemon at --connect"),
+    flag("job-label", Text("NAME"), SUBMIT, "display label for the job"),
+    flag("max-job-ranks", Int("N", 0), SERVE | SUBMIT, "per-job worker ceiling (--serve) / request (--submit) [0 = none]"),
+    flag("max-wall-ms", Int("T", 0), SERVE | SUBMIT, "per-job wall budget ceiling (--serve) / request (--submit) [0 = none]"),
+    flag("serve", Nothing, SERVE, "run the multi-tenant job daemon (workers join via --net worker)"),
+    flag("state-dir", Text("DIR"), SERVE, "durable job state; a restart resumes unfinished jobs [required]"),
+    flag("addr-file", Text("FILE"), SERVE, "write the bound address to FILE"),
+    flag("spawn-workers", Nothing, SERVE, "fork this binary as the worker fleet"),
+    flag("max-jobs", Int("N", 0), SERVE, "admission queue limit [8]"),
+    flag("connect", Text("ADDR"), WORKER | SUBMIT | STATUS | ATTACH, "the coordinator or daemon to dial"),
+    flag("status", Int("JOB", 0), STATUS, "print a submitted job's state and progress"),
+    flag("attach", Int("JOB", 0), ATTACH, "stream a job's progress and write its result"),
+    flag("attach-timeout-ms", Int("T", 0), ATTACH, "give up attaching after this long [600000]"),
+];
 
-Service mode (the always-on job daemon and its clients):
+/// The command line's mode. Each mode's own flag is read by that mode
+/// alone, so at most one of them reaches the program; a search is
+/// deployed by `--net` or `--parallel` and shaped by `--jumbles`.
+fn mode((values, switches): &cli::Args) -> Result<Mode, String> {
+    let on = |key: &str| values.contains_key(key) || switches.iter().any(|s| s == key);
+    if on("midpoint") && on("outgroup") {
+        return Err("--midpoint conflicts with --outgroup: a tree has one root".into());
+    }
+    let net = values.get("net").map(String::as_str);
+    let own = [
+        (on("serve"), SERVE, "--serve"),
+        (on("status"), STATUS, "--status"),
+        (on("attach"), ATTACH, "--attach"),
+        (
+            matches!(net, Some("worker" | "peer")),
+            WORKER,
+            "--net worker",
+        ),
+        (on("submit"), SUBMIT, "--submit"),
+        (on("user-trees"), USER_TREES, "--user-trees"),
+        (on("bootstrap"), BOOTSTRAP, "--bootstrap"),
+    ];
+    if let Some(&(_, bit, name)) = own.iter().find(|(given, ..)| *given) {
+        return Ok(vec![(bit, name)]);
+    }
+    let deployment = match net {
+        Some("coordinator") => (COORDINATOR, "--net coordinator"),
+        Some(_) => (SPAWN, "--net spawn"),
+        None if on("parallel") => (PARALLEL, "--parallel"),
+        None => (SERIAL, "a serial search"),
+    };
+    let shape = match get(values, "jumbles", 1) {
+        0 | 1 => (ONE, "a single search"),
+        _ => (FARM, "--jumbles N"),
+    };
+    Ok(vec![deployment, shape])
+}
 
-  --serve              run the multi-tenant job daemon (--listen, --ranks,
-                       --state-dir; workers join via --net worker)
-  --state-dir DIR      durable job state; a restart resumes unfinished jobs
-  --addr-file FILE     (--serve) write the bound address to FILE
-  --spawn-workers      (--serve) fork this binary as the worker fleet
-  --max-jobs N         (--serve) admission queue limit [8]
-  --max-job-ranks N    per-job worker ceiling (--serve) / request (--submit)
-  --max-wall-ms T      per-job wall budget ceiling (--serve) / request (--submit)
-  --submit             submit --input to the daemon at --connect
-  --job-label NAME     (--submit) display label for the job
-  --status JOB         print a submitted job's state and progress
-  --attach JOB         stream a job's progress and write its result
-  --attach-timeout-ms T  give up attaching after this long [600000]
-";
+const PROGRAM: Program = Program {
+    synopsis: "fastdnaml --input data.phy [options]",
+    flags: FLAGS,
+    mode,
+};
 
 /// Write `text` to `--output` (default `-` = stdout).
 fn emit_to(output: &str, text: &str) -> Result<(), String> {
@@ -300,12 +284,7 @@ fn serve_mode(args: &HashMap<String, String>, flags: &[String], quiet: bool) -> 
 }
 
 /// `--status JOB`: one-line report from the daemon at `--connect`.
-fn status_mode(connect: &str, job_arg: &str) -> ExitCode {
-    let Ok(job) = job_arg.parse::<u64>() else {
-        return die(format_args!(
-            "--status takes a numeric job id, got {job_arg:?}"
-        ));
-    };
+fn status_mode(connect: &str, job: u64) -> ExitCode {
     match client::status(connect, job) {
         Ok(status) => {
             let label = if status.label.is_empty() {
@@ -329,17 +308,7 @@ fn status_mode(connect: &str, job_arg: &str) -> ExitCode {
 
 /// `--attach JOB`: stream progress, then write the consensus (or the
 /// single tree) like a local farm run would.
-fn attach_mode(
-    connect: &str,
-    job_arg: &str,
-    args: &HashMap<String, String>,
-    quiet: bool,
-) -> ExitCode {
-    let Ok(job) = job_arg.parse::<u64>() else {
-        return die(format_args!(
-            "--attach takes a numeric job id, got {job_arg:?}"
-        ));
-    };
+fn attach_mode(connect: &str, job: u64, args: &HashMap<String, String>, quiet: bool) -> ExitCode {
     let patience = Duration::from_millis(get(args, "attach-timeout-ms", 600_000u64));
     let mut on_event = |text: &str| {
         if !quiet {
@@ -387,17 +356,10 @@ fn main() -> ExitCode {
         Err(e) => return die(e),
     };
     if flags.iter().any(|f| f == "help") {
-        print!("{USAGE}");
+        print!("{}", cli::help(&PROGRAM));
         return ExitCode::SUCCESS;
     }
     let quiet = flags.iter().any(|f| f == "quiet");
-
-    // The data plane has one encoding. `--wire binary` names it, so a
-    // command line that spells it out still runs; any other is refused in
-    // every mode, not ignored.
-    if let Some(wire) = args.get("wire").filter(|wire| *wire != "binary") {
-        return die(format_args!("--wire {wire}: the data plane is binary only"));
-    }
 
     // `--isa` narrows the kernel dispatch before any engine exists; it is
     // applied first so every mode — including `--net worker`, whose engine
@@ -419,10 +381,10 @@ fn main() -> ExitCode {
     // ci.sh uses this to kill the coordinator at a WAL boundary
     // deterministically, then proves re-running the same command
     // recovers the byte-identical tree.
-    if let Some(op) = args.get("chaos-storage-crash") {
-        let Ok(op) = op.parse::<u64>() else {
-            return die("--chaos-storage-crash expects an operation index");
-        };
+    if let Some(op) = args
+        .get("chaos-storage-crash")
+        .and_then(|op| op.parse().ok())
+    {
         fastdnaml::chaos::storage::install(
             fastdnaml::chaos::storage::StoragePlan::quiet(0).crash_at(op),
         );
@@ -439,11 +401,10 @@ fn main() -> ExitCode {
         let Some(connect) = args.get("connect") else {
             return die("--status / --attach require --connect ADDR");
         };
-        if let Some(job) = args.get("status") {
-            return status_mode(connect, job);
+        if args.contains_key("status") {
+            return status_mode(connect, get(&args, "status", 0));
         }
-        let job = args.get("attach").expect("checked above");
-        return attach_mode(connect, job, &args, quiet);
+        return attach_mode(connect, get(&args, "attach", 0), &args, quiet);
     }
 
     // Peer mode: no alignment, no search options — everything (problem
@@ -475,7 +436,7 @@ fn main() -> ExitCode {
     }
 
     let Some(input) = args.get("input") else {
-        return die(format_args!("--input FILE is required\n\n{USAGE}"));
+        return die("--input FILE is required (--help lists the flags)");
     };
     let text = match std::fs::read_to_string(input) {
         Ok(t) => t,
@@ -497,53 +458,12 @@ fn main() -> ExitCode {
         );
     }
 
-    // Counts that must be positive are refused before any work starts,
-    // the way the `JobSpec` builder refuses `--jumbles 0`.
-    for flag in ["categories", "bootstrap"] {
-        if args.get(flag).is_some_and(|v| v.parse::<usize>() == Ok(0)) {
-            return die(JobSpecError::Invalid {
-                flag: format!("--{flag}"),
-                reason: "must be at least 1".into(),
-            });
-        }
-    }
-
-    // A ratio every rank receives as JSON, which has no NaN or infinity.
-    let tt_ratio: f64 = get(&args, "tt-ratio", 2.0);
-    if !(tt_ratio.is_finite() && tt_ratio > 0.0) {
-        return die(JobSpecError::Invalid {
-            flag: "--tt-ratio".into(),
-            reason: "must be a finite number above 0".into(),
-        });
-    }
-
-    // A universe must hold the master, foreman and monitor (ranks 0-2) and
-    // at least one worker; one that cannot is refused before any rank
-    // starts.
-    let universe = match args.get("net").map(String::as_str) {
-        Some("spawn") => Some(("--net spawn", get(&args, "ranks", 4usize))),
-        Some("coordinator") => Some(("--ranks", get(&args, "ranks", 4))),
-        _ => args
-            .get("parallel")
-            .map(|_| ("--parallel", get(&args, "parallel", 0))),
-    };
-    if let Some((flag, ranks)) = universe {
-        if ranks < 4 {
-            return die(JobSpecError::Invalid {
-                flag: flag.into(),
-                reason: format!(
-                    "{ranks} ranks: at least 4 needed (master, foreman, monitor and a worker)"
-                ),
-            });
-        }
-    }
-
     let radius: usize = get(&args, "radius", 1);
     let mut config = SearchConfig {
         jumble_seed: get(&args, "jumble", 1),
         rearrange_radius: radius,
         final_radius: get(&args, "final-radius", radius),
-        tt_ratio,
+        tt_ratio: get(&args, "tt-ratio", 2.0),
         ..SearchConfig::default()
     };
     if let Some(ms) = args
@@ -560,95 +480,7 @@ fn main() -> ExitCode {
         config.incremental = false;
     }
 
-    // Every front-end path funnels through the JobSpec builder: mutually
-    // exclusive flags become one typed error naming the offenders instead
-    // of whichever code path happened to win, before any work starts.
     let jumbles: usize = get(&args, "jumbles", 1);
-    let submit = flags.iter().any(|f| f == "submit");
-    let spec: JobSpec = {
-        let has = |key: &str| args.contains_key(key);
-        let builder = JobSpec::builder()
-            .phylip(phylip::write(&alignment))
-            .config_json(config.engine_config_json())
-            .jumbles(jumbles)
-            .base_seed(config.jumble_seed)
-            .max_ranks(get(&args, "max-job-ranks", 0usize))
-            .max_wall_ms(get(&args, "max-wall-ms", 0u64))
-            .label(args.get("job-label").cloned().unwrap_or_default())
-            .conflict_if(
-                flags.iter().any(|f| f == "midpoint") && has("outgroup"),
-                "--midpoint",
-                "--outgroup",
-            )
-            .conflict_if(has("bootstrap") && jumbles > 1, "--bootstrap", "--jumbles")
-            .conflict_if(
-                has("user-trees") && jumbles > 1,
-                "--user-trees",
-                "--jumbles",
-            )
-            .conflict_if(
-                has("user-trees") && has("bootstrap"),
-                "--user-trees",
-                "--bootstrap",
-            )
-            .conflict_if(
-                has("bootstrap") && has("wal-dir"),
-                "--bootstrap",
-                "--wal-dir",
-            )
-            .conflict_if(has("parallel") && has("net"), "--parallel", "--net")
-            .conflict_if(submit && has("parallel"), "--submit", "--parallel")
-            .conflict_if(submit && has("net"), "--submit", "--net")
-            .conflict_if(submit && has("bootstrap"), "--submit", "--bootstrap")
-            .conflict_if(submit && has("user-trees"), "--submit", "--user-trees")
-            .conflict_if(submit && has("wal-dir"), "--submit", "--wal-dir");
-        // The bootstrap runs its replicates serially, edit-scored and
-        // without a category model, and writes only the unrooted
-        // consensus; user-tree evaluation scores the given trees in
-        // process and writes only the best one. A flag either would
-        // ignore is refused instead.
-        let ignores: [(&str, &[&str]); 2] = [
-            (
-                "bootstrap",
-                &[
-                    "parallel",
-                    "net",
-                    "obs-out",
-                    "obs-summary",
-                    "jumble-trees",
-                    "no-incremental",
-                    "categories",
-                    "rates-file",
-                    "outgroup",
-                    "midpoint",
-                ],
-            ),
-            (
-                "user-trees",
-                &[
-                    "parallel",
-                    "net",
-                    "obs-out",
-                    "obs-summary",
-                    "jumble-trees",
-                    "wal-dir",
-                ],
-            ),
-        ];
-        let given = |key: &str| has(key) || flags.iter().any(|f| f == key);
-        let spec_result = ignores
-            .iter()
-            .flat_map(|&(mode, ignored)| ignored.iter().map(move |&flag| (mode, flag)))
-            .fold(builder, |builder, (mode, flag)| {
-                let both = has(mode) && given(flag);
-                builder.conflict_if(both, format!("--{mode}"), format!("--{flag}"))
-            })
-            .build();
-        match spec_result {
-            Ok(spec) => spec,
-            Err(e) => return die(e),
-        }
-    };
 
     // Category model from a dnarates report file.
     if let Some(path) = args.get("rates-file") {
@@ -695,14 +527,19 @@ fn main() -> ExitCode {
     }
 
     // Submit mode: the spec goes to the daemon instead of running here.
-    if submit {
+    if flags.iter().any(|f| f == "submit") {
         let Some(connect) = args.get("connect") else {
             return die("--submit requires --connect ADDR");
         };
         // The spec carries the category model the pre-pass estimated.
         let spec = JobSpec {
+            phylip: phylip::write(&alignment),
             config_json: config.engine_config_json(),
-            ..spec
+            jumbles,
+            base_seed: config.jumble_seed,
+            max_ranks: get(&args, "max-job-ranks", 0),
+            max_wall_ms: get(&args, "max-wall-ms", 0),
+            label: args.get("job-label").cloned().unwrap_or_default(),
         };
         return match client::submit(connect.as_str(), &spec) {
             Ok(job) => {
@@ -817,10 +654,7 @@ fn main() -> ExitCode {
     let threads = args.get("parallel").and_then(|v| v.parse::<usize>().ok());
     let outcome = match (args.get("net"), threads) {
         (Some(mode), _) => {
-            let net = match net_options(mode, &args, &flags) {
-                Ok(net) => net,
-                Err(e) => return die(format_args!("net: {e}")),
-            };
+            let net = net_options(mode, &args, &flags);
             if !quiet {
                 eprintln!(
                     "fastdnaml: net {mode}: {} jumble(s) over {} ranks via {}",
@@ -905,22 +739,12 @@ mod tests {
         parse_args(line.split_whitespace().map(String::from))
     }
 
-    /// `USAGE` and `FLAGS` name the same flags, but for the two hooks the
-    /// table says are hidden.
     #[test]
-    fn usage_and_the_flag_table_agree() {
-        let mut documented: Vec<&str> = USAGE
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .filter_map(|word| word.strip_prefix("--"))
-            .filter(|name| !name.is_empty())
-            .collect();
-        documented.sort_unstable();
-        documented.dedup();
-        let mut table: Vec<&str> = FLAGS.iter().map(|(name, _)| *name).collect();
-        table.retain(|name| !["die-after-tasks", "die-rank"].contains(name));
-        table.sort_unstable();
-        assert_eq!(documented, table);
-        assert_eq!(table.len() + 2, FLAGS.len(), "a flag is listed twice");
+    fn no_flag_is_listed_twice() {
+        let mut names: Vec<&str> = FLAGS.iter().map(|flag| flag.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FLAGS.len());
     }
 
     #[test]

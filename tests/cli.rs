@@ -933,3 +933,120 @@ fn dnarates_refuses_what_it_does_not_understand() {
     }
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// Every flag a mode does not read used to be ignored without a word: each
+/// of these exited 0 (or carried on to the network) as if the flag were
+/// not there. Each is refused now in one line naming the mode and the
+/// flag, before any file is read or written.
+#[test]
+fn every_mode_refuses_the_flags_it_does_not_read() {
+    let dir = workdir("unread");
+    let input = dir.join("data.phy");
+    let input = input.to_str().unwrap();
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (state, addr, out, trees, obs) = (
+        file("state"),
+        file("addr"),
+        file("o.nwk"),
+        file("t.txt"),
+        file("o.jsonl"),
+    );
+    let search = ["--input", input];
+    let serial = "a serial search";
+    let submit = ["--submit", "--connect", "127.0.0.1:9", "--input", input];
+    let status = ["--status", "1", "--connect", "127.0.0.1:9"];
+    let attach = ["--attach", "1", "--connect", "127.0.0.1:9"];
+    let worker = ["--net", "worker", "--connect", "127.0.0.1:9"];
+    let cases: &[(&[&str], &[&str], &str, &str)] = &[
+        (&search, &["--ranks", "9"], serial, "--ranks"),
+        (&search, &["--listen", "127.0.0.1:0"], serial, "--listen"),
+        (&search, &["--connect", "127.0.0.1:9"], serial, "--connect"),
+        (&search, &["--supervise"], serial, "--supervise"),
+        (&search, &["--max-restarts", "9"], serial, "--max-restarts"),
+        (&search, &["--max-wall-ms", "5"], serial, "--max-wall-ms"),
+        (
+            &search,
+            &["--max-job-ranks", "2"],
+            serial,
+            "--max-job-ranks",
+        ),
+        (&search, &["--job-label", "x"], serial, "--job-label"),
+        (&search, &["--state-dir", &state], serial, "--state-dir"),
+        (&search, &["--max-jobs", "3"], serial, "--max-jobs"),
+        (&search, &["--addr-file", &addr], serial, "--addr-file"),
+        (&search, &["--spawn-workers"], serial, "--spawn-workers"),
+        (
+            &search,
+            &["--attach-timeout-ms", "5"],
+            serial,
+            "--attach-timeout-ms",
+        ),
+        (
+            &search,
+            &["--die-rank", "3", "--die-after-tasks", "1"],
+            serial,
+            "--die-rank",
+        ),
+        (
+            &search,
+            &["--parallel", "4", "--ranks", "9"],
+            "--parallel",
+            "--ranks",
+        ),
+        (
+            &search,
+            &["--parallel", "4", "--supervise"],
+            "--parallel",
+            "--supervise",
+        ),
+        (
+            &search,
+            &["--jumbles", "3", "--outgroup", "t0"],
+            "--jumbles",
+            "--outgroup",
+        ),
+        (&submit, &["--output", &out], "--submit", "--output"),
+        (
+            &submit,
+            &["--jumble-trees", &trees],
+            "--submit",
+            "--jumble-trees",
+        ),
+        (&submit, &["--obs-out", &obs], "--submit", "--obs-out"),
+        (&submit, &["--farm-width", "2"], "--submit", "--farm-width"),
+        (&submit, &["--outgroup", "t0"], "--submit", "--outgroup"),
+        (
+            &submit,
+            &["--no-incremental"],
+            "--submit",
+            "--no-incremental",
+        ),
+        (&status, &["--input", input], "--status", "--input"),
+        (&status, &["--parallel", "5"], "--status", "--parallel"),
+        (&status, &["--jumbles", "3"], "--status", "--jumbles"),
+        (&attach, &["--input", input], "--attach", "--input"),
+        (&attach, &["--parallel", "5"], "--attach", "--parallel"),
+        (&attach, &["--jumbles", "3"], "--attach", "--jumbles"),
+        (&worker, &["--input", input], "--net worker", "--input"),
+        (&worker, &["--radius", "4"], "--net worker", "--radius"),
+    ];
+    for (mode, extra, names_mode, names_flag) in cases {
+        let out = fastdnaml()
+            .args(*mode)
+            .args(*extra)
+            .arg("--quiet")
+            .output()
+            .expect("run fastdnaml");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let case = [*mode, *extra].concat();
+        assert_eq!(out.status.code(), Some(1), "{case:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{case:?} printed {:?}", out.stdout);
+        assert_eq!(stderr.lines().count(), 1, "{case:?}: {stderr}");
+        assert!(
+            stderr.contains(names_mode) && stderr.contains(names_flag),
+            "{case:?}: {stderr}"
+        );
+    }
+    assert_eq!(wal_files(&dir), ["data.phy"], "a refused run wrote a file");
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -9,7 +9,9 @@ use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{run_in_process, RunOptions};
 use fastdnaml::core::worker::run_worker;
 use fastdnaml::net::TcpTransport;
-use fastdnaml::obs::Obs;
+use fastdnaml::obs::{Event, JsonlSink, Obs};
+use fastdnaml::phylo::patterns::PatternAlignment;
+use fastdnaml::phylo::phylip;
 use fastdnaml::prelude::SearchConfig;
 use fastdnaml::serve::{client, Daemon, ServeOptions};
 use std::net::SocketAddr;
@@ -18,14 +20,15 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 fn spec(phylip: &str, jumbles: usize, base_seed: u64, label: &str) -> JobSpec {
-    JobSpec::builder()
-        .phylip(phylip)
-        .config_json(SearchConfig::default().engine_config_json())
-        .jumbles(jumbles)
-        .base_seed(base_seed)
-        .label(label)
-        .build()
-        .unwrap()
+    JobSpec {
+        phylip: phylip.into(),
+        config_json: SearchConfig::default().engine_config_json(),
+        jumbles,
+        base_seed,
+        max_ranks: 0,
+        max_wall_ms: 0,
+        label: label.into(),
+    }
 }
 
 const PHYLIP_A: &str = " 5 16\nta0 ACGTACGTACGTACGT\nta1 ACGTACGAACGTACGA\nta2 ACTTACGAACGAACGA\nta3 TCTTACGAACGATCGA\nta4 TCTTACGTACGATCGT\n";
@@ -306,6 +309,102 @@ fn quota_exceeded_submission_is_rejected_with_typed_error() {
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Specs no worker could run. Each used to be accepted — the CLI refuses
+/// the flags that would write them, a `Submit` frame did not — and the one
+/// with a zero category rate panicked the daemon's master, after which the
+/// daemon answered no one. Admission refuses each as `Malformed`, and the
+/// daemon goes on serving a good job.
+#[test]
+fn a_spec_no_worker_could_run_is_refused_and_the_daemon_serves_on() {
+    let dir = state_dir("hostile");
+    let daemon = Daemon::start(ServeOptions::new("127.0.0.1:0", 4, &dir)).unwrap();
+    let addr = daemon.local_addr();
+    let good = spec(PHYLIP_A, 2, 7, "good");
+    let config = |from: &str, to: &str| JobSpec {
+        config_json: good.config_json.replace(from, to),
+        ..good.clone()
+    };
+    let patterns = PatternAlignment::compress(&phylip::parse(PHYLIP_A).unwrap()).num_patterns();
+    let model = |rates: &str, assignment: Vec<u32>| {
+        let assigned = format!(r#""category_rates":{rates},"category_assignment":{assignment:?}"#);
+        config(
+            r#""category_rates":[1.0],"category_assignment":null"#,
+            &assigned,
+        )
+    };
+    let mut out_of_range = vec![0; patterns];
+    out_of_range[0] = 1;
+    let hostile = [
+        (
+            "tt_ratio -1",
+            config(r#""tt_ratio":2.0"#, r#""tt_ratio":-1.0"#),
+        ),
+        ("a zero rate", model("[0.0]", vec![0; patterns])),
+        ("no rates", model("[]", vec![])),
+        ("a missing category", model("[1.0]", out_of_range)),
+        (
+            "one pattern too many",
+            model("[1.0]", vec![0; patterns + 1]),
+        ),
+        (
+            "seed 0",
+            JobSpec {
+                base_seed: 0,
+                ..good.clone()
+            },
+        ),
+        (
+            "no jumbles",
+            JobSpec {
+                jumbles: 0,
+                ..good.clone()
+            },
+        ),
+    ];
+    for (what, spec) in hostile {
+        assert_ne!(spec, good, "{what}: the spec was not changed");
+        match client::submit(addr, &spec) {
+            Err(client::ClientError::Rejected(RejectReason::Malformed { .. })) => {}
+            other => panic!("{what}: expected a Malformed rejection, got {other:?}"),
+        }
+    }
+    let workers = fleet(addr, 1);
+    let job = client::submit(addr, &good).unwrap();
+    let result = client::attach(addr, job, Duration::from_secs(120), &mut |_| {}).unwrap();
+    assert_eq!(result.trees.len(), 2);
+    daemon.stop();
+    for w in workers {
+        let _ = w.join();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon stops only by being killed, so its event log cannot wait for a
+/// drop to be written out: once `attach` returns, the log already holds
+/// the job's `JobCompleted`, with the daemon still running.
+#[test]
+fn a_finished_jobs_events_are_in_the_event_log_before_attach_returns() {
+    let dir = state_dir("obs_tail");
+    let log = dir.with_extension("jsonl");
+    let mut options = ServeOptions::new("127.0.0.1:0", 4, &dir);
+    options.sinks = vec![Box::new(JsonlSink::create(&log).unwrap())];
+    let daemon = Daemon::start(options).unwrap();
+    let addr = daemon.local_addr();
+    let workers = fleet(addr, 1);
+    let job = client::submit(addr, &spec(PHYLIP_A, 2, 7, "logged")).unwrap();
+    client::attach(addr, job, Duration::from_secs(120), &mut |_| {}).unwrap();
+    let records = JsonlSink::parse(&std::fs::read_to_string(&log).unwrap()).unwrap();
+    let completed =
+        |event: &Event| matches!(event, Event::JobCompleted { job: j, .. } if *j == job);
+    assert!(records.iter().any(|r| completed(&r.event)), "{records:?}");
+    daemon.stop();
+    for w in workers {
+        let _ = w.join();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&log);
 }
 
 #[test]

@@ -834,13 +834,15 @@ fn a_daemon_job_resumes_a_log_of_another_epoch() {
     use fastdnaml::serve::{client, Daemon, ServeOptions};
     use std::time::Duration;
 
-    let spec = JobSpec::builder()
-        .phylip(PHYLIP)
-        .config_json(SearchConfig::default().engine_config_json())
-        .jumbles(1)
-        .base_seed(7)
-        .build()
-        .unwrap();
+    let spec = JobSpec {
+        phylip: PHYLIP.into(),
+        config_json: SearchConfig::default().engine_config_json(),
+        jumbles: 1,
+        base_seed: 7,
+        max_ranks: 0,
+        max_wall_ms: 0,
+        label: String::new(),
+    };
     // One daemon job of seed 7 over one worker: its tree, its likelihood,
     // the work units the worker spent and the rounds it streamed.
     let job_run = |state: &Path| {
