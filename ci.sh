@@ -500,6 +500,15 @@ for f in $(find crates/*/src src -name '*.rs'); do
   fi
 done
 
+# One worker-fault injector: a `ChaosPlan` scripts every in-process fault
+# (seeded mixes, and drops, delays and severs on named ranks). The second
+# wrapper that only dropped, delayed or severed a rank's first results
+# stays gone, tests and examples included.
+if grep -rnE 'FaultyTransport|FaultPlan|FaultKind|comm::fault' crates/*/src src tests examples; then
+  echo "one worker-fault injector: a second fault wrapper is back"
+  exit 1
+fi
+
 # No dead public surface: every `pub fn` of the runtime's library crates
 # (core, serve, comm, net) has a caller outside its own file's test module
 # — another file, a test target, an example or the benchmark — or a line

@@ -4,17 +4,16 @@
 //! timeout-based work queue survives worker loss without stopping the
 //! search. This crate turns that claim into a testable property: a
 //! [`ChaosPlan`] is a *seeded, reproducible* schedule of per-message
-//! drop / delay / duplicate / corrupt faults plus worker kills and
-//! partition windows, applied through the [`ChaosTransport`] wrapper.
-//! Running the same plan twice injects exactly the same fault sequence,
-//! so a soak test can assert the strong property: the final tree must be
-//! byte-identical to the fault-free run whenever at least one worker
-//! survives.
+//! drop / delay / duplicate / corrupt faults plus faults scripted on
+//! named ranks, applied through the [`ChaosTransport`] wrapper — the one
+//! way a worker fault is injected in process. Running the same plan twice
+//! injects exactly the same fault sequence, so a soak test can assert the
+//! strong property: the final tree must be byte-identical to the
+//! fault-free run whenever at least one worker survives.
 //!
-//! This generalizes `fdml_comm::fault::FaultPlan`, which only targets the
-//! first N result messages with a single fault kind. Faults here are
-//! *scheduled in message count, not wall clock*: the nth outgoing result
-//! of a rank always draws the same fate, independent of thread timing.
+//! Faults are *scheduled in message count, not wall clock*: the nth
+//! outgoing result of a rank always draws the same fate, independent of
+//! thread timing.
 //!
 //! Fault semantics mirror what the wire layer does:
 //!
@@ -28,12 +27,12 @@
 //!   CRC32-checked TCP framing does on a bad checksum: the frame is
 //!   *detected and discarded* (an [`Event::FrameCorrupt`] is emitted) —
 //!   corruption degrades to loss, never to a parse panic.
-//! * **kill** — after a scheduled number of results, the rank's link is
-//!   severed for good: every send and receive fails with
-//!   [`CommError::Disconnected`], the in-process stand-in for a worker
-//!   process dying (`--net` runs kill the actual process instead).
-//! * **partition** — a window in result-count space during which the
-//!   rank's results are dropped, then connectivity returns.
+//!
+//! A [`Scripted`] fault pins a drop or delay to a window of one rank's
+//! result indices (a window of drops is a partition that heals), or
+//! severs the rank after a number of results: every send and receive then
+//! fails with [`CommError::Disconnected`], the in-process stand-in for a
+//! worker process dying.
 
 #![warn(missing_docs)]
 
@@ -43,7 +42,7 @@ use fdml_comm::message::Message;
 use fdml_comm::transport::{CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// A deterministic pseudo-random stream (splitmix64). Not cryptographic;
@@ -79,21 +78,43 @@ impl ChaosRng {
     }
 }
 
-/// A partition window in result-count space: outgoing results with index
-/// in `start .. start + length` are dropped, then connectivity returns.
-/// Counting messages rather than milliseconds keeps the schedule
+/// A fault scripted on one rank, placed by that rank's outgoing-result
+/// index. Counting results rather than milliseconds keeps the script
 /// reproducible across machines and load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// First outgoing-result index affected.
-    pub start: u64,
-    /// How many consecutive results are dropped.
-    pub length: u64,
+pub enum Scripted {
+    /// Results `from .. from + count` are silently dropped.
+    Drop {
+        /// First result index affected.
+        from: u64,
+        /// How many consecutive results (`u64::MAX`: all from `from` on).
+        count: u64,
+    },
+    /// Results `from .. from + count` are held for `by`, then delivered.
+    Delay {
+        /// First result index affected.
+        from: u64,
+        /// How many consecutive results.
+        count: u64,
+        /// How long each is held.
+        by: Duration,
+    },
+    /// `after` results get through, then the link is severed for good.
+    Sever {
+        /// How many results are let through first (0: dead from the start).
+        after: u64,
+    },
 }
 
-impl PartitionWindow {
-    fn contains(&self, idx: u64) -> bool {
-        idx >= self.start && idx < self.start.saturating_add(self.length)
+impl Scripted {
+    /// Whether this fault covers result `idx`.
+    fn covers(&self, idx: u64) -> bool {
+        match *self {
+            Scripted::Drop { from, count } | Scripted::Delay { from, count, .. } => {
+                idx >= from && idx - from < count
+            }
+            Scripted::Sever { after } => idx >= after,
+        }
     }
 }
 
@@ -116,12 +137,11 @@ pub struct ChaosPlan {
     pub corrupt_per_mille: u64,
     /// How long a delayed result is held.
     pub delay: Duration,
-    /// Worker kills: `(rank, after)` severs `rank`'s link for good once it
-    /// has sent `after` results. For `--net` runs the launcher maps this to
-    /// killing the actual worker process.
-    pub kills: Vec<(Rank, u64)>,
-    /// Optional partition window applied to every wrapped rank.
-    pub partition: Option<PartitionWindow>,
+    /// Faults scripted on named ranks. A scripted fault overrides the
+    /// result's drawn fate; the first entry that covers a result applies,
+    /// and a sever always wins. In-process only: a `--net` worker process
+    /// is killed by `--die-rank` / `--die-after-tasks` instead.
+    pub script: Vec<(Rank, Scripted)>,
 }
 
 impl ChaosPlan {
@@ -134,8 +154,7 @@ impl ChaosPlan {
             duplicate_per_mille: 0,
             corrupt_per_mille: 0,
             delay: Duration::ZERO,
-            kills: Vec::new(),
-            partition: None,
+            script: Vec::new(),
         }
     }
 
@@ -152,29 +171,28 @@ impl ChaosPlan {
             duplicate_per_mille: rng.below(150),
             corrupt_per_mille: rng.below(150),
             delay: Duration::from_millis(1 + rng.below(20)),
-            kills: Vec::new(),
-            partition: None,
+            script: Vec::new(),
         }
     }
 
-    /// Adds a worker kill: sever `rank` after it has sent `after` results.
-    pub fn with_kill(mut self, rank: Rank, after: u64) -> ChaosPlan {
-        self.kills.push((rank, after));
+    fn with_fault(mut self, rank: Rank, fault: Scripted) -> ChaosPlan {
+        self.script.push((rank, fault));
         self
     }
 
-    /// Adds a partition window.
-    pub fn with_partition(mut self, start: u64, length: u64) -> ChaosPlan {
-        self.partition = Some(PartitionWindow { start, length });
-        self
+    /// Drops `rank`'s results `from .. from + count`.
+    pub fn with_drop(self, rank: Rank, from: u64, count: u64) -> ChaosPlan {
+        self.with_fault(rank, Scripted::Drop { from, count })
     }
 
-    /// When this plan kills `rank`, the result count it is allowed first.
-    pub fn kill_for(&self, rank: Rank) -> Option<u64> {
-        self.kills
-            .iter()
-            .find(|(r, _)| *r == rank)
-            .map(|(_, after)| *after)
+    /// Holds `rank`'s results `from .. from + count` for `by` each.
+    pub fn with_delay(self, rank: Rank, from: u64, count: u64, by: Duration) -> ChaosPlan {
+        self.with_fault(rank, Scripted::Delay { from, count, by })
+    }
+
+    /// Kills a worker: severs `rank` after it has sent `after` results.
+    pub fn with_kill(self, rank: Rank, after: u64) -> ChaosPlan {
+        self.with_fault(rank, Scripted::Sever { after })
     }
 
     /// The fault stream for one endpoint: independent per rank, identical
@@ -193,7 +211,7 @@ impl ChaosPlan {
 enum Fate {
     Deliver,
     Drop,
-    Delay,
+    Delay(Duration),
     Duplicate,
     Corrupt,
 }
@@ -202,9 +220,9 @@ enum Fate {
 /// exercised something.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStats {
-    /// Results silently dropped (including partition-window drops).
+    /// Results silently dropped (scripted drops included).
     pub dropped: u64,
-    /// Results delayed.
+    /// Results delayed (scripted delays included).
     pub delayed: u64,
     /// Results sent twice.
     pub duplicated: u64,
@@ -226,10 +244,10 @@ struct ChaosState {
 pub struct ChaosTransport<T: Transport> {
     inner: T,
     plan: ChaosPlan,
+    /// This rank's scripted faults, in plan order.
+    script: Vec<Scripted>,
     state: Mutex<ChaosState>,
     severed: AtomicBool,
-    kill_after: Option<u64>,
-    corrupt_events: AtomicU64,
     obs: Obs,
 }
 
@@ -237,8 +255,13 @@ impl<T: Transport> ChaosTransport<T> {
     /// Wraps `inner` under `plan`, reporting corruption events to `obs`.
     pub fn new(inner: T, plan: ChaosPlan, obs: Obs) -> ChaosTransport<T> {
         let rank = inner.rank();
-        let kill_after = plan.kill_for(rank);
-        let severed = kill_after == Some(0);
+        let script: Vec<Scripted> = plan
+            .script
+            .iter()
+            .filter(|(r, _)| *r == rank)
+            .map(|(_, fault)| *fault)
+            .collect();
+        let severed = script.contains(&Scripted::Sever { after: 0 });
         ChaosTransport {
             state: Mutex::new(ChaosState {
                 rng: plan.rng_for(rank),
@@ -247,14 +270,13 @@ impl<T: Transport> ChaosTransport<T> {
             }),
             inner,
             plan,
+            script,
             severed: AtomicBool::new(severed),
-            kill_after,
-            corrupt_events: AtomicU64::new(0),
             obs,
         }
     }
 
-    /// Whether a scheduled kill has triggered.
+    /// Whether a scripted sever has triggered.
     pub fn is_severed(&self) -> bool {
         self.severed.load(Ordering::SeqCst)
     }
@@ -262,11 +284,6 @@ impl<T: Transport> ChaosTransport<T> {
     /// Fault counts so far.
     pub fn stats(&self) -> ChaosStats {
         self.state.lock().stats
-    }
-
-    /// How many corruption events were emitted.
-    pub fn corrupt_count(&self) -> u64 {
-        self.corrupt_events.load(Ordering::SeqCst)
     }
 
     fn draw_fate(&self, state: &mut ChaosState) -> Fate {
@@ -278,7 +295,7 @@ impl<T: Transport> ChaosTransport<T> {
         }
         edge += p.delay_per_mille;
         if roll < edge {
-            return Fate::Delay;
+            return Fate::Delay(p.delay);
         }
         edge += p.duplicate_per_mille;
         if roll < edge {
@@ -313,22 +330,20 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         let idx = state.results_sent;
         state.results_sent += 1;
 
-        if let Some(after) = self.kill_after {
-            if idx >= after {
-                drop(state);
-                self.severed.store(true, Ordering::SeqCst);
-                return Err(CommError::Disconnected(self.inner.rank()));
-            }
+        let severs = |s: &Scripted| matches!(s, Scripted::Sever { .. }) && s.covers(idx);
+        if self.script.iter().any(severs) {
+            drop(state);
+            self.severed.store(true, Ordering::SeqCst);
+            return Err(CommError::Disconnected(self.inner.rank()));
         }
-        // The fate is drawn even for messages the partition eats, so each
-        // rank's fault stream stays aligned with its result index.
-        let fate = self.draw_fate(&mut state);
-        if let Some(window) = self.plan.partition {
-            if window.contains(idx) {
-                state.stats.dropped += 1;
-                return Ok(());
-            }
-        }
+        // The fate is drawn even for results a scripted fault overrides,
+        // so each rank's fault stream stays aligned with its result index.
+        let drawn = self.draw_fate(&mut state);
+        let fate = match self.script.iter().find(|s| s.covers(idx)) {
+            Some(Scripted::Drop { .. }) => Fate::Drop,
+            Some(Scripted::Delay { by, .. }) => Fate::Delay(*by),
+            _ => drawn,
+        };
         match fate {
             Fate::Deliver => {
                 drop(state);
@@ -338,10 +353,10 @@ impl<T: Transport> Transport for ChaosTransport<T> {
                 state.stats.dropped += 1;
                 Ok(())
             }
-            Fate::Delay => {
+            Fate::Delay(by) => {
                 state.stats.delayed += 1;
                 drop(state);
-                std::thread::sleep(self.plan.delay);
+                std::thread::sleep(by);
                 self.inner.send(to, msg)
             }
             Fate::Duplicate => {
@@ -355,7 +370,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
                 drop(state);
                 // Corruption is *detected* (as the CRC32 wire check would)
                 // and the damaged payload discarded: loss, not garbage.
-                self.corrupt_events.fetch_add(1, Ordering::SeqCst);
                 let rank = self.inner.rank();
                 self.obs.emit(|| Event::FrameCorrupt { rank });
                 Ok(())
@@ -503,6 +517,10 @@ mod tests {
         let _receiver = ends.remove(0);
         let chaotic = ChaosTransport::new(ends.remove(0), plan, Obs::disabled());
         assert!(chaotic.is_severed());
+        assert_eq!(
+            chaotic.send(0, &Message::WorkerReady),
+            Err(CommError::Disconnected(1))
+        );
     }
 
     #[test]
@@ -520,7 +538,7 @@ mod tests {
             receiver.try_recv().unwrap().is_none(),
             "corrupt frame must not deliver"
         );
-        assert_eq!(chaotic.corrupt_count(), 1);
+        assert_eq!(chaotic.stats().corrupted, 1);
         let records = mem.snapshot();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].event, Event::FrameCorrupt { rank: 1 });
@@ -553,10 +571,108 @@ mod tests {
     }
 
     #[test]
-    fn partition_window_drops_then_heals() {
-        let plan = ChaosPlan::quiet(0).with_partition(1, 2);
+    fn a_scripted_drop_takes_only_its_window() {
+        let plan = ChaosPlan::quiet(0).with_drop(1, 0, 2);
+        let (got, stats) = delivered_tasks(&plan, 4);
+        assert_eq!(got, vec![2, 3]);
+        assert_eq!(stats.dropped, 2);
+        // A window in the middle is a partition that heals.
+        let plan = ChaosPlan::quiet(0).with_drop(1, 1, 2);
         let (got, stats) = delivered_tasks(&plan, 5);
         assert_eq!(got, vec![0, 3, 4]);
         assert_eq!(stats.dropped, 2);
+    }
+
+    #[test]
+    fn a_scripted_fault_keeps_the_seeded_stream_aligned() {
+        // Outside its window, a scripted drop changes no result's fate.
+        let seeded = ChaosPlan::seeded(42);
+        let (plain, _) = delivered_tasks(&seeded, 200);
+        let (scripted, _) = delivered_tasks(&seeded.clone().with_drop(1, 50, 20), 200);
+        let outside = |tasks: Vec<u64>| -> Vec<u64> {
+            tasks
+                .into_iter()
+                .filter(|t| !(50..70).contains(t))
+                .collect()
+        };
+        assert_eq!(outside(plain), outside(scripted.clone()));
+        assert!(scripted.iter().all(|t| !(50..70).contains(t)));
+    }
+
+    #[test]
+    fn chunk_scores_take_a_scripted_result_slot_and_control_passes() {
+        let plan = ChaosPlan::quiet(0).with_drop(1, 0, 1);
+        let mut ends = ThreadUniverse::create(2);
+        let receiver = ends.remove(0);
+        let chaotic = ChaosTransport::new(ends.remove(0), plan, Obs::disabled());
+        chaotic.send(0, &Message::Ping).unwrap();
+        let scores = Message::EditScores {
+            task: 1,
+            scores: Vec::new(),
+        };
+        chaotic.send(0, &scores).unwrap();
+        chaotic.send(0, &result_msg(2)).unwrap();
+        // The ping passed, the scores were result 0 and dropped, result 1
+        // was delivered.
+        assert_eq!(receiver.try_recv().unwrap().unwrap().1, Message::Ping);
+        match receiver.try_recv().unwrap().unwrap().1 {
+            Message::TreeResult { task, .. } => assert_eq!(task, 2),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(receiver.try_recv().unwrap().is_none());
+        assert_eq!(chaotic.stats().dropped, 1);
+    }
+
+    #[test]
+    fn control_traffic_passes_a_rank_that_drops_every_result() {
+        let plan = ChaosPlan::quiet(0).with_drop(1, 0, u64::MAX);
+        let mut ends = ThreadUniverse::create(2);
+        let plain = ends.remove(0);
+        let chaotic = ChaosTransport::new(ends.remove(0), plan, Obs::disabled());
+        chaotic.send(0, &Message::WorkerReady).unwrap();
+        assert_eq!(plain.try_recv().unwrap().unwrap().1, Message::WorkerReady);
+        // Nor is anything the rank receives touched.
+        plain.send(1, &Message::Shutdown).unwrap();
+        assert_eq!(chaotic.try_recv().unwrap().unwrap(), (0, Message::Shutdown));
+    }
+
+    #[test]
+    fn a_scripted_delay_still_delivers() {
+        let plan = ChaosPlan::quiet(0).with_delay(1, 0, 1, Duration::from_millis(30));
+        let mut ends = ThreadUniverse::create(2);
+        let receiver = ends.remove(0);
+        let chaotic = ChaosTransport::new(ends.remove(0), plan, Obs::disabled());
+        let start = std::time::Instant::now();
+        chaotic.send(0, &result_msg(0)).unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        assert!(receiver.try_recv().unwrap().is_some());
+        // Only the scripted result waits.
+        chaotic.send(0, &result_msg(1)).unwrap();
+        assert!(receiver.try_recv().unwrap().is_some());
+        assert_eq!(chaotic.stats().delayed, 1);
+    }
+
+    #[test]
+    fn a_fault_scripted_on_one_rank_leaves_another_untouched() {
+        let plan = ChaosPlan::quiet(0)
+            .with_drop(1, 0, u64::MAX)
+            .with_delay(1, 0, 1, Duration::from_secs(60))
+            .with_kill(1, 0);
+        let mut ends = ThreadUniverse::create(3);
+        let receiver = ends.remove(0);
+        let victim = ChaosTransport::new(ends.remove(0), plan.clone(), Obs::disabled());
+        let bystander = ChaosTransport::new(ends.remove(0), plan, Obs::disabled());
+        assert!(victim.is_severed());
+        assert!(!bystander.is_severed());
+        for t in 0..5 {
+            bystander.send(0, &result_msg(t)).unwrap();
+        }
+        let mut got = Vec::new();
+        while let Ok(Some((from, Message::TreeResult { task, .. }))) = receiver.try_recv() {
+            assert_eq!(from, 2);
+            got.push(task);
+        }
+        assert_eq!(got, (0..5).collect::<Vec<_>>());
+        assert_eq!(bystander.stats(), ChaosStats::default());
     }
 }

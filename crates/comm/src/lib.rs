@@ -14,9 +14,6 @@
 //!   shared-memory stand-in for MPI ranks (the `repro_why` note: MPI
 //!   bindings are thin, so the dispatch/queue/fault-tolerance code paths
 //!   are exercised over channels instead of a wire).
-//! * [`fault`] — a wrapper transport that drops or delays messages from
-//!   selected ranks, to exercise the foreman's timeout-based fault
-//!   tolerance (paper §2.2).
 //!
 //! The serial build needs no transport at all: as in the paper, "the worker
 //! process acts as a subroutine in the serial version of fastDNAml".
@@ -24,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod fault;
 pub mod job;
 pub mod message;
 pub mod recording;

@@ -425,8 +425,8 @@ pub fn run_net_peer(
 
 /// Chaos wrapper: lets `limit` results (tree, jumble or edit chunk)
 /// through (`u64::MAX`: all), then terminates the whole process before the
-/// next one — a genuine worker death, distinct from
-/// [`fdml_comm::fault::FaultyTransport`]'s in-process severance.
+/// next one — a genuine worker death, distinct from a
+/// [`fdml_chaos::ChaosPlan`] sever, which only cuts an in-process link.
 struct DieAfter<T: Transport> {
     inner: T,
     limit: u64,

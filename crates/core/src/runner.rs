@@ -16,7 +16,6 @@ use crate::sched::{tick_of, Sched};
 use crate::search::{SearchResult, StepwiseSearch};
 use crate::worker::{ranks, run_worker, Evaluator, WorkerStats};
 use fdml_chaos::{ChaosPlan, ChaosTransport};
-use fdml_comm::fault::{FaultPlan, FaultyTransport};
 use fdml_comm::recording::Recording;
 use fdml_comm::threads::ThreadUniverse;
 use fdml_comm::transport::{CommError, Rank, Transport};
@@ -100,12 +99,11 @@ impl RunOptions {
 pub struct ThreadOptions {
     /// Total thread-ranks, master, foreman and monitor included (minimum 4).
     pub num_ranks: usize,
-    /// Injected fault plans by worker rank, for the foreman's timeouts.
-    pub faults: HashMap<usize, FaultPlan>,
-    /// A seeded chaos plan, wrapping every worker transport in
-    /// [`ChaosTransport`]. While one worker survives, the result is
-    /// byte-identical to the fault-free run; when none does, the run
-    /// returns a typed error instead of hanging.
+    /// The faults injected into the workers: a chaos plan (seeded fault
+    /// mixes and faults scripted on named ranks), wrapping every worker
+    /// transport in [`ChaosTransport`]. While one worker survives, the
+    /// result is byte-identical to the fault-free run; when none does, the
+    /// run returns a typed error instead of hanging.
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -293,8 +291,8 @@ impl ServiceRanks {
 }
 
 /// The threaded program over `num_ranks` thread-ranks: rank 0 the master,
-/// rank 1 the foreman, rank 2 the monitor, ranks 3.. workers behind their
-/// chaos / fault wrappers. As in the paper, "the fully instrumented
+/// rank 1 the foreman, rank 2 the monitor, ranks 3.. workers, each behind a
+/// [`ChaosTransport`] when a plan is given. As in the paper, "the fully instrumented
 /// parallel version of fastDNAml requires a minimum of four processors".
 /// Every rank is joined before the outcome is looked at.
 pub fn run_threaded(
@@ -302,11 +300,7 @@ pub fn run_threaded(
     threads: impl Into<ThreadOptions>,
     options: RunOptions,
 ) -> Result<RunOutcome, PhyloError> {
-    let ThreadOptions {
-        num_ranks,
-        mut faults,
-        chaos,
-    } = threads.into();
+    let ThreadOptions { num_ranks, chaos } = threads.into();
     let RunOptions {
         wal_dir,
         width,
@@ -324,22 +318,17 @@ pub fn run_threaded(
     let mut worker_handles = Vec::new();
     for rank in (ranks::FIRST_WORKER..num_ranks).rev() {
         let end = endpoints.remove(rank);
-        let fault = faults.remove(&rank);
         let chaos = chaos.clone();
         let worker_obs = obs.clone();
-        let handle = thread::spawn(move || match (chaos, fault) {
-            (Some(plan), _) => run_worker(
+        let handle = thread::spawn(move || match chaos {
+            Some(plan) => run_worker(
                 Recording::new(
                     ChaosTransport::new(end, plan, worker_obs.clone()),
                     worker_obs.clone(),
                 ),
                 worker_obs,
             ),
-            (None, Some(plan)) => run_worker(
-                Recording::new(FaultyTransport::new(end, plan), worker_obs.clone()),
-                worker_obs,
-            ),
-            (None, None) => run_worker(Recording::new(end, worker_obs.clone()), worker_obs),
+            None => run_worker(Recording::new(end, worker_obs.clone()), worker_obs),
         });
         worker_handles.push((rank, handle));
     }
@@ -587,9 +576,10 @@ mod tests {
         let clean = parallel_search(&a, &config, 6.into(), RunOptions::default());
         // Worker 3 silently drops its first four results: the foreman must
         // time it out, re-dispatch, and the final tree must be unchanged.
-        let mut faults = HashMap::new();
-        faults.insert(3usize, FaultPlan::drop_first(4));
-        let threads = ThreadOptions { faults, ..6.into() };
+        let threads = ThreadOptions {
+            chaos: Some(ChaosPlan::quiet(0).with_drop(3, 0, 4)),
+            ..6.into()
+        };
         let faulty = parallel_search(&a, &config, threads, RunOptions::default());
         let (clean_run, faulty_run) = (&clean.runs[0], &faulty.runs[0]);
         assert_eq!(splits(&a, clean_run), splits(&a, faulty_run));
@@ -619,9 +609,10 @@ mod tests {
         // foreman must requeue its outstanding task (timeout first, then the
         // eager path on every later dispatch attempt) and the two surviving
         // workers must finish the search with an identical result.
-        let mut faults = HashMap::new();
-        faults.insert(3usize, FaultPlan::disconnect_after(1));
-        let threads = ThreadOptions { faults, ..6.into() };
+        let threads = ThreadOptions {
+            chaos: Some(ChaosPlan::quiet(0).with_kill(3, 1)),
+            ..6.into()
+        };
         let faulty = parallel_search(&a, &config, threads, RunOptions::default());
         let (clean_run, faulty_run) = (&clean.runs[0], &faulty.runs[0]);
         assert_eq!(splits(&a, clean_run), splits(&a, faulty_run));

@@ -26,8 +26,8 @@
 //! exact semantics of the threaded transport (`send` is non-blocking and
 //! buffered, `recv_timeout` returns `Ok(None)` on timeout), so everything
 //! written against the trait — the foreman's scheduling, fault injection
-//! via `FaultyTransport`, wire-byte accounting via `Recording` — composes
-//! unchanged over TCP.
+//! via `fdml_chaos::ChaosTransport`, wire-byte accounting via
+//! `Recording` — composes unchanged over TCP.
 
 #![warn(missing_docs)]
 

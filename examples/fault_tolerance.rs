@@ -6,13 +6,12 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use fastdnaml::comm::fault::FaultPlan;
+use fastdnaml::chaos::ChaosPlan;
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{run_threaded, RunOptions, ThreadOptions};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::phylo::bipartition::robinson_foulds;
-use std::collections::HashMap;
 use std::time::Duration;
 
 fn main() {
@@ -33,14 +32,11 @@ fn main() {
     );
 
     println!("\nfaulty run: worker 3 silently drops its first 6 results…");
-    let mut faults = HashMap::new();
-    faults.insert(3usize, FaultPlan::drop_first(6));
-    let faulty = run_threaded(
-        &job,
-        ThreadOptions { faults, ..5.into() },
-        RunOptions::default(),
-    )
-    .expect("faulty run");
+    let threads = ThreadOptions {
+        chaos: Some(ChaosPlan::quiet(0).with_drop(3, 0, 6)),
+        ..5.into()
+    };
+    let faulty = run_threaded(&job, threads, RunOptions::default()).expect("faulty run");
     println!(
         "  lnL {:.3}; {} dispatches, {} timeouts, {} re-admissions, {} duplicate results ignored",
         faulty.runs[0].ln_likelihood,

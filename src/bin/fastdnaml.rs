@@ -130,8 +130,7 @@ const FLAGS: &[Flag] = &[
     flag("isa", Text("LANE"), ALL, "kernel instruction set: scalar | avx2 | avx512 | neon (host-supported) [auto-detect]"),
     flag("wire", OneOf(&["binary"]), ALL, "the data-plane encoding; binary is the only one"),
     flag("chaos-storage-crash", Int("N", 0), ALL, "test hook: abort at the Nth durable-storage operation, as a crash there would"),
-    // `--serve` reads no alignment; it still accepts one (ROADMAP item 8).
-    flag("input", Text("FILE"), PROBLEM | SERVE, "PHYLIP (or FASTA with --fasta) alignment [required]"),
+    flag("input", Text("FILE"), PROBLEM, "PHYLIP (or FASTA with --fasta) alignment [required]"),
     flag("fasta", Nothing, PROBLEM, "input is FASTA instead of PHYLIP"),
     flag("tt-ratio", Real("R"), SEARCHED | USER_TREES, "transition/transversion ratio [2.0]"),
     flag("jumble", Int("SEED", 1), SEARCHED, "random addition-order seed [1]"),

@@ -84,7 +84,10 @@ fn seeded_chaos_matrix_is_byte_identical_to_fault_free() {
             }
         })
         .collect();
-    plans.push(ChaosPlan::quiet(99).with_partition(1, 3));
+    // A partition: every worker loses results 1..4, then heals.
+    plans.push((3..6).fold(ChaosPlan::quiet(99), |plan, worker| {
+        plan.with_drop(worker, 1, 3)
+    }));
 
     for plan in &plans {
         let chaotic = run_threaded(&job, under(plan), RunOptions::default())

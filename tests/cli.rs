@@ -536,15 +536,18 @@ fn what_the_cli_does_not_understand_it_refuses() {
         outgroup.contains("--outgroup") && outgroup.contains("nobody"),
         "{outgroup}"
     );
-    // What the launchers pass is still understood: the hidden test hooks
-    // and the `peer` spelling get as far as dialing a dead address.
+    // What the launchers pass is still understood: the worker's hidden
+    // test hook and the `peer` spelling get as far as dialing a dead
+    // address.
     let out = fastdnaml()
         .args(["--net", "peer", "--connect", "127.0.0.1:1", "--quiet"])
-        .args(["--die-after-tasks", "3", "--die-rank", "4"])
+        .args(["--die-after-tasks", "3"])
         .output()
         .expect("run fastdnaml");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("net worker"), "stderr: {stderr}");
+    assert!(stderr.contains("connect 127.0.0.1:1"), "stderr: {stderr}");
+    assert!(!stderr.contains("does not read"), "stderr: {stderr}");
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -587,20 +590,22 @@ fn unwritable_obs_out_is_a_one_line_error() {
 
 #[test]
 fn unwritable_addr_file_is_a_one_line_error() {
-    let dir = workdir("addr_state");
+    // A daemon reads no alignment, so its command line has no `--input`.
+    let dir = workdir("unwritable_addr");
     let state = dir.join("state");
-    let state = state.to_str().unwrap();
-    unwritable_file_is_one_line_error(
-        "unwritable_addr",
-        &[
-            "--serve",
-            "--state-dir",
-            state,
-            "--addr-file",
-            "/nonexistent/a.txt",
-        ],
-        "/nonexistent/a.txt",
-    );
+    let out = fastdnaml()
+        .arg("--serve")
+        .arg("--state-dir")
+        .arg(&state)
+        .args(["--addr-file", "/nonexistent/a.txt", "--quiet"])
+        .output()
+        .expect("run fastdnaml");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("fastdnaml: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("/nonexistent/a.txt"), "{stderr}");
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -957,6 +962,14 @@ fn every_mode_refuses_the_flags_it_does_not_read() {
     let status = ["--status", "1", "--connect", "127.0.0.1:9"];
     let attach = ["--attach", "1", "--connect", "127.0.0.1:9"];
     let worker = ["--net", "worker", "--connect", "127.0.0.1:9"];
+    // An unwritable address file: a daemon that does start exits at once.
+    let serve = [
+        "--serve",
+        "--state-dir",
+        &state,
+        "--addr-file",
+        "/nonexistent/a",
+    ];
     let cases: &[(&[&str], &[&str], &str, &str)] = &[
         (&search, &["--ranks", "9"], serial, "--ranks"),
         (&search, &["--listen", "127.0.0.1:0"], serial, "--listen"),
@@ -1029,6 +1042,7 @@ fn every_mode_refuses_the_flags_it_does_not_read() {
         (&attach, &["--jumbles", "3"], "--attach", "--jumbles"),
         (&worker, &["--input", input], "--net worker", "--input"),
         (&worker, &["--radius", "4"], "--net worker", "--radius"),
+        (&serve, &["--input", input], "--serve", "--input"),
     ];
     for (mode, extra, names_mode, names_flag) in cases {
         let out = fastdnaml()

@@ -7,7 +7,7 @@
 //! delayed, and severed results; through a worker process dying mid-farm;
 //! and through a kill/resume cycle driven by the farm manifest.
 
-use fastdnaml::comm::fault::FaultPlan;
+use fastdnaml::chaos::ChaosPlan;
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::farm::{plan_seeds, FarmManifest, JumbleStatus};
 use fastdnaml::core::job::ResolvedJob;
@@ -15,7 +15,6 @@ use fastdnaml::core::runner::{
     run_in_process, run_threaded, RunOptions, RunOutcome, ThreadOptions,
 };
 use fastdnaml::phylo::phylip;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
@@ -112,21 +111,24 @@ fn farm_survives_the_fault_matrix_with_identical_output() {
     assert_eq!(clean.runs.len(), 8);
     // (name, worker 3's plan, tasks worker 3 must be handed for the plan
     // to fire, whether it comes back)
-    let cases: Vec<(&str, FaultPlan, u64, bool)> = vec![
+    let quiet = ChaosPlan::quiet(0);
+    let cases: Vec<(&str, ChaosPlan, u64, bool)> = vec![
         // Worker 3 silently drops its first jumble result: requeued by
         // timeout.
-        ("drop", FaultPlan::drop_first(1), 1, true),
+        ("drop", quiet.clone().with_drop(3, 0, 1), 1, true),
         // Worker 3 delays each result past the timeout: the foreman times
         // it out, requeues, then re-admits the stragglers.
         (
             "delay",
-            FaultPlan::delay_first(2, Duration::from_millis(800)),
+            quiet
+                .clone()
+                .with_delay(3, 0, 2, Duration::from_millis(800)),
             1,
             true,
         ),
         // Worker 3's link is severed after one result: its second jumble
         // is stranded in flight and must be requeued on a survivor.
-        ("disconnect", FaultPlan::disconnect_after(1), 2, false),
+        ("disconnect", quiet.with_kill(3, 1), 2, false),
     ];
     for (name, plan, needs, recovers) in cases {
         // Workers announce themselves in whatever order the host schedules
@@ -136,14 +138,11 @@ fn farm_survives_the_fault_matrix_with_identical_output() {
         // and the case runs again.
         let faulty = (0..FAULT_ATTEMPTS)
             .find_map(|_| {
-                let mut faults = HashMap::new();
-                faults.insert(3usize, plan.clone());
-                let faulty = run_threaded(
-                    &job,
-                    ThreadOptions { faults, ..6.into() },
-                    RunOptions::default(),
-                )
-                .unwrap();
+                let threads = ThreadOptions {
+                    chaos: Some(plan.clone()),
+                    ..6.into()
+                };
+                let faulty = run_threaded(&job, threads, RunOptions::default()).unwrap();
                 assert_same_farm(name, &clean, &faulty);
                 let handed = faulty
                     .monitor

@@ -2,14 +2,13 @@
 //! threaded parallel runtime: the event stream and the end-of-run report
 //! must agree with the foreman's own bookkeeping.
 
-use fastdnaml::comm::fault::FaultPlan;
+use fastdnaml::chaos::ChaosPlan;
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{run_threaded, RunOptions, ThreadOptions};
 use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::obs::{Event, JsonlSink, MemorySink, Record, RunReport, Sink};
 use fastdnaml::phylo::alignment::Alignment;
-use std::collections::HashMap;
 use std::time::Duration;
 
 fn dataset() -> Alignment {
@@ -176,12 +175,13 @@ fn timeout_and_recovery_show_up_in_the_event_stream() {
         worker_timeout: timeout,
         ..fault_free
     };
-    let mut faults = HashMap::new();
-    faults.insert(3usize, FaultPlan::delay_first(1, delay));
     let mem = MemorySink::new();
     let sinks: Vec<Box<dyn Sink>> = vec![Box::new(mem.clone())];
     let job = ResolvedJob::from_parts(alignment.clone(), config.clone(), 1).unwrap();
-    let threads = ThreadOptions { faults, ..5.into() };
+    let threads = ThreadOptions {
+        chaos: Some(ChaosPlan::quiet(0).with_delay(3, 0, 1, delay)),
+        ..5.into()
+    };
     let outcome = run_threaded(&job, threads, RunOptions::observed(sinks)).expect("run");
     let records = mem.snapshot();
 

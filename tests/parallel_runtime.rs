@@ -2,7 +2,7 @@
 //! determinism across worker counts and robustness to injected faults
 //! (paper §2.2).
 
-use fastdnaml::comm::fault::FaultPlan;
+use fastdnaml::chaos::ChaosPlan;
 use fastdnaml::core::config::SearchConfig;
 use fastdnaml::core::job::ResolvedJob;
 use fastdnaml::core::runner::{
@@ -13,7 +13,6 @@ use fastdnaml::datagen::{evolve, yule_tree, EvolutionConfig};
 use fastdnaml::obs::{MemorySink, Sink};
 use fastdnaml::phylo::alignment::Alignment;
 use fastdnaml::phylo::bipartition::SplitSet;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// The serial program: the same search over the in-process transport.
@@ -134,19 +133,16 @@ fn delayed_worker_triggers_timeout_then_recovery() {
         worker_timeout: timeout,
         ..fault_free
     };
-    let mut faults = HashMap::new();
     // Worker 3 delays its first result well past the timeout: the foreman
     // must declare it delinquent, reassign, then re-admit it when the late
     // answer arrives. The delay is far shorter than the total run so the
     // late answer always lands while the foreman is still alive.
-    faults.insert(3usize, FaultPlan::delay_first(1, delay));
+    let threads = ThreadOptions {
+        chaos: Some(ChaosPlan::quiet(0).with_delay(3, 0, 1, delay)),
+        ..5.into()
+    };
     let job = ResolvedJob::from_parts(alignment.clone(), config.clone(), 1).unwrap();
-    let outcome = run_threaded(
-        &job,
-        ThreadOptions { faults, ..5.into() },
-        RunOptions::default(),
-    )
-    .expect("run");
+    let outcome = run_threaded(&job, threads, RunOptions::default()).expect("run");
     assert!(
         outcome.foreman.timeouts >= 1,
         "timeout must fire (timeout {timeout:?}, delay {delay:?})"
@@ -211,16 +207,13 @@ fn dead_worker_does_not_stall_the_run() {
         worker_timeout: Duration::from_millis(150),
         ..SearchConfig::default()
     };
-    let mut faults = HashMap::new();
     // Worker 4 never delivers any result at all.
-    faults.insert(4usize, FaultPlan::drop_first(u64::MAX));
+    let threads = ThreadOptions {
+        chaos: Some(ChaosPlan::quiet(0).with_drop(4, 0, u64::MAX)),
+        ..5.into()
+    };
     let job = ResolvedJob::from_parts(alignment.clone(), config.clone(), 1).unwrap();
-    let outcome = run_threaded(
-        &job,
-        ThreadOptions { faults, ..5.into() },
-        RunOptions::default(),
-    )
-    .expect("run");
+    let outcome = run_threaded(&job, threads, RunOptions::default()).expect("run");
     assert!(outcome.runs[0].ln_likelihood.is_finite());
     assert!(outcome.foreman.timeouts >= 1);
     let serial = serial_search(&alignment, &config).expect("serial");
