@@ -311,7 +311,7 @@ struct ObjectiveShape {
 /// objective on the shapes that shape flatters: half and all of the weights
 /// repeated columns, and four rate categories in short runs.
 fn run_objective_rows(np: usize, samples: usize) -> Vec<ObjectiveReport> {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ np as u64;
+    let mut state = rand::GOLDEN_GAMMA ^ np as u64;
     let mut next = move || {
         state ^= state >> 12;
         state ^= state << 25;
@@ -529,7 +529,13 @@ fn main() {
     let out = args.get_str("out", "BENCH_kernels.json");
 
     let (eval_taxa, eval_sites) = if quick { (24, 200) } else { (101, 500) };
-    let by_sites = if quick { (16, 300) } else { (32, 1858) };
+    // Evaluation cost against alignment length at a fixed tree: linear in
+    // patterns is what lets the experiments scale alignments (`--scale`).
+    let (by_sites_taxa, by_sites): (usize, &[usize]) = if quick {
+        (16, &[300])
+    } else {
+        (32, &[200, 800, 1858])
+    };
 
     let mut workloads = Vec::new();
 
@@ -555,11 +561,11 @@ fn main() {
         ));
     }
 
-    {
-        let (alignment, tree) = dataset(by_sites.0, by_sites.1);
+    for &sites in by_sites {
+        let (alignment, tree) = dataset(by_sites_taxa, sites);
         let mut engine = LikelihoodEngine::new(&alignment);
         workloads.push(run_workload(
-            &format!("evaluate_by_sites/{}", by_sites.1),
+            &format!("evaluate_by_sites/{sites}"),
             samples,
             &mut engine,
             |e| e.evaluate(&tree).work.total_pattern_updates(),

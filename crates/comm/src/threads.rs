@@ -1,8 +1,9 @@
-//! Threaded transport: MPI ranks as OS threads over crossbeam channels.
+//! Threaded transport: MPI ranks as OS threads over `std::sync::mpsc`
+//! channels.
 
 use crate::message::Message;
 use crate::transport::{CommError, Rank, Transport};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// A set of connected endpoints, one per rank. Created once, then each
@@ -23,7 +24,7 @@ impl ThreadUniverse {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }

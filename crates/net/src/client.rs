@@ -13,15 +13,15 @@
 //! it exits and the coordinator's fault tolerance takes over.
 
 use crate::wire::{coalesce_frames, read_frame, write_frame, Frame, FrameReader, PROTOCOL_VERSION};
+use fdml_comm::lock;
 use fdml_comm::message::Message;
 use fdml_comm::transport::{CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
-use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -222,12 +222,12 @@ impl Transport for TcpTransport {
         if self.shared.dead.load(Ordering::SeqCst) {
             // Drain what already arrived before failing: results computed
             // just before the link died are still worth delivering.
-            if let Ok(pair) = self.in_rx.lock().try_recv() {
+            if let Ok(pair) = lock(&self.in_rx).try_recv() {
                 return Ok(Some(pair));
             }
             return Err(CommError::Disconnected(self.shared.rank));
         }
-        match self.in_rx.lock().recv_timeout(timeout) {
+        match lock(&self.in_rx).recv_timeout(timeout) {
             Ok(pair) => Ok(Some(pair)),
             Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
             Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -395,7 +395,7 @@ fn client_writer(
             return;
         }
         let encoded = {
-            let out_rx = out_rx.lock();
+            let out_rx = lock(&out_rx);
             let first = match out_rx.recv_timeout(shared.liveness.heartbeat) {
                 Ok(frame) => frame,
                 Err(mpsc::RecvTimeoutError::Timeout) => Frame::Heartbeat { from },
@@ -423,17 +423,18 @@ fn client_writer(
 /// derived from `(rank, attempt)`. Without jitter, a hub restart makes
 /// every client of a mass-disconnect redial on the *same* schedule — a
 /// synchronized stampede against a listener that is just coming back.
-/// Deriving the factor from stable inputs (splitmix64, no global RNG)
-/// keeps runs reproducible while desynchronizing the fleet.
+/// Deriving the factor from stable inputs ([`rand::splitmix64`], no global
+/// RNG) keeps runs reproducible while desynchronizing the fleet.
 fn backoff_with_jitter(base: Duration, rank: Rank, attempt: u32) -> Duration {
     let exp = base.saturating_mul(1u32 << attempt.min(16));
-    let mut z = (rank as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    // One gamma short of `rank × gamma + attempt + salt`: splitmix64 adds
+    // that gamma before it mixes.
+    let mut state = (rank as u64)
+        .wrapping_sub(1)
+        .wrapping_mul(rand::GOLDEN_GAMMA)
         .wrapping_add(attempt as u64)
         .wrapping_add(0x5EED_1E55_B10F_F5ED);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = rand::splitmix64(&mut state);
     // 512..1536 out of 1024 ≈ a 0.5x..1.5x scale.
     let scale_millis = 512 + (z % 1024) as u32;
     exp.saturating_mul(scale_millis) / 1024

@@ -43,15 +43,15 @@
 
 use crate::wire::{coalesce_frames, read_frame, write_frame, Frame, FrameReader, PROTOCOL_VERSION};
 use fdml_comm::job::RejectReason;
+use fdml_comm::lock;
 use fdml_comm::message::Message;
 use fdml_comm::transport::{ranks, CommError, Rank, Transport};
 use fdml_obs::{Event, Obs};
-use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -112,7 +112,7 @@ struct HubShared {
     /// Inboxes of the ranks this process hosts, `0..hosted.len()`. Their
     /// entries in `slots` stay empty: no dialer is ever bound to them.
     hosted: Vec<Sender<(Rank, Message)>>,
-    slots: std::sync::Mutex<Vec<Slot>>,
+    slots: Mutex<Vec<Slot>>,
     /// Signalled whenever a slot connects or disconnects.
     changed: Condvar,
     /// `Data` frames that came in on one socket and left on another.
@@ -122,10 +122,9 @@ struct HubShared {
 }
 
 impl HubShared {
-    /// The slot table. A panicked holder does not wedge the hub: every
-    /// update leaves the table valid at every step.
+    /// The slot table, under the runtime's lock policy ([`lock`]).
     fn slots(&self) -> MutexGuard<'_, Vec<Slot>> {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.slots)
     }
 
     /// Route `msg` to rank `to` on behalf of `from`: the one path every
@@ -179,7 +178,7 @@ impl HubShared {
             slots = self
                 .changed
                 .wait_timeout(slots, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
+                .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
     }
@@ -246,7 +245,7 @@ impl Transport for HostedRank {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<(Rank, Message)>, CommError> {
-        match self.inbox.lock().recv_timeout(timeout) {
+        match lock(&self.inbox).recv_timeout(timeout) {
             Ok(pair) => Ok(Some(pair)),
             Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(CommError::Disconnected(self.rank)),
@@ -340,7 +339,7 @@ impl TcpHub {
             obs,
             shutdown: AtomicBool::new(false),
             hosted: inboxes,
-            slots: std::sync::Mutex::new(slots),
+            slots: Mutex::new(slots),
             changed: Condvar::new(),
             relayed: AtomicU64::new(0),
             service_tx,
@@ -372,7 +371,7 @@ impl TcpHub {
     /// service frame that arrives anyway is answered with a typed
     /// rejection by the handshake when this queue's receiver is gone.
     pub fn accept_service(&self, timeout: Duration) -> Option<ServiceRequest> {
-        self.service_rx.lock().recv_timeout(timeout).ok()
+        lock(&self.service_rx).recv_timeout(timeout).ok()
     }
 
     /// The address the hub actually listens on (resolves port 0).

@@ -8,6 +8,7 @@
 
 use crate::alignment::TaxonId;
 use crate::tree::{NodeId, Tree};
+use rand::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -187,27 +188,20 @@ pub fn robinson_foulds(a: &Tree, b: &Tree, num_taxa: usize) -> usize {
     SplitSet::of_tree(a, num_taxa).robinson_foulds(&SplitSet::of_tree(b, num_taxa))
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 /// The two pseudo-random keys of a taxon set: XORs of its taxa's keys.
 type SideKey = (u64, u64);
 
 fn taxon_key(taxon: TaxonId) -> SideKey {
     (
-        splitmix64(taxon as u64 + 1),
-        splitmix64((taxon as u64) | 0xabcd_0000_0000),
+        splitmix64(&mut (taxon as u64 + 1)),
+        splitmix64(&mut (taxon as u64 | 0xabcd_0000_0000)),
     )
 }
 
 /// What one non-trivial split adds to the fingerprint, from the key of its
 /// side without the lowest taxon.
-fn split_hash((xa, xb): SideKey) -> u128 {
-    ((splitmix64(xa) as u128) << 64) | splitmix64(xb ^ 0x5bd1_e995) as u128
+fn split_hash((mut xa, xb): SideKey) -> u128 {
+    ((splitmix64(&mut xa) as u128) << 64) | splitmix64(&mut (xb ^ 0x5bd1_e995)) as u128
 }
 
 /// A 128-bit order-independent topology fingerprint, computed in one O(n)
@@ -385,6 +379,19 @@ mod tests {
         let e = t.incident_edges(t.tip_of(2).unwrap())[0];
         t.insert_taxon(3, e).unwrap();
         t
+    }
+
+    /// Fingerprints deduplicate candidates, so their bits steer the
+    /// search: one fixed topology's fingerprint, pinned as a literal.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let names: Vec<String> = (0..7).map(|i| format!("t{i}")).collect();
+        let tree = crate::newick::parse_tree_with_names("((t0,t1),(t2,(t3,t4)),(t5,t6));", &names)
+            .unwrap();
+        assert_eq!(
+            topology_fingerprint(&tree),
+            20984160757083220191672916201380150292
+        );
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub fn neighbor_joining(matrix: &DistanceMatrix) -> Tree {
         for (ai, &i) in active.iter().enumerate() {
             r[ai] = active.iter().map(|&j| at(&d, i, j)).sum();
         }
-        // Minimize the Q criterion.
+        // Minimize the Q statistic.
         let (mut best, mut best_q) = ((0usize, 1usize), f64::INFINITY);
         for ai in 0..active.len() {
             for aj in ai + 1..active.len() {

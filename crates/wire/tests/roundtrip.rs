@@ -16,11 +16,7 @@ struct Rng(u64);
 impl Rng {
     fn next(&mut self) -> u64 {
         // splitmix64: cheap, seedable, good enough to vary payloads.
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        rand::splitmix64(&mut self.0)
     }
 
     fn string(&mut self) -> String {

@@ -67,13 +67,7 @@ impl TestRng {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
         let mut sm = h;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = || rand::splitmix64(&mut sm);
         TestRng {
             s: [next(), next(), next(), next()],
         }
